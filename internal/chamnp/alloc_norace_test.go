@@ -4,8 +4,8 @@ package chamnp
 
 // Warm-path allocation assertions. AllocsPerRun is meaningless under
 // the race detector's instrumented allocator, so this file is excluded
-// from `make race`; the same invariant is gated continuously by
-// `chambench -np -compare` (make bench-diff).
+// from `make race`; under plain `go test ./...` it is the continuous gate
+// on the invariant.
 
 import (
 	"testing"

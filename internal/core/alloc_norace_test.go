@@ -1,0 +1,62 @@
+//go:build !race
+
+package core
+
+// Warm-path allocation assertions. AllocsPerRun is meaningless under the
+// race detector's instrumented allocator, so this file is excluded from
+// `make race`.
+
+import (
+	"testing"
+
+	"cham/internal/rlwe"
+	"cham/internal/testutil"
+)
+
+// TestApplyWarmZeroAllocs: once the result is preallocated and the scratch
+// pools are warm, ApplyInto and ApplyBatchInto perform zero heap
+// allocations — single- and multi-chunk shapes, serial workers (goroutine
+// fan-out would allocate stacks, so the answer must not depend on the
+// host's core count).
+func TestApplyWarmZeroAllocs(t *testing.T) {
+	p := testParams(t, 64)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	ev, err := NewEvaluator(p, rng, sk, p.R.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev.Workers = 1
+	const batch = 3
+	for _, cols := range []int{64, 100} { // one chunk, two chunks
+		pm, err := ev.Prepare(testutil.Matrix(rng, 40, cols, p.T.Q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vecs := make([][]*rlwe.Ciphertext, batch)
+		res := make([]*Result, batch)
+		for k := range vecs {
+			vecs[k] = EncryptVector(p, rng, sk, testutil.Vector(rng, cols, p.T.Q))
+			res[k] = pm.NewResult()
+		}
+		for _, tc := range []struct {
+			name  string
+			apply func() error
+		}{
+			{"ApplyInto", func() error { return pm.ApplyInto(res[0], vecs[0]) }},
+			{"ApplyBatchInto", func() error { return pm.ApplyBatchInto(res, vecs) }},
+		} {
+			run := func() {
+				if err := tc.apply(); err != nil {
+					t.Fatalf("40x%d %s: %v", cols, tc.name, err)
+				}
+			}
+			// Warm the evaluator's scratch pools.
+			run()
+			run()
+			if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+				t.Errorf("40x%d warm %s allocates %.1f/op, want 0", cols, tc.name, allocs)
+			}
+		}
+	}
+}

@@ -36,19 +36,12 @@ func (pm *PreparedMatrix) ApplyBatch(vecs [][]*rlwe.Ciphertext) ([]*Result, erro
 // batch, so a warm call performs zero heap allocations regardless of the
 // batch size — the invariant the chamnp MatMul path is gated on.
 func (pm *PreparedMatrix) ApplyBatchInto(res []*Result, vecs [][]*rlwe.Ciphertext) error {
-	return pm.ApplyBatchIntoSink(res, vecs, nil)
-}
-
-// ApplyBatchIntoSink is ApplyBatchInto with per-stage kernel durations
-// also routed to sink (see ApplyIntoSink); a nil sink is exactly
-// ApplyBatchInto.
-func (pm *PreparedMatrix) ApplyBatchIntoSink(res []*Result, vecs [][]*rlwe.Ciphertext, sink obs.StageSink) error {
 	on := obs.On()
 	var t0 time.Time
 	if on {
 		t0 = time.Now()
 	}
-	if err := pm.applyBatchInto(res, vecs, sink); err != nil {
+	if err := pm.applyBatchInto(res, vecs); err != nil {
 		return countErr(err)
 	}
 	if on {
@@ -59,7 +52,7 @@ func (pm *PreparedMatrix) ApplyBatchIntoSink(res []*Result, vecs [][]*rlwe.Ciphe
 	return nil
 }
 
-func (pm *PreparedMatrix) applyBatchInto(res []*Result, vecs [][]*rlwe.Ciphertext, sink obs.StageSink) error {
+func (pm *PreparedMatrix) applyBatchInto(res []*Result, vecs [][]*rlwe.Ciphertext) error {
 	e := pm.ev
 	if len(vecs) == 0 {
 		return fmt.Errorf("%w: empty batch", ErrVectorLength)
@@ -86,8 +79,6 @@ func (pm *PreparedMatrix) applyBatchInto(res []*Result, vecs [][]*rlwe.Ciphertex
 	e.ensureInvN()
 	sc := e.getApplyScratch(pm.chunks, pm.maxPad)
 	defer e.putApplyScratch(sc)
-	sc.sink = sink
-	sc.clk.Attach(sink)
 	for k, ctV := range vecs {
 		if err := e.loadVector(sc, ctV); err != nil {
 			return err

@@ -252,33 +252,3 @@ func PlainMatVec(p bfv.Params, A [][]uint64, v []uint64) []uint64 {
 	}
 	return out
 }
-
-// MatVecMulti computes A·v_k for many vectors sharing one matrix — the
-// batched-inference pattern the paper's introduction motivates (many
-// encrypted inputs amortize the per-matrix work). It is Prepare followed
-// by one Apply per vector; matrices of any shape MatVec accepts work,
-// including multi-tile (m > N). vecs[k] must each come from EncryptVector
-// with the same column count.
-func (e *Evaluator) MatVecMulti(A [][]uint64, vecs [][]*rlwe.Ciphertext) ([]*Result, error) {
-	if len(vecs) == 0 {
-		return nil, countErr(fmt.Errorf("%w: no vectors", ErrVectorLength))
-	}
-	pm, err := e.Prepare(A)
-	if err != nil {
-		return nil, err
-	}
-	for k, v := range vecs {
-		if len(v) != pm.chunks {
-			return nil, countErr(fmt.Errorf("%w: vector %d has %d chunks, want %d", ErrVectorLength, k, len(v), pm.chunks))
-		}
-	}
-	out := make([]*Result, len(vecs))
-	for k, ctV := range vecs {
-		res, err := pm.Apply(ctV)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = res
-	}
-	return out, nil
-}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cham/internal/bfv"
-	"cham/internal/rlwe"
 	"cham/internal/testutil"
 )
 
@@ -238,48 +237,5 @@ func TestChamProductionDegree(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("row %d: %d want %d", i, got[i], want[i])
 		}
-	}
-}
-
-// TestMatVecMulti: the amortized multi-vector path must agree with
-// independent MatVec calls on every vector.
-func TestMatVecMulti(t *testing.T) {
-	p := testParams(t, 64)
-	rng := testutil.NewRand(t)
-	sk := p.KeyGen(rng)
-	ev, _ := NewEvaluator(p, rng, sk, 8)
-
-	A := randomMatrix(rng, 7, 100, p.T.Q) // 2 chunks, padded rows
-	const vecCount = 4
-	var vecs [][]uint64
-	var cts [][]*rlwe.Ciphertext
-	for k := 0; k < vecCount; k++ {
-		v := randomVector(rng, 100, p.T.Q)
-		vecs = append(vecs, v)
-		cts = append(cts, EncryptVector(p, rng, sk, v))
-	}
-	results, err := ev.MatVecMulti(A, cts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range vecs {
-		got := DecryptResult(p, results[k], sk)
-		want := PlainMatVec(p, A, vecs[k])
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("vector %d row %d: %d want %d", k, i, got[i], want[i])
-			}
-		}
-	}
-	// Validation paths.
-	if _, err := ev.MatVecMulti(A, nil); err == nil {
-		t.Error("no vectors accepted")
-	}
-	if _, err := ev.MatVecMulti(A, [][]*rlwe.Ciphertext{cts[0][:1]}); err == nil {
-		t.Error("chunk mismatch accepted")
-	}
-	tall := randomMatrix(rng, p.R.N+1, 16, 3)
-	if _, err := ev.MatVecMulti(tall, cts); err == nil {
-		t.Error("multi-tile matrix accepted")
 	}
 }

@@ -354,13 +354,9 @@ func (pm *PreparedMatrix) applyInto(res *Result, ctV []*rlwe.Ciphertext, sink ob
 // Because every tile's ciphertext depends only on its own rows, the
 // results are bit-identical to the corresponding entries of a full
 // ApplyInto (the gather-merge invariant the cluster tests pin down).
-func (pm *PreparedMatrix) ApplyTiles(out []*rlwe.Ciphertext, tiles []int, ctV []*rlwe.Ciphertext) error {
-	return pm.ApplyTilesSink(out, tiles, ctV, nil)
-}
-
-// ApplyTilesSink is ApplyTiles with per-stage kernel durations also routed
-// to sink (see ApplyIntoSink); nil sink is exactly ApplyTiles.
-func (pm *PreparedMatrix) ApplyTilesSink(out []*rlwe.Ciphertext, tiles []int, ctV []*rlwe.Ciphertext, sink obs.StageSink) error {
+// Per-stage kernel durations are also routed to sink when it is non-nil
+// (see ApplyIntoSink).
+func (pm *PreparedMatrix) ApplyTiles(out []*rlwe.Ciphertext, tiles []int, ctV []*rlwe.Ciphertext, sink obs.StageSink) error {
 	on := obs.On()
 	var t0 time.Time
 	if on {

@@ -88,7 +88,8 @@ func TestMatVecWorkerDeterminism(t *testing.T) {
 }
 
 // TestPreparedMatchesMatVec: Prepare+Apply must produce bit-identical
-// packed ciphertexts to per-call MatVec over random shapes, including
+// packed ciphertexts to per-call MatVec over one fixed multi-tile shape
+// (m > N, a one-row last tile) and random shapes, including
 // non-power-of-two row counts and multi-chunk column counts, and repeated
 // Apply calls (exercising the pooled scratch) must stay stable.
 func TestPreparedMatchesMatVec(t *testing.T) {
@@ -99,9 +100,15 @@ func TestPreparedMatchesMatVec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for trial := 0; trial < 8; trial++ {
-		m := 1 + rng.Intn(2*p.R.N) // up to two row tiles
-		n := 1 + rng.Intn(3*p.R.N) // up to three column chunks
+	shapes := [][2]int{{p.R.N + 1, 16}}
+	for len(shapes) < 9 {
+		shapes = append(shapes, [2]int{
+			1 + rng.Intn(2*p.R.N), // up to two row tiles
+			1 + rng.Intn(3*p.R.N), // up to three column chunks
+		})
+	}
+	for trial, s := range shapes {
+		m, n := s[0], s[1]
 		A := randomMatrix(rng, m, n, p.T.Q)
 		v := randomVector(rng, n, p.T.Q)
 		ctV := EncryptVector(p, rng, sk, v)
@@ -159,6 +166,8 @@ func TestPreparedValidation(t *testing.T) {
 	wantErr(t, err, ErrRaggedMatrix, "ragged matrix")
 	_, err = ev.Prepare(randomMatrix(rng, 8, 16, p.T.Q))
 	wantErr(t, err, ErrTileTooLarge, "tile beyond packing keys")
+	_, err = ev.Prepare(randomMatrix(rng, p.R.N+1, 16, 3))
+	wantErr(t, err, ErrTileTooLarge, "multi-tile matrix beyond packing keys")
 	pm, err := ev.Prepare(randomMatrix(rng, 4, 16, p.T.Q))
 	if err != nil {
 		t.Fatal(err)
@@ -213,18 +222,13 @@ func TestPreparedMisuse(t *testing.T) {
 		t.Errorf("valid ApplyInto failed after misuse attempts: %v", err)
 	}
 
-	// MatVec / MatVecMulti argument errors.
+	// MatVec argument errors.
 	_, err = ev.MatVec([][]uint64{{1, 2}, {3}}, ctV)
 	wantErr(t, err, ErrRaggedMatrix, "MatVec ragged matrix")
 	_, err = ev.MatVec(randomMatrix(rng, 2, 16, p.T.Q), nil)
 	wantErr(t, err, ErrVectorLength, "MatVec missing vector")
 	_, err = ev.MatVec(nil, ctV)
 	wantErr(t, err, ErrEmptyMatrix, "MatVec empty matrix")
-	_, err = ev.MatVecMulti(randomMatrix(rng, 2, 16, p.T.Q), nil)
-	wantErr(t, err, ErrVectorLength, "MatVecMulti zero vectors")
-	_, err = ev.MatVecMulti(randomMatrix(rng, 2, 16, p.T.Q),
-		[][]*rlwe.Ciphertext{ctV, append(ctV, ctV...)})
-	wantErr(t, err, ErrVectorLength, "MatVecMulti chunk-count mismatch")
 }
 
 // TestErrorClassCounters: with telemetry enabled, each misuse increments
@@ -325,7 +329,7 @@ func TestPrepareTilesSparse(t *testing.T) {
 		return out
 	}
 	out := newOut(len(own))
-	if err := pm.ApplyTiles(out, own, ctV); err != nil {
+	if err := pm.ApplyTiles(out, own, ctV, nil); err != nil {
 		t.Fatal(err)
 	}
 	for k, ti := range own {
@@ -335,10 +339,10 @@ func TestPrepareTilesSparse(t *testing.T) {
 	}
 
 	// Unprepared and out-of-range tiles come back as typed sentinels.
-	wantErr(t, pm.ApplyTiles(newOut(1), []int{1}, ctV), ErrTileNotPrepared, "unprepared tile")
-	wantErr(t, pm.ApplyTiles(newOut(1), []int{9}, ctV), ErrTileIndex, "out-of-range tile")
+	wantErr(t, pm.ApplyTiles(newOut(1), []int{1}, ctV, nil), ErrTileNotPrepared, "unprepared tile")
+	wantErr(t, pm.ApplyTiles(newOut(1), []int{9}, ctV, nil), ErrTileIndex, "out-of-range tile")
 	wantErr(t, pm.ApplyInto(pm.NewResult(), ctV), ErrTileNotPrepared, "full apply on sparse matrix")
-	wantErr(t, pm.ApplyTiles(newOut(2), []int{0}, ctV), ErrResultShape, "output slot count mismatch")
+	wantErr(t, pm.ApplyTiles(newOut(2), []int{0}, ctV, nil), ErrResultShape, "output slot count mismatch")
 	wantErr(t, pm.PrepareTile(A, 17), ErrTileIndex, "PrepareTile out of range")
 	wantErr(t, pm.PrepareTile(A[:1], 1), ErrRaggedMatrix, "PrepareTile wrong row count")
 

@@ -1,13 +1,13 @@
 package lwe
 
 // NTT-resident, allocation-free packing tree (DESIGN.md §12). The
-// recursive PackLWEs of Alg. 3 is re-expressed iteratively: after ℓ levels
+// recursive PackLWEs of Alg. 3 is expressed iteratively: after ℓ levels
 // the live groups sit in the buffer prefix, and level ℓ (group size
 // i = 2^ℓ) merges the pairs (buf[j], buf[j+count/2]) — exactly the
-// even/odd split of the recursion, verified term-for-term against packRec.
-// The m/2 merges inside one level are independent, so they fan out across
-// a worker pool; merges consume their inputs in place, so the whole tree
-// runs in the caller's m node buffers plus one pooled scratch per worker.
+// even/odd split of the recursion. The m/2 merges inside one level are
+// independent, so they fan out across a worker pool; merges consume their
+// inputs in place, so the whole tree runs in the caller's m node buffers
+// plus one pooled scratch per worker.
 //
 // Tree state never leaves the NTT domain. A node carries
 //
@@ -69,37 +69,6 @@ func observeStage(h *obs.Histogram, stage int, d time.Duration, hist bool, sink 
 	if hist {
 		h.Observe(d.Seconds())
 	}
-}
-
-// ExtractAsRLWEInto fuses Extract and AsRLWE, writing the result into a
-// caller-owned normal-basis ciphertext: out's plaintext holds coefficient
-// idx of ct's plaintext at its constant coefficient. The mask double
-// negation of the LWE round trip cancels, so out.A is just ct.A shifted by
-// X^-idx (a plain copy at idx 0) and out.B is zero except for
-// B_idx at its constant slot. Input must be in coefficient domain; out
-// must not alias ct.
-func ExtractAsRLWEInto(p bfv.Params, out, ct *rlwe.Ciphertext, idx int) {
-	if ct.IsNTT() {
-		panic("lwe: Extract requires coefficient domain")
-	}
-	n := p.R.N
-	if idx < 0 || idx >= n {
-		panic("lwe: coefficient index out of range")
-	}
-	if idx == 0 {
-		out.A.CopyFrom(ct.A)
-	} else {
-		p.R.MulMonomial(out.A, ct.A, -idx)
-	}
-	for l := range out.B.Coeffs {
-		row := out.B.Coeffs[l]
-		for i := range row {
-			row[i] = 0
-		}
-		// (X^-idx · b)_0 = b_idx: the only surviving B coefficient.
-		row[0] = ct.B.Coeffs[l][idx]
-	}
-	out.B.IsNTT = false
 }
 
 // PackNode is one NTT-resident packing-tree operand: both parts are
@@ -170,13 +139,12 @@ func ResidentFromRLWE(p bfv.Params, nd *PackNode, ct *rlwe.Ciphertext) {
 	nd.A.IsNTT = true
 }
 
-// MergeScratch is the per-worker arena of one pack-tree sweep: the hoisted
+// mergeScratch is the per-worker arena of one pack-tree sweep: the hoisted
 // decomposition digits plus the difference and key-switch accumulator
-// polynomials a merge needs. Obtain with GetMergeScratch, release with
-// PutMergeScratch; one scratch serves every merge a worker claims at a
-// tree level, keeping the buffers cache-resident instead of cycling the
-// pool per merge.
-type MergeScratch struct {
+// polynomials a merge needs. One scratch serves every merge a worker
+// claims at a tree level, keeping the buffers cache-resident instead of
+// cycling the pool per merge.
+type mergeScratch struct {
 	dec *rlwe.Decomposition
 	dBT *ring.Poly // full basis: E.BT - X^z·O.BT
 	dA  *ring.Poly // full basis: E.A - X^z·O.A
@@ -184,16 +152,16 @@ type MergeScratch struct {
 	aN  *ring.Poly // normal basis, coefficient domain: rescaled gathered a
 }
 
-// msShells recycles MergeScratch headers; the buffers they carry come from
+// msShells recycles mergeScratch headers; the buffers they carry come from
 // the ring and decomposition pools. Shells are ring-agnostic (five
 // pointers), so one process-wide pool is safe.
 var msShells sync.Pool
 
-// GetMergeScratch borrows a merge arena from the pools.
-func GetMergeScratch(p bfv.Params) *MergeScratch {
-	ms, ok := msShells.Get().(*MergeScratch)
+// getMergeScratch borrows a merge arena from the pools.
+func getMergeScratch(p bfv.Params) *mergeScratch {
+	ms, ok := msShells.Get().(*mergeScratch)
 	if !ok {
-		ms = &MergeScratch{}
+		ms = &mergeScratch{}
 	}
 	full := p.R.Levels()
 	ms.dec = p.GetDecomposition()
@@ -204,9 +172,9 @@ func GetMergeScratch(p bfv.Params) *MergeScratch {
 	return ms
 }
 
-// PutMergeScratch returns a merge arena to the pools. The caller must not
+// putMergeScratch returns a merge arena to the pools. The caller must not
 // use ms afterwards.
-func PutMergeScratch(p bfv.Params, ms *MergeScratch) {
+func putMergeScratch(p bfv.Params, ms *mergeScratch) {
 	if ms == nil {
 		return
 	}
@@ -219,8 +187,8 @@ func PutMergeScratch(p bfv.Params, ms *MergeScratch) {
 	msShells.Put(ms)
 }
 
-// PackTwoResident merges two resident groups of size i without leaving the
-// NTT domain:
+// packTwo merges two resident groups of size i (PACKTWOLWES, Alg. 2)
+// without leaving the NTT domain:
 //
 //	out = (E + X^{N/2i}·O) + φ_{2i+1}(E - X^{N/2i}·O),
 //
@@ -229,15 +197,9 @@ func PutMergeScratch(p bfv.Params, ms *MergeScratch) {
 // into the full-basis accumulators un-rescaled. The only rescale is of
 // the gathered difference a-part feeding the digit decomposition — the
 // one place the merge is nonlinear in a. E and O are consumed
-// (overwritten as scratch); out may alias E but not O.
-func PackTwoResident(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk *rlwe.SwitchingKey, ms *MergeScratch) {
-	PackTwoResidentSink(p, out, i, E, O, swk, ms, nil)
-}
-
-// PackTwoResidentSink is PackTwoResident with per-stage durations also
-// routed to sink (a traced request's recorder); nil sink is exactly
-// PackTwoResident.
-func PackTwoResidentSink(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk *rlwe.SwitchingKey, ms *MergeScratch, sink obs.StageSink) {
+// (overwritten as scratch); out may alias E but not O. Per-stage
+// durations also go to sink (a traced request's recorder) when non-nil.
+func packTwo(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk *rlwe.SwitchingKey, ms *mergeScratch, sink obs.StageSink) {
 	hist := obs.On()
 	on := hist || sink != nil
 	var t0 time.Time
@@ -308,6 +270,9 @@ func PackTwoResidentSink(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk
 // FlushInto leaves residency: out.B = ModDown(INTT(nd.BT)) and out.A =
 // ModDown(INTT(nd.A)) — the whole tree's deferred divisions, once per
 // part. out must be a normal-basis ciphertext; nd is consumed.
+//
+// The benchmark pins the sink-less FlushInto and PackResident signatures,
+// so these two X/XSink pairs stay until a benchmark issue re-points it.
 func FlushInto(p bfv.Params, out *rlwe.Ciphertext, nd *PackNode) {
 	FlushIntoSink(p, out, nd, nil)
 }
@@ -383,12 +348,12 @@ func PackResidentSink(p bfv.Params, nodes []*PackNode, keys *PackingKeys, worker
 		return nil, fmt.Errorf("lwe: packing keys cover m=%d < %d", keys.M, m)
 	}
 	count := m
-	var ms *MergeScratch // serial-path arena, shared by every level
+	var ms *mergeScratch // serial-path arena, shared by every level
 	for i := 1; i < m; i <<= 1 {
 		half := count / 2
 		swk := keys.Keys[2*i+1]
 		if swk == nil {
-			PutMergeScratch(p, ms)
+			putMergeScratch(p, ms)
 			return nil, fmt.Errorf("lwe: missing packing key for k=%d", 2*i+1)
 		}
 		if workers > 1 && half > 1 {
@@ -399,15 +364,15 @@ func PackResidentSink(p bfv.Params, nodes []*PackNode, keys *PackingKeys, worker
 			packLevelParallel(p, nodes, i, half, swk, nw, sink)
 		} else {
 			if ms == nil {
-				ms = GetMergeScratch(p)
+				ms = getMergeScratch(p)
 			}
 			for j := 0; j < half; j++ {
-				PackTwoResidentSink(p, nodes[j], i, nodes[j], nodes[j+half], swk, ms, sink)
+				packTwo(p, nodes[j], i, nodes[j], nodes[j+half], swk, ms, sink)
 			}
 		}
 		count = half
 	}
-	PutMergeScratch(p, ms)
+	putMergeScratch(p, ms)
 	return nodes[0], nil
 }
 
@@ -422,83 +387,16 @@ func packLevelParallel(p bfv.Params, nodes []*PackNode, i, half int, swk *rlwe.S
 	for w := 0; w < nw; w++ {
 		go func() {
 			defer wg.Done()
-			ms := GetMergeScratch(p)
-			defer PutMergeScratch(p, ms)
+			ms := getMergeScratch(p)
+			defer putMergeScratch(p, ms)
 			for {
 				j := int(atomic.AddInt64(&next, 1)) - 1
 				if j >= half {
 					return
 				}
-				PackTwoResidentSink(p, nodes[j], i, nodes[j], nodes[j+half], swk, ms, sink)
+				packTwo(p, nodes[j], i, nodes[j], nodes[j+half], swk, ms, sink)
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// PackTwoInto is PackTwoLWEs writing into a caller-owned ciphertext:
-// out = (ct_e + X^{N/2i}·ct_o) + φ_{2i+1}(ct_e - X^{N/2i}·ct_o).
-// ctE and ctO are consumed (overwritten as scratch); out may alias ctE but
-// not ctO. All temporaries are pooled. A single merge's deferred divisions
-// are exact (the leaves enter as P·b and P·a), so the result is
-// bit-identical to the eager per-merge ModDown schedule.
-func PackTwoInto(p bfv.Params, out *rlwe.Ciphertext, i int, ctE, ctO *rlwe.Ciphertext, swk *rlwe.SwitchingKey) {
-	r := p.R
-	e := getPackNode(p)
-	o := getPackNode(p)
-	ResidentFromRLWE(p, e, ctE)
-	ResidentFromRLWE(p, o, ctO)
-	ms := GetMergeScratch(p)
-	PackTwoResident(p, e, i, e, o, swk, ms)
-	PutMergeScratch(p, ms)
-	FlushInto(p, out, e)
-	putPackNode(r, e)
-	putPackNode(r, o)
-}
-
-// PackRLWEs packs m := len(cts) RLWE slot ciphertexts (the AsRLWE form of
-// LWE extractions, normal basis, coefficient domain) into cts[0], which is
-// returned. m must be a power of two covered by keys. The entries of cts
-// are consumed: every buffer is overwritten as tree scratch.
-//
-// The tree itself runs NTT-resident with the b-part division deferred to
-// one flush (see PackResident); the packed plaintext is unchanged, and
-// the output noise is slightly LOWER than the eager schedule's (one
-// rounding instead of one per merge level).
-func PackRLWEs(p bfv.Params, cts []*rlwe.Ciphertext, keys *PackingKeys, workers int) (*rlwe.Ciphertext, error) {
-	m := len(cts)
-	if m == 1 {
-		return cts[0], nil
-	}
-	r := p.R
-	nodes := make([]*PackNode, m)
-	ok := m >= 1 && m&(m-1) == 0 && m <= r.N
-	for j := range nodes {
-		nodes[j] = getPackNode(p)
-		if ok {
-			ResidentFromRLWE(p, nodes[j], cts[j])
-		}
-	}
-	root, err := PackResident(p, nodes, keys, workers)
-	if err == nil {
-		FlushInto(p, cts[0], root)
-	}
-	for _, nd := range nodes {
-		putPackNode(r, nd)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return cts[0], nil
-}
-
-// getPackNode borrows a resident node whose polynomial buffers come from
-// the ring pools (contents arbitrary).
-func getPackNode(p bfv.Params) *PackNode {
-	return &PackNode{BT: p.R.GetPoly(p.R.Levels()), A: p.R.GetPoly(p.R.Levels())}
-}
-
-func putPackNode(r *ring.Ring, nd *PackNode) {
-	r.PutPoly(nd.BT)
-	r.PutPoly(nd.A)
 }

@@ -114,77 +114,29 @@ func GenPackingKeys(p bfv.Params, rng *rand.Rand, sk *rlwe.SecretKey, m int) (*P
 	return pk, nil
 }
 
-// PackTwoLWEs merges two packed groups of size i into one of size 2i
-// (Alg. 2): ct = (ct_e + X^{N/2i}·ct_o) + φ_{2i+1}(ct_e - X^{N/2i}·ct_o),
-// with the automorphism realised homomorphically via the switching key.
-func PackTwoLWEs(p bfv.Params, i int, ctE, ctO *rlwe.Ciphertext, swk *rlwe.SwitchingKey) *rlwe.Ciphertext {
-	lv := ctE.Levels()
-	out := &rlwe.Ciphertext{B: p.R.NewPoly(lv), A: p.R.NewPoly(lv)}
-	// PackTwoInto consumes its odd operand; work on a pooled copy so this
-	// non-destructive API keeps its contract.
-	o := p.GetCiphertext(lv)
-	o.CopyFrom(ctO)
-	PackTwoInto(p, out, i, ctE, o, swk)
-	p.PutCiphertext(o)
-	return out
-}
-
 // PackLWEs packs the given LWE ciphertexts (Alg. 3) into a single RLWE
 // ciphertext. len(cts) must be a power of two not exceeding N, and keys
 // must cover that size. Element i of the result's plaintext lives at
 // coefficient i·N/len(cts), scaled by len(cts) (fold bfv.InvPow2 into the
 // upstream encoding to cancel it).
+//
+// This is the allocating entry point over the one packing tree: every
+// leaf goes AsRLWE → ResidentFromRLWE, then PackResident folds the tree
+// and FlushInto leaves residency.
 func PackLWEs(p bfv.Params, cts []*Ciphertext, keys *PackingKeys) (*rlwe.Ciphertext, error) {
-	m := len(cts)
-	if m < 1 || m&(m-1) != 0 || m > p.R.N {
-		return nil, fmt.Errorf("lwe: cannot pack %d ciphertexts (need power of two in [1,N])", m)
-	}
-	if keys.M < m {
-		return nil, fmt.Errorf("lwe: packing keys cover m=%d < %d", keys.M, m)
-	}
-	rl := make([]*rlwe.Ciphertext, m)
+	nodes := make([]*PackNode, len(cts))
 	for i, c := range cts {
-		rl[i] = c.AsRLWE(p)
+		nodes[i] = NewPackNode(p)
+		ResidentFromRLWE(p, nodes[i], c.AsRLWE(p))
 	}
-	return PackRLWEs(p, rl, keys, 1)
+	root, err := PackResident(p, nodes, keys, 1)
+	if err != nil {
+		return nil, err
+	}
+	out := &rlwe.Ciphertext{B: p.R.NewPoly(p.NormalLevels), A: p.R.NewPoly(p.NormalLevels)}
+	FlushInto(p, out, root)
+	return out, nil
 }
-
-// PackReductions returns the number of PACKTWOLWES invocations needed to
-// pack m ciphertexts: m-1 (the paper's "4095 reductions to pack 4096").
-func PackReductions(m int) int { return m - 1 }
 
 // SlotStride returns the coefficient stride between packed values: N/m.
 func SlotStride(n, m int) int { return n / m }
-
-// PackCoefficients compacts chosen coefficients of one RLWE ciphertext:
-// it extracts the plaintext coefficients at the given indices and repacks
-// them contiguously (stride N/2^ceil(log2(len))) into a fresh ciphertext.
-// This is the ciphertext-compaction use of the Alg. 2/3 machinery: after
-// a convolution or dot-product batch, only the useful coefficients
-// survive, at 2^ℓ scale (cancel with bfv.InvPow2 upstream, or multiply
-// the result by it downstream when t is odd).
-func PackCoefficients(p bfv.Params, ct *rlwe.Ciphertext, indices []int, keys *PackingKeys) (*rlwe.Ciphertext, error) {
-	if len(indices) == 0 {
-		return nil, fmt.Errorf("lwe: no indices")
-	}
-	mPad := 1
-	for mPad < len(indices) {
-		mPad <<= 1
-	}
-	if mPad > p.R.N {
-		return nil, fmt.Errorf("lwe: %d indices exceed N", len(indices))
-	}
-	cts := make([]*Ciphertext, mPad)
-	for i, idx := range indices {
-		cts[i] = Extract(p, ct, idx)
-	}
-	for i := len(indices); i < mPad; i++ {
-		lv := ct.Levels()
-		z := &Ciphertext{Beta: make([]uint64, lv), Alpha: make([][]uint64, lv)}
-		for l := 0; l < lv; l++ {
-			z.Alpha[l] = make([]uint64, p.R.N)
-		}
-		cts[i] = z
-	}
-	return PackLWEs(p, cts, keys)
-}

@@ -204,55 +204,7 @@ func TestPackLWEsValidation(t *testing.T) {
 	if _, err := PackLWEs(p, eight, keys); err == nil {
 		t.Error("packing beyond key coverage accepted")
 	}
-}
-
-func TestPackReductions(t *testing.T) {
-	if PackReductions(4096) != 4095 {
-		t.Error("the paper's 4095-reductions claim must hold")
-	}
-	if PackReductions(1) != 0 {
-		t.Error("single ciphertext needs no reductions")
-	}
-}
-
-// TestPackCoefficients: compacting scattered coefficients of one
-// ciphertext into contiguous slots.
-func TestPackCoefficients(t *testing.T) {
-	p := testParams(t, 64)
-	rng := testutil.NewRand(t)
-	sk := p.KeyGen(rng)
-	keys, _ := GenPackingKeys(p, rng, sk, 8)
-
-	vals := make([]uint64, p.R.N)
-	for i := range vals {
-		vals[i] = rng.Uint64() % p.T.Q
-	}
-	ct := p.Encrypt(rng, sk, p.EncodeVector(vals), 2)
-
-	indices := []int{3, 17, 42, 63, 7} // 5 -> pad to 8
-	packed, err := PackCoefficients(p, ct, indices, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := p.Decrypt(packed, sk)
-	stride := SlotStride(p.R.N, 8)
-	scale := uint64(8)
-	for i, idx := range indices {
-		want := p.T.Mul(scale, vals[idx])
-		if got := dec.Coeffs[i*stride]; got != want {
-			t.Fatalf("slot %d: got %d want %d (8x coefficient %d)", i, got, want, idx)
-		}
-	}
-	// Padding slots decrypt to zero.
-	for i := len(indices); i < 8; i++ {
-		if dec.Coeffs[i*stride] != 0 {
-			t.Errorf("padding slot %d non-zero", i)
-		}
-	}
-	if _, err := PackCoefficients(p, ct, nil, keys); err == nil {
-		t.Error("empty index set accepted")
-	}
-	if _, err := PackCoefficients(p, ct, make([]int, p.R.N+1), keys); err == nil {
-		t.Error("too many indices accepted")
+	if _, err := PackLWEs(p, []*Ciphertext{l, l}, nil); err == nil {
+		t.Error("nil packing keys accepted")
 	}
 }

@@ -124,11 +124,11 @@ func TestStageClockAttribution(t *testing.T) {
 }
 
 // TestStageTaxonomyComplete: the paper's nine stages plus the hoisted
-// decompose split and the pack-tree moddown split, unique non-empty
-// names — DESIGN.md and the exposition format both key off this table.
+// decompose split, unique non-empty names — DESIGN.md and the exposition
+// format both key off this table.
 func TestStageTaxonomyComplete(t *testing.T) {
-	if NumStages != 11 {
-		t.Fatalf("NumStages = %d, want the paper's 9 plus decompose and moddown", NumStages)
+	if NumStages != 10 {
+		t.Fatalf("NumStages = %d, want the paper's 9 plus decompose", NumStages)
 	}
 	seen := map[string]bool{}
 	for i, name := range StageNames {

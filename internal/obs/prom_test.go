@@ -108,8 +108,8 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotJSON: snapshots are JSON-marshalable (the BENCH_hmvp.json
-// telemetry key) and carry cumulative buckets.
+// TestSnapshotJSON: snapshots are JSON-marshalable and carry cumulative
+// buckets.
 func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("n_total", "").Add(2)

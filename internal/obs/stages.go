@@ -3,12 +3,12 @@ package obs
 import "time"
 
 // The HMVP stage taxonomy (DESIGN.md §7/§9): the paper's nine pipeline
-// stages plus the hoisted digit-decomposition split of the key switch and
-// the deferred pack-tree ModDown split — eleven stages in all. These
-// indices and names are the single source of truth shared by the
-// instrumented kernels (internal/core, internal/lwe), the exposition
-// format, cmd/chamtop, and the documentation: a stage renamed here
-// renames everywhere.
+// stages plus the hoisted digit-decomposition split of the key switch —
+// ten stages in all. RESCALE (moddown) is charged only by the pack tree:
+// the row apply defers its divisions to the tree flush. These indices and
+// names are the single source of truth shared by the instrumented kernels
+// (internal/core, internal/lwe), the exposition format, cmd/chamtop, and
+// the documentation: a stage renamed here renames everywhere.
 const (
 	StageEncode      = iota // row coefficient encoding (Eq. 1)
 	StageLift               // CRT lift to the augmented basis
@@ -19,15 +19,14 @@ const (
 	StagePack               // PACKTWOLWES tree arithmetic (Alg. 2/3)
 	StageDecompose          // hoisted RNS digit decomposition + digit NTTs
 	StageKeySwitch          // automorphism key-switch accumulation inside packing
-	StagePackModDown        // pack-tree RESCALE: per-merge a-part + deferred b flush
-	StageModDown            // row-apply RESCALE / ModDown chains (poly and scalar)
+	StagePackModDown        // pack-tree RESCALE: per-merge a-part + deferred flush of both parts
 	NumStages
 )
 
 // StageNames maps stage indices to their metric label values.
 var StageNames = [NumStages]string{
 	"encode", "lift", "ntt", "row_mul", "intt",
-	"extract", "pack", "decompose", "key_switch", "moddown", "mod_down",
+	"extract", "pack", "decompose", "key_switch", "moddown",
 }
 
 // stageHists holds the per-stage latency histograms of the

@@ -16,9 +16,9 @@ import (
 // divisions run once per tree, at the flush.
 
 // ExtractAsRLWE extracts plaintext coefficient idx of ct as a slot
-// ciphertext in RLWE shape (the fused Extract∘AsRLWE of
-// lwe.ExtractAsRLWEInto): the A-part is ct.A·X^{-idx} and the B-part keeps
-// only b_idx at its constant coefficient.
+// ciphertext in RLWE shape (lwe's Extract∘AsRLWE, fused): the A-part is
+// ct.A·X^{-idx} and the B-part keeps only b_idx at its constant
+// coefficient.
 func ExtractAsRLWE(ct *Ciphertext, idx int) *Ciphertext {
 	var a *Poly
 	if idx == 0 {
@@ -71,7 +71,7 @@ func FlushDeferred(nd *PackedNode, moduli []uint64, normalLevels int) *Ciphertex
 // full-basis parts, the switch reads the TRUE a-part of the gathered
 // difference (its one per-merge rescale), and both key-switch
 // contributions join the accumulators un-rescaled — exactly the per-merge
-// work of lwe.PackTwoResident.
+// work of lwe's packTwo.
 func PackTwoDeferred(i int, E, O *PackedNode, swk *SwitchingKey, moduli []uint64, normalLevels int) *PackedNode {
 	n := E.A.N()
 	z := n / (2 * i)

@@ -3,7 +3,7 @@
 // residues. Every operation is written from the textbook definition:
 // schoolbook negacyclic convolution, naive DFT-style transforms, CRT basis
 // compose/decompose, exact rounding division for RESCALE, digit-decomposed
-// key switching, LWE extraction, and the PackTwoLWEs/PackLWEs tree — ending
+// key switching, LWE extraction, and the PACKTWOLWES/PACKLWES tree — ending
 // in an end-to-end HMVP whose outputs must match the optimized
 // ring/rlwe/bfv/lwe/core pipeline bit for bit.
 //

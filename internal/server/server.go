@@ -503,7 +503,7 @@ func (s *Server) runTileRequest(req *request, t0 time.Time, rec *trace.StageReco
 		tiles[i] = int(ti)
 		out[i] = &rlwe.Ciphertext{B: p.R.NewPoly(p.NormalLevels), A: p.R.NewPoly(p.NormalLevels)}
 	}
-	if err := mat.pm.ApplyTilesSink(out, tiles, req.vec, sinkOf(rec)); err != nil {
+	if err := mat.pm.ApplyTiles(out, tiles, req.vec, sinkOf(rec)); err != nil {
 		ssp.EndErr(err)
 		s.finishErr(req, wire.Errf(wire.CodeBadRequest, "tile apply: %v", err))
 		return
