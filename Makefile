@@ -107,8 +107,10 @@ trace-smoke:
 
 # End-to-end check of the sharded tier: the loopback cluster example
 # scatters a 4-tile matrix across two shard nodes through the gateway,
-# verifies every gathered product against the cleartext, and drains the
-# whole tier; the cluster binary is built (not run).
+# verifies every gathered product against the cleartext, checks the
+# hedging budget as a count (hedges <= 2 + 5% of shard requests — no
+# wall-clock threshold), and drains the whole tier; the cluster binary is
+# built (not run).
 cluster-smoke:
 	$(GO) run ./examples/cluster
 	$(GO) build -o /tmp/chamcluster-smoke ./cmd/chamcluster

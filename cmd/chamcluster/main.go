@@ -55,7 +55,7 @@ func main() {
 		metricsAddr = flag.String("metrics", "", "serve /metrics, /debug/pprof, and /debug/traces on this address (enables telemetry)")
 		ringN       = flag.Int("n", 4096, "ring degree (power of two; must match clients and shards)")
 		replicas    = flag.Int("replicas", 2, "hedged attempts per tile group (owner + fallbacks)")
-		hedge       = flag.Duration("hedge", 50*time.Millisecond, "delay before hedging a straggling shard leg")
+		hedge       = flag.Duration("hedge", 50*time.Millisecond, "floor of the straggler hedge: no shard leg hedges sooner (the trigger adapts to observed leg latency and is budgeted)")
 		engines     = flag.Int("card-engines", 2, "simulated card engines per spawned shard (0 disables the card)")
 		jobDur      = flag.Duration("card-job-dur", 200*time.Microsecond, "flat per-job latency of each spawned shard's card")
 		rowLat      = flag.Duration("card-row-lat", 0, "per-row card latency for spawned shards (0 keeps the flat model)")
@@ -167,7 +167,7 @@ func run(addr, nodesFlag, metricsAddr string, spawn, ringN, replicas int,
 		done <- err
 	}()
 
-	fmt.Printf("chamcluster: N=%d shards=%d replicas=%d hedge=%v, gateway on %s\n",
+	fmt.Printf("chamcluster: N=%d shards=%d replicas=%d hedge-floor=%v, gateway on %s\n",
 		ringN, len(nodes), replicas, hedge, addr)
 	if err := gw.ListenAndServe(addr); err != nil {
 		return err

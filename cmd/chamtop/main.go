@@ -155,6 +155,9 @@ func render(w io.Writer, cur, prev *view) {
 		shardOK, _ := cur.get("cham_cluster_shard_requests_total", "outcome", "ok")
 		shardErr, _ := cur.get("cham_cluster_shard_requests_total", "outcome", "error")
 		hedges, _ := cur.get("cham_cluster_hedges_total")
+		denied, _ := cur.get("cham_cluster_hedges_denied_total")
+		cancels, _ := cur.get("cham_cluster_hedge_cancels_total")
+		threshold, _ := cur.get("cham_cluster_hedge_threshold_seconds")
 		rescatters, _ := cur.get("cham_cluster_rescatters_total")
 		degraded, _ := cur.get("cham_cluster_degraded_total")
 		joins, _ := cur.get("cham_cluster_joins_total")
@@ -175,8 +178,17 @@ func render(w io.Writer, cur, prev *view) {
 		}
 		fmt.Fprintf(w, "\nCLUSTER  nodes %.0f  conns %.0f  scatters %.0f (%s)  gather avg %.2fms\n",
 			nodes, conns, scatters, rate, 1e3*gatherAvg)
-		fmt.Fprintf(w, "         shard ok %.0f  err %.0f  hedges %.0f  rescatters %.0f  degraded %.0f  joins %.0f\n",
-			shardOK, shardErr, hedges, rescatters, degraded, joins)
+		// Hedges as a share of what the shards were asked: the policy's
+		// budget keeps the straggler part of it near 5 %, so a larger
+		// share means failovers, and denials mean a throttled fleet.
+		hedgeShare := 0.0
+		if shardOK+shardErr > 0 {
+			hedgeShare = 100 * hedges / (shardOK + shardErr)
+		}
+		fmt.Fprintf(w, "         shard ok %.0f  err %.0f  rescatters %.0f  degraded %.0f  joins %.0f\n",
+			shardOK, shardErr, rescatters, degraded, joins)
+		fmt.Fprintf(w, "         hedges %.0f (%.1f%% of shard requests)  denied %.0f  cancelled %.0f  threshold %.1fms\n",
+			hedges, hedgeShare, denied, cancels, 1e3*threshold)
 	}
 
 	// RAS one-liner.

@@ -3,7 +3,9 @@
 // as an ordinary tenant against the gateway: the client code is exactly
 // the single-server quickstart — the scatter/gather across shards is
 // invisible, and the gathered results are bit-for-bit what one big
-// server would return. Finishes with a graceful drain of the whole tier.
+// server would return. Finishes with a graceful drain of the whole tier
+// and a count gate on the hedging policy's budget: however slow the host,
+// extra shard attempts must stay within 2 + 5 % of shard requests.
 package main
 
 import (
@@ -17,10 +19,12 @@ import (
 	"cham/internal/client"
 	"cham/internal/cluster"
 	"cham/internal/lwe"
+	"cham/internal/obs"
 	"cham/internal/server"
 )
 
 func main() {
+	obs.SetEnabled(true) // telemetry on: the count gate at the end reads cham_cluster_* from the registry
 	params := cham.MustParams(256)
 
 	// --- cluster side: normally `chamcluster -addr :7320 -spawn 2`.
@@ -90,7 +94,9 @@ func main() {
 	fmt.Printf("registered %dx%d matrix as %x... (%d tiles across the ring)\n",
 		handle.Rows, handle.Cols, handle.ID[:8], handle.Tiles)
 
-	for round := 0; round < 3; round++ {
+	// Enough rounds to take every shard past the policy's warm-up, where
+	// the hedge threshold is still the bare floor.
+	for round := 0; round < 12; round++ {
 		v := make([]uint64, 256)
 		for j := range v {
 			v[j] = rng.Uint64() % params.T.Q
@@ -110,6 +116,17 @@ func main() {
 		fmt.Printf("round %d: scattered A·v gathers to the cleartext product (%d rows)\n",
 			round, len(got))
 	}
+
+	// The budget invariant as a count, not a time: a hedge is allowed for
+	// the two-token burst plus 5 % of what the shards were asked. Every
+	// product above was already checked against the cleartext.
+	hedges := obs.GetCounter("cham_cluster_hedges_total", "").Value()
+	requests := obs.GetCounter("cham_cluster_shard_requests_total", "", "outcome", "ok").Value() +
+		obs.GetCounter("cham_cluster_shard_requests_total", "", "outcome", "error").Value()
+	if float64(hedges) > 2+0.05*float64(requests) {
+		log.Fatalf("hedge budget broken: %d hedges over %d shard requests", hedges, requests)
+	}
+	fmt.Printf("hedges %d over %d shard requests: within the 2 + 5%% budget\n", hedges, requests)
 
 	// Drain the gateway first (clients see the retryable draining code),
 	// then the shards.

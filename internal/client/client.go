@@ -8,6 +8,7 @@ package client
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -317,15 +318,24 @@ func (pc *poolConn) roundTripCtx(maxFrame uint32, t, want wire.MsgType, tc trace
 // typed server rejection keeps the stream in sync, anything else closes
 // the connection.
 func (cl *Client) do(t, want wire.MsgType, payload []byte) ([]byte, error) {
-	return cl.doCtx(trace.Context{}, t, want, payload)
+	return cl.doCtx(context.TODO(), t, want, payload)
 }
 
-// doCtx is do under a trace context: each attempt gets its own client
-// span (the context the server receives), so retries show up as
-// separate sibling RPCs in the trace.
-func (cl *Client) doCtx(tc trace.Context, t, want wire.MsgType, payload []byte) ([]byte, error) {
+// doCtx is do under a context. A trace context riding in ctx (see
+// trace.NewContext) gives each attempt its own client span (the context
+// the server receives), so retries show up as separate sibling RPCs in
+// the trace. Cancelling ctx abandons the request: the in-flight
+// connection's deadline is pulled to now and the connection is closed
+// rather than pooled (an unread reply would desync the stream), the
+// server sees the hang-up and drops the request if it is still queued,
+// and ctx.Err() comes back with no retry or backoff.
+func (cl *Client) doCtx(ctx context.Context, t, want wire.MsgType, payload []byte) ([]byte, error) {
+	tc := trace.FromContext(ctx)
 	var lastErr error
 	for attempt := 0; attempt <= cl.cfg.MaxRetries; attempt++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if attempt > 0 {
 			mRetries.Inc()
 			cl.cfg.Sleep(cl.backoff(attempt - 1))
@@ -338,8 +348,20 @@ func (cl *Client) doCtx(tc trace.Context, t, want wire.MsgType, payload []byte) 
 				sp.Annotate(fmt.Sprintf("retry %d", attempt))
 			}
 			pc.c.SetDeadline(time.Now().Add(cl.cfg.RequestTimeout))
+			stop := func() bool { return true }
+			if ctx.Done() != nil { // an uncancellable request pays nothing for the hook
+				stop = context.AfterFunc(ctx, func() { pc.c.SetDeadline(time.Now()) })
+			}
 			var resp []byte
 			resp, err = pc.roundTripCtx(cl.cfg.MaxFrame, t, want, sctx, payload)
+			if !stop() {
+				// Cancelled mid-flight: the deadline hook owns the connection
+				// now (it may still be running), so it can never be pooled.
+				pc.c.Close()
+				sp.Annotate("cancelled")
+				sp.End()
+				return nil, ctx.Err()
+			}
 			pc.c.SetDeadline(time.Time{})
 			sp.EndErr(err)
 			var we *wire.Error
@@ -440,7 +462,7 @@ func (cl *Client) ApplyTraced(tc trace.Context, id [32]byte, vec []*rlwe.Ciphert
 		DeadlineMicros: uint64(cl.cfg.RequestTimeout / time.Microsecond),
 		Vector:         vec,
 	})
-	resp, err := cl.doCtx(tc, wire.MsgApply, wire.MsgResult, payload)
+	resp, err := cl.doCtx(trace.NewContext(context.TODO(), tc), wire.MsgApply, wire.MsgResult, payload)
 	if err != nil {
 		return wire.Result{}, err
 	}

@@ -5,10 +5,10 @@ package client
 // pooled-connection/retry machinery as the ordinary request surface.
 
 import (
+	"context"
 	"fmt"
 	"time"
 
-	"cham/internal/obs/trace"
 	"cham/internal/rlwe"
 	"cham/internal/wire"
 )
@@ -17,18 +17,21 @@ import (
 // with an encrypted vector, returning the tile-labelled packed
 // ciphertexts. Tiles must be strictly ascending.
 func (cl *Client) TileApply(id [32]byte, tiles []uint32, vec []*rlwe.Ciphertext) (wire.TileResult, error) {
-	return cl.TileApplyTraced(trace.Context{}, id, tiles, vec)
+	return cl.TileApplyTraced(context.TODO(), id, tiles, vec)
 }
 
-// TileApplyTraced is TileApply under a trace context (see ApplyTraced).
-func (cl *Client) TileApplyTraced(tc trace.Context, id [32]byte, tiles []uint32, vec []*rlwe.Ciphertext) (wire.TileResult, error) {
+// TileApplyTraced is TileApply under a context: a trace context riding in
+// ctx (trace.NewContext) nests the server's spans under the caller's, and
+// cancelling ctx abandons the request — a hedged scatter leg's loser
+// returns ctx.Err() at once and its connection is closed, not pooled.
+func (cl *Client) TileApplyTraced(ctx context.Context, id [32]byte, tiles []uint32, vec []*rlwe.Ciphertext) (wire.TileResult, error) {
 	payload := wire.EncodeTileApply(cl.cfg.Params.R, wire.TileApply{
 		ID:             id,
 		DeadlineMicros: uint64(cl.cfg.RequestTimeout / time.Microsecond),
 		Tiles:          tiles,
 		Vector:         vec,
 	})
-	resp, err := cl.doCtx(tc, wire.MsgTileApply, wire.MsgTileResult, payload)
+	resp, err := cl.doCtx(ctx, wire.MsgTileApply, wire.MsgTileResult, payload)
 	if err != nil {
 		return wire.TileResult{}, err
 	}

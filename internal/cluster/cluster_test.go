@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,8 @@ import (
 	"cham/internal/client"
 	"cham/internal/core"
 	"cham/internal/lwe"
+	"cham/internal/obs"
+	"cham/internal/obs/trace"
 	"cham/internal/ref"
 	"cham/internal/rlwe"
 	rt "cham/internal/runtime"
@@ -575,5 +578,293 @@ func TestGatewayWireCompat(t *testing.T) {
 	}
 	if _, err := net.DialTimeout("tcp", ln.Addr().String(), 200*time.Millisecond); err == nil {
 		t.Fatal("gateway still accepting after drain")
+	}
+}
+
+// counter reads a process-global metric by name (the server package's
+// handles are unexported; the registry hands back the same series).
+func counter(name string, labels ...string) uint64 {
+	return obs.GetCounter(name, "", labels...).Value()
+}
+
+// TestClusterStragglerHedge slows one shard's card without failing it: the
+// leg it owns outlasts the hedge floor, the replica answers first, and the
+// loser is cancelled — its connection closed rather than pooled, its
+// request dropped from the slow shard's queue instead of served, its span
+// annotated rather than failed. The gathered result stays bit-identical
+// and the coordinator keeps working through the same clients afterwards.
+func TestClusterStragglerHedge(t *testing.T) {
+	trace.Reset()
+	trace.SetSampleRate(1) // before anything dials, so the legs carry spans
+	defer trace.SetSampleRate(0)
+	defer trace.Reset()
+
+	p := testParams(t, 32)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	keys, err := lwe.GenPackingKeys(p, rng, sk, p.R.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := core.NewEvaluatorFromKeys(p, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	A := testutil.Matrix(rng, 1024, 32, p.T.Q) // 32 tiles: both shards own some
+	pm, err := ev.Prepare(A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := testutil.Vector(rng, 32, p.T.Q)
+	ctV := core.EncryptVector(p, rng, sk, v)
+	want, err := pm.Apply(ctV)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Shard 0's card takes 1 ms per row: a few hundred ms per leg against a
+	// 20 ms floor, slow but never failing (the watchdog is moved out of the
+	// way so the RAS path stays out of this test).
+	dev := rt.NewDevice(1, time.Millisecond, rt.FaultPlan{})
+	dev.SetRowLatency(0, time.Millisecond)
+	slowCard, err := rt.New(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slowCard.JobTimeout = 30 * time.Second
+	first := true
+	co, nodes := newCluster(t, p, 2, func(c *server.Config) {
+		if first {
+			c.Card = slowCard
+			first = false
+		}
+	}, nil)
+	if _, err := co.SetupKeys(keys); err != nil {
+		t.Fatal(err)
+	}
+	handle, err := co.RegisterMatrix(A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, _ := co.snapshot()
+	if owned := len(ring.Assign(handle.ID, int(handle.Tiles))[0]); owned == 0 {
+		t.Fatal("the ring gave the slow shard no tiles; nothing would straggle")
+	}
+
+	hedges0, cancels0 := mHedges.Value(), mHedgeCancels.Value()
+	shardErr0 := mShardErr.Value()
+	abandoned0 := counter("cham_server_abandoned_total")
+
+	tc, sp := trace.Root("test-client", "apply")
+	got, err := co.ApplyTraced(tc, handle.ID, ctV)
+	sp.EndErr(err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResult(t, p, got, want, A, v, sk)
+	if mHedges.Value() == hedges0 {
+		t.Fatal("no hedge fired against a shard hundreds of ms behind a 20ms floor")
+	}
+	if thr := mHedgeThreshold.Value(); thr != 0.020 {
+		t.Errorf("cham_cluster_hedge_threshold_seconds reads %v on a fleet with no history, want the 0.020 floor", thr)
+	}
+
+	// The next apply goes through the same node clients. Had the cancelled
+	// connection been pooled with the slow shard's reply still unread, this
+	// leg would fail with a stream desync and count as a shard error.
+	got, err = co.Apply(handle.ID, ctV)
+	if err != nil {
+		t.Fatalf("apply after a cancelled hedge: %v", err)
+	}
+	checkResult(t, p, got, want, A, v, sk)
+
+	// Draining the slow shard retires everything it had admitted, so its
+	// counters are final afterwards.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := nodes[0].srv.Shutdown(ctx); err != nil {
+		t.Fatalf("draining the slow shard: %v", err)
+	}
+	if d := mHedgeCancels.Value() - cancels0; d == 0 {
+		t.Error("cham_cluster_hedge_cancels_total did not move: the losing attempt was left to finish")
+	}
+	if d := mShardErr.Value() - shardErr0; d != 0 {
+		t.Errorf("%d shard errors counted; a cancelled attempt is not a shard failure", d)
+	}
+	if d := counter("cham_server_abandoned_total") - abandoned0; d == 0 {
+		t.Error("cham_server_abandoned_total did not move: the slow shard served a request nobody was waiting for")
+	}
+
+	// The loser's span says what happened to it.
+	cancelled := false
+	for _, r := range trace.TraceRecords(tc.Trace) {
+		if r.Service == "coordinator" && strings.HasPrefix(r.Name, "shard:") && r.Note == "cancelled" {
+			cancelled = true
+		}
+	}
+	if !cancelled {
+		t.Error("no shard:N span of the hedged apply is annotated cancelled")
+	}
+}
+
+// TestGatewayDrainRace floods a gateway with applies while Shutdown runs.
+// handleApply used to test the draining flag and only then join the
+// request WaitGroup, with nothing ordering that against Shutdown's store
+// and Wait: an apply that read "not draining" could join after Wait had
+// seen zero and have its connection closed under a live scatter.
+//
+// First, the client's view: with one slow apply holding the drain open,
+// every flooding apply that reaches the gateway during the drain gets
+// either the bit-identical result or the typed draining rejection, never a
+// transport error. Then the race itself, with nothing in flight when
+// Shutdown starts: every apply the gateway admitted (a scatter began) must
+// be answered — only applies it never admitted may find the door closed.
+func TestGatewayDrainRace(t *testing.T) {
+	p := testParams(t, 32)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	keys, err := lwe.GenPackingKeys(p, rng, sk, p.R.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := core.NewEvaluatorFromKeys(p, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	A := testutil.Matrix(rng, 96, 32, p.T.Q)
+	pm, err := ev.Prepare(A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := testutil.Vector(rng, 32, p.T.Q)
+	ctV := core.EncryptVector(p, rng, sk, v)
+	want, err := pm.Apply(ctV)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every shard card takes 150 ms per job, so an admitted apply keeps the
+	// drain open that long; holdOpen decides whether one is sent ahead.
+	co, _ := newCluster(t, p, 2, func(c *server.Config) {
+		card, err := rt.New(rt.NewDevice(2, 150*time.Millisecond, rt.FaultPlan{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		card.JobTimeout = 30 * time.Second
+		c.Card = card
+	}, func(c *Config) { c.HedgeDelay = 10 * time.Second })
+	if _, err := co.SetupKeys(keys); err != nil {
+		t.Fatal(err)
+	}
+	handle, err := co.RegisterMatrix(A)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type tally struct{ ok, draining, transport, admitted int }
+	round := func(holdOpen bool, head time.Duration) tally {
+		gw, err := NewGateway(GatewayConfig{Coordinator: co})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- gw.Serve(ln) }()
+
+		const flood = 6
+		clients := make([]*client.Client, flood+1)
+		for i := range clients {
+			cl, err := client.Dial(client.Config{Addr: ln.Addr().String(), Params: p, MaxRetries: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if _, err := cl.Hello(); err != nil { // connect now: the listener closes with the drain
+				t.Fatal(err)
+			}
+			clients[i] = cl
+		}
+		scatters0 := mScatters.Value()
+		errs := make(chan error, flood+1)
+		apply := func(cl *client.Client) {
+			got, err := cl.Apply(handle.ID, ctV)
+			if err == nil {
+				for i := range got.Packed {
+					if !sameCiphertext(got.Packed[i], want.Packed[i]) {
+						t.Errorf("tile %d of an apply answered during the drain differs from the single-node result", i)
+					}
+				}
+			}
+			errs <- err
+		}
+		sent := 0
+		if holdOpen {
+			go apply(clients[flood])
+			sent++
+			for deadline := time.Now().Add(10 * time.Second); mScatters.Value() == scatters0; {
+				if time.Now().After(deadline) {
+					t.Fatal("the holding apply never reached the coordinator")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		start := make(chan struct{})
+		for i := 0; i < flood; i++ {
+			go func(cl *client.Client) {
+				<-start
+				apply(cl)
+			}(clients[i])
+			sent++
+		}
+		drained := make(chan error, 1)
+		go func() {
+			<-start
+			time.Sleep(head) // not synchronisation: it only moves where Shutdown lands in the flood
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			drained <- gw.Shutdown(ctx)
+		}()
+		close(start)
+
+		var tl tally
+		for i := 0; i < sent; i++ {
+			err := <-errs
+			var we *wire.Error
+			switch {
+			case err == nil:
+				tl.ok++
+			case errors.As(err, &we) && we.Code == wire.CodeDraining:
+				tl.draining++
+			case errors.As(err, &we):
+				t.Errorf("apply racing the drain got an unexpected typed error: %v", err)
+			default:
+				tl.transport++
+			}
+		}
+		if err := <-drained; err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		if err := <-served; err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+		tl.admitted = int(mScatters.Value() - scatters0)
+		return tl
+	}
+
+	tl := round(true, 0)
+	if tl.transport != 0 || tl.ok == 0 {
+		t.Fatalf("drain held open: %+v — want every apply answered or typed-rejected, the holder at least answered", tl)
+	}
+	for i := 0; i < 8; i++ {
+		// Shutdown starts 0 to 2.8 ms into the flood, so across the rounds it
+		// lands before, among and after the applies' admissions.
+		tl := round(false, time.Duration(i)*400*time.Microsecond)
+		t.Logf("round %d: %+v", i, tl)
+		if tl.admitted != tl.ok {
+			t.Fatalf("round %d, nothing in flight at Shutdown: %+v — an admitted apply lost its connection", i, tl)
+		}
 	}
 }

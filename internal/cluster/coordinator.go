@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -29,9 +31,12 @@ type Config struct {
 	// pass: the owner plus Replicas-1 fallback nodes. Default 2, clamped
 	// to the cluster size. The re-scatter pass may still visit every node.
 	Replicas int
-	// HedgeDelay is how long a scatter leg waits on its current attempt
-	// before launching the next replica in parallel (straggler cover).
-	// Hard failures fail over immediately regardless. Default 50ms.
+	// HedgeDelay is the floor of the hedging policy, not its trigger: no
+	// scatter leg launches a speculative replica sooner than this, however
+	// fast the fleet has been. The trigger itself is derived per shard
+	// node from the leg latencies the coordinator observes and is budgeted
+	// (see hedgePolicy). Hard failures fail over immediately regardless.
+	// Default 50ms.
 	HedgeDelay time.Duration
 
 	// Per-node client knobs, passed through to client.Dial.
@@ -79,7 +84,8 @@ type matrixState struct {
 // tiles along the consistent-hash ring, and gathers the packed
 // ciphertexts back into the exact single-node result.
 type Coordinator struct {
-	cfg Config
+	cfg   Config
+	hedge *hedgePolicy
 
 	mu       sync.RWMutex
 	ring     *Ring
@@ -101,6 +107,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	co := &Coordinator{
 		cfg:      cfg,
+		hedge:    newHedgePolicy(cfg.HedgeDelay),
 		ring:     ring,
 		clients:  map[string]*client.Client{},
 		matrices: map[[32]byte]matrixState{},
@@ -260,8 +267,12 @@ func (co *Coordinator) ApplyTraced(tc trace.Context, id [32]byte, vec []*rlwe.Ci
 	// Scatter pass: one hedged leg per owner with a non-empty tile list.
 	// Attempt k of a leg targets the k-th distinct node walking the ring
 	// from the group's owner, so failover load spreads the same way
-	// ownership does.
+	// ownership does. The leg hedges when the owner has stayed silent past
+	// the policy's threshold for it and the budget grants a token; the
+	// attempts that lose the race are cancelled, not left to finish.
+	ctx := context.TODO() // Apply's signature carries no context
 	sctx, ssp := trace.Start(tc, "coordinator", "scatter")
+	addrs := ring.Nodes()
 	results := make(chan groupResult)
 	legs := 0
 	for node, list := range asg {
@@ -275,20 +286,46 @@ func (co *Coordinator) ApplyTraced(tc trace.Context, id [32]byte, vec []*rlwe.Ci
 			if n > len(order) {
 				n = len(order)
 			}
-			res, _, launched, err := client.Hedged(n, co.cfg.HedgeDelay, func(i int) (wire.TileResult, error) {
+			delay := co.hedge.threshold(addrs[order[0]], len(list))
+			mHedgeThreshold.Set(delay.Seconds())
+			// A refused leg asks again every delay; it counts as denied once,
+			// so the counter reads legs throttled, not polls made.
+			denied := false
+			spend := func() bool {
+				if co.hedge.spend() {
+					return true
+				}
+				if !denied {
+					denied = true
+					mHedgesDenied.Inc()
+				}
+				return false
+			}
+			res, _, launched, err := client.Hedged(ctx, n, delay, spend, func(actx context.Context, i int) (wire.TileResult, error) {
 				lctx, lsp := trace.Start(sctx, "coordinator", fmt.Sprintf("shard:%d", order[i]))
 				if lsp.Active() {
 					lsp.Annotate(fmt.Sprintf("%d tiles", len(list)))
 				}
-				r, e := cls[order[i]].TileApplyTraced(lctx, id, list, vec)
-				lsp.EndErr(e)
-				if e != nil {
-					mShardErr.Inc()
-				} else {
+				t0 := time.Now()
+				r, e := cls[order[i]].TileApplyTraced(trace.NewContext(actx, lctx), id, list, vec)
+				switch {
+				case e == nil:
+					co.hedge.observe(addrs[order[i]], len(list), time.Since(t0))
 					mShardOK.Inc()
+					lsp.End()
+				case errors.Is(e, context.Canceled):
+					// Lost the race to another replica: neither a shard
+					// failure nor a latency sample.
+					mHedgeCancels.Inc()
+					lsp.Annotate("cancelled")
+					lsp.End()
+				default:
+					mShardErr.Inc()
+					lsp.EndErr(e)
 				}
 				return r, e
 			})
+			co.hedge.legDone()
 			if launched > 1 {
 				mHedges.Add(uint64(launched - 1))
 			}
@@ -323,7 +360,7 @@ func (co *Coordinator) ApplyTraced(tc trace.Context, id [32]byte, vec []*rlwe.Ci
 		order := ring.Replicas(TileKey(id, missing[0]), len(cls))
 		for _, ni := range order {
 			lctx, lsp := trace.Start(gctx, "coordinator", fmt.Sprintf("rescatter:%d", ni))
-			res, err := cls[ni].TileApplyTraced(lctx, id, missing, vec)
+			res, err := cls[ni].TileApplyTraced(trace.NewContext(ctx, lctx), id, missing, vec)
 			lsp.EndErr(err)
 			if err != nil {
 				mShardErr.Inc()

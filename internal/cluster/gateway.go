@@ -35,6 +35,11 @@ type Gateway struct {
 	cfg GatewayConfig
 	co  *Coordinator
 
+	// enqMu orders admission against drain, as in server.admit: handleApply
+	// tests draining and joins reqWG under the read side, Shutdown flips
+	// draining under the write side, so no apply can join after the drain
+	// barrier started waiting.
+	enqMu    sync.RWMutex
 	draining atomic.Bool
 	reqWG    sync.WaitGroup
 
@@ -94,7 +99,9 @@ func (g *Gateway) Addr() net.Addr {
 // finish in-flight scatters, then close remaining connections. The
 // shard nodes are not shut down — they belong to their own processes.
 func (g *Gateway) Shutdown(ctx context.Context) error {
+	g.enqMu.Lock()
 	g.draining.Store(true)
+	g.enqMu.Unlock()
 	if p := g.ln.Load(); p != nil {
 		(*p).Close()
 	}
@@ -253,11 +260,14 @@ func (g *Gateway) handleRegisterMatrix(c *gwConn, seq uint16, payload []byte) {
 }
 
 func (g *Gateway) handleApply(c *gwConn, seq uint16, tc trace.Context, payload []byte) {
+	g.enqMu.RLock()
 	if g.draining.Load() {
+		g.enqMu.RUnlock()
 		c.sendErr(seq, wire.Errf(wire.CodeDraining, "gateway is shutting down"))
 		return
 	}
 	g.reqWG.Add(1)
+	g.enqMu.RUnlock()
 	defer g.reqWG.Done()
 	a, err := wire.DecodeApply(g.co.cfg.Params.R, payload)
 	if err != nil {

@@ -14,7 +14,13 @@ var (
 	mShardErr = obs.GetCounter("cham_cluster_shard_requests_total",
 		"Tile-subset requests answered by a shard.", "outcome", "error")
 	mHedges = obs.GetCounter("cham_cluster_hedges_total",
-		"Extra shard attempts launched by the hedging policy.")
+		"Extra shard attempts launched: budgeted straggler hedges plus unbudgeted failovers.")
+	mHedgesDenied = obs.GetCounter("cham_cluster_hedges_denied_total",
+		"Scatter legs whose straggler hedge was withheld because the hedge budget was empty at expiry.")
+	mHedgeCancels = obs.GetCounter("cham_cluster_hedge_cancels_total",
+		"Shard attempts cancelled because another replica answered first.")
+	mHedgeThreshold = obs.GetGauge("cham_cluster_hedge_threshold_seconds",
+		"Straggler threshold of the most recent scatter leg: max(floor, tiles x p95 per-tile latency of its owner).")
 	mRescatters = obs.GetCounter("cham_cluster_rescatters_total",
 		"Second-pass re-scatters after a tile group failed all hedged attempts.")
 	mDegraded = obs.GetCounter("cham_cluster_degraded_total",

@@ -7,6 +7,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cham/internal/core"
@@ -24,6 +25,11 @@ type serverConn struct {
 	wmu sync.Mutex
 
 	hello bool // parameter handshake completed
+
+	// gone is set when the read loop ends — the peer hung up (a hedged
+	// scatter leg that lost its race closes its connection) or the stream
+	// broke — so nobody can receive what its queued requests would answer.
+	gone atomic.Bool
 }
 
 // send writes one frame; write errors are swallowed (the read loop will
@@ -50,6 +56,7 @@ func (c *serverConn) sendErr(seq uint16, e *wire.Error) {
 func (s *Server) handleConn(nc net.Conn) {
 	c := &serverConn{s: s, c: nc, br: bufio.NewReaderSize(nc, 64<<10)}
 	defer func() {
+		c.gone.Store(true)
 		s.connMu.Lock()
 		delete(s.conns, nc)
 		s.connMu.Unlock()

@@ -18,6 +18,8 @@ var (
 		"Apply requests served successfully.")
 	mErrors = obs.GetCounter("cham_server_request_errors_total",
 		"Requests answered with a wire error.")
+	mAbandoned = obs.GetCounter("cham_server_abandoned_total",
+		"Admitted requests dropped unserved because their connection hung up.")
 	mBatchSize = obs.GetHistogram("cham_server_batch_size",
 		"Live requests per dispatched batch.", obs.ExpBuckets(1, 2, 8))
 	mWaitSec = obs.GetHistogram("cham_server_wait_seconds",

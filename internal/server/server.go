@@ -372,14 +372,18 @@ func (s *Server) worker() {
 	}
 }
 
-// runBatch serves one coalesced batch: expire stale requests, mirror the
-// batch as a single descriptor job on the card's engine pool, then apply
-// the prepared matrix to each vector, reusing pooled result buffers.
+// runBatch serves one coalesced batch: drop abandoned and stale requests,
+// mirror the batch as a single descriptor job on the card's engine pool,
+// then apply the prepared matrix to each vector, reusing pooled result
+// buffers.
 func (s *Server) runBatch(batch []*request) {
 	now := time.Now()
 	live := batch[:0]
 	var latest time.Time
 	for _, req := range batch {
+		if s.abandoned(req) {
+			continue
+		}
 		if now.After(req.deadline) {
 			req.qspan.Annotate("expired in queue")
 			req.qspan.End()
@@ -443,6 +447,9 @@ func (s *Server) runBatch(batch []*request) {
 
 	r := s.cfg.Params.R
 	for _, req := range live {
+		if s.abandoned(req) {
+			continue // the caller hung up during the card job or an earlier serve
+		}
 		if time.Now().After(req.deadline) {
 			s.finishErr(req, wire.Errf(wire.CodeDeadline, "deadline expired before service"))
 			continue
@@ -540,6 +547,21 @@ func (s *Server) requestRows(req *request) int {
 		rows += req.mat.pm.TileRows(int(ti))
 	}
 	return rows
+}
+
+// abandoned retires a request whose connection's read loop has ended —
+// the caller hung up (a cancelled hedge) or the stream broke — without
+// spending an engine job or a kernel apply on an answer nobody can read.
+// It reports whether the request was dropped.
+func (s *Server) abandoned(req *request) bool {
+	if !req.conn.gone.Load() {
+		return false
+	}
+	req.qspan.Annotate("abandoned")
+	req.qspan.End()
+	mAbandoned.Inc()
+	s.reqWG.Done()
+	return true
 }
 
 // finish sends a success response and retires the request.

@@ -501,3 +501,91 @@ func TestShutdownWhileBusy(t *testing.T) {
 		t.Fatalf("%d of %d requests answered", n, inflight)
 	}
 }
+
+// TestAbandonedRequestsDropped: a caller that cancels (the losing half of a
+// hedged scatter leg) closes its connection, and every request that
+// connection still has admitted here is retired without an engine job or
+// a kernel apply — one was already on the card when the hang-up arrived
+// and is dropped before its serve, two were still queued and are dropped
+// at batch pickup. The client must not pool a cancelled connection: its
+// next request on the same Client succeeds with the right answer.
+func TestAbandonedRequestsDropped(t *testing.T) {
+	p := testParams(t, 32)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	card, err := rt.New(rt.NewDevice(1, 200*time.Millisecond, rt.FaultPlan{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	card.JobTimeout = 10 * time.Second
+	_, addr := testServer(t, Config{Params: p, Workers: 1, MaxBatch: 1, Card: card})
+	cl := testClient(t, addr, p, func(c *client.Config) { c.MaxRetries = -1 })
+	keys := setupKeys(t, cl, p, rng, sk)
+	A := testutil.Matrix(rng, 64, 32, p.T.Q)
+	handle, err := cl.RegisterMatrix(A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctV := core.EncryptVector(p, rng, sk, testutil.Vector(rng, 32, p.T.Q))
+
+	abandoned0, applies0 := mAbandoned.Value(), mApplies.Value()
+	received0 := mRequests[wire.MsgTileApply].Value()
+	const cancelled = 3
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errs := make(chan error, cancelled)
+	for i := 0; i < cancelled; i++ {
+		go func() {
+			_, err := cl.TileApplyTraced(ctx, handle.ID, []uint32{0, 1}, ctV)
+			errs <- err
+		}()
+	}
+	// Admission follows the frame count on the same read goroutine, before
+	// that goroutine can notice a hang-up, so three counted frames are three
+	// admitted requests: one on the card for 200 ms, two queued behind it.
+	for deadline := time.Now().Add(10 * time.Second); mRequests[wire.MsgTileApply].Value() < received0+cancelled; {
+		if time.Now().After(deadline) {
+			t.Fatal("the shard never received the three tile applies")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	for i := 0; i < cancelled; i++ {
+		if err := <-errs; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled tile apply returned %v, want context.Canceled", err)
+		}
+	}
+
+	// The same Client, after three cancellations: a pooled connection with
+	// an unread reply on it would fail this with a sequence mismatch.
+	got, err := cl.TileApply(handle.ID, []uint32{0, 1}, ctV)
+	if err != nil {
+		t.Fatalf("tile apply after cancellations: %v", err)
+	}
+	ev, err := core.NewEvaluatorFromKeys(p, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := ev.Prepare(A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pm.Apply(ctV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got.Packed {
+		if !sameCiphertext(got.Packed[i], want.Packed[i]) {
+			t.Fatalf("tile %d after cancellations differs from the in-process apply", i)
+		}
+	}
+
+	// That reply came back through the one worker, so the three cancelled
+	// requests ahead of it have all been retired by now.
+	if d := mAbandoned.Value() - abandoned0; d != cancelled {
+		t.Errorf("cham_server_abandoned_total moved by %d, want %d", d, cancelled)
+	}
+	if d := mApplies.Value() - applies0; d != 1 {
+		t.Errorf("cham_server_applies_total moved by %d, want 1 (only the live request is served)", d)
+	}
+}
