@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race tier2 fuzz vet-strict obs-race metrics-smoke serve-smoke cluster-smoke trace-smoke np-smoke benchmark benchmark-smoke benchmark-check
+.PHONY: check vet build test race tier2 fuzz kernels vet-strict obs-race metrics-smoke serve-smoke cluster-smoke trace-smoke np-smoke benchmark benchmark-smoke benchmark-check
 
 # Tier-1 gate: everything a PR must keep green.
 check: vet build race
@@ -19,13 +19,14 @@ race:
 	$(GO) test -race ./...
 
 # Tier-2 gate: the race detector across the tree, a $(FUZZTIME) smoke on
-# every fuzz target, the stricter vet analyzers the concurrent hot
-# path depends on, the telemetry layer under the race detector, the
-# end-to-end smokes, and the benchmark's own smoke run and tests. No
+# every fuzz target, the vector-kernel checks, the stricter vet analyzers
+# the concurrent hot path depends on, the telemetry layer under the race
+# detector, the end-to-end smokes, and the benchmark's own smoke run and
+# tests. No
 # target here compares a wall-clock time against a committed number:
 # speed is judged only by `bash benchmark/run.sh -aa 10` on parent and
 # change, then `-compare` (benchmark/README.md).
-tier2: race fuzz vet-strict obs-race serve-smoke cluster-smoke trace-smoke np-smoke benchmark-smoke benchmark-check
+tier2: race fuzz kernels vet-strict obs-race serve-smoke cluster-smoke trace-smoke np-smoke benchmark-smoke benchmark-check
 
 # The benchmark (BENCHMARK.json, benchmark/README.md): four workloads,
 # end-to-end metrics and per-layer probes, timed from outside.
@@ -53,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/ntt -run '^$$' -fuzz '^FuzzNTTRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ntt -run '^$$' -fuzz '^FuzzNegacyclicMul$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ring -run '^$$' -fuzz '^FuzzAutomorphNTT$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/vec -run '^$$' -fuzz '^FuzzVecKernels$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lwe -run '^$$' -fuzz '^FuzzPackLWEs$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rlwe -run '^$$' -fuzz '^FuzzDecomposeHoisted$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzHMVPDifferential$$' -fuzztime $(FUZZTIME)
@@ -62,6 +64,15 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzWireTraceHeaderDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzShardRouter$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/chamnp -run '^$$' -fuzz '^FuzzEncMatrixShapes$$' -fuzztime $(FUZZTIME)
+
+# The vector kernels (internal/vec): the !amd64 stubs and every guard
+# compile for another architecture (from GOROOT alone, no download), the
+# kernel and caller packages pass under the race detector, and the
+# kernels-vs-Go-loops fuzz target smokes.
+kernels:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/...
+	$(GO) test -race -count=1 ./internal/vec ./internal/ntt ./internal/ring ./internal/rlwe
+	$(GO) test ./internal/vec -run '^$$' -fuzz '^FuzzVecKernels$$' -fuzztime $(FUZZTIME)
 
 # End-to-end check of the live telemetry endpoint: boot chamsim with
 # -metrics, scrape it, and require the stage-latency family.

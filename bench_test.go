@@ -20,6 +20,8 @@ import (
 	"cham/internal/ntt"
 	"cham/internal/perfmodel"
 	"cham/internal/pipeline"
+	"cham/internal/ring"
+	"cham/internal/vec"
 )
 
 // runExp executes a registered experiment once per iteration.
@@ -474,4 +476,56 @@ func BenchmarkFig5Floorplan(b *testing.B) {
 		steps = len(fp.History) - 2
 	}
 	b.ReportMetric(float64(steps), "moves")
+}
+
+// BenchmarkKernels times each accelerated row kernel of internal/vec
+// against the Go loop it mirrors, through the caller both share, on one
+// N=4096 row of the first CHAM limb (DESIGN.md §11 "Vector kernels").
+// On a host without AVX-512 IFMA only the generic halves run.
+func BenchmarkKernels(b *testing.B) {
+	const n = 4096
+	r := ring.MustNew(n, mod.ChamModuli())
+	rng := rand.New(rand.NewSource(11))
+	poly := func(levels int, isNTT bool) *ring.Poly {
+		p := r.NewPoly(levels)
+		for l := range p.Coeffs {
+			for i := range p.Coeffs[l] {
+				p.Coeffs[l][i] = rng.Uint64() % r.Moduli[l].Q
+			}
+		}
+		p.IsNTT = isNTT
+		return p
+	}
+	x, y, z, w := poly(1, true), poly(1, true), poly(1, true), poly(1, true)
+	o0, o1 := poly(1, true), poly(1, true)
+	sy, sw := r.ShoupPrecompPoly(y), r.ShoupPrecompPoly(w)
+	tab := r.Tables[0]
+	kernels := []struct {
+		name string
+		run  func()
+	}{
+		{"ForwardNTT", func() { tab.ForwardLazy(o0.Coeffs[0]) }},
+		{"InverseNTT", func() { tab.InverseLazy(o0.Coeffs[0]) }},
+		{"MonomialSplit", func() { r.MonomialSplitNTT(o0, o1, x, y, 5) }},
+		{"MulShoupPair", func() { r.MulCoeffShoupPair(o0, x, y, sy, z, w, sw) }},
+		{"MulShoupPairAdd", func() { r.MulCoeffShoupPairAdd(o0, x, y, sy, z, w, sw) }},
+		{"MulShoupDual", func() { r.MulCoeffShoupDual(o0, o1, x, z, y, sy) }},
+		{"MulShoupDualAdd", func() { r.MulCoeffShoupDualAdd(o0, o1, x, z, y, sy) }},
+	}
+	for _, k := range kernels {
+		b.Run(k.name+"/generic", func(b *testing.B) {
+			vec.ForceGeneric(b)
+			for i := 0; i < b.N; i++ {
+				k.run()
+			}
+		})
+		if vec.Impl() == vec.ImplGeneric {
+			continue
+		}
+		b.Run(k.name+"/"+vec.Impl(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.run()
+			}
+		})
+	}
 }

@@ -36,6 +36,7 @@ import (
 	"cham/internal/obs/trace"
 	rt "cham/internal/runtime"
 	"cham/internal/server"
+	"cham/internal/vec"
 )
 
 // parseLogLevel maps the -log-level flag onto a stderr slog handler.
@@ -167,8 +168,8 @@ func run(addr, nodesFlag, metricsAddr string, spawn, ringN, replicas int,
 		done <- err
 	}()
 
-	fmt.Printf("chamcluster: N=%d shards=%d replicas=%d hedge-floor=%v, gateway on %s\n",
-		ringN, len(nodes), replicas, hedge, addr)
+	fmt.Printf("chamcluster: N=%d shards=%d replicas=%d hedge-floor=%v kernels=%s, gateway on %s\n",
+		ringN, len(nodes), replicas, hedge, vec.Impl(), addr)
 	if err := gw.ListenAndServe(addr); err != nil {
 		return err
 	}

@@ -29,6 +29,7 @@ import (
 	"cham/internal/obs/trace"
 	rt "cham/internal/runtime"
 	"cham/internal/server"
+	"cham/internal/vec"
 )
 
 // parseLogLevel maps the -log-level flag onto a stderr slog handler.
@@ -120,8 +121,8 @@ func run(addr, metricsAddr string, ringN, maxBatch int, linger time.Duration,
 		done <- s.Shutdown(ctx)
 	}()
 
-	fmt.Printf("chamserve: N=%d max-batch=%d queue=%d engines=%d, serving on %s\n",
-		ringN, maxBatch, queueDepth, engines, addr)
+	fmt.Printf("chamserve: N=%d max-batch=%d queue=%d engines=%d kernels=%s, serving on %s\n",
+		ringN, maxBatch, queueDepth, engines, vec.Impl(), addr)
 	if err := s.ListenAndServe(addr); err != nil {
 		return err
 	}

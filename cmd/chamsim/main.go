@@ -33,6 +33,7 @@ import (
 	"cham/internal/obs"
 	"cham/internal/obs/trace"
 	"cham/internal/rlwe"
+	"cham/internal/vec"
 )
 
 var workers = flag.Int("workers", 0, "evaluator worker goroutines (0 = GOMAXPROCS)")
@@ -203,7 +204,7 @@ func runHMVP(args []string) int {
 	}
 	acc := cham.DefaultAccelerator()
 	fmt.Printf("HMVP %dx%d at N=%d: verified correct\n", m, cols, ringN)
-	fmt.Printf("  software (this host):      %v\n", elapsed)
+	fmt.Printf("  software (this host):      %v (kernels=%s)\n", elapsed, vec.Impl())
 	fmt.Printf("  prepared matrix:           %v prepare + %v apply\n", prepTime, applyTime)
 	if ringN == acc.N {
 		sim := acc.SimulateHMVP(m, cols)

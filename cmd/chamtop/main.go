@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"cham/internal/obs"
+	"cham/internal/vec"
 )
 
 var (
@@ -93,10 +94,22 @@ func (v *view) get(name string, labels ...string) (float64, bool) {
 	return val, ok
 }
 
+// kernelImpl reads the scraped process's row-kernel implementation off its
+// cham_kernel_impl info gauge, so stage times from two hosts are compared
+// knowing whether they ran the same code path.
+func kernelImpl(v *view) string {
+	for _, impl := range [...]string{vec.ImplIFMA, vec.ImplGeneric} {
+		if val, ok := v.get("cham_kernel_impl", "impl", impl); ok && val == 1 {
+			return impl
+		}
+	}
+	return "unknown"
+}
+
 // render prints the stage and engine tables; prev may be nil (first
 // scrape: totals only, no rates).
 func render(w io.Writer, cur, prev *view) {
-	fmt.Fprintf(w, "chamtop — %s — %s\n\n", *urlFlag, cur.when.Format("15:04:05"))
+	fmt.Fprintf(w, "chamtop — %s — %s — kernels: %s\n\n", *urlFlag, cur.when.Format("15:04:05"), kernelImpl(cur))
 
 	// Stage table: count, total seconds, mean latency, share of the
 	// summed stage time.

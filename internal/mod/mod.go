@@ -172,10 +172,13 @@ func (m Modulus) BarrettReduce128(hi, lo uint64) uint64 {
 // ShoupPrecomp returns floor(w·2^64/q), the companion word for MulShoup.
 // w must be reduced (< q).
 func (m Modulus) ShoupPrecomp(w uint64) uint64 {
-	hi, lo := w, uint64(0) // w·2^64
-	q, _ := bits.Div64(hi%m.Q, lo, m.Q)
-	// bits.Div64 computes floor((hi%q · 2^64 + lo)/q); add back the dropped
-	// full multiples: floor(w·2^64/q) = (w/q)·2^64 + ... but w < q so w/q = 0.
+	// bits.Div64 needs its high word below q. The contract gives that, so
+	// the reducing division runs only for a caller that breaks it — one
+	// hardware division per word instead of two.
+	if w >= m.Q {
+		w %= m.Q
+	}
+	q, _ := bits.Div64(w, 0, m.Q)
 	return q
 }
 

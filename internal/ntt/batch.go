@@ -60,6 +60,9 @@ func (t *Table) InverseBatch(rows ...[]uint64) {
 // forwardPair runs the lazy forward schedule of forwardOne on two rows
 // under one twiddle sweep.
 func (t *Table) forwardPair(a, b []uint64) {
+	if t.forwardVec(a) && t.forwardVec(b) {
+		return
+	}
 	m := t.M
 	q := m.Q
 	twoQ := 2 * q
@@ -155,6 +158,9 @@ func (t *Table) forwardPair(a, b []uint64) {
 // inversePair runs the lazy inverse schedule of inverseOne on two rows
 // under one twiddle sweep, N^-1 fused into the final stage.
 func (t *Table) inversePair(a, b []uint64) {
+	if t.inverseVec(a) && t.inverseVec(b) {
+		return
+	}
 	m := t.M
 	q := m.Q
 	twoQ := 2 * q

@@ -15,7 +15,21 @@ package ntt
 // intermediate is congruent to its strict counterpart and the final stage
 // emits canonical residues.
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"cham/internal/vec"
+)
+
+// forwardVec and inverseVec hand one row to the accelerated kernel; false
+// means it declined and the caller runs its Go loop.
+func (t *Table) forwardVec(a []uint64) bool {
+	return vec.ForwardNTT(t.M.Q, a, t.rootsFwd, t.rootsFwdShoup)
+}
+
+func (t *Table) inverseVec(a []uint64) bool {
+	return vec.InverseNTT(t.M.Q, a, t.rootsInv, t.rootsInvShoup, t.nInv, t.nInvShoup, t.nInvRoot, t.nInvRootShoup)
+}
 
 // ForwardLazy computes the same transform as Forward with lazy reductions.
 // Input values may be any representatives below 4q; output is fully
@@ -33,6 +47,9 @@ func (t *Table) ForwardLazy(a []uint64) {
 // under 2q before use, so u+v and u+2q-v never overflow (4q < 2^64 for
 // q < 2^62).
 func (t *Table) forwardOne(a []uint64) {
+	if t.forwardVec(a) {
+		return
+	}
 	m := t.M
 	q := m.Q
 	twoQ := 2 * q
@@ -108,6 +125,9 @@ func (t *Table) InverseLazy(a []uint64) {
 
 // inverseOne is the single-row lazy inverse kernel.
 func (t *Table) inverseOne(a []uint64) {
+	if t.inverseVec(a) {
+		return
+	}
 	m := t.M
 	q := m.Q
 	twoQ := 2 * q

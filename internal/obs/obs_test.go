@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"cham/internal/vec"
 )
 
 // TestHistogramBucketBoundaries: le semantics are inclusive — a value
@@ -202,5 +205,31 @@ func BenchmarkNopOverhead(b *testing.B) {
 		clk.Mark(StageRowMul)
 		clk.Flush()
 		sp.End()
+	}
+}
+
+// TestKernelImplGauge: the default registry carries exactly one
+// cham_kernel_impl series from process start, set to 1, whose impl label
+// is what internal/vec reports.
+func TestKernelImplGauge(t *testing.T) {
+	var b strings.Builder
+	if _, err := Default().WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := ParseText(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var impls []string
+	for _, s := range samples {
+		if s.Name == "cham_kernel_impl" {
+			if s.Value != 1 {
+				t.Errorf("cham_kernel_impl{impl=%q} = %v, want 1", s.Labels["impl"], s.Value)
+			}
+			impls = append(impls, s.Labels["impl"])
+		}
+	}
+	if len(impls) != 1 || impls[0] != vec.Impl() {
+		t.Fatalf("cham_kernel_impl series %q, want exactly [%q]", impls, vec.Impl())
 	}
 }

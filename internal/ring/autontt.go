@@ -23,7 +23,11 @@ package ring
 // congruent to the strict schedule's and both paths emit canonical
 // residues.
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"cham/internal/vec"
+)
 
 func requireNTTDomain(ps ...*Poly) {
 	for _, p := range ps {
@@ -129,6 +133,9 @@ func (r *Ring) MonomialSplitNTT(sum, diff, E, O *Poly, e int) {
 		re, ro := E.Coeffs[l][:n], O.Coeffs[l][:n]
 		rm, rs := t.vals[l][:n], t.shoup[l][:n]
 		rsum, rdiff := sum.Coeffs[l][:n], diff.Coeffs[l][:n]
+		if vec.MonomialSplit(m.Q, rsum, rdiff, re, ro, rm, rs) {
+			continue
+		}
 		for i := 0; i < n; i++ {
 			x := re[i]
 			y := m.MulShoup(ro[i], rm[i], rs[i])
@@ -240,7 +247,6 @@ func (r *Ring) modDownNTT(out, p *Poly, add bool) {
 		panic("ring: ModDownNTTAddInto accumulator must be NTT-domain")
 	}
 	n := r.N
-	msp := r.Moduli[lv-1]
 	// Coefficient view of the dropped limb: one inverse transform total,
 	// regardless of how many limbs survive.
 	spc := r.getScratch()
@@ -249,19 +255,12 @@ func (r *Ring) modDownNTT(out, p *Poly, add bool) {
 	r.Tables[lv-1].InverseLazy(sp)
 	crc := r.getScratch()
 	cr := (*crc)[:n]
-	halfP := msp.Q / 2
 	for l := 0; l < lv-1; l++ {
 		ml := r.Moduli[l]
 		pInv := r.modDownInv[lv-1][l]
 		pp := r.modDownInvShoup[lv-1][l]
 		twoQ := 2 * ml.Q
-		// negAdd ≡ -q_sp (mod q_l), kept in (q_l, 2q_l] so the masked add
-		// yields the centred lift as a lazy [0, 3q_l) representative.
-		negAdd := twoQ - ml.ReduceBarrett(msp.Q)
-		for i, x := range sp {
-			neg := uint64(int64(halfP-x) >> 63) // all ones iff x > halfP
-			cr[i] = ml.ReduceBarrett(x) + (neg & negAdd)
-		}
+		r.CentredLiftRow(cr, sp, l, lv-1)
 		r.Tables[l].ForwardLazy(cr) // canonical out: ĉ = NTT([x_sp centred] mod q_l)
 		ra := p.Coeffs[l][:n]
 		ro := out.Coeffs[l][:n]

@@ -7,7 +7,11 @@ package ring
 // allocations after warm-up, the software analogue of CHAM's
 // buffer-resident dataflow.
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"cham/internal/vec"
+)
 
 // GetPoly borrows a polynomial with the given limb count from the ring's
 // pool. The coefficients are ARBITRARY (not zeroed) and IsNTT is reset to
@@ -142,6 +146,9 @@ func (r *Ring) MulCoeffShoupPair(out, a0, b0 *Poly, s0 [][]uint64, a1, b1 *Poly,
 		ra0, rb0, rs0 := a0.Coeffs[l], b0.Coeffs[l], s0[l]
 		ra1, rb1, rs1 := a1.Coeffs[l], b1.Coeffs[l], s1[l]
 		ro := out.Coeffs[l]
+		if vec.MulShoupPair(m.Q, ro, ra0, rb0, rs0, ra1, rb1, rs1, false) {
+			continue
+		}
 		for i := range ro {
 			ro[i] = m.Add(m.MulShoup(ra0[i], rb0[i], rs0[i]), m.MulShoup(ra1[i], rb1[i], rs1[i]))
 		}
@@ -159,6 +166,9 @@ func (r *Ring) MulCoeffShoupPairAdd(out, a0, b0 *Poly, s0 [][]uint64, a1, b1 *Po
 		ra0, rb0, rs0 := a0.Coeffs[l], b0.Coeffs[l], s0[l]
 		ra1, rb1, rs1 := a1.Coeffs[l], b1.Coeffs[l], s1[l]
 		ro := out.Coeffs[l]
+		if vec.MulShoupPair(m.Q, ro, ra0, rb0, rs0, ra1, rb1, rs1, true) {
+			continue
+		}
 		for i := range ro {
 			t := m.Add(m.MulShoup(ra0[i], rb0[i], rs0[i]), m.MulShoup(ra1[i], rb1[i], rs1[i]))
 			ro[i] = m.Add(ro[i], t)
@@ -178,6 +188,9 @@ func (r *Ring) MulCoeffShoupDual(outB, outA, aB, aA, b *Poly, bShoup [][]uint64)
 		rb, ra := aB.Coeffs[l], aA.Coeffs[l]
 		rk, rs := b.Coeffs[l], bShoup[l]
 		rob, roa := outB.Coeffs[l], outA.Coeffs[l]
+		if vec.MulShoupDual(m.Q, rob, roa, rb, ra, rk, rs, false) {
+			continue
+		}
 		for i := range rob {
 			k, s := rk[i], rs[i]
 			rob[i] = m.MulShoup(rb[i], k, s)
@@ -197,6 +210,9 @@ func (r *Ring) MulCoeffShoupDualAdd(outB, outA, aB, aA, b *Poly, bShoup [][]uint
 		rb, ra := aB.Coeffs[l], aA.Coeffs[l]
 		rk, rs := b.Coeffs[l], bShoup[l]
 		rob, roa := outB.Coeffs[l], outA.Coeffs[l]
+		if vec.MulShoupDual(m.Q, rob, roa, rb, ra, rk, rs, true) {
+			continue
+		}
 		for i := range rob {
 			k, s := rk[i], rs[i]
 			rob[i] = m.Add(rob[i], m.MulShoup(rb[i], k, s))
@@ -239,6 +255,24 @@ func (r *Ring) ModDownScalar(beta []uint64, lv int) {
 			d = ml.Sub(beta[l], ml.ReduceBarrett(x))
 		}
 		beta[l] = ml.MulShoup(d, r.modDownInv[lv-1][l], r.modDownInvShoup[lv-1][l])
+	}
+}
+
+// CentredLiftRow lifts src, canonical residues of limb `from`, into limb l:
+// out[i] ≡ the centred representative of src[i] (mod q_l). Branch-free and
+// lazy: every element gets ReduceBarrett(x), and exactly the negative
+// lifts (x > q_from/2) also get negAdd ≡ -q_from (mod q_l), kept in
+// (q_l, 2q_l] so the outputs are [0, 3q_l) representatives — inside the
+// forward transform's 4q input headroom. This is the one copy of the
+// sweep that digit decomposition (rlwe) and the NTT-resident RESCALE share.
+func (r *Ring) CentredLiftRow(out, src []uint64, l, from int) {
+	ml, qf := r.Moduli[l], r.Moduli[from].Q
+	half := qf / 2
+	negAdd := 2*ml.Q - ml.ReduceBarrett(qf)
+	out = out[:len(src)]
+	for i, x := range src {
+		neg := uint64(int64(half-x) >> 63) // all ones iff x > half
+		out[i] = ml.ReduceBarrett(x) + (neg & negAdd)
 	}
 }
 

@@ -89,9 +89,7 @@ func (p Params) DecomposeInto(dec *Decomposition, a *ring.Poly) {
 	lv := r.Levels()
 	n := r.N
 	for j := 0; j < p.NormalLevels; j++ {
-		md := r.Moduli[j]
 		src := a.Coeffs[j][:n]
-		half := md.Q / 2
 		out := dec.Digits[j]
 		for l := 0; l < lv; l++ {
 			if l == j {
@@ -99,16 +97,7 @@ func (p Params) DecomposeInto(dec *Decomposition, a *ring.Poly) {
 				copy(out.Coeffs[l], src)
 				continue
 			}
-			ml := r.Moduli[l]
-			// negAdd ≡ -q_j (mod q_l), kept in (q_l, 2q_l] so the masked
-			// add yields lazy representatives in [0, 3q_l) — within the
-			// forward transform's 4q input headroom.
-			negAdd := 2*ml.Q - ml.ReduceBarrett(md.Q)
-			ro := out.Coeffs[l][:n]
-			for i, x := range src {
-				neg := uint64(int64(half-x) >> 63) // all ones iff x > half
-				ro[i] = ml.ReduceBarrett(x) + (neg & negAdd)
-			}
+			r.CentredLiftRow(out.Coeffs[l], src, l, j)
 		}
 		out.IsNTT = false
 	}
@@ -159,22 +148,14 @@ func (p Params) DecomposeNTTInto(dec *Decomposition, a *ring.Poly) {
 		r.Tables[j].InverseLazy(cf.Coeffs[j])
 	}
 	for j := 0; j < nl; j++ {
-		md := r.Moduli[j]
 		src := cf.Coeffs[j][:n]
-		half := md.Q / 2
 		out := dec.Digits[j]
 		for l := 0; l < lv; l++ {
 			if l == j {
 				copy(out.Coeffs[l][:n], a.Coeffs[j][:n])
 				continue
 			}
-			ml := r.Moduli[l]
-			negAdd := 2*ml.Q - ml.ReduceBarrett(md.Q)
-			ro := out.Coeffs[l][:n]
-			for i, x := range src {
-				neg := uint64(int64(half-x) >> 63) // all ones iff x > half
-				ro[i] = ml.ReduceBarrett(x) + (neg & negAdd)
-			}
+			r.CentredLiftRow(out.Coeffs[l], src, l, j)
 		}
 	}
 	r.PutPoly(cf)
