@@ -91,10 +91,11 @@ metrics-smoke:
 	echo "metrics-smoke: ok ($$(grep -c '^cham_' /tmp/chamsim-smoke.metrics) series scraped)"
 
 # End-to-end check of the serving tier: the loopback example exercises
-# the full handshake → keys → register → apply → drain flow over TCP,
-# and the server binary is built (not run).
+# the full handshake → keys → register → apply → drain flow over TCP
+# (under the race detector: the front end it goes through is concurrent
+# code both doors share), and the server binary is built (not run).
 serve-smoke:
-	$(GO) run ./examples/serve
+	$(GO) run -race ./examples/serve
 	$(GO) build -o /tmp/chamserve-smoke ./cmd/chamserve
 
 # End-to-end check of the tracer: boot chamsim with every apply sampled,
@@ -120,10 +121,10 @@ trace-smoke:
 # scatters a 4-tile matrix across two shard nodes through the gateway,
 # verifies every gathered product against the cleartext, checks the
 # hedging budget as a count (hedges <= 2 + 5% of shard requests — no
-# wall-clock threshold), and drains the whole tier; the cluster binary is
-# built (not run).
+# wall-clock threshold), and drains the whole tier, all under the race
+# detector; the cluster binary is built (not run).
 cluster-smoke:
-	$(GO) run ./examples/cluster
+	$(GO) run -race ./examples/cluster
 	$(GO) build -o /tmp/chamcluster-smoke ./cmd/chamcluster
 
 # End-to-end check of the chamnp array tier: the matmul example proves

@@ -48,7 +48,7 @@ func tracedApply(pm *core.PreparedMatrix, res *core.Result, ctV []*rlwe.Cipherte
 	if rec != nil {
 		sink = rec
 	}
-	err := pm.ApplyIntoSink(res, ctV, sink)
+	err := pm.ApplyTiles(res.Packed, nil, ctV, sink)
 	rec.Emit("kernel")
 	sp.EndErr(err)
 	return err

@@ -227,7 +227,7 @@ func (cl *Client) dial() (*poolConn, error) {
 	pc := &poolConn{c: nc, br: bufio.NewReaderSize(nc, 64<<10)}
 	nc.SetDeadline(time.Now().Add(cl.cfg.DialTimeout))
 	payload, err := pc.roundTrip(cl.cfg.MaxFrame, wire.MsgHello, wire.MsgHelloOK,
-		wire.HelloFor(cl.cfg.Params).Encode())
+		trace.Context{}, wire.HelloFor(cl.cfg.Params).Encode())
 	if err != nil {
 		nc.Close()
 		return nil, err
@@ -255,7 +255,7 @@ func (cl *Client) dial() (*poolConn, error) {
 // in sync, so the probe silently degrades to plain v1 framing.
 func (cl *Client) negotiateTrace(pc *poolConn) error {
 	resp, err := pc.roundTrip(cl.cfg.MaxFrame, wire.MsgTraceHello, wire.MsgTraceHelloOK,
-		wire.TraceHello{MaxVersion: wire.FrameVersionTraced}.Encode())
+		trace.Context{}, wire.TraceHello{MaxVersion: wire.FrameVersionTraced}.Encode())
 	if err != nil {
 		var we *wire.Error
 		if errors.As(err, &we) {
@@ -271,17 +271,12 @@ func (cl *Client) negotiateTrace(pc *poolConn) error {
 	return nil
 }
 
-// roundTrip sends one frame and reads the matching response. A sequence
-// or type mismatch means the stream is desynced and the connection is
-// unusable (the caller must close it).
-func (pc *poolConn) roundTrip(maxFrame uint32, t, want wire.MsgType, payload []byte) ([]byte, error) {
-	return pc.roundTripCtx(maxFrame, t, want, trace.Context{}, payload)
-}
-
-// roundTripCtx is roundTrip carrying a trace context: a sampled context
-// on a negotiated connection rides a version-2 frame so the server can
-// hang its spans under the client's; everything else stays version 1.
-func (pc *poolConn) roundTripCtx(maxFrame uint32, t, want wire.MsgType, tc trace.Context, payload []byte) ([]byte, error) {
+// roundTrip sends one frame and reads the matching response. A sampled
+// trace context on a negotiated connection rides a version-2 frame so
+// the server can hang its spans under the client's; everything else
+// stays version 1. A sequence or type mismatch means the stream is
+// desynced and the connection is unusable (the caller must close it).
+func (pc *poolConn) roundTrip(maxFrame uint32, t, want wire.MsgType, tc trace.Context, payload []byte) ([]byte, error) {
 	pc.seq++
 	var werr error
 	if tc.Sampled() && pc.traced {
@@ -313,23 +308,37 @@ func (pc *poolConn) roundTripCtx(maxFrame uint32, t, want wire.MsgType, tc trace
 	return rp, nil
 }
 
+// call is the one request/response helper every operation with a reply
+// body goes through: do, then decode; a reply that does not decode is a transport error (a
+// desynced or hostile peer).
+func call[T any](ctx context.Context, cl *Client, t, want wire.MsgType, payload []byte, decode func([]byte) (T, error)) (T, error) {
+	var zero T
+	resp, err := cl.do(ctx, t, want, payload)
+	if err != nil {
+		return zero, err
+	}
+	v, err := decode(resp)
+	if err != nil {
+		return zero, &errTransport{err}
+	}
+	return v, nil
+}
+
 // do runs one request with pooling, timeouts, and jittered backoff. The
 // connection returns to the pool only after a fully clean round trip; a
 // typed server rejection keeps the stream in sync, anything else closes
 // the connection.
-func (cl *Client) do(t, want wire.MsgType, payload []byte) ([]byte, error) {
-	return cl.doCtx(context.TODO(), t, want, payload)
-}
-
-// doCtx is do under a context. A trace context riding in ctx (see
-// trace.NewContext) gives each attempt its own client span (the context
-// the server receives), so retries show up as separate sibling RPCs in
-// the trace. Cancelling ctx abandons the request: the in-flight
-// connection's deadline is pulled to now and the connection is closed
-// rather than pooled (an unread reply would desync the stream), the
-// server sees the hang-up and drops the request if it is still queued,
-// and ctx.Err() comes back with no retry or backoff.
-func (cl *Client) doCtx(ctx context.Context, t, want wire.MsgType, payload []byte) ([]byte, error) {
+//
+// ctx is the one way a caller's context travels. A trace context riding
+// in it (see trace.NewContext) gives each attempt its own client span
+// (the context the server receives), so retries show up as separate
+// sibling RPCs in the trace. When ctx ends — cancelled, or past its
+// deadline — the request is abandoned: the in-flight connection's
+// deadline is pulled to now and the connection is closed rather than
+// pooled (an unread reply would desync the stream), the server sees the
+// hang-up and drops the request if it is still queued, and ctx.Err()
+// comes back with no retry or backoff.
+func (cl *Client) do(ctx context.Context, t, want wire.MsgType, payload []byte) ([]byte, error) {
 	tc := trace.FromContext(ctx)
 	var lastErr error
 	for attempt := 0; attempt <= cl.cfg.MaxRetries; attempt++ {
@@ -353,7 +362,7 @@ func (cl *Client) doCtx(ctx context.Context, t, want wire.MsgType, payload []byt
 				stop = context.AfterFunc(ctx, func() { pc.c.SetDeadline(time.Now()) })
 			}
 			var resp []byte
-			resp, err = pc.roundTripCtx(cl.cfg.MaxFrame, t, want, sctx, payload)
+			resp, err = pc.roundTrip(cl.cfg.MaxFrame, t, want, sctx, payload)
 			if !stop() {
 				// Cancelled mid-flight: the deadline hook owns the connection
 				// now (it may still be running), so it can never be pooled.
@@ -383,6 +392,17 @@ func (cl *Client) doCtx(ctx context.Context, t, want wire.MsgType, payload []byt
 	return nil, lastErr
 }
 
+// deadlineMicros is the deadline hint a compute request carries: the
+// request timeout, or what is left of the caller's deadline when that is
+// sooner, so a server's queue can expire a request nobody is waiting for.
+func (cl *Client) deadlineMicros(ctx context.Context) uint64 {
+	d := cl.cfg.RequestTimeout
+	if dl, ok := ctx.Deadline(); ok {
+		d = min(d, time.Until(dl))
+	}
+	return uint64(max(d, time.Microsecond) / time.Microsecond) // 0 on the wire would mean "server default"
+}
+
 // backoff computes the delay before retry attempt i (0-based) with equal
 // jitter: half deterministic growth, half uniform random.
 func (cl *Client) backoff(i int) time.Duration {
@@ -408,23 +428,16 @@ func (cl *Client) Hello() (wire.HelloOK, error) {
 
 // Ping round-trips an empty frame.
 func (cl *Client) Ping() error {
-	_, err := cl.do(wire.MsgPing, wire.MsgPong, nil)
+	_, err := cl.do(context.TODO(), wire.MsgPing, wire.MsgPong, nil)
 	return err
 }
 
 // SetupKeys installs the packing-key set and returns its canonical hash.
 // Idempotent: re-sending the same set succeeds with the same hash.
 func (cl *Client) SetupKeys(keys *lwe.PackingKeys) ([32]byte, error) {
-	payload := wire.EncodeSetupKeys(cl.cfg.Params.R, keys)
-	resp, err := cl.do(wire.MsgSetupKeys, wire.MsgSetupKeysOK, payload)
-	if err != nil {
-		return [32]byte{}, err
-	}
-	ok, err := wire.DecodeSetupKeysOK(resp)
-	if err != nil {
-		return [32]byte{}, &errTransport{err}
-	}
-	return ok.KeyHash, nil
+	ok, err := call(context.TODO(), cl, wire.MsgSetupKeys, wire.MsgSetupKeysOK,
+		wire.EncodeSetupKeys(cl.cfg.Params.R, keys), wire.DecodeSetupKeysOK)
+	return ok.KeyHash, err
 }
 
 // RegisterMatrix uploads and prepares a matrix, returning its handle.
@@ -434,41 +447,24 @@ func (cl *Client) RegisterMatrix(A [][]uint64) (wire.MatrixHandle, error) {
 	if err != nil {
 		return wire.MatrixHandle{}, err
 	}
-	resp, err := cl.do(wire.MsgRegisterMatrix, wire.MsgMatrixHandle, payload)
-	if err != nil {
-		return wire.MatrixHandle{}, err
-	}
-	h, err := wire.DecodeMatrixHandle(resp)
-	if err != nil {
-		return wire.MatrixHandle{}, &errTransport{err}
-	}
-	return h, nil
+	return call(context.TODO(), cl, wire.MsgRegisterMatrix, wire.MsgMatrixHandle, payload, wire.DecodeMatrixHandle)
 }
 
 // Apply multiplies a registered matrix with an encrypted vector and
 // returns the packed result. The request carries RequestTimeout as its
 // server-side deadline hint.
 func (cl *Client) Apply(id [32]byte, vec []*rlwe.Ciphertext) (wire.Result, error) {
-	return cl.ApplyTraced(trace.Context{}, id, vec)
+	return cl.ApplyCtx(context.TODO(), id, vec)
 }
 
-// ApplyTraced is Apply under a trace context: a sampled context rides
-// the request's wire frames (when the server negotiated tracing), so
-// server-side spans nest under the caller's. A zero context is exactly
-// Apply.
-func (cl *Client) ApplyTraced(tc trace.Context, id [32]byte, vec []*rlwe.Ciphertext) (wire.Result, error) {
-	payload := wire.EncodeApply(cl.cfg.Params.R, wire.Apply{
-		ID:             id,
-		DeadlineMicros: uint64(cl.cfg.RequestTimeout / time.Microsecond),
-		Vector:         vec,
-	})
-	resp, err := cl.doCtx(trace.NewContext(context.TODO(), tc), wire.MsgApply, wire.MsgResult, payload)
-	if err != nil {
-		return wire.Result{}, err
-	}
-	res, err := wire.DecodeResult(cl.cfg.Params.R, resp)
-	if err != nil {
-		return wire.Result{}, &errTransport{err}
-	}
-	return res, nil
+// ApplyCtx is Apply under a context: a sampled trace context riding in
+// ctx (trace.NewContext) travels in the request's wire frames (when the
+// server negotiated tracing), so server-side spans nest under the
+// caller's; ctx's deadline, when sooner than RequestTimeout, becomes the
+// request's deadline hint; and a ctx that ends abandons the request.
+func (cl *Client) ApplyCtx(ctx context.Context, id [32]byte, vec []*rlwe.Ciphertext) (wire.Result, error) {
+	r := cl.cfg.Params.R
+	return call(ctx, cl, wire.MsgApply, wire.MsgResult,
+		wire.EncodeApply(r, wire.Apply{ID: id, DeadlineMicros: cl.deadlineMicros(ctx), Vector: vec}),
+		func(b []byte) (wire.Result, error) { return wire.DecodeResult(r, b) })
 }

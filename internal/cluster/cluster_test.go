@@ -656,7 +656,7 @@ func TestClusterStragglerHedge(t *testing.T) {
 	abandoned0 := counter("cham_server_abandoned_total")
 
 	tc, sp := trace.Root("test-client", "apply")
-	got, err := co.ApplyTraced(tc, handle.ID, ctV)
+	got, err := co.ApplyCtx(trace.NewContext(context.Background(), tc), handle.ID, ctV)
 	sp.EndErr(err)
 	if err != nil {
 		t.Fatal(err)
@@ -704,167 +704,5 @@ func TestClusterStragglerHedge(t *testing.T) {
 	}
 	if !cancelled {
 		t.Error("no shard:N span of the hedged apply is annotated cancelled")
-	}
-}
-
-// TestGatewayDrainRace floods a gateway with applies while Shutdown runs.
-// handleApply used to test the draining flag and only then join the
-// request WaitGroup, with nothing ordering that against Shutdown's store
-// and Wait: an apply that read "not draining" could join after Wait had
-// seen zero and have its connection closed under a live scatter.
-//
-// First, the client's view: with one slow apply holding the drain open,
-// every flooding apply that reaches the gateway during the drain gets
-// either the bit-identical result or the typed draining rejection, never a
-// transport error. Then the race itself, with nothing in flight when
-// Shutdown starts: every apply the gateway admitted (a scatter began) must
-// be answered — only applies it never admitted may find the door closed.
-func TestGatewayDrainRace(t *testing.T) {
-	p := testParams(t, 32)
-	rng := testutil.NewRand(t)
-	sk := p.KeyGen(rng)
-	keys, err := lwe.GenPackingKeys(p, rng, sk, p.R.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := core.NewEvaluatorFromKeys(p, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	A := testutil.Matrix(rng, 96, 32, p.T.Q)
-	pm, err := ev.Prepare(A)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := testutil.Vector(rng, 32, p.T.Q)
-	ctV := core.EncryptVector(p, rng, sk, v)
-	want, err := pm.Apply(ctV)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Every shard card takes 150 ms per job, so an admitted apply keeps the
-	// drain open that long; holdOpen decides whether one is sent ahead.
-	co, _ := newCluster(t, p, 2, func(c *server.Config) {
-		card, err := rt.New(rt.NewDevice(2, 150*time.Millisecond, rt.FaultPlan{}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		card.JobTimeout = 30 * time.Second
-		c.Card = card
-	}, func(c *Config) { c.HedgeDelay = 10 * time.Second })
-	if _, err := co.SetupKeys(keys); err != nil {
-		t.Fatal(err)
-	}
-	handle, err := co.RegisterMatrix(A)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	type tally struct{ ok, draining, transport, admitted int }
-	round := func(holdOpen bool, head time.Duration) tally {
-		gw, err := NewGateway(GatewayConfig{Coordinator: co})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		served := make(chan error, 1)
-		go func() { served <- gw.Serve(ln) }()
-
-		const flood = 6
-		clients := make([]*client.Client, flood+1)
-		for i := range clients {
-			cl, err := client.Dial(client.Config{Addr: ln.Addr().String(), Params: p, MaxRetries: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
-			if _, err := cl.Hello(); err != nil { // connect now: the listener closes with the drain
-				t.Fatal(err)
-			}
-			clients[i] = cl
-		}
-		scatters0 := mScatters.Value()
-		errs := make(chan error, flood+1)
-		apply := func(cl *client.Client) {
-			got, err := cl.Apply(handle.ID, ctV)
-			if err == nil {
-				for i := range got.Packed {
-					if !sameCiphertext(got.Packed[i], want.Packed[i]) {
-						t.Errorf("tile %d of an apply answered during the drain differs from the single-node result", i)
-					}
-				}
-			}
-			errs <- err
-		}
-		sent := 0
-		if holdOpen {
-			go apply(clients[flood])
-			sent++
-			for deadline := time.Now().Add(10 * time.Second); mScatters.Value() == scatters0; {
-				if time.Now().After(deadline) {
-					t.Fatal("the holding apply never reached the coordinator")
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-		start := make(chan struct{})
-		for i := 0; i < flood; i++ {
-			go func(cl *client.Client) {
-				<-start
-				apply(cl)
-			}(clients[i])
-			sent++
-		}
-		drained := make(chan error, 1)
-		go func() {
-			<-start
-			time.Sleep(head) // not synchronisation: it only moves where Shutdown lands in the flood
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			drained <- gw.Shutdown(ctx)
-		}()
-		close(start)
-
-		var tl tally
-		for i := 0; i < sent; i++ {
-			err := <-errs
-			var we *wire.Error
-			switch {
-			case err == nil:
-				tl.ok++
-			case errors.As(err, &we) && we.Code == wire.CodeDraining:
-				tl.draining++
-			case errors.As(err, &we):
-				t.Errorf("apply racing the drain got an unexpected typed error: %v", err)
-			default:
-				tl.transport++
-			}
-		}
-		if err := <-drained; err != nil {
-			t.Fatalf("drain: %v", err)
-		}
-		if err := <-served; err != nil {
-			t.Fatalf("serve: %v", err)
-		}
-		tl.admitted = int(mScatters.Value() - scatters0)
-		return tl
-	}
-
-	tl := round(true, 0)
-	if tl.transport != 0 || tl.ok == 0 {
-		t.Fatalf("drain held open: %+v — want every apply answered or typed-rejected, the holder at least answered", tl)
-	}
-	for i := 0; i < 8; i++ {
-		// Shutdown starts 0 to 2.8 ms into the flood, so across the rounds it
-		// lands before, among and after the applies' admissions.
-		tl := round(false, time.Duration(i)*400*time.Microsecond)
-		t.Logf("round %d: %+v", i, tl)
-		if tl.admitted != tl.ok {
-			t.Fatalf("round %d, nothing in flight at Shutdown: %+v — an admitted apply lost its connection", i, tl)
-		}
 	}
 }

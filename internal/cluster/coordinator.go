@@ -67,6 +67,9 @@ func (c Config) withDefaults() (Config, error) {
 	if c.HedgeDelay <= 0 {
 		c.HedgeDelay = 50 * time.Millisecond
 	}
+	if c.RequestTimeout <= 0 {
+		c.RequestTimeout = 30 * time.Second // the node clients' default, made visible to the gateway
+	}
 	if c.Log == nil {
 		c.Log = slog.New(slog.DiscardHandler)
 	}
@@ -240,14 +243,17 @@ type groupResult struct {
 // straggling shards are covered by hedged replicas; tiles still missing
 // after a full re-scatter produce a *DegradedError.
 func (co *Coordinator) Apply(id [32]byte, vec []*rlwe.Ciphertext) (wire.Result, error) {
-	return co.ApplyTraced(trace.Context{}, id, vec)
+	return co.ApplyCtx(context.TODO(), id, vec)
 }
 
-// ApplyTraced is Apply under a trace context: the scatter, every hedged
-// per-shard RPC, and the gather each open a span under tc, so a merged
-// trace shows which shard was the critical path. A zero context is
-// exactly Apply.
-func (co *Coordinator) ApplyTraced(tc trace.Context, id [32]byte, vec []*rlwe.Ciphertext) (wire.Result, error) {
+// ApplyCtx is Apply under a context. A trace context riding in ctx
+// (trace.NewContext) parents the scatter, every hedged per-shard RPC and
+// the gather, so a merged trace shows which shard was the critical path.
+// ctx's deadline travels to every shard as the leg's deadline hint, and
+// when ctx ends the outstanding legs are abandoned and ctx.Err() comes
+// back — the caller gave up; that is not a degraded fleet.
+func (co *Coordinator) ApplyCtx(ctx context.Context, id [32]byte, vec []*rlwe.Ciphertext) (wire.Result, error) {
+	tc := trace.FromContext(ctx)
 	handle, ok := co.Handle(id)
 	if !ok {
 		return wire.Result{}, wire.Errf(wire.CodeUnknownMatrix, "matrix not registered with the cluster")
@@ -270,7 +276,6 @@ func (co *Coordinator) ApplyTraced(tc trace.Context, id [32]byte, vec []*rlwe.Ci
 	// ownership does. The leg hedges when the owner has stayed silent past
 	// the policy's threshold for it and the budget grants a token; the
 	// attempts that lose the race are cancelled, not left to finish.
-	ctx := context.TODO() // Apply's signature carries no context
 	sctx, ssp := trace.Start(tc, "coordinator", "scatter")
 	addrs := ring.Nodes()
 	results := make(chan groupResult)
@@ -307,7 +312,7 @@ func (co *Coordinator) ApplyTraced(tc trace.Context, id [32]byte, vec []*rlwe.Ci
 					lsp.Annotate(fmt.Sprintf("%d tiles", len(list)))
 				}
 				t0 := time.Now()
-				r, e := cls[order[i]].TileApplyTraced(trace.NewContext(actx, lctx), id, list, vec)
+				r, e := cls[order[i]].TileApplyCtx(trace.NewContext(actx, lctx), id, list, vec)
 				switch {
 				case e == nil:
 					co.hedge.observe(addrs[order[i]], len(list), time.Since(t0))
@@ -347,6 +352,9 @@ func (co *Coordinator) ApplyTraced(tc trace.Context, id [32]byte, vec []*rlwe.Ci
 		}
 	}
 	ssp.End()
+	if err := ctx.Err(); err != nil {
+		return wire.Result{}, err
+	}
 
 	// Re-scatter pass: any node can serve any tile (replicated registry +
 	// lazy prepare), so walk the whole ring once more for the leftovers.
@@ -360,7 +368,7 @@ func (co *Coordinator) ApplyTraced(tc trace.Context, id [32]byte, vec []*rlwe.Ci
 		order := ring.Replicas(TileKey(id, missing[0]), len(cls))
 		for _, ni := range order {
 			lctx, lsp := trace.Start(gctx, "coordinator", fmt.Sprintf("rescatter:%d", ni))
-			res, err := cls[ni].TileApplyTraced(trace.NewContext(ctx, lctx), id, missing, vec)
+			res, err := cls[ni].TileApplyCtx(trace.NewContext(ctx, lctx), id, missing, vec)
 			lsp.EndErr(err)
 			if err != nil {
 				mShardErr.Inc()

@@ -1,17 +1,14 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cham/internal/obs"
 	"cham/internal/obs/trace"
+	"cham/internal/server"
 	"cham/internal/wire"
 )
 
@@ -26,132 +23,56 @@ type GatewayConfig struct {
 var mGatewayConns = obs.GetGauge("cham_cluster_gateway_connections",
 	"Open client connections on the cluster gateway.")
 
-// Gateway is the cluster's wire-compatible front door: it speaks the
-// exact chamserve protocol (Hello/SetupKeys/RegisterMatrix/Apply/Ping),
-// so an unmodified client sees one big server while the coordinator
-// scatters the work across shards behind it. Control-plane messages are
-// broadcast to every node; Apply is scatter/gather.
+// Gateway is the cluster's wire-compatible front door: chamserve's front
+// end (server.FrontEnd — listener, frame loop, handshake, drain barrier,
+// per-request deadline) with the coordinator behind it instead of a
+// queue, so an unmodified client sees one big server while the work is
+// scattered across shards. Control-plane messages are broadcast to every
+// node; Apply is scatter/gather, answered inline on the connection's
+// goroutine — the coordinator's scatter already fans out per request, and
+// cross-client concurrency comes from one goroutine per connection.
+// Shutdown drains the gateway only; the shard nodes belong to their own
+// processes.
 type Gateway struct {
-	cfg GatewayConfig
-	co  *Coordinator
-
-	// enqMu orders admission against drain, as in server.admit: handleApply
-	// tests draining and joins reqWG under the read side, Shutdown flips
-	// draining under the write side, so no apply can join after the drain
-	// barrier started waiting.
-	enqMu    sync.RWMutex
-	draining atomic.Bool
-	reqWG    sync.WaitGroup
-
-	ln     atomic.Pointer[net.Listener]
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	server.FrontEnd
+	co *Coordinator
 }
 
 // NewGateway builds a gateway over a coordinator.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
-	if cfg.Coordinator == nil {
+	co := cfg.Coordinator
+	if co == nil {
 		return nil, fmt.Errorf("cluster: GatewayConfig.Coordinator is required")
 	}
-	if cfg.MaxFrame == 0 {
-		cfg.MaxFrame = wire.DefaultMaxFrame
+	g := &Gateway{co: co, FrontEnd: server.FrontEnd{
+		Params:   co.cfg.Params,
+		MaxFrame: cfg.MaxFrame,
+		// No scatter leg outlives the node clients' request timeout, so no
+		// request is worth holding longer.
+		DefaultDeadline: co.cfg.RequestTimeout,
+		Log:             co.cfg.Log,
+		// Engines advertises cluster width; batching happens on the shards,
+		// so the gateway itself reports MaxBatch 1.
+		Engines:  func() uint32 { return uint32(len(co.Nodes())) },
+		MaxBatch: 1,
+		Conns:    mGatewayConns,
+	}}
+	g.Control = map[wire.MsgType]func([]byte) (wire.MsgType, []byte, *wire.Error){
+		wire.MsgSetupKeys:      g.handleSetupKeys,
+		wire.MsgRegisterMatrix: g.handleRegisterMatrix,
 	}
-	return &Gateway{cfg: cfg, co: cfg.Coordinator, conns: map[net.Conn]struct{}{}}, nil
+	g.Compute = g.handleApply
+	return g, nil
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (g *Gateway) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return g.Serve(ln)
-}
-
-// Serve accepts connections until the listener closes (via Shutdown).
-func (g *Gateway) Serve(ln net.Listener) error {
-	g.ln.Store(&ln)
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			if g.draining.Load() || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		g.connMu.Lock()
-		g.conns[c] = struct{}{}
-		g.connMu.Unlock()
-		mGatewayConns.Add(1)
-		go g.handleConn(c)
-	}
-}
-
-// Addr reports the bound listener address (nil before Serve).
-func (g *Gateway) Addr() net.Addr {
-	if p := g.ln.Load(); p != nil {
-		return (*p).Addr()
-	}
-	return nil
-}
-
-// Shutdown drains: stop accepting, answer new applies with CodeDraining,
-// finish in-flight scatters, then close remaining connections. The
-// shard nodes are not shut down — they belong to their own processes.
-func (g *Gateway) Shutdown(ctx context.Context) error {
-	g.enqMu.Lock()
-	g.draining.Store(true)
-	g.enqMu.Unlock()
-	if p := g.ln.Load(); p != nil {
-		(*p).Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		g.reqWG.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-	}
-	g.connMu.Lock()
-	for c := range g.conns {
-		c.Close()
-	}
-	g.conns = map[net.Conn]struct{}{}
-	g.connMu.Unlock()
-	return err
-}
-
-// gwConn is one client connection. Requests are handled inline on the
-// read goroutine — the coordinator's scatter already fans out per
-// request, and cross-client concurrency comes from one goroutine per
-// connection.
-type gwConn struct {
-	g     *Gateway
-	c     net.Conn
-	br    *bufio.Reader
-	wmu   sync.Mutex
-	hello bool
-}
-
-func (c *gwConn) send(t wire.MsgType, seq uint16, payload []byte) {
-	buf := wire.AppendFrame(nil, t, seq, payload)
-	c.wmu.Lock()
-	c.c.Write(buf)
-	c.wmu.Unlock()
-}
-
-func (c *gwConn) sendErr(seq uint16, e *wire.Error) {
-	c.send(wire.MsgError, seq, e.Encode())
-}
-
-// wireErr maps a coordinator failure onto the typed wire vocabulary:
-// degraded scatters become CodeDegraded, typed shard rejections pass
-// through, anything else is internal.
+// wireErr maps a coordinator failure onto the typed wire vocabulary: a
+// request that ran out of its deadline is CodeDeadline, degraded scatters
+// become CodeDegraded, typed shard rejections pass through, anything else
+// is internal.
 func wireErr(err error) *wire.Error {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return wire.Errf(wire.CodeDeadline, "deadline expired during the scatter")
+	}
 	var de *DegradedError
 	if errors.As(err, &de) {
 		return de.Wire()
@@ -163,136 +84,55 @@ func wireErr(err error) *wire.Error {
 	return wire.Errf(wire.CodeInternal, "%v", err)
 }
 
-func (g *Gateway) handleConn(nc net.Conn) {
-	c := &gwConn{g: g, c: nc, br: bufio.NewReaderSize(nc, 64<<10)}
-	defer func() {
-		g.connMu.Lock()
-		delete(g.conns, nc)
-		g.connMu.Unlock()
-		nc.Close()
-		mGatewayConns.Add(-1)
-	}()
-	for {
-		t, seq, th, payload, err := wire.ReadFrameAny(c.br, g.cfg.MaxFrame)
-		if err != nil {
-			return
-		}
-		tc := trace.Context{Trace: trace.TraceID(th.TraceID), Span: trace.SpanID(th.SpanID), Flags: th.Flags}
-		if !c.hello && t != wire.MsgHello && t != wire.MsgPing {
-			c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "handshake required before %v", t))
-			continue
-		}
-		switch t {
-		case wire.MsgHello:
-			g.handleHello(c, seq, payload)
-		case wire.MsgSetupKeys:
-			g.handleSetupKeys(c, seq, payload)
-		case wire.MsgRegisterMatrix:
-			g.handleRegisterMatrix(c, seq, payload)
-		case wire.MsgApply:
-			g.handleApply(c, seq, tc, payload)
-		case wire.MsgTraceHello:
-			h, derr := wire.DecodeTraceHello(payload)
-			if derr != nil {
-				c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "trace hello: %v", derr))
-				continue
-			}
-			v := uint8(wire.FrameVersionTraced)
-			if h.MaxVersion < v {
-				v = h.MaxVersion
-			}
-			c.send(wire.MsgTraceHelloOK, seq, wire.TraceHelloOK{Version: v}.Encode())
-		case wire.MsgPing:
-			c.send(wire.MsgPong, seq, payload)
-		default:
-			c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "unexpected message type %d at the gateway", t))
-		}
-	}
-}
-
-func (g *Gateway) handleHello(c *gwConn, seq uint16, payload []byte) {
-	h, err := wire.DecodeHello(payload)
+func (g *Gateway) handleSetupKeys(payload []byte) (wire.MsgType, []byte, *wire.Error) {
+	keys, err := wire.DecodeSetupKeys(g.Params.R, payload)
 	if err != nil {
-		c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "hello: %v", err))
-		return
-	}
-	want := wire.HelloFor(g.co.cfg.Params)
-	if h != want {
-		c.sendErr(seq, wire.Errf(wire.CodeParamsMismatch,
-			"client params N=%d levels=%d/%d t=%d, cluster has N=%d levels=%d/%d t=%d",
-			h.RingN, h.Levels, h.NormalLevels, h.T,
-			want.RingN, want.Levels, want.NormalLevels, want.T))
-		return
-	}
-	c.hello = true
-	// Engines advertises cluster width; batching happens on the shards,
-	// so the gateway itself reports MaxBatch 1.
-	ok := wire.HelloOK{Hello: want, Engines: uint32(len(g.co.Nodes())), MaxBatch: 1}
-	c.send(wire.MsgHelloOK, seq, ok.Encode())
-}
-
-func (g *Gateway) handleSetupKeys(c *gwConn, seq uint16, payload []byte) {
-	keys, err := wire.DecodeSetupKeys(g.co.cfg.Params.R, payload)
-	if err != nil {
-		c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "setup keys: %v", err))
-		return
+		return 0, nil, wire.Errf(wire.CodeBadRequest, "setup keys: %v", err)
 	}
 	hash, err := g.co.SetupKeys(keys)
 	if err != nil {
-		c.sendErr(seq, wireErr(err))
-		return
+		return 0, nil, wireErr(err)
 	}
-	c.send(wire.MsgSetupKeysOK, seq, wire.SetupKeysOK{KeyHash: hash}.Encode())
+	return wire.MsgSetupKeysOK, wire.SetupKeysOK{KeyHash: hash}.Encode(), nil
 }
 
-func (g *Gateway) handleRegisterMatrix(c *gwConn, seq uint16, payload []byte) {
-	A, err := wire.DecodeRegisterMatrix(g.co.cfg.Params.T.Q, payload)
+func (g *Gateway) handleRegisterMatrix(payload []byte) (wire.MsgType, []byte, *wire.Error) {
+	A, err := wire.DecodeRegisterMatrix(g.Params.T.Q, payload)
 	if err != nil {
-		c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "register matrix: %v", err))
-		return
+		return 0, nil, wire.Errf(wire.CodeBadRequest, "register matrix: %v", err)
 	}
 	h, err := g.co.RegisterMatrix(A)
 	if err != nil {
-		c.sendErr(seq, wireErr(err))
-		return
+		return 0, nil, wireErr(err)
 	}
-	c.send(wire.MsgMatrixHandle, seq, h.Encode())
+	return wire.MsgMatrixHandle, h.Encode(), nil
 }
 
-func (g *Gateway) handleApply(c *gwConn, seq uint16, tc trace.Context, payload []byte) {
-	g.enqMu.RLock()
-	if g.draining.Load() {
-		g.enqMu.RUnlock()
-		c.sendErr(seq, wire.Errf(wire.CodeDraining, "gateway is shutting down"))
-		return
-	}
-	g.reqWG.Add(1)
-	g.enqMu.RUnlock()
-	defer g.reqWG.Done()
-	a, err := wire.DecodeApply(g.co.cfg.Params.R, payload)
-	if err != nil {
-		c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "apply: %v", err))
-		return
+// handleApply is the gateway's Compute handler: one scatter/gather under
+// the request's context, answered before it returns.
+func (g *Gateway) handleApply(ctx context.Context, _ *server.Conn, _ uint16, a wire.TileApply) (wire.MsgType, []byte, *wire.Error) {
+	if a.Tiles != nil {
+		return 0, nil, wire.Errf(wire.CodeBadRequest, "unexpected message type %d at the gateway", wire.MsgTileApply)
 	}
 	// The gateway is a trace edge: a request from a traced client keeps
 	// its context; an untraced request may be sampled fresh here, so a
 	// cluster fronting old clients still produces end-to-end traces.
 	t0 := time.Now()
+	tc := trace.FromContext(ctx)
 	var gsp trace.Span
 	if tc.Sampled() {
 		tc, gsp = trace.Start(tc, "gateway", "apply")
 	} else {
 		tc, gsp = trace.Root("gateway", "apply")
 	}
-	res, err := g.co.ApplyTraced(tc, a.ID, a.Vector)
+	res, err := g.co.ApplyCtx(trace.NewContext(ctx, tc), a.ID, a.Vector)
 	gsp.EndErr(err)
 	if tc.Sampled() {
 		g.co.cfg.Log.Debug("gateway apply",
 			"trace_id", tc.Trace.String(), "dur", time.Since(t0), "err", err != nil)
 	}
 	if err != nil {
-		c.sendErr(seq, wireErr(err))
-		return
+		return 0, nil, wireErr(err)
 	}
-	c.send(wire.MsgResult, seq, wire.EncodeResult(g.co.cfg.Params.R, res))
+	return wire.MsgResult, wire.EncodeResult(g.Params.R, res), nil
 }

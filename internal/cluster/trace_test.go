@@ -85,7 +85,7 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 	if !tc.Sampled() {
 		t.Fatal("rate-1 sampler did not admit the request")
 	}
-	res, err := cl.ApplyTraced(tc, handle.ID, ctV)
+	res, err := cl.ApplyCtx(trace.NewContext(context.Background(), tc), handle.ID, ctV)
 	sp.EndErr(err)
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 )
 
 // TestApplyWarmZeroAllocs: once the result is preallocated and the scratch
-// pools are warm, ApplyInto and ApplyBatchInto perform zero heap
+// pools are warm, ApplyInto, ApplyBatchInto and ApplyTiles perform zero heap
 // allocations — single- and multi-chunk shapes, serial workers (goroutine
 // fan-out would allocate stacks, so the answer must not depend on the
 // host's core count).
@@ -45,6 +45,7 @@ func TestApplyWarmZeroAllocs(t *testing.T) {
 		}{
 			{"ApplyInto", func() error { return pm.ApplyInto(res[0], vecs[0]) }},
 			{"ApplyBatchInto", func() error { return pm.ApplyBatchInto(res, vecs) }},
+			{"ApplyTiles(nil)", func() error { return pm.ApplyTiles(res[0].Packed, nil, vecs[0], nil) }},
 		} {
 			run := func() {
 				if err := tc.apply(); err != nil {

@@ -295,133 +295,137 @@ func (pm *PreparedMatrix) Apply(ctV []*rlwe.Ciphertext) (*Result, error) {
 // All intermediates come from pooled scratch: a warm call does not touch
 // the heap.
 func (pm *PreparedMatrix) ApplyInto(res *Result, ctV []*rlwe.Ciphertext) error {
-	return pm.ApplyIntoSink(res, ctV, nil)
-}
-
-// ApplyIntoSink is ApplyInto with per-stage kernel durations also routed to
-// sink (a traced request's recorder; it must tolerate concurrent StageAdd
-// calls). A nil sink is exactly ApplyInto.
-func (pm *PreparedMatrix) ApplyIntoSink(res *Result, ctV []*rlwe.Ciphertext, sink obs.StageSink) error {
-	on := obs.On()
-	var t0 time.Time
-	if on {
-		t0 = time.Now()
-	}
-	if err := pm.applyInto(res, ctV, sink); err != nil {
-		return countErr(err)
-	}
-	if on {
-		mApplyPrepared.Observe(time.Since(t0).Seconds())
-		mAppliesPrepared.Inc()
-		mRows.Add(uint64(pm.m))
-	}
-	return nil
-}
-
-func (pm *PreparedMatrix) applyInto(res *Result, ctV []*rlwe.Ciphertext, sink obs.StageSink) error {
-	e := pm.ev
-	if err := pm.validateVector(ctV); err != nil {
-		return err
-	}
-	if err := pm.validateResult(res); err != nil {
-		return err
-	}
-	for ti, t := range pm.tiles {
-		if t == nil {
-			return fmt.Errorf("%w: tile %d (prepared sparsely; use ApplyTiles or PrepareTile)", ErrTileNotPrepared, ti)
-		}
-	}
-	e.ensureInvN()
-	sc := e.getApplyScratch(pm.chunks, pm.maxPad)
-	defer e.putApplyScratch(sc)
-	sc.sink = sink
-	sc.clk.Attach(sink)
-	if err := e.loadVector(sc, ctV); err != nil {
-		return err
-	}
-	for ti, t := range pm.tiles {
-		if err := e.tileApply(res.Packed[ti], sc, t, nil, 0, t.rows, t.mPad); err != nil {
-			return err
-		}
-	}
-	res.M, res.N = pm.m, e.P.R.N
-	return nil
+	return pm.apply([]*Result{res}, nil, [][]*rlwe.Ciphertext{ctV}, nil)
 }
 
 // ApplyTiles computes only the listed row tiles of A·v, writing tile
 // tiles[k]'s packed ciphertext into out[k] — the shard-side apply of the
-// cluster tier. Each out entry must be shaped like a NewResult tile.
-// Because every tile's ciphertext depends only on its own rows, the
+// cluster tier; a nil tiles means every tile in order, which is ApplyInto
+// on bare ciphertexts. Each out entry must be shaped like a NewResult
+// tile. Because every tile's ciphertext depends only on its own rows, the
 // results are bit-identical to the corresponding entries of a full
 // ApplyInto (the gather-merge invariant the cluster tests pin down).
 // Per-stage kernel durations are also routed to sink when it is non-nil
-// (see ApplyIntoSink).
+// (a traced request's recorder; it must tolerate concurrent StageAdd
+// calls).
 func (pm *PreparedMatrix) ApplyTiles(out []*rlwe.Ciphertext, tiles []int, ctV []*rlwe.Ciphertext, sink obs.StageSink) error {
+	return pm.apply([]*Result{{Packed: out}}, tiles, [][]*rlwe.Ciphertext{ctV}, sink)
+}
+
+// apply is the one prepared apply path, under the package's telemetry:
+// vecs[k] times the listed tiles (nil = every tile) lands in
+// res[k].Packed, one slot per listed tile. A full apply is the tile apply
+// over every tile and a single vector is a batch of one, so ApplyInto,
+// ApplyBatchInto and ApplyTiles only arrange their arguments. Everything
+// is validated before any transform runs — a short batch, a missing
+// column block or a misshaped output fails with a typed sentinel up front
+// instead of halfway through the fan-out — and scratch is checked out
+// once for the whole batch, so a warm call performs zero heap allocations
+// whatever the batch size.
+func (pm *PreparedMatrix) apply(res []*Result, tiles []int, vecs [][]*rlwe.Ciphertext, sink obs.StageSink) error {
 	on := obs.On()
 	var t0 time.Time
 	if on {
 		t0 = time.Now()
 	}
-	if err := pm.applyTiles(out, tiles, ctV, sink); err != nil {
+	rows, err := pm.validate(res, tiles, vecs)
+	if err != nil {
 		return countErr(err)
 	}
-	if on {
-		mApplyPrepared.Observe(time.Since(t0).Seconds())
-		mAppliesPrepared.Inc()
-		rows := 0
-		for _, ti := range tiles {
-			rows += pm.TileRows(ti)
-		}
-		mRows.Add(uint64(rows))
-	}
-	return nil
-}
-
-func (pm *PreparedMatrix) applyTiles(out []*rlwe.Ciphertext, tiles []int, ctV []*rlwe.Ciphertext, sink obs.StageSink) error {
 	e := pm.ev
-	if err := pm.validateVector(ctV); err != nil {
-		return err
-	}
-	if len(out) != len(tiles) {
-		return fmt.Errorf("%w: %d output slots for %d tiles", ErrResultShape, len(out), len(tiles))
-	}
-	for k, ti := range tiles {
-		if ti < 0 || ti >= len(pm.tiles) {
-			return fmt.Errorf("%w: tile %d of %d", ErrTileIndex, ti, len(pm.tiles))
-		}
-		if pm.tiles[ti] == nil {
-			return fmt.Errorf("%w: tile %d", ErrTileNotPrepared, ti)
-		}
-		ct := out[k]
-		if ct == nil || ct.B == nil || ct.A == nil {
-			return fmt.Errorf("%w: output slot %d is nil", ErrResultShape, k)
-		}
-		if ct.B.Levels() != e.P.NormalLevels || ct.A.Levels() != e.P.NormalLevels ||
-			len(ct.B.Coeffs[0]) != e.P.R.N || len(ct.A.Coeffs[0]) != e.P.R.N {
-			return fmt.Errorf("%w: output slot %d has the wrong shape", ErrResultShape, k)
-		}
-	}
-	if len(tiles) == 0 {
-		return nil
-	}
 	e.ensureInvN()
 	sc := e.getApplyScratch(pm.chunks, pm.maxPad)
 	defer e.putApplyScratch(sc)
 	sc.sink = sink
 	sc.clk.Attach(sink)
-	if err := e.loadVector(sc, ctV); err != nil {
-		return err
-	}
-	for k, ti := range tiles {
-		t := pm.tiles[ti]
-		if err := e.tileApply(out[k], sc, t, nil, 0, t.rows, t.mPad); err != nil {
-			return err
+	for k, ctV := range vecs {
+		if err := e.loadVector(sc, ctV); err != nil {
+			return countErr(err)
 		}
+		for j, out := range res[k].Packed {
+			ti := j
+			if tiles != nil {
+				ti = tiles[j]
+			}
+			t := pm.tiles[ti]
+			if err := e.tileApply(out, sc, t, nil, 0, t.rows, t.mPad); err != nil {
+				return countErr(err)
+			}
+		}
+		res[k].M, res[k].N = pm.m, e.P.R.N
+	}
+	if on {
+		mApplyPrepared.Observe(time.Since(t0).Seconds())
+		mAppliesPrepared.Add(uint64(len(vecs)))
+		mRows.Add(uint64(rows * len(vecs)))
 	}
 	return nil
 }
 
-// --- shared per-vector machinery (used by both ApplyInto and MatVec) ---
+// validate checks a whole apply against the prepared shape — every
+// vector's chunk count and entries, every listed tile's index and
+// preparation, every output's slot count and polynomial shapes — and
+// returns the row count one vector's listed tiles cover. The %w wrapping
+// keeps errors.Is on the sentinels working through the per-index context.
+func (pm *PreparedMatrix) validate(res []*Result, tiles []int, vecs [][]*rlwe.Ciphertext) (rows int, err error) {
+	p := pm.ev.P
+	if len(vecs) == 0 {
+		return 0, fmt.Errorf("%w: empty batch", ErrVectorLength)
+	}
+	if len(res) != len(vecs) {
+		return 0, fmt.Errorf("%w: batch has %d vectors but %d result slots", ErrResultShape, len(vecs), len(res))
+	}
+	for k, ctV := range vecs {
+		if len(ctV) != pm.chunks {
+			return 0, fmt.Errorf("%w: vector %d: matrix has %d column chunks but vector has %d ciphertexts", ErrVectorLength, k, pm.chunks, len(ctV))
+		}
+		for c, ct := range ctV {
+			if ct == nil || ct.B == nil || ct.A == nil {
+				return 0, fmt.Errorf("%w: vector %d: ciphertext %d is nil", ErrVectorLength, k, c)
+			}
+		}
+	}
+	want := len(pm.tiles)
+	if tiles == nil {
+		rows = pm.m
+		for ti, t := range pm.tiles {
+			if t == nil {
+				return 0, fmt.Errorf("%w: tile %d (prepared sparsely; use ApplyTiles or PrepareTile)", ErrTileNotPrepared, ti)
+			}
+		}
+	} else {
+		want = len(tiles)
+		for _, ti := range tiles {
+			if ti < 0 || ti >= len(pm.tiles) {
+				return 0, fmt.Errorf("%w: tile %d of %d", ErrTileIndex, ti, len(pm.tiles))
+			}
+			if pm.tiles[ti] == nil {
+				return 0, fmt.Errorf("%w: tile %d", ErrTileNotPrepared, ti)
+			}
+			rows += pm.tiles[ti].rows
+		}
+	}
+	for k, r := range res {
+		if r == nil {
+			return 0, fmt.Errorf("%w: result %d is nil; allocate with NewResult", ErrResultShape, k)
+		}
+		if len(r.Packed) != want {
+			return 0, fmt.Errorf("%w: result %d holds %d tiles, want %d", ErrResultShape, k, len(r.Packed), want)
+		}
+		for j, ct := range r.Packed {
+			if ct == nil || ct.B == nil || ct.A == nil {
+				return 0, fmt.Errorf("%w: result %d tile slot %d is nil; allocate with NewResult", ErrResultShape, k, j)
+			}
+			if ct.B.Levels() != p.NormalLevels || ct.A.Levels() != p.NormalLevels ||
+				len(ct.B.Coeffs[0]) != p.R.N || len(ct.A.Coeffs[0]) != p.R.N {
+				return 0, fmt.Errorf("%w: result %d tile slot %d has the wrong shape; allocate with NewResult", ErrResultShape, k, j)
+			}
+		}
+	}
+	return rows, nil
+}
+
+// --- shared per-vector machinery (used by both apply and MatVec) ---
 
 // rowScratch is the per-worker arena for one row's stages 1–4. The
 // a-part needs no accumulator of its own: it MACs straight into the tree

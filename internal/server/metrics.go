@@ -41,7 +41,7 @@ var (
 // mRequests counts inbound frames by message type.
 var mRequests = map[wire.MsgType]*obs.Counter{}
 
-// mRejects counts typed rejections by stable reason name.
+// mRejects counts typed rejections by stable reason name (wire.CodeName).
 var mRejects = map[string]*obs.Counter{}
 
 func init() {
@@ -69,13 +69,5 @@ func init() {
 		name := wire.CodeName(code)
 		mRejects[name] = obs.GetCounter("cham_server_rejects_total",
 			"Requests rejected, by typed reason.", "reason", name)
-	}
-}
-
-// countReject bumps the reject family for a typed error (unknown codes
-// fall through silently rather than minting unbounded label values).
-func countReject(e *wire.Error) {
-	if c, ok := mRejects[wire.CodeName(e.Code)]; ok {
-		c.Inc()
 	}
 }

@@ -21,10 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cham/internal/bfv"
@@ -137,13 +135,13 @@ func (m *regMatrix) getResult() *core.Result {
 func (m *regMatrix) putResult(res *core.Result) { m.pool.Put(res) }
 
 // request is one admitted Apply or TileApply, from enqueue to response.
-// tiles nil means a full apply; otherwise only the listed row tiles are
-// computed and answered as a MsgTileResult.
+// tiles nil means every tile, answered as a MsgResult; otherwise only the
+// listed row tiles are computed and answered as a MsgTileResult.
 type request struct {
 	mat      *regMatrix
 	vec      []*rlwe.Ciphertext
 	tiles    []uint32
-	conn     *serverConn
+	conn     *Conn
 	seq      uint16
 	enqueued time.Time
 	deadline time.Time
@@ -151,8 +149,10 @@ type request struct {
 	qspan    trace.Span    // admission → batch pickup (inert when unsampled)
 }
 
-// Server is a running chamserve instance.
+// Server is a running chamserve instance: the wire front end plus the
+// matrix registry, the admission queue and the batch workers behind it.
 type Server struct {
+	FrontEnd
 	cfg Config
 
 	mu          sync.RWMutex // guards ev, keyHash, keysPayload, matrices
@@ -162,21 +162,15 @@ type Server struct {
 	keysPayload []byte // canonical SetupKeys encoding, for registry export
 	matrices    map[[32]byte]*regMatrix
 
-	// enqMu serializes admission against drain: enqueuers hold the read
-	// side, Shutdown flips draining under the write side, so no request
-	// can slip into the queue after the drain barrier.
-	enqMu    sync.RWMutex
-	draining bool
-	queue    chan *request
-	batches  chan []*request
+	queue   chan *request
+	batches chan []*request
+	// stop ends the dispatcher. The queue itself is never closed: a
+	// handler that passed the drain barrier may still be on its way to
+	// enqueue when a Shutdown gives up waiting.
+	stop     chan struct{}
+	stopOnce sync.Once
 
-	reqWG  sync.WaitGroup // admitted requests not yet responded to
 	workWG sync.WaitGroup // dispatcher + workers
-
-	ln        atomic.Pointer[net.Listener]
-	connMu    sync.Mutex
-	conns     map[net.Conn]struct{}
-	closeOnce sync.Once
 }
 
 // New builds a server and starts its dispatcher and worker pool; call
@@ -187,12 +181,33 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
+		FrontEnd: FrontEnd{
+			Params:          cfg.Params,
+			MaxFrame:        cfg.MaxFrame,
+			DefaultDeadline: cfg.DefaultDeadline,
+			Log:             cfg.Log,
+			MaxBatch:        uint32(cfg.MaxBatch),
+			Conns:           mConns,
+			disableTrace:    cfg.DisableTrace,
+			bytesRx:         mBytesRx,
+			bytesTx:         mBytesTx,
+			errs:            mErrors,
+			requests:        mRequests,
+			rejects:         mRejects,
+		},
 		cfg:      cfg,
 		matrices: map[[32]byte]*regMatrix{},
 		queue:    make(chan *request, cfg.QueueDepth),
 		batches:  make(chan []*request, cfg.Workers),
-		conns:    map[net.Conn]struct{}{},
+		stop:     make(chan struct{}),
 	}
+	s.Engines = s.engines
+	s.Control = map[wire.MsgType]func([]byte) (wire.MsgType, []byte, *wire.Error){
+		wire.MsgSetupKeys:      s.handleSetupKeys,
+		wire.MsgRegisterMatrix: s.handleRegisterMatrix,
+		wire.MsgRegistrySync:   s.handleRegistrySync,
+	}
+	s.Compute = s.admit
 	s.workWG.Add(1 + cfg.Workers)
 	go s.dispatch()
 	for i := 0; i < cfg.Workers; i++ {
@@ -201,89 +216,18 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Serve accepts connections on ln until the listener is closed (by
-// Shutdown). It returns nil on a clean shutdown.
-func (s *Server) Serve(ln net.Listener) error {
-	s.ln.Store(&ln)
-	s.cfg.Log.Info("server listening", "addr", ln.Addr().String())
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			if s.isDraining() || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		s.connMu.Lock()
-		s.conns[c] = struct{}{}
-		s.connMu.Unlock()
-		mConns.Add(1)
-		go s.handleConn(c)
-	}
-}
-
-// Addr reports the bound listener address (nil before Serve).
-func (s *Server) Addr() net.Addr {
-	if p := s.ln.Load(); p != nil {
-		return (*p).Addr()
-	}
-	return nil
-}
-
-func (s *Server) isDraining() bool {
-	s.enqMu.RLock()
-	defer s.enqMu.RUnlock()
-	return s.draining
-}
-
-// Shutdown drains gracefully: stop accepting, reject new applies with
-// CodeDraining, finish every admitted request, then stop the workers and
-// close remaining connections. ctx bounds the wait; on expiry the error
-// is returned after connections are force-closed.
+// Shutdown drains gracefully: the front end stops accepting, rejects new
+// applies with CodeDraining, waits for every admitted request and closes
+// the connections; then the dispatcher and workers stop. ctx bounds the
+// wait; on expiry its error is returned and requests still queued go
+// unanswered (their connections are closed).
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.cfg.Log.Info("server draining")
-	s.enqMu.Lock()
-	s.draining = true
-	s.enqMu.Unlock()
-	if p := s.ln.Load(); p != nil {
-		(*p).Close()
-	}
-	err := waitCtx(ctx, &s.reqWG)
-	s.closeOnce.Do(func() { close(s.queue) })
+	err := s.FrontEnd.Shutdown(ctx)
+	s.stopOnce.Do(func() { close(s.stop) })
 	if err == nil {
 		err = waitCtx(ctx, &s.workWG)
 	}
-	s.connMu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.conns = map[net.Conn]struct{}{}
-	s.connMu.Unlock()
 	return err
-}
-
-// waitCtx waits for wg or the context, whichever first.
-func waitCtx(ctx context.Context, wg *sync.WaitGroup) error {
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // Matrices reports how many matrices are registered.
@@ -301,36 +245,18 @@ func (s *Server) engines() uint32 {
 	return uint32(s.cfg.Card.Engines())
 }
 
-// admit runs admission control for one decoded Apply and either enqueues
-// it (returning true) or reports the typed rejection to send.
-func (s *Server) admit(req *request) *wire.Error {
-	s.enqMu.RLock()
-	defer s.enqMu.RUnlock()
-	if s.draining {
-		return wire.Errf(wire.CodeDraining, "server is shutting down")
-	}
-	s.reqWG.Add(1)
-	select {
-	case s.queue <- req:
-		mQueueDepth.Add(1)
-		return nil
-	default:
-		s.reqWG.Done()
-		return wire.Errf(wire.CodeOverloaded, "admission queue full (%d deep)", s.cfg.QueueDepth)
-	}
-}
-
 // dispatch pulls admitted requests and coalesces them into batches.
 func (s *Server) dispatch() {
 	defer s.workWG.Done()
 	defer close(s.batches)
 	for {
-		req, ok := <-s.queue
-		if !ok {
+		select {
+		case req := <-s.queue:
+			mQueueDepth.Add(-1)
+			s.batches <- s.collect(req)
+		case <-s.stop:
 			return
 		}
-		mQueueDepth.Add(-1)
-		s.batches <- s.collect(req)
 	}
 }
 
@@ -346,10 +272,7 @@ func (s *Server) collect(first *request) []*request {
 	defer timer.Stop()
 	for len(batch) < s.cfg.MaxBatch {
 		select {
-		case req, ok := <-s.queue:
-			if !ok {
-				return batch
-			}
+		case req := <-s.queue:
 			mQueueDepth.Add(-1)
 			if req.mat != batch[0].mat {
 				s.batches <- batch
@@ -358,6 +281,8 @@ func (s *Server) collect(first *request) []*request {
 			}
 			batch = append(batch, req)
 		case <-timer.C:
+			return batch
+		case <-s.stop:
 			return batch
 		}
 	}
@@ -374,8 +299,7 @@ func (s *Server) worker() {
 
 // runBatch serves one coalesced batch: drop abandoned and stale requests,
 // mirror the batch as a single descriptor job on the card's engine pool,
-// then apply the prepared matrix to each vector, reusing pooled result
-// buffers.
+// then serve each request.
 func (s *Server) runBatch(batch []*request) {
 	now := time.Now()
 	live := batch[:0]
@@ -445,7 +369,6 @@ func (s *Server) runBatch(batch []*request) {
 		}
 	}
 
-	r := s.cfg.Params.R
 	for _, req := range live {
 		if s.abandoned(req) {
 			continue // the caller hung up during the card job or an earlier serve
@@ -454,39 +377,57 @@ func (s *Server) runBatch(batch []*request) {
 			s.finishErr(req, wire.Errf(wire.CodeDeadline, "deadline expired before service"))
 			continue
 		}
-		t0 := time.Now()
-		mat := req.mat
-		sctx, ssp := trace.Start(req.tc, "server", "serve")
-		rec := trace.NewStageRecorder(sctx)
-		if req.tiles != nil {
-			s.runTileRequest(req, t0, rec, &ssp)
-			continue
-		}
-		res := mat.getResult()
-		if err := mat.pm.ApplyIntoSink(res, req.vec, sinkOf(rec)); err != nil {
-			mat.putResult(res)
-			ssp.EndErr(err)
-			s.finishErr(req, wire.Errf(wire.CodeBadRequest, "apply: %v", err))
-			continue
-		}
-		payload := wire.EncodeResult(r, wire.Result{
-			M:      uint32(res.M),
-			N:      uint32(res.N),
-			Packed: res.Packed,
-		})
-		mat.putResult(res)
-		mServeSec.Observe(time.Since(t0).Seconds())
-		mApplies.Inc()
-		rec.Emit("kernel")
-		ssp.End()
-		if req.tc.Sampled() {
-			s.cfg.Log.Debug("apply served",
-				"trace_id", req.tc.Trace.String(),
-				"dur", time.Since(t0),
-				"rows", mat.handle.Rows)
-		}
-		s.finish(req, wire.MsgResult, payload)
+		s.serve(req)
 	}
+}
+
+// serve is the one apply path behind the queue: the request's row tiles
+// (nil = all) are computed into a result buffer from the matrix's pool —
+// indexed by tile, so a subset uses the slots of the tiles it names — and
+// answered as a MsgResult or, labelled so the coordinator can place each
+// at its index in the gathered result, a MsgTileResult. The buffer goes
+// back to the pool only once the reply is encoded.
+func (s *Server) serve(req *request) {
+	t0 := time.Now()
+	r := s.cfg.Params.R
+	mat := req.mat
+	sctx, ssp := trace.Start(req.tc, "server", "serve")
+	rec := trace.NewStageRecorder(sctx)
+	res := mat.getResult()
+	out, tiles := res.Packed, []int(nil)
+	if req.tiles != nil {
+		out, tiles = make([]*rlwe.Ciphertext, len(req.tiles)), make([]int, len(req.tiles))
+		for i, ti := range req.tiles {
+			out[i], tiles[i] = res.Packed[ti], int(ti)
+		}
+	}
+	if err := mat.pm.ApplyTiles(out, tiles, req.vec, sinkOf(rec)); err != nil {
+		mat.putResult(res)
+		ssp.EndErr(err)
+		s.finishErr(req, wire.Errf(wire.CodeBadRequest, "apply: %v", err))
+		return
+	}
+	rt, payload := wire.MsgResult, []byte(nil)
+	if req.tiles == nil {
+		payload = wire.EncodeResult(r, wire.Result{M: mat.handle.Rows, N: uint32(r.N), Packed: out})
+	} else {
+		rt = wire.MsgTileResult
+		payload = wire.EncodeTileResult(r, wire.TileResult{M: mat.handle.Rows, N: uint32(r.N), Tiles: req.tiles, Packed: out})
+		mTilesServed.Add(uint64(len(req.tiles)))
+		ssp.Annotate(fmt.Sprintf("%d tiles", len(req.tiles)))
+	}
+	mat.putResult(res)
+	mServeSec.Observe(time.Since(t0).Seconds())
+	mApplies.Inc()
+	rec.Emit("kernel")
+	ssp.End()
+	if req.tc.Sampled() {
+		s.cfg.Log.Debug("apply served",
+			"trace_id", req.tc.Trace.String(),
+			"dur", time.Since(t0),
+			"rows", s.requestRows(req))
+	}
+	s.finish(req, rt, payload)
 }
 
 // sinkOf converts a possibly-nil *StageRecorder into a StageSink without
@@ -496,44 +437,6 @@ func sinkOf(rec *trace.StageRecorder) obs.StageSink {
 		return nil
 	}
 	return rec
-}
-
-// runTileRequest serves the tile-subset half of runBatch: only the listed
-// row tiles are computed, and they come back labelled so the coordinator
-// can place each at its index in the gathered result.
-func (s *Server) runTileRequest(req *request, t0 time.Time, rec *trace.StageRecorder, ssp *trace.Span) {
-	p := s.cfg.Params
-	mat := req.mat
-	tiles := make([]int, len(req.tiles))
-	out := make([]*rlwe.Ciphertext, len(req.tiles))
-	for i, ti := range req.tiles {
-		tiles[i] = int(ti)
-		out[i] = &rlwe.Ciphertext{B: p.R.NewPoly(p.NormalLevels), A: p.R.NewPoly(p.NormalLevels)}
-	}
-	if err := mat.pm.ApplyTiles(out, tiles, req.vec, sinkOf(rec)); err != nil {
-		ssp.EndErr(err)
-		s.finishErr(req, wire.Errf(wire.CodeBadRequest, "tile apply: %v", err))
-		return
-	}
-	payload := wire.EncodeTileResult(p.R, wire.TileResult{
-		M:      mat.handle.Rows,
-		N:      uint32(p.R.N),
-		Tiles:  req.tiles,
-		Packed: out,
-	})
-	mServeSec.Observe(time.Since(t0).Seconds())
-	mApplies.Inc()
-	mTilesServed.Add(uint64(len(req.tiles)))
-	rec.Emit("kernel")
-	ssp.Annotate(fmt.Sprintf("%d tiles", len(req.tiles)))
-	ssp.End()
-	if req.tc.Sampled() {
-		s.cfg.Log.Debug("tile apply served",
-			"trace_id", req.tc.Trace.String(),
-			"dur", time.Since(t0),
-			"tiles", len(req.tiles))
-	}
-	s.finish(req, wire.MsgTileResult, payload)
 }
 
 // requestRows is the row count a request actually computes: the whole
@@ -560,22 +463,20 @@ func (s *Server) abandoned(req *request) bool {
 	req.qspan.Annotate("abandoned")
 	req.qspan.End()
 	mAbandoned.Inc()
-	s.reqWG.Done()
+	s.done()
 	return true
 }
 
 // finish sends a success response and retires the request.
 func (s *Server) finish(req *request, t wire.MsgType, payload []byte) {
 	req.conn.send(t, req.seq, payload)
-	s.reqWG.Done()
+	s.done()
 }
 
 // finishErr sends a typed failure and retires the request.
 func (s *Server) finishErr(req *request, e *wire.Error) {
-	mErrors.Inc()
-	countReject(e)
-	req.conn.send(wire.MsgError, req.seq, e.Encode())
-	s.reqWG.Done()
+	req.conn.sendErr(req.seq, e)
+	s.done()
 }
 
 // descriptor builds the card-side job configuration for one batch over

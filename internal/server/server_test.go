@@ -337,56 +337,6 @@ func TestDeadlineExpiredInQueue(t *testing.T) {
 	}
 }
 
-// TestDrainRejectsNewApplies flips the drain flag and asserts new applies
-// get the typed (retryable) draining rejection while the registry still
-// answers reads.
-func TestDrainRejectsNewApplies(t *testing.T) {
-	p := testParams(t, 32)
-	rng := testutil.NewRand(t)
-	sk := p.KeyGen(rng)
-	s, addr := testServer(t, Config{Params: p})
-	cl := testClient(t, addr, p, func(c *client.Config) { c.MaxRetries = -1 })
-	setupKeys(t, cl, p, rng, sk)
-	A := testutil.Matrix(rng, 4, 32, p.T.Q)
-	handle, err := cl.RegisterMatrix(A)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctV := core.EncryptVector(p, rng, sk, testutil.Vector(rng, 32, p.T.Q))
-	if _, err := cl.Apply(handle.ID, ctV); err != nil {
-		t.Fatal(err)
-	}
-
-	s.enqMu.Lock()
-	s.draining = true
-	s.enqMu.Unlock()
-	_, err = cl.Apply(handle.ID, ctV)
-	var we *wire.Error
-	if !errors.As(err, &we) || we.Code != wire.CodeDraining {
-		t.Fatalf("expected typed draining error, got %v", err)
-	}
-	if !we.Retryable() {
-		t.Fatal("draining must be retryable (clients fail over)")
-	}
-}
-
-// TestParamsMismatch asserts the handshake rejects a client built on a
-// different parameter set with the typed, non-retryable mismatch error.
-func TestParamsMismatch(t *testing.T) {
-	p := testParams(t, 32)
-	_, addr := testServer(t, Config{Params: p})
-	other := testParams(t, 16)
-	cl := testClient(t, addr, other, func(c *client.Config) { c.MaxRetries = -1 })
-	_, err := cl.Hello() // every dial opens with the handshake
-	var we *wire.Error
-	if !errors.As(err, &we) || we.Code != wire.CodeParamsMismatch {
-		t.Fatalf("expected params mismatch, got %v", err)
-	}
-	if we.Retryable() {
-		t.Fatal("params mismatch must not be retryable")
-	}
-}
-
 // TestKeyLifecycle covers the one-key-set-per-server contract: required
 // before registration, idempotent re-install, conflicting set rejected.
 func TestKeyLifecycle(t *testing.T) {
@@ -536,7 +486,7 @@ func TestAbandonedRequestsDropped(t *testing.T) {
 	errs := make(chan error, cancelled)
 	for i := 0; i < cancelled; i++ {
 		go func() {
-			_, err := cl.TileApplyTraced(ctx, handle.ID, []uint32{0, 1}, ctV)
+			_, err := cl.TileApplyCtx(ctx, handle.ID, []uint32{0, 1}, ctV)
 			errs <- err
 		}()
 	}

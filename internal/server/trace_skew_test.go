@@ -9,6 +9,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -54,7 +55,7 @@ func TestTraceSkewTracedClientOldServer(t *testing.T) {
 	ctV := core.EncryptVector(p, rng, sk, v)
 
 	tc, sp := trace.Root("client-edge", "apply")
-	got, err := cl.ApplyTraced(tc, handle.ID, ctV)
+	got, err := cl.ApplyCtx(trace.NewContext(context.Background(), tc), handle.ID, ctV)
 	sp.EndErr(err)
 	if err != nil {
 		t.Fatalf("traced apply against an untraced server failed: %v", err)
