@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race tier2 fuzz kernels vet-strict obs-race metrics-smoke serve-smoke cluster-smoke trace-smoke np-smoke benchmark benchmark-smoke benchmark-check
+.PHONY: check vet build test race tier2 fuzz kernels orphans vet-strict obs-race metrics-smoke serve-smoke cluster-smoke trace-smoke np-smoke benchmark benchmark-smoke benchmark-check
 
 # Tier-1 gate: everything a PR must keep green.
 check: vet build race
@@ -19,14 +19,15 @@ race:
 	$(GO) test -race ./...
 
 # Tier-2 gate: the race detector across the tree, a $(FUZZTIME) smoke on
-# every fuzz target, the vector-kernel checks, the stricter vet analyzers
-# the concurrent hot path depends on, the telemetry layer under the race
+# every fuzz target, the vector-kernel checks, the reachability check on
+# the arithmetic packages, the stricter vet analyzers the concurrent hot
+# path depends on, the telemetry layer under the race
 # detector, the end-to-end smokes, and the benchmark's own smoke run and
 # tests. No
 # target here compares a wall-clock time against a committed number:
 # speed is judged only by `bash benchmark/run.sh -aa 10` on parent and
 # change, then `-compare` (benchmark/README.md).
-tier2: race fuzz kernels vet-strict obs-race serve-smoke cluster-smoke trace-smoke np-smoke benchmark-smoke benchmark-check
+tier2: race fuzz kernels orphans vet-strict obs-race serve-smoke cluster-smoke trace-smoke np-smoke benchmark-smoke benchmark-check
 
 # The benchmark (BENCHMARK.json, benchmark/README.md): four workloads,
 # end-to-end metrics and per-layer probes, timed from outside.
@@ -73,6 +74,14 @@ kernels:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/...
 	$(GO) test -race -count=1 ./internal/vec ./internal/ntt ./internal/ring ./internal/rlwe
 	$(GO) test ./internal/vec -run '^$$' -fuzz '^FuzzVecKernels$$' -fuzztime $(FUZZTIME)
+
+# Nothing beside the hot path: every function internal/{mod,ntt,ring,rlwe,
+# bfv,lwe,core,codec} declares outside its tests has a caller outside its
+# own tests, or a row in orphans_test.go naming the part of the paper it
+# reproduces. Type-checks the module from source (a few seconds; skipped
+# under -short).
+orphans:
+	$(GO) test -count=1 -run '^TestNoOrphans$$' .
 
 # End-to-end check of the live telemetry endpoint: boot chamsim with
 # -metrics, scrape it, and require the stage-latency family.

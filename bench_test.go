@@ -152,8 +152,8 @@ func BenchmarkSoftwareNTT4096(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.Forward(a)
-		t.Inverse(a)
+		t.ForwardLazy(a)
+		t.InverseLazy(a)
 	}
 }
 
@@ -271,8 +271,8 @@ func BenchmarkSoftwareEncrypt(b *testing.B) {
 
 // --- Ablations (DESIGN.md §6) ---
 
-// BenchmarkAblationNTTDataflow: standard in-place CT vs constant-geometry
-// ping-pong vs the cycle-checked banked model.
+// BenchmarkAblationNTTDataflow: the production in-place CT transform vs the
+// constant-geometry ping-pong vs the cycle-checked banked model.
 func BenchmarkAblationNTTDataflow(b *testing.B) {
 	t := ntt.MustTable(4096, mod.ChamQ0)
 	a := make([]uint64, 4096)
@@ -283,7 +283,7 @@ func BenchmarkAblationNTTDataflow(b *testing.B) {
 	}
 	b.Run("cooley-tukey", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			t.Forward(a)
+			t.ForwardLazy(a)
 		}
 	})
 	b.Run("constant-geometry", func(b *testing.B) {
@@ -419,22 +419,6 @@ func BenchmarkAblationDiagonal(b *testing.B) {
 	b.ReportMetric(float64(plain), "diag-ks")
 	b.ReportMetric(float64(bsgs), "bsgs-ks")
 	b.ReportMetric(float64(coeff), "coeff-ks")
-}
-
-// BenchmarkSoftwareNTTLazy measures the lazy-reduction forward transform
-// against the strict one (BenchmarkAblationNTTDataflow/cooley-tukey).
-func BenchmarkSoftwareNTTLazy(b *testing.B) {
-	b.ReportAllocs()
-	t := ntt.MustTable(4096, mod.ChamQ0)
-	a := make([]uint64, 4096)
-	rng := rand.New(rand.NewSource(9))
-	for i := range a {
-		a[i] = rng.Uint64() % mod.ChamQ0
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.ForwardLazy(a)
-	}
 }
 
 // BenchmarkSoftwarePackLWEs measures the Alg. 3 packing tree (m-1

@@ -121,7 +121,7 @@ func TestDotProductViaMulPlain(t *testing.T) {
 	ctV := p.Encrypt(rng, sk, p.EncodeVector(vec), 2)
 	prod := p.MulPlain(ctV, p.EncodeRow(row, 1))
 	dec := p.Decrypt(prod, sk)
-	if got := p.DecodeCoeff(dec, 0); got != want {
+	if got := dec.Coeffs[0]; got != want {
 		t.Fatalf("dot product = %d, want %d", got, want)
 	}
 }
@@ -148,7 +148,7 @@ func TestMulPlainRescale(t *testing.T) {
 		t.Fatalf("rescaled ciphertext has %d limbs, want 2", out.Levels())
 	}
 	dec := p.Decrypt(out, sk)
-	if got := p.DecodeCoeff(dec, 0); got != want {
+	if got := dec.Coeffs[0]; got != want {
 		t.Fatalf("dot product = %d, want %d", got, want)
 	}
 	func() {
@@ -354,8 +354,5 @@ func TestEncodeSlotsErrors(t *testing.T) {
 	}
 	if _, err := noBatch.DecodeSlots(noBatch.NewPlaintext()); err == nil {
 		t.Error("DecodeSlots without batching accepted")
-	}
-	if _, err := noBatch.SlotAutomorphismPermutation(3); err == nil {
-		t.Error("perm without batching accepted")
 	}
 }

@@ -25,23 +25,10 @@ func (p Params) EncodeVector(v []uint64) *Plaintext {
 // A_i·v (Eq. 2). An optional scale factor (e.g. the inverse 2^ℓ packing
 // compensation) is folded into every coefficient.
 func (p Params) EncodeRow(a []uint64, scale uint64) *Plaintext {
-	if len(a) > p.R.N {
-		panic("bfv: row longer than N")
-	}
-	if scale == 0 {
-		scale = 1
-	}
 	pt := p.NewPlaintext()
-	pt.Coeffs[0] = p.T.Mul(p.T.Reduce(a[0]), scale)
-	for j := 1; j < len(a); j++ {
-		pt.Coeffs[p.R.N-j] = p.T.Mul(p.T.Neg(p.T.Reduce(a[j])), scale)
-	}
+	p.EncodeRowInto(pt, a, scale)
 	return pt
 }
-
-// DecodeCoeff returns coefficient i of the plaintext — for dot-product
-// results, DecodeCoeff(pt, 0) is the inner product.
-func (p Params) DecodeCoeff(pt *Plaintext, i int) uint64 { return pt.Coeffs[i] }
 
 // InvPow2 returns 2^{-ℓ} mod t, the compensation factor for PackLWEs'
 // doubling. Panics if t is even.
@@ -65,7 +52,7 @@ func (p Params) EncodeSlots(vals []uint64) (*Plaintext, error) {
 	for i, v := range vals {
 		pt.Coeffs[i] = p.T.Reduce(v)
 	}
-	p.slotTable.Inverse(pt.Coeffs)
+	p.slotTable.InverseLazy(pt.Coeffs)
 	return pt, nil
 }
 
@@ -76,47 +63,6 @@ func (p Params) DecodeSlots(pt *Plaintext) ([]uint64, error) {
 	}
 	out := make([]uint64, p.R.N)
 	copy(out, pt.Coeffs)
-	p.slotTable.Forward(out)
+	p.slotTable.ForwardLazy(out)
 	return out, nil
-}
-
-// SlotAutomorphismPermutation returns the slot permutation induced by the
-// ring automorphism X -> X^k: perm[j] is the slot index whose value moves
-// INTO slot j. Derivation: slot j evaluates at e_j = ψ^(2·brv(j)+1), and
-// φ_k(pt)(e_j) = pt(e_j^k), so slot j of φ_k(pt) holds the old slot j'
-// with 2·brv(j')+1 ≡ (2·brv(j)+1)·k (mod 2N).
-func (p Params) SlotAutomorphismPermutation(k int) ([]int, error) {
-	if p.slotTable == nil {
-		return nil, fmt.Errorf("bfv: batching unavailable")
-	}
-	if k%2 == 0 {
-		return nil, fmt.Errorf("bfv: automorphism index must be odd")
-	}
-	n := p.R.N
-	n2 := 2 * n
-	kk := ((k % n2) + n2) % n2
-	// invExp[e] = slot index whose evaluation exponent is e.
-	invExp := make(map[int]int, n)
-	for j := 0; j < n; j++ {
-		invExp[(2*brvInt(j, p.slotTable.LogN)+1)%n2] = j
-	}
-	perm := make([]int, n)
-	for j := 0; j < n; j++ {
-		e := (2*brvInt(j, p.slotTable.LogN) + 1) * kk % n2
-		src, ok := invExp[e]
-		if !ok {
-			return nil, fmt.Errorf("bfv: exponent %d has no slot (k=%d not coprime to 2N?)", e, k)
-		}
-		perm[j] = src
-	}
-	return perm, nil
-}
-
-func brvInt(x, width int) int {
-	r := 0
-	for i := 0; i < width; i++ {
-		r = r<<1 | x&1
-		x >>= 1
-	}
-	return r
 }

@@ -4,7 +4,7 @@ import "cham/internal/ring"
 
 // Allocation-free encode/lift variants used by the prepared-matrix path.
 
-// EncodeRowInto is EncodeRow writing into a caller-owned plaintext,
+// EncodeRowInto is EncodeRow (Eq. 1) writing into a caller-owned plaintext,
 // overwriting all N coefficients (the gap the row layout skips is zeroed).
 func (p Params) EncodeRowInto(pt *Plaintext, a []uint64, scale uint64) {
 	n := p.R.N

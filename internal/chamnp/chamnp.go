@@ -69,14 +69,8 @@ type EncVector struct {
 	noise  float64            // analytic ∞-norm bound, bits
 }
 
-// Len returns the vector's logical length.
-func (v *EncVector) Len() int { return v.n }
-
 // Packed reports whether the vector carries the packed HMVP encoding.
 func (v *EncVector) Packed() bool { return v.packed != nil }
-
-// NoiseBits returns the analytic noise bound carried by the vector.
-func (v *EncVector) NoiseBits() float64 { return v.noise }
 
 // EncMatrix is an encrypted rows×cols matrix stored as one EncVector
 // per lane of the chosen layout. All lanes share an encoding and the

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"cham/internal/bfv"
-	"cham/internal/lwe"
 	"cham/internal/ring"
 	"cham/internal/rlwe"
 )
@@ -32,7 +30,6 @@ const (
 	KindPoly       byte = 1
 	KindCiphertext byte = 2
 	KindSwitchKey  byte = 3
-	KindPlaintext  byte = 4
 )
 
 // flag bits
@@ -209,111 +206,4 @@ func DecodeSwitchingKey(r *ring.Ring, buf []byte) (*rlwe.SwitchingKey, error) {
 	// part of the wire format.
 	k.Precompute(r)
 	return k, nil
-}
-
-// EncodePlaintext serializes a mod-t plaintext compactly (one row).
-func EncodePlaintext(p bfv.Params, pt *bfv.Plaintext) []byte {
-	buf := make([]byte, headerLen+8*len(pt.Coeffs))
-	putHeader(buf, KindPlaintext, 0, 1, bits.Len(uint(p.R.N))-1)
-	off := headerLen
-	for _, c := range pt.Coeffs {
-		binary.LittleEndian.PutUint64(buf[off:], c)
-		off += 8
-	}
-	return buf
-}
-
-// DecodePlaintext parses a plaintext, validating residues against t.
-func DecodePlaintext(p bfv.Params, buf []byte) (*bfv.Plaintext, error) {
-	_, _, n, err := parseHeader(buf, KindPlaintext)
-	if err != nil {
-		return nil, err
-	}
-	if n != p.R.N {
-		return nil, fmt.Errorf("codec: degree mismatch")
-	}
-	if len(buf) != headerLen+8*n {
-		return nil, fmt.Errorf("codec: plaintext length wrong")
-	}
-	pt := p.NewPlaintext()
-	off := headerLen
-	for i := 0; i < n; i++ {
-		c := binary.LittleEndian.Uint64(buf[off:])
-		if c >= p.T.Q {
-			return nil, fmt.Errorf("codec: plaintext residue %d exceeds t", c)
-		}
-		pt.Coeffs[i] = c
-		off += 8
-	}
-	return pt, nil
-}
-
-// CiphertextWireBytes reports the encoded size of a ciphertext at the
-// given parameters — the DMA payload accounting the hetero model uses.
-func CiphertextWireBytes(r *ring.Ring, levels int) int {
-	return headerLen + 2*polyBytes(levels, r.N)
-}
-
-// KindLWE frames a single extracted LWE ciphertext.
-const KindLWE byte = 5
-
-// EncodeLWE serializes an LWE ciphertext (β scalar + α vector per limb).
-func EncodeLWE(r *ring.Ring, ct *lwe.Ciphertext) []byte {
-	levels := ct.Levels()
-	buf := make([]byte, headerLen+8*levels*(1+r.N))
-	putHeader(buf, KindLWE, 0, levels, bits.Len(uint(r.N))-1)
-	off := headerLen
-	for l := 0; l < levels; l++ {
-		binary.LittleEndian.PutUint64(buf[off:], ct.Beta[l])
-		off += 8
-		for _, a := range ct.Alpha[l] {
-			binary.LittleEndian.PutUint64(buf[off:], a)
-			off += 8
-		}
-	}
-	return buf
-}
-
-// DecodeLWE parses an LWE ciphertext with residue validation.
-func DecodeLWE(r *ring.Ring, buf []byte) (*lwe.Ciphertext, error) {
-	_, levels, n, err := parseHeader(buf, KindLWE)
-	if err != nil {
-		return nil, err
-	}
-	if n != r.N {
-		return nil, fmt.Errorf("codec: degree mismatch")
-	}
-	if levels < 1 || levels > r.Levels() {
-		return nil, fmt.Errorf("codec: %d limbs out of range", levels)
-	}
-	if want := headerLen + 8*levels*(1+n); len(buf) != want {
-		return nil, fmt.Errorf("codec: LWE length %d, want %d", len(buf), want)
-	}
-	ct := &lwe.Ciphertext{Beta: make([]uint64, levels), Alpha: make([][]uint64, levels)}
-	off := headerLen
-	for l := 0; l < levels; l++ {
-		q := r.Moduli[l].Q
-		b := binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-		if b >= q {
-			return nil, fmt.Errorf("codec: beta out of range")
-		}
-		ct.Beta[l] = b
-		ct.Alpha[l] = make([]uint64, n)
-		for i := 0; i < n; i++ {
-			a := binary.LittleEndian.Uint64(buf[off:])
-			off += 8
-			if a >= q {
-				return nil, fmt.Errorf("codec: alpha out of range")
-			}
-			ct.Alpha[l][i] = a
-		}
-	}
-	return ct, nil
-}
-
-// SwitchingKeyWireBytes reports the encoded size of one switching key —
-// used to check the accelerator's on-chip key budget.
-func SwitchingKeyWireBytes(r *ring.Ring, dnum int) int {
-	return headerLen + 2*dnum*polyBytes(r.Levels(), r.N)
 }

@@ -31,8 +31,11 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 		plain[k] = testutil.Vector(rng, 96, p.T.Q)
 		vecs[k] = EncryptVector(p, rng, sk, plain[k])
 	}
-	got, err := pm.ApplyBatch(vecs)
-	if err != nil {
+	got := make([]*Result, batch)
+	for k := range got {
+		got[k] = pm.NewResult()
+	}
+	if err := pm.ApplyBatchInto(got, vecs); err != nil {
 		t.Fatal(err)
 	}
 	for k := range vecs {

@@ -103,21 +103,3 @@ func DecodeConvOutput(p bfv.Params, s Conv2DShape, pt *bfv.Plaintext) [][]uint64
 	}
 	return out
 }
-
-// PlainConv2D is the cleartext reference.
-func PlainConv2D(p bfv.Params, s Conv2DShape, img, k [][]uint64) [][]uint64 {
-	out := make([][]uint64, s.OutH())
-	for i := range out {
-		out[i] = make([]uint64, s.OutW())
-		for j := range out[i] {
-			var acc uint64
-			for a := 0; a < s.KH; a++ {
-				for b := 0; b < s.KW; b++ {
-					acc = p.T.Add(acc, p.T.Mul(p.T.Reduce(img[i+a][j+b]), p.T.Reduce(k[a][b])))
-				}
-			}
-			out[i][j] = acc
-		}
-	}
-	return out
-}

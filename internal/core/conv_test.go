@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"cham/internal/bfv"
 )
 
 func randomImage(rng *rand.Rand, h, w int, bound uint64) [][]uint64 {
@@ -41,7 +43,7 @@ func TestConv2DMatchesPlain(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := DecodeConvOutput(p, s, p.Decrypt(ctOut, sk))
-		want := PlainConv2D(p, s, img, ker)
+		want := plainConv2D(p, s, img, ker)
 		for i := range want {
 			for j := range want[i] {
 				if got[i][j] != want[i][j] {
@@ -74,4 +76,22 @@ func TestConv2DValidation(t *testing.T) {
 	if s.OutH() != 3 || s.OutW() != 3 {
 		t.Error("output shape wrong")
 	}
+}
+
+// plainConv2D is the cleartext reference.
+func plainConv2D(p bfv.Params, s Conv2DShape, img, k [][]uint64) [][]uint64 {
+	out := make([][]uint64, s.OutH())
+	for i := range out {
+		out[i] = make([]uint64, s.OutW())
+		for j := range out[i] {
+			var acc uint64
+			for a := 0; a < s.KH; a++ {
+				for b := 0; b < s.KW; b++ {
+					acc = p.T.Add(acc, p.T.Mul(p.T.Reduce(img[i+a][j+b]), p.T.Reduce(k[a][b])))
+				}
+			}
+			out[i][j] = acc
+		}
+	}
+	return out
 }

@@ -225,7 +225,7 @@ func TestHMVPDifferentialNoise(t *testing.T) {
 			dot += lifted * p.T.CenterLift(v[j])
 		}
 		x := new(big.Int).Mul(deltaFull, big.NewInt(dot))
-		return ref.ModDownScalar(x, special, normalQ)
+		return ref.ModDownValue(x, special, normalQ)
 	}
 	mulBound := est.AfterMulPlain(est.FreshSym(), float64(p.T.Q)/2)
 	slotBound := est.AfterRescale(mulBound)

@@ -298,6 +298,16 @@ func (pm *PreparedMatrix) ApplyInto(res *Result, ctV []*rlwe.Ciphertext) error {
 	return pm.apply([]*Result{res}, nil, [][]*rlwe.Ciphertext{ctV}, nil)
 }
 
+// ApplyBatchInto computes A·v_k for every vector of a batch — the column
+// blocks of an encrypted matrix-matrix product — into caller-owned Results
+// (from NewResult, one per vector). vecs[k] must each come from
+// EncryptVector with the matrix's column count. A warm call performs zero
+// heap allocations regardless of the batch size — the invariant the
+// chamnp MatMul path is gated on.
+func (pm *PreparedMatrix) ApplyBatchInto(res []*Result, vecs [][]*rlwe.Ciphertext) error {
+	return pm.apply(res, nil, vecs, nil)
+}
+
 // ApplyTiles computes only the listed row tiles of A·v, writing tile
 // tiles[k]'s packed ciphertext into out[k] — the shard-side apply of the
 // cluster tier; a nil tiles means every tile in order, which is ApplyInto

@@ -61,8 +61,8 @@ func runSoftware() []*Table {
 		poly[i] = rng.Uint64() % mod.ChamQ0
 	}
 	nttT, _ := timeOp(150*time.Millisecond, func() {
-		tab.Forward(poly)
-		tab.Inverse(poly)
+		tab.ForwardLazy(poly)
+		tab.InverseLazy(poly)
 	})
 	nttModel := float64(core.OpCounts{NTT: 1, INTT: 1}.ModMuls(n)) / cpu.ModMulsPerSec
 	t.AddRow("NTT fwd+inv (1 limb)", nttT.String(), ms(nttModel), f2(nttT.Seconds()/nttModel))

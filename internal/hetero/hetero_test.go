@@ -182,55 +182,3 @@ func TestGanttRendering(t *testing.T) {
 		t.Error("empty timeline not handled")
 	}
 }
-
-// TestMultiCardScaling: doubling the cards roughly halves a compute-bound
-// stream's makespan, and dedicated per-card PCIe links relieve a
-// transfer-bound stream too.
-func TestMultiCardScaling(t *testing.T) {
-	per := System{Threads: 3, Engines: 2, PCIeGBps: 12}
-	computeBound := make([]Job, 32)
-	for i := range computeBound {
-		computeBound[i] = Job{ComputeSec: 8e-3, H2DBytes: 1 << 20, PrepSec: 0.1e-3}
-	}
-	one := MultiCardSystem{Cards: 1, PerCard: per, Threads: 8}.Simulate(computeBound)
-	two := MultiCardSystem{Cards: 2, PerCard: per, Threads: 8}.Simulate(computeBound)
-	if r := one.Makespan / two.Makespan; r < 1.7 || r > 2.2 {
-		t.Errorf("compute-bound card scaling %.2f, want ≈ 2", r)
-	}
-
-	transferBound := make([]Job, 32)
-	for i := range transferBound {
-		transferBound[i] = Job{ComputeSec: 0.5e-3, H2DBytes: 96 << 20, PrepSec: 0.1e-3}
-	}
-	oneT := MultiCardSystem{Cards: 1, PerCard: per, Threads: 8}.Simulate(transferBound)
-	twoT := MultiCardSystem{Cards: 2, PerCard: per, Threads: 8}.Simulate(transferBound)
-	if r := oneT.Makespan / twoT.Makespan; r < 1.5 {
-		t.Errorf("transfer-bound card scaling %.2f, want meaningful relief from dedicated links", r)
-	}
-}
-
-// TestMultiCardConsistency: one card must match the single-card simulator
-// on identical work, and the engine ids must stay within range.
-func TestMultiCardConsistency(t *testing.T) {
-	per := ChamSystem()
-	jobs := sampleJobs(12)
-	single := per.Simulate(jobs, true)
-	multi := MultiCardSystem{Cards: 1, PerCard: per, Threads: per.Threads}.Simulate(jobs)
-	if d := single.Makespan - multi.Makespan; d > 1e-9 || d < -1e-9 {
-		t.Errorf("1-card multi simulator (%.6f) disagrees with base (%.6f)", multi.Makespan, single.Makespan)
-	}
-	m2 := MultiCardSystem{Cards: 3, PerCard: per, Threads: 6}.Simulate(jobs)
-	for _, j := range m2.Jobs {
-		if j.Engine < 0 || j.Engine >= 3*per.Engines {
-			t.Fatalf("engine id %d out of range", j.Engine)
-		}
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("invalid multi-card system accepted")
-			}
-		}()
-		MultiCardSystem{}.Simulate(nil)
-	}()
-}

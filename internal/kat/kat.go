@@ -22,7 +22,6 @@ import (
 	"cham/internal/lwe"
 	"cham/internal/mod"
 	"cham/internal/ntt"
-	"cham/internal/ring"
 	"cham/internal/rlwe"
 )
 
@@ -37,11 +36,6 @@ func digest(vals ...[]uint64) string {
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// polyDigest hashes every limb of a ring polynomial.
-func polyDigest(p *ring.Poly) string {
-	return digest(p.Coeffs...)
 }
 
 // ctDigest hashes B then A.
@@ -134,9 +128,9 @@ func genNTT() nttKAT {
 				in[i] %= q
 			}
 			fwd := append([]uint64(nil), in...)
-			tb.Forward(fwd)
+			tb.ForwardLazy(fwd)
 			inv := append([]uint64(nil), fwd...)
-			tb.Inverse(inv)
+			tb.InverseLazy(inv)
 			k.Vectors = append(k.Vectors, nttVector{
 				N: n, Q: q, Psi: tb.Psi,
 				InputHead:   in[:4],

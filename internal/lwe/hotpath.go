@@ -227,19 +227,7 @@ func packTwo(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk *rlwe.Switc
 	// the view the digit lifts read anyway, so its inverse transforms
 	// replace (not add to) the decomposition's.
 	r.INTT(O.A)
-	a := O.A
-	for a.Levels() > p.NormalLevels+1 {
-		na := r.GetPoly(a.Levels() - 1)
-		r.ModDownInto(na, a)
-		if a != O.A {
-			r.PutPoly(a)
-		}
-		a = na
-	}
-	r.ModDownInto(ms.aN, a)
-	if a != O.A {
-		r.PutPoly(a)
-	}
+	r.ModDownTo(ms.aN, O.A)
 	var t2 time.Time
 	if on {
 		t2 = time.Now()
@@ -293,31 +281,12 @@ func FlushIntoSink(p bfv.Params, out *rlwe.Ciphertext, nd *PackNode, sink obs.St
 	if on {
 		t1 = time.Now()
 	}
-	flushModDown(p, out.B, nd.BT)
-	flushModDown(p, out.A, nd.A)
+	r.ModDownTo(out.B, nd.BT)
+	r.ModDownTo(out.A, nd.A)
 	if on {
 		t2 := time.Now()
 		observeStage(inttSec, obs.StageINTT, t1.Sub(t0), hist, sink)
 		observeStage(pmdSec, obs.StagePackModDown, t2.Sub(t1), hist, sink)
-	}
-}
-
-// flushModDown divides one full-basis coefficient-domain accumulator down
-// to the normal basis, pooling any intermediate levels. src is consumed.
-func flushModDown(p bfv.Params, dst, src *ring.Poly) {
-	r := p.R
-	x := src
-	for x.Levels() > p.NormalLevels+1 {
-		next := r.GetPoly(x.Levels() - 1)
-		r.ModDownInto(next, x)
-		if x != src {
-			r.PutPoly(x)
-		}
-		x = next
-	}
-	r.ModDownInto(dst, x)
-	if x != src {
-		r.PutPoly(x)
 	}
 }
 

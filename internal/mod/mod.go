@@ -194,14 +194,6 @@ func (m Modulus) MulShoup(a, w, wp uint64) uint64 {
 	return r
 }
 
-// MulShoupLazy is MulShoup without the final conditional subtraction; the
-// result lies in [0, 2q). Used inside butterfly loops that tolerate lazy
-// operands.
-func (m Modulus) MulShoupLazy(a, w, wp uint64) uint64 {
-	qhat, _ := bits.Mul64(a, wp)
-	return a*w - qhat*m.Q
-}
-
 // MulQShiftAdd returns x·q mod 2^64 using the low-Hamming-weight
 // decomposition — the three shifts and additions of CHAM §IV.A.3. It panics
 // if the modulus does not have the special form.
@@ -271,18 +263,4 @@ func (m Modulus) FromCentered(v int64) uint64 {
 		r += int64(m.Q)
 	}
 	return uint64(r)
-}
-
-// FromCenteredFast is FromCentered without hardware division: the magnitude
-// is reduced with the Barrett constant. Identical results for any int64
-// other than math.MinInt64.
-func (m Modulus) FromCenteredFast(v int64) uint64 {
-	if v >= 0 {
-		return m.ReduceBarrett(uint64(v))
-	}
-	r := m.ReduceBarrett(uint64(-v))
-	if r == 0 {
-		return 0
-	}
-	return m.Q - r
 }

@@ -9,7 +9,7 @@ import "fmt"
 // bank per BFU (Fig. 4).
 //
 // Running a transform through the model produces bit-identical results to
-// Table.Forward/Inverse while additionally checking, every cycle, that no
+// Table.ForwardLazy/InverseLazy while additionally checking, every cycle, that no
 // RAM bank is read or written more than once — the structural property the
 // constant-geometry dataflow guarantees and the reason the design needs no
 // multiplexer trees. It also reports the exact cycle count, which feeds the

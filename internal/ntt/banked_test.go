@@ -21,7 +21,7 @@ func TestBankedForwardMatchesCT(t *testing.T) {
 			}
 			a := randomPoly(rng, n, tb.M.Q)
 			want := append([]uint64(nil), a...)
-			tb.Forward(want)
+			tb.ForwardLazy(want)
 			got := u.Forward(a)
 			for i := range want {
 				if got[i] != want[i] {
@@ -104,7 +104,7 @@ func TestBankedInverseMatchesGS(t *testing.T) {
 			u, _ := NewBankedUnit(tb, nbf)
 			a := randomPoly(rng, n, tb.M.Q)
 			want := append([]uint64(nil), a...)
-			tb.Inverse(want)
+			tb.InverseLazy(want)
 			got := u.Inverse(a)
 			for i := range want {
 				if got[i] != want[i] {

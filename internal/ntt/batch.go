@@ -58,9 +58,18 @@ func (t *Table) InverseBatch(rows ...[]uint64) {
 }
 
 // forwardPair runs the lazy forward schedule of forwardOne on two rows
-// under one twiddle sweep.
+// under one twiddle sweep. Each row is transformed exactly once: a row the
+// accelerated kernel took is done, a row it declined runs forwardOne, and
+// the pair loop below runs only when the kernel declined both.
 func (t *Table) forwardPair(a, b []uint64) {
-	if t.forwardVec(a) && t.forwardVec(b) {
+	switch va, vb := t.forwardVec(a), t.forwardVec(b); {
+	case va && vb:
+		return
+	case va:
+		t.forwardOne(b)
+		return
+	case vb:
+		t.forwardOne(a)
 		return
 	}
 	m := t.M
@@ -156,9 +165,17 @@ func (t *Table) forwardPair(a, b []uint64) {
 }
 
 // inversePair runs the lazy inverse schedule of inverseOne on two rows
-// under one twiddle sweep, N^-1 fused into the final stage.
+// under one twiddle sweep, N^-1 fused into the final stage. Each row is
+// transformed exactly once, by the same rule as forwardPair.
 func (t *Table) inversePair(a, b []uint64) {
-	if t.inverseVec(a) && t.inverseVec(b) {
+	switch va, vb := t.inverseVec(a), t.inverseVec(b); {
+	case va && vb:
+		return
+	case va:
+		t.inverseOne(b)
+		return
+	case vb:
+		t.inverseOne(a)
 		return
 	}
 	m := t.M

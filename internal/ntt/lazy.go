@@ -11,9 +11,10 @@ package ntt
 // butterfly stage: the forward transform's two-step full reduction and the
 // inverse transform's N^-1 Shoup multiply happen as the last stage writes
 // its outputs, removing one full read-modify-write sweep of the row each
-// way. The outputs are bit-identical to the strict schedules — every lazy
-// intermediate is congruent to its strict counterpart and the final stage
-// emits canonical residues.
+// way. The outputs are bit-identical to a schedule that fully reduces
+// after every butterfly (cg.go runs one; the tests compare) — every lazy
+// intermediate is congruent to its reduced counterpart and the final
+// stage emits canonical residues.
 
 import (
 	"math/bits"
@@ -31,7 +32,9 @@ func (t *Table) inverseVec(a []uint64) bool {
 	return vec.InverseNTT(t.M.Q, a, t.rootsInv, t.rootsInvShoup, t.nInv, t.nInvShoup, t.nInvRoot, t.nInvRootShoup)
 }
 
-// ForwardLazy computes the same transform as Forward with lazy reductions.
+// ForwardLazy computes the in-place negacyclic NTT of a (natural
+// coefficient order in, bit-reversed evaluation order out) with the
+// iterative Cooley-Tukey decimation-in-time schedule and lazy reductions.
 // Input values may be any representatives below 4q; output is fully
 // reduced. This relaxed precondition is what lets digit-decomposition
 // sweeps feed their [0, 3q) lazy lifts straight into the transform.
@@ -71,7 +74,7 @@ func (t *Table) forwardOne(a []uint64) {
 				}
 				x := hi[j]
 				qh, _ := bits.Mul64(x, wp)
-				v := x*w - qh*q // MulShoupLazy: < 2q for any x
+				v := x*w - qh*q // Shoup product without the final correction: < 2q for any x
 				lo[j] = u + v
 				hi[j] = u + twoQ - v
 			}
@@ -110,12 +113,12 @@ func (t *Table) forwardOne(a []uint64) {
 	}
 }
 
-// InverseLazy computes the same transform as Inverse with lazy reductions:
-// butterfly values stay in [0, 2q) and the N^-1 normalization rides the
-// final stage's Shoup multiplies, so the output is bit-identical to the
-// strict Gentleman-Sande schedule while skipping one conditional
-// subtraction per butterfly and the whole trailing scaling pass.
-// Input values must be below 2q.
+// InverseLazy computes the in-place inverse negacyclic NTT (bit-reversed
+// in, natural order out) with the Gentleman-Sande schedule and lazy
+// reductions: butterfly values stay in [0, 2q) and the N^-1 normalization
+// rides the final stage's Shoup multiplies, skipping one conditional
+// subtraction per butterfly and the whole trailing scaling pass. Input
+// values must be below 2q; output is fully reduced.
 func (t *Table) InverseLazy(a []uint64) {
 	if len(a) != t.N {
 		panic("ntt: length mismatch")

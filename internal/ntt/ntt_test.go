@@ -6,7 +6,25 @@ import (
 	"testing/quick"
 
 	"cham/internal/mod"
+	"cham/internal/testutil"
 )
+
+// naiveForward evaluates a at ψ^(2k+1) for k = 0..N-1 in O(N²) and
+// returns the results in natural k order (NOT bit-reversed).
+func (t *Table) naiveForward(a []uint64) []uint64 {
+	m := t.M
+	out := make([]uint64, t.N)
+	for k := 0; k < t.N; k++ {
+		x := m.Pow(t.Psi, uint64(2*k+1)) // evaluation point
+		var acc, pw uint64 = 0, 1
+		for n := 0; n < t.N; n++ {
+			acc = m.Add(acc, m.Mul(a[n], pw))
+			pw = m.Mul(pw, x)
+		}
+		out[k] = acc
+	}
+	return out
+}
 
 // smallPrime returns an NTT-friendly prime for size n usable in exhaustive
 // small-N tests.
@@ -51,7 +69,7 @@ func TestMustTablePanics(t *testing.T) {
 	MustTable(3, 97)
 }
 
-// TestForwardMatchesNaive checks that Forward output equals the O(N²)
+// TestForwardMatchesNaive checks that ForwardLazy output equals the O(N²)
 // evaluation at ψ^(2k+1) in bit-reversed order.
 func TestForwardMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -63,10 +81,10 @@ func TestForwardMatchesNaive(t *testing.T) {
 			want := tb.naiveForward(a)
 			got := make([]uint64, n)
 			copy(got, a)
-			tb.Forward(got)
+			tb.ForwardLazy(got)
 			for j := 0; j < n; j++ {
 				if got[j] != want[brv(uint(j), tb.LogN)] {
-					t.Fatalf("N=%d trial %d: Forward[%d]=%d, naive[brv]=%d",
+					t.Fatalf("N=%d trial %d: ForwardLazy[%d]=%d, naive[brv]=%d",
 						n, trial, j, got[j], want[brv(uint(j), tb.LogN)])
 				}
 			}
@@ -82,8 +100,8 @@ func TestForwardInverseRoundTrip(t *testing.T) {
 			a := randomPoly(rng, n, q)
 			b := make([]uint64, n)
 			copy(b, a)
-			tb.Forward(b)
-			tb.Inverse(b)
+			tb.ForwardLazy(b)
+			tb.InverseLazy(b)
 			for i := range a {
 				if a[i] != b[i] {
 					t.Fatalf("N=%d q=%d: round trip differs at %d", n, q, i)
@@ -102,16 +120,16 @@ func TestConvolutionTheorem(t *testing.T) {
 		tb := MustTable(n, q)
 		a := randomPoly(rng, n, q)
 		b := randomPoly(rng, n, q)
-		want := NaiveNegacyclicMul(tb.M, a, b)
+		want := testutil.SchoolbookMul(q, a, b)
 
 		fa := append([]uint64(nil), a...)
 		fb := append([]uint64(nil), b...)
-		tb.Forward(fa)
-		tb.Forward(fb)
+		tb.ForwardLazy(fa)
+		tb.ForwardLazy(fb)
 		for i := range fa {
 			fa[i] = tb.M.Mul(fa[i], fb[i])
 		}
-		tb.Inverse(fa)
+		tb.InverseLazy(fa)
 		for i := range want {
 			if fa[i] != want[i] {
 				t.Fatalf("N=%d: product differs at %d: got %d want %d", n, i, fa[i], want[i])
@@ -135,10 +153,10 @@ func TestNTTLinearity(t *testing.T) {
 		for i := range lhs {
 			lhs[i] = tb.M.Add(tb.M.Mul(c, a[i]), b[i])
 		}
-		tb.Forward(lhs)
+		tb.ForwardLazy(lhs)
 		// rhs = c·NTT(a) + NTT(b)
-		tb.Forward(a)
-		tb.Forward(b)
+		tb.ForwardLazy(a)
+		tb.ForwardLazy(b)
 		for i := range a {
 			r := tb.M.Add(tb.M.Mul(c, a[i]), b[i])
 			if r != lhs[i] {
@@ -159,7 +177,7 @@ func TestForwardCGMatchesCT(t *testing.T) {
 			tb := MustTable(n, q)
 			a := randomPoly(rng, n, q)
 			want := append([]uint64(nil), a...)
-			tb.Forward(want)
+			tb.ForwardLazy(want)
 			got := make([]uint64, n)
 			tb.ForwardCG(got, a)
 			for i := range want {
@@ -178,7 +196,7 @@ func TestInverseCGMatchesCT(t *testing.T) {
 		tb := MustTable(n, q)
 		a := randomPoly(rng, n, q) // arbitrary NTT-domain data
 		want := append([]uint64(nil), a...)
-		tb.Inverse(want)
+		tb.InverseLazy(want)
 		got := make([]uint64, n)
 		tb.InverseCG(got, a)
 		for i := range want {
@@ -248,15 +266,14 @@ func TestCGTwiddleIndexLayout(t *testing.T) {
 	}
 }
 
+// TestBitReverseInvolution: brv, the index map of every twiddle table and
+// of the forward transform's output order, is an involution on LogN bits.
 func TestBitReverseInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a := randomPoly(rng, 64, 1<<40)
-	b := append([]uint64(nil), a...)
-	BitReverse(b)
-	BitReverse(b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("BitReverse is not an involution")
+	for width := 1; width <= 12; width++ {
+		for i := uint(0); i < 1<<width; i++ {
+			if j := brv(i, width); j >= 1<<width || brv(j, width) != i {
+				t.Fatalf("brv(%d, %d) = %d is not an involution", i, width, j)
+			}
 		}
 	}
 }
@@ -264,8 +281,8 @@ func TestBitReverseInvolution(t *testing.T) {
 func TestForwardPanicsOnLengthMismatch(t *testing.T) {
 	tb := MustTable(8, smallPrime(t, 8))
 	for name, fn := range map[string]func(){
-		"Forward":   func() { tb.Forward(make([]uint64, 4)) },
-		"Inverse":   func() { tb.Inverse(make([]uint64, 4)) },
+		"Forward":   func() { tb.ForwardLazy(make([]uint64, 4)) },
+		"Inverse":   func() { tb.InverseLazy(make([]uint64, 4)) },
 		"ForwardCG": func() { tb.ForwardCG(make([]uint64, 8), make([]uint64, 4)) },
 		"InverseCG": func() { tb.InverseCG(make([]uint64, 4), make([]uint64, 8)) },
 	} {
@@ -280,8 +297,9 @@ func TestForwardPanicsOnLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestForwardLazyMatchesForward: the lazy-reduction variant is
-// bit-identical to the strict one on random and adversarial inputs.
+// TestForwardLazyMatchesForward: the lazy-reduction transform is
+// bit-identical to a forward schedule that fully reduces after every
+// butterfly (ForwardCG, Alg. 4) on random and adversarial inputs.
 func TestForwardLazyMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{8, 256, 4096} {
@@ -299,8 +317,8 @@ func TestForwardLazyMatchesForward(t *testing.T) {
 						a[i] = 0
 					}
 				}
-				want := append([]uint64(nil), a...)
-				tb.Forward(want)
+				want := make([]uint64, n)
+				tb.ForwardCG(want, a)
 				got := append([]uint64(nil), a...)
 				tb.ForwardLazy(got)
 				for i := range want {

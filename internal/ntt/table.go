@@ -1,13 +1,16 @@
 // Package ntt implements negacyclic number theoretic transforms over
-// Z_q[X]/(X^N+1) in the three flavours the CHAM paper discusses:
+// Z_q[X]/(X^N+1). One transform is production — the iterative
+// Cooley-Tukey / Gentleman-Sande in-place schedule with lazy (Harvey)
+// reductions, one row at a time (ForwardLazy/InverseLazy) or several rows
+// under one twiddle sweep (ForwardBatch/InverseBatch), on vector kernels
+// where the host has them. Two more are the paper's hardware, kept as the
+// artefact they reproduce and checked against the production transform:
 //
-//   - the standard iterative Cooley-Tukey / Gentleman-Sande in-place
-//     transform (the software baseline),
 //   - the constant-geometry (Pease) dataflow of Alg. 4, whose butterfly
-//     wiring is identical in every stage, and
+//     wiring is identical in every stage (cg.go), and
 //   - a cycle-level banked model of the paper's Fig. 3 datapath with n_bf
 //     butterfly units, round-robin RAM banks, ping-pong buffers, SWAP
-//     reordering and per-BFU twiddle ROMs (Fig. 4).
+//     reordering and per-BFU twiddle ROMs (Fig. 4, Table III; banked.go).
 //
 // Forward transforms map natural-order coefficients to bit-reversed-order
 // evaluations at odd powers of the primitive 2N-th root ψ; inverse
@@ -122,15 +125,4 @@ func (t *Table) putScratch(p *[]uint64) { t.scratch.Put(p) }
 // brv reverses the low `width` bits of x.
 func brv(x uint, width int) uint {
 	return uint(bits.Reverse64(uint64(x)) >> (64 - width))
-}
-
-// BitReverse permutes a in place into bit-reversed index order.
-func BitReverse(a []uint64) {
-	logN := bits.Len(uint(len(a))) - 1
-	for i := range a {
-		j := brv(uint(i), logN)
-		if uint(i) < j {
-			a[i], a[j] = a[j], a[i]
-		}
-	}
 }

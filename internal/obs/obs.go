@@ -141,9 +141,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.upper[len(h.upper)-1]
 }
 
-// Buckets returns the upper bounds (excluding +Inf).
-func (h *Histogram) Buckets() []float64 { return h.upper }
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 {
 	var n uint64

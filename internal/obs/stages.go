@@ -81,9 +81,6 @@ type StageClock struct {
 // detach before the scratch is pooled again.
 func (c *StageClock) Attach(sink StageSink) { c.sink = sink }
 
-// Sink returns the attached sink (nil when untraced).
-func (c *StageClock) Sink() StageSink { return c.sink }
-
 // Start arms the clock for one instrumented region.
 func (c *StageClock) Start() {
 	c.on = On() || c.sink != nil

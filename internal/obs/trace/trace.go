@@ -158,10 +158,6 @@ type Span struct {
 // Active reports whether the span is recording.
 func (s *Span) Active() bool { return s.ctx.Sampled() }
 
-// Context returns the span's context — pass it to children so they
-// nest under this span.
-func (s *Span) Context() Context { return s.ctx }
-
 // Annotate attaches a short free-form note (error text, batch size,
 // replay count) rendered next to the span in exports.
 func (s *Span) Annotate(note string) {
@@ -223,5 +219,5 @@ func Start(parent Context, service, name string) (Context, Span) {
 	return ctx, Span{ctx: ctx, parent: parent.Span, service: service, name: name, start: time.Now()}
 }
 
-func floatBits(f float64) uint64   { return math.Float64bits(f) }
-func bitsFloat(b uint64) float64   { return math.Float64frombits(b) }
+func floatBits(f float64) uint64 { return math.Float64bits(f) }
+func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }

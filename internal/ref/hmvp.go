@@ -155,7 +155,7 @@ func HMVP(p bfv.Params, A [][]uint64, ctV []*rlwe.Ciphertext, keys map[int]*Swit
 
 			beta := new(big.Int).Set(accB.Coeffs[0])
 			for lv := len(full); lv > p.NormalLevels; lv-- {
-				beta = ModDownScalar(beta, full[lv-1], ModulusProduct(full[:lv-1]))
+				beta = ModDownValue(beta, full[lv-1], ModulusProduct(full[:lv-1]))
 			}
 			b := NewPoly(n, normalQ)
 			b.Coeffs[0].Set(beta)

@@ -8,12 +8,11 @@ import (
 )
 
 // Decomposed (hybrid) key switching over big integers, mirroring
-// rlwe.DecomposeInto + rlwe.KeySwitchHoistedInto from the definition: the
-// a-part is split into one
-// centred digit per normal limb, each digit is convolved with the matching
-// key row over the FULL (augmented) modulus, and the accumulated pair is
-// divided by the special modulus with exact rounding back to the normal
-// basis.
+// rlwe.DecomposeInto + rlwe.KeySwitchAccumulateNTT + ring.ModDownTo from
+// the definition: the a-part is split into one centred digit per normal
+// limb, each digit is convolved with the matching key row over the FULL
+// (augmented) modulus, and the accumulated pair is divided by the special
+// modulus with exact rounding back to the normal basis.
 
 // SwitchingKey is a reference-form switching key: one (B_j, A_j) pair per
 // normal limb, as coefficient-domain polynomials modulo the full composed

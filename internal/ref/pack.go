@@ -1,9 +1,6 @@
 package ref
 
-import (
-	"fmt"
-	"math/big"
-)
+import "fmt"
 
 // Reference EXTRACTLWES (Eq. 3) and the PACKTWOLWES / PACKLWES tree
 // (Alg. 2 / Alg. 3), mirroring the optimized lwe package operation for
@@ -87,21 +84,6 @@ func PackTwoDeferred(i int, E, O *PackedNode, swk *SwitchingKey, moduli []uint64
 	}
 }
 
-// PackTwo merges two packed groups of size i (Alg. 2):
-//
-//	out = (ct_e + X^{N/2i}·ct_o) + φ_{2i+1}(ct_e - X^{N/2i}·ct_o),
-//
-// with the automorphism realised homomorphically through swk (the key for
-// k = 2i+1). moduli is the full basis; the ciphertexts live on the normal
-// prefix of normalLevels limbs. A single merge's deferred divisions are
-// exact (the leaves enter as P·b and P·a), so this equals the eager
-// schedule bit for bit.
-func PackTwo(i int, ctE, ctO *Ciphertext, swk *SwitchingKey, moduli []uint64, normalLevels int) *Ciphertext {
-	e := DeferRLWE(ctE, moduli, normalLevels)
-	o := DeferRLWE(ctO, moduli, normalLevels)
-	return FlushDeferred(PackTwoDeferred(i, e, o, swk, moduli, normalLevels), moduli, normalLevels)
-}
-
 // PackDeferred folds m = len(nodes) deferred nodes into one (Alg. 3,
 // deferred schedule), using the same level order as the optimized
 // iterative tree: level with group size i merges pair (j, j+count/2).
@@ -144,9 +126,4 @@ func PackCiphertexts(cts []*Ciphertext, keys map[int]*SwitchingKey, moduli []uin
 		return nil, err
 	}
 	return FlushDeferred(root, moduli, normalLevels), nil
-}
-
-// ZeroCiphertext returns an all-zero ciphertext modulo q.
-func ZeroCiphertext(n int, q *big.Int) *Ciphertext {
-	return &Ciphertext{B: NewPoly(n, q), A: NewPoly(n, q)}
 }

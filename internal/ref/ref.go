@@ -49,11 +49,6 @@ func (p *Poly) Copy() *Poly {
 // N returns the degree bound.
 func (p *Poly) N() int { return len(p.Coeffs) }
 
-// SetCoeff sets coefficient i to v mod Q (v may be negative).
-func (p *Poly) SetCoeff(i int, v *big.Int) {
-	p.Coeffs[i].Mod(v, p.Q)
-}
-
 // Equal reports whether p and o agree coefficient-wise (and share Q).
 func (p *Poly) Equal(o *Poly) bool {
 	if p.Q.Cmp(o.Q) != 0 || len(p.Coeffs) != len(o.Coeffs) {
@@ -85,26 +80,6 @@ func (p *Poly) Sub(o *Poly) *Poly {
 		out.Coeffs[i].Mod(out.Coeffs[i], p.Q)
 	}
 	return out
-}
-
-// Neg returns -p mod Q.
-func (p *Poly) Neg() *Poly {
-	out := NewPoly(len(p.Coeffs), p.Q)
-	for i := range p.Coeffs {
-		out.Coeffs[i].Neg(p.Coeffs[i])
-		out.Coeffs[i].Mod(out.Coeffs[i], p.Q)
-	}
-	return out
-}
-
-// IsZero reports whether every coefficient is zero.
-func (p *Poly) IsZero() bool {
-	for _, c := range p.Coeffs {
-		if c.Sign() != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Mul returns p·o mod (X^N+1, Q) by schoolbook negacyclic convolution:
@@ -276,31 +251,6 @@ func (p *Poly) Centered(i int) *big.Int {
 // Ciphertext is the reference RLWE pair (B, A) over one composed modulus.
 type Ciphertext struct {
 	B, A *Poly
-}
-
-// Copy deep-copies the ciphertext.
-func (ct *Ciphertext) Copy() *Ciphertext {
-	return &Ciphertext{B: ct.B.Copy(), A: ct.A.Copy()}
-}
-
-// Equal reports component-wise equality.
-func (ct *Ciphertext) Equal(o *Ciphertext) bool {
-	return ct.B.Equal(o.B) && ct.A.Equal(o.A)
-}
-
-// Add returns the component-wise sum.
-func (ct *Ciphertext) Add(o *Ciphertext) *Ciphertext {
-	return &Ciphertext{B: ct.B.Add(o.B), A: ct.A.Add(o.A)}
-}
-
-// Sub returns the component-wise difference.
-func (ct *Ciphertext) Sub(o *Ciphertext) *Ciphertext {
-	return &Ciphertext{B: ct.B.Sub(o.B), A: ct.A.Sub(o.A)}
-}
-
-// MulMonomial multiplies both halves by X^e.
-func (ct *Ciphertext) MulMonomial(e int) *Ciphertext {
-	return &Ciphertext{B: ct.B.MulMonomial(e), A: ct.A.MulMonomial(e)}
 }
 
 // Phase returns B + A·s, the noisy payload, where s is the secret key as a

@@ -100,19 +100,19 @@ func centeredScalar(x *big.Int, q uint64) *big.Int {
 	return r
 }
 
-// ModDownScalar performs the exact RESCALE division on a single value:
+// ModDownValue performs the exact RESCALE division on a single value:
 // given x modulo Q·qLast it returns (x - c)/qLast modulo Q, where c is the
 // centred residue of x modulo qLast. (x - c) is divisible by qLast by
 // construction, so the division is exact integer arithmetic — this is the
 // rounding division the RNS formula in ring.ModDownInto realises limb-wise.
-func ModDownScalar(x *big.Int, qLast uint64, newQ *big.Int) *big.Int {
+func ModDownValue(x *big.Int, qLast uint64, newQ *big.Int) *big.Int {
 	c := centeredScalar(x, qLast)
 	d := new(big.Int).Sub(x, c)
 	d.Quo(d, new(big.Int).SetUint64(qLast))
 	return d.Mod(d, newQ)
 }
 
-// ModDown applies ModDownScalar to every coefficient, dropping the last
+// ModDown applies ModDownValue to every coefficient, dropping the last
 // limb of the basis: moduli lists the CURRENT basis of p (so p.Q must equal
 // their product) and the result lives modulo the product of moduli[:len-1].
 func ModDown(p *Poly, moduli []uint64) *Poly {
@@ -123,7 +123,7 @@ func ModDown(p *Poly, moduli []uint64) *Poly {
 	newQ := ModulusProduct(moduli[:len(moduli)-1])
 	out := NewPoly(len(p.Coeffs), newQ)
 	for i, c := range p.Coeffs {
-		out.Coeffs[i].Set(ModDownScalar(c, qLast, newQ))
+		out.Coeffs[i].Set(ModDownValue(c, qLast, newQ))
 	}
 	return out
 }

@@ -1,7 +1,7 @@
 package ring
 
-// NTT-resident forms of the permutation ops and of RESCALE, the primitives
-// behind the NTT-resident packing tree (DESIGN.md §12). The forward
+// NTT-resident forms of the permutation ops, the primitives behind the
+// NTT-resident packing tree (DESIGN.md §12). The forward
 // transform evaluates a at the odd root powers, slot j holding
 // a(ψ^{2·brv(j)+1}), so:
 //
@@ -12,16 +12,11 @@ package ring
 //     (with negations) → NTT;
 //   - multiplication by the monomial X^e is a pointwise multiply by the
 //     NTT image of X^e, precomputed once per (e, limb) with Shoup
-//     companions;
-//   - ModDown only ever needs the coefficient form of the limb being
-//     dropped: the normal limbs' centred correction is itself transformed
-//     forward and subtracted slot-wise, so a full-basis accumulator can be
-//     rescaled while every surviving limb stays resident.
+//     companions.
 //
-// All three are bit-identical to their coefficient-domain counterparts
+// Both are bit-identical to their coefficient-domain counterparts
 // composed with the transforms they elide: every intermediate here is
-// congruent to the strict schedule's and both paths emit canonical
-// residues.
+// congruent to that schedule's and both paths emit canonical residues.
 
 import (
 	"math/bits"
@@ -147,7 +142,7 @@ func (r *Ring) MonomialSplitNTT(sum, diff, E, O *Poly, e int) {
 }
 
 // monoTable holds the NTT image of X^e per limb of the full basis, with
-// Shoup companions, ready for MulCoeffShoup-style pointwise products.
+// Shoup companions, ready for pointwise Shoup products.
 type monoTable struct {
 	vals, shoup [][]uint64
 }
@@ -194,87 +189,4 @@ func (r *Ring) monoNTTTable(e int) *monoTable {
 	}
 	r.monoNTT[ee] = t
 	return t
-}
-
-// MulMonomialNTT sets out = a · X^e on NTT-domain polynomials: a pointwise
-// Shoup multiply by the cached NTT image of X^e. Bit-identical to
-// NTT ∘ MulMonomial(·, e) ∘ INTT.
-func (r *Ring) MulMonomialNTT(out, a *Poly, e int) {
-	lv := sameLevels(out, a)
-	requireNTTDomain(a)
-	t := r.monoNTTTable(e)
-	for l := 0; l < lv; l++ {
-		m := r.Moduli[l]
-		ra, rb, rs, ro := a.Coeffs[l], t.vals[l], t.shoup[l], out.Coeffs[l]
-		for i := range ro {
-			ro[i] = m.MulShoup(ra[i], rb[i], rs[i])
-		}
-	}
-	out.IsNTT = true
-}
-
-// ModDownNTTInto is ModDownInto for an NTT-resident accumulator:
-// out = NTT(round(INTT(p) / q_last)) over the remaining basis, inverting
-// ONLY the limb being dropped. The dropped limb's centred lift is built in
-// coefficient form ([0, 3q) lazy representatives, inside the forward
-// transform's 4q headroom), transformed forward, and subtracted slot-wise;
-// the q_last^-1 Shoup multiply restores canonical residues. Slot-for-slot
-// identical to NTT ∘ ModDownInto ∘ INTT on the same operand.
-func (r *Ring) ModDownNTTInto(out, p *Poly) {
-	r.modDownNTT(out, p, false)
-}
-
-// ModDownNTTAddInto is ModDownNTTInto fused with accumulation:
-// out += NTT(round(INTT(p) / q_last)). out must already hold canonical
-// NTT-domain residues — this is the deferred key-switch a-part merge of
-// the packing tree.
-func (r *Ring) ModDownNTTAddInto(out, p *Poly) {
-	r.modDownNTT(out, p, true)
-}
-
-func (r *Ring) modDownNTT(out, p *Poly, add bool) {
-	lv := p.Levels()
-	if lv < 2 {
-		panic("ring: nothing to drop")
-	}
-	if !p.IsNTT {
-		panic("ring: ModDownNTT requires NTT domain")
-	}
-	if out.Levels() != lv-1 {
-		panic("ring: ModDown level mismatch")
-	}
-	if add && !out.IsNTT {
-		panic("ring: ModDownNTTAddInto accumulator must be NTT-domain")
-	}
-	n := r.N
-	// Coefficient view of the dropped limb: one inverse transform total,
-	// regardless of how many limbs survive.
-	spc := r.getScratch()
-	sp := (*spc)[:n]
-	copy(sp, p.Coeffs[lv-1][:n])
-	r.Tables[lv-1].InverseLazy(sp)
-	crc := r.getScratch()
-	cr := (*crc)[:n]
-	for l := 0; l < lv-1; l++ {
-		ml := r.Moduli[l]
-		pInv := r.modDownInv[lv-1][l]
-		pp := r.modDownInvShoup[lv-1][l]
-		twoQ := 2 * ml.Q
-		r.CentredLiftRow(cr, sp, l, lv-1)
-		r.Tables[l].ForwardLazy(cr) // canonical out: ĉ = NTT([x_sp centred] mod q_l)
-		ra := p.Coeffs[l][:n]
-		ro := out.Coeffs[l][:n]
-		if add {
-			for i := range ro {
-				ro[i] = ml.Add(ro[i], ml.MulShoup(ra[i]+twoQ-cr[i], pInv, pp))
-			}
-		} else {
-			for i := range ro {
-				ro[i] = ml.MulShoup(ra[i]+twoQ-cr[i], pInv, pp)
-			}
-		}
-	}
-	r.putScratch(crc)
-	r.putScratch(spc)
-	out.IsNTT = true
 }

@@ -59,58 +59,29 @@ func TestAutomorphNTTRejectsEvenK(t *testing.T) {
 	r.AutomorphNTT(p, p, 4)
 }
 
-func TestMulMonomialNTTMatchesCoeff(t *testing.T) {
+// TestMonomialSplitNTTMatchesCoeff: the cached NTT image of X^e behind
+// MonomialSplitNTT must realise the coefficient-domain MulMonomial for
+// every exponent class (beyond N, negative, zero): with E = 0 the split's
+// sum is NTT(X^e·O) and its difference the negation.
+func TestMonomialSplitNTTMatchesCoeff(t *testing.T) {
 	n := 64
 	r := chamRing(t, n)
 	rng := testutil.NewRand(t)
 	a := randPoly(r, rng, 3)
+	aN := nttCopy(r, a)
+	zero := r.NewPoly(3)
+	zero.IsNTT = true
 	for _, e := range []int{0, 1, 5, n - 1, n, n + 3, 2*n - 1, -1, -n, -5} {
 		want := r.NewPoly(3)
 		r.MulMonomial(want, a, e)
 		r.NTT(want)
+		neg := r.NewPoly(3)
+		r.Neg(neg, want)
 
-		aN := nttCopy(r, a)
-		got := r.NewPoly(3)
-		r.MulMonomialNTT(got, aN, e)
-		if !got.Equal(want) {
-			t.Fatalf("e=%d: MulMonomialNTT != NTT(MulMonomial)", e)
-		}
-		r.MulMonomialNTT(aN, aN, e)
-		if !aN.Equal(want) {
-			t.Fatalf("e=%d: in-place MulMonomialNTT differs", e)
-		}
-	}
-}
-
-// TestModDownNTTMatchesCoeff: the resident RESCALE must be slot-for-slot
-// identical to the coefficient-domain ModDownInto bracketed by transforms,
-// for both the plain and the fused-accumulate form, across the whole
-// {q0,q1,p} → {q0,q1} → {q0} chain.
-func TestModDownNTTMatchesCoeff(t *testing.T) {
-	n := 128
-	r := chamRing(t, n)
-	rng := testutil.NewRand(t)
-	for lv := 3; lv >= 2; lv-- {
-		p := randPoly(r, rng, lv)
-		want := r.NewPoly(lv - 1)
-		r.ModDownInto(want, p)
-		r.NTT(want)
-
-		pN := nttCopy(r, p)
-		got := r.NewPoly(lv - 1)
-		r.ModDownNTTInto(got, pN)
-		if !got.Equal(want) {
-			t.Fatalf("lv=%d: ModDownNTTInto != NTT(ModDownInto)", lv)
-		}
-
-		// Fused accumulate: out += rescaled p.
-		base := randPoly(r, rng, lv-1)
-		baseN := nttCopy(r, base)
-		sum := r.NewPoly(lv - 1)
-		r.Add(sum, baseN, got)
-		r.ModDownNTTAddInto(baseN, pN)
-		if !baseN.Equal(sum) {
-			t.Fatalf("lv=%d: ModDownNTTAddInto != Add(out, ModDownNTTInto)", lv)
+		sum, diff := r.NewPoly(3), r.NewPoly(3)
+		r.MonomialSplitNTT(sum, diff, zero, aN, e)
+		if !sum.Equal(want) || !diff.Equal(neg) {
+			t.Fatalf("e=%d: MonomialSplitNTT(0, a) != ±NTT(MulMonomial)", e)
 		}
 	}
 }

@@ -74,9 +74,9 @@ func (r *Ring) MulCoeffAdd(out, a, b *Poly) {
 }
 
 // ShoupPrecompPoly returns the Shoup companion table of p — one word per
-// coefficient — for use as the fixed operand of MulCoeffShoup and
-// MulCoeffShoupAdd. Worth computing once whenever p multiplies more than a
-// couple of polynomials (switching keys, prepared matrix rows).
+// coefficient — for use as the fixed operand of the MulCoeffShoup…
+// sweeps. Worth computing once whenever p multiplies more than a couple of
+// polynomials (switching keys, prepared matrix rows).
 func (r *Ring) ShoupPrecompPoly(p *Poly) [][]uint64 {
 	out := make([][]uint64, p.Levels())
 	backing := make([]uint64, p.Levels()*r.N)
@@ -105,21 +105,6 @@ func (r *Ring) ShoupPrecompPolyInto(dst [][]uint64, p *Poly) {
 			row[i] = m.ShoupPrecomp(v)
 		}
 	}
-}
-
-// MulCoeffShoup sets out = a ∘ b where bShoup = ShoupPrecompPoly(b).
-// Roughly twice the throughput of MulCoeff on the same operands.
-func (r *Ring) MulCoeffShoup(out, a, b *Poly, bShoup [][]uint64) {
-	lv := sameLevels(out, a, b)
-	sameDomain(a, b)
-	for l := 0; l < lv; l++ {
-		m := r.Moduli[l]
-		ra, rb, rs, ro := a.Coeffs[l], b.Coeffs[l], bShoup[l], out.Coeffs[l]
-		for i := range ro {
-			ro[i] = m.MulShoup(ra[i], rb[i], rs[i])
-		}
-	}
-	out.IsNTT = a.IsNTT
 }
 
 // MulCoeffShoupAdd sets out += a ∘ b where bShoup = ShoupPrecompPoly(b).
@@ -236,35 +221,13 @@ func (r *Ring) SumRow(p *Poly, l int) uint64 {
 	return m.BarrettReduce128(hi, lo)
 }
 
-// ModDownScalar applies the ModDown rounding division to a single
-// coefficient position held as per-limb residues: beta[0:lv-1] is
-// overwritten with round(x/q_{lv-1}) in the shortened basis, where x is
-// the value represented by beta[0:lv]. This is the scalar RESCALE used
-// when only one coefficient of a polynomial survives (LWE extraction at
-// index 0).
-func (r *Ring) ModDownScalar(beta []uint64, lv int) {
-	msp := r.Moduli[lv-1]
-	x := beta[lv-1]
-	halfP := msp.Q / 2
-	for l := 0; l < lv-1; l++ {
-		ml := r.Moduli[l]
-		var d uint64
-		if x > halfP {
-			d = ml.Add(beta[l], ml.ReduceBarrett(msp.Q-x))
-		} else {
-			d = ml.Sub(beta[l], ml.ReduceBarrett(x))
-		}
-		beta[l] = ml.MulShoup(d, r.modDownInv[lv-1][l], r.modDownInvShoup[lv-1][l])
-	}
-}
-
 // CentredLiftRow lifts src, canonical residues of limb `from`, into limb l:
 // out[i] ≡ the centred representative of src[i] (mod q_l). Branch-free and
 // lazy: every element gets ReduceBarrett(x), and exactly the negative
 // lifts (x > q_from/2) also get negAdd ≡ -q_from (mod q_l), kept in
 // (q_l, 2q_l] so the outputs are [0, 3q_l) representatives — inside the
-// forward transform's 4q input headroom. This is the one copy of the
-// sweep that digit decomposition (rlwe) and the NTT-resident RESCALE share.
+// forward transform's 4q input headroom. This is the sweep digit
+// decomposition (rlwe.DecomposeInto) runs once per cross-limb row.
 func (r *Ring) CentredLiftRow(out, src []uint64, l, from int) {
 	ml, qf := r.Moduli[l], r.Moduli[from].Q
 	half := qf / 2
@@ -276,10 +239,12 @@ func (r *Ring) CentredLiftRow(out, src []uint64, l, from int) {
 	}
 }
 
-// ModDownInto is ModDown writing into a caller-supplied polynomial with one
+// ModDownInto divides p (last limb = the modulus being dropped) by that
+// limb with rounding, writing into a caller-supplied polynomial with one
 // fewer limb: out = round(p / q_last) over the remaining basis, using the
 // constants cached at ring construction and division-free centred lifts.
-// This is the allocation-free RESCALE the pipeline loops call.
+// This is the RESCALE unit (stage 4) and the closing step of key
+// switching; ModDownTo is the form callers use.
 func (r *Ring) ModDownInto(out, p *Poly) {
 	lv := p.Levels()
 	if lv < 2 {
@@ -318,4 +283,25 @@ func (r *Ring) ModDownInto(out, p *Poly) {
 		}
 	}
 	out.IsNTT = false
+}
+
+// ModDownTo divides the coefficient-domain polynomial p by every limb it
+// carries beyond out's, with rounding: the one exit from the augmented
+// basis (RESCALE, the key-switch tail, the packing tree's merge and
+// flush). Limbs drop last first through pooled intermediates; p is left
+// intact. For CHAM's single special limb this is exactly one ModDownInto.
+func (r *Ring) ModDownTo(out, p *Poly) {
+	x := p
+	for x.Levels() > out.Levels()+1 {
+		next := r.GetPoly(x.Levels() - 1)
+		r.ModDownInto(next, x)
+		if x != p {
+			r.PutPoly(x)
+		}
+		x = next
+	}
+	r.ModDownInto(out, x)
+	if x != p {
+		r.PutPoly(x)
+	}
 }

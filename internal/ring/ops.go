@@ -137,19 +137,3 @@ func (r *Ring) Automorph(out, a *Poly, k int) {
 	}
 	out.IsNTT = false
 }
-
-// AutomorphismOrbitSize returns the multiplicative order of k modulo 2N —
-// how many times Automorph(·, k) must be applied to return to the identity.
-func (r *Ring) AutomorphismOrbitSize(k int) int {
-	n2 := 2 * r.N
-	kk := ((k % n2) + n2) % n2
-	cur, ord := kk, 1
-	for cur != 1 {
-		cur = cur * kk % n2
-		ord++
-		if ord > n2 {
-			panic("ring: k is not invertible mod 2N")
-		}
-	}
-	return ord
-}

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"cham/internal/ntt"
+	"cham/internal/testutil"
 )
 
 func TestRevExplicitAndInvolution(t *testing.T) {
@@ -71,7 +71,7 @@ func TestMulMonomialAgainstNaive(t *testing.T) {
 		} else {
 			mono[ee-r.N] = r.Moduli[0].Neg(1)
 		}
-		want := ntt.NaiveNegacyclicMul(r.Moduli[0], a.Coeffs[0], mono)
+		want := testutil.SchoolbookMul(r.Moduli[0].Q, a.Coeffs[0], mono)
 		for i := range want {
 			if out.Coeffs[0][i] != want[i] {
 				t.Fatalf("e=%d: monomial product differs at %d", e, i)
@@ -163,17 +163,21 @@ func TestAutomorphIdentityAndEvenPanics(t *testing.T) {
 	r.Automorph(id, a, 4)
 }
 
+// TestAutomorphismOrbitSize: applying Automorph(·, k) returns to the
+// identity after exactly ord(k mod 2N) steps and not before.
 func TestAutomorphismOrbitSize(t *testing.T) {
 	r := chamRing(t, 16) // 2N = 32
+	rng := rand.New(rand.NewSource(26))
+	a := randPoly(r, rng, 2)
 	// ord(3 mod 32): 3,9,27,81=17,51=19,57=25,75=11,33=1 -> 8.
-	if got := r.AutomorphismOrbitSize(3); got != 8 {
-		t.Errorf("ord(3 mod 32) = %d, want 8", got)
-	}
-	if got := r.AutomorphismOrbitSize(1); got != 1 {
-		t.Errorf("ord(1) = %d, want 1", got)
-	}
-	if got := r.AutomorphismOrbitSize(2*r.N - 1); got != 2 {
-		t.Errorf("ord(-1) = %d, want 2", got)
+	for _, c := range []struct{ k, ord int }{{3, 8}, {1, 1}, {2*r.N - 1, 2}} {
+		cur := a.Copy()
+		for step := 1; step <= c.ord; step++ {
+			r.Automorph(cur, cur, c.k)
+			if cur.Equal(a) != (step == c.ord) {
+				t.Errorf("k=%d: φ^%d(a) == a is %v, want orbit size %d", c.k, step, cur.Equal(a), c.ord)
+			}
+		}
 	}
 }
 

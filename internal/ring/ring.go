@@ -6,8 +6,8 @@
 //
 // The package provides the Table-I PPU operations (MODADD, MODMUL, REV,
 // SHIFTNEG, AUTOMORPH), monomial multiplication, NTT-domain conversion,
-// noise sampling, and the ModUp/ModDown basis-extension steps used by
-// special-modulus key switching and rescaling.
+// noise sampling, and the ModDown rounding division that special-modulus
+// key switching and rescaling end with.
 package ring
 
 import (
@@ -275,9 +275,8 @@ func (r *Ring) MulScalarBig(out, a *Poly, c *big.Int) {
 	out.IsNTT = a.IsNTT
 }
 
-// NTT transforms p to the evaluation domain in place (lazy-reduction
-// fast path; bit-identical to the strict transform). Panics if already
-// there.
+// NTT transforms p to the evaluation domain in place (canonical residues
+// in and out). Panics if already there.
 func (r *Ring) NTT(p *Poly) {
 	if p.IsNTT {
 		panic("ring: NTT of an NTT-domain polynomial")
@@ -288,36 +287,14 @@ func (r *Ring) NTT(p *Poly) {
 	p.IsNTT = true
 }
 
-// INTT transforms p back to the coefficient domain in place (lazy-reduction
-// fast path; bit-identical to the strict transform).
+// INTT transforms p back to the coefficient domain in place (canonical
+// residues in and out).
 func (r *Ring) INTT(p *Poly) {
 	if !p.IsNTT {
 		panic("ring: INTT of a coefficient-domain polynomial")
 	}
 	for l := range p.Coeffs {
 		r.Tables[l].InverseLazy(p.Coeffs[l])
-	}
-	p.IsNTT = false
-}
-
-// NTTCG and INTTCG are the constant-geometry counterparts (Alg. 4 dataflow);
-// results are bit-identical to NTT/INTT.
-func (r *Ring) NTTCG(p *Poly) {
-	if p.IsNTT {
-		panic("ring: NTT of an NTT-domain polynomial")
-	}
-	for l := range p.Coeffs {
-		r.Tables[l].ForwardCG(p.Coeffs[l], p.Coeffs[l])
-	}
-	p.IsNTT = true
-}
-
-func (r *Ring) INTTCG(p *Poly) {
-	if !p.IsNTT {
-		panic("ring: INTT of a coefficient-domain polynomial")
-	}
-	for l := range p.Coeffs {
-		r.Tables[l].InverseCG(p.Coeffs[l], p.Coeffs[l])
 	}
 	p.IsNTT = false
 }

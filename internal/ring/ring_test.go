@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cham/internal/mod"
-	"cham/internal/ntt"
 	"cham/internal/testutil"
 )
 
@@ -141,7 +140,7 @@ func TestMulPolyMatchesNaivePerLimb(t *testing.T) {
 	out := r.NewPoly(3)
 	r.MulPoly(out, a, b)
 	for l := 0; l < 3; l++ {
-		want := ntt.NaiveNegacyclicMul(r.Moduli[l], a.Coeffs[l], b.Coeffs[l])
+		want := testutil.SchoolbookMul(r.Moduli[l].Q, a.Coeffs[l], b.Coeffs[l])
 		for i := range want {
 			if out.Coeffs[l][i] != want[i] {
 				t.Fatalf("limb %d: product differs at %d", l, i)
@@ -159,12 +158,19 @@ func TestNTTRoundTripAndCG(t *testing.T) {
 	if !b.IsNTT {
 		t.Fatal("flag not set")
 	}
+	// The constant-geometry dataflow (Alg. 4) lands on the same rows.
 	cg := a.Copy()
-	r.NTTCG(cg)
-	if !b.Equal(cg) {
-		t.Fatal("NTTCG differs from NTT")
+	for l := range cg.Coeffs {
+		r.Tables[l].ForwardCG(cg.Coeffs[l], cg.Coeffs[l])
 	}
-	r.INTTCG(cg)
+	cg.IsNTT = true
+	if !b.Equal(cg) {
+		t.Fatal("ForwardCG differs from NTT")
+	}
+	for l := range cg.Coeffs {
+		r.Tables[l].InverseCG(cg.Coeffs[l], cg.Coeffs[l])
+	}
+	cg.IsNTT = false
 	r.INTT(b)
 	if !b.Equal(a) || !cg.Equal(a) {
 		t.Fatal("round trip failed")
@@ -231,28 +237,6 @@ func TestSetCenteredAndToBigRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromBigIntRoundTrip(t *testing.T) {
-	r := chamRing(t, 32)
-	rng := testutil.NewRand(t)
-	q := r.Modulus(3)
-	half := new(big.Int).Rsh(q, 1)
-	coeffs := make([]*big.Int, r.N)
-	for i := range coeffs {
-		c := new(big.Int).Rand(rng, q)
-		c.Sub(c, half) // centred-ish
-		coeffs[i] = c
-	}
-	p := r.NewPoly(3)
-	r.FromBigInt(p, coeffs)
-	back := r.ToBigIntCentered(p, 3)
-	tmp := new(big.Int)
-	for i := range coeffs {
-		if tmp.Sub(back[i], coeffs[i]).Mod(tmp, q).Sign() != 0 {
-			t.Fatalf("round trip differs at %d", i)
-		}
-	}
-}
-
 func TestSampling(t *testing.T) {
 	r := chamRing(t, 1024)
 	rng := testutil.NewRand(t)
@@ -302,45 +286,25 @@ func TestSampling(t *testing.T) {
 	}
 }
 
-func TestModUpMatchesBigInt(t *testing.T) {
-	r := chamRing(t, 64)
-	rng := testutil.NewRand(t)
-	for trial := 0; trial < 10; trial++ {
-		p := randPoly(r, rng, 2)
-		ext := r.ModUp(p)
-		if ext.Levels() != 3 {
-			t.Fatal("level count")
-		}
-		// Existing limbs unchanged.
-		for l := 0; l < 2; l++ {
-			for i := range p.Coeffs[l] {
-				if ext.Coeffs[l][i] != p.Coeffs[l][i] {
-					t.Fatal("ModUp modified source limbs")
-				}
-			}
-		}
-		// New limb must equal the CRT value mod p.
-		vals := r.ToBigIntCentered(p, 2)
-		mp := new(big.Int).SetUint64(r.Moduli[2].Q)
-		tmp := new(big.Int)
-		for i := range vals {
-			want := tmp.Mod(vals[i], mp).Uint64()
-			if ext.Coeffs[2][i] != want {
-				t.Fatalf("trial %d coeff %d: ModUp got %d want %d",
-					trial, i, ext.Coeffs[2][i], want)
-			}
-		}
-	}
-}
-
 func TestModDownIsRoundedDivision(t *testing.T) {
 	r := chamRing(t, 64)
 	rng := testutil.NewRand(t)
 	for trial := 0; trial < 10; trial++ {
 		p := randPoly(r, rng, 3)
-		down := r.ModDown(p)
-		if down.Levels() != 2 {
-			t.Fatal("level count")
+		down := r.NewPoly(2)
+		r.ModDownInto(down, p)
+		// The one-limb exit is exactly one ModDownInto, and dropping two
+		// limbs is the chain of two.
+		to := r.NewPoly(2)
+		r.ModDownTo(to, p)
+		if !to.Equal(down) {
+			t.Fatal("ModDownTo over one limb differs from ModDownInto")
+		}
+		one, chain := r.NewPoly(1), r.NewPoly(1)
+		r.ModDownInto(chain, down)
+		r.ModDownTo(one, p)
+		if !one.Equal(chain) {
+			t.Fatal("ModDownTo over two limbs differs from the ModDownInto chain")
 		}
 		vals := r.ToBigIntCentered(p, 3)
 		got := r.ToBigIntCentered(down, 2)
@@ -374,32 +338,20 @@ func TestModDownIsRoundedDivision(t *testing.T) {
 
 func TestModGuards(t *testing.T) {
 	r := chamRing(t, 16)
-	full := r.NewPoly(3)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ModUp on full basis not caught")
-			}
+	for name, fn := range map[string]func(){
+		"ModDownInto on a single limb":   func() { r.ModDownInto(r.NewPoly(1), r.NewPoly(1)) },
+		"ModDownInto level mismatch":     func() { r.ModDownInto(r.NewPoly(1), r.NewPoly(3)) },
+		"ModDownTo with nothing to drop": func() { r.ModDownTo(r.NewPoly(2), r.NewPoly(2)) },
+		"ModDownTo in the NTT domain":    func() { p := r.NewPoly(3); r.NTT(p); r.ModDownTo(r.NewPoly(2), p) },
+		"ModDownInto in the NTT domain":  func() { p := r.NewPoly(2); r.NTT(p); r.ModDownInto(r.NewPoly(1), p) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s not caught", name)
+				}
+			}()
+			fn()
 		}()
-		r.ModUp(full)
-	}()
-	one := r.NewPoly(1)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ModDown on single limb not caught")
-			}
-		}()
-		r.ModDown(one)
-	}()
-	nttp := r.NewPoly(2)
-	r.NTT(nttp)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ModUp in NTT domain not caught")
-			}
-		}()
-		r.ModUp(nttp)
-	}()
+	}
 }

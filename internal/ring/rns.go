@@ -1,14 +1,13 @@
 package ring
 
-import (
-	"math"
-	"math/big"
-)
+import "math/big"
 
-// RNS basis conversion. CHAM keeps ciphertexts in the basis {q0, q1} and
-// temporarily extends to {q0, q1, p} ("augmented" form, §II-F) for
-// multiplication and key switching; RESCALE (pipeline stage 4) divides by
-// the special modulus p and returns to the normal basis.
+// CHAM keeps ciphertexts in the basis {q0, q1} and temporarily extends to
+// {q0, q1, p} ("augmented" form, §II-F) for multiplication and key
+// switching; RESCALE (pipeline stage 4, ModDownInto/ModDownTo in
+// hotpath.go) divides by the special modulus p and returns to the normal
+// basis. Entering the augmented basis never needs a basis extension: the
+// digit lifts of a key switch are CentredLiftRow sweeps.
 
 // ToBigIntCentered reconstructs the polynomial over the integers via CRT on
 // the first `levels` limbs, returning centred representatives in
@@ -45,93 +44,5 @@ func (r *Ring) ToBigIntCentered(p *Poly, levels int) []*big.Int {
 		}
 		out[i] = v
 	}
-	return out
-}
-
-// FromBigInt writes integer coefficients (any sign/magnitude) into all
-// limbs of p.
-func (r *Ring) FromBigInt(p *Poly, coeffs []*big.Int) {
-	if len(coeffs) > r.N {
-		panic("ring: too many coefficients")
-	}
-	tmp := new(big.Int)
-	for l := range p.Coeffs {
-		ql := new(big.Int).SetUint64(r.Moduli[l].Q)
-		for i := range p.Coeffs[l] {
-			if i < len(coeffs) {
-				tmp.Mod(coeffs[i], ql)
-				p.Coeffs[l][i] = tmp.Uint64()
-			} else {
-				p.Coeffs[l][i] = 0
-			}
-		}
-	}
-	p.IsNTT = false
-}
-
-// ModUp extends a coefficient-domain polynomial from its current basis
-// {q_0..q_{L-1}} to {q_0..q_L} by appending the residues modulo the next
-// limb. It uses the floating-point corrected basis extension of
-// Halevi-Polyakov-Shoup: exact for our two-limb source bases.
-func (r *Ring) ModUp(p *Poly) *Poly {
-	lv := p.Levels()
-	if lv >= len(r.Moduli) {
-		panic("ring: no limb to extend into")
-	}
-	if p.IsNTT {
-		panic("ring: ModUp requires coefficient domain")
-	}
-	out := r.NewPoly(lv + 1)
-	for l := 0; l < lv; l++ {
-		copy(out.Coeffs[l], p.Coeffs[l])
-	}
-	mp := r.Moduli[lv] // target limb
-
-	// Precompute (Q/q_l)^-1 mod q_l and Q/q_l mod p, plus Q mod p.
-	qInv := make([]uint64, lv)   // [(Q/q_l)^-1]_{q_l}
-	qOverP := make([]uint64, lv) // (Q/q_l) mod p
-	qModP := uint64(1)           // Q mod p
-	for l := 0; l < lv; l++ {
-		ml := r.Moduli[l]
-		prod := uint64(1)
-		for k := 0; k < lv; k++ {
-			if k != l {
-				prod = ml.Mul(prod, r.Moduli[k].Q)
-			}
-		}
-		qInv[l] = ml.Inv(prod)
-		prodP := uint64(1)
-		for k := 0; k < lv; k++ {
-			if k != l {
-				prodP = mp.Mul(prodP, r.Moduli[k].Q)
-			}
-		}
-		qOverP[l] = prodP
-		qModP = mp.Mul(qModP, mp.Reduce(r.Moduli[l].Q))
-	}
-
-	for i := 0; i < r.N; i++ {
-		var acc uint64 // Σ y_l·(Q/q_l) mod p
-		var frac float64
-		for l := 0; l < lv; l++ {
-			ml := r.Moduli[l]
-			y := ml.Mul(p.Coeffs[l][i], qInv[l])
-			acc = mp.Add(acc, mp.Mul(y, qOverP[l]))
-			frac += float64(y) / float64(ml.Q)
-		}
-		k := uint64(math.Round(frac))
-		out.Coeffs[lv][i] = mp.Sub(acc, mp.Mul(k, qModP))
-	}
-	out.IsNTT = false
-	return out
-}
-
-// ModDown divides p (in the full current basis, last limb = special
-// modulus) by that special modulus with rounding, dropping the limb:
-// out ≈ round(p / q_last) over the remaining basis. This is the RESCALE
-// unit (stage 4) and the closing step of key switching.
-func (r *Ring) ModDown(p *Poly) *Poly {
-	out := r.NewPoly(p.Levels() - 1)
-	r.ModDownInto(out, p)
 	return out
 }

@@ -1,9 +1,10 @@
-// Differential tests for the hoisted key-switch split against the big.Int
-// reference model. External test package: internal/ref itself imports rlwe.
+// Differential tests for the key switch — its two halves and the entry
+// points composed from them — against the big.Int reference model. External test package: internal/ref itself imports rlwe.
 package rlwe_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"cham/internal/mod"
@@ -11,6 +12,7 @@ import (
 	"cham/internal/ring"
 	"cham/internal/rlwe"
 	"cham/internal/testutil"
+	"cham/internal/vec"
 )
 
 func hoistedParams(tb testing.TB, n int) rlwe.Params {
@@ -34,11 +36,70 @@ func moduliValues(r *ring.Ring, levels int) []uint64 {
 	return out
 }
 
-// TestKeySwitchHoistedMatchesRef: DecomposeInto + KeySwitchHoistedInto must
-// reproduce the reference model's exact-arithmetic key switch bit for bit
-// at every benchmarked ring degree — and ONE decomposition must serve
-// several switching keys (the hoisting contract: the digit-NTTs depend
-// only on the ciphertext, never on the key).
+// multiSpecialParams is the 3-normal + 2-special-limb basis of
+// TestMultiSpecialLimbChain at ring degree n: the generic accumulate loop
+// and a ModDown exit with more than one limb to drop.
+func multiSpecialParams(tb testing.TB, n int) rlwe.Params {
+	tb.Helper()
+	primes, err := mod.NTTFriendlyPrimes(30, uint64(n), 5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := ring.New(n, primes)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := rlwe.NewParams(r, 3, 21)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// bothKernelModes runs f on the host's kernels and again on the Go loops.
+func bothKernelModes(t *testing.T, f func(t *testing.T)) {
+	t.Run("host", f)
+	t.Run("generic", func(t *testing.T) {
+		vec.ForceGeneric(t)
+		f(t)
+	})
+}
+
+// finishSwitch completes a key switch from a prepared decomposition the
+// way KeySwitchInto does: accumulate into a zeroed full-basis pair, leave
+// the NTT domain, divide the special limbs out. It returns the a-part's
+// (b, a) contribution in the normal basis.
+func finishSwitch(p rlwe.Params, dec *rlwe.Decomposition, swk *rlwe.SwitchingKey) (outB, outA *ring.Poly) {
+	r := p.R
+	c0, c1 := r.NewPoly(r.Levels()), r.NewPoly(r.Levels())
+	c0.IsNTT = true
+	p.KeySwitchAccumulateNTT(c0, c1, dec, swk)
+	r.INTT(c0)
+	r.INTT(c1)
+	outB, outA = r.NewPoly(p.NormalLevels), r.NewPoly(p.NormalLevels)
+	r.ModDownTo(outB, c0)
+	r.ModDownTo(outA, c1)
+	return outB, outA
+}
+
+// requireMatchesRef fails unless got holds exactly want's residues.
+func requireMatchesRef(t *testing.T, what string, got *ring.Poly, want *ref.Poly, normal []uint64) {
+	t.Helper()
+	rows := ref.Decompose(want, normal)
+	for l := range rows {
+		for i := range rows[l] {
+			if got.Coeffs[l][i] != rows[l][i] {
+				t.Fatalf("%s limb %d coeff %d: got %d, reference %d", what, l, i, got.Coeffs[l][i], rows[l][i])
+			}
+		}
+	}
+}
+
+// TestKeySwitchHoistedMatchesRef: DecomposeInto + KeySwitchAccumulateNTT +
+// the ModDown exit must reproduce the reference model's exact-arithmetic
+// key switch bit for bit at every benchmarked ring degree — and ONE
+// decomposition must serve several switching keys (the hoisting contract:
+// the digit-NTTs depend only on the ciphertext, never on the key).
 func TestKeySwitchHoistedMatchesRef(t *testing.T) {
 	sizes := []int{256, 512}
 	if !testing.Short() {
@@ -67,34 +128,63 @@ func TestKeySwitchHoistedMatchesRef(t *testing.T) {
 		dec := p.GetDecomposition()
 		p.DecomposeInto(dec, a)
 		for ki, swk := range swks {
-			outB := r.NewPoly(p.NormalLevels)
-			outA := r.NewPoly(p.NormalLevels)
-			p.KeySwitchHoistedInto(outB, outA, dec, swk)
-
+			outB, outA := finishSwitch(p, dec, swk)
 			refSwk := ref.ComposeSwitchingKey(r, swk, full)
 			wantB, wantA := ref.KeySwitch(refA, refSwk, full, p.NormalLevels)
-			for name, pair := range map[string]struct {
-				got  *ring.Poly
-				want *ref.Poly
-			}{"b": {outB, wantB}, "a": {outA, wantA}} {
-				rows := ref.Decompose(pair.want, normal)
-				for l := range rows {
-					for i := range rows[l] {
-						if pair.got.Coeffs[l][i] != rows[l][i] {
-							t.Fatalf("N=%d key %d part %s limb %d coeff %d: hoisted %d, reference %d",
-								n, ki, name, l, i, pair.got.Coeffs[l][i], rows[l][i])
-						}
-					}
-				}
-			}
+			requireMatchesRef(t, fmt.Sprintf("N=%d key %d part b", n, ki), outB, wantB, normal)
+			requireMatchesRef(t, fmt.Sprintf("N=%d key %d part a", n, ki), outA, wantA, normal)
 		}
 		p.PutDecomposition(dec)
 	}
 }
 
-// TestKeySwitchIntoMatchesHoisted: the one-shot KeySwitchInto wrapper and
-// an explicitly hoisted switch must agree (including when out aliases ct —
-// the aliasing case the pooled b-copy exists for).
+// TestKeySwitchIntoMatchesRef: the composed entry points — KeySwitchInto
+// and AutomorphCtInto — are byte-equal to the big-integer ref.KeySwitch
+// and ref.AutomorphCt on the CHAM basis and on a basis with two special
+// limbs to drop, on the host's kernels and on the Go loops.
+func TestKeySwitchIntoMatchesRef(t *testing.T) {
+	sizes := []int{256}
+	if !testing.Short() {
+		sizes = append(sizes, 4096)
+	}
+	bases := map[string]func(testing.TB, int) rlwe.Params{"cham": hoistedParams, "3+2": multiSpecialParams}
+	bothKernelModes(t, func(t *testing.T) {
+		for name, mk := range bases {
+			for _, n := range sizes {
+				p := mk(t, n)
+				r := p.R
+				rng := testutil.NewRand(t)
+				sk := p.KeyGen(rng)
+				src := p.KeyGen(rng)
+				full := moduliValues(r, r.Levels())
+				normal := moduliValues(r, p.NormalLevels)
+				what := fmt.Sprintf("%s N=%d", name, n)
+
+				ct := &rlwe.Ciphertext{B: r.NewPoly(p.NormalLevels), A: r.NewPoly(p.NormalLevels)}
+				r.UniformPoly(rng, ct.B)
+				r.UniformPoly(rng, ct.A)
+				refCt := ref.ComposeCiphertext(ct.B, ct.A, normal)
+
+				swk := p.SwitchingKeyGen(rng, sk, src.Value)
+				out := &rlwe.Ciphertext{B: r.NewPoly(p.NormalLevels), A: r.NewPoly(p.NormalLevels)}
+				p.KeySwitchInto(out, ct, swk)
+				wantB, wantA := ref.KeySwitch(refCt.A, ref.ComposeSwitchingKey(r, swk, full), full, p.NormalLevels)
+				requireMatchesRef(t, what+" KeySwitchInto b", out.B, wantB.Add(refCt.B), normal)
+				requireMatchesRef(t, what+" KeySwitchInto a", out.A, wantA, normal)
+
+				const k = 5
+				ak := p.AutomorphismKeyGen(rng, sk, k)
+				p.AutomorphCtInto(out, ct, k, ak)
+				want := ref.AutomorphCt(refCt, k, ref.ComposeSwitchingKey(r, ak, full), full, p.NormalLevels)
+				requireMatchesRef(t, what+" AutomorphCtInto b", out.B, want.B, normal)
+				requireMatchesRef(t, what+" AutomorphCtInto a", out.A, want.A, normal)
+			}
+		}
+	})
+}
+
+// TestKeySwitchIntoMatchesHoisted: the one-shot KeySwitchInto and an
+// explicitly hoisted switch must agree, including when out aliases ct.
 func TestKeySwitchIntoMatchesHoisted(t *testing.T) {
 	p := hoistedParams(t, 256)
 	r := p.R
@@ -107,107 +197,88 @@ func TestKeySwitchIntoMatchesHoisted(t *testing.T) {
 	r.UniformPoly(rng, ct.B)
 	r.UniformPoly(rng, ct.A)
 
-	want := &rlwe.Ciphertext{B: r.NewPoly(p.NormalLevels), A: r.NewPoly(p.NormalLevels)}
 	dec := p.GetDecomposition()
 	p.DecomposeInto(dec, ct.A)
-	p.KeySwitchHoistedInto(want.B, want.A, dec, swk)
+	wantB, wantA := finishSwitch(p, dec, swk)
 	p.PutDecomposition(dec)
-	r.Add(want.B, want.B, ct.B)
+	r.Add(wantB, wantB, ct.B)
 
 	p.KeySwitchInto(ct, ct, swk) // aliased in-place switch
-	for l := 0; l < p.NormalLevels; l++ {
-		for i := 0; i < r.N; i++ {
-			if ct.B.Coeffs[l][i] != want.B.Coeffs[l][i] || ct.A.Coeffs[l][i] != want.A.Coeffs[l][i] {
-				t.Fatalf("limb %d coeff %d: aliased KeySwitchInto diverges from hoisted path", l, i)
-			}
-		}
+	if !ct.B.Equal(wantB) || !ct.A.Equal(wantA) {
+		t.Fatal("aliased KeySwitchInto diverges from the hoisted path")
 	}
 }
 
-// TestDecomposeNTTMatchesDecompose: feeding the same polynomial through
-// DecomposeNTTInto (NTT-domain input, identity rows copied, only cross
-// rows transformed) must yield bit-identical digits to DecomposeInto on
-// the coefficient form.
-func TestDecomposeNTTMatchesDecompose(t *testing.T) {
-	for _, n := range []int{32, 256} {
-		p := hoistedParams(t, n)
+// TestKeySwitchAccumulateMatchesHoisted: the deferred form the packing
+// tree runs — accumulate on top of a live full-basis accumulator, divide
+// later — must flush to the eager switch: btAcc gains exactly the b-part
+// products, c1 is overwritten whatever it held, and dividing the gain
+// reproduces the switch finished on the spot.
+func TestKeySwitchAccumulateMatchesHoisted(t *testing.T) {
+	for name, mk := range map[string]func(testing.TB, int) rlwe.Params{"cham": hoistedParams, "3+2": multiSpecialParams} {
+		p := mk(t, 256)
 		r := p.R
 		rng := testutil.NewRand(t)
+		sk := p.KeyGen(rng)
+		swk := p.AutomorphismKeyGen(rng, sk, 5)
+
 		a := r.NewPoly(p.NormalLevels)
 		r.UniformPoly(rng, a)
+		dec := p.GetDecomposition()
+		p.DecomposeInto(dec, a)
+		wantB, wantA := finishSwitch(p, dec, swk)
 
-		want := p.GetDecomposition()
-		p.DecomposeInto(want, a)
+		full := r.Levels()
+		prior := r.NewPoly(full)
+		r.UniformPoly(rng, prior)
+		prior.IsNTT = true
+		btAcc := prior.Copy()
+		c1 := r.NewPoly(full)
+		r.UniformPoly(rng, c1) // stale contents must not leak through
+		c1.IsNTT = true
+		p.KeySwitchAccumulateNTT(btAcc, c1, dec, swk)
+		p.PutDecomposition(dec)
 
-		aN := a.Copy()
-		r.NTT(aN)
-		got := p.GetDecomposition()
-		p.DecomposeNTTInto(got, aN)
-
-		for j := 0; j < p.NormalLevels; j++ {
-			if !got.Digits[j].Equal(want.Digits[j]) {
-				t.Fatalf("N=%d digit %d: DecomposeNTTInto != DecomposeInto", n, j)
-			}
+		r.Sub(btAcc, btAcc, prior)
+		r.INTT(btAcc)
+		r.INTT(c1)
+		gotB, gotA := r.NewPoly(p.NormalLevels), r.NewPoly(p.NormalLevels)
+		r.ModDownTo(gotB, btAcc)
+		r.ModDownTo(gotA, c1)
+		if !gotB.Equal(wantB) || !gotA.Equal(wantA) {
+			t.Fatalf("%s: deferred accumulate diverges from the switch finished on the spot", name)
 		}
-		p.PutDecomposition(want)
-		p.PutDecomposition(got)
 	}
 }
 
-// TestKeySwitchAccumulateMatchesHoisted: the deferred NTT-resident
-// completion (KeySwitchAccumulateNTT + ring.ModDownNTTInto chain on both
-// parts) must reproduce KeySwitchHoistedInto bit for bit once flushed.
-func TestKeySwitchAccumulateMatchesHoisted(t *testing.T) {
-	p := hoistedParams(t, 256)
+// TestSwitchingKeyMustBePrecomputed: a hand-built key that skipped
+// Precompute is refused loudly, not indexed into.
+func TestSwitchingKeyMustBePrecomputed(t *testing.T) {
+	p := hoistedParams(t, 16)
 	r := p.R
 	rng := testutil.NewRand(t)
 	sk := p.KeyGen(rng)
-	swk := p.AutomorphismKeyGen(rng, sk, 5)
-
-	a := r.NewPoly(p.NormalLevels)
-	r.UniformPoly(rng, a)
-
-	wantB := r.NewPoly(p.NormalLevels)
-	wantA := r.NewPoly(p.NormalLevels)
-	dec := p.GetDecomposition()
-	p.DecomposeInto(dec, a)
-	p.KeySwitchHoistedInto(wantB, wantA, dec, swk)
-	r.NTT(wantB)
-	r.NTT(wantA)
-	p.PutDecomposition(dec)
-
-	full := r.Levels()
-	aN := a.Copy()
-	r.NTT(aN)
-	btAcc := r.NewPoly(full)
-	btAcc.Zero()
-	btAcc.IsNTT = true
-	c1 := r.NewPoly(full)
-	c1.IsNTT = true
-	dec = p.GetDecomposition()
-	p.DecomposeNTTInto(dec, aN)
-	p.KeySwitchAccumulateNTT(btAcc, c1, dec, swk)
-	p.PutDecomposition(dec)
-
-	gotB := r.NewPoly(p.NormalLevels)
-	gotA := r.NewPoly(p.NormalLevels)
-	for _, pair := range []struct{ out, in *ring.Poly }{{gotB, btAcc}, {gotA, c1}} {
-		cur := pair.in
-		for cur.Levels() > p.NormalLevels+1 {
-			next := r.NewPoly(cur.Levels() - 1)
-			r.ModDownNTTInto(next, cur)
-			cur = next
-		}
-		r.ModDownNTTInto(pair.out, cur)
-	}
-	if !gotB.Equal(wantB) || !gotA.Equal(wantA) {
-		t.Fatal("deferred NTT-resident key switch diverges from KeySwitchHoistedInto")
+	good := p.SwitchingKeyGen(rng, sk, sk.Value)
+	bare := &rlwe.SwitchingKey{Bs: good.Bs, As: good.As}
+	ct := p.EncryptZeroSym(rng, sk, p.NormalLevels)
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); msg != "rlwe: SwitchingKey used before Precompute" {
+				t.Fatalf("recovered %q, want the Precompute invariant panic", msg)
+			}
+		}()
+		p.KeySwitch(ct, bare)
+	}()
+	bare.Precompute(r)
+	if !p.KeySwitch(ct, bare).B.Equal(p.KeySwitch(ct, good).B) {
+		t.Fatal("a key precomputed after the fact switches differently")
 	}
 }
 
 // FuzzDecomposeHoisted drives the branch-free lazy digit-decomposition
-// sweep against a naive branchy centred lift followed by the strict
-// forward transform: identical digits for arbitrary inputs.
+// sweep against a naive branchy centred lift to canonical residues
+// followed by the one-row forward transform: identical digits for
+// arbitrary inputs.
 func FuzzDecomposeHoisted(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7})
@@ -250,7 +321,7 @@ func FuzzDecomposeHoisted(f *testing.F) {
 						want[i] = x % ql
 					}
 				}
-				r.Tables[l].Forward(want)
+				r.Tables[l].ForwardLazy(want)
 				for i := range want {
 					if got := dec.Digits[j].Coeffs[l][i]; got != want[i] {
 						t.Fatalf("digit %d limb %d coeff %d: lazy decompose %d, naive %d",

@@ -7,44 +7,13 @@ package rlwe
 // halve the cost of the digit·key MULTPOLY accumulation, the dominant
 // multiply count of stages 5–9.
 
-import (
-	"sync"
+import "cham/internal/ring"
 
-	"cham/internal/ring"
-)
-
-// ctShells recycles Ciphertext headers; the polynomial buffers they carry
-// come from the ring's own pool. Shells are ring-agnostic (two pointers),
-// so one process-wide pool is safe.
-var ctShells sync.Pool
-
-// GetCiphertext borrows a pooled ciphertext with the given limb count.
-// Coefficients are ARBITRARY; see ring.GetPoly. Release with PutCiphertext.
-func (p Params) GetCiphertext(levels int) *Ciphertext {
-	ct, ok := ctShells.Get().(*Ciphertext)
-	if !ok {
-		ct = &Ciphertext{}
-	}
-	ct.B = p.R.GetPoly(levels)
-	ct.A = p.R.GetPoly(levels)
-	return ct
-}
-
-// PutCiphertext returns a ciphertext obtained from GetCiphertext to the
-// pool. The caller must not use ct afterwards.
-func (p Params) PutCiphertext(ct *Ciphertext) {
-	if ct == nil {
-		return
-	}
-	p.R.PutPoly(ct.B)
-	p.R.PutPoly(ct.A)
-	ct.B, ct.A = nil, nil
-	ctShells.Put(ct)
-}
-
-// Precompute fills the switching key's Shoup companion tables. KeyGen does
-// this automatically; call it after deserializing a key. Safe to call more
-// than once; not safe concurrently with use of the key.
+// Precompute fills the switching key's Shoup companion tables. Every key
+// that reaches a switch is precomputed — SwitchingKeyGen and the codec's
+// decoder both end with this call — and KeySwitchAccumulateNTT panics on
+// one that is not. Safe to call more than once; not safe concurrently
+// with use of the key.
 func (k *SwitchingKey) Precompute(r *ring.Ring) {
 	if k.BsShoup != nil {
 		return
@@ -65,8 +34,7 @@ func (ct *Ciphertext) CopyFrom(o *Ciphertext) {
 }
 
 // KeySwitchInto is KeySwitch writing into a caller-owned normal-basis
-// ciphertext. out may alias ct. Internally this is the hoisted pipeline
-// with a pooled one-shot decomposition (see hoisted.go).
+// ciphertext. out may alias ct.
 func (p Params) KeySwitchInto(out, ct *Ciphertext, swk *SwitchingKey) {
 	if ct.IsNTT() {
 		panic("rlwe: KeySwitch requires coefficient domain")
@@ -74,15 +42,7 @@ func (p Params) KeySwitchInto(out, ct *Ciphertext, swk *SwitchingKey) {
 	if ct.Levels() != p.NormalLevels || out.Levels() != p.NormalLevels {
 		panic("rlwe: KeySwitch requires normal-basis ciphertexts")
 	}
-	r := p.R
-	b := r.GetPoly(p.NormalLevels)
-	b.CopyFrom(ct.B) // out may alias ct; keep b across the switch
-	dec := p.GetDecomposition()
-	p.DecomposeInto(dec, ct.A)
-	p.KeySwitchHoistedInto(out.B, out.A, dec, swk)
-	p.PutDecomposition(dec)
-	r.Add(out.B, out.B, b)
-	r.PutPoly(b)
+	p.switchInto(out, ct.B, ct.A, swk)
 }
 
 // AutomorphCtInto is AutomorphCt writing into a caller-owned ciphertext:
@@ -95,47 +55,54 @@ func (p Params) AutomorphCtInto(out, ct *Ciphertext, k int, swk *SwitchingKey) {
 	if ct.Levels() != p.NormalLevels || out.Levels() != p.NormalLevels {
 		panic("rlwe: AutomorphCt requires normal-basis ciphertexts")
 	}
-	phiB := r.GetPoly(ct.Levels())
-	phiA := r.GetPoly(ct.Levels())
+	// (φb, φa) decrypts under φ(s); switch from φ(s) back to s, the
+	// permuted b riding along unchanged.
+	phiB := r.GetPoly(p.NormalLevels)
+	phiA := r.GetPoly(p.NormalLevels)
 	r.Automorph(phiB, ct.B, k)
 	r.Automorph(phiA, ct.A, k)
-	// (φb, φa) decrypts under φ(s); switch from φ(s) back to s, then add
-	// the permuted b which rides along unchanged.
-	dec := p.GetDecomposition()
-	p.DecomposeInto(dec, phiA)
-	p.KeySwitchHoistedInto(out.B, out.A, dec, swk)
-	p.PutDecomposition(dec)
-	r.Add(out.B, out.B, phiB)
+	p.switchInto(out, phiB, phiA, swk)
 	r.PutPoly(phiB)
 	r.PutPoly(phiA)
 }
 
-// RescaleInto is Rescale writing into a caller-owned normal-basis
-// ciphertext, pooling any intermediate levels.
-func (p Params) RescaleInto(out, ct *Ciphertext) {
+// switchInto sets out = (b, 0) + ModDown(INTT(Σ_j D_j(a) ∘ K_j)) for the
+// normal-basis coefficient-domain pair (b, a): decompose, accumulate into
+// a zeroed full-basis pair, leave the NTT domain (the c0/c1 rows of each
+// limb share one twiddle sweep) and divide the special limbs back out.
+// out's polynomials may be b and a themselves; all temporaries are pooled.
+func (p Params) switchInto(out *Ciphertext, b, a *ring.Poly, swk *SwitchingKey) {
 	r := p.R
-	if ct.Levels() != r.Levels() {
+	lv := r.Levels()
+	dec := p.GetDecomposition()
+	p.DecomposeInto(dec, a)
+	c0, c1 := r.GetPoly(lv), r.GetPoly(lv)
+	c0.Zero()
+	c0.IsNTT = true
+	p.KeySwitchAccumulateNTT(c0, c1, dec, swk)
+	p.PutDecomposition(dec)
+	for l := 0; l < lv; l++ {
+		r.Tables[l].InverseBatch(c0.Coeffs[l], c1.Coeffs[l])
+	}
+	c0.IsNTT, c1.IsNTT = false, false
+	r.ModDownTo(out.A, c1)
+	kb := r.GetPoly(p.NormalLevels)
+	r.ModDownTo(kb, c0)
+	r.Add(out.B, kb, b)
+	r.PutPoly(kb)
+	r.PutPoly(c0)
+	r.PutPoly(c1)
+}
+
+// RescaleInto is Rescale writing into a caller-owned normal-basis
+// ciphertext.
+func (p Params) RescaleInto(out, ct *Ciphertext) {
+	if ct.Levels() != p.R.Levels() {
 		panic("rlwe: Rescale requires an augmented ciphertext")
 	}
 	if out.Levels() != p.NormalLevels {
 		panic("rlwe: Rescale output must be normal basis")
 	}
-	b, a := ct.B, ct.A
-	for b.Levels() > p.NormalLevels+1 {
-		nb := r.GetPoly(b.Levels() - 1)
-		na := r.GetPoly(a.Levels() - 1)
-		r.ModDownInto(nb, b)
-		r.ModDownInto(na, a)
-		if b != ct.B {
-			r.PutPoly(b)
-			r.PutPoly(a)
-		}
-		b, a = nb, na
-	}
-	r.ModDownInto(out.B, b)
-	r.ModDownInto(out.A, a)
-	if b != ct.B {
-		r.PutPoly(b)
-		r.PutPoly(a)
-	}
+	p.R.ModDownTo(out.B, ct.B)
+	p.R.ModDownTo(out.A, ct.A)
 }

@@ -71,8 +71,9 @@ type PublicKey struct {
 // Bs[j] = -As[j]·s + P·ê_j·s' + E_j over the full basis, NTT domain.
 //
 // BsShoup/AsShoup are the per-coefficient Shoup companion words of Bs/As
-// (the key is a fixed multiplicand in every switch), filled by Precompute;
-// the hot path falls back to Barrett multiplies when they are absent.
+// (the key is a fixed multiplicand in every switch), filled by Precompute.
+// Invariant: a key handed to a switch has them — build keys with
+// SwitchingKeyGen or the codec, or call Precompute after filling Bs/As.
 type SwitchingKey struct {
 	Bs, As           []*ring.Poly
 	BsShoup, AsShoup [][][]uint64

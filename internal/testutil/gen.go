@@ -1,6 +1,7 @@
 package testutil
 
 import (
+	"math/bits"
 	"math/rand"
 )
 
@@ -66,4 +67,24 @@ func HMVPShapes(rng *rand.Rand, n int) []Shape {
 		{Rows: 4, Cols: 2 * n},          // exact 2-chunk boundary
 		{Rows: 6, Cols: 2*n + offset()}, // non-pow2 rows, 3 chunks
 	}
+}
+
+// SchoolbookMul returns a·b mod (X^N+1, q) by O(N²) convolution on reduced
+// residues (q < 2^63): the oracle the transform, ring and reference-model
+// tests check negacyclic products against.
+func SchoolbookMul(q uint64, a, b []uint64) []uint64 {
+	n := len(a)
+	out := make([]uint64, n)
+	for i := range a {
+		for j := range b {
+			hi, lo := bits.Mul64(a[i], b[j])
+			_, p := bits.Div64(hi, lo, q)
+			if k := i + j; k < n {
+				out[k] = (out[k] + p) % q
+			} else {
+				out[k-n] = (out[k-n] + q - p) % q
+			}
+		}
+	}
+	return out
 }

@@ -323,7 +323,7 @@ func FuzzWireDecode(f *testing.F) {
 			p.EncryptZeroSym(rng, wireFuzz.sk, p.NormalLevels),
 		}}))
 		f.Add(Errf(CodeInternal, "boom").Encode())
-		f.Add(EncodePublicKey(p.R, p.PublicKeyGen(rng, wireFuzz.sk)))
+		f.Add(EncodeTileApply(p.R, TileApply{Tiles: []uint32{0, 2}, Vector: ctV}))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := wireFuzzSetup(); err != nil {
@@ -342,7 +342,6 @@ func FuzzWireDecode(f *testing.F) {
 		_, _ = DecodeApply(p.R, data)
 		_, _ = DecodeResult(p.R, data)
 		_, _ = DecodeError(data)
-		_, _ = DecodePublicKey(p.R, data)
 		_, _ = DecodeTileApply(p.R, data)
 		_, _ = DecodeTileResult(p.R, data)
 		_, _ = DecodeRegistrySync(data)

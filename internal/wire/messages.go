@@ -356,33 +356,3 @@ func DecodeResult(r *ring.Ring, payload []byte) (Result, error) {
 	}
 	return res, nil
 }
-
-// EncodePublicKey serializes an encryption public key (full basis, NTT
-// domain) — the remaining key material a multi-party deployment ships so
-// third parties can encrypt inputs without the secret.
-func EncodePublicKey(r *ring.Ring, pk *rlwe.PublicKey) []byte {
-	b := appendBlob(nil, codec.EncodePoly(r, pk.B))
-	return appendBlob(b, codec.EncodePoly(r, pk.A))
-}
-
-// DecodePublicKey parses a public key.
-func DecodePublicKey(r *ring.Ring, payload []byte) (*rlwe.PublicKey, error) {
-	d := NewReader(payload)
-	bBlob := d.Blob()
-	aBlob := d.Blob()
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	b, err := codec.DecodePoly(r, bBlob)
-	if err != nil {
-		return nil, fmt.Errorf("wire: public key b: %w", err)
-	}
-	a, err := codec.DecodePoly(r, aBlob)
-	if err != nil {
-		return nil, fmt.Errorf("wire: public key a: %w", err)
-	}
-	if b.Levels() != r.Levels() || a.Levels() != r.Levels() || !b.IsNTT || !a.IsNTT {
-		return nil, fmt.Errorf("wire: public key must be full-basis NTT domain")
-	}
-	return &rlwe.PublicKey{B: b, A: a}, nil
-}

@@ -42,9 +42,6 @@ type TraceHeader struct {
 	Flags   uint8
 }
 
-// Sampled reports whether the request is being recorded.
-func (h TraceHeader) Sampled() bool { return h.Flags&TraceFlagSampled != 0 }
-
 // IsZero reports whether the header is absent/untraced.
 func (h TraceHeader) IsZero() bool { return h == TraceHeader{} }
 

@@ -273,20 +273,6 @@ func TestApplyAndResultRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPublicKeyRoundTrip(t *testing.T) {
-	p := testParams(t, 64)
-	rng := testutil.NewRand(t)
-	sk := p.KeyGen(rng)
-	pk := p.PublicKeyGen(rng, sk)
-	got, err := DecodePublicKey(p.R, EncodePublicKey(p.R, pk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !samePoly(got.B, pk.B) || !samePoly(got.A, pk.A) {
-		t.Fatal("public key mismatch after round trip")
-	}
-}
-
 func TestErrorRoundTrip(t *testing.T) {
 	e := Errf(CodeUnknownMatrix, "no matrix %x", []byte{0xAB})
 	got, err := DecodeError(e.Encode())
