@@ -68,11 +68,12 @@ fuzz:
 
 # The vector kernels (internal/vec): the !amd64 stubs and every guard
 # compile for another architecture (from GOROOT alone, no download), the
-# kernel and caller packages pass under the race detector, and the
+# kernel and caller packages — up to the merge and the apply, which run
+# every guard concurrently — pass under the race detector, and the
 # kernels-vs-Go-loops fuzz target smokes.
 kernels:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/...
-	$(GO) test -race -count=1 ./internal/vec ./internal/ntt ./internal/ring ./internal/rlwe
+	$(GO) test -race -count=1 ./internal/vec ./internal/ntt ./internal/ring ./internal/rlwe ./internal/lwe ./internal/core
 	$(GO) test ./internal/vec -run '^$$' -fuzz '^FuzzVecKernels$$' -fuzztime $(FUZZTIME)
 
 # Nothing beside the hot path: every function internal/{mod,ntt,ring,rlwe,

@@ -483,6 +483,8 @@ func BenchmarkKernels(b *testing.B) {
 	x, y, z, w := poly(1, true), poly(1, true), poly(1, true), poly(1, true)
 	o0, o1 := poly(1, true), poly(1, true)
 	sy, sw := r.ShoupPrecompPoly(y), r.ShoupPrecompPoly(w)
+	two := poly(2, false) // ModDownInto drops its second limb: one output row
+	lift := two.Coeffs[1] // canonical residues of limb 1, lifted into limb 0
 	tab := r.Tables[0]
 	kernels := []struct {
 		name string
@@ -495,6 +497,10 @@ func BenchmarkKernels(b *testing.B) {
 		{"MulShoupPairAdd", func() { r.MulCoeffShoupPairAdd(o0, x, y, sy, z, w, sw) }},
 		{"MulShoupDual", func() { r.MulCoeffShoupDual(o0, o1, x, z, y, sy) }},
 		{"MulShoupDualAdd", func() { r.MulCoeffShoupDualAdd(o0, o1, x, z, y, sy) }},
+		{"CentredLift", func() { r.CentredLiftRow(o0.Coeffs[0], lift, 0, 1) }},
+		{"ModDownRow", func() { r.ModDownInto(o1, two) }},
+		{"Gather", func() { r.AutomorphNTT(o1, x, 5) }},
+		{"GatherAdd", func() { r.AutomorphNTTAddInto(o1, x, 5) }},
 	}
 	for _, k := range kernels {
 		b.Run(k.name+"/generic", func(b *testing.B) {

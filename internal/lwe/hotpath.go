@@ -140,20 +140,19 @@ func ResidentFromRLWE(p bfv.Params, nd *PackNode, ct *rlwe.Ciphertext) {
 }
 
 // mergeScratch is the per-worker arena of one pack-tree sweep: the hoisted
-// decomposition digits plus the difference and key-switch accumulator
-// polynomials a merge needs. One scratch serves every merge a worker
-// claims at a tree level, keeping the buffers cache-resident instead of
-// cycling the pool per merge.
+// decomposition digits plus the difference pair and the rescaled a-part a
+// merge needs. One scratch serves every merge a worker claims at a tree
+// level, keeping the buffers cache-resident instead of cycling the pool
+// per merge.
 type mergeScratch struct {
 	dec *rlwe.Decomposition
 	dBT *ring.Poly // full basis: E.BT - X^z·O.BT
 	dA  *ring.Poly // full basis: E.A - X^z·O.A
-	c1  *ring.Poly // full basis: Σ_j dec_j ∘ A_j
 	aN  *ring.Poly // normal basis, coefficient domain: rescaled gathered a
 }
 
 // msShells recycles mergeScratch headers; the buffers they carry come from
-// the ring and decomposition pools. Shells are ring-agnostic (five
+// the ring and decomposition pools. Shells are ring-agnostic (four
 // pointers), so one process-wide pool is safe.
 var msShells sync.Pool
 
@@ -167,7 +166,6 @@ func getMergeScratch(p bfv.Params) *mergeScratch {
 	ms.dec = p.GetDecomposition()
 	ms.dBT = p.R.GetPoly(full)
 	ms.dA = p.R.GetPoly(full)
-	ms.c1 = p.R.GetPoly(full)
 	ms.aN = p.R.GetPoly(p.NormalLevels)
 	return ms
 }
@@ -181,9 +179,8 @@ func putMergeScratch(p bfv.Params, ms *mergeScratch) {
 	p.PutDecomposition(ms.dec)
 	p.R.PutPoly(ms.dBT)
 	p.R.PutPoly(ms.dA)
-	p.R.PutPoly(ms.c1)
 	p.R.PutPoly(ms.aN)
-	ms.dec, ms.dBT, ms.dA, ms.c1, ms.aN = nil, nil, nil, nil, nil
+	ms.dec, ms.dBT, ms.dA, ms.aN = nil, nil, nil, nil
 	msShells.Put(ms)
 }
 
@@ -239,10 +236,9 @@ func packTwo(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk *rlwe.Switc
 	if on {
 		t3 = time.Now()
 	}
-	p.KeySwitchAccumulateNTT(out.BT, ms.c1, ms.dec, swk)
-	// The switched a-part joins the accumulator un-rescaled, mirroring the
-	// b-part: both deferred divisions run once per tree, at FlushInto.
-	r.Add(out.A, out.A, ms.c1)
+	// Both switched parts join their accumulators un-rescaled: the deferred
+	// divisions run once per tree, at FlushInto.
+	p.KeySwitchAccumulateNTT(out.BT, out.A, ms.dec, swk)
 	if on {
 		t4 := time.Now()
 		observeStage(packSec, obs.StagePack, t1.Sub(t0), hist, sink)

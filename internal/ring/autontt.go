@@ -79,9 +79,13 @@ func (r *Ring) AutomorphNTT(out, a *Poly, k int) {
 	n := r.N
 	for l := range a.Coeffs {
 		ra, ro := a.Coeffs[l][:n], out.Coeffs[l][:n]
+		// The kernel reads ra while it writes dst; permDst has already
+		// moved an in-place call onto a scratch row.
 		dst, sp := r.permDst(ro, ra)
-		for j, src := range perm {
-			dst[j] = ra[src]
+		if !vec.Gather(dst[:n], ra, perm) {
+			for j, src := range perm {
+				dst[j] = ra[src]
+			}
 		}
 		if sp != nil {
 			copy(ro, dst)
@@ -94,7 +98,8 @@ func (r *Ring) AutomorphNTT(out, a *Poly, k int) {
 // AutomorphNTTAddInto sets out += a(X^k) for odd k on NTT-domain
 // polynomials, fusing the gather with its accumulation — the packing
 // tree's φ_k(diff) contribution lands in the running sum without a
-// materialized intermediate. out must not alias a.
+// materialized intermediate. out must not alias a: every slot reads a at
+// a permuted position some other slot of out may already have overwritten.
 func (r *Ring) AutomorphNTTAddInto(out, a *Poly, k int) {
 	lv := sameLevels(out, a)
 	requireNTTDomain(out, a)
@@ -103,6 +108,12 @@ func (r *Ring) AutomorphNTTAddInto(out, a *Poly, k int) {
 	for l := 0; l < lv; l++ {
 		m := r.Moduli[l]
 		ra, ro := a.Coeffs[l][:n], out.Coeffs[l][:n]
+		if &ro[0] == &ra[0] {
+			panic("ring: AutomorphNTTAddInto operands alias")
+		}
+		if vec.GatherAdd(m.Q, ro, ra, perm) {
+			continue
+		}
 		for j, src := range perm {
 			ro[j] = m.Add(ro[j], ra[src])
 		}
@@ -128,6 +139,9 @@ func (r *Ring) MonomialSplitNTT(sum, diff, E, O *Poly, e int) {
 		re, ro := E.Coeffs[l][:n], O.Coeffs[l][:n]
 		rm, rs := t.vals[l][:n], t.shoup[l][:n]
 		rsum, rdiff := sum.Coeffs[l][:n], diff.Coeffs[l][:n]
+		if &rdiff[0] == &re[0] || &rdiff[0] == &ro[0] {
+			panic("ring: MonomialSplitNTT diff aliases an input")
+		}
 		if vec.MonomialSplit(m.Q, rsum, rdiff, re, ro, rm, rs) {
 			continue
 		}

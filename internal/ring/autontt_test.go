@@ -2,9 +2,11 @@ package ring
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"cham/internal/testutil"
+	"cham/internal/vec"
 )
 
 // nttCopy returns a forward-transformed copy of p.
@@ -59,6 +61,73 @@ func TestAutomorphNTTRejectsEvenK(t *testing.T) {
 	r.AutomorphNTT(p, p, 4)
 }
 
+// TestAutoPermTablesArePermutations: autoPermTable is the only producer of
+// the index tables the gather kernels dereference, so every table it
+// caches must be a permutation of [0, N) — for each automorphism index
+// the packing keys use (k = 2i+1, i a power of two below N) and a few
+// hundred arbitrary odd k, negative ones included.
+func TestAutoPermTablesArePermutations(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{16, 512, 4096} {
+		r := chamRing(t, n)
+		var ks []int
+		for i := 1; i < n; i <<= 1 {
+			ks = append(ks, 2*i+1)
+		}
+		for i := 0; i < 300; i++ {
+			ks = append(ks, 2*(rng.Intn(8*n)-4*n)+1)
+		}
+		seen := make([]bool, n)
+		for _, k := range ks {
+			perm := r.autoPermTable(k)
+			if len(perm) != n {
+				t.Fatalf("N=%d k=%d: table has %d entries", n, k, len(perm))
+			}
+			for i := range seen {
+				seen[i] = false
+			}
+			for j, src := range perm {
+				if int(src) >= n || seen[src] {
+					t.Fatalf("N=%d k=%d: entry %d = %d is out of range or repeated", n, k, j, src)
+				}
+				seen[src] = true
+			}
+		}
+	}
+}
+
+// TestNTTPermutationOpsRejectAliasedOperands: the two sweeps whose result
+// depends on the order slots are visited in when an output overlaps an
+// input refuse the call instead of answering differently per kernel.
+func TestNTTPermutationOpsRejectAliasedOperands(t *testing.T) {
+	r := chamRing(t, 16)
+	p := func() *Poly {
+		x := r.NewPoly(3)
+		x.IsNTT = true
+		return x
+	}
+	a, b, c := p(), p(), p()
+	cases := []struct {
+		name, want string
+		call       func()
+	}{
+		{"AutomorphNTTAddInto(a, a)", "ring: AutomorphNTTAddInto operands alias", func() { r.AutomorphNTTAddInto(a, a, 3) }},
+		{"MonomialSplitNTT diff = E", "ring: MonomialSplitNTT diff aliases an input", func() { r.MonomialSplitNTT(c, a, a, b, 1) }},
+		{"MonomialSplitNTT diff = O", "ring: MonomialSplitNTT diff aliases an input", func() { r.MonomialSplitNTT(c, b, a, b, 1) }},
+	}
+	for _, tc := range cases {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); msg != tc.want {
+					t.Errorf("%s: recovered %q, want %q", tc.name, msg, tc.want)
+				}
+			}()
+			tc.call()
+		}()
+	}
+	r.MonomialSplitNTT(a, c, a, b, 1) // sum over E stays legal
+}
+
 // TestMonomialSplitNTTMatchesCoeff: the cached NTT image of X^e behind
 // MonomialSplitNTT must realise the coefficient-domain MulMonomial for
 // every exponent class (beyond N, negative, zero): with E = 0 the split's
@@ -87,8 +156,10 @@ func TestMonomialSplitNTTMatchesCoeff(t *testing.T) {
 }
 
 // FuzzAutomorphNTT: for random polynomials and any valid (odd)
-// automorphism index, the NTT-slot permutation must equal the
-// coefficient-domain Automorph composed with the transforms.
+// automorphism index, the NTT-slot permutation — plain, in place and
+// fused with its accumulation, on the host's kernels and on the Go loops
+// — must equal the coefficient-domain Automorph composed with the
+// transforms.
 func FuzzAutomorphNTT(f *testing.F) {
 	n := 32
 	r := chamRing(f, n)
@@ -114,11 +185,26 @@ func FuzzAutomorphNTT(f *testing.F) {
 		want := r.NewPoly(3)
 		r.Automorph(want, a, k)
 		r.NTT(want)
-		aN := nttCopy(r, a)
-		got := r.NewPoly(3)
-		r.AutomorphNTT(got, aN, k)
-		if !got.Equal(want) {
-			t.Fatalf("k=%d: AutomorphNTT != NTT(Automorph)", k)
+		twice := r.NewPoly(3)
+		r.Add(twice, want, want)
+		check := func(impl string) {
+			aN := nttCopy(r, a)
+			got := r.NewPoly(3)
+			r.AutomorphNTT(got, aN, k)
+			if !got.Equal(want) {
+				t.Fatalf("k=%d (%s): AutomorphNTT != NTT(Automorph)", k, impl)
+			}
+			r.AutomorphNTTAddInto(got, aN, k)
+			if !got.Equal(twice) {
+				t.Fatalf("k=%d (%s): AutomorphNTTAddInto != sum of the two images", k, impl)
+			}
+			r.AutomorphNTT(aN, aN, k)
+			if !aN.Equal(want) {
+				t.Fatalf("k=%d (%s): in-place AutomorphNTT differs", k, impl)
+			}
 		}
+		check(vec.Impl())
+		vec.ForceGeneric(t)
+		check(vec.ImplGeneric)
 	})
 }

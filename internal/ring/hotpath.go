@@ -233,6 +233,9 @@ func (r *Ring) CentredLiftRow(out, src []uint64, l, from int) {
 	half := qf / 2
 	negAdd := 2*ml.Q - ml.ReduceBarrett(qf)
 	out = out[:len(src)]
+	if vec.CentredLift(ml.Q, out, src, half, negAdd) {
+		return
+	}
 	for i, x := range src {
 		neg := uint64(int64(half-x) >> 63) // all ones iff x > half
 		out[i] = ml.ReduceBarrett(x) + (neg & negAdd)
@@ -267,6 +270,9 @@ func (r *Ring) ModDownInto(out, p *Poly) {
 		qspL := ml.ReduceBarrett(msp.Q) // q_sp mod q_l
 		ra := p.Coeffs[l][:r.N]
 		ro := out.Coeffs[l][:r.N]
+		if vec.ModDownRow(ml.Q, ro, ra, spRow, halfP, qspL, pInv, pp) {
+			continue
+		}
 		for i := range ro {
 			// d ≡ x_l - [x_sp centred] in limb l. Branch-free: always
 			// subtract the reduced residue of x_sp, then add back q_sp

@@ -127,14 +127,14 @@ func (p Params) DecomposeInto(dec *Decomposition, a *ring.Poly) {
 }
 
 // KeySwitchAccumulateNTT is the key-dependent half of a key switch, left
-// in the NTT domain with the ModDown deferred: it accumulates the b-part
-// products into the caller's full-basis accumulator (btAcc += Σ_j dec_j ∘
-// B_j) and overwrites c1 with the a-part sum (c1 = Σ_j dec_j ∘ A_j).
-// Nothing is inverted or rescaled here — KeySwitchInto finishes one switch
-// on the spot, the packing tree defers both divisions to its flush. btAcc
-// and c1 must be full-basis NTT-domain polynomials holding canonical
-// residues.
-func (p Params) KeySwitchAccumulateNTT(btAcc, c1 *ring.Poly, dec *Decomposition, swk *SwitchingKey) {
+// in the NTT domain with the ModDown deferred: it accumulates both parts
+// into the caller's full-basis accumulators, btAcc += Σ_j dec_j ∘ B_j and
+// aAcc += Σ_j dec_j ∘ A_j. Nothing is inverted or rescaled here —
+// KeySwitchInto hands it a zeroed pair and finishes one switch on the
+// spot, the packing tree hands it a node's two parts and defers both
+// divisions to its flush. btAcc and aAcc must be full-basis NTT-domain
+// polynomials holding canonical residues.
+func (p Params) KeySwitchAccumulateNTT(btAcc, aAcc *ring.Poly, dec *Decomposition, swk *SwitchingKey) {
 	if swk.BsShoup == nil {
 		panic("rlwe: SwitchingKey used before Precompute")
 	}
@@ -144,13 +144,11 @@ func (p Params) KeySwitchAccumulateNTT(btAcc, c1 *ring.Poly, dec *Decomposition,
 		// written once per sweep instead of once per digit.
 		d0, d1 := dec.Digits[0], dec.Digits[1]
 		r.MulCoeffShoupPairAdd(btAcc, d0, swk.Bs[0], swk.BsShoup[0], d1, swk.Bs[1], swk.BsShoup[1])
-		r.MulCoeffShoupPair(c1, d0, swk.As[0], swk.AsShoup[0], d1, swk.As[1], swk.AsShoup[1])
+		r.MulCoeffShoupPairAdd(aAcc, d0, swk.As[0], swk.AsShoup[0], d1, swk.As[1], swk.AsShoup[1])
 		return
 	}
-	c1.Zero()
-	c1.IsNTT = true
 	for j, d := range dec.Digits {
 		r.MulCoeffShoupAdd(btAcc, d, swk.Bs[j], swk.BsShoup[j])
-		r.MulCoeffShoupAdd(c1, d, swk.As[j], swk.AsShoup[j])
+		r.MulCoeffShoupAdd(aAcc, d, swk.As[j], swk.AsShoup[j])
 	}
 }

@@ -72,7 +72,7 @@ func bothKernelModes(t *testing.T, f func(t *testing.T)) {
 func finishSwitch(p rlwe.Params, dec *rlwe.Decomposition, swk *rlwe.SwitchingKey) (outB, outA *ring.Poly) {
 	r := p.R
 	c0, c1 := r.NewPoly(r.Levels()), r.NewPoly(r.Levels())
-	c0.IsNTT = true
+	c0.IsNTT, c1.IsNTT = true, true
 	p.KeySwitchAccumulateNTT(c0, c1, dec, swk)
 	r.INTT(c0)
 	r.INTT(c1)
@@ -210,10 +210,10 @@ func TestKeySwitchIntoMatchesHoisted(t *testing.T) {
 }
 
 // TestKeySwitchAccumulateMatchesHoisted: the deferred form the packing
-// tree runs — accumulate on top of a live full-basis accumulator, divide
-// later — must flush to the eager switch: btAcc gains exactly the b-part
-// products, c1 is overwritten whatever it held, and dividing the gain
-// reproduces the switch finished on the spot.
+// tree runs — accumulate on top of two live full-basis accumulators,
+// divide later. Each part must gain exactly the reference model's raw
+// digit·key sum (ref.KeySwitchDeferred), whatever it held before, and
+// dividing the gains must reproduce the switch finished on the spot.
 func TestKeySwitchAccumulateMatchesHoisted(t *testing.T) {
 	for name, mk := range map[string]func(testing.TB, int) rlwe.Params{"cham": hoistedParams, "3+2": multiSpecialParams} {
 		p := mk(t, 256)
@@ -221,32 +221,42 @@ func TestKeySwitchAccumulateMatchesHoisted(t *testing.T) {
 		rng := testutil.NewRand(t)
 		sk := p.KeyGen(rng)
 		swk := p.AutomorphismKeyGen(rng, sk, 5)
+		full := moduliValues(r, r.Levels())
 
 		a := r.NewPoly(p.NormalLevels)
 		r.UniformPoly(rng, a)
 		dec := p.GetDecomposition()
 		p.DecomposeInto(dec, a)
 		wantB, wantA := finishSwitch(p, dec, swk)
+		refB, refA := ref.KeySwitchDeferred(ref.Compose(a, moduliValues(r, p.NormalLevels)),
+			ref.ComposeSwitchingKey(r, swk, full), full, p.NormalLevels)
 
-		full := r.Levels()
-		prior := r.NewPoly(full)
-		r.UniformPoly(rng, prior)
-		prior.IsNTT = true
-		btAcc := prior.Copy()
-		c1 := r.NewPoly(full)
-		r.UniformPoly(rng, c1) // stale contents must not leak through
-		c1.IsNTT = true
-		p.KeySwitchAccumulateNTT(btAcc, c1, dec, swk)
+		live := func() (prior, acc *ring.Poly) {
+			prior = r.NewPoly(r.Levels())
+			r.UniformPoly(rng, prior)
+			prior.IsNTT = true
+			return prior, prior.Copy()
+		}
+		priorB, btAcc := live()
+		priorA, aAcc := live()
+		p.KeySwitchAccumulateNTT(btAcc, aAcc, dec, swk)
 		p.PutDecomposition(dec)
 
-		r.Sub(btAcc, btAcc, prior)
-		r.INTT(btAcc)
-		r.INTT(c1)
-		gotB, gotA := r.NewPoly(p.NormalLevels), r.NewPoly(p.NormalLevels)
-		r.ModDownTo(gotB, btAcc)
-		r.ModDownTo(gotA, c1)
-		if !gotB.Equal(wantB) || !gotA.Equal(wantA) {
-			t.Fatalf("%s: deferred accumulate diverges from the switch finished on the spot", name)
+		parts := []struct {
+			what       string
+			acc, prior *ring.Poly
+			gain       *ref.Poly
+			want       *ring.Poly
+		}{{"b", btAcc, priorB, refB, wantB}, {"a", aAcc, priorA, refA, wantA}}
+		for _, part := range parts {
+			r.Sub(part.acc, part.acc, part.prior)
+			r.INTT(part.acc)
+			requireMatchesRef(t, name+" gain of part "+part.what, part.acc, part.gain, full)
+			got := r.NewPoly(p.NormalLevels)
+			r.ModDownTo(got, part.acc)
+			if !got.Equal(part.want) {
+				t.Fatalf("%s part %s: deferred accumulate diverges from the switch finished on the spot", name, part.what)
+			}
 		}
 	}
 }

@@ -78,7 +78,8 @@ func (p Params) switchInto(out *Ciphertext, b, a *ring.Poly, swk *SwitchingKey) 
 	p.DecomposeInto(dec, a)
 	c0, c1 := r.GetPoly(lv), r.GetPoly(lv)
 	c0.Zero()
-	c0.IsNTT = true
+	c1.Zero()
+	c0.IsNTT, c1.IsNTT = true, true
 	p.KeySwitchAccumulateNTT(c0, c1, dec, swk)
 	p.PutDecomposition(dec)
 	for l := 0; l < lv; l++ {

@@ -112,6 +112,66 @@ func MulShoupDual(q uint64, outB, outA, aB, aA, k, kShoup []uint64, add bool) bo
 	return true
 }
 
+// maxHalf bounds half the source modulus of the two lifting kernels: their
+// 52-bit Barrett reduction reads residues below 2^52.
+const maxHalf = 1 << 51
+
+// CentredLift runs the row loop of ring.(*Ring).CentredLiftRow: out[i] is
+// the canonical residue of x[i] mod q, plus negAdd where x[i] > half. x
+// holds canonical residues of a modulus below 2·half+2.
+func CentredLift(q uint64, out, x []uint64, half, negAdd uint64) bool {
+	n := len(out)
+	if half >= maxHalf || !ok(q, n, x) {
+		return false
+	}
+	centredLift(&out[0], &x[0], n, q, (1<<52)/q, half, negAdd)
+	return true
+}
+
+// ModDownRow runs one limb of ring.(*Ring).ModDownInto: out[i] =
+// (a[i] - centred(sp[i])) · pInv mod q, with sp canonical residues of the
+// dropped modulus (below 2·halfP+2), qspL that modulus mod q, a canonical
+// and pInvShoup the Shoup companion of pInv. out may alias a.
+func ModDownRow(q uint64, out, a, sp []uint64, halfP, qspL, pInv, pInvShoup uint64) bool {
+	n := len(out)
+	if halfP >= maxHalf || !ok(q, n, a, sp) {
+		return false
+	}
+	modDownRow(&out[0], &a[0], &sp[0], n, q, (1<<52)/q, halfP, qspL, pInv, pInvShoup)
+	return true
+}
+
+// gathered panics unless a gather kernel saw only indices below n. The
+// kernel never dereferences one that is not, where the Go loop would have
+// failed its bounds check.
+func gathered(inRange bool) {
+	if !inRange {
+		panic("vec: gather index out of range")
+	}
+}
+
+// Gather sets out[j] = a[perm[j]] over the first len(out) entries of perm,
+// every one of which must be below len(out). out must not overlap a.
+func Gather(out, a []uint64, perm []uint32) bool {
+	n := len(out)
+	if len(perm) < n || !ok(0, n, a) { // a copy has no modulus to bound
+		return false
+	}
+	gathered(gather(&out[0], &a[0], &perm[0], n))
+	return true
+}
+
+// GatherAdd sets out[j] = out[j] + a[perm[j]] mod q on canonical rows,
+// perm as in Gather. out must not overlap a.
+func GatherAdd(q uint64, out, a []uint64, perm []uint32) bool {
+	n := len(out)
+	if len(perm) < n || !ok(q, n, a) {
+		return false
+	}
+	gathered(gatherAdd(&out[0], &a[0], &perm[0], n, q))
+	return true
+}
+
 // The kernels of vec_amd64.s; each header comment there names the Go loop
 // it mirrors.
 
@@ -129,6 +189,18 @@ func mulShoupPair(out, a0, b0, s0, a1, b1, s1 *uint64, n int, q uint64, add bool
 
 //go:noescape
 func mulShoupDual(outB, outA, aB, aA, k, s *uint64, n int, q uint64, add bool)
+
+//go:noescape
+func centredLift(out, x *uint64, n int, q, mu, half, negAdd uint64)
+
+//go:noescape
+func modDownRow(out, a, sp *uint64, n int, q, mu, halfP, qspL, pInv, pInvShoup uint64)
+
+//go:noescape
+func gather(out, a *uint64, perm *uint32, n int) bool
+
+//go:noescape
+func gatherAdd(out, a *uint64, perm *uint32, n int, q uint64) bool
 
 //go:noescape
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

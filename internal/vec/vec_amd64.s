@@ -2,7 +2,8 @@
 // its header comment) eight lanes at a time and produces the same output
 // row bit for bit; DESIGN.md §11 "Vector kernels" carries the range
 // arguments. Preconditions, enforced by the Go wrappers in vec_amd64.go:
-// 4q < 2^52, every row length a positive multiple of 8 (NTT: N ≥ 32).
+// 4q < 2^52, every row length a positive multiple of 8 (NTT: N ≥ 32), and
+// for the two lifting kernels a source modulus below 2^52.
 
 #include "textflag.h"
 
@@ -571,6 +572,149 @@ dualAddLoop:
 	ADDQ $8, AX
 	CMPQ AX, CX
 	JLT  dualAddLoop
+	VZEROUPPER
+	RET
+
+// BARRETT52: out = x - ⌊x·mu/2^52⌋·q mod 2^52 with mu = ⌊2^52/q⌋ in Z27, in
+// [0, 2q) for any x < 2^52; as in SHOUP52 the subtraction is an addition
+// of ⌊…⌋·(2^52-q). t is scratch; out and t must differ from x.
+#define BARRETT52(x, out, t) \
+	VPXORQ t, t, t; \
+	VPMADD52HUQ Z27, x, t; \
+	VMOVDQA64 x, out; \
+	VPMADD52LUQ Z28, t, out; \
+	VPANDQ Z29, out, out
+
+// func centredLift(out, x *uint64, n int, q, mu, half, negAdd uint64)
+//
+// Mirrors the row loop of ring.(*Ring).CentredLiftRow: the canonical
+// residue of x mod q, plus negAdd in exactly the lanes where x > half.
+TEXT ·centredLift(SB), NOSPLIT, $0-56
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ q+24(FP), BX
+	CONSTS(BX)
+	VPBROADCASTQ mu+32(FP), Z27
+	VPBROADCASTQ half+40(FP), Z26
+	VPBROADCASTQ negAdd+48(FP), Z25
+	XORQ AX, AX
+
+liftLoop:
+	VMOVDQU64 (SI)(AX*8), Z0
+	BARRETT52(Z0, Z1, Z2)
+	CSUB(Z1, Z31, Z2)
+	VPCMPUQ $6, Z26, Z0, K1     // x > half
+	VPADDQ Z25, Z1, K1, Z1
+	VMOVDQU64 Z1, (DI)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  liftLoop
+	VZEROUPPER
+	RET
+
+// func modDownRow(out, a, sp *uint64, n int, q, mu, halfP, qspL, pInv, pInvShoup uint64)
+//
+// Mirrors the limb loop of ring.(*Ring).ModDownInto:
+// d = a + 2q - (sp mod q) (+ qspL where sp > halfP), below 4q for a < q;
+// out = MulShoup(d, pInv), canonical.
+TEXT ·modDownRow(SB), NOSPLIT, $0-80
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ sp+16(FP), R8
+	MOVQ n+24(FP), CX
+	MOVQ q+32(FP), BX
+	CONSTS(BX)
+	VPBROADCASTQ mu+40(FP), Z27
+	VPBROADCASTQ halfP+48(FP), Z26
+	VPBROADCASTQ qspL+56(FP), Z25
+	VPBROADCASTQ pInv+64(FP), Z24
+	VPBROADCASTQ pInvShoup+72(FP), Z23
+	VPSRLQ $12, Z23, Z23
+	XORQ AX, AX
+
+modDownLoop:
+	VMOVDQU64 (R8)(AX*8), Z0
+	BARRETT52(Z0, Z1, Z2)       // red < 2q
+	VMOVDQU64 (SI)(AX*8), Z3
+	VPADDQ Z30, Z3, Z3
+	VPSUBQ Z1, Z3, Z3           // a + 2q - red
+	VPCMPUQ $6, Z26, Z0, K1     // sp > halfP
+	VPADDQ Z25, Z3, K1, Z3      // d < 4q
+	SHOUP52(Z3, Z24, Z23, Z4, Z5)
+	CSUB(Z4, Z31, Z5)
+	VMOVDQU64 Z4, (DI)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  modDownLoop
+	VZEROUPPER
+	RET
+
+// GATHER8: Z0 = a[perm[AX:AX+8]] for a at SI and perm at R8, reading only
+// the lanes whose index is below n (Z5, sixteen dwords; the eight the
+// VEX load zeroed always pass) and leaving 0 in the others; K2 keeps the
+// AND of the lane masks. Clobbers Z1 and K1.
+#define GATHER8 \
+	VMOVDQU (R8)(AX*4), Y1; \
+	VPCMPUD $1, Z5, Z1, K1; \
+	KANDW K1, K2, K2; \
+	VPXORQ Z0, Z0, Z0; \
+	VPGATHERDQ (SI)(Y1*8), K1, Z0
+
+// GATHERRET: ret = every index seen was in range.
+#define GATHERRET(ret) \
+	KMOVW K2, AX; \
+	CMPB AL, $0xff; \
+	SETEQ ret
+
+// func gather(out, a *uint64, perm *uint32, n int) bool
+//
+// Mirrors the row loop of ring.(*Ring).AutomorphNTT: out[j] = a[perm[j]].
+// out must not overlap a. An index ≥ n is not dereferenced and makes the
+// result false.
+TEXT ·gather(SB), NOSPLIT, $0-33
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ perm+16(FP), R8
+	MOVQ n+24(FP), CX
+	VPBROADCASTD CX, Z5
+	KXNORW K2, K2, K2
+	XORQ AX, AX
+
+gatherLoop:
+	GATHER8
+	VMOVDQU64 Z0, (DI)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  gatherLoop
+	GATHERRET(ret+32(FP))
+	VZEROUPPER
+	RET
+
+// func gatherAdd(out, a *uint64, perm *uint32, n int, q uint64) bool
+//
+// Mirrors the row loop of ring.(*Ring).AutomorphNTTAddInto:
+// out[j] = Add(out[j], a[perm[j]]) on canonical rows. out must not
+// overlap a; indices as in gather.
+TEXT ·gatherAdd(SB), NOSPLIT, $0-41
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ perm+16(FP), R8
+	MOVQ n+24(FP), CX
+	VPBROADCASTQ q+32(FP), Z31
+	VPBROADCASTD CX, Z5
+	KXNORW K2, K2, K2
+	XORQ AX, AX
+
+gatherAddLoop:
+	GATHER8
+	VPADDQ (DI)(AX*8), Z0, Z0
+	CSUB(Z0, Z31, Z2)
+	VMOVDQU64 Z0, (DI)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  gatherAddLoop
+	GATHERRET(ret+40(FP))
 	VZEROUPPER
 	RET
 

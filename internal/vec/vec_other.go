@@ -20,3 +20,13 @@ func MonomialSplit(q uint64, sum, diff, e, o, m, mShoup []uint64) bool { return 
 func MulShoupPair(q uint64, out, a0, b0, s0, a1, b1, s1 []uint64, add bool) bool { return false }
 
 func MulShoupDual(q uint64, outB, outA, aB, aA, k, kShoup []uint64, add bool) bool { return false }
+
+func CentredLift(q uint64, out, x []uint64, half, negAdd uint64) bool { return false }
+
+func ModDownRow(q uint64, out, a, sp []uint64, halfP, qspL, pInv, pInvShoup uint64) bool {
+	return false
+}
+
+func Gather(out, a []uint64, perm []uint32) bool { return false }
+
+func GatherAdd(q uint64, out, a []uint64, perm []uint32) bool { return false }

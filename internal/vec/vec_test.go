@@ -91,10 +91,11 @@ func runAll(r *ring.Ring, seed int64, fill int) []result {
 	g := &gen{r: r, rng: rand.New(rand.NewSource(seed)), fill: fill}
 	lv := r.Levels()
 	var out []result
+	// keep snapshots the rows, so a polynomial may be written again later.
 	keep := func(name string, ps ...*ring.Poly) {
 		var rows [][]uint64
 		for _, p := range ps {
-			rows = append(rows, p.Coeffs...)
+			rows = append(rows, p.Copy().Coeffs...)
 		}
 		out = append(out, result{name, rows})
 	}
@@ -135,6 +136,30 @@ func runAll(r *ring.Ring, seed int64, fill int) []result {
 	r.MulCoeffShoupDual(outB, outA, a0, a1, b0, s0)
 	r.MulCoeffShoupDualAdd(accB, accA, a0, a1, b0, s0)
 	keep("dual", outB, outA, accB, accA)
+
+	// The merge's other sweeps: the centred lift between every pair of
+	// limbs (the edges fill puts half-1, half, half+1 and q-1 of the source
+	// modulus in every lane), the ModDown rows, and the two automorphism
+	// gathers, AutomorphNTT into a fresh polynomial and in place.
+	for l := range r.Moduli {
+		for from := range r.Moduli {
+			if l == from {
+				continue
+			}
+			row := make([]uint64, r.N)
+			r.CentredLiftRow(row, g.row(r.Moduli[from].Q), l, from)
+			out = append(out, result{fmt.Sprintf("centredlift/limb%d<-limb%d", l, from), [][]uint64{row}})
+		}
+	}
+	down := r.NewPoly(lv - 1)
+	r.ModDownInto(down, g.poly(false))
+	keep("moddown", down)
+	a := g.poly(true)
+	k := 2*g.rng.Intn(r.N) + 1
+	r.AutomorphNTT(sum, a, k)
+	r.AutomorphNTTAddInto(acc, a, k)
+	r.AutomorphNTT(a, a, k)
+	keep("automorph", sum, acc, a)
 	return out
 }
 
@@ -187,6 +212,10 @@ func TestKernelGates(t *testing.T) {
 			"MonomialSplit": vec.MonomialSplit(q, z(), z(), z(), z(), z(), z()),
 			"MulShoupPair":  vec.MulShoupPair(q, z(), z(), z(), z(), z(), z(), z(), true),
 			"MulShoupDual":  vec.MulShoupDual(q, z(), z(), z(), z(), z(), z(), true),
+			"CentredLift":   vec.CentredLift(q, z(), z(), q/2, 0),
+			"ModDownRow":    vec.ModDownRow(q, z(), z(), z(), q/2, 0, 0, 0),
+			"Gather":        vec.Gather(z(), z(), make([]uint32, n)),
+			"GatherAdd":     vec.GatherAdd(q, z(), z(), make([]uint32, n)),
 		}
 	}
 	expect := func(t *testing.T, got map[string]bool, want func(kernel string) bool) {
@@ -206,7 +235,8 @@ func TestKernelGates(t *testing.T) {
 		expect(t, calls(under, 4096), all)
 	})
 	t.Run("q over 2^50", func(t *testing.T) {
-		expect(t, calls(over, 32), none)
+		// A plain copy has no modulus to exceed a lane.
+		expect(t, calls(over, 32), func(k string) bool { return accel && k == "Gather" })
 	})
 	t.Run("N=16", func(t *testing.T) {
 		expect(t, calls(cham, 16), func(k string) bool { return accel && k != "ForwardNTT" && k != "InverseNTT" })
@@ -220,6 +250,21 @@ func TestKernelGates(t *testing.T) {
 		if vec.MulShoupDual(cham, z(32), z(32), z(32), z(32), z(32), z(24), true) {
 			t.Error("MulShoupDual accepted an operand shorter than out")
 		}
+		if vec.ModDownRow(cham, z(32), z(32), z(24), cham/2, 0, 0, 0) {
+			t.Error("ModDownRow accepted a special row shorter than out")
+		}
+		if vec.Gather(z(32), z(32), make([]uint32, 24)) || vec.GatherAdd(cham, z(32), z(32), make([]uint32, 24)) {
+			t.Error("a gather accepted an index table shorter than out")
+		}
+	})
+	t.Run("source modulus over 2^52", func(t *testing.T) {
+		z := func() []uint64 { return make([]uint64, 32) }
+		if vec.CentredLift(cham, z(), z(), 1<<51, 0) || vec.ModDownRow(cham, z(), z(), z(), 1<<51, 0, 0, 0) {
+			t.Error("a lifting kernel accepted half >= 2^51")
+		}
+		if accel && !(vec.CentredLift(cham, z(), z(), 1<<51-1, 0) && vec.ModDownRow(cham, z(), z(), z(), 1<<51-1, 0, 0, 0)) {
+			t.Error("a lifting kernel declined half = 2^51-1")
+		}
 	})
 	t.Run("forced generic", func(t *testing.T) {
 		vec.ForceGeneric(t)
@@ -230,6 +275,51 @@ func TestKernelGates(t *testing.T) {
 	})
 	if (vec.Impl() == vec.ImplIFMA) != accel {
 		t.Errorf("ForceGeneric did not restore the switch: Impl() = %q", vec.Impl())
+	}
+}
+
+// TestGatherChecksIndices: the gathers are the only kernels that form an
+// address from data. An index at or beyond the row length is never
+// dereferenced — the lane reads as zero — and the call panics, where the
+// Go loop would have failed its bounds check.
+func TestGatherChecksIndices(t *testing.T) {
+	if vec.Impl() != vec.ImplIFMA {
+		t.Skip("no gather kernel on this host")
+	}
+	const n = 32
+	q := mod.ChamModuli()[0]
+	for _, bad := range []uint32{n, n + 1, 1 << 20, 1<<31 - 1, 1 << 31, 1<<32 - 1} {
+		for _, at := range []int{0, 7, 13, n - 1} {
+			a, perm := make([]uint64, n), make([]uint32, n)
+			for i := range a {
+				a[i], perm[i] = uint64(i+1), uint32(n-1-i)
+			}
+			perm[at] = bad
+			calls := map[string]func(out []uint64){
+				"Gather":    func(out []uint64) { vec.Gather(out, a, perm) },
+				"GatherAdd": func(out []uint64) { vec.GatherAdd(q, out, a, perm) },
+			}
+			for name, call := range calls {
+				out := make([]uint64, n)
+				func() {
+					defer func() {
+						if msg, _ := recover().(string); msg != "vec: gather index out of range" {
+							t.Errorf("%s, index %d at %d: recovered %q, want the out-of-range panic", name, bad, at, msg)
+						}
+					}()
+					call(out)
+				}()
+				for j := range out {
+					want := uint64(0)
+					if j != at {
+						want = a[perm[j]]
+					}
+					if out[j] != want {
+						t.Errorf("%s, index %d at %d: out[%d] = %d, want %d", name, bad, at, j, out[j], want)
+					}
+				}
+			}
+		}
 	}
 }
 
