@@ -52,12 +52,14 @@ vet-strict:
 
 fuzz:
 	$(GO) test ./internal/mod -run '^$$' -fuzz '^FuzzModReduce$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mod -run '^$$' -fuzz '^FuzzShoupPrecomp$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ntt -run '^$$' -fuzz '^FuzzNTTRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ntt -run '^$$' -fuzz '^FuzzNegacyclicMul$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ring -run '^$$' -fuzz '^FuzzAutomorphNTT$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vec -run '^$$' -fuzz '^FuzzVecKernels$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lwe -run '^$$' -fuzz '^FuzzPackLWEs$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rlwe -run '^$$' -fuzz '^FuzzDecomposeHoisted$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/bfv -run '^$$' -fuzz '^FuzzDecryptRound$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzHMVPDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzWireRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME)
@@ -68,12 +70,13 @@ fuzz:
 
 # The vector kernels (internal/vec): the !amd64 stubs and every guard
 # compile for another architecture (from GOROOT alone, no download), the
-# kernel and caller packages — up to the merge and the apply, which run
-# every guard concurrently — pass under the race detector, and the
-# kernels-vs-Go-loops fuzz target smokes.
+# kernel and caller packages — from the companion words in mod up to the
+# merge, the apply and the array tier, which run every guard concurrently
+# — pass under the race detector, and the kernels-vs-Go-loops fuzz target
+# smokes.
 kernels:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/...
-	$(GO) test -race -count=1 ./internal/vec ./internal/ntt ./internal/ring ./internal/rlwe ./internal/lwe ./internal/core
+	$(GO) test -race -count=1 ./internal/vec ./internal/mod ./internal/ntt ./internal/ring ./internal/rlwe ./internal/bfv ./internal/lwe ./internal/core ./internal/chamnp
 	$(GO) test ./internal/vec -run '^$$' -fuzz '^FuzzVecKernels$$' -fuzztime $(FUZZTIME)
 
 # Nothing beside the hot path: every function internal/{mod,ntt,ring,rlwe,

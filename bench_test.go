@@ -7,6 +7,7 @@ package cham
 // the functional baseline the paper's CPU numbers correspond to.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -21,6 +22,7 @@ import (
 	"cham/internal/perfmodel"
 	"cham/internal/pipeline"
 	"cham/internal/ring"
+	"cham/internal/testutil"
 	"cham/internal/vec"
 )
 
@@ -266,6 +268,45 @@ func BenchmarkSoftwareEncrypt(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = p.Encrypt(rng, sk, pt, 3)
+	}
+}
+
+// BenchmarkSoftwarePrepare times the per-matrix half of the HMVP at the
+// design point and at the benchmark's fresh-weights shape.
+func BenchmarkSoftwarePrepare(b *testing.B) {
+	p := benchParams(b, 4096)
+	rng := rand.New(rand.NewSource(8))
+	sk := p.KeyGen(rng)
+	for _, shape := range [][2]int{{256, 4096}, {32, 16384}} {
+		rows, cols := shape[0], shape[1]
+		b.Run(fmt.Sprintf("%dx%d", rows, cols), func(b *testing.B) {
+			b.ReportAllocs()
+			ev, err := NewEvaluator(p, rng, sk, rows)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ev.Workers = 1
+			A := testutil.Matrix(rng, rows, cols, p.T.Q)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ev.Prepare(A); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSoftwareDecrypt times reading one packed result tile back.
+func BenchmarkSoftwareDecrypt(b *testing.B) {
+	b.ReportAllocs()
+	p := benchParams(b, 4096)
+	rng := rand.New(rand.NewSource(9))
+	sk := p.KeyGen(rng)
+	res := &Result{M: 32, N: 4096, Packed: []*Ciphertext{p.Encrypt(rng, sk, p.NewPlaintext(), p.NormalLevels)}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = DecryptResult(p, res, sk)
 	}
 }
 

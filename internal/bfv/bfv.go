@@ -31,10 +31,14 @@ type Params struct {
 	T mod.Modulus
 	// slotTable is non-nil when t supports SIMD batching (t ≡ 1 mod 2N).
 	slotTable *ntt.Table
+	// levels[k-1] holds the Δ-scaling and decryption-rounding constants of
+	// k-limb ciphertexts (scale.go).
+	levels []levelConsts
 }
 
 // NewParams builds BFV parameters over the given ring. t must be odd and
-// smaller than every ciphertext limb.
+// smaller than every ciphertext limb, and the full basis narrow enough for
+// the two-word decryption rounding ((k+1)·Q ≤ 2^128 over its k limbs).
 func NewParams(r *ring.Ring, normalLevels, eta int, t uint64) (Params, error) {
 	base, err := rlwe.NewParams(r, normalLevels, eta)
 	if err != nil {
@@ -49,7 +53,12 @@ func NewParams(r *ring.Ring, normalLevels, eta int, t uint64) (Params, error) {
 			return Params{}, fmt.Errorf("bfv: t=%d not below limb %d", t, m.Q)
 		}
 	}
-	p := Params{Params: base, T: tm}
+	p := Params{Params: base, T: tm, levels: make([]levelConsts, r.Levels())}
+	for k := range p.levels {
+		if p.levels[k], err = newLevelConsts(r, tm, k+1); err != nil {
+			return Params{}, err
+		}
+	}
 	if (t-1)%uint64(2*r.N) == 0 && mod.IsPrime(t) {
 		st, err := ntt.NewTable(r.N, t)
 		if err != nil {
@@ -120,51 +129,41 @@ func (p Params) Lift(pt *Plaintext, levels int) *ring.Poly {
 // Encrypt encrypts pt under sk at the given level count: ct = Enc(0) + Δ·pt.
 func (p Params) Encrypt(rng *rand.Rand, sk *rlwe.SecretKey, pt *Plaintext, levels int) *rlwe.Ciphertext {
 	ct := p.EncryptZeroSym(rng, sk, levels)
-	scaled := p.Lift(pt, levels)
-	p.R.MulScalarBig(scaled, scaled, p.Delta(levels))
-	p.R.Add(ct.B, ct.B, scaled)
+	p.addScaled(ct.B, pt)
 	return ct
 }
 
 // EncryptPK is Encrypt using a public key.
 func (p Params) EncryptPK(rng *rand.Rand, pk *rlwe.PublicKey, pt *Plaintext, levels int) *rlwe.Ciphertext {
 	ct := p.EncryptZeroPK(rng, pk, levels)
-	scaled := p.Lift(pt, levels)
-	p.R.MulScalarBig(scaled, scaled, p.Delta(levels))
-	p.R.Add(ct.B, ct.B, scaled)
+	p.addScaled(ct.B, pt)
 	return ct
 }
 
 // Decrypt recovers the plaintext: m = ⌊t·phase/Q⌉ mod t per coefficient.
+// The phase lives in pooled scratch; only the plaintext is allocated.
 func (p Params) Decrypt(ct *rlwe.Ciphertext, sk *rlwe.SecretKey) *Plaintext {
-	phase := p.Phase(ct, sk)
-	levels := ct.Levels()
-	vals := p.R.ToBigIntCentered(phase, levels)
-	q := p.R.Modulus(levels)
-	tBig := new(big.Int).SetUint64(p.T.Q)
+	phase := p.R.GetPoly(ct.Levels())
+	p.PhaseInto(phase, ct, sk)
 	out := p.NewPlaintext()
-	num, rem := new(big.Int), new(big.Int)
-	halfQ := new(big.Int).Rsh(q, 1)
-	for i, v := range vals {
-		num.Mul(v, tBig)
-		// Round-to-nearest division num/q for signed num.
-		num.Add(num, halfQ)
-		num.DivMod(num, q, rem)
-		num.Mod(num, tBig)
-		out.Coeffs[i] = num.Uint64()
-	}
+	p.roundInto(out.Coeffs, phase)
+	p.R.PutPoly(phase)
 	return out
 }
 
 // AddPlain homomorphically adds the plaintext to the ciphertext in place:
 // ct.B += Δ·pt.
 func (p Params) AddPlain(ct *rlwe.Ciphertext, pt *Plaintext) {
-	scaled := p.Lift(pt, ct.Levels())
-	p.R.MulScalarBig(scaled, scaled, p.Delta(ct.Levels()))
-	if ct.B.IsNTT {
-		p.R.NTT(scaled)
+	if !ct.B.IsNTT {
+		p.addScaled(ct.B, pt)
+		return
 	}
+	scaled := p.R.GetPoly(ct.Levels())
+	scaled.Zero()
+	p.addScaled(scaled, pt)
+	p.R.NTT(scaled)
 	p.R.Add(ct.B, ct.B, scaled)
+	p.R.PutPoly(scaled)
 }
 
 // MulScalar homomorphically multiplies the ciphertext by a small cleartext

@@ -61,3 +61,39 @@ func TestApplyWarmZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestClientHalfAllocs pins the heap traffic of the client's two calls
+// around an apply: encrypting a vector allocates the ciphertexts it
+// returns and little else (≤ 16 per chunk), reading a result back only
+// the values and one plaintext per tile (≤ 8 per tile) — no big.Int.
+func TestClientHalfAllocs(t *testing.T) {
+	p := testParams(t, 64)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	ev, err := NewEvaluator(p, rng, sk, p.R.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev.Workers = 1
+	const rows, cols = 100, 150 // two row tiles, three column chunks
+	pm, err := ev.Prepare(testutil.Matrix(rng, rows, cols, p.T.Q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := testutil.Vector(rng, cols, p.T.Q)
+	var ctV []*rlwe.Ciphertext
+	encrypt := func() { ctV = EncryptVector(p, rng, sk, v) }
+	encrypt()
+	if allocs := testing.AllocsPerRun(10, encrypt); allocs > 16*float64(pm.Chunks()) {
+		t.Errorf("EncryptVector allocates %.1f for %d chunks, want ≤ 16 per chunk", allocs, pm.Chunks())
+	}
+	res, err := pm.Apply(ctV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decrypt := func() { DecryptResult(p, res, sk) }
+	decrypt()
+	if allocs := testing.AllocsPerRun(10, decrypt); allocs > 8*float64(pm.Tiles()) {
+		t.Errorf("DecryptResult allocates %.1f for %d tiles, want ≤ 8 per tile", allocs, pm.Tiles())
+	}
+}

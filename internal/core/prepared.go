@@ -260,10 +260,10 @@ func (e *Evaluator) buildTile(pm *PreparedMatrix, A [][]uint64, ti int, rs *rowS
 			clk.Mark(obs.StageEncode)
 			p.LiftInto(pt, rs.pt)
 			clk.Mark(obs.StageLift)
-			p.R.NTT(pt)
+			// The companion pass runs inside the transform, limb by limb,
+			// and is charged to it.
+			p.R.NTTShoupInto(rsh[c], pt)
 			clk.Mark(obs.StageNTT)
-			p.R.ShoupPrecompPolyInto(rsh[c], pt)
-			clk.Skip() // Shoup tables are bookkeeping, not a pipeline stage
 		}
 		t.rowNTT[i] = rp
 		t.rowShoup[i] = rsh

@@ -102,12 +102,24 @@ func runSoftware() []*Table {
 	hmvpModel := cpu.HMVPSeconds(pm, 8, n)
 	t.AddRow("HMVP 8x4096", hmvpT.String(), ms(hmvpModel), f2(hmvpT.Seconds()/hmvpModel))
 
+	// The host half of Fig. 1b beside the apply: preparing the design-point
+	// matrix (modelled as its forward transforms and companion sweeps),
+	// encrypting one vector chunk and reading one result tile back.
+	var prepared *core.PreparedMatrix
+	prepT, _ := timeOp(time.Second, func() {
+		if prepared, err = ev.Prepare(a); err != nil {
+			panic(err)
+		}
+	})
+	prepOps := core.OpCounts{NTT: designRows * pm.FullLevels, MultPoly: designRows * pm.FullLevels}
+	prepModel := float64(prepOps.ModMuls(n)) / (cpu.ModMulsPerSec * float64(cpu.Threads) * cpu.Efficiency)
+	t.AddRow("Prepare 256x4096", prepT.String(), ms(prepModel), f2(prepT.Seconds()/prepModel))
+	encT, _ := timeOp(150*time.Millisecond, func() { _ = core.EncryptVector(p, rng, sk, v) })
+	encModel := cpu.EncryptVectorSeconds(pm, n)
+	t.AddRow("Encrypt (1 chunk)", encT.String(), ms(encModel), f2(encT.Seconds()/encModel))
+
 	// The paper's design point the way the serving stack runs it: the
 	// matrix prepared once, the apply warm.
-	prepared, err := ev.Prepare(a)
-	if err != nil {
-		panic(err)
-	}
 	res := prepared.NewResult()
 	designT, _ := timeOp(500*time.Millisecond, func() {
 		if err := prepared.ApplyInto(res, ctV); err != nil {
@@ -116,6 +128,9 @@ func runSoftware() []*Table {
 	})
 	designModel := cpu.HMVPSeconds(pm, designRows, n)
 	t.AddRow("HMVP 256x4096 (prepared, warm)", designT.String(), ms(designModel), f2(designT.Seconds()/designModel))
+	decT, _ := timeOp(150*time.Millisecond, func() { _ = core.DecryptResult(p, res, sk) })
+	decModel := cpu.DecryptVectorSeconds(pm, designRows)
+	t.AddRow("Decrypt (1 tile)", decT.String(), ms(decModel), f2(decT.Seconds()/decModel))
 	cham := chamHMVPSeconds(designRows, n)
 
 	t.Notes = append(t.Notes,

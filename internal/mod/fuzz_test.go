@@ -81,3 +81,26 @@ func FuzzModReduce(f *testing.F) {
 		}
 	})
 }
+
+// FuzzShoupPrecomp holds the division-free companion word to
+// bits.Div64(w, 0, q) over arbitrary (coerced) moduli and words, reduced or
+// not.
+func FuzzShoupPrecomp(f *testing.F) {
+	for _, q := range ChamModuli() {
+		f.Add(q, uint64(0))
+		f.Add(q, q-1)
+		f.Add(q, q/2+1)
+	}
+	f.Add(uint64(65537), uint64(65536))
+	f.Add(uint64(1)<<62-1, uint64(1)<<62-2)
+	f.Add(uint64(3), ^uint64(0))
+	f.Fuzz(func(t *testing.T, q, w uint64) {
+		q = q&(1<<MaxModulusBits-1) | 1
+		if q < 3 {
+			q = 3
+		}
+		if got, want := New(q).ShoupPrecomp(w), shoupPrecompDiv64(q, w); got != want {
+			t.Fatalf("q=%d: ShoupPrecomp(%d) = %d, want %d", q, w, got, want)
+		}
+	})
+}

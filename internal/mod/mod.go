@@ -122,12 +122,18 @@ func (m Modulus) Reduce(a uint64) uint64 {
 // ReduceBarrett returns a mod q for an arbitrary uint64 a via the Barrett
 // constant — no hardware division. It is the fast path for reducing
 // centred-lift magnitudes (|v| < 2^62) inside RESCALE and digit
-// decomposition loops, where Reduce's division would dominate.
+// decomposition loops and for uniform sampling, where Reduce's division
+// would dominate. One word of the constant is enough for a one-word
+// input: ⌊a·⌊2^64/q⌋/2^64⌋ is ⌊a/q⌋ or one below it (the two reals differ
+// by less than a/2^64 < 1), so one conditional subtraction finishes; for
+// a < q the estimate is 0 and a comes back unchanged.
 func (m Modulus) ReduceBarrett(a uint64) uint64 {
-	if a < m.Q {
-		return a
+	qhat, _ := bits.Mul64(a, m.BRC[0])
+	r := a - qhat*m.Q
+	if r >= m.Q {
+		r -= m.Q
 	}
-	return m.BarrettReduce128(0, a)
+	return r
 }
 
 // Reduce128 returns (hi·2^64 + lo) mod q using hardware division.
@@ -171,15 +177,39 @@ func (m Modulus) BarrettReduce128(hi, lo uint64) uint64 {
 
 // ShoupPrecomp returns floor(w·2^64/q), the companion word for MulShoup.
 // w must be reduced (< q).
+//
+// No division: with BRC = ⌊2^128/q⌋ = hi·2^64 + lo, the estimate
+// est = w·hi + ⌊w·lo/2^64⌋ is ⌊w·BRC/2^64⌋, and w·2^64/q exceeds w·BRC/2^64
+// by w·(2^128 mod q)/(q·2^64) < w/2^64 < 1, so the quotient is est or
+// est+1. The remainder w·2^64 − est·q is therefore in [0, 2q) and equals
+// −est·q modulo 2^64; it reaching q is what tells the two apart.
 func (m Modulus) ShoupPrecomp(w uint64) uint64 {
-	// bits.Div64 needs its high word below q. The contract gives that, so
-	// the reducing division runs only for a caller that breaks it — one
-	// hardware division per word instead of two.
+	// The reducing division runs only for a caller that breaks the contract.
 	if w >= m.Q {
 		w %= m.Q
 	}
-	q, _ := bits.Div64(w, 0, m.Q)
-	return q
+	return shoupPrecomp(w, m.Q, m.BRC[0], m.BRC[1])
+}
+
+// shoupPrecomp is ShoupPrecomp on bare words, w < q and (hi, lo) = BRC.
+func shoupPrecomp(w, q, hi, lo uint64) uint64 {
+	carry, _ := bits.Mul64(w, lo)
+	est := w*hi + carry
+	r := -(est * q)
+	return est + (q-1-r)>>63 // +1 iff r ≥ q (r < 2q < 2^63)
+}
+
+// ShoupPrecompRow sets dst[i] = ShoupPrecomp(w[i]) over a row, with the
+// modulus and its reciprocal held in registers across the loop.
+func (m Modulus) ShoupPrecompRow(dst, w []uint64) {
+	q, hi, lo := m.Q, m.BRC[0], m.BRC[1]
+	dst = dst[:len(w)]
+	for i, v := range w {
+		if v >= q {
+			v %= q
+		}
+		dst[i] = shoupPrecomp(v, q, hi, lo)
+	}
 }
 
 // MulShoup returns a·w mod q where wp = ShoupPrecomp(w). The multiplicand w

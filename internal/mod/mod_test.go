@@ -276,3 +276,39 @@ func TestFoldReduce(t *testing.T) {
 	}()
 	generic.FoldReduce128(0, 1)
 }
+
+// shoupPrecompDiv64 is the hardware-division companion ShoupPrecomp
+// computed until it went division-free, kept as the oracle.
+func shoupPrecompDiv64(q, w uint64) uint64 {
+	quo, _ := bits.Div64(w%q, 0, q)
+	return quo
+}
+
+// TestShoupPrecompMatchesDiv64 holds the reciprocal companion to the
+// divided one: the CHAM moduli, t, and random odd moduli up to 2^62, on
+// the boundary words and a million random ones.
+func TestShoupPrecompMatchesDiv64(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	moduli := append([]uint64{65537, 3, 1<<62 - 1}, testModuli...)
+	for i := 0; i < 64; i++ {
+		moduli = append(moduli, (rng.Uint64()>>uint(2+rng.Intn(60)))|3)
+	}
+	perModulus := 1000000 / len(moduli)
+	if testing.Short() {
+		perModulus /= 10
+	}
+	for _, q := range moduli {
+		m := New(q)
+		check := func(w uint64) {
+			if got, want := m.ShoupPrecomp(w), shoupPrecompDiv64(q, w); got != want {
+				t.Fatalf("q=%d: ShoupPrecomp(%d) = %d, want %d", q, w, got, want)
+			}
+		}
+		for _, w := range []uint64{0, 1, 2, q - 1, q - 2, q/2 - 1, q / 2, q/2 + 1} {
+			check(w)
+		}
+		for i := 0; i < perModulus; i++ {
+			check(rng.Uint64() % q)
+		}
+	}
+}

@@ -5,14 +5,17 @@ import "time"
 // The HMVP stage taxonomy (DESIGN.md §7/§9): the paper's nine pipeline
 // stages plus the hoisted digit-decomposition split of the key switch —
 // ten stages in all. RESCALE (moddown) is charged only by the pack tree:
-// the row apply defers its divisions to the tree flush. These indices and
+// the row apply defers its divisions to the tree flush. In a Prepare the
+// Shoup companion pass over a row is charged to ntt — it is a by-product
+// of the transform and fused with it — so encode + lift + ntt add up to
+// the Prepare span with no sweep left uncharged. These indices and
 // names are the single source of truth shared by the instrumented kernels
 // (internal/core, internal/lwe), the exposition format, cmd/chamtop, and
 // the documentation: a stage renamed here renames everywhere.
 const (
 	StageEncode      = iota // row coefficient encoding (Eq. 1)
 	StageLift               // CRT lift to the augmented basis
-	StageNTT                // forward transforms (rows + vector chunks)
+	StageNTT                // forward transforms (rows + vector chunks) and, in Prepare, each row's Shoup companion pass
 	StageRowMul             // MULTPOLY multiply-accumulate (Eq. 2)
 	StageINTT               // inverse transform of the accumulator
 	StageExtract            // EXTRACTLWES constant-coefficient extraction (Eq. 3)

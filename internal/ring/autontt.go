@@ -197,9 +197,7 @@ func (r *Ring) monoNTTTable(e int) *monoTable {
 			row[ee-n] = m.Q - 1
 		}
 		r.Tables[l].ForwardLazy(row)
-		for i, v := range row {
-			t.shoup[l][i] = m.ShoupPrecomp(v)
-		}
+		m.ShoupPrecompRow(t.shoup[l], row)
 	}
 	r.monoNTT[ee] = t
 	return t

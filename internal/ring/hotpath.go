@@ -82,29 +82,29 @@ func (r *Ring) ShoupPrecompPoly(p *Poly) [][]uint64 {
 	backing := make([]uint64, p.Levels()*r.N)
 	for l := range out {
 		out[l], backing = backing[:r.N], backing[r.N:]
-		m := r.Moduli[l]
-		for i, v := range p.Coeffs[l] {
-			out[l][i] = m.ShoupPrecomp(v)
-		}
+		r.Moduli[l].ShoupPrecompRow(out[l], p.Coeffs[l])
 	}
 	return out
 }
 
-// ShoupPrecompPolyInto fills dst (one row of at least N words per limb of
-// p) with p's Shoup companion table, the allocation-free form of
-// ShoupPrecompPoly used when the caller slabs many tables into one
-// backing array (prepared-matrix rows).
-func (r *Ring) ShoupPrecompPolyInto(dst [][]uint64, p *Poly) {
+// NTTShoupInto transforms p to the evaluation domain in place and fills dst
+// (one row of at least N words per limb of p) with ShoupPrecompPoly of the
+// result — limb by limb, so the companion pass reads each row while the
+// transform still has it in cache. It is the allocation-free form used
+// when the caller slabs many tables into one backing array (prepared-matrix
+// rows).
+func (r *Ring) NTTShoupInto(dst [][]uint64, p *Poly) {
+	if p.IsNTT {
+		panic("ring: NTT of an NTT-domain polynomial")
+	}
 	if len(dst) < p.Levels() {
 		panic("ring: Shoup table level mismatch")
 	}
-	for l := 0; l < p.Levels(); l++ {
-		m := r.Moduli[l]
-		row := dst[l][:r.N]
-		for i, v := range p.Coeffs[l][:r.N] {
-			row[i] = m.ShoupPrecomp(v)
-		}
+	for l, row := range p.Coeffs {
+		r.Tables[l].ForwardLazy(row)
+		r.Moduli[l].ShoupPrecompRow(dst[l][:r.N], row)
 	}
+	p.IsNTT = true
 }
 
 // MulCoeffShoupAdd sets out += a ∘ b where bShoup = ShoupPrecompPoly(b).

@@ -311,41 +311,60 @@ func (r *Ring) MulPoly(out, a, b *Poly) {
 	r.INTT(out)
 }
 
+// The samplers draw from the generator exactly the words, in exactly the
+// order, that the rand.Rand convenience methods they were first written on
+// did, so a seed keeps producing the same keys and ciphertexts: UniformPoly
+// one Uint64 per residue, limb-major; TernaryPoly one Intn(3) (a rejection
+// loop over Int31) per coefficient; CBDPoly 2·eta Int63 words per
+// coefficient, of each only bit 32 — the low bit of the Int31 a draw of
+// one bit through Intn reduces to, for every rand.Source.
+
 // UniformPoly fills p with independent uniform residues.
 func (r *Ring) UniformPoly(rng *rand.Rand, p *Poly) {
 	for l := range p.Coeffs {
-		q := r.Moduli[l].Q
+		m := r.Moduli[l]
 		for i := range p.Coeffs[l] {
-			p.Coeffs[l][i] = rng.Uint64() % q
+			p.Coeffs[l][i] = m.ReduceBarrett(rng.Uint64())
 		}
 	}
 	p.IsNTT = false
+}
+
+// setSmall writes the centred value v, |v| < every limb modulus, into
+// coefficient i of every limb: v, plus q_l where v is negative.
+func (r *Ring) setSmall(p *Poly, i int, v int64) {
+	neg := uint64(v >> 63) // all ones iff v < 0
+	for l := range p.Coeffs {
+		p.Coeffs[l][i] = uint64(v) + neg&r.Moduli[l].Q
+	}
 }
 
 // TernaryPoly samples a uniform ternary polynomial (coefficients in
 // {-1,0,1}), the secret-key distribution, identical across limbs.
 func (r *Ring) TernaryPoly(rng *rand.Rand, p *Poly) {
 	for i := 0; i < r.N; i++ {
-		v := int64(rng.Intn(3)) - 1
-		for l := range p.Coeffs {
-			p.Coeffs[l][i] = r.Moduli[l].FromCentered(v)
-		}
+		r.setSmall(p, i, int64(rng.Intn(3))-1)
 	}
 	p.IsNTT = false
 }
 
 // CBDPoly samples centred-binomial noise with parameter eta (variance
 // eta/2), the discrete-Gaussian stand-in used for encryption noise. eta=21
-// gives a standard deviation ≈ 3.24, matching the usual σ = 3.2.
+// gives a standard deviation ≈ 3.24, matching the usual σ = 3.2. eta must
+// be below every limb modulus (rlwe.NewParams checks it).
 func (r *Ring) CBDPoly(rng *rand.Rand, p *Poly, eta int) {
+	for l := range p.Coeffs {
+		if uint64(eta) >= r.Moduli[l].Q {
+			panic("ring: CBD parameter not below the modulus")
+		}
+	}
 	for i := 0; i < r.N; i++ {
 		v := int64(0)
 		for b := 0; b < eta; b++ {
-			v += int64(rng.Intn(2)) - int64(rng.Intn(2))
+			v += rng.Int63() >> 32 & 1
+			v -= rng.Int63() >> 32 & 1
 		}
-		for l := range p.Coeffs {
-			p.Coeffs[l][i] = r.Moduli[l].FromCentered(v)
-		}
+		r.setSmall(p, i, v)
 	}
 	p.IsNTT = false
 }

@@ -39,6 +39,11 @@ func NewParams(r *ring.Ring, normalLevels, eta int) (Params, error) {
 	if eta < 1 {
 		return Params{}, fmt.Errorf("rlwe: eta must be positive")
 	}
+	for _, m := range r.Moduli {
+		if uint64(eta) >= m.Q {
+			return Params{}, fmt.Errorf("rlwe: eta=%d not below limb %d", eta, m.Q)
+		}
+	}
 	return Params{R: r, NormalLevels: normalLevels, Eta: eta}, nil
 }
 
@@ -123,20 +128,23 @@ func (p Params) PublicKeyGen(rng *rand.Rand, sk *SecretKey) *PublicKey {
 }
 
 // EncryptZeroSym returns a symmetric encryption of zero with `levels` limbs
-// in coefficient domain: (b, a) = (-a·s + e, a).
+// in coefficient domain: (b, a) = (-a·s + e, a). The noise is sampled
+// straight into b and a·s subtracted from it in one sweep.
 func (p Params) EncryptZeroSym(rng *rand.Rand, sk *SecretKey, levels int) *Ciphertext {
 	r := p.R
 	a := r.NewPoly(levels)
 	r.UniformPoly(rng, a)
-	a.IsNTT = true
-	e := r.NewPoly(levels)
-	r.CBDPoly(rng, e, p.Eta)
-	r.NTT(e)
+	a.IsNTT = true // uniform in either domain; declare NTT
 	b := r.NewPoly(levels)
-	skTrunc := truncate(sk.ValueNTT, levels)
-	r.MulCoeff(b, a, skTrunc)
-	r.Neg(b, b)
-	r.Add(b, b, e)
+	r.CBDPoly(rng, b, p.Eta)
+	r.NTT(b)
+	for l := 0; l < levels; l++ {
+		m := r.Moduli[l]
+		ra, rs, rb := a.Coeffs[l], sk.ValueNTT.Coeffs[l], b.Coeffs[l]
+		for i := range rb {
+			rb[i] = m.Sub(rb[i], m.MulBarrett(ra[i], rs[i]))
+		}
+	}
 	ct := &Ciphertext{B: b, A: a}
 	ctINTT(r, ct)
 	return ct
@@ -170,22 +178,29 @@ func (p Params) EncryptZeroPK(rng *rand.Rand, pk *PublicKey, levels int) *Cipher
 // Phase returns b + a·s over the ciphertext's limbs, in coefficient domain:
 // the noisy payload.
 func (p Params) Phase(ct *Ciphertext, sk *SecretKey) *ring.Poly {
-	r := p.R
-	levels := ct.Levels()
-	a := ct.A.Copy()
-	b := ct.B.Copy()
-	if !a.IsNTT {
-		r.NTT(a)
-	}
-	prod := r.NewPoly(levels)
-	r.MulCoeff(prod, a, truncate(sk.ValueNTT, levels))
-	r.INTT(prod)
-	if b.IsNTT {
-		r.INTT(b)
-	}
-	out := r.NewPoly(levels)
-	r.Add(out, b, prod)
+	out := p.R.NewPoly(ct.Levels())
+	p.PhaseInto(out, ct, sk)
 	return out
+}
+
+// PhaseInto is Phase writing into a caller-owned polynomial with the
+// ciphertext's limb count, which is also its only scratch: a is copied
+// there and transformed, multiplied by s, and b joins on whichever side
+// of the inverse transform it already is.
+func (p Params) PhaseInto(out *ring.Poly, ct *Ciphertext, sk *SecretKey) {
+	r := p.R
+	out.CopyFrom(ct.A)
+	if !out.IsNTT {
+		r.NTT(out)
+	}
+	r.MulCoeff(out, out, truncate(sk.ValueNTT, ct.Levels()))
+	if ct.B.IsNTT {
+		r.Add(out, out, ct.B)
+		r.INTT(out)
+	} else {
+		r.INTT(out)
+		r.Add(out, out, ct.B)
+	}
 }
 
 // truncate returns a view of p limited to the first `levels` limbs.
