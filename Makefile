@@ -1,10 +1,17 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race tier2 fuzz kernels orphans vet-strict obs-race metrics-smoke serve-smoke cluster-smoke trace-smoke np-smoke benchmark benchmark-smoke benchmark-check
+.PHONY: check fmt vet build test race tier2 fuzz kernels orphans vet-strict obs-race metrics-smoke serve-smoke cluster-smoke trace-smoke np-smoke benchmark benchmark-smoke benchmark-check
 
 # Tier-1 gate: everything a PR must keep green.
-check: vet build race
+check: fmt vet build race
+
+# Every tracked Go file is gofmt-clean (gofmt -l lists nothing).
+fmt:
+	@files=$$(git ls-files '*.go'); \
+	test -n "$$files" || { echo "fmt: no tracked Go files (not a git checkout?)"; exit 1; }; \
+	out=$$(gofmt -l $$files); \
+	test -z "$$out" || { echo "gofmt -l lists:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

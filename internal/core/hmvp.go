@@ -30,9 +30,9 @@ import (
 type Evaluator struct {
 	P    bfv.Params
 	Keys *lwe.PackingKeys
-	// Workers bounds the goroutines used for the per-row dot products and
-	// the independent merges of each packing-tree level (rows and merges
-	// are independent; results are bit-identical for any worker count).
+	// Workers bounds the goroutines a tile's packing fold splits across:
+	// each folds a disjoint subtree, computing its own rows' dot products
+	// as its leaves (results are bit-identical for any worker count).
 	// Defaults to GOMAXPROCS; set 1 for strictly serial, goroutine-free
 	// evaluation.
 	Workers int
@@ -185,23 +185,14 @@ func (e *Evaluator) matVec(A [][]uint64, ctV []*rlwe.Ciphertext) (*Result, error
 			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrRaggedMatrix, i, len(A[i]), cols)
 		}
 	}
-	maxPad := 0
 	for base := 0; base < m; base += n {
-		rows := m - base
-		if rows > n {
-			rows = n
-		}
-		mPad := nextPow2(rows)
-		if mPad > e.Keys.M {
+		if mPad := nextPow2(min(m-base, n)); mPad > e.Keys.M {
 			return nil, fmt.Errorf("%w: tile of %d rows (keys cover %d)", ErrTileTooLarge, mPad, e.Keys.M)
-		}
-		if mPad > maxPad {
-			maxPad = mPad
 		}
 	}
 
 	e.ensureInvN()
-	sc := e.getApplyScratch(chunks, maxPad)
+	sc := e.getApplyScratch(chunks)
 	defer e.putApplyScratch(sc)
 	if err := e.loadVector(sc, ctV); err != nil {
 		return nil, err

@@ -11,12 +11,22 @@ package core
 // transform: extraction at index 0 only needs the constant coefficient of
 // INTT(acc.B), which is N^{-1}·Σ_j â_j per limb (SumRow), so the B part
 // skips its full inverse transforms and polynomial RESCALE entirely.
+//
+// Rows are not computed ahead of the tree. A tile is one lwe.Fold: the
+// fold asks for its leaves in bit-reversed order (0, m/2, m/4, 3m/4, …),
+// the order in which a depth-first walk of Alg. 3 completes sibling
+// subtrees, and the row's dot product lands straight in the reduce-buffer
+// slot the fold hands it, where it merges as soon as its sibling exists.
+// The buffer is log₂(subtree)+1 resident nodes per worker — 9 × 192 KB at
+// the 256-row design point instead of 256 leaves (48 MB) — the software
+// form of CHAM's pre-empting reduce buffer (pipeline.ReduceBufferSlots).
+// With Workers > 1 the fold splits recursively, even half on ⌊w/2⌋
+// workers and odd half on ⌈w/2⌉, each worker with its own row scratch,
+// slots and merge scratch, and the two roots merge once per split.
 
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cham/internal/bfv"
@@ -48,7 +58,6 @@ type PreparedMatrix struct {
 	ev      *Evaluator
 	m, cols int
 	chunks  int // column chunks = ⌈cols/N⌉
-	maxPad  int // largest padded tile row count
 	tiles   []*preparedTile
 }
 
@@ -138,16 +147,11 @@ func (e *Evaluator) prepareTiles(A [][]uint64, want []int) (*PreparedMatrix, err
 	nt := (m + n - 1) / n
 	pm := &PreparedMatrix{ev: e, m: m, cols: cols, chunks: chunks, tiles: make([]*preparedTile, nt)}
 	// Validate every tile's geometry before the expensive transforms start,
-	// whether or not it is being prepared now: maxPad must cover any tile a
-	// later PrepareTile might add, and key coverage is a property of the
-	// matrix, not of the subset.
+	// whether or not it is being prepared now: key coverage is a property
+	// of the matrix, not of the subset a later PrepareTile might extend.
 	for ti := 0; ti < nt; ti++ {
-		_, _, mPad := pm.tileBounds(ti)
-		if mPad > e.Keys.M {
+		if _, _, mPad := pm.tileBounds(ti); mPad > e.Keys.M {
 			return nil, fmt.Errorf("%w: tile of %d rows (keys cover %d)", ErrTileTooLarge, mPad, e.Keys.M)
-		}
-		if mPad > pm.maxPad {
-			pm.maxPad = mPad
 		}
 	}
 	sel := want
@@ -344,7 +348,7 @@ func (pm *PreparedMatrix) apply(res []*Result, tiles []int, vecs [][]*rlwe.Ciphe
 	}
 	e := pm.ev
 	e.ensureInvN()
-	sc := e.getApplyScratch(pm.chunks, pm.maxPad)
+	sc := e.getApplyScratch(pm.chunks)
 	defer e.putApplyScratch(sc)
 	sc.sink = sink
 	sc.clk.Attach(sink)
@@ -466,15 +470,17 @@ func (e *Evaluator) putRowScratch(rs *rowScratch) {
 }
 
 // applyScratch holds the per-call buffers shared across rows: the
-// NTT-domain vector chunks and the NTT-resident packing-tree nodes.
+// NTT-domain vector chunks, the packing tree's reduce buffer and the leaf
+// source that feeds it (with one row scratch per fold worker).
 type applyScratch struct {
-	vNTT []*rlwe.Ciphertext // full basis, NTT domain
-	tree []*lwe.PackNode    // NTT-resident; consumed by PackResident
-	clk  obs.StageClock     // times the shared vector transforms
-	sink obs.StageSink      // traced request's recorder; nil when unsampled
+	vNTT   []*rlwe.Ciphertext // full basis, NTT domain
+	fold   lwe.Fold           // log₂(subtree)+1 resident slots per worker
+	leaves tileLeaves
+	clk    obs.StageClock // times the shared vector transforms
+	sink   obs.StageSink  // traced request's recorder; nil when unsampled
 }
 
-func (e *Evaluator) getApplyScratch(chunks, mPad int) *applyScratch {
+func (e *Evaluator) getApplyScratch(chunks int) *applyScratch {
 	sc, ok := e.applyPool.Get().(*applyScratch)
 	if !ok {
 		sc = &applyScratch{}
@@ -495,9 +501,6 @@ func (e *Evaluator) getApplyScratch(chunks, mPad int) *applyScratch {
 		}
 	}
 	sc.vNTT = sc.vNTT[:chunks]
-	for len(sc.tree) < mPad {
-		sc.tree = append(sc.tree, lwe.NewPackNode(e.P))
-	}
 	return sc
 }
 
@@ -506,6 +509,9 @@ func (e *Evaluator) putApplyScratch(sc *applyScratch) {
 	// attribute its stages to this request's trace.
 	sc.sink = nil
 	sc.clk.Attach(nil)
+	for _, rs := range sc.leaves.rs {
+		rs.clk.Attach(nil)
+	}
 	e.applyPool.Put(sc)
 }
 
@@ -634,25 +640,22 @@ func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, vNTT []*rlwe.Ciphertext, pol
 }
 
 // tileApply runs stages 1–9 for one row tile into out (normal basis): the
-// per-row dot products fan out across the worker pool, padding rows are
-// zeroed, and the packing tree folds the scratch buffers down to one
-// ciphertext. Rows come either from the prepared tile or from raw+scale.
+// packing fold asks for each leaf as its sibling subtree completes, the
+// leaf source computes that row's dot product straight into the fold's
+// slot (padding rows are the resident zero), and the root is flushed.
+// Rows come either from the prepared tile or from raw+scale.
 func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *preparedTile, raw [][]uint64, scale uint64, rows, mPad int) error {
 	workers := e.effWorkers(rows)
-	if workers > 1 {
-		e.tileRowsParallel(sc, tile, raw, scale, rows, workers)
-	} else {
-		rs := e.getRowScratch()
+	lv := &sc.leaves
+	for len(lv.rs) < workers {
+		lv.rs = append(lv.rs, e.getRowScratch())
+	}
+	for _, rs := range lv.rs[:workers] {
 		rs.clk.Attach(sc.sink)
-		for i := 0; i < rows; i++ {
-			e.tileRow(sc, tile, raw, scale, i, rs)
-		}
-		e.putRowScratch(rs)
 	}
-	for i := rows; i < mPad; i++ {
-		sc.tree[i].Zero()
-	}
-	root, err := lwe.PackResidentSink(e.P, sc.tree[:mPad], e.Keys, workers, sc.sink)
+	lv.e, lv.vNTT, lv.tile, lv.raw, lv.scale, lv.rows = e, sc.vNTT, tile, raw, scale, rows
+	root, err := sc.fold.Run(e.P, mPad, lv, e.Keys, workers, sc.sink)
+	lv.tile, lv.raw = nil, nil
 	if err != nil {
 		return err
 	}
@@ -660,39 +663,29 @@ func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *prep
 	return nil
 }
 
-// tileRow computes one row's dot product into its tree slot, from either
-// the prepared tile or the raw matrix row.
-func (e *Evaluator) tileRow(sc *applyScratch, tile *preparedTile, raw [][]uint64, scale uint64, i int, rs *rowScratch) {
-	if tile != nil {
-		e.rowApplyInto(sc.tree[i], sc.vNTT, tile.rowNTT[i], tile.rowShoup[i], nil, 0, rs)
-	} else {
-		e.rowApplyInto(sc.tree[i], sc.vNTT, nil, nil, raw[i], scale, rs)
-	}
+// tileLeaves is the packing fold's leaf source for one tile: leaf i is
+// row i's dot product, from either the prepared tile or the raw matrix
+// row, computed in fold worker w's own row scratch; leaves past the
+// tile's rows are the resident zero.
+type tileLeaves struct {
+	e     *Evaluator
+	vNTT  []*rlwe.Ciphertext
+	rs    []*rowScratch // one per fold worker
+	tile  *preparedTile // nil on the raw-row (MatVec) path
+	raw   [][]uint64
+	scale uint64
+	rows  int
 }
 
-// tileRowsParallel fans the tile's rows across workers goroutines, each
-// with its own pooled row scratch. Kept out of tileApply so the goroutine
-// closure doesn't heap-allocate captures on the serial path.
-func (e *Evaluator) tileRowsParallel(sc *applyScratch, tile *preparedTile, raw [][]uint64, scale uint64, rows, workers int) {
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			rs := e.getRowScratch()
-			defer e.putRowScratch(rs)
-			rs.clk.Attach(sc.sink)
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= rows {
-					return
-				}
-				e.tileRow(sc, tile, raw, scale, i, rs)
-			}
-		}()
+func (lv *tileLeaves) Leaf(w int, nd *lwe.PackNode, i int) {
+	switch {
+	case i >= lv.rows:
+		nd.Zero()
+	case lv.tile != nil:
+		lv.e.rowApplyInto(nd, lv.vNTT, lv.tile.rowNTT[i], lv.tile.rowShoup[i], nil, 0, lv.rs[w])
+	default:
+		lv.e.rowApplyInto(nd, lv.vNTT, nil, nil, lv.raw[i], lv.scale, lv.rs[w])
 	}
-	wg.Wait()
 }
 
 // log2 of a power of two.

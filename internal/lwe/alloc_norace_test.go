@@ -15,7 +15,9 @@ import (
 
 // TestPackWarmZeroAllocs: once the ring and decomposition pools are warm,
 // folding 8 resident leaves and flushing the root performs zero heap
-// allocations — serial workers (goroutine fan-out would allocate stacks).
+// allocations — serially and split across two workers (the fold's
+// goroutines start from funcs bound once, so spawning one allocates
+// nothing).
 func TestPackWarmZeroAllocs(t *testing.T) {
 	p := testParams(t, 64)
 	rng := testutil.NewRand(t)
@@ -32,22 +34,24 @@ func TestPackWarmZeroAllocs(t *testing.T) {
 		nodes[i] = NewPackNode(p)
 	}
 	out := &rlwe.Ciphertext{B: p.R.NewPoly(p.NormalLevels), A: p.R.NewPoly(p.NormalLevels)}
-	pack := func() {
-		// The tree consumes its leaves: refill them before every fold.
-		for _, nd := range nodes {
-			nd.BT.CopyFrom(pristine.BT)
-			nd.A.CopyFrom(pristine.A)
+	for _, workers := range []int{1, 2} {
+		pack := func() {
+			// The tree consumes its leaves: refill them before every fold.
+			for _, nd := range nodes {
+				nd.BT.CopyFrom(pristine.BT)
+				nd.A.CopyFrom(pristine.A)
+			}
+			root, err := PackResident(p, nodes, keys, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			FlushInto(p, out, root)
 		}
-		root, err := PackResident(p, nodes, keys, 1)
-		if err != nil {
-			t.Fatal(err)
+		for i := 0; i < 2; i++ {
+			pack()
 		}
-		FlushInto(p, out, root)
-	}
-	for i := 0; i < 2; i++ {
-		pack()
-	}
-	if allocs := testing.AllocsPerRun(10, pack); allocs != 0 {
-		t.Errorf("warm PackResident+FlushInto allocates %.1f/op, want 0", allocs)
+		if allocs := testing.AllocsPerRun(10, pack); allocs != 0 {
+			t.Errorf("workers=%d: warm PackResident+FlushInto allocates %.1f/op, want 0", workers, allocs)
+		}
 	}
 }

@@ -1,13 +1,24 @@
 package lwe
 
-// NTT-resident, allocation-free packing tree (DESIGN.md §12). The
-// recursive PackLWEs of Alg. 3 is expressed iteratively: after ℓ levels
-// the live groups sit in the buffer prefix, and level ℓ (group size
-// i = 2^ℓ) merges the pairs (buf[j], buf[j+count/2]) — exactly the
-// even/odd split of the recursion. The m/2 merges inside one level are
-// independent, so they fan out across a worker pool; merges consume their
-// inputs in place, so the whole tree runs in the caller's m node buffers
-// plus one pooled scratch per worker.
+// NTT-resident, allocation-free packing tree (DESIGN.md §12), folded
+// post-order as the leaves arrive — the software form of CHAM's
+// PACKTWOLWES module, whose reduce buffer merges a row's LWE as soon as
+// its sibling exists (pipeline.ReduceBufferSlots models it).
+//
+// The recursion of Alg. 3 splits the leaves ≡ r mod c into the even
+// group (≡ r mod 2c) and the odd one (≡ r+c mod 2c) and merges the two
+// with group size i = m/2c. Walking that recursion depth-first, even
+// half first, asks for the leaves in bit-reversed order (0, m/2, m/4,
+// 3m/4, …), and every merge sees the same E, O, key and i as the
+// level-order walk of ref.PackDeferred — so the fold is bit-identical to
+// it by construction. A worker keeps the roots of its finished subtrees
+// on a stack: a leaf is pushed, and while the two on top are siblings
+// they merge into the lower one. A subtree of 2^L leaves never holds
+// more than L+1 nodes, so the reduce buffer is log₂m+1 slots, not m
+// resident leaves. With w workers the fold splits recursively: a subtree
+// runs its even half on ⌊w/2⌋ workers and its odd half on ⌈w/2⌉, then
+// merges the two roots once; each worker folds its disjoint subtree with
+// its own slots and merge scratch.
 //
 // Tree state never leaves the NTT domain. A node carries
 //
@@ -27,8 +38,8 @@ package lwe
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cham/internal/bfv"
@@ -75,8 +86,8 @@ func observeStage(h *obs.Histogram, stage int, d time.Duration, hist bool, sink 
 // full-basis NTT accumulators with their special-modulus division
 // deferred — the ciphertext it stands for is (ModDown(BT), ModDown(A)).
 // Allocate with NewPackNode, fill with ResidentFromRLWE (or directly, as
-// core's row apply does), fold with PackResident, and leave residency
-// with FlushInto.
+// core's row apply does), fold with a Fold (or PackResident over pre-filled
+// nodes), and leave residency with FlushInto.
 type PackNode struct {
 	BT *ring.Poly // full basis, NTT domain; true b = ModDown(BT)
 	A  *ring.Poly // full basis, NTT domain; true a = ModDown(A)
@@ -141,9 +152,8 @@ func ResidentFromRLWE(p bfv.Params, nd *PackNode, ct *rlwe.Ciphertext) {
 
 // mergeScratch is the per-worker arena of one pack-tree sweep: the hoisted
 // decomposition digits plus the difference pair and the rescaled a-part a
-// merge needs. One scratch serves every merge a worker claims at a tree
-// level, keeping the buffers cache-resident instead of cycling the pool
-// per merge.
+// merge needs. One scratch serves every merge a fold worker runs, keeping
+// the buffers cache-resident instead of cycling the pool per merge.
 type mergeScratch struct {
 	dec *rlwe.Decomposition
 	dBT *ring.Poly // full basis: E.BT - X^z·O.BT
@@ -291,9 +301,10 @@ func FlushIntoSink(p bfv.Params, out *rlwe.Ciphertext, nd *PackNode, sink obs.St
 // exit). m must be a power of two covered by keys. The entries of nodes
 // are consumed: every buffer is overwritten as tree scratch.
 //
-// Each tree level's independent merges run on min(workers, pairs)
-// goroutines; the merge for pair j touches only nodes[j] and
-// nodes[j+half], so the result is bit-identical for every worker count.
+// It is the post-order fold over leaves that already exist: the merges
+// run in the nodes themselves, split across min(workers, m) goroutines
+// by disjoint subtrees, and the result is bit-identical for every worker
+// count.
 func PackResident(p bfv.Params, nodes []*PackNode, keys *PackingKeys, workers int) (*PackNode, error) {
 	return PackResidentSink(p, nodes, keys, workers, nil)
 }
@@ -302,66 +313,185 @@ func PackResident(p bfv.Params, nodes []*PackNode, keys *PackingKeys, workers in
 // sink (which must be safe for concurrent StageAdd calls — the parallel
 // path's workers hit it simultaneously); nil sink is exactly PackResident.
 func PackResidentSink(p bfv.Params, nodes []*PackNode, keys *PackingKeys, workers int, sink obs.StageSink) (*PackNode, error) {
-	m := len(nodes)
-	if m < 1 || m&(m-1) != 0 || m > p.R.N {
-		return nil, fmt.Errorf("lwe: cannot pack %d ciphertexts (need power of two in [1,N])", m)
+	f, ok := residentFolds.Get().(*Fold)
+	if !ok {
+		f = new(Fold)
 	}
-	if keys == nil && m > 1 {
-		return nil, fmt.Errorf("lwe: packing keys required for m=%d", m)
-	}
-	if m > 1 && keys.M < m {
-		return nil, fmt.Errorf("lwe: packing keys cover m=%d < %d", keys.M, m)
-	}
-	count := m
-	var ms *mergeScratch // serial-path arena, shared by every level
-	for i := 1; i < m; i <<= 1 {
-		half := count / 2
-		swk := keys.Keys[2*i+1]
-		if swk == nil {
-			putMergeScratch(p, ms)
-			return nil, fmt.Errorf("lwe: missing packing key for k=%d", 2*i+1)
-		}
-		if workers > 1 && half > 1 {
-			nw := workers
-			if nw > half {
-				nw = half
-			}
-			packLevelParallel(p, nodes, i, half, swk, nw, sink)
-		} else {
-			if ms == nil {
-				ms = getMergeScratch(p)
-			}
-			for j := 0; j < half; j++ {
-				packTwo(p, nodes[j], i, nodes[j], nodes[j+half], swk, ms, sink)
-			}
-		}
-		count = half
-	}
-	putMergeScratch(p, ms)
-	return nodes[0], nil
+	defer residentFolds.Put(f)
+	return f.run(p, len(nodes), nil, nodes, keys, workers, sink)
 }
 
-// packLevelParallel fans one tree level's merges across nw goroutines,
-// each reusing one merge arena for every merge it claims at this level.
-// It lives in its own function so the goroutine closure's captures don't
-// force the caller's loop variables onto the heap on the serial path.
-func packLevelParallel(p bfv.Params, nodes []*PackNode, i, half int, swk *rlwe.SwitchingKey, nw int, sink obs.StageSink) {
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	for w := 0; w < nw; w++ {
-		go func() {
-			defer wg.Done()
-			ms := getMergeScratch(p)
-			defer putMergeScratch(p, ms)
-			for {
-				j := int(atomic.AddInt64(&next, 1)) - 1
-				if j >= half {
-					return
-				}
-				packTwo(p, nodes[j], i, nodes[j], nodes[j+half], swk, ms, sink)
-			}
-		}()
+// residentFolds recycles PackResident's folds. Over pre-filled nodes a
+// fold never allocates slots and borrows its merge scratch per call, so
+// it holds nothing ring-specific and one process-wide pool is safe.
+var residentFolds sync.Pool
+
+// Leaves supplies a fold's leaves on demand.
+type Leaves interface {
+	// Leaf writes leaf idx (natural order, 0 ≤ idx < m) into nd as a
+	// resident slot ciphertext. w names the fold worker asking
+	// (0 ≤ w < workers); workers call concurrently, each with its own w,
+	// so a source keeps its per-worker scratch by w.
+	Leaf(w int, nd *PackNode, idx int)
+}
+
+// Fold is the packing tree's reduce buffer: per worker, a stack of at
+// most log₂(its subtree)+1 resident nodes and a borrowed merge arena. The
+// zero value is ready to use. Keep one per caller and reuse it — a warm
+// Run allocates nothing, with any worker count. A Fold serves one Params
+// (its slots are sized on first use) and one Run at a time, and must not
+// be copied.
+type Fold struct {
+	p     bfv.Params
+	m     int
+	keys  *PackingKeys
+	src   Leaves
+	nodes []*PackNode // PackResident's pre-filled leaves; nil when src fills slots
+	sink  obs.StageSink
+	ws    []*foldWorker
+}
+
+// foldWorker is one worker's share of a Fold.
+type foldWorker struct {
+	f     *Fold
+	id    int
+	slots []*PackNode // reduce buffer: slots[d] holds the stack entry at depth d
+	stack []*PackNode // roots of finished subtrees, leftmost at the bottom
+	ms    *mergeScratch
+	// A split hands the worker group starting here the subtree (r, c) —
+	// the leaves ≡ r mod c — on nw workers; its root comes back in root.
+	r, c, nw int
+	root     *PackNode
+	done     sync.WaitGroup
+	spawn    func() // foldGroup, bound once so that `go spawn()` does not allocate
+}
+
+// Slots returns how many resident nodes the fold's reduce buffer holds,
+// summed over its workers.
+func (f *Fold) Slots() int {
+	n := 0
+	for _, fw := range f.ws {
+		n += len(fw.slots)
 	}
-	wg.Wait()
+	return n
+}
+
+// Run folds the m leaves src supplies into one resident node, returned
+// still resident in the fold's own buffer (FlushInto completes the exit;
+// the node is valid until the next Run). m must be a power of two covered
+// by keys; every key is checked before the first leaf is asked for. sink
+// is as for PackResidentSink.
+func (f *Fold) Run(p bfv.Params, m int, src Leaves, keys *PackingKeys, workers int, sink obs.StageSink) (*PackNode, error) {
+	return f.run(p, m, src, nil, keys, workers, sink)
+}
+
+func (f *Fold) run(p bfv.Params, m int, src Leaves, nodes []*PackNode, keys *PackingKeys, workers int, sink obs.StageSink) (*PackNode, error) {
+	if err := checkPack(p, m, keys); err != nil {
+		return nil, err
+	}
+	nw := min(max(workers, 1), m)
+	f.p, f.m, f.keys, f.src, f.nodes, f.sink = p, m, keys, src, nodes, sink
+	for len(f.ws) < nw {
+		fw := &foldWorker{f: f, id: len(f.ws)}
+		fw.spawn = fw.foldGroup
+		f.ws = append(f.ws, fw)
+	}
+	if m > 1 {
+		for _, fw := range f.ws[:nw] {
+			fw.ms = getMergeScratch(p)
+		}
+	}
+	root := f.fold(0, nw, 0, 1)
+	for _, fw := range f.ws[:nw] {
+		putMergeScratch(p, fw.ms)
+		fw.ms, fw.root = nil, nil
+	}
+	f.keys, f.src, f.nodes, f.sink = nil, nil, nil, nil
+	return root, nil
+}
+
+// checkPack validates a fold of m leaves before it touches any: the shape,
+// then every key the tree will use, so a missing top-level key fails the
+// call with the caller's nodes untouched.
+func checkPack(p bfv.Params, m int, keys *PackingKeys) error {
+	if m < 1 || m&(m-1) != 0 || m > p.R.N {
+		return fmt.Errorf("lwe: cannot pack %d ciphertexts (need power of two in [1,N])", m)
+	}
+	if m == 1 {
+		return nil
+	}
+	if keys == nil {
+		return fmt.Errorf("lwe: packing keys required for m=%d", m)
+	}
+	if keys.M < m {
+		return fmt.Errorf("lwe: packing keys cover m=%d < %d", keys.M, m)
+	}
+	for i := 1; i < m; i <<= 1 {
+		if keys.Keys[2*i+1] == nil {
+			return fmt.Errorf("lwe: missing packing key for k=%d", 2*i+1)
+		}
+	}
+	return nil
+}
+
+// fold folds the subtree (r, c) — the m/c leaves ≡ r mod c — on workers
+// w0 … w0+nw-1 and returns its root, which lands in worker w0's buffer.
+// With more than one worker the odd half goes to a goroutine with ⌈nw/2⌉
+// of them, the even half stays here with ⌊nw/2⌋, and the two roots merge
+// once.
+func (f *Fold) fold(w0, nw, r, c int) *PackNode {
+	if nw == 1 {
+		return f.ws[w0].serial(r, c)
+	}
+	h := nw / 2
+	odd := f.ws[w0+h]
+	odd.r, odd.c, odd.nw = r+c, 2*c, nw-h
+	odd.done.Add(1)
+	go odd.spawn()
+	E := f.fold(w0, h, r, 2*c)
+	odd.done.Wait()
+	i := f.m / (2 * c)
+	packTwo(f.p, E, i, E, odd.root, f.keys.Keys[2*i+1], f.ws[w0].ms, f.sink)
+	return E
+}
+
+// foldGroup runs the subtree a split handed this worker's group.
+func (fw *foldWorker) foldGroup() {
+	fw.root = fw.f.fold(fw.id, fw.nw, fw.r, fw.c)
+	fw.done.Done()
+}
+
+// serial folds the subtree (r, c) on this worker alone: leaf s of its n
+// leaves in post-order is r + c·bitrev(s), and after pushing it the top
+// two entries are siblings once for every trailing one bit of s — the
+// merges at group sizes 1, 2, 4, ….
+func (fw *foldWorker) serial(r, c int) *PackNode {
+	f := fw.f
+	n := f.m / c
+	shift := bits.UintSize - bits.TrailingZeros(uint(n)) // bitrev over log₂n bits (a full-width shift gives 0 when n = 1)
+	stk := fw.stack[:0]
+	for s := 0; s < n; s++ {
+		stk = append(stk, fw.leaf(len(stk), r+c*int(bits.Reverse(uint(s))>>shift)))
+		for t, i := s, 1; t&1 == 1; t, i = t>>1, i<<1 {
+			d := len(stk)
+			packTwo(f.p, stk[d-2], i, stk[d-2], stk[d-1], f.keys.Keys[2*i+1], fw.ms, f.sink)
+			stk = stk[:d-1]
+		}
+	}
+	fw.stack = stk[:0]
+	return stk[0]
+}
+
+// leaf returns leaf idx for the stack entry at depth d: the caller's node
+// under PackResident, otherwise slot d filled by the source.
+func (fw *foldWorker) leaf(d, idx int) *PackNode {
+	f := fw.f
+	if f.nodes != nil {
+		return f.nodes[idx]
+	}
+	for len(fw.slots) <= d {
+		fw.slots = append(fw.slots, NewPackNode(f.p))
+	}
+	f.src.Leaf(fw.id, fw.slots[d], idx)
+	return fw.slots[d]
 }

@@ -120,22 +120,29 @@ func GenPackingKeys(p bfv.Params, rng *rand.Rand, sk *rlwe.SecretKey, m int) (*P
 // coefficient i·N/len(cts), scaled by len(cts) (fold bfv.InvPow2 into the
 // upstream encoding to cancel it).
 //
-// This is the allocating entry point over the one packing tree: every
-// leaf goes AsRLWE → ResidentFromRLWE, then PackResident folds the tree
-// and FlushInto leaves residency.
+// This is the allocating entry point over the one packing tree: a Fold
+// asks for each leaf as its sibling subtree completes, the leaf goes
+// AsRLWE → ResidentFromRLWE into a reduce-buffer slot, and FlushInto
+// leaves residency.
 func PackLWEs(p bfv.Params, cts []*Ciphertext, keys *PackingKeys) (*rlwe.Ciphertext, error) {
-	nodes := make([]*PackNode, len(cts))
-	for i, c := range cts {
-		nodes[i] = NewPackNode(p)
-		ResidentFromRLWE(p, nodes[i], c.AsRLWE(p))
-	}
-	root, err := PackResident(p, nodes, keys, 1)
+	var f Fold
+	root, err := f.Run(p, len(cts), &lweLeaves{p: p, cts: cts}, keys, 1, nil)
 	if err != nil {
 		return nil, err
 	}
 	out := &rlwe.Ciphertext{B: p.R.NewPoly(p.NormalLevels), A: p.R.NewPoly(p.NormalLevels)}
 	FlushInto(p, out, root)
 	return out, nil
+}
+
+// lweLeaves feeds PackLWEs' inputs to its fold.
+type lweLeaves struct {
+	p   bfv.Params
+	cts []*Ciphertext
+}
+
+func (s *lweLeaves) Leaf(_ int, nd *PackNode, idx int) {
+	ResidentFromRLWE(s.p, nd, s.cts[idx].AsRLWE(s.p))
 }
 
 // SlotStride returns the coefficient stride between packed values: N/m.

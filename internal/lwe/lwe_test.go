@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cham/internal/bfv"
+	"cham/internal/rlwe"
 	"cham/internal/testutil"
 )
 
@@ -206,5 +207,57 @@ func TestPackLWEsValidation(t *testing.T) {
 	}
 	if _, err := PackLWEs(p, []*Ciphertext{l, l}, nil); err == nil {
 		t.Error("nil packing keys accepted")
+	}
+}
+
+// countingLeaves is a fold leaf source that records how often it is asked.
+type countingLeaves struct{ calls int }
+
+func (c *countingLeaves) Leaf(int, *PackNode, int) { c.calls++ }
+
+// TestPackMissingTopKey: a key set that lacks only the top level's key
+// fails before the fold takes its first leaf — PackResident leaves the
+// caller's nodes untouched (the level-order walk used to consume the lower
+// levels first) and a Fold never asks its source for a leaf.
+func TestPackMissingTopKey(t *testing.T) {
+	p := testParams(t, 32)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	const m = 8
+	keys, err := GenPackingKeys(p, rng, sk, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial := &PackingKeys{M: m, Keys: map[int]*rlwe.SwitchingKey{}}
+	for k, swk := range keys.Keys {
+		if k != m+1 { // the top merge's automorphism 2·(m/2)+1
+			partial.Keys[k] = swk
+		}
+	}
+	nodes := make([]*PackNode, m)
+	want := make([]*PackNode, m)
+	for i := range nodes {
+		ct := p.Encrypt(rng, sk, p.EncodeVector(testutil.Vector(rng, p.R.N, p.T.Q)), p.NormalLevels)
+		nodes[i], want[i] = NewPackNode(p), NewPackNode(p)
+		ResidentFromRLWE(p, nodes[i], ct)
+		ResidentFromRLWE(p, want[i], ct)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		if _, err := PackResident(p, nodes, partial, workers); err == nil {
+			t.Fatalf("workers=%d: key set without k=%d accepted", workers, m+1)
+		}
+		for i := range nodes {
+			if !nodes[i].BT.Equal(want[i].BT) || !nodes[i].A.Equal(want[i].A) {
+				t.Fatalf("workers=%d: failed PackResident modified node %d", workers, i)
+			}
+		}
+		var f Fold
+		src := &countingLeaves{}
+		if _, err := f.Run(p, m, src, partial, workers, nil); err == nil {
+			t.Fatalf("workers=%d: Fold.Run without k=%d accepted", workers, m+1)
+		}
+		if src.calls != 0 {
+			t.Errorf("workers=%d: Fold.Run asked for %d leaves before failing", workers, src.calls)
+		}
 	}
 }

@@ -85,12 +85,13 @@ func PackTwoDeferred(i int, E, O *PackedNode, swk *SwitchingKey, moduli []uint64
 }
 
 // PackDeferred folds m = len(nodes) deferred nodes into one (Alg. 3,
-// deferred schedule), using the same level order as the optimized
-// iterative tree: level with group size i merges pair (j, j+count/2).
+// deferred schedule), level by level: level with group size i merges pair
+// (j, j+count/2). It is the oracle for lwe's post-order fold, which runs
+// exactly these merges — same E, O, key and group size — depth-first.
 // The b-part rounding order matters here — one division per tree, not per
-// merge — so matching lwe.PackResident's schedule keeps the
-// correspondence bit-exact, not just plaintext-exact. keys maps the
-// automorphism index 2i+1 to its reference switching key.
+// merge — so matching the merges one for one keeps the correspondence
+// bit-exact, not just plaintext-exact. keys maps the automorphism index
+// 2i+1 to its reference switching key.
 func PackDeferred(nodes []*PackedNode, keys map[int]*SwitchingKey, moduli []uint64, normalLevels int) (*PackedNode, error) {
 	m := len(nodes)
 	if m < 1 || m&(m-1) != 0 {

@@ -16,8 +16,8 @@ package rlwe
 // once and reuse it: across the two key operands of one switch (c0 and c1
 // share the digit-NTTs by construction), across several switching keys
 // applied to the same ciphertext, and — as pooled scratch — across all
-// merges a worker executes at one pack-tree level, which keeps the digit
-// buffers cache-resident instead of bouncing through the pool per merge.
+// merges one pack-fold worker executes, which keeps the digit buffers
+// cache-resident instead of bouncing through the pool per merge.
 //
 // The decomposition sweep itself is branch-free and lazy: row `digit` is
 // the identity, and every other limb gets ReduceBarrett(x) plus a masked

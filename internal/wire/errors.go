@@ -13,13 +13,13 @@ import (
 
 // Error codes. Codes are part of the wire contract — append, never renumber.
 const (
-	CodeBadRequest     uint16 = 1 // malformed or semantically invalid request
-	CodeOverloaded     uint16 = 2 // admission queue full; retry with backoff
-	CodeUnknownMatrix  uint16 = 3 // Apply names an unregistered matrix
-	CodeKeysRequired   uint16 = 4 // request needs SetupKeys first
-	CodeKeysConflict   uint16 = 5 // SetupKeys disagrees with the installed set
-	CodeDeadline       uint16 = 6 // request deadline expired in queue or service
-	CodeDraining       uint16 = 7 // server is shutting down; retry elsewhere
+	CodeBadRequest     uint16 = 1  // malformed or semantically invalid request
+	CodeOverloaded     uint16 = 2  // admission queue full; retry with backoff
+	CodeUnknownMatrix  uint16 = 3  // Apply names an unregistered matrix
+	CodeKeysRequired   uint16 = 4  // request needs SetupKeys first
+	CodeKeysConflict   uint16 = 5  // SetupKeys disagrees with the installed set
+	CodeDeadline       uint16 = 6  // request deadline expired in queue or service
+	CodeDraining       uint16 = 7  // server is shutting down; retry elsewhere
 	CodeParamsMismatch uint16 = 8  // Hello parameters disagree with the server's
 	CodeInternal       uint16 = 9  // server-side failure
 	CodeDegraded       uint16 = 10 // cluster quorum unreachable; partial shard coverage
