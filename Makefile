@@ -87,9 +87,9 @@ kernels:
 	$(GO) test ./internal/vec -run '^$$' -fuzz '^FuzzVecKernels$$' -fuzztime $(FUZZTIME)
 
 # Nothing beside the hot path: every function internal/{mod,ntt,ring,rlwe,
-# bfv,lwe,core,codec} declares outside its tests has a caller outside its
-# own tests, or a row in orphans_test.go naming the part of the paper it
-# reproduces. Type-checks the module from source (a few seconds; skipped
+# bfv,lwe,core,codec,noise,runtime} declares outside its tests has a caller
+# outside its own tests, or a row in orphans_test.go naming the part of the
+# paper it reproduces. Type-checks the module from source (a few seconds; skipped
 # under -short).
 orphans:
 	$(GO) test -count=1 -run '^TestNoOrphans$$' .

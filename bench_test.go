@@ -534,7 +534,6 @@ func BenchmarkKernels(b *testing.B) {
 		{"ForwardNTT", func() { tab.ForwardLazy(o0.Coeffs[0]) }},
 		{"InverseNTT", func() { tab.InverseLazy(o0.Coeffs[0]) }},
 		{"MonomialSplit", func() { r.MonomialSplitNTT(o0, o1, x, y, 5) }},
-		{"MulShoupPair", func() { r.MulCoeffShoupPair(o0, x, y, sy, z, w, sw) }},
 		{"MulShoupPairAdd", func() { r.MulCoeffShoupPairAdd(o0, x, y, sy, z, w, sw) }},
 		{"MulShoupDual", func() { r.MulCoeffShoupDual(o0, o1, x, z, y, sy) }},
 		{"MulShoupDualAdd", func() { r.MulCoeffShoupDualAdd(o0, o1, x, z, y, sy) }},

@@ -18,7 +18,8 @@ import (
 // pools are warm, ApplyInto, ApplyBatchInto and ApplyTiles perform zero heap
 // allocations — single- and multi-chunk shapes, serial and on two workers
 // (the fold's goroutines start from funcs bound once into the pooled
-// scratch, so a split allocates nothing whatever the host's core count).
+// scratch, so a split allocates nothing whatever the host's core count),
+// with and without a stage sink attached to every clock on the path.
 func TestApplyWarmZeroAllocs(t *testing.T) {
 	p := testParams(t, 64)
 	rng := testutil.NewRand(t)
@@ -28,6 +29,7 @@ func TestApplyWarmZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	const batch = 3
+	var sink stageTotals
 	for _, shape := range []struct{ workers, cols int }{
 		{1, 64}, {1, 100}, {2, 64}, {2, 100}, // one chunk, two chunks
 	} {
@@ -50,6 +52,7 @@ func TestApplyWarmZeroAllocs(t *testing.T) {
 			{"ApplyInto", func() error { return pm.ApplyInto(res[0], vecs[0]) }},
 			{"ApplyBatchInto", func() error { return pm.ApplyBatchInto(res, vecs) }},
 			{"ApplyTiles(nil)", func() error { return pm.ApplyTiles(res[0].Packed, nil, vecs[0], nil) }},
+			{"ApplyTiles(sink)", func() error { return pm.ApplyTiles(res[0].Packed, nil, vecs[0], &sink) }},
 		} {
 			run := func() {
 				if err := tc.apply(); err != nil {

@@ -64,8 +64,9 @@ func (e *BatchEvaluator) EncryptSlots(rng *rand.Rand, sk *rlwe.SecretKey, v []ui
 func (e *BatchEvaluator) SlotSum(ct *rlwe.Ciphertext) *rlwe.Ciphertext {
 	p := e.P
 	acc := ct.Copy()
+	rot := &rlwe.Ciphertext{B: p.R.NewPoly(p.NormalLevels), A: p.R.NewPoly(p.NormalLevels)}
 	for i, k := range e.traceIdx {
-		rot := p.AutomorphCt(acc, k, e.traceKeys[i])
+		p.AutomorphCtInto(rot, acc, k, e.traceKeys[i])
 		p.Add(acc, acc, rot)
 	}
 	return acc

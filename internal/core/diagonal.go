@@ -168,7 +168,9 @@ func (e *DiagonalEvaluator) rotate(ct *rlwe.Ciphertext, r int) (*rlwe.Ciphertext
 		return nil, fmt.Errorf("core: no rotation key for %d", r)
 	}
 	e.KeySwitches++
-	return e.P.AutomorphCt(ct, pow5(r, 2*e.P.R.N), key), nil
+	out := &rlwe.Ciphertext{B: e.P.R.NewPoly(e.P.NormalLevels), A: e.P.R.NewPoly(e.P.NormalLevels)}
+	e.P.AutomorphCtInto(out, ct, pow5(r, 2*e.P.R.N), key)
+	return out, nil
 }
 
 // diagonal extracts generalized diagonal d of the (N/2)x(N/2) embedding

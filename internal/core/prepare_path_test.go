@@ -126,3 +126,55 @@ func TestPrepareStagesCoverSpan(t *testing.T) {
 	}
 	t.Logf("span %v: encode %v, lift %v, ntt %v", span, sink.d[obs.StageEncode], sink.d[obs.StageLift], sink.d[obs.StageNTT])
 }
+
+// TestApplyStagesCoverSpan is TestPrepareStagesCoverSpan's apply-side twin:
+// a 32×4096 tile applied at N=4096 on one worker under a recording sink.
+// The stage sums are at least 90 % of the wall clock around ApplyTiles,
+// and the merge and flush stages the lwe fold times are each charged.
+func TestApplyStagesCoverSpan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("N=4096 key generation")
+	}
+	p := testParams(t, 4096)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	ev, err := NewEvaluator(p, rng, sk, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev.Workers = 1
+	pm, err := ev.Prepare(testutil.Matrix(rng, 32, 4096, p.T.Q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctV := EncryptVector(p, rng, sk, testutil.Vector(rng, 4096, p.T.Q))
+	out := pm.NewResult().Packed
+	if err := pm.ApplyTiles(out, nil, ctV, nil); err != nil { // warm the scratch pools
+		t.Fatal(err)
+	}
+	var sink stageTotals
+	t0 := time.Now()
+	if err := pm.ApplyTiles(out, nil, ctV, &sink); err != nil {
+		t.Fatal(err)
+	}
+	span := time.Since(t0)
+	var charged time.Duration
+	for _, d := range sink.d {
+		charged += d
+	}
+	for _, stage := range []int{obs.StagePack, obs.StagePackModDown, obs.StageDecompose, obs.StageKeySwitch, obs.StageINTT} {
+		if sink.d[stage] <= 0 {
+			t.Errorf("apply charged nothing to stage %s", obs.StageNames[stage])
+		}
+	}
+	share := 100 * float64(charged) / float64(span)
+	if charged < span*9/10 {
+		t.Errorf("stages add up to %v of a %v apply span (%.1f %%), want ≥ 90 %%", charged, span, share)
+	}
+	t.Logf("span %v, stages %v (%.1f %%)", span, charged, share)
+	for stage, d := range sink.d {
+		if d > 0 {
+			t.Logf("  %-10s %v", obs.StageNames[stage], d)
+		}
+	}
+}

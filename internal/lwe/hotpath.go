@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"time"
 
 	"cham/internal/bfv"
 	"cham/internal/obs"
@@ -54,33 +53,10 @@ import (
 // hoisted digit decomposition of the automorphism key switch (decompose),
 // and the key-dependent digit·key accumulation (key_switch). FlushInto's
 // tree-exit transforms and the deferred divisions of both parts report
-// under intt and moddown.
-var (
-	packSec   = obs.StageHistogram(obs.StagePack)
-	decSec    = obs.StageHistogram(obs.StageDecompose)
-	ksSec     = obs.StageHistogram(obs.StageKeySwitch)
-	pmdSec    = obs.StageHistogram(obs.StagePackModDown)
-	inttSec   = obs.StageHistogram(obs.StageINTT)
-	mergesCnt = obs.GetCounter("cham_hmvp_pack_merges_total",
-		"PACKTWOLWES tree merges (m-1 per packed tile).")
-)
-
-// observeStage publishes one stage duration: to the sink when a sampled
-// request is tracing this apply (with the trace ID as the histogram
-// exemplar), to the histogram alone otherwise. hist is the caller's
-// cached obs.On().
-func observeStage(h *obs.Histogram, stage int, d time.Duration, hist bool, sink obs.StageSink) {
-	if sink != nil {
-		sink.StageAdd(stage, d)
-		if hist {
-			h.ObserveExemplar(d.Seconds(), sink.ExemplarLabel())
-		}
-		return
-	}
-	if hist {
-		h.Observe(d.Seconds())
-	}
-}
+// under intt and moddown. Both are timed by an obs.StageClock, the one
+// stage clock core's row apply uses too.
+var mergesCnt = obs.GetCounter("cham_hmvp_pack_merges_total",
+	"PACKTWOLWES tree merges (m-1 per packed tile).")
 
 // PackNode is one NTT-resident packing-tree operand: both parts are
 // full-basis NTT accumulators with their special-modulus division
@@ -152,18 +128,20 @@ func ResidentFromRLWE(p bfv.Params, nd *PackNode, ct *rlwe.Ciphertext) {
 
 // mergeScratch is the per-worker arena of one pack-tree sweep: the hoisted
 // decomposition digits plus the difference pair and the rescaled a-part a
-// merge needs. One scratch serves every merge a fold worker runs, keeping
-// the buffers cache-resident instead of cycling the pool per merge.
+// merge needs, and the clock that times the merge's stages. One scratch
+// serves every merge a fold worker runs, keeping the buffers
+// cache-resident instead of cycling the pool per merge.
 type mergeScratch struct {
 	dec *rlwe.Decomposition
-	dBT *ring.Poly // full basis: E.BT - X^z·O.BT
-	dA  *ring.Poly // full basis: E.A - X^z·O.A
-	aN  *ring.Poly // normal basis, coefficient domain: rescaled gathered a
+	dBT *ring.Poly     // full basis: E.BT - X^z·O.BT
+	dA  *ring.Poly     // full basis: E.A - X^z·O.A
+	aN  *ring.Poly     // normal basis, coefficient domain: rescaled gathered a
+	clk obs.StageClock // attached to the fold's sink for one Run
 }
 
 // msShells recycles mergeScratch headers; the buffers they carry come from
 // the ring and decomposition pools. Shells are ring-agnostic (four
-// pointers), so one process-wide pool is safe.
+// pointers and a detached clock), so one process-wide pool is safe.
 var msShells sync.Pool
 
 // getMergeScratch borrows a merge arena from the pools.
@@ -191,6 +169,8 @@ func putMergeScratch(p bfv.Params, ms *mergeScratch) {
 	p.R.PutPoly(ms.dA)
 	p.R.PutPoly(ms.aN)
 	ms.dec, ms.dBT, ms.dA, ms.aN = nil, nil, nil, nil
+	// The next borrower must not charge its stages to this Run's trace.
+	ms.clk.Attach(nil)
 	msShells.Put(ms)
 }
 
@@ -204,15 +184,11 @@ func putMergeScratch(p bfv.Params, ms *mergeScratch) {
 // into the full-basis accumulators un-rescaled. The only rescale is of
 // the gathered difference a-part feeding the digit decomposition — the
 // one place the merge is nonlinear in a. E and O are consumed
-// (overwritten as scratch); out may alias E but not O. Per-stage
-// durations also go to sink (a traced request's recorder) when non-nil.
-func packTwo(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk *rlwe.SwitchingKey, ms *mergeScratch, sink obs.StageSink) {
-	hist := obs.On()
-	on := hist || sink != nil
-	var t0 time.Time
-	if on {
-		t0 = time.Now()
-	}
+// (overwritten as scratch); out may alias E but not O. ms.clk times the
+// four stages.
+func packTwo(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk *rlwe.SwitchingKey, ms *mergeScratch) {
+	clk := &ms.clk
+	clk.Start()
 	r := p.R
 	z := r.N / (2 * i)
 	k := 2*i + 1
@@ -225,39 +201,25 @@ func packTwo(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk *rlwe.Switc
 	r.MonomialSplitNTT(out.A, ms.dA, E.A, O.A, z)
 	r.AutomorphNTTAddInto(out.BT, ms.dBT, k)
 	r.AutomorphNTT(O.A, ms.dA, k)
-	var t1 time.Time
-	if on {
-		t1 = time.Now()
-	}
+	clk.Mark(obs.StagePack)
 	// φ_k(diff) decrypts under φ_k(s); the switch brings its TRUE a-part
 	// ModDown(φ_k(dA)) back under s. The rescale runs in coefficient form —
 	// the view the digit lifts read anyway, so its inverse transforms
 	// replace (not add to) the decomposition's.
 	r.INTT(O.A)
 	r.ModDownTo(ms.aN, O.A)
-	var t2 time.Time
-	if on {
-		t2 = time.Now()
-	}
+	clk.Mark(obs.StagePackModDown)
 	// Decomposition commutes with φ_k, so the digits are built straight
 	// from the gathered, rescaled a-part.
 	p.DecomposeInto(ms.dec, ms.aN)
-	var t3 time.Time
-	if on {
-		t3 = time.Now()
-	}
+	clk.Mark(obs.StageDecompose)
 	// Both switched parts join their accumulators un-rescaled: the deferred
 	// divisions run once per tree, at FlushInto.
 	p.KeySwitchAccumulateNTT(out.BT, out.A, ms.dec, swk)
-	if on {
-		t4 := time.Now()
-		observeStage(packSec, obs.StagePack, t1.Sub(t0), hist, sink)
-		observeStage(pmdSec, obs.StagePackModDown, t2.Sub(t1), hist, sink)
-		observeStage(decSec, obs.StageDecompose, t3.Sub(t2), hist, sink)
-		observeStage(ksSec, obs.StageKeySwitch, t4.Sub(t3), hist, sink)
-		if hist {
-			mergesCnt.Inc()
-		}
+	clk.Mark(obs.StageKeySwitch)
+	clk.Flush()
+	if obs.On() {
+		mergesCnt.Inc()
 	}
 }
 
@@ -265,8 +227,8 @@ func packTwo(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk *rlwe.Switc
 // ModDown(INTT(nd.A)) — the whole tree's deferred divisions, once per
 // part. out must be a normal-basis ciphertext; nd is consumed.
 //
-// The benchmark pins the sink-less FlushInto and PackResident signatures,
-// so these two X/XSink pairs stay until a benchmark issue re-points it.
+// The benchmark pins the sink-less FlushInto signature, so the
+// FlushInto/FlushIntoSink pair stays until a benchmark issue re-points it.
 func FlushInto(p bfv.Params, out *rlwe.Ciphertext, nd *PackNode) {
 	FlushIntoSink(p, out, nd, nil)
 }
@@ -274,26 +236,17 @@ func FlushInto(p bfv.Params, out *rlwe.Ciphertext, nd *PackNode) {
 // FlushIntoSink is FlushInto with per-stage durations also routed to sink;
 // nil sink is exactly FlushInto.
 func FlushIntoSink(p bfv.Params, out *rlwe.Ciphertext, nd *PackNode, sink obs.StageSink) {
-	hist := obs.On()
-	on := hist || sink != nil
-	var t0 time.Time
-	if on {
-		t0 = time.Now()
-	}
+	var clk obs.StageClock
+	clk.Attach(sink)
+	clk.Start()
 	r := p.R
 	r.INTT(nd.BT)
 	r.INTT(nd.A)
-	var t1 time.Time
-	if on {
-		t1 = time.Now()
-	}
+	clk.Mark(obs.StageINTT)
 	r.ModDownTo(out.B, nd.BT)
 	r.ModDownTo(out.A, nd.A)
-	if on {
-		t2 := time.Now()
-		observeStage(inttSec, obs.StageINTT, t1.Sub(t0), hist, sink)
-		observeStage(pmdSec, obs.StagePackModDown, t2.Sub(t1), hist, sink)
-	}
+	clk.Mark(obs.StagePackModDown)
+	clk.Flush()
 }
 
 // PackResident folds m := len(nodes) resident slot ciphertexts into
@@ -306,19 +259,12 @@ func FlushIntoSink(p bfv.Params, out *rlwe.Ciphertext, nd *PackNode, sink obs.St
 // by disjoint subtrees, and the result is bit-identical for every worker
 // count.
 func PackResident(p bfv.Params, nodes []*PackNode, keys *PackingKeys, workers int) (*PackNode, error) {
-	return PackResidentSink(p, nodes, keys, workers, nil)
-}
-
-// PackResidentSink is PackResident with per-stage durations also routed to
-// sink (which must be safe for concurrent StageAdd calls — the parallel
-// path's workers hit it simultaneously); nil sink is exactly PackResident.
-func PackResidentSink(p bfv.Params, nodes []*PackNode, keys *PackingKeys, workers int, sink obs.StageSink) (*PackNode, error) {
 	f, ok := residentFolds.Get().(*Fold)
 	if !ok {
 		f = new(Fold)
 	}
 	defer residentFolds.Put(f)
-	return f.run(p, len(nodes), nil, nodes, keys, workers, sink)
+	return f.run(p, len(nodes), nil, nodes, keys, workers, nil)
 }
 
 // residentFolds recycles PackResident's folds. Over pre-filled nodes a
@@ -347,7 +293,6 @@ type Fold struct {
 	keys  *PackingKeys
 	src   Leaves
 	nodes []*PackNode // PackResident's pre-filled leaves; nil when src fills slots
-	sink  obs.StageSink
 	ws    []*foldWorker
 }
 
@@ -379,8 +324,10 @@ func (f *Fold) Slots() int {
 // Run folds the m leaves src supplies into one resident node, returned
 // still resident in the fold's own buffer (FlushInto completes the exit;
 // the node is valid until the next Run). m must be a power of two covered
-// by keys; every key is checked before the first leaf is asked for. sink
-// is as for PackResidentSink.
+// by keys; every key is checked before the first leaf is asked for. A
+// non-nil sink (a traced request's recorder) also receives every merge's
+// stage durations; it must be safe for concurrent StageAdd calls, since a
+// parallel fold's workers hit it simultaneously.
 func (f *Fold) Run(p bfv.Params, m int, src Leaves, keys *PackingKeys, workers int, sink obs.StageSink) (*PackNode, error) {
 	return f.run(p, m, src, nil, keys, workers, sink)
 }
@@ -390,7 +337,7 @@ func (f *Fold) run(p bfv.Params, m int, src Leaves, nodes []*PackNode, keys *Pac
 		return nil, err
 	}
 	nw := min(max(workers, 1), m)
-	f.p, f.m, f.keys, f.src, f.nodes, f.sink = p, m, keys, src, nodes, sink
+	f.p, f.m, f.keys, f.src, f.nodes = p, m, keys, src, nodes
 	for len(f.ws) < nw {
 		fw := &foldWorker{f: f, id: len(f.ws)}
 		fw.spawn = fw.foldGroup
@@ -399,6 +346,7 @@ func (f *Fold) run(p bfv.Params, m int, src Leaves, nodes []*PackNode, keys *Pac
 	if m > 1 {
 		for _, fw := range f.ws[:nw] {
 			fw.ms = getMergeScratch(p)
+			fw.ms.clk.Attach(sink)
 		}
 	}
 	root := f.fold(0, nw, 0, 1)
@@ -406,7 +354,7 @@ func (f *Fold) run(p bfv.Params, m int, src Leaves, nodes []*PackNode, keys *Pac
 		putMergeScratch(p, fw.ms)
 		fw.ms, fw.root = nil, nil
 	}
-	f.keys, f.src, f.nodes, f.sink = nil, nil, nil, nil
+	f.keys, f.src, f.nodes = nil, nil, nil
 	return root, nil
 }
 
@@ -451,7 +399,7 @@ func (f *Fold) fold(w0, nw, r, c int) *PackNode {
 	E := f.fold(w0, h, r, 2*c)
 	odd.done.Wait()
 	i := f.m / (2 * c)
-	packTwo(f.p, E, i, E, odd.root, f.keys.Keys[2*i+1], f.ws[w0].ms, f.sink)
+	packTwo(f.p, E, i, E, odd.root, f.keys.Keys[2*i+1], f.ws[w0].ms)
 	return E
 }
 
@@ -474,7 +422,7 @@ func (fw *foldWorker) serial(r, c int) *PackNode {
 		stk = append(stk, fw.leaf(len(stk), r+c*int(bits.Reverse(uint(s))>>shift)))
 		for t, i := s, 1; t&1 == 1; t, i = t>>1, i<<1 {
 			d := len(stk)
-			packTwo(f.p, stk[d-2], i, stk[d-2], stk[d-1], f.keys.Keys[2*i+1], fw.ms, f.sink)
+			packTwo(f.p, stk[d-2], i, stk[d-2], stk[d-1], f.keys.Keys[2*i+1], fw.ms)
 			stk = stk[:d-1]
 		}
 	}

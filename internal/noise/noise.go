@@ -51,14 +51,6 @@ func (e *Estimator) FreshSym() float64 {
 	return log2(e.Slack * e.Sigma)
 }
 
-// FreshPK bounds public-key encryption noise: b·u + e0 + e1·s, two ring
-// products of ternary by noise plus noise terms.
-func (e *Estimator) FreshPK() float64 {
-	// ‖u·e‖ ≈ σ·sqrt(2N/3) for ternary u (variance 2/3).
-	prod := e.Sigma * math.Sqrt(2*e.n()/3)
-	return log2(e.Slack * (2*prod + e.Sigma))
-}
-
 // AfterMulPlain bounds noise after multiplying a ciphertext with noise
 // 2^base by a plaintext with centred coefficients bounded by ptBound:
 // the noise convolves with the plaintext, ≈ e·ptBound·sqrt(N).
@@ -116,28 +108,14 @@ func (e *Estimator) KeySwitchAdditiveDeferred() float64 {
 	return log2(e.Slack * (prod/p + roundA))
 }
 
-// AfterPack bounds noise after packing m = 2^l LWE ciphertexts whose
-// inputs carry noise 2^base: each tree level doubles the carried noise
-// and adds one key switch.
-func (e *Estimator) AfterPack(base float64, m int) float64 {
-	levels := 0
-	for v := 1; v < m; v <<= 1 {
-		levels++
-	}
-	carried := base + float64(levels) // ×2 per level
-	ks := e.KeySwitchAdditive()
-	// Σ 2^j·ks over levels ≈ 2^levels·ks.
-	ksTotal := ks + float64(levels)
-	return log2(math.Pow(2, carried) + math.Pow(2, ksTotal))
-}
-
 // AfterPackDeferred bounds noise after the NTT-resident deferred tree
-// (DESIGN.md §12): carried noise and per-merge key-switch noise double
-// per level exactly as in AfterPack, but each merge charges only the
-// deferred (a-side) rounding, and the single flush division adds one
-// b-side rounding of at most 1/2 per coefficient — an O(1) term with no
-// secret multiplication, since only the b polynomial is rounded.
-// For any m this is ≤ AfterPack: deferring ModDown never costs noise.
+// (DESIGN.md §12): each tree level doubles the carried noise and the
+// per-merge key-switch noise, but each merge charges only the deferred
+// (a-side) rounding, and the single flush division adds one b-side
+// rounding of at most 1/2 per coefficient — an O(1) term with no secret
+// multiplication, since only the b polynomial is rounded. Deferring
+// ModDown never costs noise: the bound is at most that of a tree that
+// rescales after every merge (TestDeferredModDownInvariant).
 func (e *Estimator) AfterPackDeferred(base float64, m int) float64 {
 	levels := 0
 	for v := 1; v < m; v <<= 1 {

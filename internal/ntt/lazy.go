@@ -22,35 +22,23 @@ import (
 	"cham/internal/vec"
 )
 
-// forwardVec and inverseVec hand one row to the accelerated kernel; false
-// means it declined and the caller runs its Go loop.
-func (t *Table) forwardVec(a []uint64) bool {
-	return vec.ForwardNTT(t.M.Q, a, t.rootsFwd, t.rootsFwdShoup)
-}
-
-func (t *Table) inverseVec(a []uint64) bool {
-	return vec.InverseNTT(t.M.Q, a, t.rootsInv, t.rootsInvShoup, t.nInv, t.nInvShoup, t.nInvRoot, t.nInvRootShoup)
-}
-
 // ForwardLazy computes the in-place negacyclic NTT of a (natural
 // coefficient order in, bit-reversed evaluation order out) with the
 // iterative Cooley-Tukey decimation-in-time schedule and lazy reductions.
 // Input values may be any representatives below 4q; output is fully
 // reduced. This relaxed precondition is what lets digit-decomposition
 // sweeps feed their [0, 3q) lazy lifts straight into the transform.
+//
+// The row goes to the vector kernel when the host has one; the Go loop
+// below is the portable path and the kernel's reference. Stage invariant:
+// both butterfly outputs stay below 4q; each input is conditionally
+// brought under 2q before use, so u+v and u+2q-v never overflow (4q <
+// 2^64 for q < 2^62).
 func (t *Table) ForwardLazy(a []uint64) {
 	if len(a) != t.N {
 		panic("ntt: length mismatch")
 	}
-	t.forwardOne(a)
-}
-
-// forwardOne is the single-row lazy forward kernel. Stage invariant: both
-// butterfly outputs stay below 4q; each input is conditionally brought
-// under 2q before use, so u+v and u+2q-v never overflow (4q < 2^64 for
-// q < 2^62).
-func (t *Table) forwardOne(a []uint64) {
-	if t.forwardVec(a) {
+	if vec.ForwardNTT(t.M.Q, a, t.rootsFwd, t.rootsFwdShoup) {
 		return
 	}
 	m := t.M
@@ -118,17 +106,13 @@ func (t *Table) forwardOne(a []uint64) {
 // reductions: butterfly values stay in [0, 2q) and the N^-1 normalization
 // rides the final stage's Shoup multiplies, skipping one conditional
 // subtraction per butterfly and the whole trailing scaling pass. Input
-// values must be below 2q; output is fully reduced.
+// values must be below 2q; output is fully reduced. As in ForwardLazy,
+// the vector kernel takes the row when the host has one.
 func (t *Table) InverseLazy(a []uint64) {
 	if len(a) != t.N {
 		panic("ntt: length mismatch")
 	}
-	t.inverseOne(a)
-}
-
-// inverseOne is the single-row lazy inverse kernel.
-func (t *Table) inverseOne(a []uint64) {
-	if t.inverseVec(a) {
+	if vec.InverseNTT(t.M.Q, a, t.rootsInv, t.rootsInvShoup, t.nInv, t.nInvShoup, t.nInvRoot, t.nInvRootShoup) {
 		return
 	}
 	m := t.M

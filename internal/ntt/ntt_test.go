@@ -7,6 +7,7 @@ import (
 
 	"cham/internal/mod"
 	"cham/internal/testutil"
+	"cham/internal/vec"
 )
 
 // naiveForward evaluates a at ψ^(2k+1) for k = 0..N-1 in O(N²) and
@@ -329,4 +330,77 @@ func TestForwardLazyMatchesForward(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The lazy transforms' input contract, at every CHAM modulus and the
+// benchmarked ring degrees, on the host's kernels and on the Go loops:
+// fed non-canonical representatives inside the documented headroom, a row
+// must come out exactly as the one-row transform of its reduced residues.
+// The digit decomposition relies on it, handing the forward transform its
+// [0, 3q) lifts unreduced.
+
+var contractSizes = []int{256, 512, 4096}
+
+// lazyPoly returns n coefficients uniform in [0, bound) — representatives
+// deliberately above q to exercise the lazy-reduction input contract.
+func lazyPoly(rng *rand.Rand, n int, bound uint64) []uint64 {
+	a := make([]uint64, n)
+	for i := range a {
+		a[i] = rng.Uint64() % bound
+	}
+	return a
+}
+
+// canon reduces a lazy representative vector to canonical residues.
+func canon(a []uint64, q uint64) []uint64 {
+	out := make([]uint64, len(a))
+	for i, x := range a {
+		out[i] = x % q
+	}
+	return out
+}
+
+// bothKernelModes runs f on the host's kernels and again with the vector
+// kernels forced off, the two settings of the process-global switch.
+func bothKernelModes(t *testing.T, f func(t *testing.T)) {
+	t.Run("host", f)
+	t.Run("generic", func(t *testing.T) {
+		vec.ForceGeneric(t)
+		f(t)
+	})
+}
+
+// checkLazyContract feeds transform a row below bound and its canonical
+// residues, and requires the same output from both.
+func checkLazyContract(t *testing.T, seed int64, bound uint64, transform func(tb *Table, a []uint64)) {
+	rng := rand.New(rand.NewSource(seed))
+	for _, q := range mod.ChamModuli() {
+		for _, n := range contractSizes {
+			tb := MustTable(n, q)
+			got := lazyPoly(rng, n, bound*q)
+			want := canon(got, q)
+			transform(tb, want)
+			transform(tb, got)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("q=%d N=%d: lazy input gave %d at %d, canonical input %d", q, n, got[i], i, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestForwardLazyMatchesStrict: ForwardLazy takes anything below 4q.
+func TestForwardLazyMatchesStrict(t *testing.T) {
+	bothKernelModes(t, func(t *testing.T) {
+		checkLazyContract(t, 42, 4, (*Table).ForwardLazy)
+	})
+}
+
+// TestInverseLazyMatchesStrict: InverseLazy takes anything below 2q — the
+// lazy forward MAC chain hands exactly that to the completion path.
+func TestInverseLazyMatchesStrict(t *testing.T) {
+	bothKernelModes(t, func(t *testing.T) {
+		checkLazyContract(t, 43, 2, (*Table).InverseLazy)
+	})
 }

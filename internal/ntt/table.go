@@ -1,10 +1,10 @@
 // Package ntt implements negacyclic number theoretic transforms over
 // Z_q[X]/(X^N+1). One transform is production — the iterative
 // Cooley-Tukey / Gentleman-Sande in-place schedule with lazy (Harvey)
-// reductions, one row at a time (ForwardLazy/InverseLazy) or several rows
-// under one twiddle sweep (ForwardBatch/InverseBatch), on vector kernels
-// where the host has them. Two more are the paper's hardware, kept as the
-// artefact they reproduce and checked against the production transform:
+// reductions, one row at a time (ForwardLazy/InverseLazy), on vector
+// kernels where the host has them. Two more are the paper's hardware,
+// kept as the artefact they reproduce and checked against the production
+// transform:
 //
 //   - the constant-geometry (Pease) dataflow of Alg. 4, whose butterfly
 //     wiring is identical in every stage (cg.go), and
@@ -48,7 +48,7 @@ type Table struct {
 
 	nInv, nInvShoup uint64
 	// nInvRoot = rootsInv[1]·N^-1, the twiddle of the inverse transform's
-	// final stage with the normalization folded in (see lazy.go/batch.go).
+	// final stage with the normalization folded in (see lazy.go).
 	nInvRoot, nInvRootShoup uint64
 }
 

@@ -120,29 +120,9 @@ func (r *Ring) MulCoeffShoupAdd(out, a, b *Poly, bShoup [][]uint64) {
 	}
 }
 
-// MulCoeffShoupPair sets out = a0 ∘ b0 + a1 ∘ b1 in one sweep — the
+// MulCoeffShoupPairAdd sets out += a0 ∘ b0 + a1 ∘ b1 in one sweep — the
 // two-digit key-switch accumulation fused so out is written once instead
 // of once per digit. s0/s1 are the Shoup companions of b0/b1.
-func (r *Ring) MulCoeffShoupPair(out, a0, b0 *Poly, s0 [][]uint64, a1, b1 *Poly, s1 [][]uint64) {
-	lv := sameLevels(out, a0, b0, a1, b1)
-	sameDomain(a0, b0, a1, b1)
-	for l := 0; l < lv; l++ {
-		m := r.Moduli[l]
-		ra0, rb0, rs0 := a0.Coeffs[l], b0.Coeffs[l], s0[l]
-		ra1, rb1, rs1 := a1.Coeffs[l], b1.Coeffs[l], s1[l]
-		ro := out.Coeffs[l]
-		if vec.MulShoupPair(m.Q, ro, ra0, rb0, rs0, ra1, rb1, rs1, false) {
-			continue
-		}
-		for i := range ro {
-			ro[i] = m.Add(m.MulShoup(ra0[i], rb0[i], rs0[i]), m.MulShoup(ra1[i], rb1[i], rs1[i]))
-		}
-	}
-	out.IsNTT = a0.IsNTT
-}
-
-// MulCoeffShoupPairAdd sets out += a0 ∘ b0 + a1 ∘ b1 in one sweep (the
-// accumulating form of MulCoeffShoupPair).
 func (r *Ring) MulCoeffShoupPairAdd(out, a0, b0 *Poly, s0 [][]uint64, a1, b1 *Poly, s1 [][]uint64) {
 	lv := sameLevels(out, a0, b0, a1, b1)
 	sameDomain(a0, b0, a1, b1)
@@ -151,7 +131,7 @@ func (r *Ring) MulCoeffShoupPairAdd(out, a0, b0 *Poly, s0 [][]uint64, a1, b1 *Po
 		ra0, rb0, rs0 := a0.Coeffs[l], b0.Coeffs[l], s0[l]
 		ra1, rb1, rs1 := a1.Coeffs[l], b1.Coeffs[l], s1[l]
 		ro := out.Coeffs[l]
-		if vec.MulShoupPair(m.Q, ro, ra0, rb0, rs0, ra1, rb1, rs1, true) {
+		if vec.MulShoupPair(m.Q, ro, ra0, rb0, rs0, ra1, rb1, rs1) {
 			continue
 		}
 		for i := range ro {

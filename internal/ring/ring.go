@@ -275,8 +275,8 @@ func (r *Ring) MulScalarBig(out, a *Poly, c *big.Int) {
 	out.IsNTT = a.IsNTT
 }
 
-// NTT transforms p to the evaluation domain in place (canonical residues
-// in and out). Panics if already there.
+// NTT transforms p to the evaluation domain in place: any representatives
+// below 4q in, canonical residues out. Panics if already there.
 func (r *Ring) NTT(p *Poly) {
 	if p.IsNTT {
 		panic("ring: NTT of an NTT-domain polynomial")

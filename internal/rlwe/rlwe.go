@@ -15,6 +15,7 @@ package rlwe
 
 import (
 	"fmt"
+	"math/big"
 	"math/rand"
 
 	"cham/internal/ring"
@@ -99,6 +100,12 @@ func (ct *Ciphertext) IsNTT() bool { return ct.B.IsNTT }
 // Copy deep-copies the ciphertext.
 func (ct *Ciphertext) Copy() *Ciphertext {
 	return &Ciphertext{B: ct.B.Copy(), A: ct.A.Copy()}
+}
+
+// CopyFrom copies o into ct. Level counts must match.
+func (ct *Ciphertext) CopyFrom(o *Ciphertext) {
+	ct.B.CopyFrom(o.B)
+	ct.A.CopyFrom(o.A)
 }
 
 // KeyGen samples a fresh ternary secret key.
@@ -203,6 +210,38 @@ func (p Params) PhaseInto(out *ring.Poly, ct *Ciphertext, sk *SecretKey) {
 	}
 }
 
+// NoiseBits returns log2 of the largest absolute difference between the
+// ciphertext's phase and the expected payload (given as centred big-int
+// coefficients): the consumed noise budget. Returns a negative value for
+// an exact match.
+func (p Params) NoiseBits(ct *Ciphertext, sk *SecretKey, want []*big.Int) float64 {
+	r := p.R
+	ph := p.Phase(ct, sk)
+	got := r.ToBigIntCentered(ph, ct.Levels())
+	q := r.Modulus(ct.Levels())
+	half := new(big.Int).Rsh(q, 1)
+	max := new(big.Int)
+	d := new(big.Int)
+	for i := range got {
+		d.Set(got[i])
+		if i < len(want) {
+			d.Sub(d, want[i])
+		}
+		d.Mod(d, q)
+		if d.Cmp(half) > 0 {
+			d.Sub(d, q)
+		}
+		d.Abs(d)
+		if d.Cmp(max) > 0 {
+			max.Set(d)
+		}
+	}
+	if max.Sign() == 0 {
+		return -1
+	}
+	return float64(max.BitLen())
+}
+
 // truncate returns a view of p limited to the first `levels` limbs.
 func truncate(p *ring.Poly, levels int) *ring.Poly {
 	if p.Levels() == levels {
@@ -260,4 +299,17 @@ func (p Params) Rescale(ct *Ciphertext) *Ciphertext {
 	}
 	p.RescaleInto(out, ct)
 	return out
+}
+
+// RescaleInto is Rescale writing into a caller-owned normal-basis
+// ciphertext.
+func (p Params) RescaleInto(out, ct *Ciphertext) {
+	if ct.Levels() != p.R.Levels() {
+		panic("rlwe: Rescale requires an augmented ciphertext")
+	}
+	if out.Levels() != p.NormalLevels {
+		panic("rlwe: Rescale output must be normal basis")
+	}
+	p.R.ModDownTo(out.B, ct.B)
+	p.R.ModDownTo(out.A, ct.A)
 }

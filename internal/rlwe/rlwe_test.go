@@ -196,9 +196,10 @@ func TestAutomorphCt(t *testing.T) {
 	p.R.SetCentered(pl, vals)
 	p.R.Add(ct.B, ct.B, pl)
 
+	ctK := &Ciphertext{B: p.R.NewPoly(2), A: p.R.NewPoly(2)}
 	for _, k := range []int{3, p.R.N + 1, 2*p.R.N - 1} {
 		swk := p.AutomorphismKeyGen(rng, sk, k)
-		ctK := p.AutomorphCt(ct, k, swk)
+		p.AutomorphCtInto(ctK, ct, k, swk)
 
 		phiPl := p.R.NewPoly(2)
 		p.R.Automorph(phiPl, pl, k)

@@ -48,26 +48,6 @@ func (d *HMVPDescriptor) Words() ([]uint64, error) {
 	}, nil
 }
 
-// ParseHMVPDescriptor inverts Words, validating as it goes.
-func ParseHMVPDescriptor(words []uint64) (*HMVPDescriptor, error) {
-	if len(words) != 6 {
-		return nil, fmt.Errorf("runtime: descriptor needs 6 words, got %d", len(words))
-	}
-	d := &HMVPDescriptor{
-		Rows:         uint32(words[0] >> 32),
-		Cols:         uint32(words[0]),
-		MatrixAddr:   words[1],
-		VectorAddr:   words[2],
-		KeyAddr:      words[3],
-		ResultAddr:   words[4],
-		PackRowsLog2: uint8(words[5]),
-	}
-	if _, err := d.Words(); err != nil { // re-validate
-		return nil, err
-	}
-	return d, nil
-}
-
 // RunHMVP loads the descriptor and executes it as one accelerator job.
 func (rt *Runtime) RunHMVP(d *HMVPDescriptor) error {
 	return rt.RunHMVPCtx(context.Background(), d)

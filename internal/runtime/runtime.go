@@ -23,8 +23,6 @@ type Runtime struct {
 	JobTimeout time.Duration
 	// MaxReplays bounds how often a job is retried across resets/errors.
 	MaxReplays int
-	// TempTripC is the thermal ceiling; health checks above it fail.
-	TempTripC float64
 
 	mu       sync.Mutex
 	free     chan int // engine pool
@@ -71,7 +69,6 @@ func New(dev *Device) (*Runtime, error) {
 		engines:    engines,
 		JobTimeout: 50 * time.Millisecond,
 		MaxReplays: 3,
-		TempTripC:  85,
 		free:       make(chan int, engines),
 		busy:       engineBusy(engines),
 	}
@@ -87,19 +84,14 @@ func (rt *Runtime) Engines() int { return rt.engines }
 // Driver exposes the lower layer (for telemetry).
 func (rt *Runtime) Driver() *Driver { return rt.dr }
 
-// RunJob executes one accelerator job: acquires an engine, loads its
+// RunJobCtx executes one accelerator job: acquires an engine, loads its
 // configuration words, rings the doorbell, and waits. Hangs and job
-// errors trigger reset-and-replay up to MaxReplays.
-func (rt *Runtime) RunJob(config []uint64) error {
-	return rt.RunJobCtx(context.Background(), config)
-}
-
-// RunJobCtx is RunJob bounded by a context: a request-scoped deadline or
-// cancellation aborts the job while it is still queued for an engine
-// (instead of occupying a slot), caps the hardware wait to the remaining
-// budget, and suppresses replays once the caller has given up. A context
-// abort surfaces as ctx.Err(), so callers can errors.Is it apart from
-// card failures.
+// errors trigger reset-and-replay up to MaxReplays. The context bounds
+// it: a request-scoped deadline or cancellation aborts the job while it
+// is still queued for an engine (instead of occupying a slot), caps the
+// hardware wait to the remaining budget, and suppresses replays once the
+// caller has given up. A context abort surfaces as ctx.Err(), so callers
+// can errors.Is it apart from card failures.
 func (rt *Runtime) RunJobCtx(ctx context.Context, config []uint64) error {
 	on := obs.On()
 	tc := trace.FromContext(ctx)
@@ -297,18 +289,6 @@ func (rt *Runtime) HealthCheck() HealthSample {
 		mHeartbeatAge.Set(age)
 	}
 	return s
-}
-
-// Healthy reports whether the last sample was alive and below the thermal
-// trip point.
-func (rt *Runtime) Healthy() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if len(rt.statuses) == 0 {
-		return true
-	}
-	last := rt.statuses[len(rt.statuses)-1]
-	return last.Alive && last.TempC < rt.TempTripC
 }
 
 // History returns the collected health samples.

@@ -54,7 +54,7 @@ func TestNewValidation(t *testing.T) {
 func TestRunJobHappyPath(t *testing.T) {
 	rt := healthyRuntime(t, 2)
 	for i := 0; i < 10; i++ {
-		if err := rt.RunJob([]uint64{1, 2, 3}); err != nil {
+		if err := rt.RunJobCtx(context.Background(), []uint64{1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestRegisterCorruptionRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if err := rt.RunJob([]uint64{7, 8, 9, 10}); err != nil {
+		if err := rt.RunJobCtx(context.Background(), []uint64{7, 8, 9, 10}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func TestHangResetReplay(t *testing.T) {
 	}
 	rt.JobTimeout = 5 * time.Millisecond
 	for i := 0; i < 8; i++ {
-		if err := rt.RunJob([]uint64{1}); err != nil {
+		if err := rt.RunJobCtx(context.Background(), []uint64{1}); err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
 	}
@@ -116,7 +116,7 @@ func TestJobErrorReplay(t *testing.T) {
 	dev := NewDevice(1, jobDur, FaultPlan{FailJobEvery: 4})
 	rt, _ := New(dev)
 	for i := 0; i < 6; i++ {
-		if err := rt.RunJob([]uint64{1}); err != nil {
+		if err := rt.RunJobCtx(context.Background(), []uint64{1}); err != nil {
 			t.Fatalf("job %d not recovered: %v", i, err)
 		}
 	}
@@ -126,28 +126,25 @@ func TestJobErrorReplay(t *testing.T) {
 	// Persistent failure: every job errors.
 	devBad := NewDevice(1, jobDur, FaultPlan{FailJobEvery: 1})
 	rtBad, _ := New(devBad)
-	if err := rtBad.RunJob([]uint64{1}); err == nil {
+	if err := rtBad.RunJobCtx(context.Background(), []uint64{1}); err == nil {
 		t.Error("persistently failing job reported success")
 	}
 }
 
 // TestHealthMonitoring: heartbeat advances on a live card; a hang is
-// detected and recovered; overheating flips Healthy.
+// detected and recovered; an overheated die samples above its 85 °C trip.
 func TestHealthMonitoring(t *testing.T) {
 	rt := healthyRuntime(t, 1)
 	s := rt.HealthCheck()
 	if !s.Alive || s.TempC < 20 || s.TempC > 60 {
 		t.Errorf("healthy card sampled as %+v", s)
 	}
-	if !rt.Healthy() {
-		t.Error("healthy card reported unhealthy")
-	}
 
 	// Hang: heartbeat freezes; the check recovers via reset.
 	devHang := NewDevice(1, jobDur, FaultPlan{HangAfterJobs: 1})
 	rtHang, _ := New(devHang)
 	rtHang.JobTimeout = 5 * time.Millisecond
-	_ = rtHang.RunJob([]uint64{1}) // triggers the hang (replayed fine)
+	_ = rtHang.RunJobCtx(context.Background(), []uint64{1}) // triggers the hang (replayed fine)
 	sample := rtHang.HealthCheck()
 	_ = sample
 	if rtHang.Resets() == 0 {
@@ -158,15 +155,14 @@ func TestHealthMonitoring(t *testing.T) {
 		t.Error("card not alive after recovery")
 	}
 
-	// Overheat: Healthy() goes false above the trip point.
+	// Overheat: the sample reads the die past the trip point.
 	devHot := NewDevice(1, jobDur, FaultPlan{OverheatAfterJobs: 1})
 	rtHot, _ := New(devHot)
-	if err := rtHot.RunJob([]uint64{1}); err != nil {
+	if err := rtHot.RunJobCtx(context.Background(), []uint64{1}); err != nil {
 		t.Fatal(err)
 	}
-	rtHot.HealthCheck()
-	if rtHot.Healthy() {
-		t.Error("overheated card reported healthy")
+	if s := rtHot.HealthCheck(); s.TempC < 85 {
+		t.Errorf("overheated card sampled at %.1f °C", s.TempC)
 	}
 	if len(rtHot.History()) != 1 {
 		t.Error("history not recorded")
@@ -184,7 +180,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs <- rt.RunJob([]uint64{42})
+			errs <- rt.RunJobCtx(context.Background(), []uint64{42})
 		}()
 	}
 	wg.Wait()
@@ -213,7 +209,7 @@ func TestConcurrentWithHang(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs <- rt.RunJob([]uint64{1})
+			errs <- rt.RunJobCtx(context.Background(), []uint64{1})
 		}()
 	}
 	wg.Wait()
@@ -270,7 +266,7 @@ func TestHistoryIsACopy(t *testing.T) {
 					return
 				default:
 					rt.HealthCheck()
-					_ = rt.RunJob([]uint64{7})
+					_ = rt.RunJobCtx(context.Background(), []uint64{7})
 				}
 			}
 		}()
@@ -279,7 +275,6 @@ func TestHistoryIsACopy(t *testing.T) {
 		for _, s := range rt.History() {
 			_ = s.TempC // read every field the writers touch
 		}
-		_ = rt.Healthy()
 		_ = rt.Replays()
 		_ = rt.Resets()
 	}
@@ -317,7 +312,7 @@ func TestRunJobCtxAbortsWhileQueued(t *testing.T) {
 	firstDone := make(chan error, 1)
 	go func() {
 		close(started)
-		firstDone <- rt.RunJob([]uint64{1})
+		firstDone <- rt.RunJobCtx(context.Background(), []uint64{1})
 	}()
 	<-started
 	// Give the first job time to claim the engine.

@@ -59,10 +59,8 @@ type FrontEnd struct {
 	// one process charge their own families.
 	Conns *obs.Gauge
 
-	// What only chamserve has, set by server.New: the strict-v1 switch
-	// behind Config.DisableTrace and the cham_server_* byte, request and
-	// rejection counters. Nil handles are simply not charged.
-	disableTrace           bool
+	// What only chamserve has, set by server.New: the cham_server_* byte,
+	// request and rejection counters. Nil handles are simply not charged.
 	bytesRx, bytesTx, errs *obs.Counter
 	requests               map[wire.MsgType]*obs.Counter
 	rejects                map[string]*obs.Counter // by wire.CodeName
@@ -228,19 +226,8 @@ func (f *FrontEnd) handleConn(nc net.Conn) {
 	}()
 	hello := false // parameter handshake completed
 	for {
-		// The trace-aware read accepts both frame revisions; disableTrace
-		// pins the loop to strict v1 and rejects the MsgTraceHello probe,
-		// exactly like a pre-tracing build.
-		var t wire.MsgType
-		var seq uint16
-		var th wire.TraceHeader
-		var payload []byte
-		var err error
-		if f.disableTrace {
-			t, seq, payload, err = wire.ReadFrame(br, f.MaxFrame)
-		} else {
-			t, seq, th, payload, err = wire.ReadFrameAny(br, f.MaxFrame)
-		}
+		// The trace-aware read accepts both frame revisions.
+		t, seq, th, payload, err := wire.ReadFrameAny(br, f.MaxFrame)
 		if err != nil {
 			// Includes io.EOF on clean hang-up and frame-level corruption —
 			// after a desync there is no way to resynchronize the stream.
@@ -259,7 +246,7 @@ func (f *FrontEnd) handleConn(nc net.Conn) {
 			hello = f.handleHello(c, seq, payload) || hello
 		case !hello:
 			c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "handshake required before %v", t))
-		case t == wire.MsgTraceHello && !f.disableTrace:
+		case t == wire.MsgTraceHello:
 			f.handleTraceHello(c, seq, payload)
 		case t == wire.MsgApply || t == wire.MsgTileApply:
 			tc := trace.Context{Trace: trace.TraceID(th.TraceID), Span: trace.SpanID(th.SpanID), Flags: th.Flags}

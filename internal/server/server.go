@@ -69,11 +69,6 @@ type Config struct {
 	// normally serves its own tile range can therefore take over any tile
 	// after a peer dies, paying the preparation cost only on failover.
 	LazyTiles bool
-	// DisableTrace pins the connection read loop to strict protocol
-	// revision 1 and rejects the MsgTraceHello capability probe, exactly
-	// like a pre-tracing build — the version-skew interop tests use it to
-	// stand in for an old server.
-	DisableTrace bool
 	// Log receives the server's structured logs (per-request records at
 	// Debug, lifecycle at Info; sampled requests carry their trace_id).
 	// Default: discard — binaries pass a handler configured by -log-level.
@@ -188,7 +183,6 @@ func New(cfg Config) (*Server, error) {
 			Log:             cfg.Log,
 			MaxBatch:        uint32(cfg.MaxBatch),
 			Conns:           mConns,
-			disableTrace:    cfg.DisableTrace,
 			bytesRx:         mBytesRx,
 			bytesTx:         mBytesTx,
 			errs:            mErrors,

@@ -1,19 +1,21 @@
 package server
 
 // Version-skew interop: the traced frame format is negotiated, so a
-// traced client against a pre-tracing server (Config.DisableTrace
-// byte-for-byte reproduces one) must fall back to v1 frames and still
-// get correct results, and a pre-tracing client speaking raw v1 frames
-// against a traced server must be served identically with zero spans
-// recorded.
+// traced client against a pre-tracing server (v1Door stands one up) must
+// fall back to v1 frames and still get correct results, and a
+// pre-tracing client speaking raw v1 frames against a traced server must
+// be served identically with zero spans recorded.
 
 import (
 	"bufio"
 	"context"
+	"crypto/sha256"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
+	"cham/internal/bfv"
 	"cham/internal/core"
 	"cham/internal/lwe"
 	"cham/internal/obs/trace"
@@ -34,10 +36,10 @@ func TestTraceSkewTracedClientOldServer(t *testing.T) {
 	p := testParams(t, 32)
 	rng := testutil.NewRand(t)
 	sk := p.KeyGen(rng)
-	_, addr := testServer(t, Config{Params: p, DisableTrace: true, Linger: time.Millisecond})
-	cl := testClient(t, addr, p, nil)
-	keys := setupKeys(t, cl, p, rng, sk)
-
+	keys, err := lwe.GenPackingKeys(p, rng, sk, p.R.N)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ev, err := core.NewEvaluatorFromKeys(p, keys)
 	if err != nil {
 		t.Fatal(err)
@@ -46,6 +48,10 @@ func TestTraceSkewTracedClientOldServer(t *testing.T) {
 	pm, err := ev.Prepare(A)
 	if err != nil {
 		t.Fatal(err)
+	}
+	cl := testClient(t, v1Door(t, p, A, pm), p, nil)
+	if hash, err := cl.SetupKeys(keys); err != nil || hash != wire.KeyHash(p.R, keys) {
+		t.Fatalf("setup keys: hash %x, err %v", hash[:8], err)
 	}
 	handle, err := cl.RegisterMatrix(A)
 	if err != nil {
@@ -164,4 +170,99 @@ func TestTraceSkewOldClientTracedServer(t *testing.T) {
 	if recs := trace.Records(); len(recs) != 0 {
 		t.Fatalf("untraced v1 request left %d spans in the ring: %+v", len(recs), recs)
 	}
+}
+
+// v1Door stands in for a pre-tracing server: a strict revision-1 frame
+// loop (wire.ReadFrame fails on a traced frame, which ends the
+// connection) that knows the handshake, the key install and the one
+// matrix A, and answers its applies from pm in process. MsgTraceHello is
+// a message type it does not know, rejected the way any build rejects
+// one. It returns the door's address and closes with the test.
+func v1Door(t *testing.T, p bfv.Params, A [][]uint64, pm *core.PreparedMatrix) string {
+	t.Helper()
+	id, err := wire.MatrixID(A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handle := wire.MatrixHandle{ID: id, Rows: uint32(pm.Rows()), Cols: uint32(pm.Cols()),
+		Chunks: uint32(pm.Chunks()), Tiles: uint32(pm.Tiles())}
+	answer := func(mt wire.MsgType, payload []byte) (wire.MsgType, []byte) {
+		switch mt {
+		case wire.MsgPing:
+			return wire.MsgPong, payload
+		case wire.MsgHello:
+			return wire.MsgHelloOK, wire.HelloOK{Hello: wire.HelloFor(p), Engines: 1, MaxBatch: 1}.Encode()
+		case wire.MsgSetupKeys:
+			return wire.MsgSetupKeysOK, wire.SetupKeysOK{KeyHash: sha256.Sum256(payload)}.Encode()
+		case wire.MsgRegisterMatrix:
+			return wire.MsgMatrixHandle, handle.Encode()
+		case wire.MsgApply:
+			a, err := wire.DecodeApply(p.R, payload)
+			var res *core.Result
+			if err == nil {
+				res, err = pm.Apply(a.Vector)
+			}
+			if err != nil {
+				return wire.MsgError, wire.Errf(wire.CodeBadRequest, "apply: %v", err).Encode()
+			}
+			return wire.MsgResult, wire.EncodeResult(p.R, wire.Result{M: uint32(res.M), N: uint32(res.N), Packed: res.Packed})
+		}
+		return wire.MsgError, wire.Errf(wire.CodeBadRequest, "unexpected message type %d", mt).Encode()
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu     sync.Mutex
+		conns  []net.Conn
+		closed bool
+		wg     sync.WaitGroup
+	)
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		closed = true
+		for _, nc := range conns {
+			nc.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			if closed {
+				mu.Unlock()
+				nc.Close()
+				return
+			}
+			conns = append(conns, nc)
+			wg.Add(1)
+			mu.Unlock()
+			go func() {
+				defer wg.Done()
+				defer nc.Close()
+				br := bufio.NewReader(nc)
+				for {
+					mt, seq, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
+					if err != nil {
+						return
+					}
+					rt, rp := answer(mt, payload)
+					if wire.WriteFrame(nc, rt, seq, rp) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
 }

@@ -55,7 +55,7 @@ func ok(q uint64, n int, rows ...[]uint64) bool {
 	return true
 }
 
-// ForwardNTT runs ntt.(*Table).forwardOne on a: the lazy forward transform
+// ForwardNTT runs ntt.(*Table).ForwardLazy on a: the lazy forward transform
 // with twiddles w (bit-reversed powers, Shoup companions wShoup), inputs
 // below 4q, canonical output.
 func ForwardNTT(q uint64, a, w, wShoup []uint64) bool {
@@ -67,7 +67,7 @@ func ForwardNTT(q uint64, a, w, wShoup []uint64) bool {
 	return true
 }
 
-// InverseNTT runs ntt.(*Table).inverseOne on a: inputs below 2q, canonical
+// InverseNTT runs ntt.(*Table).InverseLazy on a: inputs below 2q, canonical
 // output, with N^-1 (nInv) and N^-1 times the last twiddle (nInvRoot)
 // folded into the final stage.
 func InverseNTT(q uint64, a, w, wShoup []uint64, nInv, nInvShoup, nInvRoot, nInvRootShoup uint64) bool {
@@ -90,14 +90,14 @@ func MonomialSplit(q uint64, sum, diff, e, o, m, mShoup []uint64) bool {
 	return true
 }
 
-// MulShoupPair sets out = a0∘b0 + a1∘b1, or out += … when add is set;
-// s0/s1 are the Shoup companions of b0/b1.
-func MulShoupPair(q uint64, out, a0, b0, s0, a1, b1, s1 []uint64, add bool) bool {
+// MulShoupPair sets out += a0∘b0 + a1∘b1; s0/s1 are the Shoup companions
+// of b0/b1.
+func MulShoupPair(q uint64, out, a0, b0, s0, a1, b1, s1 []uint64) bool {
 	n := len(out)
 	if !ok(q, n, a0, b0, s0, a1, b1, s1) {
 		return false
 	}
-	mulShoupPair(&out[0], &a0[0], &b0[0], &s0[0], &a1[0], &b1[0], &s1[0], n, q, add)
+	mulShoupPair(&out[0], &a0[0], &b0[0], &s0[0], &a1[0], &b1[0], &s1[0], n, q)
 	return true
 }
 
@@ -185,7 +185,7 @@ func inverseNTT(a *uint64, n int, w, wp *uint64, q, nInv, nInvShoup, nInvRoot, n
 func monomialSplit(sum, diff, e, o, m, ms *uint64, n int, q uint64)
 
 //go:noescape
-func mulShoupPair(out, a0, b0, s0, a1, b1, s1 *uint64, n int, q uint64, add bool)
+func mulShoupPair(out, a0, b0, s0, a1, b1, s1 *uint64, n int, q uint64)
 
 //go:noescape
 func mulShoupDual(outB, outA, aB, aA, k, s *uint64, n int, q uint64, add bool)

@@ -152,7 +152,7 @@ GLOBL permTab<>(SB), RODATA|NOPTR, $0x300
 	VPSUBQ m, r, t; \
 	VPMINUQ t, r, r
 
-// CTBFLY: the lazy Cooley-Tukey butterfly of ntt.forwardOne on (lo, hi)
+// CTBFLY: the lazy Cooley-Tukey butterfly of ntt.ForwardLazy on (lo, hi)
 // in place: u = lo mod⁺ 2q, v = SHOUP52(hi, w), lo' = u+v, hi' = u+2q-v.
 #define CTBFLY(lo, hi, w, wp, t1, t2) \
 	CSUB(lo, Z30, t1); \
@@ -161,7 +161,7 @@ GLOBL permTab<>(SB), RODATA|NOPTR, $0x300
 	VPSUBQ t2, hi, hi; \
 	VPADDQ t2, lo, lo
 
-// GSBFLY: the lazy Gentleman-Sande butterfly of ntt.inverseOne on (lo, hi)
+// GSBFLY: the lazy Gentleman-Sande butterfly of ntt.InverseLazy on (lo, hi)
 // in place: lo' = (lo+hi) mod⁺ 2q, hi' = SHOUP52(lo+2q-hi, w).
 #define GSBFLY(lo, hi, w, wp, t1, t2, t3) \
 	VPADDQ Z30, lo, t3; \
@@ -179,7 +179,7 @@ GLOBL permTab<>(SB), RODATA|NOPTR, $0x300
 
 // func forwardNTT(a *uint64, n int, w, wp *uint64, q uint64)
 //
-// Mirrors ntt.(*Table).forwardOne: every stage of the lazy forward
+// Mirrors ntt.(*Table).ForwardLazy: every stage of the lazy forward
 // transform, canonical output. Stages with span ≥ 8 broadcast one twiddle
 // per block; the last three (span 4, 2, 1) run in registers over
 // 16-element chunks.
@@ -289,7 +289,7 @@ fwdChunk:
 
 // func inverseNTT(a *uint64, n int, w, wp *uint64, q, nInv, nInvShoup, nInvRoot, nInvRootShoup uint64)
 //
-// Mirrors ntt.(*Table).inverseOne: the first three stages (span 1, 2, 4)
+// Mirrors ntt.(*Table).InverseLazy: the first three stages (span 1, 2, 4)
 // in registers over 16-element chunks, the middle stages with one
 // broadcast twiddle per block, and the final stage folding N^-1 into its
 // two Shoup multiplies, canonical output.
@@ -475,11 +475,11 @@ splitLoop:
 	SHOUP52(Z5, Z6, Z7, Z8, Z9); \
 	VPADDQ Z8, Z3, Z3
 
-// func mulShoupPair(out, a0, b0, s0, a1, b1, s1 *uint64, n int, q uint64, add bool)
+// func mulShoupPair(out, a0, b0, s0, a1, b1, s1 *uint64, n int, q uint64)
 //
-// Mirrors the row loops of ring.(*Ring).MulCoeffShoupPair and (add)
-// MulCoeffShoupPairAdd: out (+)= a0∘b0 + a1∘b1, canonical.
-TEXT ·mulShoupPair(SB), NOSPLIT, $0-73
+// Mirrors the row loop of ring.(*Ring).MulCoeffShoupPairAdd:
+// out += a0∘b0 + a1∘b1, canonical.
+TEXT ·mulShoupPair(SB), NOSPLIT, $0-72
 	MOVQ out+0(FP), DI
 	MOVQ a0+8(FP), R8
 	MOVQ b0+16(FP), R9
@@ -491,21 +491,8 @@ TEXT ·mulShoupPair(SB), NOSPLIT, $0-73
 	MOVQ q+64(FP), BX
 	CONSTS(BX)
 	XORQ AX, AX
-	CMPB add+72(FP), $0
-	JNE  pairAddLoop
 
 pairLoop:
-	PAIRSUM
-	CSUB(Z3, Z30, Z4)
-	CSUB(Z3, Z31, Z4)
-	VMOVDQU64 Z3, (DI)(AX*8)
-	ADDQ $8, AX
-	CMPQ AX, CX
-	JLT  pairLoop
-	VZEROUPPER
-	RET
-
-pairAddLoop:
 	PAIRSUM
 	CSUB(Z3, Z30, Z4)           // < 2q
 	VPADDQ (DI)(AX*8), Z3, Z3   // < 3q
@@ -514,7 +501,7 @@ pairAddLoop:
 	VMOVDQU64 Z3, (DI)(AX*8)
 	ADDQ $8, AX
 	CMPQ AX, CX
-	JLT  pairAddLoop
+	JLT  pairLoop
 	VZEROUPPER
 	RET
 

@@ -17,7 +17,7 @@ func InverseNTT(q uint64, a, w, wShoup []uint64, nInv, nInvShoup, nInvRoot, nInv
 
 func MonomialSplit(q uint64, sum, diff, e, o, m, mShoup []uint64) bool { return false }
 
-func MulShoupPair(q uint64, out, a0, b0, s0, a1, b1, s1 []uint64, add bool) bool { return false }
+func MulShoupPair(q uint64, out, a0, b0, s0, a1, b1, s1 []uint64) bool { return false }
 
 func MulShoupDual(q uint64, outB, outA, aB, aA, k, kShoup []uint64, add bool) bool { return false }
 

@@ -1,14 +1,14 @@
 package cham
 
 // "Nothing beside the hot path" as a check: every function and method a
-// non-test file of the arithmetic and kernel packages declares is used by
-// some non-test file of the module, or named by the benchmark (its own
-// module, which pins part of this surface) or by another package's tests
-// (the API those tests are written against), or is listed below with the
-// part of the paper it reproduces. What only its own package's tests
-// reach fails the check. Type-checking the module from source takes a few
-// seconds, so the test is skipped under -short and run by `make orphans`
-// (tier 2).
+// non-test file of the arithmetic and kernel packages, the noise
+// estimator or the card runtime declares is used by some non-test file of
+// the module, or named by the benchmark (its own module, which pins part
+// of this surface) or by another package's tests (the API those tests are
+// written against), or is listed below with the part of the paper it
+// reproduces. What only its own package's tests reach fails the check.
+// Type-checking the module from source takes a few seconds, so the test
+// is skipped under -short and run by `make orphans` (tier 2).
 
 import (
 	"go/ast"
@@ -26,21 +26,22 @@ import (
 )
 
 // orphanScope lists the packages whose declarations must all be reached.
-var orphanScope = []string{"mod", "ntt", "ring", "rlwe", "bfv", "lwe", "core", "codec"}
+var orphanScope = []string{"mod", "ntt", "ring", "rlwe", "bfv", "lwe", "core", "codec", "noise", "runtime"}
 
 // orphanAllow holds what stays without such a caller, and why: a file
 // ("ntt/cg.go") or one declaration ("ring.Ring.Rev") against the part of
 // the paper it reproduces. A row that excuses nothing fails the test too,
 // so the table cannot outlive what it is for.
 var orphanAllow = map[string]string{
-	"ntt/cg.go":               "Alg. 4 constant-geometry dataflow (BenchmarkAblationNTTDataflow)",
-	"ntt/banked.go":           "Fig. 3/4 banked NTT unit, Table III cycle model",
-	"mod.Modulus.MulShiftAdd": "§IV-A.3 shift-add reduction (BenchmarkAblationModReduction)",
-	"mod.Modulus.MulFold":     "§IV-A.3 folding reduction (BenchmarkAblationModReduction)",
-	"ring.Ring.Rev":           "Table I REV",
-	"ring.Ring.ShiftNeg":      "Table I SHIFTNEG",
-	"core/batch.go":           "§II-E batch-encoded baseline (root API, BenchmarkAblationEncoding)",
-	"core/diagonal.go":        "§II-E diagonal baseline (BenchmarkAblationDiagonal)",
+	"ntt/cg.go":                         "Alg. 4 constant-geometry dataflow (BenchmarkAblationNTTDataflow)",
+	"ntt/banked.go":                     "Fig. 3/4 banked NTT unit, Table III cycle model",
+	"mod.Modulus.MulShiftAdd":           "§IV-A.3 shift-add reduction (BenchmarkAblationModReduction)",
+	"mod.Modulus.MulFold":               "§IV-A.3 folding reduction (BenchmarkAblationModReduction)",
+	"ring.Ring.Rev":                     "Table I REV",
+	"ring.Ring.ShiftNeg":                "Table I SHIFTNEG",
+	"core/batch.go":                     "§II-E batch-encoded baseline (root API, BenchmarkAblationEncoding)",
+	"core/diagonal.go":                  "§II-E diagonal baseline (BenchmarkAblationDiagonal)",
+	"noise.Estimator.KeySwitchAdditive": "§II-F noise of one KEYSWITCH over the special modulus p (TestKeySwitchBound)",
 }
 
 // checkedPkg is one module package type-checked from its non-test files.
