@@ -87,10 +87,11 @@ kernels:
 	$(GO) test ./internal/vec -run '^$$' -fuzz '^FuzzVecKernels$$' -fuzztime $(FUZZTIME)
 
 # Nothing beside the hot path: every function internal/{mod,ntt,ring,rlwe,
-# bfv,lwe,core,codec,noise,runtime} declares outside its tests has a caller
-# outside its own tests, or a row in orphans_test.go naming the part of the
-# paper it reproduces. Type-checks the module from source (a few seconds; skipped
-# under -short).
+# bfv,lwe,core,codec,noise,runtime} and the serving half (apps/beaver, wire,
+# server, client, cluster, obs, obs/trace) declares outside its tests has a
+# caller outside its own tests, or a row in orphans_test.go naming the part
+# of the paper it reproduces. Type-checks the module from source (a few
+# seconds; skipped under -short).
 orphans:
 	$(GO) test -count=1 -run '^TestNoOrphans$$' .
 

@@ -209,10 +209,9 @@ func render(w io.Writer, cur, prev *view) {
 	resets, _ := cur.get("cham_runtime_resets_total")
 	temp, _ := cur.get("cham_runtime_temp_celsius")
 	alive, _ := cur.get("cham_runtime_alive")
-	applies, _ := cur.get("cham_hmvp_applies_total", "path", "prepared")
-	appliesMV, _ := cur.get("cham_hmvp_applies_total", "path", "matvec")
+	applies, _ := cur.get("cham_hmvp_applies_total")
 	fmt.Fprintf(w, "\napplies %.0f  replays %.0f  resets %.0f  temp %.1fC  alive %.0f\n",
-		applies+appliesMV, replays, resets, temp, alive)
+		applies, replays, resets, temp, alive)
 }
 
 func main() {

@@ -49,14 +49,17 @@ func NewGenerator(p bfv.Params, rng *rand.Rand, sk *rlwe.SecretKey, maxRows int)
 // Generate runs the preprocessing protocol for one m×n layer matrix W.
 // The client key sk both encrypts r and decrypts the masked result (in a
 // deployment the decryption happens client-side; the server only ever
-// sees ciphertexts and its own mask s). For many triples over the same W
-// (one per upcoming inference), use PrepareLayer + GenerateWith instead.
+// sees ciphertexts and its own mask s).
 func (g *Generator) Generate(rng *rand.Rand, sk *rlwe.SecretKey, w [][]uint64) (*ClientShare, *ServerShare, error) {
 	if len(w) == 0 || len(w[0]) == 0 {
 		return nil, nil, fmt.Errorf("beaver: empty layer matrix")
 	}
-	n := len(w[0])
-	r, ctR := g.clientMask(rng, sk, n)
+	// Client: draw the random vector r and encrypt it.
+	r := make([]uint64, len(w[0]))
+	for i := range r {
+		r[i] = rng.Uint64() % g.P.T.Q
+	}
+	ctR := core.EncryptVector(g.P, rng, sk, r)
 
 	// Server: homomorphic W·r, then subtract the random share s by adding
 	// its negation to the packed result.
@@ -64,62 +67,13 @@ func (g *Generator) Generate(rng *rand.Rand, sk *rlwe.SecretKey, w [][]uint64) (
 	if err != nil {
 		return nil, nil, err
 	}
-	cs, ss := g.finishTriple(rng, sk, res, r)
-	return cs, ss, nil
-}
-
-// PreparedLayer is a layer matrix fixed in evaluation-ready form (rows
-// encoded, lifted, and forward-transformed once). Triples generated with
-// GenerateWith skip all per-matrix work — the amortization that matters
-// when one layer serves many inferences.
-type PreparedLayer struct {
-	pm *core.PreparedMatrix
-}
-
-// PrepareLayer hoists the per-matrix half of the HMVP out of triple
-// generation for layer matrix w.
-func (g *Generator) PrepareLayer(w [][]uint64) (*PreparedLayer, error) {
-	if len(w) == 0 || len(w[0]) == 0 {
-		return nil, fmt.Errorf("beaver: empty layer matrix")
-	}
-	pm, err := g.Ev.Prepare(w)
-	if err != nil {
-		return nil, err
-	}
-	return &PreparedLayer{pm: pm}, nil
-}
-
-// GenerateWith produces one triple for a prepared layer, paying only the
-// per-vector pipeline stages.
-func (g *Generator) GenerateWith(rng *rand.Rand, sk *rlwe.SecretKey, pl *PreparedLayer) (*ClientShare, *ServerShare, error) {
-	r, ctR := g.clientMask(rng, sk, pl.pm.Cols())
-	res, err := pl.pm.Apply(ctR)
-	if err != nil {
-		return nil, nil, err
-	}
-	cs, ss := g.finishTriple(rng, sk, res, r)
-	return cs, ss, nil
-}
-
-// clientMask draws the client's random vector r and encrypts it.
-func (g *Generator) clientMask(rng *rand.Rand, sk *rlwe.SecretKey, n int) ([]uint64, []*rlwe.Ciphertext) {
-	r := make([]uint64, n)
-	for i := range r {
-		r[i] = rng.Uint64() % g.P.T.Q
-	}
-	return r, core.EncryptVector(g.P, rng, sk, r)
-}
-
-// finishTriple draws the server share s, blinds the packed result, and
-// decrypts the client's share c = W·r - s.
-func (g *Generator) finishTriple(rng *rand.Rand, sk *rlwe.SecretKey, res *core.Result, r []uint64) (*ClientShare, *ServerShare) {
 	s := make([]uint64, res.M)
 	for i := range s {
 		s[i] = rng.Uint64() % g.P.T.Q
 	}
 	g.maskPacked(res, s)
 	c := core.DecryptResult(g.P, res, sk)
-	return &ClientShare{R: r, C: c}, &ServerShare{S: s}
+	return &ClientShare{R: r, C: c}, &ServerShare{S: s}, nil
 }
 
 // maskPacked adds -s into the packed result ciphertexts at the packing

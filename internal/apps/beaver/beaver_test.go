@@ -147,9 +147,9 @@ func TestGenerateValidation(t *testing.T) {
 	}
 }
 
-// TestPreparedLayerTriples: GenerateWith on a prepared layer must yield
-// valid triples, many in a row, matching the Generate contract.
-func TestPreparedLayerTriples(t *testing.T) {
+// TestRepeatedLayerTriples: Generate over one layer, many times in a row,
+// must yield a valid and fresh triple each time.
+func TestRepeatedLayerTriples(t *testing.T) {
 	p, _ := bfv.NewChamParams(64)
 	rng := rand.New(rand.NewSource(6))
 	sk := p.KeyGen(rng)
@@ -163,23 +163,18 @@ func TestPreparedLayerTriples(t *testing.T) {
 			w[i][j] = rng.Uint64() % p.T.Q
 		}
 	}
-	pl, err := g.PrepareLayer(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var prev *ServerShare
 	for k := 0; k < 3; k++ {
-		cs, ss, err := g.GenerateWith(rng, sk, pl)
+		cs, ss, err := g.Generate(rng, sk, w)
 		if err != nil {
 			t.Fatalf("triple %d: %v", k, err)
 		}
 		if err := Verify(p, w, cs, ss); err != nil {
 			t.Fatalf("triple %d: %v", k, err)
 		}
-	}
-	if _, err := g.PrepareLayer(nil); err == nil {
-		t.Error("nil matrix accepted")
-	}
-	if _, err := g.PrepareLayer([][]uint64{{}}); err == nil {
-		t.Error("zero-column matrix accepted")
+		if prev != nil && prev.S[0] == ss.S[0] && prev.S[1] == ss.S[1] {
+			t.Errorf("triple %d repeats the previous server share", k)
+		}
+		prev = ss
 	}
 }

@@ -37,8 +37,8 @@ func workerCounts() []int {
 }
 
 // runDifferential drives one shape end to end: reference trace once, then
-// the optimized pipeline (both the one-shot MatVec and the prepared
-// ApplyInto hot path, at every worker count) compared against it.
+// the optimized pipeline (Prepare and the ApplyInto hot path, at every
+// worker count) compared against it.
 func runDifferential(t *testing.T, p bfv.Params, sk *rlwe.SecretKey, keys *evKeys, A [][]uint64, v []uint64, ctV []*rlwe.Ciphertext) *ref.Trace {
 	t.Helper()
 	tr, err := ref.HMVP(p, A, ctV, keys.ref)
@@ -54,13 +54,6 @@ func runDifferential(t *testing.T, p bfv.Params, sk *rlwe.SecretKey, keys *evKey
 	}
 	for _, w := range workerCounts() {
 		ev := &Evaluator{P: p, Keys: keys.opt, Workers: w}
-		res, err := ev.MatVec(A, ctV)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if err := tr.MatchesResult(p, res.Packed); err != nil {
-			t.Fatalf("workers=%d MatVec: %v", w, err)
-		}
 		pm, err := ev.Prepare(A)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
@@ -76,7 +69,7 @@ func runDifferential(t *testing.T, p bfv.Params, sk *rlwe.SecretKey, keys *evKey
 				t.Fatalf("workers=%d ApplyInto pass %d: %v", w, pass, err)
 			}
 		}
-		if dec := DecryptResult(p, res, sk); len(dec) != len(want) {
+		if dec := DecryptResult(p, out, sk); len(dec) != len(want) {
 			t.Fatalf("workers=%d: decrypted %d rows, want %d", w, len(dec), len(want))
 		} else {
 			for i := range want {

@@ -16,9 +16,9 @@ import (
 // ref.PackDeferred's level-order walk — same E, O, key and group size — in
 // a different order, so every entry point must reproduce the reference's
 // bytes at every worker count (including splits into uneven subtrees and
-// more workers than cores), with and without the vector kernels: the
-// prepared ApplyInto, ApplyBatchInto and ApplyTiles, the raw-row MatVec,
-// and on the lwe side PackLWEs and PackResident.
+// more workers than cores), with and without the vector kernels: MatVec,
+// the prepared ApplyInto, ApplyBatchInto and ApplyTiles, and on the lwe
+// side PackLWEs and PackResident.
 func TestFoldMatchesRef(t *testing.T) {
 	p := testParams(t, 64)
 	rng := testutil.NewRand(t)

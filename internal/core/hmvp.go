@@ -18,11 +18,9 @@ import (
 	"math/bits"
 	"math/rand"
 	"sync"
-	"time"
 
 	"cham/internal/bfv"
 	"cham/internal/lwe"
-	"cham/internal/obs"
 	"cham/internal/rlwe"
 )
 
@@ -144,74 +142,14 @@ func (res *Result) TileRows(i int) int {
 // values reduced mod t) and ctV the encryption of v produced by
 // EncryptVector. n must equal the plaintext vector length used there.
 //
-// MatVec shares the pooled per-vector machinery with PreparedMatrix but
-// encodes and forward-transforms each row on the fly; when the same matrix
-// multiplies several vectors, Prepare once and Apply instead.
+// MatVec is Prepare followed by Apply, for a matrix used once; when the
+// same matrix multiplies several vectors, keep the PreparedMatrix instead.
 func (e *Evaluator) MatVec(A [][]uint64, ctV []*rlwe.Ciphertext) (*Result, error) {
-	on := obs.On()
-	var t0 time.Time
-	if on {
-		t0 = time.Now()
-	}
-	res, err := e.matVec(A, ctV)
+	pm, err := e.Prepare(A)
 	if err != nil {
-		return nil, countErr(err)
-	}
-	if on {
-		mApplyMatVec.Observe(time.Since(t0).Seconds())
-		mAppliesMatVec.Inc()
-		mRows.Add(uint64(res.M))
-	}
-	return res, nil
-}
-
-func (e *Evaluator) matVec(A [][]uint64, ctV []*rlwe.Ciphertext) (*Result, error) {
-	p := e.P
-	n := p.R.N
-	m := len(A)
-	if m == 0 {
-		return nil, fmt.Errorf("%w (no rows)", ErrEmptyMatrix)
-	}
-	cols := len(A[0])
-	if cols == 0 {
-		return nil, fmt.Errorf("%w (no columns)", ErrEmptyMatrix)
-	}
-	chunks := (cols + n - 1) / n
-	if chunks != len(ctV) {
-		return nil, fmt.Errorf("%w: matrix has %d column chunks but vector has %d ciphertexts", ErrVectorLength, chunks, len(ctV))
-	}
-	for i := range A {
-		if len(A[i]) != cols {
-			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrRaggedMatrix, i, len(A[i]), cols)
-		}
-	}
-	for base := 0; base < m; base += n {
-		if mPad := nextPow2(min(m-base, n)); mPad > e.Keys.M {
-			return nil, fmt.Errorf("%w: tile of %d rows (keys cover %d)", ErrTileTooLarge, mPad, e.Keys.M)
-		}
-	}
-
-	e.ensureInvN()
-	sc := e.getApplyScratch(chunks)
-	defer e.putApplyScratch(sc)
-	if err := e.loadVector(sc, ctV); err != nil {
 		return nil, err
 	}
-	res := &Result{M: m, N: n}
-	for base := 0; base < m; base += n {
-		rows := m - base
-		if rows > n {
-			rows = n
-		}
-		mPad := nextPow2(rows)
-		scale := p.InvPow2(bits.TrailingZeros(uint(mPad)))
-		out := &rlwe.Ciphertext{B: p.R.NewPoly(p.NormalLevels), A: p.R.NewPoly(p.NormalLevels)}
-		if err := e.tileApply(out, sc, nil, A[base:base+rows], scale, rows, mPad); err != nil {
-			return nil, err
-		}
-		res.Packed = append(res.Packed, out)
-	}
-	return res, nil
+	return pm.Apply(ctV)
 }
 
 // DecryptResult reads the m result values out of the packed ciphertexts.

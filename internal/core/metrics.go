@@ -11,16 +11,12 @@ import (
 // latency lives in obs's cham_hmvp_stage_seconds family (the shared
 // taxonomy); this file adds the end-to-end and error views.
 var (
-	mApplyPrepared = obs.GetHistogram("cham_hmvp_apply_seconds",
-		"End-to-end per-vector HMVP latency.", obs.DefBuckets, "path", "prepared")
-	mApplyMatVec = obs.GetHistogram("cham_hmvp_apply_seconds",
-		"End-to-end per-vector HMVP latency.", obs.DefBuckets, "path", "matvec")
+	mApplySec = obs.GetHistogram("cham_hmvp_apply_seconds",
+		"End-to-end per-vector HMVP latency.", obs.DefBuckets)
 	mPrepareSec = obs.GetHistogram("cham_hmvp_prepare_seconds",
 		"One-time PreparedMatrix build latency (row encode+lift+NTT).", obs.DefBuckets)
-	mAppliesPrepared = obs.GetCounter("cham_hmvp_applies_total",
-		"Completed HMVP applies.", "path", "prepared")
-	mAppliesMatVec = obs.GetCounter("cham_hmvp_applies_total",
-		"Completed HMVP applies.", "path", "matvec")
+	mApplies = obs.GetCounter("cham_hmvp_applies_total",
+		"Completed HMVP applies.")
 	mRows = obs.GetCounter("cham_hmvp_rows_total",
 		"Row dot products computed across all applies.")
 )

@@ -102,8 +102,9 @@ func (pm *PreparedMatrix) tileBounds(ti int) (base, rows, mPad int) {
 }
 
 // Prepare encodes, lifts, and forward-transforms all rows of A once
-// (the one-time stages 1–2 work of every future apply). The same shape
-// rules as MatVec apply.
+// (the one-time stages 1–2 work of every future apply). A must be
+// non-empty and rectangular, and every row tile must fit the packing
+// keys.
 func (e *Evaluator) Prepare(A [][]uint64) (*PreparedMatrix, error) {
 	sp := obs.StartSpan(mPrepareSec)
 	pm, err := e.prepareTiles(A, nil)
@@ -361,16 +362,15 @@ func (pm *PreparedMatrix) apply(res []*Result, tiles []int, vecs [][]*rlwe.Ciphe
 			if tiles != nil {
 				ti = tiles[j]
 			}
-			t := pm.tiles[ti]
-			if err := e.tileApply(out, sc, t, nil, 0, t.rows, t.mPad); err != nil {
+			if err := e.tileApply(out, sc, pm.tiles[ti]); err != nil {
 				return countErr(err)
 			}
 		}
 		res[k].M, res[k].N = pm.m, e.P.R.N
 	}
 	if on {
-		mApplyPrepared.Observe(time.Since(t0).Seconds())
-		mAppliesPrepared.Add(uint64(len(vecs)))
+		mApplySec.Observe(time.Since(t0).Seconds())
+		mApplies.Add(uint64(len(vecs)))
 		mRows.Add(uint64(rows * len(vecs)))
 	}
 	return nil
@@ -439,15 +439,14 @@ func (pm *PreparedMatrix) validate(res []*Result, tiles []int, vecs [][]*rlwe.Ci
 	return rows, nil
 }
 
-// --- shared per-vector machinery (used by both apply and MatVec) ---
+// --- per-vector machinery ---
 
 // rowScratch is the per-worker arena for one row's stages 1–4. The
 // a-part needs no accumulator of its own: it MACs straight into the tree
 // leaf's deferred full-basis buffer.
 type rowScratch struct {
 	accB *ring.Poly     // full-basis NTT-domain b accumulator
-	pt   *bfv.Plaintext // on-the-fly row encoding (MatVec path)
-	lift *ring.Poly     // on-the-fly lifted row (MatVec path)
+	pt   *bfv.Plaintext // row encoding while a tile is built
 	clk  obs.StageClock // per-stage wall-time attribution (pooled, no allocs)
 }
 
@@ -455,12 +454,9 @@ func (e *Evaluator) getRowScratch() *rowScratch {
 	if rs, ok := e.rowPool.Get().(*rowScratch); ok {
 		return rs
 	}
-	r := e.P.R
-	full := r.Levels()
 	return &rowScratch{
-		accB: r.NewPoly(full),
+		accB: e.P.R.NewPoly(e.P.R.Levels()),
 		pt:   e.P.NewPlaintext(),
-		lift: r.NewPoly(full),
 	}
 }
 
@@ -581,44 +577,19 @@ func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
 // writes straight into it — the tree's deferred a accumulator makes the
 // per-row RESCALE disappear), and dst.BT holds the un-rescaled per-limb B
 // constant in every slot (the NTT image of a constant). Both divisions
-// are deferred to the tree flush. Rows come either prepared (polys/shoup
-// non-nil) or raw (row/scale), in which case the encode+lift+NTT happens
-// on the fly in rs.
-func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, vNTT []*rlwe.Ciphertext, polys []*ring.Poly, shoup [][][]uint64, row []uint64, scale uint64, rs *rowScratch) {
-	p := e.P
-	r := p.R
+// are deferred to the tree flush. polys/shoup are the row's prepared
+// chunks and their Shoup companions.
+func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, vNTT []*rlwe.Ciphertext, polys []*ring.Poly, shoup [][][]uint64, rs *rowScratch) {
+	r := e.P.R
 	full := r.Levels()
 	accB := rs.accB
 	accB.IsNTT, dst.A.IsNTT = true, true
 	rs.clk.Start()
-	for c := 0; c < len(vNTT); c++ {
-		pt := rs.lift
-		var sh [][]uint64
-		if polys != nil {
-			pt, sh = polys[c], shoup[c]
+	for c, v := range vNTT {
+		if c == 0 {
+			r.MulCoeffShoupDual(accB, dst.A, v.B, v.A, polys[c], shoup[c])
 		} else {
-			lo, hi := c*r.N, (c+1)*r.N
-			if hi > len(row) {
-				hi = len(row)
-			}
-			p.EncodeRowInto(rs.pt, row[lo:hi], scale)
-			rs.clk.Mark(obs.StageEncode)
-			p.LiftInto(pt, rs.pt)
-			rs.clk.Mark(obs.StageLift)
-			r.NTT(pt)
-			rs.clk.Mark(obs.StageNTT)
-		}
-		switch {
-		case c == 0 && sh != nil:
-			r.MulCoeffShoupDual(accB, dst.A, vNTT[c].B, vNTT[c].A, pt, sh)
-		case c == 0:
-			r.MulCoeff(accB, vNTT[c].B, pt)
-			r.MulCoeff(dst.A, vNTT[c].A, pt)
-		case sh != nil:
-			r.MulCoeffShoupDualAdd(accB, dst.A, vNTT[c].B, vNTT[c].A, pt, sh)
-		default:
-			r.MulCoeffAdd(accB, vNTT[c].B, pt)
-			r.MulCoeffAdd(dst.A, vNTT[c].A, pt)
+			r.MulCoeffShoupDualAdd(accB, dst.A, v.B, v.A, polys[c], shoup[c])
 		}
 		rs.clk.Mark(obs.StageRowMul)
 	}
@@ -643,9 +614,8 @@ func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, vNTT []*rlwe.Ciphertext, pol
 // packing fold asks for each leaf as its sibling subtree completes, the
 // leaf source computes that row's dot product straight into the fold's
 // slot (padding rows are the resident zero), and the root is flushed.
-// Rows come either from the prepared tile or from raw+scale.
-func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *preparedTile, raw [][]uint64, scale uint64, rows, mPad int) error {
-	workers := e.effWorkers(rows)
+func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *preparedTile) error {
+	workers := e.effWorkers(tile.rows)
 	lv := &sc.leaves
 	for len(lv.rs) < workers {
 		lv.rs = append(lv.rs, e.getRowScratch())
@@ -653,9 +623,9 @@ func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *prep
 	for _, rs := range lv.rs[:workers] {
 		rs.clk.Attach(sc.sink)
 	}
-	lv.e, lv.vNTT, lv.tile, lv.raw, lv.scale, lv.rows = e, sc.vNTT, tile, raw, scale, rows
-	root, err := sc.fold.Run(e.P, mPad, lv, e.Keys, workers, sc.sink)
-	lv.tile, lv.raw = nil, nil
+	lv.e, lv.vNTT, lv.tile = e, sc.vNTT, tile
+	root, err := sc.fold.Run(e.P, tile.mPad, lv, e.Keys, workers, sc.sink)
+	lv.tile = nil
 	if err != nil {
 		return err
 	}
@@ -664,28 +634,21 @@ func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *prep
 }
 
 // tileLeaves is the packing fold's leaf source for one tile: leaf i is
-// row i's dot product, from either the prepared tile or the raw matrix
-// row, computed in fold worker w's own row scratch; leaves past the
-// tile's rows are the resident zero.
+// row i's dot product against the prepared tile, computed in fold worker
+// w's own row scratch; leaves past the tile's rows are the resident zero.
 type tileLeaves struct {
-	e     *Evaluator
-	vNTT  []*rlwe.Ciphertext
-	rs    []*rowScratch // one per fold worker
-	tile  *preparedTile // nil on the raw-row (MatVec) path
-	raw   [][]uint64
-	scale uint64
-	rows  int
+	e    *Evaluator
+	vNTT []*rlwe.Ciphertext
+	rs   []*rowScratch // one per fold worker
+	tile *preparedTile
 }
 
 func (lv *tileLeaves) Leaf(w int, nd *lwe.PackNode, i int) {
-	switch {
-	case i >= lv.rows:
+	if i >= lv.tile.rows {
 		nd.Zero()
-	case lv.tile != nil:
-		lv.e.rowApplyInto(nd, lv.vNTT, lv.tile.rowNTT[i], lv.tile.rowShoup[i], nil, 0, lv.rs[w])
-	default:
-		lv.e.rowApplyInto(nd, lv.vNTT, nil, nil, lv.raw[i], lv.scale, lv.rs[w])
+		return
 	}
+	lv.e.rowApplyInto(nd, lv.vNTT, lv.tile.rowNTT[i], lv.tile.rowShoup[i], lv.rs[w])
 }
 
 // log2 of a power of two.

@@ -76,7 +76,8 @@ func runSoftware() []*Table {
 	t.AddRow("key switch", ksT.String(), ms(ksModel), f2(ksT.Seconds()/ksModel))
 
 	// One evaluator and one matrix serve both HMVP rows: the first eight
-	// rows per call, then all 256 — the paper's design point — prepared.
+	// rows prepared and applied per call, then all 256 — the paper's
+	// design point — prepared once.
 	const designRows = 256
 	ev, err := core.NewEvaluator(p, rng, sk, designRows)
 	if err != nil {

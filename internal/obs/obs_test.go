@@ -109,8 +109,8 @@ func TestKindMismatchPanics(t *testing.T) {
 func TestStageClockAttribution(t *testing.T) {
 	SetEnabled(true)
 	defer SetEnabled(false)
-	before := StageHistogram(StageNTT).Count()
-	beforeMul := StageHistogram(StageRowMul).Count()
+	before := stageHists[StageNTT].Count()
+	beforeMul := stageHists[StageRowMul].Count()
 	var c StageClock
 	c.Start()
 	time.Sleep(time.Millisecond)
@@ -118,10 +118,10 @@ func TestStageClockAttribution(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	c.Mark(StageRowMul)
 	c.Flush()
-	if got := StageHistogram(StageNTT).Count(); got != before+1 {
+	if got := stageHists[StageNTT].Count(); got != before+1 {
 		t.Errorf("ntt histogram count %d, want %d", got, before+1)
 	}
-	if got := StageHistogram(StageRowMul).Count(); got != beforeMul+1 {
+	if got := stageHists[StageRowMul].Count(); got != beforeMul+1 {
 		t.Errorf("row_mul histogram count %d, want %d", got, beforeMul+1)
 	}
 }
@@ -142,7 +142,7 @@ func TestStageTaxonomyComplete(t *testing.T) {
 			t.Errorf("duplicate stage name %q", name)
 		}
 		seen[name] = true
-		if StageHistogram(i) == nil {
+		if stageHists[i] == nil {
 			t.Errorf("stage %q has no pre-registered histogram", name)
 		}
 	}

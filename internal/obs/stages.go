@@ -45,9 +45,6 @@ var stageHists = func() [NumStages]*Histogram {
 	return hs
 }()
 
-// StageHistogram returns the latency histogram for one pipeline stage.
-func StageHistogram(stage int) *Histogram { return stageHists[stage] }
-
 // StageSink receives per-stage durations from a StageClock flush in
 // addition to (or instead of) the histograms. internal/obs/trace's
 // StageRecorder implements it to turn kernel stage timings into spans

@@ -3,7 +3,7 @@ package ring
 // Hot-path support: pooled polynomial buffers, fused multiply-accumulate
 // kernels, Shoup companion tables for fixed operands, and an in-place
 // RESCALE (ModDownInto) with cached per-limb constants. Together these let
-// the HMVP pipeline (core.MatVec / core.PreparedMatrix) run with zero heap
+// the HMVP pipeline (core.PreparedMatrix) run with zero heap
 // allocations after warm-up, the software analogue of CHAM's
 // buffer-resident dataflow.
 
@@ -57,20 +57,6 @@ func (p *Poly) CopyFrom(o *Poly) {
 		copy(p.Coeffs[l], o.Coeffs[l])
 	}
 	p.IsNTT = o.IsNTT
-}
-
-// MulCoeffAdd sets out += a ∘ b, the fused multiply-accumulate form of
-// MulCoeff. out must already hold reduced residues in the same domain.
-func (r *Ring) MulCoeffAdd(out, a, b *Poly) {
-	lv := sameLevels(out, a, b)
-	sameDomain(a, b)
-	for l := 0; l < lv; l++ {
-		m := r.Moduli[l]
-		ra, rb, ro := a.Coeffs[l], b.Coeffs[l], out.Coeffs[l]
-		for i := range ro {
-			ro[i] = m.Add(ro[i], m.MulBarrett(ra[i], rb[i]))
-		}
-	}
 }
 
 // ShoupPrecompPoly returns the Shoup companion table of p — one word per

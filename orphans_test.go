@@ -2,7 +2,8 @@ package cham
 
 // "Nothing beside the hot path" as a check: every function and method a
 // non-test file of the arithmetic and kernel packages, the noise
-// estimator or the card runtime declares is used by some non-test file of
+// estimator, the card runtime or the serving half declares is used by
+// some non-test file of
 // the module, or named by the benchmark (its own module, which pins part
 // of this surface) or by another package's tests (the API those tests are
 // written against), or is listed below with the part of the paper it
@@ -25,8 +26,12 @@ import (
 	"testing"
 )
 
-// orphanScope lists the packages whose declarations must all be reached.
-var orphanScope = []string{"mod", "ntt", "ring", "rlwe", "bfv", "lwe", "core", "codec", "noise", "runtime"}
+// orphanScope lists the packages whose declarations must all be reached:
+// the arithmetic and kernel packages, and the serving half above them.
+var orphanScope = []string{
+	"mod", "ntt", "ring", "rlwe", "bfv", "lwe", "core", "codec", "noise", "runtime",
+	"apps/beaver", "wire", "server", "client", "cluster", "obs", "obs/trace",
+}
 
 // orphanAllow holds what stays without such a caller, and why: a file
 // ("ntt/cg.go") or one declaration ("ring.Ring.Rev") against the part of
@@ -215,7 +220,12 @@ func TestNoOrphans(t *testing.T) {
 			collectIfaces(q)
 		}
 	}
-	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	// error, and the Unwrap that errors.Is and errors.As call through.
+	errType := types.Universe.Lookup("error").Type()
+	unwrap := types.NewFunc(token.NoPos, nil, "Unwrap", types.NewSignatureType(nil, nil, nil,
+		nil, types.NewTuple(types.NewVar(token.NoPos, nil, "", errType)), false))
+	ifaces = append(ifaces, errType.Underlying().(*types.Interface),
+		types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete())
 	for _, c := range imp.pkgs {
 		collectIfaces(c.pkg)
 		for _, f := range c.files {
