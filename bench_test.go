@@ -259,15 +259,22 @@ func BenchmarkPreparedMatVec(b *testing.B) {
 	})
 }
 
+// BenchmarkSoftwareEncrypt times one augmented-basis encryption at N=4096
+// on the seeded generator NewRNG returns and on NewSecureRNG's ChaCha8.
 func BenchmarkSoftwareEncrypt(b *testing.B) {
-	b.ReportAllocs()
 	p := benchParams(b, 4096)
-	rng := rand.New(rand.NewSource(4))
-	sk := p.KeyGen(rng)
+	sk := p.KeyGen(rand.New(rand.NewSource(4)))
 	pt := p.NewPlaintext()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = p.Encrypt(rng, sk, pt, 3)
+	for _, src := range []struct {
+		name string
+		rng  *rand.Rand
+	}{{"seeded", NewRNG(4)}, {"secure", NewSecureRNG()}} {
+		b.Run(src.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = p.Encrypt(src.rng, sk, pt, 3)
+			}
+		})
 	}
 }
 

@@ -28,8 +28,10 @@
 package cham
 
 import (
+	crand "crypto/rand"
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"strings"
 
 	"cham/internal/bfv"
@@ -85,10 +87,34 @@ func NewParams(n int) (Params, error) { return bfv.NewChamParams(n) }
 // MustParams panics on error.
 func MustParams(n int) Params { return bfv.MustChamParams(n) }
 
-// NewRNG returns a deterministic randomness source for reproducible runs.
-// The library is a research prototype: swap in a CSPRNG-backed source
-// before protecting real data.
+// NewRNG returns a deterministic randomness source for reproducible runs:
+// a seed always yields the same keys and ciphertexts. It is not a
+// cryptographic generator; NewSecureRNG is the one to protect real data
+// with.
 func NewRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// NewSecureRNG returns a cryptographically secure randomness source:
+// ChaCha8 (math/rand/v2) keyed with 32 bytes from crypto/rand, behind the
+// math/rand interface so it goes wherever NewRNG does. Like any *rand.Rand
+// it is not safe for concurrent use; give each goroutine its own. It
+// cannot be reseeded. The library as a whole is still a research
+// prototype: nothing else is hardened (no constant-time arithmetic).
+func NewSecureRNG() *rand.Rand {
+	var key [32]byte
+	// From Go 1.24 Read never fails; before it, a failure means the
+	// system has no entropy source, and no key is better than a weak one.
+	if _, err := crand.Read(key[:]); err != nil {
+		panic("cham: crypto/rand: " + err.Error())
+	}
+	return rand.New(chachaSource{randv2.NewChaCha8(key)})
+}
+
+// chachaSource adapts a ChaCha8 stream to math/rand's Source64.
+type chachaSource struct{ c *randv2.ChaCha8 }
+
+func (s chachaSource) Uint64() uint64 { return s.c.Uint64() }
+func (s chachaSource) Int63() int64   { return int64(s.c.Uint64() >> 1) }
+func (s chachaSource) Seed(int64)     { panic("cham: a secure source cannot be reseeded") }
 
 // NewEvaluator prepares packing keys for HMVPs with up to maxRows output
 // rows per tile.

@@ -2,6 +2,7 @@ package cham_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,6 +51,44 @@ func TestFacadePublicKeyFlow(t *testing.T) {
 	got := cham.DecryptResult(params, res, sk)
 	if got[0] != 17 || got[1] != 23 {
 		t.Fatalf("got %v", got)
+	}
+}
+
+// TestSecureRNG: two secure generators yield different streams, and keys,
+// ciphertexts and an HMVP drawn from one decrypt right.
+func TestSecureRNG(t *testing.T) {
+	g1, g2 := cham.NewSecureRNG(), cham.NewSecureRNG()
+	same := true
+	for i := 0; i < 4; i++ {
+		same = same && g1.Uint64() == g2.Uint64()
+	}
+	if same {
+		t.Fatal("two secure generators produced the same four words")
+	}
+
+	params := cham.MustParams(64)
+	rng := cham.NewSecureRNG()
+	sk := params.KeyGen(rng)
+	pt := params.NewPlaintext()
+	for i := range pt.Coeffs {
+		pt.Coeffs[i] = rng.Uint64() % params.T.Q
+	}
+	for _, levels := range []int{params.NormalLevels, params.R.Levels()} {
+		if got := params.Decrypt(params.Encrypt(rng, sk, pt, levels), sk); !slices.Equal(got.Coeffs, pt.Coeffs) {
+			t.Fatalf("%d limbs: encrypt then decrypt does not round-trip", levels)
+		}
+	}
+	ev, err := cham.NewEvaluator(params, rng, sk, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matrix := [][]uint64{{1, 1, 1}, {1, 2, 3}}
+	res, err := ev.MatVec(matrix, cham.EncryptVector(params, rng, sk, []uint64{4, 5, 6}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cham.DecryptResult(params, res, sk); !slices.Equal(got, []uint64{15, 32}) {
+		t.Fatalf("HMVP under a secure generator reads %v, want [15 32]", got)
 	}
 }
 

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"cham/internal/bfv"
@@ -149,6 +152,63 @@ func TestMatVecPublicKeyPath(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("row %d: %d want %d", i, got[i], want[i])
 		}
+	}
+}
+
+// TestClientHalfConcurrentOneKey: several callers encrypting and
+// decrypting under one SecretKey at once, each with its own generator, as
+// a server's concurrent clients do. The key's Shoup table is shared and
+// only read; run under -race this holds that, and every fresh ciphertext
+// and every result must still decrypt right.
+func TestClientHalfConcurrentOneKey(t *testing.T) {
+	p := testParams(t, 64)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	ev, err := NewEvaluator(p, rng, sk, p.R.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers, rounds, cols = 4, 8, 100 // two column chunks
+	A := randomMatrix(rng, 20, cols, p.T.Q)
+	type job struct {
+		v, want []uint64
+		res     *Result
+		rng     *rand.Rand
+	}
+	jobs := make([]job, callers)
+	for g := range jobs {
+		v := randomVector(rng, cols, p.T.Q)
+		res, err := ev.MatVec(A, EncryptVector(p, rng, sk, v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[g] = job{v: v, want: PlainMatVec(p, A, v), res: res, rng: rand.New(rand.NewSource(rng.Int63()))}
+	}
+	errs := make(chan string, callers)
+	var wg sync.WaitGroup
+	for g := range jobs {
+		wg.Add(1)
+		go func(j job) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				for c, ct := range EncryptVector(p, j.rng, sk, j.v) {
+					want := p.EncodeVector(j.v[c*p.R.N : min((c+1)*p.R.N, cols)])
+					if !slices.Equal(p.Decrypt(ct, sk).Coeffs, want.Coeffs) {
+						errs <- fmt.Sprintf("round %d: chunk %d decrypts wrong", round, c)
+						return
+					}
+				}
+				if got := DecryptResult(p, j.res, sk); !slices.Equal(got, j.want) {
+					errs <- fmt.Sprintf("round %d: result reads %v, want %v", round, got, j.want)
+					return
+				}
+			}
+		}(jobs[g])
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

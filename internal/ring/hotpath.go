@@ -93,6 +93,39 @@ func (r *Ring) NTTShoupInto(dst [][]uint64, p *Poly) {
 	p.IsNTT = true
 }
 
+// MulCoeffShoup sets out = a ∘ b where bShoup = ShoupPrecompPoly(b); out
+// may alias a.
+func (r *Ring) MulCoeffShoup(out, a, b *Poly, bShoup [][]uint64) {
+	lv := sameLevels(out, a, b)
+	sameDomain(a, b)
+	for l := 0; l < lv; l++ {
+		m := r.Moduli[l]
+		ro := out.Coeffs[l]
+		ra, rb, rs := a.Coeffs[l][:len(ro)], b.Coeffs[l][:len(ro)], bShoup[l][:len(ro)]
+		for i := range ro {
+			ro[i] = m.MulShoup(ra[i], rb[i], rs[i])
+		}
+	}
+	out.IsNTT = a.IsNTT
+}
+
+// MulCoeffShoupSub sets out -= a ∘ b where bShoup = ShoupPrecompPoly(b).
+// The subtraction is branch-free: on uniform operands a borrow is a coin
+// flip, which a branch would mispredict half the time.
+func (r *Ring) MulCoeffShoupSub(out, a, b *Poly, bShoup [][]uint64) {
+	lv := sameLevels(out, a, b)
+	sameDomain(a, b)
+	for l := 0; l < lv; l++ {
+		m := r.Moduli[l]
+		ro := out.Coeffs[l]
+		ra, rb, rs := a.Coeffs[l][:len(ro)], b.Coeffs[l][:len(ro)], bShoup[l][:len(ro)]
+		for i := range ro {
+			d := ro[i] - m.MulShoup(ra[i], rb[i], rs[i])
+			ro[i] = d + m.Q&uint64(int64(d)>>63) // + q iff it borrowed (q < 2^62)
+		}
+	}
+}
+
 // MulCoeffShoupAdd sets out += a ∘ b where bShoup = ShoupPrecompPoly(b).
 func (r *Ring) MulCoeffShoupAdd(out, a, b *Poly, bShoup [][]uint64) {
 	lv := sameLevels(out, a, b)

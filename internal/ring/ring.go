@@ -13,6 +13,7 @@ package ring
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"sync"
 
@@ -311,13 +312,11 @@ func (r *Ring) MulPoly(out, a, b *Poly) {
 	r.INTT(out)
 }
 
-// The samplers draw from the generator exactly the words, in exactly the
-// order, that the rand.Rand convenience methods they were first written on
-// did, so a seed keeps producing the same keys and ciphertexts: UniformPoly
-// one Uint64 per residue, limb-major; TernaryPoly one Intn(3) (a rejection
-// loop over Int31) per coefficient; CBDPoly 2·eta Int63 words per
-// coefficient, of each only bit 32 — the low bit of the Int31 a draw of
-// one bit through Intn reduces to, for every rand.Source.
+// What each sampler draws from the generator is part of its contract, so a
+// seed keeps producing the same keys and ciphertexts: UniformPoly one
+// Uint64 per residue, limb-major; TernaryPoly one Intn(3) (a rejection loop
+// over Int31) per coefficient; CBDPoly one Uint64 per coefficient, of which
+// it reads the two low eta-bit fields.
 
 // UniformPoly fills p with independent uniform residues.
 func (r *Ring) UniformPoly(rng *rand.Rand, p *Poly) {
@@ -350,21 +349,24 @@ func (r *Ring) TernaryPoly(rng *rand.Rand, p *Poly) {
 
 // CBDPoly samples centred-binomial noise with parameter eta (variance
 // eta/2), the discrete-Gaussian stand-in used for encryption noise. eta=21
-// gives a standard deviation ≈ 3.24, matching the usual σ = 3.2. eta must
-// be below every limb modulus (rlwe.NewParams checks it).
+// gives a standard deviation ≈ 3.24, matching the usual σ = 3.2. Each
+// coefficient is popcount(w & mask) − popcount((w >> eta) & mask) of one
+// generator word w, mask = 2^eta − 1: the difference of two sums of eta
+// independent fair bits, which is CBD(eta) exactly. eta must be in
+// [1, 32] and below every limb modulus (rlwe.NewParams checks both).
 func (r *Ring) CBDPoly(rng *rand.Rand, p *Poly, eta int) {
+	if eta < 1 || eta > 32 {
+		panic("ring: CBD parameter outside [1, 32]")
+	}
 	for l := range p.Coeffs {
 		if uint64(eta) >= r.Moduli[l].Q {
 			panic("ring: CBD parameter not below the modulus")
 		}
 	}
+	mask := uint64(1)<<eta - 1
 	for i := 0; i < r.N; i++ {
-		v := int64(0)
-		for b := 0; b < eta; b++ {
-			v += rng.Int63() >> 32 & 1
-			v -= rng.Int63() >> 32 & 1
-		}
-		r.setSmall(p, i, v)
+		w := rng.Uint64()
+		r.setSmall(p, i, int64(bits.OnesCount64(w&mask))-int64(bits.OnesCount64(w>>eta&mask)))
 	}
 	p.IsNTT = false
 }

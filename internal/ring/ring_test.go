@@ -219,6 +219,32 @@ func TestMulScalarBig(t *testing.T) {
 	}
 }
 
+// TestMulCoeffShoupMatchesBarrett: a product through a fixed operand's
+// Shoup table is the same word as MulCoeff's, in place and subtracted,
+// with the table built over more limbs than the operands carry.
+func TestMulCoeffShoupMatchesBarrett(t *testing.T) {
+	r := chamRing(t, 64)
+	rng := testutil.NewRand(t)
+	b := randPoly(r, rng, 3)
+	bShoup := r.ShoupPrecompPoly(b)
+	for lv := 1; lv <= 3; lv++ {
+		a, acc := randPoly(r, rng, lv), randPoly(r, rng, lv)
+		bv := &Poly{Coeffs: b.Coeffs[:lv]}
+		want := r.NewPoly(lv)
+		r.MulCoeff(want, a, bv)
+		got := a.Copy()
+		r.MulCoeffShoup(got, got, bv, bShoup)
+		if !got.Equal(want) {
+			t.Fatalf("%d limbs: MulCoeffShoup differs from MulCoeff", lv)
+		}
+		r.Sub(want, acc, want)
+		r.MulCoeffShoupSub(acc, a, bv, bShoup)
+		if !acc.Equal(want) {
+			t.Fatalf("%d limbs: MulCoeffShoupSub differs from Sub of MulCoeff", lv)
+		}
+	}
+}
+
 func TestSetCenteredAndToBigRoundTrip(t *testing.T) {
 	r := chamRing(t, 16)
 	vals := []int64{0, 1, -1, 7, -300, 65536, -65537}
@@ -261,28 +287,6 @@ func TestSampling(t *testing.T) {
 		if counts[v] < r.N/6 {
 			t.Errorf("ternary value %d badly underrepresented: %d/%d", v, counts[v], r.N)
 		}
-	}
-
-	e := r.NewPoly(3)
-	const eta = 21
-	r.CBDPoly(rng, e, eta)
-	var sum, sumSq float64
-	for i := 0; i < r.N; i++ {
-		v := float64(r.Moduli[0].CenterLift(e.Coeffs[0][i]))
-		if v < -eta || v > eta {
-			t.Fatalf("CBD coefficient %f out of range", v)
-		}
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / float64(r.N)
-	variance := sumSq/float64(r.N) - mean*mean
-	if mean > 0.5 || mean < -0.5 {
-		t.Errorf("CBD mean %f too far from 0", mean)
-	}
-	// Var = eta/2 = 10.5; allow generous slack.
-	if variance < 8 || variance > 13.5 {
-		t.Errorf("CBD variance %f outside [8,13.5]", variance)
 	}
 }
 

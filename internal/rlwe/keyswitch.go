@@ -74,9 +74,9 @@ func (p Params) SwitchingKeyGen(rng *rand.Rand, sk *SecretKey, srcKey *ring.Poly
 		a := r.NewPoly(lv)
 		r.UniformPoly(rng, a)
 		a.IsNTT = true
-		e := r.NewPoly(lv)
-		r.CBDPoly(rng, e, p.Eta)
-		r.NTT(e)
+		b := r.NewPoly(lv)
+		r.CBDPoly(rng, b, p.Eta)
+		r.NTT(b)
 
 		// w_j = P·ê_j, with ê_j = (Q/q_j)·[(Q/q_j)^-1 mod q_j] mod Q.
 		qj := new(big.Int).SetUint64(r.Moduli[j].Q)
@@ -89,10 +89,7 @@ func (p Params) SwitchingKeyGen(rng *rand.Rand, sk *SecretKey, srcKey *ring.Poly
 		term := r.NewPoly(lv)
 		r.MulScalarBig(term, srcNTT, w)
 
-		b := r.NewPoly(lv)
-		r.MulCoeff(b, a, sk.ValueNTT)
-		r.Neg(b, b)
-		r.Add(b, b, e)
+		p.subMulSecret(b, a, sk)
 		r.Add(b, b, term)
 		swk.Bs[j], swk.As[j] = b, a
 	}

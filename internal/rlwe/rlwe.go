@@ -9,8 +9,9 @@
 // live in the basis prefix without it, "augmented" ones (§II-F) include it.
 //
 // The random source is an injectable *rand.Rand so that tests and
-// benchmarks are reproducible. This prototype is NOT hardened for
-// production key material (no constant-time guarantees, no CSPRNG).
+// benchmarks are reproducible; cham.NewSecureRNG supplies a
+// cryptographic one behind the same type. This prototype is otherwise NOT
+// hardened for production key material (no constant-time guarantees).
 package rlwe
 
 import (
@@ -37,8 +38,9 @@ func NewParams(r *ring.Ring, normalLevels, eta int) (Params, error) {
 	if normalLevels < 1 || normalLevels > r.Levels() {
 		return Params{}, fmt.Errorf("rlwe: normalLevels %d out of range [1,%d]", normalLevels, r.Levels())
 	}
-	if eta < 1 {
-		return Params{}, fmt.Errorf("rlwe: eta must be positive")
+	if eta < 1 || eta > 32 {
+		// ring.CBDPoly reads two eta-bit fields of one 64-bit word.
+		return Params{}, fmt.Errorf("rlwe: eta=%d outside [1,32]", eta)
 	}
 	for _, m := range r.Moduli {
 		if uint64(eta) >= m.Q {
@@ -61,10 +63,23 @@ func (p Params) SpecialModuli() []uint64 {
 }
 
 // SecretKey holds the ternary secret in coefficient domain (Value) and NTT
-// domain (ValueNTT), both over the full basis.
+// domain (ValueNTT), both over the full basis, and the Shoup companion
+// table of ValueNTT that every product by the secret multiplies through.
+// KeyGen, the only constructor, fills the table; it is read-only after
+// that, so any number of goroutines may encrypt and decrypt under one key.
 type SecretKey struct {
 	Value    *ring.Poly
 	ValueNTT *ring.Poly
+	shoup    [][]uint64
+}
+
+// nttShoup returns ValueNTT's Shoup table, refusing a key KeyGen did not
+// build rather than multiplying some other way.
+func (sk *SecretKey) nttShoup() [][]uint64 {
+	if sk.shoup == nil {
+		panic("rlwe: SecretKey not built by KeyGen (no Shoup table)")
+	}
+	return sk.shoup
 }
 
 // PublicKey is an encryption of zero over the full basis, NTT domain.
@@ -108,13 +123,19 @@ func (ct *Ciphertext) CopyFrom(o *Ciphertext) {
 	ct.A.CopyFrom(o.A)
 }
 
-// KeyGen samples a fresh ternary secret key.
+// KeyGen samples a fresh ternary secret key and builds its Shoup table.
 func (p Params) KeyGen(rng *rand.Rand) *SecretKey {
 	s := p.R.NewPoly(p.R.Levels())
 	p.R.TernaryPoly(rng, s)
 	sn := s.Copy()
 	p.R.NTT(sn)
-	return &SecretKey{Value: s, ValueNTT: sn}
+	return &SecretKey{Value: s, ValueNTT: sn, shoup: p.R.ShoupPrecompPoly(sn)}
+}
+
+// subMulSecret sets b -= a ∘ s over b's limbs, both NTT domain: the −a·s
+// of every encryption of zero under the secret.
+func (p Params) subMulSecret(b, a *ring.Poly, sk *SecretKey) {
+	p.R.MulCoeffShoupSub(b, a, truncate(sk.ValueNTT, b.Levels()), sk.nttShoup())
 }
 
 // PublicKeyGen derives a public key (an encryption of zero on the full
@@ -124,13 +145,10 @@ func (p Params) PublicKeyGen(rng *rand.Rand, sk *SecretKey) *PublicKey {
 	a := p.R.NewPoly(lv)
 	p.R.UniformPoly(rng, a)
 	a.IsNTT = true // uniform in either domain; declare NTT
-	e := p.R.NewPoly(lv)
-	p.R.CBDPoly(rng, e, p.Eta)
-	p.R.NTT(e)
 	b := p.R.NewPoly(lv)
-	p.R.MulCoeff(b, a, sk.ValueNTT)
-	p.R.Neg(b, b)
-	p.R.Add(b, b, e)
+	p.R.CBDPoly(rng, b, p.Eta)
+	p.R.NTT(b)
+	p.subMulSecret(b, a, sk)
 	return &PublicKey{B: b, A: a}
 }
 
@@ -145,13 +163,7 @@ func (p Params) EncryptZeroSym(rng *rand.Rand, sk *SecretKey, levels int) *Ciphe
 	b := r.NewPoly(levels)
 	r.CBDPoly(rng, b, p.Eta)
 	r.NTT(b)
-	for l := 0; l < levels; l++ {
-		m := r.Moduli[l]
-		ra, rs, rb := a.Coeffs[l], sk.ValueNTT.Coeffs[l], b.Coeffs[l]
-		for i := range rb {
-			rb[i] = m.Sub(rb[i], m.MulBarrett(ra[i], rs[i]))
-		}
-	}
+	p.subMulSecret(b, a, sk)
 	ct := &Ciphertext{B: b, A: a}
 	ctINTT(r, ct)
 	return ct
@@ -200,7 +212,7 @@ func (p Params) PhaseInto(out *ring.Poly, ct *Ciphertext, sk *SecretKey) {
 	if !out.IsNTT {
 		r.NTT(out)
 	}
-	r.MulCoeff(out, out, truncate(sk.ValueNTT, ct.Levels()))
+	r.MulCoeffShoup(out, out, truncate(sk.ValueNTT, ct.Levels()), sk.nttShoup())
 	if ct.B.IsNTT {
 		r.Add(out, out, ct.B)
 		r.INTT(out)

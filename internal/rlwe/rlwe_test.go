@@ -35,6 +35,12 @@ func TestNewParamsValidation(t *testing.T) {
 	if _, err := NewParams(r, 2, 0); err == nil {
 		t.Error("eta=0 accepted")
 	}
+	if _, err := NewParams(r, 2, 33); err == nil {
+		t.Error("eta=33 accepted (CBDPoly reads two eta-bit fields of one word)")
+	}
+	if _, err := NewParams(r, 2, 32); err != nil {
+		t.Errorf("eta=32 rejected: %v", err)
+	}
 	p, err := NewParams(r, 3, 21)
 	if err != nil {
 		t.Fatal(err)
@@ -97,6 +103,56 @@ func TestPhasePayload(t *testing.T) {
 	// And against the wrong payload it must NOT match.
 	if bits := p.NoiseBits(ct, sk, nil); bits < 12 {
 		t.Errorf("phase unexpectedly small without payload: %f bits", bits)
+	}
+}
+
+// TestSecretKeyShoupTable: the phase through the key's Shoup table is the
+// word a plain MulCoeff by the secret gives, at every level count and
+// with b on either side of the transform; a key KeyGen did not build is
+// refused by name by every product with the secret.
+func TestSecretKeyShoupTable(t *testing.T) {
+	p := testParams(t, 64)
+	r := p.R
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	for _, levels := range []int{2, 3} {
+		ct := p.EncryptZeroSym(rng, sk, levels)
+		for _, bNTT := range []bool{false, true} {
+			if bNTT {
+				r.NTT(ct.B)
+			}
+			want := ct.A.Copy()
+			r.NTT(want)
+			r.MulCoeff(want, want, truncate(sk.ValueNTT, levels))
+			if bNTT {
+				r.Add(want, want, ct.B)
+				r.INTT(want)
+			} else {
+				r.INTT(want)
+				r.Add(want, want, ct.B)
+			}
+			if !p.Phase(ct, sk).Equal(want) {
+				t.Fatalf("levels=%d, b in NTT=%v: phase differs from the Barrett product", levels, bNTT)
+			}
+		}
+	}
+
+	bare := &SecretKey{Value: sk.Value, ValueNTT: sk.ValueNTT}
+	ct := p.EncryptZeroSym(rng, sk, 2)
+	for name, use := range map[string]func(){
+		"EncryptZeroSym":  func() { p.EncryptZeroSym(rng, bare, 2) },
+		"Phase":           func() { p.Phase(ct, bare) },
+		"PublicKeyGen":    func() { p.PublicKeyGen(rng, bare) },
+		"SwitchingKeyGen": func() { p.SwitchingKeyGen(rng, bare, sk.Value) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); msg != "rlwe: SecretKey not built by KeyGen (no Shoup table)" {
+					t.Fatalf("%s on a bare key: recovered %q, want the KeyGen invariant panic", name, msg)
+				}
+			}()
+			use()
+		}()
 	}
 }
 
