@@ -133,11 +133,10 @@ func defaultJitter() func() float64 {
 
 // poolConn is one handshaken connection; at most one request in flight.
 type poolConn struct {
-	c      net.Conn
-	br     *bufio.Reader
-	seq    uint16
-	ok     wire.HelloOK
-	traced bool // server accepted wire.FrameVersionTraced for this conn
+	c   net.Conn
+	br  *bufio.Reader
+	seq uint16
+	ok  wire.HelloOK
 }
 
 // Client talks to one chamserve instance. Safe for concurrent use; each
@@ -238,57 +237,21 @@ func (cl *Client) dial() (*poolConn, error) {
 		return nil, &errTransport{err}
 	}
 	pc.ok = ok
-	if trace.Enabled() {
-		if err := cl.negotiateTrace(pc); err != nil {
-			nc.Close()
-			return nil, err
-		}
-	}
 	nc.SetDeadline(time.Time{})
 	return pc, nil
 }
 
-// negotiateTrace probes the freshly-dialed connection for traced-frame
-// support (wire.MsgTraceHello). A trace-aware server acknowledges and
-// the connection may carry version-2 frames; a pre-tracing server
-// answers its generic unknown-message rejection with the stream still
-// in sync, so the probe silently degrades to plain v1 framing.
-func (cl *Client) negotiateTrace(pc *poolConn) error {
-	resp, err := pc.roundTrip(cl.cfg.MaxFrame, wire.MsgTraceHello, wire.MsgTraceHelloOK,
-		trace.Context{}, wire.TraceHello{MaxVersion: wire.FrameVersionTraced}.Encode())
-	if err != nil {
-		var we *wire.Error
-		if errors.As(err, &we) {
-			return nil // old server: keep the connection, stay on v1
-		}
-		return err
-	}
-	ack, err := wire.DecodeTraceHelloOK(resp)
-	if err != nil {
-		return &errTransport{err}
-	}
-	pc.traced = ack.Version == wire.FrameVersionTraced
-	return nil
-}
-
-// roundTrip sends one frame and reads the matching response. A sampled
-// trace context on a negotiated connection rides a version-2 frame so
-// the server can hang its spans under the client's; everything else
-// stays version 1. A sequence or type mismatch means the stream is
-// desynced and the connection is unusable (the caller must close it).
+// roundTrip sends one frame, whose trace block carries tc so the server
+// can hang its spans under the caller's, and reads the matching response.
+// A sequence or type mismatch means the stream is desynced and the
+// connection is unusable (the caller must close it).
 func (pc *poolConn) roundTrip(maxFrame uint32, t, want wire.MsgType, tc trace.Context, payload []byte) ([]byte, error) {
 	pc.seq++
-	var werr error
-	if tc.Sampled() && pc.traced {
-		werr = wire.WriteFrameTraced(pc.c, t, pc.seq,
-			wire.TraceHeader{TraceID: tc.Trace, SpanID: tc.Span, Flags: tc.Flags}, payload)
-	} else {
-		werr = wire.WriteFrame(pc.c, t, pc.seq, payload)
+	th := wire.TraceHeader{TraceID: tc.Trace, SpanID: tc.Span, Flags: tc.Flags}
+	if err := wire.WriteFrame(pc.c, t, pc.seq, th, payload); err != nil {
+		return nil, &errTransport{err}
 	}
-	if werr != nil {
-		return nil, &errTransport{werr}
-	}
-	rt, rseq, rp, err := wire.ReadFrame(pc.br, maxFrame)
+	rt, rseq, _, rp, err := wire.ReadFrame(pc.br, maxFrame)
 	if err != nil {
 		return nil, &errTransport{err}
 	}
@@ -458,10 +421,10 @@ func (cl *Client) Apply(id [32]byte, vec []*rlwe.Ciphertext) (wire.Result, error
 }
 
 // ApplyCtx is Apply under a context: a sampled trace context riding in
-// ctx (trace.NewContext) travels in the request's wire frames (when the
-// server negotiated tracing), so server-side spans nest under the
-// caller's; ctx's deadline, when sooner than RequestTimeout, becomes the
-// request's deadline hint; and a ctx that ends abandons the request.
+// ctx (trace.NewContext) travels in the request's wire frames, so
+// server-side spans nest under the caller's; ctx's deadline, when sooner
+// than RequestTimeout, becomes the request's deadline hint; and a ctx
+// that ends abandons the request.
 func (cl *Client) ApplyCtx(ctx context.Context, id [32]byte, vec []*rlwe.Ciphertext) (wire.Result, error) {
 	r := cl.cfg.Params.R
 	return call(ctx, cl, wire.MsgApply, wire.MsgResult,

@@ -595,7 +595,7 @@ func counter(name string, labels ...string) uint64 {
 // and the coordinator keeps working through the same clients afterwards.
 func TestClusterStragglerHedge(t *testing.T) {
 	trace.Reset()
-	trace.SetSampleRate(1) // before anything dials, so the legs carry spans
+	trace.SetSampleRate(1)
 	defer trace.SetSampleRate(0)
 	defer trace.Reset()
 

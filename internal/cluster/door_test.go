@@ -1,9 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"cham/internal/core"
 	"cham/internal/lwe"
 	"cham/internal/obs"
+	"cham/internal/obs/trace"
 	"cham/internal/rlwe"
 	rt "cham/internal/runtime"
 	"cham/internal/server"
@@ -22,7 +24,7 @@ import (
 
 // One conformance table, two doors: server.Server and Gateway share one
 // wire front end (server.FrontEnd), so everything a client can observe at
-// the door — handshake gate, negotiation, typed rejections, frame bounds,
+// the door — handshake gate, trace blocks, typed rejections, frame bounds,
 // the drain barrier — is asserted once and run against both.
 
 // doorFixture is the workload every row uses: one matrix, one encrypted
@@ -140,11 +142,25 @@ func (d *door) close(t *testing.T) {
 
 // rawConn is a client that speaks frames by hand, for what the client
 // library cannot send: requests before the handshake, unknown message
-// types, oversized frames, chosen deadlines.
+// types, oversized frames, chosen deadlines and trace blocks. It counts
+// the bytes its frames put on and take off the connection.
 type rawConn struct {
-	t   *testing.T
-	c   net.Conn
-	seq uint16
+	t      *testing.T
+	c      net.Conn
+	seq    uint16
+	rx, tx uint64
+}
+
+func (rc *rawConn) Read(b []byte) (int, error) {
+	n, err := rc.c.Read(b)
+	rc.rx += uint64(n)
+	return n, err
+}
+
+func (rc *rawConn) Write(b []byte) (int, error) {
+	n, err := rc.c.Write(b)
+	rc.tx += uint64(n)
+	return n, err
 }
 
 func dialRaw(t *testing.T, addr string) *rawConn {
@@ -160,8 +176,13 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 
 func (rc *rawConn) send(mt wire.MsgType, payload []byte) {
 	rc.t.Helper()
+	rc.sendTraced(mt, wire.TraceHeader{}, payload)
+}
+
+func (rc *rawConn) sendTraced(mt wire.MsgType, th wire.TraceHeader, payload []byte) {
+	rc.t.Helper()
 	rc.seq++
-	if err := wire.WriteFrame(rc.c, mt, rc.seq, payload); err != nil {
+	if err := wire.WriteFrame(rc, mt, rc.seq, th, payload); err != nil {
 		rc.t.Fatal(err)
 	}
 }
@@ -169,7 +190,7 @@ func (rc *rawConn) send(mt wire.MsgType, payload []byte) {
 // recv reads the reply to the last request sent.
 func (rc *rawConn) recv() (wire.MsgType, []byte) {
 	rc.t.Helper()
-	mt, seq, payload, err := wire.ReadFrame(rc.c, 0)
+	mt, seq, _, payload, err := wire.ReadFrame(rc, 0)
 	if err != nil {
 		rc.t.Fatalf("reading the reply to request %d: %v", rc.seq, err)
 	}
@@ -225,6 +246,15 @@ func (rc *rawConn) closed() {
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		rc.t.Fatal("connection still open after 10s")
 	}
+}
+
+// sampledHeader is a fresh sampled trace block, as a traced caller's frame
+// carries it.
+func sampledHeader(rng *rand.Rand) wire.TraceHeader {
+	th := wire.TraceHeader{Flags: wire.TraceFlagSampled}
+	rng.Read(th.TraceID[:])
+	rng.Read(th.SpanID[:])
+	return th
 }
 
 func (fx *doorFixture) applyPayload(d *door, deadline time.Duration) []byte {
@@ -346,27 +376,50 @@ func TestDoorConformance(t *testing.T) {
 			})
 
 			t.Run("TraceHello", func(t *testing.T) {
+				// The trace block of the apply frame parents the door's
+				// spans, though this process samples nothing itself.
 				rc := dialRaw(t, d.addr)
 				rc.hello(p)
-				for _, c := range []struct{ offer, want uint8 }{{1, 1}, {9, wire.FrameVersionTraced}} {
-					ack := rc.call(wire.MsgTraceHello, wire.MsgTraceHelloOK, wire.TraceHello{MaxVersion: c.offer}.Encode())
-					if !bytes.Equal(ack, wire.TraceHelloOK{Version: c.want}.Encode()) {
-						t.Fatalf("MaxVersion %d acknowledged with % x, want version %d", c.offer, ack, c.want)
-					}
-				}
-				// A version-2 frame is accepted afterwards (unsampled, so the
-				// span ring stays out of it).
-				rc.seq++
-				th := wire.TraceHeader{TraceID: [16]byte{1}, SpanID: [8]byte{2}}
-				if err := wire.WriteFrameTraced(rc.c, wire.MsgApply, rc.seq, th, fx.applyPayload(d, 10*time.Second)); err != nil {
-					t.Fatal(err)
-				}
+				th := sampledHeader(rng)
+				rc.sendTraced(wire.MsgApply, th, fx.applyPayload(d, 10*time.Second))
 				mt, resp := rc.recv()
 				if mt != wire.MsgResult {
-					t.Fatalf("v2-framed apply answered with %v", mt)
+					t.Fatalf("traced apply answered with %v", mt)
 				}
 				fx.checkResult(t, resp)
+				parented := 0
+				for _, r := range trace.TraceRecords(trace.TraceID(th.TraceID)) {
+					if r.Service == kind.name && r.Parent == trace.SpanID(th.SpanID) {
+						parented++
+					}
+				}
+				if parented == 0 {
+					t.Errorf("no %s span hangs under the apply frame's trace block", kind.name)
+				}
 			})
+
+			if kind.name == "server" { // a gateway's bytes are charged by the shards behind it
+				t.Run("byte counters", func(t *testing.T) {
+					rxTotal := obs.GetCounter("cham_server_bytes_rx_total", "")
+					txTotal := obs.GetCounter("cham_server_bytes_tx_total", "")
+					rx0, tx0 := rxTotal.Value(), txTotal.Value()
+					rc := dialRaw(t, d.addr)
+					rc.hello(p)
+					rc.sendTraced(wire.MsgApply, sampledHeader(rng), fx.applyPayload(d, 10*time.Second))
+					if mt, resp := rc.recv(); mt != wire.MsgResult {
+						t.Fatalf("traced apply answered with %v", mt)
+					} else {
+						fx.checkResult(t, resp)
+					}
+					fx.checkResult(t, rc.call(wire.MsgApply, wire.MsgResult, fx.applyPayload(d, 10*time.Second)))
+					if got := rxTotal.Value() - rx0; got != rc.tx {
+						t.Errorf("cham_server_bytes_rx_total moved by %d, the connection wrote %d bytes", got, rc.tx)
+					}
+					if got := txTotal.Value() - tx0; got != rc.rx {
+						t.Errorf("cham_server_bytes_tx_total moved by %d, the connection read %d bytes", got, rc.rx)
+					}
+				})
+			}
 
 			t.Run("unknown message type", func(t *testing.T) {
 				rc := dialRaw(t, d.addr)
@@ -381,13 +434,30 @@ func TestDoorConformance(t *testing.T) {
 			t.Run("oversized frame", func(t *testing.T) {
 				rc := dialRaw(t, d.addr)
 				rc.hello(p)
-				frame := wire.AppendFrame(nil, wire.MsgApply, 9, nil)
-				frame[8], frame[9], frame[10], frame[11] = 0x01, 0x00, 0x10, 0x00 // length = maxFrame + 1
+				frame := wire.AppendFrame(nil, wire.MsgApply, 9, wire.TraceHeader{}, nil)
+				binary.LittleEndian.PutUint32(frame[8:], maxFrame+1)
 				if _, err := rc.c.Write(frame); err != nil {
 					t.Fatal(err)
 				}
 				rc.closed()
 				dialRaw(t, d.addr).call(wire.MsgPing, wire.MsgPong, nil) // the door itself is unharmed
+			})
+
+			t.Run("lying length", func(t *testing.T) {
+				rc := dialRaw(t, d.addr)
+				rc.hello(p)
+				// The most the door accepts is claimed, 10 bytes follow, and
+				// the sending side closes.
+				frame := wire.AppendFrame(nil, wire.MsgApply, 9, wire.TraceHeader{}, make([]byte, 10))
+				binary.LittleEndian.PutUint32(frame[8:], maxFrame)
+				if _, err := rc.c.Write(frame); err != nil {
+					t.Fatal(err)
+				}
+				if err := rc.c.(*net.TCPConn).CloseWrite(); err != nil {
+					t.Fatal(err)
+				}
+				rc.closed()
+				dialRaw(t, d.addr).call(wire.MsgPing, wire.MsgPong, nil)
 			})
 
 			t.Run("apply during drain", func(t *testing.T) {

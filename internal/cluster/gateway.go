@@ -116,7 +116,7 @@ func (g *Gateway) handleApply(ctx context.Context, _ *server.Conn, _ uint16, a w
 	}
 	// The gateway is a trace edge: a request from a traced client keeps
 	// its context; an untraced request may be sampled fresh here, so a
-	// cluster fronting old clients still produces end-to-end traces.
+	// cluster whose clients do not sample still produces end-to-end traces.
 	t0 := time.Now()
 	tc := trace.FromContext(ctx)
 	var gsp trace.Span

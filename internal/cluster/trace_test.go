@@ -11,26 +11,20 @@ import (
 	"cham/internal/core"
 	"cham/internal/lwe"
 	"cham/internal/obs/trace"
+	"cham/internal/rlwe"
 	rt "cham/internal/runtime"
 	"cham/internal/server"
 	"cham/internal/testutil"
 )
 
-// TestClusterTraceEndToEnd is the tracing acceptance test (run under
-// -race in tier 1): one sampled apply through client → gateway →
-// coordinator → 2 shards must land in the span ring as ONE trace whose
-// tree covers the gateway, both shard legs, the shard servers' queue /
-// dispatch / serve spans, the runtime card job, and the kernel stages.
-// Everything runs in-process, so the single ring already holds the
-// "merged" view chamtrace assembles from many nodes.
-func TestClusterTraceEndToEnd(t *testing.T) {
-	// The rate must be up before anything dials: connections negotiate
-	// the traced frame version only while sampling is enabled.
-	trace.Reset()
-	trace.SetSampleRate(1)
-	defer trace.SetSampleRate(0)
-	defer trace.Reset()
-
+// tracedCluster boots 2 shards with cards (so a trace includes runtime job
+// spans) behind a gateway, installs keys and a 4096-row matrix through the
+// coordinator, and returns a client dialled at the gateway, the matrix and
+// an encrypted vector. 4096 rows at N=32 are 128 tiles, so the
+// consistent-hash ring puts tiles on both shards and a scatter opens both
+// legs.
+func tracedCluster(t *testing.T) (*client.Client, [32]byte, []*rlwe.Ciphertext) {
+	t.Helper()
 	p := testParams(t, 32)
 	rng := testutil.NewRand(t)
 	sk := p.KeyGen(rng)
@@ -38,8 +32,6 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Cards on the shards so the trace includes runtime job spans.
 	co, _ := newCluster(t, p, 2, func(c *server.Config) {
 		card, err := rt.New(rt.NewDevice(1, 50*time.Microsecond, rt.FaultPlan{}))
 		if err != nil {
@@ -50,10 +42,7 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 	if _, err := co.SetupKeys(keys); err != nil {
 		t.Fatal(err)
 	}
-	// 4096 rows at N=32 → 128 tiles, so the consistent-hash ring puts
-	// tiles on both shards and the scatter opens both legs.
-	A := testutil.Matrix(rng, 4096, 32, p.T.Q)
-	handle, err := co.RegisterMatrix(A)
+	handle, err := co.RegisterMatrix(testutil.Matrix(rng, 4096, 32, p.T.Q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,15 +66,29 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
+	t.Cleanup(func() { cl.Close() })
+	return cl, handle.ID, core.EncryptVector(p, rng, sk, testutil.Vector(rng, 32, p.T.Q))
+}
 
-	v := testutil.Vector(rng, 32, p.T.Q)
-	ctV := core.EncryptVector(p, rng, sk, v)
+// TestClusterTraceEndToEnd is the tracing acceptance test (run under
+// -race in tier 1): one sampled apply through client → gateway →
+// coordinator → 2 shards must land in the span ring as ONE trace whose
+// tree covers the gateway, both shard legs, the shard servers' queue /
+// dispatch / serve spans, the runtime card job, and the kernel stages.
+// Everything runs in-process, so the single ring already holds the
+// "merged" view chamtrace assembles from many nodes.
+func TestClusterTraceEndToEnd(t *testing.T) {
+	trace.Reset()
+	trace.SetSampleRate(1)
+	defer trace.SetSampleRate(0)
+	defer trace.Reset()
+
+	cl, id, ctV := tracedCluster(t)
 	tc, sp := trace.Root("test-client", "apply")
 	if !tc.Sampled() {
 		t.Fatal("rate-1 sampler did not admit the request")
 	}
-	res, err := cl.ApplyCtx(trace.NewContext(context.Background(), tc), handle.ID, ctV)
+	res, err := cl.ApplyCtx(trace.NewContext(context.Background(), tc), id, ctV)
 	sp.EndErr(err)
 	if err != nil {
 		t.Fatal(err)
@@ -143,4 +146,90 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 	if !strings.Contains(sb.String(), "critical path") {
 		t.Fatalf("text export lacks a critical path:\n%s", sb.String())
 	}
+}
+
+// TestClusterTraceRateZero: with the sample rate 0 in every process, as
+// every binary defaults to, a caller's sampled trace context still crosses
+// the gateway and both shard legs. Whether a hop forwards it depends on
+// nothing local: not the rate, not when its connections were dialed.
+func TestClusterTraceRateZero(t *testing.T) {
+	trace.Reset()
+	trace.SetSampleRate(0)
+	defer trace.Reset()
+
+	cl, id, ctV := tracedCluster(t)
+	tc := trace.Context{Flags: trace.FlagSampled}
+	copy(tc.Trace[:], "rate-zero caller")
+	copy(tc.Span[:], "caller")
+	if _, err := cl.ApplyCtx(trace.NewContext(context.Background(), tc), id, ctV); err != nil {
+		t.Fatal(err)
+	}
+
+	// A shard ends its dispatch span after it has replied, so the trace
+	// may complete a moment after the gathered result arrives.
+	var missing []string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if missing = missingRateZeroSpans(tc); len(missing) == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	for _, m := range missing {
+		t.Error(m)
+	}
+}
+
+// missingRateZeroSpans lists what the trace tc should hold and does not:
+// the gateway's apply span under the client's attempt, both shard legs,
+// and under each leg's RPC that shard's queue, dispatch and serve spans.
+func missingRateZeroSpans(tc trace.Context) []string {
+	children := map[trace.SpanID][]trace.Record{}
+	for _, r := range trace.TraceRecords(tc.Trace) {
+		children[r.Parent] = append(children[r.Parent], r)
+	}
+	// served maps each shard leg under the gateway's apply span to the
+	// server spans found under its RPCs (a hedged leg's name repeats).
+	served := map[string]map[string]bool{}
+	var walk func(id trace.SpanID)
+	walk = func(id trace.SpanID) {
+		for _, r := range children[id] {
+			if r.Service == "coordinator" && strings.HasPrefix(r.Name, "shard:") {
+				if served[r.Name] == nil {
+					served[r.Name] = map[string]bool{}
+				}
+				for _, rpc := range children[r.Span] {
+					for _, s := range children[rpc.Span] {
+						if s.Service == "server" {
+							served[r.Name][s.Name] = true
+						}
+					}
+				}
+			}
+			walk(r.Span)
+		}
+	}
+	gateway := false
+	for _, send := range children[tc.Span] { // the client's attempt
+		for _, r := range children[send.Span] {
+			if r.Service == "gateway" && r.Name == "apply" {
+				gateway = true
+				walk(r.Span)
+			}
+		}
+	}
+	if !gateway {
+		return []string{"no gateway/apply span under the caller's request"}
+	}
+	var missing []string
+	for _, leg := range []string{"shard:0", "shard:1"} {
+		if served[leg] == nil {
+			missing = append(missing, "no coordinator/"+leg+" span under the gateway's")
+			continue
+		}
+		for _, name := range []string{"queue", "dispatch", "serve"} {
+			if !served[leg][name] {
+				missing = append(missing, "no server/"+name+" span under "+leg)
+			}
+		}
+	}
+	return missing
 }

@@ -2,8 +2,8 @@
 // the CHAM serving stack. A TraceID is minted at the edge (client or
 // gateway) when the probabilistic sampler admits a request; the
 // resulting Context travels with the request — through function calls,
-// context.Context values, and the wire protocol's optional trace
-// header — and every hop opens Spans under it: client send, gateway,
+// context.Context values, and the trace block of every wire frame — and
+// every hop opens Spans under it: client send, gateway,
 // coordinator scatter / per-shard RPC, server admission queue /
 // coalesced batch / dispatch, runtime card jobs (including RAS
 // replays), and the kernel stages bridged from obs.StageClock.
@@ -96,10 +96,6 @@ func SetSampleRate(p float64) {
 
 // SampleRate returns the current root sampling probability.
 func SampleRate() float64 { return bitsFloat(sampleRate.Load()) }
-
-// Enabled reports whether any sampling is configured — one atomic load,
-// the only cost tracing adds to a process that never enables it.
-func Enabled() bool { return sampleRate.Load() != 0 }
 
 // --- ID generation ---
 

@@ -19,7 +19,7 @@ import (
 
 // FrontEnd is the wire front end of a CHAM serving endpoint — a door: the
 // listener and connection set, the frame loop with its handshake gate,
-// Hello / TraceHello / Ping, the drain barrier, and the deadline and
+// Hello and Ping, the drain barrier, and the deadline and
 // trace context every compute request runs under. It exists once and is
 // embedded by both doors, Server (chamserve) and cluster.Gateway; what a
 // door adds is the handlers it installs in Control and Compute. Set the
@@ -188,15 +188,17 @@ type Conn struct {
 }
 
 // send writes one frame; write errors are swallowed (the read loop will
-// observe the broken connection and tear it down).
+// observe the broken connection and tear it down). The frame is charged
+// to the byte counter before it is written, so a peer that has read a
+// reply finds it counted.
 func (c *Conn) send(t wire.MsgType, seq uint16, payload []byte) {
-	buf := wire.AppendFrame(nil, t, seq, payload)
-	c.wmu.Lock()
-	_, err := c.c.Write(buf)
-	c.wmu.Unlock()
-	if m := c.f.bytesTx; err == nil && m != nil {
+	buf := wire.AppendFrame(nil, t, seq, wire.TraceHeader{}, payload)
+	if m := c.f.bytesTx; m != nil {
 		m.Add(uint64(len(buf)))
 	}
+	c.wmu.Lock()
+	c.c.Write(buf)
+	c.wmu.Unlock()
 }
 
 // sendErr answers a request with a typed error (unknown codes are not
@@ -226,15 +228,15 @@ func (f *FrontEnd) handleConn(nc net.Conn) {
 	}()
 	hello := false // parameter handshake completed
 	for {
-		// The trace-aware read accepts both frame revisions.
-		t, seq, th, payload, err := wire.ReadFrameAny(br, f.MaxFrame)
+		t, seq, th, payload, err := wire.ReadFrame(br, f.MaxFrame)
 		if err != nil {
-			// Includes io.EOF on clean hang-up and frame-level corruption —
-			// after a desync there is no way to resynchronize the stream.
+			// Includes io.EOF on clean hang-up, a peer of another frame
+			// revision and frame-level corruption — after a desync there is
+			// no way to resynchronize the stream.
 			return
 		}
 		if m := f.bytesRx; m != nil {
-			m.Add(uint64(12 + len(payload))) // header + payload as framed
+			m.Add(uint64(wire.FrameHeaderLen + len(payload)))
 		}
 		if m := f.requests[t]; m != nil {
 			m.Inc()
@@ -246,8 +248,6 @@ func (f *FrontEnd) handleConn(nc net.Conn) {
 			hello = f.handleHello(c, seq, payload) || hello
 		case !hello:
 			c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "handshake required before %v", t))
-		case t == wire.MsgTraceHello:
-			f.handleTraceHello(c, seq, payload)
 		case t == wire.MsgApply || t == wire.MsgTileApply:
 			tc := trace.Context{Trace: trace.TraceID(th.TraceID), Span: trace.SpanID(th.SpanID), Flags: th.Flags}
 			f.handleCompute(c, t, seq, tc, payload)
@@ -284,21 +284,6 @@ func (f *FrontEnd) handleHello(c *Conn, seq uint16, payload []byte) bool {
 	}
 	c.send(wire.MsgHelloOK, seq, wire.HelloOK{Hello: want, Engines: f.Engines(), MaxBatch: f.MaxBatch}.Encode())
 	return true
-}
-
-// handleTraceHello acknowledges the trace-capability probe: this build
-// accepts version-2 (traced) request frames on any connection.
-func (f *FrontEnd) handleTraceHello(c *Conn, seq uint16, payload []byte) {
-	h, err := wire.DecodeTraceHello(payload)
-	if err != nil {
-		c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "trace hello: %v", err))
-		return
-	}
-	v := uint8(wire.FrameVersionTraced)
-	if h.MaxVersion < v {
-		v = h.MaxVersion
-	}
-	c.send(wire.MsgTraceHelloOK, seq, wire.TraceHelloOK{Version: v}.Encode())
 }
 
 // handleCompute takes one Apply or TileApply frame through the drain

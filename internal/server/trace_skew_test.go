@@ -1,100 +1,69 @@
 package server
 
-// Version-skew interop: the traced frame format is negotiated, so a
-// traced client against a pre-tracing server (v1Door stands one up) must
-// fall back to v1 frames and still get correct results, and a
-// pre-tracing client speaking raw v1 frames against a traced server must
-// be served identically with zero spans recorded.
+// Version skew: there is one frame revision and no negotiation, so a peer
+// of another revision is refused at the frame layer. Either way round the
+// connection closes — no typed rejection, no panic, no hang — and nothing
+// is recorded or served on its behalf.
 
 import (
 	"bufio"
-	"context"
-	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"cham/internal/bfv"
+	"cham/internal/client"
 	"cham/internal/core"
-	"cham/internal/lwe"
 	"cham/internal/obs/trace"
 	"cham/internal/testutil"
 	"cham/internal/wire"
 )
 
-// TestTraceSkewTracedClientOldServer: the client probes with
-// MsgTraceHello, the old server rejects the unknown message type, and
-// the client keeps the connection on v1 — applies succeed and only
-// client-side spans are recorded.
+// appendV1Frame appends a frame of revision 1, the layout before every
+// frame carried a trace block: magic(4) version(1) type(1) seq(2)
+// length(4) payload.
+func appendV1Frame(dst []byte, t wire.MsgType, seq uint16, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, wire.FrameMagic)
+	dst = append(dst, 1, byte(t))
+	dst = binary.LittleEndian.AppendUint16(dst, seq)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(dst, payload...)
+}
+
+// TestTraceSkewTracedClientOldServer: against a peer of frame revision 1
+// the client's first frame is refused — the peer hangs up — so the
+// handshake fails within DialTimeout with a transport error.
 func TestTraceSkewTracedClientOldServer(t *testing.T) {
-	trace.Reset()
-	trace.SetSampleRate(1)
-	defer trace.SetSampleRate(0)
-	defer trace.Reset()
-
 	p := testParams(t, 32)
-	rng := testutil.NewRand(t)
-	sk := p.KeyGen(rng)
-	keys, err := lwe.GenPackingKeys(p, rng, sk, p.R.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := core.NewEvaluatorFromKeys(p, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	A := testutil.Matrix(rng, 24, 32, p.T.Q)
-	pm, err := ev.Prepare(A)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := testClient(t, v1Door(t, p, A, pm), p, nil)
-	if hash, err := cl.SetupKeys(keys); err != nil || hash != wire.KeyHash(p.R, keys) {
-		t.Fatalf("setup keys: hash %x, err %v", hash[:8], err)
-	}
-	handle, err := cl.RegisterMatrix(A)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := testutil.Vector(rng, 32, p.T.Q)
-	ctV := core.EncryptVector(p, rng, sk, v)
-
-	tc, sp := trace.Root("client-edge", "apply")
-	got, err := cl.ApplyCtx(trace.NewContext(context.Background(), tc), handle.ID, ctV)
-	sp.EndErr(err)
-	if err != nil {
-		t.Fatalf("traced apply against an untraced server failed: %v", err)
-	}
-	want, err := pm.Apply(ctV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got.Packed {
-		if !sameCiphertext(got.Packed[i], want.Packed[i]) {
-			t.Fatalf("tile %d not bit-identical to in-process apply", i)
-		}
-	}
-
-	recs := trace.TraceRecords(tc.Trace)
-	if len(recs) == 0 {
-		t.Fatal("client recorded no spans for its own sampled request")
-	}
-	for _, r := range recs {
-		switch r.Service {
-		case "client-edge", "client":
-			// expected: the edge root and the send span
-		default:
-			t.Errorf("old server leaked a %s/%s span into the trace", r.Service, r.Name)
-		}
+	const dialTimeout = 5 * time.Second
+	cl := testClient(t, v1Door(t, p), p, func(c *client.Config) {
+		c.DialTimeout = dialTimeout
+		c.MaxRetries = -1
+	})
+	t0 := time.Now()
+	_, err := cl.Hello()
+	took := time.Since(t0)
+	var we *wire.Error
+	switch {
+	case err == nil:
+		t.Fatal("the handshake with a revision-1 peer succeeded")
+	case errors.As(err, &we):
+		t.Fatalf("the handshake failed with a typed rejection %v, want a transport error", err)
+	case !strings.Contains(err.Error(), "transport"):
+		t.Fatalf("the handshake failed with %v, want a transport error", err)
+	case took >= dialTimeout:
+		t.Fatalf("the handshake took %v, the dial timeout is %v", took, dialTimeout)
 	}
 }
 
-// TestTraceSkewOldClientTracedServer: a pre-tracing client (raw v1
-// frames, no MsgTraceHello probe) against a trace-enabled server. The
-// server must serve it exactly as before and record nothing — the
-// sampler only acts on requests that arrive with a sampled header or
-// hit a rooting edge (the gateway), neither of which applies here.
+// TestTraceSkewOldClientTracedServer: a hand-built 12-byte revision-1
+// frame gets its connection closed with no reply byte and no span
+// recorded, and the server goes on serving a client of this revision.
 func TestTraceSkewOldClientTracedServer(t *testing.T) {
 	trace.Reset()
 	trace.SetSampleRate(1)
@@ -111,105 +80,44 @@ func TestTraceSkewOldClientTracedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	br := bufio.NewReader(conn)
-	var seq uint16
-	roundTrip := func(mt, want wire.MsgType, payload []byte) []byte {
-		t.Helper()
-		seq++
-		if err := wire.WriteFrame(conn, mt, seq, payload); err != nil {
-			t.Fatal(err)
-		}
-		rt, rseq, rp, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rseq != seq {
-			t.Fatalf("response seq %d, want %d", rseq, seq)
-		}
-		if rt == wire.MsgError {
-			we, _ := wire.DecodeError(rp)
-			t.Fatalf("server rejected %v: %v", mt, we)
-		}
-		if rt != want {
-			t.Fatalf("response type %v, want %v", rt, want)
-		}
-		return rp
+	if _, err := conn.Write(appendV1Frame(nil, wire.MsgPing, 1, nil)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if reply, err := io.ReadAll(conn); err != nil || len(reply) != 0 {
+		t.Fatalf("the server answered a revision-1 frame with % x (err %v), want the connection closed", reply, err)
+	}
+	if recs := trace.Records(); len(recs) != 0 {
+		t.Fatalf("a refused frame left %d spans in the ring: %+v", len(recs), recs)
 	}
 
-	roundTrip(wire.MsgHello, wire.MsgHelloOK, wire.HelloFor(p).Encode())
-	keys, err := lwe.GenPackingKeys(p, rng, sk, p.R.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roundTrip(wire.MsgSetupKeys, wire.MsgSetupKeysOK, wire.EncodeSetupKeys(p.R, keys))
+	cl := testClient(t, addr, p, nil)
+	setupKeys(t, cl, p, rng, sk)
 	A := testutil.Matrix(rng, 24, 32, p.T.Q)
-	mreq, err := wire.EncodeRegisterMatrix(A)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := wire.DecodeMatrixHandle(roundTrip(wire.MsgRegisterMatrix, wire.MsgMatrixHandle, mreq))
+	h, err := cl.RegisterMatrix(A)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := testutil.Vector(rng, 32, p.T.Q)
-	ctV := core.EncryptVector(p, rng, sk, v)
-	resp := roundTrip(wire.MsgApply, wire.MsgResult, wire.EncodeApply(p.R, wire.Apply{
-		ID: h.ID, DeadlineMicros: uint64(10 * time.Second / time.Microsecond), Vector: ctV,
-	}))
-	got, err := wire.DecodeResult(p.R, resp)
+	got, err := cl.Apply(h.ID, core.EncryptVector(p, rng, sk, v))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("apply after a refused revision-1 peer: %v", err)
 	}
 	dec := core.DecryptResult(p, &core.Result{M: int(got.M), N: int(got.N), Packed: got.Packed}, sk)
-	plain := core.PlainMatVec(p, A, v)
-	for i := range plain {
-		if dec[i] != plain[i] {
-			t.Fatalf("row %d decrypts to %d, want %d", i, dec[i], plain[i])
+	for i, want := range core.PlainMatVec(p, A, v) {
+		if dec[i] != want {
+			t.Fatalf("row %d decrypts to %d, want %d", i, dec[i], want)
 		}
-	}
-	if recs := trace.Records(); len(recs) != 0 {
-		t.Fatalf("untraced v1 request left %d spans in the ring: %+v", len(recs), recs)
 	}
 }
 
-// v1Door stands in for a pre-tracing server: a strict revision-1 frame
-// loop (wire.ReadFrame fails on a traced frame, which ends the
-// connection) that knows the handshake, the key install and the one
-// matrix A, and answers its applies from pm in process. MsgTraceHello is
-// a message type it does not know, rejected the way any build rejects
-// one. It returns the door's address and closes with the test.
-func v1Door(t *testing.T, p bfv.Params, A [][]uint64, pm *core.PreparedMatrix) string {
+// v1Door stands in for a server of frame revision 1: a frame loop that
+// reads the 12-byte revision-1 header, answers a Hello for p and refuses
+// every other message with a typed error, and closes the connection on a
+// frame of any other revision. It returns the door's address and closes
+// with the test.
+func v1Door(t *testing.T, p bfv.Params) string {
 	t.Helper()
-	id, err := wire.MatrixID(A)
-	if err != nil {
-		t.Fatal(err)
-	}
-	handle := wire.MatrixHandle{ID: id, Rows: uint32(pm.Rows()), Cols: uint32(pm.Cols()),
-		Chunks: uint32(pm.Chunks()), Tiles: uint32(pm.Tiles())}
-	answer := func(mt wire.MsgType, payload []byte) (wire.MsgType, []byte) {
-		switch mt {
-		case wire.MsgPing:
-			return wire.MsgPong, payload
-		case wire.MsgHello:
-			return wire.MsgHelloOK, wire.HelloOK{Hello: wire.HelloFor(p), Engines: 1, MaxBatch: 1}.Encode()
-		case wire.MsgSetupKeys:
-			return wire.MsgSetupKeysOK, wire.SetupKeysOK{KeyHash: sha256.Sum256(payload)}.Encode()
-		case wire.MsgRegisterMatrix:
-			return wire.MsgMatrixHandle, handle.Encode()
-		case wire.MsgApply:
-			a, err := wire.DecodeApply(p.R, payload)
-			var res *core.Result
-			if err == nil {
-				res, err = pm.Apply(a.Vector)
-			}
-			if err != nil {
-				return wire.MsgError, wire.Errf(wire.CodeBadRequest, "apply: %v", err).Encode()
-			}
-			return wire.MsgResult, wire.EncodeResult(p.R, wire.Result{M: uint32(res.M), N: uint32(res.N), Packed: res.Packed})
-		}
-		return wire.MsgError, wire.Errf(wire.CodeBadRequest, "unexpected message type %d", mt).Encode()
-	}
-
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -230,6 +138,33 @@ func v1Door(t *testing.T, p bfv.Params, A [][]uint64, pm *core.PreparedMatrix) s
 		mu.Unlock()
 		wg.Wait()
 	})
+	serve := func(nc net.Conn) {
+		defer wg.Done()
+		defer nc.Close()
+		br := bufio.NewReader(nc)
+		for {
+			var hdr [12]byte
+			if _, err := io.ReadFull(br, hdr[:]); err != nil ||
+				binary.LittleEndian.Uint32(hdr[0:]) != wire.FrameMagic || hdr[4] != 1 {
+				return
+			}
+			n := binary.LittleEndian.Uint32(hdr[8:])
+			if n > 1<<20 {
+				return
+			}
+			payload := make([]byte, n)
+			if _, err := io.ReadFull(br, payload); err != nil {
+				return
+			}
+			rt, rp := wire.MsgError, wire.Errf(wire.CodeBadRequest, "unexpected message type %d", hdr[5]).Encode()
+			if wire.MsgType(hdr[5]) == wire.MsgHello {
+				rt, rp = wire.MsgHelloOK, wire.HelloOK{Hello: wire.HelloFor(p), Engines: 1, MaxBatch: 1}.Encode()
+			}
+			if _, err := nc.Write(appendV1Frame(nil, rt, binary.LittleEndian.Uint16(hdr[6:]), rp)); err != nil {
+				return
+			}
+		}
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -247,21 +182,7 @@ func v1Door(t *testing.T, p bfv.Params, A [][]uint64, pm *core.PreparedMatrix) s
 			conns = append(conns, nc)
 			wg.Add(1)
 			mu.Unlock()
-			go func() {
-				defer wg.Done()
-				defer nc.Close()
-				br := bufio.NewReader(nc)
-				for {
-					mt, seq, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
-					if err != nil {
-						return
-					}
-					rt, rp := answer(mt, payload)
-					if wire.WriteFrame(nc, rt, seq, rp) != nil {
-						return
-					}
-				}
-			}()
+			go serve(nc)
 		}
 	}()
 	return ln.Addr().String()

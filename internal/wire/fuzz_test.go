@@ -248,11 +248,10 @@ func FuzzWireClusterDecode(f *testing.F) {
 	})
 }
 
-// FuzzWireTraceHeaderDecode covers the tracing extension: round-trip
-// identity for well-formed traced frames through ReadFrameAny, and
-// totality of the trace decoders over arbitrary bytes — truncated or
-// garbage trace blocks must error, never panic, and a v1 frame must
-// come back with a zero header.
+// FuzzWireTraceHeaderDecode covers the one frame reader: round-trip
+// identity of header, trace block and body, totality over arbitrary bytes
+// (what it accepts re-encodes to the bytes it read), and refusal of a
+// revision-1 header and of unknown trace flags.
 func FuzzWireTraceHeaderDecode(f *testing.F) {
 	th := TraceHeader{Flags: TraceFlagSampled}
 	for i := range th.TraceID {
@@ -261,42 +260,45 @@ func FuzzWireTraceHeaderDecode(f *testing.F) {
 	for i := range th.SpanID {
 		th.SpanID[i] = byte(0xa0 + i)
 	}
-	f.Add(AppendFrameTraced(nil, MsgApply, 7, th, []byte{1, 2, 3}), []byte{9, 9})
-	f.Add(AppendFrame(nil, MsgPing, 1, nil), []byte{})
-	f.Add(AppendTraceHeader(nil, th), []byte{0xff})
-	f.Add([]byte{0x43, 0x48, 0x57, 0x56, 2, 7, 0, 0, 0, 0, 0, 0}, []byte{1})
+	f.Add(AppendFrame(nil, MsgApply, 7, th, []byte{1, 2, 3}), []byte{9, 9})
+	f.Add(AppendFrame(nil, MsgPing, 1, TraceHeader{}, nil), []byte{})
+	f.Add(AppendFrame(nil, MsgPing, 2, TraceHeader{Flags: 0x80}, nil), []byte{0xff})
+	f.Add([]byte{0x43, 0x48, 0x57, 0x56, 1, 10, 0, 0, 0, 0, 0, 0}, []byte{1}) // a revision-1 Ping
 	f.Fuzz(func(t *testing.T, data, body []byte) {
-		// Totality over arbitrary bytes.
-		_, _, _ = DecodeTraceHeader(data)
-		_, _ = DecodeTraceHello(data)
-		_, _ = DecodeTraceHelloOK(data)
-		_, _, _, _, _ = ReadFrameAny(bytes.NewReader(data), 1<<20)
-
-		// A v1 frame read by ReadFrameAny must agree with ReadFrame and
-		// carry no trace context.
-		v1 := AppendFrame(nil, MsgType(len(data)), uint16(len(body)), body)
-		t1, s1, p1, err1 := ReadFrame(bytes.NewReader(v1), 0)
-		t2, s2, h2, p2, err2 := ReadFrameAny(bytes.NewReader(v1), 0)
-		if (err1 == nil) != (err2 == nil) || t1 != t2 || s1 != s2 || !h2.IsZero() || !bytes.Equal(p1, p2) {
-			t.Fatalf("v1 frame disagreement: %v vs %v", err1, err2)
+		// Totality over arbitrary bytes; whatever is accepted is canonical.
+		if mt, seq, h, p, err := ReadFrame(bytes.NewReader(data), 1<<20); err == nil {
+			if re := AppendFrame(nil, mt, seq, h, p); !bytes.Equal(re, data[:len(re)]) {
+				t.Fatalf("accepted frame re-encodes to % x, read from % x", re, data[:len(re)])
+			}
 		}
 
-		// Traced round trip: header and body must come back exactly.
+		// Round trip: header, trace block and body come back exactly.
 		var hdr TraceHeader
 		copy(hdr.TraceID[:], data)
 		copy(hdr.SpanID[:], body)
-		hdr.Flags = TraceFlagSampled
-		frame := AppendFrameTraced(nil, MsgTileApply, 3, hdr, body)
-		gt, gs, gh, gp, err := ReadFrameAny(bytes.NewReader(frame), 0)
+		hdr.Flags = byte(len(data)) & TraceFlagSampled
+		frame := AppendFrame(nil, MsgType(len(data)), uint16(len(body)), hdr, body)
+		if len(frame) != FrameHeaderLen+len(body) {
+			t.Fatalf("frame of a %d-byte body is %d bytes", len(body), len(frame))
+		}
+		gt, gs, gh, gp, err := ReadFrame(bytes.NewReader(frame), 0)
 		if err != nil {
-			t.Fatalf("traced round trip failed: %v", err)
+			t.Fatalf("round trip failed: %v", err)
 		}
-		if gt != MsgTileApply || gs != 3 || gh != hdr || !bytes.Equal(gp, body) {
-			t.Fatal("traced frame changed in flight")
+		if gt != MsgType(len(data)) || gs != uint16(len(body)) || gh != hdr || !bytes.Equal(gp, body) {
+			t.Fatal("frame changed in flight")
 		}
-		// And a strict v1 reader must refuse the revision, not panic.
-		if _, _, _, err := ReadFrame(bytes.NewReader(frame), 0); err == nil {
-			t.Fatal("v1 reader accepted a traced frame")
+
+		// Another revision, or a flag bit beyond sampled, is refused.
+		old := append([]byte(nil), frame...)
+		old[4] = 1
+		if _, _, _, _, err := ReadFrame(bytes.NewReader(old), 0); err == nil {
+			t.Fatal("a revision-1 header was accepted")
+		}
+		flagged := append([]byte(nil), frame...)
+		flagged[FrameHeaderLen-1] |= byte(1+len(body)%7) << 1
+		if _, _, _, _, err := ReadFrame(bytes.NewReader(flagged), 0); err == nil {
+			t.Fatal("an unknown trace flag was accepted")
 		}
 	})
 }
@@ -307,8 +309,8 @@ func FuzzWireTraceHeaderDecode(f *testing.F) {
 // from a lying length prefix.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(AppendFrame(nil, MsgPing, 1, nil))
-	f.Add(AppendFrame(nil, MsgApply, 2, []byte{0, 1, 2, 3}))
+	f.Add(AppendFrame(nil, MsgPing, 1, TraceHeader{}, nil))
+	f.Add(AppendFrame(nil, MsgApply, 2, TraceHeader{Flags: TraceFlagSampled}, []byte{0, 1, 2, 3}))
 	if err := wireFuzzSetup(); err == nil {
 		p := wireFuzz.p
 		f.Add(Hello{RingN: 32, Levels: 3, NormalLevels: 2, T: 65537}.Encode())
@@ -331,7 +333,7 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		p := wireFuzz.p
 		// Frame reader with a small cap so fuzz inputs stay cheap.
-		_, _, _, _ = ReadFrame(bytes.NewReader(data), 1<<20)
+		_, _, _, _, _ = ReadFrame(bytes.NewReader(data), 1<<20)
 		// Every payload decoder must be total.
 		_, _ = DecodeHello(data)
 		_, _ = DecodeHelloOK(data)

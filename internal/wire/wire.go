@@ -4,16 +4,23 @@
 // packed HMVP results back (the Delphi-style deployment shape §III-C's
 // host/card split implies at datacenter scale).
 //
-// A connection carries a sequence of frames:
+// A connection carries a sequence of frames, in both directions and for
+// every message type one layout:
 //
-//	magic(4) version(1) type(1) seq(2) length(4) payload...
+//	magic(4) version(1) type(1) seq(2) length(4) traceID(16) spanID(8) flags(1) payload...
 //
-// All integers are little-endian. seq is an opaque client-chosen value the
-// server echoes on the response, so a client can detect desynchronised
-// streams. Crypto payloads (ciphertexts, switching keys) reuse the
-// self-describing object encoding of internal/codec; this package adds the
-// request/response message layer, key-set and matrix encodings, and the
-// content hashes that name registered matrices.
+// All integers are little-endian; length counts the payload alone. seq is
+// an opaque client-chosen value the server echoes on the response, so a
+// client can detect desynchronised streams. The 25-byte trace block is the
+// request's trace context (DESIGN.md §9), all zero when it is untraced; a
+// reply carries a zero block, since spans travel out of band through each
+// node's ring. There is no negotiation: a peer of another revision is
+// refused on its first 12 bytes.
+//
+// Crypto payloads (ciphertexts, switching keys) reuse the self-describing
+// object encoding of internal/codec; this package adds the request/response
+// message layer, key-set and matrix encodings, and the content hashes that
+// name registered matrices.
 //
 // Every decoder is strict and bounds-checked: malformed, truncated, or
 // oversized input yields an error, never a panic, and never an allocation
@@ -24,22 +31,49 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // FrameMagic identifies a cham serving frame ("CHWV" when read as
 // little-endian bytes).
 const FrameMagic uint32 = 0x56574843
 
-// FrameVersion is the current protocol revision. A server rejects frames
-// from any other revision, so incompatible ends fail fast at the Hello.
-const FrameVersion = 1
+// FrameVersion is the protocol revision: the one whose frames carry a
+// trace block. ReadFrame refuses a frame of any other revision, so a peer
+// of another build is turned away at its first frame and its connection
+// closes.
+const FrameVersion = 2
 
-// frameHeaderLen is magic(4)+version(1)+type(1)+seq(2)+length(4).
-const frameHeaderLen = 12
+// framePrefixLen is magic(4)+version(1)+type(1)+seq(2)+length(4): the part
+// of the header every revision shares.
+const framePrefixLen = 12
+
+// TraceHeaderLen is traceID(16) + spanID(8) + flags(1).
+const TraceHeaderLen = 25
+
+// FrameHeaderLen is every byte of a frame but its payload.
+const FrameHeaderLen = framePrefixLen + TraceHeaderLen
+
+// TraceFlagSampled marks a request whose spans are being recorded; no
+// other flag bit is defined, and a frame that sets one is refused.
+const TraceFlagSampled = 0x01
 
 // DefaultMaxFrame bounds an accepted frame payload (256 MiB covers the
 // largest key set at production parameters with wide margin).
 const DefaultMaxFrame uint32 = 1 << 28
+
+// frameAllocStep bounds what ReadFrame allocates for a payload before its
+// bytes arrive: a length is only a claim. Every Apply and Result frame of
+// the benchmark workloads fits, so those keep one allocation.
+const frameAllocStep = 1 << 20
+
+// TraceHeader is the trace block of one frame: the propagated trace
+// context of a request. The zero value means untraced.
+type TraceHeader struct {
+	TraceID [16]byte
+	SpanID  [8]byte
+	Flags   uint8
+}
 
 // MsgType discriminates frame payloads.
 type MsgType uint8
@@ -63,8 +97,6 @@ const (
 	MsgTileResult     MsgType = 13 // shard → coordinator: packed tiles for the subset
 	MsgRegistrySync   MsgType = 14 // peer → node: pull or push of the matrix registry
 	MsgRegistryState  MsgType = 15 // node → peer: installed keys + matrix payloads
-	MsgTraceHello     MsgType = 16 // client → server: trace-capability probe (see trace.go)
-	MsgTraceHelloOK   MsgType = 17 // server → client: traced frames accepted
 )
 
 // String names the type for diagnostics.
@@ -100,61 +132,74 @@ func (t MsgType) String() string {
 		return "RegistrySync"
 	case MsgRegistryState:
 		return "RegistryState"
-	case MsgTraceHello:
-		return "TraceHello"
-	case MsgTraceHelloOK:
-		return "TraceHelloOK"
 	}
 	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }
 
-// AppendFrame appends one framed message to dst and returns the extended
-// slice.
-func AppendFrame(dst []byte, t MsgType, seq uint16, payload []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], FrameMagic)
-	hdr[4] = FrameVersion
-	hdr[5] = byte(t)
-	binary.LittleEndian.PutUint16(hdr[6:], seq)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
+// AppendFrame appends one framed message carrying trace block th to dst
+// and returns the extended slice, growing dst at most once.
+func AppendFrame(dst []byte, t MsgType, seq uint16, th TraceHeader, payload []byte) []byte {
+	dst = slices.Grow(dst, FrameHeaderLen+len(payload))
+	dst = appendU32(dst, FrameMagic)
+	dst = append(dst, FrameVersion, byte(t))
+	dst = appendU16(dst, seq)
+	dst = appendU32(dst, uint32(len(payload)))
+	dst = append(dst, th.TraceID[:]...)
+	dst = append(dst, th.SpanID[:]...)
+	dst = append(dst, th.Flags)
 	return append(dst, payload...)
 }
 
 // WriteFrame writes one framed message.
-func WriteFrame(w io.Writer, t MsgType, seq uint16, payload []byte) error {
-	buf := AppendFrame(make([]byte, 0, frameHeaderLen+len(payload)), t, seq, payload)
-	_, err := w.Write(buf)
+func WriteFrame(w io.Writer, t MsgType, seq uint16, th TraceHeader, payload []byte) error {
+	_, err := w.Write(AppendFrame(nil, t, seq, th, payload))
 	return err
 }
 
 // ReadFrame reads and validates one frame, rejecting payloads above max
-// (0 means DefaultMaxFrame) before allocating anything for them.
-func ReadFrame(r io.Reader, max uint32) (MsgType, uint16, []byte, error) {
+// (0 means DefaultMaxFrame) before allocating anything for them, and
+// allocating for the rest no faster than its bytes arrive.
+func ReadFrame(r io.Reader, max uint32) (MsgType, uint16, TraceHeader, []byte, error) {
 	if max == 0 {
 		max = DefaultMaxFrame
 	}
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, err
+	// The shared prefix is checked before the trace block is read, so a
+	// revision-1 peer, whose header ends there, is refused at once.
+	var hdr [FrameHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:framePrefixLen]); err != nil {
+		return 0, 0, TraceHeader{}, nil, err
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != FrameMagic {
-		return 0, 0, nil, fmt.Errorf("wire: bad frame magic")
+		return 0, 0, TraceHeader{}, nil, fmt.Errorf("wire: bad frame magic")
 	}
 	if hdr[4] != FrameVersion {
-		return 0, 0, nil, fmt.Errorf("wire: unsupported protocol version %d", hdr[4])
+		return 0, 0, TraceHeader{}, nil, fmt.Errorf("wire: unsupported protocol version %d", hdr[4])
 	}
-	t := MsgType(hdr[5])
-	seq := binary.LittleEndian.Uint16(hdr[6:])
 	n := binary.LittleEndian.Uint32(hdr[8:])
 	if n > max {
-		return 0, 0, nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, max)
+		return 0, 0, TraceHeader{}, nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, max)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, 0, nil, fmt.Errorf("wire: truncated frame body: %w", err)
+	if _, err := io.ReadFull(r, hdr[framePrefixLen:]); err != nil {
+		return 0, 0, TraceHeader{}, nil, fmt.Errorf("wire: truncated trace block: %w", err)
 	}
-	return t, seq, payload, nil
+	var th TraceHeader
+	copy(th.TraceID[:], hdr[12:28])
+	copy(th.SpanID[:], hdr[28:36])
+	th.Flags = hdr[36]
+	if th.Flags&^TraceFlagSampled != 0 {
+		return 0, 0, TraceHeader{}, nil, fmt.Errorf("wire: unknown trace flags %#x", th.Flags)
+	}
+	payload := make([]byte, min(n, frameAllocStep))
+	for off := 0; ; {
+		k, err := io.ReadFull(r, payload[off:])
+		if err != nil {
+			return 0, 0, TraceHeader{}, nil, fmt.Errorf("wire: truncated frame body: %w", err)
+		}
+		if off += k; off == int(n) {
+			return MsgType(hdr[5]), binary.LittleEndian.Uint16(hdr[6:]), th, payload, nil
+		}
+		payload = append(payload, make([]byte, min(int(n)-off, off))...) // at most doubles
+	}
 }
 
 // --- payload primitives ---

@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 
 	"cham/internal/bfv"
@@ -44,51 +47,117 @@ func sameCiphertext(a, b *rlwe.Ciphertext) bool {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte{1, 2, 3, 4, 5}
-	if err := WriteFrame(&buf, MsgApply, 42, payload); err != nil {
+	th := TraceHeader{TraceID: [16]byte{7}, SpanID: [8]byte{9}, Flags: TraceFlagSampled}
+	if err := WriteFrame(&buf, MsgApply, 42, th, payload); err != nil {
 		t.Fatal(err)
 	}
-	typ, seq, got, err := ReadFrame(&buf, 0)
+	typ, seq, gotTH, got, err := ReadFrame(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != MsgApply || seq != 42 || !bytes.Equal(got, payload) {
-		t.Fatalf("round trip: type=%v seq=%d payload=%v", typ, seq, got)
+	if typ != MsgApply || seq != 42 || gotTH != th || !bytes.Equal(got, payload) {
+		t.Fatalf("round trip: type=%v seq=%d trace=%+v payload=%v", typ, seq, gotTH, got)
+	}
+	// A door answers through AppendFrame(nil, ...): one allocation a reply.
+	if n := testing.AllocsPerRun(100, func() { AppendFrame(nil, MsgResult, 1, th, payload) }); n != 1 {
+		t.Fatalf("AppendFrame into nil allocated %v times, want 1", n)
+	}
+}
+
+// TestFrameLayout pins the bytes of one frame, so no field offset can
+// drift without this golden changing.
+func TestFrameLayout(t *testing.T) {
+	th := TraceHeader{Flags: TraceFlagSampled}
+	for i := range th.TraceID {
+		th.TraceID[i] = 0x10 + byte(i)
+	}
+	for i := range th.SpanID {
+		th.SpanID[i] = 0xa0 + byte(i)
+	}
+	want, err := hex.DecodeString("43485756" + // magic "CHWV"
+		"02" + // version
+		"07" + // type: Apply
+		"0201" + // seq 0x0102
+		"02000000" + // payload length
+		"101112131415161718191a1b1c1d1e1f" + // traceID
+		"a0a1a2a3a4a5a6a7" + // spanID
+		"01" + // flags: sampled
+		"dead") // payload
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := AppendFrame(nil, MsgApply, 0x0102, th, []byte{0xde, 0xad})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("frame bytes\n got % x\nwant % x", got, want)
+	}
+	if len(got) != FrameHeaderLen+2 {
+		t.Fatalf("FrameHeaderLen %d, but the frame of a 2-byte payload is %d bytes", FrameHeaderLen, len(got))
+	}
+	typ, seq, gotTH, payload, err := ReadFrame(bytes.NewReader(want), 0)
+	if err != nil || typ != MsgApply || seq != 0x0102 || gotTH != th || !bytes.Equal(payload, []byte{0xde, 0xad}) {
+		t.Fatalf("golden frame read back as type=%v seq=%#x trace=%+v payload=% x err=%v", typ, seq, gotTH, payload, err)
 	}
 }
 
 func TestFrameRejections(t *testing.T) {
-	good := AppendFrame(nil, MsgPing, 0, nil)
+	good := AppendFrame(nil, MsgPing, 0, TraceHeader{}, nil)
 
 	bad := append([]byte(nil), good...)
 	bad[0] ^= 0xFF
-	if _, _, _, err := ReadFrame(bytes.NewReader(bad), 0); err == nil {
+	if _, _, _, _, err := ReadFrame(bytes.NewReader(bad), 0); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 
+	for _, v := range []byte{1, 99} {
+		bad = append([]byte(nil), good...)
+		bad[4] = v
+		if _, _, _, _, err := ReadFrame(bytes.NewReader(bad), 0); err == nil {
+			t.Fatalf("version %d accepted", v)
+		}
+	}
+
+	// Flag bits beyond sampled are refused.
 	bad = append([]byte(nil), good...)
-	bad[4] = 99
-	if _, _, _, err := ReadFrame(bytes.NewReader(bad), 0); err == nil {
-		t.Fatal("bad version accepted")
+	bad[FrameHeaderLen-1] = 0x02
+	if _, _, _, _, err := ReadFrame(bytes.NewReader(bad), 0); err == nil {
+		t.Fatal("unknown trace flag accepted")
 	}
 
 	// Oversized length rejected before the body is read.
-	over := AppendFrame(nil, MsgPing, 0, make([]byte, 100))
-	if _, _, _, err := ReadFrame(bytes.NewReader(over), 10); err == nil {
+	over := AppendFrame(nil, MsgPing, 0, TraceHeader{}, make([]byte, 100))
+	if _, _, _, _, err := ReadFrame(bytes.NewReader(over), 10); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 
 	// Truncated body.
-	if _, _, _, err := ReadFrame(bytes.NewReader(over[:20]), 0); err == nil {
+	if _, _, _, _, err := ReadFrame(bytes.NewReader(over[:FrameHeaderLen+20]), 0); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 
-	// Truncated header is io.EOF / ErrUnexpectedEOF, never a panic.
+	// Truncated header is an error, never a panic.
 	for cut := 0; cut < len(good); cut++ {
-		if _, _, _, err := ReadFrame(bytes.NewReader(good[:cut]), 0); err == nil {
+		if _, _, _, _, err := ReadFrame(bytes.NewReader(good[:cut]), 0); err == nil {
 			t.Fatalf("header cut at %d accepted", cut)
 		}
 	}
-	_ = io.EOF
+}
+
+// TestReadFrameLyingLength: a header claiming 200 MiB followed by 10 bytes
+// and EOF is a truncated frame, and reading it allocates about what
+// arrived, not what was claimed.
+func TestReadFrameLyingLength(t *testing.T) {
+	frame := AppendFrame(nil, MsgApply, 1, TraceHeader{}, make([]byte, 10))
+	binary.LittleEndian.PutUint32(frame[8:], 200<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, _, err := ReadFrame(bytes.NewReader(frame), 0)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("lying length read returned %v, want the truncation error", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 4<<20 {
+		t.Fatalf("reading 10 bytes of a 200 MiB claim allocated %d bytes", d)
+	}
 }
 
 func TestHelloRoundTrip(t *testing.T) {
