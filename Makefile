@@ -87,7 +87,7 @@ kernels:
 	$(GO) test ./internal/vec -run '^$$' -fuzz '^FuzzVecKernels$$' -fuzztime $(FUZZTIME)
 
 # Nothing beside the hot path: every function internal/{mod,ntt,ring,rlwe,
-# bfv,lwe,core,codec,noise,runtime} and the serving half (apps/beaver, wire,
+# bfv,lwe,core,noise,runtime} and the serving half (apps/beaver, wire,
 # server, client, cluster, obs, obs/trace) declares outside its tests has a
 # caller outside its own tests, or a row in orphans_test.go naming the part
 # of the paper it reproduces. Type-checks the module from source (a few

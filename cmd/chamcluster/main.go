@@ -8,13 +8,15 @@
 //
 //	chamcluster -addr :7320 -nodes host1:7316,host2:7316
 //
-// fronts externally managed chamserve processes (run them with
-// -lazy-tiles semantics; the gateway broadcasts keys and matrices), or
+// fronts externally managed chamserve processes (plain chamserve: the
+// gateway broadcasts keys and matrices, and an eager shard prepares every
+// tile at registration, so it can take over any tile), or
 //
 //	chamcluster -addr :7320 -spawn 4
 //
 // spawns 4 in-process shard nodes on loopback — the one-binary way to
-// run a whole cluster for demos and benchmarks. SIGINT/SIGTERM drains
+// run a whole cluster for demos and benchmarks. Only these spawned shards
+// are lazy: they prepare a tile on its first use. SIGINT/SIGTERM drains
 // the gateway first, then the spawned shards.
 package main
 

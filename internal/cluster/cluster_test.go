@@ -97,26 +97,8 @@ func newCluster(tb testing.TB, p bfv.Params, n int, mut func(*server.Config), cm
 	return co, nodes
 }
 
-func sameCiphertext(a, b *rlwe.Ciphertext) bool {
-	if a.B.Levels() != b.B.Levels() || a.A.Levels() != b.A.Levels() {
-		return false
-	}
-	for l := 0; l < a.B.Levels(); l++ {
-		for i := range a.B.Coeffs[l] {
-			if a.B.Coeffs[l][i] != b.B.Coeffs[l][i] {
-				return false
-			}
-		}
-	}
-	for l := 0; l < a.A.Levels(); l++ {
-		for i := range a.A.Coeffs[l] {
-			if a.A.Coeffs[l][i] != b.A.Coeffs[l][i] {
-				return false
-			}
-		}
-	}
-	return true
-}
+// sameCiphertext reports bit identity: the same limbs, words and domain.
+func sameCiphertext(a, b *rlwe.Ciphertext) bool { return a.B.Equal(b.B) && a.A.Equal(b.A) }
 
 // checkResult asserts a gathered cluster result is bit-identical to the
 // single-node in-process result and decrypts to the cleartext product.

@@ -21,9 +21,10 @@ import (
 type Config struct {
 	// Params must match every node's parameter set (required).
 	Params bfv.Params
-	// Nodes are the shard addresses (at least one required). Every node
-	// should run chamserve with LazyTiles so any node can take over any
-	// tile after a failure.
+	// Nodes are the shard addresses (at least one required). Any chamserve
+	// will do: an eager node prepares every tile at registration, so it can
+	// take over any tile after a failure as it is; only the shards
+	// chamcluster -spawn starts are lazy (server.Config.LazyTiles).
 	Nodes []string
 	// VNodes is the virtual-node count per node (default DefaultVNodes).
 	VNodes int
@@ -233,7 +234,7 @@ func (co *Coordinator) Handle(id [32]byte) (wire.MatrixHandle, bool) {
 type groupResult struct {
 	node  int // owner node index (the group key)
 	tiles []uint32
-	res   wire.TileResult
+	res   wire.Result
 	err   error
 }
 
@@ -306,7 +307,7 @@ func (co *Coordinator) ApplyCtx(ctx context.Context, id [32]byte, vec []*rlwe.Ci
 				}
 				return false
 			}
-			res, _, launched, err := client.Hedged(ctx, n, delay, spend, func(actx context.Context, i int) (wire.TileResult, error) {
+			res, _, launched, err := client.Hedged(ctx, n, delay, spend, func(actx context.Context, i int) (wire.Result, error) {
 				lctx, lsp := trace.Start(sctx, "coordinator", fmt.Sprintf("shard:%d", order[i]))
 				if lsp.Active() {
 					lsp.Annotate(fmt.Sprintf("%d tiles", len(list)))

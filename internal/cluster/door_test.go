@@ -431,6 +431,34 @@ func TestDoorConformance(t *testing.T) {
 				rc.call(wire.MsgPing, wire.MsgPong, nil) // the connection stays usable
 			})
 
+			// Tile lists and warm-ups are what a coordinator sends a shard: a
+			// server serves them, a gateway serves whole applies only.
+			if kind.name == "gateway" {
+				t.Run("tile-listed and warm apply", func(t *testing.T) {
+					rc := dialRaw(t, d.addr)
+					rc.hello(p)
+					for _, a := range []wire.Apply{
+						{ID: d.handle.ID, DeadlineMicros: 10e6, Tiles: []uint32{0, 2}, Vector: fx.ctV},
+						{ID: d.handle.ID, DeadlineMicros: 10e6, Warm: true, Tiles: []uint32{0, 2}},
+					} {
+						rc.send(wire.MsgApply, wire.EncodeApply(p.R, a))
+						rc.recvErr(wire.CodeBadRequest)
+						rc.call(wire.MsgPing, wire.MsgPong, nil) // the connection stays usable
+					}
+				})
+			} else {
+				t.Run("warm apply", func(t *testing.T) {
+					rc := dialRaw(t, d.addr)
+					rc.hello(p)
+					resp := rc.call(wire.MsgApply, wire.MsgResult, wire.EncodeApply(p.R, wire.Apply{
+						ID: d.handle.ID, DeadlineMicros: 10e6, Warm: true, Tiles: []uint32{0, 2},
+					}))
+					if res, err := wire.DecodeResult(p.R, resp); err != nil || res.M != 0 || len(res.Tiles) != 0 || len(res.Packed) != 0 {
+						t.Fatalf("warm apply acknowledged with %+v (err %v), want Result{M: 0} and no ciphertexts", res, err)
+					}
+				})
+			}
+
 			t.Run("oversized frame", func(t *testing.T) {
 				rc := dialRaw(t, d.addr)
 				rc.hello(p)

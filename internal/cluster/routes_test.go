@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -10,7 +9,6 @@ import (
 
 	"cham/internal/chamnp"
 	"cham/internal/client"
-	"cham/internal/codec"
 	"cham/internal/core"
 	"cham/internal/lwe"
 	"cham/internal/ref"
@@ -95,18 +93,15 @@ func TestEveryRouteSameBytes(t *testing.T) {
 							t.Fatalf("row %d decrypts to %d, want %d", i, got, plain[i])
 						}
 					}
-					wantBytes := make([][]byte, len(want.Packed))
-					for ti, ct := range want.Packed {
-						wantBytes[ti] = codec.EncodeCiphertext(p.R, ct)
-					}
-					// same requires out[k] to be tile tiles[k] of the reference.
+					// same requires out[k] to be tile tiles[k] of the reference:
+					// the same residue words in the same domain.
 					same := func(route string, tiles []int, out []*rlwe.Ciphertext) {
 						t.Helper()
 						if len(out) != len(tiles) {
 							t.Fatalf("%s: %d ciphertexts for %d tiles", route, len(out), len(tiles))
 						}
 						for k, ti := range tiles {
-							if !bytes.Equal(codec.EncodeCiphertext(p.R, out[k]), wantBytes[ti]) {
+							if !sameCiphertext(out[k], want.Packed[ti]) {
 								t.Errorf("%s: tile %d differs from ApplyInto", route, ti)
 							}
 						}

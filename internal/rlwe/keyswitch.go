@@ -107,7 +107,7 @@ func (p Params) AutomorphismKeyGen(rng *rand.Rand, sk *SecretKey, k int) *Switch
 
 // Precompute fills the switching key's Shoup companion tables, which
 // halve the cost of the digit·key accumulation. Every key that reaches a
-// switch is precomputed — SwitchingKeyGen and the codec's decoder both
+// switch is precomputed — SwitchingKeyGen and internal/wire's decoder both
 // end with this call — and KeySwitchAccumulateNTT panics on one that is
 // not. Safe to call more than once; not safe concurrently with use of
 // the key.

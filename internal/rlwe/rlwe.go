@@ -94,7 +94,8 @@ type PublicKey struct {
 // BsShoup/AsShoup are the per-coefficient Shoup companion words of Bs/As
 // (the key is a fixed multiplicand in every switch), filled by Precompute.
 // Invariant: a key handed to a switch has them — build keys with
-// SwitchingKeyGen or the codec, or call Precompute after filling Bs/As.
+// SwitchingKeyGen or decode them with internal/wire, or call Precompute
+// after filling Bs/As.
 type SwitchingKey struct {
 	Bs, As           []*ring.Poly
 	BsShoup, AsShoup [][][]uint64

@@ -13,7 +13,6 @@ import (
 	"cham/internal/bfv"
 	"cham/internal/obs"
 	"cham/internal/obs/trace"
-	"cham/internal/ring"
 	"cham/internal/wire"
 )
 
@@ -43,16 +42,16 @@ type FrontEnd struct {
 	// registry sync) from its payload. A type with no entry is rejected
 	// with CodeBadRequest and the connection stays usable.
 	Control map[wire.MsgType]func(payload []byte) (wire.MsgType, []byte, *wire.Error)
-	// Compute serves one decoded Apply (a.Tiles == nil) or TileApply that
-	// passed the drain barrier. ctx carries the frame's trace context
-	// (trace.FromContext) and expires at min(request deadline,
-	// DefaultDeadline); it is cancelled when Compute returns. Compute
-	// either returns the reply or a typed error, which the front end
-	// sends before it retires the request, or returns message type 0:
-	// the door has taken the request over and answers it later. The
-	// front end imposes neither — a gateway answers inline on the
-	// connection's goroutine, a server queues for its batch workers.
-	Compute func(ctx context.Context, c *Conn, seq uint16, a wire.TileApply) (wire.MsgType, []byte, *wire.Error)
+	// Compute serves one decoded Apply — every tile (a.Tiles == nil), a
+	// tile subset, or a warm-up — that passed the drain barrier. ctx
+	// carries the frame's trace context (trace.FromContext) and expires
+	// at min(request deadline, DefaultDeadline); it is cancelled when
+	// Compute returns. Compute either returns the reply or a typed error,
+	// which the front end sends before it retires the request, or returns
+	// message type 0: the door has taken the request over and answers it
+	// later. The front end imposes neither — a gateway answers inline on
+	// the connection's goroutine, a server queues for its batch workers.
+	Compute func(ctx context.Context, c *Conn, seq uint16, a wire.Apply) (wire.MsgType, []byte, *wire.Error)
 
 	// Conns is the door's own open-connections gauge (required): telemetry
 	// handles are taken as values, never looked up by name, so two doors in
@@ -248,9 +247,9 @@ func (f *FrontEnd) handleConn(nc net.Conn) {
 			hello = f.handleHello(c, seq, payload) || hello
 		case !hello:
 			c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "handshake required before %v", t))
-		case t == wire.MsgApply || t == wire.MsgTileApply:
+		case t == wire.MsgApply:
 			tc := trace.Context{Trace: trace.TraceID(th.TraceID), Span: trace.SpanID(th.SpanID), Flags: th.Flags}
-			f.handleCompute(c, t, seq, tc, payload)
+			f.handleCompute(c, seq, tc, payload)
 		default:
 			h := f.Control[t]
 			if h == nil {
@@ -286,16 +285,16 @@ func (f *FrontEnd) handleHello(c *Conn, seq uint16, payload []byte) bool {
 	return true
 }
 
-// handleCompute takes one Apply or TileApply frame through the drain
-// barrier, decodes it, and hands it to the door under its deadline.
-func (f *FrontEnd) handleCompute(c *Conn, t wire.MsgType, seq uint16, tc trace.Context, payload []byte) {
+// handleCompute takes one Apply frame through the drain barrier, decodes
+// it, and hands it to the door under its deadline.
+func (f *FrontEnd) handleCompute(c *Conn, seq uint16, tc trace.Context, payload []byte) {
 	if !f.admit() {
 		c.sendErr(seq, wire.Errf(wire.CodeDraining, "shutting down"))
 		return
 	}
-	a, err := decodeCompute(f.Params.R, t, payload)
+	a, err := wire.DecodeApply(f.Params.R, payload)
 	if err != nil {
-		c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "%v: %v", t, err))
+		c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "apply: %v", err))
 		f.done()
 		return
 	}
@@ -317,14 +316,4 @@ func (f *FrontEnd) handleCompute(c *Conn, t wire.MsgType, seq uint16, tc trace.C
 		return // the door answers later and retires the request itself
 	}
 	f.done()
-}
-
-// decodeCompute parses either compute message into the one request shape:
-// an Apply is a TileApply with no tile list (every tile).
-func decodeCompute(r *ring.Ring, t wire.MsgType, payload []byte) (wire.TileApply, error) {
-	if t == wire.MsgTileApply {
-		return wire.DecodeTileApply(r, payload)
-	}
-	a, err := wire.DecodeApply(r, payload)
-	return wire.TileApply{ID: a.ID, DeadlineMicros: a.DeadlineMicros, Vector: a.Vector}, err
 }

@@ -2,7 +2,7 @@ package server
 
 // The handlers chamserve installs in its front end: key install, matrix
 // registration, registry replication, and the one admission path every
-// Apply and TileApply takes to the queue.
+// Apply takes to the queue.
 
 import (
 	"bytes"
@@ -153,12 +153,12 @@ func packRowsLog2(m, n int) uint8 {
 }
 
 // admit is the server's Compute handler: it validates one decoded Apply
-// or TileApply against the registry, prepares any tile it needs that is
-// still missing — before the queue, so batch workers never block on the
-// preparation lock — and enqueues it for the batch workers, who answer it
-// later; a full queue is the typed overload rejection. A warm request is
-// done once its tiles are prepared and is acknowledged at once.
-func (s *Server) admit(ctx context.Context, c *Conn, seq uint16, a wire.TileApply) (wire.MsgType, []byte, *wire.Error) {
+// against the registry, prepares any tile it needs that is still missing
+// — before the queue, so batch workers never block on the preparation
+// lock — and enqueues it for the batch workers, who answer it later; a
+// full queue is the typed overload rejection. A warm request is done once
+// its tiles are prepared and is acknowledged at once.
+func (s *Server) admit(ctx context.Context, c *Conn, seq uint16, a wire.Apply) (wire.MsgType, []byte, *wire.Error) {
 	s.mu.RLock()
 	haveKeys, reg := s.haveKeys, s.matrices[a.ID]
 	s.mu.RUnlock()
@@ -178,12 +178,8 @@ func (s *Server) admit(ctx context.Context, c *Conn, seq uint16, a wire.TileAppl
 		return 0, nil, we
 	}
 	if a.Warm {
-		// Preparation was the work; acknowledge with an empty result
-		// carrying the matrix header.
-		return wire.MsgTileResult, wire.EncodeTileResult(s.cfg.Params.R, wire.TileResult{
-			M: reg.handle.Rows,
-			N: uint32(s.cfg.Params.R.N),
-		}), nil
+		// Preparation was the work; acknowledge with an empty result.
+		return wire.MsgResult, wire.EncodeResult(s.cfg.Params.R, wire.Result{N: uint32(s.cfg.Params.R.N)}), nil
 	}
 	if len(a.Vector) != int(reg.handle.Chunks) {
 		return 0, nil, wire.Errf(wire.CodeBadRequest,

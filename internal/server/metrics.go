@@ -53,7 +53,6 @@ func init() {
 		{wire.MsgSetupKeys, "setup_keys"},
 		{wire.MsgRegisterMatrix, "register_matrix"},
 		{wire.MsgApply, "apply"},
-		{wire.MsgTileApply, "tile_apply"},
 		{wire.MsgRegistrySync, "registry_sync"},
 		{wire.MsgPing, "ping"},
 	} {

@@ -64,8 +64,8 @@ type Config struct {
 	Card *rt.Runtime
 	// LazyTiles is the shard mode of the cluster tier: RegisterMatrix
 	// retains the cleartext matrix and prepares no tiles upfront; each row
-	// tile is prepared on first use (a TileApply for it, a warm-up request,
-	// or a full Apply, which prepares everything). A shard node that
+	// tile is prepared on first use (an Apply whose tile list names it, a
+	// warm-up, or a full Apply, which prepares everything). A shard node that
 	// normally serves its own tile range can therefore take over any tile
 	// after a peer dies, paying the preparation cost only on failover.
 	LazyTiles bool
@@ -129,9 +129,8 @@ func (m *regMatrix) getResult() *core.Result {
 
 func (m *regMatrix) putResult(res *core.Result) { m.pool.Put(res) }
 
-// request is one admitted Apply or TileApply, from enqueue to response.
-// tiles nil means every tile, answered as a MsgResult; otherwise only the
-// listed row tiles are computed and answered as a MsgTileResult.
+// request is one admitted Apply, from enqueue to response. tiles nil
+// means every tile; otherwise only the listed row tiles are computed.
 type request struct {
 	mat      *regMatrix
 	vec      []*rlwe.Ciphertext
@@ -378,9 +377,9 @@ func (s *Server) runBatch(batch []*request) {
 // serve is the one apply path behind the queue: the request's row tiles
 // (nil = all) are computed into a result buffer from the matrix's pool —
 // indexed by tile, so a subset uses the slots of the tiles it names — and
-// answered as a MsgResult or, labelled so the coordinator can place each
-// at its index in the gathered result, a MsgTileResult. The buffer goes
-// back to the pool only once the reply is encoded.
+// answered as one Result, labelled with a subset's tiles so the
+// coordinator can place each at its index in the gathered result. The
+// buffer goes back to the pool only once the reply is encoded.
 func (s *Server) serve(req *request) {
 	t0 := time.Now()
 	r := s.cfg.Params.R
@@ -401,12 +400,8 @@ func (s *Server) serve(req *request) {
 		s.finishErr(req, wire.Errf(wire.CodeBadRequest, "apply: %v", err))
 		return
 	}
-	rt, payload := wire.MsgResult, []byte(nil)
-	if req.tiles == nil {
-		payload = wire.EncodeResult(r, wire.Result{M: mat.handle.Rows, N: uint32(r.N), Packed: out})
-	} else {
-		rt = wire.MsgTileResult
-		payload = wire.EncodeTileResult(r, wire.TileResult{M: mat.handle.Rows, N: uint32(r.N), Tiles: req.tiles, Packed: out})
+	payload := wire.EncodeResult(r, wire.Result{M: mat.handle.Rows, N: uint32(r.N), Tiles: req.tiles, Packed: out})
+	if req.tiles != nil {
 		mTilesServed.Add(uint64(len(req.tiles)))
 		ssp.Annotate(fmt.Sprintf("%d tiles", len(req.tiles)))
 	}
@@ -421,7 +416,7 @@ func (s *Server) serve(req *request) {
 			"dur", time.Since(t0),
 			"rows", s.requestRows(req))
 	}
-	s.finish(req, rt, payload)
+	s.finish(req, payload)
 }
 
 // sinkOf converts a possibly-nil *StageRecorder into a StageSink without
@@ -461,9 +456,9 @@ func (s *Server) abandoned(req *request) bool {
 	return true
 }
 
-// finish sends a success response and retires the request.
-func (s *Server) finish(req *request, t wire.MsgType, payload []byte) {
-	req.conn.send(t, req.seq, payload)
+// finish sends the request's Result and retires it.
+func (s *Server) finish(req *request, payload []byte) {
+	req.conn.send(wire.MsgResult, req.seq, payload)
 	s.done()
 }
 

@@ -479,7 +479,7 @@ func TestAbandonedRequestsDropped(t *testing.T) {
 	ctV := core.EncryptVector(p, rng, sk, testutil.Vector(rng, 32, p.T.Q))
 
 	abandoned0, applies0 := mAbandoned.Value(), mApplies.Value()
-	received0 := mRequests[wire.MsgTileApply].Value()
+	received0 := mRequests[wire.MsgApply].Value()
 	const cancelled = 3
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -493,7 +493,7 @@ func TestAbandonedRequestsDropped(t *testing.T) {
 	// Admission follows the frame count on the same read goroutine, before
 	// that goroutine can notice a hang-up, so three counted frames are three
 	// admitted requests: one on the card for 200 ms, two queued behind it.
-	for deadline := time.Now().Add(10 * time.Second); mRequests[wire.MsgTileApply].Value() < received0+cancelled; {
+	for deadline := time.Now().Add(10 * time.Second); mRequests[wire.MsgApply].Value() < received0+cancelled; {
 		if time.Now().After(deadline) {
 			t.Fatal("the shard never received the three tile applies")
 		}

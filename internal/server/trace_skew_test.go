@@ -62,8 +62,9 @@ func TestTraceSkewTracedClientOldServer(t *testing.T) {
 }
 
 // TestTraceSkewOldClientTracedServer: a hand-built 12-byte revision-1
-// frame gets its connection closed with no reply byte and no span
-// recorded, and the server goes on serving a client of this revision.
+// frame, and a revision-2 frame, each get their connection closed with no
+// reply byte and no span recorded, and the server goes on serving a
+// client of this revision.
 func TestTraceSkewOldClientTracedServer(t *testing.T) {
 	trace.Reset()
 	trace.SetSampleRate(1)
@@ -75,17 +76,23 @@ func TestTraceSkewOldClientTracedServer(t *testing.T) {
 	sk := p.KeyGen(rng)
 	_, addr := testServer(t, Config{Params: p, Linger: time.Millisecond})
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(appendV1Frame(nil, wire.MsgPing, 1, nil)); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if reply, err := io.ReadAll(conn); err != nil || len(reply) != 0 {
-		t.Fatalf("the server answered a revision-1 frame with % x (err %v), want the connection closed", reply, err)
+	// Revision 1, and revision 2 — the previous build, whose frames have
+	// this layout but whose message bodies do not.
+	v2 := wire.AppendFrame(nil, wire.MsgPing, 1, wire.TraceHeader{}, nil)
+	v2[4] = 2
+	for rev, frame := range map[int][]byte{1: appendV1Frame(nil, wire.MsgPing, 1, nil), 2: v2} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if reply, err := io.ReadAll(conn); err != nil || len(reply) != 0 {
+			t.Fatalf("the server answered a revision-%d frame with % x (err %v), want the connection closed", rev, reply, err)
+		}
 	}
 	if recs := trace.Records(); len(recs) != 0 {
 		t.Fatalf("a refused frame left %d spans in the ring: %+v", len(recs), recs)

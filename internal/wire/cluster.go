@@ -1,11 +1,11 @@
 package wire
 
-// Cluster-tier messages: the tile-range job a coordinator scatters at a
-// shard node, and the registry synchronization a joining node uses to
-// pull (or a coordinator to push) the replicated matrix registry before
-// the node takes traffic. Both follow the package's rules: deterministic
-// encodings, strict bounds-checked decoding that never panics, crypto
-// payloads in internal/codec's self-describing form.
+// Cluster-tier messages: the registry synchronization a joining node uses
+// to pull (or a coordinator to push) the replicated matrix registry before
+// the node takes traffic. It follows the package's rules: deterministic
+// encodings, strict bounds-checked decoding that never panics. The
+// tile-subset jobs a coordinator scatters at shard nodes are Apply
+// requests with a tile list (messages.go).
 //
 // Row tiles are the sharding unit because they are the packing unit: a
 // prepared matrix yields exactly one packed ciphertext per tile of up to
@@ -13,178 +13,12 @@ package wire
 // places each tile's ciphertext at its index reproduces the single-node
 // result bit for bit (the gather-merge invariant DESIGN.md §13 states).
 
-import (
-	"fmt"
-
-	"cham/internal/codec"
-	"cham/internal/ring"
-	"cham/internal/rlwe"
-)
+import "fmt"
 
 // MaxRegistryEntries bounds matrices in one RegistrySync/RegistryState
 // (the per-frame byte budget MaxFrame is the real limit; this keeps a
 // malformed count from driving a large loop).
 const MaxRegistryEntries = 1024
-
-// TileApply asks a shard node to multiply only the listed row tiles of a
-// registered matrix with an encrypted vector. Warm requests carry no
-// vector: the node prepares the tiles (from its replicated registry) and
-// acknowledges, so a coordinator can pre-position tiles before traffic.
-type TileApply struct {
-	ID             [32]byte
-	DeadlineMicros uint64
-	Warm           bool
-	Tiles          []uint32 // strictly ascending row-tile indices
-	Vector         []*rlwe.Ciphertext
-}
-
-// EncodeTileApply serializes the request.
-func EncodeTileApply(r *ring.Ring, a TileApply) []byte {
-	b := append([]byte(nil), a.ID[:]...)
-	b = appendU64(b, a.DeadlineMicros)
-	if a.Warm {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = appendU32(b, uint32(len(a.Tiles)))
-	for _, t := range a.Tiles {
-		b = appendU32(b, t)
-	}
-	b = appendU32(b, uint32(len(a.Vector)))
-	for _, ct := range a.Vector {
-		b = appendBlob(b, codec.EncodeCiphertext(r, ct))
-	}
-	return b
-}
-
-// DecodeTileApply parses the request, validating the tile list and each
-// vector chunk against the ring.
-func DecodeTileApply(r *ring.Ring, payload []byte) (TileApply, error) {
-	d := NewReader(payload)
-	a := TileApply{ID: d.Hash(), DeadlineMicros: d.U64()}
-	switch d.U8() {
-	case 0:
-	case 1:
-		a.Warm = true
-	default:
-		if d.Err() == nil {
-			return TileApply{}, fmt.Errorf("wire: tile apply warm flag not 0/1")
-		}
-	}
-	tiles, err := decodeTileList(d)
-	if err != nil {
-		return TileApply{}, err
-	}
-	a.Tiles = tiles
-	count := d.U32()
-	if d.Err() == nil && count > MaxVectorChunks {
-		return TileApply{}, fmt.Errorf("wire: %d vector chunks exceeds limit %d", count, MaxVectorChunks)
-	}
-	for i := uint32(0); i < count && d.Err() == nil; i++ {
-		blob := d.Blob()
-		if d.Err() != nil {
-			break
-		}
-		ct, err := codec.DecodeCiphertext(r, blob)
-		if err != nil {
-			return TileApply{}, fmt.Errorf("wire: vector chunk %d: %w", i, err)
-		}
-		a.Vector = append(a.Vector, ct)
-	}
-	if a.Warm && len(a.Vector) != 0 {
-		return TileApply{}, fmt.Errorf("wire: warm tile apply carries a vector")
-	}
-	if err := d.Done(); err != nil {
-		return TileApply{}, err
-	}
-	return a, nil
-}
-
-// decodeTileList reads a strictly ascending u32 tile-index list.
-func decodeTileList(d *Reader) ([]uint32, error) {
-	count := d.U32()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if count == 0 {
-		return nil, fmt.Errorf("wire: empty tile list")
-	}
-	if count > MaxVectorChunks {
-		return nil, fmt.Errorf("wire: %d tiles exceeds limit %d", count, MaxVectorChunks)
-	}
-	tiles := make([]uint32, 0, count)
-	prev := int64(-1)
-	for i := uint32(0); i < count && d.Err() == nil; i++ {
-		t := d.U32()
-		if d.Err() != nil {
-			break
-		}
-		if int64(t) <= prev {
-			return nil, fmt.Errorf("wire: tile indices not strictly ascending at %d", t)
-		}
-		prev = int64(t)
-		tiles = append(tiles, t)
-	}
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	return tiles, nil
-}
-
-// TileResult carries the packed ciphertexts for the requested tiles, each
-// labelled with its tile index so a coordinator can place it directly into
-// the gathered result. A warm-up acknowledgement carries zero entries.
-type TileResult struct {
-	M      uint32 // total matrix rows (the full result's M)
-	N      uint32 // ring degree
-	Tiles  []uint32
-	Packed []*rlwe.Ciphertext // one per entry of Tiles
-}
-
-// EncodeTileResult serializes a tile result.
-func EncodeTileResult(r *ring.Ring, res TileResult) []byte {
-	b := appendU32(nil, res.M)
-	b = appendU32(b, res.N)
-	b = appendU32(b, uint32(len(res.Tiles)))
-	for i, t := range res.Tiles {
-		b = appendU32(b, t)
-		b = appendBlob(b, codec.EncodeCiphertext(r, res.Packed[i]))
-	}
-	return b
-}
-
-// DecodeTileResult parses a tile result.
-func DecodeTileResult(r *ring.Ring, payload []byte) (TileResult, error) {
-	d := NewReader(payload)
-	res := TileResult{M: d.U32(), N: d.U32()}
-	count := d.U32()
-	if d.Err() == nil && count > MaxVectorChunks {
-		return TileResult{}, fmt.Errorf("wire: %d result tiles exceeds limit %d", count, MaxVectorChunks)
-	}
-	prev := int64(-1)
-	for i := uint32(0); i < count && d.Err() == nil; i++ {
-		t := d.U32()
-		blob := d.Blob()
-		if d.Err() != nil {
-			break
-		}
-		if int64(t) <= prev {
-			return TileResult{}, fmt.Errorf("wire: result tile indices not strictly ascending at %d", t)
-		}
-		prev = int64(t)
-		ct, err := codec.DecodeCiphertext(r, blob)
-		if err != nil {
-			return TileResult{}, fmt.Errorf("wire: result tile %d: %w", t, err)
-		}
-		res.Tiles = append(res.Tiles, t)
-		res.Packed = append(res.Packed, ct)
-	}
-	if err := d.Done(); err != nil {
-		return TileResult{}, err
-	}
-	return res, nil
-}
 
 // RegistrySync is the replicated-registry transfer. A pull (Push=false,
 // no payloads) asks a node for its registry; a push ships key material
@@ -200,12 +34,7 @@ type RegistrySync struct {
 
 // Encode serializes the sync request.
 func (s RegistrySync) Encode() []byte {
-	var b []byte
-	if s.Push {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
+	b := appendFlag(nil, s.Push)
 	b = appendBlob(b, s.Keys)
 	b = appendU32(b, uint32(len(s.Matrices)))
 	for _, m := range s.Matrices {
@@ -217,16 +46,7 @@ func (s RegistrySync) Encode() []byte {
 // DecodeRegistrySync parses a sync request.
 func DecodeRegistrySync(payload []byte) (RegistrySync, error) {
 	d := NewReader(payload)
-	var s RegistrySync
-	switch d.U8() {
-	case 0:
-	case 1:
-		s.Push = true
-	default:
-		if d.Err() == nil {
-			return RegistrySync{}, fmt.Errorf("wire: registry sync push flag not 0/1")
-		}
-	}
+	s := RegistrySync{Push: d.flag("registry sync push")}
 	keys := d.Blob()
 	if len(keys) > 0 {
 		s.Keys = append([]byte(nil), keys...)

@@ -1,0 +1,207 @@
+package wire
+
+import (
+	"testing"
+
+	"cham/internal/mod"
+	"cham/internal/ring"
+	"cham/internal/rlwe"
+	"cham/internal/testutil"
+)
+
+// decodeCiphertext reads exactly one ciphertext encoding from b.
+func decodeCiphertext(r *ring.Ring, b []byte) (*rlwe.Ciphertext, error) {
+	d := NewReader(b)
+	ct := d.readCiphertext(r)
+	return ct, d.Done()
+}
+
+// decodeSwitchingKey reads exactly one switching-key encoding from b.
+func decodeSwitchingKey(r *ring.Ring, b []byte) (*rlwe.SwitchingKey, error) {
+	d := NewReader(b)
+	k := d.readSwitchingKey(r)
+	return k, d.Done()
+}
+
+func uniformCiphertext(t *testing.T, r *ring.Ring, levels int, ntt bool) *rlwe.Ciphertext {
+	t.Helper()
+	rng := testutil.NewRand(t)
+	ct := &rlwe.Ciphertext{B: r.NewPoly(levels), A: r.NewPoly(levels)}
+	r.UniformPoly(rng, ct.B)
+	r.UniformPoly(rng, ct.A)
+	ct.B.IsNTT, ct.A.IsNTT = ntt, ntt
+	return ct
+}
+
+func clone(b []byte) []byte { return append([]byte(nil), b...) }
+
+// TestCiphertextEncodingRoundTrip: every level count, in both domains,
+// comes back bit for bit, at the size ciphertextLen accounts for.
+func TestCiphertextEncodingRoundTrip(t *testing.T) {
+	p := testParams(t, 64)
+	for levels := 1; levels <= p.R.Levels(); levels++ {
+		for _, ntt := range []bool{false, true} {
+			ct := uniformCiphertext(t, p.R, levels, ntt)
+			buf := appendCiphertext(nil, ct)
+			if len(buf) != ciphertextLen(p.R, levels) {
+				t.Fatalf("levels=%d: %d bytes, ciphertextLen says %d", levels, len(buf), ciphertextLen(p.R, levels))
+			}
+			back, err := decodeCiphertext(p.R, buf)
+			if err != nil {
+				t.Fatalf("levels=%d ntt=%v: %v", levels, ntt, err)
+			}
+			if !sameCiphertext(back, ct) {
+				t.Fatalf("levels=%d ntt=%v: round trip differs", levels, ntt)
+			}
+		}
+	}
+}
+
+// TestEncryptedCiphertextRoundTrip: a decoded ciphertext decrypts to what
+// was encrypted.
+func TestEncryptedCiphertextRoundTrip(t *testing.T) {
+	p := testParams(t, 64)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	pt := p.NewPlaintext()
+	for i := range pt.Coeffs {
+		pt.Coeffs[i] = rng.Uint64() % p.T.Q
+	}
+	back, err := decodeCiphertext(p.R, appendCiphertext(nil, p.Encrypt(rng, sk, pt, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := p.Decrypt(back, sk)
+	for i := range pt.Coeffs {
+		if dec.Coeffs[i] != pt.Coeffs[i] {
+			t.Fatalf("decoded ciphertext decrypts wrong at %d", i)
+		}
+	}
+}
+
+func TestCiphertextDecodeRejects(t *testing.T) {
+	p := testParams(t, 64)
+	good := appendCiphertext(nil, uniformCiphertext(t, p.R, 2, true))
+	ff := func(c []byte, at int) []byte {
+		for i := at; i < at+8; i++ {
+			c[i] = 0xFF
+		}
+		return c
+	}
+	cases := map[string]func([]byte) []byte{
+		"empty":              func(b []byte) []byte { return b[:0] },
+		"truncated header":   func(b []byte) []byte { return b[:1] },
+		"zero levels":        func(b []byte) []byte { c := clone(b); c[0] = 0; return c },
+		"too many levels":    func(b []byte) []byte { c := clone(b); c[0] = byte(p.R.Levels() + 1); return c },
+		"bad domain flag":    func(b []byte) []byte { c := clone(b); c[1] = 2; return c },
+		"short payload":      func(b []byte) []byte { return b[:len(b)-8] },
+		"long payload":       func(b []byte) []byte { return append(clone(b), 0) },
+		"residue overflow B": func(b []byte) []byte { return ff(clone(b), 2) },
+		"residue overflow A": func(b []byte) []byte { return ff(clone(b), len(b)-8) },
+	}
+	for name, corrupt := range cases {
+		if _, err := decodeCiphertext(p.R, corrupt(good)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	// The pristine buffer still decodes (corruptions copied, not mutated).
+	if _, err := decodeCiphertext(p.R, good); err != nil {
+		t.Fatalf("pristine buffer rejected: %v", err)
+	}
+}
+
+func TestSwitchingKeyRoundTrip(t *testing.T) {
+	p := testParams(t, 32)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	sk2 := p.KeyGen(rng)
+	key := p.SwitchingKeyGen(rng, sk, sk2.Value)
+	buf := appendSwitchingKey(nil, key)
+	if len(buf) != switchingKeyLen(p.R, key) {
+		t.Fatalf("%d bytes, switchingKeyLen says %d", len(buf), switchingKeyLen(p.R, key))
+	}
+	back, err := decodeSwitchingKey(p.R, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back.Bs) != len(key.Bs) || back.BsShoup == nil || back.AsShoup == nil {
+		t.Fatal("digit count changed, or the Shoup tables were not rebuilt")
+	}
+	for j := range key.Bs {
+		if !back.Bs[j].Equal(key.Bs[j]) || !back.As[j].Equal(key.As[j]) {
+			t.Fatalf("digit %d differs", j)
+		}
+	}
+	// A decoded key must actually switch: run it end to end.
+	ct := p.EncryptZeroSym(rng, sk2, 2)
+	switched := p.KeySwitch(ct, back)
+	if bits := p.NoiseBits(switched, sk, nil); bits > 15 {
+		t.Errorf("decoded key produced %f noise bits", bits)
+	}
+	// Zero-digit keys and digits below the full level are rejected.
+	bad := clone(buf)
+	bad[0] = 0
+	if _, err := decodeSwitchingKey(p.R, bad); err == nil {
+		t.Error("zero-digit key accepted")
+	}
+	bad = clone(buf)
+	bad[1] = byte(p.R.Levels() - 1)
+	if _, err := decodeSwitchingKey(p.R, bad); err == nil {
+		t.Error("key digit below the full level accepted")
+	}
+}
+
+// TestCrossRingRejected: a ciphertext from a ring of another degree does
+// not decode, alone or inside an Apply, either way round.
+func TestCrossRingRejected(t *testing.T) {
+	p64 := testParams(t, 64)
+	r32 := ring.MustNew(32, mod.ChamModuli())
+	ct64 := uniformCiphertext(t, p64.R, 2, false)
+	if _, err := decodeCiphertext(r32, appendCiphertext(nil, ct64)); err == nil {
+		t.Error("a 64-degree ciphertext decoded in a 32-degree ring")
+	}
+	if _, err := DecodeApply(r32, EncodeApply(p64.R, Apply{Vector: []*rlwe.Ciphertext{ct64}})); err == nil {
+		t.Error("an Apply of a 64-degree ciphertext decoded in a 32-degree ring")
+	}
+	ct32 := uniformCiphertext(t, r32, 2, false)
+	if _, err := DecodeApply(p64.R, EncodeApply(r32, Apply{Vector: []*rlwe.Ciphertext{ct32}})); err == nil {
+		t.Error("an Apply of a 32-degree ciphertext decoded in a 64-degree ring")
+	}
+}
+
+// TestDecodeGarbage: random bytes never decode as a ciphertext or a
+// switching key (and never panic).
+func TestDecodeGarbage(t *testing.T) {
+	p := testParams(t, 32)
+	rng := testutil.NewRand(t)
+	for trial := 0; trial < 2000; trial++ {
+		buf := make([]byte, rng.Intn(300))
+		rng.Read(buf)
+		if _, err := decodeCiphertext(p.R, buf); err == nil {
+			t.Fatalf("trial %d: garbage decoded as a ciphertext", trial)
+		}
+		if _, err := decodeSwitchingKey(p.R, buf); err == nil {
+			t.Fatalf("trial %d: garbage decoded as a switching key", trial)
+		}
+	}
+}
+
+// TestKeyBudgetMatchesURAM cross-checks the resource model against the
+// wire format: the 12 packing keys of a full 4096-row HMVP must fit the
+// pack unit's URAM allocation (150 blocks per engine) within a small
+// residency factor — keys stream between URAM and DDR, but the working
+// set has to fit.
+func TestKeyBudgetMatchesURAM(t *testing.T) {
+	p := testParams(t, 4096)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	perKey := len(appendSwitchingKey(nil, p.SwitchingKeyGen(rng, sk, sk.Value)))
+	total := 12 * perKey // log2(4096) packing keys
+	uramBytes := 150 * 288 * 1024 / 8
+	if total > 2*uramBytes {
+		t.Errorf("12 packing keys need %d bytes, more than 2x the %d-byte URAM budget", total, uramBytes)
+	}
+	if total < uramBytes/4 {
+		t.Errorf("key set (%d bytes) implausibly small vs URAM budget (%d)", total, uramBytes)
+	}
+}

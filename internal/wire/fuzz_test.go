@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -131,10 +132,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzWireClusterDecode hammers the cluster-tier codecs: encode∘decode
-// identity on fuzz-shaped tile jobs and registry syncs, then every
-// cluster decoder over mutations of those bytes — truncation, bit flips,
-// and garbage must yield errors, never panics.
+// FuzzWireClusterDecode hammers what the cluster tier sends: encode∘decode
+// identity on fuzz-shaped tile-listed and warm Applies, labelled Results
+// and registry syncs, then those decoders over mutations of the bytes —
+// truncation, bit flips, and garbage must yield errors, never panics.
 func FuzzWireClusterDecode(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2), uint8(0), []byte{})
 	f.Add(int64(7), uint8(1), uint8(0), uint8(1), []byte{0xff, 0x00})
@@ -146,7 +147,8 @@ func FuzzWireClusterDecode(f *testing.F) {
 		p := wireFuzz.p
 		rng := rand.New(rand.NewSource(seed))
 
-		// Round trip a well-formed TileApply (warm and vector-carrying).
+		// Round trip a well-formed tile-listed Apply (warm and
+		// vector-carrying).
 		nTiles := 1 + int(tileSel)%6
 		tiles := make([]uint32, nTiles)
 		next := uint32(rng.Intn(3))
@@ -159,43 +161,43 @@ func FuzzWireClusterDecode(f *testing.F) {
 			v[j] = rng.Uint64() % p.T.Q
 		}
 		ctV := core.EncryptVector(p, rng, wireFuzz.sk, v)
-		ta := TileApply{DeadlineMicros: uint64(seed), Tiles: tiles, Vector: ctV}
+		ta := Apply{DeadlineMicros: uint64(seed), Tiles: tiles, Vector: ctV}
 		rng.Read(ta.ID[:])
-		back, err := DecodeTileApply(p.R, EncodeTileApply(p.R, ta))
+		taBytes := EncodeApply(p.R, ta)
+		back, err := DecodeApply(p.R, taBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back.ID != ta.ID || back.Warm || len(back.Tiles) != nTiles || len(back.Vector) != len(ctV) {
-			t.Fatal("tile apply header changed")
+		if back.ID != ta.ID || back.Warm || !slices.Equal(back.Tiles, tiles) || len(back.Vector) != len(ctV) {
+			t.Fatal("tile-listed apply header changed")
 		}
-		for i := range tiles {
-			if back.Tiles[i] != tiles[i] {
-				t.Fatalf("tile %d changed", i)
-			}
-		}
-		warm := TileApply{ID: ta.ID, Warm: true, Tiles: tiles}
-		backWarm, err := DecodeTileApply(p.R, EncodeTileApply(p.R, warm))
-		if err != nil || !backWarm.Warm || len(backWarm.Vector) != 0 {
-			t.Fatalf("warm tile apply round trip: %v", err)
+		warm := Apply{ID: ta.ID, Warm: true, Tiles: tiles}
+		backWarm, err := DecodeApply(p.R, EncodeApply(p.R, warm))
+		if err != nil || !backWarm.Warm || !slices.Equal(backWarm.Tiles, tiles) || len(backWarm.Vector) != 0 {
+			t.Fatalf("warm apply round trip: %v", err)
 		}
 
-		// Round trip a TileResult with real ciphertexts.
-		tr := TileResult{M: uint32(8 * nTiles), N: uint32(p.R.N), Tiles: tiles}
+		// Round trip a labelled Result with real ciphertexts, over a matrix
+		// whose last tile is the last label, and the warm acknowledgement.
+		tr := Result{M: (tiles[nTiles-1] + 1) * uint32(p.R.N), N: uint32(p.R.N), Tiles: tiles}
 		for range tiles {
 			tr.Packed = append(tr.Packed, p.EncryptZeroSym(rng, wireFuzz.sk, p.NormalLevels))
 		}
-		trBytes := EncodeTileResult(p.R, tr)
-		backTR, err := DecodeTileResult(p.R, trBytes)
+		trBytes := EncodeResult(p.R, tr)
+		backTR, err := DecodeResult(p.R, trBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if backTR.M != tr.M || backTR.N != tr.N || len(backTR.Packed) != len(tr.Packed) {
-			t.Fatal("tile result header changed")
+		if backTR.M != tr.M || backTR.N != tr.N || !slices.Equal(backTR.Tiles, tiles) || len(backTR.Packed) != len(tr.Packed) {
+			t.Fatal("labelled result header changed")
 		}
 		for i := range tr.Packed {
-			if backTR.Tiles[i] != tr.Tiles[i] || !sameCiphertext(backTR.Packed[i], tr.Packed[i]) {
+			if !sameCiphertext(backTR.Packed[i], tr.Packed[i]) {
 				t.Fatalf("result tile %d changed", i)
 			}
+		}
+		if ack, err := DecodeResult(p.R, EncodeResult(p.R, Result{N: uint32(p.R.N)})); err != nil || ack.M != 0 || len(ack.Packed) != 0 {
+			t.Fatalf("warm acknowledgement round trip: %v", err)
 		}
 
 		// Round trip a RegistrySync/RegistryState pair.
@@ -230,7 +232,7 @@ func FuzzWireClusterDecode(f *testing.F) {
 		}
 
 		// Every cluster decoder must be total over mutated encodings.
-		for _, data := range [][]byte{EncodeTileApply(p.R, ta), trBytes, rs.Encode(), st.Encode(), raw} {
+		for _, data := range [][]byte{taBytes, trBytes, rs.Encode(), st.Encode(), raw} {
 			if len(data) > 0 && mutate > 0 {
 				data = append([]byte(nil), data...)
 				for k := 0; k < int(mutate)%8+1; k++ {
@@ -240,8 +242,8 @@ func FuzzWireClusterDecode(f *testing.F) {
 					data = data[:cut]
 				}
 			}
-			_, _ = DecodeTileApply(p.R, data)
-			_, _ = DecodeTileResult(p.R, data)
+			_, _ = DecodeApply(p.R, data)
+			_, _ = DecodeResult(p.R, data)
 			_, _ = DecodeRegistrySync(data)
 			_, _ = DecodeRegistryState(data)
 		}
@@ -250,8 +252,8 @@ func FuzzWireClusterDecode(f *testing.F) {
 
 // FuzzWireTraceHeaderDecode covers the one frame reader: round-trip
 // identity of header, trace block and body, totality over arbitrary bytes
-// (what it accepts re-encodes to the bytes it read), and refusal of a
-// revision-1 header and of unknown trace flags.
+// (what it accepts re-encodes to the bytes it read), and refusal of
+// revision-1 and revision-2 headers and of unknown trace flags.
 func FuzzWireTraceHeaderDecode(f *testing.F) {
 	th := TraceHeader{Flags: TraceFlagSampled}
 	for i := range th.TraceID {
@@ -289,11 +291,13 @@ func FuzzWireTraceHeaderDecode(f *testing.F) {
 			t.Fatal("frame changed in flight")
 		}
 
-		// Another revision, or a flag bit beyond sampled, is refused.
-		old := append([]byte(nil), frame...)
-		old[4] = 1
-		if _, _, _, _, err := ReadFrame(bytes.NewReader(old), 0); err == nil {
-			t.Fatal("a revision-1 header was accepted")
+		// An older revision, or a flag bit beyond sampled, is refused.
+		for _, v := range []byte{1, 2} {
+			old := append([]byte(nil), frame...)
+			old[4] = v
+			if _, _, _, _, err := ReadFrame(bytes.NewReader(old), 0); err == nil {
+				t.Fatalf("a revision-%d header was accepted", v)
+			}
 		}
 		flagged := append([]byte(nil), frame...)
 		flagged[FrameHeaderLen-1] |= byte(1+len(body)%7) << 1
@@ -325,7 +329,7 @@ func FuzzWireDecode(f *testing.F) {
 			p.EncryptZeroSym(rng, wireFuzz.sk, p.NormalLevels),
 		}}))
 		f.Add(Errf(CodeInternal, "boom").Encode())
-		f.Add(EncodeTileApply(p.R, TileApply{Tiles: []uint32{0, 2}, Vector: ctV}))
+		f.Add(EncodeApply(p.R, Apply{Tiles: []uint32{0, 2}, Vector: ctV}))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := wireFuzzSetup(); err != nil {
@@ -344,8 +348,6 @@ func FuzzWireDecode(f *testing.F) {
 		_, _ = DecodeApply(p.R, data)
 		_, _ = DecodeResult(p.R, data)
 		_, _ = DecodeError(data)
-		_, _ = DecodeTileApply(p.R, data)
-		_, _ = DecodeTileResult(p.R, data)
 		_, _ = DecodeRegistrySync(data)
 		_, _ = DecodeRegistryState(data)
 	})

@@ -3,9 +3,9 @@ package wire
 // Message bodies of the serving protocol. Encoders are deterministic —
 // the same logical message always produces the same bytes — so content
 // hashes over encoded payloads (key-set hashes, matrix IDs) are stable
-// across clients, processes and platforms. Crypto objects travel in
-// internal/codec's self-describing encoding, which already validates
-// residues against the parameter set on decode.
+// across clients, processes and platforms. Crypto objects travel in the
+// encoding of crypto.go, which validates residues against the parameter
+// set on decode.
 
 import (
 	"crypto/sha256"
@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"cham/internal/bfv"
-	"cham/internal/codec"
 	"cham/internal/lwe"
 	"cham/internal/ring"
 	"cham/internal/rlwe"
@@ -26,7 +25,8 @@ const (
 	// MaxKeyEntries bounds automorphism keys in one SetupKeys (log2 N max 12
 	// needs 12).
 	MaxKeyEntries = 64
-	// MaxVectorChunks bounds ciphertext chunks per Apply / tiles per Result.
+	// MaxVectorChunks bounds the ciphertexts, and the tile labels, of one
+	// Apply or Result.
 	MaxVectorChunks = 4096
 	// MaxErrorDetail bounds the detail string of an Error message.
 	MaxErrorDetail = 4096
@@ -101,15 +101,18 @@ func DecodeHelloOK(payload []byte) (HelloOK, error) {
 // encoding canonical, so KeyHash names the key set).
 func EncodeSetupKeys(r *ring.Ring, keys *lwe.PackingKeys) []byte {
 	idx := make([]int, 0, len(keys.Keys))
-	for k := range keys.Keys {
+	size := 8
+	for k, swk := range keys.Keys {
 		idx = append(idx, k)
+		size += 4 + switchingKeyLen(r, swk)
 	}
 	sort.Ints(idx)
-	b := appendU32(nil, uint32(keys.M))
+	b := make([]byte, 0, size)
+	b = appendU32(b, uint32(keys.M))
 	b = appendU32(b, uint32(len(idx)))
 	for _, k := range idx {
 		b = appendU32(b, uint32(k))
-		b = appendBlob(b, codec.EncodeSwitchingKey(r, keys.Keys[k]))
+		b = appendSwitchingKey(b, keys.Keys[k])
 	}
 	return b
 }
@@ -126,19 +129,13 @@ func DecodeSetupKeys(r *ring.Ring, payload []byte) (*lwe.PackingKeys, error) {
 	prev := -1
 	for i := uint32(0); i < count && d.Err() == nil; i++ {
 		k := d.U32()
-		blob := d.Blob()
-		if d.Err() != nil {
-			break
-		}
-		if int(k) <= prev {
+		if d.Err() == nil && int(k) <= prev {
 			return nil, fmt.Errorf("wire: key indices not strictly ascending at %d", k)
 		}
 		prev = int(k)
-		swk, err := codec.DecodeSwitchingKey(r, blob)
-		if err != nil {
-			return nil, fmt.Errorf("wire: key %d: %w", k, err)
+		if swk := d.readSwitchingKey(r); swk != nil {
+			keys.Keys[int(k)] = swk
 		}
-		keys.Keys[int(k)] = swk
 	}
 	if err := d.Done(); err != nil {
 		return nil, err
@@ -271,88 +268,118 @@ func DecodeMatrixHandle(payload []byte) (MatrixHandle, error) {
 
 // Apply asks the server to multiply a registered matrix with an encrypted
 // vector. DeadlineMicros (0 = server default) bounds queue wait + service
-// from the server's receive time.
+// from the server's receive time. Tiles, strictly ascending, narrows the
+// job to those row tiles — the shard leg of a cluster scatter — and empty
+// means every tile. A Warm request names tiles and carries no vector: the
+// node prepares them and acknowledges, so a coordinator can pre-position
+// tiles before traffic.
 type Apply struct {
 	ID             [32]byte
 	DeadlineMicros uint64
+	Warm           bool
+	Tiles          []uint32
 	Vector         []*rlwe.Ciphertext
 }
 
-// EncodeApply serializes the request.
+// EncodeApply serializes the request into one buffer sized up front.
 func EncodeApply(r *ring.Ring, a Apply) []byte {
-	b := append([]byte(nil), a.ID[:]...)
+	b := make([]byte, 0, 32+8+1+4+4*len(a.Tiles)+ciphertextsLen(r, a.Vector))
+	b = append(b, a.ID[:]...)
 	b = appendU64(b, a.DeadlineMicros)
-	b = appendU32(b, uint32(len(a.Vector)))
-	for _, ct := range a.Vector {
-		b = appendBlob(b, codec.EncodeCiphertext(r, ct))
-	}
-	return b
+	b = appendFlag(b, a.Warm)
+	b = appendTileList(b, a.Tiles)
+	return appendCiphertexts(b, a.Vector)
 }
 
-// DecodeApply parses the request, validating each chunk against the ring.
+// DecodeApply parses the request, validating the tile list and each vector
+// chunk against the ring.
 func DecodeApply(r *ring.Ring, payload []byte) (Apply, error) {
 	d := NewReader(payload)
-	a := Apply{ID: d.Hash(), DeadlineMicros: d.U64()}
-	count := d.U32()
-	if d.Err() == nil && count > MaxVectorChunks {
-		return Apply{}, fmt.Errorf("wire: %d vector chunks exceeds limit %d", count, MaxVectorChunks)
-	}
-	for i := uint32(0); i < count && d.Err() == nil; i++ {
-		blob := d.Blob()
-		if d.Err() != nil {
-			break
-		}
-		ct, err := codec.DecodeCiphertext(r, blob)
-		if err != nil {
-			return Apply{}, fmt.Errorf("wire: vector chunk %d: %w", i, err)
-		}
-		a.Vector = append(a.Vector, ct)
-	}
+	a := Apply{ID: d.Hash(), DeadlineMicros: d.U64(), Warm: d.flag("warm")}
+	a.Tiles = decodeTileList(d)
+	a.Vector = d.readCiphertexts(r)
 	if err := d.Done(); err != nil {
 		return Apply{}, err
+	}
+	if a.Warm && (len(a.Tiles) == 0 || len(a.Vector) != 0) {
+		return Apply{}, fmt.Errorf("wire: a warm apply names tiles and carries no vector")
 	}
 	return a, nil
 }
 
-// Result carries the packed HMVP output: one RLWE ciphertext per row tile.
+// Result carries the packed HMVP output of an M-row matrix over ring
+// degree N: one RLWE ciphertext per row tile, every tile in order — or,
+// when Tiles is set, Packed[i] is tile Tiles[i]. A warm request is
+// acknowledged with M = 0 and nothing packed.
 type Result struct {
 	M      uint32 // total result rows
 	N      uint32 // ring degree (slot stride computation)
+	Tiles  []uint32
 	Packed []*rlwe.Ciphertext
 }
 
-// EncodeResult serializes a result.
+// EncodeResult serializes a result into one buffer sized up front.
 func EncodeResult(r *ring.Ring, res Result) []byte {
-	b := appendU32(nil, res.M)
+	b := make([]byte, 0, 8+4+4*len(res.Tiles)+ciphertextsLen(r, res.Packed))
+	b = appendU32(b, res.M)
 	b = appendU32(b, res.N)
-	b = appendU32(b, uint32(len(res.Packed)))
-	for _, ct := range res.Packed {
-		b = appendBlob(b, codec.EncodeCiphertext(r, ct))
-	}
-	return b
+	b = appendTileList(b, res.Tiles)
+	return appendCiphertexts(b, res.Packed)
 }
 
-// DecodeResult parses a result.
+// DecodeResult parses a result and holds its header to what it carries,
+// so a caller can decrypt it without trusting the peer: N is the ring
+// degree, and the ciphertexts are the ⌈M/N⌉ tiles in order, or one per
+// label with every label below ⌈M/N⌉.
 func DecodeResult(r *ring.Ring, payload []byte) (Result, error) {
 	d := NewReader(payload)
 	res := Result{M: d.U32(), N: d.U32()}
-	count := d.U32()
-	if d.Err() == nil && count > MaxVectorChunks {
-		return Result{}, fmt.Errorf("wire: %d result tiles exceeds limit %d", count, MaxVectorChunks)
+	if d.Err() == nil && res.N != uint32(r.N) {
+		return Result{}, fmt.Errorf("wire: result for ring degree %d, the ring has %d", res.N, r.N)
 	}
-	for i := uint32(0); i < count && d.Err() == nil; i++ {
-		blob := d.Blob()
-		if d.Err() != nil {
-			break
-		}
-		ct, err := codec.DecodeCiphertext(r, blob)
-		if err != nil {
-			return Result{}, fmt.Errorf("wire: result tile %d: %w", i, err)
-		}
-		res.Packed = append(res.Packed, ct)
-	}
+	res.Tiles = decodeTileList(d)
+	res.Packed = d.readCiphertexts(r)
 	if err := d.Done(); err != nil {
 		return Result{}, err
 	}
+	tiles := (uint64(res.M) + uint64(r.N) - 1) / uint64(r.N)
+	switch n := len(res.Tiles); {
+	case n == 0 && uint64(len(res.Packed)) != tiles:
+		return Result{}, fmt.Errorf("wire: result of %d rows carries %d ciphertexts, want %d", res.M, len(res.Packed), tiles)
+	case n > 0 && len(res.Packed) != n:
+		return Result{}, fmt.Errorf("wire: result labels %d tiles but carries %d ciphertexts", n, len(res.Packed))
+	case n > 0 && uint64(res.Tiles[n-1]) >= tiles:
+		return Result{}, fmt.Errorf("wire: result tile %d out of range for %d rows", res.Tiles[n-1], res.M)
+	}
 	return res, nil
+}
+
+// appendTileList writes a u32 count and the tile indices.
+func appendTileList(dst []byte, tiles []uint32) []byte {
+	dst = appendU32(dst, uint32(len(tiles)))
+	for _, t := range tiles {
+		dst = appendU32(dst, t)
+	}
+	return dst
+}
+
+// decodeTileList reads a u32 count, bounded by MaxVectorChunks, and that
+// many strictly ascending tile indices. An empty list is nil: every tile.
+func decodeTileList(d *Reader) []uint32 {
+	count := d.U32()
+	if d.err == nil && count > MaxVectorChunks {
+		d.fail("%d tiles exceeds limit %d", count, MaxVectorChunks)
+	}
+	var tiles []uint32
+	for i := uint32(0); i < count && d.err == nil; i++ {
+		t := d.U32()
+		if d.err == nil && i > 0 && t <= tiles[i-1] {
+			d.fail("tile indices not strictly ascending at %d", t)
+		}
+		tiles = append(tiles, t)
+	}
+	if d.err != nil {
+		return nil
+	}
+	return tiles
 }

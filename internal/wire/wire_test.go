@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 
 	"cham/internal/bfv"
@@ -58,10 +59,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	if typ != MsgApply || seq != 42 || gotTH != th || !bytes.Equal(got, payload) {
 		t.Fatalf("round trip: type=%v seq=%d trace=%+v payload=%v", typ, seq, gotTH, got)
 	}
-	// A door answers through AppendFrame(nil, ...): one allocation a reply.
-	if n := testing.AllocsPerRun(100, func() { AppendFrame(nil, MsgResult, 1, th, payload) }); n != 1 {
-		t.Fatalf("AppendFrame into nil allocated %v times, want 1", n)
-	}
 }
 
 // TestFrameLayout pins the bytes of one frame, so no field offset can
@@ -75,7 +72,7 @@ func TestFrameLayout(t *testing.T) {
 		th.SpanID[i] = 0xa0 + byte(i)
 	}
 	want, err := hex.DecodeString("43485756" + // magic "CHWV"
-		"02" + // version
+		"03" + // version
 		"07" + // type: Apply
 		"0201" + // seq 0x0102
 		"02000000" + // payload length
@@ -108,7 +105,7 @@ func TestFrameRejections(t *testing.T) {
 		t.Fatal("bad magic accepted")
 	}
 
-	for _, v := range []byte{1, 99} {
+	for _, v := range []byte{1, 2, 99} {
 		bad = append([]byte(nil), good...)
 		bad[4] = v
 		if _, _, _, _, err := ReadFrame(bytes.NewReader(bad), 0); err == nil {
@@ -324,7 +321,7 @@ func TestApplyAndResultRoundTrip(t *testing.T) {
 		}
 	}
 
-	res := Result{M: 7, N: uint32(p.R.N), Packed: []*rlwe.Ciphertext{
+	res := Result{M: uint32(p.R.N + 7), N: uint32(p.R.N), Packed: []*rlwe.Ciphertext{
 		p.EncryptZeroSym(rng, sk, p.NormalLevels),
 		p.EncryptZeroSym(rng, sk, p.NormalLevels),
 	}}
@@ -339,6 +336,91 @@ func TestApplyAndResultRoundTrip(t *testing.T) {
 		if !sameCiphertext(gotRes.Packed[i], res.Packed[i]) {
 			t.Fatalf("result tile %d mismatch", i)
 		}
+	}
+}
+
+// TestTileListedApplyAndResult: the shard leg of a scatter and the warm-up
+// are Apply requests with a tile list, answered by a labelled Result.
+func TestTileListedApplyAndResult(t *testing.T) {
+	p := testParams(t, 64)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	ctV := core.EncryptVector(p, rng, sk, testutil.Vector(rng, p.R.N, p.T.Q))
+	id := [32]byte{7}
+
+	a := Apply{ID: id, DeadlineMicros: 5, Tiles: []uint32{0, 2, 5}, Vector: ctV}
+	got, err := DecodeApply(p.R, EncodeApply(p.R, a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Warm || !slices.Equal(got.Tiles, a.Tiles) || len(got.Vector) != 1 || !sameCiphertext(got.Vector[0], ctV[0]) {
+		t.Fatalf("tile-listed apply round trip: %+v", got)
+	}
+	warm := Apply{ID: id, Warm: true, Tiles: []uint32{1}}
+	if got, err := DecodeApply(p.R, EncodeApply(p.R, warm)); err != nil || !got.Warm || !slices.Equal(got.Tiles, warm.Tiles) {
+		t.Fatalf("warm apply round trip: %+v, %v", got, err)
+	}
+	for name, bad := range map[string]Apply{
+		"warm without tiles":       {ID: id, Warm: true},
+		"warm with a vector":       {ID: id, Warm: true, Tiles: []uint32{0}, Vector: ctV},
+		"tiles not ascending":      {ID: id, Tiles: []uint32{2, 1}, Vector: ctV},
+		"tiles with a duplicate":   {ID: id, Tiles: []uint32{3, 3}, Vector: ctV},
+		"tile list over the limit": {ID: id, Tiles: make([]uint32, MaxVectorChunks+1), Vector: ctV},
+	} {
+		if _, err := DecodeApply(p.R, EncodeApply(p.R, bad)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	payload := EncodeApply(p.R, a)
+	payload[40] = 2 // the warm flag
+	if _, err := DecodeApply(p.R, payload); err == nil {
+		t.Error("warm flag 2 accepted")
+	}
+
+	// Rows 0..5N-1 are 5 tiles; a labelled result names a subset of them.
+	one := p.EncryptZeroSym(rng, sk, p.NormalLevels)
+	res := Result{M: uint32(5 * p.R.N), N: uint32(p.R.N), Tiles: []uint32{1, 4}, Packed: []*rlwe.Ciphertext{one, one}}
+	back, err := DecodeResult(p.R, EncodeResult(p.R, res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.M != res.M || !slices.Equal(back.Tiles, res.Tiles) || len(back.Packed) != 2 || !sameCiphertext(back.Packed[1], one) {
+		t.Fatalf("labelled result round trip: %+v", back)
+	}
+	if ack, err := DecodeResult(p.R, EncodeResult(p.R, Result{N: uint32(p.R.N)})); err != nil || ack.M != 0 || len(ack.Packed) != 0 {
+		t.Fatalf("warm acknowledgement round trip: %+v, %v", ack, err)
+	}
+}
+
+// TestDecodeResultRejectsBadHeader: a Result whose header disagrees with
+// what it carries is refused at decode, before anyone sizes a decryption
+// from it. Unchecked, M = 2^31 with one ciphertext sends DecryptResult
+// after 2^31 slots, and a wrong N makes it read the wrong slots or none.
+func TestDecodeResultRejectsBadHeader(t *testing.T) {
+	p := testParams(t, 32)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	ct := p.EncryptZeroSym(rng, sk, p.NormalLevels)
+	one, two := []*rlwe.Ciphertext{ct}, []*rlwe.Ciphertext{ct, ct}
+	n := uint32(p.R.N)
+	for _, tc := range []struct {
+		name string
+		res  Result
+	}{
+		{"M=2^31 with one ciphertext", Result{M: 1 << 31, N: n, Packed: one}},
+		{"N=0", Result{M: n, N: 0, Packed: one}},
+		{"N=2·ring N", Result{M: n, N: 2 * n, Packed: one}},
+		{"two ciphertexts for one tile", Result{M: n, N: n, Packed: two}},
+		{"labels not ascending", Result{M: 2 * n, N: n, Tiles: []uint32{1, 0}, Packed: two}},
+		{"label past the last tile", Result{M: 2 * n, N: n, Tiles: []uint32{2}, Packed: one}},
+		{"fewer ciphertexts than labels", Result{M: 2 * n, N: n, Tiles: []uint32{0, 1}, Packed: one}},
+	} {
+		if _, err := DecodeResult(p.R, EncodeResult(p.R, tc.res)); err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
+		}
+	}
+	if _, err := DecodeResult(p.R, EncodeResult(p.R, Result{M: n + 1, N: n, Packed: two})); err != nil {
+		t.Fatalf("a well-formed two-tile result was refused: %v", err)
 	}
 }
 

@@ -29,7 +29,7 @@ import (
 // orphanScope lists the packages whose declarations must all be reached:
 // the arithmetic and kernel packages, and the serving half above them.
 var orphanScope = []string{
-	"mod", "ntt", "ring", "rlwe", "bfv", "lwe", "core", "codec", "noise", "runtime",
+	"mod", "ntt", "ring", "rlwe", "bfv", "lwe", "core", "noise", "runtime",
 	"apps/beaver", "wire", "server", "client", "cluster", "obs", "obs/trace",
 }
 
