@@ -60,8 +60,7 @@ func main() {
 		replicas    = flag.Int("replicas", 2, "hedged attempts per tile group (owner + fallbacks)")
 		hedge       = flag.Duration("hedge", 50*time.Millisecond, "floor of the straggler hedge: no shard leg hedges sooner (the trigger adapts to observed leg latency and is budgeted)")
 		engines     = flag.Int("card-engines", 2, "simulated card engines per spawned shard (0 disables the card)")
-		jobDur      = flag.Duration("card-job-dur", 200*time.Microsecond, "flat per-job latency of each spawned shard's card")
-		rowLat      = flag.Duration("card-row-lat", 0, "per-row card latency for spawned shards (0 keeps the flat model)")
+		jobDur      = flag.Duration("card-job-dur", 200*time.Microsecond, "per-job latency of each spawned shard's card")
 		drainWait   = flag.Duration("drain", 30*time.Second, "graceful-drain budget on shutdown")
 		traceSample = flag.Float64("trace-sample", 0, "probability [0,1] that an apply arriving untraced is sampled at the gateway")
 		logLevel    = flag.String("log-level", "info", "structured log level: debug, info, warn, error")
@@ -74,14 +73,14 @@ func main() {
 	}
 	trace.SetSampleRate(*traceSample)
 	if err := run(*addr, *nodesFlag, *metricsAddr, *spawn, *ringN, *replicas,
-		*hedge, *engines, *jobDur, *rowLat, *drainWait, log); err != nil {
+		*hedge, *engines, *jobDur, *drainWait, log); err != nil {
 		fmt.Fprintln(os.Stderr, "chamcluster:", err)
 		os.Exit(1)
 	}
 }
 
 func run(addr, nodesFlag, metricsAddr string, spawn, ringN, replicas int,
-	hedge time.Duration, engines int, jobDur, rowLat time.Duration, drainWait time.Duration,
+	hedge time.Duration, engines int, jobDur, drainWait time.Duration,
 	log *slog.Logger) error {
 	p, err := bfv.NewChamParams(ringN)
 	if err != nil {
@@ -106,11 +105,7 @@ func run(addr, nodesFlag, metricsAddr string, spawn, ringN, replicas int,
 		for i := 0; i < spawn; i++ {
 			cfg := server.Config{Params: p, LazyTiles: true, Log: log.With("shard", i)}
 			if engines > 0 {
-				dev := rt.NewDevice(engines, jobDur, rt.FaultPlan{})
-				if rowLat > 0 {
-					dev.SetRowLatency(jobDur, rowLat)
-				}
-				card, err := rt.New(dev)
+				card, err := rt.New(rt.NewDevice(engines, jobDur, rt.FaultPlan{}))
 				if err != nil {
 					return err
 				}

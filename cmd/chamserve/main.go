@@ -1,9 +1,10 @@
 // Command chamserve runs the networked HMVP service: clients register
 // cleartext matrices (prepared once, named by content hash) and stream
 // encrypted vectors at them over the wire protocol; the server coalesces
-// concurrent requests into batches, mirrors each batch as one job on a
-// simulated CHAM card, and applies admission control so overload turns
-// into typed rejections rather than collapse.
+// concurrent requests into batches, runs each batch's applies as one job
+// on an engine of a simulated CHAM card (one batch executor per engine),
+// and applies admission control so overload turns into typed rejections
+// rather than collapse.
 //
 // Quickstart:
 //
@@ -49,10 +50,9 @@ func main() {
 		maxBatch    = flag.Int("max-batch", 16, "max coalesced requests per batch (1 disables batching)")
 		linger      = flag.Duration("linger", 2*time.Millisecond, "how long a batch waits to fill before dispatch")
 		queueDepth  = flag.Int("queue-depth", 256, "admission queue bound; beyond it requests are rejected as overloaded")
-		workers     = flag.Int("workers", 0, "batch executor goroutines (0 = GOMAXPROCS)")
 		evalWorkers = flag.Int("eval-workers", 0, "per-apply evaluator parallelism (0 = GOMAXPROCS)")
 		deadline    = flag.Duration("deadline", 5*time.Second, "default per-request deadline (queue wait + service)")
-		engines     = flag.Int("card-engines", 2, "simulated accelerator engines behind the batcher (0 disables the card mirror)")
+		engines     = flag.Int("card-engines", 2, "simulated accelerator engines; each runs one batch at a time (0 = no card, GOMAXPROCS batch executors)")
 		jobDur      = flag.Duration("card-job-dur", 200*time.Microsecond, "simulated per-job latency of the card")
 		drainWait   = flag.Duration("drain", 30*time.Second, "graceful-drain budget on shutdown")
 		traceSample = flag.Float64("trace-sample", 0, "probability [0,1] that a request this node roots is traced end-to-end")
@@ -66,14 +66,14 @@ func main() {
 	}
 	trace.SetSampleRate(*traceSample)
 	if err := run(*addr, *metricsAddr, *ringN, *maxBatch, *linger, *queueDepth,
-		*workers, *evalWorkers, *deadline, *engines, *jobDur, *drainWait, log); err != nil {
+		*evalWorkers, *deadline, *engines, *jobDur, *drainWait, log); err != nil {
 		fmt.Fprintln(os.Stderr, "chamserve:", err)
 		os.Exit(1)
 	}
 }
 
 func run(addr, metricsAddr string, ringN, maxBatch int, linger time.Duration,
-	queueDepth, workers, evalWorkers int, deadline time.Duration,
+	queueDepth, evalWorkers int, deadline time.Duration,
 	engines int, jobDur, drainWait time.Duration, log *slog.Logger) error {
 	p, err := bfv.NewChamParams(ringN)
 	if err != nil {
@@ -94,7 +94,6 @@ func run(addr, metricsAddr string, ringN, maxBatch int, linger time.Duration,
 		Linger:          linger,
 		QueueDepth:      queueDepth,
 		DefaultDeadline: deadline,
-		Workers:         workers,
 		EvalWorkers:     evalWorkers,
 		Log:             log,
 	}

@@ -5,6 +5,7 @@ package main
 // can be watched live (chamtop) or profiled (go tool pprof).
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -93,7 +94,7 @@ func newMirrorRuntime(m, cols, mPad int) (*mirrorRuntime, error) {
 
 // step mirrors one software apply onto the card and samples health.
 func (mr *mirrorRuntime) step() {
-	if err := mr.rt.RunHMVP(&mr.d); err != nil {
+	if err := mr.rt.RunHMVPCtx(context.Background(), &mr.d); err != nil {
 		fmt.Fprintln(os.Stderr, "chamsim: runtime mirror:", err)
 	}
 	mr.rt.HealthCheck()

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -42,7 +43,7 @@ func main() {
 			KeyAddr: 0x3000_0000, ResultAddr: 0x4000_0000,
 			PackRowsLog2: 12,
 		}
-		if err := rt.RunHMVP(desc); err != nil {
+		if err := rt.RunHMVPCtx(context.Background(), desc); err != nil {
 			log.Fatalf("job %d lost: %v", i, err)
 		}
 	}

@@ -174,7 +174,6 @@ func TestClusterEndToEnd(t *testing.T) {
 			for _, workers := range workerSet {
 				t.Run(fmt.Sprintf("rows=%d/shards=%d/workers=%d", rows, shards, workers), func(t *testing.T) {
 					co, _ := newCluster(t, p, shards, func(c *server.Config) {
-						c.Workers = workers
 						c.EvalWorkers = workers
 					}, nil)
 					if _, err := co.SetupKeys(keys); err != nil {
@@ -604,12 +603,10 @@ func TestClusterStragglerHedge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Shard 0's card takes 1 ms per row: a few hundred ms per leg against a
-	// 20 ms floor, slow but never failing (the watchdog is moved out of the
-	// way so the RAS path stays out of this test).
-	dev := rt.NewDevice(1, time.Millisecond, rt.FaultPlan{})
-	dev.SetRowLatency(0, time.Millisecond)
-	slowCard, err := rt.New(dev)
+	// Shard 0's card takes 500 ms per job: every leg it serves is far
+	// behind the 20 ms floor, slow but never failing (the watchdog is moved
+	// out of the way so the RAS path stays out of this test).
+	slowCard, err := rt.New(rt.NewDevice(1, 500*time.Millisecond, rt.FaultPlan{}))
 	if err != nil {
 		t.Fatal(err)
 	}

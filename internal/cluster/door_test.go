@@ -685,9 +685,7 @@ func TestGatewayHonoursDeadline(t *testing.T) {
 	fx.ctV = core.EncryptVector(p, rng, sk, testutil.Vector(rng, 32, p.T.Q))
 
 	co, nodes := newCluster(t, p, 2, func(c *server.Config) {
-		dev := rt.NewDevice(1, time.Millisecond, rt.FaultPlan{})
-		dev.SetRowLatency(time.Second, 10*time.Millisecond)
-		card, err := rt.New(dev)
+		card, err := rt.New(rt.NewDevice(1, 2*time.Second, rt.FaultPlan{}))
 		if err != nil {
 			t.Fatal(err)
 		}

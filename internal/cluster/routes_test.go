@@ -155,7 +155,7 @@ func TestEveryRouteSameBytes(t *testing.T) {
 					}
 					nodeCfg := func(lazy bool) func(*server.Config) {
 						return func(c *server.Config) {
-							c.LazyTiles, c.Workers, c.EvalWorkers = lazy, workers, workers
+							c.LazyTiles, c.EvalWorkers = lazy, workers
 						}
 					}
 					// Every node is drained, not killed, before the subtest ends: the

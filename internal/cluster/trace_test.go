@@ -74,7 +74,8 @@ func tracedCluster(t *testing.T) (*client.Client, [32]byte, []*rlwe.Ciphertext) 
 // -race in tier 1): one sampled apply through client → gateway →
 // coordinator → 2 shards must land in the span ring as ONE trace whose
 // tree covers the gateway, both shard legs, the shard servers' queue /
-// dispatch / serve spans, the runtime card job, and the kernel stages.
+// dispatch / serve spans, the runtime card job enclosing each serve, and
+// the kernel stages.
 // Everything runs in-process, so the single ring already holds the
 // "merged" view chamtrace assembles from many nodes.
 func TestClusterTraceEndToEnd(t *testing.T) {
@@ -137,6 +138,18 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 	if kernelStages == 0 {
 		t.Error("no kernel stage spans bridged from the StageClock")
 	}
+	// A shard's card job runs the batch's applies, so every serve span lies
+	// inside a job span. The loser of a hedge may still be inside its job
+	// when the gathered result arrives, so its job span can end later.
+	var outside []trace.Record
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if outside = servesOutsideJobs(trace.TraceRecords(tc.Trace)); len(outside) == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	for _, r := range outside {
+		t.Errorf("server/serve span %s [%d, %d] lies inside no runtime/job span", r.Span, r.Start, r.End())
+	}
 
 	// The text renderer must produce one tree with a critical path.
 	var sb strings.Builder
@@ -146,6 +159,27 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 	if !strings.Contains(sb.String(), "critical path") {
 		t.Fatalf("text export lacks a critical path:\n%s", sb.String())
 	}
+}
+
+// servesOutsideJobs lists the server/serve spans of recs that lie inside
+// no runtime/job span.
+func servesOutsideJobs(recs []trace.Record) []trace.Record {
+	var out []trace.Record
+	for _, r := range recs {
+		if r.Service != "server" || r.Name != "serve" {
+			continue
+		}
+		inside := false
+		for _, j := range recs {
+			if j.Service == "runtime" && j.Name == "job" && j.Start <= r.Start && r.End() <= j.End() {
+				inside = true
+			}
+		}
+		if !inside {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // TestClusterTraceRateZero: with the sample rate 0 in every process, as

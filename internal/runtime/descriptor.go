@@ -48,18 +48,28 @@ func (d *HMVPDescriptor) Words() ([]uint64, error) {
 	}, nil
 }
 
-// RunHMVP loads the descriptor and executes it as one accelerator job.
-func (rt *Runtime) RunHMVP(d *HMVPDescriptor) error {
-	return rt.RunHMVPCtx(context.Background(), d)
-}
-
-// RunHMVPCtx is RunHMVP bounded by a context (see RunJobCtx): the serving
-// tier uses it so a request whose deadline expired while queued never
-// occupies an engine slot.
-func (rt *Runtime) RunHMVPCtx(ctx context.Context, d *HMVPDescriptor) error {
+// RunJob runs one accelerator job that carries its host work: it takes
+// an engine slot, loads the descriptor, rings the doorbell, runs work while
+// it holds the slot, and then reads the card's status. A job the card
+// fails or hangs is reset and replayed up to MaxReplays, and a replay runs
+// work again, so work must give the same result when repeated. An error
+// from work ends the job without a replay. JobTimeout times the card wait
+// alone, which starts once work has returned. work must not run jobs on
+// the same runtime: it holds an engine slot and blocks card recovery.
+//
+// The context bounds the rest: a job still queued for an engine when it
+// expires aborts before any work runs, the card wait is capped to the time
+// it has left, and its abort is not a replay. An abort surfaces as
+// ctx.Err(), so callers can errors.Is it apart from card failures.
+func (rt *Runtime) RunJob(ctx context.Context, d *HMVPDescriptor, work func() error) error {
 	words, err := d.Words()
 	if err != nil {
 		return err
 	}
-	return rt.RunJobCtx(ctx, words)
+	return rt.runJob(ctx, words, work)
+}
+
+// RunHMVPCtx is RunJob with no host work.
+func (rt *Runtime) RunHMVPCtx(ctx context.Context, d *HMVPDescriptor) error {
+	return rt.RunJob(ctx, d, nil)
 }

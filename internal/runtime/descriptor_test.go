@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -99,7 +100,7 @@ func TestDescriptorValidationEdges(t *testing.T) {
 	}
 	badD := validDescriptor()
 	badD.PackRowsLog2 = 13
-	if err := rt.RunHMVP(badD); err == nil {
+	if err := rt.RunHMVPCtx(context.Background(), badD); err == nil {
 		t.Error("runtime executed an out-of-range tile shape")
 	}
 }
@@ -113,11 +114,11 @@ func TestRunHMVPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := rt.RunHMVP(validDescriptor()); err != nil {
+		if err := rt.RunHMVPCtx(context.Background(), validDescriptor()); err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
 	}
-	if err := rt.RunHMVP(&HMVPDescriptor{}); err == nil {
+	if err := rt.RunHMVPCtx(context.Background(), &HMVPDescriptor{}); err == nil {
 		t.Error("invalid descriptor executed")
 	}
 }

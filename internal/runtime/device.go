@@ -5,10 +5,11 @@
 // loading error handling, hang detection with reset, and health
 // monitoring.
 //
-// The device is a faithful software stand-in: a register file with
-// parity, per-engine job execution whose latency comes from the pipeline
-// model, DMA accounting, and a fault-injection plan that tests use to
-// exercise every recovery path.
+// The device is a software stand-in: a register file with parity,
+// per-engine jobs that stay running for a flat configured duration from
+// the doorbell, and a fault-injection plan that tests use to exercise
+// every recovery path. The work a job stands for is the host's: the
+// runtime runs it while the job holds its engine slot (Runtime.RunJob).
 package runtime
 
 import (
@@ -67,10 +68,15 @@ type Device struct {
 	resets    int
 	faults    FaultPlan
 	jobDur    time.Duration // simulated per-job latency (flat model)
-	rowBase   time.Duration // descriptor-aware model: fixed dispatch cost
-	rowPer    time.Duration // descriptor-aware model: per-row pipeline cost
-	pending   map[int]*time.Timer
+	pending   map[int]engineJob
 	heartbeat uint64
+}
+
+// engineJob is one running job: when it is due, and the channel closed
+// when its engine leaves JobRunning, made for the first waiter.
+type engineJob struct {
+	due  time.Time
+	done chan struct{}
 }
 
 // NewDevice creates a card with the given engine count and simulated
@@ -81,7 +87,7 @@ func NewDevice(engines int, jobDur time.Duration, faults FaultPlan) *Device {
 		engines: engines,
 		faults:  faults,
 		jobDur:  jobDur,
-		pending: map[int]*time.Timer{},
+		pending: map[int]engineJob{},
 	}
 	d.powerOn()
 	return d
@@ -130,19 +136,6 @@ func (d *Device) ReadReg(addr uint32) uint64 {
 	return d.regs[addr]
 }
 
-// SetRowLatency switches the card to a descriptor-aware latency model:
-// each job takes base + perRow × Rows, with Rows read from the engine's
-// loaded configuration (word 0 carries Rows<<32|Cols under the parity
-// seal). This is how the simulation reflects the pipeline-model fact that
-// HMVP wall time is dominated by the per-row dot products — a shard
-// serving half a matrix's tiles finishes its card job in half the time.
-// perRow = 0 restores the flat jobDur model.
-func (d *Device) SetRowLatency(base, perRow time.Duration) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.rowBase, d.rowPer = base, perRow
-}
-
 // startJob begins executing on an engine (caller holds the lock).
 func (d *Device) startJob(engine int) {
 	if engine < 0 || engine >= d.engines {
@@ -153,26 +146,52 @@ func (d *Device) startJob(engine int) {
 		return // doorbell on a busy engine is ignored
 	}
 	d.regs[statusAddr] = JobRunning
-	dur := d.jobDur
-	if d.rowPer > 0 {
-		dur = d.rowBase
-		// Word 0 of this engine's configuration; a corrupt word falls back
-		// to the fixed cost (the driver's read-back catches it anyway).
-		if w, err := checkWord(d.regs[RegScratch+uint32(0x40*engine)]); err == nil {
-			dur += time.Duration(w>>32) * d.rowPer
-		}
-	}
-	t := time.AfterFunc(dur, func() { d.finishJob(engine) })
-	d.pending[engine] = t
+	d.pending[engine] = engineJob{due: time.Now().Add(d.jobDur)}
+	time.AfterFunc(d.jobDur, func() {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		d.finishDue(engine)
+	})
 }
 
-func (d *Device) finishJob(engine int) {
+// jobDone returns the channel closed when engine leaves JobRunning — its
+// job finished, the card was reset or the card hung — or nil when no job
+// runs there. A job already due finishes here: its timer may not have run
+// yet while the host's work kept every thread busy.
+func (d *Device) jobDone(engine int) chan struct{} {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.hung {
+	d.finishDue(engine)
+	if j, ok := d.pending[engine]; ok && j.done == nil {
+		j.done = make(chan struct{})
+		d.pending[engine] = j
+	}
+	return d.pending[engine].done
+}
+
+// release wakes every waiter and forgets the running jobs (caller holds
+// the lock).
+func (d *Device) release() {
+	for e, j := range d.pending {
+		if j.done != nil {
+			close(j.done)
+		}
+		delete(d.pending, e)
+	}
+}
+
+// finishDue completes engine's job if it is due (caller holds the lock).
+// A timer left by a job a reset or hang released finds nothing due, or
+// the engine's next job already due.
+func (d *Device) finishDue(engine int) {
+	j, ok := d.pending[engine]
+	if d.hung || !ok || time.Now().Before(j.due) {
 		return
 	}
 	delete(d.pending, engine)
+	if j.done != nil {
+		close(j.done)
+	}
 	d.jobsDone++
 	status := JobDone
 	if k := d.faults.FailJobEvery; k > 0 && d.jobsDone%k == 0 {
@@ -182,6 +201,7 @@ func (d *Device) finishJob(engine int) {
 	if n := d.faults.HangAfterJobs; n > 0 && d.jobsDone >= n {
 		d.hung = true
 		d.faults.HangAfterJobs = 0 // hang once; reset clears it
+		d.release()
 	}
 	if n := d.faults.OverheatAfterJobs; n > 0 && d.jobsDone >= n {
 		d.regs[RegTempMilli] = 99000
@@ -192,10 +212,7 @@ func (d *Device) finishJob(engine int) {
 func (d *Device) Reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for e, t := range d.pending {
-		t.Stop()
-		delete(d.pending, e)
-	}
+	d.release()
 	d.hung = false
 	d.resets++
 	d.regs = map[uint32]uint64{}

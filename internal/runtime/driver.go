@@ -9,7 +9,7 @@ import (
 )
 
 // ErrWaitTimeout marks a WaitJob that gave up at its deadline, as
-// opposed to a device-reported failure; RunJobCtx uses it to tell a
+// opposed to a device-reported failure; the runtime uses it to tell a
 // deadline-capped wait apart from a hung card.
 var ErrWaitTimeout = errors.New("timed out")
 
@@ -96,23 +96,27 @@ func (dr *Driver) Status(engine int) uint64 {
 	return dr.dev.ReadReg(RegJobStatus + uint32(4*engine))
 }
 
-// WaitJob polls an engine until it leaves JobRunning or the deadline
-// passes. An all-ones read (hung card) is reported immediately.
+// WaitJob waits until an engine leaves JobRunning or the timeout passes,
+// then reads its status. The device wakes it the moment the engine does —
+// its job finished, the card was reset, or the card hung — so a hang is
+// reported as the all-ones read at once, not at the timeout.
 func (dr *Driver) WaitJob(engine int, timeout time.Duration) (uint64, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		s := dr.Status(engine)
-		if s == ^uint64(0) {
-			return 0, fmt.Errorf("runtime: card hung (bus returns all-ones)")
+	if done := dr.dev.jobDone(engine); done != nil {
+		t := time.NewTimer(timeout)
+		select {
+		case <-done:
+		case <-t.C:
 		}
-		if s != JobRunning {
-			return s, nil
-		}
-		if time.Now().After(deadline) {
-			return 0, fmt.Errorf("runtime: engine %d %w after %v", engine, ErrWaitTimeout, timeout)
-		}
-		time.Sleep(50 * time.Microsecond)
+		t.Stop()
 	}
+	s := dr.Status(engine)
+	if s == ^uint64(0) {
+		return 0, fmt.Errorf("runtime: card hung (bus returns all-ones)")
+	}
+	if s == JobRunning {
+		return 0, fmt.Errorf("runtime: engine %d %w after %v", engine, ErrWaitTimeout, timeout)
+	}
+	return s, nil
 }
 
 // Reset power-cycles the card.

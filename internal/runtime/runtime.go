@@ -19,7 +19,8 @@ type Runtime struct {
 	dr      *Driver
 	engines int
 
-	// JobTimeout bounds one job before the watchdog declares a hang.
+	// JobTimeout bounds the card wait that follows a job's host work
+	// before the watchdog declares a hang.
 	JobTimeout time.Duration
 	// MaxReplays bounds how often a job is retried across resets/errors.
 	MaxReplays int
@@ -84,15 +85,9 @@ func (rt *Runtime) Engines() int { return rt.engines }
 // Driver exposes the lower layer (for telemetry).
 func (rt *Runtime) Driver() *Driver { return rt.dr }
 
-// RunJobCtx executes one accelerator job: acquires an engine, loads its
-// configuration words, rings the doorbell, and waits. Hangs and job
-// errors trigger reset-and-replay up to MaxReplays. The context bounds
-// it: a request-scoped deadline or cancellation aborts the job while it
-// is still queued for an engine (instead of occupying a slot), caps the
-// hardware wait to the remaining budget, and suppresses replays once the
-// caller has given up. A context abort surfaces as ctx.Err(), so callers
-// can errors.Is it apart from card failures.
-func (rt *Runtime) RunJobCtx(ctx context.Context, config []uint64) error {
+// runJob is RunJob over raw configuration words: the retry loop around
+// runOnce, with one trace span per attempt.
+func (rt *Runtime) runJob(ctx context.Context, config []uint64, work func() error) error {
 	on := obs.On()
 	tc := trace.FromContext(ctx)
 	for attempt := 0; ; attempt++ {
@@ -109,14 +104,17 @@ func (rt *Runtime) RunJobCtx(ctx context.Context, config []uint64) error {
 		if attempt > 0 && jsp.Active() {
 			jsp.Annotate(fmt.Sprintf("replay %d", attempt))
 		}
-		err := rt.runOnce(ctx, config)
-		jsp.EndErr(err)
+		werr, err := rt.runOnce(ctx, config, work)
 		if err == nil {
+			// The card did its part: a failure of the work is the host's,
+			// and a replay would repeat it.
+			jsp.EndErr(werr)
 			if on {
 				mJobsOK.Inc()
 			}
-			return nil
+			return werr
 		}
+		jsp.EndErr(err)
 		if ctx.Err() != nil {
 			// The caller's deadline expired mid-job: not a card fault, so it
 			// is not replayed and not counted against the RAS counters.
@@ -147,19 +145,18 @@ func (rt *Runtime) generation() int {
 	return rt.gen
 }
 
-func (rt *Runtime) runOnce(ctx context.Context, config []uint64) error {
+// runOnce is one attempt: it holds an engine slot, and the read side of
+// op, from the config load through work to the card's status, so a reset
+// never lands inside a job's work. werr is work's error, err the card's
+// (or the context's), so that only the card's is replayed.
+func (rt *Runtime) runOnce(ctx context.Context, config []uint64, work func() error) (werr, err error) {
 	rt.op.RLock()
 	defer rt.op.RUnlock()
 	var engine int
 	select {
 	case engine = <-rt.free:
-	default:
-		// All engines busy: wait for a slot or the caller's context.
-		select {
-		case engine = <-rt.free:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	case <-ctx.Done():
+		return nil, ctx.Err() // expired while queued: no engine, no work
 	}
 	defer func() { rt.free <- engine }()
 	on := obs.On()
@@ -172,20 +169,24 @@ func (rt *Runtime) runOnce(ctx context.Context, config []uint64) error {
 	base := RegScratch + uint32(0x40*engine)
 	for i, w := range config {
 		if err := rt.dr.LoadConfig(base+uint32(8*i), w); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := rt.dr.Submit(engine); err != nil {
-		return err
+		return nil, err
 	}
 	if on {
 		mSubmits.Inc()
+	}
+	if work != nil {
+		werr = work()
 	}
 	var tw time.Time
 	if on {
 		tw = time.Now()
 	}
-	// Cap the hardware wait to the caller's remaining budget so an expired
+	// The watchdog times the card alone, from the moment the work is done;
+	// the wait is capped to the caller's remaining budget so an expired
 	// request releases its engine at the deadline, not at the watchdog.
 	wait := rt.JobTimeout
 	capped := false
@@ -206,16 +207,16 @@ func (rt *Runtime) runOnce(ctx context.Context, config []uint64) error {
 			// capped wait by a scheduling quantum, so block on it) and don't
 			// charge the card with a fault.
 			<-ctx.Done()
-			return ctx.Err()
+			return werr, ctx.Err()
 		}
-		return err
+		return werr, err
 	}
 	if status != JobDone {
 		// JobError, or JobIdle after a concurrent reset wiped the engine:
 		// either way the job did not complete and must be replayed.
-		return fmt.Errorf("runtime: engine %d finished with status %d", engine, status)
+		return werr, fmt.Errorf("runtime: engine %d finished with status %d", engine, status)
 	}
-	return nil
+	return werr, nil
 }
 
 // recoverIfStale resets the card unless another goroutine already

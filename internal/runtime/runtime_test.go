@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -54,7 +55,7 @@ func TestNewValidation(t *testing.T) {
 func TestRunJobHappyPath(t *testing.T) {
 	rt := healthyRuntime(t, 2)
 	for i := 0; i < 10; i++ {
-		if err := rt.RunJobCtx(context.Background(), []uint64{1, 2, 3}); err != nil {
+		if err := rt.runJob(context.Background(), []uint64{1, 2, 3}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,7 +77,7 @@ func TestRegisterCorruptionRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if err := rt.RunJobCtx(context.Background(), []uint64{7, 8, 9, 10}); err != nil {
+		if err := rt.runJob(context.Background(), []uint64{7, 8, 9, 10}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,7 +96,7 @@ func TestHangResetReplay(t *testing.T) {
 	}
 	rt.JobTimeout = 5 * time.Millisecond
 	for i := 0; i < 8; i++ {
-		if err := rt.RunJobCtx(context.Background(), []uint64{1}); err != nil {
+		if err := rt.runJob(context.Background(), []uint64{1}, nil); err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
 	}
@@ -116,7 +117,7 @@ func TestJobErrorReplay(t *testing.T) {
 	dev := NewDevice(1, jobDur, FaultPlan{FailJobEvery: 4})
 	rt, _ := New(dev)
 	for i := 0; i < 6; i++ {
-		if err := rt.RunJobCtx(context.Background(), []uint64{1}); err != nil {
+		if err := rt.runJob(context.Background(), []uint64{1}, nil); err != nil {
 			t.Fatalf("job %d not recovered: %v", i, err)
 		}
 	}
@@ -126,7 +127,7 @@ func TestJobErrorReplay(t *testing.T) {
 	// Persistent failure: every job errors.
 	devBad := NewDevice(1, jobDur, FaultPlan{FailJobEvery: 1})
 	rtBad, _ := New(devBad)
-	if err := rtBad.RunJobCtx(context.Background(), []uint64{1}); err == nil {
+	if err := rtBad.runJob(context.Background(), []uint64{1}, nil); err == nil {
 		t.Error("persistently failing job reported success")
 	}
 }
@@ -144,7 +145,7 @@ func TestHealthMonitoring(t *testing.T) {
 	devHang := NewDevice(1, jobDur, FaultPlan{HangAfterJobs: 1})
 	rtHang, _ := New(devHang)
 	rtHang.JobTimeout = 5 * time.Millisecond
-	_ = rtHang.RunJobCtx(context.Background(), []uint64{1}) // triggers the hang (replayed fine)
+	_ = rtHang.runJob(context.Background(), []uint64{1}, nil) // triggers the hang (replayed fine)
 	sample := rtHang.HealthCheck()
 	_ = sample
 	if rtHang.Resets() == 0 {
@@ -158,7 +159,7 @@ func TestHealthMonitoring(t *testing.T) {
 	// Overheat: the sample reads the die past the trip point.
 	devHot := NewDevice(1, jobDur, FaultPlan{OverheatAfterJobs: 1})
 	rtHot, _ := New(devHot)
-	if err := rtHot.RunJobCtx(context.Background(), []uint64{1}); err != nil {
+	if err := rtHot.runJob(context.Background(), []uint64{1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s := rtHot.HealthCheck(); s.TempC < 85 {
@@ -180,7 +181,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs <- rt.RunJobCtx(context.Background(), []uint64{42})
+			errs <- rt.runJob(context.Background(), []uint64{42}, nil)
 		}()
 	}
 	wg.Wait()
@@ -209,7 +210,7 @@ func TestConcurrentWithHang(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs <- rt.RunJobCtx(context.Background(), []uint64{1})
+			errs <- rt.runJob(context.Background(), []uint64{1}, nil)
 		}()
 	}
 	wg.Wait()
@@ -266,7 +267,7 @@ func TestHistoryIsACopy(t *testing.T) {
 					return
 				default:
 					rt.HealthCheck()
-					_ = rt.RunJobCtx(context.Background(), []uint64{7})
+					_ = rt.runJob(context.Background(), []uint64{7}, nil)
 				}
 			}
 		}()
@@ -286,7 +287,7 @@ func TestRunJobCtxCanceledBeforeStart(t *testing.T) {
 	rt := healthyRuntime(t, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := rt.RunJobCtx(ctx, []uint64{1}); !errors.Is(err, context.Canceled) {
+	if err := rt.runJob(ctx, []uint64{1}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if jobs, _ := rt.dr.dev.Stats(); jobs != 0 {
@@ -312,7 +313,7 @@ func TestRunJobCtxAbortsWhileQueued(t *testing.T) {
 	firstDone := make(chan error, 1)
 	go func() {
 		close(started)
-		firstDone <- rt.RunJobCtx(context.Background(), []uint64{1})
+		firstDone <- rt.runJob(context.Background(), []uint64{1}, nil)
 	}()
 	<-started
 	// Give the first job time to claim the engine.
@@ -330,7 +331,7 @@ func TestRunJobCtxAbortsWhileQueued(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
-	err = rt.RunJobCtx(ctx, []uint64{2})
+	err = rt.runJob(ctx, []uint64{2}, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}
@@ -357,7 +358,7 @@ func TestRunJobCtxDeadlineCapsHardwareWait(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
-	if err := rt.RunJobCtx(ctx, []uint64{1}); !errors.Is(err, context.DeadlineExceeded) {
+	if err := rt.runJob(ctx, []uint64{1}, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}
 	if waited := time.Since(t0); waited > 40*time.Millisecond {
@@ -385,40 +386,154 @@ func TestRunHMVPCtx(t *testing.T) {
 	}
 }
 
-// TestRowLatencyModel: with the descriptor-aware latency model on, a job
-// over twice the rows takes measurably longer, and a half-size job
-// finishes faster than a full-size one — the property that makes sharded
-// serving throughput honest in the cluster benchmarks.
-func TestRowLatencyModel(t *testing.T) {
-	dev := NewDevice(1, jobDur, FaultPlan{})
-	dev.SetRowLatency(0, 50*time.Microsecond)
-	rt, err := New(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(rows uint32) time.Duration {
-		d := &HMVPDescriptor{
-			Rows: rows, Cols: 64,
-			MatrixAddr: 0x1000, VectorAddr: 0x2000, KeyAddr: 0x3000, ResultAddr: 0x4000,
-			PackRowsLog2: 6,
-		}
-		t0 := time.Now()
-		if err := rt.RunHMVP(d); err != nil {
+// TestWaitJobWakeUps: WaitJob returns when the device moves the engine
+// out of JobRunning — not on a poll — and reads the status register as
+// it stands then.
+func TestWaitJobWakeUps(t *testing.T) {
+	t.Run("done", func(t *testing.T) {
+		dr := NewDriver(NewDevice(1, time.Millisecond, FaultPlan{}))
+		if err := dr.Submit(0); err != nil {
 			t.Fatal(err)
 		}
-		return time.Since(t0)
-	}
-	small, large := run(10), run(200)
-	// 10 rows ≈ 0.5ms, 200 rows ≈ 10ms of simulated card time. Timer
-	// granularity is far below the 9.5ms gap, so the ordering is robust.
-	if large < small+5*time.Millisecond {
-		t.Errorf("row latency model not applied: 10 rows took %v, 200 rows took %v", small, large)
-	}
+		if s, err := dr.WaitJob(0, 10*time.Second); err != nil || s != JobDone {
+			t.Fatalf("status %d err %v, want JobDone", s, err)
+		}
+	})
+	t.Run("idle after reset", func(t *testing.T) {
+		dev := NewDevice(1, 10*time.Second, FaultPlan{})
+		dr := NewDriver(dev)
+		if err := dr.Submit(0); err != nil {
+			t.Fatal(err)
+		}
+		time.AfterFunc(5*time.Millisecond, dev.Reset)
+		t0 := time.Now()
+		if s, err := dr.WaitJob(0, 10*time.Second); err != nil || s != JobIdle {
+			t.Fatalf("status %d err %v, want JobIdle", s, err)
+		}
+		if took := time.Since(t0); took > time.Second {
+			t.Fatalf("the reset woke the waiter after %v", took)
+		}
+	})
+	t.Run("all-ones after a hang", func(t *testing.T) {
+		// Engine 0's job is the one that hangs the card; engine 1's waiter
+		// must see the hang then, not at its own job's end or its timeout.
+		dev := NewDevice(2, 50*time.Millisecond, FaultPlan{HangAfterJobs: 1})
+		defer dev.Reset()
+		dr := NewDriver(dev)
+		if err := dr.Submit(0); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(25 * time.Millisecond)
+		if err := dr.Submit(1); err != nil {
+			t.Fatal(err)
+		}
+		t0 := time.Now()
+		_, err := dr.WaitJob(1, 10*time.Second)
+		if err == nil || !strings.Contains(err.Error(), "all-ones") {
+			t.Fatalf("waiter on a hung card got %v, want the all-ones error", err)
+		}
+		if took := time.Since(t0); took > time.Second {
+			t.Fatalf("the hang woke the waiter after %v", took)
+		}
+	})
+	t.Run("timeout", func(t *testing.T) {
+		dev := NewDevice(1, 10*time.Second, FaultPlan{})
+		defer dev.Reset()
+		dr := NewDriver(dev)
+		if err := dr.Submit(0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dr.WaitJob(0, 5*time.Millisecond); !errors.Is(err, ErrWaitTimeout) {
+			t.Fatalf("want ErrWaitTimeout, got %v", err)
+		}
+	})
+}
 
-	// perRow=0 restores the flat model.
-	dev.SetRowLatency(0, 0)
-	flat := run(200)
-	if flat > small+5*time.Millisecond && flat > 2*jobDur+5*time.Millisecond {
-		t.Errorf("flat model not restored: 200-row job took %v", flat)
+// TestRunJobWork is the contract of a job that carries host work: the
+// work runs while the job holds its engine, a card fault replays it, and
+// the watchdog times the card alone.
+func TestRunJobWork(t *testing.T) {
+	d := validDescriptor()
+	counting := func(runs *int, dur time.Duration) func() error {
+		return func() error {
+			*runs++
+			time.Sleep(dur)
+			return nil
+		}
 	}
+	t.Run("work outlasts the watchdog", func(t *testing.T) {
+		rt := healthyRuntime(t, 1)
+		rt.JobTimeout = 10 * time.Millisecond
+		runs := 0
+		if err := rt.RunJob(context.Background(), d, counting(&runs, 3*rt.JobTimeout)); err != nil {
+			t.Fatal(err)
+		}
+		if runs != 1 || rt.Replays() != 0 {
+			t.Fatalf("work ran %d times with %d replays, want 1 and 0", runs, rt.Replays())
+		}
+	})
+	t.Run("failed job reruns the work", func(t *testing.T) {
+		rt, err := New(NewDevice(1, jobDur, FaultPlan{FailJobEvery: 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.RunHMVPCtx(context.Background(), d); err != nil { // job 1 of 2
+			t.Fatal(err)
+		}
+		runs := 0
+		if err := rt.RunJob(context.Background(), d, counting(&runs, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if runs != 2 || rt.Replays() != 1 {
+			t.Fatalf("work ran %d times with %d replays, want 2 and 1", runs, rt.Replays())
+		}
+	})
+	t.Run("hung card is reset and the work rerun", func(t *testing.T) {
+		rt, err := New(NewDevice(1, jobDur, FaultPlan{HangAfterJobs: 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := 0
+		if err := rt.RunJob(context.Background(), d, counting(&runs, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if runs != 2 || rt.Resets() != 1 {
+			t.Fatalf("work ran %d times with %d resets, want 2 and 1", runs, rt.Resets())
+		}
+	})
+	t.Run("context expires while queued", func(t *testing.T) {
+		rt := healthyRuntime(t, 1)
+		release, held := make(chan struct{}), make(chan struct{})
+		first := make(chan error, 1)
+		go func() {
+			first <- rt.RunJob(context.Background(), d, func() error {
+				close(held)
+				<-release
+				return nil
+			})
+		}()
+		<-held
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		defer cancel()
+		runs := 0
+		if err := rt.RunJob(ctx, d, counting(&runs, 0)); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("want context.DeadlineExceeded, got %v", err)
+		}
+		close(release)
+		if err := <-first; err != nil {
+			t.Fatal(err)
+		}
+		if runs != 0 || rt.Replays() != 0 {
+			t.Fatalf("queued job's work ran %d times with %d replays, want 0 and 0", runs, rt.Replays())
+		}
+	})
+	t.Run("work error is not replayed", func(t *testing.T) {
+		rt := healthyRuntime(t, 1)
+		boom := errors.New("host work failed")
+		runs := 0
+		err := rt.RunJob(context.Background(), d, func() error { runs++; return boom })
+		if !errors.Is(err, boom) || runs != 1 || rt.Replays() != 0 {
+			t.Fatalf("got %v after %d runs and %d replays, want the work's error, 1 run, 0 replays", err, runs, rt.Replays())
+		}
+	})
 }

@@ -8,11 +8,13 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"math/bits"
 	"sort"
 	"time"
 
 	"cham/internal/core"
 	"cham/internal/obs/trace"
+	rt "cham/internal/runtime"
 	"cham/internal/wire"
 )
 
@@ -121,8 +123,15 @@ func (s *Server) registerPayload(payload []byte) (*regMatrix, *wire.Error) {
 			Chunks: uint32(pm.Chunks()),
 			Tiles:  uint32(pm.Tiles()),
 		},
-		packLog2: packRowsLog2(pm.Rows(), s.cfg.Params.R.N),
-		payload:  append([]byte(nil), payload...),
+		// The card job every batch over this matrix runs as: its geometry and
+		// pack-tree depth (the largest padded tile). The card runs no kernel,
+		// so no operand is placed in its memory and every address is 0.
+		desc: rt.HMVPDescriptor{
+			Rows:         uint32(pm.Rows()),
+			Cols:         uint32(pm.Cols()),
+			PackRowsLog2: uint8(bits.Len(uint(min(pm.Rows(), s.cfg.Params.R.N) - 1))),
+		},
+		payload: append([]byte(nil), payload...),
 	}
 	if s.cfg.LazyTiles {
 		reg.A = A
@@ -136,20 +145,6 @@ func (s *Server) registerPayload(payload []byte) (*regMatrix, *wire.Error) {
 	}
 	s.mu.Unlock()
 	return reg, nil
-}
-
-// packRowsLog2 is log2 of the largest padded tile for an m-row matrix
-// over ring degree n (the card descriptor's pack-tree depth).
-func packRowsLog2(m, n int) uint8 {
-	rows := m
-	if rows > n {
-		rows = n
-	}
-	l := uint8(0)
-	for 1<<l < rows {
-		l++
-	}
-	return l
 }
 
 // admit is the server's Compute handler: it validates one decoded Apply

@@ -15,11 +15,11 @@ var (
 	mQueueDepth = obs.GetGauge("cham_server_queue_depth",
 		"Requests admitted but not yet picked up by the batcher.")
 	mApplies = obs.GetCounter("cham_server_applies_total",
-		"Apply requests served successfully.")
+		"Apply results sent.")
 	mErrors = obs.GetCounter("cham_server_request_errors_total",
 		"Requests answered with a wire error.")
 	mAbandoned = obs.GetCounter("cham_server_abandoned_total",
-		"Admitted requests dropped unserved because their connection hung up.")
+		"Admitted requests left unanswered because their connection hung up.")
 	mBatchSize = obs.GetHistogram("cham_server_batch_size",
 		"Live requests per dispatched batch.", obs.ExpBuckets(1, 2, 8))
 	mWaitSec = obs.GetHistogram("cham_server_wait_seconds",
@@ -31,7 +31,7 @@ var (
 	mBytesTx = obs.GetCounter("cham_server_bytes_tx_total",
 		"Frame bytes sent to clients.")
 	mTilesServed = obs.GetCounter("cham_server_tiles_served_total",
-		"Row tiles computed for tile-subset requests.")
+		"Row tiles in the tile-subset results sent.")
 	mTilesPrepared = obs.GetCounter("cham_server_tiles_prepared_total",
 		"Row tiles prepared lazily on first use.")
 	mRegistrySyncs = obs.GetCounter("cham_server_registry_syncs_total",

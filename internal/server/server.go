@@ -2,8 +2,8 @@
 // in-process HMVP engine into a networked accelerator tier. Clients
 // register cleartext matrices (named by content hash, prepared once into
 // evaluation-ready form) and stream encrypted vectors at them; the server
-// coalesces concurrent single-vector requests into batches, mirrors each
-// batch as one descriptor job on the accelerator runtime's engine pool,
+// coalesces concurrent single-vector requests into batches, runs each
+// batch's applies as one job on an engine of the accelerator runtime,
 // and applies admission control so overload degrades into fast typed
 // rejections instead of collapse.
 //
@@ -51,16 +51,15 @@ type Config struct {
 	// DefaultDeadline bounds queue wait + service for requests that do not
 	// carry their own deadline. Default 5s.
 	DefaultDeadline time.Duration
-	// Workers is the number of batch executors. Default GOMAXPROCS.
-	Workers int
 	// EvalWorkers is the per-apply parallelism of the shared evaluator
 	// (Evaluator.Workers). Default 0 = GOMAXPROCS.
 	EvalWorkers int
 	// MaxFrame bounds one accepted wire frame. Default wire.DefaultMaxFrame.
 	MaxFrame uint32
-	// Card, when non-nil, mirrors every dispatched batch as one HMVP
-	// descriptor job on the simulated accelerator's engine pool, so batch
-	// coalescing amortizes real per-job dispatch cost.
+	// Card, when non-nil, runs every dispatched batch as one job on the
+	// simulated accelerator: the batch's applies are the job's work, done
+	// while it holds an engine, and a job the card fails is replayed. There
+	// is one batch executor per engine; without a card, GOMAXPROCS.
 	Card *rt.Runtime
 	// LazyTiles is the shard mode of the cluster tier: RegisterMatrix
 	// retains the cleartext matrix and prepares no tiles upfront; each row
@@ -92,9 +91,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 5 * time.Second
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	if c.MaxFrame == 0 {
 		c.MaxFrame = wire.DefaultMaxFrame
 	}
@@ -106,15 +102,16 @@ func (c Config) withDefaults() (Config, error) {
 
 // regMatrix is one registered matrix: prepared once, applied many times,
 // with a pool of result buffers so steady-state applies reuse memory.
-// payload is the canonical RegisterMatrix encoding (whose SHA-256 is the
-// matrix ID) and feeds registry replication; A is retained only in
-// LazyTiles mode, where prepMu serializes on-demand tile preparation.
+// desc is the card job every batch over it runs as; payload is the
+// canonical RegisterMatrix encoding (whose SHA-256 is the matrix ID) and
+// feeds registry replication; A is retained only in LazyTiles mode, where
+// prepMu serializes on-demand tile preparation.
 type regMatrix struct {
-	pm       *core.PreparedMatrix
-	handle   wire.MatrixHandle
-	packLog2 uint8
-	payload  []byte
-	pool     sync.Pool // *core.Result
+	pm      *core.PreparedMatrix
+	handle  wire.MatrixHandle
+	desc    rt.HMVPDescriptor
+	payload []byte
+	pool    sync.Pool // *core.Result
 
 	prepMu sync.Mutex
 	A      [][]uint64 // nil unless lazily prepared
@@ -131,6 +128,7 @@ func (m *regMatrix) putResult(res *core.Result) { m.pool.Put(res) }
 
 // request is one admitted Apply, from enqueue to response. tiles nil
 // means every tile; otherwise only the listed row tiles are computed.
+// compute leaves the answer in reply or, failing, in err.
 type request struct {
 	mat      *regMatrix
 	vec      []*rlwe.Ciphertext
@@ -141,6 +139,8 @@ type request struct {
 	deadline time.Time
 	tc       trace.Context // propagated from the request frame's trace header
 	qspan    trace.Span    // admission → batch pickup (inert when unsampled)
+	reply    []byte
+	err      *wire.Error
 }
 
 // Server is a running chamserve instance: the wire front end plus the
@@ -164,15 +164,20 @@ type Server struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	workWG sync.WaitGroup // dispatcher + workers
+	workWG sync.WaitGroup // dispatcher + executors
 }
 
-// New builds a server and starts its dispatcher and worker pool; call
-// Serve (or ListenAndServe) to accept connections.
+// New builds a server and starts its dispatcher and batch executors, one
+// per card engine (GOMAXPROCS without a card); call Serve (or
+// ListenAndServe) to accept connections.
 func New(cfg Config) (*Server, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
+	}
+	executors := runtime.GOMAXPROCS(0)
+	if cfg.Card != nil {
+		executors = cfg.Card.Engines()
 	}
 	s := &Server{
 		FrontEnd: FrontEnd{
@@ -191,7 +196,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		matrices: map[[32]byte]*regMatrix{},
 		queue:    make(chan *request, cfg.QueueDepth),
-		batches:  make(chan []*request, cfg.Workers),
+		batches:  make(chan []*request, executors),
 		stop:     make(chan struct{}),
 	}
 	s.Engines = s.engines
@@ -201,17 +206,17 @@ func New(cfg Config) (*Server, error) {
 		wire.MsgRegistrySync:   s.handleRegistrySync,
 	}
 	s.Compute = s.admit
-	s.workWG.Add(1 + cfg.Workers)
+	s.workWG.Add(1 + executors)
 	go s.dispatch()
-	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
+	for i := 0; i < executors; i++ {
+		go s.executor()
 	}
 	return s, nil
 }
 
 // Shutdown drains gracefully: the front end stops accepting, rejects new
 // applies with CodeDraining, waits for every admitted request and closes
-// the connections; then the dispatcher and workers stop. ctx bounds the
+// the connections; then the dispatcher and executors stop. ctx bounds the
 // wait; on expiry its error is returned and requests still queued go
 // unanswered (their connections are closed).
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -230,7 +235,7 @@ func (s *Server) Matrices() int {
 	return len(s.matrices)
 }
 
-// engines reports the mirrored card's engine count (0 without a card).
+// engines reports the card's engine count (0 without a card).
 func (s *Server) engines() uint32 {
 	if s.cfg.Card == nil {
 		return 0
@@ -282,8 +287,8 @@ func (s *Server) collect(first *request) []*request {
 	return batch
 }
 
-// worker executes batches until the batch channel closes.
-func (s *Server) worker() {
+// executor runs batches until the batch channel closes.
+func (s *Server) executor() {
 	defer s.workWG.Done()
 	for batch := range s.batches {
 		s.runBatch(batch)
@@ -291,8 +296,8 @@ func (s *Server) worker() {
 }
 
 // runBatch serves one coalesced batch: drop abandoned and stale requests,
-// mirror the batch as a single descriptor job on the card's engine pool,
-// then serve each request.
+// compute the rest as the work of one card job — directly without a card —
+// and then answer each of them once.
 func (s *Server) runBatch(batch []*request) {
 	now := time.Now()
 	live := batch[:0]
@@ -334,53 +339,56 @@ func (s *Server) runBatch(batch []*request) {
 	}
 	defer bsp.End()
 
-	if s.cfg.Card != nil {
-		// One descriptor job per coalesced batch: config-load, doorbell and
-		// status-poll cost is paid once for up to MaxBatch vectors. The
-		// context carries the latest live deadline, so a batch nobody is
-		// waiting for anymore aborts while queued for an engine. Tile
-		// requests narrow the descriptor to the rows actually computed, so
-		// a shard's card pays for its share of the matrix, not all of it.
-		rows := 0
+	work := func() error {
 		for _, req := range live {
-			if r := s.requestRows(req); r > rows {
-				rows = r
-			}
+			s.compute(req)
 		}
-		ctx, cancel := context.WithDeadline(trace.NewContext(context.Background(), bctx), latest)
-		err := s.cfg.Card.RunHMVPCtx(ctx, live[0].mat.descriptor(uint32(rows)))
-		cancel()
-		if err != nil {
-			for _, req := range live {
-				if time.Now().After(req.deadline) || errors.Is(err, context.DeadlineExceeded) {
-					s.finishErr(req, wire.Errf(wire.CodeDeadline, "deadline expired on the engine queue"))
-				} else {
-					s.finishErr(req, wire.Errf(wire.CodeInternal, "accelerator job failed: %v", err))
-				}
-			}
-			return
-		}
+		return nil
 	}
-
+	var err error
+	if s.cfg.Card == nil {
+		work()
+	} else {
+		// The job runs under the latest live deadline, so a batch nobody is
+		// waiting for anymore aborts while queued for an engine; config load,
+		// doorbell and status read are paid once for up to MaxBatch vectors.
+		ctx, cancel := context.WithDeadline(trace.NewContext(context.Background(), bctx), latest)
+		err = s.cfg.Card.RunJob(ctx, &live[0].mat.desc, work)
+		cancel()
+	}
 	for _, req := range live {
-		if s.abandoned(req) {
-			continue // the caller hung up during the card job or an earlier serve
+		switch {
+		case err != nil && (time.Now().After(req.deadline) || errors.Is(err, context.DeadlineExceeded)):
+			s.finishErr(req, wire.Errf(wire.CodeDeadline, "deadline expired on the engine queue"))
+		case err != nil:
+			s.finishErr(req, wire.Errf(wire.CodeInternal, "accelerator job failed: %v", err))
+		case s.abandoned(req):
+			// The caller hung up while the batch ran: nothing is sent.
+		case req.err != nil:
+			s.finishErr(req, req.err)
+		default:
+			if req.tiles != nil {
+				mTilesServed.Add(uint64(len(req.tiles)))
+			}
+			mApplies.Inc()
+			s.finish(req, req.reply)
 		}
-		if time.Now().After(req.deadline) {
-			s.finishErr(req, wire.Errf(wire.CodeDeadline, "deadline expired before service"))
-			continue
-		}
-		s.serve(req)
 	}
 }
 
-// serve is the one apply path behind the queue: the request's row tiles
-// (nil = all) are computed into a result buffer from the matrix's pool —
-// indexed by tile, so a subset uses the slots of the tiles it names — and
-// answered as one Result, labelled with a subset's tiles so the
-// coordinator can place each at its index in the gathered result. The
-// buffer goes back to the pool only once the reply is encoded.
-func (s *Server) serve(req *request) {
+// compute is one request's share of a batch's work, skipped once its
+// caller is gone: its row tiles (nil = all) are applied into a result
+// buffer from the matrix's pool — indexed by tile, so a subset uses the
+// slots of the tiles it names — and encoded as one Result, labelled with a
+// subset's tiles so the coordinator can place each at its index in the
+// gathered result. The buffer goes back to the pool once the reply is
+// encoded. A replayed job computes again and overwrites reply and err,
+// with the same bytes for the same inputs.
+func (s *Server) compute(req *request) {
+	req.reply, req.err = nil, nil
+	if req.conn.gone.Load() {
+		return // runBatch counts it abandoned
+	}
 	t0 := time.Now()
 	r := s.cfg.Params.R
 	mat := req.mat
@@ -397,26 +405,23 @@ func (s *Server) serve(req *request) {
 	if err := mat.pm.ApplyTiles(out, tiles, req.vec, sinkOf(rec)); err != nil {
 		mat.putResult(res)
 		ssp.EndErr(err)
-		s.finishErr(req, wire.Errf(wire.CodeBadRequest, "apply: %v", err))
+		req.err = wire.Errf(wire.CodeBadRequest, "apply: %v", err)
 		return
 	}
-	payload := wire.EncodeResult(r, wire.Result{M: mat.handle.Rows, N: uint32(r.N), Tiles: req.tiles, Packed: out})
+	req.reply = wire.EncodeResult(r, wire.Result{M: mat.handle.Rows, N: uint32(r.N), Tiles: req.tiles, Packed: out})
 	if req.tiles != nil {
-		mTilesServed.Add(uint64(len(req.tiles)))
 		ssp.Annotate(fmt.Sprintf("%d tiles", len(req.tiles)))
 	}
 	mat.putResult(res)
 	mServeSec.Observe(time.Since(t0).Seconds())
-	mApplies.Inc()
 	rec.Emit("kernel")
 	ssp.End()
 	if req.tc.Sampled() {
 		s.cfg.Log.Debug("apply served",
 			"trace_id", req.tc.Trace.String(),
 			"dur", time.Since(t0),
-			"rows", s.requestRows(req))
+			"tiles", len(out))
 	}
-	s.finish(req, payload)
 }
 
 // sinkOf converts a possibly-nil *StageRecorder into a StageSink without
@@ -428,23 +433,10 @@ func sinkOf(rec *trace.StageRecorder) obs.StageSink {
 	return rec
 }
 
-// requestRows is the row count a request actually computes: the whole
-// matrix for a full apply, the subset's rows for a tile apply.
-func (s *Server) requestRows(req *request) int {
-	if req.tiles == nil {
-		return int(req.mat.handle.Rows)
-	}
-	rows := 0
-	for _, ti := range req.tiles {
-		rows += req.mat.pm.TileRows(int(ti))
-	}
-	return rows
-}
-
 // abandoned retires a request whose connection's read loop has ended —
 // the caller hung up (a cancelled hedge) or the stream broke — without
-// spending an engine job or a kernel apply on an answer nobody can read.
-// It reports whether the request was dropped.
+// sending an answer nobody can read. It reports whether the request was
+// dropped.
 func (s *Server) abandoned(req *request) bool {
 	if !req.conn.gone.Load() {
 		return false
@@ -466,24 +458,4 @@ func (s *Server) finish(req *request, payload []byte) {
 func (s *Server) finishErr(req *request, e *wire.Error) {
 	req.conn.sendErr(req.seq, e)
 	s.done()
-}
-
-// descriptor builds the card-side job configuration for one batch over
-// this matrix (fixed DDR layout; the simulation models dispatch cost, not
-// data placement). rows narrows the job to the rows the batch computes —
-// a tile subset on a shard node — so the card's latency model charges for
-// the work actually done.
-func (m *regMatrix) descriptor(rows uint32) *rt.HMVPDescriptor {
-	if rows == 0 || rows > m.handle.Rows {
-		rows = m.handle.Rows
-	}
-	return &rt.HMVPDescriptor{
-		Rows:         rows,
-		Cols:         m.handle.Cols,
-		MatrixAddr:   0x1000_0000,
-		VectorAddr:   0x2000_0000,
-		KeyAddr:      0x3000_0000,
-		ResultAddr:   0x4000_0000,
-		PackRowsLog2: m.packLog2,
-	}
 }

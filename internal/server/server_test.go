@@ -197,15 +197,19 @@ func TestLoopbackEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBatchCoalescing drives concurrent applies through a single worker
-// and asserts the dispatcher actually merged them: fewer batches than
+// TestBatchCoalescing drives concurrent applies through a single batch
+// executor (a one-engine card) and asserts the dispatcher actually merged them: fewer batches than
 // requests, with every live request accounted for.
 func TestBatchCoalescing(t *testing.T) {
 	p := testParams(t, 32)
 	rng := testutil.NewRand(t)
 	sk := p.KeyGen(rng)
+	card, err := rt.New(rt.NewDevice(1, 50*time.Microsecond, rt.FaultPlan{}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, addr := testServer(t, Config{
-		Params: p, Workers: 1, MaxBatch: 8, Linger: 20 * time.Millisecond, QueueDepth: 64,
+		Params: p, MaxBatch: 8, Linger: 20 * time.Millisecond, QueueDepth: 64, Card: card,
 	})
 	cl := testClient(t, addr, p, nil)
 	setupKeys(t, cl, p, rng, sk)
@@ -259,7 +263,7 @@ func TestOverloadTyped(t *testing.T) {
 	}
 	card.JobTimeout = time.Second
 	_, addr := testServer(t, Config{
-		Params: p, Workers: 1, MaxBatch: 1, QueueDepth: 1, Card: card,
+		Params: p, MaxBatch: 1, QueueDepth: 1, Card: card,
 	})
 	cl := testClient(t, addr, p, func(c *client.Config) { c.MaxRetries = -1 }) // no retries
 	setupKeys(t, cl, p, rng, sk)
@@ -399,7 +403,7 @@ func TestShutdownWhileBusy(t *testing.T) {
 	p := testParams(t, 32)
 	rng := testutil.NewRand(t)
 	sk := p.KeyGen(rng)
-	s, err := New(Config{Params: p, Workers: 2, MaxBatch: 4, Linger: time.Millisecond})
+	s, err := New(Config{Params: p, MaxBatch: 4, Linger: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,11 +458,12 @@ func TestShutdownWhileBusy(t *testing.T) {
 
 // TestAbandonedRequestsDropped: a caller that cancels (the losing half of a
 // hedged scatter leg) closes its connection, and every request that
-// connection still has admitted here is retired without an engine job or
-// a kernel apply — one was already on the card when the hang-up arrived
-// and is dropped before its serve, two were still queued and are dropped
-// at batch pickup. The client must not pool a cancelled connection: its
-// next request on the same Client succeeds with the right answer.
+// connection still has admitted here is retired unanswered — one was
+// already in its card job when the hang-up arrived, so its apply ran but
+// its reply is dropped, and two were still queued and are dropped at batch
+// pickup without a job or an apply. The client must not pool a cancelled
+// connection: its next request on the same Client succeeds with the right
+// answer.
 func TestAbandonedRequestsDropped(t *testing.T) {
 	p := testParams(t, 32)
 	rng := testutil.NewRand(t)
@@ -468,7 +473,7 @@ func TestAbandonedRequestsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	card.JobTimeout = 10 * time.Second
-	_, addr := testServer(t, Config{Params: p, Workers: 1, MaxBatch: 1, Card: card})
+	_, addr := testServer(t, Config{Params: p, MaxBatch: 1, Card: card})
 	cl := testClient(t, addr, p, func(c *client.Config) { c.MaxRetries = -1 })
 	keys := setupKeys(t, cl, p, rng, sk)
 	A := testutil.Matrix(rng, 64, 32, p.T.Q)
@@ -530,12 +535,130 @@ func TestAbandonedRequestsDropped(t *testing.T) {
 		}
 	}
 
-	// That reply came back through the one worker, so the three cancelled
+	// That reply came back through the one executor, so the three cancelled
 	// requests ahead of it have all been retired by now.
 	if d := mAbandoned.Value() - abandoned0; d != cancelled {
 		t.Errorf("cham_server_abandoned_total moved by %d, want %d", d, cancelled)
 	}
 	if d := mApplies.Value() - applies0; d != 1 {
 		t.Errorf("cham_server_applies_total moved by %d, want 1 (only the live request is served)", d)
+	}
+}
+
+// TestReplayedBatchBitIdentical: on a card that fails every second job,
+// each batch's applies are rerun by the replay, and every request still
+// gets exactly one reply, byte-equal to the in-process apply. One pooled
+// connection carries every request, so a second reply to any of them
+// would desynchronize the next.
+func TestReplayedBatchBitIdentical(t *testing.T) {
+	p := testParams(t, 32)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	card, err := rt.New(rt.NewDevice(1, 50*time.Microsecond, rt.FaultPlan{FailJobEvery: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := testServer(t, Config{Params: p, MaxBatch: 1, Card: card})
+	cl := testClient(t, addr, p, func(c *client.Config) { c.MaxConns, c.MaxRetries = 1, -1 })
+	keys := setupKeys(t, cl, p, rng, sk)
+	ev, err := core.NewEvaluatorFromKeys(p, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	A := testutil.Matrix(rng, 40, 32, p.T.Q)
+	pm, err := ev.Prepare(A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handle, err := cl.RegisterMatrix(A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const applies = 5
+	applies0 := mApplies.Value()
+	for i := 0; i < applies; i++ {
+		ctV := core.EncryptVector(p, rng, sk, testutil.Vector(rng, 32, p.T.Q))
+		got, err := cl.Apply(handle.ID, ctV)
+		if err != nil {
+			t.Fatalf("apply %d: %v", i, err)
+		}
+		want, err := pm.Apply(ctV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Packed) != len(want.Packed) {
+			t.Fatalf("apply %d: %d tiles, want %d", i, len(got.Packed), len(want.Packed))
+		}
+		for j := range got.Packed {
+			if !sameCiphertext(got.Packed[j], want.Packed[j]) {
+				t.Fatalf("apply %d: tile %d differs from the in-process apply", i, j)
+			}
+		}
+	}
+	if d := mApplies.Value() - applies0; d != applies {
+		t.Errorf("cham_server_applies_total moved by %d, want %d", d, applies)
+	}
+	if card.Replays() == 0 {
+		t.Error("no job was replayed on a card that fails every second job")
+	}
+}
+
+// TestShutdownLeaksNoGoroutines: once Shutdown returns, the dispatcher and
+// every batch executor have exited — with a card (one executor per
+// engine) and without one (GOMAXPROCS executors).
+func TestShutdownLeaksNoGoroutines(t *testing.T) {
+	p := testParams(t, 32)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	for _, withCard := range []bool{false, true} {
+		t.Run(fmt.Sprintf("card=%v", withCard), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			cfg := Config{Params: p}
+			if withCard {
+				card, err := rt.New(rt.NewDevice(2, 50*time.Microsecond, rt.FaultPlan{}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Card = card
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- s.Serve(ln) }()
+			cl, err := client.Dial(client.Config{Addr: ln.Addr().String(), Params: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			setupKeys(t, cl, p, rng, sk)
+			handle, err := cl.RegisterMatrix(testutil.Matrix(rng, 8, 32, p.T.Q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Apply(handle.ID, core.EncryptVector(p, rng, sk, testutil.Vector(rng, 32, p.T.Q))); err != nil {
+				t.Fatal(err)
+			}
+			cl.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := s.Shutdown(ctx); err != nil {
+				t.Fatalf("shutdown: %v", err)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("serve: %v", err)
+			}
+			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines a second after Shutdown, %d before New:\n%s",
+						runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+				}
+			}
+		})
 	}
 }
