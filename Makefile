@@ -90,7 +90,9 @@ kernels:
 # bfv,lwe,core,noise,runtime} and the serving half (apps/beaver, wire,
 # server, client, cluster, obs, obs/trace) declares outside its tests has a
 # caller outside its own tests, or a row in orphans_test.go naming the part
-# of the paper it reproduces. Type-checks the module from source (a few
+# of the paper it reproduces. A caller is an identifier the type checker
+# resolves to the declaration, never a bare name: the module, the benchmark
+# and every package's test files are type-checked from source (a few
 # seconds; skipped under -short).
 orphans:
 	$(GO) test -count=1 -run '^TestNoOrphans$$' .

@@ -173,7 +173,6 @@ func render(w io.Writer, cur, prev *view) {
 		threshold, _ := cur.get("cham_cluster_hedge_threshold_seconds")
 		rescatters, _ := cur.get("cham_cluster_rescatters_total")
 		degraded, _ := cur.get("cham_cluster_degraded_total")
-		joins, _ := cur.get("cham_cluster_joins_total")
 		conns, _ := cur.get("cham_cluster_gateway_connections")
 		gatherCnt, _ := cur.get("cham_cluster_gather_seconds_count")
 		gatherSum, _ := cur.get("cham_cluster_gather_seconds_sum")
@@ -198,8 +197,8 @@ func render(w io.Writer, cur, prev *view) {
 		if shardOK+shardErr > 0 {
 			hedgeShare = 100 * hedges / (shardOK + shardErr)
 		}
-		fmt.Fprintf(w, "         shard ok %.0f  err %.0f  rescatters %.0f  degraded %.0f  joins %.0f\n",
-			shardOK, shardErr, rescatters, degraded, joins)
+		fmt.Fprintf(w, "         shard ok %.0f  err %.0f  rescatters %.0f  degraded %.0f\n",
+			shardOK, shardErr, rescatters, degraded)
 		fmt.Fprintf(w, "         hedges %.0f (%.1f%% of shard requests)  denied %.0f  cancelled %.0f  threshold %.1fms\n",
 			hedges, hedgeShare, denied, cancels, 1e3*threshold)
 	}

@@ -430,23 +430,18 @@ func (cl *Client) ApplyCtx(ctx context.Context, id [32]byte, vec []*rlwe.Ciphert
 	return cl.compute(ctx, wire.Apply{ID: id, Vector: vec})
 }
 
-// compute is the one compute round trip behind ApplyCtx, TileApplyCtx and
-// WarmTiles: a carries ctx's deadline hint, and the Result must answer
-// it — labelled with exactly the requested tiles, and with no rows for a
-// warm-up — or it is a transport error, like any reply that does not
-// decode.
+// compute is the one compute round trip behind ApplyCtx and
+// TileApplyCtx: a carries ctx's deadline hint, and the Result must answer
+// it — rows, labelled with exactly the requested tiles — or it is a
+// transport error, like any reply that does not decode.
 func (cl *Client) compute(ctx context.Context, a wire.Apply) (wire.Result, error) {
 	r := cl.cfg.Params.R
 	a.DeadlineMicros = cl.deadlineMicros(ctx)
-	want := a.Tiles
-	if a.Warm {
-		want = nil
-	}
 	return call(ctx, cl, wire.MsgApply, wire.MsgResult, wire.EncodeApply(r, a),
 		func(b []byte) (wire.Result, error) {
 			res, err := wire.DecodeResult(r, b)
-			if err == nil && (!slices.Equal(res.Tiles, want) || (res.M == 0) != a.Warm) {
-				err = fmt.Errorf("result of %d rows labelled %v answers an apply for tiles %v (warm %v)", res.M, res.Tiles, a.Tiles, a.Warm)
+			if err == nil && (!slices.Equal(res.Tiles, a.Tiles) || res.M == 0) {
+				err = fmt.Errorf("result of %d rows labelled %v answers an apply for tiles %v", res.M, res.Tiles, a.Tiles)
 			}
 			return res, err
 		})

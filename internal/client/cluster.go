@@ -25,27 +25,3 @@ func (cl *Client) TileApply(id [32]byte, tiles []uint32, vec []*rlwe.Ciphertext)
 func (cl *Client) TileApplyCtx(ctx context.Context, id [32]byte, tiles []uint32, vec []*rlwe.Ciphertext) (wire.Result, error) {
 	return cl.compute(ctx, wire.Apply{ID: id, Tiles: tiles, Vector: vec})
 }
-
-// WarmTiles asks a node to prepare the listed tiles of a registered matrix
-// without computing anything — the coordinator pre-positions tiles on a
-// joining node before routing traffic at it.
-func (cl *Client) WarmTiles(id [32]byte, tiles []uint32) error {
-	_, err := cl.compute(context.TODO(), wire.Apply{ID: id, Warm: true, Tiles: tiles})
-	return err
-}
-
-// RegistryPull fetches a node's replicated registry: its installed key
-// set and every registered matrix in canonical payload form.
-func (cl *Client) RegistryPull() (wire.RegistryState, error) {
-	return call(context.TODO(), cl, wire.MsgRegistrySync, wire.MsgRegistryState,
-		wire.RegistrySync{}.Encode(), wire.DecodeRegistryState)
-}
-
-// RegistryPush installs key material and matrix payloads on a node (the
-// warm-up transfer a joining node receives) and returns the node's
-// resulting registry header. Both arguments are canonical wire payloads;
-// either may be empty.
-func (cl *Client) RegistryPush(keys []byte, matrices [][]byte) (wire.RegistryState, error) {
-	return call(context.TODO(), cl, wire.MsgRegistrySync, wire.MsgRegistryState,
-		wire.RegistrySync{Push: true, Keys: keys, Matrices: matrices}.Encode(), wire.DecodeRegistryState)
-}

@@ -186,7 +186,7 @@ func TestClusterEndToEnd(t *testing.T) {
 					if handle.Tiles != uint32((rows+p.R.N-1)/p.R.N) {
 						t.Fatalf("handle reports %d tiles for %d rows", handle.Tiles, rows)
 					}
-					got, err := co.Apply(handle.ID, ctV)
+					got, err := co.ApplyCtx(context.Background(), handle.ID, ctV)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -199,7 +199,8 @@ func TestClusterEndToEnd(t *testing.T) {
 
 // TestClusterConcurrentApplies drives parallel applies through a 2-shard
 // cluster — every gathered result must stay bit-identical while the
-// shards batch and interleave requests.
+// shards batch and interleave requests — and then closes the coordinator:
+// an apply after Close is refused at once.
 func TestClusterConcurrentApplies(t *testing.T) {
 	p := testParams(t, 32)
 	rng := testutil.NewRand(t)
@@ -241,7 +242,7 @@ func TestClusterConcurrentApplies(t *testing.T) {
 				errs <- err
 				return
 			}
-			got, err := co.Apply(handle.ID, ctV)
+			got, err := co.ApplyCtx(context.Background(), handle.ID, ctV)
 			if err != nil {
 				errs <- fmt.Errorf("caller %d: %v", c, err)
 				return
@@ -258,6 +259,14 @@ func TestClusterConcurrentApplies(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+
+	co.Close()
+	ctV := core.EncryptVector(p, rng, sk, testutil.Vector(rng, 32, p.T.Q))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := co.ApplyCtx(ctx, handle.ID, ctV); err == nil || ctx.Err() != nil {
+		t.Fatalf("apply after Close: err %v, ctx %v; want an error before the deadline", err, ctx.Err())
 	}
 }
 
@@ -303,7 +312,7 @@ func TestClusterFaultInjection(t *testing.T) {
 		}
 		// One clean pass so every node has seen traffic, then a volley with
 		// a shard dying underneath it.
-		got, err := co.Apply(handle.ID, ctV)
+		got, err := co.ApplyCtx(context.Background(), handle.ID, ctV)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +325,7 @@ func TestClusterFaultInjection(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				got, err := co.Apply(handle.ID, ctV)
+				got, err := co.ApplyCtx(context.Background(), handle.ID, ctV)
 				if err != nil {
 					errs <- fmt.Errorf("apply %d during shard death: %v", i, err)
 					return
@@ -338,7 +347,7 @@ func TestClusterFaultInjection(t *testing.T) {
 
 		// With the shard still dead, fresh applies must keep succeeding —
 		// the survivors own every tile now.
-		got, err = co.Apply(handle.ID, ctV)
+		got, err = co.ApplyCtx(context.Background(), handle.ID, ctV)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +369,7 @@ func TestClusterFaultInjection(t *testing.T) {
 		for _, n := range nodes {
 			n.kill()
 		}
-		_, err = co.Apply(handle.ID, ctV)
+		_, err = co.ApplyCtx(context.Background(), handle.ID, ctV)
 		var de *DegradedError
 		if !errors.As(err, &de) {
 			t.Fatalf("apply with every shard dead returned %v, want *DegradedError", err)
@@ -400,7 +409,7 @@ func TestClusterFaultInjection(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
-			got, err := co.Apply(handle.ID, ctV)
+			got, err := co.ApplyCtx(context.Background(), handle.ID, ctV)
 			if err != nil {
 				t.Fatalf("apply %d: %v", i, err)
 			}
@@ -410,69 +419,6 @@ func TestClusterFaultInjection(t *testing.T) {
 			t.Fatal("the hung card was never reset — the RAS path did not run")
 		}
 	})
-}
-
-// TestClusterJoin grows a 1-shard cluster to 2: the joiner receives the
-// replicated registry and warmed tiles, and results stay bit-identical
-// across the membership change.
-func TestClusterJoin(t *testing.T) {
-	p := testParams(t, 32)
-	rng := testutil.NewRand(t)
-	sk := p.KeyGen(rng)
-	keys, err := lwe.GenPackingKeys(p, rng, sk, p.R.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := core.NewEvaluatorFromKeys(p, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	A := testutil.Matrix(rng, 256, 32, p.T.Q)
-	pm, err := ev.Prepare(A)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := testutil.Vector(rng, 32, p.T.Q)
-	ctV := core.EncryptVector(p, rng, sk, v)
-	want, err := pm.Apply(ctV)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	co, _ := newCluster(t, p, 1, nil, nil)
-	if _, err := co.SetupKeys(keys); err != nil {
-		t.Fatal(err)
-	}
-	handle, err := co.RegisterMatrix(A)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := co.Apply(handle.ID, ctV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkResult(t, p, got, want, A, v, sk)
-
-	joiner := startNode(t, p, nil)
-	if err := co.Join(joiner.addr); err != nil {
-		t.Fatal(err)
-	}
-	if err := co.Join(joiner.addr); err == nil {
-		t.Fatal("joining the same node twice was accepted")
-	}
-	if got := len(co.Nodes()); got != 2 {
-		t.Fatalf("cluster has %d nodes after join, want 2", got)
-	}
-	// The joiner was warmed: the tiles the new ring hands it are already
-	// prepared, so the first post-join apply pays no preparation.
-	if joiner.srv.Matrices() != 1 {
-		t.Fatalf("joiner holds %d matrices after warm-up, want 1", joiner.srv.Matrices())
-	}
-	got, err = co.Apply(handle.ID, ctV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkResult(t, p, got, want, A, v, sk)
 }
 
 // TestGatewayWireCompat runs an unmodified wire client against the
@@ -625,8 +571,7 @@ func TestClusterStragglerHedge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, _ := co.snapshot()
-	if owned := len(ring.Assign(handle.ID, int(handle.Tiles))[0]); owned == 0 {
+	if owned := len(co.ring.Assign(handle.ID, int(handle.Tiles))[0]); owned == 0 {
 		t.Fatal("the ring gave the slow shard no tiles; nothing would straggle")
 	}
 
@@ -651,7 +596,7 @@ func TestClusterStragglerHedge(t *testing.T) {
 	// The next apply goes through the same node clients. Had the cancelled
 	// connection been pooled with the slow shard's reply still unread, this
 	// leg would fail with a stream desync and count as a shard error.
-	got, err = co.Apply(handle.ID, ctV)
+	got, err = co.ApplyCtx(context.Background(), handle.ID, ctV)
 	if err != nil {
 		t.Fatalf("apply after a cancelled hedge: %v", err)
 	}

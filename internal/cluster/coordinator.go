@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cham/internal/bfv"
@@ -50,7 +51,8 @@ type Config struct {
 	MaxFrame    uint32
 
 	// Log receives the coordinator's structured logs (scatter records at
-	// Debug, membership at Info; sampled requests carry their trace_id).
+	// Debug, degraded applies at Warn; sampled requests carry their
+	// trace_id).
 	// Default: discard.
 	Log *slog.Logger
 }
@@ -77,29 +79,24 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// matrixState is the coordinator's replicated-registry cache entry.
-type matrixState struct {
-	handle  wire.MatrixHandle
-	payload []byte // canonical RegisterMatrix encoding, for warm-up pushes
-}
-
 // Coordinator owns the shard map: it broadcasts control-plane operations
 // (keys, matrix registration) to every node, scatters each apply's row
 // tiles along the consistent-hash ring, and gathers the packed
-// ciphertexts back into the exact single-node result.
+// ciphertexts back into the exact single-node result. The ring and the
+// node clients are the ones New builds from Config.Nodes and never change.
 type Coordinator struct {
-	cfg   Config
-	hedge *hedgePolicy
+	cfg     Config
+	hedge   *hedgePolicy
+	ring    *Ring
+	clients []*client.Client // in ring.Nodes() order
+	closed  atomic.Bool
 
-	mu       sync.RWMutex
-	ring     *Ring
-	clients  map[string]*client.Client
-	keys     []byte // canonical SetupKeys payload ("" until SetupKeys)
-	keyHash  [32]byte
-	matrices map[[32]byte]matrixState
+	mu       sync.RWMutex // guards matrices
+	matrices map[[32]byte]wire.MatrixHandle
 }
 
-// New builds a coordinator. Node connections are dialed lazily.
+// New builds a coordinator over Config.Nodes. Node connections are
+// dialed lazily.
 func New(cfg Config) (*Coordinator, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -113,72 +110,49 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:      cfg,
 		hedge:    newHedgePolicy(cfg.HedgeDelay),
 		ring:     ring,
-		clients:  map[string]*client.Client{},
-		matrices: map[[32]byte]matrixState{},
+		matrices: map[[32]byte]wire.MatrixHandle{},
 	}
-	for _, addr := range cfg.Nodes {
-		cl, err := co.dialNode(addr)
+	retries := cfg.NodeRetries
+	if retries <= 0 {
+		retries = -1 // client treats negative as "retries disabled"
+	}
+	for _, addr := range ring.Nodes() {
+		cl, err := client.Dial(client.Config{
+			Addr:           addr,
+			Params:         cfg.Params,
+			DialTimeout:    cfg.DialTimeout,
+			RequestTimeout: cfg.RequestTimeout,
+			MaxRetries:     retries,
+			MaxFrame:       cfg.MaxFrame,
+		})
 		if err != nil {
 			co.Close()
 			return nil, err
 		}
-		co.clients[addr] = cl
+		co.clients = append(co.clients, cl)
 	}
 	mNodes.Set(float64(len(cfg.Nodes)))
 	return co, nil
 }
 
-func (co *Coordinator) dialNode(addr string) (*client.Client, error) {
-	retries := co.cfg.NodeRetries
-	if retries <= 0 {
-		retries = -1 // client treats negative as "retries disabled"
-	}
-	return client.Dial(client.Config{
-		Addr:           addr,
-		Params:         co.cfg.Params,
-		DialTimeout:    co.cfg.DialTimeout,
-		RequestTimeout: co.cfg.RequestTimeout,
-		MaxRetries:     retries,
-		MaxFrame:       co.cfg.MaxFrame,
-	})
-}
-
-// Close releases every node client.
+// Close releases every node client; an apply after Close fails.
 func (co *Coordinator) Close() {
-	co.mu.Lock()
-	defer co.mu.Unlock()
+	co.closed.Store(true)
 	for _, cl := range co.clients {
 		cl.Close()
 	}
-	co.clients = map[string]*client.Client{}
 }
 
-// Nodes returns the current ring membership.
+// Nodes returns the ring membership.
 func (co *Coordinator) Nodes() []string {
-	co.mu.RLock()
-	defer co.mu.RUnlock()
 	return append([]string(nil), co.ring.Nodes()...)
 }
 
-// snapshot captures the ring and client set for one lock-free operation.
-func (co *Coordinator) snapshot() (*Ring, []*client.Client) {
-	co.mu.RLock()
-	defer co.mu.RUnlock()
-	r := co.ring
-	cls := make([]*client.Client, len(r.Nodes()))
-	for i, addr := range r.Nodes() {
-		cls[i] = co.clients[addr]
-	}
-	return r, cls
-}
-
-// SetupKeys installs the packing-key set on every node and caches the
-// canonical payload for warm-up transfers. All nodes must accept.
+// SetupKeys installs the packing-key set on every node. All nodes must
+// accept.
 func (co *Coordinator) SetupKeys(keys *lwe.PackingKeys) ([32]byte, error) {
-	payload := wire.EncodeSetupKeys(co.cfg.Params.R, keys)
-	_, cls := co.snapshot()
 	var hash [32]byte
-	for i, cl := range cls {
+	for i, cl := range co.clients {
 		h, err := cl.SetupKeys(keys)
 		if err != nil {
 			return [32]byte{}, fmt.Errorf("cluster: setup keys on node %d: %w", i, err)
@@ -188,25 +162,15 @@ func (co *Coordinator) SetupKeys(keys *lwe.PackingKeys) ([32]byte, error) {
 		}
 		hash = h
 	}
-	co.mu.Lock()
-	co.keys = payload
-	co.keyHash = hash
-	co.mu.Unlock()
 	return hash, nil
 }
 
-// RegisterMatrix registers a matrix on every node and caches the
-// canonical payload. With LazyTiles nodes this is cheap — each node
-// validates and retains the cleartext but prepares no tiles until the
-// scatter routes work at it.
+// RegisterMatrix registers a matrix on every node and caches its handle.
+// With LazyTiles nodes this is cheap — each node validates and retains
+// the cleartext but prepares no tiles until the scatter routes work at it.
 func (co *Coordinator) RegisterMatrix(A [][]uint64) (wire.MatrixHandle, error) {
-	payload, err := wire.EncodeRegisterMatrix(A)
-	if err != nil {
-		return wire.MatrixHandle{}, err
-	}
-	_, cls := co.snapshot()
 	var handle wire.MatrixHandle
-	for i, cl := range cls {
+	for i, cl := range co.clients {
 		h, err := cl.RegisterMatrix(A)
 		if err != nil {
 			return wire.MatrixHandle{}, fmt.Errorf("cluster: register on node %d: %w", i, err)
@@ -217,7 +181,7 @@ func (co *Coordinator) RegisterMatrix(A [][]uint64) (wire.MatrixHandle, error) {
 		handle = h
 	}
 	co.mu.Lock()
-	co.matrices[handle.ID] = matrixState{handle: handle, payload: payload}
+	co.matrices[handle.ID] = handle
 	co.mu.Unlock()
 	return handle, nil
 }
@@ -226,8 +190,8 @@ func (co *Coordinator) RegisterMatrix(A [][]uint64) (wire.MatrixHandle, error) {
 func (co *Coordinator) Handle(id [32]byte) (wire.MatrixHandle, bool) {
 	co.mu.RLock()
 	defer co.mu.RUnlock()
-	ms, ok := co.matrices[id]
-	return ms.handle, ok
+	h, ok := co.matrices[id]
+	return h, ok
 }
 
 // groupResult is one scatter leg's outcome.
@@ -238,29 +202,25 @@ type groupResult struct {
 	err   error
 }
 
-// Apply scatters a registered matrix's row tiles across the ring,
+// ApplyCtx scatters a registered matrix's row tiles across the ring,
 // gathers the per-tile packed ciphertexts, and returns a Result
 // bit-identical to a single node serving the whole matrix. Dead or
 // straggling shards are covered by hedged replicas; tiles still missing
 // after a full re-scatter produce a *DegradedError.
-func (co *Coordinator) Apply(id [32]byte, vec []*rlwe.Ciphertext) (wire.Result, error) {
-	return co.ApplyCtx(context.TODO(), id, vec)
-}
-
-// ApplyCtx is Apply under a context. A trace context riding in ctx
-// (trace.NewContext) parents the scatter, every hedged per-shard RPC and
-// the gather, so a merged trace shows which shard was the critical path.
-// ctx's deadline travels to every shard as the leg's deadline hint, and
-// when ctx ends the outstanding legs are abandoned and ctx.Err() comes
-// back — the caller gave up; that is not a degraded fleet.
+//
+// A trace context riding in ctx (trace.NewContext) parents the scatter,
+// every hedged per-shard RPC and the gather, so a merged trace shows
+// which shard was the critical path. ctx's deadline travels to every
+// shard as the leg's deadline hint, and when ctx ends the outstanding
+// legs are abandoned and ctx.Err() comes back — the caller gave up; that
+// is not a degraded fleet.
 func (co *Coordinator) ApplyCtx(ctx context.Context, id [32]byte, vec []*rlwe.Ciphertext) (wire.Result, error) {
 	tc := trace.FromContext(ctx)
 	handle, ok := co.Handle(id)
 	if !ok {
 		return wire.Result{}, wire.Errf(wire.CodeUnknownMatrix, "matrix not registered with the cluster")
 	}
-	ring, cls := co.snapshot()
-	if len(cls) == 0 {
+	if co.closed.Load() {
 		return wire.Result{}, fmt.Errorf("cluster: coordinator closed")
 	}
 	sp := obs.StartSpan(mGatherSec)
@@ -269,7 +229,7 @@ func (co *Coordinator) ApplyCtx(ctx context.Context, id [32]byte, vec []*rlwe.Ci
 
 	tiles := int(handle.Tiles)
 	packed := make([]*rlwe.Ciphertext, tiles)
-	asg := ring.Assign(id, tiles)
+	asg := co.ring.Assign(id, tiles)
 
 	// Scatter pass: one hedged leg per owner with a non-empty tile list.
 	// Attempt k of a leg targets the k-th distinct node walking the ring
@@ -278,7 +238,7 @@ func (co *Coordinator) ApplyCtx(ctx context.Context, id [32]byte, vec []*rlwe.Ci
 	// the policy's threshold for it and the budget grants a token; the
 	// attempts that lose the race are cancelled, not left to finish.
 	sctx, ssp := trace.Start(tc, "coordinator", "scatter")
-	addrs := ring.Nodes()
+	addrs := co.ring.Nodes()
 	results := make(chan groupResult)
 	legs := 0
 	for node, list := range asg {
@@ -287,7 +247,7 @@ func (co *Coordinator) ApplyCtx(ctx context.Context, id [32]byte, vec []*rlwe.Ci
 		}
 		legs++
 		go func(node int, list []uint32) {
-			order := ring.Replicas(TileKey(id, list[0]), len(cls))
+			order := co.ring.Replicas(TileKey(id, list[0]), len(co.clients))
 			n := co.cfg.Replicas
 			if n > len(order) {
 				n = len(order)
@@ -313,7 +273,7 @@ func (co *Coordinator) ApplyCtx(ctx context.Context, id [32]byte, vec []*rlwe.Ci
 					lsp.Annotate(fmt.Sprintf("%d tiles", len(list)))
 				}
 				t0 := time.Now()
-				r, e := cls[order[i]].TileApplyCtx(trace.NewContext(actx, lctx), id, list, vec)
+				r, e := co.clients[order[i]].TileApplyCtx(trace.NewContext(actx, lctx), id, list, vec)
 				switch {
 				case e == nil:
 					co.hedge.observe(addrs[order[i]], len(list), time.Since(t0))
@@ -357,8 +317,9 @@ func (co *Coordinator) ApplyCtx(ctx context.Context, id [32]byte, vec []*rlwe.Ci
 		return wire.Result{}, err
 	}
 
-	// Re-scatter pass: any node can serve any tile (replicated registry +
-	// lazy prepare), so walk the whole ring once more for the leftovers.
+	// Re-scatter pass: any node can serve any tile (every node registered
+	// the matrix, and prepares a tile lazily), so walk the whole ring once
+	// more for the leftovers.
 	gctx, gsp := trace.Start(tc, "coordinator", "gather")
 	defer gsp.End()
 	if len(missing) > 0 {
@@ -366,10 +327,10 @@ func (co *Coordinator) ApplyCtx(ctx context.Context, id [32]byte, vec []*rlwe.Ci
 		mRescatters.Inc()
 		co.cfg.Log.Debug("re-scatter",
 			"trace_id", traceLabel(tc), "missing", len(missing))
-		order := ring.Replicas(TileKey(id, missing[0]), len(cls))
+		order := co.ring.Replicas(TileKey(id, missing[0]), len(co.clients))
 		for _, ni := range order {
 			lctx, lsp := trace.Start(gctx, "coordinator", fmt.Sprintf("rescatter:%d", ni))
-			res, err := cls[ni].TileApplyCtx(trace.NewContext(ctx, lctx), id, missing, vec)
+			res, err := co.clients[ni].TileApplyCtx(trace.NewContext(ctx, lctx), id, missing, vec)
 			lsp.EndErr(err)
 			if err != nil {
 				mShardErr.Inc()
@@ -388,8 +349,8 @@ func (co *Coordinator) ApplyCtx(ctx context.Context, id [32]byte, vec []*rlwe.Ci
 	if len(missing) > 0 {
 		mDegraded.Inc()
 		co.cfg.Log.Warn("degraded scatter",
-			"trace_id", traceLabel(tc), "missing", len(missing), "nodes", len(cls))
-		return wire.Result{}, &DegradedError{Missing: missing, Nodes: len(cls), Last: lastErr}
+			"trace_id", traceLabel(tc), "missing", len(missing), "nodes", len(co.clients))
+		return wire.Result{}, &DegradedError{Missing: missing, Nodes: len(co.clients), Last: lastErr}
 	}
 	for t, ct := range packed {
 		if ct == nil {
@@ -415,100 +376,4 @@ func sortTiles(ts []uint32) {
 			ts[j], ts[j-1] = ts[j-1], ts[j]
 		}
 	}
-}
-
-// Join adds a node to the ring: replicate the registry onto it (pulled
-// from a live node when possible, the coordinator's cache otherwise),
-// warm the tiles the new ring assigns to it, then commit the membership
-// change. Applies racing a Join see either ring, both of which cover
-// every tile.
-func (co *Coordinator) Join(addr string) error {
-	co.mu.RLock()
-	_, exists := co.clients[addr]
-	oldNodes := append([]string(nil), co.ring.Nodes()...)
-	keys := co.keys
-	mats := make([]matrixState, 0, len(co.matrices))
-	for _, ms := range co.matrices {
-		mats = append(mats, ms)
-	}
-	co.mu.RUnlock()
-	if exists {
-		return fmt.Errorf("cluster: node %s already in the ring", addr)
-	}
-
-	// Prefer a live node's registry over the local cache: the pull path is
-	// what a coordinator recovering from restart would rely on.
-	_, cls := co.snapshot()
-	for _, cl := range cls {
-		st, err := cl.RegistryPull()
-		if err != nil {
-			continue
-		}
-		if len(st.Keys) > 0 {
-			keys = st.Keys
-		}
-		if len(st.Matrices) > 0 {
-			payloads := make([]matrixState, 0, len(st.Matrices))
-			for _, p := range st.Matrices {
-				payloads = append(payloads, matrixState{payload: p})
-			}
-			// Keep the cached handles; the pull only refreshes payload bytes.
-			for i := range payloads {
-				for _, ms := range mats {
-					if string(ms.payload) == string(payloads[i].payload) {
-						payloads[i].handle = ms.handle
-					}
-				}
-			}
-			mats = payloads
-		}
-		break
-	}
-
-	joiner, err := co.dialNode(addr)
-	if err != nil {
-		return err
-	}
-	payloads := make([][]byte, len(mats))
-	for i, ms := range mats {
-		payloads[i] = ms.payload
-	}
-	if len(keys) > 0 || len(payloads) > 0 {
-		if _, err := joiner.RegistryPush(keys, payloads); err != nil {
-			joiner.Close()
-			return fmt.Errorf("cluster: warm-up push to %s: %w", addr, err)
-		}
-	}
-
-	newRing, err := NewRing(append(oldNodes, addr), co.cfg.VNodes)
-	if err != nil {
-		joiner.Close()
-		return err
-	}
-
-	// Warm the tiles the new ring hands to the joiner so its first real
-	// request doesn't eat the lazy-prepare cost.
-	joinerIdx := len(oldNodes)
-	for _, ms := range mats {
-		if ms.handle.Tiles == 0 {
-			continue
-		}
-		owned := newRing.Assign(ms.handle.ID, int(ms.handle.Tiles))[joinerIdx]
-		if len(owned) == 0 {
-			continue
-		}
-		if err := joiner.WarmTiles(ms.handle.ID, owned); err != nil {
-			joiner.Close()
-			return fmt.Errorf("cluster: warm tiles on %s: %w", addr, err)
-		}
-	}
-
-	co.mu.Lock()
-	co.ring = newRing
-	co.clients[addr] = joiner
-	co.mu.Unlock()
-	mJoins.Inc()
-	mNodes.Set(float64(len(newRing.Nodes())))
-	co.cfg.Log.Info("node joined", "addr", addr, "nodes", len(newRing.Nodes()))
-	return nil
 }

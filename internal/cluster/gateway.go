@@ -109,11 +109,11 @@ func (g *Gateway) handleRegisterMatrix(payload []byte) (wire.MsgType, []byte, *w
 }
 
 // handleApply is the gateway's Compute handler: one scatter/gather under
-// the request's context, answered before it returns. Tile lists and
-// warm-ups are the shards' business; the gateway serves whole applies.
+// the request's context, answered before it returns. Tile lists are the
+// shards' business; the gateway serves whole applies.
 func (g *Gateway) handleApply(ctx context.Context, _ *server.Conn, _ uint16, a wire.Apply) (wire.MsgType, []byte, *wire.Error) {
-	if a.Warm || a.Tiles != nil {
-		return 0, nil, wire.Errf(wire.CodeBadRequest, "the gateway serves whole applies: no tile list, no warm-up")
+	if a.Tiles != nil {
+		return 0, nil, wire.Errf(wire.CodeBadRequest, "the gateway serves whole applies: no tile list")
 	}
 	// The gateway is a trace edge: a request from a traced client keeps
 	// its context; an untraced request may be sampled fresh here, so a

@@ -25,8 +25,6 @@ var (
 		"Second-pass re-scatters after a tile group failed all hedged attempts.")
 	mDegraded = obs.GetCounter("cham_cluster_degraded_total",
 		"Applies that ended degraded (tiles uncovered after re-scatter).")
-	mJoins = obs.GetCounter("cham_cluster_joins_total",
-		"Nodes joined via registry warm-up transfer.")
 	mGatherSec = obs.GetHistogram("cham_cluster_gather_seconds",
 		"Scatter-to-gather wall time per apply.", obs.DefBuckets)
 )

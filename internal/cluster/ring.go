@@ -3,7 +3,7 @@
 // consistent-hash ring, scatters tile-subset jobs, gathers the packed
 // ciphertexts back into the exact single-node result, and rides out
 // stragglers and dead shards with hedged retries and a re-scatter pass
-// over the replicated registry.
+// over the fixed node set, every node of which holds every matrix.
 //
 // Row tiles are the sharding unit because they are the packing unit: one
 // packed RLWE ciphertext per tile of up to N rows, each computed
@@ -31,8 +31,8 @@ type ringPoint struct {
 	node int // index into nodes
 }
 
-// Ring is an immutable consistent-hash ring over named nodes. Extending
-// the cluster builds a new Ring (NewRing), so lookups never lock.
+// Ring is an immutable consistent-hash ring over named nodes, so lookups
+// never lock.
 type Ring struct {
 	nodes  []string
 	points []ringPoint

@@ -80,16 +80,6 @@ func (pm *PreparedMatrix) HasTile(ti int) bool {
 	return ti >= 0 && ti < len(pm.tiles) && pm.tiles[ti] != nil
 }
 
-// TileRows returns the row count of tile ti (the last tile may be short),
-// or 0 for an out-of-range index.
-func (pm *PreparedMatrix) TileRows(ti int) int {
-	if ti < 0 || ti >= len(pm.tiles) {
-		return 0
-	}
-	_, rows, _ := pm.tileBounds(ti)
-	return rows
-}
-
 // tileBounds returns tile ti's first row, row count, and padded row count.
 func (pm *PreparedMatrix) tileBounds(ti int) (base, rows, mPad int) {
 	n := pm.ev.P.R.N

@@ -272,8 +272,8 @@ func TestPrepareTilesSparse(t *testing.T) {
 	if pm.HasTile(-1) || pm.HasTile(pm.Tiles()) {
 		t.Error("HasTile accepted an out-of-range index")
 	}
-	if got := pm.TileRows(3); got != m-3*p.R.N {
-		t.Errorf("TileRows(3) = %d, want %d", got, m-3*p.R.N)
+	if _, got, _ := pm.tileBounds(3); got != m-3*p.R.N {
+		t.Errorf("tile 3 has %d rows, want %d", got, m-3*p.R.N)
 	}
 
 	newOut := func(k int) []*rlwe.Ciphertext {

@@ -87,12 +87,6 @@ func (ct *Ciphertext) AsRLWE(p bfv.Params) *rlwe.Ciphertext {
 	return out
 }
 
-// Decrypt recovers the value μ = ⌊t·(β + <α,s>)/Q⌉ mod t.
-func (ct *Ciphertext) Decrypt(p bfv.Params, sk *rlwe.SecretKey) uint64 {
-	pt := p.Decrypt(ct.AsRLWE(p), sk)
-	return pt.Coeffs[0]
-}
-
 // PackingKeys holds the automorphism switching keys PACKLWES needs:
 // Keys[k] switches φ_k(s) back to s for k = 2i+1, i = 1, 2, 4, ..., m/2.
 type PackingKeys struct {

@@ -35,7 +35,8 @@ func TestExtractDecrypt(t *testing.T) {
 		if l.Levels() != 2 {
 			t.Fatal("levels wrong")
 		}
-		if got := l.Decrypt(p, sk); got != vals[idx] {
+		// μ = ⌊t·(β + <α,s>)/Q⌉ mod t is the constant term of the embedding.
+		if got := p.Decrypt(l.AsRLWE(p), sk).Coeffs[0]; got != vals[idx] {
 			t.Fatalf("idx=%d: extracted %d, want %d", idx, got, vals[idx])
 		}
 	}

@@ -25,12 +25,11 @@ type Runtime struct {
 	// MaxReplays bounds how often a job is retried across resets/errors.
 	MaxReplays int
 
-	mu       sync.Mutex
-	free     chan int // engine pool
-	replays  int
-	resets   int
-	gen      int // recovery generation; bumped on every reset
-	statuses []HealthSample
+	mu      sync.Mutex
+	free    chan int // engine pool
+	replays int
+	resets  int
+	gen     int // recovery generation; bumped on every reset
 
 	// Heartbeat-age tracking for the health gauges.
 	lastBeat     uint64
@@ -273,7 +272,6 @@ func (rt *Runtime) HealthCheck() HealthSample {
 		Resets:   resets,
 	}
 	rt.mu.Lock()
-	rt.statuses = append(rt.statuses, s)
 	if h2 != rt.lastBeat || rt.lastBeatSeen.IsZero() {
 		rt.lastBeat = h2
 		rt.lastBeatSeen = now
@@ -290,15 +288,6 @@ func (rt *Runtime) HealthCheck() HealthSample {
 		mHeartbeatAge.Set(age)
 	}
 	return s
-}
-
-// History returns the collected health samples.
-func (rt *Runtime) History() []HealthSample {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make([]HealthSample, len(rt.statuses))
-	copy(out, rt.statuses)
-	return out
 }
 
 func (rt *Runtime) deviceStats() (int, int) {

@@ -38,13 +38,13 @@ type FrontEnd struct {
 	// Engines and MaxBatch are what HelloOK advertises.
 	Engines  func() uint32
 	MaxBatch uint32
-	// Control answers a control-plane message (keys, registration,
-	// registry sync) from its payload. A type with no entry is rejected
-	// with CodeBadRequest and the connection stays usable.
+	// Control answers a control-plane message (keys, registration) from
+	// its payload. A type with no entry is rejected with CodeBadRequest
+	// and the connection stays usable.
 	Control map[wire.MsgType]func(payload []byte) (wire.MsgType, []byte, *wire.Error)
-	// Compute serves one decoded Apply — every tile (a.Tiles == nil), a
-	// tile subset, or a warm-up — that passed the drain barrier. ctx
-	// carries the frame's trace context (trace.FromContext) and expires
+	// Compute serves one decoded Apply — every tile (a.Tiles == nil) or a
+	// tile subset — that passed the drain barrier. ctx carries the
+	// frame's trace context (trace.FromContext) and expires
 	// at min(request deadline, DefaultDeadline); it is cancelled when
 	// Compute returns. Compute either returns the reply or a typed error,
 	// which the front end sends before it retires the request, or returns
@@ -110,14 +110,6 @@ func (f *FrontEnd) Serve(ln net.Listener) error {
 		f.Conns.Add(1)
 		go f.handleConn(nc)
 	}
-}
-
-// Addr reports the bound listener address (nil before Serve).
-func (f *FrontEnd) Addr() net.Addr {
-	if p := f.ln.Load(); p != nil {
-		return (*p).Addr()
-	}
-	return nil
 }
 
 // Shutdown drains the door: stop accepting, answer new compute requests

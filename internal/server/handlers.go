@@ -1,15 +1,13 @@
 package server
 
 // The handlers chamserve installs in its front end: key install, matrix
-// registration, registry replication, and the one admission path every
-// Apply takes to the queue.
+// registration, and the one admission path every Apply takes to the
+// queue.
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"math/bits"
-	"sort"
 	"time"
 
 	"cham/internal/core"
@@ -23,72 +21,45 @@ import (
 // set is a conflict — registered matrices are prepared against the
 // installed keys and silently swapping them would corrupt results.
 func (s *Server) handleSetupKeys(payload []byte) (wire.MsgType, []byte, *wire.Error) {
-	hash, we := s.installKeys(payload)
-	if we != nil {
-		return 0, nil, we
-	}
-	return wire.MsgSetupKeysOK, wire.SetupKeysOK{KeyHash: hash}.Encode(), nil
-}
-
-// installKeys is the shared key-install path behind SetupKeys and the
-// registry push a joining node receives.
-func (s *Server) installKeys(payload []byte) ([32]byte, *wire.Error) {
-	r := s.cfg.Params.R
-	keys, err := wire.DecodeSetupKeys(r, payload)
+	keys, err := wire.DecodeSetupKeys(s.cfg.Params.R, payload)
 	if err != nil {
-		return [32]byte{}, wire.Errf(wire.CodeBadRequest, "setup keys: %v", err)
+		return 0, nil, wire.Errf(wire.CodeBadRequest, "setup keys: %v", err)
 	}
 	// Hash the canonical re-encoding, not the received payload, so the
-	// idempotency check is about key content rather than byte layout. The
-	// canonical form is kept for registry replication to joining nodes.
-	canonical := wire.EncodeSetupKeys(r, keys)
-	hash := sha256.Sum256(canonical)
+	// idempotency check is about key content rather than byte layout.
+	hash := wire.KeyHash(s.cfg.Params.R, keys)
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.haveKeys {
-		same := s.keyHash == hash
-		installed := s.keyHash
-		s.mu.Unlock()
-		if same {
-			return hash, nil
+		if s.keyHash == hash {
+			return wire.MsgSetupKeysOK, wire.SetupKeysOK{KeyHash: hash}.Encode(), nil
 		}
-		return [32]byte{}, wire.Errf(wire.CodeKeysConflict,
-			"server already holds key set %x", installed[:8])
+		return 0, nil, wire.Errf(wire.CodeKeysConflict,
+			"server already holds key set %x", s.keyHash[:8])
 	}
 	ev, err := core.NewEvaluatorFromKeys(s.cfg.Params, keys)
 	if err != nil {
-		s.mu.Unlock()
-		return [32]byte{}, wire.Errf(wire.CodeBadRequest, "setup keys: %v", err)
+		return 0, nil, wire.Errf(wire.CodeBadRequest, "setup keys: %v", err)
 	}
 	ev.Workers = s.cfg.EvalWorkers
 	s.ev = ev
 	s.keyHash = hash
-	s.keysPayload = canonical
 	s.haveKeys = true
-	s.mu.Unlock()
-	return hash, nil
+	return wire.MsgSetupKeysOK, wire.SetupKeysOK{KeyHash: hash}.Encode(), nil
 }
 
 // handleRegisterMatrix prepares a matrix once and names it by content
 // hash. Re-registering is idempotent and cheap: the hash lookup answers
-// from the registry without touching the NTT.
+// from the registry without touching the NTT. In LazyTiles mode no tile is
+// prepared yet — the cleartext is retained and tiles materialize on first
+// use.
 func (s *Server) handleRegisterMatrix(payload []byte) (wire.MsgType, []byte, *wire.Error) {
-	reg, we := s.registerPayload(payload)
-	if we != nil {
-		return 0, nil, we
-	}
-	return wire.MsgMatrixHandle, reg.handle.Encode(), nil
-}
-
-// registerPayload is the shared registration path behind RegisterMatrix
-// and the registry push. In LazyTiles mode no tile is prepared yet — the
-// cleartext is retained and tiles materialize on first use.
-func (s *Server) registerPayload(payload []byte) (*regMatrix, *wire.Error) {
 	s.mu.RLock()
 	ev := s.ev
 	s.mu.RUnlock()
 	if ev == nil {
-		return nil, wire.Errf(wire.CodeKeysRequired, "register matrix before SetupKeys")
+		return 0, nil, wire.Errf(wire.CodeKeysRequired, "register matrix before SetupKeys")
 	}
 	// The RegisterMatrix layout is canonical (rows, cols, row-major values),
 	// so the payload hash IS wire.MatrixID of the decoded matrix.
@@ -97,11 +68,11 @@ func (s *Server) registerPayload(payload []byte) (*regMatrix, *wire.Error) {
 	reg := s.matrices[id]
 	s.mu.RUnlock()
 	if reg != nil {
-		return reg, nil
+		return wire.MsgMatrixHandle, reg.handle.Encode(), nil
 	}
 	A, err := wire.DecodeRegisterMatrix(s.cfg.Params.T.Q, payload)
 	if err != nil {
-		return nil, wire.Errf(wire.CodeBadRequest, "register matrix: %v", err)
+		return 0, nil, wire.Errf(wire.CodeBadRequest, "register matrix: %v", err)
 	}
 	// Prepare outside the lock: it is the expensive half of the pipeline and
 	// must not block concurrent applies against other matrices.
@@ -112,7 +83,7 @@ func (s *Server) registerPayload(payload []byte) (*regMatrix, *wire.Error) {
 		pm, err = ev.Prepare(A)
 	}
 	if err != nil {
-		return nil, wire.Errf(wire.CodeBadRequest, "prepare: %v", err)
+		return 0, nil, wire.Errf(wire.CodeBadRequest, "prepare: %v", err)
 	}
 	reg = &regMatrix{
 		pm: pm,
@@ -131,7 +102,6 @@ func (s *Server) registerPayload(payload []byte) (*regMatrix, *wire.Error) {
 			Cols:         uint32(pm.Cols()),
 			PackRowsLog2: uint8(bits.Len(uint(min(pm.Rows(), s.cfg.Params.R.N) - 1))),
 		},
-		payload: append([]byte(nil), payload...),
 	}
 	if s.cfg.LazyTiles {
 		reg.A = A
@@ -144,15 +114,14 @@ func (s *Server) registerPayload(payload []byte) (*regMatrix, *wire.Error) {
 		mMatrices.Set(float64(len(s.matrices)))
 	}
 	s.mu.Unlock()
-	return reg, nil
+	return wire.MsgMatrixHandle, reg.handle.Encode(), nil
 }
 
 // admit is the server's Compute handler: it validates one decoded Apply
 // against the registry, prepares any tile it needs that is still missing
 // — before the queue, so batch workers never block on the preparation
 // lock — and enqueues it for the batch workers, who answer it later; a
-// full queue is the typed overload rejection. A warm request is done once
-// its tiles are prepared and is acknowledged at once.
+// full queue is the typed overload rejection.
 func (s *Server) admit(ctx context.Context, c *Conn, seq uint16, a wire.Apply) (wire.MsgType, []byte, *wire.Error) {
 	s.mu.RLock()
 	haveKeys, reg := s.haveKeys, s.matrices[a.ID]
@@ -171,10 +140,6 @@ func (s *Server) admit(ctx context.Context, c *Conn, seq uint16, a wire.Apply) (
 	}
 	if we := s.ensureTiles(reg, a.Tiles); we != nil {
 		return 0, nil, we
-	}
-	if a.Warm {
-		// Preparation was the work; acknowledge with an empty result.
-		return wire.MsgResult, wire.EncodeResult(s.cfg.Params.R, wire.Result{N: uint32(s.cfg.Params.R.N)}), nil
 	}
 	if len(a.Vector) != int(reg.handle.Chunks) {
 		return 0, nil, wire.Errf(wire.CodeBadRequest,
@@ -233,44 +198,4 @@ func (s *Server) ensureTiles(reg *regMatrix, tiles []uint32) *wire.Error {
 		mTilesPrepared.Inc()
 	}
 	return nil
-}
-
-// handleRegistrySync replicates the matrix registry. A pull answers with
-// the installed key set and every registered matrix in canonical payload
-// form (sorted by content hash, so the transfer is deterministic); a push
-// installs what it carries — idempotently, since payload hashes are the
-// identities — and acknowledges with the resulting registry header.
-func (s *Server) handleRegistrySync(payload []byte) (wire.MsgType, []byte, *wire.Error) {
-	sy, err := wire.DecodeRegistrySync(payload)
-	if err != nil {
-		return 0, nil, wire.Errf(wire.CodeBadRequest, "registry sync: %v", err)
-	}
-	if sy.Push {
-		if len(sy.Keys) > 0 {
-			if _, we := s.installKeys(sy.Keys); we != nil {
-				return 0, nil, we
-			}
-		}
-		for i, m := range sy.Matrices {
-			if _, we := s.registerPayload(m); we != nil {
-				return 0, nil, wire.Errf(we.Code, "registry push matrix %d: %s", i, we.Detail)
-			}
-		}
-	}
-	s.mu.RLock()
-	st := wire.RegistryState{KeyHash: s.keyHash}
-	if !sy.Push {
-		st.Keys = s.keysPayload
-		ids := make([][32]byte, 0, len(s.matrices))
-		for id := range s.matrices {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return bytes.Compare(ids[i][:], ids[j][:]) < 0 })
-		for _, id := range ids {
-			st.Matrices = append(st.Matrices, s.matrices[id].payload)
-		}
-	}
-	s.mu.RUnlock()
-	mRegistrySyncs.Inc()
-	return wire.MsgRegistryState, st.Encode(), nil
 }

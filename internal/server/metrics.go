@@ -34,8 +34,6 @@ var (
 		"Row tiles in the tile-subset results sent.")
 	mTilesPrepared = obs.GetCounter("cham_server_tiles_prepared_total",
 		"Row tiles prepared lazily on first use.")
-	mRegistrySyncs = obs.GetCounter("cham_server_registry_syncs_total",
-		"Registry pulls and pushes served.")
 )
 
 // mRequests counts inbound frames by message type.
@@ -53,7 +51,6 @@ func init() {
 		{wire.MsgSetupKeys, "setup_keys"},
 		{wire.MsgRegisterMatrix, "register_matrix"},
 		{wire.MsgApply, "apply"},
-		{wire.MsgRegistrySync, "registry_sync"},
 		{wire.MsgPing, "ping"},
 	} {
 		mRequests[t.t] = obs.GetCounter("cham_server_requests_total",

@@ -63,10 +63,10 @@ type Config struct {
 	Card *rt.Runtime
 	// LazyTiles is the shard mode of the cluster tier: RegisterMatrix
 	// retains the cleartext matrix and prepares no tiles upfront; each row
-	// tile is prepared on first use (an Apply whose tile list names it, a
-	// warm-up, or a full Apply, which prepares everything). A shard node that
-	// normally serves its own tile range can therefore take over any tile
-	// after a peer dies, paying the preparation cost only on failover.
+	// tile is prepared on first use (an Apply whose tile list names it, or
+	// a full Apply, which prepares everything). A shard node that normally
+	// serves its own tile range can therefore take over any tile after a
+	// peer dies, paying the preparation cost only on failover.
 	LazyTiles bool
 	// Log receives the server's structured logs (per-request records at
 	// Debug, lifecycle at Info; sampled requests carry their trace_id).
@@ -102,16 +102,13 @@ func (c Config) withDefaults() (Config, error) {
 
 // regMatrix is one registered matrix: prepared once, applied many times,
 // with a pool of result buffers so steady-state applies reuse memory.
-// desc is the card job every batch over it runs as; payload is the
-// canonical RegisterMatrix encoding (whose SHA-256 is the matrix ID) and
-// feeds registry replication; A is retained only in LazyTiles mode, where
-// prepMu serializes on-demand tile preparation.
+// desc is the card job every batch over it runs as; A is retained only in
+// LazyTiles mode, where prepMu serializes on-demand tile preparation.
 type regMatrix struct {
-	pm      *core.PreparedMatrix
-	handle  wire.MatrixHandle
-	desc    rt.HMVPDescriptor
-	payload []byte
-	pool    sync.Pool // *core.Result
+	pm     *core.PreparedMatrix
+	handle wire.MatrixHandle
+	desc   rt.HMVPDescriptor
+	pool   sync.Pool // *core.Result
 
 	prepMu sync.Mutex
 	A      [][]uint64 // nil unless lazily prepared
@@ -149,12 +146,11 @@ type Server struct {
 	FrontEnd
 	cfg Config
 
-	mu          sync.RWMutex // guards ev, keyHash, keysPayload, matrices
-	ev          *core.Evaluator
-	haveKeys    bool
-	keyHash     [32]byte
-	keysPayload []byte // canonical SetupKeys encoding, for registry export
-	matrices    map[[32]byte]*regMatrix
+	mu       sync.RWMutex // guards ev, haveKeys, keyHash, matrices
+	ev       *core.Evaluator
+	haveKeys bool
+	keyHash  [32]byte
+	matrices map[[32]byte]*regMatrix
 
 	queue   chan *request
 	batches chan []*request
@@ -203,7 +199,6 @@ func New(cfg Config) (*Server, error) {
 	s.Control = map[wire.MsgType]func([]byte) (wire.MsgType, []byte, *wire.Error){
 		wire.MsgSetupKeys:      s.handleSetupKeys,
 		wire.MsgRegisterMatrix: s.handleRegisterMatrix,
-		wire.MsgRegistrySync:   s.handleRegistrySync,
 	}
 	s.Compute = s.admit
 	s.workWG.Add(1 + executors)
@@ -226,13 +221,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = waitCtx(ctx, &s.workWG)
 	}
 	return err
-}
-
-// Matrices reports how many matrices are registered.
-func (s *Server) Matrices() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.matrices)
 }
 
 // engines reports the card's engine count (0 without a card).

@@ -133,22 +133,21 @@ func FuzzWireRoundTrip(f *testing.F) {
 }
 
 // FuzzWireClusterDecode hammers what the cluster tier sends: encode∘decode
-// identity on fuzz-shaped tile-listed and warm Applies, labelled Results
-// and registry syncs, then those decoders over mutations of the bytes —
-// truncation, bit flips, and garbage must yield errors, never panics.
+// identity on fuzz-shaped tile-listed Applies and labelled Results, then
+// those decoders over mutations of the bytes — truncation, bit flips, and
+// garbage must yield errors, never panics.
 func FuzzWireClusterDecode(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2), uint8(0), []byte{})
 	f.Add(int64(7), uint8(1), uint8(0), uint8(1), []byte{0xff, 0x00})
 	f.Add(int64(-3), uint8(9), uint8(5), uint8(200), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Fuzz(func(t *testing.T, seed int64, tileSel, matSel, mutate uint8, raw []byte) {
+	f.Fuzz(func(t *testing.T, seed int64, tileSel, _, mutate uint8, raw []byte) {
 		if err := wireFuzzSetup(); err != nil {
 			t.Fatal(err)
 		}
 		p := wireFuzz.p
 		rng := rand.New(rand.NewSource(seed))
 
-		// Round trip a well-formed tile-listed Apply (warm and
-		// vector-carrying).
+		// Round trip a well-formed tile-listed Apply.
 		nTiles := 1 + int(tileSel)%6
 		tiles := make([]uint32, nTiles)
 		next := uint32(rng.Intn(3))
@@ -168,17 +167,12 @@ func FuzzWireClusterDecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back.ID != ta.ID || back.Warm || !slices.Equal(back.Tiles, tiles) || len(back.Vector) != len(ctV) {
+		if back.ID != ta.ID || !slices.Equal(back.Tiles, tiles) || len(back.Vector) != len(ctV) {
 			t.Fatal("tile-listed apply header changed")
-		}
-		warm := Apply{ID: ta.ID, Warm: true, Tiles: tiles}
-		backWarm, err := DecodeApply(p.R, EncodeApply(p.R, warm))
-		if err != nil || !backWarm.Warm || !slices.Equal(backWarm.Tiles, tiles) || len(backWarm.Vector) != 0 {
-			t.Fatalf("warm apply round trip: %v", err)
 		}
 
 		// Round trip a labelled Result with real ciphertexts, over a matrix
-		// whose last tile is the last label, and the warm acknowledgement.
+		// whose last tile is the last label.
 		tr := Result{M: (tiles[nTiles-1] + 1) * uint32(p.R.N), N: uint32(p.R.N), Tiles: tiles}
 		for range tiles {
 			tr.Packed = append(tr.Packed, p.EncryptZeroSym(rng, wireFuzz.sk, p.NormalLevels))
@@ -196,43 +190,8 @@ func FuzzWireClusterDecode(f *testing.F) {
 				t.Fatalf("result tile %d changed", i)
 			}
 		}
-		if ack, err := DecodeResult(p.R, EncodeResult(p.R, Result{N: uint32(p.R.N)})); err != nil || ack.M != 0 || len(ack.Packed) != 0 {
-			t.Fatalf("warm acknowledgement round trip: %v", err)
-		}
-
-		// Round trip a RegistrySync/RegistryState pair.
-		nMats := int(matSel) % 4
-		var mats [][]byte
-		for i := 0; i < nMats; i++ {
-			m, err := EncodeRegisterMatrix([][]uint64{{uint64(i), 2}, {3, uint64(rng.Intn(100))}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mats = append(mats, m)
-		}
-		rs := RegistrySync{Push: seed%2 == 0, Keys: raw, Matrices: mats}
-		if len(rs.Keys) == 0 {
-			rs.Keys = nil
-		}
-		backRS, err := DecodeRegistrySync(rs.Encode())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if backRS.Push != rs.Push || len(backRS.Matrices) != nMats || !bytes.Equal(backRS.Keys, rs.Keys) {
-			t.Fatal("registry sync changed")
-		}
-		st := RegistryState{Keys: rs.Keys, Matrices: mats}
-		rng.Read(st.KeyHash[:])
-		backST, err := DecodeRegistryState(st.Encode())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if backST.KeyHash != st.KeyHash || len(backST.Matrices) != nMats {
-			t.Fatal("registry state changed")
-		}
-
 		// Every cluster decoder must be total over mutated encodings.
-		for _, data := range [][]byte{taBytes, trBytes, rs.Encode(), st.Encode(), raw} {
+		for _, data := range [][]byte{taBytes, trBytes, raw} {
 			if len(data) > 0 && mutate > 0 {
 				data = append([]byte(nil), data...)
 				for k := 0; k < int(mutate)%8+1; k++ {
@@ -244,8 +203,6 @@ func FuzzWireClusterDecode(f *testing.F) {
 			}
 			_, _ = DecodeApply(p.R, data)
 			_, _ = DecodeResult(p.R, data)
-			_, _ = DecodeRegistrySync(data)
-			_, _ = DecodeRegistryState(data)
 		}
 	})
 }
@@ -253,7 +210,7 @@ func FuzzWireClusterDecode(f *testing.F) {
 // FuzzWireTraceHeaderDecode covers the one frame reader: round-trip
 // identity of header, trace block and body, totality over arbitrary bytes
 // (what it accepts re-encodes to the bytes it read), and refusal of
-// revision-1 and revision-2 headers and of unknown trace flags.
+// headers of revisions 1 to 3 and of unknown trace flags.
 func FuzzWireTraceHeaderDecode(f *testing.F) {
 	th := TraceHeader{Flags: TraceFlagSampled}
 	for i := range th.TraceID {
@@ -292,7 +249,7 @@ func FuzzWireTraceHeaderDecode(f *testing.F) {
 		}
 
 		// An older revision, or a flag bit beyond sampled, is refused.
-		for _, v := range []byte{1, 2} {
+		for _, v := range []byte{1, 2, 3} {
 			old := append([]byte(nil), frame...)
 			old[4] = v
 			if _, _, _, _, err := ReadFrame(bytes.NewReader(old), 0); err == nil {
@@ -348,7 +305,5 @@ func FuzzWireDecode(f *testing.F) {
 		_, _ = DecodeApply(p.R, data)
 		_, _ = DecodeResult(p.R, data)
 		_, _ = DecodeError(data)
-		_, _ = DecodeRegistrySync(data)
-		_, _ = DecodeRegistryState(data)
 	})
 }

@@ -270,23 +270,25 @@ func DecodeMatrixHandle(payload []byte) (MatrixHandle, error) {
 // vector. DeadlineMicros (0 = server default) bounds queue wait + service
 // from the server's receive time. Tiles, strictly ascending, narrows the
 // job to those row tiles — the shard leg of a cluster scatter — and empty
-// means every tile. A Warm request names tiles and carries no vector: the
-// node prepares them and acknowledges, so a coordinator can pre-position
-// tiles before traffic.
+// means every tile.
+//
+// Row tiles are the sharding unit because they are the packing unit: a
+// prepared matrix yields exactly one packed ciphertext per tile of up to
+// N rows, computed independently of every other tile, so a gather that
+// places each tile's ciphertext at its index reproduces the single-node
+// result bit for bit (the gather-merge invariant DESIGN.md §13 states).
 type Apply struct {
 	ID             [32]byte
 	DeadlineMicros uint64
-	Warm           bool
 	Tiles          []uint32
 	Vector         []*rlwe.Ciphertext
 }
 
 // EncodeApply serializes the request into one buffer sized up front.
 func EncodeApply(r *ring.Ring, a Apply) []byte {
-	b := make([]byte, 0, 32+8+1+4+4*len(a.Tiles)+ciphertextsLen(r, a.Vector))
+	b := make([]byte, 0, 32+8+4+4*len(a.Tiles)+ciphertextsLen(r, a.Vector))
 	b = append(b, a.ID[:]...)
 	b = appendU64(b, a.DeadlineMicros)
-	b = appendFlag(b, a.Warm)
 	b = appendTileList(b, a.Tiles)
 	return appendCiphertexts(b, a.Vector)
 }
@@ -295,22 +297,18 @@ func EncodeApply(r *ring.Ring, a Apply) []byte {
 // chunk against the ring.
 func DecodeApply(r *ring.Ring, payload []byte) (Apply, error) {
 	d := NewReader(payload)
-	a := Apply{ID: d.Hash(), DeadlineMicros: d.U64(), Warm: d.flag("warm")}
+	a := Apply{ID: d.Hash(), DeadlineMicros: d.U64()}
 	a.Tiles = decodeTileList(d)
 	a.Vector = d.readCiphertexts(r)
 	if err := d.Done(); err != nil {
 		return Apply{}, err
-	}
-	if a.Warm && (len(a.Tiles) == 0 || len(a.Vector) != 0) {
-		return Apply{}, fmt.Errorf("wire: a warm apply names tiles and carries no vector")
 	}
 	return a, nil
 }
 
 // Result carries the packed HMVP output of an M-row matrix over ring
 // degree N: one RLWE ciphertext per row tile, every tile in order — or,
-// when Tiles is set, Packed[i] is tile Tiles[i]. A warm request is
-// acknowledged with M = 0 and nothing packed.
+// when Tiles is set, Packed[i] is tile Tiles[i].
 type Result struct {
 	M      uint32 // total result rows
 	N      uint32 // ring degree (slot stride computation)

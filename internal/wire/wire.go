@@ -20,9 +20,9 @@
 // Message bodies carry crypto objects in one encoding (crypto.go): a
 // ciphertext is a level count, a domain flag and its limbs, N being fixed
 // by the Hello handshake; a switching key is its digit pairs. There is one
-// compute request, Apply — every row tile, a listed subset, or a warm-up
-// of that subset — answered by one Result. SHA-256 over canonical
-// encodings names key sets and registered matrices.
+// compute request, Apply — every row tile or a listed subset — answered
+// by one Result. SHA-256 over canonical encodings names key sets and
+// registered matrices.
 //
 // Every decoder is strict and bounds-checked: malformed, truncated, or
 // oversized input yields an error, never a panic, and never an allocation
@@ -41,11 +41,11 @@ import (
 const FrameMagic uint32 = 0x56574843
 
 // FrameVersion is the protocol revision: frames carry a trace block, and
-// compute is one Apply answered by one Result, their ciphertexts in this
-// package's own encoding. ReadFrame refuses a frame of any other revision,
-// so a peer of another build is turned away at its first frame and its
-// connection closes.
-const FrameVersion = 3
+// compute is one Apply (every tile or a listed subset) answered by one
+// Result, their ciphertexts in this package's own encoding. ReadFrame
+// refuses a frame of any other revision, so a peer of another build is
+// turned away at its first frame and its connection closes.
+const FrameVersion = 4
 
 // framePrefixLen is magic(4)+version(1)+type(1)+seq(2)+length(4): the part
 // of the header every revision shares.
@@ -83,7 +83,7 @@ type MsgType uint8
 
 // Message types. Each request type has one success response type; any
 // request may instead be answered by MsgError. Numbers are part of the
-// wire contract — append, never renumber; 12 and 13 are retired.
+// wire contract — append, never renumber; 12–15 are retired.
 const (
 	MsgHello          MsgType = 1 // client → server: parameter handshake
 	MsgHelloOK        MsgType = 2 // server → client: parameter echo
@@ -91,13 +91,11 @@ const (
 	MsgSetupKeysOK    MsgType = 4 // server → client: installed key-set hash
 	MsgRegisterMatrix MsgType = 5 // client → server: cleartext matrix
 	MsgMatrixHandle   MsgType = 6 // server → client: content-hash handle
-	MsgApply          MsgType = 7 // client → server: HMVP job over every tile or a listed subset, or a warm-up
+	MsgApply          MsgType = 7 // client → server: HMVP job over every tile or a listed subset
 	MsgResult         MsgType = 8 // server → client: packed ciphertexts, tile-labelled for a subset
 	MsgError          MsgType = 9 // server → client: typed failure
 	MsgPing           MsgType = 10
 	MsgPong           MsgType = 11
-	MsgRegistrySync   MsgType = 14 // peer → node: pull or push of the matrix registry
-	MsgRegistryState  MsgType = 15 // node → peer: installed keys + matrix payloads
 )
 
 // String names the type for diagnostics.
@@ -125,10 +123,6 @@ func (t MsgType) String() string {
 		return "Ping"
 	case MsgPong:
 		return "Pong"
-	case MsgRegistrySync:
-		return "RegistrySync"
-	case MsgRegistryState:
-		return "RegistryState"
 	}
 	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }
@@ -291,15 +285,6 @@ func (d *Reader) Blob() []byte {
 	return d.take(int(n))
 }
 
-// flag reads a one-byte boolean, refusing any value but 0 and 1.
-func (d *Reader) flag(name string) bool {
-	v := d.U8()
-	if v > 1 {
-		d.fail("%s flag %d not 0/1", name, v)
-	}
-	return v == 1
-}
-
 // Err reports the first decoding error.
 func (d *Reader) Err() error { return d.err }
 
@@ -319,14 +304,6 @@ func (d *Reader) Done() error {
 func appendU16(dst []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(dst, v) }
 func appendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
 func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
-
-// appendFlag writes a one-byte boolean.
-func appendFlag(dst []byte, v bool) []byte {
-	if v {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
 
 // appendBlob writes a u32-length-prefixed byte string.
 func appendBlob(dst []byte, b []byte) []byte {

@@ -72,7 +72,7 @@ func TestFrameLayout(t *testing.T) {
 		th.SpanID[i] = 0xa0 + byte(i)
 	}
 	want, err := hex.DecodeString("43485756" + // magic "CHWV"
-		"03" + // version
+		"04" + // version
 		"07" + // type: Apply
 		"0201" + // seq 0x0102
 		"02000000" + // payload length
@@ -105,7 +105,7 @@ func TestFrameRejections(t *testing.T) {
 		t.Fatal("bad magic accepted")
 	}
 
-	for _, v := range []byte{1, 2, 99} {
+	for _, v := range []byte{1, 2, 3, 99} {
 		bad = append([]byte(nil), good...)
 		bad[4] = v
 		if _, _, _, _, err := ReadFrame(bytes.NewReader(bad), 0); err == nil {
@@ -339,8 +339,8 @@ func TestApplyAndResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTileListedApplyAndResult: the shard leg of a scatter and the warm-up
-// are Apply requests with a tile list, answered by a labelled Result.
+// TestTileListedApplyAndResult: the shard leg of a scatter is an Apply
+// request with a tile list, answered by a labelled Result.
 func TestTileListedApplyAndResult(t *testing.T) {
 	p := testParams(t, 64)
 	rng := testutil.NewRand(t)
@@ -353,16 +353,10 @@ func TestTileListedApplyAndResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Warm || !slices.Equal(got.Tiles, a.Tiles) || len(got.Vector) != 1 || !sameCiphertext(got.Vector[0], ctV[0]) {
+	if !slices.Equal(got.Tiles, a.Tiles) || len(got.Vector) != 1 || !sameCiphertext(got.Vector[0], ctV[0]) {
 		t.Fatalf("tile-listed apply round trip: %+v", got)
 	}
-	warm := Apply{ID: id, Warm: true, Tiles: []uint32{1}}
-	if got, err := DecodeApply(p.R, EncodeApply(p.R, warm)); err != nil || !got.Warm || !slices.Equal(got.Tiles, warm.Tiles) {
-		t.Fatalf("warm apply round trip: %+v, %v", got, err)
-	}
 	for name, bad := range map[string]Apply{
-		"warm without tiles":       {ID: id, Warm: true},
-		"warm with a vector":       {ID: id, Warm: true, Tiles: []uint32{0}, Vector: ctV},
 		"tiles not ascending":      {ID: id, Tiles: []uint32{2, 1}, Vector: ctV},
 		"tiles with a duplicate":   {ID: id, Tiles: []uint32{3, 3}, Vector: ctV},
 		"tile list over the limit": {ID: id, Tiles: make([]uint32, MaxVectorChunks+1), Vector: ctV},
@@ -370,11 +364,6 @@ func TestTileListedApplyAndResult(t *testing.T) {
 		if _, err := DecodeApply(p.R, EncodeApply(p.R, bad)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-	payload := EncodeApply(p.R, a)
-	payload[40] = 2 // the warm flag
-	if _, err := DecodeApply(p.R, payload); err == nil {
-		t.Error("warm flag 2 accepted")
 	}
 
 	// Rows 0..5N-1 are 5 tiles; a labelled result names a subset of them.
@@ -386,9 +375,6 @@ func TestTileListedApplyAndResult(t *testing.T) {
 	}
 	if back.M != res.M || !slices.Equal(back.Tiles, res.Tiles) || len(back.Packed) != 2 || !sameCiphertext(back.Packed[1], one) {
 		t.Fatalf("labelled result round trip: %+v", back)
-	}
-	if ack, err := DecodeResult(p.R, EncodeResult(p.R, Result{N: uint32(p.R.N)})); err != nil || ack.M != 0 || len(ack.Packed) != 0 {
-		t.Fatalf("warm acknowledgement round trip: %+v, %v", ack, err)
 	}
 }
 

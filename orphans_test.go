@@ -3,13 +3,15 @@ package cham
 // "Nothing beside the hot path" as a check: every function and method a
 // non-test file of the arithmetic and kernel packages, the noise
 // estimator, the card runtime or the serving half declares is used by
-// some non-test file of
-// the module, or named by the benchmark (its own module, which pins part
-// of this surface) or by another package's tests (the API those tests are
-// written against), or is listed below with the part of the paper it
-// reproduces. What only its own package's tests reach fails the check.
-// Type-checking the module from source takes a few seconds, so the test
-// is skipped under -short and run by `make orphans` (tier 2).
+// some non-test file of the module or of the benchmark (its own module,
+// which pins part of this surface), or by another package's tests (the
+// API those tests are written against), or is listed below with the part
+// of the paper it reproduces. What only its own package's tests reach
+// fails the check. A use is an identifier the type checker resolves to
+// the declaration, never a bare name: strings.Join does not reach a Join
+// method. Type-checking the module and its tests from source takes a few
+// seconds, so the test is skipped under -short and run by `make orphans`
+// (tier 2).
 
 import (
 	"go/ast"
@@ -136,61 +138,87 @@ func TestNoOrphans(t *testing.T) {
 	fset := token.NewFileSet()
 	imp := &moduleImporter{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*checkedPkg{}}
 
-	// One walk over the tree: every directory with non-test Go files is a
-	// package to type-check (the benchmark is a module of its own), and the
-	// files this test does not type-check count by the names they select —
-	// the benchmark's like production code, another package's tests only
-	// after the allowlist has had its say (so a paper artefact keeps its
-	// row however many tests run it). A package's own tests never count.
-	benchNames := map[string]bool{}
-	testNames := map[string]map[string]bool{} // directory → selector names
+	// One walk over the tree: every directory with Go files is a package.
+	// Its non-test files are type-checked through the importer (the
+	// benchmark, a module of its own, like the rest); its test files are
+	// checked on their own below, against the same importer, so what they
+	// use resolves to the declarations the importer holds.
+	type testPkg struct {
+		path          string
+		dir           string
+		inPkg, extPkg []string // in-package and external test files
+	}
+	var tests []testPkg
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		bp, err := build.ImportDir(p, 0)
 		if err != nil {
-			return err
+			return nil // no Go files here
 		}
-		dir := filepath.ToSlash(filepath.Dir(p))
-		names := benchNames
-		switch {
-		case d.IsDir():
-			if p != "." && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
+		path := strings.TrimSuffix("cham/"+filepath.ToSlash(p), "/.")
+		if len(bp.GoFiles) > 0 {
+			if _, err := imp.Import(path); err != nil {
+				return err
 			}
-			if bp, err := build.ImportDir(p, 0); p == "benchmark" || err != nil || len(bp.GoFiles) == 0 {
-				return nil
-			}
-			_, err = imp.Import(strings.TrimSuffix("cham/"+filepath.ToSlash(p), "/."))
-			return err
-		case dir == "benchmark" && strings.HasSuffix(p, ".go"):
-		case strings.HasSuffix(p, "_test.go"):
-			if testNames[dir] == nil {
-				testNames[dir] = map[string]bool{}
-			}
-			names = testNames[dir]
-		default:
-			return nil
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
+		if len(bp.TestGoFiles)+len(bp.XTestGoFiles) > 0 {
+			tests = append(tests, testPkg{path: path, dir: p, inPkg: bp.TestGoFiles, extPkg: bp.XTestGoFiles})
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if s, ok := n.(*ast.SelectorExpr); ok {
-				names[s.Sel.Name] = true
-			}
-			return true
-		})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	namedByOtherTests := func(pkgDir, name string) bool {
-		for dir, names := range testNames {
-			if dir != pkgDir && names[name] {
-				return true
+
+	// Uses from test files: a function of another package than the one
+	// under test that an identifier in a test file resolves to. An
+	// in-package test is checked with its package's non-test files, as a
+	// copy of that package, so its own declarations never resolve to the
+	// importer's.
+	usedByOtherTests := map[*types.Func]bool{}
+	for _, tp := range tests {
+		for _, group := range []struct {
+			path  string
+			names []string
+		}{
+			{tp.path, tp.inPkg},
+			{tp.path + "_test", tp.extPkg},
+		} {
+			if len(group.names) == 0 {
+				continue
+			}
+			var files, own []*ast.File
+			if c := imp.pkgs[tp.path]; c != nil && group.path == tp.path {
+				files = append(files, c.files...)
+			}
+			for _, name := range group.names {
+				f, err := parser.ParseFile(fset, filepath.Join(tp.dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files = append(files, f)
+				own = append(own, f)
+			}
+			info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+			if _, err := (&types.Config{Importer: imp}).Check(group.path, fset, files, info); err != nil {
+				t.Fatalf("type-checking the tests of %s: %v", tp.path, err)
+			}
+			for _, f := range own {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if fn, ok := info.Uses[id].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() != tp.path {
+							usedByOtherTests[fn.Origin()] = true
+						}
+					}
+					return true
+				})
 			}
 		}
-		return false
 	}
 
 	inScope := map[string]bool{}
@@ -220,12 +248,18 @@ func TestNoOrphans(t *testing.T) {
 			collectIfaces(q)
 		}
 	}
-	// error, and the Unwrap that errors.Is and errors.As call through.
+	// error, and the Unwrap and Is that errors.Is and errors.As call
+	// through.
 	errType := types.Universe.Lookup("error").Type()
+	boolType := types.Universe.Lookup("bool").Type()
 	unwrap := types.NewFunc(token.NoPos, nil, "Unwrap", types.NewSignatureType(nil, nil, nil,
 		nil, types.NewTuple(types.NewVar(token.NoPos, nil, "", errType)), false))
+	is := types.NewFunc(token.NoPos, nil, "Is", types.NewSignatureType(nil, nil, nil,
+		types.NewTuple(types.NewVar(token.NoPos, nil, "", errType)),
+		types.NewTuple(types.NewVar(token.NoPos, nil, "", boolType)), false))
 	ifaces = append(ifaces, errType.Underlying().(*types.Interface),
-		types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete())
+		types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete(),
+		types.NewInterfaceType([]*types.Func{is}, nil).Complete())
 	for _, c := range imp.pkgs {
 		collectIfaces(c.pkg)
 		for _, f := range c.files {
@@ -274,8 +308,7 @@ func TestNoOrphans(t *testing.T) {
 				}
 				fn := c.info.Defs[fd.Name].(*types.Func)
 				pos := fset.Position(fd.Pos())
-				pkgDir := filepath.ToSlash(filepath.Dir(pos.Filename))
-				if used[fn] || benchNames[fn.Name()] || implementsSome(fn) {
+				if used[fn] || implementsSome(fn) {
 					continue
 				}
 				key, file := funcKey(fn), strings.TrimPrefix(filepath.ToSlash(pos.Filename), "internal/")
@@ -286,7 +319,9 @@ func TestNoOrphans(t *testing.T) {
 					excused[key] = true
 					continue
 				}
-				if namedByOtherTests(pkgDir, fn.Name()) {
+				// Another package's tests count only after the allowlist, so a
+				// paper artefact keeps its row however many tests run it.
+				if usedByOtherTests[fn] {
 					continue
 				}
 				orphans = append(orphans, key+"  ("+pos.String()+")")
