@@ -87,10 +87,12 @@ kernels:
 	$(GO) test ./internal/vec -run '^$$' -fuzz '^FuzzVecKernels$$' -fuzztime $(FUZZTIME)
 
 # Nothing beside the hot path: every function internal/{mod,ntt,ring,rlwe,
-# bfv,lwe,core,noise,runtime} and the serving half (apps/beaver, wire,
-# server, client, cluster, obs, obs/trace) declares outside its tests has a
-# caller outside its own tests, or a row in orphans_test.go naming the part
-# of the paper it reproduces. A caller is an identifier the type checker
+# bfv,lwe,core,noise,runtime}, the serving half (apps/beaver, wire, server,
+# client, cluster, obs, obs/trace, obs/metricshttp), vec and the models and
+# applications (fpga, pipeline, dse, perfmodel, hetero, exp, security,
+# apps/heterolr, paillier, kat) declares outside its tests has a caller
+# outside its own tests, or a row in orphans_test.go naming the part of
+# the paper it reproduces. A caller is an identifier the type checker
 # resolves to the declaration, never a bare name: the module, the benchmark
 # and every package's test files are type-checked from source (a few
 # seconds; skipped under -short).

@@ -55,7 +55,7 @@ func main() {
 		addr        = flag.String("addr", ":7320", "TCP address the gateway serves the wire protocol on")
 		nodesFlag   = flag.String("nodes", "", "comma-separated chamserve shard addresses (mutually exclusive with -spawn)")
 		spawn       = flag.Int("spawn", 0, "spawn this many in-process shard nodes on loopback")
-		metricsAddr = flag.String("metrics", "", "serve /metrics, /debug/pprof, and /debug/traces on this address (enables telemetry)")
+		metricsAddr = flag.String("metrics", "", "serve /metrics, /debug/pprof, and /debug/traces on this address")
 		ringN       = flag.Int("n", 4096, "ring degree (power of two; must match clients and shards)")
 		replicas    = flag.Int("replicas", 2, "hedged attempts per tile group (owner + fallbacks)")
 		hedge       = flag.Duration("hedge", 50*time.Millisecond, "floor of the straggler hedge: no shard leg hedges sooner (the trigger adapts to observed leg latency and is budgeted)")

@@ -45,7 +45,7 @@ func parseLogLevel(s string) (*slog.Logger, error) {
 func main() {
 	var (
 		addr        = flag.String("addr", ":7316", "TCP address to serve the wire protocol on")
-		metricsAddr = flag.String("metrics", "", "serve /metrics, /debug/pprof, and /debug/traces on this address (enables telemetry)")
+		metricsAddr = flag.String("metrics", "", "serve /metrics, /debug/pprof, and /debug/traces on this address")
 		ringN       = flag.Int("n", 4096, "ring degree (power of two; must match clients)")
 		maxBatch    = flag.Int("max-batch", 16, "max coalesced requests per batch (1 disables batching)")
 		linger      = flag.Duration("linger", 2*time.Millisecond, "how long a batch waits to fill before dispatch")

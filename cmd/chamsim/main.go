@@ -13,8 +13,8 @@
 // and packing-tree merges); 0 means GOMAXPROCS. Results are bit-identical
 // for any worker count.
 //
-// With -metrics ADDR the process enables telemetry and serves Prometheus
-// text on /metrics plus the pprof handlers on /debug/pprof/; -hold keeps
+// With -metrics ADDR the process serves Prometheus text (the registry
+// always collects) on /metrics plus the pprof handlers on /debug/pprof/; -hold keeps
 // the endpoint up after the workload, -repeat N feeds the histograms
 // with N applies (watch live with chamtop).
 package main

@@ -19,7 +19,7 @@ import (
 
 var (
 	metricsAddr = flag.String("metrics", "",
-		"serve /metrics, /debug/pprof, and /debug/traces on this address (e.g. :9090); enables telemetry")
+		"serve /metrics, /debug/pprof, and /debug/traces on this address (e.g. :9090)")
 	hold = flag.Bool("hold", false,
 		"with -metrics, keep serving after the command finishes until interrupted")
 	repeat = flag.Int("repeat", 1,
@@ -28,8 +28,8 @@ var (
 		"probability [0,1] that an hmvp apply is traced (spans served at /debug/traces)")
 )
 
-// startMetrics enables telemetry and launches the HTTP endpoint when
-// -metrics is set. Returns immediately; the server runs for the life of
+// startMetrics sets the trace sample rate and launches the HTTP endpoint
+// when -metrics is set. Returns immediately; the server runs for the life of
 // the process.
 func startMetrics() error {
 	trace.SetSampleRate(*traceSample)

@@ -24,7 +24,6 @@ import (
 )
 
 func main() {
-	obs.SetEnabled(true) // telemetry on: the count gate at the end reads cham_cluster_* from the registry
 	params := cham.MustParams(256)
 
 	// --- cluster side: normally `chamcluster -addr :7320 -spawn 2`.

@@ -21,7 +21,6 @@ import (
 func main() {
 	engines := flag.Int("workers", 2, "simulated accelerator engines (parallel job lanes)")
 	flag.Parse()
-	obs.SetEnabled(true) // the RAS counters below also land in the metrics registry
 	faults := chamrt.FaultPlan{
 		CorruptWriteEvery: 9,  // every 9th register write flips a bit
 		HangAfterJobs:     6,  // the card wedges after job 6

@@ -54,9 +54,6 @@ func NewCodec(n int, f uint) (*Codec, error) {
 	return &Codec{P0: p0, P1: p1, F: f, space: space}, nil
 }
 
-// Space returns the combined plaintext modulus t0·t1.
-func (c *Codec) Space() *big.Int { return new(big.Int).Set(c.space) }
-
 // EncodeInt maps a signed integer into its two residues.
 func (c *Codec) EncodeInt(v int64) (uint64, uint64) {
 	return c.P0.T.FromCentered(v), c.P1.T.FromCentered(v)

@@ -320,56 +320,3 @@ func logisticLoss(d *Dataset, m *Model) float64 {
 	}
 	return loss / float64(d.Samples())
 }
-
-// TrainPlaintextQuantized runs the identical protocol arithmetic on clear
-// integers (same quantization, same Taylor approximation) — the exactness
-// reference for the HE path.
-func TrainPlaintextQuantized(codec *Codec, d *Dataset, epochs int, lr float64) *Model {
-	return TrainPlaintextQuantizedBatched(codec, d, epochs, lr, 0)
-}
-
-// TrainPlaintextQuantizedBatched is the mini-batch reference (batch <= 0
-// means full batch).
-func TrainPlaintextQuantizedBatched(codec *Codec, d *Dataset, epochs int, lr float64, batch int) *Model {
-	m := &Model{
-		WA: make([]float64, d.FeaturesA()),
-		WB: make([]float64, d.FeaturesB()),
-	}
-	if batch <= 0 || batch > d.Samples() {
-		batch = d.Samples()
-	}
-	const l2 = 1e-4
-	f := codec.F
-	for epoch := 0; epoch < epochs; epoch++ {
-		for base := 0; base < d.Samples(); base += batch {
-			end := base + batch
-			if end > d.Samples() {
-				end = d.Samples()
-			}
-			xa, xb, y := d.XA[base:end], d.XB[base:end], d.Y[base:end]
-			uA := matVecFloat(xa, m.WA)
-			uB := matVecFloat(xb, m.WB)
-			n := end - base
-			dInt := make([]int64, n)
-			for s := 0; s < n; s++ {
-				uq := codec.Quantize(uA[s]) + codec.Quantize(uB[s])
-				dInt[s] = (int64(1)<<(f-2))*uq +
-					int64(math.Round((0.5-y[s])*math.Pow(2, float64(2*f))))
-			}
-			grad := func(x [][]float64, w []float64) {
-				for i := range w {
-					var acc int64
-					for s := 0; s < n; s++ {
-						acc += codec.Quantize(x[s][i]) * dInt[s]
-					}
-					g := float64(acc) / math.Pow(2, float64(3*f)) / float64(n)
-					w[i] -= lr * (g + l2*w[i])
-				}
-			}
-			grad(xa, m.WA)
-			grad(xb, m.WB)
-		}
-		m.LossHistory = append(m.LossHistory, logisticLoss(d, m))
-	}
-	return m
-}

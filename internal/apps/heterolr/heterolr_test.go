@@ -2,6 +2,7 @@ package heterolr
 
 import (
 	"math"
+	"math/big"
 
 	"cham/internal/core"
 	"math/rand"
@@ -36,20 +37,11 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// Near the space boundary.
-	half := new(bigIntWrap).halfSpace(c)
+	half := new(big.Int).Rsh(c.space, 2).Int64()
 	r0, r1 := c.EncodeInt(half)
 	if c.DecodeInt(r0, r1) != half {
 		t.Error("boundary value lost")
 	}
-}
-
-// bigIntWrap avoids importing math/big in multiple spots of this test.
-type bigIntWrap struct{}
-
-func (bigIntWrap) halfSpace(c *Codec) int64 {
-	s := c.Space()
-	s.Rsh(s, 2)
-	return s.Int64()
 }
 
 func TestCheckHeadroom(t *testing.T) {
@@ -107,7 +99,7 @@ func TestTrainMatchesQuantizedReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := TrainPlaintextQuantized(codec, d, epochs, lr)
+	ref := trainPlaintextQuantized(codec, d, epochs, lr, 0)
 	for i := range he.WA {
 		if math.Abs(he.WA[i]-ref.WA[i]) > 1e-12 {
 			t.Fatalf("WA[%d]: HE %.15f vs ref %.15f", i, he.WA[i], ref.WA[i])
@@ -191,7 +183,7 @@ func TestChunkedSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := TrainPlaintextQuantized(codec, d, epochs, lr)
+	ref := trainPlaintextQuantized(codec, d, epochs, lr, 0)
 	for i := range he.WA {
 		if math.Abs(he.WA[i]-ref.WA[i]) > 1e-12 {
 			t.Fatalf("chunked WA[%d] differs", i)
@@ -218,7 +210,7 @@ func TestMiniBatchMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := TrainPlaintextQuantizedBatched(codec, d, epochs, lr, batch)
+	ref := trainPlaintextQuantized(codec, d, epochs, lr, batch)
 	for i := range he.WA {
 		if math.Abs(he.WA[i]-ref.WA[i]) > 1e-12 {
 			t.Fatalf("mini-batch WA[%d]: %v vs %v", i, he.WA[i], ref.WA[i])
@@ -230,7 +222,7 @@ func TestMiniBatchMatchesReference(t *testing.T) {
 		}
 	}
 	// Mini-batch must differ from full-batch (it is a different algorithm).
-	full := TrainPlaintextQuantized(codec, d, epochs, lr)
+	full := trainPlaintextQuantized(codec, d, epochs, lr, 0)
 	same := true
 	for i := range full.WA {
 		if math.Abs(full.WA[i]-he.WA[i]) > 1e-9 {
@@ -318,4 +310,52 @@ func TestGradientMasking(t *testing.T) {
 			t.Fatalf("row %d: arbiter sees the raw gradient", i)
 		}
 	}
+}
+
+// trainPlaintextQuantized runs the identical protocol arithmetic on clear
+// integers (same quantization, same Taylor approximation) — the exactness
+// reference for the HE path, over mini-batches of batch samples (batch <= 0
+// means full batch).
+func trainPlaintextQuantized(codec *Codec, d *Dataset, epochs int, lr float64, batch int) *Model {
+	m := &Model{
+		WA: make([]float64, d.FeaturesA()),
+		WB: make([]float64, d.FeaturesB()),
+	}
+	if batch <= 0 || batch > d.Samples() {
+		batch = d.Samples()
+	}
+	const l2 = 1e-4
+	f := codec.F
+	for epoch := 0; epoch < epochs; epoch++ {
+		for base := 0; base < d.Samples(); base += batch {
+			end := base + batch
+			if end > d.Samples() {
+				end = d.Samples()
+			}
+			xa, xb, y := d.XA[base:end], d.XB[base:end], d.Y[base:end]
+			uA := matVecFloat(xa, m.WA)
+			uB := matVecFloat(xb, m.WB)
+			n := end - base
+			dInt := make([]int64, n)
+			for s := 0; s < n; s++ {
+				uq := codec.Quantize(uA[s]) + codec.Quantize(uB[s])
+				dInt[s] = (int64(1)<<(f-2))*uq +
+					int64(math.Round((0.5-y[s])*math.Pow(2, float64(2*f))))
+			}
+			grad := func(x [][]float64, w []float64) {
+				for i := range w {
+					var acc int64
+					for s := 0; s < n; s++ {
+						acc += codec.Quantize(x[s][i]) * dInt[s]
+					}
+					g := float64(acc) / math.Pow(2, float64(3*f)) / float64(n)
+					w[i] -= lr * (g + l2*w[i])
+				}
+			}
+			grad(xa, m.WA)
+			grad(xb, m.WB)
+		}
+		m.LossHistory = append(m.LossHistory, logisticLoss(d, m))
+	}
+	return m
 }

@@ -157,12 +157,12 @@ func Vector(p bfv.Params, rng *rand.Rand, sk *rlwe.SecretKey, v []uint64) (*EncV
 // coefficient-encoded vector per row (RowMajor) or per column
 // (ColMajor). Values are reduced mod t.
 func Array(p bfv.Params, rng *rand.Rand, sk *rlwe.SecretKey, data [][]uint64, layout Layout) (*EncMatrix, error) {
-	done := startOp(opArray)
+	op := startOp(opArray)
 	m, err := array(p, rng, sk, data, layout)
 	if err != nil {
 		return nil, countNpErr(err)
 	}
-	done(m)
+	op.done(m)
 	return m, nil
 }
 
@@ -218,7 +218,7 @@ func (v *EncVector) Decrypt(sk *rlwe.SecretKey) []uint64 {
 // Decrypt reads the full matrix back as row-major cleartext, whatever
 // the layout and encoding.
 func (m *EncMatrix) Decrypt(sk *rlwe.SecretKey) [][]uint64 {
-	done := startOp(opDecrypt)
+	op := startOp(opDecrypt)
 	out := make([][]uint64, m.rows)
 	for i := range out {
 		out[i] = make([]uint64, m.cols)
@@ -233,7 +233,7 @@ func (m *EncMatrix) Decrypt(sk *rlwe.SecretKey) [][]uint64 {
 			copy(out[li], vals)
 		}
 	}
-	done(m)
+	op.done(m)
 	return out
 }
 
@@ -259,7 +259,7 @@ func (m *EncMatrix) Recrypt(rng *rand.Rand, sk *rlwe.SecretKey, f func(uint64) u
 // layer (Recrypt with squaring) — the polynomial activation of
 // CryptoNets-style private inference.
 func (m *EncMatrix) SquareRecrypt(rng *rand.Rand, sk *rlwe.SecretKey) (*EncMatrix, error) {
-	done := startOp(opSquare)
+	op := startOp(opSquare)
 	out, err := m.Recrypt(rng, sk, func(x uint64) uint64 {
 		r := m.p.T.Reduce(x)
 		return m.p.T.Mul(r, r)
@@ -267,6 +267,6 @@ func (m *EncMatrix) SquareRecrypt(rng *rand.Rand, sk *rlwe.SecretKey) (*EncMatri
 	if err != nil {
 		return nil, err
 	}
-	done(out)
+	op.done(out)
 	return out, nil
 }

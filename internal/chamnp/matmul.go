@@ -16,11 +16,9 @@ package chamnp
 
 import (
 	"fmt"
-	"time"
 
 	"cham/internal/core"
 	"cham/internal/noise"
-	"cham/internal/obs"
 	"cham/internal/rlwe"
 )
 
@@ -134,13 +132,7 @@ func NewMatMulResult(b Backend, x *EncMatrix) (*EncMatrix, error) {
 // warm call — caches built, scratch pools primed — performs zero heap
 // allocations.
 func MatMulInto(b Backend, dst, x *EncMatrix) error {
-	// Telemetry is opened inline (not via startOp's closure) to keep the
-	// warm path allocation-free even with collection enabled.
-	on := obs.On()
-	var t0 time.Time
-	if on {
-		t0 = time.Now()
-	}
+	op := startOp(opMatMul)
 	if _, _, err := matmulShape(b, x); err != nil {
 		return countNpErr(err)
 	}
@@ -162,12 +154,8 @@ func MatMulInto(b Backend, dst, x *EncMatrix) error {
 		dst.rows, dst.cols = x.rows, b.Rows()
 	}
 	dst.setNoise(outNoise)
-	if on {
-		opHists[opMatMul].Observe(time.Since(t0).Seconds())
-		opCounts[opMatMul].Inc()
-		gNoise.Set(outNoise)
-		mLanes.Add(uint64(len(x.lanes)))
-	}
+	op.done(dst)
+	mLanes.Add(uint64(len(x.lanes)))
 	return nil
 }
 
@@ -188,13 +176,13 @@ func MatMul(b Backend, x *EncMatrix) (*EncMatrix, error) {
 // MatVec applies the backend's prepared matrix to one dense encrypted
 // vector: W·v as a packed EncVector of Rows values.
 func MatVec(b Backend, v *EncVector) (*EncVector, error) {
-	done := startOp(opMatVec)
+	op := startOp(opMatVec)
 	x := &EncMatrix{p: v.p, rows: v.n, cols: 1, layout: ColMajor,
 		lanes: []*EncVector{v}, noise: v.noise}
 	out, err := MatMul(b, x)
 	if err != nil {
 		return nil, err
 	}
-	done(out)
+	op.done(out)
 	return out.lanes[0], nil
 }

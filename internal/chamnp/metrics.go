@@ -55,20 +55,21 @@ var (
 		"Analytic noise bound (bits) of the last chamnp op's output.")
 )
 
-// startOp opens one op's telemetry window; the returned func closes it,
-// publishing latency, count, and the output's noise gauge. With
-// telemetry off both halves are no-ops (one atomic load).
-func startOp(op int) func(out *EncMatrix) {
-	if !obs.On() {
-		return func(*EncMatrix) {}
-	}
-	t0 := time.Now()
-	return func(out *EncMatrix) {
-		opHists[op].Observe(time.Since(t0).Seconds())
-		opCounts[op].Inc()
-		if out != nil {
-			gNoise.Set(out.noise)
-		}
+// opTimer is one op's telemetry window, opened by startOp and closed by
+// done. It is a value, so opening and closing one never allocates.
+type opTimer struct {
+	op int
+	t0 time.Time
+}
+
+func startOp(op int) opTimer { return opTimer{op: op, t0: time.Now()} }
+
+// done publishes the op's latency, count, and the output's noise gauge.
+func (t opTimer) done(out *EncMatrix) {
+	opHists[t.op].Observe(time.Since(t.t0).Seconds())
+	opCounts[t.op].Inc()
+	if out != nil {
+		gNoise.Set(out.noise)
 	}
 }
 
@@ -90,11 +91,10 @@ var npErrClasses = []struct {
 var npErrOther = obs.GetCounter("cham_np_errors_total", npErrHelp, "class", "other")
 
 // countNpErr attributes err to its class counter and passes it through
-// unchanged; nil-safe and a no-op with telemetry disabled. Backend
-// errors (core sentinels) land in "other" here but are already counted
-// per class by cham_hmvp_errors_total.
+// unchanged; nil-safe. Backend errors (core sentinels) land in "other"
+// here but are already counted per class by cham_hmvp_errors_total.
 func countNpErr(err error) error {
-	if err == nil || !obs.On() {
+	if err == nil {
 		return err
 	}
 	for _, ec := range npErrClasses {

@@ -85,25 +85,25 @@ func combine(a, b *EncMatrix, f func(out, x, y *rlwe.Ciphertext)) *EncMatrix {
 
 // Add returns the elementwise sum a + b mod t.
 func (m *EncMatrix) Add(o *EncMatrix) (*EncMatrix, error) {
-	done := startOp(opAdd)
+	op := startOp(opAdd)
 	if err := compat(m, o); err != nil {
 		return nil, countNpErr(err)
 	}
 	out := combine(m, o, func(dst, x, y *rlwe.Ciphertext) { m.p.Add(dst, x, y) })
 	out.setNoise(logSum(m.noise, o.noise))
-	done(out)
+	op.done(out)
 	return out, nil
 }
 
 // Sub returns the elementwise difference a - b mod t.
 func (m *EncMatrix) Sub(o *EncMatrix) (*EncMatrix, error) {
-	done := startOp(opSub)
+	op := startOp(opSub)
 	if err := compat(m, o); err != nil {
 		return nil, countNpErr(err)
 	}
 	out := combine(m, o, func(dst, x, y *rlwe.Ciphertext) { m.p.Sub(dst, x, y) })
 	out.setNoise(logSum(m.noise, o.noise))
-	done(out)
+	op.done(out)
 	return out, nil
 }
 
@@ -111,7 +111,7 @@ func (m *EncMatrix) Sub(o *EncMatrix) (*EncMatrix, error) {
 // t-1 is -1, costing one bit of noise, not sixteen); noise grows by
 // log2|c| and the op refuses when that would cross the budget.
 func (m *EncMatrix) ScalarMul(c uint64) (*EncMatrix, error) {
-	done := startOp(opScalarMul)
+	op := startOp(opScalarMul)
 	cl := m.p.T.CenterLift(m.p.T.Reduce(c))
 	mag := cl
 	if mag < 0 {
@@ -138,7 +138,7 @@ func (m *EncMatrix) ScalarMul(c uint64) (*EncMatrix, error) {
 		}
 	}
 	out.setNoise(grown)
-	done(out)
+	op.done(out)
 	return out, nil
 }
 
@@ -147,7 +147,7 @@ func (m *EncMatrix) ScalarMul(c uint64) (*EncMatrix, error) {
 // under RowMajor — the bias add of a linear layer. Plaintext addition
 // is exact, so the noise bound is unchanged.
 func (m *EncMatrix) AddVector(v []uint64) (*EncMatrix, error) {
-	done := startOp(opAddVector)
+	op := startOp(opAddVector)
 	if len(v) != m.laneLen() {
 		return nil, countNpErr(fmt.Errorf("%w: vector length %d, lanes carry %d values",
 			ErrShape, len(v), m.laneLen()))
@@ -167,7 +167,7 @@ func (m *EncMatrix) AddVector(v []uint64) (*EncMatrix, error) {
 				p.AddPlain(lane.chunks[ci], pt)
 			}
 		}
-		done(out)
+		op.done(out)
 		return out, nil
 	}
 	// Packed lanes: value i of tile ti lives at slot i·stride.
@@ -187,7 +187,7 @@ func (m *EncMatrix) AddVector(v []uint64) (*EncMatrix, error) {
 			p.AddPlain(ct, pt)
 		}
 	}
-	done(out)
+	op.done(out)
 	return out, nil
 }
 
@@ -198,7 +198,7 @@ func (m *EncMatrix) AddVector(v []uint64) (*EncMatrix, error) {
 // the other layout to reach it). k lanes deep, the last lane sums k
 // terms, so the noise bound grows by log2(√k).
 func (m *EncMatrix) CumSum(axis int) (*EncMatrix, error) {
-	done := startOp(opCumSum)
+	op := startOp(opCumSum)
 	if axis != 0 && axis != 1 {
 		return nil, countNpErr(fmt.Errorf("%w: axis %d (want 0 or 1)", ErrShape, axis))
 	}
@@ -215,7 +215,7 @@ func (m *EncMatrix) CumSum(axis int) (*EncMatrix, error) {
 		}
 	}
 	out.setNoise(m.noise + 0.5*math.Log2(float64(len(out.lanes))))
-	done(out)
+	op.done(out)
 	return out, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,8 +28,6 @@ type Config struct {
 	// take over any tile after a failure as it is; only the shards
 	// chamcluster -spawn starts are lazy (server.Config.LazyTiles).
 	Nodes []string
-	// VNodes is the virtual-node count per node (default DefaultVNodes).
-	VNodes int
 	// Replicas bounds hedged attempts per tile group during the scatter
 	// pass: the owner plus Replicas-1 fallback nodes. Default 2, clamped
 	// to the cluster size. The re-scatter pass may still visit every node.
@@ -41,14 +40,12 @@ type Config struct {
 	// Default 50ms.
 	HedgeDelay time.Duration
 
-	// Per-node client knobs, passed through to client.Dial.
+	// Per-node client knobs, passed through to client.Dial. The node
+	// clients never retry — the cluster owns failover: hedging and
+	// re-scatter move work to another node faster than in-place retries
+	// against a dead one — and accept frames up to wire.DefaultMaxFrame.
 	DialTimeout    time.Duration
 	RequestTimeout time.Duration
-	// NodeRetries is each node client's internal retry budget. Default 0
-	// (disabled): the cluster owns failover — hedging and re-scatter move
-	// work to another node faster than in-place retries against a dead one.
-	NodeRetries int
-	MaxFrame    uint32
 
 	// Log receives the coordinator's structured logs (scatter records at
 	// Debug, degraded applies at Warn; sampled requests carry their
@@ -102,7 +99,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	ring, err := NewRing(cfg.Nodes, cfg.VNodes)
+	ring, err := NewRing(cfg.Nodes, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -112,18 +109,13 @@ func New(cfg Config) (*Coordinator, error) {
 		ring:     ring,
 		matrices: map[[32]byte]wire.MatrixHandle{},
 	}
-	retries := cfg.NodeRetries
-	if retries <= 0 {
-		retries = -1 // client treats negative as "retries disabled"
-	}
 	for _, addr := range ring.Nodes() {
 		cl, err := client.Dial(client.Config{
 			Addr:           addr,
 			Params:         cfg.Params,
 			DialTimeout:    cfg.DialTimeout,
 			RequestTimeout: cfg.RequestTimeout,
-			MaxRetries:     retries,
-			MaxFrame:       cfg.MaxFrame,
+			MaxRetries:     -1, // negative disables the client's retries
 		})
 		if err != nil {
 			co.Close()
@@ -323,7 +315,7 @@ func (co *Coordinator) ApplyCtx(ctx context.Context, id [32]byte, vec []*rlwe.Ci
 	gctx, gsp := trace.Start(tc, "coordinator", "gather")
 	defer gsp.End()
 	if len(missing) > 0 {
-		sortTiles(missing)
+		slices.Sort(missing) // the wire layer requires strictly ascending tile lists
 		mRescatters.Inc()
 		co.cfg.Log.Debug("re-scatter",
 			"trace_id", traceLabel(tc), "missing", len(missing))
@@ -366,14 +358,4 @@ func traceLabel(tc trace.Context) string {
 		return "-"
 	}
 	return tc.Trace.String()
-}
-
-// sortTiles orders a small tile list ascending (insertion sort — the
-// wire layer requires strictly ascending tile lists).
-func sortTiles(ts []uint32) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
 }

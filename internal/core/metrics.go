@@ -42,9 +42,9 @@ var errClasses = []struct {
 var errOther = obs.GetCounter("cham_hmvp_errors_total", errHelp, "class", "other")
 
 // countErr attributes err to its class counter and passes it through
-// unchanged; nil-safe and a no-op with telemetry disabled.
+// unchanged; nil-safe.
 func countErr(err error) error {
-	if err == nil || !obs.On() {
+	if err == nil {
 		return err
 	}
 	for _, ec := range errClasses {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -104,7 +105,7 @@ func TestPrepareStagesCoverSpan(t *testing.T) {
 	var clk obs.StageClock
 	clk.Attach(&sink)
 	t0 := time.Now()
-	clk.Start()
+	clk.Skip()
 	rs := ev.getRowScratch()
 	tile := ev.buildTile(pm, A, 0, rs, &clk)
 	ev.putRowScratch(rs)
@@ -128,9 +129,12 @@ func TestPrepareStagesCoverSpan(t *testing.T) {
 }
 
 // TestApplyStagesCoverSpan is TestPrepareStagesCoverSpan's apply-side twin:
-// a 32×4096 tile applied at N=4096 on one worker under a recording sink.
-// The stage sums are at least 90 % of the wall clock around ApplyTiles,
-// and the merge and flush stages the lwe fold times are each charged.
+// a 32×4096 and a 256×4096 (the design point) tile applied at N=4096 on
+// one worker under a recording sink. The stage sums are at least 90 % and
+// 97 % of the wall clock around ApplyTiles, the merge and flush stages
+// the lwe fold times are each charged, and every stage's
+// cham_hmvp_stage_seconds sum moved by exactly what the sink was charged:
+// the histograms and the trace are fed by the same flushes.
 func TestApplyStagesCoverSpan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("N=4096 key generation")
@@ -138,43 +142,58 @@ func TestApplyStagesCoverSpan(t *testing.T) {
 	p := testParams(t, 4096)
 	rng := testutil.NewRand(t)
 	sk := p.KeyGen(rng)
-	ev, err := NewEvaluator(p, rng, sk, 32)
-	if err != nil {
-		t.Fatal(err)
+	var hists [obs.NumStages]*obs.Histogram
+	for i, name := range obs.StageNames {
+		hists[i] = obs.GetHistogram("cham_hmvp_stage_seconds", "", nil, "stage", name)
 	}
-	ev.Workers = 1
-	pm, err := ev.Prepare(testutil.Matrix(rng, 32, 4096, p.T.Q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctV := EncryptVector(p, rng, sk, testutil.Vector(rng, 4096, p.T.Q))
-	out := pm.NewResult().Packed
-	if err := pm.ApplyTiles(out, nil, ctV, nil); err != nil { // warm the scratch pools
-		t.Fatal(err)
-	}
-	var sink stageTotals
-	t0 := time.Now()
-	if err := pm.ApplyTiles(out, nil, ctV, &sink); err != nil {
-		t.Fatal(err)
-	}
-	span := time.Since(t0)
-	var charged time.Duration
-	for _, d := range sink.d {
-		charged += d
-	}
-	for _, stage := range []int{obs.StagePack, obs.StagePackModDown, obs.StageDecompose, obs.StageKeySwitch, obs.StageINTT} {
-		if sink.d[stage] <= 0 {
-			t.Errorf("apply charged nothing to stage %s", obs.StageNames[stage])
+	for _, tc := range []struct{ m, minShare int }{{32, 90}, {256, 97}} {
+		ev, err := NewEvaluator(p, rng, sk, tc.m)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	share := 100 * float64(charged) / float64(span)
-	if charged < span*9/10 {
-		t.Errorf("stages add up to %v of a %v apply span (%.1f %%), want ≥ 90 %%", charged, span, share)
-	}
-	t.Logf("span %v, stages %v (%.1f %%)", span, charged, share)
-	for stage, d := range sink.d {
-		if d > 0 {
-			t.Logf("  %-10s %v", obs.StageNames[stage], d)
+		ev.Workers = 1
+		pm, err := ev.Prepare(testutil.Matrix(rng, tc.m, 4096, p.T.Q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctV := EncryptVector(p, rng, sk, testutil.Vector(rng, 4096, p.T.Q))
+		out := pm.NewResult().Packed
+		if err := pm.ApplyTiles(out, nil, ctV, nil); err != nil { // warm the scratch pools
+			t.Fatal(err)
+		}
+		var before [obs.NumStages]float64
+		for i, h := range hists {
+			before[i] = h.Sum()
+		}
+		var sink stageTotals
+		t0 := time.Now()
+		if err := pm.ApplyTiles(out, nil, ctV, &sink); err != nil {
+			t.Fatal(err)
+		}
+		span := time.Since(t0)
+		var charged time.Duration
+		for stage, d := range sink.d {
+			charged += d
+			if got := hists[stage].Sum() - before[stage]; math.Abs(got-d.Seconds()) > 1e-7 {
+				t.Errorf("%dx4096: stage %s histogram sum moved %.9f s, sink charged %v",
+					tc.m, obs.StageNames[stage], got, d)
+			}
+		}
+		for _, stage := range []int{obs.StagePack, obs.StagePackModDown, obs.StageDecompose, obs.StageKeySwitch, obs.StageINTT} {
+			if sink.d[stage] <= 0 {
+				t.Errorf("%dx4096: apply charged nothing to stage %s", tc.m, obs.StageNames[stage])
+			}
+		}
+		share := 100 * float64(charged) / float64(span)
+		if share < float64(tc.minShare) {
+			t.Errorf("%dx4096: stages add up to %v of a %v apply span (%.1f %%), want ≥ %d %%",
+				tc.m, charged, span, share, tc.minShare)
+		}
+		t.Logf("%dx4096: span %v, stages %v (%.1f %%)", tc.m, span, charged, share)
+		for stage, d := range sink.d {
+			if d > 0 {
+				t.Logf("  %-10s %v", obs.StageNames[stage], d)
+			}
 		}
 	}
 }

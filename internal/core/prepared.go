@@ -158,7 +158,7 @@ func (e *Evaluator) prepareTiles(A [][]uint64, want []int) (*PreparedMatrix, err
 		}
 	}
 	var clk obs.StageClock
-	clk.Start()
+	clk.Skip()
 	rs := e.getRowScratch()
 	defer e.putRowScratch(rs)
 	for _, ti := range sel {
@@ -195,7 +195,7 @@ func (pm *PreparedMatrix) PrepareTile(A [][]uint64, ti int) error {
 	}
 	sp := obs.StartSpan(mPrepareSec)
 	var clk obs.StageClock
-	clk.Start()
+	clk.Skip()
 	rs := e.getRowScratch()
 	pm.tiles[ti] = e.buildTile(pm, A, ti, rs, &clk)
 	e.putRowScratch(rs)
@@ -328,11 +328,7 @@ func (pm *PreparedMatrix) ApplyTiles(out []*rlwe.Ciphertext, tiles []int, ctV []
 // once for the whole batch, so a warm call performs zero heap allocations
 // whatever the batch size.
 func (pm *PreparedMatrix) apply(res []*Result, tiles []int, vecs [][]*rlwe.Ciphertext, sink obs.StageSink) error {
-	on := obs.On()
-	var t0 time.Time
-	if on {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	rows, err := pm.validate(res, tiles, vecs)
 	if err != nil {
 		return countErr(err)
@@ -343,6 +339,7 @@ func (pm *PreparedMatrix) apply(res []*Result, tiles []int, vecs [][]*rlwe.Ciphe
 	defer e.putApplyScratch(sc)
 	sc.sink = sink
 	sc.clk.Attach(sink)
+	defer sc.clk.Flush() // every vector's transforms: one observation per apply
 	for k, ctV := range vecs {
 		if err := e.loadVector(sc, ctV); err != nil {
 			return countErr(err)
@@ -358,11 +355,9 @@ func (pm *PreparedMatrix) apply(res []*Result, tiles []int, vecs [][]*rlwe.Ciphe
 		}
 		res[k].M, res[k].N = pm.m, e.P.R.N
 	}
-	if on {
-		mApplySec.Observe(time.Since(t0).Seconds())
-		mApplies.Add(uint64(len(vecs)))
-		mRows.Add(uint64(rows * len(vecs)))
-	}
+	mApplySec.Observe(time.Since(t0).Seconds())
+	mApplies.Add(uint64(len(vecs)))
+	mRows.Add(uint64(rows * len(vecs)))
 	return nil
 }
 
@@ -437,7 +432,6 @@ func (pm *PreparedMatrix) validate(res []*Result, tiles []int, vecs [][]*rlwe.Ci
 type rowScratch struct {
 	accB *ring.Poly     // full-basis NTT-domain b accumulator
 	pt   *bfv.Plaintext // row encoding while a tile is built
-	clk  obs.StageClock // per-stage wall-time attribution (pooled, no allocs)
 }
 
 func (e *Evaluator) getRowScratch() *rowScratch {
@@ -450,10 +444,7 @@ func (e *Evaluator) getRowScratch() *rowScratch {
 	}
 }
 
-func (e *Evaluator) putRowScratch(rs *rowScratch) {
-	rs.clk.Attach(nil) // see putApplyScratch
-	e.rowPool.Put(rs)
-}
+func (e *Evaluator) putRowScratch(rs *rowScratch) { e.rowPool.Put(rs) }
 
 // applyScratch holds the per-call buffers shared across rows: the
 // NTT-domain vector chunks, the packing tree's reduce buffer and the leaf
@@ -462,7 +453,7 @@ type applyScratch struct {
 	vNTT   []*rlwe.Ciphertext // full basis, NTT domain
 	fold   lwe.Fold           // log₂(subtree)+1 resident slots per worker
 	leaves tileLeaves
-	clk    obs.StageClock // times the shared vector transforms
+	clk    obs.StageClock // times the shared vector transforms; flushed once per apply
 	sink   obs.StageSink  // traced request's recorder; nil when unsampled
 }
 
@@ -495,9 +486,6 @@ func (e *Evaluator) putApplyScratch(sc *applyScratch) {
 	// attribute its stages to this request's trace.
 	sc.sink = nil
 	sc.clk.Attach(nil)
-	for _, rs := range sc.leaves.rs {
-		rs.clk.Attach(nil)
-	}
 	e.applyPool.Put(sc)
 }
 
@@ -534,10 +522,10 @@ func (e *Evaluator) effWorkers(items int) int {
 }
 
 // loadVector copies the vector ciphertexts into scratch and forward-
-// transforms them once — the pipeline's shared stage-1 work.
+// transforms them once — the pipeline's shared stage-1 work, charged to
+// the apply's clock.
 func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
 	r := e.P.R
-	sc.clk.Start()
 	for c, ct := range ctV {
 		if ct == nil || ct.B == nil || ct.A == nil {
 			return fmt.Errorf("%w: vector ciphertext %d is nil", ErrVectorLength, c)
@@ -556,7 +544,6 @@ func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
 		}
 		sc.clk.Mark(obs.StageNTT)
 	}
-	sc.clk.Flush()
 	return nil
 }
 
@@ -568,20 +555,20 @@ func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
 // per-row RESCALE disappear), and dst.BT holds the un-rescaled per-limb B
 // constant in every slot (the NTT image of a constant). Both divisions
 // are deferred to the tree flush. polys/shoup are the row's prepared
-// chunks and their Shoup companions.
-func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, vNTT []*rlwe.Ciphertext, polys []*ring.Poly, shoup [][][]uint64, rs *rowScratch) {
+// chunks and their Shoup companions; clk, the fold worker's running
+// clock, is charged with the row's stages.
+func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, vNTT []*rlwe.Ciphertext, polys []*ring.Poly, shoup [][][]uint64, rs *rowScratch, clk *obs.StageClock) {
 	r := e.P.R
 	full := r.Levels()
 	accB := rs.accB
 	accB.IsNTT, dst.A.IsNTT = true, true
-	rs.clk.Start()
 	for c, v := range vNTT {
 		if c == 0 {
 			r.MulCoeffShoupDual(accB, dst.A, v.B, v.A, polys[c], shoup[c])
 		} else {
 			r.MulCoeffShoupDualAdd(accB, dst.A, v.B, v.A, polys[c], shoup[c])
 		}
-		rs.clk.Mark(obs.StageRowMul)
+		clk.Mark(obs.StageRowMul)
 	}
 	// B: EXTRACT at index 0 keeps only the constant coefficient of the
 	// inverse transform, which is N^{-1}·Σ_j â_j per limb (SumRow). Its
@@ -596,8 +583,7 @@ func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, vNTT []*rlwe.Ciphertext, pol
 		}
 	}
 	dst.BT.IsNTT = true
-	rs.clk.Mark(obs.StageExtract)
-	rs.clk.Flush()
+	clk.Mark(obs.StageExtract)
 }
 
 // tileApply runs stages 1–9 for one row tile into out (normal basis): the
@@ -609,9 +595,6 @@ func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *prep
 	lv := &sc.leaves
 	for len(lv.rs) < workers {
 		lv.rs = append(lv.rs, e.getRowScratch())
-	}
-	for _, rs := range lv.rs[:workers] {
-		rs.clk.Attach(sc.sink)
 	}
 	lv.e, lv.vNTT, lv.tile = e, sc.vNTT, tile
 	root, err := sc.fold.Run(e.P, tile.mPad, lv, e.Keys, workers, sc.sink)
@@ -633,12 +616,13 @@ type tileLeaves struct {
 	tile *preparedTile
 }
 
-func (lv *tileLeaves) Leaf(w int, nd *lwe.PackNode, i int) {
+func (lv *tileLeaves) Leaf(w int, nd *lwe.PackNode, i int, clk *obs.StageClock) {
 	if i >= lv.tile.rows {
 		nd.Zero()
+		clk.Skip() // padding is no stage
 		return
 	}
-	lv.e.rowApplyInto(nd, lv.vNTT, lv.tile.rowNTT[i], lv.tile.rowShoup[i], lv.rs[w])
+	lv.e.rowApplyInto(nd, lv.vNTT, lv.tile.rowNTT[i], lv.tile.rowShoup[i], lv.rs[w], clk)
 }
 
 // log2 of a power of two.

@@ -4,19 +4,9 @@ import (
 	"errors"
 	"testing"
 
-	"cham/internal/obs"
 	"cham/internal/rlwe"
 	"cham/internal/testutil"
 )
-
-// obsEnable turns telemetry on for one test and restores the previous
-// state afterwards.
-func obsEnable(t *testing.T) {
-	t.Helper()
-	prev := obs.On()
-	obs.SetEnabled(true)
-	t.Cleanup(func() { obs.SetEnabled(prev) })
-}
 
 // wantErr asserts err wraps the expected sentinel (the typed classes the
 // metrics layer counts).
@@ -186,8 +176,8 @@ func TestPreparedMisuse(t *testing.T) {
 	wantErr(t, err, ErrEmptyMatrix, "MatVec empty matrix")
 }
 
-// TestErrorClassCounters: with telemetry enabled, each misuse increments
-// the matching cham_hmvp_errors_total class counter exactly once.
+// TestErrorClassCounters: each misuse increments the matching
+// cham_hmvp_errors_total class counter exactly once.
 func TestErrorClassCounters(t *testing.T) {
 	p := testParams(t, 16)
 	rng := testutil.NewRand(t)
@@ -198,7 +188,6 @@ func TestErrorClassCounters(t *testing.T) {
 	}
 	ctV := EncryptVector(p, rng, sk, randomVector(rng, 16, p.T.Q))
 
-	obsEnable(t)
 	classCount := func(sentinel error) uint64 {
 		for _, ec := range errClasses {
 			if errors.Is(sentinel, ec.sentinel) {

@@ -18,11 +18,11 @@ func TestResArithmetic(t *testing.T) {
 
 func TestFits(t *testing.T) {
 	small := Res{LUT: 100, DSP: 10}
-	if !small.FitsIn(VU9P) {
+	if !small.FitsWithCeiling(VU9P, 0.75) {
 		t.Error("small design should fit")
 	}
 	huge := Res{LUT: 2_000_000}
-	if huge.FitsIn(VU9P) {
+	if huge.FitsWithCeiling(VU9P, 1) {
 		t.Error("oversized design should not fit")
 	}
 	// Ceiling check: exactly 80% of LUTs fails a 75% ceiling.
@@ -112,7 +112,7 @@ func TestNTTUnitScaling(t *testing.T) {
 // TestNTTThroughputClaim checks §V-B.1: 60 NTT units at 300 MHz give the
 // throughput regime the paper reports against HEAX and the GPU.
 func TestNTTThroughputClaim(t *testing.T) {
-	cham := NTTThroughput(4096, 4, 60, 300)
+	cham := 60 * 300e6 / float64(NTTLatency(4096, 4)) // transforms per second
 	if cham <= 0 {
 		t.Fatal("throughput must be positive")
 	}

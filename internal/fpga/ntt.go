@@ -141,12 +141,6 @@ func Table3(n, nbf int) []Table3Row {
 	return rows
 }
 
-// NTTThroughput returns transforms per second for `units` NTT modules at
-// the given clock.
-func NTTThroughput(n, nbf, units int, freqMHz float64) float64 {
-	return float64(units) * freqMHz * 1e6 / float64(NTTLatency(n, nbf))
-}
-
 // CheckTable3Calibration verifies the model reproduces the published
 // numbers at the production design point; it is called from tests and
 // from `chamsim table3 -verify`.

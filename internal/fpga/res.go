@@ -31,12 +31,6 @@ func (r Res) Scale(k int) Res {
 	return Res{r.LUT * k, r.FF * k, r.BRAM * k, r.URAM * k, r.DSP * k}
 }
 
-// FitsIn reports whether r fits the device entirely.
-func (r Res) FitsIn(d Device) bool {
-	t := d.Total
-	return r.LUT <= t.LUT && r.FF <= t.FF && r.BRAM <= t.BRAM && r.URAM <= t.URAM && r.DSP <= t.DSP
-}
-
 // FitsWithCeiling reports whether every resource stays at or below the
 // given utilization fraction — the paper's 75% place-and-route ceiling.
 func (r Res) FitsWithCeiling(d Device, frac float64) bool {

@@ -125,22 +125,22 @@ func (s System) Simulate(jobs []Job, overlap bool) Timeline {
 			tr.PrepEnd = tr.PrepStart + j.PrepSec
 			threadFree[ti] = tr.PrepEnd
 
-			start := max2(tr.PrepEnd, dmaInFree)
+			start := max(tr.PrepEnd, dmaInFree)
 			tr.H2DEnd = start + h2d
 			dmaInFree = tr.H2DEnd
 
 			ei := argmin(engineFree)
 			tr.Engine = ei
-			tr.ComputeStart = max2(tr.H2DEnd, engineFree[ei])
+			tr.ComputeStart = max(tr.H2DEnd, engineFree[ei])
 			tr.ComputeEnd = tr.ComputeStart + j.ComputeSec
 			engineFree[ei] = tr.ComputeEnd
 
-			start = max2(tr.ComputeEnd, dmaOutFree)
+			start = max(tr.ComputeEnd, dmaOutFree)
 			tr.D2HEnd = start + d2h
 			dmaOutFree = tr.D2HEnd
 
 			ti = argmin(threadFree)
-			post := max2(tr.D2HEnd, threadFree[ti])
+			post := max(tr.D2HEnd, threadFree[ti])
 			tr.PostEnd = post + j.PostSec
 			threadFree[ti] = tr.PostEnd
 		}
@@ -153,18 +153,16 @@ func (s System) Simulate(jobs []Job, overlap bool) Timeline {
 		}
 		tl.Jobs = append(tl.Jobs, tr)
 	}
-	if obs.On() {
-		mode := 0
-		if overlap {
-			mode = 1
-		}
-		g := simGauges[mode]
-		g.makespan.Set(tl.Makespan)
-		g.util.Set(tl.EngineUtilization(s.Engines))
-		g.xfer.Set(tl.TransferBusy)
-		g.host.Set(tl.HostBusy)
-		simRuns.Inc()
+	mode := 0
+	if overlap {
+		mode = 1
 	}
+	g := simGauges[mode]
+	g.makespan.Set(tl.Makespan)
+	g.util.Set(tl.EngineUtilization(s.Engines))
+	g.xfer.Set(tl.TransferBusy)
+	g.host.Set(tl.HostBusy)
+	simRuns.Inc()
 	return tl
 }
 
@@ -176,13 +174,6 @@ func argmin(xs []float64) int {
 		}
 	}
 	return best
-}
-
-func max2(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // limbBits mirror the CHAM basis for payload sizing.

@@ -53,8 +53,9 @@ import (
 // hoisted digit decomposition of the automorphism key switch (decompose),
 // and the key-dependent digit·key accumulation (key_switch). FlushInto's
 // tree-exit transforms and the deferred divisions of both parts report
-// under intt and moddown. Both are timed by an obs.StageClock, the one
-// stage clock core's row apply uses too.
+// under intt and moddown. A fold times its merges on one obs.StageClock
+// per worker — the clock it hands its leaf source too, so core's rows
+// and the merges between them publish once per fold.
 var mergesCnt = obs.GetCounter("cham_hmvp_pack_merges_total",
 	"PACKTWOLWES tree merges (m-1 per packed tile).")
 
@@ -128,20 +129,18 @@ func ResidentFromRLWE(p bfv.Params, nd *PackNode, ct *rlwe.Ciphertext) {
 
 // mergeScratch is the per-worker arena of one pack-tree sweep: the hoisted
 // decomposition digits plus the difference pair and the rescaled a-part a
-// merge needs, and the clock that times the merge's stages. One scratch
-// serves every merge a fold worker runs, keeping the buffers
-// cache-resident instead of cycling the pool per merge.
+// merge needs. One scratch serves every merge a fold worker runs, keeping
+// the buffers cache-resident instead of cycling the pool per merge.
 type mergeScratch struct {
 	dec *rlwe.Decomposition
-	dBT *ring.Poly     // full basis: E.BT - X^z·O.BT
-	dA  *ring.Poly     // full basis: E.A - X^z·O.A
-	aN  *ring.Poly     // normal basis, coefficient domain: rescaled gathered a
-	clk obs.StageClock // attached to the fold's sink for one Run
+	dBT *ring.Poly // full basis: E.BT - X^z·O.BT
+	dA  *ring.Poly // full basis: E.A - X^z·O.A
+	aN  *ring.Poly // normal basis, coefficient domain: rescaled gathered a
 }
 
 // msShells recycles mergeScratch headers; the buffers they carry come from
 // the ring and decomposition pools. Shells are ring-agnostic (four
-// pointers and a detached clock), so one process-wide pool is safe.
+// pointers), so one process-wide pool is safe.
 var msShells sync.Pool
 
 // getMergeScratch borrows a merge arena from the pools.
@@ -169,8 +168,6 @@ func putMergeScratch(p bfv.Params, ms *mergeScratch) {
 	p.R.PutPoly(ms.dA)
 	p.R.PutPoly(ms.aN)
 	ms.dec, ms.dBT, ms.dA, ms.aN = nil, nil, nil, nil
-	// The next borrower must not charge its stages to this Run's trace.
-	ms.clk.Attach(nil)
 	msShells.Put(ms)
 }
 
@@ -184,11 +181,9 @@ func putMergeScratch(p bfv.Params, ms *mergeScratch) {
 // into the full-basis accumulators un-rescaled. The only rescale is of
 // the gathered difference a-part feeding the digit decomposition — the
 // one place the merge is nonlinear in a. E and O are consumed
-// (overwritten as scratch); out may alias E but not O. ms.clk times the
-// four stages.
-func packTwo(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk *rlwe.SwitchingKey, ms *mergeScratch) {
-	clk := &ms.clk
-	clk.Start()
+// (overwritten as scratch); out may alias E but not O. clk, the fold
+// worker's running clock, is charged with the four stages.
+func packTwo(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk *rlwe.SwitchingKey, ms *mergeScratch, clk *obs.StageClock) {
 	r := p.R
 	z := r.N / (2 * i)
 	k := 2*i + 1
@@ -217,10 +212,6 @@ func packTwo(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk *rlwe.Switc
 	// divisions run once per tree, at FlushInto.
 	p.KeySwitchAccumulateNTT(out.BT, out.A, ms.dec, swk)
 	clk.Mark(obs.StageKeySwitch)
-	clk.Flush()
-	if obs.On() {
-		mergesCnt.Inc()
-	}
 }
 
 // FlushInto leaves residency: out.B = ModDown(INTT(nd.BT)) and out.A =
@@ -238,7 +229,7 @@ func FlushInto(p bfv.Params, out *rlwe.Ciphertext, nd *PackNode) {
 func FlushIntoSink(p bfv.Params, out *rlwe.Ciphertext, nd *PackNode, sink obs.StageSink) {
 	var clk obs.StageClock
 	clk.Attach(sink)
-	clk.Start()
+	clk.Skip()
 	r := p.R
 	r.INTT(nd.BT)
 	r.INTT(nd.A)
@@ -277,8 +268,10 @@ type Leaves interface {
 	// Leaf writes leaf idx (natural order, 0 ≤ idx < m) into nd as a
 	// resident slot ciphertext. w names the fold worker asking
 	// (0 ≤ w < workers); workers call concurrently, each with its own w,
-	// so a source keeps its per-worker scratch by w.
-	Leaf(w int, nd *PackNode, idx int)
+	// so a source keeps its per-worker scratch by w. clk is worker w's
+	// running stage clock: the source charges its work to stages with
+	// Mark, or discards it with Skip, before it returns.
+	Leaf(w int, nd *PackNode, idx int, clk *obs.StageClock)
 }
 
 // Fold is the packing tree's reduce buffer: per worker, a stack of at
@@ -296,13 +289,16 @@ type Fold struct {
 	ws    []*foldWorker
 }
 
-// foldWorker is one worker's share of a Fold.
+// foldWorker is one worker's share of a Fold. Each is its own allocation
+// with clk more than a cache line from either end, so the clock a worker
+// writes at every row and merge shares no line with another worker's.
 type foldWorker struct {
 	f     *Fold
 	id    int
 	slots []*PackNode // reduce buffer: slots[d] holds the stack entry at depth d
 	stack []*PackNode // roots of finished subtrees, leftmost at the bottom
 	ms    *mergeScratch
+	clk   obs.StageClock // the worker's leaves and merges, published once per Run
 	// A split hands the worker group starting here the subtree (r, c) —
 	// the leaves ≡ r mod c — on nw workers; its root comes back in root.
 	r, c, nw int
@@ -324,10 +320,10 @@ func (f *Fold) Slots() int {
 // Run folds the m leaves src supplies into one resident node, returned
 // still resident in the fold's own buffer (FlushInto completes the exit;
 // the node is valid until the next Run). m must be a power of two covered
-// by keys; every key is checked before the first leaf is asked for. A
-// non-nil sink (a traced request's recorder) also receives every merge's
-// stage durations; it must be safe for concurrent StageAdd calls, since a
-// parallel fold's workers hit it simultaneously.
+// by keys; every key is checked before the first leaf is asked for. Each
+// worker's clock publishes its leaves' and merges' stages once, when the
+// fold ends. A non-nil sink (a traced request's recorder) also receives
+// them.
 func (f *Fold) Run(p bfv.Params, m int, src Leaves, keys *PackingKeys, workers int, sink obs.StageSink) (*PackNode, error) {
 	return f.run(p, m, src, nil, keys, workers, sink)
 }
@@ -343,17 +339,20 @@ func (f *Fold) run(p bfv.Params, m int, src Leaves, nodes []*PackNode, keys *Pac
 		fw.spawn = fw.foldGroup
 		f.ws = append(f.ws, fw)
 	}
-	if m > 1 {
-		for _, fw := range f.ws[:nw] {
+	for _, fw := range f.ws[:nw] {
+		if m > 1 {
 			fw.ms = getMergeScratch(p)
-			fw.ms.clk.Attach(sink)
 		}
+		fw.clk.Attach(sink)
 	}
 	root := f.fold(0, nw, 0, 1)
 	for _, fw := range f.ws[:nw] {
+		fw.clk.Flush()
+		fw.clk.Attach(nil) // the next Run must not charge this one's trace
 		putMergeScratch(p, fw.ms)
 		fw.ms, fw.root = nil, nil
 	}
+	mergesCnt.Add(uint64(m - 1))
 	f.keys, f.src, f.nodes = nil, nil, nil
 	return root, nil
 }
@@ -398,8 +397,9 @@ func (f *Fold) fold(w0, nw, r, c int) *PackNode {
 	go odd.spawn()
 	E := f.fold(w0, h, r, 2*c)
 	odd.done.Wait()
+	f.ws[w0].clk.Skip() // the wait is no stage
 	i := f.m / (2 * c)
-	packTwo(f.p, E, i, E, odd.root, f.keys.Keys[2*i+1], f.ws[w0].ms)
+	packTwo(f.p, E, i, E, odd.root, f.keys.Keys[2*i+1], f.ws[w0].ms, &f.ws[w0].clk)
 	return E
 }
 
@@ -418,11 +418,12 @@ func (fw *foldWorker) serial(r, c int) *PackNode {
 	n := f.m / c
 	shift := bits.UintSize - bits.TrailingZeros(uint(n)) // bitrev over log₂n bits (a full-width shift gives 0 when n = 1)
 	stk := fw.stack[:0]
+	fw.clk.Skip()
 	for s := 0; s < n; s++ {
 		stk = append(stk, fw.leaf(len(stk), r+c*int(bits.Reverse(uint(s))>>shift)))
 		for t, i := s, 1; t&1 == 1; t, i = t>>1, i<<1 {
 			d := len(stk)
-			packTwo(f.p, stk[d-2], i, stk[d-2], stk[d-1], f.keys.Keys[2*i+1], fw.ms)
+			packTwo(f.p, stk[d-2], i, stk[d-2], stk[d-1], f.keys.Keys[2*i+1], fw.ms, &fw.clk)
 			stk = stk[:d-1]
 		}
 	}
@@ -440,6 +441,6 @@ func (fw *foldWorker) leaf(d, idx int) *PackNode {
 	for len(fw.slots) <= d {
 		fw.slots = append(fw.slots, NewPackNode(f.p))
 	}
-	f.src.Leaf(fw.id, fw.slots[d], idx)
+	f.src.Leaf(fw.id, fw.slots[d], idx, &fw.clk)
 	return fw.slots[d]
 }

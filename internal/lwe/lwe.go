@@ -16,6 +16,7 @@ import (
 	"math/rand"
 
 	"cham/internal/bfv"
+	"cham/internal/obs"
 	"cham/internal/rlwe"
 )
 
@@ -135,8 +136,9 @@ type lweLeaves struct {
 	cts []*Ciphertext
 }
 
-func (s *lweLeaves) Leaf(_ int, nd *PackNode, idx int) {
+func (s *lweLeaves) Leaf(_ int, nd *PackNode, idx int, clk *obs.StageClock) {
 	ResidentFromRLWE(s.p, nd, s.cts[idx].AsRLWE(s.p))
+	clk.Skip() // loading a leaf is no merge stage
 }
 
 // SlotStride returns the coefficient stride between packed values: N/m.

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cham/internal/core"
-	"cham/internal/obs"
 )
 
 // TestPublishBudgetAndMeasure: the analytic stage gauges show positive
@@ -12,10 +11,6 @@ import (
 // HMVP sits below the analytic pack-stage estimate.
 func TestPublishBudgetAndMeasure(t *testing.T) {
 	p, est, rng, sk := testSetup(t, 256)
-	prev := obs.On()
-	obs.SetEnabled(true)
-	t.Cleanup(func() { obs.SetEnabled(prev) })
-
 	const m = 64
 	est.PublishBudget(m)
 	for _, g := range []struct {

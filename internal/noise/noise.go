@@ -65,7 +65,7 @@ func (e *Estimator) AfterRescale(base float64) float64 {
 	p := float64(e.P.R.Moduli[e.P.R.Levels()-1].Q)
 	carried := base - log2(p)
 	round := log2(e.Slack * math.Sqrt(e.n()) / 2)
-	return maxF(carried, round) + 0.5 // +0.5: the two terms add
+	return max(carried, round) + 0.5 // +0.5: the two terms add
 }
 
 // KeySwitchAdditive bounds the additive noise of one hybrid key switch:
@@ -158,7 +158,7 @@ func (e *Estimator) HMVPPredictor(m int) func(base float64) float64 {
 	flush := log2(e.Slack / 2)
 	lv := float64(levels)
 	return func(base float64) float64 {
-		rescaled := maxF(base+mulBits-logP, round) + 0.5
+		rescaled := max(base+mulBits-logP, round) + 0.5
 		return log2(math.Pow(2, rescaled+lv) + math.Pow(2, ksTotal) + math.Pow(2, flush))
 	}
 }
@@ -173,11 +173,4 @@ func (e *Estimator) MaxPackRows() int {
 		}
 	}
 	return best
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

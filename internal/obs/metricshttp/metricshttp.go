@@ -1,7 +1,8 @@
 // Package metricshttp serves the obs registry over HTTP. It lives apart
 // from internal/obs so the metrics library itself never links net/http
 // into the hot-path packages; only binaries that actually expose an
-// endpoint (chamsim, chamserve) pay for it.
+// endpoint (chamsim, chamserve, chamcluster) pay for it. Serving turns
+// nothing on: the registry collects whether or not anyone scrapes it.
 package metricshttp
 
 import (
@@ -72,11 +73,11 @@ func handleTraces(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Serve enables telemetry and serves the endpoint on addr for the life
-// of the process, returning the bound address (useful with ":0"). Errors
-// after the listener is up are reported through errf if non-nil.
+// Serve serves the endpoint on addr for the life of the process,
+// returning the bound address (useful with ":0"). Collection needs no
+// switch — the registry is always being fed — so serving is all it does.
+// Errors after the listener is up are reported through errf if non-nil.
 func Serve(addr string, errf func(error)) (net.Addr, error) {
-	obs.SetEnabled(true)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

@@ -4,12 +4,13 @@
 // Prometheus text (WriteTo), structured snapshots (Snapshot), or parsed
 // back from a scrape (ParseText, used by cmd/chamtop).
 //
-// Collection is off by default. Instrumentation sites guard their work
-// behind On(), a single atomic load, so the HMVP hot path stays
-// allocation-free and branch-cheap when telemetry is disabled
-// (BenchmarkNopOverhead asserts 0 allocs/op). Metric handles are
-// resolved once at package init — never in a hot loop — so an enabled
-// observation is a time.Now call plus a few atomic adds.
+// Collection is always on; there is no switch. Metric handles are
+// resolved once at package init — never in a hot loop — so an
+// observation is a time.Now call plus a few atomic adds and never
+// allocates (TestEnabledModeZeroAllocs). The kernels' stage clocks
+// publish once per Prepare, fold or tree flush, not once per row or
+// merge, which keeps the hot path's telemetry to a time.Now per stage
+// transition (DESIGN.md §9 has the measured cost).
 package obs
 
 import (
@@ -20,16 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// enabled gates every instrumentation site.
-var enabled atomic.Bool
-
-// SetEnabled switches telemetry collection on or off process-wide.
-func SetEnabled(v bool) { enabled.Store(v) }
-
-// On reports whether telemetry is being collected. Instrumentation sites
-// check it before touching the clock or the registry.
-func On() bool { return enabled.Load() }
 
 // Counter is a monotonically increasing integer metric.
 type Counter struct{ v atomic.Uint64 }
@@ -311,29 +302,18 @@ func GetHistogram(name, help string, buckets []float64, labels ...string) *Histo
 	return defaultRegistry.Histogram(name, help, buckets, labels...)
 }
 
-// Span measures one region into a histogram. The zero Span (returned
-// when collection is off) is a no-op, so call sites need no branch of
-// their own. Span is a value type: starting and ending one never
-// allocates.
+// Span measures one region into a histogram. Span is a value type:
+// starting and ending one never allocates.
 type Span struct {
 	h  *Histogram
 	t0 time.Time
 }
 
-// StartSpan begins timing into h if telemetry is enabled.
-func StartSpan(h *Histogram) Span {
-	if !On() {
-		return Span{}
-	}
-	return Span{h: h, t0: time.Now()}
-}
+// StartSpan begins timing into h.
+func StartSpan(h *Histogram) Span { return Span{h: h, t0: time.Now()} }
 
 // End records the elapsed seconds.
-func (s Span) End() {
-	if s.h != nil {
-		s.h.Observe(time.Since(s.t0).Seconds())
-	}
-}
+func (s Span) End() { s.h.Observe(time.Since(s.t0).Seconds()) }
 
 // --- float-bits atomics ---
 

@@ -46,92 +46,71 @@ var stageHists = func() [NumStages]*Histogram {
 }()
 
 // StageSink receives per-stage durations from a StageClock flush in
-// addition to (or instead of) the histograms. internal/obs/trace's
+// addition to the histograms. internal/obs/trace's
 // StageRecorder implements it to turn kernel stage timings into spans
 // of a sampled request; the interface lives here so core can thread a
 // sink through pooled scratch without obs depending on trace.
 type StageSink interface {
 	// StageAdd accumulates d into stage. Implementations must be
-	// safe for concurrent use: the parallel row loop flushes worker
-	// clocks into one sink.
+	// safe for concurrent use: one sink may be attached to clocks that
+	// flush on several goroutines.
 	StageAdd(stage int, d time.Duration)
 	// ExemplarLabel returns the exemplar label (a hex trace ID)
 	// attached to histogram observations made under this sink.
 	ExemplarLabel() string
 }
 
-// StageClock attributes wall time to pipeline stages with one time.Now
-// per transition, accumulating locally and publishing once per Flush so
-// a row touching a stage many times (once per column chunk) costs one
-// histogram observation. Embed it in pooled scratch — it is sized for
-// the stack/arena, never the heap — and drive it Start → Mark* → Flush.
-// When collection is off, Start leaves it dormant and every method is a
-// single branch; an attached StageSink (sampled request tracing) arms
-// it regardless, so traced requests get stage spans even with the
-// metrics registry disabled.
+// StageClock attributes wall time to pipeline stages with one monotonic
+// clock reading per transition, accumulating locally and publishing once
+// per Flush, so a region touching a stage many times — every row and
+// merge of a fold — costs one histogram observation per stage. Embed it in pooled scratch
+// — it is sized for the stack/arena, never the heap — and drive it
+// Skip → Mark* → Flush, re-anchoring with Skip wherever un-attributed
+// work (a wait, a copy) precedes the next stage. An attached StageSink
+// (sampled request tracing) receives the same flush.
 type StageClock struct {
-	on   bool
 	sink StageSink
-	last time.Time
+	last time.Duration // monotonic reading of the previous mark
 	acc  [NumStages]time.Duration
 }
+
+// epoch anchors StageClock readings: time.Since on it reads only the
+// monotonic clock, about half the cost of a time.Now, which also reads
+// the wall clock. A fold takes one reading per stage transition.
+var epoch = time.Now()
 
 // Attach routes subsequent flushes into sink (nil detaches). The clock
 // lives in pooled scratch: callers attach for one traced apply and must
 // detach before the scratch is pooled again.
 func (c *StageClock) Attach(sink StageSink) { c.sink = sink }
 
-// Start arms the clock for one instrumented region.
-func (c *StageClock) Start() {
-	c.on = On() || c.sink != nil
-	if !c.on {
-		return
-	}
-	for i := range c.acc {
-		c.acc[i] = 0
-	}
-	c.last = time.Now()
-}
+// Skip anchors the clock now, discarding the time since the previous
+// mark: it starts a timed region and re-anchors one past un-attributed
+// work.
+func (c *StageClock) Skip() { c.last = time.Since(epoch) }
 
 // Mark charges the time since the previous mark to stage.
 func (c *StageClock) Mark(stage int) {
-	if !c.on {
-		return
-	}
-	now := time.Now()
-	c.acc[stage] += now.Sub(c.last)
+	now := time.Since(epoch)
+	c.acc[stage] += now - c.last
 	c.last = now
 }
 
-// Skip discards the time since the previous mark (un-attributed work).
-func (c *StageClock) Skip() {
-	if !c.on {
-		return
-	}
-	c.last = time.Now()
-}
-
-// Flush publishes every stage that accumulated time and disarms the
-// clock. With a sink attached the durations also feed the sink, and
-// histogram observations carry the sink's exemplar label so a scrape
-// can link a slow bucket to a concrete sampled TraceID.
+// Flush publishes every stage that accumulated time and clears the
+// accumulators. With a sink attached the durations also feed the sink,
+// and the histogram observations carry the sink's exemplar label so a
+// scrape can link a slow bucket to a concrete sampled TraceID.
 func (c *StageClock) Flush() {
-	if !c.on {
-		return
-	}
-	hist := On()
 	for i, d := range c.acc {
 		if d <= 0 {
 			continue
 		}
+		c.acc[i] = 0
 		if c.sink != nil {
 			c.sink.StageAdd(i, d)
-			if hist {
-				stageHists[i].ObserveExemplar(d.Seconds(), c.sink.ExemplarLabel())
-			}
-		} else if hist {
+			stageHists[i].ObserveExemplar(d.Seconds(), c.sink.ExemplarLabel())
+		} else {
 			stageHists[i].Observe(d.Seconds())
 		}
 	}
-	c.on = false
 }

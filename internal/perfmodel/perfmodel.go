@@ -127,13 +127,6 @@ func (g GPU) HMVPSeconds(p Params, m, cols int) float64 {
 	return g.LaunchOverhead + 1.1*transforms/g.transformsPerSec()
 }
 
-// KeySwitchSeconds is the amortised per-op key-switch time at full
-// occupancy.
-func (g GPU) KeySwitchSeconds(p Params) float64 {
-	ops := core.KeySwitchOps(p.NormalLevels, p.FullLevels)
-	return 1.1 * float64(ops.NTT+ops.INTT) / g.transformsPerSec()
-}
-
 // EncryptVectorSeconds / DecryptVectorSeconds: transform-bound plus launch.
 func (g GPU) EncryptVectorSeconds(p Params, count int) float64 {
 	cts := (count + p.N - 1) / p.N

@@ -125,15 +125,3 @@ func TestStepModelsArePositiveAndOrdered(t *testing.T) {
 		}
 	}
 }
-
-// TestGPUKeySwitchBetween: the GPU key-switch rate should land between CPU
-// and CHAM (tens of times faster than CPU, slower than the FPGA).
-func TestGPUKeySwitchBetween(t *testing.T) {
-	p := ChamParams()
-	cpu := Xeon6130().KeySwitchSeconds(p)
-	gpu := TeslaV100().KeySwitchSeconds(p)
-	cham := 1 / pipeline.ChamConfig().KeySwitchOpsPerSec()
-	if !(cham < gpu && gpu < cpu) {
-		t.Errorf("ordering violated: cham %.2e, gpu %.2e, cpu %.2e", cham, gpu, cpu)
-	}
-}

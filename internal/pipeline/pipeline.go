@@ -65,7 +65,7 @@ func (c Config) DotRowCycles(chunks int) int {
 	inv := ceilDiv(2*c.FullLevels*c.TransformCycles(), invAlloc)
 	coeffPasses := 2*c.FullLevels*chunks + 2*c.NormalLevels + 1
 	ppu := ceilDiv(coeffPasses*c.N, c.ppuLanes())
-	return maxInt(maxInt(fwd, inv), ppu)
+	return max(max(fwd, inv), ppu)
 }
 
 // MergeCycles is the service time of one PACKTWOLWES reduction. The
@@ -83,7 +83,7 @@ func (c Config) MergeCycles() int {
 	// independent reductions; the key-switch transforms still serialize on
 	// the pack stage's NTT allocation, so NumPack only helps PPU-bound
 	// configurations.
-	return maxInt(ntt, ceilDiv(ppu, maxInt(c.Engine.NumPack, 1)))
+	return max(ntt, ceilDiv(ppu, max(c.Engine.NumPack, 1)))
 }
 
 // CycleReport describes one simulated HMVP tile or matrix.
@@ -156,10 +156,10 @@ func (c Config) SimulateTile(rows, chunks int) CycleReport {
 				held = append(held, 0)
 			}
 			if held[level] == 0 {
-				held[level] = maxI64(ready, 1)
+				held[level] = max(ready, 1)
 				break
 			}
-			start := maxI64(maxI64(held[level], ready), packFree)
+			start := max(max(held[level], ready), packFree)
 			if level == 0 {
 				l0Start = append(l0Start, start)
 			}
@@ -169,7 +169,7 @@ func (c Config) SimulateTile(rows, chunks int) CycleReport {
 			ready = packFree
 		}
 	}
-	rep.TotalCycles = maxI64(now, packFree)
+	rep.TotalCycles = max(now, packFree)
 	return rep
 }
 
@@ -177,14 +177,14 @@ func (c Config) SimulateTile(rows, chunks int) CycleReport {
 // round-robin over the engines (each tile packs independently).
 func (c Config) SimulateHMVP(m, cols int) CycleReport {
 	n := c.N
-	chunks := ceilDiv(maxInt(cols, 1), n)
+	chunks := ceilDiv(max(cols, 1), n)
 	var agg CycleReport
 	agg.Chunks = chunks
 	agg.Rows = m
-	engineLoad := make([]int64, maxInt(c.NumEngines, 1))
+	engineLoad := make([]int64, max(c.NumEngines, 1))
 	ti := 0
 	for base := 0; base < m; base += n {
-		rows := minInt(m-base, n)
+		rows := min(m-base, n)
 		rep := c.SimulateTile(rows, chunks)
 		agg.DotCycles += rep.DotCycles
 		agg.PackCycles += rep.PackCycles
@@ -231,24 +231,6 @@ func (c Config) RawTransformsPerSec() float64 {
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 func nextPow2(x int) int {
 	if x <= 1 {
 		return 1

@@ -51,7 +51,7 @@ func (d *HMVPDescriptor) Words() ([]uint64, error) {
 // RunJob runs one accelerator job that carries its host work: it takes
 // an engine slot, loads the descriptor, rings the doorbell, runs work while
 // it holds the slot, and then reads the card's status. A job the card
-// fails or hangs is reset and replayed up to MaxReplays, and a replay runs
+// fails or hangs is reset and replayed up to three times, and a replay runs
 // work again, so work must give the same result when repeated. An error
 // from work ends the job without a replay. JobTimeout times the card wait
 // alone, which starts once work has returned. work must not run jobs on

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"cham/internal/obs"
 )
 
 // ErrWaitTimeout marks a WaitJob that gave up at its deadline, as
@@ -13,21 +11,22 @@ import (
 // deadline-capped wait apart from a hung card.
 var ErrWaitTimeout = errors.New("timed out")
 
+// writeRetries bounds re-attempts on corrupted register loads.
+const writeRetries = 3
+
 // Driver is the low-level access layer: verified register loads, job
 // dispatch, and reset. It implements the first RAS feature the paper
 // lists — FPGA register loading error handling — by sealing every
 // configuration word with a parity bit and reading back after write.
 type Driver struct {
 	dev *Device
-	// WriteRetries bounds re-attempts on corrupted register loads.
-	WriteRetries int
 	// recovered counts register loads that needed a retry.
 	recovered int
 }
 
 // NewDriver attaches to a device.
 func NewDriver(dev *Device) *Driver {
-	return &Driver{dev: dev, WriteRetries: 3}
+	return &Driver{dev: dev}
 }
 
 // Alive probes the magic register.
@@ -42,7 +41,7 @@ func (dr *Driver) LoadConfig(addr uint32, v uint64) error {
 	if err != nil {
 		return err
 	}
-	for attempt := 0; attempt <= dr.WriteRetries; attempt++ {
+	for attempt := 0; attempt <= writeRetries; attempt++ {
 		dr.dev.WriteReg(addr, sealed)
 		got := dr.dev.ReadReg(addr)
 		if got == ^uint64(0) {
@@ -51,15 +50,13 @@ func (dr *Driver) LoadConfig(addr uint32, v uint64) error {
 		if payload, err := checkWord(got); err == nil && payload == v {
 			if attempt > 0 {
 				dr.recovered++
-				if obs.On() {
-					mRecovered.Inc()
-				}
+				mRecovered.Inc()
 			}
 			return nil
 		}
 	}
 	return fmt.Errorf("runtime: register 0x%04x failed verification after %d retries",
-		addr, dr.WriteRetries)
+		addr, writeRetries)
 }
 
 // RecoveredWrites reports how many register loads needed retries — the
@@ -71,7 +68,7 @@ func (dr *Driver) RecoveredWrites() int { return dr.recovered }
 // read-back discipline as LoadConfig, with the job-status register as the
 // witness). Retries a bounded number of times.
 func (dr *Driver) Submit(engine int) error {
-	for attempt := 0; attempt <= dr.WriteRetries; attempt++ {
+	for attempt := 0; attempt <= writeRetries; attempt++ {
 		dr.dev.WriteReg(RegDoorbell, uint64(engine))
 		s := dr.Status(engine)
 		if s == ^uint64(0) {
@@ -80,15 +77,13 @@ func (dr *Driver) Submit(engine int) error {
 		if s != JobIdle {
 			if attempt > 0 {
 				dr.recovered++
-				if obs.On() {
-					mRecovered.Inc()
-				}
+				mRecovered.Inc()
 			}
 			return nil
 		}
 	}
 	return fmt.Errorf("runtime: doorbell for engine %d failed after %d retries",
-		engine, dr.WriteRetries)
+		engine, writeRetries)
 }
 
 // Status reads an engine's job status.

@@ -11,6 +11,9 @@ import (
 	"cham/internal/obs/trace"
 )
 
+// maxReplays bounds how often a job is retried across resets/errors.
+const maxReplays = 3
+
 // Runtime is the application-facing layer: it owns the driver, schedules
 // jobs across engines, and implements the remaining RAS features — hang
 // detection with automatic reset and replay, and periodic health
@@ -22,8 +25,6 @@ type Runtime struct {
 	// JobTimeout bounds the card wait that follows a job's host work
 	// before the watchdog declares a hang.
 	JobTimeout time.Duration
-	// MaxReplays bounds how often a job is retried across resets/errors.
-	MaxReplays int
 
 	mu      sync.Mutex
 	free    chan int // engine pool
@@ -68,7 +69,6 @@ func New(dev *Device) (*Runtime, error) {
 		dr:         dr,
 		engines:    engines,
 		JobTimeout: 50 * time.Millisecond,
-		MaxReplays: 3,
 		free:       make(chan int, engines),
 		busy:       engineBusy(engines),
 	}
@@ -87,13 +87,10 @@ func (rt *Runtime) Driver() *Driver { return rt.dr }
 // runJob is RunJob over raw configuration words: the retry loop around
 // runOnce, with one trace span per attempt.
 func (rt *Runtime) runJob(ctx context.Context, config []uint64, work func() error) error {
-	on := obs.On()
 	tc := trace.FromContext(ctx)
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
-			if on {
-				mCtxAborts.Inc()
-			}
+			mCtxAborts.Inc()
 			return err
 		}
 		gen := rt.generation()
@@ -108,30 +105,22 @@ func (rt *Runtime) runJob(ctx context.Context, config []uint64, work func() erro
 			// The card did its part: a failure of the work is the host's,
 			// and a replay would repeat it.
 			jsp.EndErr(werr)
-			if on {
-				mJobsOK.Inc()
-			}
+			mJobsOK.Inc()
 			return werr
 		}
 		jsp.EndErr(err)
 		if ctx.Err() != nil {
 			// The caller's deadline expired mid-job: not a card fault, so it
 			// is not replayed and not counted against the RAS counters.
-			if on {
-				mCtxAborts.Inc()
-			}
+			mCtxAborts.Inc()
 			return ctx.Err()
 		}
 		rt.mu.Lock()
 		rt.replays++
 		rt.mu.Unlock()
-		if on {
-			mReplays.Inc()
-		}
-		if attempt >= rt.MaxReplays {
-			if on {
-				mJobsFailed.Inc()
-			}
+		mReplays.Inc()
+		if attempt >= maxReplays {
+			mJobsFailed.Inc()
 			return fmt.Errorf("runtime: job failed after %d replays: %w", attempt, err)
 		}
 		rt.recoverIfStale(gen)
@@ -158,12 +147,8 @@ func (rt *Runtime) runOnce(ctx context.Context, config []uint64, work func() err
 		return nil, ctx.Err() // expired while queued: no engine, no work
 	}
 	defer func() { rt.free <- engine }()
-	on := obs.On()
-	var t0 time.Time
-	if on {
-		t0 = time.Now()
-		defer func() { rt.busy[engine].Add(time.Since(t0).Seconds()) }()
-	}
+	t0 := time.Now()
+	defer func() { rt.busy[engine].Add(time.Since(t0).Seconds()) }()
 
 	base := RegScratch + uint32(0x40*engine)
 	for i, w := range config {
@@ -174,16 +159,11 @@ func (rt *Runtime) runOnce(ctx context.Context, config []uint64, work func() err
 	if err := rt.dr.Submit(engine); err != nil {
 		return nil, err
 	}
-	if on {
-		mSubmits.Inc()
-	}
+	mSubmits.Inc()
 	if work != nil {
 		werr = work()
 	}
-	var tw time.Time
-	if on {
-		tw = time.Now()
-	}
+	tw := time.Now()
 	// The watchdog times the card alone, from the moment the work is done;
 	// the wait is capped to the caller's remaining budget so an expired
 	// request releases its engine at the deadline, not at the watchdog.
@@ -196,9 +176,7 @@ func (rt *Runtime) runOnce(ctx context.Context, config []uint64, work func() err
 		}
 	}
 	status, err := rt.dr.WaitJob(engine, wait)
-	if on {
-		mWaitSec.Observe(time.Since(tw).Seconds())
-	}
+	mWaitSec.Observe(time.Since(tw).Seconds())
 	if err != nil {
 		if capped && errors.Is(err, ErrWaitTimeout) {
 			// The wait was cut short by the caller's deadline, not the
@@ -232,9 +210,7 @@ func (rt *Runtime) recoverIfStale(gen int) {
 	rt.dr.Reset()
 	rt.gen++
 	rt.resets++
-	if obs.On() {
-		mResets.Inc()
-	}
+	mResets.Inc()
 }
 
 // Replays and Resets report RAS counters.
@@ -278,15 +254,13 @@ func (rt *Runtime) HealthCheck() HealthSample {
 	}
 	age := now.Sub(rt.lastBeatSeen).Seconds()
 	rt.mu.Unlock()
-	if obs.On() {
-		mTempC.Set(temp)
-		if alive {
-			mAlive.Set(1)
-		} else {
-			mAlive.Set(0)
-		}
-		mHeartbeatAge.Set(age)
+	mTempC.Set(temp)
+	if alive {
+		mAlive.Set(1)
+	} else {
+		mAlive.Set(0)
 	}
+	mHeartbeatAge.Set(age)
 	return s
 }
 

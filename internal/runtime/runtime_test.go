@@ -112,7 +112,7 @@ func TestHangResetReplay(t *testing.T) {
 }
 
 // TestJobErrorReplay: transient engine errors are retried; persistent
-// ones surface after MaxReplays.
+// ones surface after the last replay.
 func TestJobErrorReplay(t *testing.T) {
 	dev := NewDevice(1, jobDur, FaultPlan{FailJobEvery: 4})
 	rt, _ := New(dev)

@@ -67,39 +67,6 @@ func Check(p rlwe.Params, level Level) error {
 	return nil
 }
 
-// MaxLevel returns the strongest standard level the parameters satisfy,
-// or an error if they do not even reach 128 bits.
-func MaxLevel(p rlwe.Params) (Level, error) {
-	best := Level(0)
-	for _, l := range []Level{Level128, Level192, Level256} {
-		if Check(p, l) == nil {
-			best = l
-		}
-	}
-	if best == 0 {
-		return 0, fmt.Errorf("security: parameters below 128-bit security")
-	}
-	return best, nil
-}
-
-// Headroom returns the unused modulus bits at the given level (negative
-// when over budget).
-func Headroom(p rlwe.Params, level Level) (float64, error) {
-	table, ok := maxLogQP[level]
-	if !ok {
-		return 0, fmt.Errorf("security: unknown level %d", level)
-	}
-	logN := 0
-	for v := p.R.N; v > 1; v >>= 1 {
-		logN++
-	}
-	ceiling, ok := table[logN]
-	if !ok {
-		return 0, fmt.Errorf("security: no standard entry for N=2^%d", logN)
-	}
-	return float64(ceiling) - LogQP(p), nil
-}
-
 // NominalBits returns the sum of the limb bit-LENGTHS — the counting the
 // paper's "space of 109 bit" sentence uses (35+35+39), slightly above the
 // true log2(QP).

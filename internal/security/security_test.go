@@ -28,19 +28,12 @@ func TestChamParamsMeetTheStandard(t *testing.T) {
 		t.Errorf("CHAM parameters fail the 128-bit standard: %v", err)
 	}
 	// And they deliberately use (almost) the whole budget.
-	head, err := Headroom(p.Params, Level128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if head < 0 || head > 3 {
+	if head := float64(maxLogQP[Level128][12]) - logQP; head < 0 || head > 3 {
 		t.Errorf("headroom %.2f bits; the paper's point is a nearly full budget", head)
 	}
 	// They do NOT reach 192-bit security — the budget there is 75 bits.
 	if err := Check(p.Params, Level192); err == nil {
 		t.Error("109-bit modulus at N=4096 cannot be 192-bit secure")
-	}
-	if lvl, err := MaxLevel(p.Params); err != nil || lvl != Level128 {
-		t.Errorf("MaxLevel = %v, %v", lvl, err)
 	}
 }
 
@@ -55,9 +48,6 @@ func TestSmallerRingsRejected(t *testing.T) {
 	}
 	if err := Check(p, Level128); err == nil {
 		t.Error("109-bit modulus at N=1024 accepted")
-	}
-	if _, err := MaxLevel(p); err == nil {
-		t.Error("MaxLevel should fail below 128-bit security")
 	}
 }
 
@@ -89,9 +79,6 @@ func TestCheckErrors(t *testing.T) {
 	}
 	if err := Check(p, Level(99)); err == nil {
 		t.Error("unknown level accepted")
-	}
-	if _, err := Headroom(p, Level(99)); err == nil {
-		t.Error("Headroom with unknown level accepted")
 	}
 }
 

@@ -29,10 +29,15 @@ import (
 )
 
 // orphanScope lists the packages whose declarations must all be reached:
-// the arithmetic and kernel packages, and the serving half above them.
+// the arithmetic and kernel packages, the serving half above them, and the
+// accelerator and cost models with the applications and baselines they
+// feed. chamnp stays out (DESIGN.md §8): its surface is the numpy-style
+// API itself.
 var orphanScope = []string{
 	"mod", "ntt", "ring", "rlwe", "bfv", "lwe", "core", "noise", "runtime",
 	"apps/beaver", "wire", "server", "client", "cluster", "obs", "obs/trace",
+	"fpga", "pipeline", "dse", "perfmodel", "hetero", "exp", "security",
+	"apps/heterolr", "paillier", "kat", "vec", "obs/metricshttp",
 }
 
 // orphanAllow holds what stays without such a caller, and why: a file
@@ -49,6 +54,8 @@ var orphanAllow = map[string]string{
 	"core/batch.go":                     "§II-E batch-encoded baseline (root API, BenchmarkAblationEncoding)",
 	"core/diagonal.go":                  "§II-E diagonal baseline (BenchmarkAblationDiagonal)",
 	"noise.Estimator.KeySwitchAdditive": "§II-F noise of one KEYSWITCH over the special modulus p (TestKeySwitchBound)",
+	"paillier/paillier.go":              "Fig. 7 Paillier baseline of HeteroLR (DESIGN.md §4 row 8)",
+	"security.NominalBits":              "§II-F \"space of 109 bit\" (35+35+39 limb bit-lengths)",
 }
 
 // checkedPkg is one module package type-checked from its non-test files.
