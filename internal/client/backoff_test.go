@@ -6,29 +6,21 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"cham/internal/testutil"
 )
 
 // TestBackoffEqualJitterBounds: for every attempt i the delay must lie in
-// [d/2, d) with d = min(Backoff<<i, MaxBackoff) — the equal-jitter
-// contract. Regression test for the jitter source: it used to be shared
-// and unseeded, so the schedule was neither isolated nor reproducible.
+// [d/2, d) with d = min(backoffBase<<i, backoffMax) — the equal-jitter
+// contract — under the default jitter source.
 func TestBackoffEqualJitterBounds(t *testing.T) {
-	cfg, err := Config{
-		Addr:       "127.0.0.1:1",
-		Params:     testParams(t, 32),
-		Backoff:    10 * time.Millisecond,
-		MaxBackoff: 80 * time.Millisecond,
-	}.withDefaults()
+	cfg, err := Config{Addr: "127.0.0.1:1", Params: testParams(t, 32)}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl := &Client{cfg: cfg}
 	for i := 0; i < 12; i++ {
-		d := cfg.Backoff << uint(i)
-		if d > cfg.MaxBackoff || d <= 0 {
-			d = cfg.MaxBackoff
+		d := backoffBase << uint(i)
+		if d > backoffMax || d <= 0 {
+			d = backoffMax
 		}
 		for trial := 0; trial < 64; trial++ {
 			got := cl.backoff(i)
@@ -40,42 +32,12 @@ func TestBackoffEqualJitterBounds(t *testing.T) {
 
 	// The jitter endpoints map onto the interval bounds exactly.
 	cl.cfg.Jitter = func() float64 { return 0 }
-	if got := cl.backoff(0); got != cfg.Backoff/2 {
-		t.Errorf("zero jitter: backoff %v, want %v", got, cfg.Backoff/2)
+	if got := cl.backoff(0); got != backoffBase/2 {
+		t.Errorf("zero jitter: backoff %v, want %v", got, backoffBase/2)
 	}
 	cl.cfg.Jitter = func() float64 { return 0.999999 }
-	if got := cl.backoff(3); got >= cfg.MaxBackoff {
-		t.Errorf("max jitter: backoff %v reached the open bound %v", got, cfg.MaxBackoff)
-	}
-}
-
-// TestJitterDeterministicUnderSeed: with CHAM_TEST_SEED set, every client
-// draws the identical jitter sequence, so retry schedules reproduce; and
-// distinct clients without the seed env draw distinct sequences (the old
-// bug shared one source process-wide).
-func TestJitterDeterministicUnderSeed(t *testing.T) {
-	t.Setenv(seedEnv, "12345")
-	a, b := defaultJitter(), defaultJitter()
-	for i := 0; i < 100; i++ {
-		va, vb := a(), b()
-		if va != vb {
-			t.Fatalf("draw %d: %v != %v under %s", i, va, vb, seedEnv)
-		}
-		if va < 0 || va >= 1 {
-			t.Fatalf("draw %d: %v outside [0,1)", i, va)
-		}
-	}
-
-	t.Setenv(seedEnv, "")
-	c, d := defaultJitter(), defaultJitter()
-	same := 0
-	for i := 0; i < 32; i++ {
-		if c() == d() {
-			same++
-		}
-	}
-	if same == 32 {
-		t.Error("unseeded clients drew identical jitter sequences")
+	if got := cl.backoff(11); got >= backoffMax {
+		t.Errorf("max jitter: backoff %v reached the open bound %v", got, backoffMax)
 	}
 }
 
@@ -200,32 +162,5 @@ func TestHedgedAllFail(t *testing.T) {
 	}
 	if _, _, _, err := Hedged(context.Background(), 0, 0, always, func(context.Context, int) (int, error) { return 0, nil }); !errors.Is(err, ErrNoAttempts) {
 		t.Fatalf("n=0: got %v, want ErrNoAttempts", err)
-	}
-}
-
-// TestBackoffSeedReproducesSchedule ties the pieces together: two clients
-// built under the same CHAM_TEST_SEED produce the same backoff schedule.
-func TestBackoffSeedReproducesSchedule(t *testing.T) {
-	t.Setenv(seedEnv, "987")
-	mk := func() []time.Duration {
-		cfg, err := Config{Addr: "127.0.0.1:1", Params: testParams(t, 32)}.withDefaults()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl := &Client{cfg: cfg}
-		var sched []time.Duration
-		for i := 0; i < 8; i++ {
-			sched = append(sched, cl.backoff(i))
-		}
-		return sched
-	}
-	a, b := mk(), mk()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("attempt %d: %v != %v under %s", i, a[i], b[i], seedEnv)
-		}
-	}
-	if seedEnv != testutil.SeedEnv {
-		t.Fatalf("client seedEnv %q out of sync with testutil.SeedEnv %q", seedEnv, testutil.SeedEnv)
 	}
 }

@@ -11,13 +11,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"net"
-	"os"
 	"slices"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cham/internal/bfv"
@@ -34,29 +31,34 @@ type Config struct {
 	Addr string
 	// Params must match the server's parameter set (required).
 	Params bfv.Params
-	// MaxConns bounds pooled idle connections (concurrency is unbounded —
-	// extra connections are dialed and discarded). Default 4.
-	MaxConns int
 	// DialTimeout bounds one dial+handshake. Default 5s.
 	DialTimeout time.Duration
 	// RequestTimeout bounds one request round trip and rides along as the
-	// Apply deadline hint. Default 30s.
+	// Apply deadline hint. Default DefaultRequestTimeout.
 	RequestTimeout time.Duration
 	// MaxRetries bounds extra attempts after a retryable failure. Default 3;
 	// negative disables retries.
 	MaxRetries int
-	// Backoff is the first retry delay, growing 2x per attempt with equal
-	// jitter, capped at MaxBackoff. Defaults 10ms / 1s.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// MaxFrame bounds one accepted response frame. Default wire.DefaultMaxFrame.
-	MaxFrame uint32
 
 	// Sleep and Jitter are injection points for tests; defaults are
-	// time.Sleep and a seeded math/rand source.
+	// time.Sleep and math/rand/v2's Float64.
 	Sleep  func(time.Duration)
 	Jitter func() float64 // uniform in [0,1)
 }
+
+// DefaultRequestTimeout is a request's round-trip bound when
+// Config.RequestTimeout is unset.
+const DefaultRequestTimeout = 30 * time.Second
+
+const (
+	// maxIdle bounds pooled idle connections (concurrency is unbounded —
+	// extra connections are dialed and discarded).
+	maxIdle = 4
+	// backoffBase is the first retry delay, growing 2x per attempt with
+	// equal jitter, capped at backoffMax.
+	backoffBase = 10 * time.Millisecond
+	backoffMax  = time.Second
+)
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Addr == "" {
@@ -65,14 +67,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Params.R == nil {
 		return c, fmt.Errorf("client: Config.Params is required")
 	}
-	if c.MaxConns <= 0 {
-		c.MaxConns = 4
-	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
 	}
 	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second
+		c.RequestTimeout = DefaultRequestTimeout
 	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 3
@@ -80,56 +79,13 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
 	}
-	if c.Backoff <= 0 {
-		c.Backoff = 10 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = time.Second
-	}
-	if c.MaxFrame == 0 {
-		c.MaxFrame = wire.DefaultMaxFrame
-	}
 	if c.Sleep == nil {
 		c.Sleep = time.Sleep
 	}
 	if c.Jitter == nil {
-		c.Jitter = defaultJitter()
+		c.Jitter = rand.Float64
 	}
 	return c, nil
-}
-
-// seedEnv mirrors internal/testutil.SeedEnv without importing the testing
-// package into production binaries.
-const seedEnv = "CHAM_TEST_SEED"
-
-// jitterClients distinguishes the fallback seeds of clients created in the
-// same nanosecond.
-var jitterClients atomic.Uint64
-
-// defaultJitter builds the default jitter source: a per-client seeded PRNG
-// behind a mutex (rand.Rand is not concurrency-safe and do() may run from
-// many goroutines). Under CHAM_TEST_SEED every client draws the identical
-// sequence, so retry schedules in tests are reproducible; otherwise each
-// client gets its own stream rather than a process-shared source, keeping
-// concurrent clients' backoff decorrelated.
-func defaultJitter() func() float64 {
-	var seed int64
-	seeded := false
-	if v := os.Getenv(seedEnv); v != "" {
-		if s, err := strconv.ParseInt(v, 10, 64); err == nil {
-			seed, seeded = s, true
-		}
-	}
-	if !seeded {
-		seed = time.Now().UnixNano() ^ int64(jitterClients.Add(1)<<32)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var mu sync.Mutex
-	return func() float64 {
-		mu.Lock()
-		defer mu.Unlock()
-		return rng.Float64()
-	}
 }
 
 // poolConn is one handshaken connection; at most one request in flight.
@@ -208,7 +164,7 @@ func (cl *Client) get() (*poolConn, error) {
 // put parks a healthy connection for reuse.
 func (cl *Client) put(pc *poolConn) {
 	cl.mu.Lock()
-	if !cl.closed && len(cl.idle) < cl.cfg.MaxConns {
+	if !cl.closed && len(cl.idle) < maxIdle {
 		cl.idle = append(cl.idle, pc)
 		cl.mu.Unlock()
 		return
@@ -226,7 +182,7 @@ func (cl *Client) dial() (*poolConn, error) {
 	}
 	pc := &poolConn{c: nc, br: bufio.NewReaderSize(nc, 64<<10)}
 	nc.SetDeadline(time.Now().Add(cl.cfg.DialTimeout))
-	payload, err := pc.roundTrip(cl.cfg.MaxFrame, wire.MsgHello, wire.MsgHelloOK,
+	payload, err := pc.roundTrip(wire.MsgHello, wire.MsgHelloOK,
 		trace.Context{}, wire.HelloFor(cl.cfg.Params).Encode())
 	if err != nil {
 		nc.Close()
@@ -246,13 +202,13 @@ func (cl *Client) dial() (*poolConn, error) {
 // can hang its spans under the caller's, and reads the matching response.
 // A sequence or type mismatch means the stream is desynced and the
 // connection is unusable (the caller must close it).
-func (pc *poolConn) roundTrip(maxFrame uint32, t, want wire.MsgType, tc trace.Context, payload []byte) ([]byte, error) {
+func (pc *poolConn) roundTrip(t, want wire.MsgType, tc trace.Context, payload []byte) ([]byte, error) {
 	pc.seq++
 	th := wire.TraceHeader{TraceID: tc.Trace, SpanID: tc.Span, Flags: tc.Flags}
 	if err := wire.WriteFrame(pc.c, t, pc.seq, th, payload); err != nil {
 		return nil, &errTransport{err}
 	}
-	rt, rseq, _, rp, err := wire.ReadFrame(pc.br, maxFrame)
+	rt, rseq, _, rp, err := wire.ReadFrame(pc.br)
 	if err != nil {
 		return nil, &errTransport{err}
 	}
@@ -326,7 +282,7 @@ func (cl *Client) do(ctx context.Context, t, want wire.MsgType, payload []byte) 
 				stop = context.AfterFunc(ctx, func() { pc.c.SetDeadline(time.Now()) })
 			}
 			var resp []byte
-			resp, err = pc.roundTrip(cl.cfg.MaxFrame, t, want, sctx, payload)
+			resp, err = pc.roundTrip(t, want, sctx, payload)
 			if !stop() {
 				// Cancelled mid-flight: the deadline hook owns the connection
 				// now (it may still be running), so it can never be pooled.
@@ -370,9 +326,9 @@ func (cl *Client) deadlineMicros(ctx context.Context) uint64 {
 // backoff computes the delay before retry attempt i (0-based) with equal
 // jitter: half deterministic growth, half uniform random.
 func (cl *Client) backoff(i int) time.Duration {
-	d := cl.cfg.Backoff << uint(i)
-	if d > cl.cfg.MaxBackoff || d <= 0 {
-		d = cl.cfg.MaxBackoff
+	d := backoffBase << uint(i)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	half := d / 2
 	return half + time.Duration(cl.cfg.Jitter()*float64(half))

@@ -95,8 +95,6 @@ func TestRetryThroughFlakyListener(t *testing.T) {
 		Addr:       addr,
 		Params:     p,
 		MaxRetries: 5,
-		Backoff:    8 * time.Millisecond,
-		MaxBackoff: 64 * time.Millisecond,
 		Sleep:      func(d time.Duration) { slept = append(slept, d) },
 		Jitter:     func() float64 { return 0.5 },
 	})
@@ -122,7 +120,7 @@ func TestRetryThroughFlakyListener(t *testing.T) {
 	// Equal jitter with Jitter()=0.5: base*2^i/2 + base*2^i/4 = 3/4 of the
 	// deterministic delay, doubling per attempt.
 	for i, d := range slept {
-		want := time.Duration(3) * (8 * time.Millisecond << uint(i)) / 4
+		want := time.Duration(3) * (backoffBase << uint(i)) / 4
 		if d != want {
 			t.Errorf("sleep %d = %v, want %v", i, d, want)
 		}

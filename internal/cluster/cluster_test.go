@@ -79,13 +79,7 @@ func newCluster(tb testing.TB, p bfv.Params, n int, mut func(*server.Config), cm
 		nodes[i] = startNode(tb, p, mut)
 		addrs[i] = nodes[i].addr
 	}
-	cfg := Config{
-		Params:         p,
-		Nodes:          addrs,
-		HedgeDelay:     20 * time.Millisecond,
-		DialTimeout:    2 * time.Second,
-		RequestTimeout: 30 * time.Second,
-	}
+	cfg := Config{Params: p, Nodes: addrs, HedgeDelay: 20 * time.Millisecond}
 	if cmut != nil {
 		cmut(&cfg)
 	}
@@ -355,10 +349,7 @@ func TestClusterFaultInjection(t *testing.T) {
 	})
 
 	t.Run("quorum loss is a typed degraded error", func(t *testing.T) {
-		co, nodes := newCluster(t, p, 2, nil, func(c *Config) {
-			c.HedgeDelay = 2 * time.Millisecond
-			c.DialTimeout = 200 * time.Millisecond
-		})
+		co, nodes := newCluster(t, p, 2, nil, func(c *Config) { c.HedgeDelay = 2 * time.Millisecond })
 		if _, err := co.SetupKeys(keys); err != nil {
 			t.Fatal(err)
 		}

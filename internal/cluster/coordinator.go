@@ -40,13 +40,6 @@ type Config struct {
 	// Default 50ms.
 	HedgeDelay time.Duration
 
-	// Per-node client knobs, passed through to client.Dial. The node
-	// clients never retry — the cluster owns failover: hedging and
-	// re-scatter move work to another node faster than in-place retries
-	// against a dead one — and accept frames up to wire.DefaultMaxFrame.
-	DialTimeout    time.Duration
-	RequestTimeout time.Duration
-
 	// Log receives the coordinator's structured logs (scatter records at
 	// Debug, degraded applies at Warn; sampled requests carry their
 	// trace_id).
@@ -66,9 +59,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.HedgeDelay <= 0 {
 		c.HedgeDelay = 50 * time.Millisecond
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second // the node clients' default, made visible to the gateway
 	}
 	if c.Log == nil {
 		c.Log = slog.New(slog.DiscardHandler)
@@ -109,13 +99,14 @@ func New(cfg Config) (*Coordinator, error) {
 		ring:     ring,
 		matrices: map[[32]byte]wire.MatrixHandle{},
 	}
+	// The node clients take the client defaults but never retry — the
+	// cluster owns failover: hedging and re-scatter move work to another
+	// node faster than in-place retries against a dead one.
 	for _, addr := range ring.Nodes() {
 		cl, err := client.Dial(client.Config{
-			Addr:           addr,
-			Params:         cfg.Params,
-			DialTimeout:    cfg.DialTimeout,
-			RequestTimeout: cfg.RequestTimeout,
-			MaxRetries:     -1, // negative disables the client's retries
+			Addr:       addr,
+			Params:     cfg.Params,
+			MaxRetries: -1, // negative disables the client's retries
 		})
 		if err != nil {
 			co.Close()

@@ -48,11 +48,9 @@ type door struct {
 	// its drain barrier: requests picked up by a server's workers, scatters
 	// begun by a gateway.
 	started func() uint64
-}
-
-type doorOpts struct {
-	jobDur   time.Duration // latency of every card job behind the door (0 = no card)
-	maxFrame uint32
+	// legs is how many server requests one Apply puts behind the door: 1
+	// at a server, one per shard with tiles at a gateway.
+	legs int
 }
 
 func slowCard(t *testing.T, d time.Duration) *rt.Runtime {
@@ -96,11 +94,13 @@ func (fx *doorFixture) dial(t *testing.T, d *door) *client.Client {
 	return cl
 }
 
-func (fx *doorFixture) serverDoor(t *testing.T, o doorOpts) *door {
+// serverDoor and gatewayDoor open a door whose every card job takes
+// jobDur (0 = no card).
+func (fx *doorFixture) serverDoor(t *testing.T, jobDur time.Duration) *door {
 	t.Helper()
-	cfg := server.Config{Params: fx.p, Linger: time.Millisecond, MaxFrame: o.maxFrame}
-	if o.jobDur > 0 {
-		cfg.Card = slowCard(t, o.jobDur)
+	cfg := server.Config{Params: fx.p, Linger: time.Millisecond}
+	if jobDur > 0 {
+		cfg.Card = slowCard(t, jobDur)
 	}
 	s, err := server.New(cfg)
 	if err != nil {
@@ -110,21 +110,28 @@ func (fx *doorFixture) serverDoor(t *testing.T, o doorOpts) *door {
 	return fx.open(t, &door{
 		shutdown: s.Shutdown,
 		started:  func() uint64 { return uint64(picked.Sum()) },
+		legs:     1,
 	}, &s.FrontEnd)
 }
 
-func (fx *doorFixture) gatewayDoor(t *testing.T, o doorOpts) *door {
+func (fx *doorFixture) gatewayDoor(t *testing.T, jobDur time.Duration) *door {
 	t.Helper()
 	co, _ := newCluster(t, fx.p, 2, func(c *server.Config) {
-		if o.jobDur > 0 {
-			c.Card = slowCard(t, o.jobDur)
+		if jobDur > 0 {
+			c.Card = slowCard(t, jobDur)
 		}
 	}, func(c *Config) { c.HedgeDelay = 10 * time.Second }) // a hedge would start a second card job
-	gw, err := NewGateway(GatewayConfig{Coordinator: co, MaxFrame: o.maxFrame})
+	gw, err := NewGateway(GatewayConfig{Coordinator: co})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fx.open(t, &door{shutdown: gw.Shutdown, started: mScatters.Value}, &gw.FrontEnd)
+	d := fx.open(t, &door{shutdown: gw.Shutdown, started: mScatters.Value}, &gw.FrontEnd)
+	for _, tiles := range co.ring.Assign(d.handle.ID, int(d.handle.Tiles)) {
+		if len(tiles) > 0 {
+			d.legs++
+		}
+	}
+	return d
 }
 
 // close drains a door that a row left running.
@@ -142,8 +149,9 @@ func (d *door) close(t *testing.T) {
 
 // rawConn is a client that speaks frames by hand, for what the client
 // library cannot send: requests before the handshake, unknown message
-// types, oversized frames, chosen deadlines and trace blocks. It counts
-// the bytes its frames put on and take off the connection.
+// types, oversized frames, chosen deadlines, trace blocks and pipelined
+// requests. It counts the bytes its frames put on and take off the
+// connection.
 type rawConn struct {
 	t      *testing.T
 	c      net.Conn
@@ -190,7 +198,7 @@ func (rc *rawConn) sendTraced(mt wire.MsgType, th wire.TraceHeader, payload []by
 // recv reads the reply to the last request sent.
 func (rc *rawConn) recv() (wire.MsgType, []byte) {
 	rc.t.Helper()
-	mt, seq, _, payload, err := wire.ReadFrame(rc, 0)
+	mt, seq, _, payload, err := wire.ReadFrame(rc)
 	if err != nil {
 		rc.t.Fatalf("reading the reply to request %d: %v", rc.seq, err)
 	}
@@ -317,15 +325,14 @@ func TestDoorConformance(t *testing.T) {
 
 	for _, kind := range []struct {
 		name string
-		mk   func(*testing.T, doorOpts) *door
+		mk   func(*testing.T, time.Duration) *door
 	}{
 		{"server", fx.serverDoor},
 		{"gateway", fx.gatewayDoor},
 	} {
 		mk := kind.mk
 		t.Run(kind.name, func(t *testing.T) {
-			const maxFrame = 1 << 20
-			d := mk(t, doorOpts{maxFrame: maxFrame})
+			d := mk(t, 0)
 			defer d.close(t)
 
 			t.Run("request before Hello", func(t *testing.T) {
@@ -462,7 +469,7 @@ func TestDoorConformance(t *testing.T) {
 				rc := dialRaw(t, d.addr)
 				rc.hello(p)
 				frame := wire.AppendFrame(nil, wire.MsgApply, 9, wire.TraceHeader{}, nil)
-				binary.LittleEndian.PutUint32(frame[8:], maxFrame+1)
+				binary.LittleEndian.PutUint32(frame[8:], wire.DefaultMaxFrame+1)
 				if _, err := rc.c.Write(frame); err != nil {
 					t.Fatal(err)
 				}
@@ -474,9 +481,9 @@ func TestDoorConformance(t *testing.T) {
 				rc := dialRaw(t, d.addr)
 				rc.hello(p)
 				// The most the door accepts is claimed, 10 bytes follow, and
-				// the sending side closes.
+				// the sending side closes; the door allocates 1 MiB for it.
 				frame := wire.AppendFrame(nil, wire.MsgApply, 9, wire.TraceHeader{}, make([]byte, 10))
-				binary.LittleEndian.PutUint32(frame[8:], maxFrame)
+				binary.LittleEndian.PutUint32(frame[8:], wire.DefaultMaxFrame)
 				if _, err := rc.c.Write(frame); err != nil {
 					t.Fatal(err)
 				}
@@ -487,8 +494,77 @@ func TestDoorConformance(t *testing.T) {
 				dialRaw(t, d.addr).call(wire.MsgPing, wire.MsgPong, nil)
 			})
 
+			t.Run("pipelined apply", func(t *testing.T) {
+				// One connection carries one compute request at a time: a
+				// second Apply while the first is unanswered is refused, and
+				// the first is still answered.
+				d := mk(t, 300*time.Millisecond)
+				defer d.close(t)
+				rc := dialRaw(t, d.addr)
+				rc.hello(p)
+				rc.send(wire.MsgApply, fx.applyPayload(d, 10*time.Second))
+				first := rc.seq
+				rc.send(wire.MsgApply, fx.applyPayload(d, 10*time.Second))
+				replies := map[uint16]wire.MsgType{}
+				for range 2 {
+					mt, seq, _, payload, err := wire.ReadFrame(rc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					replies[seq] = mt
+					switch seq {
+					case first:
+						if mt != wire.MsgResult {
+							t.Fatalf("the first apply answered with %v", mt)
+						}
+						fx.checkResult(t, payload)
+					case rc.seq:
+						if mt != wire.MsgError {
+							t.Fatalf("the pipelined apply answered with %v, want a typed overloaded", mt)
+						}
+						if we, err := wire.DecodeError(payload); err != nil || we.Code != wire.CodeOverloaded {
+							t.Fatalf("the pipelined apply got %v (%v), want overloaded", we, err)
+						}
+					default:
+						t.Fatalf("a reply carries seq %d; the requests were %d and %d", seq, first, rc.seq)
+					}
+				}
+				if len(replies) != 2 {
+					t.Fatalf("replies %v: want one to each request", replies)
+				}
+				// Answered, the connection takes the next compute request.
+				fx.checkResult(t, rc.call(wire.MsgApply, wire.MsgResult, fx.applyPayload(d, 10*time.Second)))
+			})
+
+			t.Run("caller hangs up mid-compute", func(t *testing.T) {
+				// The caller hangs up once every server request behind the door
+				// is on a card, and each is retired unanswered. At a gateway the
+				// hang-up has to reach the scatter's legs while they run.
+				d := mk(t, 500*time.Millisecond)
+				defer d.close(t)
+				picked := obs.GetHistogram("cham_server_batch_size", "", nil)
+				abandoned := func() uint64 { return counter("cham_server_abandoned_total") }
+				rc := dialRaw(t, d.addr)
+				rc.hello(p)
+				picked0, abandoned0 := picked.Sum(), abandoned()
+				rc.send(wire.MsgApply, fx.applyPayload(d, 10*time.Second))
+				for deadline := time.Now().Add(10 * time.Second); picked.Sum() < picked0+float64(d.legs); time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d server requests never reached a card", d.legs)
+					}
+				}
+				rc.c.Close()
+				deadline := time.Now().Add(5 * time.Second)
+				for abandoned() < abandoned0+uint64(d.legs) && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if got := abandoned() - abandoned0; got != uint64(d.legs) {
+					t.Fatalf("cham_server_abandoned_total moved by %d after the hang-up, want %d", got, d.legs)
+				}
+			})
+
 			t.Run("apply during drain", func(t *testing.T) {
-				d := mk(t, doorOpts{jobDur: 300 * time.Millisecond})
+				d := mk(t, 300*time.Millisecond)
 				holder, late := dialRaw(t, d.addr), dialRaw(t, d.addr)
 				holder.hello(p)
 				late.hello(p)
@@ -533,7 +609,7 @@ func TestDoorConformance(t *testing.T) {
 			})
 
 			t.Run("shutdown with a stalled client", func(t *testing.T) {
-				d := mk(t, doorOpts{jobDur: 2 * time.Second})
+				d := mk(t, 2*time.Second)
 				rc := dialRaw(t, d.addr)
 				rc.hello(p)
 				since := d.started()
@@ -574,12 +650,12 @@ func TestDoorConformance(t *testing.T) {
 // transport error. Then the race itself, with nothing in flight when
 // Shutdown starts: every apply the door took up must be answered — only
 // applies it never admitted may find the door closed.
-func (fx *doorFixture) drainRace(t *testing.T, mk func(*testing.T, doorOpts) *door) {
+func (fx *doorFixture) drainRace(t *testing.T, mk func(*testing.T, time.Duration) *door) {
 	type tally struct{ ok, draining, transport, started int }
 	round := func(holdOpen bool, head time.Duration) tally {
 		// Every card job takes 150 ms, so an admitted apply keeps the drain
 		// open that long; holdOpen decides whether one is sent ahead.
-		d := mk(t, doorOpts{jobDur: 150 * time.Millisecond})
+		d := mk(t, 150*time.Millisecond)
 		const flood = 6
 		clients := make([]*client.Client, flood+1)
 		for i := range clients {

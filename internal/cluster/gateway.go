@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"cham/internal/client"
 	"cham/internal/obs"
 	"cham/internal/obs/trace"
 	"cham/internal/server"
@@ -16,8 +17,6 @@ import (
 type GatewayConfig struct {
 	// Coordinator owns the shard map (required).
 	Coordinator *Coordinator
-	// MaxFrame bounds one accepted wire frame. Default wire.DefaultMaxFrame.
-	MaxFrame uint32
 }
 
 var mGatewayConns = obs.GetGauge("cham_cluster_gateway_connections",
@@ -28,11 +27,10 @@ var mGatewayConns = obs.GetGauge("cham_cluster_gateway_connections",
 // per-request deadline) with the coordinator behind it instead of a
 // queue, so an unmodified client sees one big server while the work is
 // scattered across shards. Control-plane messages are broadcast to every
-// node; Apply is scatter/gather, answered inline on the connection's
-// goroutine — the coordinator's scatter already fans out per request, and
-// cross-client concurrency comes from one goroutine per connection.
-// Shutdown drains the gateway only; the shard nodes belong to their own
-// processes.
+// node; Apply is scatter/gather on a goroutine of its own, so the
+// connection's read loop goes on and a caller's hang-up cancels the
+// scatter's legs. Shutdown drains the gateway only; the shard nodes
+// belong to their own processes.
 type Gateway struct {
 	server.FrontEnd
 	co *Coordinator
@@ -45,11 +43,10 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		return nil, fmt.Errorf("cluster: GatewayConfig.Coordinator is required")
 	}
 	g := &Gateway{co: co, FrontEnd: server.FrontEnd{
-		Params:   co.cfg.Params,
-		MaxFrame: cfg.MaxFrame,
+		Params: co.cfg.Params,
 		// No scatter leg outlives the node clients' request timeout, so no
 		// request is worth holding longer.
-		DefaultDeadline: co.cfg.RequestTimeout,
+		DefaultDeadline: client.DefaultRequestTimeout,
 		Log:             co.cfg.Log,
 		// Engines advertises cluster width; batching happens on the shards,
 		// so the gateway itself reports MaxBatch 1.
@@ -108,13 +105,20 @@ func (g *Gateway) handleRegisterMatrix(payload []byte) (wire.MsgType, []byte, *w
 	return wire.MsgMatrixHandle, h.Encode(), nil
 }
 
-// handleApply is the gateway's Compute handler: one scatter/gather under
-// the request's context, answered before it returns. Tile lists are the
-// shards' business; the gateway serves whole applies.
-func (g *Gateway) handleApply(ctx context.Context, _ *server.Conn, _ uint16, a wire.Apply) (wire.MsgType, []byte, *wire.Error) {
+// handleApply is the gateway's Compute handler: it replies from a
+// goroutine of its own, which runs one scatter/gather under the request's
+// context. Tile lists are the shards' business; the gateway serves whole
+// applies.
+func (g *Gateway) handleApply(ctx context.Context, a wire.Apply, reply func([]byte, *wire.Error)) {
 	if a.Tiles != nil {
-		return 0, nil, wire.Errf(wire.CodeBadRequest, "the gateway serves whole applies: no tile list")
+		reply(nil, wire.Errf(wire.CodeBadRequest, "the gateway serves whole applies: no tile list"))
+		return
 	}
+	go func() { reply(g.scatter(ctx, a)) }()
+}
+
+// scatter serves one whole Apply through the coordinator.
+func (g *Gateway) scatter(ctx context.Context, a wire.Apply) ([]byte, *wire.Error) {
 	// The gateway is a trace edge: a request from a traced client keeps
 	// its context; an untraced request may be sampled fresh here, so a
 	// cluster whose clients do not sample still produces end-to-end traces.
@@ -133,7 +137,7 @@ func (g *Gateway) handleApply(ctx context.Context, _ *server.Conn, _ uint16, a w
 			"trace_id", tc.Trace.String(), "dur", time.Since(t0), "err", err != nil)
 	}
 	if err != nil {
-		return 0, nil, wireErr(err)
+		return nil, wireErr(err)
 	}
-	return wire.MsgResult, wire.EncodeResult(g.Params.R, res), nil
+	return wire.EncodeResult(g.Params.R, res), nil
 }

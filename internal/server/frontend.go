@@ -27,8 +27,6 @@ import (
 type FrontEnd struct {
 	// Params is the parameter set every client must match (required).
 	Params bfv.Params
-	// MaxFrame bounds one accepted frame (0 = wire.DefaultMaxFrame).
-	MaxFrame uint32
 	// DefaultDeadline bounds a compute request that carries no deadline
 	// of its own, and caps one that does.
 	DefaultDeadline time.Duration
@@ -43,15 +41,14 @@ type FrontEnd struct {
 	// and the connection stays usable.
 	Control map[wire.MsgType]func(payload []byte) (wire.MsgType, []byte, *wire.Error)
 	// Compute serves one decoded Apply — every tile (a.Tiles == nil) or a
-	// tile subset — that passed the drain barrier. ctx carries the
-	// frame's trace context (trace.FromContext) and expires
-	// at min(request deadline, DefaultDeadline); it is cancelled when
-	// Compute returns. Compute either returns the reply or a typed error,
-	// which the front end sends before it retires the request, or returns
-	// message type 0: the door has taken the request over and answers it
-	// later. The front end imposes neither — a gateway answers inline on
-	// the connection's goroutine, a server queues for its batch workers.
-	Compute func(ctx context.Context, c *Conn, seq uint16, a wire.Apply) (wire.MsgType, []byte, *wire.Error)
+	// tile subset — that passed the drain barrier, and answers it exactly
+	// once through reply: the Result payload, or a typed error. It may
+	// reply before it returns or later, from any goroutine. ctx carries
+	// the frame's trace context (trace.FromContext) and expires at
+	// min(request deadline, DefaultDeadline); a caller that hangs up
+	// cancels it (ctx.Err() == context.Canceled), and reply cancels it too.
+	// reply writes nothing to a caller that has hung up.
+	Compute func(ctx context.Context, a wire.Apply, reply func(result []byte, e *wire.Error))
 
 	// Conns is the door's own open-connections gauge (required): telemetry
 	// handles are taken as values, never looked up by name, so two doors in
@@ -59,10 +56,11 @@ type FrontEnd struct {
 	Conns *obs.Gauge
 
 	// What only chamserve has, set by server.New: the cham_server_* byte,
-	// request and rejection counters. Nil handles are simply not charged.
-	bytesRx, bytesTx, errs *obs.Counter
-	requests               map[wire.MsgType]*obs.Counter
-	rejects                map[string]*obs.Counter // by wire.CodeName
+	// request, rejection and abandonment counters. Nil handles are simply
+	// not charged.
+	bytesRx, bytesTx, abandoned *obs.Counter
+	requests                    map[wire.MsgType]*obs.Counter
+	rejects                     map[string]*obs.Counter // by wire.CodeName
 
 	// enqMu orders admission against drain: admit tests draining and joins
 	// reqWG under the read side, Shutdown flips draining under the write
@@ -160,29 +158,29 @@ func (f *FrontEnd) admit() bool {
 	return true
 }
 
-// done retires an admitted request; its reply, if any, has been written.
-func (f *FrontEnd) done() { f.reqWG.Done() }
-
-// Conn is one client connection of a FrontEnd: the handle a Compute
-// handler that answers later keeps to send its reply on. Reads happen on
-// the connection's own goroutine; writes are serialized by wmu because a
-// door's workers and the read loop respond concurrently.
-type Conn struct {
+// conn is one client connection of a FrontEnd. Reads happen on the
+// connection's own goroutine; writes are serialized by wmu because a
+// door's replies and the read loop respond concurrently.
+type conn struct {
 	f   *FrontEnd
 	c   net.Conn
 	wmu sync.Mutex
 
-	// gone is set when the read loop ends — the peer hung up (a hedged
+	// ctx is cancelled when the read loop ends — the peer hung up (a hedged
 	// scatter leg that lost its race closes its connection) or the stream
-	// broke — so nobody can receive what its queued requests would answer.
-	gone atomic.Bool
+	// broke — and parents every compute request the connection carries, so
+	// a door stops working for a caller that cannot receive the answer.
+	ctx context.Context
+	// computing is set while the connection's compute request is
+	// unanswered: one connection carries one compute request at a time.
+	computing atomic.Bool
 }
 
 // send writes one frame; write errors are swallowed (the read loop will
 // observe the broken connection and tear it down). The frame is charged
 // to the byte counter before it is written, so a peer that has read a
 // reply finds it counted.
-func (c *Conn) send(t wire.MsgType, seq uint16, payload []byte) {
+func (c *conn) send(t wire.MsgType, seq uint16, payload []byte) {
 	buf := wire.AppendFrame(nil, t, seq, wire.TraceHeader{}, payload)
 	if m := c.f.bytesTx; m != nil {
 		m.Add(uint64(len(buf)))
@@ -194,10 +192,7 @@ func (c *Conn) send(t wire.MsgType, seq uint16, payload []byte) {
 
 // sendErr answers a request with a typed error (unknown codes are not
 // counted by reason rather than minting unbounded label values).
-func (c *Conn) sendErr(seq uint16, e *wire.Error) {
-	if m := c.f.errs; m != nil {
-		m.Inc()
-	}
+func (c *conn) sendErr(seq uint16, e *wire.Error) {
 	if m := c.f.rejects[wire.CodeName(e.Code)]; m != nil {
 		m.Inc()
 	}
@@ -207,10 +202,11 @@ func (c *Conn) sendErr(seq uint16, e *wire.Error) {
 // handleConn runs one connection's read loop until the peer hangs up, a
 // frame is malformed beyond recovery, or the door closes the socket.
 func (f *FrontEnd) handleConn(nc net.Conn) {
-	c := &Conn{f: f, c: nc}
+	ctx, hangUp := context.WithCancel(context.Background())
+	c := &conn{f: f, c: nc, ctx: ctx}
 	br := bufio.NewReaderSize(nc, 64<<10)
 	defer func() {
-		c.gone.Store(true)
+		hangUp()
 		f.connMu.Lock()
 		delete(f.conns, nc)
 		f.connMu.Unlock()
@@ -219,7 +215,7 @@ func (f *FrontEnd) handleConn(nc net.Conn) {
 	}()
 	hello := false // parameter handshake completed
 	for {
-		t, seq, th, payload, err := wire.ReadFrame(br, f.MaxFrame)
+		t, seq, th, payload, err := wire.ReadFrame(br)
 		if err != nil {
 			// Includes io.EOF on clean hang-up, a peer of another frame
 			// revision and frame-level corruption — after a desync there is
@@ -259,7 +255,7 @@ func (f *FrontEnd) handleConn(nc net.Conn) {
 
 // handleHello checks the parameter handshake bit-for-bit and reports
 // whether it passed.
-func (f *FrontEnd) handleHello(c *Conn, seq uint16, payload []byte) bool {
+func (f *FrontEnd) handleHello(c *conn, seq uint16, payload []byte) bool {
 	h, err := wire.DecodeHello(payload)
 	if err != nil {
 		c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "hello: %v", err))
@@ -277,35 +273,45 @@ func (f *FrontEnd) handleHello(c *Conn, seq uint16, payload []byte) bool {
 	return true
 }
 
-// handleCompute takes one Apply frame through the drain barrier, decodes
-// it, and hands it to the door under its deadline.
-func (f *FrontEnd) handleCompute(c *Conn, seq uint16, tc trace.Context, payload []byte) {
+// handleCompute takes one Apply frame through the connection's
+// one-at-a-time rule and the drain barrier, decodes it, and hands it to
+// the door under its deadline with the reply that answers and retires it.
+func (f *FrontEnd) handleCompute(c *conn, seq uint16, tc trace.Context, payload []byte) {
+	if !c.computing.CompareAndSwap(false, true) {
+		c.sendErr(seq, wire.Errf(wire.CodeOverloaded, "the connection's previous compute request is unanswered"))
+		return
+	}
 	if !f.admit() {
+		c.computing.Store(false)
 		c.sendErr(seq, wire.Errf(wire.CodeDraining, "shutting down"))
 		return
 	}
 	a, err := wire.DecodeApply(f.Params.R, payload)
-	if err != nil {
-		c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "apply: %v", err))
-		f.done()
-		return
-	}
 	budget := f.DefaultDeadline
 	if a.DeadlineMicros > 0 && a.DeadlineMicros < uint64(budget/time.Microsecond) {
 		budget = time.Duration(a.DeadlineMicros) * time.Microsecond
 	}
-	// The connection's read goroutine owns the request until Compute
-	// returns; nothing above it holds a context to derive from.
-	ctx, cancel := context.WithTimeout(trace.NewContext(context.Background(), tc), budget)
-	rt, rp, e := f.Compute(ctx, c, seq, a)
-	cancel()
-	switch {
-	case e != nil:
-		c.sendErr(seq, e)
-	case rt != 0:
-		c.send(rt, seq, rp)
-	default:
-		return // the door answers later and retires the request itself
+	ctx, cancel := context.WithTimeout(trace.NewContext(c.ctx, tc), budget)
+	reply := func(result []byte, e *wire.Error) {
+		cancel()
+		// Free before the write: a caller that has read the reply may send
+		// its next compute request at once.
+		c.computing.Store(false)
+		switch {
+		case c.ctx.Err() != nil:
+			if m := f.abandoned; m != nil {
+				m.Inc()
+			}
+		case e != nil:
+			c.sendErr(seq, e)
+		default:
+			c.send(wire.MsgResult, seq, result)
+		}
+		f.reqWG.Done()
 	}
-	f.done()
+	if err != nil {
+		reply(nil, wire.Errf(wire.CodeBadRequest, "apply: %v", err))
+		return
+	}
+	f.Compute(ctx, a, reply)
 }

@@ -120,29 +120,36 @@ func (s *Server) handleRegisterMatrix(payload []byte) (wire.MsgType, []byte, *wi
 // admit is the server's Compute handler: it validates one decoded Apply
 // against the registry, prepares any tile it needs that is still missing
 // — before the queue, so batch workers never block on the preparation
-// lock — and enqueues it for the batch workers, who answer it later; a
-// full queue is the typed overload rejection.
-func (s *Server) admit(ctx context.Context, c *Conn, seq uint16, a wire.Apply) (wire.MsgType, []byte, *wire.Error) {
+// lock — and enqueues it for the batch workers, who reply later; a
+// rejection, a full queue's typed overload included, is replied at once.
+func (s *Server) admit(ctx context.Context, a wire.Apply, reply func([]byte, *wire.Error)) {
+	if e := s.enqueue(ctx, a, reply); e != nil {
+		reply(nil, e)
+	}
+}
+
+// enqueue validates and queues one Apply, or says why not.
+func (s *Server) enqueue(ctx context.Context, a wire.Apply, reply func([]byte, *wire.Error)) *wire.Error {
 	s.mu.RLock()
 	haveKeys, reg := s.haveKeys, s.matrices[a.ID]
 	s.mu.RUnlock()
 	if !haveKeys {
-		return 0, nil, wire.Errf(wire.CodeKeysRequired, "apply before SetupKeys")
+		return wire.Errf(wire.CodeKeysRequired, "apply before SetupKeys")
 	}
 	if reg == nil {
-		return 0, nil, wire.Errf(wire.CodeUnknownMatrix, "matrix %x not registered", a.ID[:8])
+		return wire.Errf(wire.CodeUnknownMatrix, "matrix %x not registered", a.ID[:8])
 	}
 	for _, ti := range a.Tiles {
 		if ti >= reg.handle.Tiles {
-			return 0, nil, wire.Errf(wire.CodeBadRequest,
+			return wire.Errf(wire.CodeBadRequest,
 				"tile %d out of range (matrix has %d tiles)", ti, reg.handle.Tiles)
 		}
 	}
 	if we := s.ensureTiles(reg, a.Tiles); we != nil {
-		return 0, nil, we
+		return we
 	}
 	if len(a.Vector) != int(reg.handle.Chunks) {
-		return 0, nil, wire.Errf(wire.CodeBadRequest,
+		return wire.Errf(wire.CodeBadRequest,
 			"vector has %d chunks, matrix needs %d", len(a.Vector), reg.handle.Chunks)
 	}
 	deadline, _ := ctx.Deadline()
@@ -150,8 +157,8 @@ func (s *Server) admit(ctx context.Context, c *Conn, seq uint16, a wire.Apply) (
 		mat:      reg,
 		vec:      a.Vector,
 		tiles:    a.Tiles,
-		conn:     c,
-		seq:      seq,
+		ctx:      ctx,
+		reply:    reply,
 		enqueued: time.Now(),
 		deadline: deadline,
 		tc:       trace.FromContext(ctx),
@@ -160,11 +167,11 @@ func (s *Server) admit(ctx context.Context, c *Conn, seq uint16, a wire.Apply) (
 	select {
 	case s.queue <- req:
 		mQueueDepth.Add(1)
-		return 0, nil, nil
+		return nil
 	default:
 		e := wire.Errf(wire.CodeOverloaded, "admission queue full (%d deep)", s.cfg.QueueDepth)
 		req.qspan.EndErr(e)
-		return 0, nil, e
+		return e
 	}
 }
 

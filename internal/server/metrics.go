@@ -16,8 +16,6 @@ var (
 		"Requests admitted but not yet picked up by the batcher.")
 	mApplies = obs.GetCounter("cham_server_applies_total",
 		"Apply results sent.")
-	mErrors = obs.GetCounter("cham_server_request_errors_total",
-		"Requests answered with a wire error.")
 	mAbandoned = obs.GetCounter("cham_server_abandoned_total",
 		"Admitted requests left unanswered because their connection hung up.")
 	mBatchSize = obs.GetHistogram("cham_server_batch_size",

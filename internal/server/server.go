@@ -54,8 +54,6 @@ type Config struct {
 	// EvalWorkers is the per-apply parallelism of the shared evaluator
 	// (Evaluator.Workers). Default 0 = GOMAXPROCS.
 	EvalWorkers int
-	// MaxFrame bounds one accepted wire frame. Default wire.DefaultMaxFrame.
-	MaxFrame uint32
 	// Card, when non-nil, runs every dispatched batch as one job on the
 	// simulated accelerator: the batch's applies are the job's work, done
 	// while it holds an engine, and a job the card fails is replayed. There
@@ -91,9 +89,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 5 * time.Second
 	}
-	if c.MaxFrame == 0 {
-		c.MaxFrame = wire.DefaultMaxFrame
-	}
 	if c.Log == nil {
 		c.Log = slog.New(slog.DiscardHandler)
 	}
@@ -125,18 +120,19 @@ func (m *regMatrix) putResult(res *core.Result) { m.pool.Put(res) }
 
 // request is one admitted Apply, from enqueue to response. tiles nil
 // means every tile; otherwise only the listed row tiles are computed.
-// compute leaves the answer in reply or, failing, in err.
+// compute leaves the answer in result or, failing, in err; reply sends
+// it and retires the request.
 type request struct {
 	mat      *regMatrix
 	vec      []*rlwe.Ciphertext
 	tiles    []uint32
-	conn     *Conn
-	seq      uint16
+	ctx      context.Context // the front end's: cancelled when the caller hangs up
+	reply    func(result []byte, e *wire.Error)
 	enqueued time.Time
 	deadline time.Time
 	tc       trace.Context // propagated from the request frame's trace header
 	qspan    trace.Span    // admission → batch pickup (inert when unsampled)
-	reply    []byte
+	result   []byte
 	err      *wire.Error
 }
 
@@ -178,14 +174,13 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		FrontEnd: FrontEnd{
 			Params:          cfg.Params,
-			MaxFrame:        cfg.MaxFrame,
 			DefaultDeadline: cfg.DefaultDeadline,
 			Log:             cfg.Log,
 			MaxBatch:        uint32(cfg.MaxBatch),
 			Conns:           mConns,
 			bytesRx:         mBytesRx,
 			bytesTx:         mBytesTx,
-			errs:            mErrors,
+			abandoned:       mAbandoned,
 			requests:        mRequests,
 			rejects:         mRejects,
 		},
@@ -291,13 +286,13 @@ func (s *Server) runBatch(batch []*request) {
 	live := batch[:0]
 	var latest time.Time
 	for _, req := range batch {
-		if s.abandoned(req) {
+		if req.abandoned() {
 			continue
 		}
 		if now.After(req.deadline) {
 			req.qspan.Annotate("expired in queue")
 			req.qspan.End()
-			s.finishErr(req, wire.Errf(wire.CodeDeadline,
+			req.reply(nil, wire.Errf(wire.CodeDeadline,
 				"deadline expired after %v in queue", now.Sub(req.enqueued).Round(time.Microsecond)))
 			continue
 		}
@@ -346,20 +341,20 @@ func (s *Server) runBatch(batch []*request) {
 	}
 	for _, req := range live {
 		switch {
-		case err != nil && (time.Now().After(req.deadline) || errors.Is(err, context.DeadlineExceeded)):
-			s.finishErr(req, wire.Errf(wire.CodeDeadline, "deadline expired on the engine queue"))
-		case err != nil:
-			s.finishErr(req, wire.Errf(wire.CodeInternal, "accelerator job failed: %v", err))
-		case s.abandoned(req):
+		case req.abandoned():
 			// The caller hung up while the batch ran: nothing is sent.
+		case err != nil && (time.Now().After(req.deadline) || errors.Is(err, context.DeadlineExceeded)):
+			req.reply(nil, wire.Errf(wire.CodeDeadline, "deadline expired on the engine queue"))
+		case err != nil:
+			req.reply(nil, wire.Errf(wire.CodeInternal, "accelerator job failed: %v", err))
 		case req.err != nil:
-			s.finishErr(req, req.err)
+			req.reply(nil, req.err)
 		default:
 			if req.tiles != nil {
 				mTilesServed.Add(uint64(len(req.tiles)))
 			}
 			mApplies.Inc()
-			s.finish(req, req.reply)
+			req.reply(req.result, nil)
 		}
 	}
 }
@@ -370,12 +365,12 @@ func (s *Server) runBatch(batch []*request) {
 // slots of the tiles it names — and encoded as one Result, labelled with a
 // subset's tiles so the coordinator can place each at its index in the
 // gathered result. The buffer goes back to the pool once the reply is
-// encoded. A replayed job computes again and overwrites reply and err,
+// encoded. A replayed job computes again and overwrites result and err,
 // with the same bytes for the same inputs.
 func (s *Server) compute(req *request) {
-	req.reply, req.err = nil, nil
-	if req.conn.gone.Load() {
-		return // runBatch counts it abandoned
+	req.result, req.err = nil, nil
+	if req.ctx.Err() == context.Canceled {
+		return // the caller hung up; runBatch retires it abandoned
 	}
 	t0 := time.Now()
 	r := s.cfg.Params.R
@@ -396,7 +391,7 @@ func (s *Server) compute(req *request) {
 		req.err = wire.Errf(wire.CodeBadRequest, "apply: %v", err)
 		return
 	}
-	req.reply = wire.EncodeResult(r, wire.Result{M: mat.handle.Rows, N: uint32(r.N), Tiles: req.tiles, Packed: out})
+	req.result = wire.EncodeResult(r, wire.Result{M: mat.handle.Rows, N: uint32(r.N), Tiles: req.tiles, Packed: out})
 	if req.tiles != nil {
 		ssp.Annotate(fmt.Sprintf("%d tiles", len(req.tiles)))
 	}
@@ -421,29 +416,16 @@ func sinkOf(rec *trace.StageRecorder) obs.StageSink {
 	return rec
 }
 
-// abandoned retires a request whose connection's read loop has ended —
-// the caller hung up (a cancelled hedge) or the stream broke — without
-// sending an answer nobody can read. It reports whether the request was
-// dropped.
-func (s *Server) abandoned(req *request) bool {
-	if !req.conn.gone.Load() {
+// abandoned retires a request whose caller has hung up — a cancelled
+// hedge, or a broken stream — without an answer nobody can read: the
+// reply writes nothing and counts it in cham_server_abandoned_total. It
+// reports whether the request was dropped.
+func (req *request) abandoned() bool {
+	if req.ctx.Err() != context.Canceled {
 		return false
 	}
 	req.qspan.Annotate("abandoned")
 	req.qspan.End()
-	mAbandoned.Inc()
-	s.done()
+	req.reply(nil, nil)
 	return true
-}
-
-// finish sends the request's Result and retires it.
-func (s *Server) finish(req *request, payload []byte) {
-	req.conn.send(wire.MsgResult, req.seq, payload)
-	s.done()
-}
-
-// finishErr sends a typed failure and retires the request.
-func (s *Server) finishErr(req *request, e *wire.Error) {
-	req.conn.sendErr(req.seq, e)
-	s.done()
 }

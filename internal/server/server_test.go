@@ -59,7 +59,7 @@ func testServer(tb testing.TB, cfg Config) (*Server, string) {
 
 func testClient(tb testing.TB, addr string, p bfv.Params, mut func(*client.Config)) *client.Client {
 	tb.Helper()
-	cfg := client.Config{Addr: addr, Params: p, MaxConns: 16, Backoff: time.Millisecond}
+	cfg := client.Config{Addr: addr, Params: p}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -311,7 +311,6 @@ func TestOverloadTyped(t *testing.T) {
 	// With retries enabled the same pressure resolves to success.
 	rcl := testClient(t, addr, p, func(c *client.Config) {
 		c.MaxRetries = 20
-		c.Backoff = 2 * time.Millisecond
 	})
 	grng := rand.New(rand.NewSource(testutil.Seed(t) + 999))
 	ctV := core.EncryptVector(p, grng, sk, testutil.Vector(grng, 32, p.T.Q))
@@ -559,7 +558,7 @@ func TestReplayedBatchBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, addr := testServer(t, Config{Params: p, MaxBatch: 1, Card: card})
-	cl := testClient(t, addr, p, func(c *client.Config) { c.MaxConns, c.MaxRetries = 1, -1 })
+	cl := testClient(t, addr, p, func(c *client.Config) { c.MaxRetries = -1 })
 	keys := setupKeys(t, cl, p, rng, sk)
 	ev, err := core.NewEvaluatorFromKeys(p, keys)
 	if err != nil {

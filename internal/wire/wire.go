@@ -61,8 +61,9 @@ const FrameHeaderLen = framePrefixLen + TraceHeaderLen
 // other flag bit is defined, and a frame that sets one is refused.
 const TraceFlagSampled = 0x01
 
-// DefaultMaxFrame bounds an accepted frame payload (256 MiB covers the
-// largest key set at production parameters with wide margin).
+// DefaultMaxFrame bounds every accepted frame payload, at every door and
+// in the client (256 MiB covers the largest key set at production
+// parameters with wide margin).
 const DefaultMaxFrame uint32 = 1 << 28
 
 // frameAllocStep bounds what ReadFrame allocates for a payload before its
@@ -147,13 +148,10 @@ func WriteFrame(w io.Writer, t MsgType, seq uint16, th TraceHeader, payload []by
 	return err
 }
 
-// ReadFrame reads and validates one frame, rejecting payloads above max
-// (0 means DefaultMaxFrame) before allocating anything for them, and
-// allocating for the rest no faster than its bytes arrive.
-func ReadFrame(r io.Reader, max uint32) (MsgType, uint16, TraceHeader, []byte, error) {
-	if max == 0 {
-		max = DefaultMaxFrame
-	}
+// ReadFrame reads and validates one frame, rejecting payloads above
+// DefaultMaxFrame before allocating anything for them, and allocating for
+// the rest no faster than its bytes arrive.
+func ReadFrame(r io.Reader) (MsgType, uint16, TraceHeader, []byte, error) {
 	// The shared prefix is checked before the trace block is read, so a
 	// peer of another revision is refused at once, even a revision-1 one
 	// whose header ends there.
@@ -168,8 +166,8 @@ func ReadFrame(r io.Reader, max uint32) (MsgType, uint16, TraceHeader, []byte, e
 		return 0, 0, TraceHeader{}, nil, fmt.Errorf("wire: unsupported protocol version %d", hdr[4])
 	}
 	n := binary.LittleEndian.Uint32(hdr[8:])
-	if n > max {
-		return 0, 0, TraceHeader{}, nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, max)
+	if n > DefaultMaxFrame {
+		return 0, 0, TraceHeader{}, nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, DefaultMaxFrame)
 	}
 	if _, err := io.ReadFull(r, hdr[framePrefixLen:]); err != nil {
 		return 0, 0, TraceHeader{}, nil, fmt.Errorf("wire: truncated trace block: %w", err)

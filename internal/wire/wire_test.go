@@ -8,6 +8,7 @@ import (
 	"io"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"cham/internal/bfv"
@@ -52,7 +53,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := WriteFrame(&buf, MsgApply, 42, th, payload); err != nil {
 		t.Fatal(err)
 	}
-	typ, seq, gotTH, got, err := ReadFrame(&buf, 0)
+	typ, seq, gotTH, got, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestFrameLayout(t *testing.T) {
 	if len(got) != FrameHeaderLen+2 {
 		t.Fatalf("FrameHeaderLen %d, but the frame of a 2-byte payload is %d bytes", FrameHeaderLen, len(got))
 	}
-	typ, seq, gotTH, payload, err := ReadFrame(bytes.NewReader(want), 0)
+	typ, seq, gotTH, payload, err := ReadFrame(bytes.NewReader(want))
 	if err != nil || typ != MsgApply || seq != 0x0102 || gotTH != th || !bytes.Equal(payload, []byte{0xde, 0xad}) {
 		t.Fatalf("golden frame read back as type=%v seq=%#x trace=%+v payload=% x err=%v", typ, seq, gotTH, payload, err)
 	}
@@ -101,14 +102,14 @@ func TestFrameRejections(t *testing.T) {
 
 	bad := append([]byte(nil), good...)
 	bad[0] ^= 0xFF
-	if _, _, _, _, err := ReadFrame(bytes.NewReader(bad), 0); err == nil {
+	if _, _, _, _, err := ReadFrame(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 
 	for _, v := range []byte{1, 2, 3, 99} {
 		bad = append([]byte(nil), good...)
 		bad[4] = v
-		if _, _, _, _, err := ReadFrame(bytes.NewReader(bad), 0); err == nil {
+		if _, _, _, _, err := ReadFrame(bytes.NewReader(bad)); err == nil {
 			t.Fatalf("version %d accepted", v)
 		}
 	}
@@ -116,24 +117,26 @@ func TestFrameRejections(t *testing.T) {
 	// Flag bits beyond sampled are refused.
 	bad = append([]byte(nil), good...)
 	bad[FrameHeaderLen-1] = 0x02
-	if _, _, _, _, err := ReadFrame(bytes.NewReader(bad), 0); err == nil {
+	if _, _, _, _, err := ReadFrame(bytes.NewReader(bad)); err == nil {
 		t.Fatal("unknown trace flag accepted")
 	}
 
 	// Oversized length rejected before the body is read.
 	over := AppendFrame(nil, MsgPing, 0, TraceHeader{}, make([]byte, 100))
-	if _, _, _, _, err := ReadFrame(bytes.NewReader(over), 10); err == nil {
-		t.Fatal("oversized frame accepted")
+	binary.LittleEndian.PutUint32(over[8:], DefaultMaxFrame+1)
+	if _, _, _, _, err := ReadFrame(bytes.NewReader(over)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("oversized frame: got %v, want the limit error", err)
 	}
 
 	// Truncated body.
-	if _, _, _, _, err := ReadFrame(bytes.NewReader(over[:FrameHeaderLen+20]), 0); err == nil {
+	body := AppendFrame(nil, MsgPing, 0, TraceHeader{}, make([]byte, 100))
+	if _, _, _, _, err := ReadFrame(bytes.NewReader(body[:FrameHeaderLen+20])); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 
 	// Truncated header is an error, never a panic.
 	for cut := 0; cut < len(good); cut++ {
-		if _, _, _, _, err := ReadFrame(bytes.NewReader(good[:cut]), 0); err == nil {
+		if _, _, _, _, err := ReadFrame(bytes.NewReader(good[:cut])); err == nil {
 			t.Fatalf("header cut at %d accepted", cut)
 		}
 	}
@@ -147,7 +150,7 @@ func TestReadFrameLyingLength(t *testing.T) {
 	binary.LittleEndian.PutUint32(frame[8:], 200<<20)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, _, _, err := ReadFrame(bytes.NewReader(frame), 0)
+	_, _, _, _, err := ReadFrame(bytes.NewReader(frame))
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("lying length read returned %v, want the truncation error", err)
