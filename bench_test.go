@@ -542,8 +542,8 @@ func BenchmarkKernels(b *testing.B) {
 		{"InverseNTT", func() { tab.InverseLazy(o0.Coeffs[0]) }},
 		{"MonomialSplit", func() { r.MonomialSplitNTT(o0, o1, x, y, 5) }},
 		{"MulShoupPairAdd", func() { r.MulCoeffShoupPairAdd(o0, x, y, sy, z, w, sw) }},
-		{"MulShoupDual", func() { r.MulCoeffShoupDual(o0, o1, x, z, y, sy) }},
-		{"MulShoupDualAdd", func() { r.MulCoeffShoupDualAdd(o0, o1, x, z, y, sy) }},
+		{"MulShoupDual", func() { r.MulCoeffShoupStationary(o0, o1, x, y, sy, w, sw, false) }},
+		{"MulShoupDualAdd", func() { r.MulCoeffShoupStationary(o0, o1, x, y, sy, w, sw, true) }},
 		{"CentredLift", func() { r.CentredLiftRow(o0.Coeffs[0], lift, 0, 1) }},
 		{"ModDownRow", func() { r.ModDownInto(o1, two) }},
 		{"Gather", func() { r.AutomorphNTT(o1, x, 5) }},

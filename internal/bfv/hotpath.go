@@ -7,16 +7,17 @@ import (
 	"cham/internal/vec"
 )
 
-// Allocation-free encode/lift variants used by the prepared-matrix path.
+// Allocation-free encode/lift forms used by the prepared-matrix path.
 
-// EncodeRowInto is EncodeRow (Eq. 1) writing into a caller-owned plaintext,
-// overwriting all N coefficients (the gap the row layout skips is zeroed).
-// The scale multiplies without a division: on one-word Barrett with
-// ⌊2^64/t⌋ while t < 2^32 keeps every product in a word (at most one t too
-// high, as the quotient estimate is at most one low), on the two-word
-// MulBarrett otherwise. A negated entry enters the product as t − x, so
-// that x = 0 gives t·scale ≡ 0.
-func (p Params) EncodeRowInto(pt *Plaintext, a []uint64, scale uint64) {
+// encodeRowInto writes EncodeRow's layout (Eq. 1) of a into all N words
+// of c (the gap the row layout skips is zeroed). The scale multiplies
+// without a division: on one-word Barrett with ⌊2^64/t⌋ while t < 2^32
+// keeps every product in a word (at most one t too high, as the quotient
+// estimate is at most one low), on the two-word MulBarrett otherwise. A
+// negated entry enters the product as t − x, so that x = 0 gives t·scale
+// ≡ 0. An entry at or above t is reduced first; the division runs only for
+// such an entry.
+func (p Params) encodeRowInto(c, a []uint64, scale uint64) {
 	n := p.R.N
 	if len(a) == 0 {
 		panic("bfv: empty row")
@@ -24,47 +25,70 @@ func (p Params) EncodeRowInto(pt *Plaintext, a []uint64, scale uint64) {
 	if len(a) > n {
 		panic("bfv: row longer than N")
 	}
-	if len(pt.Coeffs) != n {
-		panic("bfv: plaintext length mismatch")
-	}
+	c = c[:n]
 	if scale == 0 {
 		scale = 1
 	}
 	t := p.T.Q
-	// red is T.Reduce on a local: entries arrive reduced, so the division
-	// runs only for a caller that hands in larger values.
-	red := func(x uint64) uint64 {
-		if x >= t {
-			x %= t
-		}
-		return x
+	scale = reduce(scale, t)
+	// Positions [1, N-len(a)] are the gap the layout skips.
+	gap := n - len(a) + 1
+	for i := 1; i < gap; i++ {
+		c[i] = 0
 	}
-	scale = red(scale)
-	c := pt.Coeffs
-	if t>>32 == 0 {
-		mu := p.T.BRC[0] // ⌊2^64/t⌋
-		mul := func(x uint64) uint64 {
-			z := x * scale
-			qhat, _ := bits.Mul64(z, mu)
-			r := z - qhat*t
-			return r - t&-((t-1-r)>>63) // −t iff r ≥ t
-		}
-		c[0] = mul(red(a[0]))
-		for j := 1; j < len(a); j++ {
-			c[n-j] = mul(t - red(a[j]))
-		}
-	} else {
+	if t>>32 != 0 {
 		tm := p.T
-		c[0] = tm.MulBarrett(red(a[0]), scale)
-		for j := 1; j < len(a); j++ {
-			c[n-j] = tm.MulBarrett(t-red(a[j]), scale)
+		c[0] = tm.MulBarrett(reduce(a[0], t), scale)
+		for i := gap; i < n; i++ {
+			c[i] = tm.MulBarrett(t-reduce(a[n-i], t), scale)
+		}
+		return
+	}
+	mu := p.T.BRC[0] // ⌊2^64/t⌋
+	c[0] = mulNarrow(reduce(a[0], t), scale, t, mu)
+	for i := gap; i < n; i++ {
+		c[i] = mulNarrow(t-reduce(a[n-i], t), scale, t, mu)
+	}
+}
+
+// reduce is T.Reduce on bare words: entries arrive reduced, so the
+// division runs only for a caller that hands in larger values.
+func reduce(x, t uint64) uint64 {
+	if x >= t {
+		x %= t
+	}
+	return x
+}
+
+// mulNarrow returns x·scale mod t for x ≤ t < 2^32 and scale < t, mu =
+// ⌊2^64/t⌋.
+func mulNarrow(x, scale, t, mu uint64) uint64 {
+	z := x * scale
+	qhat, _ := bits.Mul64(z, mu)
+	r := z - qhat*t
+	return r - t&-((t-1-r)>>63) // −t iff r ≥ t
+}
+
+// EncodeLiftRowInto is Lift(EncodeRow(a, scale)) with no plaintext in
+// between: the row is encoded straight into the first limb's row of out,
+// and that row, still in L1, is centred-lifted into every limb — the
+// first last, in place — on LiftInto's row loop. a is checked and reduced
+// as EncodeRow does; out must carry N words per limb and is left in the
+// coefficient domain. The encoded values are below t by construction, so
+// LiftInto's range check has nothing to find and is not run.
+func (p Params) EncodeLiftRowInto(out *ring.Poly, a []uint64, scale uint64) {
+	n := p.R.N
+	rows := out.Coeffs
+	for _, row := range rows {
+		if len(row) != n {
+			panic("bfv: lift level mismatch")
 		}
 	}
-	// Positions [1, N-len(a)] are untouched by the layout above.
-	gap := c[1 : n-len(a)+1]
-	for i := range gap {
-		gap[i] = 0
+	p.encodeRowInto(rows[0], a, scale)
+	for l := len(rows) - 1; l >= 0; l-- {
+		p.liftRow(rows[l], rows[0], l)
 	}
+	out.IsNTT = false
 }
 
 // LiftInto is Lift writing into a caller-owned polynomial; the plaintext
@@ -79,21 +103,26 @@ func (p Params) LiftInto(out *ring.Poly, pt *Plaintext) {
 		panic("bfv: plaintext length mismatch")
 	}
 	p.checkCoeffs(pt.Coeffs)
-	t := p.T.Q
-	half := t / 2
 	for l, row := range out.Coeffs {
-		q := p.R.Moduli[l].Q
-		negAdd := q - t
-		row = row[:len(pt.Coeffs)]
-		if vec.CentredLift(q, row, pt.Coeffs, half, negAdd) {
-			continue
-		}
-		for i, x := range pt.Coeffs {
-			neg := uint64(int64(half-x) >> 63) // all ones iff x > t/2
-			row[i] = x + neg&negAdd
-		}
+		p.liftRow(row[:len(pt.Coeffs)], pt.Coeffs, l)
 	}
 	out.IsNTT = false
+}
+
+// liftRow writes the centred lift of x, residues in [0, t), into limb l's
+// row out, which may alias x.
+func (p Params) liftRow(out, x []uint64, l int) {
+	t := p.T.Q
+	half := t / 2
+	q := p.R.Moduli[l].Q
+	negAdd := q - t
+	if vec.CentredLift(q, out, x, half, negAdd) {
+		return
+	}
+	for i, v := range x {
+		neg := uint64(int64(half-v) >> 63) // all ones iff v > t/2
+		out[i] = v + neg&negAdd
+	}
 }
 
 // checkCoeffs panics unless every plaintext coefficient is in [0, t): the

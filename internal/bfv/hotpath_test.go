@@ -11,7 +11,7 @@ import (
 	"cham/internal/vec"
 )
 
-// encodeRowDiv is EncodeRowInto as it was written on hardware division
+// encodeRowDiv is EncodeRow as it was written on hardware division
 // (T.Mul → Reduce128), kept as the oracle for the Barrett forms.
 func encodeRowDiv(p Params, pt *Plaintext, a []uint64, scale uint64) {
 	n := p.R.N
@@ -43,7 +43,7 @@ func liftBranchy(p Params, out *ring.Poly, pt *Plaintext) {
 }
 
 // wideParams has a plaintext modulus above 2^32 (under 50-bit limbs), so
-// EncodeRowInto leaves its one-word path.
+// the row encoding leaves its one-word path.
 func wideParams(tb testing.TB, n int) Params {
 	tb.Helper()
 	qs, err := mod.NTTFriendlyPrimes(50, uint64(n), 2)
@@ -61,10 +61,11 @@ func wideParams(tb testing.TB, n int) Params {
 	return p
 }
 
-// TestEncodeAndLiftMatchOldLoops drives EncodeRowInto and LiftInto against
-// the loops they replaced: narrow and wide t, unit, small, large and
-// unreduced scales, rows with zeros, unreduced and boundary entries, full
-// and ragged lengths — on the host's kernels and on the Go loops.
+// TestEncodeAndLiftMatchOldLoops drives EncodeRow and LiftInto against the
+// loops they replaced, and EncodeLiftRowInto against Lift of EncodeRow at
+// every limb count: narrow and wide t, unit, small, large and unreduced
+// scales, rows with zeros, unreduced (≥ t) and boundary entries, full and
+// ragged lengths — on the host's kernels and on the Go loops.
 func TestEncodeAndLiftMatchOldLoops(t *testing.T) {
 	run := func(t *testing.T) {
 		rng := rand.New(rand.NewSource(24))
@@ -75,7 +76,7 @@ func TestEncodeAndLiftMatchOldLoops(t *testing.T) {
 				for _, scale := range scales {
 					a := make([]uint64, length)
 					for j := range a {
-						switch rng.Intn(6) {
+						switch rng.Intn(7) {
 						case 0:
 							a[j] = 0
 						case 1:
@@ -84,15 +85,13 @@ func TestEncodeAndLiftMatchOldLoops(t *testing.T) {
 							a[j] = tq/2 + uint64(rng.Intn(2))
 						case 3:
 							a[j] = rng.Uint64() // unreduced
+						case 4:
+							a[j] = tq + uint64(rng.Intn(2)) // unreduced, at the boundary
 						default:
 							a[j] = rng.Uint64() % tq
 						}
 					}
-					got, want := p.NewPlaintext(), p.NewPlaintext()
-					for i := range got.Coeffs {
-						got.Coeffs[i] = ^uint64(0) // must be overwritten
-					}
-					p.EncodeRowInto(got, a, scale)
+					got, want := p.EncodeRow(a, scale), p.NewPlaintext()
 					encodeRowDiv(p, want, a, scale)
 					for i := range want.Coeffs {
 						if got.Coeffs[i] != want.Coeffs[i] {
@@ -106,6 +105,19 @@ func TestEncodeAndLiftMatchOldLoops(t *testing.T) {
 					liftBranchy(p, ref, want)
 					if !lifted.Equal(ref) {
 						t.Fatalf("t=%d len=%d scale=%d: LiftInto differs from the branchy loop", tq, length, scale)
+					}
+					for levels := 1; levels <= p.R.Levels(); levels++ {
+						direct := p.R.NewPoly(levels)
+						for _, row := range direct.Coeffs {
+							for i := range row {
+								row[i] = ^uint64(0) // must be overwritten
+							}
+						}
+						direct.IsNTT = true // must be reset
+						p.EncodeLiftRowInto(direct, a, scale)
+						if !direct.Equal(p.Lift(p.EncodeRow(a, scale), levels)) {
+							t.Fatalf("t=%d len=%d scale=%d levels=%d: EncodeLiftRowInto differs from Lift of EncodeRow", tq, length, scale, levels)
+						}
 					}
 				}
 			}
@@ -130,14 +142,21 @@ func mustPanic(t *testing.T, want string, f func()) {
 	f()
 }
 
-// TestHotPathPreconditions: an empty row and, in LiftInto, an out-of-range
-// plaintext coefficient are refused by name, not by an index error or a
-// silently unreduced residue. Encrypt keeps taking such a coefficient: it
+// TestHotPathPreconditions: an empty or overlong row, a lift target
+// without N words per limb and, in LiftInto, an out-of-range plaintext
+// coefficient are refused by name, not by an index error or a silently
+// unreduced residue. Encrypt keeps taking such a coefficient: it
 // scales through MulShoup, which reduces any word.
 func TestHotPathPreconditions(t *testing.T) {
 	p := testParams(t, 16)
-	mustPanic(t, "bfv: empty row", func() { p.EncodeRowInto(p.NewPlaintext(), nil, 1) })
+	mustPanic(t, "bfv: empty row", func() { p.EncodeLiftRowInto(p.R.NewPoly(3), nil, 1) })
 	mustPanic(t, "bfv: empty row", func() { p.EncodeRow([]uint64{}, 1) })
+	long := make([]uint64, p.R.N+1)
+	mustPanic(t, "bfv: row longer than N", func() { p.EncodeLiftRowInto(p.R.NewPoly(3), long, 1) })
+	mustPanic(t, "bfv: row longer than N", func() { p.EncodeRow(long, 1) })
+	short := p.R.NewPoly(3)
+	short.Coeffs[2] = short.Coeffs[2][:p.R.N-8]
+	mustPanic(t, "bfv: lift level mismatch", func() { p.EncodeLiftRowInto(short, long[:1], 1) })
 	rng := rand.New(rand.NewSource(1))
 	sk := p.KeyGen(rng)
 	for _, bad := range []uint64{p.T.Q, p.T.Q + 1, 1 << 52, 1 << 63, ^uint64(0)} {

@@ -38,7 +38,6 @@ type Evaluator struct {
 	// Pooled scratch and cached constants for the allocation-free hot
 	// path (see prepared.go). An Evaluator must not be copied.
 	applyPool sync.Pool // *applyScratch
-	rowPool   sync.Pool // *rowScratch
 	invOnce   sync.Once
 	invN      []uint64 // per-limb N^-1
 	invNShoup []uint64

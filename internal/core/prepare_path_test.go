@@ -2,20 +2,21 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"cham/internal/obs"
 	"cham/internal/testutil"
 	"cham/internal/vec"
 )
 
-// TestPrepareMatchesSlowPath: every prepared row and companion word equals
-// EncodeRow → Lift → NTT → ShoupPrecompPoly composed from the allocating
-// public functions — single rows (packing scale 1) and padded tiles (scale
-// 2^-ℓ), whole and ragged last chunks, two row tiles — on the host's
-// kernels and on the Go loops.
+// TestPrepareMatchesSlowPath: every prepared row equals EncodeRow → Lift →
+// NTT composed from the allocating public functions — single rows (packing
+// scale 1) and padded tiles (scale 2^-ℓ), whole and ragged last chunks, two
+// row tiles — on the host's kernels and on the Go loops.
 func TestPrepareMatchesSlowPath(t *testing.T) {
 	run := func(t *testing.T) {
 		p := testParams(t, 64)
@@ -49,13 +50,6 @@ func TestPrepareMatchesSlowPath(t *testing.T) {
 						if !tile.rowNTT[i][c].Equal(want) {
 							t.Fatalf("%dx%d tile %d row %d chunk %d: prepared row differs from the slow path", m, cols, ti, i, c)
 						}
-						for l, row := range p.R.ShoupPrecompPoly(want) {
-							for j, w := range row {
-								if tile.rowShoup[i][c][l][j] != w {
-									t.Fatalf("%dx%d tile %d row %d chunk %d limb %d: companion word %d differs", m, cols, ti, i, c, l, j)
-								}
-							}
-						}
 					}
 				}
 			}
@@ -66,6 +60,56 @@ func TestPrepareMatchesSlowPath(t *testing.T) {
 		vec.ForceGeneric(t)
 		run(t)
 	})
+}
+
+// TestPreparedTileOneSlab: the resident form is values only. A tile of the
+// design point (256×4096) and of the fresh-weights shape (32×16384) at
+// N=4096 holds exactly rows·chunks·limbs·N words, laid end to end in one
+// slab in row, chunk, limb order, and building it allocates little beyond
+// that slab.
+func TestPreparedTileOneSlab(t *testing.T) {
+	if testing.Short() {
+		t.Skip("N=4096 tiles")
+	}
+	p := testParams(t, 4096)
+	n, full := p.R.N, p.R.Levels()
+	rng := testutil.NewRand(t)
+	ev := &Evaluator{P: p} // a tile needs no packing keys
+	for _, shape := range [][2]int{{256, 4096}, {32, 16384}} {
+		m, cols := shape[0], shape[1]
+		A := testutil.Matrix(rng, m, cols, p.T.Q)
+		pm := &PreparedMatrix{ev: ev, m: m, cols: cols, chunks: (cols + n - 1) / n, tiles: make([]*preparedTile, 1)}
+		var clk obs.StageClock
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tile := ev.buildTile(pm, A, 0, &clk)
+		runtime.ReadMemStats(&after)
+		want := m * pm.chunks * full * n
+		var first *uint64
+		words := 0
+		for i, row := range tile.rowNTT {
+			for c, poly := range row {
+				for l, limb := range poly.Coeffs {
+					if len(limb) != n {
+						t.Fatalf("%dx%d row %d chunk %d limb %d: %d words, want %d", m, cols, i, c, l, len(limb), n)
+					}
+					if first == nil {
+						first = &limb[0]
+					}
+					if at := unsafe.Add(unsafe.Pointer(first), 8*words); unsafe.Pointer(&limb[0]) != at {
+						t.Fatalf("%dx%d row %d chunk %d limb %d: not the next %d words of the slab", m, cols, i, c, l, n)
+					}
+					words += len(limb)
+				}
+			}
+		}
+		if words != want {
+			t.Errorf("%dx%d: tile holds %d words, want rows·chunks·limbs·N = %d", m, cols, words, want)
+		}
+		if got, slab := after.TotalAlloc-before.TotalAlloc, uint64(8*want); got > slab+slab/100 {
+			t.Errorf("%dx%d: building the tile allocated %d bytes, want at most its %d-byte slab + 1 %%", m, cols, got, slab)
+		}
+	}
 }
 
 // stageTotals is a StageSink that adds up what each stage was charged.
@@ -83,9 +127,9 @@ func (s *stageTotals) StageAdd(stage int, d time.Duration) {
 func (s *stageTotals) ExemplarLabel() string { return "" }
 
 // TestPrepareStagesCoverSpan: the ledger of a Prepare adds up. Building a
-// 32×4096 tile at N=4096 under a recording sink, encode + lift + ntt are
-// at least 90 % of the wall clock around it — no sweep (the companion pass
-// least of all) runs uncharged.
+// 32×4096 tile at N=4096 under a recording sink, encode (a row's encode
+// and its lift) + ntt are at least 90 % of the wall clock around
+// it — no sweep runs uncharged.
 func TestPrepareStagesCoverSpan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("N=4096 key generation")
@@ -106,26 +150,24 @@ func TestPrepareStagesCoverSpan(t *testing.T) {
 	clk.Attach(&sink)
 	t0 := time.Now()
 	clk.Skip()
-	rs := ev.getRowScratch()
-	tile := ev.buildTile(pm, A, 0, rs, &clk)
-	ev.putRowScratch(rs)
+	tile := ev.buildTile(pm, A, 0, &clk)
 	clk.Flush()
 	span := time.Since(t0)
 	if !tile.rowNTT[31][0].Equal(pm.tiles[0].rowNTT[31][0]) {
 		t.Fatal("rebuilt tile differs")
 	}
-	charged := sink.d[obs.StageEncode] + sink.d[obs.StageLift] + sink.d[obs.StageNTT]
+	charged := sink.d[obs.StageEncode] + sink.d[obs.StageNTT]
 	for stage, d := range sink.d {
-		if d != 0 && stage != obs.StageEncode && stage != obs.StageLift && stage != obs.StageNTT {
+		if d != 0 && stage != obs.StageEncode && stage != obs.StageNTT {
 			t.Errorf("Prepare charged %v to stage %s", d, obs.StageNames[stage])
 		}
 	}
 	if charged < span*9/10 {
-		t.Errorf("encode %v + lift %v + ntt %v = %v of a %v Prepare span (%.0f %%), want ≥ 90 %%",
-			sink.d[obs.StageEncode], sink.d[obs.StageLift], sink.d[obs.StageNTT], charged, span,
+		t.Errorf("encode %v + ntt %v = %v of a %v Prepare span (%.0f %%), want ≥ 90 %%",
+			sink.d[obs.StageEncode], sink.d[obs.StageNTT], charged, span,
 			100*float64(charged)/float64(span))
 	}
-	t.Logf("span %v: encode %v, lift %v, ntt %v", span, sink.d[obs.StageEncode], sink.d[obs.StageLift], sink.d[obs.StageNTT])
+	t.Logf("span %v: encode %v, ntt %v", span, sink.d[obs.StageEncode], sink.d[obs.StageNTT])
 }
 
 // TestApplyStagesCoverSpan is TestPrepareStagesCoverSpan's apply-side twin:

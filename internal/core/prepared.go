@@ -1,11 +1,14 @@
 package core
 
 // Prepared-matrix HMVP: the per-matrix half of the pipeline (row encode,
-// centred lift, forward NTT, Shoup companion tables) is hoisted out of the
-// per-vector path, mirroring how CHAM keeps operands resident instead of
-// re-streaming them. A PreparedMatrix is built once with Prepare and then
-// applied to any number of encrypted vectors; ApplyInto reuses pooled
-// scratch end to end, so a warm apply performs zero heap allocations.
+// centred lift, forward NTT) is hoisted out of the per-vector path,
+// mirroring how CHAM keeps operands resident instead of re-streaming them.
+// A prepared row is its transformed values and nothing else: within one
+// apply the vector chunk is the operand every row multiplies, so the Shoup
+// tables of the row MAC are built once per apply on the vector's side. A
+// PreparedMatrix is built once with Prepare and then applied to any number
+// of encrypted vectors; ApplyInto reuses pooled scratch end to end, so a
+// warm apply performs zero heap allocations.
 //
 // Per row, the dot product fuses stage 4's EXTRACTLWES into the inverse
 // transform: extraction at index 0 only needs the constant coefficient of
@@ -29,7 +32,6 @@ import (
 	"runtime"
 	"time"
 
-	"cham/internal/bfv"
 	"cham/internal/lwe"
 	"cham/internal/obs"
 	"cham/internal/ring"
@@ -37,13 +39,12 @@ import (
 )
 
 // preparedTile holds one row tile in evaluation-ready form: every row chunk
-// encoded, lifted to the full basis, forward-transformed, with the tile's
-// packing scale 2^-ℓ already folded in, plus Shoup companion tables so the
-// per-vector MULTPOLY runs at MulShoup speed.
+// encoded, lifted to the full basis and forward-transformed, with the
+// tile's packing scale 2^-ℓ already folded in — rows·chunks·limbs·N words
+// in one slab, values only.
 type preparedTile struct {
 	rows, mPad int
 	rowNTT     [][]*ring.Poly // [row][chunk], NTT domain, full basis
-	rowShoup   [][][][]uint64 // [row][chunk] = ShoupPrecompPoly(rowNTT)
 }
 
 // PreparedMatrix is a cleartext matrix fixed in evaluation-ready form.
@@ -159,11 +160,9 @@ func (e *Evaluator) prepareTiles(A [][]uint64, want []int) (*PreparedMatrix, err
 	}
 	var clk obs.StageClock
 	clk.Skip()
-	rs := e.getRowScratch()
-	defer e.putRowScratch(rs)
 	for _, ti := range sel {
 		if pm.tiles[ti] == nil {
-			pm.tiles[ti] = e.buildTile(pm, A, ti, rs, &clk)
+			pm.tiles[ti] = e.buildTile(pm, A, ti, &clk)
 		}
 	}
 	clk.Flush()
@@ -196,72 +195,54 @@ func (pm *PreparedMatrix) PrepareTile(A [][]uint64, ti int) error {
 	sp := obs.StartSpan(mPrepareSec)
 	var clk obs.StageClock
 	clk.Skip()
-	rs := e.getRowScratch()
-	pm.tiles[ti] = e.buildTile(pm, A, ti, rs, &clk)
-	e.putRowScratch(rs)
+	pm.tiles[ti] = e.buildTile(pm, A, ti, &clk)
 	clk.Flush()
 	sp.End()
 	return nil
 }
 
-// buildTile runs stages 1–2 (encode, centred lift, forward NTT, Shoup
-// companions) for one row tile. Encoding scratch is pooled; every
-// long-lived buffer below is carved from a handful of per-tile slabs (one
-// coefficient slab, one Shoup slab, and flat header arrays) instead of
-// row×chunk×limb individual allocations — cold Prepare used to cost
-// thousands of allocs per call.
-func (e *Evaluator) buildTile(pm *PreparedMatrix, A [][]uint64, ti int, rs *rowScratch, clk *obs.StageClock) *preparedTile {
+// buildTile runs stages 1–2 for one row tile, one pass per row chunk: the
+// row is checked, encoded and centred-lifted straight into its slab rows
+// (bfv.EncodeLiftRowInto, charged to encode), then forward-transformed in
+// place (charged to ntt); no plaintext scratch sits in between. Every long-lived buffer is carved from one
+// coefficient slab and flat header arrays instead of row×chunk×limb
+// individual allocations — cold Prepare used to cost thousands of allocs
+// per call.
+func (e *Evaluator) buildTile(pm *PreparedMatrix, A [][]uint64, ti int, clk *obs.StageClock) *preparedTile {
 	p := e.P
 	n := p.R.N
 	full := p.R.Levels()
 	chunks, cols := pm.chunks, pm.cols
 	base, rows, mPad := pm.tileBounds(ti)
 	scale := p.InvPow2(log2(mPad))
-	t := &preparedTile{
-		rows:     rows,
-		mPad:     mPad,
-		rowNTT:   make([][]*ring.Poly, rows),
-		rowShoup: make([][][][]uint64, rows),
-	}
+	t := &preparedTile{rows: rows, mPad: mPad, rowNTT: make([][]*ring.Poly, rows)}
 	nPolys := rows * chunks
 	polys := make([]ring.Poly, nPolys)
 	polyPtrs := make([]*ring.Poly, nPolys)
-	shoupPtrs := make([][][]uint64, nPolys)
-	limbHdrs := make([][]uint64, 2*nPolys*full)
-	coeffSlab := make([]uint64, nPolys*full*n)
-	shoupSlab := make([]uint64, nPolys*full*n)
-	for k := 0; k < nPolys; k++ {
+	limbHdrs := make([][]uint64, nPolys*full)
+	slab := make([]uint64, nPolys*full*n)
+	for k := range polys {
 		pc := limbHdrs[:full:full]
-		sh := limbHdrs[full : 2*full : 2*full]
-		limbHdrs = limbHdrs[2*full:]
-		for l := 0; l < full; l++ {
-			pc[l], coeffSlab = coeffSlab[:n:n], coeffSlab[n:]
-			sh[l], shoupSlab = shoupSlab[:n:n], shoupSlab[n:]
+		limbHdrs = limbHdrs[full:]
+		for l := range pc {
+			pc[l], slab = slab[:n:n], slab[n:]
 		}
 		polys[k].Coeffs = pc
 		polyPtrs[k] = &polys[k]
-		shoupPtrs[k] = sh
 	}
 	for i := 0; i < rows; i++ {
 		rp := polyPtrs[i*chunks : (i+1)*chunks : (i+1)*chunks]
-		rsh := shoupPtrs[i*chunks : (i+1)*chunks : (i+1)*chunks]
-		for c := 0; c < chunks; c++ {
+		for c, pt := range rp {
 			lo, hi := c*n, (c+1)*n
 			if hi > cols {
 				hi = cols
 			}
-			pt := rp[c]
-			p.EncodeRowInto(rs.pt, A[base+i][lo:hi], scale)
+			p.EncodeLiftRowInto(pt, A[base+i][lo:hi], scale)
 			clk.Mark(obs.StageEncode)
-			p.LiftInto(pt, rs.pt)
-			clk.Mark(obs.StageLift)
-			// The companion pass runs inside the transform, limb by limb,
-			// and is charged to it.
-			p.R.NTTShoupInto(rsh[c], pt)
+			p.R.NTT(pt)
 			clk.Mark(obs.StageNTT)
 		}
 		t.rowNTT[i] = rp
-		t.rowShoup[i] = rsh
 	}
 	return t
 }
@@ -426,35 +407,38 @@ func (pm *PreparedMatrix) validate(res []*Result, tiles []int, vecs [][]*rlwe.Ci
 
 // --- per-vector machinery ---
 
-// rowScratch is the per-worker arena for one row's stages 1–4. The
-// a-part needs no accumulator of its own: it MACs straight into the tree
-// leaf's deferred full-basis buffer.
-type rowScratch struct {
-	accB *ring.Poly     // full-basis NTT-domain b accumulator
-	pt   *bfv.Plaintext // row encoding while a tile is built
-}
-
-func (e *Evaluator) getRowScratch() *rowScratch {
-	if rs, ok := e.rowPool.Get().(*rowScratch); ok {
-		return rs
-	}
-	return &rowScratch{
-		accB: e.P.R.NewPoly(e.P.R.Levels()),
-		pt:   e.P.NewPlaintext(),
-	}
-}
-
-func (e *Evaluator) putRowScratch(rs *rowScratch) { e.rowPool.Put(rs) }
-
-// applyScratch holds the per-call buffers shared across rows: the
-// NTT-domain vector chunks, the packing tree's reduce buffer and the leaf
-// source that feeds it (with one row scratch per fold worker).
+// applyScratch holds the per-call buffers shared across rows: the vector
+// chunks in stationary form, the packing tree's reduce buffer and the leaf
+// source that feeds it (with one b accumulator per fold worker).
 type applyScratch struct {
-	vNTT   []*rlwe.Ciphertext // full basis, NTT domain
-	fold   lwe.Fold           // log₂(subtree)+1 resident slots per worker
+	vec    []vectorChunk
+	fold   lwe.Fold // log₂(subtree)+1 resident slots per worker
 	leaves tileLeaves
-	clk    obs.StageClock // times the shared vector transforms; flushed once per apply
+	clk    obs.StageClock // times the shared vector sweeps; flushed once per apply
 	sink   obs.StageSink  // traced request's recorder; nil when unsampled
+}
+
+// vectorChunk is one column chunk of the vector in the form every row of
+// an apply multiplies: both halves forward-transformed over the full
+// basis, with their Shoup tables — the stationary operands of the row MAC.
+type vectorChunk struct {
+	ct             *rlwe.Ciphertext
+	bShoup, aShoup [][]uint64
+}
+
+func (e *Evaluator) newVectorChunk() vectorChunk {
+	r := e.P.R
+	full := r.Levels()
+	tables := make([][]uint64, 2*full)
+	slab := make([]uint64, 2*full*r.N)
+	for i := range tables {
+		tables[i], slab = slab[:r.N:r.N], slab[r.N:]
+	}
+	return vectorChunk{
+		ct:     &rlwe.Ciphertext{B: r.NewPoly(full), A: r.NewPoly(full)},
+		bShoup: tables[:full:full],
+		aShoup: tables[full:],
+	}
 }
 
 func (e *Evaluator) getApplyScratch(chunks int) *applyScratch {
@@ -462,22 +446,19 @@ func (e *Evaluator) getApplyScratch(chunks int) *applyScratch {
 	if !ok {
 		sc = &applyScratch{}
 	}
-	r := e.P.R
-	full := r.Levels()
-	// vNTT's length doubles as the chunk count downstream, so reslice to
+	// vec's length doubles as the chunk count downstream, so reslice to
 	// exactly chunks, reusing buffers parked in the spare capacity.
-	if cap(sc.vNTT) > len(sc.vNTT) {
-		sc.vNTT = sc.vNTT[:cap(sc.vNTT)]
+	if cap(sc.vec) < chunks {
+		grown := make([]vectorChunk, chunks)
+		copy(grown, sc.vec[:cap(sc.vec)])
+		sc.vec = grown
 	}
-	for len(sc.vNTT) < chunks {
-		sc.vNTT = append(sc.vNTT, &rlwe.Ciphertext{B: r.NewPoly(full), A: r.NewPoly(full)})
-	}
-	for i := range sc.vNTT {
-		if sc.vNTT[i] == nil {
-			sc.vNTT[i] = &rlwe.Ciphertext{B: r.NewPoly(full), A: r.NewPoly(full)}
+	sc.vec = sc.vec[:chunks]
+	for i := range sc.vec {
+		if sc.vec[i].ct == nil {
+			sc.vec[i] = e.newVectorChunk()
 		}
 	}
-	sc.vNTT = sc.vNTT[:chunks]
 	return sc
 }
 
@@ -521,8 +502,10 @@ func (e *Evaluator) effWorkers(items int) int {
 	return w
 }
 
-// loadVector copies the vector ciphertexts into scratch and forward-
-// transforms them once — the pipeline's shared stage-1 work, charged to
+// loadVector copies the vector ciphertexts into scratch, forward-transforms
+// them once — the pipeline's shared stage-1 work — and builds the Shoup
+// tables of both halves, which every row's MAC then reads: the transforms
+// are charged to ntt and the tables to row_mul, the stage they serve, on
 // the apply's clock.
 func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
 	r := e.P.R
@@ -533,7 +516,8 @@ func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
 		if ct.Levels() != r.Levels() {
 			return fmt.Errorf("%w: vector ciphertext %d", ErrVectorBasis, c)
 		}
-		v := sc.vNTT[c]
+		vc := sc.vec[c]
+		v := vc.ct
 		v.CopyFrom(ct)
 		sc.clk.Skip() // the copy is not a pipeline stage
 		if !v.B.IsNTT {
@@ -543,31 +527,34 @@ func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
 			r.NTT(v.A)
 		}
 		sc.clk.Mark(obs.StageNTT)
+		for l, m := range r.Moduli {
+			m.ShoupPrecompRow(vc.bShoup[l], v.B.Coeffs[l])
+			m.ShoupPrecompRow(vc.aShoup[l], v.A.Coeffs[l])
+		}
+		sc.clk.Mark(obs.StageRowMul)
 	}
 	return nil
 }
 
-// rowApplyInto runs stages 1–4 for one matrix row against the transformed
-// vector chunks and writes the extracted slot ciphertext into dst as an
-// NTT-resident tree leaf. Both leaf parts stay UN-rescaled: dst.A is the
-// raw full-basis NTT dot-product accumulator itself (the a-part MAC
+// rowApplyInto runs stages 1–4 for one matrix row against the vector
+// chunks and writes the extracted slot ciphertext into dst as an
+// NTT-resident tree leaf. The MAC is vector-stationary: the prepared row
+// is the streamed operand, and each chunk's b̂ and â, with the tables
+// loadVector built, are the fixed ones — accB (+)= row∘b̂, dst.A (+)=
+// row∘â in one sweep per chunk. Both leaf parts stay UN-rescaled: dst.A is
+// the raw full-basis NTT dot-product accumulator itself (the a-part MAC
 // writes straight into it — the tree's deferred a accumulator makes the
 // per-row RESCALE disappear), and dst.BT holds the un-rescaled per-limb B
 // constant in every slot (the NTT image of a constant). Both divisions
-// are deferred to the tree flush. polys/shoup are the row's prepared
-// chunks and their Shoup companions; clk, the fold worker's running
+// are deferred to the tree flush. polys are the row's prepared chunks,
+// accB the fold worker's b accumulator; clk, the fold worker's running
 // clock, is charged with the row's stages.
-func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, vNTT []*rlwe.Ciphertext, polys []*ring.Poly, shoup [][][]uint64, rs *rowScratch, clk *obs.StageClock) {
+func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, vec []vectorChunk, polys []*ring.Poly, accB *ring.Poly, clk *obs.StageClock) {
 	r := e.P.R
 	full := r.Levels()
-	accB := rs.accB
 	accB.IsNTT, dst.A.IsNTT = true, true
-	for c, v := range vNTT {
-		if c == 0 {
-			r.MulCoeffShoupDual(accB, dst.A, v.B, v.A, polys[c], shoup[c])
-		} else {
-			r.MulCoeffShoupDualAdd(accB, dst.A, v.B, v.A, polys[c], shoup[c])
-		}
+	for c, v := range vec {
+		r.MulCoeffShoupStationary(accB, dst.A, polys[c], v.ct.B, v.bShoup, v.ct.A, v.aShoup, c > 0)
 		clk.Mark(obs.StageRowMul)
 	}
 	// B: EXTRACT at index 0 keeps only the constant coefficient of the
@@ -593,10 +580,10 @@ func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, vNTT []*rlwe.Ciphertext, pol
 func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *preparedTile) error {
 	workers := e.effWorkers(tile.rows)
 	lv := &sc.leaves
-	for len(lv.rs) < workers {
-		lv.rs = append(lv.rs, e.getRowScratch())
+	for len(lv.accB) < workers {
+		lv.accB = append(lv.accB, e.P.R.NewPoly(e.P.R.Levels()))
 	}
-	lv.e, lv.vNTT, lv.tile = e, sc.vNTT, tile
+	lv.e, lv.vec, lv.tile = e, sc.vec, tile
 	root, err := sc.fold.Run(e.P, tile.mPad, lv, e.Keys, workers, sc.sink)
 	lv.tile = nil
 	if err != nil {
@@ -608,11 +595,11 @@ func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *prep
 
 // tileLeaves is the packing fold's leaf source for one tile: leaf i is
 // row i's dot product against the prepared tile, computed in fold worker
-// w's own row scratch; leaves past the tile's rows are the resident zero.
+// w's own b accumulator; leaves past the tile's rows are the resident zero.
 type tileLeaves struct {
 	e    *Evaluator
-	vNTT []*rlwe.Ciphertext
-	rs   []*rowScratch // one per fold worker
+	vec  []vectorChunk
+	accB []*ring.Poly // one full-basis NTT-domain b accumulator per fold worker
 	tile *preparedTile
 }
 
@@ -622,7 +609,7 @@ func (lv *tileLeaves) Leaf(w int, nd *lwe.PackNode, i int, clk *obs.StageClock) 
 		clk.Skip() // padding is no stage
 		return
 	}
-	lv.e.rowApplyInto(nd, lv.vNTT, lv.tile.rowNTT[i], lv.tile.rowShoup[i], lv.rs[w], clk)
+	lv.e.rowApplyInto(nd, lv.vec, lv.tile.rowNTT[i], lv.accB[w], clk)
 }
 
 // log2 of a power of two.

@@ -37,11 +37,12 @@ func ctEqual(a, b *rlwe.Ciphertext) bool {
 }
 
 // TestPreparedApplyRandomShapes: Prepare+ApplyInto must decrypt to the
-// cleartext product over one fixed multi-tile shape (m > N, a one-row
-// last tile) and random shapes, including non-power-of-two row counts and
-// multi-chunk column counts, and a repeated ApplyInto into the same
-// Result (exercising the pooled scratch) must reproduce the first call's
-// ciphertexts bit for bit.
+// cleartext product over fixed shapes (m > N with a one-row last tile;
+// three column chunks, then two, which reuse the pooled vector scratch
+// below its capacity) and random shapes, including non-power-of-two row
+// counts and multi-chunk column counts, and a repeated ApplyInto into the
+// same Result (exercising the pooled scratch) must reproduce the first
+// call's ciphertexts bit for bit.
 func TestPreparedApplyRandomShapes(t *testing.T) {
 	p := testParams(t, 32)
 	rng := testutil.NewRand(t)
@@ -50,7 +51,7 @@ func TestPreparedApplyRandomShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shapes := [][2]int{{p.R.N + 1, 16}}
+	shapes := [][2]int{{p.R.N + 1, 16}, {3, 2*p.R.N + 1}, {2, p.R.N + 1}}
 	for len(shapes) < 9 {
 		shapes = append(shapes, [2]int{
 			1 + rng.Intn(2*p.R.N), // up to two row tiles

@@ -126,12 +126,12 @@ func TestStageClockAttribution(t *testing.T) {
 	}
 }
 
-// TestStageTaxonomyComplete: the paper's nine stages plus the hoisted
-// decompose split, unique non-empty names — DESIGN.md and the exposition
+// TestStageTaxonomyComplete: the paper's stages (encode and lift as one)
+// plus the hoisted decompose split, unique non-empty names — DESIGN.md and the exposition
 // format both key off this table.
 func TestStageTaxonomyComplete(t *testing.T) {
-	if NumStages != 10 {
-		t.Fatalf("NumStages = %d, want the paper's 9 plus decompose", NumStages)
+	if NumStages != 9 {
+		t.Fatalf("NumStages = %d, want the paper's 8 (lift runs inside encode) plus decompose", NumStages)
 	}
 	seen := map[string]bool{}
 	for i, name := range StageNames {

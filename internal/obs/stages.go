@@ -2,21 +2,21 @@ package obs
 
 import "time"
 
-// The HMVP stage taxonomy (DESIGN.md §7/§9): the paper's nine pipeline
-// stages plus the hoisted digit-decomposition split of the key switch —
-// ten stages in all. RESCALE (moddown) is charged only by the pack tree:
-// the row apply defers its divisions to the tree flush. In a Prepare the
-// Shoup companion pass over a row is charged to ntt — it is a by-product
-// of the transform and fused with it — so encode + lift + ntt add up to
-// the Prepare span with no sweep left uncharged. These indices and
+// The HMVP stage taxonomy (DESIGN.md §7/§9): the paper's pipeline stages
+// plus the hoisted digit-decomposition split of the key switch — nine
+// stages in all. RESCALE (moddown) is charged only by the pack tree: the
+// row apply defers its divisions to the tree flush. A Prepare encodes and
+// centred-lifts each row chunk straight into its slab rows (charged to
+// encode), then transforms them (ntt), so encode + ntt add up to the
+// Prepare span with no sweep left uncharged. In an apply the Shoup tables of the
+// vector chunks are charged to row_mul, the stage they serve. These indices and
 // names are the single source of truth shared by the instrumented kernels
 // (internal/core, internal/lwe), the exposition format, cmd/chamtop, and
 // the documentation: a stage renamed here renames everywhere.
 const (
-	StageEncode      = iota // row coefficient encoding (Eq. 1)
-	StageLift               // CRT lift to the augmented basis
-	StageNTT                // forward transforms (rows + vector chunks) and, in Prepare, each row's Shoup companion pass
-	StageRowMul             // MULTPOLY multiply-accumulate (Eq. 2)
+	StageEncode      = iota // row coefficient encoding (Eq. 1) and its centred lift to the augmented basis
+	StageNTT                // forward transforms (rows + vector chunks)
+	StageRowMul             // MULTPOLY multiply-accumulate (Eq. 2) and the vector chunks' Shoup tables
 	StageINTT               // inverse transform of the accumulator
 	StageExtract            // EXTRACTLWES constant-coefficient extraction (Eq. 3)
 	StagePack               // PACKTWOLWES tree arithmetic (Alg. 2/3)
@@ -28,7 +28,7 @@ const (
 
 // StageNames maps stage indices to their metric label values.
 var StageNames = [NumStages]string{
-	"encode", "lift", "ntt", "row_mul", "intt",
+	"encode", "ntt", "row_mul", "intt",
 	"extract", "pack", "decompose", "key_switch", "moddown",
 }
 

@@ -10,6 +10,7 @@ package ring
 import (
 	"math/bits"
 
+	"cham/internal/mod"
 	"cham/internal/vec"
 )
 
@@ -62,7 +63,7 @@ func (p *Poly) CopyFrom(o *Poly) {
 // ShoupPrecompPoly returns the Shoup companion table of p — one word per
 // coefficient — for use as the fixed operand of the MulCoeffShoup…
 // sweeps. Worth computing once whenever p multiplies more than a couple of
-// polynomials (switching keys, prepared matrix rows).
+// polynomials (switching keys, the secret key).
 func (r *Ring) ShoupPrecompPoly(p *Poly) [][]uint64 {
 	out := make([][]uint64, p.Levels())
 	backing := make([]uint64, p.Levels()*r.N)
@@ -71,26 +72,6 @@ func (r *Ring) ShoupPrecompPoly(p *Poly) [][]uint64 {
 		r.Moduli[l].ShoupPrecompRow(out[l], p.Coeffs[l])
 	}
 	return out
-}
-
-// NTTShoupInto transforms p to the evaluation domain in place and fills dst
-// (one row of at least N words per limb of p) with ShoupPrecompPoly of the
-// result — limb by limb, so the companion pass reads each row while the
-// transform still has it in cache. It is the allocation-free form used
-// when the caller slabs many tables into one backing array (prepared-matrix
-// rows).
-func (r *Ring) NTTShoupInto(dst [][]uint64, p *Poly) {
-	if p.IsNTT {
-		panic("ring: NTT of an NTT-domain polynomial")
-	}
-	if len(dst) < p.Levels() {
-		panic("ring: Shoup table level mismatch")
-	}
-	for l, row := range p.Coeffs {
-		r.Tables[l].ForwardLazy(row)
-		r.Moduli[l].ShoupPrecompRow(dst[l][:r.N], row)
-	}
-	p.IsNTT = true
 }
 
 // MulCoeffShoup sets out = a ∘ b where bShoup = ShoupPrecompPoly(b); out
@@ -160,48 +141,56 @@ func (r *Ring) MulCoeffShoupPairAdd(out, a0, b0 *Poly, s0 [][]uint64, a1, b1 *Po
 	}
 }
 
-// MulCoeffShoupDual multiplies one fixed operand against two polynomials
-// in a single sweep: outB = aB ∘ b and outA = aA ∘ b, reading b and its
-// Shoup table once — the dot-product MAC of the row apply, where the
-// prepared row multiplies both halves of a vector ciphertext.
-func (r *Ring) MulCoeffShoupDual(outB, outA, aB, aA, b *Poly, bShoup [][]uint64) {
-	lv := sameLevels(outB, outA, aB, aA, b)
-	sameDomain(aB, aA, b)
+// MulCoeffShoupStationary multiplies one streamed polynomial against two
+// stationary ones in a single sweep: outB = x ∘ b and outA = x ∘ a, or
+// outB += x ∘ b and outA += x ∘ a when add is set, with bShoup/aShoup the
+// Shoup tables of b/a. It is the dot-product MAC of the row apply: the
+// prepared row is x, and the vector chunk's two halves, whose tables are
+// built once per apply, are b and a.
+func (r *Ring) MulCoeffShoupStationary(outB, outA, x, b *Poly, bShoup [][]uint64, a *Poly, aShoup [][]uint64, add bool) {
+	lv := sameLevels(outB, outA, x, b, a)
+	sameDomain(x, b, a)
 	for l := 0; l < lv; l++ {
-		m := r.Moduli[l]
-		rb, ra := aB.Coeffs[l], aA.Coeffs[l]
-		rk, rs := b.Coeffs[l], bShoup[l]
-		rob, roa := outB.Coeffs[l], outA.Coeffs[l]
-		if vec.MulShoupDual(m.Q, rob, roa, rb, ra, rk, rs, false) {
-			continue
-		}
-		for i := range rob {
-			k, s := rk[i], rs[i]
-			rob[i] = m.MulShoup(rb[i], k, s)
-			roa[i] = m.MulShoup(ra[i], k, s)
-		}
+		rx := x.Coeffs[l]
+		mulShoupDual(r.Moduli[l], outB.Coeffs[l], outA.Coeffs[l], rx, b.Coeffs[l], bShoup[l], rx, a.Coeffs[l], aShoup[l], add)
 	}
-	outB.IsNTT, outA.IsNTT = aB.IsNTT, aA.IsNTT
+	outB.IsNTT, outA.IsNTT = x.IsNTT, x.IsNTT
 }
 
-// MulCoeffShoupDualAdd is the accumulating form of MulCoeffShoupDual:
-// outB += aB ∘ b and outA += aA ∘ b in one sweep.
+// MulCoeffShoupDualAdd multiplies one fixed operand into two accumulators
+// in a single sweep: outB += aB ∘ b and outA += aA ∘ b, with bShoup =
+// ShoupPrecompPoly(b). The same kernel as MulCoeffShoupStationary, with
+// the fixed side shared instead of the streamed one.
 func (r *Ring) MulCoeffShoupDualAdd(outB, outA, aB, aA, b *Poly, bShoup [][]uint64) {
 	lv := sameLevels(outB, outA, aB, aA, b)
 	sameDomain(aB, aA, b)
 	for l := 0; l < lv; l++ {
-		m := r.Moduli[l]
-		rb, ra := aB.Coeffs[l], aA.Coeffs[l]
-		rk, rs := b.Coeffs[l], bShoup[l]
-		rob, roa := outB.Coeffs[l], outA.Coeffs[l]
-		if vec.MulShoupDual(m.Q, rob, roa, rb, ra, rk, rs, true) {
-			continue
+		rb, rs := b.Coeffs[l], bShoup[l]
+		mulShoupDual(r.Moduli[l], outB.Coeffs[l], outA.Coeffs[l], aB.Coeffs[l], rb, rs, aA.Coeffs[l], rb, rs, true)
+	}
+}
+
+// mulShoupDual is the one dual multiply row loop, on the vec kernel where
+// it runs: outB (+)= xB ∘ yB and outA (+)= xA ∘ yA, canonical, with sB/sA
+// the Shoup companions of yB/yA.
+func mulShoupDual(m mod.Modulus, outB, outA, xB, yB, sB, xA, yA, sA []uint64, add bool) {
+	if vec.MulShoupDual(m.Q, outB, outA, xB, yB, sB, xA, yA, sA, add) {
+		return
+	}
+	n := len(outB)
+	outA = outA[:n]
+	xB, yB, sB = xB[:n], yB[:n], sB[:n]
+	xA, yA, sA = xA[:n], yA[:n], sA[:n]
+	if !add {
+		for i := range outB {
+			outB[i] = m.MulShoup(xB[i], yB[i], sB[i])
+			outA[i] = m.MulShoup(xA[i], yA[i], sA[i])
 		}
-		for i := range rob {
-			k, s := rk[i], rs[i]
-			rob[i] = m.Add(rob[i], m.MulShoup(rb[i], k, s))
-			roa[i] = m.Add(roa[i], m.MulShoup(ra[i], k, s))
-		}
+		return
+	}
+	for i := range outB {
+		outB[i] = m.Add(outB[i], m.MulShoup(xB[i], yB[i], sB[i]))
+		outA[i] = m.Add(outA[i], m.MulShoup(xA[i], yA[i], sA[i]))
 	}
 }
 

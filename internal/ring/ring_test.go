@@ -220,13 +220,14 @@ func TestMulScalarBig(t *testing.T) {
 }
 
 // TestMulCoeffShoupMatchesBarrett: a product through a fixed operand's
-// Shoup table is the same word as MulCoeff's, in place and subtracted,
-// with the table built over more limbs than the operands carry.
+// Shoup table is the same word as MulCoeff's, in place, subtracted, and
+// through the vector-stationary dual MAC fresh and accumulated, with the
+// tables built over more limbs than the operands carry.
 func TestMulCoeffShoupMatchesBarrett(t *testing.T) {
 	r := chamRing(t, 64)
 	rng := testutil.NewRand(t)
-	b := randPoly(r, rng, 3)
-	bShoup := r.ShoupPrecompPoly(b)
+	b, c := randPoly(r, rng, 3), randPoly(r, rng, 3)
+	bShoup, cShoup := r.ShoupPrecompPoly(b), r.ShoupPrecompPoly(c)
 	for lv := 1; lv <= 3; lv++ {
 		a, acc := randPoly(r, rng, lv), randPoly(r, rng, lv)
 		bv := &Poly{Coeffs: b.Coeffs[:lv]}
@@ -241,6 +242,21 @@ func TestMulCoeffShoupMatchesBarrett(t *testing.T) {
 		r.MulCoeffShoupSub(acc, a, bv, bShoup)
 		if !acc.Equal(want) {
 			t.Fatalf("%d limbs: MulCoeffShoupSub differs from Sub of MulCoeff", lv)
+		}
+		cv := &Poly{Coeffs: c.Coeffs[:lv]}
+		wantB, wantA := r.NewPoly(lv), r.NewPoly(lv)
+		r.MulCoeff(wantB, a, bv)
+		r.MulCoeff(wantA, a, cv)
+		gotB, gotA := r.NewPoly(lv), r.NewPoly(lv)
+		r.MulCoeffShoupStationary(gotB, gotA, a, bv, bShoup, cv, cShoup, false)
+		if !gotB.Equal(wantB) || !gotA.Equal(wantA) {
+			t.Fatalf("%d limbs: MulCoeffShoupStationary differs from MulCoeff", lv)
+		}
+		r.Add(wantB, wantB, wantB)
+		r.Add(wantA, wantA, wantA)
+		r.MulCoeffShoupStationary(gotB, gotA, a, bv, bShoup, cv, cShoup, true)
+		if !gotB.Equal(wantB) || !gotA.Equal(wantA) {
+			t.Fatalf("%d limbs: accumulating MulCoeffShoupStationary differs from Add of MulCoeff", lv)
 		}
 	}
 }
