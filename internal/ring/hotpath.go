@@ -10,7 +10,6 @@ package ring
 import (
 	"math/bits"
 
-	"cham/internal/mod"
 	"cham/internal/vec"
 )
 
@@ -151,47 +150,33 @@ func (r *Ring) MulCoeffShoupStationary(outB, outA, x, b *Poly, bShoup [][]uint64
 	lv := sameLevels(outB, outA, x, b, a)
 	sameDomain(x, b, a)
 	for l := 0; l < lv; l++ {
-		rx := x.Coeffs[l]
-		mulShoupDual(r.Moduli[l], outB.Coeffs[l], outA.Coeffs[l], rx, b.Coeffs[l], bShoup[l], rx, a.Coeffs[l], aShoup[l], add)
+		m := r.Moduli[l]
+		rob, roa := outB.Coeffs[l], outA.Coeffs[l]
+		rx, rb, rsb, ra, rsa := x.Coeffs[l], b.Coeffs[l], bShoup[l], a.Coeffs[l], aShoup[l]
+		if vec.MulShoupDual(m.Q, rob, roa, rx, rb, rsb, ra, rsa, add) {
+			continue
+		}
+		if !add {
+			for i := range rob {
+				rob[i] = m.MulShoup(rx[i], rb[i], rsb[i])
+				roa[i] = m.MulShoup(rx[i], ra[i], rsa[i])
+			}
+			continue
+		}
+		for i := range rob {
+			rob[i] = m.Add(rob[i], m.MulShoup(rx[i], rb[i], rsb[i]))
+			roa[i] = m.Add(roa[i], m.MulShoup(rx[i], ra[i], rsa[i]))
+		}
 	}
 	outB.IsNTT, outA.IsNTT = x.IsNTT, x.IsNTT
 }
 
-// MulCoeffShoupDualAdd multiplies one fixed operand into two accumulators
-// in a single sweep: outB += aB ∘ b and outA += aA ∘ b, with bShoup =
-// ShoupPrecompPoly(b). The same kernel as MulCoeffShoupStationary, with
-// the fixed side shared instead of the streamed one.
+// MulCoeffShoupDualAdd multiplies one fixed operand into two accumulators:
+// outB += aB ∘ b and outA += aA ∘ b, with bShoup = ShoupPrecompPoly(b) —
+// two MulCoeffShoupAdd sweeps.
 func (r *Ring) MulCoeffShoupDualAdd(outB, outA, aB, aA, b *Poly, bShoup [][]uint64) {
-	lv := sameLevels(outB, outA, aB, aA, b)
-	sameDomain(aB, aA, b)
-	for l := 0; l < lv; l++ {
-		rb, rs := b.Coeffs[l], bShoup[l]
-		mulShoupDual(r.Moduli[l], outB.Coeffs[l], outA.Coeffs[l], aB.Coeffs[l], rb, rs, aA.Coeffs[l], rb, rs, true)
-	}
-}
-
-// mulShoupDual is the one dual multiply row loop, on the vec kernel where
-// it runs: outB (+)= xB ∘ yB and outA (+)= xA ∘ yA, canonical, with sB/sA
-// the Shoup companions of yB/yA.
-func mulShoupDual(m mod.Modulus, outB, outA, xB, yB, sB, xA, yA, sA []uint64, add bool) {
-	if vec.MulShoupDual(m.Q, outB, outA, xB, yB, sB, xA, yA, sA, add) {
-		return
-	}
-	n := len(outB)
-	outA = outA[:n]
-	xB, yB, sB = xB[:n], yB[:n], sB[:n]
-	xA, yA, sA = xA[:n], yA[:n], sA[:n]
-	if !add {
-		for i := range outB {
-			outB[i] = m.MulShoup(xB[i], yB[i], sB[i])
-			outA[i] = m.MulShoup(xA[i], yA[i], sA[i])
-		}
-		return
-	}
-	for i := range outB {
-		outB[i] = m.Add(outB[i], m.MulShoup(xB[i], yB[i], sB[i]))
-		outA[i] = m.Add(outA[i], m.MulShoup(xA[i], yA[i], sA[i]))
-	}
+	r.MulCoeffShoupAdd(outB, aB, b, bShoup)
+	r.MulCoeffShoupAdd(outA, aA, b, bShoup)
 }
 
 // SumRow returns Σ_i p.Coeffs[l][i] mod q_l, accumulated in 128 bits and

@@ -101,16 +101,15 @@ func MulShoupPair(q uint64, out, a0, b0, s0, a1, b1, s1 []uint64) bool {
 	return true
 }
 
-// MulShoupDual sets outB = xB∘yB and outA = xA∘yA, or accumulates into
-// both when add is set; sB/sA are the Shoup companions of yB/yA. Either
-// side may be shared: one streamed row against two fixed rows (xB = xA,
-// the row apply) or two rows against one fixed row (yB = yA).
-func MulShoupDual(q uint64, outB, outA, xB, yB, sB, xA, yA, sA []uint64, add bool) bool {
+// MulShoupDual sets outB = x∘yB and outA = x∘yA, or accumulates into both
+// when add is set; sB/sA are the Shoup companions of yB/yA. x is read once
+// for both products.
+func MulShoupDual(q uint64, outB, outA, x, yB, sB, yA, sA []uint64, add bool) bool {
 	n := len(outB)
-	if !ok(q, n, outA, xB, yB, sB, xA, yA, sA) {
+	if !ok(q, n, outA, x, yB, sB, yA, sA) {
 		return false
 	}
-	mulShoupDual(&outB[0], &outA[0], &xB[0], &yB[0], &sB[0], &xA[0], &yA[0], &sA[0], n, q, add)
+	mulShoupDual(&outB[0], &outA[0], &x[0], &yB[0], &sB[0], &yA[0], &sA[0], n, q, add)
 	return true
 }
 
@@ -190,7 +189,7 @@ func monomialSplit(sum, diff, e, o, m, ms *uint64, n int, q uint64)
 func mulShoupPair(out, a0, b0, s0, a1, b1, s1 *uint64, n int, q uint64)
 
 //go:noescape
-func mulShoupDual(outB, outA, xB, yB, sB, xA, yA, sA *uint64, n int, q uint64, add bool)
+func mulShoupDual(outB, outA, x, yB, sB, yA, sA *uint64, n int, q uint64, add bool)
 
 //go:noescape
 func centredLift(out, x *uint64, n int, q, mu, half, negAdd uint64)

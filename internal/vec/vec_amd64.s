@@ -505,95 +505,63 @@ pairLoop:
 	VZEROUPPER
 	RET
 
-// DUALPROD: Z3 = xB[AX:]∘yB, Z6 = xA[AX:]∘yA as lazy products below 2q,
-// operands at R8..R13 in argument order; xa is the register xA is read
-// into — Z0, where xB already is, when the two are one row.
-#define DUALPROD(xa) \
+// DUALPROD: Z3 = x[AX:]∘yB, Z6 = x[AX:]∘yA as lazy products below 2q,
+// operands at R8..R12 in argument order; x is read once for both.
+#define DUALPROD \
 	VMOVDQU64 (R8)(AX*8), Z0; \
 	VMOVDQU64 (R9)(AX*8), Z1; \
 	VMOVDQU64 (R10)(AX*8), Z2; \
 	VPSRLQ $12, Z2, Z2; \
 	SHOUP52(Z0, Z1, Z2, Z3, Z4); \
-	VMOVDQU64 (R12)(AX*8), Z8; \
-	VMOVDQU64 (R13)(AX*8), Z9; \
+	VMOVDQU64 (R11)(AX*8), Z8; \
+	VMOVDQU64 (R12)(AX*8), Z9; \
 	VPSRLQ $12, Z9, Z9; \
-	SHOUP52(xa, Z8, Z9, Z6, Z7)
+	SHOUP52(Z0, Z8, Z9, Z6, Z7)
 
-// DUALSTORE: outB = Z3, outA = Z6 reduced below q, after adding what
-// outB/outA held (DUALADD: sums below 3q, reduced by −2q, −q) when add is
-// DUALADD; then AX steps and is compared with n for the loop's JLT.
-#define DUALSTORE(add) \
-	add; \
-	CSUB(Z3, Z31, Z4); \
-	CSUB(Z6, Z31, Z7); \
-	VMOVDQU64 Z3, (DI)(AX*8); \
-	VMOVDQU64 Z6, (SI)(AX*8); \
-	ADDQ $8, AX; \
-	CMPQ AX, CX
-
-#define DUALADD \
-	VPADDQ (DI)(AX*8), Z3, Z3; \
-	CSUB(Z3, Z30, Z4); \
-	VPADDQ (SI)(AX*8), Z6, Z6; \
-	CSUB(Z6, Z30, Z7)
-
-#define NOADD
-
-// func mulShoupDual(outB, outA, xB, yB, sB, xA, yA, sA *uint64, n int, q uint64, add bool)
+// func mulShoupDual(outB, outA, x, yB, sB, yA, sA *uint64, n int, q uint64, add bool)
 //
-// Mirrors the row loop of ring's mulShoupDual, behind
-// MulCoeffShoupStationary and MulCoeffShoupDualAdd: outB (+)= xB∘yB,
-// outA (+)= xA∘yA, canonical. When xB and xA are one row (the row apply)
-// it is read once.
-TEXT ·mulShoupDual(SB), NOSPLIT, $0-81
+// Mirrors the row loops of ring.(*Ring).MulCoeffShoupStationary:
+// outB (+)= x∘yB, outA (+)= x∘yA, canonical.
+TEXT ·mulShoupDual(SB), NOSPLIT, $0-73
 	MOVQ outB+0(FP), DI
 	MOVQ outA+8(FP), SI
-	MOVQ xB+16(FP), R8
+	MOVQ x+16(FP), R8
 	MOVQ yB+24(FP), R9
 	MOVQ sB+32(FP), R10
-	MOVQ xA+40(FP), R11
-	MOVQ yA+48(FP), R12
-	MOVQ sA+56(FP), R13
-	MOVQ n+64(FP), CX
-	MOVQ q+72(FP), BX
+	MOVQ yA+40(FP), R11
+	MOVQ sA+48(FP), R12
+	MOVQ n+56(FP), CX
+	MOVQ q+64(FP), BX
 	CONSTS(BX)
 	XORQ AX, AX
-	CMPQ R8, R11
-	JEQ  dualShared
-	CMPB add+80(FP), $0
+	CMPB add+72(FP), $0
 	JNE  dualAddLoop
 
 dualLoop:
-	VMOVDQU64 (R11)(AX*8), Z5
-	DUALPROD(Z5)
-	DUALSTORE(NOADD)
+	DUALPROD
+	CSUB(Z3, Z31, Z4)
+	CSUB(Z6, Z31, Z7)
+	VMOVDQU64 Z3, (DI)(AX*8)
+	VMOVDQU64 Z6, (SI)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, CX
 	JLT  dualLoop
 	VZEROUPPER
 	RET
 
 dualAddLoop:
-	VMOVDQU64 (R11)(AX*8), Z5
-	DUALPROD(Z5)
-	DUALSTORE(DUALADD)
+	DUALPROD
+	VPADDQ (DI)(AX*8), Z3, Z3   // < 3q
+	CSUB(Z3, Z30, Z4)
+	CSUB(Z3, Z31, Z4)
+	VPADDQ (SI)(AX*8), Z6, Z6
+	CSUB(Z6, Z30, Z7)
+	CSUB(Z6, Z31, Z7)
+	VMOVDQU64 Z3, (DI)(AX*8)
+	VMOVDQU64 Z6, (SI)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, CX
 	JLT  dualAddLoop
-	VZEROUPPER
-	RET
-
-dualShared:
-	CMPB add+80(FP), $0
-	JNE  dualSharedAddLoop
-
-dualSharedLoop:
-	DUALPROD(Z0)
-	DUALSTORE(NOADD)
-	JLT  dualSharedLoop
-	VZEROUPPER
-	RET
-
-dualSharedAddLoop:
-	DUALPROD(Z0)
-	DUALSTORE(DUALADD)
-	JLT  dualSharedAddLoop
 	VZEROUPPER
 	RET
 

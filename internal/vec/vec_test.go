@@ -127,9 +127,9 @@ func runAll(r *ring.Ring, seed int64, fill int) []result {
 	acc := g.poly(true)
 	r.MulCoeffShoupPairAdd(acc, a0, b0, s0, a1, b1, s1)
 	keep("pair", acc)
-	// The dual MAC in both of its uses: one streamed row against the two
-	// stationary halves of a vector chunk (the row apply), fresh and
-	// accumulated, and two rows against one shared fixed operand.
+	// The dual MAC: one streamed row against the two stationary halves of
+	// a vector chunk (the row apply), fresh and accumulated; then two rows
+	// against one shared fixed operand.
 	outB, outA := r.NewPoly(lv), r.NewPoly(lv)
 	accB, accA := g.poly(true), g.poly(true)
 	r.MulCoeffShoupStationary(outB, outA, a0, b0, s0, b1, s1, false)
@@ -198,10 +198,8 @@ func TestKernelsMatchGoLoops(t *testing.T) {
 	}
 }
 
-// TestMulShoupDualForms drives the dual MAC kernel straight, in every form
-// its entry picks — one streamed row shared by both outputs or two, fresh
-// or accumulated — including the one no ring caller uses (two streamed
-// rows, fresh), against the products written out with mod's MulShoup.
+// TestMulShoupDualForms drives the dual MAC kernel straight, fresh and
+// accumulated, against the products written out with mod's MulShoup.
 func TestMulShoupDualForms(t *testing.T) {
 	if vec.Impl() != vec.ImplIFMA {
 		t.Skip("no dual kernel on this host")
@@ -210,33 +208,27 @@ func TestMulShoupDualForms(t *testing.T) {
 	for _, q := range mod.ChamModuli() {
 		m := mod.New(q)
 		g := &gen{r: ring.MustNew(n, []uint64{q}), rng: rand.New(rand.NewSource(int64(q))), fill: fillRandom}
-		x0, x1, yB, yA := g.row(q), g.row(q), g.row(q), g.row(q)
+		x, yB, yA := g.row(q), g.row(q), g.row(q)
 		sB, sA := make([]uint64, n), make([]uint64, n)
 		m.ShoupPrecompRow(sB, yB)
 		m.ShoupPrecompRow(sA, yA)
-		for _, shared := range []bool{true, false} {
-			xA := x1
-			if shared {
-				xA = x0
+		for _, add := range []bool{false, true} {
+			outB, outA := g.row(q), g.row(q)
+			wantB, wantA := append([]uint64(nil), outB...), append([]uint64(nil), outA...)
+			for i := range wantB {
+				b, a := m.MulShoup(x[i], yB[i], sB[i]), m.MulShoup(x[i], yA[i], sA[i])
+				if add {
+					b, a = m.Add(wantB[i], b), m.Add(wantA[i], a)
+				}
+				wantB[i], wantA[i] = b, a
 			}
-			for _, add := range []bool{false, true} {
-				outB, outA := g.row(q), g.row(q)
-				wantB, wantA := append([]uint64(nil), outB...), append([]uint64(nil), outA...)
-				for i := range wantB {
-					b, a := m.MulShoup(x0[i], yB[i], sB[i]), m.MulShoup(xA[i], yA[i], sA[i])
-					if add {
-						b, a = m.Add(wantB[i], b), m.Add(wantA[i], a)
-					}
-					wantB[i], wantA[i] = b, a
-				}
-				if !vec.MulShoupDual(q, outB, outA, x0, yB, sB, xA, yA, sA, add) {
-					t.Fatalf("q=%d: the kernel declined", q)
-				}
-				for i := range wantB {
-					if outB[i] != wantB[i] || outA[i] != wantA[i] {
-						t.Fatalf("q=%d shared=%v add=%v: word %d is (%d, %d), want (%d, %d)",
-							q, shared, add, i, outB[i], outA[i], wantB[i], wantA[i])
-					}
+			if !vec.MulShoupDual(q, outB, outA, x, yB, sB, yA, sA, add) {
+				t.Fatalf("q=%d: the kernel declined", q)
+			}
+			for i := range wantB {
+				if outB[i] != wantB[i] || outA[i] != wantA[i] {
+					t.Fatalf("q=%d add=%v: word %d is (%d, %d), want (%d, %d)",
+						q, add, i, outB[i], outA[i], wantB[i], wantA[i])
 				}
 			}
 		}
@@ -258,7 +250,7 @@ func TestKernelGates(t *testing.T) {
 			"InverseNTT":    vec.InverseNTT(q, z(), z(), z(), 0, 0, 0, 0),
 			"MonomialSplit": vec.MonomialSplit(q, z(), z(), z(), z(), z(), z()),
 			"MulShoupPair":  vec.MulShoupPair(q, z(), z(), z(), z(), z(), z(), z()),
-			"MulShoupDual":  vec.MulShoupDual(q, z(), z(), z(), z(), z(), z(), z(), z(), true),
+			"MulShoupDual":  vec.MulShoupDual(q, z(), z(), z(), z(), z(), z(), z(), true),
 			"CentredLift":   vec.CentredLift(q, z(), z(), q/2, 0),
 			"ModDownRow":    vec.ModDownRow(q, z(), z(), z(), q/2, 0, 0, 0),
 			"Gather":        vec.Gather(z(), z(), make([]uint32, n)),
@@ -294,17 +286,12 @@ func TestKernelGates(t *testing.T) {
 	})
 	t.Run("short operand", func(t *testing.T) {
 		z := func(n int) []uint64 { return make([]uint64, n) }
-		// The dual MAC's operands are xB, yB, sB, xA, yA, sA; one slice
-		// stands for a shared operand in both of the kernel's uses.
-		row, fixed, comp, short := z(32), z(32), z(32), z(24)
-		for use, o := range map[string][6][]uint64{
-			"shared streamed row, short":            {short, fixed, comp, short, z(32), z(32)},
-			"shared streamed row, short companion":  {row, fixed, comp, row, z(32), short},
-			"shared fixed operand, short":           {row, short, comp, z(32), short, comp},
-			"shared fixed operand, short companion": {row, fixed, short, z(32), fixed, short},
-		} {
-			if vec.MulShoupDual(cham, z(32), z(32), o[0], o[1], o[2], o[3], o[4], o[5], true) {
-				t.Errorf("MulShoupDual (%s) accepted an operand shorter than out", use)
+		// The dual MAC's operands are x, yB, sB, yA, sA.
+		for i := 0; i < 5; i++ {
+			o := [5][]uint64{z(32), z(32), z(32), z(32), z(32)}
+			o[i] = z(24)
+			if vec.MulShoupDual(cham, z(32), z(32), o[0], o[1], o[2], o[3], o[4], true) {
+				t.Errorf("MulShoupDual accepted operand %d shorter than out", i)
 			}
 		}
 		if vec.ModDownRow(cham, z(32), z(32), z(24), cham/2, 0, 0, 0) {
