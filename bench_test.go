@@ -531,6 +531,9 @@ func BenchmarkKernels(b *testing.B) {
 	x, y, z, w := poly(1, true), poly(1, true), poly(1, true), poly(1, true)
 	o0, o1 := poly(1, true), poly(1, true)
 	sy, sw := r.ShoupPrecompPoly(y), r.ShoupPrecompPoly(w)
+	my, mw := r.NewPoly(1), r.NewPoly(1) // y and w in Montgomery form
+	r.MulScalar(my, y, 1<<52)
+	r.MulScalar(mw, w, 1<<52)
 	two := poly(2, false) // ModDownInto drops its second limb: one output row
 	lift := two.Coeffs[1] // canonical residues of limb 1, lifted into limb 0
 	tab := r.Tables[0]
@@ -542,8 +545,8 @@ func BenchmarkKernels(b *testing.B) {
 		{"InverseNTT", func() { tab.InverseLazy(o0.Coeffs[0]) }},
 		{"MonomialSplit", func() { r.MonomialSplitNTT(o0, o1, x, y, 5) }},
 		{"MulShoupPairAdd", func() { r.MulCoeffShoupPairAdd(o0, x, y, sy, z, w, sw) }},
-		{"MulShoupDual", func() { r.MulCoeffShoupStationary(o0, o1, x, y, sy, w, sw, false) }},
-		{"MulShoupDualAdd", func() { r.MulCoeffShoupStationary(o0, o1, x, y, sy, w, sw, true) }},
+		{"MulMontDual", func() { r.MulCoeffMontStationary(o0, o1, x, my, mw, false) }},
+		{"MulMontDualAdd", func() { r.MulCoeffMontStationary(o0, o1, x, my, mw, true) }},
 		{"CentredLift", func() { r.CentredLiftRow(o0.Coeffs[0], lift, 0, 1) }},
 		{"ModDownRow", func() { r.ModDownInto(o1, two) }},
 		{"Gather", func() { r.AutomorphNTT(o1, x, 5) }},

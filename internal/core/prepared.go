@@ -4,8 +4,9 @@ package core
 // centred lift, forward NTT) is hoisted out of the per-vector path,
 // mirroring how CHAM keeps operands resident instead of re-streaming them.
 // A prepared row is its transformed values and nothing else: within one
-// apply the vector chunk is the operand every row multiplies, so the Shoup
-// tables of the row MAC are built once per apply on the vector's side. A
+// apply the vector chunk is the operand every row multiplies, and the row
+// MAC is a Montgomery product against the chunk, which each apply puts in
+// Montgomery form once, so neither side carries a Shoup table. A
 // PreparedMatrix is built once with Prepare and then applied to any number
 // of encrypted vectors; ApplyInto reuses pooled scratch end to end, so a
 // warm apply performs zero heap allocations.
@@ -204,10 +205,10 @@ func (pm *PreparedMatrix) PrepareTile(A [][]uint64, ti int) error {
 // buildTile runs stages 1–2 for one row tile, one pass per row chunk: the
 // row is checked, encoded and centred-lifted straight into its slab rows
 // (bfv.EncodeLiftRowInto, charged to encode), then forward-transformed in
-// place (charged to ntt); no plaintext scratch sits in between. Every long-lived buffer is carved from one
-// coefficient slab and flat header arrays instead of row×chunk×limb
-// individual allocations — cold Prepare used to cost thousands of allocs
-// per call.
+// place (charged to ntt); no plaintext scratch sits in between. Every
+// long-lived buffer is carved from one coefficient slab and flat header
+// arrays instead of row×chunk×limb individual allocations — cold Prepare
+// used to cost thousands of allocs per call.
 func (e *Evaluator) buildTile(pm *PreparedMatrix, A [][]uint64, ti int, clk *obs.StageClock) *preparedTile {
 	p := e.P
 	n := p.R.N
@@ -408,37 +409,15 @@ func (pm *PreparedMatrix) validate(res []*Result, tiles []int, vecs [][]*rlwe.Ci
 // --- per-vector machinery ---
 
 // applyScratch holds the per-call buffers shared across rows: the vector
-// chunks in stationary form, the packing tree's reduce buffer and the leaf
-// source that feeds it (with one b accumulator per fold worker).
+// chunks in the row MAC's stationary form, the packing tree's reduce
+// buffer and the leaf source that feeds it (with one b accumulator per
+// fold worker).
 type applyScratch struct {
-	vec    []vectorChunk
-	fold   lwe.Fold // log₂(subtree)+1 resident slots per worker
+	vMont  []*rlwe.Ciphertext // full basis, NTT domain, Montgomery form
+	fold   lwe.Fold           // log₂(subtree)+1 resident slots per worker
 	leaves tileLeaves
 	clk    obs.StageClock // times the shared vector sweeps; flushed once per apply
 	sink   obs.StageSink  // traced request's recorder; nil when unsampled
-}
-
-// vectorChunk is one column chunk of the vector in the form every row of
-// an apply multiplies: both halves forward-transformed over the full
-// basis, with their Shoup tables — the stationary operands of the row MAC.
-type vectorChunk struct {
-	ct             *rlwe.Ciphertext
-	bShoup, aShoup [][]uint64
-}
-
-func (e *Evaluator) newVectorChunk() vectorChunk {
-	r := e.P.R
-	full := r.Levels()
-	tables := make([][]uint64, 2*full)
-	slab := make([]uint64, 2*full*r.N)
-	for i := range tables {
-		tables[i], slab = slab[:r.N:r.N], slab[r.N:]
-	}
-	return vectorChunk{
-		ct:     &rlwe.Ciphertext{B: r.NewPoly(full), A: r.NewPoly(full)},
-		bShoup: tables[:full:full],
-		aShoup: tables[full:],
-	}
 }
 
 func (e *Evaluator) getApplyScratch(chunks int) *applyScratch {
@@ -446,19 +425,22 @@ func (e *Evaluator) getApplyScratch(chunks int) *applyScratch {
 	if !ok {
 		sc = &applyScratch{}
 	}
-	// vec's length doubles as the chunk count downstream, so reslice to
+	r := e.P.R
+	full := r.Levels()
+	// vMont's length doubles as the chunk count downstream, so reslice to
 	// exactly chunks, reusing buffers parked in the spare capacity.
-	if cap(sc.vec) < chunks {
-		grown := make([]vectorChunk, chunks)
-		copy(grown, sc.vec[:cap(sc.vec)])
-		sc.vec = grown
+	if cap(sc.vMont) > len(sc.vMont) {
+		sc.vMont = sc.vMont[:cap(sc.vMont)]
 	}
-	sc.vec = sc.vec[:chunks]
-	for i := range sc.vec {
-		if sc.vec[i].ct == nil {
-			sc.vec[i] = e.newVectorChunk()
+	for len(sc.vMont) < chunks {
+		sc.vMont = append(sc.vMont, &rlwe.Ciphertext{B: r.NewPoly(full), A: r.NewPoly(full)})
+	}
+	for i := range sc.vMont {
+		if sc.vMont[i] == nil {
+			sc.vMont[i] = &rlwe.Ciphertext{B: r.NewPoly(full), A: r.NewPoly(full)}
 		}
 	}
+	sc.vMont = sc.vMont[:chunks]
 	return sc
 }
 
@@ -503,10 +485,10 @@ func (e *Evaluator) effWorkers(items int) int {
 }
 
 // loadVector copies the vector ciphertexts into scratch, forward-transforms
-// them once — the pipeline's shared stage-1 work — and builds the Shoup
-// tables of both halves, which every row's MAC then reads: the transforms
-// are charged to ntt and the tables to row_mul, the stage they serve, on
-// the apply's clock.
+// them once — the pipeline's shared stage-1 work, charged to ntt — and
+// puts both halves in Montgomery form (·2^52, see
+// ring.MulCoeffMontStationary), the form every row's MAC reads, charged to
+// row_mul, the stage it serves. Both on the apply's clock.
 func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
 	r := e.P.R
 	for c, ct := range ctV {
@@ -516,8 +498,7 @@ func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
 		if ct.Levels() != r.Levels() {
 			return fmt.Errorf("%w: vector ciphertext %d", ErrVectorBasis, c)
 		}
-		vc := sc.vec[c]
-		v := vc.ct
+		v := sc.vMont[c]
 		v.CopyFrom(ct)
 		sc.clk.Skip() // the copy is not a pipeline stage
 		if !v.B.IsNTT {
@@ -527,10 +508,8 @@ func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
 			r.NTT(v.A)
 		}
 		sc.clk.Mark(obs.StageNTT)
-		for l, m := range r.Moduli {
-			m.ShoupPrecompRow(vc.bShoup[l], v.B.Coeffs[l])
-			m.ShoupPrecompRow(vc.aShoup[l], v.A.Coeffs[l])
-		}
+		r.MulScalar(v.B, v.B, 1<<52)
+		r.MulScalar(v.A, v.A, 1<<52)
 		sc.clk.Mark(obs.StageRowMul)
 	}
 	return nil
@@ -539,22 +518,22 @@ func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
 // rowApplyInto runs stages 1–4 for one matrix row against the vector
 // chunks and writes the extracted slot ciphertext into dst as an
 // NTT-resident tree leaf. The MAC is vector-stationary: the prepared row
-// is the streamed operand, and each chunk's b̂ and â, with the tables
-// loadVector built, are the fixed ones — accB (+)= row∘b̂, dst.A (+)=
-// row∘â in one sweep per chunk. Both leaf parts stay UN-rescaled: dst.A is
-// the raw full-basis NTT dot-product accumulator itself (the a-part MAC
-// writes straight into it — the tree's deferred a accumulator makes the
-// per-row RESCALE disappear), and dst.BT holds the un-rescaled per-limb B
-// constant in every slot (the NTT image of a constant). Both divisions
-// are deferred to the tree flush. polys are the row's prepared chunks,
-// accB the fold worker's b accumulator; clk, the fold worker's running
-// clock, is charged with the row's stages.
-func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, vec []vectorChunk, polys []*ring.Poly, accB *ring.Poly, clk *obs.StageClock) {
+// is the streamed operand, and each chunk's b̂ and â, in the Montgomery
+// form loadVector left them in, are the fixed ones — accB (+)= row∘b̂,
+// dst.A (+)= row∘â in one sweep per chunk. Both leaf parts stay
+// UN-rescaled: dst.A is the raw full-basis NTT dot-product accumulator
+// itself (the a-part MAC writes straight into it — the tree's deferred a
+// accumulator makes the per-row RESCALE disappear), and dst.BT holds the
+// un-rescaled per-limb B constant in every slot (the NTT image of a
+// constant). Both divisions are deferred to the tree flush. polys are the
+// row's prepared chunks, accB the fold worker's b accumulator; clk, the
+// fold worker's running clock, is charged with the row's stages.
+func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, vMont []*rlwe.Ciphertext, polys []*ring.Poly, accB *ring.Poly, clk *obs.StageClock) {
 	r := e.P.R
 	full := r.Levels()
 	accB.IsNTT, dst.A.IsNTT = true, true
-	for c, v := range vec {
-		r.MulCoeffShoupStationary(accB, dst.A, polys[c], v.ct.B, v.bShoup, v.ct.A, v.aShoup, c > 0)
+	for c, v := range vMont {
+		r.MulCoeffMontStationary(accB, dst.A, polys[c], v.B, v.A, c > 0)
 		clk.Mark(obs.StageRowMul)
 	}
 	// B: EXTRACT at index 0 keeps only the constant coefficient of the
@@ -583,7 +562,7 @@ func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *prep
 	for len(lv.accB) < workers {
 		lv.accB = append(lv.accB, e.P.R.NewPoly(e.P.R.Levels()))
 	}
-	lv.e, lv.vec, lv.tile = e, sc.vec, tile
+	lv.e, lv.vMont, lv.tile = e, sc.vMont, tile
 	root, err := sc.fold.Run(e.P, tile.mPad, lv, e.Keys, workers, sc.sink)
 	lv.tile = nil
 	if err != nil {
@@ -597,10 +576,10 @@ func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *prep
 // row i's dot product against the prepared tile, computed in fold worker
 // w's own b accumulator; leaves past the tile's rows are the resident zero.
 type tileLeaves struct {
-	e    *Evaluator
-	vec  []vectorChunk
-	accB []*ring.Poly // one full-basis NTT-domain b accumulator per fold worker
-	tile *preparedTile
+	e     *Evaluator
+	vMont []*rlwe.Ciphertext
+	accB  []*ring.Poly // one full-basis NTT-domain b accumulator per fold worker
+	tile  *preparedTile
 }
 
 func (lv *tileLeaves) Leaf(w int, nd *lwe.PackNode, i int, clk *obs.StageClock) {
@@ -609,7 +588,7 @@ func (lv *tileLeaves) Leaf(w int, nd *lwe.PackNode, i int, clk *obs.StageClock) 
 		clk.Skip() // padding is no stage
 		return
 	}
-	lv.e.rowApplyInto(nd, lv.vec, lv.tile.rowNTT[i], lv.accB[w], clk)
+	lv.e.rowApplyInto(nd, lv.vMont, lv.tile.rowNTT[i], lv.accB[w], clk)
 }
 
 // log2 of a power of two.

@@ -140,35 +140,75 @@ func (r *Ring) MulCoeffShoupPairAdd(out, a0, b0 *Poly, s0 [][]uint64, a1, b1 *Po
 	}
 }
 
-// MulCoeffShoupStationary multiplies one streamed polynomial against two
+// MulCoeffMontStationary multiplies one streamed polynomial against two
 // stationary ones in a single sweep: outB = x ∘ b and outA = x ∘ a, or
-// outB += x ∘ b and outA += x ∘ a when add is set, with bShoup/aShoup the
-// Shoup tables of b/a. It is the dot-product MAC of the row apply: the
-// prepared row is x, and the vector chunk's two halves, whose tables are
-// built once per apply, are b and a.
-func (r *Ring) MulCoeffShoupStationary(outB, outA, x, b *Poly, bShoup [][]uint64, a *Poly, aShoup [][]uint64, add bool) {
-	lv := sameLevels(outB, outA, x, b, a)
-	sameDomain(x, b, a)
+// outB += x ∘ b and outA += x ∘ a when add is set, where bMont/aMont hold
+// b/a in Montgomery form — MulScalar(b, 2^52), so the sweep reads no
+// Shoup table. It is the dot-product MAC of the row apply: the prepared
+// row is x, and the vector chunk's two halves, converted once per apply,
+// are b and a. Every operand must be canonical.
+func (r *Ring) MulCoeffMontStationary(outB, outA, x, bMont, aMont *Poly, add bool) {
+	lv := sameLevels(outB, outA, x, bMont, aMont)
+	sameDomain(x, bMont, aMont)
 	for l := 0; l < lv; l++ {
 		m := r.Moduli[l]
+		q, qinv := m.Q, montInv(m.Q)
 		rob, roa := outB.Coeffs[l], outA.Coeffs[l]
-		rx, rb, rsb, ra, rsa := x.Coeffs[l], b.Coeffs[l], bShoup[l], a.Coeffs[l], aShoup[l]
-		if vec.MulShoupDual(m.Q, rob, roa, rx, rb, rsb, ra, rsa, add) {
-			continue
-		}
-		if !add {
+		rx, rb, ra := x.Coeffs[l][:len(rob)], bMont.Coeffs[l][:len(rob)], aMont.Coeffs[l][:len(rob)]
+		switch {
+		case vec.MulMontDual(q, qinv, rob, roa, rx, rb, ra, add):
+		case q >= montR:
+			// The radix is narrower than the modulus: multiply exactly,
+			// then by 2^-52.
+			k := m.Inv(m.ReduceBarrett(montR))
+			ks := m.ShoupPrecomp(k)
 			for i := range rob {
-				rob[i] = m.MulShoup(rx[i], rb[i], rsb[i])
-				roa[i] = m.MulShoup(rx[i], ra[i], rsa[i])
+				pb := m.MulShoup(m.MulBarrett(rx[i], rb[i]), k, ks)
+				pa := m.MulShoup(m.MulBarrett(rx[i], ra[i]), k, ks)
+				if add {
+					pb, pa = m.Add(rob[i], pb), m.Add(roa[i], pa)
+				}
+				rob[i], roa[i] = pb, pa
 			}
-			continue
-		}
-		for i := range rob {
-			rob[i] = m.Add(rob[i], m.MulShoup(rx[i], rb[i], rsb[i]))
-			roa[i] = m.Add(roa[i], m.MulShoup(rx[i], ra[i], rsa[i]))
+		case !add:
+			for i := range rob {
+				rob[i] = montMul(rx[i], rb[i], q, qinv)
+				roa[i] = montMul(rx[i], ra[i], q, qinv)
+			}
+		default:
+			for i := range rob {
+				rob[i] = m.Add(rob[i], montMul(rx[i], rb[i], q, qinv))
+				roa[i] = m.Add(roa[i], montMul(rx[i], ra[i], q, qinv))
+			}
 		}
 	}
 	outB.IsNTT, outA.IsNTT = x.IsNTT, x.IsNTT
+}
+
+// montR is the Montgomery radix of MulCoeffMontStationary, the range of
+// a 52-bit multiplier lane.
+const montR = 1 << 52
+
+// montInv returns q^-1 mod 2^52 for odd q, by Newton's iteration: each
+// step doubles the correct low bits, from the 3 that q·q ≡ 1 (mod 8) gives.
+func montInv(q uint64) uint64 {
+	inv := q
+	for i := 0; i < 5; i++ {
+		inv *= 2 - q*inv
+	}
+	return inv & (montR - 1)
+}
+
+// montMul returns x·y·2^-52 mod q, canonical, for x, y < q < 2^52 and
+// qinv = montInv(q): the Go form of the MulMontDual kernel's product. With
+// lo + hi·2^52 = x·y and m = lo·qinv mod 2^52, x·y − m·q is exactly
+// (hi − ⌊m·q/2^52⌋)·2^52, and that difference lies in (−q, q).
+func montMul(x, y, q, qinv uint64) uint64 {
+	hi, lo := bits.Mul64(x, y)
+	m := lo * qinv & (montR - 1)
+	th, tl := bits.Mul64(m, q)
+	d := (hi<<12 | lo>>52) - (th<<12 | tl>>52) // in (−q, q)
+	return d + q&uint64(int64(d)>>63)
 }
 
 // MulCoeffShoupDualAdd multiplies one fixed operand into two accumulators:

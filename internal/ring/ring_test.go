@@ -7,6 +7,7 @@ import (
 
 	"cham/internal/mod"
 	"cham/internal/testutil"
+	"cham/internal/vec"
 )
 
 // chamRing returns the production ring {q0,q1,p} at a reduced degree for
@@ -220,14 +221,13 @@ func TestMulScalarBig(t *testing.T) {
 }
 
 // TestMulCoeffShoupMatchesBarrett: a product through a fixed operand's
-// Shoup table is the same word as MulCoeff's, in place, subtracted, and
-// through the vector-stationary dual MAC fresh and accumulated, with the
-// tables built over more limbs than the operands carry.
+// Shoup table is the same word as MulCoeff's, in place and subtracted,
+// with the table built over more limbs than the operands carry.
 func TestMulCoeffShoupMatchesBarrett(t *testing.T) {
 	r := chamRing(t, 64)
 	rng := testutil.NewRand(t)
-	b, c := randPoly(r, rng, 3), randPoly(r, rng, 3)
-	bShoup, cShoup := r.ShoupPrecompPoly(b), r.ShoupPrecompPoly(c)
+	b := randPoly(r, rng, 3)
+	bShoup := r.ShoupPrecompPoly(b)
 	for lv := 1; lv <= 3; lv++ {
 		a, acc := randPoly(r, rng, lv), randPoly(r, rng, lv)
 		bv := &Poly{Coeffs: b.Coeffs[:lv]}
@@ -243,20 +243,67 @@ func TestMulCoeffShoupMatchesBarrett(t *testing.T) {
 		if !acc.Equal(want) {
 			t.Fatalf("%d limbs: MulCoeffShoupSub differs from Sub of MulCoeff", lv)
 		}
-		cv := &Poly{Coeffs: c.Coeffs[:lv]}
+	}
+}
+
+// TestMulCoeffMontStationary: the row MAC against operands in Montgomery
+// form (MulScalar by 2^52) is the same word as MulCoeff's, fresh and
+// accumulated, on the host's kernels and on the Go loops, over the CHAM
+// basis and over 60-bit primes, wider than the Montgomery radix. The
+// first four words pair 0 and q-1 every way.
+func TestMulCoeffMontStationary(t *testing.T) {
+	wide, err := mod.NTTFriendlyPrimes(60, 64, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, r *Ring) {
+		rng := testutil.NewRand(t)
+		lv := r.Levels()
+		x, b, a := randPoly(r, rng, lv), randPoly(r, rng, lv), randPoly(r, rng, lv)
+		for l, m := range r.Moduli {
+			copy(x.Coeffs[l], []uint64{0, 0, m.Q - 1, m.Q - 1})
+			copy(b.Coeffs[l], []uint64{0, m.Q - 1, 0, m.Q - 1})
+			copy(a.Coeffs[l], []uint64{0, m.Q - 1, 0, m.Q - 1})
+		}
+		bM, aM := r.NewPoly(lv), r.NewPoly(lv)
+		r.MulScalar(bM, b, 1<<52)
+		r.MulScalar(aM, a, 1<<52)
 		wantB, wantA := r.NewPoly(lv), r.NewPoly(lv)
-		r.MulCoeff(wantB, a, bv)
-		r.MulCoeff(wantA, a, cv)
+		r.MulCoeff(wantB, x, b)
+		r.MulCoeff(wantA, x, a)
 		gotB, gotA := r.NewPoly(lv), r.NewPoly(lv)
-		r.MulCoeffShoupStationary(gotB, gotA, a, bv, bShoup, cv, cShoup, false)
+		r.MulCoeffMontStationary(gotB, gotA, x, bM, aM, false)
 		if !gotB.Equal(wantB) || !gotA.Equal(wantA) {
-			t.Fatalf("%d limbs: MulCoeffShoupStationary differs from MulCoeff", lv)
+			t.Fatal("MulCoeffMontStationary differs from MulCoeff")
 		}
 		r.Add(wantB, wantB, wantB)
 		r.Add(wantA, wantA, wantA)
-		r.MulCoeffShoupStationary(gotB, gotA, a, bv, bShoup, cv, cShoup, true)
+		r.MulCoeffMontStationary(gotB, gotA, x, bM, aM, true)
 		if !gotB.Equal(wantB) || !gotA.Equal(wantA) {
-			t.Fatalf("%d limbs: accumulating MulCoeffShoupStationary differs from Add of MulCoeff", lv)
+			t.Fatal("accumulating MulCoeffMontStationary differs from Add of MulCoeff")
+		}
+	}
+	for name, r := range map[string]*Ring{"cham": chamRing(t, 64), "wide": MustNew(64, wide)} {
+		t.Run(name, func(t *testing.T) { check(t, r) })
+		t.Run(name+"/generic", func(t *testing.T) {
+			vec.ForceGeneric(t)
+			check(t, r)
+		})
+	}
+}
+
+// TestMontInv: q·montInv(q) ≡ 1 (mod 2^52) for odd moduli that are not
+// ≡ 1 modulo a high power of two, as NTT-friendly primes are, so every
+// Newton step is needed.
+func TestMontInv(t *testing.T) {
+	rng := testutil.NewRand(t)
+	qs := []uint64{3, 5, 1<<52 - 1, 1<<62 - 1}
+	for i := 0; i < 1000; i++ {
+		qs = append(qs, rng.Uint64()>>2|1)
+	}
+	for _, q := range qs {
+		if got := q * montInv(q) & (montR - 1); got != 1 {
+			t.Fatalf("q=%d: q·montInv(q) mod 2^52 = %d, want 1", q, got)
 		}
 	}
 }

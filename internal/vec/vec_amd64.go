@@ -101,15 +101,16 @@ func MulShoupPair(q uint64, out, a0, b0, s0, a1, b1, s1 []uint64) bool {
 	return true
 }
 
-// MulShoupDual sets outB = x∘yB and outA = x∘yA, or accumulates into both
-// when add is set; sB/sA are the Shoup companions of yB/yA. x is read once
-// for both products.
-func MulShoupDual(q uint64, outB, outA, x, yB, sB, yA, sA []uint64, add bool) bool {
+// MulMontDual sets outB = x·yB·2^-52 and outA = x·yA·2^-52 mod q, or
+// accumulates into both when add is set: with yB/yA in Montgomery form
+// (y·2^52 mod q) the products are x·y. qinv is q^-1 mod 2^52; x is read
+// once for both products, and every operand must be below q.
+func MulMontDual(q, qinv uint64, outB, outA, x, yB, yA []uint64, add bool) bool {
 	n := len(outB)
-	if !ok(q, n, outA, x, yB, sB, yA, sA) {
+	if !ok(q, n, outA, x, yB, yA) {
 		return false
 	}
-	mulShoupDual(&outB[0], &outA[0], &x[0], &yB[0], &sB[0], &yA[0], &sA[0], n, q, add)
+	mulMontDual(&outB[0], &outA[0], &x[0], &yB[0], &yA[0], n, q, qinv, add)
 	return true
 }
 
@@ -189,7 +190,7 @@ func monomialSplit(sum, diff, e, o, m, ms *uint64, n int, q uint64)
 func mulShoupPair(out, a0, b0, s0, a1, b1, s1 *uint64, n int, q uint64)
 
 //go:noescape
-func mulShoupDual(outB, outA, x, yB, sB, yA, sA *uint64, n int, q uint64, add bool)
+func mulMontDual(outB, outA, x, yB, yA *uint64, n int, q, qinv uint64, add bool)
 
 //go:noescape
 func centredLift(out, x *uint64, n int, q, mu, half, negAdd uint64)

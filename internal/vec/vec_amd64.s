@@ -505,42 +505,53 @@ pairLoop:
 	VZEROUPPER
 	RET
 
-// DUALPROD: Z3 = x[AX:]∘yB, Z6 = x[AX:]∘yA as lazy products below 2q,
-// operands at R8..R12 in argument order; x is read once for both.
+// MONT52: out = x·y·2^-52 mod q, canonical, for x, y < 2^52 with x·y <
+// 2^52·q, qinv = q^-1 mod 2^52 in Z27: with lo + hi·2^52 = x·y and m =
+// lo·qinv mod 2^52, x·y − m·q is (hi − ⌊m·q/2^52⌋)·2^52 exactly, and
+// hi − ⌊m·q/2^52⌋ lies in (−q, q). t and u are scratch; out, t and u must
+// differ from x and y.
+#define MONT52(x, y, out, t, u) \
+	VPXORQ t, t, t; \
+	VPMADD52LUQ y, x, t; \
+	VPXORQ out, out, out; \
+	VPMADD52HUQ y, x, out; \
+	VPXORQ u, u, u; \
+	VPMADD52LUQ Z27, t, u; \
+	VPXORQ t, t, t; \
+	VPMADD52HUQ Z31, u, t; \
+	VPSUBQ t, out, out; \
+	VPADDQ Z31, out, t; \
+	VPMINUQ t, out, out
+
+// DUALPROD: Z3 = x[AX:]·yB, Z6 = x[AX:]·yA, Montgomery products, operands
+// at R8..R10 in argument order; x is read once for both.
 #define DUALPROD \
 	VMOVDQU64 (R8)(AX*8), Z0; \
 	VMOVDQU64 (R9)(AX*8), Z1; \
+	MONT52(Z0, Z1, Z3, Z4, Z5); \
 	VMOVDQU64 (R10)(AX*8), Z2; \
-	VPSRLQ $12, Z2, Z2; \
-	SHOUP52(Z0, Z1, Z2, Z3, Z4); \
-	VMOVDQU64 (R11)(AX*8), Z8; \
-	VMOVDQU64 (R12)(AX*8), Z9; \
-	VPSRLQ $12, Z9, Z9; \
-	SHOUP52(Z0, Z8, Z9, Z6, Z7)
+	MONT52(Z0, Z2, Z6, Z7, Z8)
 
-// func mulShoupDual(outB, outA, x, yB, sB, yA, sA *uint64, n int, q uint64, add bool)
+// func mulMontDual(outB, outA, x, yB, yA *uint64, n int, q, qinv uint64, add bool)
 //
-// Mirrors the row loops of ring.(*Ring).MulCoeffShoupStationary:
-// outB (+)= x∘yB, outA (+)= x∘yA, canonical.
-TEXT ·mulShoupDual(SB), NOSPLIT, $0-73
+// Mirrors the row loops of ring.(*Ring).MulCoeffMontStationary:
+// outB (+)= x·yB·2^-52, outA (+)= x·yA·2^-52, canonical.
+TEXT ·mulMontDual(SB), NOSPLIT, $0-65
 	MOVQ outB+0(FP), DI
 	MOVQ outA+8(FP), SI
 	MOVQ x+16(FP), R8
 	MOVQ yB+24(FP), R9
-	MOVQ sB+32(FP), R10
-	MOVQ yA+40(FP), R11
-	MOVQ sA+48(FP), R12
-	MOVQ n+56(FP), CX
-	MOVQ q+64(FP), BX
+	MOVQ yA+32(FP), R10
+	MOVQ n+40(FP), CX
+	MOVQ q+48(FP), BX
 	CONSTS(BX)
+	VPBROADCASTQ qinv+56(FP), Z27
 	XORQ AX, AX
-	CMPB add+72(FP), $0
+	CMPB add+64(FP), $0
 	JNE  dualAddLoop
 
 dualLoop:
 	DUALPROD
-	CSUB(Z3, Z31, Z4)
-	CSUB(Z6, Z31, Z7)
 	VMOVDQU64 Z3, (DI)(AX*8)
 	VMOVDQU64 Z6, (SI)(AX*8)
 	ADDQ $8, AX
@@ -551,11 +562,9 @@ dualLoop:
 
 dualAddLoop:
 	DUALPROD
-	VPADDQ (DI)(AX*8), Z3, Z3   // < 3q
-	CSUB(Z3, Z30, Z4)
+	VPADDQ (DI)(AX*8), Z3, Z3   // < 2q
 	CSUB(Z3, Z31, Z4)
 	VPADDQ (SI)(AX*8), Z6, Z6
-	CSUB(Z6, Z30, Z7)
 	CSUB(Z6, Z31, Z7)
 	VMOVDQU64 Z3, (DI)(AX*8)
 	VMOVDQU64 Z6, (SI)(AX*8)

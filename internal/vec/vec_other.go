@@ -19,7 +19,7 @@ func MonomialSplit(q uint64, sum, diff, e, o, m, mShoup []uint64) bool { return 
 
 func MulShoupPair(q uint64, out, a0, b0, s0, a1, b1, s1 []uint64) bool { return false }
 
-func MulShoupDual(q uint64, outB, outA, x, yB, sB, yA, sA []uint64, add bool) bool { return false }
+func MulMontDual(q, qinv uint64, outB, outA, x, yB, yA []uint64, add bool) bool { return false }
 
 func CentredLift(q uint64, out, x []uint64, half, negAdd uint64) bool { return false }
 

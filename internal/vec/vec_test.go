@@ -128,12 +128,15 @@ func runAll(r *ring.Ring, seed int64, fill int) []result {
 	r.MulCoeffShoupPairAdd(acc, a0, b0, s0, a1, b1, s1)
 	keep("pair", acc)
 	// The dual MAC: one streamed row against the two stationary halves of
-	// a vector chunk (the row apply), fresh and accumulated; then two rows
-	// against one shared fixed operand.
+	// a vector chunk in Montgomery form (the row apply), fresh and
+	// accumulated; then two rows against one shared fixed operand.
+	bM, aM := r.NewPoly(lv), r.NewPoly(lv)
+	r.MulScalar(bM, b0, 1<<52)
+	r.MulScalar(aM, b1, 1<<52)
 	outB, outA := r.NewPoly(lv), r.NewPoly(lv)
 	accB, accA := g.poly(true), g.poly(true)
-	r.MulCoeffShoupStationary(outB, outA, a0, b0, s0, b1, s1, false)
-	r.MulCoeffShoupStationary(accB, accA, a0, b0, s0, b1, s1, true)
+	r.MulCoeffMontStationary(outB, outA, a0, bM, aM, false)
+	r.MulCoeffMontStationary(accB, accA, a0, bM, aM, true)
 	keep("dual/stationary", outB, outA, accB, accA)
 	accB, accA = g.poly(true), g.poly(true)
 	r.MulCoeffShoupDualAdd(accB, accA, a0, a1, b0, s0)
@@ -198,31 +201,39 @@ func TestKernelsMatchGoLoops(t *testing.T) {
 	}
 }
 
-// TestMulShoupDualForms drives the dual MAC kernel straight, fresh and
-// accumulated, against the products written out with mod's MulShoup.
-func TestMulShoupDualForms(t *testing.T) {
+// TestMulMontDualForms drives the dual MAC kernel straight, fresh and
+// accumulated, with yB and yA in Montgomery form, against the products
+// mod's division-based Mul gives.
+func TestMulMontDualForms(t *testing.T) {
 	if vec.Impl() != vec.ImplIFMA {
 		t.Skip("no dual kernel on this host")
 	}
 	const n = 64
 	for _, q := range mod.ChamModuli() {
 		m := mod.New(q)
+		qinv := q // q^-1 mod 2^52 by Newton's iteration
+		for i := 0; i < 5; i++ {
+			qinv *= 2 - q*qinv
+		}
+		qinv &= 1<<52 - 1
 		g := &gen{r: ring.MustNew(n, []uint64{q}), rng: rand.New(rand.NewSource(int64(q))), fill: fillRandom}
 		x, yB, yA := g.row(q), g.row(q), g.row(q)
-		sB, sA := make([]uint64, n), make([]uint64, n)
-		m.ShoupPrecompRow(sB, yB)
-		m.ShoupPrecompRow(sA, yA)
+		x[0], yB[0], yA[0] = q-1, q-1, 0
+		mB, mA := make([]uint64, n), make([]uint64, n)
+		for i := range yB {
+			mB[i], mA[i] = m.Mul(yB[i], 1<<52), m.Mul(yA[i], 1<<52)
+		}
 		for _, add := range []bool{false, true} {
 			outB, outA := g.row(q), g.row(q)
 			wantB, wantA := append([]uint64(nil), outB...), append([]uint64(nil), outA...)
 			for i := range wantB {
-				b, a := m.MulShoup(x[i], yB[i], sB[i]), m.MulShoup(x[i], yA[i], sA[i])
+				b, a := m.Mul(x[i], yB[i]), m.Mul(x[i], yA[i])
 				if add {
 					b, a = m.Add(wantB[i], b), m.Add(wantA[i], a)
 				}
 				wantB[i], wantA[i] = b, a
 			}
-			if !vec.MulShoupDual(q, outB, outA, x, yB, sB, yA, sA, add) {
+			if !vec.MulMontDual(q, qinv, outB, outA, x, mB, mA, add) {
 				t.Fatalf("q=%d: the kernel declined", q)
 			}
 			for i := range wantB {
@@ -250,7 +261,7 @@ func TestKernelGates(t *testing.T) {
 			"InverseNTT":    vec.InverseNTT(q, z(), z(), z(), 0, 0, 0, 0),
 			"MonomialSplit": vec.MonomialSplit(q, z(), z(), z(), z(), z(), z()),
 			"MulShoupPair":  vec.MulShoupPair(q, z(), z(), z(), z(), z(), z(), z()),
-			"MulShoupDual":  vec.MulShoupDual(q, z(), z(), z(), z(), z(), z(), z(), true),
+			"MulMontDual":   vec.MulMontDual(q, 1, z(), z(), z(), z(), z(), true),
 			"CentredLift":   vec.CentredLift(q, z(), z(), q/2, 0),
 			"ModDownRow":    vec.ModDownRow(q, z(), z(), z(), q/2, 0, 0, 0),
 			"Gather":        vec.Gather(z(), z(), make([]uint32, n)),
@@ -286,12 +297,12 @@ func TestKernelGates(t *testing.T) {
 	})
 	t.Run("short operand", func(t *testing.T) {
 		z := func(n int) []uint64 { return make([]uint64, n) }
-		// The dual MAC's operands are x, yB, sB, yA, sA.
-		for i := 0; i < 5; i++ {
-			o := [5][]uint64{z(32), z(32), z(32), z(32), z(32)}
+		// The dual MAC's operands are x, yB, yA.
+		for i := 0; i < 3; i++ {
+			o := [3][]uint64{z(32), z(32), z(32)}
 			o[i] = z(24)
-			if vec.MulShoupDual(cham, z(32), z(32), o[0], o[1], o[2], o[3], o[4], true) {
-				t.Errorf("MulShoupDual accepted operand %d shorter than out", i)
+			if vec.MulMontDual(cham, 1, z(32), z(32), o[0], o[1], o[2], true) {
+				t.Errorf("MulMontDual accepted operand %d shorter than out", i)
 			}
 		}
 		if vec.ModDownRow(cham, z(32), z(32), z(24), cham/2, 0, 0, 0) {
