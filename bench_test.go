@@ -530,7 +530,6 @@ func BenchmarkKernels(b *testing.B) {
 	}
 	x, y, z, w := poly(1, true), poly(1, true), poly(1, true), poly(1, true)
 	o0, o1 := poly(1, true), poly(1, true)
-	sy, sw := r.ShoupPrecompPoly(y), r.ShoupPrecompPoly(w)
 	my, mw := r.NewPoly(1), r.NewPoly(1) // y and w in Montgomery form
 	r.MulScalar(my, y, 1<<52)
 	r.MulScalar(mw, w, 1<<52)
@@ -544,7 +543,7 @@ func BenchmarkKernels(b *testing.B) {
 		{"ForwardNTT", func() { tab.ForwardLazy(o0.Coeffs[0]) }},
 		{"InverseNTT", func() { tab.InverseLazy(o0.Coeffs[0]) }},
 		{"MonomialSplit", func() { r.MonomialSplitNTT(o0, o1, x, y, 5) }},
-		{"MulShoupPairAdd", func() { r.MulCoeffShoupPairAdd(o0, x, y, sy, z, w, sw) }},
+		{"MulMontPairAdd", func() { r.MulCoeffMontPairAdd(o0, x, my, z, mw) }},
 		{"MulMontDual", func() { r.MulCoeffMontStationary(o0, o1, x, my, mw, false) }},
 		{"MulMontDualAdd", func() { r.MulCoeffMontStationary(o0, o1, x, my, mw, true) }},
 		{"CentredLift", func() { r.CentredLiftRow(o0.Coeffs[0], lift, 0, 1) }},

@@ -1,15 +1,17 @@
 package ring
 
 // Hot-path support: pooled polynomial buffers, fused multiply-accumulate
-// kernels, Shoup companion tables for fixed operands, and an in-place
-// RESCALE (ModDownInto) with cached per-limb constants. Together these let
-// the HMVP pipeline (core.PreparedMatrix) run with zero heap
+// kernels (Montgomery products against operands kept in Montgomery form,
+// Shoup products against a fixed operand's companion table), and an
+// in-place RESCALE (ModDownInto) with cached per-limb constants. Together
+// these let the HMVP pipeline (core.PreparedMatrix) run with zero heap
 // allocations after warm-up, the software analogue of CHAM's
 // buffer-resident dataflow.
 
 import (
 	"math/bits"
 
+	"cham/internal/mod"
 	"cham/internal/vec"
 )
 
@@ -62,7 +64,7 @@ func (p *Poly) CopyFrom(o *Poly) {
 // ShoupPrecompPoly returns the Shoup companion table of p — one word per
 // coefficient — for use as the fixed operand of the MulCoeffShoup…
 // sweeps. Worth computing once whenever p multiplies more than a couple of
-// polynomials (switching keys, the secret key).
+// polynomials (the secret key).
 func (r *Ring) ShoupPrecompPoly(p *Poly) [][]uint64 {
 	out := make([][]uint64, p.Levels())
 	backing := make([]uint64, p.Levels()*r.N)
@@ -119,23 +121,63 @@ func (r *Ring) MulCoeffShoupAdd(out, a, b *Poly, bShoup [][]uint64) {
 	}
 }
 
-// MulCoeffShoupPairAdd sets out += a0 ∘ b0 + a1 ∘ b1 in one sweep — the
-// two-digit key-switch accumulation fused so out is written once instead
-// of once per digit. s0/s1 are the Shoup companions of b0/b1.
-func (r *Ring) MulCoeffShoupPairAdd(out, a0, b0 *Poly, s0 [][]uint64, a1, b1 *Poly, s1 [][]uint64) {
-	lv := sameLevels(out, a0, b0, a1, b1)
-	sameDomain(a0, b0, a1, b1)
+// MulCoeffMontPairAdd sets out += a0 ∘ b0 + a1 ∘ b1 in one sweep, where
+// b0Mont/b1Mont hold b0/b1 in Montgomery form — MulScalar(b, 2^52), so the
+// sweep reads no Shoup table. It is the key-switch accumulation of two
+// digits against their keys (a the digits, b the key), fused so out is
+// written once instead of once per digit. Every operand must be canonical.
+func (r *Ring) MulCoeffMontPairAdd(out, a0, b0Mont, a1, b1Mont *Poly) {
+	lv := sameLevels(out, a0, b0Mont, a1, b1Mont)
+	sameDomain(a0, b0Mont, a1, b1Mont)
 	for l := 0; l < lv; l++ {
 		m := r.Moduli[l]
-		ra0, rb0, rs0 := a0.Coeffs[l], b0.Coeffs[l], s0[l]
-		ra1, rb1, rs1 := a1.Coeffs[l], b1.Coeffs[l], s1[l]
+		q, qinv := m.Q, montInv(m.Q)
 		ro := out.Coeffs[l]
-		if vec.MulShoupPair(m.Q, ro, ra0, rb0, rs0, ra1, rb1, rs1) {
+		ra0, rb0 := a0.Coeffs[l][:len(ro)], b0Mont.Coeffs[l][:len(ro)]
+		ra1, rb1 := a1.Coeffs[l][:len(ro)], b1Mont.Coeffs[l][:len(ro)]
+		switch {
+		case vec.MulMontPair(q, qinv, ro, ra0, rb0, ra1, rb1):
+		case q >= montR:
+			montWideRow(m, ro, ra0, rb0, true)
+			montWideRow(m, ro, ra1, rb1, true)
+		default:
+			// The Go form of the kernel: both products summed in 128 bits
+			// and reduced once, as montMul reduces one. The sum is below
+			// 2q², so the difference lies in (−q, 2q); the kernel's
+			// moduli (q < 2^50) keep it below q, and here a second
+			// conditional subtraction covers the rest.
+			for i := range ro {
+				h0, l0 := bits.Mul64(ra0[i], rb0[i])
+				h1, l1 := bits.Mul64(ra1[i], rb1[i])
+				lo, c := bits.Add64(l0, l1, 0)
+				hi := h0 + h1 + c
+				th, tl := bits.Mul64(lo*qinv&(montR-1), q)
+				d := (hi<<12 | lo>>52) - (th<<12 | tl>>52) // in (−q, 2q)
+				s := ro[i] + d + q&uint64(int64(d)>>63)    // below 3q
+				s = min(s, s-q)
+				ro[i] = min(s, s-q)
+			}
+		}
+	}
+}
+
+// MulCoeffMontAdd sets out += a ∘ b with bMont = MulScalar(b, 2^52): the
+// single-digit form of MulCoeffMontPairAdd, for the digit left over when
+// a basis has an odd number of them. Every operand must be canonical.
+func (r *Ring) MulCoeffMontAdd(out, a, bMont *Poly) {
+	lv := sameLevels(out, a, bMont)
+	sameDomain(a, bMont)
+	for l := 0; l < lv; l++ {
+		m := r.Moduli[l]
+		q, qinv := m.Q, montInv(m.Q)
+		ro := out.Coeffs[l]
+		ra, rb := a.Coeffs[l][:len(ro)], bMont.Coeffs[l][:len(ro)]
+		if q >= montR {
+			montWideRow(m, ro, ra, rb, true)
 			continue
 		}
 		for i := range ro {
-			t := m.Add(m.MulShoup(ra0[i], rb0[i], rs0[i]), m.MulShoup(ra1[i], rb1[i], rs1[i]))
-			ro[i] = m.Add(ro[i], t)
+			ro[i] = m.Add(ro[i], montMul(ra[i], rb[i], q, qinv))
 		}
 	}
 }
@@ -158,18 +200,8 @@ func (r *Ring) MulCoeffMontStationary(outB, outA, x, bMont, aMont *Poly, add boo
 		switch {
 		case vec.MulMontDual(q, qinv, rob, roa, rx, rb, ra, add):
 		case q >= montR:
-			// The radix is narrower than the modulus: multiply exactly,
-			// then by 2^-52.
-			k := m.Inv(m.ReduceBarrett(montR))
-			ks := m.ShoupPrecomp(k)
-			for i := range rob {
-				pb := m.MulShoup(m.MulBarrett(rx[i], rb[i]), k, ks)
-				pa := m.MulShoup(m.MulBarrett(rx[i], ra[i]), k, ks)
-				if add {
-					pb, pa = m.Add(rob[i], pb), m.Add(roa[i], pa)
-				}
-				rob[i], roa[i] = pb, pa
-			}
+			montWideRow(m, rob, rx, rb, add)
+			montWideRow(m, roa, rx, ra, add)
 		case !add:
 			for i := range rob {
 				rob[i] = montMul(rx[i], rb[i], q, qinv)
@@ -185,9 +217,24 @@ func (r *Ring) MulCoeffMontStationary(outB, outA, x, bMont, aMont *Poly, add boo
 	outB.IsNTT, outA.IsNTT = x.IsNTT, x.IsNTT
 }
 
-// montR is the Montgomery radix of MulCoeffMontStationary, the range of
+// montR is the Montgomery radix of the MulCoeffMont… sweeps, the range of
 // a 52-bit multiplier lane.
 const montR = 1 << 52
+
+// montWideRow sets out (+)= x∘y·2^-52 mod q for a modulus at or above the
+// radix, where the Montgomery product does not apply: multiply exactly,
+// then by 2^-52. It is the one wide path of every MulCoeffMont… sweep.
+func montWideRow(m mod.Modulus, out, x, y []uint64, add bool) {
+	k := m.Inv(m.ReduceBarrett(montR))
+	ks := m.ShoupPrecomp(k)
+	for i := range out {
+		p := m.MulShoup(m.MulBarrett(x[i], y[i]), k, ks)
+		if add {
+			p = m.Add(out[i], p)
+		}
+		out[i] = p
+	}
+}
 
 // montInv returns q^-1 mod 2^52 for odd q, by Newton's iteration: each
 // step doubles the correct low bits, from the 3 that q·q ≡ 1 (mod 8) gives.

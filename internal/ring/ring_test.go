@@ -292,6 +292,65 @@ func TestMulCoeffMontStationary(t *testing.T) {
 	}
 }
 
+// TestMulCoeffMontPairAdd: the key-switch pair MAC against keys in
+// Montgomery form (MulScalar by 2^52), and its single-digit form, give
+// the words mod's Mul and Add give, on the host's kernels and on the Go
+// loops. The bases are the CHAM basis, 52-bit primes (where the Go loop's
+// wide sum reaches 2q) and 60-bit primes (wider than the radix). The first
+// 32 words pair 0 and q-1 every way across a0, b0, a1, b1 and out.
+func TestMulCoeffMontPairAdd(t *testing.T) {
+	bases := map[string][]uint64{"cham": mod.ChamModuli()}
+	for name, logQ := range map[string]uint{"52bit": 52, "wide": 60} {
+		qs, err := mod.NTTFriendlyPrimes(logQ, 64, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases[name] = qs
+	}
+	check := func(t *testing.T, r *Ring) {
+		rng := testutil.NewRand(t)
+		lv := r.Levels()
+		out, a0, b0, a1, b1 := randPoly(r, rng, lv), randPoly(r, rng, lv), randPoly(r, rng, lv), randPoly(r, rng, lv), randPoly(r, rng, lv)
+		for l, m := range r.Moduli {
+			for i := 0; i < 32; i++ {
+				for k, p := range []*Poly{a0, b0, a1, b1, out} {
+					p.Coeffs[l][i] = (m.Q - 1) * uint64(i>>k&1)
+				}
+			}
+		}
+		b0M, b1M := r.NewPoly(lv), r.NewPoly(lv)
+		r.MulScalar(b0M, b0, 1<<52)
+		r.MulScalar(b1M, b1, 1<<52)
+		wantPair, wantOne := out.Copy(), out.Copy()
+		for l, m := range r.Moduli {
+			for i := range wantPair.Coeffs[l] {
+				p0 := m.Mul(a0.Coeffs[l][i], b0.Coeffs[l][i])
+				p1 := m.Mul(a1.Coeffs[l][i], b1.Coeffs[l][i])
+				wantPair.Coeffs[l][i] = m.Add(out.Coeffs[l][i], m.Add(p0, p1))
+				wantOne.Coeffs[l][i] = m.Add(out.Coeffs[l][i], p0)
+			}
+		}
+		got := out.Copy()
+		r.MulCoeffMontPairAdd(got, a0, b0M, a1, b1M)
+		if !got.Equal(wantPair) {
+			t.Fatal("MulCoeffMontPairAdd differs from Mul and Add")
+		}
+		got = out.Copy()
+		r.MulCoeffMontAdd(got, a0, b0M)
+		if !got.Equal(wantOne) {
+			t.Fatal("MulCoeffMontAdd differs from Mul and Add")
+		}
+	}
+	for name, qs := range bases {
+		r := MustNew(64, qs)
+		t.Run(name, func(t *testing.T) { check(t, r) })
+		t.Run(name+"/generic", func(t *testing.T) {
+			vec.ForceGeneric(t)
+			check(t, r)
+		})
+	}
+}
+
 // TestMontInv: q·montInv(q) ≡ 1 (mod 2^52) for odd moduli that are not
 // ≡ 1 modulo a high power of two, as NTT-friendly primes are, so every
 // Newton step is needed.

@@ -105,23 +105,24 @@ func (p Params) AutomorphismKeyGen(rng *rand.Rand, sk *SecretKey, k int) *Switch
 	return p.SwitchingKeyGen(rng, sk, phiS)
 }
 
-// Precompute fills the switching key's Shoup companion tables, which
-// halve the cost of the digit·key accumulation. Every key that reaches a
-// switch is precomputed — SwitchingKeyGen and internal/wire's decoder both
-// end with this call — and KeySwitchAccumulateNTT panics on one that is
-// not. Safe to call more than once; not safe concurrently with use of
-// the key.
+// Precompute fills the switching key's Montgomery images, BsMont and
+// AsMont, which let the digit·key accumulation reduce without a companion
+// word per coefficient. Every key that reaches a switch is precomputed —
+// SwitchingKeyGen and internal/wire's decoder both end with this call —
+// and KeySwitchAccumulateNTT panics on one that is not. Safe to call more
+// than once; not safe concurrently with use of the key.
 func (k *SwitchingKey) Precompute(r *ring.Ring) {
-	if k.BsShoup != nil {
+	if k.BsMont != nil {
 		return
 	}
-	bs := make([][][]uint64, len(k.Bs))
-	as := make([][][]uint64, len(k.As))
+	bs := make([]*ring.Poly, len(k.Bs))
+	as := make([]*ring.Poly, len(k.As))
 	for j := range k.Bs {
-		bs[j] = r.ShoupPrecompPoly(k.Bs[j])
-		as[j] = r.ShoupPrecompPoly(k.As[j])
+		bs[j], as[j] = r.NewPoly(k.Bs[j].Levels()), r.NewPoly(k.As[j].Levels())
+		r.MulScalar(bs[j], k.Bs[j], 1<<52)
+		r.MulScalar(as[j], k.As[j], 1<<52)
 	}
-	k.BsShoup, k.AsShoup = bs, as
+	k.BsMont, k.AsMont = bs, as
 }
 
 // Decomposition holds the RNS digit decomposition of one a-part in the
@@ -204,21 +205,21 @@ func (p Params) DecomposeInto(dec *Decomposition, a *ring.Poly) {
 // divisions to its flush. btAcc and aAcc must be full-basis NTT-domain
 // polynomials holding canonical residues.
 func (p Params) KeySwitchAccumulateNTT(btAcc, aAcc *ring.Poly, dec *Decomposition, swk *SwitchingKey) {
-	if swk.BsShoup == nil {
+	if swk.BsMont == nil {
 		panic("rlwe: SwitchingKey used before Precompute")
 	}
+	// Digits run in fused pairs, so each accumulator row is written once
+	// per pair instead of once per digit; the CHAM basis is one pair.
 	r := p.R
-	if p.NormalLevels == 2 {
-		// The two-digit CHAM basis runs fused: each accumulator row is
-		// written once per sweep instead of once per digit.
-		d0, d1 := dec.Digits[0], dec.Digits[1]
-		r.MulCoeffShoupPairAdd(btAcc, d0, swk.Bs[0], swk.BsShoup[0], d1, swk.Bs[1], swk.BsShoup[1])
-		r.MulCoeffShoupPairAdd(aAcc, d0, swk.As[0], swk.AsShoup[0], d1, swk.As[1], swk.AsShoup[1])
-		return
+	j := 0
+	for ; j+1 < len(dec.Digits); j += 2 {
+		d0, d1 := dec.Digits[j], dec.Digits[j+1]
+		r.MulCoeffMontPairAdd(btAcc, d0, swk.BsMont[j], d1, swk.BsMont[j+1])
+		r.MulCoeffMontPairAdd(aAcc, d0, swk.AsMont[j], d1, swk.AsMont[j+1])
 	}
-	for j, d := range dec.Digits {
-		r.MulCoeffShoupAdd(btAcc, d, swk.Bs[j], swk.BsShoup[j])
-		r.MulCoeffShoupAdd(aAcc, d, swk.As[j], swk.AsShoup[j])
+	if j < len(dec.Digits) {
+		r.MulCoeffMontAdd(btAcc, dec.Digits[j], swk.BsMont[j])
+		r.MulCoeffMontAdd(aAcc, dec.Digits[j], swk.AsMont[j])
 	}
 }
 

@@ -91,14 +91,14 @@ type PublicKey struct {
 // It holds one RNS digit per normal limb (see keyswitch.go):
 // Bs[j] = -As[j]·s + P·ê_j·s' + E_j over the full basis, NTT domain.
 //
-// BsShoup/AsShoup are the per-coefficient Shoup companion words of Bs/As
-// (the key is a fixed multiplicand in every switch), filled by Precompute.
-// Invariant: a key handed to a switch has them — build keys with
-// SwitchingKeyGen or decode them with internal/wire, or call Precompute
-// after filling Bs/As.
+// BsMont/AsMont are Bs/As in Montgomery form, MulScalar(·, 2^52), filled
+// by Precompute: the only form a switch reads. Bs/As stay canonical, the
+// form internal/wire encodes and internal/ref reads. Invariant: a key
+// handed to a switch has them — build keys with SwitchingKeyGen or decode
+// them with internal/wire, or call Precompute after filling Bs/As.
 type SwitchingKey struct {
-	Bs, As           []*ring.Poly
-	BsShoup, AsShoup [][][]uint64
+	Bs, As         []*ring.Poly
+	BsMont, AsMont []*ring.Poly
 }
 
 // Ciphertext is an RLWE pair. Both polynomials always share level count and

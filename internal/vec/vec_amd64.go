@@ -90,17 +90,6 @@ func MonomialSplit(q uint64, sum, diff, e, o, m, mShoup []uint64) bool {
 	return true
 }
 
-// MulShoupPair sets out += a0∘b0 + a1∘b1; s0/s1 are the Shoup companions
-// of b0/b1.
-func MulShoupPair(q uint64, out, a0, b0, s0, a1, b1, s1 []uint64) bool {
-	n := len(out)
-	if !ok(q, n, a0, b0, s0, a1, b1, s1) {
-		return false
-	}
-	mulShoupPair(&out[0], &a0[0], &b0[0], &s0[0], &a1[0], &b1[0], &s1[0], n, q)
-	return true
-}
-
 // MulMontDual sets outB = x·yB·2^-52 and outA = x·yA·2^-52 mod q, or
 // accumulates into both when add is set: with yB/yA in Montgomery form
 // (y·2^52 mod q) the products are x·y. qinv is q^-1 mod 2^52; x is read
@@ -111,6 +100,18 @@ func MulMontDual(q, qinv uint64, outB, outA, x, yB, yA []uint64, add bool) bool 
 		return false
 	}
 	mulMontDual(&outB[0], &outA[0], &x[0], &yB[0], &yA[0], n, q, qinv, add)
+	return true
+}
+
+// MulMontPair sets out += a0·b0·2^-52 + a1·b1·2^-52 mod q on canonical
+// rows: with b0/b1 in Montgomery form (b·2^52 mod q) the sum is
+// a0∘b0 + a1∘b1. qinv is q^-1 mod 2^52; every operand must be below q.
+func MulMontPair(q, qinv uint64, out, a0, b0, a1, b1 []uint64) bool {
+	n := len(out)
+	if !ok(q, n, a0, b0, a1, b1) {
+		return false
+	}
+	mulMontPair(&out[0], &a0[0], &b0[0], &a1[0], &b1[0], n, q, qinv)
 	return true
 }
 
@@ -187,10 +188,10 @@ func inverseNTT(a *uint64, n int, w, wp *uint64, q, nInv, nInvShoup, nInvRoot, n
 func monomialSplit(sum, diff, e, o, m, ms *uint64, n int, q uint64)
 
 //go:noescape
-func mulShoupPair(out, a0, b0, s0, a1, b1, s1 *uint64, n int, q uint64)
+func mulMontDual(outB, outA, x, yB, yA *uint64, n int, q, qinv uint64, add bool)
 
 //go:noescape
-func mulMontDual(outB, outA, x, yB, yA *uint64, n int, q, qinv uint64, add bool)
+func mulMontPair(out, a0, b0, a1, b1 *uint64, n int, q, qinv uint64)
 
 //go:noescape
 func centredLift(out, x *uint64, n int, q, mu, half, negAdd uint64)

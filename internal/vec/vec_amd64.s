@@ -460,51 +460,6 @@ splitLoop:
 	VZEROUPPER
 	RET
 
-// PAIRSUM: Z3 = a0[AX:]∘b0 + a1[AX:]∘b1 as a lazy sum below 4q, operands
-// at R8..R13 in argument order.
-#define PAIRSUM \
-	VMOVDQU64 (R8)(AX*8), Z0; \
-	VMOVDQU64 (R9)(AX*8), Z1; \
-	VMOVDQU64 (R10)(AX*8), Z2; \
-	VPSRLQ $12, Z2, Z2; \
-	SHOUP52(Z0, Z1, Z2, Z3, Z4); \
-	VMOVDQU64 (R11)(AX*8), Z5; \
-	VMOVDQU64 (R12)(AX*8), Z6; \
-	VMOVDQU64 (R13)(AX*8), Z7; \
-	VPSRLQ $12, Z7, Z7; \
-	SHOUP52(Z5, Z6, Z7, Z8, Z9); \
-	VPADDQ Z8, Z3, Z3
-
-// func mulShoupPair(out, a0, b0, s0, a1, b1, s1 *uint64, n int, q uint64)
-//
-// Mirrors the row loop of ring.(*Ring).MulCoeffShoupPairAdd:
-// out += a0∘b0 + a1∘b1, canonical.
-TEXT ·mulShoupPair(SB), NOSPLIT, $0-72
-	MOVQ out+0(FP), DI
-	MOVQ a0+8(FP), R8
-	MOVQ b0+16(FP), R9
-	MOVQ s0+24(FP), R10
-	MOVQ a1+32(FP), R11
-	MOVQ b1+40(FP), R12
-	MOVQ s1+48(FP), R13
-	MOVQ n+56(FP), CX
-	MOVQ q+64(FP), BX
-	CONSTS(BX)
-	XORQ AX, AX
-
-pairLoop:
-	PAIRSUM
-	CSUB(Z3, Z30, Z4)           // < 2q
-	VPADDQ (DI)(AX*8), Z3, Z3   // < 3q
-	CSUB(Z3, Z30, Z4)
-	CSUB(Z3, Z31, Z4)
-	VMOVDQU64 Z3, (DI)(AX*8)
-	ADDQ $8, AX
-	CMPQ AX, CX
-	JLT  pairLoop
-	VZEROUPPER
-	RET
-
 // MONT52: out = x·y·2^-52 mod q, canonical, for x, y < 2^52 with x·y <
 // 2^52·q, qinv = q^-1 mod 2^52 in Z27: with lo + hi·2^52 = x·y and m =
 // lo·qinv mod 2^52, x·y − m·q is (hi − ⌊m·q/2^52⌋)·2^52 exactly, and
@@ -571,6 +526,56 @@ dualAddLoop:
 	ADDQ $8, AX
 	CMPQ AX, CX
 	JLT  dualAddLoop
+	VZEROUPPER
+	RET
+
+// func mulMontPair(out, a0, b0, a1, b1 *uint64, n int, q, qinv uint64)
+//
+// Mirrors the row loop of ring.(*Ring).MulCoeffMontPairAdd:
+// out += (a0·b0 + a1·b1)·2^-52, canonical, with b0/b1 in Montgomery form.
+// The two 104-bit products are summed wide and reduced once, MONT52's
+// argument on the sum: lo = lo0+lo1 < 2^53 carries lo>>52 into hi, and m =
+// lo·qinv mod 2^52 reads only lo's low 52 bits (the multiplier ignores the
+// rest, so lo needs no mask). For q < 2^50 the sum is below 2q² < q·2^51,
+// so hi − ⌊m·q/2^52⌋ lies in (−q, q/2).
+TEXT ·mulMontPair(SB), NOSPLIT, $0-64
+	MOVQ out+0(FP), DI
+	MOVQ a0+8(FP), R8
+	MOVQ b0+16(FP), R9
+	MOVQ a1+24(FP), R10
+	MOVQ b1+32(FP), R11
+	MOVQ n+40(FP), CX
+	MOVQ q+48(FP), BX
+	CONSTS(BX)
+	VPBROADCASTQ qinv+56(FP), Z27
+	XORQ AX, AX
+
+pairLoop:
+	VMOVDQU64 (R8)(AX*8), Z0
+	VMOVDQU64 (R9)(AX*8), Z1
+	VMOVDQU64 (R10)(AX*8), Z2
+	VMOVDQU64 (R11)(AX*8), Z3
+	VPXORQ Z4, Z4, Z4
+	VPMADD52LUQ Z1, Z0, Z4
+	VPXORQ Z5, Z5, Z5
+	VPMADD52HUQ Z1, Z0, Z5
+	VPMADD52LUQ Z3, Z2, Z4      // lo < 2^53
+	VPMADD52HUQ Z3, Z2, Z5
+	VPSRLQ $52, Z4, Z6
+	VPADDQ Z6, Z5, Z5           // hi += lo>>52
+	VPXORQ Z6, Z6, Z6
+	VPMADD52LUQ Z27, Z4, Z6     // m
+	VPXORQ Z7, Z7, Z7
+	VPMADD52HUQ Z31, Z6, Z7     // ⌊m·q/2^52⌋
+	VPSUBQ Z7, Z5, Z5           // in (−q, q/2)
+	VPADDQ Z31, Z5, Z7
+	VPMINUQ Z7, Z5, Z5          // canonical
+	VPADDQ (DI)(AX*8), Z5, Z5   // < 2q
+	CSUB(Z5, Z31, Z7)
+	VMOVDQU64 Z5, (DI)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  pairLoop
 	VZEROUPPER
 	RET
 

@@ -121,25 +121,26 @@ func runAll(r *ring.Ring, seed int64, fill int) []result {
 	r.MonomialSplitNTT(E, diff, E, O, e)
 	keep("monomialsplit/aliased", E, diff)
 
-	// The key-switch and row-apply MACs.
+	// The key-switch and row-apply MACs, their fixed operands in
+	// Montgomery form. The pair MAC: two digits against their keys (the
+	// key switch).
 	a0, b0, a1, b1 := g.poly(true), g.poly(true), g.poly(true), g.poly(true)
-	s0, s1 := r.ShoupPrecompPoly(b0), r.ShoupPrecompPoly(b1)
-	acc := g.poly(true)
-	r.MulCoeffShoupPairAdd(acc, a0, b0, s0, a1, b1, s1)
-	keep("pair", acc)
-	// The dual MAC: one streamed row against the two stationary halves of
-	// a vector chunk in Montgomery form (the row apply), fresh and
-	// accumulated; then two rows against one shared fixed operand.
 	bM, aM := r.NewPoly(lv), r.NewPoly(lv)
 	r.MulScalar(bM, b0, 1<<52)
 	r.MulScalar(aM, b1, 1<<52)
+	acc := g.poly(true)
+	r.MulCoeffMontPairAdd(acc, a0, bM, a1, aM)
+	keep("pair", acc)
+	// The dual MAC: one streamed row against the two stationary halves of
+	// a vector chunk (the row apply), fresh and accumulated; then two rows
+	// against one shared fixed operand with its Shoup table.
 	outB, outA := r.NewPoly(lv), r.NewPoly(lv)
 	accB, accA := g.poly(true), g.poly(true)
 	r.MulCoeffMontStationary(outB, outA, a0, bM, aM, false)
 	r.MulCoeffMontStationary(accB, accA, a0, bM, aM, true)
 	keep("dual/stationary", outB, outA, accB, accA)
 	accB, accA = g.poly(true), g.poly(true)
-	r.MulCoeffShoupDualAdd(accB, accA, a0, a1, b0, s0)
+	r.MulCoeffShoupDualAdd(accB, accA, a0, a1, b0, r.ShoupPrecompPoly(b0))
 	keep("dual/shared fixed", accB, accA)
 
 	// The merge's other sweeps: the centred lift between every pair of
@@ -260,8 +261,8 @@ func TestKernelGates(t *testing.T) {
 			"ForwardNTT":    vec.ForwardNTT(q, z(), z(), z()),
 			"InverseNTT":    vec.InverseNTT(q, z(), z(), z(), 0, 0, 0, 0),
 			"MonomialSplit": vec.MonomialSplit(q, z(), z(), z(), z(), z(), z()),
-			"MulShoupPair":  vec.MulShoupPair(q, z(), z(), z(), z(), z(), z(), z()),
 			"MulMontDual":   vec.MulMontDual(q, 1, z(), z(), z(), z(), z(), true),
+			"MulMontPair":   vec.MulMontPair(q, 1, z(), z(), z(), z(), z()),
 			"CentredLift":   vec.CentredLift(q, z(), z(), q/2, 0),
 			"ModDownRow":    vec.ModDownRow(q, z(), z(), z(), q/2, 0, 0, 0),
 			"Gather":        vec.Gather(z(), z(), make([]uint32, n)),
@@ -303,6 +304,14 @@ func TestKernelGates(t *testing.T) {
 			o[i] = z(24)
 			if vec.MulMontDual(cham, 1, z(32), z(32), o[0], o[1], o[2], true) {
 				t.Errorf("MulMontDual accepted operand %d shorter than out", i)
+			}
+		}
+		// The pair MAC's operands are a0, b0, a1, b1.
+		for i := 0; i < 4; i++ {
+			o := [4][]uint64{z(32), z(32), z(32), z(32)}
+			o[i] = z(24)
+			if vec.MulMontPair(cham, 1, z(32), o[0], o[1], o[2], o[3]) {
+				t.Errorf("MulMontPair accepted operand %d shorter than out", i)
 			}
 		}
 		if vec.ModDownRow(cham, z(32), z(32), z(24), cham/2, 0, 0, 0) {

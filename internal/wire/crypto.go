@@ -127,8 +127,8 @@ func (d *Reader) readCiphertexts(r *ring.Ring) []*rlwe.Ciphertext {
 }
 
 // readSwitchingKey reads one switching key, every digit pair at the ring's
-// full level, and rebuilds its Shoup tables, which are derived data and not
-// part of the encoding.
+// full level, and rebuilds its Montgomery images, which are derived data
+// and not part of the encoding.
 func (d *Reader) readSwitchingKey(r *ring.Ring) *rlwe.SwitchingKey {
 	digits := int(d.U8())
 	if d.err == nil && digits == 0 {

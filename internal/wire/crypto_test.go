@@ -124,12 +124,15 @@ func TestSwitchingKeyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Bs) != len(key.Bs) || back.BsShoup == nil || back.AsShoup == nil {
-		t.Fatal("digit count changed, or the Shoup tables were not rebuilt")
+	if len(back.Bs) != len(key.Bs) || len(back.BsMont) != len(key.Bs) || len(back.AsMont) != len(key.As) {
+		t.Fatal("digit count changed, or the Montgomery images were not rebuilt")
 	}
 	for j := range key.Bs {
 		if !back.Bs[j].Equal(key.Bs[j]) || !back.As[j].Equal(key.As[j]) {
 			t.Fatalf("digit %d differs", j)
+		}
+		if !back.BsMont[j].Equal(key.BsMont[j]) || !back.AsMont[j].Equal(key.AsMont[j]) {
+			t.Fatalf("digit %d: the rebuilt Montgomery image differs from the original's", j)
 		}
 	}
 	// A decoded key must actually switch: run it end to end.

@@ -213,8 +213,8 @@ func TestSetupKeysRoundTrip(t *testing.T) {
 				t.Fatalf("key %d digit %d mismatch", k, j)
 			}
 		}
-		if g.BsShoup == nil {
-			t.Fatalf("key %d decoded without Shoup precomputation", k)
+		if g.BsMont == nil || g.AsMont == nil {
+			t.Fatalf("key %d decoded without its Montgomery images", k)
 		}
 	}
 	if KeyHash(p.R, keys) != KeyHash(p.R, got) {
