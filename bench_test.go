@@ -512,8 +512,10 @@ func BenchmarkFig5Floorplan(b *testing.B) {
 
 // BenchmarkKernels times each accelerated row kernel of internal/vec
 // against the Go loop it mirrors, through the caller both share, on one
-// N=4096 row of the first CHAM limb (DESIGN.md §11 "Vector kernels").
-// On a host without AVX-512 IFMA only the generic halves run.
+// N=4096 row of the first CHAM limb (DESIGN.md §11 "Vector kernels"), and
+// the two transforms also on an N=512 row, the ring degree of the
+// cluster_scatter workload. On a host without AVX-512 IFMA only the
+// generic halves run.
 func BenchmarkKernels(b *testing.B) {
 	const n = 4096
 	r := ring.MustNew(n, mod.ChamModuli())
@@ -536,12 +538,19 @@ func BenchmarkKernels(b *testing.B) {
 	two := poly(2, false) // ModDownInto drops its second limb: one output row
 	lift := two.Coeffs[1] // canonical residues of limb 1, lifted into limb 0
 	tab := r.Tables[0]
+	tab512 := ntt.MustTable(512, mod.ChamQ0)
+	row512 := make([]uint64, 512)
+	for i := range row512 {
+		row512[i] = rng.Uint64() % mod.ChamQ0
+	}
 	kernels := []struct {
 		name string
 		run  func()
 	}{
 		{"ForwardNTT", func() { tab.ForwardLazy(o0.Coeffs[0]) }},
 		{"InverseNTT", func() { tab.InverseLazy(o0.Coeffs[0]) }},
+		{"ForwardNTT512", func() { tab512.ForwardLazy(row512) }},
+		{"InverseNTT512", func() { tab512.InverseLazy(row512) }},
 		{"MonomialSplit", func() { r.MonomialSplitNTT(o0, o1, x, y, 5) }},
 		{"MulMontPairAdd", func() { r.MulCoeffMontPairAdd(o0, x, my, z, mw) }},
 		{"MulMontDual", func() { r.MulCoeffMontStationary(o0, o1, x, my, mw, false) }},

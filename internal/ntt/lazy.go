@@ -1,20 +1,28 @@
 package ntt
 
-// Lazy-reduction transforms: butterflies keep values in [0, 4q) and only
-// reduce when they would overflow, the standard Harvey optimization. On
-// CHAM's ≤39-bit moduli the headroom to 2^64 allows the full transform
-// with one conditional correction per butterfly input — this is the
-// software trick that narrows the gap to the calibrated CPU model (and
-// mirrors the lazy pipelines real HE libraries use).
+// Lazy-reduction transforms (Harvey): a butterfly reduces only what would
+// otherwise leave the range its next use can take, and the value it writes
+// is any representative below a stage bound. Two implementations share
+// that contract and produce the same canonical output rows:
+//
+//   - the Go loops below, the portable path and the reference: every
+//     value stays below 4q (forward) or 2q (inverse), one conditional
+//     subtraction per butterfly input, which fits 64-bit words for any
+//     q < 2^62;
+//   - the vector kernels (internal/vec), on 52-bit lanes: with CHAM's
+//     ≤ 39-bit moduli a lane has 13 or more bits of headroom, so a value
+//     may grow for many stages and a butterfly reduces nothing. A schedule
+//     derived from q and N picks the passes that must reduce; on a modulus
+//     near 2^50 that is every stage (DESIGN.md §11 "The transforms").
 //
 // Both directions fold their trailing normalization pass into the final
-// butterfly stage: the forward transform's two-step full reduction and the
-// inverse transform's N^-1 Shoup multiply happen as the last stage writes
-// its outputs, removing one full read-modify-write sweep of the row each
-// way. The outputs are bit-identical to a schedule that fully reduces
-// after every butterfly (cg.go runs one; the tests compare) — every lazy
-// intermediate is congruent to its reduced counterpart and the final
-// stage emits canonical residues.
+// butterfly stage: the forward transform's full reduction and the inverse
+// transform's N^-1 Shoup multiply happen as the last stage writes its
+// outputs, removing one full read-modify-write sweep of the row each way.
+// The outputs are bit-identical to a schedule that fully reduces after
+// every butterfly (cg.go runs one; the tests compare) — every lazy
+// intermediate is congruent to its reduced counterpart and the final stage
+// emits canonical residues.
 
 import (
 	"math/bits"
@@ -30,15 +38,15 @@ import (
 // sweeps feed their [0, 3q) lazy lifts straight into the transform.
 //
 // The row goes to the vector kernel when the host has one; the Go loop
-// below is the portable path and the kernel's reference. Stage invariant:
-// both butterfly outputs stay below 4q; each input is conditionally
-// brought under 2q before use, so u+v and u+2q-v never overflow (4q <
-// 2^64 for q < 2^62).
+// below is the portable path and the kernel's reference. The loop's stage
+// invariant: both butterfly outputs stay below 4q; each input is
+// conditionally brought under 2q before use, so u+v and u+2q-v never
+// overflow (4q < 2^64 for q < 2^62).
 func (t *Table) ForwardLazy(a []uint64) {
 	if len(a) != t.N {
 		panic("ntt: length mismatch")
 	}
-	if vec.ForwardNTT(t.M.Q, a, t.rootsFwd, t.rootsFwdShoup) {
+	if vec.ForwardNTT(t.M.Q, a, t.rootsFwd, t.rootsFwdShoup52) {
 		return
 	}
 	m := t.M
@@ -112,7 +120,7 @@ func (t *Table) InverseLazy(a []uint64) {
 	if len(a) != t.N {
 		panic("ntt: length mismatch")
 	}
-	if vec.InverseNTT(t.M.Q, a, t.rootsInv, t.rootsInvShoup, t.nInv, t.nInvShoup, t.nInvRoot, t.nInvRootShoup) {
+	if vec.InverseNTT(t.M.Q, a, t.rootsInv, t.rootsInvShoup52, t.nInv, t.nInvShoup>>12, t.nInvRoot, t.nInvRootShoup>>12) {
 		return
 	}
 	m := t.M

@@ -45,6 +45,9 @@ type Table struct {
 	rootsFwd, rootsFwdShoup []uint64
 	// rootsInv[k] = ψ^-brv(k), the elementwise inverse of rootsFwd.
 	rootsInv, rootsInvShoup []uint64
+	// The vector kernels' companions, ⌊w·2^52/q⌋ = rootsFwdShoup >> 12 and
+	// the same of rootsInvShoup: the 52-bit lanes read them as stored.
+	rootsFwdShoup52, rootsInvShoup52 []uint64
 
 	nInv, nInvShoup uint64
 	// nInvRoot = rootsInv[1]·N^-1, the twiddle of the inverse transform's
@@ -89,9 +92,13 @@ func NewTable(n int, q uint64) (*Table, error) {
 		fwd = m.Mul(fwd, psi)
 		inv = m.Mul(inv, t.PsiInv)
 	}
+	t.rootsFwdShoup52 = make([]uint64, n)
+	t.rootsInvShoup52 = make([]uint64, n)
 	for i := 0; i < n; i++ {
 		t.rootsFwdShoup[i] = m.ShoupPrecomp(t.rootsFwd[i])
 		t.rootsInvShoup[i] = m.ShoupPrecomp(t.rootsInv[i])
+		t.rootsFwdShoup52[i] = t.rootsFwdShoup[i] >> 12
+		t.rootsInvShoup52[i] = t.rootsInvShoup[i] >> 12
 	}
 	t.nInv = m.Inv(uint64(n))
 	t.nInvShoup = m.ShoupPrecomp(t.nInv)

@@ -24,3 +24,73 @@ const (
 	ImplIFMA    = "avx512ifma"
 	ImplGeneric = "generic"
 )
+
+// The transforms' reduction schedules. A transform kernel keeps each value
+// as a 52-bit lane word (DESIGN.md §11 "The transforms"), so a value must
+// stay below 2^52 wherever a multiplier reads it. Each schedule walks the
+// kernel's passes in order — two stages per pass in memory, four or five
+// in registers — and sets bit p of reduce when pass p must reduce in every
+// stage to keep that bound; a pass whose bit is clear reduces nothing. top
+// is the largest value any lane holds. The schedule depends on q and log N
+// only, and the wrapper derives it on every call.
+
+// forwardSchedule: the passes are two stages each down to span 16 or 32,
+// then the register stages (span 16 or 8 down to 1), five when log N is
+// odd. Values start below 4q. A lazy stage adds at most 2q (u+v and
+// u+2q−v with the Shoup product v below 2q); a reducing stage first takes
+// 2q off u when u ≥ 2q, so once the bound is 4q or more it adds nothing.
+// The canonical reduction at the end reads any value below 2^52.
+func forwardSchedule(q uint64, logN int) (reduce, top uint64) {
+	limit := (1 << 52) / q // the bound b·q may not pass 2^52
+	b := uint64(4)
+	pass := 0
+	run := func(stages uint64) {
+		if b+2*stages <= limit {
+			b += 2 * stages
+		} else {
+			reduce |= 1 << pass
+		}
+		pass++
+	}
+	middle := logN - 4
+	for i := 0; i < middle/2; i++ {
+		run(2)
+	}
+	run(4 + uint64(middle%2))
+	return reduce, b*q - 1
+}
+
+// inverseSchedule: the passes are the register stages (span 1 up to 8 or
+// 16), five when log N is even, then two stages each up to span N/4; the
+// final stage (span N/2, which multiplies both outputs by N^-1 and reduces
+// them) follows. Values start below B = 2q. A stage with inputs below B
+// forms d = u + B − v and u + v, both below 2B; the product of d is below
+// 2q. A lazy stage leaves u + v, so the bound doubles; a reducing stage
+// brings it below B with one subtraction of B. So B may not pass 2^51,
+// and c[s] receives stage s's constant B.
+func inverseSchedule(q uint64, logN int, c *[64]uint64) (reduce, top uint64) {
+	const limit = 1 << 51
+	bound := 2 * q
+	stage, pass := 0, 0
+	run := func(stages int) {
+		lazy := bound<<stages <= limit
+		for i := 0; i < stages; i++ {
+			c[stage] = bound
+			stage++
+			if lazy {
+				bound <<= 1
+			}
+		}
+		if !lazy {
+			reduce |= 1 << pass
+		}
+		pass++
+	}
+	middle := logN - 5
+	run(4 + middle%2)
+	for i := 0; i < middle/2; i++ {
+		run(2)
+	}
+	c[stage] = bound
+	return reduce, 2*bound - 1
+}

@@ -1,5 +1,7 @@
 package vec
 
+import "math/bits"
+
 // useIFMA is the one kernel switch: set once at start-up from CPUID and
 // never written again outside ForceGeneric.
 var useIFMA = detectIFMA()
@@ -56,26 +58,30 @@ func ok(q uint64, n int, rows ...[]uint64) bool {
 }
 
 // ForwardNTT runs ntt.(*Table).ForwardLazy on a: the lazy forward transform
-// with twiddles w (bit-reversed powers, Shoup companions wShoup), inputs
-// below 4q, canonical output.
+// with twiddles w (bit-reversed powers) and their 52-bit Shoup companions
+// wShoup = ⌊w·2^52/q⌋, inputs below 4q, canonical output.
 func ForwardNTT(q uint64, a, w, wShoup []uint64) bool {
 	n := len(a)
 	if n < 32 || n&(n-1) != 0 || !ok(q, n, w, wShoup) {
 		return false
 	}
-	forwardNTT(&a[0], n, &w[0], &wShoup[0], q)
+	reduce, _ := forwardSchedule(q, bits.TrailingZeros(uint(n)))
+	forwardNTT(&a[0], n, &w[0], &wShoup[0], q, (1<<52)/q, reduce)
 	return true
 }
 
 // InverseNTT runs ntt.(*Table).InverseLazy on a: inputs below 2q, canonical
 // output, with N^-1 (nInv) and N^-1 times the last twiddle (nInvRoot)
-// folded into the final stage.
+// folded into the final stage; every companion is a 52-bit one, as in
+// ForwardNTT.
 func InverseNTT(q uint64, a, w, wShoup []uint64, nInv, nInvShoup, nInvRoot, nInvRootShoup uint64) bool {
 	n := len(a)
 	if n < 32 || n&(n-1) != 0 || !ok(q, n, w, wShoup) {
 		return false
 	}
-	inverseNTT(&a[0], n, &w[0], &wShoup[0], q, nInv, nInvShoup, nInvRoot, nInvRootShoup)
+	var c [64]uint64
+	reduce, _ := inverseSchedule(q, bits.TrailingZeros(uint(n)), &c)
+	inverseNTT(&a[0], n, &w[0], &wShoup[0], q, nInv, nInvShoup, nInvRoot, nInvRootShoup, &c[0], reduce)
 	return true
 }
 
@@ -179,10 +185,10 @@ func GatherAdd(q uint64, out, a []uint64, perm []uint32) bool {
 // it mirrors.
 
 //go:noescape
-func forwardNTT(a *uint64, n int, w, wp *uint64, q uint64)
+func forwardNTT(a *uint64, n int, w, wp *uint64, q, mu, reduce uint64)
 
 //go:noescape
-func inverseNTT(a *uint64, n int, w, wp *uint64, q, nInv, nInvShoup, nInvRoot, nInvRootShoup uint64)
+func inverseNTT(a *uint64, n int, w, wp *uint64, q, nInv, nInvShoup, nInvRoot, nInvRootShoup uint64, c *uint64, reduce uint64)
 
 //go:noescape
 func monomialSplit(sum, diff, e, o, m, ms *uint64, n int, q uint64)

@@ -7,121 +7,45 @@
 
 #include "textflag.h"
 
-// Permutation tables for the in-register NTT stages. A 16-element chunk is
-// held as (L, H); the VPERMT2Q indices address L as 0..7 and H as 8..15.
-// Layouts: nat = natural order, S4/S2/S1 = lo|hi halves of the span-4/2/1
-// butterflies. Every transition's inverse uses the same index pair, except
-// nat→S1 / S1→nat.
-DATA permTab<>+0x000(SB)/8, $0 // A lo: nat↔S4
-DATA permTab<>+0x008(SB)/8, $1
-DATA permTab<>+0x010(SB)/8, $2
-DATA permTab<>+0x018(SB)/8, $3
-DATA permTab<>+0x020(SB)/8, $8
-DATA permTab<>+0x028(SB)/8, $9
-DATA permTab<>+0x030(SB)/8, $10
-DATA permTab<>+0x038(SB)/8, $11
-DATA permTab<>+0x040(SB)/8, $4 // A hi
-DATA permTab<>+0x048(SB)/8, $5
-DATA permTab<>+0x050(SB)/8, $6
-DATA permTab<>+0x058(SB)/8, $7
-DATA permTab<>+0x060(SB)/8, $12
-DATA permTab<>+0x068(SB)/8, $13
-DATA permTab<>+0x070(SB)/8, $14
-DATA permTab<>+0x078(SB)/8, $15
-DATA permTab<>+0x080(SB)/8, $0 // B lo: S4↔S2
-DATA permTab<>+0x088(SB)/8, $1
-DATA permTab<>+0x090(SB)/8, $8
-DATA permTab<>+0x098(SB)/8, $9
-DATA permTab<>+0x0a0(SB)/8, $4
-DATA permTab<>+0x0a8(SB)/8, $5
-DATA permTab<>+0x0b0(SB)/8, $12
-DATA permTab<>+0x0b8(SB)/8, $13
-DATA permTab<>+0x0c0(SB)/8, $2 // B hi
-DATA permTab<>+0x0c8(SB)/8, $3
-DATA permTab<>+0x0d0(SB)/8, $10
-DATA permTab<>+0x0d8(SB)/8, $11
-DATA permTab<>+0x0e0(SB)/8, $6
-DATA permTab<>+0x0e8(SB)/8, $7
-DATA permTab<>+0x0f0(SB)/8, $14
-DATA permTab<>+0x0f8(SB)/8, $15
-DATA permTab<>+0x100(SB)/8, $0 // C lo: S2↔S1
-DATA permTab<>+0x108(SB)/8, $8
-DATA permTab<>+0x110(SB)/8, $2
-DATA permTab<>+0x118(SB)/8, $10
-DATA permTab<>+0x120(SB)/8, $4
-DATA permTab<>+0x128(SB)/8, $12
-DATA permTab<>+0x130(SB)/8, $6
-DATA permTab<>+0x138(SB)/8, $14
-DATA permTab<>+0x140(SB)/8, $1 // C hi
-DATA permTab<>+0x148(SB)/8, $9
-DATA permTab<>+0x150(SB)/8, $3
-DATA permTab<>+0x158(SB)/8, $11
-DATA permTab<>+0x160(SB)/8, $5
-DATA permTab<>+0x168(SB)/8, $13
-DATA permTab<>+0x170(SB)/8, $7
-DATA permTab<>+0x178(SB)/8, $15
-DATA permTab<>+0x180(SB)/8, $0 // D lo: S1→nat
-DATA permTab<>+0x188(SB)/8, $8
-DATA permTab<>+0x190(SB)/8, $1
-DATA permTab<>+0x198(SB)/8, $9
-DATA permTab<>+0x1a0(SB)/8, $2
-DATA permTab<>+0x1a8(SB)/8, $10
-DATA permTab<>+0x1b0(SB)/8, $3
-DATA permTab<>+0x1b8(SB)/8, $11
-DATA permTab<>+0x1c0(SB)/8, $4 // D hi
-DATA permTab<>+0x1c8(SB)/8, $12
-DATA permTab<>+0x1d0(SB)/8, $5
-DATA permTab<>+0x1d8(SB)/8, $13
-DATA permTab<>+0x1e0(SB)/8, $6
-DATA permTab<>+0x1e8(SB)/8, $14
-DATA permTab<>+0x1f0(SB)/8, $7
-DATA permTab<>+0x1f8(SB)/8, $15
-DATA permTab<>+0x200(SB)/8, $0 // E lo: nat→S1 (evens)
-DATA permTab<>+0x208(SB)/8, $2
-DATA permTab<>+0x210(SB)/8, $4
-DATA permTab<>+0x218(SB)/8, $6
-DATA permTab<>+0x220(SB)/8, $8
-DATA permTab<>+0x228(SB)/8, $10
-DATA permTab<>+0x230(SB)/8, $12
-DATA permTab<>+0x238(SB)/8, $14
-DATA permTab<>+0x240(SB)/8, $1 // E hi (odds)
-DATA permTab<>+0x248(SB)/8, $3
-DATA permTab<>+0x250(SB)/8, $5
-DATA permTab<>+0x258(SB)/8, $7
-DATA permTab<>+0x260(SB)/8, $9
-DATA permTab<>+0x268(SB)/8, $11
-DATA permTab<>+0x270(SB)/8, $13
-DATA permTab<>+0x278(SB)/8, $15
-DATA permTab<>+0x280(SB)/8, $0 // T4: two twiddles, four lanes each
-DATA permTab<>+0x288(SB)/8, $0
-DATA permTab<>+0x290(SB)/8, $0
-DATA permTab<>+0x298(SB)/8, $0
-DATA permTab<>+0x2a0(SB)/8, $1
-DATA permTab<>+0x2a8(SB)/8, $1
-DATA permTab<>+0x2b0(SB)/8, $1
-DATA permTab<>+0x2b8(SB)/8, $1
-DATA permTab<>+0x2c0(SB)/8, $0 // T2: four twiddles, two lanes each
-DATA permTab<>+0x2c8(SB)/8, $0
-DATA permTab<>+0x2d0(SB)/8, $1
-DATA permTab<>+0x2d8(SB)/8, $1
-DATA permTab<>+0x2e0(SB)/8, $2
-DATA permTab<>+0x2e8(SB)/8, $2
-DATA permTab<>+0x2f0(SB)/8, $3
-DATA permTab<>+0x2f8(SB)/8, $3
-GLOBL permTab<>(SB), RODATA|NOPTR, $0x300
-
-#define PERM_A_LO 0x000
-#define PERM_A_HI 0x040
-#define PERM_B_LO 0x080
-#define PERM_B_HI 0x0c0
-#define PERM_C_LO 0x100
-#define PERM_C_HI 0x140
-#define PERM_D_LO 0x180
-#define PERM_D_HI 0x1c0
-#define PERM_E_LO 0x200
-#define PERM_E_HI 0x240
-#define PERM_T4 0x280
-#define PERM_T2 0x2c0
+// Lane orders of the transforms' register stages. A 16-word chunk is held
+// as a register pair (L, H); VPERMT2Q/VPERMI2Q address L as 0..7 and H as
+// 8..15. SHUF is the perfect shuffle (new L = 0 8 1 9 2 10 3 11, new H =
+// 4 12 5 13 6 14 7 15), UNSHUF its inverse (new L the even words, new H
+// the odd). Four shuffles are the identity, and the orders between them
+// put a stage's twiddles where one broadcast load leaves them.
+DATA shufTab<>+0x000(SB)/8, $0 // SHUF L
+DATA shufTab<>+0x008(SB)/8, $8
+DATA shufTab<>+0x010(SB)/8, $1
+DATA shufTab<>+0x018(SB)/8, $9
+DATA shufTab<>+0x020(SB)/8, $2
+DATA shufTab<>+0x028(SB)/8, $10
+DATA shufTab<>+0x030(SB)/8, $3
+DATA shufTab<>+0x038(SB)/8, $11
+DATA shufTab<>+0x040(SB)/8, $4 // SHUF H
+DATA shufTab<>+0x048(SB)/8, $12
+DATA shufTab<>+0x050(SB)/8, $5
+DATA shufTab<>+0x058(SB)/8, $13
+DATA shufTab<>+0x060(SB)/8, $6
+DATA shufTab<>+0x068(SB)/8, $14
+DATA shufTab<>+0x070(SB)/8, $7
+DATA shufTab<>+0x078(SB)/8, $15
+DATA shufTab<>+0x080(SB)/8, $0 // UNSHUF L
+DATA shufTab<>+0x088(SB)/8, $2
+DATA shufTab<>+0x090(SB)/8, $4
+DATA shufTab<>+0x098(SB)/8, $6
+DATA shufTab<>+0x0a0(SB)/8, $8
+DATA shufTab<>+0x0a8(SB)/8, $10
+DATA shufTab<>+0x0b0(SB)/8, $12
+DATA shufTab<>+0x0b8(SB)/8, $14
+DATA shufTab<>+0x0c0(SB)/8, $1 // UNSHUF H
+DATA shufTab<>+0x0c8(SB)/8, $3
+DATA shufTab<>+0x0d0(SB)/8, $5
+DATA shufTab<>+0x0d8(SB)/8, $7
+DATA shufTab<>+0x0e0(SB)/8, $9
+DATA shufTab<>+0x0e8(SB)/8, $11
+DATA shufTab<>+0x0f0(SB)/8, $13
+DATA shufTab<>+0x0f8(SB)/8, $15
+GLOBL shufTab<>(SB), RODATA|NOPTR, $0x100
 
 // Constant registers, set up by CONSTS from the GPR holding q (clobbers AX):
 // Z31 = q, Z30 = 2q, Z29 = 2^52-1, Z28 = 2^52-q.
@@ -152,274 +76,560 @@ GLOBL permTab<>(SB), RODATA|NOPTR, $0x300
 	VPSUBQ m, r, t; \
 	VPMINUQ t, r, r
 
-// CTBFLY: the lazy Cooley-Tukey butterfly of ntt.ForwardLazy on (lo, hi)
-// in place: u = lo mod⁺ 2q, v = SHOUP52(hi, w), lo' = u+v, hi' = u+2q-v.
-#define CTBFLY(lo, hi, w, wp, t1, t2) \
-	CSUB(lo, Z30, t1); \
-	SHOUP52(hi, w, wp, t2, t1); \
+// The transforms hold each value as a lane word congruent to it mod 2^52:
+// the multipliers read only a lane's low 52 bits, so a Shoup product left
+// unmasked (below 2^53) and the sums and differences built on it stay
+// exact there. Only a comparison needs the value itself, and masks first.
+
+// CT: the forward butterfly on (lo, hi) in place: v = hi·w −
+// ⌊hi·wp/2^52⌋·q, a value in [0, 2q) left unmasked, then lo' = lo+v and
+// hi' = lo+2q−v. t and v are scratch; w and wp may be memory operands.
+#define CT(lo, hi, w, wp, t, v) \
+	VPXORQ t, t, t; \
+	VPMADD52HUQ wp, hi, t; \
+	VPXORQ v, v, v; \
+	VPMADD52LUQ w, hi, v; \
+	VPMADD52LUQ Z28, t, v; \
 	VPADDQ Z30, lo, hi; \
-	VPSUBQ t2, hi, hi; \
-	VPADDQ t2, lo, lo
+	VPSUBQ v, hi, hi; \
+	VPADDQ v, lo, lo
 
-// GSBFLY: the lazy Gentleman-Sande butterfly of ntt.InverseLazy on (lo, hi)
-// in place: lo' = (lo+hi) mod⁺ 2q, hi' = SHOUP52(lo+2q-hi, w).
-#define GSBFLY(lo, hi, w, wp, t1, t2, t3) \
-	VPADDQ Z30, lo, t3; \
-	VPSUBQ hi, t3, t3; \
+// GS: the inverse butterfly on (lo, hi) in place with subtraction
+// constant c (a multiple of q above hi): d = lo+c−hi, lo' = lo+hi,
+// hi' = d·w − ⌊d·wp/2^52⌋·q (in [0, 2q), unmasked). t and d are scratch;
+// w and wp may be memory operands.
+#define GS(lo, hi, w, wp, c, t, d) \
+	VPADDQ c, lo, d; \
+	VPSUBQ hi, d, d; \
 	VPADDQ hi, lo, lo; \
-	CSUB(lo, Z30, t1); \
-	SHOUP52(t3, w, wp, hi, t1)
+	VPXORQ t, t, t; \
+	VPMADD52HUQ wp, d, t; \
+	VPXORQ hi, hi, hi; \
+	VPMADD52LUQ w, d, hi; \
+	VPMADD52LUQ Z28, t, hi
 
-// REPERM: (l, h) = (perm(l|h, ilo), perm(l|h, ihi)); t is scratch.
-#define REPERM(l, h, ilo, ihi, t) \
-	VMOVDQA64 l, t; \
-	VPERMT2Q h, ilo, l; \
-	VPERMT2Q h, ihi, t; \
-	VMOVDQA64 t, h
+// The reductions a reducing pass adds, each a mask to the value and one
+// conditional subtraction: 2q off the forward's lo input before its
+// butterfly (CTRED), c off the inverse's sum after it (GSRED). A lazy
+// pass expands NORED2/NORED3 instead.
+#define CTRED(u, t) \
+	VPANDQ Z29, u, u; \
+	CSUB(u, Z30, t)
 
-// func forwardNTT(a *uint64, n int, w, wp *uint64, q uint64)
+#define GSRED(s, c, t) \
+	VPANDQ Z29, s, s; \
+	CSUB(s, c, t)
+
+#define NORED2(u, t)
+#define NORED3(s, c, t)
+
+// CANON: x = the canonical residue of the value of lane word x, for any
+// value below 2^52: Barrett by mu = ⌊2^52/q⌋ in Z27 (BARRETT52 below, in
+// place) into [0, 2q), then one conditional subtraction. t is scratch.
+#define CANON(x, t) \
+	VPXORQ t, t, t; \
+	VPMADD52HUQ Z27, x, t; \
+	VPMADD52LUQ Z28, t, x; \
+	VPANDQ Z29, x, x; \
+	CSUB(x, Z31, t)
+
+// PERM2: (l, x) = (il(l‖h), ih(l‖h)), the words of l‖h at the indices in
+// il and ih; h is free afterwards.
+#define PERM2(l, h, x, il, ih) \
+	VMOVDQA64 ih, x; \
+	VPERMI2Q h, l, x; \
+	VPERMT2Q h, il, l
+
+// Forward passes. Pass registers: DI = a, R8 = &w[0], R9 = wp − w (bytes),
+// R11 = blocks of the pass's first stage, R12 = the span of its last stage
+// in bytes; R15 = the reduce schedule, bit 0 for this pass.
+
+// FWDR4: two stages per pass. Block i of the first stage (span 2h, twiddle
+// w[B+i]) holds quarters Q0..Q3 of h words: (Q0, Q2) and (Q1, Q3) go
+// through w[B+i], then (Q0, Q1) through w[2B+2i] and (Q2, Q3) through
+// w[2B+2i+1]. R13 = 3h in bytes; AX and BX walk &w[B+i] and &w[2B+2i].
+// RED is CTRED or NORED2.
+#define FWDR4(block, inner, RED) \
+	MOVQ DI, SI; \
+	LEAQ (R8)(R11*8), AX; \
+	LEAQ (AX)(R11*8), BX; \
+	MOVQ R11, CX; \
+block: \
+	VPBROADCASTQ (AX), Z0; \
+	VPBROADCASTQ (AX)(R9*1), Z1; \
+	VPBROADCASTQ (BX), Z2; \
+	VPBROADCASTQ (BX)(R9*1), Z3; \
+	VPBROADCASTQ 8(BX), Z4; \
+	VPBROADCASTQ 8(BX)(R9*1), Z5; \
+	LEAQ (SI)(R12*1), DX; \
+inner: \
+	VMOVDQU64 (SI), Z6; \
+	VMOVDQU64 (SI)(R12*1), Z7; \
+	VMOVDQU64 (SI)(R12*2), Z8; \
+	VMOVDQU64 (SI)(R13*1), Z9; \
+	RED(Z6, Z10); \
+	RED(Z7, Z12); \
+	CT(Z6, Z8, Z0, Z1, Z10, Z11); \
+	CT(Z7, Z9, Z0, Z1, Z12, Z13); \
+	RED(Z6, Z10); \
+	RED(Z8, Z12); \
+	CT(Z6, Z7, Z2, Z3, Z10, Z11); \
+	CT(Z8, Z9, Z4, Z5, Z12, Z13); \
+	VMOVDQU64 Z6, (SI); \
+	VMOVDQU64 Z7, (SI)(R12*1); \
+	VMOVDQU64 Z8, (SI)(R12*2); \
+	VMOVDQU64 Z9, (SI)(R13*1); \
+	ADDQ $64, SI; \
+	CMPQ SI, DX; \
+	JLT inner; \
+	ADDQ R13, SI; \
+	ADDQ $8, AX; \
+	ADDQ $16, BX; \
+	DECQ CX; \
+	JNZ block
+
+// FWD16: the span-16 stage of a five-stage tail, which pairs the two
+// chunks word for word under twiddle w[N/32+c/2] (R8/R9, advanced here).
+#define FWD16(RED) \
+	VPBROADCASTQ (R8), Z5; \
+	VPBROADCASTQ (R9), Z6; \
+	RED(Z0, Z3); \
+	RED(Z1, Z11); \
+	CT(Z0, Z8, Z5, Z6, Z3, Z4); \
+	CT(Z1, Z9, Z5, Z6, Z11, Z12); \
+	ADDQ $8, R8; \
+	ADDQ $8, R9
+
+#define NO16(RED)
+
+// FWDTAIL: the last four stages (span 8, 4, 2, 1) in registers — five with
+// FWD16 for S16 — two 16-word chunks per iteration, then the canonical
+// reduction. Chunk c is (Z0, Z1) and chunk c+1 (Z8, Z9), natural order;
+// the span-8 stage pairs them as they are, and each shuffle brings the
+// next stage's pairs into (L, H): span 4 pairs L = 0 8 1 9 2 10 3 11 with
+// H = 4 12 5 13 6 14 7 15 under twiddles w0 w1 w0 w1 … (a 128-bit
+// broadcast of w[N/8+2c]), span 2 L = 0 4 8 12 1 5 9 13 with H = 2 6 10
+// 14 3 7 11 15 under w0 w1 w2 w3 w0 w1 w2 w3 (a 256-bit broadcast of
+// w[N/4+4c]), span 1 the even words with the odd under w[N/2+8c …]; a
+// fourth shuffle restores natural order. AX = 8c; R10/R11, R12/R13,
+// R14/R15, BX/DX = w/wp at N/16, N/8, N/4, N/2.
+#define FWDTAIL(loop, RED, S16) \
+loop: \
+	VMOVDQU64 (DI), Z0; \
+	VMOVDQU64 64(DI), Z1; \
+	VMOVDQU64 128(DI), Z8; \
+	VMOVDQU64 192(DI), Z9; \
+	S16(RED); \
+	VPBROADCASTQ (R10)(AX*1), Z5; \
+	VPBROADCASTQ (R11)(AX*1), Z6; \
+	VPBROADCASTQ 8(R10)(AX*1), Z13; \
+	VPBROADCASTQ 8(R11)(AX*1), Z14; \
+	RED(Z0, Z3); \
+	RED(Z8, Z11); \
+	CT(Z0, Z1, Z5, Z6, Z3, Z4); \
+	CT(Z8, Z9, Z13, Z14, Z11, Z12); \
+	PERM2(Z0, Z1, Z2, Z26, Z25); \
+	PERM2(Z8, Z9, Z10, Z26, Z25); \
+	VBROADCASTI32X4 (R12)(AX*2), Z5; \
+	VBROADCASTI32X4 (R13)(AX*2), Z6; \
+	VBROADCASTI32X4 16(R12)(AX*2), Z13; \
+	VBROADCASTI32X4 16(R13)(AX*2), Z14; \
+	RED(Z0, Z3); \
+	RED(Z8, Z11); \
+	CT(Z0, Z2, Z5, Z6, Z3, Z4); \
+	CT(Z8, Z10, Z13, Z14, Z11, Z12); \
+	PERM2(Z0, Z2, Z1, Z26, Z25); \
+	PERM2(Z8, Z10, Z9, Z26, Z25); \
+	VBROADCASTI64X4 (R14)(AX*4), Z5; \
+	VBROADCASTI64X4 (R15)(AX*4), Z6; \
+	VBROADCASTI64X4 32(R14)(AX*4), Z13; \
+	VBROADCASTI64X4 32(R15)(AX*4), Z14; \
+	RED(Z0, Z3); \
+	RED(Z8, Z11); \
+	CT(Z0, Z1, Z5, Z6, Z3, Z4); \
+	CT(Z8, Z9, Z13, Z14, Z11, Z12); \
+	PERM2(Z0, Z1, Z2, Z26, Z25); \
+	PERM2(Z8, Z9, Z10, Z26, Z25); \
+	RED(Z0, Z3); \
+	RED(Z8, Z11); \
+	CT(Z0, Z2, (BX)(AX*8), (DX)(AX*8), Z3, Z4); \
+	CT(Z8, Z10, 64(BX)(AX*8), 64(DX)(AX*8), Z11, Z12); \
+	CANON(Z0, Z3); \
+	CANON(Z2, Z4); \
+	CANON(Z8, Z11); \
+	CANON(Z10, Z12); \
+	PERM2(Z0, Z2, Z1, Z26, Z25); \
+	PERM2(Z8, Z10, Z9, Z26, Z25); \
+	VMOVDQU64 Z0, (DI); \
+	VMOVDQU64 Z1, 64(DI); \
+	VMOVDQU64 Z8, 128(DI); \
+	VMOVDQU64 Z9, 192(DI); \
+	ADDQ $256, DI; \
+	ADDQ $16, AX; \
+	DECQ CX; \
+	JNZ loop
+
+// func forwardNTT(a *uint64, n int, w, wp *uint64, q, mu, reduce uint64)
 //
-// Mirrors ntt.(*Table).ForwardLazy: every stage of the lazy forward
-// transform, canonical output. Stages with span ≥ 8 broadcast one twiddle
-// per block; the last three (span 4, 2, 1) run in registers over
-// 16-element chunks.
-TEXT ·forwardNTT(SB), NOSPLIT, $0-40
+// Mirrors ntt.(*Table).ForwardLazy: the lazy forward transform, canonical
+// output. wp holds 52-bit companions, mu = ⌊2^52/q⌋. The passes: two
+// stages per pass, then the register stages — five when log N is odd,
+// else four. Bit p of reduce makes pass p reduce its lo inputs (the
+// wrapper's schedule keeps every value below 2^52); a lazy pass does no
+// reduction at all.
+TEXT ·forwardNTT(SB), NOSPLIT, $0-56
 	MOVQ a+0(FP), DI
 	MOVQ n+8(FP), CX
 	MOVQ w+16(FP), R8
 	MOVQ wp+24(FP), R9
 	MOVQ q+32(FP), BX
 	CONSTS(BX)
-	MOVQ CX, R10 // span
-	MOVQ $1, R11 // blocks
+	VPBROADCASTQ mu+40(FP), Z27
+	MOVQ reduce+48(FP), R15
+	SUBQ R8, R9            // wp − w
+	MOVQ $1, R11           // blocks
+	MOVQ CX, R12
+	SHLQ $2, R12           // span N/2 in bytes
+	BSFQ CX, CX
+	ANDQ $1, CX
+	MOVQ $128, R14
+	SHLQ CX, R14           // the tail's first span in bytes, doubled
 
-fwdStage:
-	SHRQ $1, R10
-	CMPQ R10, $8
+fwdPairs:
+	SHRQ $1, R12           // span of the pass's second stage
+	CMPQ R12, R14
 	JLT  fwdTail
-	MOVQ DI, SI            // lo pointer
-	LEAQ (R8)(R11*8), R12  // &w[blocks]
-	LEAQ (R9)(R11*8), R13  // &wp[blocks]
-	MOVQ R11, R14
+	LEAQ (R12)(R12*2), R13
+	TESTQ $1, R15
+	JNZ  fwdR4Red
+	FWDR4(fwdR4LazyBlock, fwdR4LazyInner, NORED2)
+	JMP  fwdR4Done
 
-fwdBlock:
-	VPBROADCASTQ (R12), Z0
-	VPBROADCASTQ (R13), Z1
-	VPSRLQ $12, Z1, Z1
-	LEAQ (SI)(R10*8), DX   // hi pointer
-	MOVQ R10, BX
+fwdR4Red:
+	FWDR4(fwdR4RedBlock, fwdR4RedInner, CTRED)
 
-fwdInner:
-	VMOVDQU64 (SI), Z2
-	VMOVDQU64 (DX), Z3
-	CTBFLY(Z2, Z3, Z0, Z1, Z4, Z5)
-	VMOVDQU64 Z2, (SI)
-	VMOVDQU64 Z3, (DX)
-	ADDQ $64, SI
-	ADDQ $64, DX
-	SUBQ $8, BX
-	JNZ  fwdInner
-	MOVQ DX, SI
-	ADDQ $8, R12
-	ADDQ $8, R13
-	DECQ R14
-	JNZ  fwdBlock
-	SHLQ $1, R11
-	JMP  fwdStage
+fwdR4Done:
+	SHRQ $1, R15
+	SHLQ $2, R11
+	SHRQ $1, R12
+	JMP  fwdPairs
 
 fwdTail:
-	// R11 = N/8 = first twiddle index of the span-4 stage.
-	LEAQ permTab<>(SB), AX
-	VMOVDQU64 PERM_A_LO(AX), Z16
-	VMOVDQU64 PERM_A_HI(AX), Z17
-	VMOVDQU64 PERM_B_LO(AX), Z18
-	VMOVDQU64 PERM_B_HI(AX), Z19
-	VMOVDQU64 PERM_C_LO(AX), Z20
-	VMOVDQU64 PERM_C_HI(AX), Z21
-	VMOVDQU64 PERM_D_LO(AX), Z22
-	VMOVDQU64 PERM_D_HI(AX), Z23
-	VMOVDQU64 PERM_T4(AX), Z24
-	VMOVDQU64 PERM_T2(AX), Z25
-	LEAQ (R8)(R11*8), R12  // span 4: &w[N/8], 2 per chunk
-	LEAQ (R9)(R11*8), R13
-	SHLQ $1, R11
-	LEAQ (R8)(R11*8), R14  // span 2: &w[N/4], 4 per chunk
-	LEAQ (R9)(R11*8), R15
-	SHLQ $1, R11
-	LEAQ (R8)(R11*8), R8   // span 1: &w[N/2], 8 per chunk
-	LEAQ (R9)(R11*8), R9
-	SHRQ $4, CX            // chunks
+	LEAQ shufTab<>(SB), AX
+	VMOVDQU64 0x00(AX), Z26
+	VMOVDQU64 0x40(AX), Z25
+	ADDQ R8, R9            // wp
+	MOVQ R15, AX
+	ANDQ $1, AX            // the tail's reduce bit
+	CMPQ R14, $128
+	JEQ  fwdTailSized
+	ORQ  $2, AX            // five stages
 
-fwdChunk:
-	VMOVDQU64 (DI), Z2
-	VMOVDQU64 64(DI), Z3
-	REPERM(Z2, Z3, Z16, Z17, Z6)
-	VPERMQ (R12), Z24, Z0
-	VPERMQ (R13), Z24, Z1
-	VPSRLQ $12, Z1, Z1
-	CTBFLY(Z2, Z3, Z0, Z1, Z4, Z5)
-	REPERM(Z2, Z3, Z18, Z19, Z6)
-	VPERMQ (R14), Z25, Z0
-	VPERMQ (R15), Z25, Z1
-	VPSRLQ $12, Z1, Z1
-	CTBFLY(Z2, Z3, Z0, Z1, Z4, Z5)
-	REPERM(Z2, Z3, Z20, Z21, Z6)
-	VMOVDQU64 (R8), Z0
-	VMOVDQU64 (R9), Z1
-	VPSRLQ $12, Z1, Z1
-	CTBFLY(Z2, Z3, Z0, Z1, Z4, Z5)
-	CSUB(Z2, Z30, Z4)
-	CSUB(Z2, Z31, Z4)
-	CSUB(Z3, Z30, Z4)
-	CSUB(Z3, Z31, Z4)
-	REPERM(Z2, Z3, Z22, Z23, Z6)
-	VMOVDQU64 Z2, (DI)
-	VMOVDQU64 Z3, 64(DI)
-	ADDQ $128, DI
-	ADDQ $16, R12
-	ADDQ $16, R13
-	ADDQ $32, R14
-	ADDQ $32, R15
-	ADDQ $64, R8
-	ADDQ $64, R9
-	DECQ CX
-	JNZ  fwdChunk
+fwdTailSized:
+	MOVQ n+8(FP), SI
+	SHLQ $2, SI            // N/2 words in bytes
+	LEAQ (R8)(SI*1), BX    // N/2
+	LEAQ (R9)(SI*1), DX
+	SHRQ $1, SI
+	LEAQ (R8)(SI*1), R14   // N/4
+	LEAQ (R9)(SI*1), R15
+	SHRQ $1, SI
+	LEAQ (R8)(SI*1), R12   // N/8
+	LEAQ (R9)(SI*1), R13
+	SHRQ $1, SI
+	LEAQ (R8)(SI*1), R10   // N/16
+	LEAQ (R9)(SI*1), R11
+	SHRQ $1, SI
+	ADDQ SI, R8            // N/32
+	ADDQ SI, R9
+	MOVQ SI, CX
+	SHRQ $3, CX            // N/32 iterations
+	MOVQ AX, SI
+	XORQ AX, AX
+	CMPQ SI, $1
+	JEQ  fwdTail4Red
+	CMPQ SI, $2
+	JEQ  fwdTail5Lazy
+	CMPQ SI, $3
+	JEQ  fwdTail5Red
+	FWDTAIL(fwdTail4LazyLoop, NORED2, NO16)
 	VZEROUPPER
 	RET
 
-// func inverseNTT(a *uint64, n int, w, wp *uint64, q, nInv, nInvShoup, nInvRoot, nInvRootShoup uint64)
+fwdTail4Red:
+	FWDTAIL(fwdTail4RedLoop, CTRED, NO16)
+	VZEROUPPER
+	RET
+
+fwdTail5Lazy:
+	FWDTAIL(fwdTail5LazyLoop, NORED2, FWD16)
+	VZEROUPPER
+	RET
+
+fwdTail5Red:
+	FWDTAIL(fwdTail5RedLoop, CTRED, FWD16)
+	VZEROUPPER
+	RET
+
+// Inverse passes. Pass registers: DI = a, R8 = &w[0], R9 = wp − w (bytes),
+// R10 = &c[s] for the pass's first stage s, R11 = blocks of that stage,
+// R12 = its span in bytes, R14 = N; R15 = the reduce schedule, bit 0 for
+// this pass.
+
+// INV16: the span-16 stage of a five-stage head, which pairs the two
+// chunks word for word under twiddle w[N/32+c/2] (R8/R9, advanced here)
+// and constant c[4] (Z20).
+#define INV16(RED) \
+	VPBROADCASTQ (R8), Z5; \
+	VPBROADCASTQ (R9), Z6; \
+	GS(Z0, Z8, Z5, Z6, Z20, Z3, Z4); \
+	GS(Z1, Z9, Z5, Z6, Z20, Z11, Z12); \
+	RED(Z0, Z20, Z3); \
+	RED(Z1, Z20, Z11); \
+	ADDQ $8, R8; \
+	ADDQ $8, R9
+
+#define NOINV16(RED)
+
+// INVHEAD: the first four stages (span 1, 2, 4, 8) in registers — five
+// with INV16 for S16 — two 16-word chunks per iteration, in the lane
+// orders of FWDTAIL taken backwards: UNSHUF brings span 1's pairs into
+// (L, H), then span 2's, span 4's and natural order. Constants c[0..3] in
+// Z24, Z23, Z22, Z21; RED is GSRED or NORED3. AX = 8c; BX/DX, R14/R15,
+// R12/R13, R10/R11 = w/wp at N/2, N/4, N/8, N/16.
+#define INVHEAD(loop, RED, S16) \
+loop: \
+	VMOVDQU64 (DI), Z0; \
+	VMOVDQU64 64(DI), Z1; \
+	VMOVDQU64 128(DI), Z8; \
+	VMOVDQU64 192(DI), Z9; \
+	PERM2(Z0, Z1, Z2, Z26, Z25); \
+	PERM2(Z8, Z9, Z10, Z26, Z25); \
+	GS(Z0, Z2, (BX)(AX*8), (DX)(AX*8), Z24, Z3, Z4); \
+	GS(Z8, Z10, 64(BX)(AX*8), 64(DX)(AX*8), Z24, Z11, Z12); \
+	RED(Z0, Z24, Z3); \
+	RED(Z8, Z24, Z11); \
+	PERM2(Z0, Z2, Z1, Z26, Z25); \
+	PERM2(Z8, Z10, Z9, Z26, Z25); \
+	VBROADCASTI64X4 (R14)(AX*4), Z5; \
+	VBROADCASTI64X4 (R15)(AX*4), Z6; \
+	VBROADCASTI64X4 32(R14)(AX*4), Z13; \
+	VBROADCASTI64X4 32(R15)(AX*4), Z14; \
+	GS(Z0, Z1, Z5, Z6, Z23, Z3, Z4); \
+	GS(Z8, Z9, Z13, Z14, Z23, Z11, Z12); \
+	RED(Z0, Z23, Z3); \
+	RED(Z8, Z23, Z11); \
+	PERM2(Z0, Z1, Z2, Z26, Z25); \
+	PERM2(Z8, Z9, Z10, Z26, Z25); \
+	VBROADCASTI32X4 (R12)(AX*2), Z5; \
+	VBROADCASTI32X4 (R13)(AX*2), Z6; \
+	VBROADCASTI32X4 16(R12)(AX*2), Z13; \
+	VBROADCASTI32X4 16(R13)(AX*2), Z14; \
+	GS(Z0, Z2, Z5, Z6, Z22, Z3, Z4); \
+	GS(Z8, Z10, Z13, Z14, Z22, Z11, Z12); \
+	RED(Z0, Z22, Z3); \
+	RED(Z8, Z22, Z11); \
+	PERM2(Z0, Z2, Z1, Z26, Z25); \
+	PERM2(Z8, Z10, Z9, Z26, Z25); \
+	VPBROADCASTQ (R10)(AX*1), Z5; \
+	VPBROADCASTQ (R11)(AX*1), Z6; \
+	VPBROADCASTQ 8(R10)(AX*1), Z13; \
+	VPBROADCASTQ 8(R11)(AX*1), Z14; \
+	GS(Z0, Z1, Z5, Z6, Z21, Z3, Z4); \
+	GS(Z8, Z9, Z13, Z14, Z21, Z11, Z12); \
+	RED(Z0, Z21, Z3); \
+	RED(Z8, Z21, Z11); \
+	S16(RED); \
+	VMOVDQU64 Z0, (DI); \
+	VMOVDQU64 Z1, 64(DI); \
+	VMOVDQU64 Z8, 128(DI); \
+	VMOVDQU64 Z9, 192(DI); \
+	ADDQ $256, DI; \
+	ADDQ $16, AX; \
+	DECQ CX; \
+	JNZ loop
+
+// INVR4: two stages per pass. Block i of the second stage (span 2h,
+// twiddle w[B/2+i]) holds quarters Q0..Q3 of h words: (Q0, Q1) go through
+// w[B+2i] and (Q2, Q3) through w[B+2i+1], then (Q0, Q2) and (Q1, Q3)
+// through w[B/2+i]; constants in Z21 and Z22. R13 = 3h in bytes; AX and
+// BX walk &w[B+2i] and &w[B/2+i].
+#define INVR4(block, inner, RED) \
+	MOVQ DI, SI; \
+	LEAQ (R8)(R11*8), AX; \
+	MOVQ R11, CX; \
+	SHRQ $1, CX; \
+	LEAQ (R8)(CX*8), BX; \
+block: \
+	VPBROADCASTQ (AX), Z0; \
+	VPBROADCASTQ (AX)(R9*1), Z1; \
+	VPBROADCASTQ 8(AX), Z2; \
+	VPBROADCASTQ 8(AX)(R9*1), Z3; \
+	VPBROADCASTQ (BX), Z4; \
+	VPBROADCASTQ (BX)(R9*1), Z5; \
+	LEAQ (SI)(R12*1), DX; \
+inner: \
+	VMOVDQU64 (SI), Z6; \
+	VMOVDQU64 (SI)(R12*1), Z7; \
+	VMOVDQU64 (SI)(R12*2), Z8; \
+	VMOVDQU64 (SI)(R13*1), Z9; \
+	GS(Z6, Z7, Z0, Z1, Z21, Z10, Z11); \
+	GS(Z8, Z9, Z2, Z3, Z21, Z12, Z13); \
+	RED(Z6, Z21, Z10); \
+	RED(Z8, Z21, Z12); \
+	GS(Z6, Z8, Z4, Z5, Z22, Z10, Z11); \
+	GS(Z7, Z9, Z4, Z5, Z22, Z12, Z13); \
+	RED(Z6, Z22, Z10); \
+	RED(Z7, Z22, Z12); \
+	VMOVDQU64 Z6, (SI); \
+	VMOVDQU64 Z7, (SI)(R12*1); \
+	VMOVDQU64 Z8, (SI)(R12*2); \
+	VMOVDQU64 Z9, (SI)(R13*1); \
+	ADDQ $64, SI; \
+	CMPQ SI, DX; \
+	JLT inner; \
+	ADDQ R13, SI; \
+	ADDQ $16, AX; \
+	ADDQ $8, BX; \
+	DECQ CX; \
+	JNZ block
+
+// func inverseNTT(a *uint64, n int, w, wp *uint64, q, nInv, nInvShoup, nInvRoot, nInvRootShoup uint64, c *uint64, reduce uint64)
 //
-// Mirrors ntt.(*Table).InverseLazy: the first three stages (span 1, 2, 4)
-// in registers over 16-element chunks, the middle stages with one
-// broadcast twiddle per block, and the final stage folding N^-1 into its
-// two Shoup multiplies, canonical output.
-TEXT ·inverseNTT(SB), NOSPLIT, $0-72
+// Mirrors ntt.(*Table).InverseLazy: the lazy inverse transform, canonical
+// output, companions (wp, nInvShoup, nInvRootShoup) in 52 bits. The
+// passes: the register stages — five when log N is even, else four — then
+// two stages per pass up to span N/4, and the final stage folding N^-1
+// into its two Shoup multiplies. c[s] is stage s's subtraction constant;
+// bit p of reduce makes pass p reduce its sums below it.
+TEXT ·inverseNTT(SB), NOSPLIT, $0-88
 	MOVQ a+0(FP), DI
 	MOVQ n+8(FP), CX
 	MOVQ w+16(FP), R8
 	MOVQ wp+24(FP), R9
 	MOVQ q+32(FP), BX
 	CONSTS(BX)
-	LEAQ permTab<>(SB), AX
-	VMOVDQU64 PERM_E_LO(AX), Z16
-	VMOVDQU64 PERM_E_HI(AX), Z17
-	VMOVDQU64 PERM_C_LO(AX), Z18
-	VMOVDQU64 PERM_C_HI(AX), Z19
-	VMOVDQU64 PERM_B_LO(AX), Z20
-	VMOVDQU64 PERM_B_HI(AX), Z21
-	VMOVDQU64 PERM_A_LO(AX), Z22
-	VMOVDQU64 PERM_A_HI(AX), Z23
-	VMOVDQU64 PERM_T4(AX), Z24
-	VMOVDQU64 PERM_T2(AX), Z25
-	MOVQ CX, R11
-	SHRQ $3, R11           // N/8
-	LEAQ (R8)(R11*8), R12  // span 4: &w[N/8]
-	LEAQ (R9)(R11*8), R13
-	LEAQ (R12)(R11*8), R14 // span 2: &w[N/4]
-	LEAQ (R13)(R11*8), R15
-	LEAQ (R8)(CX*4), R10   // span 1: &w[N/2]
-	LEAQ (R9)(CX*4), DX
-	MOVQ DI, SI
-	MOVQ CX, BX
-	SHRQ $4, BX            // chunks
+	MOVQ c+72(FP), R10
+	LEAQ shufTab<>(SB), AX
+	VMOVDQU64 0x80(AX), Z26
+	VMOVDQU64 0xc0(AX), Z25
+	VPBROADCASTQ 0(R10), Z24
+	VPBROADCASTQ 8(R10), Z23
+	VPBROADCASTQ 16(R10), Z22
+	VPBROADCASTQ 24(R10), Z21
+	VPBROADCASTQ 32(R10), Z20
+	MOVQ reduce+80(FP), SI
+	ANDQ $1, SI            // the head's reduce bit
+	BSFQ CX, AX
+	TESTQ $1, AX
+	JNZ  invHeadSized
+	ORQ  $2, SI            // five stages
 
-invChunk:
-	VMOVDQU64 (SI), Z2
-	VMOVDQU64 64(SI), Z3
-	REPERM(Z2, Z3, Z16, Z17, Z6)
-	VMOVDQU64 (R10), Z0
-	VMOVDQU64 (DX), Z1
-	VPSRLQ $12, Z1, Z1
-	GSBFLY(Z2, Z3, Z0, Z1, Z4, Z5, Z7)
-	REPERM(Z2, Z3, Z18, Z19, Z6)
-	VPERMQ (R14), Z25, Z0
-	VPERMQ (R15), Z25, Z1
-	VPSRLQ $12, Z1, Z1
-	GSBFLY(Z2, Z3, Z0, Z1, Z4, Z5, Z7)
-	REPERM(Z2, Z3, Z20, Z21, Z6)
-	VPERMQ (R12), Z24, Z0
-	VPERMQ (R13), Z24, Z1
-	VPSRLQ $12, Z1, Z1
-	GSBFLY(Z2, Z3, Z0, Z1, Z4, Z5, Z7)
-	REPERM(Z2, Z3, Z22, Z23, Z6)
-	VMOVDQU64 Z2, (SI)
-	VMOVDQU64 Z3, 64(SI)
-	ADDQ $128, SI
-	ADDQ $16, R12
-	ADDQ $16, R13
-	ADDQ $32, R14
-	ADDQ $32, R15
-	ADDQ $64, R10
-	ADDQ $64, DX
-	DECQ BX
-	JNZ  invChunk
+invHeadSized:
+	SHLQ $2, CX            // N/2 words in bytes
+	LEAQ (R8)(CX*1), BX    // N/2
+	LEAQ (R9)(CX*1), DX
+	SHRQ $1, CX
+	LEAQ (R8)(CX*1), R14   // N/4
+	LEAQ (R9)(CX*1), R15
+	SHRQ $1, CX
+	LEAQ (R8)(CX*1), R12   // N/8
+	LEAQ (R9)(CX*1), R13
+	SHRQ $1, CX
+	LEAQ (R8)(CX*1), R10   // N/16
+	LEAQ (R9)(CX*1), R11
+	SHRQ $1, CX
+	ADDQ CX, R8            // N/32
+	ADDQ CX, R9
+	SHRQ $3, CX            // N/32 iterations
+	XORQ AX, AX
+	CMPQ SI, $1
+	JEQ  invHead4Red
+	CMPQ SI, $2
+	JEQ  invHead5Lazy
+	CMPQ SI, $3
+	JEQ  invHead5Red
+	INVHEAD(invHead4LazyLoop, NORED3, NOINV16)
+	JMP  invMiddle
 
-	// Middle stages: span 8 … N/4, blocks N/16 … 2.
-	MOVQ $8, R10           // span
-	MOVQ CX, R11
-	SHRQ $4, R11           // blocks
+invHead4Red:
+	INVHEAD(invHead4RedLoop, GSRED, NOINV16)
+	JMP  invMiddle
 
-invStage:
-	CMPQ R11, $1
-	JLE  invFinal
-	MOVQ DI, SI
-	LEAQ (R8)(R11*8), R12
-	LEAQ (R9)(R11*8), R13
-	MOVQ R11, R14
+invHead5Lazy:
+	INVHEAD(invHead5LazyLoop, NORED3, INV16)
+	JMP  invMiddle
 
-invBlock:
-	VPBROADCASTQ (R12), Z0
-	VPBROADCASTQ (R13), Z1
-	VPSRLQ $12, Z1, Z1
-	LEAQ (SI)(R10*8), DX
-	MOVQ R10, BX
+invHead5Red:
+	INVHEAD(invHead5RedLoop, GSRED, INV16)
 
-invInner:
-	VMOVDQU64 (SI), Z2
-	VMOVDQU64 (DX), Z3
-	GSBFLY(Z2, Z3, Z0, Z1, Z4, Z5, Z7)
-	VMOVDQU64 Z2, (SI)
-	VMOVDQU64 Z3, (DX)
-	ADDQ $64, SI
-	ADDQ $64, DX
-	SUBQ $8, BX
-	JNZ  invInner
-	MOVQ DX, SI
-	ADDQ $8, R12
-	ADDQ $8, R13
-	DECQ R14
-	JNZ  invBlock
-	SHRQ $1, R11
-	SHLQ $1, R10
-	JMP  invStage
+invMiddle:
+	MOVQ a+0(FP), DI
+	MOVQ n+8(FP), R14
+	MOVQ w+16(FP), R8
+	MOVQ wp+24(FP), R9
+	SUBQ R8, R9            // wp − w
+	MOVQ c+72(FP), R10
+	MOVQ reduce+80(FP), R15
+	SHRQ $1, R15
+	MOVQ R14, R11
+	SHRQ $5, R11           // blocks of the span-16 stage
+	MOVQ $128, R12         // span 16 in bytes
+	ADDQ $32, R10          // &c[4]
+	BSFQ R14, AX
+	TESTQ $1, AX
+	JNZ  invPairs
+	SHRQ $1, R11           // the head ran span 16 too
+	SHLQ $1, R12
+	ADDQ $8, R10
+
+invPairs:
+	CMPQ R11, $4           // the pass must end before span N/2
+	JLT  invFinal
+	LEAQ (R12)(R12*2), R13
+	VPBROADCASTQ (R10), Z21
+	VPBROADCASTQ 8(R10), Z22
+	ADDQ $16, R10
+	TESTQ $1, R15
+	JNZ  invR4Red
+	INVR4(invR4LazyBlock, invR4LazyInner, NORED3)
+	JMP  invR4Done
+
+invR4Red:
+	INVR4(invR4RedBlock, invR4RedInner, GSRED)
+
+invR4Done:
+	SHRQ $1, R15
+	SHRQ $2, R11
+	SHLQ $2, R12
+	JMP  invPairs
 
 invFinal:
-	// lo' = (lo+hi)·nInv, hi' = (lo+2q-hi)·nInvRoot, both canonical.
+	// lo' = (lo+hi)·nInv, hi' = (lo+c−hi)·nInvRoot, both canonical.
+	VPBROADCASTQ (R10), Z21
 	VPBROADCASTQ nInv+40(FP), Z0
 	VPBROADCASTQ nInvShoup+48(FP), Z1
-	VPSRLQ $12, Z1, Z1
-	VPBROADCASTQ nInvRoot+56(FP), Z8
-	VPBROADCASTQ nInvRootShoup+64(FP), Z9
-	VPSRLQ $12, Z9, Z9
-	LEAQ (DI)(CX*4), DX    // hi = a + N/2
-	SHRQ $1, CX
+	VPBROADCASTQ nInvRoot+56(FP), Z2
+	VPBROADCASTQ nInvRootShoup+64(FP), Z3
+	LEAQ (DI)(R14*4), DX   // hi = a + N/2
+	MOVQ DX, CX
 
 invLast:
-	VMOVDQU64 (DI), Z2
-	VMOVDQU64 (DX), Z3
-	VPADDQ Z3, Z2, Z6      // s = u+v
-	VPADDQ Z30, Z2, Z7
-	VPSUBQ Z3, Z7, Z7      // d = u+2q-v
-	SHOUP52(Z6, Z0, Z1, Z2, Z4)
-	CSUB(Z2, Z31, Z4)
-	SHOUP52(Z7, Z8, Z9, Z3, Z4)
-	CSUB(Z3, Z31, Z4)
-	VMOVDQU64 Z2, (DI)
-	VMOVDQU64 Z3, (DX)
+	VMOVDQU64 (DI), Z4
+	VMOVDQU64 (DX), Z5
+	VPADDQ Z5, Z4, Z6      // s = u+v
+	VPADDQ Z21, Z4, Z7
+	VPSUBQ Z5, Z7, Z7      // d = u+c−v
+	SHOUP52(Z6, Z0, Z1, Z8, Z9)
+	CSUB(Z8, Z31, Z9)
+	SHOUP52(Z7, Z2, Z3, Z10, Z11)
+	CSUB(Z10, Z31, Z11)
+	VMOVDQU64 Z8, (DI)
+	VMOVDQU64 Z10, (DX)
 	ADDQ $64, DI
 	ADDQ $64, DX
-	SUBQ $8, CX
-	JNZ  invLast
+	CMPQ DI, CX
+	JLT  invLast
 	VZEROUPPER
 	RET
 

@@ -200,6 +200,24 @@ func TestKernelsMatchGoLoops(t *testing.T) {
 			}
 		}
 	}
+	// The most stages, inputs at the top of their range, on every kind of
+	// transform schedule: primes just under 2^50 that admit N=2^15 (every
+	// pass reduces), 48-bit primes (the forward reduces its late passes)
+	// and the CHAM basis (the inverse reduces its late passes).
+	wide := map[string][]uint64{"cham": mod.ChamModuli()}
+	for name, logQ := range map[string]uint{"under50": 50, "48bit": 48} {
+		primes, err := mod.NTTFriendlyPrimes(logQ, 1<<15, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wide[name] = primes
+	}
+	for name, moduli := range wide {
+		r := ring.MustNew(1<<15, moduli)
+		t.Run(fmt.Sprintf("%s/N%d/%s", name, 1<<15, fillNames[fillTop]), func(t *testing.T) {
+			checkBothModes(t, r, 1<<15, fillTop)
+		})
+	}
 }
 
 // TestMulMontDualForms drives the dual MAC kernel straight, fresh and
@@ -395,6 +413,10 @@ func FuzzVecKernels(f *testing.F) {
 	f.Add(int64(3), uint8(0), uint8(12), uint8(fillRandom))
 	f.Add(int64(4), uint8(2), uint8(6), uint8(fillZero))
 	f.Add(int64(5), uint8(1), uint8(8), uint8(fillEdges))
+	// The transforms' worst growth at N=4096: every pass reducing (under50)
+	// and the widest lazy modulus (the CHAM basis, ChamP its last limb).
+	f.Add(int64(6), uint8(1), uint8(8), uint8(fillTop))
+	f.Add(int64(7), uint8(0), uint8(8), uint8(fillTop))
 	sets := moduliSets(f)
 	names := []string{"cham", "under50", "over50"}
 	rings := map[[2]uint8]*ring.Ring{}
