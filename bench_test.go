@@ -532,6 +532,7 @@ func BenchmarkKernels(b *testing.B) {
 	}
 	x, y, z, w := poly(1, true), poly(1, true), poly(1, true), poly(1, true)
 	o0, o1 := poly(1, true), poly(1, true)
+	dot := make([][2]uint64, 1)
 	my, mw := r.NewPoly(1), r.NewPoly(1) // y and w in Montgomery form
 	r.MulScalar(my, y, 1<<52)
 	r.MulScalar(mw, w, 1<<52)
@@ -553,8 +554,8 @@ func BenchmarkKernels(b *testing.B) {
 		{"InverseNTT512", func() { tab512.InverseLazy(row512) }},
 		{"MonomialSplit", func() { r.MonomialSplitNTT(o0, o1, x, y, 5) }},
 		{"MulMontPairAdd", func() { r.MulCoeffMontPairAdd(o0, x, my, z, mw) }},
-		{"MulMontDual", func() { r.MulCoeffMontStationary(o0, o1, x, my, mw, false) }},
-		{"MulMontDualAdd", func() { r.MulCoeffMontStationary(o0, o1, x, my, mw, true) }},
+		{"MulMontDot", func() { r.MulCoeffMontDot(dot, o1, x, y, mw, false) }},
+		{"MulMontDotAdd", func() { r.MulCoeffMontDot(dot, o1, x, y, mw, true) }},
 		{"CentredLift", func() { r.CentredLiftRow(o0.Coeffs[0], lift, 0, 1) }},
 		{"ModDownRow", func() { r.ModDownInto(o1, two) }},
 		{"Gather", func() { r.AutomorphNTT(o1, x, 5) }},

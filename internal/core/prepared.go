@@ -13,8 +13,10 @@ package core
 //
 // Per row, the dot product fuses stage 4's EXTRACTLWES into the inverse
 // transform: extraction at index 0 only needs the constant coefficient of
-// INTT(acc.B), which is N^{-1}·Σ_j â_j per limb (SumRow), so the B part
-// skips its full inverse transforms and polynomial RESCALE entirely.
+// INTT(row∘b̂), which is N^{-1}·Σ_j row_j·b̂_j per limb, so the B part is a
+// dot product summed inside the row MAC's sweep; it skips its full inverse
+// transforms and polynomial RESCALE entirely, and no product row is
+// written.
 //
 // Rows are not computed ahead of the tree. A tile is one lwe.Fold: the
 // fold asks for its leaves in bit-reversed order (0, m/2, m/4, 3m/4, …),
@@ -409,11 +411,10 @@ func (pm *PreparedMatrix) validate(res []*Result, tiles []int, vecs [][]*rlwe.Ci
 // --- per-vector machinery ---
 
 // applyScratch holds the per-call buffers shared across rows: the vector
-// chunks in the row MAC's stationary form, the packing tree's reduce
-// buffer and the leaf source that feeds it (with one b accumulator per
-// fold worker).
+// chunks in the form the row MAC reads, the packing tree's reduce buffer
+// and the leaf source that feeds it.
 type applyScratch struct {
-	vMont  []*rlwe.Ciphertext // full basis, NTT domain, Montgomery form
+	chunks []*rlwe.Ciphertext // full basis, NTT domain, A in Montgomery form
 	fold   lwe.Fold           // log₂(subtree)+1 resident slots per worker
 	leaves tileLeaves
 	clk    obs.StageClock // times the shared vector sweeps; flushed once per apply
@@ -427,20 +428,21 @@ func (e *Evaluator) getApplyScratch(chunks int) *applyScratch {
 	}
 	r := e.P.R
 	full := r.Levels()
-	// vMont's length doubles as the chunk count downstream, so reslice to
-	// exactly chunks, reusing buffers parked in the spare capacity.
-	if cap(sc.vMont) > len(sc.vMont) {
-		sc.vMont = sc.vMont[:cap(sc.vMont)]
+	// The chunk list's length doubles as the chunk count downstream, so
+	// reslice to exactly chunks, reusing buffers parked in the spare
+	// capacity.
+	if cap(sc.chunks) > len(sc.chunks) {
+		sc.chunks = sc.chunks[:cap(sc.chunks)]
 	}
-	for len(sc.vMont) < chunks {
-		sc.vMont = append(sc.vMont, &rlwe.Ciphertext{B: r.NewPoly(full), A: r.NewPoly(full)})
+	for len(sc.chunks) < chunks {
+		sc.chunks = append(sc.chunks, &rlwe.Ciphertext{B: r.NewPoly(full), A: r.NewPoly(full)})
 	}
-	for i := range sc.vMont {
-		if sc.vMont[i] == nil {
-			sc.vMont[i] = &rlwe.Ciphertext{B: r.NewPoly(full), A: r.NewPoly(full)}
+	for i := range sc.chunks {
+		if sc.chunks[i] == nil {
+			sc.chunks[i] = &rlwe.Ciphertext{B: r.NewPoly(full), A: r.NewPoly(full)}
 		}
 	}
-	sc.vMont = sc.vMont[:chunks]
+	sc.chunks = sc.chunks[:chunks]
 	return sc
 }
 
@@ -486,9 +488,10 @@ func (e *Evaluator) effWorkers(items int) int {
 
 // loadVector copies the vector ciphertexts into scratch, forward-transforms
 // them once — the pipeline's shared stage-1 work, charged to ntt — and
-// puts both halves in Montgomery form (·2^52, see
-// ring.MulCoeffMontStationary), the form every row's MAC reads, charged to
-// row_mul, the stage it serves. Both on the apply's clock.
+// puts the A half in Montgomery form (·2^52, see ring.MulCoeffMontDot),
+// the form every row's MAC reads, charged to row_mul, the stage it serves.
+// The B half stays canonical: the MAC only sums its products. Both on the
+// apply's clock.
 func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
 	r := e.P.R
 	for c, ct := range ctV {
@@ -498,7 +501,7 @@ func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
 		if ct.Levels() != r.Levels() {
 			return fmt.Errorf("%w: vector ciphertext %d", ErrVectorBasis, c)
 		}
-		v := sc.vMont[c]
+		v := sc.chunks[c]
 		v.CopyFrom(ct)
 		sc.clk.Skip() // the copy is not a pipeline stage
 		if !v.B.IsNTT {
@@ -508,7 +511,6 @@ func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
 			r.NTT(v.A)
 		}
 		sc.clk.Mark(obs.StageNTT)
-		r.MulScalar(v.B, v.B, 1<<52)
 		r.MulScalar(v.A, v.A, 1<<52)
 		sc.clk.Mark(obs.StageRowMul)
 	}
@@ -518,34 +520,41 @@ func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
 // rowApplyInto runs stages 1–4 for one matrix row against the vector
 // chunks and writes the extracted slot ciphertext into dst as an
 // NTT-resident tree leaf. The MAC is vector-stationary: the prepared row
-// is the streamed operand, and each chunk's b̂ and â, in the Montgomery
-// form loadVector left them in, are the fixed ones — accB (+)= row∘b̂,
-// dst.A (+)= row∘â in one sweep per chunk. Both leaf parts stay
-// UN-rescaled: dst.A is the raw full-basis NTT dot-product accumulator
-// itself (the a-part MAC writes straight into it — the tree's deferred a
-// accumulator makes the per-row RESCALE disappear), and dst.BT holds the
-// un-rescaled per-limb B constant in every slot (the NTT image of a
-// constant). Both divisions are deferred to the tree flush. polys are the
-// row's prepared chunks, accB the fold worker's b accumulator; clk, the
-// fold worker's running clock, is charged with the row's stages.
-func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, vMont []*rlwe.Ciphertext, polys []*ring.Poly, accB *ring.Poly, clk *obs.StageClock) {
+// is the streamed operand, and each chunk is the fixed one — dst.A (+)=
+// row∘â against the Montgomery form loadVector left â in, and the B dot
+// product Σ_j row_j·b̂_j summed in the same sweep, per limb, into a 128-bit
+// total. Both leaf parts stay UN-rescaled: dst.A is the raw full-basis NTT
+// dot-product accumulator itself (the a-part MAC writes straight into it —
+// the tree's deferred a accumulator makes the per-row RESCALE disappear),
+// and dst.BT holds the un-rescaled per-limb B constant in every slot (the
+// NTT image of a constant). Both divisions are deferred to the tree flush.
+// polys are the row's prepared chunks; clk, the fold worker's running
+// clock, is charged with the row's stages.
+func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, chunks []*rlwe.Ciphertext, polys []*ring.Poly, clk *obs.StageClock) {
 	r := e.P.R
 	full := r.Levels()
-	accB.IsNTT, dst.A.IsNTT = true, true
-	for c, v := range vMont {
-		r.MulCoeffMontStationary(accB, dst.A, polys[c], v.B, v.A, c > 0)
+	var totals [4][2]uint64 // room for the bases in use, on the stack
+	dot := totals[:]
+	if full > len(totals) {
+		dot = make([][2]uint64, full)
+	}
+	dst.A.IsNTT = true
+	for c, v := range chunks {
+		r.MulCoeffMontDot(dot, dst.A, polys[c], v.B, v.A, c > 0)
 		clk.Mark(obs.StageRowMul)
 	}
 	// B: EXTRACT at index 0 keeps only the constant coefficient of the
-	// inverse transform, which is N^{-1}·Σ_j â_j per limb (SumRow). Its
-	// scalar RESCALE is DEFERRED to the tree flush: the leaf's BT carries
-	// the un-rescaled constant β per full-basis limb, whose NTT image is β
-	// in every slot.
+	// inverse transform, which is N^{-1} times the dot product per limb.
+	// Its scalar RESCALE is DEFERRED to the tree flush: the leaf's BT
+	// carries the un-rescaled constant β per full-basis limb, whose NTT
+	// image is β in every slot.
 	for l := 0; l < full; l++ {
-		beta := r.Moduli[l].MulShoup(r.SumRow(accB, l), e.invN[l], e.invNShoup[l])
+		m := r.Moduli[l]
+		beta := m.MulShoup(m.BarrettReduce128(dot[l][0], dot[l][1]), e.invN[l], e.invNShoup[l])
 		rb := dst.BT.Coeffs[l]
-		for i := range rb {
-			rb[i] = beta
+		rb[0] = beta
+		for k := 1; k < len(rb); k *= 2 { // doubling copies: memmove, not a word loop
+			copy(rb[k:], rb[:k])
 		}
 	}
 	dst.BT.IsNTT = true
@@ -559,10 +568,7 @@ func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, vMont []*rlwe.Ciphertext, po
 func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *preparedTile) error {
 	workers := e.effWorkers(tile.rows)
 	lv := &sc.leaves
-	for len(lv.accB) < workers {
-		lv.accB = append(lv.accB, e.P.R.NewPoly(e.P.R.Levels()))
-	}
-	lv.e, lv.vMont, lv.tile = e, sc.vMont, tile
+	lv.e, lv.chunks, lv.tile = e, sc.chunks, tile
 	root, err := sc.fold.Run(e.P, tile.mPad, lv, e.Keys, workers, sc.sink)
 	lv.tile = nil
 	if err != nil {
@@ -573,22 +579,21 @@ func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *prep
 }
 
 // tileLeaves is the packing fold's leaf source for one tile: leaf i is
-// row i's dot product against the prepared tile, computed in fold worker
-// w's own b accumulator; leaves past the tile's rows are the resident zero.
+// row i's dot product against the prepared tile; leaves past the tile's
+// rows are the resident zero.
 type tileLeaves struct {
-	e     *Evaluator
-	vMont []*rlwe.Ciphertext
-	accB  []*ring.Poly // one full-basis NTT-domain b accumulator per fold worker
-	tile  *preparedTile
+	e      *Evaluator
+	chunks []*rlwe.Ciphertext
+	tile   *preparedTile
 }
 
-func (lv *tileLeaves) Leaf(w int, nd *lwe.PackNode, i int, clk *obs.StageClock) {
+func (lv *tileLeaves) Leaf(nd *lwe.PackNode, i int, clk *obs.StageClock) {
 	if i >= lv.tile.rows {
 		nd.Zero()
 		clk.Skip() // padding is no stage
 		return
 	}
-	lv.e.rowApplyInto(nd, lv.vMont, lv.tile.rowNTT[i], lv.accB[w], clk)
+	lv.e.rowApplyInto(nd, lv.chunks, lv.tile.rowNTT[i], clk)
 }
 
 // log2 of a power of two.

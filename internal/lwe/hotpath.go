@@ -266,12 +266,11 @@ var residentFolds sync.Pool
 // Leaves supplies a fold's leaves on demand.
 type Leaves interface {
 	// Leaf writes leaf idx (natural order, 0 ≤ idx < m) into nd as a
-	// resident slot ciphertext. w names the fold worker asking
-	// (0 ≤ w < workers); workers call concurrently, each with its own w,
-	// so a source keeps its per-worker scratch by w. clk is worker w's
-	// running stage clock: the source charges its work to stages with
-	// Mark, or discards it with Skip, before it returns.
-	Leaf(w int, nd *PackNode, idx int, clk *obs.StageClock)
+	// resident slot ciphertext. Workers call concurrently, each with its
+	// own nd. clk is the asking worker's running stage clock: the source
+	// charges its work to stages with Mark, or discards it with Skip,
+	// before it returns.
+	Leaf(nd *PackNode, idx int, clk *obs.StageClock)
 }
 
 // Fold is the packing tree's reduce buffer: per worker, a stack of at
@@ -441,6 +440,6 @@ func (fw *foldWorker) leaf(d, idx int) *PackNode {
 	for len(fw.slots) <= d {
 		fw.slots = append(fw.slots, NewPackNode(f.p))
 	}
-	f.src.Leaf(fw.id, fw.slots[d], idx, &fw.clk)
+	f.src.Leaf(fw.slots[d], idx, &fw.clk)
 	return fw.slots[d]
 }

@@ -136,7 +136,7 @@ type lweLeaves struct {
 	cts []*Ciphertext
 }
 
-func (s *lweLeaves) Leaf(_ int, nd *PackNode, idx int, clk *obs.StageClock) {
+func (s *lweLeaves) Leaf(nd *PackNode, idx int, clk *obs.StageClock) {
 	ResidentFromRLWE(s.p, nd, s.cts[idx].AsRLWE(s.p))
 	clk.Skip() // loading a leaf is no merge stage
 }

@@ -215,7 +215,7 @@ func TestPackLWEsValidation(t *testing.T) {
 // countingLeaves is a fold leaf source that records how often it is asked.
 type countingLeaves struct{ calls int }
 
-func (c *countingLeaves) Leaf(int, *PackNode, int, *obs.StageClock) { c.calls++ }
+func (c *countingLeaves) Leaf(*PackNode, int, *obs.StageClock) { c.calls++ }
 
 // TestPackMissingTopKey: a key set that lacks only the top level's key
 // fails before the fold takes its first leaf — PackResident leaves the

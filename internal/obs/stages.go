@@ -8,18 +8,18 @@ import "time"
 // row apply defers its divisions to the tree flush. A Prepare encodes and
 // centred-lifts each row chunk straight into its slab rows (charged to
 // encode), then transforms them (ntt), so encode + ntt add up to the
-// Prepare span with no sweep left uncharged. In an apply the vector chunks'
-// conversion to Montgomery form is charged to row_mul, the stage it
-// serves. These indices and names are the single source of truth shared
+// Prepare span with no sweep left uncharged. In an apply the conversion of
+// the vector chunks' A half to Montgomery form is charged to row_mul, the
+// stage it serves. These indices and names are the single source of truth shared
 // by the instrumented kernels (internal/core, internal/lwe), the
 // exposition format, cmd/chamtop, and the documentation: a stage renamed
 // here renames everywhere.
 const (
 	StageEncode      = iota // row coefficient encoding (Eq. 1) and its centred lift to the augmented basis
 	StageNTT                // forward transforms (rows + vector chunks)
-	StageRowMul             // MULTPOLY multiply-accumulate (Eq. 2) and the vector chunks' Montgomery form
+	StageRowMul             // MULTPOLY multiply-accumulate (Eq. 2), the B half's dot product included, and the chunks' Montgomery form
 	StageINTT               // inverse transform of the accumulator
-	StageExtract            // EXTRACTLWES constant-coefficient extraction (Eq. 3)
+	StageExtract            // EXTRACTLWES (Eq. 3): the dot product's reduction and N^-1 per limb, and the leaf's constant fill
 	StagePack               // PACKTWOLWES tree arithmetic (Alg. 2/3)
 	StageDecompose          // hoisted RNS digit decomposition + digit NTTs
 	StageKeySwitch          // automorphism key-switch accumulation inside packing

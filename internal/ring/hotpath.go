@@ -182,39 +182,55 @@ func (r *Ring) MulCoeffMontAdd(out, a, bMont *Poly) {
 	}
 }
 
-// MulCoeffMontStationary multiplies one streamed polynomial against two
-// stationary ones in a single sweep: outB = x ∘ b and outA = x ∘ a, or
-// outB += x ∘ b and outA += x ∘ a when add is set, where bMont/aMont hold
-// b/a in Montgomery form — MulScalar(b, 2^52), so the sweep reads no
-// Shoup table. It is the dot-product MAC of the row apply: the prepared
-// row is x, and the vector chunk's two halves, converted once per apply,
-// are b and a. Every operand must be canonical.
-func (r *Ring) MulCoeffMontStationary(outB, outA, x, bMont, aMont *Poly, add bool) {
-	lv := sameLevels(outB, outA, x, bMont, aMont)
-	sameDomain(x, bMont, aMont)
+// MulCoeffMontDot is the row apply's MAC: one streamed polynomial x
+// against the two halves of a vector chunk, in a single sweep. For the A
+// half it sets outA = x ∘ a, or outA += x ∘ a when add is set, where aMont
+// holds a in Montgomery form — MulScalar(a, 2^52), so the sweep reads no
+// Shoup table. Of the B half only the dot product Σ_i x_i·b_i is wanted,
+// so nothing is written per coefficient: per limb l it sets the total
+// dot[l] = {hi, lo} (hi·2^64 + lo), or adds to it when add is set. hi is
+// left reduced mod q_l, so a total stays below q_l·2^64, the range
+// mod.BarrettReduce128 takes, however many calls add to it. Every operand
+// must be canonical; b is read as it is, in no Montgomery form.
+func (r *Ring) MulCoeffMontDot(dot [][2]uint64, outA, x, b, aMont *Poly, add bool) {
+	lv := sameLevels(outA, x, b, aMont)
+	sameDomain(x, b, aMont)
 	for l := 0; l < lv; l++ {
 		m := r.Moduli[l]
 		q, qinv := m.Q, montInv(m.Q)
-		rob, roa := outB.Coeffs[l], outA.Coeffs[l]
-		rx, rb, ra := x.Coeffs[l][:len(rob)], bMont.Coeffs[l][:len(rob)], aMont.Coeffs[l][:len(rob)]
+		roa := outA.Coeffs[l]
+		rx, rb, ra := x.Coeffs[l][:len(roa)], b.Coeffs[l][:len(roa)], aMont.Coeffs[l][:len(roa)]
+		hi, lo, done := vec.MulMontDot(q, qinv, roa, rx, rb, ra, add)
 		switch {
-		case vec.MulMontDual(q, qinv, rob, roa, rx, rb, ra, add):
+		case done:
 		case q >= montR:
-			montWideRow(m, rob, rx, rb, add)
 			montWideRow(m, roa, rx, ra, add)
-		case !add:
-			for i := range rob {
-				rob[i] = montMul(rx[i], rb[i], q, qinv)
-				roa[i] = montMul(rx[i], ra[i], q, qinv)
+			for i := range rx { // a product may reach 2^124: reduce each
+				lo = m.Add(lo, m.MulBarrett(rx[i], rb[i]))
 			}
 		default:
-			for i := range rob {
-				rob[i] = m.Add(rob[i], montMul(rx[i], rb[i], q, qinv))
-				roa[i] = m.Add(roa[i], montMul(rx[i], ra[i], q, qinv))
+			for i := range roa {
+				p := montMul(rx[i], ra[i], q, qinv)
+				if add {
+					p = m.Add(roa[i], p)
+				}
+				roa[i] = p
+				// A product is below 2^104: hi gains under 2^40 a
+				// word, so it cannot wrap in a row under 2^24 words.
+				ph, pl := bits.Mul64(rx[i], rb[i])
+				var c uint64
+				lo, c = bits.Add64(lo, pl, 0)
+				hi += ph + c
 			}
 		}
+		if add {
+			var c uint64
+			lo, c = bits.Add64(lo, dot[l][1], 0)
+			hi += dot[l][0] + c
+		}
+		dot[l] = [2]uint64{m.ReduceBarrett(hi), lo}
 	}
-	outB.IsNTT, outA.IsNTT = x.IsNTT, x.IsNTT
+	outA.IsNTT = x.IsNTT
 }
 
 // montR is the Montgomery radix of the MulCoeffMont… sweeps, the range of
@@ -247,7 +263,7 @@ func montInv(q uint64) uint64 {
 }
 
 // montMul returns x·y·2^-52 mod q, canonical, for x, y < q < 2^52 and
-// qinv = montInv(q): the Go form of the MulMontDual kernel's product. With
+// qinv = montInv(q): the Go form of the MulMontDot kernel's product. With
 // lo + hi·2^52 = x·y and m = lo·qinv mod 2^52, x·y − m·q is exactly
 // (hi − ⌊m·q/2^52⌋)·2^52, and that difference lies in (−q, q).
 func montMul(x, y, q, qinv uint64) uint64 {
@@ -264,21 +280,6 @@ func montMul(x, y, q, qinv uint64) uint64 {
 func (r *Ring) MulCoeffShoupDualAdd(outB, outA, aB, aA, b *Poly, bShoup [][]uint64) {
 	r.MulCoeffShoupAdd(outB, aB, b, bShoup)
 	r.MulCoeffShoupAdd(outA, aA, b, bShoup)
-}
-
-// SumRow returns Σ_i p.Coeffs[l][i] mod q_l, accumulated in 128 bits and
-// reduced once. For an NTT-domain row, N^-1 times this sum is the constant
-// coefficient of the inverse transform (Σ_j ψ^{ij·...} telescopes to zero
-// for every i except 0) — the shortcut EXTRACT uses to avoid a full INTT
-// when only coefficient 0 is needed.
-func (r *Ring) SumRow(p *Poly, l int) uint64 {
-	m := r.Moduli[l]
-	var hi, lo, c uint64
-	for _, v := range p.Coeffs[l] {
-		lo, c = bits.Add64(lo, v, 0)
-		hi += c
-	}
-	return m.BarrettReduce128(hi, lo)
 }
 
 // CentredLiftRow lifts src, canonical residues of limb `from`, into limb l:

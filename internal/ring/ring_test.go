@@ -246,44 +246,77 @@ func TestMulCoeffShoupMatchesBarrett(t *testing.T) {
 	}
 }
 
-// TestMulCoeffMontStationary: the row MAC against operands in Montgomery
-// form (MulScalar by 2^52) is the same word as MulCoeff's, fresh and
-// accumulated, on the host's kernels and on the Go loops, over the CHAM
-// basis and over 60-bit primes, wider than the Montgomery radix. The
-// first four words pair 0 and q-1 every way.
-func TestMulCoeffMontStationary(t *testing.T) {
-	wide, err := mod.NTTFriendlyPrimes(60, 64, 2)
-	if err != nil {
-		t.Fatal(err)
+// TestMulCoeffMontDot: the row MAC against an A half in Montgomery form
+// (MulScalar by 2^52) gives MulCoeff's words, fresh and accumulated, and
+// its B totals reduce to Σ MulCoeff mod q, accumulated over four calls as
+// the row apply accumulates chunks. It runs on the host's kernels and on
+// the Go loops, over the CHAM basis, 52-bit primes (the Go loop's widest
+// narrow path) and 60-bit primes (wider than the Montgomery radix). The
+// first four words pair 0 and q-1 every way; one call has every operand
+// at q-1.
+func TestMulCoeffMontDot(t *testing.T) {
+	bases := map[string][]uint64{"cham": mod.ChamModuli()}
+	for name, logQ := range map[string]uint{"52bit": 52, "wide": 60} {
+		qs, err := mod.NTTFriendlyPrimes(logQ, 64, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases[name] = qs
 	}
 	check := func(t *testing.T, r *Ring) {
 		rng := testutil.NewRand(t)
 		lv := r.Levels()
-		x, b, a := randPoly(r, rng, lv), randPoly(r, rng, lv), randPoly(r, rng, lv)
-		for l, m := range r.Moduli {
-			copy(x.Coeffs[l], []uint64{0, 0, m.Q - 1, m.Q - 1})
-			copy(b.Coeffs[l], []uint64{0, m.Q - 1, 0, m.Q - 1})
-			copy(a.Coeffs[l], []uint64{0, m.Q - 1, 0, m.Q - 1})
-		}
-		bM, aM := r.NewPoly(lv), r.NewPoly(lv)
-		r.MulScalar(bM, b, 1<<52)
-		r.MulScalar(aM, a, 1<<52)
-		wantB, wantA := r.NewPoly(lv), r.NewPoly(lv)
-		r.MulCoeff(wantB, x, b)
-		r.MulCoeff(wantA, x, a)
-		gotB, gotA := r.NewPoly(lv), r.NewPoly(lv)
-		r.MulCoeffMontStationary(gotB, gotA, x, bM, aM, false)
-		if !gotB.Equal(wantB) || !gotA.Equal(wantA) {
-			t.Fatal("MulCoeffMontStationary differs from MulCoeff")
-		}
-		r.Add(wantB, wantB, wantB)
-		r.Add(wantA, wantA, wantA)
-		r.MulCoeffMontStationary(gotB, gotA, x, bM, aM, true)
-		if !gotB.Equal(wantB) || !gotA.Equal(wantA) {
-			t.Fatal("accumulating MulCoeffMontStationary differs from Add of MulCoeff")
+		gotA, wantA, prod := r.NewPoly(lv), r.NewPoly(lv), r.NewPoly(lv)
+		dot := make([][2]uint64, lv)
+		want := make([]uint64, lv)
+		for call := 0; call < 4; call++ {
+			x, b, a := randPoly(r, rng, lv), randPoly(r, rng, lv), randPoly(r, rng, lv)
+			for l, m := range r.Moduli {
+				copy(x.Coeffs[l], []uint64{0, 0, m.Q - 1, m.Q - 1})
+				copy(b.Coeffs[l], []uint64{0, m.Q - 1, 0, m.Q - 1})
+				copy(a.Coeffs[l], []uint64{0, m.Q - 1, 0, m.Q - 1})
+				if call == 3 {
+					for _, p := range []*Poly{x, b, a} {
+						for i := range p.Coeffs[l] {
+							p.Coeffs[l][i] = m.Q - 1
+						}
+					}
+				}
+			}
+			aM := r.NewPoly(lv)
+			r.MulScalar(aM, a, 1<<52)
+			add := call > 0
+			r.MulCoeff(prod, x, a)
+			if add {
+				r.Add(wantA, wantA, prod)
+			} else {
+				wantA.CopyFrom(prod)
+			}
+			r.MulCoeff(prod, x, b)
+			for l, m := range r.Moduli {
+				if !add {
+					want[l] = 0
+				}
+				for _, v := range prod.Coeffs[l] {
+					want[l] = m.Add(want[l], v)
+				}
+			}
+			r.MulCoeffMontDot(dot, gotA, x, b, aM, add)
+			if !gotA.Equal(wantA) {
+				t.Fatalf("call %d: the A half differs from MulCoeff", call)
+			}
+			for l, m := range r.Moduli {
+				if dot[l][0] >= m.Q {
+					t.Fatalf("call %d limb %d: total's high word %d is not reduced", call, l, dot[l][0])
+				}
+				if got := m.BarrettReduce128(dot[l][0], dot[l][1]); got != want[l] {
+					t.Fatalf("call %d limb %d: dot reduces to %d, want %d", call, l, got, want[l])
+				}
+			}
 		}
 	}
-	for name, r := range map[string]*Ring{"cham": chamRing(t, 64), "wide": MustNew(64, wide)} {
+	for name, qs := range bases {
+		r := MustNew(64, qs)
 		t.Run(name, func(t *testing.T) { check(t, r) })
 		t.Run(name+"/generic", func(t *testing.T) {
 			vec.ForceGeneric(t)

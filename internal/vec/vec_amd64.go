@@ -96,17 +96,34 @@ func MonomialSplit(q uint64, sum, diff, e, o, m, mShoup []uint64) bool {
 	return true
 }
 
-// MulMontDual sets outB = x·yB·2^-52 and outA = x·yA·2^-52 mod q, or
-// accumulates into both when add is set: with yB/yA in Montgomery form
-// (y·2^52 mod q) the products are x·y. qinv is q^-1 mod 2^52; x is read
-// once for both products, and every operand must be below q.
-func MulMontDual(q, qinv uint64, outB, outA, x, yB, yA []uint64, add bool) bool {
-	n := len(outB)
-	if !ok(q, n, outA, x, yB, yA) {
-		return false
+// maxDotRun bounds the products one mulMontDot call sums: 2^12 a lane, so
+// a lane's sum of low 52-bit halves stays below 2^64.
+const maxDotRun = 8 << 12
+
+// MulMontDot sets out = x·yA·2^-52 mod q, or accumulates into out when add
+// is set, and returns Σ x[i]·yB[i] as hi·2^64 + lo: with yA in Montgomery
+// form (y·2^52 mod q) the products are x·y, and yB is read canonical, its
+// products summed exactly and never reduced. qinv is q^-1 mod 2^52; x is
+// read once for both, and every operand must be below q. The sum is below
+// n·q² < n·2^100, so it fits 128 bits for any n below 2^28.
+func MulMontDot(q, qinv uint64, out, x, yB, yA []uint64, add bool) (hi, lo uint64, handled bool) {
+	n := len(out)
+	if !ok(q, n, x, yB, yA) {
+		return 0, 0, false
 	}
-	mulMontDual(&outB[0], &outA[0], &x[0], &yB[0], &yA[0], n, q, qinv, add)
-	return true
+	var s [16]uint64 // lane sums: low halves, then high halves
+	for i := 0; i < n; i += maxDotRun {
+		mulMontDot(&out[i], &x[i], &yB[i], &yA[i], min(maxDotRun, n-i), q, qinv, add, &s)
+		for k, l := range s[:8] {
+			h := s[8+k] // weighs 2^52
+			var c uint64
+			lo, c = bits.Add64(lo, l, 0)
+			hi += c
+			lo, c = bits.Add64(lo, h<<52, 0)
+			hi += c + h>>12
+		}
+	}
+	return hi, lo, true
 }
 
 // MulMontPair sets out += a0·b0·2^-52 + a1·b1·2^-52 mod q on canonical
@@ -194,7 +211,7 @@ func inverseNTT(a *uint64, n int, w, wp *uint64, q, nInv, nInvShoup, nInvRoot, n
 func monomialSplit(sum, diff, e, o, m, ms *uint64, n int, q uint64)
 
 //go:noescape
-func mulMontDual(outB, outA, x, yB, yA *uint64, n int, q, qinv uint64, add bool)
+func mulMontDot(out, x, yB, yA *uint64, n int, q, qinv uint64, add bool, sums *[16]uint64)
 
 //go:noescape
 func mulMontPair(out, a0, b0, a1, b1 *uint64, n int, q, qinv uint64)

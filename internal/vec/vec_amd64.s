@@ -688,54 +688,61 @@ splitLoop:
 	VPADDQ Z31, out, t; \
 	VPMINUQ t, out, out
 
-// DUALPROD: Z3 = x[AX:]·yB, Z6 = x[AX:]·yA, Montgomery products, operands
-// at R8..R10 in argument order; x is read once for both.
-#define DUALPROD \
+// DOTPROD: Z6 = x[AX:]·yA, a Montgomery product, and Z20/Z21 += the low
+// and high 52-bit halves of x[AX:]·yB, operands at R8..R10 in argument
+// order; x is read once for both. A lane's low sum stays below 2^64 for
+// 2^12 products, its high sum (each half below 2^48 for q < 2^50) far
+// longer.
+#define DOTPROD \
 	VMOVDQU64 (R8)(AX*8), Z0; \
 	VMOVDQU64 (R9)(AX*8), Z1; \
-	MONT52(Z0, Z1, Z3, Z4, Z5); \
+	VPMADD52LUQ Z1, Z0, Z20; \
+	VPMADD52HUQ Z1, Z0, Z21; \
 	VMOVDQU64 (R10)(AX*8), Z2; \
 	MONT52(Z0, Z2, Z6, Z7, Z8)
 
-// func mulMontDual(outB, outA, x, yB, yA *uint64, n int, q, qinv uint64, add bool)
+// func mulMontDot(out, x, yB, yA *uint64, n int, q, qinv uint64, add bool, sums *[16]uint64)
 //
-// Mirrors the row loops of ring.(*Ring).MulCoeffMontStationary:
-// outB (+)= x·yB·2^-52, outA (+)= x·yA·2^-52, canonical.
-TEXT ·mulMontDual(SB), NOSPLIT, $0-65
-	MOVQ outB+0(FP), DI
-	MOVQ outA+8(FP), SI
-	MOVQ x+16(FP), R8
-	MOVQ yB+24(FP), R9
-	MOVQ yA+32(FP), R10
-	MOVQ n+40(FP), CX
-	MOVQ q+48(FP), BX
+// Mirrors the row loops of ring.(*Ring).MulCoeffMontDot: out (+)=
+// x·yA·2^-52, canonical, and sums[k] / sums[8+k] = Σ over lane k of the
+// low / high 52-bit halves of x·yB, for n ≤ 2^15. Nothing of the yB
+// product is reduced or stored.
+TEXT ·mulMontDot(SB), NOSPLIT, $0-72
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), R8
+	MOVQ yB+16(FP), R9
+	MOVQ yA+24(FP), R10
+	MOVQ n+32(FP), CX
+	MOVQ q+40(FP), BX
 	CONSTS(BX)
-	VPBROADCASTQ qinv+56(FP), Z27
+	VPBROADCASTQ qinv+48(FP), Z27
+	MOVQ sums+64(FP), R11
+	VPXORQ Z20, Z20, Z20
+	VPXORQ Z21, Z21, Z21
 	XORQ AX, AX
-	CMPB add+64(FP), $0
-	JNE  dualAddLoop
+	CMPB add+56(FP), $0
+	JNE  dotAddLoop
 
-dualLoop:
-	DUALPROD
-	VMOVDQU64 Z3, (DI)(AX*8)
-	VMOVDQU64 Z6, (SI)(AX*8)
+dotLoop:
+	DOTPROD
+	VMOVDQU64 Z6, (DI)(AX*8)
 	ADDQ $8, AX
 	CMPQ AX, CX
-	JLT  dualLoop
-	VZEROUPPER
-	RET
+	JLT  dotLoop
+	JMP  dotDone
 
-dualAddLoop:
-	DUALPROD
-	VPADDQ (DI)(AX*8), Z3, Z3   // < 2q
-	CSUB(Z3, Z31, Z4)
-	VPADDQ (SI)(AX*8), Z6, Z6
+dotAddLoop:
+	DOTPROD
+	VPADDQ (DI)(AX*8), Z6, Z6   // < 2q
 	CSUB(Z6, Z31, Z7)
-	VMOVDQU64 Z3, (DI)(AX*8)
-	VMOVDQU64 Z6, (SI)(AX*8)
+	VMOVDQU64 Z6, (DI)(AX*8)
 	ADDQ $8, AX
 	CMPQ AX, CX
-	JLT  dualAddLoop
+	JLT  dotAddLoop
+
+dotDone:
+	VMOVDQU64 Z20, (R11)
+	VMOVDQU64 Z21, 64(R11)
 	VZEROUPPER
 	RET
 

@@ -17,7 +17,9 @@ func InverseNTT(q uint64, a, w, wShoup []uint64, nInv, nInvShoup, nInvRoot, nInv
 
 func MonomialSplit(q uint64, sum, diff, e, o, m, mShoup []uint64) bool { return false }
 
-func MulMontDual(q, qinv uint64, outB, outA, x, yB, yA []uint64, add bool) bool { return false }
+func MulMontDot(q, qinv uint64, out, x, yB, yA []uint64, add bool) (hi, lo uint64, handled bool) {
+	return 0, 0, false
+}
 
 func MulMontPair(q, qinv uint64, out, a0, b0, a1, b1 []uint64) bool { return false }
 

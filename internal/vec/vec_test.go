@@ -9,6 +9,7 @@ package vec_test
 
 import (
 	"fmt"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -131,15 +132,22 @@ func runAll(r *ring.Ring, seed int64, fill int) []result {
 	acc := g.poly(true)
 	r.MulCoeffMontPairAdd(acc, a0, bM, a1, aM)
 	keep("pair", acc)
-	// The dual MAC: one streamed row against the two stationary halves of
-	// a vector chunk (the row apply), fresh and accumulated; then two rows
-	// against one shared fixed operand with its Shoup table.
-	outB, outA := r.NewPoly(lv), r.NewPoly(lv)
+	// The row MAC: one streamed row against a vector chunk's halves, the A
+	// half in Montgomery form and the B half summed as a dot product, fresh
+	// and then accumulated over a second chunk; the totals are kept as a
+	// row of {hi, lo} words. Then two rows against one shared fixed operand
+	// with its Shoup table.
+	outA, accA := r.NewPoly(lv), g.poly(true)
+	dot := make([][2]uint64, lv)
+	r.MulCoeffMontDot(dot, outA, a0, b0, aM, false)
+	r.MulCoeffMontDot(dot, accA, a1, b1, aM, true)
+	var totals []uint64
+	for _, d := range dot {
+		totals = append(totals, d[0], d[1])
+	}
+	keep("dot", outA, accA)
+	out = append(out, result{"dot/totals", [][]uint64{totals}})
 	accB, accA := g.poly(true), g.poly(true)
-	r.MulCoeffMontStationary(outB, outA, a0, bM, aM, false)
-	r.MulCoeffMontStationary(accB, accA, a0, bM, aM, true)
-	keep("dual/stationary", outB, outA, accB, accA)
-	accB, accA = g.poly(true), g.poly(true)
 	r.MulCoeffShoupDualAdd(accB, accA, a0, a1, b0, r.ShoupPrecompPoly(b0))
 	keep("dual/shared fixed", accB, accA)
 
@@ -220,45 +228,71 @@ func TestKernelsMatchGoLoops(t *testing.T) {
 	}
 }
 
-// TestMulMontDualForms drives the dual MAC kernel straight, fresh and
-// accumulated, with yB and yA in Montgomery form, against the products
-// mod's division-based Mul gives.
-func TestMulMontDualForms(t *testing.T) {
+// TestMulMontDotForms drives the row MAC kernel straight, fresh and
+// accumulated, with yA in Montgomery form and yB canonical: out against the
+// products mod's division-based Mul gives, the returned sum against a
+// math/big dot product. Two rows pin the lane-sum bound at n = 2^15, the
+// most one kernel run takes (2^12 products a lane), on a prime just under
+// 2^50: every operand q-1, the largest products, and uniform operands,
+// whose low halves average 2^51, so the eight lane sums pass 2^64 and the
+// wrapper must carry.
+func TestMulMontDotForms(t *testing.T) {
 	if vec.Impl() != vec.ImplIFMA {
-		t.Skip("no dual kernel on this host")
+		t.Skip("no dot kernel on this host")
 	}
-	const n = 64
+	under, err := mod.NTTFriendlyPrimes(50, 1<<15, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type form struct {
+		q    uint64
+		n    int
+		fill int
+	}
+	var forms []form
 	for _, q := range mod.ChamModuli() {
+		forms = append(forms, form{q, 64, fillRandom})
+	}
+	forms = append(forms, form{under[0], 4096, fillRandom}, form{under[0], 1 << 15, fillTop}, form{under[0], 1 << 15, fillRandom})
+	for _, f := range forms {
+		q, n := f.q, f.n
 		m := mod.New(q)
 		qinv := q // q^-1 mod 2^52 by Newton's iteration
 		for i := 0; i < 5; i++ {
 			qinv *= 2 - q*qinv
 		}
 		qinv &= 1<<52 - 1
-		g := &gen{r: ring.MustNew(n, []uint64{q}), rng: rand.New(rand.NewSource(int64(q))), fill: fillRandom}
+		g := &gen{r: ring.MustNew(n, []uint64{q}), rng: rand.New(rand.NewSource(int64(q))), fill: f.fill}
 		x, yB, yA := g.row(q), g.row(q), g.row(q)
 		x[0], yB[0], yA[0] = q-1, q-1, 0
-		mB, mA := make([]uint64, n), make([]uint64, n)
-		for i := range yB {
-			mB[i], mA[i] = m.Mul(yB[i], 1<<52), m.Mul(yA[i], 1<<52)
+		mA := make([]uint64, n)
+		want := new(big.Int)
+		for i := range yA {
+			mA[i] = m.Mul(yA[i], 1<<52)
+			p := new(big.Int).SetUint64(x[i])
+			want.Add(want, p.Mul(p, new(big.Int).SetUint64(yB[i])))
 		}
 		for _, add := range []bool{false, true} {
-			outB, outA := g.row(q), g.row(q)
-			wantB, wantA := append([]uint64(nil), outB...), append([]uint64(nil), outA...)
-			for i := range wantB {
-				b, a := m.Mul(x[i], yB[i]), m.Mul(x[i], yA[i])
+			out := g.row(q)
+			wantA := append([]uint64(nil), out...)
+			for i := range wantA {
+				a := m.Mul(x[i], yA[i])
 				if add {
-					b, a = m.Add(wantB[i], b), m.Add(wantA[i], a)
+					a = m.Add(wantA[i], a)
 				}
-				wantB[i], wantA[i] = b, a
+				wantA[i] = a
 			}
-			if !vec.MulMontDual(q, qinv, outB, outA, x, mB, mA, add) {
-				t.Fatalf("q=%d: the kernel declined", q)
+			hi, lo, handled := vec.MulMontDot(q, qinv, out, x, yB, mA, add)
+			if !handled {
+				t.Fatalf("q=%d n=%d: the kernel declined", q, n)
 			}
-			for i := range wantB {
-				if outB[i] != wantB[i] || outA[i] != wantA[i] {
-					t.Fatalf("q=%d add=%v: word %d is (%d, %d), want (%d, %d)",
-						q, add, i, outB[i], outA[i], wantB[i], wantA[i])
+			got := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
+			if got.Add(got, new(big.Int).SetUint64(lo)); got.Cmp(want) != 0 {
+				t.Fatalf("q=%d n=%d %s add=%v: dot is %v, want %v", q, n, fillNames[f.fill], add, got, want)
+			}
+			for i := range wantA {
+				if out[i] != wantA[i] {
+					t.Fatalf("q=%d n=%d %s add=%v: word %d is %d, want %d", q, n, fillNames[f.fill], add, i, out[i], wantA[i])
 				}
 			}
 		}
@@ -279,7 +313,7 @@ func TestKernelGates(t *testing.T) {
 			"ForwardNTT":    vec.ForwardNTT(q, z(), z(), z()),
 			"InverseNTT":    vec.InverseNTT(q, z(), z(), z(), 0, 0, 0, 0),
 			"MonomialSplit": vec.MonomialSplit(q, z(), z(), z(), z(), z(), z()),
-			"MulMontDual":   vec.MulMontDual(q, 1, z(), z(), z(), z(), z(), true),
+			"MulMontDot":    dotHandled(vec.MulMontDot(q, 1, z(), z(), z(), z(), true)),
 			"MulMontPair":   vec.MulMontPair(q, 1, z(), z(), z(), z(), z()),
 			"CentredLift":   vec.CentredLift(q, z(), z(), q/2, 0),
 			"ModDownRow":    vec.ModDownRow(q, z(), z(), z(), q/2, 0, 0, 0),
@@ -316,12 +350,12 @@ func TestKernelGates(t *testing.T) {
 	})
 	t.Run("short operand", func(t *testing.T) {
 		z := func(n int) []uint64 { return make([]uint64, n) }
-		// The dual MAC's operands are x, yB, yA.
+		// The row MAC's operands are x, yB, yA.
 		for i := 0; i < 3; i++ {
 			o := [3][]uint64{z(32), z(32), z(32)}
 			o[i] = z(24)
-			if vec.MulMontDual(cham, 1, z(32), z(32), o[0], o[1], o[2], true) {
-				t.Errorf("MulMontDual accepted operand %d shorter than out", i)
+			if dotHandled(vec.MulMontDot(cham, 1, z(32), o[0], o[1], o[2], true)) {
+				t.Errorf("MulMontDot accepted operand %d shorter than out", i)
 			}
 		}
 		// The pair MAC's operands are a0, b0, a1, b1.
@@ -359,6 +393,9 @@ func TestKernelGates(t *testing.T) {
 		t.Errorf("ForceGeneric did not restore the switch: Impl() = %q", vec.Impl())
 	}
 }
+
+// dotHandled keeps MulMontDot's verdict and drops its sum.
+func dotHandled(_, _ uint64, handled bool) bool { return handled }
 
 // TestGatherChecksIndices: the gathers are the only kernels that form an
 // address from data. An index at or beyond the row length is never
