@@ -89,7 +89,7 @@ kernels:
 # Nothing beside the hot path: every function internal/{mod,ntt,ring,rlwe,
 # bfv,lwe,core,noise,runtime}, the serving half (apps/beaver, wire, server,
 # client, cluster, obs, obs/trace, obs/metricshttp), vec and the models and
-# applications (fpga, pipeline, dse, perfmodel, hetero, exp, security,
+# applications (exp — every paper model and its experiments — security,
 # apps/heterolr, paillier, kat) declares outside its tests has a caller
 # outside its own tests, or a row in orphans_test.go naming the part of
 # the paper it reproduces. A caller is an identifier the type checker

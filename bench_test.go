@@ -12,15 +12,10 @@ import (
 	"testing"
 
 	"cham/internal/core"
-	"cham/internal/dse"
 	"cham/internal/exp"
-	"cham/internal/fpga"
-	"cham/internal/hetero"
 	"cham/internal/lwe"
 	"cham/internal/mod"
 	"cham/internal/ntt"
-	"cham/internal/perfmodel"
-	"cham/internal/pipeline"
 	"cham/internal/ring"
 	"cham/internal/testutil"
 	"cham/internal/vec"
@@ -44,11 +39,11 @@ func runExp(b *testing.B, id string) {
 
 func BenchmarkTable2Resources(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := fpga.CheckTable2Calibration(); err != nil {
+		if err := exp.CheckTable2Calibration(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	_, total, _ := fpga.Table2(fpga.ChamEngineConfig(), 2)
+	_, total, _ := exp.Table2(exp.ChamConfig().Engine, 2)
 	b.ReportMetric(float64(total.LUT), "LUT")
 	b.ReportMetric(float64(total.BRAM), "BRAM")
 }
@@ -56,9 +51,9 @@ func BenchmarkTable2Resources(b *testing.B) {
 // --- Table III: single-NTT comparison ---
 
 func BenchmarkTable3NTT(b *testing.B) {
-	var rows []fpga.Table3Row
+	var rows []exp.Table3Row
 	for i := 0; i < b.N; i++ {
-		rows = fpga.Table3(4096, 4)
+		rows = exp.Table3(4096, 4)
 	}
 	b.ReportMetric(float64(rows[0].Latency), "cycles")
 	b.ReportMetric(rows[3].ATPLUT, "HEAX-ATP")
@@ -67,9 +62,9 @@ func BenchmarkTable3NTT(b *testing.B) {
 // --- Fig. 2a: roofline ---
 
 func BenchmarkFig2aRoofline(b *testing.B) {
-	var pts []dse.RooflinePoint
+	var pts []exp.RooflinePoint
 	for i := 0; i < b.N; i++ {
-		pts = dse.Roofline(fpga.U200)
+		pts = exp.Roofline(exp.U200)
 	}
 	b.ReportMetric(pts[len(pts)-1].Intensity, "HMVP-ops/B")
 }
@@ -77,10 +72,10 @@ func BenchmarkFig2aRoofline(b *testing.B) {
 // --- Fig. 2b: design-space exploration ---
 
 func BenchmarkFig2bDSE(b *testing.B) {
-	var best dse.DesignPoint
+	var best exp.DesignPoint
 	for i := 0; i < b.N; i++ {
-		pts := dse.Explore(fpga.VU9P)
-		best, _ = dse.Best(pts)
+		pts := exp.Explore(exp.VU9P)
+		best, _ = exp.Best(pts)
 	}
 	b.ReportMetric(best.RowsSec, "best-rows/s")
 }
@@ -89,7 +84,7 @@ func BenchmarkFig2bDSE(b *testing.B) {
 
 func BenchmarkFig6Throughput(b *testing.B) {
 	runExp(b, "fig6")
-	cfg := pipeline.ChamConfig()
+	cfg := exp.ChamConfig()
 	b.ReportMetric(cfg.ThroughputRowsPerSec(8192, 4096), "rows/s")
 }
 
@@ -109,16 +104,16 @@ func BenchmarkFig7cBeaver(b *testing.B) {
 
 func BenchmarkFig8HMVP(b *testing.B) {
 	runExp(b, "fig8")
-	cpu := perfmodel.Xeon6130()
-	p := perfmodel.ChamParams()
-	cham := pipeline.ChamConfig().SimulateHMVP(4096, 4096).Seconds(300)
+	cpu := exp.Xeon6130()
+	p := exp.ChamConfig()
+	cham := p.SimulateHMVP(4096, 4096).Seconds(300)
 	b.ReportMetric(cpu.HMVPSeconds(p, 4096, 4096)/cham, "speedup-vs-cpu")
 }
 
 // --- §V-B.1: key-switch throughput ---
 
 func BenchmarkKeySwitch(b *testing.B) {
-	cfg := pipeline.ChamConfig()
+	cfg := exp.ChamConfig()
 	var ops float64
 	for i := 0; i < b.N; i++ {
 		ops = cfg.KeySwitchOpsPerSec()
@@ -392,8 +387,8 @@ func BenchmarkAblationModReduction(b *testing.B) {
 // BenchmarkAblationEncoding: coefficient vs batch-encoded HMVP on the CPU
 // cost model — the O(m) vs O(m log N) separation of §II-E.
 func BenchmarkAblationEncoding(b *testing.B) {
-	cpu := perfmodel.Xeon6130()
-	p := perfmodel.ChamParams()
+	cpu := exp.Xeon6130()
+	p := exp.ChamConfig()
 	var coeff, batch float64
 	for i := 0; i < b.N; i++ {
 		coeff = cpu.HMVPSeconds(p, 4096, 4096)
@@ -402,7 +397,7 @@ func BenchmarkAblationEncoding(b *testing.B) {
 	b.ReportMetric(batch/coeff, "batch/coeff")
 }
 
-func batchSeconds(cpu perfmodel.CPU, p perfmodel.Params, m int) float64 {
+func batchSeconds(cpu exp.CPU, p exp.Config, m int) float64 {
 	ops := core.BatchHMVPOps(p.N, p.NormalLevels, p.FullLevels, m)
 	return float64(ops.ModMuls(p.N)) / (cpu.ModMulsPerSec * float64(cpu.Threads) * cpu.Efficiency)
 }
@@ -412,7 +407,7 @@ func batchSeconds(cpu perfmodel.CPU, p perfmodel.Params, m int) float64 {
 func BenchmarkAblationFusion(b *testing.B) {
 	var fused, standalone float64
 	for i := 0; i < b.N; i++ {
-		pts := dse.Roofline(fpga.U200)
+		pts := exp.Roofline(exp.U200)
 		standalone = pts[0].Attainable // NTT invoked individually
 		fused = pts[len(pts)-1].Attainable
 	}
@@ -421,8 +416,8 @@ func BenchmarkAblationFusion(b *testing.B) {
 
 // BenchmarkAblationParetoPoints: the two published Fig. 2b optima.
 func BenchmarkAblationParetoPoints(b *testing.B) {
-	a := pipeline.ChamConfig()
-	c := pipeline.ChamConfig()
+	a := exp.ChamConfig()
+	c := exp.ChamConfig()
 	c.NumEngines = 1
 	c.Engine.NBF = 8
 	c.FreqMHz = 275 // routed clock of the 8-PE design
@@ -438,12 +433,12 @@ func BenchmarkAblationParetoPoints(b *testing.B) {
 // BenchmarkAblationOverlap: Fig. 1b's host/FPGA pipelining vs serial
 // offload.
 func BenchmarkAblationOverlap(b *testing.B) {
-	sys := hetero.ChamSystem()
-	cfg := pipeline.ChamConfig()
-	cpu := perfmodel.Xeon6130()
-	jobs := make([]hetero.Job, 16)
+	sys := exp.ChamSystem()
+	cfg := exp.ChamConfig()
+	cpu := exp.Xeon6130()
+	jobs := make([]exp.Job, 16)
 	for i := range jobs {
-		jobs[i] = hetero.HMVPJob(cfg, cpu, 1024, 4096)
+		jobs[i] = exp.HMVPJob(cfg, cpu, 1024, 4096)
 	}
 	var speedup float64
 	for i := 0; i < b.N; i++ {
@@ -499,7 +494,7 @@ func BenchmarkSoftwarePackLWEs(b *testing.B) {
 func BenchmarkFig5Floorplan(b *testing.B) {
 	var steps int
 	for i := 0; i < b.N; i++ {
-		fp := fpga.InitialFloorplan(fpga.VU9P, fpga.ChamEngineConfig(), 2)
+		fp := exp.InitialFloorplan(exp.VU9P, exp.ChamConfig().Engine, 2)
 		var err error
 		steps, err = 0, error(nil)
 		if err = fp.Rebalance(); err != nil {

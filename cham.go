@@ -36,12 +36,9 @@ import (
 
 	"cham/internal/bfv"
 	"cham/internal/core"
-	"cham/internal/dse"
 	"cham/internal/exp"
-	"cham/internal/fpga"
 	"cham/internal/lwe"
 	"cham/internal/noise"
-	"cham/internal/pipeline"
 	"cham/internal/rlwe"
 	"cham/internal/security"
 )
@@ -73,11 +70,11 @@ type (
 // Hardware-model types.
 type (
 	// Accelerator is a cycle-level CHAM instance.
-	Accelerator = pipeline.Config
+	Accelerator = exp.Config
 	// EngineConfig selects per-engine design parameters.
-	EngineConfig = fpga.EngineConfig
+	EngineConfig = exp.EngineConfig
 	// DesignPoint is one explored configuration (Fig. 2b).
-	DesignPoint = dse.DesignPoint
+	DesignPoint = exp.DesignPoint
 )
 
 // NewParams builds the paper's parameter set at ring degree n (4096 in
@@ -164,10 +161,10 @@ func DecodeConvOutput(p Params, s Conv2DShape, pt *Plaintext) [][]uint64 {
 }
 
 // DefaultAccelerator returns the published two-engine CHAM instance.
-func DefaultAccelerator() Accelerator { return pipeline.ChamConfig() }
+func DefaultAccelerator() Accelerator { return exp.ChamConfig() }
 
 // ExploreDesignSpace re-runs the Fig. 2b exploration on the VU9P.
-func ExploreDesignSpace() []DesignPoint { return dse.Explore(fpga.VU9P) }
+func ExploreDesignSpace() []DesignPoint { return exp.Explore(exp.VU9P) }
 
 // Experiments lists the reproducible paper artifacts.
 func Experiments() []string {

@@ -5,7 +5,6 @@
 //
 //	chamsim             list the available experiments
 //	chamsim all         run every experiment
-//	chamsim verify      run the resource-model calibration checks
 //	chamsim hmvp m cols [N]  run a self-verifying HMVP and time it
 //	chamsim <id> ...    run specific experiments (e.g. table2 fig6)
 //
@@ -28,7 +27,6 @@ import (
 
 	"cham"
 	"cham/internal/core"
-	"cham/internal/fpga"
 	"cham/internal/noise"
 	"cham/internal/obs"
 	"cham/internal/obs/trace"
@@ -52,23 +50,6 @@ func tracedApply(pm *core.PreparedMatrix, res *core.Result, ctV []*rlwe.Cipherte
 	rec.Emit("kernel")
 	sp.EndErr(err)
 	return err
-}
-
-func verify() int {
-	checks := map[string]func() error{
-		"Table II calibration":  fpga.CheckTable2Calibration,
-		"Table III calibration": fpga.CheckTable3Calibration,
-	}
-	code := 0
-	for name, fn := range checks {
-		if err := fn(); err != nil {
-			fmt.Printf("FAIL %s: %v\n", name, err)
-			code = 1
-		} else {
-			fmt.Printf("ok   %s\n", name)
-		}
-	}
-	return code
 }
 
 // runHMVP executes a self-verifying homomorphic matrix-vector product at
@@ -222,9 +203,6 @@ func main() {
 	if err := startMetrics(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	if len(args) == 1 && args[0] == "verify" {
-		os.Exit(verify())
 	}
 	if len(args) >= 1 && args[0] == "hmvp" {
 		code := runHMVP(args[1:])

@@ -25,7 +25,7 @@ package core
 // slot the fold hands it, where it merges as soon as its sibling exists.
 // The buffer is log₂(subtree)+1 resident nodes per worker — 9 × 192 KB at
 // the 256-row design point instead of 256 leaves (48 MB) — the software
-// form of CHAM's pre-empting reduce buffer (pipeline.ReduceBufferSlots).
+// form of CHAM's pre-empting reduce buffer (exp.Config.ReduceBufferSlots).
 // With Workers > 1 the fold splits recursively, even half on ⌊w/2⌋
 // workers and odd half on ⌈w/2⌉, each worker with its own row scratch,
 // slots and merge scratch, and the two roots merge once per split.

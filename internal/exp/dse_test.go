@@ -1,17 +1,15 @@
-package dse
+package exp
 
 import (
 	"strings"
 	"testing"
-
-	"cham/internal/fpga"
 )
 
 // TestRooflineShape reproduces Fig. 2a's key observation: standalone NTT
 // and key switch are memory-bound (intensity far below the ridge) while
 // the fused HMVP is compute-bound.
 func TestRooflineShape(t *testing.T) {
-	pts := Roofline(fpga.U200)
+	pts := Roofline(U200)
 	if len(pts) != 5 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -19,7 +17,7 @@ func TestRooflineShape(t *testing.T) {
 	for _, p := range pts {
 		byName[p.Kernel] = p
 	}
-	r := Ridge(fpga.U200)
+	r := Ridge(U200)
 	if byName["NTT"].Bound != "memory" {
 		t.Errorf("NTT should be memory-bound (intensity %.2f vs ridge %.2f)",
 			byName["NTT"].Intensity, r)
@@ -52,7 +50,7 @@ func TestRooflineShape(t *testing.T) {
 // the Pareto frontier, and the first must be the overall best (it is what
 // CHAM shipped).
 func TestExploreFindsPublishedOptima(t *testing.T) {
-	pts := Explore(fpga.VU9P)
+	pts := Explore(VU9P)
 	if len(pts) < 90 {
 		t.Fatalf("only %d points explored", len(pts))
 	}
@@ -60,7 +58,7 @@ func TestExploreFindsPublishedOptima(t *testing.T) {
 		for i := range pts {
 			c := pts[i].Cfg
 			if pts[i].Engines == engines && c.NTTPerStage == perStage &&
-				c.NBF == nbf && c.NumPack == packs && c.Strategy == fpga.BRAMOnly {
+				c.NBF == nbf && c.NumPack == packs && c.Strategy == BRAMOnly {
 				return &pts[i]
 			}
 		}
@@ -92,7 +90,7 @@ func TestExploreFindsPublishedOptima(t *testing.T) {
 // TestExploreRejectsOversized: monster configurations must be filtered by
 // the 75% ceiling.
 func TestExploreRejectsOversized(t *testing.T) {
-	pts := Explore(fpga.VU9P)
+	pts := Explore(VU9P)
 	sawUnfit := false
 	for _, p := range pts {
 		if p.Engines == 4 && p.Cfg.NTTPerStage == 6 && p.Cfg.NBF >= 4 {
@@ -112,7 +110,7 @@ func TestExploreRejectsOversized(t *testing.T) {
 
 // TestFrontierSorted: the frontier is sorted by throughput and non-empty.
 func TestFrontierSorted(t *testing.T) {
-	f := Frontier(Explore(fpga.VU9P))
+	f := Frontier(Explore(VU9P))
 	if len(f) == 0 {
 		t.Fatal("empty frontier")
 	}
@@ -128,7 +126,7 @@ func TestFrontierSorted(t *testing.T) {
 }
 
 func TestLabel(t *testing.T) {
-	pts := Explore(fpga.VU9P)
+	pts := Explore(VU9P)
 	want := "9-stages, 1xPACKTWOLWES, 6xNTT, 4-PE NTT, 2x engines"
 	for _, p := range pts {
 		if p.Label() == want {

@@ -1,4 +1,4 @@
-package fpga
+package exp
 
 import "fmt"
 
@@ -35,12 +35,7 @@ func (c EngineConfig) StageAlloc() (fwd, inv, pack int) {
 	return c.NTTPerStage, 2 * c.NTTPerStage, 2 * c.NTTPerStage
 }
 
-// ChamEngineConfig is the published design point.
-func ChamEngineConfig() EngineConfig {
-	return EngineConfig{N: 4096, NTTPerStage: 6, NBF: 4, NumPack: 1, Strategy: BRAMOnly}
-}
-
-// Calibrated component budgets at the ChamEngineConfig design point.
+// Calibrated component budgets at the published engine (ChamConfig().Engine).
 var (
 	ppuBase   = Res{LUT: 70000, FF: 16000, BRAM: 48, DSP: 482}
 	packBase  = Res{LUT: 60000, FF: 10000, BRAM: 60, URAM: 150, DSP: 264}
@@ -83,7 +78,8 @@ type Table2Row struct {
 }
 
 // Table2 reproduces the paper's Table II for the given number of engines
-// at the given config (the paper: two engines, default config, on VU9P).
+// at the given config (the paper: two engines, default config, on VU9P):
+// one row per engine, then the platform, and the full design's total.
 func Table2(cfg EngineConfig, numEngines int) (rows []Table2Row, total Res, pct map[string]float64) {
 	for i := 0; i < numEngines; i++ {
 		r := Engine(cfg)
@@ -101,34 +97,28 @@ func Table2(cfg EngineConfig, numEngines int) (rows []Table2Row, total Res, pct 
 // FullDesign returns the total footprint of a CHAM instance with the given
 // engine count and config, including the platform.
 func FullDesign(cfg EngineConfig, numEngines int) Res {
-	total := Platform()
-	for i := 0; i < numEngines; i++ {
-		r := Engine(cfg)
-		if i%2 == 1 {
-			r = r.Add(placementDelta)
-		}
-		total = total.Add(r)
-	}
+	_, total, _ := Table2(cfg, numEngines)
 	return total
 }
 
 // CheckTable2Calibration verifies the composed design reproduces the
 // published totals.
 func CheckTable2Calibration() error {
-	eng := Engine(ChamEngineConfig())
+	c := ChamConfig()
+	eng := Engine(c.Engine)
 	want := Res{LUT: 259318, FF: 89894, BRAM: 640, URAM: 294, DSP: 986}
 	if eng != want {
-		return fmt.Errorf("fpga: engine = %v, want %v", eng, want)
+		return fmt.Errorf("exp: engine = %v, want %v", eng, want)
 	}
-	_, total, pct := Table2(ChamEngineConfig(), 2)
+	_, total, pct := Table2(c.Engine, c.NumEngines)
 	wantTotal := Res{LUT: 752886, FF: 482607, BRAM: 1558, URAM: 595, DSP: 1986}
 	if total != wantTotal {
-		return fmt.Errorf("fpga: total = %v, want %v", total, wantTotal)
+		return fmt.Errorf("exp: total = %v, want %v", total, wantTotal)
 	}
 	approx := func(got, want float64) bool { d := got - want; return d < 0.005 && d > -0.005 }
 	for k, w := range map[string]float64{"LUT": 63.68, "FF": 20.41, "BRAM": 72.13, "URAM": 61.98, "DSP": 29.04} {
 		if !approx(pct[k], w) {
-			return fmt.Errorf("fpga: %s utilization %.2f%%, want %.2f%%", k, pct[k], w)
+			return fmt.Errorf("exp: %s utilization %.2f%%, want %.2f%%", k, pct[k], w)
 		}
 	}
 	return nil

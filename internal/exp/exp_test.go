@@ -222,3 +222,26 @@ func TestTableRenderAlignment(t *testing.T) {
 		t.Error("separator missing")
 	}
 }
+
+// TestSoftwareModelColumn holds the deterministic half of the software
+// table — its "model (16-core Xeon)" column and CHAM's design-point time
+// in its note — to the strings it renders; the measured column times this
+// host and is not held.
+func TestSoftwareModelColumn(t *testing.T) {
+	m := modelSoftware()
+	for _, c := range []struct{ cell, got, want string }{
+		{"NTT fwd+inv (1 limb)", ms(m.NTT), "220.4 us"},
+		{"key switch", ms(m.KeySwitch), "1.62 ms"},
+		{"HMVP 8x4096", ms(m.HMVP8), "2.67 ms"},
+		{"Prepare 256x4096", ms(m.Prepare), "10.58 ms"},
+		{"Encrypt (1 chunk)", ms(m.Encrypt), "180.0 us"},
+		{"HMVP 256x4096 (prepared, warm)", ms(m.Apply), "89.22 ms"},
+		{"Decrypt (1 tile)", ms(m.Decrypt), "120.0 us"},
+		{"note: CHAM on 256x4096", ms(m.CHAM), "8.96 ms"},
+		{"note: faster than the Xeon model", f1(m.Apply/m.CHAM) + "x", "10.0x"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: model %s, want %s", c.cell, c.got, c.want)
+		}
+	}
+}

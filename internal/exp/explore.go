@@ -1,11 +1,8 @@
-package dse
+package exp
 
 import (
 	"fmt"
 	"sort"
-
-	"cham/internal/fpga"
-	"cham/internal/pipeline"
 )
 
 // Design-space exploration (Fig. 2b): enumerate pipeline configurations,
@@ -15,9 +12,9 @@ import (
 // DesignPoint is one explored configuration.
 type DesignPoint struct {
 	Engines int
-	Cfg     fpga.EngineConfig
+	Cfg     EngineConfig
 	FreqMHz float64
-	Res     fpga.Res
+	Res     Res
 	MaxUtil float64 // worst single-resource utilization fraction
 	RowsSec float64 // HMVP throughput on an 8192×4096 workload
 	Fits    bool
@@ -43,40 +40,33 @@ func routedFreq(nbf int) float64 {
 	}
 }
 
-// utilizationCeiling is the paper's place-and-route limit: every resource
-// kept at or below 75%.
-const utilizationCeiling = 0.75
-
-// Explore enumerates the design space the paper sweeps in Fig. 2b
-// (pipeline split via the NTT-per-stage allocation, butterfly parallelism
-// 2/4/8, one or two pack units, one to four engines, both viable RAM
-// strategies) on the device. The workload used for scoring is a two-tile
-// HMVP (8192×4096), which exercises both engine-level and pipeline-level
-// parallelism.
-func Explore(dev fpga.Device) []DesignPoint {
+// Explore enumerates the design space the paper sweeps in Fig. 2b around
+// the published instance (pipeline split via the NTT-per-stage
+// allocation, butterfly parallelism 2/4/8, one or two pack units, one to
+// four engines, both viable RAM strategies) on the device. The workload
+// used for scoring is a two-tile HMVP (2N×N = 8192×4096), which exercises
+// both engine-level and pipeline-level parallelism.
+func Explore(dev Device) []DesignPoint {
 	var pts []DesignPoint
 	for _, engines := range []int{1, 2, 3, 4} {
 		for _, perStage := range []int{3, 6} {
 			for _, nbf := range []int{2, 4, 8} {
 				for _, packs := range []int{1, 2} {
-					for _, strat := range []fpga.RAMStrategy{fpga.BRAMOnly, fpga.Hybrid} {
-						cfg := fpga.EngineConfig{N: 4096, NTTPerStage: perStage, NBF: nbf, NumPack: packs, Strategy: strat}
-						res := fpga.FullDesign(cfg, engines)
+					for _, strat := range []RAMStrategy{BRAMOnly, Hybrid} {
+						sim := ChamConfig()
+						sim.Engine.NTTPerStage, sim.Engine.NBF = perStage, nbf
+						sim.Engine.NumPack, sim.Engine.Strategy = packs, strat
+						sim.NumEngines, sim.FreqMHz = engines, routedFreq(nbf)
+						res := FullDesign(sim.Engine, engines)
 						p := DesignPoint{
 							Engines: engines,
-							Cfg:     cfg,
-							FreqMHz: routedFreq(nbf),
+							Cfg:     sim.Engine,
+							FreqMHz: sim.FreqMHz,
 							Res:     res,
 							MaxUtil: res.MaxUtil(dev),
-							Fits:    res.FitsWithCeiling(dev, utilizationCeiling),
+							Fits:    res.FitsWithCeiling(dev, Ceiling),
+							RowsSec: sim.ThroughputRowsPerSec(2*sim.N, sim.N),
 						}
-						sim := pipeline.Config{
-							N: 4096, NormalLevels: 2, FullLevels: 3,
-							Engine: cfg, NumEngines: engines,
-							FreqMHz:           p.FreqMHz,
-							ReduceBufferSlots: 16,
-						}
-						p.RowsSec = sim.ThroughputRowsPerSec(8192, 4096)
 						pts = append(pts, p)
 					}
 				}

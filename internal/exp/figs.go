@@ -5,74 +5,27 @@ import (
 	"strings"
 
 	"cham/internal/core"
-
-	"cham/internal/hetero"
-	"cham/internal/perfmodel"
-	"cham/internal/pipeline"
 )
 
 // Evaluation figures: HMVP throughput (Fig. 6), HMVP latency (Fig. 8),
 // HeteroLR (Fig. 7a/7b), Beaver triples (Fig. 7c), the host/FPGA overlap
 // illustration (Fig. 1b) and the headline summary.
 
-func ksCPUSeconds() float64 {
-	return perfmodel.Xeon6130().KeySwitchSeconds(perfmodel.ChamParams())
-}
-
-func init() {
-	Register(Experiment{
-		ID:    "fig6",
-		Title: "HMVP throughput vs matrix shape (CHAM vs GPU)",
-		Paper: "near-linear in m; n matters little until rows span multiple ciphertexts; 4.5x over GPU",
-		Run:   runFig6,
-	})
-	Register(Experiment{
-		ID:    "fig8",
-		Title: "HMVP latency: CPU vs GPU vs CHAM",
-		Paper: ">10x over CPU; 0.3-0.7x of GPU latency; >90% offloaded",
-		Run:   runFig8,
-	})
-	Register(Experiment{
-		ID:    "fig7ab",
-		Title: "HeteroLR step times and end-to-end speed-up",
-		Paper: "matvec 30x-1800x vs FATE Paillier; end-to-end 2x-36x",
-		Run:   runFig7ab,
-	})
-	Register(Experiment{
-		ID:    "fig7c",
-		Title: "Beaver triple generation speed-up",
-		Paper: "49x-144x vs the original Delphi implementation",
-		Run:   runFig7c,
-	})
-	Register(Experiment{
-		ID:    "fig1b",
-		Title: "Host/FPGA pipelining (overlap vs serial offload)",
-		Paper: "interleaved transfer and compute across threads and engines",
-		Run:   runFig1b,
-	})
-	Register(Experiment{
-		ID:    "headline",
-		Title: "Headline speed-ups",
-		Paper: "1800x HMVP, 36x logistic regression, 144x Beaver triples",
-		Run:   runHeadline,
-	})
-}
-
 // chamHMVPSeconds wraps the pipeline simulation plus the per-invocation
 // host/DMA overhead from the heterogeneous model, which dominates small
 // matrices (the "near-linear throughput in m" effect).
 func chamHMVPSeconds(m, n int) float64 {
-	cfg := pipeline.ChamConfig()
-	job := hetero.HMVPJob(cfg, perfmodel.Xeon6130(), m, n)
-	sys := hetero.ChamSystem()
+	cfg := ChamConfig()
+	job := HMVPJob(cfg, Xeon6130(), m, n)
+	sys := ChamSystem()
 	transfer := float64(job.H2DBytes+job.D2HBytes) / (sys.PCIeGBps * 1e9)
 	const invoke = 0.8e-3 // driver + doorbell + completion
 	return cfg.SimulateHMVP(m, n).Seconds(cfg.FreqMHz) + transfer + invoke
 }
 
 func runFig6() []*Table {
-	gpu := perfmodel.TeslaV100()
-	p := perfmodel.ChamParams()
+	gpu := TeslaV100()
+	p := ChamConfig()
 	t := &Table{
 		ID:      "fig6",
 		Title:   "HMVP throughput (rows/s) for different matrices",
@@ -94,9 +47,9 @@ func runFig6() []*Table {
 }
 
 func runFig8() []*Table {
-	cpu := perfmodel.Xeon6130()
-	gpu := perfmodel.TeslaV100()
-	p := perfmodel.ChamParams()
+	cpu := Xeon6130()
+	gpu := TeslaV100()
+	p := ChamConfig()
 	var tables []*Table
 	for _, n := range []int{256, 4096} {
 		t := &Table{
@@ -108,10 +61,10 @@ func runFig8() []*Table {
 			cpuSec := cpu.HMVPSeconds(p, m, n)
 			gpuSec := gpu.HMVPSeconds(p, m, n)
 			chamSec := chamHMVPSeconds(m, n)
-			job := hetero.HMVPJob(pipeline.ChamConfig(), cpu, m, n)
+			job := HMVPJob(p, cpu, m, n)
 			t.AddRow(itoa(m), ms(cpuSec), ms(gpuSec), ms(chamSec),
 				f1(cpuSec/chamSec)+"x", f2(chamSec/gpuSec)+"x",
-				f1(100*hetero.OffloadFraction(job))+"%")
+				f1(100*OffloadFraction(job))+"%")
 		}
 		tables = append(tables, t)
 	}
@@ -145,7 +98,7 @@ type lrSteps struct {
 }
 
 func lrPaillier(s lrShape) lrSteps {
-	pl := perfmodel.FATEPaillier()
+	pl := FATEPaillier()
 	st := lrSteps{
 		Encrypt: pl.EncryptVectorSeconds(s.samples),
 		AddVec:  pl.AddVecSeconds(s.samples),
@@ -157,8 +110,8 @@ func lrPaillier(s lrShape) lrSteps {
 }
 
 func lrBFVCPU(s lrShape) lrSteps {
-	cpu := perfmodel.Xeon6130()
-	p := perfmodel.ChamParams()
+	cpu := Xeon6130()
+	p := ChamConfig()
 	st := lrSteps{
 		Encrypt: cpu.EncryptVectorSeconds(p, s.samples),
 		AddVec:  cpu.AddVecSeconds(p, s.samples),
@@ -170,8 +123,8 @@ func lrBFVCPU(s lrShape) lrSteps {
 }
 
 func lrBFVGPU(s lrShape) lrSteps {
-	gpu := perfmodel.TeslaV100()
-	p := perfmodel.ChamParams()
+	gpu := TeslaV100()
+	p := ChamConfig()
 	st := lrSteps{
 		Encrypt: gpu.EncryptVectorSeconds(p, s.samples),
 		AddVec:  gpu.AddVecSeconds(p, s.samples),
@@ -183,8 +136,8 @@ func lrBFVGPU(s lrShape) lrSteps {
 }
 
 func lrCHAM(s lrShape) lrSteps {
-	cpu := perfmodel.Xeon6130()
-	p := perfmodel.ChamParams()
+	cpu := Xeon6130()
+	p := ChamConfig()
 	st := lrSteps{
 		Encrypt: cpu.EncryptVectorSeconds(p, s.samples), // host still encrypts
 		AddVec:  cpu.AddVecSeconds(p, s.samples),
@@ -248,10 +201,8 @@ var delphiLayers = []struct {
 // SEAL-style batch-encoded (rotate-and-sum) HMVP on the host CPU,
 // O(m·log N) key switches (§II-E).
 func delphiBaselineSeconds(m int) float64 {
-	cpu := perfmodel.Xeon6130()
-	p := perfmodel.ChamParams()
-	ops := core.BatchHMVPOps(p.N, p.NormalLevels, p.FullLevels, m)
-	return float64(ops.ModMuls(p.N)) / (cpu.ModMulsPerSec * float64(cpu.Threads) * cpu.Efficiency)
+	p := ChamConfig()
+	return Xeon6130().seconds(core.BatchHMVPOps(p.N, p.NormalLevels, p.FullLevels, m), p.N)
 }
 
 func runFig7c() []*Table {
@@ -279,12 +230,12 @@ func runFig7c() []*Table {
 }
 
 func runFig1b() []*Table {
-	sys := hetero.ChamSystem()
-	cfg := pipeline.ChamConfig()
-	cpu := perfmodel.Xeon6130()
-	jobs := make([]hetero.Job, 12)
+	sys := ChamSystem()
+	cfg := ChamConfig()
+	cpu := Xeon6130()
+	jobs := make([]Job, 12)
 	for i := range jobs {
-		jobs[i] = hetero.HMVPJob(cfg, cpu, 1024, 4096)
+		jobs[i] = HMVPJob(cfg, cpu, 1024, 4096)
 	}
 	serial := sys.Simulate(jobs, false)
 	over := sys.Simulate(jobs, true)
@@ -309,7 +260,7 @@ func runHeadline() []*Table {
 		Columns: []string{"claim", "paper", "reproduced"},
 	}
 	// HMVP vs the FATE Paillier CPU baseline at the largest LR shape.
-	pl := perfmodel.FATEPaillier()
+	pl := FATEPaillier()
 	hm := pl.MatVecSeconds(8192, 8192) / chamHMVPSeconds(8192, 8192)
 	t.AddRow("matrix-vector product", "1800x", f0(hm)+"x")
 	// End-to-end HeteroLR at the largest shape.

@@ -1,4 +1,4 @@
-package fpga
+package exp
 
 import (
 	"strings"
@@ -9,7 +9,7 @@ import (
 // exceeds the 75% ceiling; converting staging to URAM (and, if needed,
 // twiddle ROMs to LUTRAM) brings every class under it.
 func TestFloorplanRebalance(t *testing.T) {
-	fp := InitialFloorplan(VU9P, ChamEngineConfig(), 2)
+	fp := InitialFloorplan(VU9P, ChamConfig().Engine, 2)
 	if fp.Fits() {
 		t.Fatal("initial floorplan should exceed the ceiling")
 	}
@@ -17,7 +17,7 @@ func TestFloorplanRebalance(t *testing.T) {
 	if len(over) != 1 || over[0] != "BRAM" {
 		t.Fatalf("initial congestion on %v, want BRAM (the paper's account)", over)
 	}
-	if fp.Total.BRAM <= FullDesign(ChamEngineConfig(), 2).BRAM {
+	if fp.Total.BRAM <= FullDesign(ChamConfig().Engine, 2).BRAM {
 		t.Error("initial plan should use more BRAM than the final design")
 	}
 	if err := fp.Rebalance(); err != nil {
@@ -45,7 +45,7 @@ func TestFloorplanRebalance(t *testing.T) {
 func TestFloorplanImpossible(t *testing.T) {
 	tiny := VU9P
 	tiny.Total.URAM = 600 // barely above the design's 595: no headroom
-	fp := InitialFloorplan(tiny, ChamEngineConfig(), 2)
+	fp := InitialFloorplan(tiny, ChamConfig().Engine, 2)
 	fp.romBRAM = 0 // and no ROM conversion candidates either
 	if err := fp.Rebalance(); err == nil {
 		t.Fatal("impossible rebalance reported success")
@@ -57,7 +57,7 @@ func TestFloorplanImpossible(t *testing.T) {
 func TestFloorplanROMFallback(t *testing.T) {
 	constrained := VU9P
 	constrained.Total.URAM = 764 // room for only ~50 staging moves
-	fp := InitialFloorplan(constrained, ChamEngineConfig(), 2)
+	fp := InitialFloorplan(constrained, ChamConfig().Engine, 2)
 	if err := fp.Rebalance(); err != nil {
 		t.Fatalf("ROM fallback failed: %v", err)
 	}
@@ -72,9 +72,29 @@ func TestFloorplanROMFallback(t *testing.T) {
 func TestFloorplanNonBRAMCongestion(t *testing.T) {
 	small := VU9P
 	small.Total.DSP = 2000 // 1986 used: 99%
-	fp := InitialFloorplan(small, ChamEngineConfig(), 2)
+	fp := InitialFloorplan(small, ChamConfig().Engine, 2)
 	err := fp.Rebalance()
 	if err == nil || !strings.Contains(err.Error(), "DSP") {
 		t.Fatalf("DSP congestion not reported: %v", err)
+	}
+}
+
+// TestFloorplanROMCostFollowsEngine: converting every twiddle-ROM block of
+// one NTT unit to LUTRAM costs what NTTUnit charges for moving that unit's
+// ROMs into distributed RAM, at every butterfly count the exploration
+// sweeps — the floorplan sizes its ROMs from the engine config, as
+// NTTUnit does.
+func TestFloorplanROMCostFollowsEngine(t *testing.T) {
+	for _, nbf := range []int{2, 4, 8} {
+		cfg := ChamConfig().Engine
+		cfg.NBF = nbf
+		fp := InitialFloorplan(VU9P, cfg, 1)
+		perUnit := fp.romBRAM / cfg.TotalNTT()
+		got := perUnit * fp.romLUTCost
+		want := NTTUnit(cfg.N, nbf, Hybrid).LUT - NTTUnit(cfg.N, nbf, BRAMOnly).LUT
+		if got != want {
+			t.Errorf("NBF=%d: %d ROM blocks × %d LUTs = %d, NTTUnit's Hybrid-minus-BRAM-only delta is %d",
+				nbf, perUnit, fp.romLUTCost, got, want)
+		}
 	}
 }

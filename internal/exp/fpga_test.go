@@ -1,4 +1,4 @@
-package fpga
+package exp
 
 import (
 	"math"
@@ -71,7 +71,7 @@ func TestTable2Calibration(t *testing.T) {
 	if err := CheckTable2Calibration(); err != nil {
 		t.Fatal(err)
 	}
-	rows, total, _ := Table2(ChamEngineConfig(), 2)
+	rows, total, _ := Table2(ChamConfig().Engine, 2)
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -139,14 +139,14 @@ func TestDevicePeaks(t *testing.T) {
 }
 
 func TestEngineScaling(t *testing.T) {
-	base := Engine(ChamEngineConfig())
-	cfg8 := ChamEngineConfig()
+	base := Engine(ChamConfig().Engine)
+	cfg8 := ChamConfig().Engine
 	cfg8.NBF = 8
 	wide := Engine(cfg8)
 	if wide.LUT <= base.LUT || wide.DSP <= base.DSP {
 		t.Error("8-BFU engine should be larger")
 	}
-	cfg2 := ChamEngineConfig()
+	cfg2 := ChamConfig().Engine
 	cfg2.NTTPerStage = 3
 	if Engine(cfg2).BRAM >= base.BRAM {
 		t.Error("fewer NTT units should use less BRAM")
@@ -156,13 +156,13 @@ func TestEngineScaling(t *testing.T) {
 	if !FullDesign(cfg8, 1).FitsWithCeiling(VU9P, 0.76) {
 		t.Error("1×8-BFU engine should fit")
 	}
-	if FullDesign(ChamEngineConfig(), 4).FitsWithCeiling(VU9P, 0.76) {
+	if FullDesign(ChamConfig().Engine, 4).FitsWithCeiling(VU9P, 0.76) {
 		t.Error("4 engines should not fit")
 	}
 }
 
 func TestStageAllocAndStrings(t *testing.T) {
-	cfg := ChamEngineConfig()
+	cfg := ChamConfig().Engine
 	fwd, inv, pack := cfg.StageAlloc()
 	if fwd != 6 || inv != 12 || pack != 12 {
 		t.Errorf("StageAlloc = %d/%d/%d, want 6/12/12", fwd, inv, pack)

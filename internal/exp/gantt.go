@@ -1,4 +1,4 @@
-package hetero
+package exp
 
 import (
 	"fmt"

@@ -1,51 +1,13 @@
 package exp
 
-import (
-	"fmt"
+import "fmt"
 
-	"cham/internal/dse"
-	"cham/internal/fpga"
-	"cham/internal/pipeline"
-)
-
-// Hardware-side experiments: Table II, Table III, Fig. 2a, Fig. 2b, and
-// the §V-B.1 NTT/key-switch throughput comparison.
-
-func init() {
-	Register(Experiment{
-		ID:    "table2",
-		Title: "Resource utilization on the Xilinx VU9P",
-		Paper: "engines 259318/259502 LUT; totals 63.68% LUT, 20.41% FF, 72.13% BRAM, 61.98% URAM, 29.04% DSP",
-		Run:   runTable2,
-	})
-	Register(Experiment{
-		ID:    "table3",
-		Title: "Single NTT module comparison (CHAM strategies vs HEAX vs F1)",
-		Paper: "CHAM 6144 cycles / 3324 LUT / 14 BRAM; HEAX ATP 6.71x; F1 ATP 7.36x",
-		Run:   runTable3,
-	})
-	Register(Experiment{
-		ID:    "fig2a",
-		Title: "Roofline on the U200: HE operators vs fused HMVP",
-		Paper: "NTT and key-switch memory-bound; HMVP compute-bound",
-		Run:   runFig2a,
-	})
-	Register(Experiment{
-		ID:    "fig2b",
-		Title: "Design-space exploration",
-		Paper: "optima: (6xNTT, 4-PE, 2 engines) and (6xNTT, 8-PE, 1 engine)",
-		Run:   runFig2b,
-	})
-	Register(Experiment{
-		ID:    "nttops",
-		Title: "NTT and key-switch throughput (Section V-B.1)",
-		Paper: "60 NTT units, 195k ops/s vs HEAX 117k vs GPU 45k; key-switch 65k ops/s = 105x CPU",
-		Run:   runNTTOps,
-	})
-}
+// Hardware-side experiments: Table II, Table III, Fig. 2a, Fig. 2b, the
+// §V-B.1 NTT/key-switch throughput comparison, and the Fig. 5 floorplan.
 
 func runTable2() []*Table {
-	rows, total, pct := fpga.Table2(fpga.ChamEngineConfig(), 2)
+	c := ChamConfig()
+	rows, total, pct := Table2(c.Engine, c.NumEngines)
 	t := &Table{
 		ID:      "table2",
 		Title:   "Resource utilization on the Xilinx VU9P FPGA",
@@ -57,7 +19,7 @@ func runTable2() []*Table {
 	t.AddRow("Total", itoa(total.LUT), itoa(total.FF), itoa(total.BRAM), itoa(total.URAM), itoa(total.DSP))
 	t.AddRow("Total (%)",
 		f2(pct["LUT"])+"%", f2(pct["FF"])+"%", f2(pct["BRAM"])+"%", f2(pct["URAM"])+"%", f2(pct["DSP"])+"%")
-	if err := fpga.CheckTable2Calibration(); err != nil {
+	if err := CheckTable2Calibration(); err != nil {
 		t.Notes = append(t.Notes, "CALIBRATION FAILURE: "+err.Error())
 	} else {
 		t.Notes = append(t.Notes, "matches the paper's Table II exactly")
@@ -71,7 +33,8 @@ func runTable3() []*Table {
 		Title:   "Comparison of a single NTT module (N=4096)",
 		Columns: []string{"Accelerator", "Latency", "Mults", "ATP(l*p)", "LUT", "BRAM", "ATP(l*u)"},
 	}
-	for _, r := range fpga.Table3(4096, 4) {
+	c := ChamConfig()
+	for _, r := range Table3(c.N, c.Engine.NBF) {
 		lut, atpu := "-", "-"
 		if r.LUT > 0 {
 			lut = itoa(r.LUT)
@@ -83,7 +46,7 @@ func runTable3() []*Table {
 		}
 		t.AddRow(r.Name, itoa(r.Latency), itoa(r.Mults), f2(r.ATPMults)+"x", lut, bram, atpu)
 	}
-	if err := fpga.CheckTable3Calibration(); err != nil {
+	if err := CheckTable3Calibration(); err != nil {
 		t.Notes = append(t.Notes, "CALIBRATION FAILURE: "+err.Error())
 	} else {
 		t.Notes = append(t.Notes, "CHAM rows match the paper's Table III exactly; HEAX/F1 are published figures")
@@ -97,17 +60,17 @@ func runFig2a() []*Table {
 		Title:   "Roofline model on the U200 (ops = 27x18 multiplies)",
 		Columns: []string{"Kernel", "Intensity (ops/B)", "Attainable (Gops/s)", "Bound"},
 	}
-	for _, p := range dse.Roofline(fpga.U200) {
+	for _, p := range Roofline(U200) {
 		t.AddRow(p.Kernel, f2(p.Intensity), f1(p.Attainable/1e9), p.Bound)
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("ridge intensity %.1f ops/B; peak %.0f Gops/s; DDR %.0f GB/s",
-			dse.Ridge(fpga.U200), fpga.U200.PeakDSPOps()/1e9, fpga.U200.DDRGBps))
+			Ridge(U200), U200.PeakDSPOps()/1e9, U200.DDRGBps))
 	return []*Table{t}
 }
 
 func runFig2b() []*Table {
-	pts := dse.Explore(fpga.VU9P)
+	pts := Explore(VU9P)
 	fitting := 0
 	for _, p := range pts {
 		if p.Fits {
@@ -119,18 +82,18 @@ func runFig2b() []*Table {
 		Title:   "Design-space exploration: Pareto frontier",
 		Columns: []string{"Design point", "Freq", "rows/s", "max util", "fits"},
 	}
-	for _, p := range dse.Frontier(pts) {
+	for _, p := range Frontier(pts) {
 		t.AddRow(p.Label(), f1(p.FreqMHz)+" MHz", kops(p.RowsSec), f1(100*p.MaxUtil)+"%", "yes")
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf("%d points explored, %d fit the 75%% ceiling", len(pts), fitting))
-	if best, ok := dse.Best(pts); ok {
+	t.Notes = append(t.Notes, fmt.Sprintf("%d points explored, %d fit the %.0f%% ceiling", len(pts), fitting, 100*Ceiling))
+	if best, ok := Best(pts); ok {
 		t.Notes = append(t.Notes, "selected (CHAM): "+best.Label())
 	}
 	return []*Table{t}
 }
 
 func runNTTOps() []*Table {
-	c := pipeline.ChamConfig()
+	c := ChamConfig()
 	t := &Table{
 		ID:      "nttops",
 		Title:   "Operator throughput (Section V-B.1)",
@@ -140,9 +103,37 @@ func runNTTOps() []*Table {
 	t.AddRow("NTT ops/s (15-transform bundles)", kops(ntt), "HEAX 117k", f2(ntt/117e3)+"x")
 	t.AddRow("NTT ops/s vs GPU", kops(ntt), "GPU 45k", f2(ntt/45e3)+"x")
 	ks := c.KeySwitchOpsPerSec()
-	cpuKS := 1 / ksCPUSeconds()
+	cpuKS := 1 / Xeon6130().KeySwitchSeconds(c)
 	t.AddRow("Key-switch ops/s", kops(ks), fmt.Sprintf("CPU %.0f", cpuKS), f1(ks/cpuKS)+"x")
 	t.AddRow("NTT units", itoa(c.NumEngines*c.Engine.TotalNTT()), "paper: 60", "-")
 	t.Notes = append(t.Notes, "paper: 195k NTT ops/s, 65k key switches/s (105x CPU)")
+	return []*Table{t}
+}
+
+func runFig5() []*Table {
+	t := &Table{
+		ID:      "fig5",
+		Title:   "Floorplan: initial vs rebalanced utilization",
+		Columns: []string{"stage", "LUT", "FF", "BRAM", "URAM", "DSP", "fits"},
+	}
+	row := func(name string, fp *Floorplan) {
+		u := fp.Total.Util(VU9P)
+		fits := "no"
+		if fp.Fits() {
+			fits = "yes"
+		}
+		t.AddRow(name,
+			f2(u["LUT"])+"%", f2(u["FF"])+"%", f2(u["BRAM"])+"%",
+			f2(u["URAM"])+"%", f2(u["DSP"])+"%", fits)
+	}
+	c := ChamConfig()
+	fp := InitialFloorplan(VU9P, c.Engine, c.NumEngines)
+	row("initial", fp)
+	if err := fp.Rebalance(); err != nil {
+		t.Notes = append(t.Notes, "CALIBRATION FAILURE: "+err.Error())
+		return []*Table{t}
+	}
+	row("rebalanced", fp)
+	t.Notes = append(t.Notes, fmt.Sprintf("%d conversion moves applied", len(fp.History)-2))
 	return []*Table{t}
 }

@@ -1,40 +1,17 @@
-// Package hetero models CHAM's heterogeneous CPU+FPGA system (§III-C,
-// Fig. 1b): host threads prepare jobs (encode/encrypt), DMA channels move
-// data over PCIe, compute engines run the macro-pipeline, and results
-// stream back for host-side post-processing. Interleaving these phases
-// across jobs hides transfer latency behind computation — the ablation
-// that package-level benchmarks compare against strictly serial execution.
-package hetero
+package exp
 
 import (
 	"fmt"
 
 	"cham/internal/core"
-	"cham/internal/obs"
-	"cham/internal/perfmodel"
-	"cham/internal/pipeline"
 )
 
-// Gauges publishing the last simulated schedule, labeled by scheduling
-// mode so the overlap/serial ablation reads straight off a scrape.
-var (
-	simGauges = func() [2]struct{ makespan, util, xfer, host *obs.Gauge } {
-		var g [2]struct{ makespan, util, xfer, host *obs.Gauge }
-		for i, mode := range []string{"serial", "overlap"} {
-			g[i].makespan = obs.GetGauge("cham_hetero_makespan_seconds",
-				"Simulated schedule makespan of the last Simulate call.", "mode", mode)
-			g[i].util = obs.GetGauge("cham_hetero_engine_utilization",
-				"Engine busy fraction of the last simulated schedule.", "mode", mode)
-			g[i].xfer = obs.GetGauge("cham_hetero_transfer_busy_seconds",
-				"Aggregate DMA seconds of the last simulated schedule.", "mode", mode)
-			g[i].host = obs.GetGauge("cham_hetero_host_busy_seconds",
-				"Aggregate host-thread seconds of the last simulated schedule.", "mode", mode)
-		}
-		return g
-	}()
-	simRuns = obs.GetCounter("cham_hetero_simulations_total",
-		"Heterogeneous schedule simulations run.")
-)
+// CHAM's heterogeneous CPU+FPGA system (§III-C, Fig. 1b): host threads
+// prepare jobs (encode/encrypt), DMA channels move data over PCIe, compute
+// engines run the macro-pipeline, and results stream back for host-side
+// post-processing. Interleaving these phases across jobs hides transfer
+// latency behind computation — the ablation that fig1b and
+// BenchmarkAblationOverlap compare against strictly serial execution.
 
 // Job is one accelerator invocation (e.g. one HMVP batch).
 type Job struct {
@@ -56,7 +33,8 @@ type System struct {
 // ChamSystem is the production deployment: one host thread per engine
 // plus one spare, PCIe Gen3 x16 at an effective 12 GB/s per direction.
 func ChamSystem() System {
-	return System{Threads: 3, Engines: 2, PCIeGBps: 12}
+	engines := ChamConfig().NumEngines
+	return System{Threads: engines + 1, Engines: engines, PCIeGBps: 12}
 }
 
 // Timeline summarises a simulated schedule.
@@ -94,7 +72,7 @@ func (t Timeline) EngineUtilization(engines int) float64 {
 // exclusively — the naive offload baseline.
 func (s System) Simulate(jobs []Job, overlap bool) Timeline {
 	if s.Threads < 1 || s.Engines < 1 || s.PCIeGBps <= 0 {
-		panic("hetero: invalid system")
+		panic("exp: invalid system")
 	}
 	var tl Timeline
 	threadFree := make([]float64, s.Threads)
@@ -153,16 +131,6 @@ func (s System) Simulate(jobs []Job, overlap bool) Timeline {
 		}
 		tl.Jobs = append(tl.Jobs, tr)
 	}
-	mode := 0
-	if overlap {
-		mode = 1
-	}
-	g := simGauges[mode]
-	g.makespan.Set(tl.Makespan)
-	g.util.Set(tl.EngineUtilization(s.Engines))
-	g.xfer.Set(tl.TransferBusy)
-	g.host.Set(tl.HostBusy)
-	simRuns.Inc()
 	return tl
 }
 
@@ -176,13 +144,9 @@ func argmin(xs []float64) int {
 	return best
 }
 
-// limbBits mirror the CHAM basis for payload sizing.
-var limbBits = []int{35, 35, 39}
-
 // HMVPJob builds the job descriptor for one m×cols HMVP on the given
 // accelerator configuration, with host costs from the CPU model.
-func HMVPJob(cfg pipeline.Config, cpu perfmodel.CPU, m, cols int) Job {
-	p := perfmodel.Params{N: cfg.N, NormalLevels: cfg.NormalLevels, FullLevels: cfg.FullLevels}
+func HMVPJob(cfg Config, cpu CPU, m, cols int) Job {
 	// The engine-side makespan of a single tile stream: jobs are issued
 	// per engine, so compute time uses one engine's pipeline.
 	one := cfg
@@ -190,11 +154,11 @@ func HMVPJob(cfg pipeline.Config, cpu perfmodel.CPU, m, cols int) Job {
 	rep := one.SimulateHMVP(m, cols)
 	return Job{
 		Name:       fmt.Sprintf("hmvp-%dx%d", m, cols),
-		H2DBytes:   core.HMVPBytes(cfg.N, cfg.NormalLevels, cfg.FullLevels, m, cols, limbBits, 17),
-		D2HBytes:   int64((m + cfg.N - 1) / cfg.N * 2 * cfg.NormalLevels * cfg.N * 5),
+		H2DBytes:   core.HMVPBytes(cfg.N, cfg.NormalLevels, cfg.FullLevels, m, cols, limbBits, plaintextBits),
+		D2HBytes:   int64(ceilDiv(m, cfg.N)) * polyBytes(cfg.N, 2*cfg.NormalLevels), // one packed ciphertext per tile
 		ComputeSec: rep.Seconds(cfg.FreqMHz),
-		PrepSec:    cpu.EncryptVectorSeconds(p, cols),
-		PostSec:    cpu.DecryptVectorSeconds(p, m),
+		PrepSec:    cpu.EncryptVectorSeconds(cfg, cols),
+		PostSec:    cpu.DecryptVectorSeconds(cfg, m),
 	}
 }
 

@@ -1,11 +1,8 @@
-package hetero
+package exp
 
 import (
 	"strings"
 	"testing"
-
-	"cham/internal/perfmodel"
-	"cham/internal/pipeline"
 )
 
 func sampleJobs(n int) []Job {
@@ -44,9 +41,9 @@ func TestOverlapBeatsSerial(t *testing.T) {
 	}
 }
 
-// TestEngineScaling: with two engines and enough threads, compute-bound
-// streams finish ~2x faster than with one engine.
-func TestEngineScaling(t *testing.T) {
+// TestScheduleEngineScaling: with two engines and enough threads,
+// compute-bound streams finish ~2x faster than with one engine.
+func TestScheduleEngineScaling(t *testing.T) {
 	jobs := make([]Job, 16)
 	for i := range jobs {
 		jobs[i] = Job{ComputeSec: 10e-3, H2DBytes: 1 << 20, PrepSec: 0.1e-3}
@@ -111,8 +108,8 @@ func TestSimulateGuards(t *testing.T) {
 // TestHMVPJobOffload checks the Fig. 8 claim: >90% of an HMVP's work runs
 // on the FPGA for production-size matrices.
 func TestHMVPJobOffload(t *testing.T) {
-	cfg := pipeline.ChamConfig()
-	cpu := perfmodel.Xeon6130()
+	cfg := ChamConfig()
+	cpu := Xeon6130()
 	big := HMVPJob(cfg, cpu, 4096, 4096)
 	if f := OffloadFraction(big); f < 0.9 {
 		t.Errorf("offload fraction %.3f, want > 0.9", f)

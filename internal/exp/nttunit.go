@@ -1,4 +1,4 @@
-package fpga
+package exp
 
 import (
 	"fmt"
@@ -39,9 +39,8 @@ func (s RAMStrategy) String() string {
 }
 
 const (
-	coeffBits = 35    // ciphertext limb width
-	bram18    = 18432 // bits per half BRAM36
-	lutBits   = 64    // bits per LUT used as distributed RAM (RAM64X1)
+	bram18  = 18432 // bits per half BRAM36
+	lutBits = 64    // bits per LUT used as distributed RAM (RAM64X1)
 
 	// Calibrated datapath constants (fit to Table III at N=4096, n_bf=4).
 	lutPerBFU   = 660 // shift-add modular multiplier + butterfly add/sub
@@ -56,13 +55,20 @@ const (
 	dramBufFixed      = 500
 )
 
-// romBits returns the twiddle ROM footprint: N factors of coeffBits
-// (§IV-A.2 "the size of twiddle factors is equal to the size of a
-// polynomial").
-func romBits(n int) int { return n * coeffBits }
+// romBits returns the twiddle ROM footprint: N factors of one ciphertext
+// limb's width (§IV-A.2 "the size of twiddle factors is equal to the size
+// of a polynomial").
+func romBits(n int) int { return n * limbBits[0] }
+
+// romBlocks returns the BRAM36 blocks of one unit's nbf twiddle ROM banks.
+func romBlocks(n, nbf int) int { return bramBlocks(nbf, romBits(n)/nbf) }
+
+// romLUTs returns the LUTs one unit spends holding its twiddle ROMs in
+// distributed RAM: the ROM bits plus each bank's read multiplexer.
+func romLUTs(n, nbf int) int { return romBits(n)/lutBits + dramROMMuxPerBank*nbf }
 
 // bufBits returns the ping-pong coefficient buffer footprint.
-func bufBits(n int) int { return 2 * n * coeffBits }
+func bufBits(n int) int { return 2 * n * limbBits[0] }
 
 // bramBlocks maps a set of equally-sized banks to BRAM36 blocks, packing
 // two 18Kb halves per block.
@@ -79,19 +85,17 @@ func NTTUnit(n, nbf int, s RAMStrategy) Res {
 		DSP: dspPerBFU * nbf,
 	}
 
-	romBanks := nbf
-	romPerBank := romBits(n) / nbf
 	bufBanks := 2 * 2 * nbf // ping-pong × 2·n_bf read/write banks
 	bufPerBank := bufBits(n) / bufBanks
 
 	switch s {
 	case BRAMOnly:
-		r.BRAM = bramBlocks(romBanks, romPerBank) + bramBlocks(bufBanks, bufPerBank) + 2 // +I/O staging
+		r.BRAM = romBlocks(n, nbf) + bramBlocks(bufBanks, bufPerBank) + 2 // +I/O staging
 	case Hybrid:
 		r.BRAM = bramBlocks(bufBanks, bufPerBank) - 2 // staging shares buffer blocks
-		r.LUT += romBits(n)/lutBits + dramROMMuxPerBank*romBanks
+		r.LUT += romLUTs(n, nbf)
 	case DRAMOnly:
-		r.LUT += romBits(n)/lutBits + dramROMMuxPerBank*romBanks
+		r.LUT += romLUTs(n, nbf)
 		r.LUT += bufBits(n)/(2*lutBits) + dramBufFixed
 	}
 	r.FF = int(ffPerLUT * float64(r.LUT))
@@ -142,9 +146,10 @@ func Table3(n, nbf int) []Table3Row {
 }
 
 // CheckTable3Calibration verifies the model reproduces the published
-// numbers at the production design point; it is called from tests and
-// from `chamsim table3 -verify`.
+// numbers at the production design point; the table3 experiment renders
+// its verdict.
 func CheckTable3Calibration() error {
+	c := ChamConfig()
 	want := []struct {
 		s   RAMStrategy
 		lut int
@@ -155,14 +160,14 @@ func CheckTable3Calibration() error {
 		{DRAMOnly, 9248, 0},
 	}
 	for _, w := range want {
-		got := NTTUnit(4096, 4, w.s)
+		got := NTTUnit(c.N, c.Engine.NBF, w.s)
 		if got.LUT != w.lut || got.BRAM != w.br {
-			return fmt.Errorf("fpga: %v = LUT %d BRAM %d, want LUT %d BRAM %d",
+			return fmt.Errorf("exp: %v = LUT %d BRAM %d, want LUT %d BRAM %d",
 				w.s, got.LUT, got.BRAM, w.lut, w.br)
 		}
 	}
-	if NTTLatency(4096, 4) != 6144 {
-		return fmt.Errorf("fpga: latency %d, want 6144", NTTLatency(4096, 4))
+	if lat := c.TransformCycles(); lat != 6144 {
+		return fmt.Errorf("exp: latency %d, want 6144", lat)
 	}
 	return nil
 }

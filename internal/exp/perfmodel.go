@@ -1,30 +1,20 @@
-// Package perfmodel provides analytic cost models for the comparison
-// devices of the paper's evaluation: the Intel Xeon Gold 6130 CPU
-// baseline, the NVIDIA Tesla V100 GPU, and the FATE Paillier stack.
+package exp
+
+import "cham/internal/core"
+
+// Analytic cost models for the comparison devices of the paper's
+// evaluation: the Intel Xeon Gold 6130 CPU baseline, the NVIDIA Tesla V100
+// GPU, and the FATE Paillier stack. Each reads the HE parameter point
+// (N and the limb counts) from the accelerator Config it is given.
 //
-// The FPGA side is simulated cycle-exactly in package pipeline; the
-// comparison devices are modeled from operation counts (package core)
-// against per-device throughput constants. The constants are calibrated
-// to the paper's anchor claims — the CPU key switch at 1/105th of CHAM's
-// 65k ops/s, the GPU at 45k NTT ops/s with 4.5× lower HMVP throughput and
+// The FPGA side is simulated cycle-exactly by Config; the comparison
+// devices are modeled from operation counts (package core) against
+// per-device throughput constants. The constants are calibrated to the
+// paper's anchor claims — the CPU key switch at 1/105th of CHAM's 65k
+// ops/s, the GPU at 45k NTT ops/s with 4.5× lower HMVP throughput and
 // kernel-launch-bound latency, Paillier at FATE's big-integer rates — so
 // the generated figures reproduce the published ratios while every scaling
 // trend still follows from first-principles operation counts.
-package perfmodel
-
-import (
-	"cham/internal/core"
-)
-
-// Params describes the HE parameter point for cost accounting.
-type Params struct {
-	N            int
-	NormalLevels int
-	FullLevels   int
-}
-
-// ChamParams is the paper's parameter point.
-func ChamParams() Params { return Params{N: 4096, NormalLevels: 2, FullLevels: 3} }
 
 // CPU models a multicore software baseline.
 type CPU struct {
@@ -57,32 +47,32 @@ func (c CPU) seconds(ops core.OpCounts, n int) float64 {
 }
 
 // HMVPSeconds is the CPU time of one coefficient-encoded HMVP.
-func (c CPU) HMVPSeconds(p Params, m, cols int) float64 {
+func (c CPU) HMVPSeconds(p Config, m, cols int) float64 {
 	return c.seconds(core.HMVPOps(p.N, p.NormalLevels, p.FullLevels, m, cols), p.N)
 }
 
 // KeySwitchSeconds is the single-threaded time of one hybrid key switch
 // (the paper's CPU baseline measures a hot loop on one core).
-func (c CPU) KeySwitchSeconds(p Params) float64 {
+func (c CPU) KeySwitchSeconds(p Config) float64 {
 	ops := core.KeySwitchOps(p.NormalLevels, p.FullLevels)
 	return float64(ops.ModMuls(p.N)) / c.ModMulsPerSec
 }
 
 // EncryptVectorSeconds is the cost of encrypting a length-`count` vector
 // (one ciphertext per N values).
-func (c CPU) EncryptVectorSeconds(p Params, count int) float64 {
+func (c CPU) EncryptVectorSeconds(p Config, count int) float64 {
 	cts := (count + p.N - 1) / p.N
 	return float64(cts) * c.EncryptSec
 }
 
 // DecryptVectorSeconds mirrors EncryptVectorSeconds.
-func (c CPU) DecryptVectorSeconds(p Params, count int) float64 {
+func (c CPU) DecryptVectorSeconds(p Config, count int) float64 {
 	cts := (count + p.N - 1) / p.N
 	return float64(cts) * c.DecryptSec
 }
 
 // AddVecSeconds is the cost of a homomorphic vector addition.
-func (c CPU) AddVecSeconds(p Params, count int) float64 {
+func (c CPU) AddVecSeconds(p Config, count int) float64 {
 	cts := (count + p.N - 1) / p.N
 	// Coefficient-wise adds are memory-bound; model at one limb pass per
 	// poly at the ModMul rate / 4 (adds are ~4x cheaper than muls).
@@ -120,7 +110,7 @@ func (g GPU) transformsPerSec() float64 { return g.NTTOpsPerSec * 15 * g.Through
 // HMVPSeconds models one HMVP: transform-bound steady state plus the
 // fixed launch overhead that dominates small matrices (which is why CHAM
 // sees 0.3-0.7× GPU latency in Fig. 8 despite a 4.5× throughput edge).
-func (g GPU) HMVPSeconds(p Params, m, cols int) float64 {
+func (g GPU) HMVPSeconds(p Config, m, cols int) float64 {
 	ops := core.HMVPOps(p.N, p.NormalLevels, p.FullLevels, m, cols)
 	transforms := float64(ops.NTT + ops.INTT)
 	// Coefficient-wise work rides along in the same kernels at ~10% cost.
@@ -128,18 +118,18 @@ func (g GPU) HMVPSeconds(p Params, m, cols int) float64 {
 }
 
 // EncryptVectorSeconds / DecryptVectorSeconds: transform-bound plus launch.
-func (g GPU) EncryptVectorSeconds(p Params, count int) float64 {
+func (g GPU) EncryptVectorSeconds(p Config, count int) float64 {
 	cts := (count + p.N - 1) / p.N
 	return g.LaunchOverhead + float64(cts*2*p.FullLevels)/g.transformsPerSec()
 }
 
-func (g GPU) DecryptVectorSeconds(p Params, count int) float64 {
+func (g GPU) DecryptVectorSeconds(p Config, count int) float64 {
 	cts := (count + p.N - 1) / p.N
 	return g.LaunchOverhead + float64(cts*p.NormalLevels)/g.transformsPerSec()
 }
 
 // AddVecSeconds is launch-bound.
-func (g GPU) AddVecSeconds(p Params, count int) float64 {
+func (g GPU) AddVecSeconds(p Config, count int) float64 {
 	return g.LaunchOverhead / 2
 }
 

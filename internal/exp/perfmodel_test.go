@@ -1,17 +1,13 @@
-package perfmodel
+package exp
 
-import (
-	"testing"
-
-	"cham/internal/pipeline"
-)
+import "testing"
 
 // TestKeySwitchAnchor pins §V-B.1: CHAM's key-switch throughput is 105×
 // the CPU baseline.
 func TestKeySwitchAnchor(t *testing.T) {
 	cpu := Xeon6130()
-	cham := pipeline.ChamConfig()
-	ratio := cpu.KeySwitchSeconds(ChamParams()) * cham.KeySwitchOpsPerSec()
+	cham := ChamConfig()
+	ratio := cpu.KeySwitchSeconds(cham) * cham.KeySwitchOpsPerSec()
 	if ratio < 100 || ratio > 110 {
 		t.Errorf("key-switch speed-up %.1f, want ≈ 105", ratio)
 	}
@@ -21,11 +17,10 @@ func TestKeySwitchAnchor(t *testing.T) {
 // V100 (Fig. 6).
 func TestGPUThroughputAnchor(t *testing.T) {
 	gpu := TeslaV100()
-	cham := pipeline.ChamConfig()
-	p := ChamParams()
+	cham := ChamConfig()
 	m, n := 8192, 4096
 	chamRows := cham.ThroughputRowsPerSec(m, n)
-	gpuRows := float64(m) / gpu.HMVPSeconds(p, m, n)
+	gpuRows := float64(m) / gpu.HMVPSeconds(cham, m, n)
 	ratio := chamRows / gpuRows
 	if ratio < 4.0 || ratio > 5.0 {
 		t.Errorf("throughput ratio %.2f, want ≈ 4.5", ratio)
@@ -36,12 +31,11 @@ func TestGPUThroughputAnchor(t *testing.T) {
 // latency is 0.3×–0.7× of the GPU's across matrix sizes.
 func TestGPULatencyAnchor(t *testing.T) {
 	gpu := TeslaV100()
-	cham := pipeline.ChamConfig()
-	p := ChamParams()
+	cham := ChamConfig()
 	for _, m := range []int{256, 1024, 4096} {
 		for _, n := range []int{256, 4096} {
 			chamSec := cham.SimulateHMVP(m, n).Seconds(cham.FreqMHz)
-			gpuSec := gpu.HMVPSeconds(p, m, n)
+			gpuSec := gpu.HMVPSeconds(cham, m, n)
 			ratio := chamSec / gpuSec
 			if ratio < 0.25 || ratio > 0.75 {
 				t.Errorf("m=%d n=%d: latency ratio %.2f outside the paper's 0.3-0.7", m, n, ratio)
@@ -54,12 +48,11 @@ func TestGPULatencyAnchor(t *testing.T) {
 // growing with the row count.
 func TestCPUSpeedupAnchor(t *testing.T) {
 	cpu := Xeon6130()
-	cham := pipeline.ChamConfig()
-	p := ChamParams()
+	cham := ChamConfig()
 	prev := 0.0
 	for _, m := range []int{256, 1024, 4096} {
 		chamSec := cham.SimulateHMVP(m, 4096).Seconds(cham.FreqMHz)
-		ratio := cpu.HMVPSeconds(p, m, 4096) / chamSec
+		ratio := cpu.HMVPSeconds(cham, m, 4096) / chamSec
 		if m == 4096 && ratio < 10 {
 			t.Errorf("m=%d: CPU speed-up %.1f, want > 10", m, ratio)
 		}
@@ -75,7 +68,7 @@ func TestCPUSpeedupAnchor(t *testing.T) {
 // small end, square at the large end).
 func TestPaillierSpeedupAnchor(t *testing.T) {
 	pl := FATEPaillier()
-	cham := pipeline.ChamConfig()
+	cham := ChamConfig()
 	shapes := []struct {
 		m, n   int
 		lo, hi float64
@@ -101,7 +94,7 @@ func TestPaillierSpeedupAnchor(t *testing.T) {
 // TestStepModelsArePositiveAndOrdered: encryption/decryption/add costs must
 // be positive everywhere and Paillier must be the slowest per element.
 func TestStepModelsArePositiveAndOrdered(t *testing.T) {
-	p := ChamParams()
+	p := ChamConfig()
 	cpu := Xeon6130()
 	gpu := TeslaV100()
 	pl := FATEPaillier()

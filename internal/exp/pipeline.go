@@ -1,29 +1,35 @@
-// Package pipeline is a cycle-level performance model of the CHAM
-// accelerator: the 9-stage macro-pipeline of Fig. 1a with per-stage NTT
-// unit allocations (forward, inverse, pack key-switch), PPU lanes for the
-// coefficient-wise stages, and the reduce buffer whose back-pressure
-// preempts the front of the pipeline (§III-A).
+package exp
+
+import (
+	"fmt"
+	"math/bits"
+)
+
+// Cycle-level performance model of the CHAM accelerator: the 9-stage
+// macro-pipeline of Fig. 1a with per-stage NTT unit allocations (forward,
+// inverse, pack key-switch), PPU lanes for the coefficient-wise stages,
+// and the reduce buffer whose back-pressure preempts the front of the
+// pipeline (§III-A).
 //
 // Latencies are exact cycle counts derived from the functional-unit
 // models; wall-clock numbers follow from the device clock (300 MHz). The
 // model reproduces the §V-B throughput claims (65k key switches/s, the
 // 195k composite NTT ops/s of the 60-unit device) and generates the CHAM
 // series of Figs. 6 and 8.
-package pipeline
 
-import (
-	"fmt"
-	"math/bits"
+// limbBits are the packed storage widths of the CHAM RNS basis: two 35-bit
+// ciphertext limbs and the 39-bit special limb.
+var limbBits = []int{35, 35, 39}
 
-	"cham/internal/fpga"
-)
+// plaintextBits is the width of the plaintext modulus t = 65537.
+const plaintextBits = 17
 
 // Config fixes the simulated hardware instance.
 type Config struct {
 	N            int
 	NormalLevels int // ciphertext limbs (2)
 	FullLevels   int // with the special modulus (3)
-	Engine       fpga.EngineConfig
+	Engine       EngineConfig
 	NumEngines   int
 	FreqMHz      float64
 	// ReduceBufferSlots is the capacity of the pack reduce buffer: how far
@@ -32,23 +38,26 @@ type Config struct {
 	ReduceBufferSlots int
 }
 
-// ChamConfig returns the published instance: 2 engines, 30 NTT units each
-// (6 per stage-1 slice), 4-BFU constant-geometry NTTs, 1 pack unit,
-// 300 MHz.
+// ChamConfig returns the published instance, the design point every model
+// reads: N = 4096 over two ciphertext limbs plus the special limb, 2
+// engines, 30 NTT units each (6 per stage-1 slice), 4-BFU
+// constant-geometry NTTs, 1 pack unit, 300 MHz.
 func ChamConfig() Config {
-	return Config{
+	c := Config{
 		N:                 4096,
 		NormalLevels:      2,
 		FullLevels:        3,
-		Engine:            fpga.ChamEngineConfig(),
+		Engine:            EngineConfig{NTTPerStage: 6, NBF: 4, NumPack: 1, Strategy: BRAMOnly},
 		NumEngines:        2,
 		FreqMHz:           300,
 		ReduceBufferSlots: 16,
 	}
+	c.Engine.N = c.N
+	return c
 }
 
 // TransformCycles is the latency of one single-limb NTT on one unit.
-func (c Config) TransformCycles() int { return fpga.NTTLatency(c.N, c.Engine.NBF) }
+func (c Config) TransformCycles() int { return NTTLatency(c.N, c.Engine.NBF) }
 
 // ppuLanes is the coefficient-per-cycle width of the PPU array, scaled
 // with the butterfly parallelism to keep stages balanced (§III-B).
@@ -109,14 +118,14 @@ func (r CycleReport) Seconds(freqMHz float64) float64 {
 // the front of the pipeline stalls (the paper's preemption).
 func (c Config) SimulateTile(rows, chunks int) CycleReport {
 	if rows < 1 || rows > c.N {
-		panic(fmt.Sprintf("pipeline: rows=%d out of range [1,%d]", rows, c.N))
+		panic(fmt.Sprintf("exp: rows=%d out of range [1,%d]", rows, c.N))
 	}
 	if chunks < 1 {
 		chunks = 1
 	}
 	mPad := nextPow2(rows)
 	if c.ReduceBufferSlots < 2 {
-		panic("pipeline: reduce buffer needs at least 2 slots")
+		panic("exp: reduce buffer needs at least 2 slots")
 	}
 	dotT := int64(c.DotRowCycles(chunks))
 	mergeT := int64(c.MergeCycles())

@@ -1,16 +1,17 @@
-// Package fpga models the FPGA resources of the CHAM implementation: a
-// device catalog (Xilinx VU9P / Alveo U200), per-module resource
-// estimators, and the compositions that reproduce the paper's Table II
-// (full-design utilization) and Table III (single-NTT comparison).
+package exp
+
+import "fmt"
+
+// FPGA resources of the CHAM implementation: a device catalog (Xilinx
+// VU9P / Alveo U200), per-module resource estimators, and the
+// compositions that reproduce the paper's Table II (full-design
+// utilization) and Table III (single-NTT comparison).
 //
 // Storage-derived quantities (BRAM/URAM/LUTRAM counts) follow from bit
 // widths and bank structure; pure-logic quantities (LUT/FF/DSP of the
 // datapaths) are calibrated against the published design point and scale
 // linearly with the unit counts, which is what the design-space
-// exploration in package dse varies.
-package fpga
-
-import "fmt"
+// exploration (Explore) varies.
 
 // Res is a vector of FPGA resources.
 type Res struct {
@@ -74,12 +75,10 @@ func (r Res) String() string {
 
 // Device describes an FPGA card.
 type Device struct {
-	Name     string
-	Total    Res
-	FreqMHz  float64 // achieved kernel clock
-	DDRGBps  float64 // aggregate DRAM bandwidth
-	LUTWidth int     // LUT input width (6 for Xilinx, 8 for Intel Stratix)
-	BRAMKbit int     // native block size (36 for Xilinx, 20 for Intel)
+	Name    string
+	Total   Res
+	FreqMHz float64 // achieved kernel clock
+	DDRGBps float64 // aggregate DRAM bandwidth
 }
 
 // PeakDSPOps returns the peak 27x18 multiply throughput in ops/s at the
@@ -90,21 +89,16 @@ func (d Device) PeakDSPOps() float64 {
 
 // VU9P is the Xilinx Virtex UltraScale+ VU9P, CHAM's production part.
 var VU9P = Device{
-	Name:     "Xilinx VU9P",
-	Total:    Res{LUT: 1182240, FF: 2364480, BRAM: 2160, URAM: 960, DSP: 6840},
-	FreqMHz:  300,
-	DDRGBps:  77,
-	LUTWidth: 6,
-	BRAMKbit: 36,
+	Name:    "Xilinx VU9P",
+	Total:   Res{LUT: 1182240, FF: 2364480, BRAM: 2160, URAM: 960, DSP: 6840},
+	FreqMHz: 300,
+	DDRGBps: 77,
 }
 
-// U200 is the Alveo U200 prototyping card (VU9P silicon behind the Vitis
-// shell, 4×DDR4-2400 at 77 GB/s).
-var U200 = Device{
-	Name:     "Xilinx Alveo U200",
-	Total:    Res{LUT: 1182240, FF: 2364480, BRAM: 2160, URAM: 960, DSP: 6840},
-	FreqMHz:  300,
-	DDRGBps:  77,
-	LUTWidth: 6,
-	BRAMKbit: 36,
-}
+// U200 is the Alveo U200 prototyping card: VU9P silicon behind the Vitis
+// shell, 4×DDR4-2400 at 77 GB/s.
+var U200 = func() Device {
+	d := VU9P
+	d.Name = "Xilinx Alveo U200"
+	return d
+}()

@@ -1,26 +1,19 @@
-// Package dse reproduces CHAM's architecture-level studies: the roofline
-// analysis that motivates accelerating whole HMVPs rather than individual
-// HE operators (Fig. 2a), and the design-space exploration that selects
-// the pipeline configuration (Fig. 2b).
-package dse
+package exp
 
 import (
 	"strconv"
 
 	"cham/internal/core"
-	"cham/internal/fpga"
 )
+
+// Roofline analysis (Fig. 2a): the observation that motivates
+// accelerating whole HMVPs rather than individual HE operators.
 
 // dspOpsPerModMul converts modular multiplies into the roofline's
 // operation unit (one 27×18 integer multiply, i.e. one DSP slice issue):
 // a Shoup modular multiply on the low-Hamming-weight moduli needs two
 // such products, the reduction being shifts and adds.
 const dspOpsPerModMul = 2
-
-// limbBits are the packed storage widths of the CHAM RNS basis.
-var limbBits = []int{35, 35, 39}
-
-const plaintextBits = 17 // t = 65537
 
 // RooflinePoint positions one kernel on the roofline.
 type RooflinePoint struct {
@@ -33,12 +26,12 @@ type RooflinePoint struct {
 	Bound      string // "memory" or "compute"
 }
 
-// ridge returns the device's ridge-point intensity.
-func ridge(d fpga.Device) float64 {
+// Ridge returns the device's ridge-point intensity.
+func Ridge(d Device) float64 {
 	return d.PeakDSPOps() / (d.DDRGBps * 1e9)
 }
 
-func classify(d fpga.Device, ops, bytes int64) RooflinePoint {
+func classify(d Device, ops, bytes int64) RooflinePoint {
 	p := RooflinePoint{Ops: ops, Bytes: bytes}
 	p.Intensity = float64(ops) / float64(bytes)
 	bw := p.Intensity * d.DDRGBps * 1e9
@@ -68,12 +61,9 @@ func polyBytes(n, polys int) int64 {
 // and key switch sit far below the ridge (memory-bound: invoking them
 // individually wastes the accelerator), while the fused HMVP is
 // compute-bound — the observation that drives CHAM's whole-HMVP design.
-func Roofline(d fpga.Device) []RooflinePoint {
-	const (
-		n            = 4096
-		normalLevels = 2
-		fullLevels   = 3
-	)
+func Roofline(d Device) []RooflinePoint {
+	c := ChamConfig()
+	n, normalLevels, fullLevels := c.N, c.NormalLevels, c.FullLevels
 	var pts []RooflinePoint
 
 	// Standalone NTT: stream one limb in and out.
@@ -102,6 +92,3 @@ func Roofline(d fpga.Device) []RooflinePoint {
 	}
 	return pts
 }
-
-// Ridge exposes the device ridge intensity for rendering the roofline.
-func Ridge(d fpga.Device) float64 { return ridge(d) }

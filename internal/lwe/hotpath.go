@@ -3,7 +3,7 @@ package lwe
 // NTT-resident, allocation-free packing tree (DESIGN.md §12), folded
 // post-order as the leaves arrive — the software form of CHAM's
 // PACKTWOLWES module, whose reduce buffer merges a row's LWE as soon as
-// its sibling exists (pipeline.ReduceBufferSlots models it).
+// its sibling exists (exp.Config.ReduceBufferSlots models it).
 //
 // The recursion of Alg. 3 splits the leaves ≡ r mod c into the even
 // group (≡ r mod 2c) and the odd one (≡ r+c mod 2c) and merges the two

@@ -29,15 +29,14 @@ import (
 )
 
 // orphanScope lists the packages whose declarations must all be reached:
-// the arithmetic and kernel packages, the serving half above them, and the
-// accelerator and cost models with the applications and baselines they
-// feed. chamnp stays out (DESIGN.md §8): its surface is the numpy-style
+// the arithmetic and kernel packages, the serving half above them, exp (the
+// accelerator and cost models with the experiments over them), and the
+// applications and baselines they feed. chamnp stays out (DESIGN.md §8): its surface is the numpy-style
 // API itself.
 var orphanScope = []string{
 	"mod", "ntt", "ring", "rlwe", "bfv", "lwe", "core", "noise", "runtime",
 	"apps/beaver", "wire", "server", "client", "cluster", "obs", "obs/trace",
-	"fpga", "pipeline", "dse", "perfmodel", "hetero", "exp", "security",
-	"apps/heterolr", "paillier", "kat", "vec", "obs/metricshttp",
+	"exp", "security", "apps/heterolr", "paillier", "kat", "vec", "obs/metricshttp",
 }
 
 // orphanAllow holds what stays without such a caller, and why: a file
