@@ -547,7 +547,7 @@ func BenchmarkKernels(b *testing.B) {
 		{"InverseNTT", func() { tab.InverseLazy(o0.Coeffs[0]) }},
 		{"ForwardNTT512", func() { tab512.ForwardLazy(row512) }},
 		{"InverseNTT512", func() { tab512.InverseLazy(row512) }},
-		{"MonomialSplit", func() { r.MonomialSplitNTT(o0, o1, x, y, 5) }},
+		{"MonomialSplit", func() { r.MonomialSplitNTT(o0, o1, x, y, 16) }}, // the deepest merge's z
 		{"MulMontPairAdd", func() { r.MulCoeffMontPairAdd(o0, x, my, z, mw) }},
 		{"MulMontDot", func() { r.MulCoeffMontDot(dot, o1, x, y, mw, false) }},
 		{"MulMontDotAdd", func() { r.MulCoeffMontDot(dot, o1, x, y, mw, true) }},

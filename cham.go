@@ -183,13 +183,7 @@ func RunExperiment(id string) (string, error) {
 		return "", fmt.Errorf("cham: unknown experiment %q (have %s)",
 			id, strings.Join(Experiments(), ", "))
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %s — %s\npaper: %s\n\n", e.ID, e.Title, e.Paper)
-	for _, tb := range e.Run() {
-		b.WriteString(tb.Render())
-		b.WriteByte('\n')
-	}
-	return b.String(), nil
+	return e.Render(), nil
 }
 
 // NoiseEstimator returns the analytic noise-budget estimator for the

@@ -27,6 +27,7 @@ import (
 
 	"cham"
 	"cham/internal/core"
+	"cham/internal/exp"
 	"cham/internal/noise"
 	"cham/internal/obs"
 	"cham/internal/obs/trace"
@@ -213,10 +214,8 @@ func main() {
 		fmt.Println("chamsim — CHAM (DAC'23) experiment reproduction")
 		fmt.Println("\nusage: chamsim <experiment-id ...|all>")
 		fmt.Println("\navailable experiments:")
-		for _, id := range cham.Experiments() {
-			out, _ := cham.RunExperiment(id)
-			// First line of the rendered output carries the title.
-			fmt.Printf("  %-8s %s\n", id, firstLine(out))
+		for _, e := range exp.All() {
+			fmt.Printf("  %-8s %s\n", e.ID, e.Title)
 		}
 		return
 	}
@@ -236,13 +235,4 @@ func main() {
 	}
 	holdIfRequested()
 	os.Exit(code)
-}
-
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
 }

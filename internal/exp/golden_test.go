@@ -2,7 +2,6 @@ package exp
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -15,8 +14,9 @@ var update = flag.Bool("update", false, "rewrite testdata/models.golden from the
 // design-space search, the heterogeneous schedule and the paper's
 // baselines — so it renders the same bytes on every run and every host;
 // software alone times this host. The golden holds those experiments in
-// the layout `chamsim all` prints (cham.RunExperiment, then a newline), so
-// it is that command's output up to its `# software` section. Regenerate
+// the layout `chamsim all` prints (Experiment.Render, which
+// cham.RunExperiment returns, then a newline), so it is that command's
+// output up to its `# software` section. Regenerate
 // with `go test ./internal/exp -run TestModelTierGolden -update`.
 func TestModelTierGolden(t *testing.T) {
 	var b strings.Builder
@@ -24,11 +24,7 @@ func TestModelTierGolden(t *testing.T) {
 		if e.ID == "software" {
 			continue
 		}
-		fmt.Fprintf(&b, "# %s — %s\npaper: %s\n\n", e.ID, e.Title, e.Paper)
-		for _, tb := range e.Run() {
-			b.WriteString(tb.Render())
-			b.WriteByte('\n')
-		}
+		b.WriteString(e.Render())
 		b.WriteByte('\n')
 	}
 	got := b.String()

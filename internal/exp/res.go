@@ -75,7 +75,6 @@ func (r Res) String() string {
 
 // Device describes an FPGA card.
 type Device struct {
-	Name    string
 	Total   Res
 	FreqMHz float64 // achieved kernel clock
 	DDRGBps float64 // aggregate DRAM bandwidth
@@ -89,7 +88,6 @@ func (d Device) PeakDSPOps() float64 {
 
 // VU9P is the Xilinx Virtex UltraScale+ VU9P, CHAM's production part.
 var VU9P = Device{
-	Name:    "Xilinx VU9P",
 	Total:   Res{LUT: 1182240, FF: 2364480, BRAM: 2160, URAM: 960, DSP: 6840},
 	FreqMHz: 300,
 	DDRGBps: 77,
@@ -97,8 +95,4 @@ var VU9P = Device{
 
 // U200 is the Alveo U200 prototyping card: VU9P silicon behind the Vitis
 // shell, 4×DDR4-2400 at 77 GB/s.
-var U200 = func() Device {
-	d := VU9P
-	d.Name = "Xilinx Alveo U200"
-	return d
-}()
+var U200 = VU9P

@@ -77,6 +77,18 @@ type Experiment struct {
 	Run   func() []*Table
 }
 
+// Render produces the experiment's report as `chamsim` prints it: a
+// `# id — title` line, the paper's result, then every table.
+func (e Experiment) Render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "# %s — %s\npaper: %s\n\n", e.ID, e.Title, e.Paper)
+	for _, tb := range e.Run() {
+		b.WriteString(tb.Render())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // registry lists the experiments in the order `chamsim all` runs them:
 // the evaluation figures, the floorplan, the hardware tables and figures,
 // and last software, the only one that times this host.

@@ -12,7 +12,10 @@ package ring
 //     (with negations) → NTT;
 //   - multiplication by the monomial X^e is a pointwise multiply by the
 //     NTT image of X^e, precomputed once per (e, limb) with Shoup
-//     companions.
+//     companions. Slot j holds ψ^{e·(2·brv(j)+1)}; with 2^s the largest
+//     power of two dividing e mod 2N, ψ^e has order 2N/2^s, so the value
+//     depends only on the top log₂N−s bits of j and stays constant over
+//     runs of 2^s consecutive slots. The table keeps one value a run.
 //
 // Both are bit-identical to their coefficient-domain counterparts
 // composed with the transforms they elide: every intermediate here is
@@ -127,27 +130,28 @@ func (r *Ring) AutomorphNTTAddInto(out, a *Poly, k int) {
 //	diff = E - X^e·O
 //
 // on NTT-domain polynomials, without materializing X^e·O: each slot reads
-// E and O once, multiplies O by the cached NTT image of X^e, and writes
-// both outputs. sum may alias E; diff must alias neither input.
+// E and O once, multiplies O by its run's value of the cached NTT image of
+// X^e, and writes both outputs. sum may alias E; diff must alias neither
+// input.
 func (r *Ring) MonomialSplitNTT(sum, diff, E, O *Poly, e int) {
 	lv := sameLevels(sum, diff, E, O)
 	requireNTTDomain(E, O)
 	t := r.monoNTTTable(e)
-	n := r.N
+	n, s := r.N, t.logRun
 	for l := 0; l < lv; l++ {
 		m := r.Moduli[l]
 		re, ro := E.Coeffs[l][:n], O.Coeffs[l][:n]
-		rm, rs := t.vals[l][:n], t.shoup[l][:n]
+		rm, rs := t.vals[l], t.shoup[l]
 		rsum, rdiff := sum.Coeffs[l][:n], diff.Coeffs[l][:n]
 		if &rdiff[0] == &re[0] || &rdiff[0] == &ro[0] {
 			panic("ring: MonomialSplitNTT diff aliases an input")
 		}
-		if vec.MonomialSplit(m.Q, rsum, rdiff, re, ro, rm, rs) {
+		if vec.MonomialSplit(m.Q, rsum, rdiff, re, ro, rm, rs, s) {
 			continue
 		}
 		for i := 0; i < n; i++ {
 			x := re[i]
-			y := m.MulShoup(ro[i], rm[i], rs[i])
+			y := m.MulShoup(ro[i], rm[i>>s], rs[i>>s])
 			rdiff[i] = m.Sub(x, y)
 			rsum[i] = m.Add(x, y)
 		}
@@ -155,9 +159,11 @@ func (r *Ring) MonomialSplitNTT(sum, diff, E, O *Poly, e int) {
 	sum.IsNTT, diff.IsNTT = true, true
 }
 
-// monoTable holds the NTT image of X^e per limb of the full basis, with
-// Shoup companions, ready for pointwise Shoup products.
+// monoTable holds the NTT image of X^e per limb of the full basis by runs:
+// slot j of the image is vals[l][j>>logRun], with Shoup companions, ready
+// for pointwise Shoup products. A limb holds N>>logRun values.
 type monoTable struct {
+	logRun      int
 	vals, shoup [][]uint64
 }
 
@@ -178,26 +184,32 @@ func (r *Ring) monoNTTTable(e int) *monoTable {
 	if t, ok = r.monoNTT[ee]; ok {
 		return t
 	}
+	// Runs of 2^s slots, s the trailing zeros of e mod 2N; e = 0 and e = N
+	// (X^N = -1) are one run.
+	s := min(bits.TrailingZeros(uint(ee)), bits.Len(uint(n))-1)
+	runs := n >> s
 	lv := len(r.Moduli)
-	t = &monoTable{vals: make([][]uint64, lv), shoup: make([][]uint64, lv)}
-	backing := make([]uint64, 2*lv*n)
+	t = &monoTable{logRun: s, vals: make([][]uint64, lv), shoup: make([][]uint64, lv)}
+	backing := make([]uint64, 2*lv*runs)
+	row := make([]uint64, n)
 	for l := 0; l < lv; l++ {
-		t.vals[l], backing = backing[:n:n], backing[n:]
-		t.shoup[l], backing = backing[:n:n], backing[n:]
+		t.vals[l], backing = backing[:runs:runs], backing[runs:]
+		t.shoup[l], backing = backing[:runs:runs], backing[runs:]
 		m := r.Moduli[l]
 		// NTT(X^e): transform the basis monomial (X^{e-N} picks up the
-		// negacyclic -1) rather than exponentiating ψ per slot.
-		row := t.vals[l]
-		for i := range row {
-			row[i] = 0
-		}
+		// negacyclic -1) rather than exponentiating ψ per slot, then keep
+		// the first slot of each run.
+		clear(row)
 		if ee < n {
 			row[ee] = 1
 		} else {
 			row[ee-n] = m.Q - 1
 		}
 		r.Tables[l].ForwardLazy(row)
-		m.ShoupPrecompRow(t.shoup[l], row)
+		for k := range t.vals[l] {
+			t.vals[l][k] = row[k<<s]
+		}
+		m.ShoupPrecompRow(t.shoup[l], t.vals[l])
 	}
 	r.monoNTT[ee] = t
 	return t

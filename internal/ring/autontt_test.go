@@ -2,6 +2,7 @@ package ring
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -130,8 +131,10 @@ func TestNTTPermutationOpsRejectAliasedOperands(t *testing.T) {
 
 // TestMonomialSplitNTTMatchesCoeff: the cached NTT image of X^e behind
 // MonomialSplitNTT must realise the coefficient-domain MulMonomial for
-// every exponent class (beyond N, negative, zero): with E = 0 the split's
-// sum is NTT(X^e·O) and its difference the negation.
+// every exponent class (beyond N, negative, zero, and the packing tree's
+// N/2i, whose runs of 8 or more slots take the vector kernel where there is
+// one): with E = 0 the split's sum is NTT(X^e·O) and its difference the
+// negation.
 func TestMonomialSplitNTTMatchesCoeff(t *testing.T) {
 	n := 64
 	r := chamRing(t, n)
@@ -140,7 +143,7 @@ func TestMonomialSplitNTTMatchesCoeff(t *testing.T) {
 	aN := nttCopy(r, a)
 	zero := r.NewPoly(3)
 	zero.IsNTT = true
-	for _, e := range []int{0, 1, 5, n - 1, n, n + 3, 2*n - 1, -1, -n, -5} {
+	for _, e := range []int{0, 1, 5, 8, 16, 32, n - 1, n, n + 3, n + 16, 2*n - 1, -1, -n, -5, -32} {
 		want := r.NewPoly(3)
 		r.MulMonomial(want, a, e)
 		r.NTT(want)
@@ -151,6 +154,48 @@ func TestMonomialSplitNTTMatchesCoeff(t *testing.T) {
 		r.MonomialSplitNTT(sum, diff, zero, aN, e)
 		if !sum.Equal(want) || !diff.Equal(neg) {
 			t.Fatalf("e=%d: MonomialSplitNTT(0, a) != ±NTT(MulMonomial)", e)
+		}
+	}
+}
+
+// TestMonoTableRuns: the monomial cache keeps one value per run of 2^s
+// slots, s the trailing zeros of e mod 2N (one run for e = 0 and e = N),
+// so the packing tree's exponent N/2i holds 2i values and companions per
+// limb; and over every exponent class the image ψ^{e·(2·brv(j)+1)} is
+// constant over each run, equal to the run's value.
+func TestMonoTableRuns(t *testing.T) {
+	const n = 64
+	r := chamRing(t, n)
+	for e := 0; e < 2*n; e++ {
+		tab := r.monoNTTTable(e)
+		s := min(bits.TrailingZeros(uint(e)), 6)
+		if tab.logRun != s {
+			t.Fatalf("e=%d: runs of 2^%d slots, want 2^%d", e, tab.logRun, s)
+		}
+		for l, m := range r.Moduli {
+			if len(tab.vals[l]) != n>>s || len(tab.shoup[l]) != n>>s {
+				t.Fatalf("e=%d limb %d: %d values and %d companions, want %d", e, l, len(tab.vals[l]), len(tab.shoup[l]), n>>s)
+			}
+			// Slot j of NTT(X^e) is ψ^{e·(2·brv(j)+1)}.
+			for j := 0; j < n; j++ {
+				v := m.Pow(r.Tables[l].Psi, uint64(e*(2*int(brv(uint(j), 6))+1)%(2*n)))
+				if tab.vals[l][j>>s] != v {
+					t.Fatalf("e=%d limb %d: slot %d is %d, its run's value %d", e, l, j, v, tab.vals[l][j>>s])
+				}
+			}
+			for k, w := range tab.vals[l] {
+				if tab.shoup[l][k] != m.ShoupPrecomp(w) {
+					t.Fatalf("e=%d limb %d: run %d's companion is not ShoupPrecomp of its value", e, l, k)
+				}
+			}
+		}
+	}
+	// The design point's deepest merge (groups of 128, z = 16).
+	dp := chamRing(t, 4096)
+	tab := dp.monoNTTTable(16)
+	for l := range dp.Moduli {
+		if len(tab.vals[l]) != 256 || len(tab.shoup[l]) != 256 {
+			t.Fatalf("N=4096 z=16 limb %d: %d values and %d companions, want 256", l, len(tab.vals[l]), len(tab.shoup[l]))
 		}
 	}
 }

@@ -40,9 +40,10 @@ type Ring struct {
 	modDownInv, modDownInvShoup [][]uint64
 
 	// autoPerm caches the NTT-slot gather table of the automorphism X→X^k
-	// per index k, and monoNTT the per-limb NTT image of X^e (with Shoup
-	// companions) per exponent e; see autontt.go. Both are built lazily
-	// under their mutexes and read lock-shared on the hot path.
+	// per index k, and monoNTT the per-limb NTT image of X^e, one value
+	// (with its Shoup companion) per run of equal slots, per exponent e;
+	// see autontt.go. Both are built lazily under their mutexes and read
+	// lock-shared on the hot path.
 	autoMu   sync.RWMutex
 	autoPerm map[int][]uint32
 	monoMu   sync.RWMutex

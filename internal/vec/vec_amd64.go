@@ -85,14 +85,22 @@ func InverseNTT(q uint64, a, w, wShoup []uint64, nInv, nInvShoup, nInvRoot, nInv
 	return true
 }
 
-// MonomialSplit sets sum = e + o∘m and diff = e - o∘m for canonical rows,
-// mShoup the Shoup companion of m. sum may alias e.
-func MonomialSplit(q uint64, sum, diff, e, o, m, mShoup []uint64) bool {
-	n := len(sum)
-	if !ok(q, n, diff, e, o, m, mShoup) {
+// MonomialSplit sets sum = e + o∘m' and diff = e - o∘m' for canonical
+// rows, where m' repeats each value of m over a run of 2^logRun slots
+// (slot i multiplies by m[i>>logRun]) and mShoup holds the Shoup
+// companions of m. Each run broadcasts its value once, so a run must fill
+// whole vectors: logRun ≥ 3 and the row a multiple of the run. sum may
+// alias e.
+func MonomialSplit(q uint64, sum, diff, e, o, m, mShoup []uint64, logRun int) bool {
+	if logRun < 3 {
 		return false
 	}
-	monomialSplit(&sum[0], &diff[0], &e[0], &o[0], &m[0], &mShoup[0], n, q)
+	n := len(sum)
+	runs := n >> logRun
+	if runs<<logRun != n || !ok(q, n, diff, e, o) || len(m) < runs || len(mShoup) < runs {
+		return false
+	}
+	monomialSplit(&sum[0], &diff[0], &e[0], &o[0], &m[0], &mShoup[0], n, 1<<logRun, q)
 	return true
 }
 
@@ -208,7 +216,7 @@ func forwardNTT(a *uint64, n int, w, wp *uint64, q, mu, reduce uint64)
 func inverseNTT(a *uint64, n int, w, wp *uint64, q, nInv, nInvShoup, nInvRoot, nInvRootShoup uint64, c *uint64, reduce uint64)
 
 //go:noescape
-func monomialSplit(sum, diff, e, o, m, ms *uint64, n int, q uint64)
+func monomialSplit(sum, diff, e, o, m, ms *uint64, n, run int, q uint64)
 
 //go:noescape
 func mulMontDot(out, x, yB, yA *uint64, n int, q, qinv uint64, add bool, sums *[16]uint64)

@@ -633,11 +633,13 @@ invLast:
 	VZEROUPPER
 	RET
 
-// func monomialSplit(sum, diff, e, o, m, ms *uint64, n int, q uint64)
+// func monomialSplit(sum, diff, e, o, m, ms *uint64, n, run int, q uint64)
 //
-// Mirrors the row loop of ring.(*Ring).MonomialSplitNTT:
-// y = MulShoup(o, m, ms); diff = Sub(e, y); sum = Add(e, y).
-TEXT ·monomialSplit(SB), NOSPLIT, $0-64
+// Mirrors the row loop of ring.(*Ring).MonomialSplitNTT for runs of run
+// slots (a multiple of 8 dividing n): per run, broadcast w = m[k] and its
+// companion ms[k] once, then per slot y = MulShoup(o, w, ms[k]);
+// diff = Sub(e, y); sum = Add(e, y).
+TEXT ·monomialSplit(SB), NOSPLIT, $0-72
 	MOVQ sum+0(FP), DI
 	MOVQ diff+8(FP), SI
 	MOVQ e+16(FP), R8
@@ -645,15 +647,22 @@ TEXT ·monomialSplit(SB), NOSPLIT, $0-64
 	MOVQ m+32(FP), R10
 	MOVQ ms+40(FP), R11
 	MOVQ n+48(FP), CX
-	MOVQ q+56(FP), BX
+	MOVQ run+56(FP), R12
+	MOVQ q+64(FP), BX
 	CONSTS(BX)
 	XORQ AX, AX
 
+splitRun:
+	VPBROADCASTQ (R10), Z1      // w
+	MOVQ (R11), DX
+	SHRQ $12, DX                // the 52-bit companion
+	VPBROADCASTQ DX, Z2
+	ADDQ $8, R10
+	ADDQ $8, R11
+	LEAQ (AX)(R12*1), DX        // end of the run
+
 splitLoop:
 	VMOVDQU64 (R9)(AX*8), Z0
-	VMOVDQU64 (R10)(AX*8), Z1
-	VMOVDQU64 (R11)(AX*8), Z2
-	VPSRLQ $12, Z2, Z2
 	SHOUP52(Z0, Z1, Z2, Z3, Z4)
 	CSUB(Z3, Z31, Z4)           // y
 	VMOVDQU64 (R8)(AX*8), Z5    // x
@@ -665,8 +674,10 @@ splitLoop:
 	VMOVDQU64 Z6, (SI)(AX*8)
 	VMOVDQU64 Z5, (DI)(AX*8)
 	ADDQ $8, AX
-	CMPQ AX, CX
+	CMPQ AX, DX
 	JLT  splitLoop
+	CMPQ AX, CX
+	JLT  splitRun
 	VZEROUPPER
 	RET
 

@@ -15,7 +15,9 @@ func InverseNTT(q uint64, a, w, wShoup []uint64, nInv, nInvShoup, nInvRoot, nInv
 	return false
 }
 
-func MonomialSplit(q uint64, sum, diff, e, o, m, mShoup []uint64) bool { return false }
+func MonomialSplit(q uint64, sum, diff, e, o, m, mShoup []uint64, logRun int) bool {
+	return false
+}
 
 func MulMontDot(q, qinv uint64, out, x, yB, yA []uint64, add bool) (hi, lo uint64, handled bool) {
 	return 0, 0, false

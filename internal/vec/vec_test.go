@@ -112,15 +112,25 @@ func runAll(r *ring.Ring, seed int64, fill int) []result {
 		out = append(out, result{fmt.Sprintf("inverse/limb%d", l), [][]uint64{a}})
 	}
 
-	// MonomialSplitNTT, fresh outputs and sum aliasing E.
+	// MonomialSplitNTT, fresh outputs and sum aliasing E, over every
+	// exponent the packing tree multiplies by — z = N/2i for groups of
+	// i = 1 … N/16, runs of z ≥ 8 slots, the kernel's — then X^N = -1 (one
+	// run of N slots) and one odd exponent (runs of one slot, the Go loop's).
 	E, O := g.poly(true), g.poly(true)
-	e := g.rng.Intn(2 * r.N)
-	sum, diff := r.NewPoly(lv), r.NewPoly(lv)
-	r.MonomialSplitNTT(sum, diff, E, O, e)
-	keep("monomialsplit", sum, diff)
-	diff = r.NewPoly(lv)
-	r.MonomialSplitNTT(E, diff, E, O, e)
-	keep("monomialsplit/aliased", E, diff)
+	var exps []int
+	for i := 1; i <= r.N/16; i *= 2 {
+		exps = append(exps, r.N/(2*i))
+	}
+	exps = append(exps, r.N, 2*g.rng.Intn(r.N)+1)
+	var sum, diff *ring.Poly
+	for _, e := range exps {
+		sum, diff = r.NewPoly(lv), r.NewPoly(lv)
+		r.MonomialSplitNTT(sum, diff, E, O, e)
+		keep(fmt.Sprintf("monomialsplit/e%d", e), sum, diff)
+		sum, diff = E.Copy(), r.NewPoly(lv)
+		r.MonomialSplitNTT(sum, diff, sum, O, e)
+		keep(fmt.Sprintf("monomialsplit/e%d/aliased", e), sum, diff)
+	}
 
 	// The key-switch and row-apply MACs, their fixed operands in
 	// Montgomery form. The pair MAC: two digits against their keys (the
@@ -301,7 +311,8 @@ func TestMulMontDotForms(t *testing.T) {
 
 // TestKernelGates pins the dispatch rule: a kernel handles a row exactly
 // when the host has IFMA, q < 2^50, and the length is a multiple of 8
-// (N ≥ 32 for the transforms) — and handles nothing once forced generic.
+// (N ≥ 32 for the transforms; for the split, runs of 8 or more slots that
+// divide the row) — and handles nothing once forced generic.
 func TestKernelGates(t *testing.T) {
 	sets := moduliSets(t)
 	accel := vec.Impl() == vec.ImplIFMA
@@ -312,7 +323,7 @@ func TestKernelGates(t *testing.T) {
 		return map[string]bool{
 			"ForwardNTT":    vec.ForwardNTT(q, z(), z(), z()),
 			"InverseNTT":    vec.InverseNTT(q, z(), z(), z(), 0, 0, 0, 0),
-			"MonomialSplit": vec.MonomialSplit(q, z(), z(), z(), z(), z(), z()),
+			"MonomialSplit": vec.MonomialSplit(q, z(), z(), z(), z(), z(), z(), 3),
 			"MulMontDot":    dotHandled(vec.MulMontDot(q, 1, z(), z(), z(), z(), true)),
 			"MulMontPair":   vec.MulMontPair(q, 1, z(), z(), z(), z(), z()),
 			"CentredLift":   vec.CentredLift(q, z(), z(), q/2, 0),
@@ -366,11 +377,41 @@ func TestKernelGates(t *testing.T) {
 				t.Errorf("MulMontPair accepted operand %d shorter than out", i)
 			}
 		}
+		// The split's operands are diff, e and o, then one value and one
+		// companion per run.
+		for i := 0; i < 3; i++ {
+			o := [3][]uint64{z(32), z(32), z(32)}
+			o[i] = z(24)
+			if vec.MonomialSplit(cham, z(32), o[0], o[1], o[2], z(4), z(4), 3) {
+				t.Errorf("MonomialSplit accepted operand %d shorter than sum", i)
+			}
+		}
+		if vec.MonomialSplit(cham, z(32), z(32), z(32), z(32), z(3), z(4), 3) ||
+			vec.MonomialSplit(cham, z(32), z(32), z(32), z(32), z(4), z(3), 3) {
+			t.Error("MonomialSplit accepted fewer values or companions than runs")
+		}
 		if vec.ModDownRow(cham, z(32), z(32), z(24), cham/2, 0, 0, 0) {
 			t.Error("ModDownRow accepted a special row shorter than out")
 		}
 		if vec.Gather(z(32), z(32), make([]uint32, 24)) || vec.GatherAdd(cham, z(32), z(32), make([]uint32, 24)) {
 			t.Error("a gather accepted an index table shorter than out")
+		}
+	})
+	t.Run("runs", func(t *testing.T) {
+		z := func(n int) []uint64 { return make([]uint64, n) }
+		split := func(logRun int) bool {
+			return vec.MonomialSplit(cham, z(32), z(32), z(32), z(32), z(32), z(32), logRun)
+		}
+		// A run must fill whole vectors and divide the row.
+		for _, logRun := range []int{-1, 0, 1, 2, 6, 64} {
+			if split(logRun) {
+				t.Errorf("MonomialSplit accepted runs of 2^%d slots in a row of 32", logRun)
+			}
+		}
+		for _, logRun := range []int{3, 4, 5} {
+			if split(logRun) != accel {
+				t.Errorf("MonomialSplit, runs of 2^%d slots in a row of 32: handled = %v, want %v", logRun, !accel, accel)
+			}
 		}
 	})
 	t.Run("source modulus over 2^52", func(t *testing.T) {
