@@ -509,8 +509,10 @@ func BenchmarkFig5Floorplan(b *testing.B) {
 // against the Go loop it mirrors, through the caller both share, on one
 // N=4096 row of the first CHAM limb (DESIGN.md §11 "Vector kernels"), and
 // the two transforms also on an N=512 row, the ring degree of the
-// cluster_scatter workload. On a host without AVX-512 IFMA only the
-// generic halves run.
+// cluster_scatter workload. The lifted forward reads a digit of the
+// second limb, as the decomposition does; the dropping inverse divides the
+// special limb out, writing the row its next call reads. On a host without
+// AVX-512 IFMA only the generic halves run.
 func BenchmarkKernels(b *testing.B) {
 	const n = 4096
 	r := ring.MustNew(n, mod.ChamModuli())
@@ -534,6 +536,9 @@ func BenchmarkKernels(b *testing.B) {
 	two := poly(2, false) // ModDownInto drops its second limb: one output row
 	lift := two.Coeffs[1] // canonical residues of limb 1, lifted into limb 0
 	tab := r.Tables[0]
+	sp := poly(3, false).Coeffs[2] // canonical residues of the special limb
+	drop := tab.NewDrop(mod.ChamP)
+	dropA, dropOut := x.Copy().Coeffs[0], make([]uint64, n)
 	tab512 := ntt.MustTable(512, mod.ChamQ0)
 	row512 := make([]uint64, 512)
 	for i := range row512 {
@@ -545,13 +550,17 @@ func BenchmarkKernels(b *testing.B) {
 	}{
 		{"ForwardNTT", func() { tab.ForwardLazy(o0.Coeffs[0]) }},
 		{"InverseNTT", func() { tab.InverseLazy(o0.Coeffs[0]) }},
+		{"ForwardNTTLift", func() { tab.ForwardLazyLift(o0.Coeffs[0], lift, mod.ChamQ1) }},
+		{"InverseNTTDrop", func() {
+			tab.InverseLazyDrop(dropOut, dropA, sp, &drop)
+			dropA, dropOut = dropOut, dropA
+		}},
 		{"ForwardNTT512", func() { tab512.ForwardLazy(row512) }},
 		{"InverseNTT512", func() { tab512.InverseLazy(row512) }},
 		{"MonomialSplit", func() { r.MonomialSplitNTT(o0, o1, x, y, 16) }}, // the deepest merge's z
 		{"MulMontPairAdd", func() { r.MulCoeffMontPairAdd(o0, x, my, z, mw) }},
 		{"MulMontDot", func() { r.MulCoeffMontDot(dot, o1, x, y, mw, false) }},
 		{"MulMontDotAdd", func() { r.MulCoeffMontDot(dot, o1, x, y, mw, true) }},
-		{"CentredLift", func() { r.CentredLiftRow(o0.Coeffs[0], lift, 0, 1) }},
 		{"ModDownRow", func() { r.ModDownInto(o1, two) }},
 		{"Gather", func() { r.AutomorphNTT(o1, x, 5) }},
 		{"GatherAdd", func() { r.AutomorphNTTAddInto(o1, x, 5) }},

@@ -26,7 +26,7 @@ func (p Params) EncodeVector(v []uint64) *Plaintext {
 // compensation) is folded into every coefficient.
 func (p Params) EncodeRow(a []uint64, scale uint64) *Plaintext {
 	pt := p.NewPlaintext()
-	p.encodeRowInto(pt.Coeffs, a, scale)
+	p.EncodeRowInto(pt.Coeffs, a, scale)
 	return pt
 }
 

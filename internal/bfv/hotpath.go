@@ -4,20 +4,22 @@ import (
 	"math/bits"
 
 	"cham/internal/ring"
-	"cham/internal/vec"
 )
 
-// Allocation-free encode/lift forms used by the prepared-matrix path.
+// Allocation-free encode/lift forms.
 
-// encodeRowInto writes EncodeRow's layout (Eq. 1) of a into all N words
-// of c (the gap the row layout skips is zeroed). The scale multiplies
+// EncodeRowInto writes EncodeRow's layout (Eq. 1) of a into all N words
+// of c (the gap the row layout skips is zeroed), canonical mod t. Prepare
+// encodes each row chunk this way into its slab's first limb, then
+// spreads it over the basis with ring.NTTLift from t, whose transforms
+// centre each word as they load it. The scale multiplies
 // without a division: on one-word Barrett with ⌊2^64/t⌋ while t < 2^32
 // keeps every product in a word (at most one t too high, as the quotient
 // estimate is at most one low), on the two-word MulBarrett otherwise. A
 // negated entry enters the product as t − x, so that x = 0 gives t·scale
 // ≡ 0. An entry at or above t is reduced first; the division runs only for
 // such an entry.
-func (p Params) encodeRowInto(c, a []uint64, scale uint64) {
+func (p Params) EncodeRowInto(c, a []uint64, scale uint64) {
 	n := p.R.N
 	if len(a) == 0 {
 		panic("bfv: empty row")
@@ -69,60 +71,28 @@ func mulNarrow(x, scale, t, mu uint64) uint64 {
 	return r - t&-((t-1-r)>>63) // −t iff r ≥ t
 }
 
-// EncodeLiftRowInto is Lift(EncodeRow(a, scale)) with no plaintext in
-// between: the row is encoded straight into the first limb's row of out,
-// and that row, still in L1, is centred-lifted into every limb — the
-// first last, in place — on LiftInto's row loop. a is checked and reduced
-// as EncodeRow does; out must carry N words per limb and is left in the
-// coefficient domain. The encoded values are below t by construction, so
-// LiftInto's range check has nothing to find and is not run.
-func (p Params) EncodeLiftRowInto(out *ring.Poly, a []uint64, scale uint64) {
-	n := p.R.N
-	rows := out.Coeffs
-	for _, row := range rows {
-		if len(row) != n {
-			panic("bfv: lift level mismatch")
-		}
-	}
-	p.encodeRowInto(rows[0], a, scale)
-	for l := len(rows) - 1; l >= 0; l-- {
-		p.liftRow(rows[l], rows[0], l)
-	}
-	out.IsNTT = false
-}
-
 // LiftInto is Lift writing into a caller-owned polynomial; the plaintext
 // coefficients must be in [0, t), checked here once per call. Because t is
 // below every limb modulus, the centred lift needs no reduction: x maps to
-// x when x ≤ t/2 and to q_l - t + x otherwise — which is the cross-limb
-// lift of ring.CentredLiftRow with source modulus t (for x < t < q_l its
-// reduction is the identity) and the added constant q_l - t, so each row
-// runs on that kernel.
+// x when x ≤ t/2 and to q_l - t + x otherwise. It is the one lift with no
+// transform after it (Lift, MulPlain's reference path), off the hot path,
+// so it runs as a Go loop.
 func (p Params) LiftInto(out *ring.Poly, pt *Plaintext) {
 	if len(pt.Coeffs) != p.R.N {
 		panic("bfv: plaintext length mismatch")
 	}
 	p.checkCoeffs(pt.Coeffs)
-	for l, row := range out.Coeffs {
-		p.liftRow(row[:len(pt.Coeffs)], pt.Coeffs, l)
-	}
-	out.IsNTT = false
-}
-
-// liftRow writes the centred lift of x, residues in [0, t), into limb l's
-// row out, which may alias x.
-func (p Params) liftRow(out, x []uint64, l int) {
 	t := p.T.Q
 	half := t / 2
-	q := p.R.Moduli[l].Q
-	negAdd := q - t
-	if vec.CentredLift(q, out, x, half, negAdd) {
-		return
+	for l, row := range out.Coeffs {
+		negAdd := p.R.Moduli[l].Q - t
+		row = row[:len(pt.Coeffs)]
+		for i, v := range pt.Coeffs {
+			neg := uint64(int64(half-v) >> 63) // all ones iff v > t/2
+			row[i] = v + neg&negAdd
+		}
 	}
-	for i, v := range x {
-		neg := uint64(int64(half-v) >> 63) // all ones iff v > t/2
-		out[i] = v + neg&negAdd
-	}
+	out.IsNTT = false
 }
 
 // checkCoeffs panics unless every plaintext coefficient is in [0, t): the

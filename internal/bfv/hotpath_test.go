@@ -62,8 +62,9 @@ func wideParams(tb testing.TB, n int) Params {
 }
 
 // TestEncodeAndLiftMatchOldLoops drives EncodeRow and LiftInto against the
-// loops they replaced, and EncodeLiftRowInto against Lift of EncodeRow at
-// every limb count: narrow and wide t, unit, small, large and unreduced
+// loops they replaced, and Prepare's row path — EncodeRowInto into the
+// first limb, then ring.NTTLift from t — against the NTT of Lift of
+// EncodeRow at every limb count: narrow and wide t, unit, small, large and unreduced
 // scales, rows with zeros, unreduced (≥ t) and boundary entries, full and
 // ragged lengths — on the host's kernels and on the Go loops.
 func TestEncodeAndLiftMatchOldLoops(t *testing.T) {
@@ -113,10 +114,12 @@ func TestEncodeAndLiftMatchOldLoops(t *testing.T) {
 								row[i] = ^uint64(0) // must be overwritten
 							}
 						}
-						direct.IsNTT = true // must be reset
-						p.EncodeLiftRowInto(direct, a, scale)
-						if !direct.Equal(p.Lift(p.EncodeRow(a, scale), levels)) {
-							t.Fatalf("t=%d len=%d scale=%d levels=%d: EncodeLiftRowInto differs from Lift of EncodeRow", tq, length, scale, levels)
+						p.EncodeRowInto(direct.Coeffs[0], a, scale)
+						p.R.NTTLift(direct, direct.Coeffs[0], tq)
+						want := p.Lift(p.EncodeRow(a, scale), levels)
+						p.R.NTT(want)
+						if !direct.Equal(want) {
+							t.Fatalf("t=%d len=%d scale=%d levels=%d: EncodeRowInto + NTTLift differs from the NTT of Lift of EncodeRow", tq, length, scale, levels)
 						}
 					}
 				}
@@ -149,14 +152,15 @@ func mustPanic(t *testing.T, want string, f func()) {
 // scales through MulShoup, which reduces any word.
 func TestHotPathPreconditions(t *testing.T) {
 	p := testParams(t, 16)
-	mustPanic(t, "bfv: empty row", func() { p.EncodeLiftRowInto(p.R.NewPoly(3), nil, 1) })
+	row := make([]uint64, p.R.N)
+	mustPanic(t, "bfv: empty row", func() { p.EncodeRowInto(row, nil, 1) })
 	mustPanic(t, "bfv: empty row", func() { p.EncodeRow([]uint64{}, 1) })
 	long := make([]uint64, p.R.N+1)
-	mustPanic(t, "bfv: row longer than N", func() { p.EncodeLiftRowInto(p.R.NewPoly(3), long, 1) })
+	mustPanic(t, "bfv: row longer than N", func() { p.EncodeRowInto(row, long, 1) })
 	mustPanic(t, "bfv: row longer than N", func() { p.EncodeRow(long, 1) })
 	short := p.R.NewPoly(3)
 	short.Coeffs[2] = short.Coeffs[2][:p.R.N-8]
-	mustPanic(t, "bfv: lift level mismatch", func() { p.EncodeLiftRowInto(short, long[:1], 1) })
+	mustPanic(t, "ring: lift level mismatch", func() { p.R.NTTLift(short, row, p.T.Q) })
 	rng := rand.New(rand.NewSource(1))
 	sk := p.KeyGen(rng)
 	for _, bad := range []uint64{p.T.Q, p.T.Q + 1, 1 << 52, 1 << 63, ^uint64(0)} {

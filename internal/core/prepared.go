@@ -205,9 +205,11 @@ func (pm *PreparedMatrix) PrepareTile(A [][]uint64, ti int) error {
 }
 
 // buildTile runs stages 1–2 for one row tile, one pass per row chunk: the
-// row is checked, encoded and centred-lifted straight into its slab rows
-// (bfv.EncodeLiftRowInto, charged to encode), then forward-transformed in
-// place (charged to ntt); no plaintext scratch sits in between. Every
+// row is checked and encoded straight into its slab's first limb
+// (bfv.EncodeRowInto, charged to encode), then spread over the basis by
+// the transforms that centre-lift it as they load it (ring.NTTLift from t,
+// charged to ntt: every other limb, then the first in place); no
+// plaintext scratch and no lifted row sits in between. Every
 // long-lived buffer is carved from one coefficient slab and flat header
 // arrays instead of row×chunk×limb individual allocations — cold Prepare
 // used to cost thousands of allocs per call.
@@ -240,9 +242,9 @@ func (e *Evaluator) buildTile(pm *PreparedMatrix, A [][]uint64, ti int, clk *obs
 			if hi > cols {
 				hi = cols
 			}
-			p.EncodeLiftRowInto(pt, A[base+i][lo:hi], scale)
+			p.EncodeRowInto(pt.Coeffs[0], A[base+i][lo:hi], scale)
 			clk.Mark(obs.StageEncode)
-			p.R.NTT(pt)
+			p.R.NTTLift(pt, pt.Coeffs[0], p.T.Q)
 			clk.Mark(obs.StageNTT)
 		}
 		t.rowNTT[i] = rp

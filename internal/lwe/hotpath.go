@@ -198,11 +198,10 @@ func packTwo(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk *rlwe.Switc
 	r.AutomorphNTT(O.A, ms.dA, k)
 	clk.Mark(obs.StagePack)
 	// φ_k(diff) decrypts under φ_k(s); the switch brings its TRUE a-part
-	// ModDown(φ_k(dA)) back under s. The rescale runs in coefficient form —
-	// the view the digit lifts read anyway, so its inverse transforms
-	// replace (not add to) the decomposition's.
-	r.INTT(O.A)
-	r.ModDownTo(ms.aN, O.A)
+	// ModDown(φ_k(dA)) back under s. The rescale rides the inverse
+	// transforms into coefficient form — the view the digit lifts read
+	// anyway, so they replace (not add to) the decomposition's.
+	r.INTTModDownTo(ms.aN, O.A)
 	clk.Mark(obs.StagePackModDown)
 	// Decomposition commutes with φ_k, so the digits are built straight
 	// from the gathered, rescaled a-part.
@@ -231,12 +230,9 @@ func FlushIntoSink(p bfv.Params, out *rlwe.Ciphertext, nd *PackNode, sink obs.St
 	clk.Attach(sink)
 	clk.Skip()
 	r := p.R
-	r.INTT(nd.BT)
-	r.INTT(nd.A)
-	clk.Mark(obs.StageINTT)
-	r.ModDownTo(out.B, nd.BT)
-	r.ModDownTo(out.A, nd.A)
-	clk.Mark(obs.StagePackModDown)
+	r.INTTModDownTo(out.B, nd.BT)
+	r.INTTModDownTo(out.A, nd.A)
+	clk.Mark(obs.StageINTT) // the divisions ride the inverse transforms
 	clk.Flush()
 }
 

@@ -23,10 +23,18 @@ package ntt
 // every butterfly (cg.go runs one; the tests compare) — every lazy
 // intermediate is congruent to its reduced counterpart and the final stage
 // emits canonical residues.
+//
+// Each direction also takes one conversion into the sweep it already makes
+// over the row: ForwardLazyLift centres a residue of another modulus into
+// this one as its first pass loads it (a key switch's digits, a Prepared
+// row's plaintext), and InverseLazyDrop divides a dropped modulus out as
+// its final stage writes (ModDown). On the kernels that saves a memory
+// pass each; the Go paths run the conversion as a loop of its own.
 
 import (
 	"math/bits"
 
+	"cham/internal/mod"
 	"cham/internal/vec"
 )
 
@@ -177,4 +185,106 @@ func (t *Table) InverseLazy(a []uint64) {
 		}
 		hi[j] = r
 	}
+}
+
+// ForwardLazyLift sets out to the forward transform of the centred lift of
+// src, canonical residues of a source modulus qFrom: each x is taken as x,
+// or x − qFrom where x > qFrom/2, reduced into this table's modulus. out
+// may be src itself; otherwise the two must not overlap.
+//
+// The kernel lifts each word in its first pass with no reduction (vec
+// documents the bound); the Go path lifts the row into [0, 3q) first —
+// ReduceBarrett(x), plus 2q − (qFrom mod q) where the lift is negative —
+// and transforms it in place.
+func (t *Table) ForwardLazyLift(out, src []uint64, qFrom uint64) {
+	if len(out) != t.N || len(src) != t.N {
+		panic("ntt: length mismatch")
+	}
+	if vec.ForwardNTTLift(t.M.Q, out, src, t.rootsFwd, t.rootsFwdShoup52, qFrom) {
+		return
+	}
+	m := t.M
+	half := qFrom / 2
+	negAdd := 2*m.Q - m.ReduceBarrett(qFrom)
+	for i, x := range src {
+		neg := uint64(int64(half-x) >> 63) // all ones iff x > half
+		out[i] = m.ReduceBarrett(x) + neg&negAdd
+	}
+	t.ForwardLazy(out)
+}
+
+// Drop holds the constants of one limb of ModDown: dividing a row over this
+// table's modulus q by a dropped modulus p with rounding,
+// out = (a − centred(sp))·p^-1 mod q, where sp holds the row's canonical
+// residues mod p. Build it once per (p, q) with NewDrop.
+type Drop struct {
+	m                     mod.Modulus
+	half, pModQ           uint64 // p/2 and p mod q
+	pInv, pInvShoup       uint64 // p^-1 mod q, 64-bit companion
+	negPInv, negPInvShoup uint64 // −p^-1 mod q, 52-bit companion
+	// The inverse transform's final-stage constants with p^-1 folded in,
+	// N^-1·p^-1 and that times the last twiddle, 52-bit companions.
+	nInvP, nInvPShoup, nInvRootP, nInvRootPShoup uint64
+	p                                            uint64
+}
+
+// NewDrop returns the constants for dropping the modulus p, coprime to q,
+// from a row over this table's modulus.
+func (t *Table) NewDrop(p uint64) Drop {
+	m := t.M
+	pInv := m.Inv(m.Reduce(p))
+	negPInv := m.Neg(pInv)
+	nInvP := m.Mul(t.nInv, pInv)
+	nInvRootP := m.Mul(t.nInvRoot, pInv)
+	return Drop{
+		m: m, p: p, half: p / 2, pModQ: m.Reduce(p),
+		pInv: pInv, pInvShoup: m.ShoupPrecomp(pInv),
+		negPInv: negPInv, negPInvShoup: m.ShoupPrecomp(negPInv) >> 12,
+		nInvP: nInvP, nInvPShoup: m.ShoupPrecomp(nInvP) >> 12,
+		nInvRootP: nInvRootP, nInvRootPShoup: m.ShoupPrecomp(nInvRootP) >> 12,
+	}
+}
+
+// Row sets out = (a − centred(sp))·p^-1 mod q on coefficient-domain rows:
+// a canonical mod q, sp canonical mod p. out may alias a.
+func (d *Drop) Row(out, a, sp []uint64) {
+	m := d.m
+	out = out[:len(a)]
+	if vec.ModDownRow(m.Q, out, a, sp, d.half, d.pModQ, d.pInv, d.pInvShoup) {
+		return
+	}
+	twoQ := 2 * m.Q
+	sp = sp[:len(out)]
+	for i := range out {
+		// d ≡ a - [sp centred] mod q. Branch-free: always subtract the
+		// reduced residue of sp, then add back p (mod q) exactly when the
+		// centred lift is negative — the mask is the sign bit of half − x,
+		// so the 50/50-taken branch of the centred comparison never
+		// reaches the predictor. The sum is below 4q (< 2^64 for q <
+		// 2^62); MulShoup accepts any word and restores canonical form.
+		x := sp[i]
+		neg := uint64(int64(d.half-x) >> 63) // all ones iff x > half
+		out[i] = m.MulShoup(a[i]+twoQ-m.ReduceBarrett(x)+neg&d.pModQ, d.pInv, d.pInvShoup)
+	}
+}
+
+// InverseLazyDrop is InverseLazy of a followed by d's ModDown: out =
+// (INTT(a) − centred(sp))·p^-1 mod q, canonical, for a below 2q and sp
+// canonical mod p. a is left as scratch; out may be a, sp must not overlap
+// out.
+//
+// The kernel folds p^-1 into the final stage's N^-1 and writes out as that
+// stage goes: each output costs the two Shoup products it took as an
+// inverse then a ModDown row, with one memory pass fewer. The Go path is
+// the inverse in place, then Row.
+func (t *Table) InverseLazyDrop(out, a, sp []uint64, d *Drop) {
+	if len(out) != t.N || len(a) != t.N || len(sp) != t.N {
+		panic("ntt: length mismatch")
+	}
+	if vec.InverseNTTDrop(t.M.Q, out, a, sp, t.rootsInv, t.rootsInvShoup52,
+		d.nInvP, d.nInvPShoup, d.nInvRootP, d.nInvRootPShoup, d.p, d.negPInv, d.negPInvShoup) {
+		return
+	}
+	t.InverseLazy(a)
+	d.Row(out, a, sp)
 }

@@ -131,7 +131,7 @@ func TestStageClockAttribution(t *testing.T) {
 // format both key off this table.
 func TestStageTaxonomyComplete(t *testing.T) {
 	if NumStages != 9 {
-		t.Fatalf("NumStages = %d, want the paper's 8 (lift runs inside encode) plus decompose", NumStages)
+		t.Fatalf("NumStages = %d, want the paper's 8 (lift runs inside ntt) plus decompose", NumStages)
 	}
 	seen := map[string]bool{}
 	for i, name := range StageNames {

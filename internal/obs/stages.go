@@ -5,25 +5,27 @@ import "time"
 // The HMVP stage taxonomy (DESIGN.md §7/§9): the paper's pipeline stages
 // plus the hoisted digit-decomposition split of the key switch — nine
 // stages in all. RESCALE (moddown) is charged only by the pack tree: the
-// row apply defers its divisions to the tree flush. A Prepare encodes and
-// centred-lifts each row chunk straight into its slab rows (charged to
-// encode), then transforms them (ntt), so encode + ntt add up to the
-// Prepare span with no sweep left uncharged. In an apply the conversion of
+// row apply defers its divisions to the tree flush, whose inverse
+// transforms carry them (charged to intt). A Prepare encodes each row
+// chunk into its slab's first limb (charged to encode), then transforms it
+// into every limb, the centred lift riding each transform's first pass
+// (ntt), so encode + ntt add up to the Prepare span with no sweep left
+// uncharged. In an apply the conversion of
 // the vector chunks' A half to Montgomery form is charged to row_mul, the
 // stage it serves. These indices and names are the single source of truth shared
 // by the instrumented kernels (internal/core, internal/lwe), the
 // exposition format, cmd/chamtop, and the documentation: a stage renamed
 // here renames everywhere.
 const (
-	StageEncode      = iota // row coefficient encoding (Eq. 1) and its centred lift to the augmented basis
-	StageNTT                // forward transforms (rows + vector chunks)
+	StageEncode      = iota // row coefficient encoding (Eq. 1)
+	StageNTT                // forward transforms (rows, centred-lifting as they load, + vector chunks)
 	StageRowMul             // MULTPOLY multiply-accumulate (Eq. 2), the B half's dot product included, and the chunks' Montgomery form
-	StageINTT               // inverse transform of the accumulator
+	StageINTT               // inverse transforms of the flushed accumulators, ModDown in their last pass
 	StageExtract            // EXTRACTLWES (Eq. 3): the dot product's reduction and N^-1 per limb, and the leaf's constant fill
 	StagePack               // PACKTWOLWES tree arithmetic (Alg. 2/3)
 	StageDecompose          // hoisted RNS digit decomposition + digit NTTs
 	StageKeySwitch          // automorphism key-switch accumulation inside packing
-	StagePackModDown        // pack-tree RESCALE: per-merge a-part + deferred flush of both parts
+	StagePackModDown        // pack-tree RESCALE of each merge's a-part, its inverse transforms included
 	NumStages
 )
 

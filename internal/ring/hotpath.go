@@ -282,27 +282,6 @@ func (r *Ring) MulCoeffShoupDualAdd(outB, outA, aB, aA, b *Poly, bShoup [][]uint
 	r.MulCoeffShoupAdd(outA, aA, b, bShoup)
 }
 
-// CentredLiftRow lifts src, canonical residues of limb `from`, into limb l:
-// out[i] ≡ the centred representative of src[i] (mod q_l). Branch-free and
-// lazy: every element gets ReduceBarrett(x), and exactly the negative
-// lifts (x > q_from/2) also get negAdd ≡ -q_from (mod q_l), kept in
-// (q_l, 2q_l] so the outputs are [0, 3q_l) representatives — inside the
-// forward transform's 4q input headroom. This is the sweep digit
-// decomposition (rlwe.DecomposeInto) runs once per cross-limb row.
-func (r *Ring) CentredLiftRow(out, src []uint64, l, from int) {
-	ml, qf := r.Moduli[l], r.Moduli[from].Q
-	half := qf / 2
-	negAdd := 2*ml.Q - ml.ReduceBarrett(qf)
-	out = out[:len(src)]
-	if vec.CentredLift(ml.Q, out, src, half, negAdd) {
-		return
-	}
-	for i, x := range src {
-		neg := uint64(int64(half-x) >> 63) // all ones iff x > half
-		out[i] = ml.ReduceBarrett(x) + (neg & negAdd)
-	}
-}
-
 // ModDownInto divides p (last limb = the modulus being dropped) by that
 // limb with rounding, writing into a caller-supplied polynomial with one
 // fewer limb: out = round(p / q_last) over the remaining basis, using the
@@ -320,43 +299,19 @@ func (r *Ring) ModDownInto(out, p *Poly) {
 	if out.Levels() != lv-1 {
 		panic("ring: ModDown level mismatch")
 	}
-	msp := r.Moduli[lv-1] // the special modulus being divided out
-	spRow := p.Coeffs[lv-1][:r.N]
-	halfP := msp.Q / 2
+	spRow := p.Coeffs[lv-1][:r.N] // the special limb being divided out
 	for l := 0; l < lv-1; l++ {
-		ml := r.Moduli[l]
-		pInv := r.modDownInv[lv-1][l]
-		pp := r.modDownInvShoup[lv-1][l]
-		twoQ := 2 * ml.Q
-		qspL := ml.ReduceBarrett(msp.Q) // q_sp mod q_l
-		ra := p.Coeffs[l][:r.N]
-		ro := out.Coeffs[l][:r.N]
-		if vec.ModDownRow(ml.Q, ro, ra, spRow, halfP, qspL, pInv, pp) {
-			continue
-		}
-		for i := range ro {
-			// d ≡ x_l - [x_sp centred] in limb l. Branch-free: always
-			// subtract the reduced residue of x_sp, then add back q_sp
-			// (mod q_l) exactly when the centred lift is negative — the
-			// mask is the sign bit of halfP - x, so the 50/50-taken branch
-			// of the centred comparison never reaches the predictor.
-			// d < 4q (< 2^64 for q < 2^62); MulShoup accepts any uint64
-			// and restores canonical form.
-			x := spRow[i]
-			red := ml.ReduceBarrett(x)
-			neg := uint64(int64(halfP-x) >> 63) // all ones iff x > halfP
-			d := ra[i] + twoQ - red + (neg & qspL)
-			ro[i] = ml.MulShoup(d, pInv, pp)
-		}
+		r.drops[lv-1][l].Row(out.Coeffs[l][:r.N], p.Coeffs[l][:r.N], spRow)
 	}
 	out.IsNTT = false
 }
 
 // ModDownTo divides the coefficient-domain polynomial p by every limb it
-// carries beyond out's, with rounding: the one exit from the augmented
-// basis (RESCALE, the key-switch tail, the packing tree's merge and
-// flush). Limbs drop last first through pooled intermediates; p is left
-// intact. For CHAM's single special limb this is exactly one ModDownInto.
+// carries beyond out's, with rounding: the exit from the augmented basis
+// in the coefficient domain (RESCALE); INTTModDownTo is the exit from the
+// NTT domain. Limbs drop last first through pooled intermediates; p is
+// left intact. For CHAM's single special limb this is exactly one
+// ModDownInto.
 func (r *Ring) ModDownTo(out, p *Poly) {
 	x := p
 	for x.Levels() > out.Levels()+1 {
@@ -371,4 +326,39 @@ func (r *Ring) ModDownTo(out, p *Poly) {
 	if x != p {
 		r.PutPoly(x)
 	}
+}
+
+// INTTModDownTo is INTT then ModDownTo for the NTT-domain polynomial p:
+// out, in the coefficient domain, is p divided by every limb it carries
+// beyond out's, with rounding — the exit from the resident augmented basis
+// (the key-switch tail, the packing tree's merge and flush). The last limb
+// is inverse-transformed first; then each remaining limb's inverse divides
+// it out in its final stage (ntt.(*Table).InverseLazyDrop), so no
+// coefficient-domain row of the full basis is written and read back. Only
+// the last limb rides the transforms: any further drops run through
+// ModDownTo, which for CHAM's single special limb never happens. p is
+// consumed.
+func (r *Ring) INTTModDownTo(out, p *Poly) {
+	lv := p.Levels()
+	if !p.IsNTT {
+		panic("ring: INTTModDownTo of a coefficient-domain polynomial")
+	}
+	if out.Levels() >= lv {
+		panic("ring: ModDown level mismatch")
+	}
+	sp := p.Coeffs[lv-1]
+	r.Tables[lv-1].InverseLazy(sp)
+	x := out
+	if out.Levels() < lv-1 {
+		x = r.GetPoly(lv - 1)
+	}
+	for l := 0; l < lv-1; l++ {
+		r.Tables[l].InverseLazyDrop(x.Coeffs[l], p.Coeffs[l], sp, &r.drops[lv-1][l])
+	}
+	x.IsNTT = false
+	if x != out {
+		r.ModDownTo(out, x)
+		r.PutPoly(x)
+	}
+	p.IsNTT = false
 }

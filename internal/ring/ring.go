@@ -34,10 +34,11 @@ type Ring struct {
 	polyPools []sync.Pool
 	scratch   sync.Pool
 
-	// modDownInv[sp][l] = q_sp^-1 mod q_l (with its Shoup companion), the
-	// RESCALE constants for dropping limb sp into limb l — cached here so
-	// ModDown never recomputes a Fermat inversion per call.
-	modDownInv, modDownInvShoup [][]uint64
+	// drops[sp][l] holds the RESCALE constants for dropping limb sp into
+	// limb l — q_sp^-1 mod q_l, and the inverse transform's final stage
+	// with it folded in — cached here so ModDown never recomputes a Fermat
+	// inversion per call.
+	drops [][]ntt.Drop
 
 	// autoPerm caches the NTT-slot gather table of the automorphism X→X^k
 	// per index k, and monoNTT the per-limb NTT image of X^e, one value
@@ -75,16 +76,11 @@ func New(n int, moduli []uint64) (*Ring, error) {
 		r.Tables = append(r.Tables, t)
 	}
 	r.polyPools = make([]sync.Pool, len(r.Moduli))
-	r.modDownInv = make([][]uint64, len(r.Moduli))
-	r.modDownInvShoup = make([][]uint64, len(r.Moduli))
+	r.drops = make([][]ntt.Drop, len(r.Moduli))
 	for sp := 1; sp < len(r.Moduli); sp++ {
-		r.modDownInv[sp] = make([]uint64, sp)
-		r.modDownInvShoup[sp] = make([]uint64, sp)
+		r.drops[sp] = make([]ntt.Drop, sp)
 		for l := 0; l < sp; l++ {
-			ml := r.Moduli[l]
-			inv := ml.Inv(ml.Reduce(r.Moduli[sp].Q))
-			r.modDownInv[sp][l] = inv
-			r.modDownInvShoup[sp][l] = ml.ShoupPrecomp(inv)
+			r.drops[sp][l] = r.Tables[l].NewDrop(r.Moduli[sp].Q)
 		}
 	}
 	return r, nil
@@ -287,6 +283,24 @@ func (r *Ring) NTT(p *Poly) {
 		r.Tables[l].ForwardLazy(p.Coeffs[l])
 	}
 	p.IsNTT = true
+}
+
+// NTTLift sets every limb of out to the forward transform of the centred
+// lift of src, canonical residues of a source modulus qFrom (a limb of the
+// ring or not): limb l holds NTT_l of each x taken as x, or x − qFrom where
+// x > qFrom/2. The kernels lift each word as the transform's first pass
+// loads it, so no lifted row is ever stored. src may be out's first limb,
+// which is transformed last; no other limb may overlap it.
+func (r *Ring) NTTLift(out *Poly, src []uint64, qFrom uint64) {
+	for _, row := range out.Coeffs {
+		if len(row) != r.N {
+			panic("ring: lift level mismatch")
+		}
+	}
+	for l := len(out.Coeffs) - 1; l >= 0; l-- {
+		r.Tables[l].ForwardLazyLift(out.Coeffs[l], src, qFrom)
+	}
+	out.IsNTT = true
 }
 
 // INTT transforms p back to the coefficient domain in place (canonical

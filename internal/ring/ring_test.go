@@ -495,6 +495,101 @@ func TestModDownIsRoundedDivision(t *testing.T) {
 	}
 }
 
+// TestINTTModDownToMatchesChain holds the resident exit, whose inverse
+// transforms divide the last limb out in their final stage, to the INTT
+// followed by ModDownTo it replaces, dropping to every smaller level count:
+// on the CHAM basis at N=4096 and 512 and on a five-limb basis whose two
+// special limbs send every drop but the last through ModDownTo — on the
+// host's kernels and on the Go loops.
+func TestINTTModDownToMatchesChain(t *testing.T) {
+	multi, err := mod.NTTFriendlyPrimes(30, 128, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rings := map[string]*Ring{
+		"cham/N4096": chamRing(t, 4096),
+		"cham/N512":  chamRing(t, 512),
+		"multi/N128": MustNew(128, multi),
+	}
+	run := func(t *testing.T) {
+		rng := testutil.NewRand(t)
+		for name, r := range rings {
+			lv := r.Levels()
+			for levels := 1; levels < lv; levels++ {
+				for trial := 0; trial < 3; trial++ {
+					p := randPoly(r, rng, lv)
+					p.IsNTT = true
+					want, got := r.NewPoly(levels), r.NewPoly(levels)
+					chain := p.Copy()
+					r.INTT(chain)
+					r.ModDownTo(want, chain)
+					got.IsNTT = true // must be reset
+					r.INTTModDownTo(got, p)
+					if !got.Equal(want) {
+						t.Fatalf("%s, %d to %d limbs: INTTModDownTo differs from INTT then ModDownTo", name, lv, levels)
+					}
+				}
+			}
+		}
+	}
+	t.Run("dispatched", run)
+	t.Run("generic", func(t *testing.T) {
+		vec.ForceGeneric(t)
+		run(t)
+	})
+}
+
+// TestNTTLiftIsCentredLift holds the lifted forward transform to the NTT of
+// SetCentered's centred values, from every limb of the CHAM basis (the
+// digit decomposition's sources, its own limb included) and from a
+// plaintext modulus, out of place and with the source as out's first limb.
+func TestNTTLiftIsCentredLift(t *testing.T) {
+	run := func(t *testing.T) {
+		rng := testutil.NewRand(t)
+		for _, n := range []int{16, 64, 4096} {
+			r := chamRing(t, n)
+			sources := []uint64{65537}
+			for _, m := range r.Moduli {
+				sources = append(sources, m.Q)
+			}
+			for _, qFrom := range sources {
+				src := make([]uint64, n)
+				vals := make([]int64, n)
+				src[0], src[1], src[2] = 0, qFrom/2, qFrom/2+1
+				src[3] = qFrom - 1
+				for i := range src {
+					if i > 3 {
+						src[i] = rng.Uint64() % qFrom
+					}
+					vals[i] = int64(src[i])
+					if src[i] > qFrom/2 {
+						vals[i] -= int64(qFrom)
+					}
+				}
+				want := r.NewPoly(3)
+				r.SetCentered(want, vals)
+				r.NTT(want)
+				got := r.NewPoly(3)
+				r.NTTLift(got, src, qFrom)
+				if !got.Equal(want) {
+					t.Fatalf("N=%d, from %d: NTTLift differs from the NTT of the centred lift", n, qFrom)
+				}
+				got = r.NewPoly(3)
+				copy(got.Coeffs[0], src)
+				r.NTTLift(got, got.Coeffs[0], qFrom)
+				if !got.Equal(want) {
+					t.Fatalf("N=%d, from %d: NTTLift from out's first limb differs", n, qFrom)
+				}
+			}
+		}
+	}
+	t.Run("dispatched", run)
+	t.Run("generic", func(t *testing.T) {
+		vec.ForceGeneric(t)
+		run(t)
+	})
+}
+
 func TestModGuards(t *testing.T) {
 	r := chamRing(t, 16)
 	for name, fn := range map[string]func(){
@@ -503,6 +598,17 @@ func TestModGuards(t *testing.T) {
 		"ModDownTo with nothing to drop": func() { r.ModDownTo(r.NewPoly(2), r.NewPoly(2)) },
 		"ModDownTo in the NTT domain":    func() { p := r.NewPoly(3); r.NTT(p); r.ModDownTo(r.NewPoly(2), p) },
 		"ModDownInto in the NTT domain":  func() { p := r.NewPoly(2); r.NTT(p); r.ModDownInto(r.NewPoly(1), p) },
+		"INTTModDownTo with nothing to drop": func() {
+			p := r.NewPoly(2)
+			r.NTT(p)
+			r.INTTModDownTo(r.NewPoly(2), p)
+		},
+		"INTTModDownTo in the coefficient domain": func() { r.INTTModDownTo(r.NewPoly(2), r.NewPoly(3)) },
+		"NTTLift with a short limb": func() {
+			p := r.NewPoly(2)
+			p.Coeffs[1] = p.Coeffs[1][:8]
+			r.NTTLift(p, make([]uint64, r.N), 65537)
+		},
 	} {
 		func() {
 			defer func() {

@@ -30,7 +30,8 @@ import (
 //     key (KeySwitchAccumulateNTT).
 //
 // KeySwitchInto and AutomorphCtInto compose the two with the inverse
-// transforms and ring.ModDownTo; the packing tree (lwe.packTwo) calls them
+// transforms' ModDown exit, ring.INTTModDownTo; the packing tree
+// (lwe.packTwo) calls them
 // directly so it can defer the division. The decomposition is a pooled
 // artifact so a caller can pay it once and reuse it: across the two key
 // operands of one switch (c0 and c1 share the digit-NTTs by construction),
@@ -39,11 +40,11 @@ import (
 // keeps the digit buffers cache-resident instead of bouncing through the
 // pool per merge.
 //
-// The decomposition sweep is branch-free and lazy: row `digit` is the
-// identity, and every other limb gets ReduceBarrett(x) plus a masked
-// 2q-q_d correction, leaving representatives in [0, 3q) that feed straight
-// into the forward NTT (which tolerates anything below 4q and emits
-// canonical residues). Every *Into form writes a caller-owned ciphertext
+// The decomposition has no sweep of its own: each digit row reaches every
+// limb through ring.NTTLift, whose forward transforms centre the digit's
+// residues as their first pass loads them and emit canonical residues —
+// the digit's own limb included, where the lift is the identity. Every
+// *Into form writes a caller-owned ciphertext
 // and draws its temporaries from the ring's pool, so a warm switch touches
 // the heap zero times. Results are bit-identical to internal/ref's
 // big-integer key switch at every step.
@@ -179,20 +180,8 @@ func (p Params) PutDecomposition(d *Decomposition) {
 // key, and with automorphisms: D_j(φ_k(a)) = φ_k(D_j(a))).
 func (p Params) DecomposeInto(dec *Decomposition, a *ring.Poly) {
 	r := p.R
-	n := r.N
 	for j := 0; j < p.NormalLevels; j++ {
-		src := a.Coeffs[j][:n]
-		out := dec.Digits[j]
-		for l := range out.Coeffs {
-			if l == j {
-				// The centred lift is the identity modulo its own limb.
-				copy(out.Coeffs[l], src)
-				continue
-			}
-			r.CentredLiftRow(out.Coeffs[l], src, l, j)
-		}
-		out.IsNTT = false
-		r.NTT(out)
+		r.NTTLift(dec.Digits[j], a.Coeffs[j][:r.N], r.Moduli[j].Q)
 	}
 }
 
@@ -274,8 +263,8 @@ func (p Params) AutomorphCtInto(out, ct *Ciphertext, k int, swk *SwitchingKey) {
 
 // switchInto sets out = (b, 0) + ModDown(INTT(Σ_j D_j(a) ∘ K_j)) for the
 // normal-basis coefficient-domain pair (b, a): decompose, accumulate into
-// a zeroed full-basis pair, leave the NTT domain and divide the special
-// limbs back out. out's polynomials may be b and a themselves; all
+// a zeroed full-basis pair, then leave the NTT domain with the special
+// limbs divided back out. out's polynomials may be b and a themselves; all
 // temporaries are pooled.
 func (p Params) switchInto(out *Ciphertext, b, a *ring.Poly, swk *SwitchingKey) {
 	r := p.R
@@ -288,11 +277,9 @@ func (p Params) switchInto(out *Ciphertext, b, a *ring.Poly, swk *SwitchingKey) 
 	c0.IsNTT, c1.IsNTT = true, true
 	p.KeySwitchAccumulateNTT(c0, c1, dec, swk)
 	p.PutDecomposition(dec)
-	r.INTT(c0)
-	r.INTT(c1)
-	r.ModDownTo(out.A, c1)
+	r.INTTModDownTo(out.A, c1)
 	kb := r.GetPoly(p.NormalLevels)
-	r.ModDownTo(kb, c0)
+	r.INTTModDownTo(kb, c0)
 	r.Add(out.B, kb, b)
 	r.PutPoly(kb)
 	r.PutPoly(c0)

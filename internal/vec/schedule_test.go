@@ -40,7 +40,7 @@ func TestTransformSchedules(t *testing.T) {
 				want want
 			}{{5, tc.small}, {15, tc.large}} {
 				t.Run(fmt.Sprintf("%s/q=%d/N=%d", tc.name, q, 1<<n.logN), func(t *testing.T) {
-					fwd, fwdTop := forwardSchedule(q, n.logN)
+					fwd, fwdTop := forwardSchedule(q, n.logN, 4)
 					var c [64]uint64
 					inv, invTop := inverseSchedule(q, n.logN, &c)
 					got := want{fwd, (fwdTop + 1) / q, inv, (invTop + 1) / q}

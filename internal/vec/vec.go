@@ -10,8 +10,9 @@
 // verdict) and returns false — "not handled, run your Go loop" — when the switch is
 // off, the row length is not a positive multiple of 8 (N < 32 for the
 // transforms), or q ≥ 2^50 (lazy values reach 4q and must fit a 52-bit
-// lane); the two lifting kernels also decline a source modulus they could
-// not read in 52 bits. When it returns true the output rows (and the dot
+// lane); the lifted forward transform, the dropping inverse and the
+// ModDown row also decline a source or dropped modulus they could not read
+// in 52 bits. When it returns true the output rows (and the dot
 // product) are bit-identical to what the Go loop it mirrors would have
 // written; that
 // loop stays in place in its own package as the portable reference. The
@@ -38,19 +39,21 @@ const (
 
 // forwardSchedule: the passes are two stages each down to span 16 or 32,
 // then the register stages (span 16 or 8 down to 1), five when log N is
-// odd. Values start below 4q. A lazy stage adds at most 2q (u+v and
-// u+2q−v with the Shoup product v below 2q); a reducing stage first takes
-// 2q off u when u ≥ 2q, so once the bound is 4q or more it adds nothing.
-// The canonical reduction at the end reads any value below 2^52.
-func forwardSchedule(q uint64, logN int) (reduce, top uint64) {
+// odd. Values start below b·q: 4q for a plain transform, the lift's bound
+// for a lifted one. A lazy stage adds at most 2q (u+v and u+2q−v with the
+// Shoup product v below 2q); a reducing stage first takes 2q off u when
+// u ≥ 2q, so it leaves the bound at 4q, or where it was if that was more.
+// b may not pass ⌊2^52/q⌋; the canonical reduction at the end reads any
+// value below 2^52.
+func forwardSchedule(q uint64, logN int, b uint64) (reduce, top uint64) {
 	limit := (1 << 52) / q // the bound b·q may not pass 2^52
-	b := uint64(4)
 	pass := 0
 	run := func(stages uint64) {
 		if b+2*stages <= limit {
 			b += 2 * stages
 		} else {
 			reduce |= 1 << pass
+			b = max(b, 4)
 		}
 		pass++
 	}

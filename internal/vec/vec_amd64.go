@@ -65,8 +65,30 @@ func ForwardNTT(q uint64, a, w, wShoup []uint64) bool {
 	if n < 32 || n&(n-1) != 0 || !ok(q, n, w, wShoup) {
 		return false
 	}
-	reduce, _ := forwardSchedule(q, bits.TrailingZeros(uint(n)))
-	forwardNTT(&a[0], n, &w[0], &wShoup[0], q, (1<<52)/q, reduce)
+	reduce, _ := forwardSchedule(q, bits.TrailingZeros(uint(n)), 4)
+	forwardNTT(&a[0], nil, n, &w[0], &wShoup[0], q, (1<<52)/q, reduce, 0, 0)
+	return true
+}
+
+// ForwardNTTLift runs ntt.(*Table).ForwardLazyLift: ForwardNTT of the
+// centred lift of src, canonical residues of a source modulus qFrom, into
+// out. The first pass lifts each word as it loads it, with no reduction:
+// for k = ⌈qFrom/q⌉ a word x becomes x, or x + k·q − qFrom where
+// x > qFrom/2, a value below k·q congruent to x − qFrom, and the schedule
+// starts from that bound. So k·q must fit 52 bits, which also keeps a
+// source word readable in a lane. out may be src itself; otherwise the two
+// must not overlap.
+func ForwardNTTLift(q uint64, out, src, w, wShoup []uint64, qFrom uint64) bool {
+	n := len(out)
+	if n < 32 || n&(n-1) != 0 || qFrom == 0 || !ok(q, n, src, w, wShoup) {
+		return false
+	}
+	k := (qFrom-1)/q + 1
+	if k > (1<<52)/q {
+		return false
+	}
+	reduce, _ := forwardSchedule(q, bits.TrailingZeros(uint(n)), k)
+	forwardNTT(&out[0], &src[0], n, &w[0], &wShoup[0], q, (1<<52)/q, reduce, qFrom/2, k*q-qFrom)
 	return true
 }
 
@@ -81,7 +103,26 @@ func InverseNTT(q uint64, a, w, wShoup []uint64, nInv, nInvShoup, nInvRoot, nInv
 	}
 	var c [64]uint64
 	reduce, _ := inverseSchedule(q, bits.TrailingZeros(uint(n)), &c)
-	inverseNTT(&a[0], n, &w[0], &wShoup[0], q, nInv, nInvShoup, nInvRoot, nInvRootShoup, &c[0], reduce)
+	inverseNTT(&a[0], n, &w[0], &wShoup[0], q, nInv, nInvShoup, nInvRoot, nInvRootShoup, &c[0], reduce, nil, nil, 0, 0, 0)
+	return true
+}
+
+// InverseNTTDrop runs ntt.(*Table).InverseLazyDrop: InverseNTT of a with
+// the ModDown of one limb in its final stage, out = (INTT(a) −
+// centred(sp))·p^-1 mod q, canonical, where sp holds canonical residues of
+// the dropped modulus p. The final stage's constants arrive with p^-1
+// folded in — nInvP = N^-1·p^-1 and nInvRootP = N^-1·p^-1 times the last
+// twiddle — and negPInv = −p^-1 mod q is sp's multiplier; every companion
+// is a 52-bit one. a is left as scratch; out may be a, sp may not overlap
+// out.
+func InverseNTTDrop(q uint64, out, a, sp, w, wShoup []uint64, nInvP, nInvPShoup, nInvRootP, nInvRootPShoup, p, negPInv, negPInvShoup uint64) bool {
+	n := len(out)
+	if n < 32 || n&(n-1) != 0 || p/2 >= maxHalf || !ok(q, n, a, sp, w, wShoup) {
+		return false
+	}
+	var c [64]uint64
+	reduce, _ := inverseSchedule(q, bits.TrailingZeros(uint(n)), &c)
+	inverseNTT(&a[0], n, &w[0], &wShoup[0], q, nInvP, nInvPShoup, nInvRootP, nInvRootPShoup, &c[0], reduce, &out[0], &sp[0], p/2, negPInv, negPInvShoup)
 	return true
 }
 
@@ -146,21 +187,9 @@ func MulMontPair(q, qinv uint64, out, a0, b0, a1, b1 []uint64) bool {
 	return true
 }
 
-// maxHalf bounds half the source modulus of the two lifting kernels: their
-// 52-bit Barrett reduction reads residues below 2^52.
+// maxHalf bounds half the modulus the dropping kernels divide out: they
+// read its residues as 52-bit lanes.
 const maxHalf = 1 << 51
-
-// CentredLift runs the row loop of ring.(*Ring).CentredLiftRow: out[i] is
-// the canonical residue of x[i] mod q, plus negAdd where x[i] > half. x
-// holds canonical residues of a modulus below 2·half+2.
-func CentredLift(q uint64, out, x []uint64, half, negAdd uint64) bool {
-	n := len(out)
-	if half >= maxHalf || !ok(q, n, x) {
-		return false
-	}
-	centredLift(&out[0], &x[0], n, q, (1<<52)/q, half, negAdd)
-	return true
-}
 
 // ModDownRow runs one limb of ring.(*Ring).ModDownInto: out[i] =
 // (a[i] - centred(sp[i])) · pInv mod q, with sp canonical residues of the
@@ -210,10 +239,10 @@ func GatherAdd(q uint64, out, a []uint64, perm []uint32) bool {
 // it mirrors.
 
 //go:noescape
-func forwardNTT(a *uint64, n int, w, wp *uint64, q, mu, reduce uint64)
+func forwardNTT(a, src *uint64, n int, w, wp *uint64, q, mu, reduce, half, negAdd uint64)
 
 //go:noescape
-func inverseNTT(a *uint64, n int, w, wp *uint64, q, nInv, nInvShoup, nInvRoot, nInvRootShoup uint64, c *uint64, reduce uint64)
+func inverseNTT(a *uint64, n int, w, wp *uint64, q, nInv, nInvShoup, nInvRoot, nInvRootShoup uint64, c *uint64, reduce uint64, out, sp *uint64, halfP, negPInv, negPInvShoup uint64)
 
 //go:noescape
 func monomialSplit(sum, diff, e, o, m, ms *uint64, n, run int, q uint64)
@@ -223,9 +252,6 @@ func mulMontDot(out, x, yB, yA *uint64, n int, q, qinv uint64, add bool, sums *[
 
 //go:noescape
 func mulMontPair(out, a0, b0, a1, b1 *uint64, n int, q, qinv uint64)
-
-//go:noescape
-func centredLift(out, x *uint64, n int, q, mu, half, negAdd uint64)
 
 //go:noescape
 func modDownRow(out, a, sp *uint64, n int, q, mu, halfP, qspL, pInv, pInvShoup uint64)

@@ -3,7 +3,7 @@
 // row bit for bit; DESIGN.md §11 "Vector kernels" carries the range
 // arguments. Preconditions, enforced by the Go wrappers in vec_amd64.go:
 // 4q < 2^52, every row length a positive multiple of 8 (NTT: N ≥ 32), and
-// for the two lifting kernels a source modulus below 2^52.
+// a source or dropped modulus whose residues fit 52 bits.
 
 #include "textflag.h"
 
@@ -148,8 +148,9 @@ GLOBL shufTab<>(SB), RODATA|NOPTR, $0x100
 // w[B+i]) holds quarters Q0..Q3 of h words: (Q0, Q2) and (Q1, Q3) go
 // through w[B+i], then (Q0, Q1) through w[2B+2i] and (Q2, Q3) through
 // w[2B+2i+1]. R13 = 3h in bytes; AX and BX walk &w[B+i] and &w[2B+2i].
-// RED is CTRED or NORED2.
-#define FWDR4(block, inner, RED) \
+// RED is CTRED or NORED2; LOAD (LDR4 or LIFTR4) fills Z6..Z9 with the
+// quarters at SI.
+#define FWDR4(block, inner, RED, LOAD) \
 	MOVQ DI, SI; \
 	LEAQ (R8)(R11*8), AX; \
 	LEAQ (AX)(R11*8), BX; \
@@ -163,10 +164,7 @@ block: \
 	VPBROADCASTQ 8(BX)(R9*1), Z5; \
 	LEAQ (SI)(R12*1), DX; \
 inner: \
-	VMOVDQU64 (SI), Z6; \
-	VMOVDQU64 (SI)(R12*1), Z7; \
-	VMOVDQU64 (SI)(R12*2), Z8; \
-	VMOVDQU64 (SI)(R13*1), Z9; \
+	LOAD; \
 	RED(Z6, Z10); \
 	RED(Z7, Z12); \
 	CT(Z6, Z8, Z0, Z1, Z10, Z11); \
@@ -187,6 +185,31 @@ inner: \
 	ADDQ $16, BX; \
 	DECQ CX; \
 	JNZ block
+
+// LIFT: z = the centred lift of the canonical residue at mem: the word
+// itself, plus negAdd (Z23) where it is above half (Z24) — the lift's
+// constant makes that word congruent to the residue minus the source
+// modulus. Clobbers K1.
+#define LIFT(mem, z) \
+	VMOVDQU64 mem, z; \
+	VPCMPUQ $6, Z24, z, K1; \
+	VPADDQ Z23, z, K1, z
+
+// The first pass's loads. A plain pass reads the quarters in place; a
+// lifted one reads them at SI + R10 (the source row) and lifts each word
+// as it loads it, with DI as scratch.
+#define LDR4 \
+	VMOVDQU64 (SI), Z6; \
+	VMOVDQU64 (SI)(R12*1), Z7; \
+	VMOVDQU64 (SI)(R12*2), Z8; \
+	VMOVDQU64 (SI)(R13*1), Z9
+
+#define LIFTR4 \
+	LEAQ (SI)(R10*1), DI; \
+	LIFT((DI), Z6); \
+	LIFT((DI)(R12*1), Z7); \
+	LIFT((DI)(R12*2), Z8); \
+	LIFT((DI)(R13*1), Z9)
 
 // FWD16: the span-16 stage of a five-stage tail, which pairs the two
 // chunks word for word under twiddle w[N/32+c/2] (R8/R9, advanced here).
@@ -212,13 +235,11 @@ inner: \
 // 14 3 7 11 15 under w0 w1 w2 w3 w0 w1 w2 w3 (a 256-bit broadcast of
 // w[N/4+4c]), span 1 the even words with the odd under w[N/2+8c …]; a
 // fourth shuffle restores natural order. AX = 8c; R10/R11, R12/R13,
-// R14/R15, BX/DX = w/wp at N/16, N/8, N/4, N/2.
-#define FWDTAIL(loop, RED, S16) \
+// R14/R15, BX/DX = w/wp at N/16, N/8, N/4, N/2. LOAD (LDTAIL, or LIFTTAIL
+// when the tail is the first pass of a lifted transform) fills the chunks.
+#define FWDTAIL(loop, RED, S16, LOAD) \
 loop: \
-	VMOVDQU64 (DI), Z0; \
-	VMOVDQU64 64(DI), Z1; \
-	VMOVDQU64 128(DI), Z8; \
-	VMOVDQU64 192(DI), Z9; \
+	LOAD; \
 	S16(RED); \
 	VPBROADCASTQ (R10)(AX*1), Z5; \
 	VPBROADCASTQ (R11)(AX*1), Z6; \
@@ -269,23 +290,44 @@ loop: \
 	DECQ CX; \
 	JNZ loop
 
-// func forwardNTT(a *uint64, n int, w, wp *uint64, q, mu, reduce uint64)
+// The tail's chunk loads: in place, or (LIFTTAIL) lifted from the source
+// row at DI + SI.
+#define LDTAIL \
+	VMOVDQU64 (DI), Z0; \
+	VMOVDQU64 64(DI), Z1; \
+	VMOVDQU64 128(DI), Z8; \
+	VMOVDQU64 192(DI), Z9
+
+#define LIFTTAIL \
+	LIFT((DI)(SI*1), Z0); \
+	LIFT(64(DI)(SI*1), Z1); \
+	LIFT(128(DI)(SI*1), Z8); \
+	LIFT(192(DI)(SI*1), Z9)
+
+// func forwardNTT(a, src *uint64, n int, w, wp *uint64, q, mu, reduce, half, negAdd uint64)
 //
-// Mirrors ntt.(*Table).ForwardLazy: the lazy forward transform, canonical
+// Mirrors ntt.(*Table).ForwardLazy, and with src set
+// ntt.(*Table).ForwardLazyLift: the lazy forward transform, canonical
 // output. wp holds 52-bit companions, mu = ⌊2^52/q⌋. The passes: two
 // stages per pass, then the register stages — five when log N is odd,
 // else four. Bit p of reduce makes pass p reduce its lo inputs (the
 // wrapper's schedule keeps every value below 2^52); a lazy pass does no
-// reduction at all.
-TEXT ·forwardNTT(SB), NOSPLIT, $0-56
+// reduction at all. With src set the first pass reads src instead of a
+// and lifts each word as it loads it (LIFT, constants half and negAdd);
+// every later pass runs in place on a.
+TEXT ·forwardNTT(SB), NOSPLIT, $0-80
 	MOVQ a+0(FP), DI
-	MOVQ n+8(FP), CX
-	MOVQ w+16(FP), R8
-	MOVQ wp+24(FP), R9
-	MOVQ q+32(FP), BX
+	MOVQ n+16(FP), CX
+	MOVQ w+24(FP), R8
+	MOVQ wp+32(FP), R9
+	MOVQ q+40(FP), BX
 	CONSTS(BX)
-	VPBROADCASTQ mu+40(FP), Z27
-	MOVQ reduce+48(FP), R15
+	VPBROADCASTQ mu+48(FP), Z27
+	VPBROADCASTQ half+64(FP), Z24
+	VPBROADCASTQ negAdd+72(FP), Z23
+	MOVQ src+8(FP), R10
+	SUBQ DI, R10           // src − a, read by a lifted first pass
+	MOVQ reduce+56(FP), R15
 	SUBQ R8, R9            // wp − w
 	MOVQ $1, R11           // blocks
 	MOVQ CX, R12
@@ -300,13 +342,32 @@ fwdPairs:
 	CMPQ R12, R14
 	JLT  fwdTail
 	LEAQ (R12)(R12*2), R13
+	CMPQ R11, $1           // the first pass lifts when src is set
+	JNE  fwdR4Plain
+	CMPQ src+8(FP), $0
+	JNE  fwdR4Lift
+
+fwdR4Plain:
 	TESTQ $1, R15
 	JNZ  fwdR4Red
-	FWDR4(fwdR4LazyBlock, fwdR4LazyInner, NORED2)
+	FWDR4(fwdR4LazyBlock, fwdR4LazyInner, NORED2, LDR4)
 	JMP  fwdR4Done
 
 fwdR4Red:
-	FWDR4(fwdR4RedBlock, fwdR4RedInner, CTRED)
+	FWDR4(fwdR4RedBlock, fwdR4RedInner, CTRED, LDR4)
+	JMP  fwdR4Done
+
+fwdR4Lift:
+	TESTQ $1, R15
+	JNZ  fwdR4LiftRed
+	FWDR4(fwdR4LiftLazyBlock, fwdR4LiftLazyInner, NORED2, LIFTR4)
+	JMP  fwdR4Lifted
+
+fwdR4LiftRed:
+	FWDR4(fwdR4LiftRedBlock, fwdR4LiftRedInner, CTRED, LIFTR4)
+
+fwdR4Lifted:
+	MOVQ a+0(FP), DI
 
 fwdR4Done:
 	SHRQ $1, R15
@@ -324,9 +385,14 @@ fwdTail:
 	CMPQ R14, $128
 	JEQ  fwdTailSized
 	ORQ  $2, AX            // five stages
+	CMPQ R11, $1           // N = 32: the tail is the first pass
+	JNE  fwdTailSized
+	CMPQ src+8(FP), $0
+	JEQ  fwdTailSized
+	ORQ  $4, AX            // and it lifts
 
 fwdTailSized:
-	MOVQ n+8(FP), SI
+	MOVQ n+16(FP), SI
 	SHLQ $2, SI            // N/2 words in bytes
 	LEAQ (R8)(SI*1), BX    // N/2
 	LEAQ (R9)(SI*1), DX
@@ -352,22 +418,40 @@ fwdTailSized:
 	JEQ  fwdTail5Lazy
 	CMPQ SI, $3
 	JEQ  fwdTail5Red
-	FWDTAIL(fwdTail4LazyLoop, NORED2, NO16)
+	CMPQ SI, $6
+	JEQ  fwdTail5LiftLazy
+	CMPQ SI, $7
+	JEQ  fwdTail5LiftRed
+	FWDTAIL(fwdTail4LazyLoop, NORED2, NO16, LDTAIL)
 	VZEROUPPER
 	RET
 
 fwdTail4Red:
-	FWDTAIL(fwdTail4RedLoop, CTRED, NO16)
+	FWDTAIL(fwdTail4RedLoop, CTRED, NO16, LDTAIL)
 	VZEROUPPER
 	RET
 
 fwdTail5Lazy:
-	FWDTAIL(fwdTail5LazyLoop, NORED2, FWD16)
+	FWDTAIL(fwdTail5LazyLoop, NORED2, FWD16, LDTAIL)
 	VZEROUPPER
 	RET
 
 fwdTail5Red:
-	FWDTAIL(fwdTail5RedLoop, CTRED, FWD16)
+	FWDTAIL(fwdTail5RedLoop, CTRED, FWD16, LDTAIL)
+	VZEROUPPER
+	RET
+
+fwdTail5LiftLazy:
+	MOVQ src+8(FP), SI
+	SUBQ DI, SI            // src − a
+	FWDTAIL(fwdTail5LiftLazyLoop, NORED2, FWD16, LIFTTAIL)
+	VZEROUPPER
+	RET
+
+fwdTail5LiftRed:
+	MOVQ src+8(FP), SI
+	SUBQ DI, SI
+	FWDTAIL(fwdTail5LiftRedLoop, CTRED, FWD16, LIFTTAIL)
 	VZEROUPPER
 	RET
 
@@ -494,15 +578,72 @@ inner: \
 	DECQ CX; \
 	JNZ block
 
-// func inverseNTT(a *uint64, n int, w, wp *uint64, q, nInv, nInvShoup, nInvRoot, nInvRootShoup uint64, c *uint64, reduce uint64)
+// INVLAST: the final stage (span N/2) on the halves at DI and DX up to CX:
+// it forms s = u+v in Z6 and d = u+c−v in Z7 (c in Z21), and FIN
+// multiplies them by their constants (s by Z0, companion Z1; d by Z2,
+// companion Z3) and writes them.
+#define INVLAST(loop, FIN) \
+loop: \
+	VMOVDQU64 (DI), Z4; \
+	VMOVDQU64 (DX), Z5; \
+	VPADDQ Z5, Z4, Z6; \
+	VPADDQ Z21, Z4, Z7; \
+	VPSUBQ Z5, Z7, Z7; \
+	FIN; \
+	ADDQ $64, DI; \
+	ADDQ $64, DX; \
+	CMPQ DI, CX; \
+	JLT loop
+
+// FINPLAIN: s·nInv and d·nInvRoot, canonical, in place.
+#define FINPLAIN \
+	SHOUP52(Z6, Z0, Z1, Z8, Z9); \
+	SHOUP52(Z7, Z2, Z3, Z10, Z11); \
+	CSUB(Z8, Z31, Z9); \
+	CSUB(Z10, Z31, Z11); \
+	VMOVDQU64 Z8, (DI); \
+	VMOVDQU64 Z10, (DX)
+
+// DROP: out = x·k − centred(s)·p^-1 mod q, canonical, for x below 2^52 and
+// s the dropped limb's residue at spm: x·k + s·(−p^-1) (Z12, companion
+// Z13) as one Shoup pair — both products summed and reduced by their
+// summed quotient estimates, which leaves [0, 4q) — plus 1 ≡ p·p^-1 where
+// s > halfP (Z14; Z15 = 1), then two conditional subtractions. Writes
+// outm; clobbers Z16..Z18 and K1.
+#define DROP(x, k, kp, spm, outm) \
+	VMOVDQU64 spm, Z16; \
+	VPCMPUQ $6, Z14, Z16, K1; \
+	VPXORQ Z18, Z18, Z18; \
+	VPMADD52HUQ kp, x, Z18; \
+	VPMADD52HUQ Z13, Z16, Z18; \
+	VPXORQ Z17, Z17, Z17; \
+	VPMADD52LUQ k, x, Z17; \
+	VPMADD52LUQ Z12, Z16, Z17; \
+	VPMADD52LUQ Z28, Z18, Z17; \
+	VPANDQ Z29, Z17, Z17; \
+	VPADDQ Z15, Z17, K1, Z17; \
+	CSUB(Z17, Z30, Z18); \
+	CSUB(Z17, Z31, Z18); \
+	VMOVDQU64 Z17, outm
+
+// FINDROP: both outputs dropped into the out row, sp at DI + SI and out at
+// DI + R8; nInv and nInvRoot carry p^-1.
+#define FINDROP \
+	DROP(Z6, Z0, Z1, (DI)(SI*1), (DI)(R8*1)); \
+	DROP(Z7, Z2, Z3, (DX)(SI*1), (DX)(R8*1))
+
+// func inverseNTT(a *uint64, n int, w, wp *uint64, q, nInv, nInvShoup, nInvRoot, nInvRootShoup uint64, c *uint64, reduce uint64, out, sp *uint64, halfP, negPInv, negPInvShoup uint64)
 //
-// Mirrors ntt.(*Table).InverseLazy: the lazy inverse transform, canonical
-// output, companions (wp, nInvShoup, nInvRootShoup) in 52 bits. The
-// passes: the register stages — five when log N is even, else four — then
-// two stages per pass up to span N/4, and the final stage folding N^-1
-// into its two Shoup multiplies. c[s] is stage s's subtraction constant;
-// bit p of reduce makes pass p reduce its sums below it.
-TEXT ·inverseNTT(SB), NOSPLIT, $0-88
+// Mirrors ntt.(*Table).InverseLazy, and with sp set
+// ntt.(*Table).InverseLazyDrop: the lazy inverse transform, canonical
+// output, companions (wp, nInvShoup, nInvRootShoup, negPInvShoup) in 52
+// bits. The passes: the register stages — five when log N is even, else
+// four — then two stages per pass up to span N/4, and the final stage
+// folding N^-1 into its two Shoup multiplies. c[s] is stage s's
+// subtraction constant; bit p of reduce makes pass p reduce its sums below
+// it. With sp set the final stage drops a limb (DROP): nInv and nInvRoot
+// arrive with p^-1 folded in, and the outputs go to out, not a.
+TEXT ·inverseNTT(SB), NOSPLIT, $0-128
 	MOVQ a+0(FP), DI
 	MOVQ n+8(FP), CX
 	MOVQ w+16(FP), R8
@@ -605,7 +746,6 @@ invR4Done:
 	JMP  invPairs
 
 invFinal:
-	// lo' = (lo+hi)·nInv, hi' = (lo+c−hi)·nInvRoot, both canonical.
 	VPBROADCASTQ (R10), Z21
 	VPBROADCASTQ nInv+40(FP), Z0
 	VPBROADCASTQ nInvShoup+48(FP), Z1
@@ -613,23 +753,23 @@ invFinal:
 	VPBROADCASTQ nInvRootShoup+64(FP), Z3
 	LEAQ (DI)(R14*4), DX   // hi = a + N/2
 	MOVQ DX, CX
+	CMPQ sp+96(FP), $0
+	JNE  invDrop
+	INVLAST(invLast, FINPLAIN)
+	VZEROUPPER
+	RET
 
-invLast:
-	VMOVDQU64 (DI), Z4
-	VMOVDQU64 (DX), Z5
-	VPADDQ Z5, Z4, Z6      // s = u+v
-	VPADDQ Z21, Z4, Z7
-	VPSUBQ Z5, Z7, Z7      // d = u+c−v
-	SHOUP52(Z6, Z0, Z1, Z8, Z9)
-	CSUB(Z8, Z31, Z9)
-	SHOUP52(Z7, Z2, Z3, Z10, Z11)
-	CSUB(Z10, Z31, Z11)
-	VMOVDQU64 Z8, (DI)
-	VMOVDQU64 Z10, (DX)
-	ADDQ $64, DI
-	ADDQ $64, DX
-	CMPQ DI, CX
-	JLT  invLast
+invDrop:
+	VPBROADCASTQ halfP+104(FP), Z14
+	VPBROADCASTQ negPInv+112(FP), Z12
+	VPBROADCASTQ negPInvShoup+120(FP), Z13
+	MOVQ $1, AX
+	VPBROADCASTQ AX, Z15
+	MOVQ sp+96(FP), SI
+	SUBQ DI, SI            // sp − a
+	MOVQ out+88(FP), R8
+	SUBQ DI, R8            // out − a
+	INVLAST(invDropLast, FINDROP)
 	VZEROUPPER
 	RET
 
@@ -816,34 +956,6 @@ pairLoop:
 	VMOVDQA64 x, out; \
 	VPMADD52LUQ Z28, t, out; \
 	VPANDQ Z29, out, out
-
-// func centredLift(out, x *uint64, n int, q, mu, half, negAdd uint64)
-//
-// Mirrors the row loop of ring.(*Ring).CentredLiftRow: the canonical
-// residue of x mod q, plus negAdd in exactly the lanes where x > half.
-TEXT ·centredLift(SB), NOSPLIT, $0-56
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ q+24(FP), BX
-	CONSTS(BX)
-	VPBROADCASTQ mu+32(FP), Z27
-	VPBROADCASTQ half+40(FP), Z26
-	VPBROADCASTQ negAdd+48(FP), Z25
-	XORQ AX, AX
-
-liftLoop:
-	VMOVDQU64 (SI)(AX*8), Z0
-	BARRETT52(Z0, Z1, Z2)
-	CSUB(Z1, Z31, Z2)
-	VPCMPUQ $6, Z26, Z0, K1     // x > half
-	VPADDQ Z25, Z1, K1, Z1
-	VMOVDQU64 Z1, (DI)(AX*8)
-	ADDQ $8, AX
-	CMPQ AX, CX
-	JLT  liftLoop
-	VZEROUPPER
-	RET
 
 // func modDownRow(out, a, sp *uint64, n int, q, mu, halfP, qspL, pInv, pInvShoup uint64)
 //

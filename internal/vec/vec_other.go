@@ -11,7 +11,13 @@ func ForceGeneric(interface{ Cleanup(func()) }) {}
 
 func ForwardNTT(q uint64, a, w, wShoup []uint64) bool { return false }
 
+func ForwardNTTLift(q uint64, out, src, w, wShoup []uint64, qFrom uint64) bool { return false }
+
 func InverseNTT(q uint64, a, w, wShoup []uint64, nInv, nInvShoup, nInvRoot, nInvRootShoup uint64) bool {
+	return false
+}
+
+func InverseNTTDrop(q uint64, out, a, sp, w, wShoup []uint64, nInvP, nInvPShoup, nInvRootP, nInvRootPShoup, p, negPInv, negPInvShoup uint64) bool {
 	return false
 }
 
@@ -24,8 +30,6 @@ func MulMontDot(q, qinv uint64, out, x, yB, yA []uint64, add bool) (hi, lo uint6
 }
 
 func MulMontPair(q, qinv uint64, out, a0, b0, a1, b1 []uint64) bool { return false }
-
-func CentredLift(q uint64, out, x []uint64, half, negAdd uint64) bool { return false }
 
 func ModDownRow(q uint64, out, a, sp []uint64, halfP, qspL, pInv, pInvShoup uint64) bool {
 	return false

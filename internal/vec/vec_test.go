@@ -112,6 +112,43 @@ func runAll(r *ring.Ring, seed int64, fill int) []result {
 		out = append(out, result{fmt.Sprintf("inverse/limb%d", l), [][]uint64{a}})
 	}
 
+	// The lifted forward transform into every limb, out of place and in
+	// place, from every limb of the basis — the digit decomposition's
+	// pairs, the digit's own limb included — from Prepare's t, and from
+	// the widest source the kernel admits for that limb, ⌊2^52/q⌋·q − 1,
+	// whose lift reaches the lane's top and leaves no pass any headroom.
+	// The edges fill puts half-1, half, half+1 and qFrom-1 in every lane.
+	for l, tab := range r.Tables {
+		q := r.Moduli[l].Q
+		names, sources := []string{"t", "wide"}, []uint64{65537, (1<<52)/q*q - 1}
+		for from, m := range r.Moduli {
+			names, sources = append(names, fmt.Sprintf("limb%d", from)), append(sources, m.Q)
+		}
+		for i, name := range names {
+			qFrom := sources[i]
+			src := g.row(qFrom)
+			lifted := make([]uint64, r.N)
+			tab.ForwardLazyLift(lifted, src, qFrom)
+			tab.ForwardLazyLift(src, src, qFrom)
+			out = append(out, result{fmt.Sprintf("forwardlift/limb%d<-%s", l, name), [][]uint64{lifted, src}})
+		}
+	}
+	// The dropping inverse, the last limb divided out of every other, out
+	// of place and in place, and the ring's exit through it.
+	last := lv - 1
+	for l, tab := range r.Tables[:last] {
+		drop := tab.NewDrop(r.Moduli[last].Q)
+		a, sp := g.row(2*r.Moduli[l].Q), g.row(r.Moduli[last].Q)
+		down := make([]uint64, r.N)
+		tab.InverseLazyDrop(down, a, sp, &drop)
+		a = g.row(2 * r.Moduli[l].Q)
+		tab.InverseLazyDrop(a, a, sp, &drop)
+		out = append(out, result{fmt.Sprintf("inversedrop/limb%d", l), [][]uint64{down, a}})
+	}
+	exit := r.NewPoly(lv - 1)
+	r.INTTModDownTo(exit, g.poly(true))
+	keep("inttmoddown", exit)
+
 	// MonomialSplitNTT, fresh outputs and sum aliasing E, over every
 	// exponent the packing tree multiplies by — z = N/2i for groups of
 	// i = 1 … N/16, runs of z ≥ 8 slots, the kernel's — then X^N = -1 (one
@@ -161,20 +198,9 @@ func runAll(r *ring.Ring, seed int64, fill int) []result {
 	r.MulCoeffShoupDualAdd(accB, accA, a0, a1, b0, r.ShoupPrecompPoly(b0))
 	keep("dual/shared fixed", accB, accA)
 
-	// The merge's other sweeps: the centred lift between every pair of
-	// limbs (the edges fill puts half-1, half, half+1 and q-1 of the source
-	// modulus in every lane), the ModDown rows, and the two automorphism
-	// gathers, AutomorphNTT into a fresh polynomial and in place.
-	for l := range r.Moduli {
-		for from := range r.Moduli {
-			if l == from {
-				continue
-			}
-			row := make([]uint64, r.N)
-			r.CentredLiftRow(row, g.row(r.Moduli[from].Q), l, from)
-			out = append(out, result{fmt.Sprintf("centredlift/limb%d<-limb%d", l, from), [][]uint64{row}})
-		}
-	}
+	// The coefficient-domain ModDown rows (RESCALE), and the two
+	// automorphism gathers, AutomorphNTT into a fresh polynomial and in
+	// place.
 	down := r.NewPoly(lv - 1)
 	r.ModDownInto(down, g.poly(false))
 	keep("moddown", down)
@@ -312,7 +338,9 @@ func TestMulMontDotForms(t *testing.T) {
 // TestKernelGates pins the dispatch rule: a kernel handles a row exactly
 // when the host has IFMA, q < 2^50, and the length is a multiple of 8
 // (N ≥ 32 for the transforms; for the split, runs of 8 or more slots that
-// divide the row) — and handles nothing once forced generic.
+// divide the row; for the lifted and dropping transforms, a source or
+// dropped modulus read in 52 bits) — and handles nothing once forced
+// generic.
 func TestKernelGates(t *testing.T) {
 	sets := moduliSets(t)
 	accel := vec.Impl() == vec.ImplIFMA
@@ -321,15 +349,16 @@ func TestKernelGates(t *testing.T) {
 	calls := func(q uint64, n int) map[string]bool {
 		z := func() []uint64 { return make([]uint64, n) }
 		return map[string]bool{
-			"ForwardNTT":    vec.ForwardNTT(q, z(), z(), z()),
-			"InverseNTT":    vec.InverseNTT(q, z(), z(), z(), 0, 0, 0, 0),
-			"MonomialSplit": vec.MonomialSplit(q, z(), z(), z(), z(), z(), z(), 3),
-			"MulMontDot":    dotHandled(vec.MulMontDot(q, 1, z(), z(), z(), z(), true)),
-			"MulMontPair":   vec.MulMontPair(q, 1, z(), z(), z(), z(), z()),
-			"CentredLift":   vec.CentredLift(q, z(), z(), q/2, 0),
-			"ModDownRow":    vec.ModDownRow(q, z(), z(), z(), q/2, 0, 0, 0),
-			"Gather":        vec.Gather(z(), z(), make([]uint32, n)),
-			"GatherAdd":     vec.GatherAdd(q, z(), z(), make([]uint32, n)),
+			"ForwardNTT":     vec.ForwardNTT(q, z(), z(), z()),
+			"ForwardNTTLift": vec.ForwardNTTLift(q, z(), z(), z(), z(), q),
+			"InverseNTT":     vec.InverseNTT(q, z(), z(), z(), 0, 0, 0, 0),
+			"InverseNTTDrop": vec.InverseNTTDrop(q, z(), z(), z(), z(), z(), 0, 0, 0, 0, q, 0, 0),
+			"MonomialSplit":  vec.MonomialSplit(q, z(), z(), z(), z(), z(), z(), 3),
+			"MulMontDot":     dotHandled(vec.MulMontDot(q, 1, z(), z(), z(), z(), true)),
+			"MulMontPair":    vec.MulMontPair(q, 1, z(), z(), z(), z(), z()),
+			"ModDownRow":     vec.ModDownRow(q, z(), z(), z(), q/2, 0, 0, 0),
+			"Gather":         vec.Gather(z(), z(), make([]uint32, n)),
+			"GatherAdd":      vec.GatherAdd(q, z(), z(), make([]uint32, n)),
 		}
 	}
 	expect := func(t *testing.T, got map[string]bool, want func(kernel string) bool) {
@@ -353,7 +382,8 @@ func TestKernelGates(t *testing.T) {
 		expect(t, calls(over, 32), func(k string) bool { return accel && k == "Gather" })
 	})
 	t.Run("N=16", func(t *testing.T) {
-		expect(t, calls(cham, 16), func(k string) bool { return accel && k != "ForwardNTT" && k != "InverseNTT" })
+		transform := map[string]bool{"ForwardNTT": true, "ForwardNTTLift": true, "InverseNTT": true, "InverseNTTDrop": true}
+		expect(t, calls(cham, 16), func(k string) bool { return accel && !transform[k] })
 	})
 	t.Run("ragged length", func(t *testing.T) {
 		expect(t, calls(cham, 36), none)
@@ -393,6 +423,16 @@ func TestKernelGates(t *testing.T) {
 		if vec.ModDownRow(cham, z(32), z(32), z(24), cham/2, 0, 0, 0) {
 			t.Error("ModDownRow accepted a special row shorter than out")
 		}
+		if vec.ForwardNTTLift(cham, z(32), z(24), z(32), z(32), cham) {
+			t.Error("ForwardNTTLift accepted a source row shorter than out")
+		}
+		for i := 0; i < 2; i++ {
+			o := [2][]uint64{z(32), z(32)}
+			o[i] = z(24)
+			if vec.InverseNTTDrop(cham, z(32), o[0], o[1], z(32), z(32), 0, 0, 0, 0, cham, 0, 0) {
+				t.Errorf("InverseNTTDrop accepted operand %d (a, sp) shorter than out", i)
+			}
+		}
 		if vec.Gather(z(32), z(32), make([]uint32, 24)) || vec.GatherAdd(cham, z(32), z(32), make([]uint32, 24)) {
 			t.Error("a gather accepted an index table shorter than out")
 		}
@@ -416,11 +456,20 @@ func TestKernelGates(t *testing.T) {
 	})
 	t.Run("source modulus over 2^52", func(t *testing.T) {
 		z := func() []uint64 { return make([]uint64, 32) }
-		if vec.CentredLift(cham, z(), z(), 1<<51, 0) || vec.ModDownRow(cham, z(), z(), z(), 1<<51, 0, 0, 0) {
-			t.Error("a lifting kernel accepted half >= 2^51")
+		lift := func(qFrom uint64) bool { return vec.ForwardNTTLift(cham, z(), z(), z(), z(), qFrom) }
+		drop := func(p uint64) bool { return vec.InverseNTTDrop(cham, z(), z(), z(), z(), z(), 0, 0, 0, 0, p, 0, 0) }
+		// The lift's bound ⌈qFrom/q⌉·q must fit 52 bits: the widest source
+		// is ⌊2^52/q⌋·q, one more word is past it, and so is any source that
+		// cannot be read in 52 bits.
+		widest := (1 << 52) / cham * cham
+		if lift(widest+1) || lift(1<<52) || lift(1<<63) || lift(0) {
+			t.Error("ForwardNTTLift accepted a source modulus past ⌊2^52/q⌋·q, or 0")
 		}
-		if accel && !(vec.CentredLift(cham, z(), z(), 1<<51-1, 0) && vec.ModDownRow(cham, z(), z(), z(), 1<<51-1, 0, 0, 0)) {
-			t.Error("a lifting kernel declined half = 2^51-1")
+		if vec.ModDownRow(cham, z(), z(), z(), 1<<51, 0, 0, 0) || drop(1<<52) || drop(1<<63) {
+			t.Error("a dropping kernel accepted a dropped modulus of 2^52 or more")
+		}
+		if accel && !(lift(widest) && vec.ModDownRow(cham, z(), z(), z(), 1<<51-1, 0, 0, 0) && drop(1<<52-1)) {
+			t.Error("a kernel declined the widest source or dropped modulus it reads")
 		}
 	})
 	t.Run("forced generic", func(t *testing.T) {
