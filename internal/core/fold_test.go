@@ -18,7 +18,9 @@ import (
 // bytes at every worker count (including splits into uneven subtrees and
 // more workers than cores), with and without the vector kernels: MatVec,
 // the prepared ApplyInto, ApplyBatchInto and ApplyTiles, and on the lwe
-// side PackLWEs and PackResident.
+// side PackLWEs and PackResident. The prepared shapes fold from row pairs
+// — full ones, half-empty ones (padded tiles), a one-pair tree (a tile of
+// two rows) — and from the one leaf of a one-row tile.
 func TestFoldMatchesRef(t *testing.T) {
 	p := testParams(t, 64)
 	rng := testutil.NewRand(t)
@@ -52,6 +54,10 @@ func TestFoldMatchesRef(t *testing.T) {
 		{name: "full-tile", rows: 64, cols: 64},
 		{name: "multi-chunk", rows: 16, cols: 150},
 		{name: "multi-tile", rows: 70, cols: 64},
+		// Last tiles of one row (its leaf, no merge) and of two (one full
+		// pair: a one-pair tree).
+		{name: "one-row-tile", rows: 65, cols: 64},
+		{name: "one-pair-tile", rows: 66, cols: 64},
 	}
 	for _, s := range shapes {
 		s.A = testutil.Matrix(rng, s.rows, s.cols, p.T.Q)

@@ -8,14 +8,18 @@ import (
 	"time"
 
 	"cham/internal/obs"
+	"cham/internal/ring"
 	"cham/internal/testutil"
 	"cham/internal/vec"
 )
 
-// TestPrepareMatchesSlowPath: every prepared row equals EncodeRow → Lift →
-// NTT composed from the allocating public functions — single rows (packing
-// scale 1) and padded tiles (scale 2^-ℓ), whole and ragged last chunks, two
-// row tiles — on the host's kernels and on the Go loops.
+// TestPrepareMatchesSlowPath: every prepared pair equals EncodeRow → Lift
+// → NTT composed from the allocating public functions — a full pair is
+// ring.MonomialSplitNTT of its two rows' slow-path transforms at X^{N/2},
+// a half-empty pair (odd row padding, and a one-row tile's row) is its
+// even row's — over single rows (packing scale 1) and padded tiles
+// (scale 2^-ℓ), whole and ragged last chunks, two row tiles, on the host's
+// kernels and on the Go loops.
 func TestPrepareMatchesSlowPath(t *testing.T) {
 	run := func(t *testing.T) {
 		p := testParams(t, 64)
@@ -33,21 +37,36 @@ func TestPrepareMatchesSlowPath(t *testing.T) {
 				t.Fatalf("%dx%d: %v", m, cols, err)
 			}
 			for ti, tile := range pm.tiles {
-				base, _, mPad := pm.tileBounds(ti)
+				base, rows, mPad := pm.tileBounds(ti)
 				scale := p.InvPow2(log2(mPad))
 				if (scale == 1) != (mPad == 1) {
 					t.Fatalf("%dx%d tile %d: scale %d at mPad %d", m, cols, ti, scale, mPad)
 				}
-				for i := range tile.rowNTT {
-					for c := range tile.rowNTT[i] {
-						lo, hi := c*n, (c+1)*n
-						if hi > cols {
-							hi = cols
+				if want := max(mPad/2, 1); len(tile.pairs) != want {
+					t.Fatalf("%dx%d tile %d: %d pairs, want %d", m, cols, ti, len(tile.pairs), want)
+				}
+				slow := func(i, c int) *ring.Poly {
+					lo, hi := c*n, min((c+1)*n, cols)
+					row := p.Lift(p.EncodeRow(A[base+i][lo:hi], scale), p.R.Levels())
+					p.R.NTT(row)
+					return row
+				}
+				for i, pr := range tile.pairs {
+					odd := i + mPad/2
+					if full := mPad > 1 && odd < rows; full != (pr.minus != nil) {
+						t.Fatalf("%dx%d tile %d pair %d: half-empty %v, want %v", m, cols, ti, i, pr.minus == nil, !full)
+					}
+					for c := range pr.plus {
+						wantPlus := slow(i, c)
+						if pr.minus != nil {
+							wantMinus := p.R.NewPoly(p.R.Levels())
+							p.R.MonomialSplitNTT(wantPlus, wantMinus, wantPlus, slow(odd, c), n/2)
+							if !pr.minus[c].Equal(wantMinus) {
+								t.Fatalf("%dx%d tile %d pair %d chunk %d: P− differs from the slow path's split", m, cols, ti, i, c)
+							}
 						}
-						want := p.Lift(p.EncodeRow(A[base+i][lo:hi], scale), p.R.Levels())
-						p.R.NTT(want)
-						if !tile.rowNTT[i][c].Equal(want) {
-							t.Fatalf("%dx%d tile %d row %d chunk %d: prepared row differs from the slow path", m, cols, ti, i, c)
+						if !pr.plus[c].Equal(wantPlus) {
+							t.Fatalf("%dx%d tile %d pair %d chunk %d: P+ differs from the slow path", m, cols, ti, i, c)
 						}
 					}
 				}
@@ -61,10 +80,12 @@ func TestPrepareMatchesSlowPath(t *testing.T) {
 	})
 }
 
-// TestPreparedTileOneSlab: the resident form is values only. A tile of the
-// design point (256×4096) and of the fresh-weights shape (32×16384) at
-// N=4096 holds exactly rows·chunks·limbs·N words, and building it
-// allocates little beyond one slab of that size.
+// TestPreparedTileOneSlab: the resident form is values only, and pairing
+// the rows grows nothing. A tile of the design point (256×4096), of the
+// fresh-weights shape (32×16384) and of one row past a power of two
+// (33×4096: one full pair, 31 half-empty) at N=4096 holds exactly
+// rows·chunks·limbs·N words, and building it allocates little beyond one
+// slab of that size.
 func TestPreparedTileOneSlab(t *testing.T) {
 	if testing.Short() {
 		t.Skip("N=4096 tiles")
@@ -73,7 +94,7 @@ func TestPreparedTileOneSlab(t *testing.T) {
 	n, full := p.R.N, p.R.Levels()
 	rng := testutil.NewRand(t)
 	ev := &Evaluator{P: p} // a tile needs no packing keys
-	for _, shape := range [][2]int{{256, 4096}, {32, 16384}} {
+	for _, shape := range [][2]int{{256, 4096}, {32, 16384}, {33, 4096}} {
 		m, cols := shape[0], shape[1]
 		A := testutil.Matrix(rng, m, cols, p.T.Q)
 		pm := &PreparedMatrix{ev: ev, m: m, cols: cols, chunks: (cols + n - 1) / n, tiles: make([]*preparedTile, 1)}
@@ -84,13 +105,15 @@ func TestPreparedTileOneSlab(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		want := m * pm.chunks * full * n
 		words := 0
-		for i, row := range tile.rowNTT {
-			for c, poly := range row {
-				for l, limb := range poly.Coeffs {
-					if len(limb) != n {
-						t.Fatalf("%dx%d row %d chunk %d limb %d: %d words, want %d", m, cols, i, c, l, len(limb), n)
+		for i, pr := range tile.pairs {
+			for _, half := range [][]*ring.Poly{pr.plus, pr.minus} {
+				for c, poly := range half {
+					for l, limb := range poly.Coeffs {
+						if len(limb) != n {
+							t.Fatalf("%dx%d pair %d chunk %d limb %d: %d words, want %d", m, cols, i, c, l, len(limb), n)
+						}
+						words += len(limb)
 					}
-					words += len(limb)
 				}
 			}
 		}
@@ -119,8 +142,8 @@ func (s *stageTotals) ExemplarLabel() string { return "" }
 
 // TestPrepareStagesCoverSpan: the ledger of a Prepare adds up. Building a
 // 32×4096 tile at N=4096 under a recording sink, encode (a row's encode
-// and its lift) + ntt are at least 90 % of the wall clock around
-// it — no sweep runs uncharged.
+// and its lift) + ntt + pack (the row pairs' monomial splits) are at least
+// 90 % of the wall clock around it — no sweep runs uncharged.
 func TestPrepareStagesCoverSpan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("N=4096 key generation")
@@ -144,21 +167,24 @@ func TestPrepareStagesCoverSpan(t *testing.T) {
 	tile := ev.buildTile(pm, A, 0, &clk)
 	clk.Flush()
 	span := time.Since(t0)
-	if !tile.rowNTT[31][0].Equal(pm.tiles[0].rowNTT[31][0]) {
+	if !tile.pairs[15].minus[0].Equal(pm.tiles[0].pairs[15].minus[0]) {
 		t.Fatal("rebuilt tile differs")
 	}
-	charged := sink.d[obs.StageEncode] + sink.d[obs.StageNTT]
+	charged := sink.d[obs.StageEncode] + sink.d[obs.StageNTT] + sink.d[obs.StagePack]
 	for stage, d := range sink.d {
-		if d != 0 && stage != obs.StageEncode && stage != obs.StageNTT {
+		if d != 0 && stage != obs.StageEncode && stage != obs.StageNTT && stage != obs.StagePack {
 			t.Errorf("Prepare charged %v to stage %s", d, obs.StageNames[stage])
 		}
 	}
+	if sink.d[obs.StagePack] <= 0 {
+		t.Error("Prepare charged nothing to pack: the pairs' splits went uncharged")
+	}
 	if charged < span*9/10 {
-		t.Errorf("encode %v + ntt %v = %v of a %v Prepare span (%.0f %%), want ≥ 90 %%",
-			sink.d[obs.StageEncode], sink.d[obs.StageNTT], charged, span,
+		t.Errorf("encode %v + ntt %v + pack %v = %v of a %v Prepare span (%.0f %%), want ≥ 90 %%",
+			sink.d[obs.StageEncode], sink.d[obs.StageNTT], sink.d[obs.StagePack], charged, span,
 			100*float64(charged)/float64(span))
 	}
-	t.Logf("span %v: encode %v, ntt %v", span, sink.d[obs.StageEncode], sink.d[obs.StageNTT])
+	t.Logf("span %v: encode %v, ntt %v, pack %v", span, sink.d[obs.StageEncode], sink.d[obs.StageNTT], sink.d[obs.StagePack])
 }
 
 // TestApplyStagesCoverSpan is TestPrepareStagesCoverSpan's apply-side twin:

@@ -18,17 +18,22 @@ package core
 // transforms and polynomial RESCALE entirely, and no product row is
 // written.
 //
-// Rows are not computed ahead of the tree. A tile is one lwe.Fold: the
-// fold asks for its leaves in bit-reversed order (0, m/2, m/4, 3m/4, …),
-// the order in which a depth-first walk of Alg. 3 completes sibling
-// subtrees, and the row's dot product lands straight in the reduce-buffer
-// slot the fold hands it, where it merges as soon as its sibling exists.
-// The buffer is log₂(subtree)+1 resident nodes per worker — 9 × 192 KB at
+// Rows are not computed ahead of the tree, and the tree's first level is
+// not computed from rows: the group-size-1 merge of rows r and r+m/2 is
+// linear in them up to its key switch, so Prepare stores each such pair
+// already split, P± = R_r ± X^{N/2}·R_{r+m/2}, and an apply computes the
+// merged node's parts straight from P± with the row MAC — no leaf, no
+// split, no BT gather. A tile is one lwe.Fold over its m/2 pairs: the
+// fold asks for them in bit-reversed order (0, m/4, m/8, 3m/8, …), the
+// order in which a depth-first walk of Alg. 3 completes sibling subtrees,
+// the pair's MACs land straight in the reduce-buffer slot the fold hands
+// it, and the node merges as soon as its sibling exists. The buffer is
+// log₂(pairs in the subtree)+1 resident nodes per worker — 8 × 192 KB at
 // the 256-row design point instead of 256 leaves (48 MB) — the software
 // form of CHAM's pre-empting reduce buffer (exp.Config.ReduceBufferSlots).
 // With Workers > 1 the fold splits recursively, even half on ⌊w/2⌋
-// workers and odd half on ⌈w/2⌉, each worker with its own row scratch,
-// slots and merge scratch, and the two roots merge once per split.
+// workers and odd half on ⌈w/2⌉, each worker with its own slots and
+// merge scratch, and the two roots merge once per split.
 
 import (
 	"fmt"
@@ -36,6 +41,7 @@ import (
 	"time"
 
 	"cham/internal/lwe"
+	"cham/internal/mod"
 	"cham/internal/obs"
 	"cham/internal/ring"
 	"cham/internal/rlwe"
@@ -43,11 +49,22 @@ import (
 
 // preparedTile holds one row tile in evaluation-ready form: every row chunk
 // encoded, lifted to the full basis and forward-transformed, with the
-// tile's packing scale 2^-ℓ already folded in — rows·chunks·limbs·N words
-// in one slab, values only.
+// tile's packing scale 2^-ℓ already folded in, and the rows combined into
+// the sibling pairs of the packing tree's first level — rows·chunks·limbs·N
+// words in one slab, values only.
 type preparedTile struct {
 	rows, mPad int
-	rowNTT     [][]*ring.Poly // [row][chunk], NTT domain, full basis
+	pairs      []rowPair // max(mPad/2, 1) pairs; pair r holds rows r and r+mPad/2
+}
+
+// rowPair is one first-level sibling pair of a tile, per row chunk: rows r
+// and r+mPad/2 as P± = R_r ± X^{N/2}·R_{r+mPad/2}, NTT domain, full basis
+// — the monomial split of the tree's group-size-1 merge, which is linear
+// in the rows and so is done once here instead of per apply. When the odd
+// row is padding the pair is half-empty: minus is nil and plus is R_r,
+// which is P+ and P− both. A one-row tile has one such pair, its row.
+type rowPair struct {
+	plus, minus []*ring.Poly // [chunk]
 }
 
 // PreparedMatrix is a cleartext matrix fixed in evaluation-ready form.
@@ -95,8 +112,10 @@ func (pm *PreparedMatrix) tileBounds(ti int) (base, rows, mPad int) {
 	return base, rows, nextPow2(rows)
 }
 
-// Prepare encodes, lifts, and forward-transforms all rows of A once
-// (the one-time stages 1–2 work of every future apply). A must be
+// Prepare encodes, lifts, and forward-transforms all rows of A once, and
+// splits each tile's first-level row pairs (the one-time stages 1–2 work
+// of every future apply, and the per-matrix part of the packing tree's
+// first level). A must be
 // non-empty and rectangular, and every row tile must fit the packing
 // keys.
 func (e *Evaluator) Prepare(A [][]uint64) (*PreparedMatrix, error) {
@@ -209,10 +228,13 @@ func (pm *PreparedMatrix) PrepareTile(A [][]uint64, ti int) error {
 // (bfv.EncodeRowInto, charged to encode), then spread over the basis by
 // the transforms that centre-lift it as they load it (ring.NTTLift from t,
 // charged to ntt: every other limb, then the first in place); no
-// plaintext scratch and no lifted row sits in between. Every
-// long-lived buffer is carved from one coefficient slab and flat header
-// arrays instead of row×chunk×limb individual allocations — cold Prepare
-// used to cost thousands of allocs per call.
+// plaintext scratch and no lifted row sits in between. A full pair's odd
+// row follows its even row chunk by chunk, and the pair's monomial split
+// runs in place while both are in L2 (ring.MonomialSplitNTT, charged to
+// pack, the stage it takes off every apply): P+ over the even row, P−
+// over the odd. Every long-lived buffer is carved from one coefficient
+// slab and flat header arrays instead of row×chunk×limb individual
+// allocations — cold Prepare used to cost thousands of allocs per call.
 func (e *Evaluator) buildTile(pm *PreparedMatrix, A [][]uint64, ti int, clk *obs.StageClock) *preparedTile {
 	p := e.P
 	n := p.R.N
@@ -220,7 +242,8 @@ func (e *Evaluator) buildTile(pm *PreparedMatrix, A [][]uint64, ti int, clk *obs
 	chunks, cols := pm.chunks, pm.cols
 	base, rows, mPad := pm.tileBounds(ti)
 	scale := p.InvPow2(log2(mPad))
-	t := &preparedTile{rows: rows, mPad: mPad, rowNTT: make([][]*ring.Poly, rows)}
+	half := mPad / 2
+	t := &preparedTile{rows: rows, mPad: mPad, pairs: make([]rowPair, max(half, 1))}
 	nPolys := rows * chunks
 	polys := make([]ring.Poly, nPolys)
 	polyPtrs := make([]*ring.Poly, nPolys)
@@ -235,19 +258,33 @@ func (e *Evaluator) buildTile(pm *PreparedMatrix, A [][]uint64, ti int, clk *obs
 		polys[k].Coeffs = pc
 		polyPtrs[k] = &polys[k]
 	}
-	for i := 0; i < rows; i++ {
-		rp := polyPtrs[i*chunks : (i+1)*chunks : (i+1)*chunks]
-		for c, pt := range rp {
-			lo, hi := c*n, (c+1)*n
-			if hi > cols {
-				hi = cols
-			}
-			p.EncodeRowInto(pt.Coeffs[0], A[base+i][lo:hi], scale)
-			clk.Mark(obs.StageEncode)
-			p.R.NTTLift(pt, pt.Coeffs[0], p.T.Q)
-			clk.Mark(obs.StageNTT)
+	next := func() []*ring.Poly {
+		rp := polyPtrs[:chunks:chunks]
+		polyPtrs = polyPtrs[chunks:]
+		return rp
+	}
+	// rowInto encodes chunk c of tile row i into pt and transforms it.
+	rowInto := func(pt *ring.Poly, i, c int) {
+		lo, hi := c*n, min((c+1)*n, cols)
+		p.EncodeRowInto(pt.Coeffs[0], A[base+i][lo:hi], scale)
+		clk.Mark(obs.StageEncode)
+		p.R.NTTLift(pt, pt.Coeffs[0], p.T.Q)
+		clk.Mark(obs.StageNTT)
+	}
+	for i := range t.pairs {
+		pr := &t.pairs[i]
+		pr.plus = next()
+		if half > 0 && i+half < rows {
+			pr.minus = next()
 		}
-		t.rowNTT[i] = rp
+		for c, pt := range pr.plus {
+			rowInto(pt, i, c)
+			if pr.minus != nil {
+				rowInto(pr.minus[c], i+half, c)
+				p.R.MonomialSplitNTT(pt, pr.minus[c], pt, pr.minus[c], n/2)
+				clk.Mark(obs.StagePack)
+			}
+		}
 	}
 	return t
 }
@@ -519,54 +556,116 @@ func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
 	return nil
 }
 
-// rowApplyInto runs stages 1–4 for one matrix row against the vector
-// chunks and writes the extracted slot ciphertext into dst as an
+// rowApplyInto runs stages 1–4 for a one-row tile's row against the
+// vector chunks and writes the extracted slot ciphertext into dst as an
 // NTT-resident tree leaf. The MAC is vector-stationary: the prepared row
 // is the streamed operand, and each chunk is the fixed one — dst.A (+)=
 // row∘â against the Montgomery form loadVector left â in, and the B dot
-// product Σ_j row_j·b̂_j summed in the same sweep, per limb, into a 128-bit
-// total. Both leaf parts stay UN-rescaled: dst.A is the raw full-basis NTT
-// dot-product accumulator itself (the a-part MAC writes straight into it —
-// the tree's deferred a accumulator makes the per-row RESCALE disappear),
-// and dst.BT holds the un-rescaled per-limb B constant in every slot (the
-// NTT image of a constant). Both divisions are deferred to the tree flush.
-// polys are the row's prepared chunks; clk, the fold worker's running
-// clock, is charged with the row's stages.
+// product Σ_j row_j·b̂_j summed in the same sweep, per limb and per half
+// row, into 128-bit totals. Both leaf parts stay UN-rescaled: dst.A is the
+// raw full-basis NTT dot-product accumulator itself (the a-part MAC writes
+// straight into it — the tree's deferred a accumulator makes the per-row
+// RESCALE disappear), and dst.BT holds the un-rescaled per-limb B constant
+// in every slot (the NTT image of a constant). Both divisions are deferred
+// to the tree flush. polys are the row's prepared chunks; clk, the fold
+// worker's running clock, is charged with the row's stages.
 func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, chunks []*rlwe.Ciphertext, polys []*ring.Poly, clk *obs.StageClock) {
 	r := e.P.R
-	full := r.Levels()
-	var totals [4][2]uint64 // room for the bases in use, on the stack
-	dot := totals[:]
-	if full > len(totals) {
-		dot = make([][2]uint64, full)
-	}
-	dst.A.IsNTT = true
-	for c, v := range chunks {
-		r.MulCoeffMontDot(dot, dst.A, polys[c], v.B, v.A, c > 0)
-		clk.Mark(obs.StageRowMul)
-	}
+	var buf [4][2][2]uint64
+	dot := dotTotals(&buf, r.Levels())
+	rowMAC(r, dot, dst.A, chunks, polys, clk)
 	// B: EXTRACT at index 0 keeps only the constant coefficient of the
 	// inverse transform, which is N^{-1} times the dot product per limb.
 	// Its scalar RESCALE is DEFERRED to the tree flush: the leaf's BT
 	// carries the un-rescaled constant β per full-basis limb, whose NTT
 	// image is β in every slot.
-	for l := 0; l < full; l++ {
+	for l := range dot {
 		m := r.Moduli[l]
-		beta := m.MulShoup(m.BarrettReduce128(dot[l][0], dot[l][1]), e.invN[l], e.invNShoup[l])
-		rb := dst.BT.Coeffs[l]
-		rb[0] = beta
-		for k := 1; k < len(rb); k *= 2 { // doubling copies: memmove, not a word loop
-			copy(rb[k:], rb[:k])
-		}
+		fill(dst.BT.Coeffs[l], m.MulShoup(sumDots(m, dot[l][0], dot[l][1]), e.invN[l], e.invNShoup[l]))
 	}
 	dst.BT.IsNTT = true
 	clk.Mark(obs.StageExtract)
 }
 
+// pairApplyInto runs stages 1–4 for one row pair and the front half of
+// the packing tree's group-size-1 merge of its two rows, E = R_r·v and
+// O = R_{r+mPad/2}·v, without either leaf. The row MAC streams P+ and P−
+// against the vector chunks: A = Σ P+∘â = E.A + X^{N/2}·O.A goes straight
+// into dst.A, D = Σ P−∘â = E.A − X^{N/2}·O.A into scratch, which is
+// returned (a half-empty pair has P− = P+, so D is dst.A and its MACs are
+// skipped). dst.BT is written from the B dot products alone. Slot j of
+// NTT(X^{N/2}) is w on [0, N/2) and −w on [N/2, N), and φ_3 maps each half
+// of the slots onto the other, so with β_E and β_O the leaves' constants
+// the merge's E.BT + X^{N/2}·O.BT + φ_3(E.BT − X^{N/2}·O.BT) is
+// 2(β_E + w·β_O) on the first half and 2(β_E − w·β_O) on the second — by
+// the same sums, N^{-1}·(S+_lo + S−_hi) and N^{-1}·(S+_hi + S−_lo) doubled,
+// S±_h being P±'s dot product with b̂ over half h. The residues are the
+// ones the split and gathers of two leaves give, so the merge is
+// bit-identical. clk is charged with row_mul for the MACs and extract for
+// BT.
+func (e *Evaluator) pairApplyInto(dst *lwe.PackNode, scratch *ring.Poly, chunks []*rlwe.Ciphertext, pr *rowPair, clk *obs.StageClock) *ring.Poly {
+	r := e.P.R
+	var buf [2][4][2][2]uint64
+	plus, minus, d := dotTotals(&buf[0], r.Levels()), dotTotals(&buf[1], r.Levels()), scratch
+	rowMAC(r, plus, dst.A, chunks, pr.plus, clk)
+	if pr.minus != nil {
+		rowMAC(r, minus, scratch, chunks, pr.minus, clk)
+	} else {
+		minus, d = plus, dst.A
+	}
+	h := r.N / 2
+	for l := range plus {
+		m := r.Moduli[l]
+		rb := dst.BT.Coeffs[l]
+		lo := m.MulShoup(sumDots(m, plus[l][0], minus[l][1]), e.invN[l], e.invNShoup[l])
+		hi := m.MulShoup(sumDots(m, plus[l][1], minus[l][0]), e.invN[l], e.invNShoup[l])
+		fill(rb[:h], m.Add(lo, lo))
+		fill(rb[h:], m.Add(hi, hi))
+	}
+	dst.BT.IsNTT = true
+	clk.Mark(obs.StageExtract)
+	return d
+}
+
+// rowMAC sets acc = Σ_c polys[c]∘â_c and the totals dot to the B dot
+// products Σ_c ⟨polys[c], b̂_c⟩ per limb and per half row
+// (ring.MulCoeffMontDot), charging each chunk's sweep to row_mul.
+func rowMAC(r *ring.Ring, dot [][2][2]uint64, acc *ring.Poly, chunks []*rlwe.Ciphertext, polys []*ring.Poly, clk *obs.StageClock) {
+	acc.IsNTT = true
+	for c, v := range chunks {
+		r.MulCoeffMontDot(dot, acc, polys[c], v.B, v.A, c > 0)
+		clk.Mark(obs.StageRowMul)
+	}
+}
+
+// dotTotals returns room for full limbs' totals: buf, on the caller's
+// stack, when the basis fits.
+func dotTotals(buf *[4][2][2]uint64, full int) [][2][2]uint64 {
+	if full <= len(buf) {
+		return buf[:full]
+	}
+	return make([][2][2]uint64, full)
+}
+
+// sumDots reduces two 128-bit dot-product totals and adds them mod q.
+func sumDots(m mod.Modulus, x, y [2]uint64) uint64 {
+	return m.Add(m.BarrettReduce128(x[0], x[1]), m.BarrettReduce128(y[0], y[1]))
+}
+
+// fill sets every word of row to v by doubling copies: a memmove, not a
+// word loop.
+func fill(row []uint64, v uint64) {
+	row[0] = v
+	for k := 1; k < len(row); k *= 2 {
+		copy(row[k:], row[:k])
+	}
+}
+
 // tileApply runs stages 1–9 for one row tile into out (normal basis): the
-// packing fold asks for each leaf as its sibling subtree completes, the
-// leaf source computes that row's dot product straight into the fold's
-// slot (padding rows are the resident zero), and the root is flushed.
+// packing fold asks for each row pair (the one row of a one-row tile) as
+// its sibling subtree completes, the leaf source computes the pair's
+// first-level node straight into the fold's slot, and the root is
+// flushed.
 func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *preparedTile) error {
 	workers := e.effWorkers(tile.rows)
 	lv := &sc.leaves
@@ -580,22 +679,23 @@ func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *prep
 	return nil
 }
 
-// tileLeaves is the packing fold's leaf source for one tile: leaf i is
-// row i's dot product against the prepared tile; leaves past the tile's
-// rows are the resident zero.
+// tileLeaves is the packing fold's leaf source for one tile: it supplies
+// the tree's bottom level from the tile's row pairs, and the leaf of a
+// one-row tile, which has no merge.
 type tileLeaves struct {
 	e      *Evaluator
 	chunks []*rlwe.Ciphertext
 	tile   *preparedTile
 }
 
+// Leaf is asked only of a one-row tile (mPad = 1): every larger tile folds
+// from its pairs.
 func (lv *tileLeaves) Leaf(nd *lwe.PackNode, i int, clk *obs.StageClock) {
-	if i >= lv.tile.rows {
-		nd.Zero()
-		clk.Skip() // padding is no stage
-		return
-	}
-	lv.e.rowApplyInto(nd, lv.chunks, lv.tile.rowNTT[i], clk)
+	lv.e.rowApplyInto(nd, lv.chunks, lv.tile.pairs[i].plus, clk)
+}
+
+func (lv *tileLeaves) Pair(nd *lwe.PackNode, scratch *ring.Poly, i int, clk *obs.StageClock) *ring.Poly {
+	return lv.e.pairApplyInto(nd, scratch, lv.chunks, &lv.tile.pairs[i], clk)
 }
 
 // log2 of a power of two.

@@ -15,10 +15,14 @@ package lwe
 // on a stack: a leaf is pushed, and while the two on top are siblings
 // they merge into the lower one. A subtree of 2^L leaves never holds
 // more than L+1 nodes, so the reduce buffer is log₂m+1 slots, not m
-// resident leaves. With w workers the fold splits recursively: a subtree
-// runs its even half on ⌊w/2⌋ workers and its odd half on ⌈w/2⌉, then
-// merges the two roots once; each worker folds its disjoint subtree with
-// its own slots and merge scratch.
+// resident leaves. A PairLeaves source (core's prepared tiles) supplies
+// the bottom level's merges instead of leaves: the fold walks the m/2
+// pairs the same way, runs each one's key switch, and merges from group
+// size 2 up, in log₂(m/2)+1 slots — 8 × 192 KB at the 256-row design
+// point. With w workers the fold splits recursively: a subtree runs its
+// even half on ⌊w/2⌋ workers and its odd half on ⌈w/2⌉, then merges the
+// two roots once; each worker folds its disjoint subtree with its own
+// slots and merge scratch.
 //
 // Tree state never leaves the NTT domain. A node carries
 //
@@ -73,15 +77,6 @@ type PackNode struct {
 // NewPackNode allocates an (uninitialized) resident tree node.
 func NewPackNode(p bfv.Params) *PackNode {
 	return &PackNode{BT: p.R.NewPoly(p.R.Levels()), A: p.R.NewPoly(p.R.Levels())}
-}
-
-// Zero resets nd to the resident zero ciphertext (the padding value of
-// partial tiles).
-func (nd *PackNode) Zero() {
-	nd.BT.Zero()
-	nd.A.Zero()
-	nd.BT.IsNTT = true
-	nd.A.IsNTT = true
 }
 
 // ResidentFromRLWE loads a normal-basis coefficient-domain slot ciphertext
@@ -197,11 +192,20 @@ func packTwo(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk *rlwe.Switc
 	r.AutomorphNTTAddInto(out.BT, ms.dBT, k)
 	r.AutomorphNTT(O.A, ms.dA, k)
 	clk.Mark(obs.StagePack)
+	mergeTail(p, out, O.A, swk, ms, clk)
+}
+
+// mergeTail is the tail every merge shares, whichever way its front half
+// came about (packTwo's, or a PairLeaves source's at the bottom level):
+// g, the gathered difference a-part φ_k(E.A − X^z·O.A), is switched from
+// φ_k(s) back to s, and both switched parts join out's accumulators. g is
+// consumed. clk is charged with the three stages.
+func mergeTail(p bfv.Params, out *PackNode, g *ring.Poly, swk *rlwe.SwitchingKey, ms *mergeScratch, clk *obs.StageClock) {
 	// φ_k(diff) decrypts under φ_k(s); the switch brings its TRUE a-part
-	// ModDown(φ_k(dA)) back under s. The rescale rides the inverse
-	// transforms into coefficient form — the view the digit lifts read
-	// anyway, so they replace (not add to) the decomposition's.
-	r.INTTModDownTo(ms.aN, O.A)
+	// ModDown(g) back under s. The rescale rides the inverse transforms
+	// into coefficient form — the view the digit lifts read anyway, so they
+	// replace (not add to) the decomposition's.
+	p.R.INTTModDownTo(ms.aN, g)
 	clk.Mark(obs.StagePackModDown)
 	// Decomposition commutes with φ_k, so the digits are built straight
 	// from the gathered, rescaled a-part.
@@ -269,6 +273,24 @@ type Leaves interface {
 	Leaf(nd *PackNode, idx int, clk *obs.StageClock)
 }
 
+// PairLeaves is a Leaves source that also supplies the tree's bottom
+// level without its leaves: the merge at group size 1 of leaves idx and
+// idx+m/2, whose monomial split is linear in the leaves — core's prepared
+// tiles split each sibling row pair once, in Prepare. A fold of m ≥ 2
+// leaves from such a source asks for its m/2 pairs and never for a leaf;
+// with m = 1 it asks for the leaf.
+type PairLeaves interface {
+	Leaves
+	// Pair writes into nd the merge of leaves E = idx and O = idx+m/2
+	// (idx < m/2) up to its key switch — nd.A = E.A + X^{N/2}·O.A and
+	// nd.BT = E.BT + X^{N/2}·O.BT + φ_3(E.BT − X^{N/2}·O.BT) — and returns
+	// the difference a-part E.A − X^{N/2}·O.A: written into scratch (a
+	// full-basis polynomial the fold lends), or nd.A itself when O is zero
+	// and the two are equal. The fold gathers it and runs the merge's tail.
+	// Workers and clk as for Leaf.
+	Pair(nd *PackNode, scratch *ring.Poly, idx int, clk *obs.StageClock) *ring.Poly
+}
+
 // Fold is the packing tree's reduce buffer: per worker, a stack of at
 // most log₂(its subtree)+1 resident nodes and a borrowed merge arena. The
 // zero value is ready to use. Keep one per caller and reuse it — a warm
@@ -280,6 +302,7 @@ type Fold struct {
 	m     int
 	keys  *PackingKeys
 	src   Leaves
+	pairs PairLeaves  // src, when it supplies the bottom level (m ≥ 2); else nil
 	nodes []*PackNode // PackResident's pre-filled leaves; nil when src fills slots
 	ws    []*foldWorker
 }
@@ -312,10 +335,11 @@ func (f *Fold) Slots() int {
 	return n
 }
 
-// Run folds the m leaves src supplies into one resident node, returned
-// still resident in the fold's own buffer (FlushInto completes the exit;
-// the node is valid until the next Run). m must be a power of two covered
-// by keys; every key is checked before the first leaf is asked for. Each
+// Run folds the m leaves src supplies (from a PairLeaves source, its m/2
+// bottom-level merges) into one resident node, returned still resident in
+// the fold's own buffer (FlushInto completes the exit; the node is valid
+// until the next Run). m must be a power of two covered by keys; every
+// key is checked before the first leaf is asked for. Each
 // worker's clock publishes its leaves' and merges' stages once, when the
 // fold ends. A non-nil sink (a traced request's recorder) also receives
 // them.
@@ -327,8 +351,13 @@ func (f *Fold) run(p bfv.Params, m int, src Leaves, nodes []*PackNode, keys *Pac
 	if err := checkPack(p, m, keys); err != nil {
 		return nil, err
 	}
-	nw := min(max(workers, 1), m)
 	f.p, f.m, f.keys, f.src, f.nodes = p, m, keys, src, nodes
+	f.pairs = nil
+	units := m // what a worker's subtree must hold at least one of
+	if ps, ok := src.(PairLeaves); ok && m > 1 {
+		f.pairs, units = ps, m/2
+	}
+	nw := min(max(workers, 1), units)
 	for len(f.ws) < nw {
 		fw := &foldWorker{f: f, id: len(f.ws)}
 		fw.spawn = fw.foldGroup
@@ -348,7 +377,7 @@ func (f *Fold) run(p bfv.Params, m int, src Leaves, nodes []*PackNode, keys *Pac
 		fw.ms, fw.root = nil, nil
 	}
 	mergesCnt.Add(uint64(m - 1))
-	f.keys, f.src, f.nodes = nil, nil, nil
+	f.keys, f.src, f.pairs, f.nodes = nil, nil, nil, nil
 	return root, nil
 }
 
@@ -407,16 +436,21 @@ func (fw *foldWorker) foldGroup() {
 // serial folds the subtree (r, c) on this worker alone: leaf s of its n
 // leaves in post-order is r + c·bitrev(s), and after pushing it the top
 // two entries are siblings once for every trailing one bit of s — the
-// merges at group sizes 1, 2, 4, ….
+// merges at group sizes 1, 2, 4, …. From a PairLeaves source the units
+// are the n/2 pairs instead, pair s being r + c·bitrev(s) over the pairs'
+// bits, and the merges start at group size 2.
 func (fw *foldWorker) serial(r, c int) *PackNode {
 	f := fw.f
-	n := f.m / c
+	n, i0 := f.m/c, 1
+	if f.pairs != nil {
+		n, i0 = n/2, 2
+	}
 	shift := bits.UintSize - bits.TrailingZeros(uint(n)) // bitrev over log₂n bits (a full-width shift gives 0 when n = 1)
 	stk := fw.stack[:0]
 	fw.clk.Skip()
 	for s := 0; s < n; s++ {
 		stk = append(stk, fw.leaf(len(stk), r+c*int(bits.Reverse(uint(s))>>shift)))
-		for t, i := s, 1; t&1 == 1; t, i = t>>1, i<<1 {
+		for t, i := s, i0; t&1 == 1; t, i = t>>1, i<<1 {
 			d := len(stk)
 			packTwo(f.p, stk[d-2], i, stk[d-2], stk[d-1], f.keys.Keys[2*i+1], fw.ms, &fw.clk)
 			stk = stk[:d-1]
@@ -426,8 +460,11 @@ func (fw *foldWorker) serial(r, c int) *PackNode {
 	return stk[0]
 }
 
-// leaf returns leaf idx for the stack entry at depth d: the caller's node
-// under PackResident, otherwise slot d filled by the source.
+// leaf returns unit idx for the stack entry at depth d: the caller's node
+// under PackResident; otherwise slot d, filled by the source with the
+// leaf or, from a PairLeaves source, with the bottom-level merge of pair
+// idx — the source's front half, then the gather of its difference a-part
+// and the merge's tail under key 3.
 func (fw *foldWorker) leaf(d, idx int) *PackNode {
 	f := fw.f
 	if f.nodes != nil {
@@ -436,6 +473,14 @@ func (fw *foldWorker) leaf(d, idx int) *PackNode {
 	for len(fw.slots) <= d {
 		fw.slots = append(fw.slots, NewPackNode(f.p))
 	}
-	f.src.Leaf(fw.slots[d], idx, &fw.clk)
-	return fw.slots[d]
+	nd := fw.slots[d]
+	if f.pairs == nil {
+		f.src.Leaf(nd, idx, &fw.clk)
+		return nd
+	}
+	diff := f.pairs.Pair(nd, fw.ms.dA, idx, &fw.clk)
+	f.p.R.AutomorphNTT(fw.ms.dBT, diff, 3)
+	fw.clk.Mark(obs.StagePack)
+	mergeTail(f.p, nd, fw.ms.dBT, f.keys.Keys[3], fw.ms, &fw.clk)
+	return nd
 }

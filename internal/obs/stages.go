@@ -9,7 +9,8 @@ import "time"
 // transforms carry them (charged to intt). A Prepare encodes each row
 // chunk into its slab's first limb (charged to encode), then transforms it
 // into every limb, the centred lift riding each transform's first pass
-// (ntt), so encode + ntt add up to the Prepare span with no sweep left
+// (ntt), and splits each first-level row pair of the packing tree (pack),
+// so encode + ntt + pack add up to the Prepare span with no sweep left
 // uncharged. In an apply the conversion of
 // the vector chunks' A half to Montgomery form is charged to row_mul, the
 // stage it serves. These indices and names are the single source of truth shared
@@ -21,8 +22,8 @@ const (
 	StageNTT                // forward transforms (rows, centred-lifting as they load, + vector chunks)
 	StageRowMul             // MULTPOLY multiply-accumulate (Eq. 2), the B half's dot product included, and the chunks' Montgomery form
 	StageINTT               // inverse transforms of the flushed accumulators, ModDown in their last pass
-	StageExtract            // EXTRACTLWES (Eq. 3): the dot product's reduction and N^-1 per limb, and the leaf's constant fill
-	StagePack               // PACKTWOLWES tree arithmetic (Alg. 2/3)
+	StageExtract            // EXTRACTLWES (Eq. 3): the dot products' reduction and N^-1 per limb, and the constant fill of a first-level node's (or one-row tile's leaf's) BT
+	StagePack               // PACKTWOLWES tree arithmetic (Alg. 2/3), Prepare's row-pair splits included
 	StageDecompose          // hoisted RNS digit decomposition + digit NTTs
 	StageKeySwitch          // automorphism key-switch accumulation inside packing
 	StagePackModDown        // pack-tree RESCALE of each merge's a-part, its inverse transforms included

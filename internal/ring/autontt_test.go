@@ -99,7 +99,10 @@ func TestAutoPermTablesArePermutations(t *testing.T) {
 
 // TestNTTPermutationOpsRejectAliasedOperands: the two sweeps whose result
 // depends on the order slots are visited in when an output overlaps an
-// input refuse the call instead of answering differently per kernel.
+// input refuse the call instead of answering differently per kernel. A
+// split reads E and O at a slot before it writes that slot, so sum over E
+// and diff over O (the in-place split) stay legal and give the
+// out-of-place words, on the host's kernels and on the Go loops.
 func TestNTTPermutationOpsRejectAliasedOperands(t *testing.T) {
 	r := chamRing(t, 16)
 	p := func() *Poly {
@@ -113,8 +116,7 @@ func TestNTTPermutationOpsRejectAliasedOperands(t *testing.T) {
 		call       func()
 	}{
 		{"AutomorphNTTAddInto(a, a)", "ring: AutomorphNTTAddInto operands alias", func() { r.AutomorphNTTAddInto(a, a, 3) }},
-		{"MonomialSplitNTT diff = E", "ring: MonomialSplitNTT diff aliases an input", func() { r.MonomialSplitNTT(c, a, a, b, 1) }},
-		{"MonomialSplitNTT diff = O", "ring: MonomialSplitNTT diff aliases an input", func() { r.MonomialSplitNTT(c, b, a, b, 1) }},
+		{"MonomialSplitNTT diff = E", "ring: MonomialSplitNTT diff aliases E", func() { r.MonomialSplitNTT(c, a, a, b, 1) }},
 	}
 	for _, tc := range cases {
 		func() {
@@ -127,6 +129,22 @@ func TestNTTPermutationOpsRejectAliasedOperands(t *testing.T) {
 		}()
 	}
 	r.MonomialSplitNTT(a, c, a, b, 1) // sum over E stays legal
+	rng := testutil.NewRand(t)
+	check := func(impl string) {
+		for _, e := range []int{1, 8} { // the Go loop's runs, the kernel's
+			E, O := randPoly(r, rng, 3), randPoly(r, rng, 3)
+			E.IsNTT, O.IsNTT = true, true
+			sum, diff := r.NewPoly(3), r.NewPoly(3)
+			r.MonomialSplitNTT(sum, diff, E, O, e)
+			r.MonomialSplitNTT(E, O, E, O, e)
+			if !E.Equal(sum) || !O.Equal(diff) {
+				t.Errorf("e=%d (%s): the in-place split differs from the out-of-place one", e, impl)
+			}
+		}
+	}
+	check(vec.Impl())
+	vec.ForceGeneric(t)
+	check(vec.ImplGeneric)
 }
 
 // TestMonomialSplitNTTMatchesCoeff: the cached NTT image of X^e behind
@@ -196,6 +214,37 @@ func TestMonoTableRuns(t *testing.T) {
 	for l := range dp.Moduli {
 		if len(tab.vals[l]) != 256 || len(tab.shoup[l]) != 256 {
 			t.Fatalf("N=4096 z=16 limb %d: %d values and %d companions, want 256", l, len(tab.vals[l]), len(tab.shoup[l]))
+		}
+	}
+}
+
+// TestAutomorphNegatesTreeMonomial pins the identity the packing tree's
+// first level is built on (core's prepared row pairs write a merge's BT
+// from two constants): φ_{2i+1}(X^{N/2i}) = X^{N+N/2i} = −X^{N/2i}, so the
+// run value of NTT(X^{N/2i}) at slot autoPermTable(2i+1)[j] is q minus its
+// value at slot j, for every group size i of a tree of up to N leaves and
+// every limb. And φ_3's gather maps the first half of the slots onto the
+// second and the second onto the first.
+func TestAutomorphNegatesTreeMonomial(t *testing.T) {
+	for _, n := range []int{64, 4096} {
+		r := chamRing(t, n)
+		for i := 1; i < n; i <<= 1 {
+			tab := r.monoNTTTable(n / (2 * i))
+			perm := r.autoPermTable(2*i + 1)
+			for l, m := range r.Moduli {
+				at := func(j int) uint64 { return tab.vals[l][j>>tab.logRun] }
+				for j := 0; j < n; j++ {
+					if got, want := at(int(perm[j])), m.Q-at(j); got != want {
+						t.Fatalf("N=%d i=%d limb %d slot %d: NTT(X^%d) at φ_%d's source slot %d is %d, want q − %d = %d",
+							n, i, l, j, n/(2*i), 2*i+1, perm[j], got, at(j), want)
+					}
+				}
+			}
+		}
+		for j, src := range r.autoPermTable(3) {
+			if (j < n/2) == (int(src) < n/2) {
+				t.Fatalf("N=%d: φ_3 gathers slot %d from slot %d, the same half", n, j, src)
+			}
 		}
 	}
 }

@@ -186,51 +186,62 @@ func (r *Ring) MulCoeffMontAdd(out, a, bMont *Poly) {
 // against the two halves of a vector chunk, in a single sweep. For the A
 // half it sets outA = x ∘ a, or outA += x ∘ a when add is set, where aMont
 // holds a in Montgomery form — MulScalar(a, 2^52), so the sweep reads no
-// Shoup table. Of the B half only the dot product Σ_i x_i·b_i is wanted,
-// so nothing is written per coefficient: per limb l it sets the total
-// dot[l] = {hi, lo} (hi·2^64 + lo), or adds to it when add is set. hi is
-// left reduced mod q_l, so a total stays below q_l·2^64, the range
+// Shoup table. Of the B half only dot products Σ_i x_i·b_i are wanted, so
+// nothing is written per coefficient: per limb l and per half h of the
+// slots (h = 0 for [0, N/2), 1 for [N/2, N)) it sets the total dot[l][h] =
+// {hi, lo} (hi·2^64 + lo), or adds to it when add is set — the kernel runs
+// once per half row. The packing tree's first level needs the halves
+// apart (core's row pairs); a single row adds them. hi is left reduced
+// mod q_l, so a total stays below q_l·2^64, the range
 // mod.BarrettReduce128 takes, however many calls add to it. Every operand
 // must be canonical; b is read as it is, in no Montgomery form.
-func (r *Ring) MulCoeffMontDot(dot [][2]uint64, outA, x, b, aMont *Poly, add bool) {
+func (r *Ring) MulCoeffMontDot(dot [][2][2]uint64, outA, x, b, aMont *Poly, add bool) {
 	lv := sameLevels(outA, x, b, aMont)
 	sameDomain(x, b, aMont)
 	for l := 0; l < lv; l++ {
 		m := r.Moduli[l]
-		q, qinv := m.Q, montInv(m.Q)
 		roa := outA.Coeffs[l]
 		rx, rb, ra := x.Coeffs[l][:len(roa)], b.Coeffs[l][:len(roa)], aMont.Coeffs[l][:len(roa)]
-		hi, lo, done := vec.MulMontDot(q, qinv, roa, rx, rb, ra, add)
-		switch {
-		case done:
-		case q >= montR:
-			montWideRow(m, roa, rx, ra, add)
-			for i := range rx { // a product may reach 2^124: reduce each
-				lo = m.Add(lo, m.MulBarrett(rx[i], rb[i]))
-			}
-		default:
-			for i := range roa {
-				p := montMul(rx[i], ra[i], q, qinv)
-				if add {
-					p = m.Add(roa[i], p)
-				}
-				roa[i] = p
-				// A product is below 2^104: hi gains under 2^40 a
-				// word, so it cannot wrap in a row under 2^24 words.
-				ph, pl := bits.Mul64(rx[i], rb[i])
-				var c uint64
-				lo, c = bits.Add64(lo, pl, 0)
-				hi += ph + c
-			}
-		}
-		if add {
-			var c uint64
-			lo, c = bits.Add64(lo, dot[l][1], 0)
-			hi += dot[l][0] + c
-		}
-		dot[l] = [2]uint64{m.ReduceBarrett(hi), lo}
+		h := len(roa) / 2
+		montDotRow(m, &dot[l][0], roa[:h], rx[:h], rb[:h], ra[:h], add)
+		montDotRow(m, &dot[l][1], roa[h:], rx[h:], rb[h:], ra[h:], add)
 	}
 	outA.IsNTT = x.IsNTT
+}
+
+// montDotRow is MulCoeffMontDot over one row range of one limb: roa (+)=
+// rx∘ra·2^-52 and the total (+)= Σ rx_i·rb_i.
+func montDotRow(m mod.Modulus, total *[2]uint64, roa, rx, rb, ra []uint64, add bool) {
+	q, qinv := m.Q, montInv(m.Q)
+	hi, lo, done := vec.MulMontDot(q, qinv, roa, rx, rb, ra, add)
+	switch {
+	case done:
+	case q >= montR:
+		montWideRow(m, roa, rx, ra, add)
+		for i := range rx { // a product may reach 2^124: reduce each
+			lo = m.Add(lo, m.MulBarrett(rx[i], rb[i]))
+		}
+	default:
+		for i := range roa {
+			p := montMul(rx[i], ra[i], q, qinv)
+			if add {
+				p = m.Add(roa[i], p)
+			}
+			roa[i] = p
+			// A product is below 2^104: hi gains under 2^40 a
+			// word, so it cannot wrap in a row under 2^24 words.
+			ph, pl := bits.Mul64(rx[i], rb[i])
+			var c uint64
+			lo, c = bits.Add64(lo, pl, 0)
+			hi += ph + c
+		}
+	}
+	if add {
+		var c uint64
+		lo, c = bits.Add64(lo, total[1], 0)
+		hi += total[0] + c
+	}
+	*total = [2]uint64{m.ReduceBarrett(hi), lo}
 }
 
 // montR is the Montgomery radix of the MulCoeffMont… sweeps, the range of

@@ -248,8 +248,8 @@ func TestMulCoeffShoupMatchesBarrett(t *testing.T) {
 
 // TestMulCoeffMontDot: the row MAC against an A half in Montgomery form
 // (MulScalar by 2^52) gives MulCoeff's words, fresh and accumulated, and
-// its B totals reduce to Σ MulCoeff mod q, accumulated over four calls as
-// the row apply accumulates chunks. It runs on the host's kernels and on
+// its B totals reduce to Σ MulCoeff mod q over each half of the slots,
+// accumulated over four calls as the row apply accumulates chunks. It runs on the host's kernels and on
 // the Go loops, over the CHAM basis, 52-bit primes (the Go loop's widest
 // narrow path) and 60-bit primes (wider than the Montgomery radix). The
 // first four words pair 0 and q-1 every way; one call has every operand
@@ -267,8 +267,8 @@ func TestMulCoeffMontDot(t *testing.T) {
 		rng := testutil.NewRand(t)
 		lv := r.Levels()
 		gotA, wantA, prod := r.NewPoly(lv), r.NewPoly(lv), r.NewPoly(lv)
-		dot := make([][2]uint64, lv)
-		want := make([]uint64, lv)
+		dot := make([][2][2]uint64, lv)
+		want := make([][2]uint64, lv)
 		for call := 0; call < 4; call++ {
 			x, b, a := randPoly(r, rng, lv), randPoly(r, rng, lv), randPoly(r, rng, lv)
 			for l, m := range r.Moduli {
@@ -295,10 +295,11 @@ func TestMulCoeffMontDot(t *testing.T) {
 			r.MulCoeff(prod, x, b)
 			for l, m := range r.Moduli {
 				if !add {
-					want[l] = 0
+					want[l] = [2]uint64{}
 				}
-				for _, v := range prod.Coeffs[l] {
-					want[l] = m.Add(want[l], v)
+				for i, v := range prod.Coeffs[l] {
+					h := 2 * i / r.N
+					want[l][h] = m.Add(want[l][h], v)
 				}
 			}
 			r.MulCoeffMontDot(dot, gotA, x, b, aM, add)
@@ -306,11 +307,13 @@ func TestMulCoeffMontDot(t *testing.T) {
 				t.Fatalf("call %d: the A half differs from MulCoeff", call)
 			}
 			for l, m := range r.Moduli {
-				if dot[l][0] >= m.Q {
-					t.Fatalf("call %d limb %d: total's high word %d is not reduced", call, l, dot[l][0])
-				}
-				if got := m.BarrettReduce128(dot[l][0], dot[l][1]); got != want[l] {
-					t.Fatalf("call %d limb %d: dot reduces to %d, want %d", call, l, got, want[l])
+				for h, d := range dot[l] {
+					if d[0] >= m.Q {
+						t.Fatalf("call %d limb %d half %d: total's high word %d is not reduced", call, l, h, d[0])
+					}
+					if got := m.BarrettReduce128(d[0], d[1]); got != want[l][h] {
+						t.Fatalf("call %d limb %d half %d: dot reduces to %d, want %d", call, l, h, got, want[l][h])
+					}
 				}
 			}
 		}

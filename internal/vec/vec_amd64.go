@@ -131,7 +131,8 @@ func InverseNTTDrop(q uint64, out, a, sp, w, wShoup []uint64, nInvP, nInvPShoup,
 // (slot i multiplies by m[i>>logRun]) and mShoup holds the Shoup
 // companions of m. Each run broadcasts its value once, so a run must fill
 // whole vectors: logRun ≥ 3 and the row a multiple of the run. sum may
-// alias e.
+// alias e and diff may alias o: a block of eight slots is loaded from both
+// before either output is stored.
 func MonomialSplit(q uint64, sum, diff, e, o, m, mShoup []uint64, logRun int) bool {
 	if logRun < 3 {
 		return false

@@ -149,7 +149,8 @@ func runAll(r *ring.Ring, seed int64, fill int) []result {
 	r.INTTModDownTo(exit, g.poly(true))
 	keep("inttmoddown", exit)
 
-	// MonomialSplitNTT, fresh outputs and sum aliasing E, over every
+	// MonomialSplitNTT, fresh outputs and in place (sum over E, diff over
+	// O), over every
 	// exponent the packing tree multiplies by — z = N/2i for groups of
 	// i = 1 … N/16, runs of z ≥ 8 slots, the kernel's — then X^N = -1 (one
 	// run of N slots) and one odd exponent (runs of one slot, the Go loop's).
@@ -164,8 +165,8 @@ func runAll(r *ring.Ring, seed int64, fill int) []result {
 		sum, diff = r.NewPoly(lv), r.NewPoly(lv)
 		r.MonomialSplitNTT(sum, diff, E, O, e)
 		keep(fmt.Sprintf("monomialsplit/e%d", e), sum, diff)
-		sum, diff = E.Copy(), r.NewPoly(lv)
-		r.MonomialSplitNTT(sum, diff, sum, O, e)
+		sum, diff = E.Copy(), O.Copy()
+		r.MonomialSplitNTT(sum, diff, sum, diff, e)
 		keep(fmt.Sprintf("monomialsplit/e%d/aliased", e), sum, diff)
 	}
 
@@ -180,17 +181,17 @@ func runAll(r *ring.Ring, seed int64, fill int) []result {
 	r.MulCoeffMontPairAdd(acc, a0, bM, a1, aM)
 	keep("pair", acc)
 	// The row MAC: one streamed row against a vector chunk's halves, the A
-	// half in Montgomery form and the B half summed as a dot product, fresh
-	// and then accumulated over a second chunk; the totals are kept as a
-	// row of {hi, lo} words. Then two rows against one shared fixed operand
-	// with its Shoup table.
+	// half in Montgomery form and the B half summed as a dot product per
+	// half of the slots, fresh and then accumulated over a second chunk;
+	// the totals are kept as a row of {hi, lo} words, two per limb. Then
+	// two rows against one shared fixed operand with its Shoup table.
 	outA, accA := r.NewPoly(lv), g.poly(true)
-	dot := make([][2]uint64, lv)
+	dot := make([][2][2]uint64, lv)
 	r.MulCoeffMontDot(dot, outA, a0, b0, aM, false)
 	r.MulCoeffMontDot(dot, accA, a1, b1, aM, true)
 	var totals []uint64
 	for _, d := range dot {
-		totals = append(totals, d[0], d[1])
+		totals = append(totals, d[0][0], d[0][1], d[1][0], d[1][1])
 	}
 	keep("dot", outA, accA)
 	out = append(out, result{"dot/totals", [][]uint64{totals}})
