@@ -179,15 +179,7 @@ func (p Params) MulScalar(out, ct *rlwe.Ciphertext, c uint64) {
 // DOTPRODUCT pipeline. The result is returned in coefficient domain at the
 // ciphertext's level count.
 func (p Params) MulPlain(ct *rlwe.Ciphertext, pt *Plaintext) *rlwe.Ciphertext {
-	levels := ct.Levels()
-	ptPoly := p.Lift(pt, levels)
-	p.R.NTT(ptPoly)
-	b := ct.B.Copy()
-	a := ct.A.Copy()
-	p.R.NTT(b)
-	p.R.NTT(a)
-	out := &rlwe.Ciphertext{B: p.R.NewPoly(levels), A: p.R.NewPoly(levels)}
-	p.MulPlainNTT(out, &rlwe.Ciphertext{B: b, A: a}, ptPoly)
+	out := p.mulPlainNTT(ct, pt)
 	p.R.INTT(out.B)
 	p.R.INTT(out.A)
 	return out
@@ -196,9 +188,26 @@ func (p Params) MulPlain(ct *rlwe.Ciphertext, pt *Plaintext) *rlwe.Ciphertext {
 // MulPlainRescale is the full augmented flow: multiply an augmented
 // ciphertext by a plaintext, then RESCALE by the special modulus back to
 // the normal basis (stages 1–4). The ciphertext must carry the full basis.
+// The product leaves the NTT domain through the transforms that divide
+// the special limb out (ring.INTTModDownTo), one per part.
 func (p Params) MulPlainRescale(ct *rlwe.Ciphertext, pt *Plaintext) *rlwe.Ciphertext {
 	if ct.Levels() != p.R.Levels() {
 		panic("bfv: MulPlainRescale requires an augmented ciphertext")
 	}
-	return p.Rescale(p.MulPlain(ct, pt))
+	prod := p.mulPlainNTT(ct, pt)
+	out := &rlwe.Ciphertext{B: p.R.NewPoly(p.NormalLevels), A: p.R.NewPoly(p.NormalLevels)}
+	p.R.INTTModDownTo(out.B, prod.B)
+	p.R.INTTModDownTo(out.A, prod.A)
+	return out
+}
+
+// mulPlainNTT is pt×ct left in the NTT domain, in a fresh ciphertext.
+func (p Params) mulPlainNTT(ct *rlwe.Ciphertext, pt *Plaintext) *rlwe.Ciphertext {
+	ptPoly := p.Lift(pt, ct.Levels())
+	p.R.NTT(ptPoly)
+	prod := ct.Copy()
+	p.R.NTT(prod.B)
+	p.R.NTT(prod.A)
+	p.MulPlainNTT(prod, prod, ptPoly)
+	return prod
 }

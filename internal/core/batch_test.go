@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"cham/internal/rlwe"
 )
 
 func TestBatchMatVecMatchesPlain(t *testing.T) {
@@ -99,8 +101,13 @@ func TestSlotSum(t *testing.T) {
 		want = p.T.Add(want, x)
 	}
 	ctV, _ := be.EncryptSlots(rng, sk, v)
-	// SlotSum operates on normal-basis ciphertexts.
-	summed := be.SlotSum(p.Rescale(ctV))
+	// SlotSum operates on normal-basis ciphertexts: RESCALE both parts.
+	norm := &rlwe.Ciphertext{B: p.R.NewPoly(p.NormalLevels), A: p.R.NewPoly(p.NormalLevels)}
+	p.R.NTT(ctV.B)
+	p.R.NTT(ctV.A)
+	p.R.INTTModDownTo(norm.B, ctV.B)
+	p.R.INTTModDownTo(norm.A, ctV.A)
+	summed := be.SlotSum(norm)
 	slots, err := p.DecodeSlots(p.Decrypt(summed, sk))
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,8 @@ var (
 	// ErrVectorLength: the encrypted vector's chunk count does not match
 	// the matrix's column chunks.
 	ErrVectorLength = errors.New("core: vector length mismatch")
-	// ErrVectorBasis: a vector ciphertext does not carry the augmented
-	// (full) RNS basis EncryptVector produces.
+	// ErrVectorBasis: a vector ciphertext's parts do not both carry the
+	// augmented (full) RNS basis at the ring degree EncryptVector produces.
 	ErrVectorBasis = errors.New("core: vector ciphertext lacks the augmented basis")
 	// ErrResultShape: a Result passed to ApplyInto has the wrong tile
 	// count, nil tiles, or mis-shaped polynomials; allocate with NewResult.

@@ -29,8 +29,9 @@ type Evaluator struct {
 	P    bfv.Params
 	Keys *lwe.PackingKeys
 	// Workers bounds the goroutines a tile's packing fold splits across:
-	// each folds a disjoint subtree, computing its own rows' dot products
-	// as its leaves (results are bit-identical for any worker count).
+	// each folds a disjoint subtree, computing its own row pairs' dot
+	// products as its first level (results are bit-identical for any
+	// worker count).
 	// Defaults to GOMAXPROCS; set 1 for strictly serial, goroutine-free
 	// evaluation.
 	Workers int

@@ -23,11 +23,13 @@ package core
 // linear in them up to its key switch, so Prepare stores each such pair
 // already split, P± = R_r ± X^{N/2}·R_{r+m/2}, and an apply computes the
 // merged node's parts straight from P± with the row MAC — no leaf, no
-// split, no BT gather. A tile is one lwe.Fold over its m/2 pairs: the
-// fold asks for them in bit-reversed order (0, m/4, m/8, 3m/8, …), the
-// order in which a depth-first walk of Alg. 3 completes sibling subtrees,
-// the pair's MACs land straight in the reduce-buffer slot the fold hands
-// it, and the node merges as soon as its sibling exists. The buffer is
+// split, no BT gather. A tile is one lwe.Fold over its m/2 pairs (a
+// one-row tile's one pair is its row, applied without the merge's
+// doubling: the tree's only leaf). The fold asks for them in bit-reversed
+// order (0, m/4, m/8, 3m/8, …), the order in which a depth-first walk of
+// Alg. 3 completes sibling subtrees, the pair's MACs land straight in the
+// reduce-buffer slot the fold hands it, and the node merges as soon as
+// its sibling exists. The buffer is
 // log₂(pairs in the subtree)+1 resident nodes per worker — 8 × 192 KB at
 // the 256-row design point instead of 256 leaves (48 MB) — the software
 // form of CHAM's pre-empting reduce buffer (exp.Config.ReduceBufferSlots).
@@ -364,9 +366,7 @@ func (pm *PreparedMatrix) apply(res []*Result, tiles []int, vecs [][]*rlwe.Ciphe
 	sc.clk.Attach(sink)
 	defer sc.clk.Flush() // every vector's transforms: one observation per apply
 	for k, ctV := range vecs {
-		if err := e.loadVector(sc, ctV); err != nil {
-			return countErr(err)
-		}
+		e.loadVector(sc, ctV)
 		for j, out := range res[k].Packed {
 			ti := j
 			if tiles != nil {
@@ -385,8 +385,9 @@ func (pm *PreparedMatrix) apply(res []*Result, tiles []int, vecs [][]*rlwe.Ciphe
 }
 
 // validate checks a whole apply against the prepared shape — every
-// vector's chunk count and entries, every listed tile's index and
-// preparation, every output's slot count and polynomial shapes — and
+// vector's chunk count and every entry's basis and ring degree, part by
+// part, every listed tile's index and preparation, every output's slot
+// count and polynomial shapes — and
 // returns the row count one vector's listed tiles cover. The %w wrapping
 // keeps errors.Is on the sentinels working through the per-index context.
 func (pm *PreparedMatrix) validate(res []*Result, tiles []int, vecs [][]*rlwe.Ciphertext) (rows int, err error) {
@@ -404,6 +405,9 @@ func (pm *PreparedMatrix) validate(res []*Result, tiles []int, vecs [][]*rlwe.Ci
 		for c, ct := range ctV {
 			if ct == nil || ct.B == nil || ct.A == nil {
 				return 0, fmt.Errorf("%w: vector %d: ciphertext %d is nil", ErrVectorLength, k, c)
+			}
+			if !hasShape(ct.B, p.R.Levels(), p.R.N) || !hasShape(ct.A, p.R.Levels(), p.R.N) {
+				return 0, fmt.Errorf("%w: vector %d: ciphertext %d is not %d limbs of N = %d per part", ErrVectorBasis, k, c, p.R.Levels(), p.R.N)
 			}
 		}
 	}
@@ -438,8 +442,7 @@ func (pm *PreparedMatrix) validate(res []*Result, tiles []int, vecs [][]*rlwe.Ci
 			if ct == nil || ct.B == nil || ct.A == nil {
 				return 0, fmt.Errorf("%w: result %d tile slot %d is nil; allocate with NewResult", ErrResultShape, k, j)
 			}
-			if ct.B.Levels() != p.NormalLevels || ct.A.Levels() != p.NormalLevels ||
-				len(ct.B.Coeffs[0]) != p.R.N || len(ct.A.Coeffs[0]) != p.R.N {
+			if !hasShape(ct.B, p.NormalLevels, p.R.N) || !hasShape(ct.A, p.NormalLevels, p.R.N) {
 				return 0, fmt.Errorf("%w: result %d tile slot %d has the wrong shape; allocate with NewResult", ErrResultShape, k, j)
 			}
 		}
@@ -447,15 +450,28 @@ func (pm *PreparedMatrix) validate(res []*Result, tiles []int, vecs [][]*rlwe.Ci
 	return rows, nil
 }
 
+// hasShape reports whether x has exactly levels limbs of n words each.
+func hasShape(x *ring.Poly, levels, n int) bool {
+	if x.Levels() != levels {
+		return false
+	}
+	for _, row := range x.Coeffs {
+		if len(row) != n {
+			return false
+		}
+	}
+	return true
+}
+
 // --- per-vector machinery ---
 
 // applyScratch holds the per-call buffers shared across rows: the vector
 // chunks in the form the row MAC reads, the packing tree's reduce buffer
-// and the leaf source that feeds it.
+// and the pair source that feeds it.
 type applyScratch struct {
 	chunks []*rlwe.Ciphertext // full basis, NTT domain, A in Montgomery form
-	fold   lwe.Fold           // log₂(subtree)+1 resident slots per worker
-	leaves tileLeaves
+	fold   lwe.Fold           // log₂(subtree's pairs)+1 resident slots per worker
+	pairs  tilePairs
 	clk    obs.StageClock // times the shared vector sweeps; flushed once per apply
 	sink   obs.StageSink  // traced request's recorder; nil when unsampled
 }
@@ -530,16 +546,10 @@ func (e *Evaluator) effWorkers(items int) int {
 // puts the A half in Montgomery form (·2^52, see ring.MulCoeffMontDot),
 // the form every row's MAC reads, charged to row_mul, the stage it serves.
 // The B half stays canonical: the MAC only sums its products. Both on the
-// apply's clock.
-func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
+// apply's clock. validate has checked every ciphertext's shape.
+func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) {
 	r := e.P.R
 	for c, ct := range ctV {
-		if ct == nil || ct.B == nil || ct.A == nil {
-			return fmt.Errorf("%w: vector ciphertext %d is nil", ErrVectorLength, c)
-		}
-		if ct.Levels() != r.Levels() {
-			return fmt.Errorf("%w: vector ciphertext %d", ErrVectorBasis, c)
-		}
 		v := sc.chunks[c]
 		v.CopyFrom(ct)
 		sc.clk.Skip() // the copy is not a pipeline stage
@@ -553,58 +563,35 @@ func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
 		r.MulScalar(v.A, v.A, 1<<52)
 		sc.clk.Mark(obs.StageRowMul)
 	}
-	return nil
 }
 
-// rowApplyInto runs stages 1–4 for a one-row tile's row against the
-// vector chunks and writes the extracted slot ciphertext into dst as an
-// NTT-resident tree leaf. The MAC is vector-stationary: the prepared row
-// is the streamed operand, and each chunk is the fixed one — dst.A (+)=
-// row∘â against the Montgomery form loadVector left â in, and the B dot
-// product Σ_j row_j·b̂_j summed in the same sweep, per limb and per half
-// row, into 128-bit totals. Both leaf parts stay UN-rescaled: dst.A is the
-// raw full-basis NTT dot-product accumulator itself (the a-part MAC writes
-// straight into it — the tree's deferred a accumulator makes the per-row
-// RESCALE disappear), and dst.BT holds the un-rescaled per-limb B constant
-// in every slot (the NTT image of a constant). Both divisions are deferred
-// to the tree flush. polys are the row's prepared chunks; clk, the fold
-// worker's running clock, is charged with the row's stages.
-func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, chunks []*rlwe.Ciphertext, polys []*ring.Poly, clk *obs.StageClock) {
-	r := e.P.R
-	var buf [4][2][2]uint64
-	dot := dotTotals(&buf, r.Levels())
-	rowMAC(r, dot, dst.A, chunks, polys, clk)
-	// B: EXTRACT at index 0 keeps only the constant coefficient of the
-	// inverse transform, which is N^{-1} times the dot product per limb.
-	// Its scalar RESCALE is DEFERRED to the tree flush: the leaf's BT
-	// carries the un-rescaled constant β per full-basis limb, whose NTT
-	// image is β in every slot.
-	for l := range dot {
-		m := r.Moduli[l]
-		fill(dst.BT.Coeffs[l], m.MulShoup(sumDots(m, dot[l][0], dot[l][1]), e.invN[l], e.invNShoup[l]))
-	}
-	dst.BT.IsNTT = true
-	clk.Mark(obs.StageExtract)
-}
-
-// pairApplyInto runs stages 1–4 for one row pair and the front half of
+// pairApplyInto runs stages 1–4 for tile pair i and the front half of
 // the packing tree's group-size-1 merge of its two rows, E = R_r·v and
-// O = R_{r+mPad/2}·v, without either leaf. The row MAC streams P+ and P−
-// against the vector chunks: A = Σ P+∘â = E.A + X^{N/2}·O.A goes straight
-// into dst.A, D = Σ P−∘â = E.A − X^{N/2}·O.A into scratch, which is
-// returned (a half-empty pair has P− = P+, so D is dst.A and its MACs are
-// skipped). dst.BT is written from the B dot products alone. Slot j of
-// NTT(X^{N/2}) is w on [0, N/2) and −w on [N/2, N), and φ_3 maps each half
-// of the slots onto the other, so with β_E and β_O the leaves' constants
-// the merge's E.BT + X^{N/2}·O.BT + φ_3(E.BT − X^{N/2}·O.BT) is
-// 2(β_E + w·β_O) on the first half and 2(β_E − w·β_O) on the second — by
-// the same sums, N^{-1}·(S+_lo + S−_hi) and N^{-1}·(S+_hi + S−_lo) doubled,
-// S±_h being P±'s dot product with b̂ over half h. The residues are the
-// ones the split and gathers of two leaves give, so the merge is
-// bit-identical. clk is charged with row_mul for the MACs and extract for
-// BT.
-func (e *Evaluator) pairApplyInto(dst *lwe.PackNode, scratch *ring.Poly, chunks []*rlwe.Ciphertext, pr *rowPair, clk *obs.StageClock) *ring.Poly {
+// O = R_{r+mPad/2}·v, without either leaf. The row MAC is
+// vector-stationary: the prepared P+ and P− are the streamed operands, and
+// each chunk is the fixed one, against the Montgomery form loadVector left
+// â in. A = Σ P+∘â = E.A + X^{N/2}·O.A goes straight into dst.A, D =
+// Σ P−∘â = E.A − X^{N/2}·O.A into scratch, which is returned (a
+// half-empty pair has P− = P+, so D is dst.A and its MACs are skipped).
+// Both parts stay UN-rescaled — the tree's deferred accumulators make the
+// per-row RESCALE disappear, and both divisions run at the tree flush.
+// dst.BT is written from the B dot products alone: EXTRACT at index 0
+// keeps only the constant coefficient of the inverse transform, N^{-1}
+// times the dot product per limb, whose NTT image is that constant in
+// every slot. Slot j of NTT(X^{N/2}) is w on [0, N/2) and −w on [N/2, N),
+// and φ_3 maps each half of the slots onto the other, so with β_E and β_O
+// the leaves' constants the merge's E.BT + X^{N/2}·O.BT + φ_3(E.BT −
+// X^{N/2}·O.BT) is 2(β_E + w·β_O) on the first half and 2(β_E − w·β_O) on
+// the second — by the same sums, N^{-1}·(S+_lo + S−_hi) and
+// N^{-1}·(S+_hi + S−_lo) doubled, S±_h being P±'s dot product with b̂
+// over half h. The residues are the ones the split and gathers of two
+// leaves give, so the merge is bit-identical. A one-row tile's pair is its
+// row and there is no merge: dst is the row's leaf, N^{-1}·(S_lo + S_hi)
+// undoubled in every slot. clk is charged with row_mul for the MACs and
+// extract for BT.
+func (e *Evaluator) pairApplyInto(dst *lwe.PackNode, scratch *ring.Poly, chunks []*rlwe.Ciphertext, tile *preparedTile, i int, clk *obs.StageClock) *ring.Poly {
 	r := e.P.R
+	pr := &tile.pairs[i]
 	var buf [2][4][2][2]uint64
 	plus, minus, d := dotTotals(&buf[0], r.Levels()), dotTotals(&buf[1], r.Levels()), scratch
 	rowMAC(r, plus, dst.A, chunks, pr.plus, clk)
@@ -619,8 +606,11 @@ func (e *Evaluator) pairApplyInto(dst *lwe.PackNode, scratch *ring.Poly, chunks 
 		rb := dst.BT.Coeffs[l]
 		lo := m.MulShoup(sumDots(m, plus[l][0], minus[l][1]), e.invN[l], e.invNShoup[l])
 		hi := m.MulShoup(sumDots(m, plus[l][1], minus[l][0]), e.invN[l], e.invNShoup[l])
-		fill(rb[:h], m.Add(lo, lo))
-		fill(rb[h:], m.Add(hi, hi))
+		if tile.mPad > 1 {
+			lo, hi = m.Add(lo, lo), m.Add(hi, hi)
+		}
+		fill(rb[:h], lo)
+		fill(rb[h:], hi)
 	}
 	dst.BT.IsNTT = true
 	clk.Mark(obs.StageExtract)
@@ -662,16 +652,15 @@ func fill(row []uint64, v uint64) {
 }
 
 // tileApply runs stages 1–9 for one row tile into out (normal basis): the
-// packing fold asks for each row pair (the one row of a one-row tile) as
-// its sibling subtree completes, the leaf source computes the pair's
-// first-level node straight into the fold's slot, and the root is
-// flushed.
+// packing fold asks for each row pair as its sibling subtree completes,
+// the source computes the pair's first-level node straight into the
+// fold's slot, and the root is flushed.
 func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *preparedTile) error {
 	workers := e.effWorkers(tile.rows)
-	lv := &sc.leaves
-	lv.e, lv.chunks, lv.tile = e, sc.chunks, tile
-	root, err := sc.fold.Run(e.P, tile.mPad, lv, e.Keys, workers, sc.sink)
-	lv.tile = nil
+	src := &sc.pairs
+	src.e, src.chunks, src.tile = e, sc.chunks, tile
+	root, err := sc.fold.Run(e.P, tile.mPad, src, e.Keys, workers, sc.sink)
+	src.tile = nil
 	if err != nil {
 		return err
 	}
@@ -679,23 +668,16 @@ func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *prep
 	return nil
 }
 
-// tileLeaves is the packing fold's leaf source for one tile: it supplies
-// the tree's bottom level from the tile's row pairs, and the leaf of a
-// one-row tile, which has no merge.
-type tileLeaves struct {
+// tilePairs is the packing fold's source for one tile: the tree's first
+// level from the tile's row pairs.
+type tilePairs struct {
 	e      *Evaluator
 	chunks []*rlwe.Ciphertext
 	tile   *preparedTile
 }
 
-// Leaf is asked only of a one-row tile (mPad = 1): every larger tile folds
-// from its pairs.
-func (lv *tileLeaves) Leaf(nd *lwe.PackNode, i int, clk *obs.StageClock) {
-	lv.e.rowApplyInto(nd, lv.chunks, lv.tile.pairs[i].plus, clk)
-}
-
-func (lv *tileLeaves) Pair(nd *lwe.PackNode, scratch *ring.Poly, i int, clk *obs.StageClock) *ring.Poly {
-	return lv.e.pairApplyInto(nd, scratch, lv.chunks, &lv.tile.pairs[i], clk)
+func (s *tilePairs) Pair(nd, scratch *lwe.PackNode, i int, clk *obs.StageClock) *ring.Poly {
+	return s.e.pairApplyInto(nd, scratch.A, s.chunks, s.tile, i, clk)
 }
 
 // log2 of a power of two.

@@ -125,6 +125,20 @@ func TestPreparedValidation(t *testing.T) {
 	bad := []*rlwe.Ciphertext{p.Encrypt(rng, sk, p.NewPlaintext(), p.NormalLevels)}
 	_, err = pm.Apply(bad)
 	wantErr(t, err, ErrVectorBasis, "normal-basis vector ciphertext")
+	// So must one of another ring degree: same chunk and limb counts,
+	// twice the words per limb.
+	p32 := testParams(t, 32)
+	wide := EncryptVector(p32, rng, p32.KeyGen(rng), randomVector(rng, 16, p.T.Q))
+	_, err = pm.Apply(wide)
+	wantErr(t, err, ErrVectorBasis, "vector ciphertext of another ring degree")
+	// A bad second vector fails the batch before the first is applied.
+	res := []*Result{pm.NewResult(), pm.NewResult()}
+	err = pm.ApplyBatchInto(res, [][]*rlwe.Ciphertext{ctV, bad})
+	wantErr(t, err, ErrVectorBasis, "batch with a normal-basis second vector")
+	untouched := pm.NewResult().Packed[0]
+	if got := res[0].Packed[0]; !got.B.Equal(untouched.B) || !got.A.Equal(untouched.A) {
+		t.Error("failed batch wrote its first vector's result")
+	}
 }
 
 // TestPreparedMisuse: every wrong way to hold the ApplyInto/evaluator API
@@ -162,6 +176,9 @@ func TestPreparedMisuse(t *testing.T) {
 	}}
 	tiny.Packed[0].B.Coeffs[0] = tiny.Packed[0].B.Coeffs[0][:4]
 	wantErr(t, pm.ApplyInto(tiny, ctV), ErrResultShape, "result tile with the wrong ring degree")
+	// A vector ciphertext whose parts disagree must be rejected, not copied.
+	ragged := []*rlwe.Ciphertext{{B: ctV[0].B, A: p.R.NewPoly(p.NormalLevels)}}
+	wantErr(t, pm.ApplyInto(pm.NewResult(), ragged), ErrVectorBasis, "vector ciphertext with a short A")
 	// A well-shaped Result still works after all the rejections (the
 	// validation must be side-effect free).
 	if err := pm.ApplyInto(pm.NewResult(), ctV); err != nil {

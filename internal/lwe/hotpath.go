@@ -11,15 +11,19 @@ package lwe
 // half first, asks for the leaves in bit-reversed order (0, m/2, m/4,
 // 3m/4, …), and every merge sees the same E, O, key and i as the
 // level-order walk of ref.PackDeferred — so the fold is bit-identical to
-// it by construction. A worker keeps the roots of its finished subtrees
-// on a stack: a leaf is pushed, and while the two on top are siblings
-// they merge into the lower one. A subtree of 2^L leaves never holds
-// more than L+1 nodes, so the reduce buffer is log₂m+1 slots, not m
-// resident leaves. A PairLeaves source (core's prepared tiles) supplies
-// the bottom level's merges instead of leaves: the fold walks the m/2
-// pairs the same way, runs each one's key switch, and merges from group
-// size 2 up, in log₂(m/2)+1 slots — 8 × 192 KB at the 256-row design
-// point. With w workers the fold splits recursively: a subtree runs its
+// it by construction. Every fold starts from the tree's first level: the
+// merge at group size 1 of leaves idx and idx+m/2 is asked of the fold's
+// source (Pairs) up to its key switch — core's prepared tiles compute it
+// from Prepare-time row pairs, PackLWEs and PackResident from their two
+// leaves with the front half every merge shares — and the fold runs its
+// tail. So the walk's units are the m/2 pairs, in the same bit-reversed
+// order, and its merges start at group size 2. A worker keeps the roots
+// of its finished subtrees on a stack: a pair is pushed, and while the
+// two on top are siblings they merge into the lower one. A subtree of 2^L
+// pairs never holds more than L+1 nodes, so the reduce buffer is
+// log₂(m/2)+1 slots — 8 × 192 KB at the 256-row design point — not m
+// resident leaves. A tree of one leaf is asked for the leaf and merges
+// nothing. With w workers the fold splits recursively: a subtree runs its
 // even half on ⌊w/2⌋ workers and its odd half on ⌈w/2⌉, then merges the
 // two roots once; each worker folds its disjoint subtree with its own
 // slots and merge scratch.
@@ -29,16 +33,16 @@ package lwe
 //	(BT, A)  with true ciphertext  (ModDown(BT), ModDown(A)),
 //
 // BOTH parts full-basis NTT accumulators whose division by the special
-// modulus is DEFERRED: leaves enter as exact multiples P·ct (or as
-// un-rescaled row accumulators on the core fast path), every merge adds
+// modulus is DEFERRED: leaves enter as exact multiples P·ct (or, on the
+// core fast path, pairs as un-rescaled row accumulators), every merge adds
 // its key-switch contributions to both parts un-rescaled, and the
 // rounding divisions run once per tree at FlushInto. Monomials are
 // pointwise multiplies, automorphisms are cached slot gathers, and the
 // only per-merge rescale is of the gathered difference a-part feeding the
 // digit decomposition — the one place the tree is nonlinear in a. Keeping
-// the a accumulator deferred is what lets core's row leaves skip their
-// per-row RESCALE entirely: the raw full-basis dot-product accumulator IS
-// the leaf.
+// the a accumulator deferred is what lets core's rows skip their per-row
+// RESCALE entirely: the raw full-basis dot-product accumulator IS the
+// pair's a-part.
 
 import (
 	"fmt"
@@ -58,8 +62,8 @@ import (
 // and the key-dependent digit·key accumulation (key_switch). FlushInto's
 // tree-exit transforms and the deferred divisions of both parts report
 // under intt and moddown. A fold times its merges on one obs.StageClock
-// per worker — the clock it hands its leaf source too, so core's rows
-// and the merges between them publish once per fold.
+// per worker — the clock it hands its source too, so core's rows and the
+// merges between them publish once per fold.
 var mergesCnt = obs.GetCounter("cham_hmvp_pack_merges_total",
 	"PACKTWOLWES tree merges (m-1 per packed tile).")
 
@@ -67,7 +71,7 @@ var mergesCnt = obs.GetCounter("cham_hmvp_pack_merges_total",
 // full-basis NTT accumulators with their special-modulus division
 // deferred — the ciphertext it stands for is (ModDown(BT), ModDown(A)).
 // Allocate with NewPackNode, fill with ResidentFromRLWE (or directly, as
-// core's row apply does), fold with a Fold (or PackResident over pre-filled
+// core's pair apply does), fold with a Fold (or PackResident over pre-filled
 // nodes), and leave residency with FlushInto.
 type PackNode struct {
 	BT *ring.Poly // full basis, NTT domain; true b = ModDown(BT)
@@ -123,13 +127,14 @@ func ResidentFromRLWE(p bfv.Params, nd *PackNode, ct *rlwe.Ciphertext) {
 }
 
 // mergeScratch is the per-worker arena of one pack-tree sweep: the hoisted
-// decomposition digits plus the difference pair and the rescaled a-part a
-// merge needs. One scratch serves every merge a fold worker runs, keeping
-// the buffers cache-resident instead of cycling the pool per merge.
+// decomposition digits, the full-basis node a merge's front half writes
+// its differences to (and a first-level source may load a leaf into), and
+// the rescaled a-part. One scratch serves every merge a fold worker runs,
+// keeping the buffers cache-resident instead of cycling the pool per
+// merge.
 type mergeScratch struct {
 	dec *rlwe.Decomposition
-	dBT *ring.Poly // full basis: E.BT - X^z·O.BT
-	dA  *ring.Poly // full basis: E.A - X^z·O.A
+	d   PackNode   // full basis: E − X^z·O, both parts
 	aN  *ring.Poly // normal basis, coefficient domain: rescaled gathered a
 }
 
@@ -146,8 +151,8 @@ func getMergeScratch(p bfv.Params) *mergeScratch {
 	}
 	full := p.R.Levels()
 	ms.dec = p.GetDecomposition()
-	ms.dBT = p.R.GetPoly(full)
-	ms.dA = p.R.GetPoly(full)
+	ms.d.BT = p.R.GetPoly(full)
+	ms.d.A = p.R.GetPoly(full)
 	ms.aN = p.R.GetPoly(p.NormalLevels)
 	return ms
 }
@@ -155,18 +160,15 @@ func getMergeScratch(p bfv.Params) *mergeScratch {
 // putMergeScratch returns a merge arena to the pools. The caller must not
 // use ms afterwards.
 func putMergeScratch(p bfv.Params, ms *mergeScratch) {
-	if ms == nil {
-		return
-	}
 	p.PutDecomposition(ms.dec)
-	p.R.PutPoly(ms.dBT)
-	p.R.PutPoly(ms.dA)
+	p.R.PutPoly(ms.d.BT)
+	p.R.PutPoly(ms.d.A)
 	p.R.PutPoly(ms.aN)
-	ms.dec, ms.dBT, ms.dA, ms.aN = nil, nil, nil, nil
+	ms.dec, ms.d, ms.aN = nil, PackNode{}, nil
 	msShells.Put(ms)
 }
 
-// packTwo merges two resident groups of size i (PACKTWOLWES, Alg. 2)
+// packTwo merges two resident groups of size i ≥ 2 (PACKTWOLWES, Alg. 2)
 // without leaving the NTT domain:
 //
 //	out = (E + X^{N/2i}·O) + φ_{2i+1}(E - X^{N/2i}·O),
@@ -177,28 +179,37 @@ func putMergeScratch(p bfv.Params, ms *mergeScratch) {
 // the gathered difference a-part feeding the digit decomposition — the
 // one place the merge is nonlinear in a. E and O are consumed
 // (overwritten as scratch); out may alias E but not O. clk, the fold
-// worker's running clock, is charged with the four stages.
+// worker's running clock, is charged with the four stages. The merges at
+// group size 1 are the fold's first level, which its source builds.
 func packTwo(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk *rlwe.SwitchingKey, ms *mergeScratch, clk *obs.StageClock) {
-	r := p.R
-	z := r.N / (2 * i)
 	k := 2*i + 1
-	// One sweep computes sum and difference without materializing X^z·O
-	// (the difference lands in scratch before the sum can clobber E, which
-	// out may alias); the b gather then accumulates straight into the sum,
-	// while the a gather materializes into O's free buffer — the operand
-	// the rescale inverts next.
-	r.MonomialSplitNTT(out.BT, ms.dBT, E.BT, O.BT, z)
-	r.MonomialSplitNTT(out.A, ms.dA, E.A, O.A, z)
-	r.AutomorphNTTAddInto(out.BT, ms.dBT, k)
-	r.AutomorphNTT(O.A, ms.dA, k)
+	// The a gather materializes into O's free buffer — the operand the
+	// rescale inverts next.
+	p.R.AutomorphNTT(O.A, mergeFront(p.R, out, E, O, &ms.d, p.R.N/(2*i), k), k)
 	clk.Mark(obs.StagePack)
 	mergeTail(p, out, O.A, swk, ms, clk)
 }
 
+// mergeFront is the front half every merge of two leaves or groups shares
+// (packTwo's, and lwe's own sources' at the first level): out.A = E.A +
+// X^z·O.A and out.BT = E.BT + X^z·O.BT + φ_k(E.BT − X^z·O.BT). Each split
+// computes sum and difference in one sweep without materializing X^z·O,
+// the difference landing in d before the sum can clobber E, which out may
+// alias; the b gather then accumulates straight into the sum. It returns
+// the difference a-part E.A − X^z·O.A, in d.A, for the caller to gather
+// into the merge's tail. d may alias O (a source loads O straight into
+// it), out must not; E and O are consumed.
+func mergeFront(r *ring.Ring, out, E, O, d *PackNode, z, k int) *ring.Poly {
+	r.MonomialSplitNTT(out.BT, d.BT, E.BT, O.BT, z)
+	r.AutomorphNTTAddInto(out.BT, d.BT, k)
+	r.MonomialSplitNTT(out.A, d.A, E.A, O.A, z)
+	return d.A
+}
+
 // mergeTail is the tail every merge shares, whichever way its front half
-// came about (packTwo's, or a PairLeaves source's at the bottom level):
-// g, the gathered difference a-part φ_k(E.A − X^z·O.A), is switched from
-// φ_k(s) back to s, and both switched parts join out's accumulators. g is
+// came about (packTwo's, or a Pairs source's at the first level): g, the
+// gathered difference a-part φ_k(E.A − X^z·O.A), is switched from φ_k(s)
+// back to s, and both switched parts join out's accumulators. g is
 // consumed. clk is charged with the three stages.
 func mergeTail(p bfv.Params, out *PackNode, g *ring.Poly, swk *rlwe.SwitchingKey, ms *mergeScratch, clk *obs.StageClock) {
 	// φ_k(diff) decrypts under φ_k(s); the switch brings its TRUE a-part
@@ -245,9 +256,10 @@ func FlushIntoSink(p bfv.Params, out *rlwe.Ciphertext, nd *PackNode, sink obs.St
 // exit). m must be a power of two covered by keys. The entries of nodes
 // are consumed: every buffer is overwritten as tree scratch.
 //
-// It is the post-order fold over leaves that already exist: the merges
-// run in the nodes themselves, split across min(workers, m) goroutines
-// by disjoint subtrees, and the result is bit-identical for every worker
+// It is the post-order fold over leaves that already exist: each
+// first-level pair is built in place over its even leaf, the merges run
+// in the nodes themselves, split across min(workers, m/2) goroutines by
+// disjoint subtrees, and the result is bit-identical for every worker
 // count.
 func PackResident(p bfv.Params, nodes []*PackNode, keys *PackingKeys, workers int) (*PackNode, error) {
 	f, ok := residentFolds.Get().(*Fold)
@@ -255,7 +267,7 @@ func PackResident(p bfv.Params, nodes []*PackNode, keys *PackingKeys, workers in
 		f = new(Fold)
 	}
 	defer residentFolds.Put(f)
-	return f.run(p, len(nodes), nil, nodes, keys, workers, nil)
+	return f.run(p, len(nodes), (*residentPairs)(f), nodes, keys, workers, nil)
 }
 
 // residentFolds recycles PackResident's folds. Over pre-filled nodes a
@@ -263,47 +275,52 @@ func PackResident(p bfv.Params, nodes []*PackNode, keys *PackingKeys, workers in
 // it holds nothing ring-specific and one process-wide pool is safe.
 var residentFolds sync.Pool
 
-// Leaves supplies a fold's leaves on demand.
-type Leaves interface {
-	// Leaf writes leaf idx (natural order, 0 ≤ idx < m) into nd as a
-	// resident slot ciphertext. Workers call concurrently, each with its
-	// own nd. clk is the asking worker's running stage clock: the source
-	// charges its work to stages with Mark, or discards it with Skip,
-	// before it returns.
-	Leaf(nd *PackNode, idx int, clk *obs.StageClock)
+// residentPairs is a Fold's source under PackResident: the leaves are the
+// fold's nodes, and the fold hands pair idx its even leaf, nodes[idx], to
+// build the pair over.
+type residentPairs Fold
+
+func (s *residentPairs) Pair(nd, scratch *PackNode, idx int, clk *obs.StageClock) *ring.Poly {
+	if s.m == 1 {
+		return nil // nd is the leaf
+	}
+	d := mergeFront(s.p.R, nd, nd, s.nodes[idx+s.m/2], scratch, s.p.R.N/2, 3)
+	clk.Mark(obs.StagePack)
+	return d
 }
 
-// PairLeaves is a Leaves source that also supplies the tree's bottom
-// level without its leaves: the merge at group size 1 of leaves idx and
-// idx+m/2, whose monomial split is linear in the leaves — core's prepared
-// tiles split each sibling row pair once, in Prepare. A fold of m ≥ 2
-// leaves from such a source asks for its m/2 pairs and never for a leaf;
-// with m = 1 it asks for the leaf.
-type PairLeaves interface {
-	Leaves
+// Pairs supplies a fold's first level: the merges at group size 1, of
+// leaves idx and idx+m/2, which a source can build more cheaply than two
+// leaves and a merge — core's prepared tiles split each sibling row pair
+// once, in Prepare. A fold of m ≥ 2 leaves asks for its m/2 pairs, each
+// once; a fold of one leaf asks for that leaf and merges nothing.
+type Pairs interface {
 	// Pair writes into nd the merge of leaves E = idx and O = idx+m/2
 	// (idx < m/2) up to its key switch — nd.A = E.A + X^{N/2}·O.A and
 	// nd.BT = E.BT + X^{N/2}·O.BT + φ_3(E.BT − X^{N/2}·O.BT) — and returns
-	// the difference a-part E.A − X^{N/2}·O.A: written into scratch (a
-	// full-basis polynomial the fold lends), or nd.A itself when O is zero
-	// and the two are equal. The fold gathers it and runs the merge's tail.
-	// Workers and clk as for Leaf.
-	Pair(nd *PackNode, scratch *ring.Poly, idx int, clk *obs.StageClock) *ring.Poly
+	// the difference a-part E.A − X^{N/2}·O.A: in scratch.A, or nd.A
+	// itself when O is zero and the two are equal. The fold gathers it and
+	// runs the merge's tail. scratch is a full-basis node the fold lends
+	// for the call. With m = 1, Pair writes leaf 0 into nd as a resident
+	// slot ciphertext and its result is unused. Workers call concurrently,
+	// each with its own nd and scratch. clk is the asking worker's running
+	// stage clock: the source charges its work to stages with Mark, or
+	// discards it with Skip, before it returns.
+	Pair(nd, scratch *PackNode, idx int, clk *obs.StageClock) *ring.Poly
 }
 
 // Fold is the packing tree's reduce buffer: per worker, a stack of at
-// most log₂(its subtree)+1 resident nodes and a borrowed merge arena. The
-// zero value is ready to use. Keep one per caller and reuse it — a warm
-// Run allocates nothing, with any worker count. A Fold serves one Params
-// (its slots are sized on first use) and one Run at a time, and must not
-// be copied.
+// most log₂(its subtree's pairs)+1 resident nodes and a borrowed merge
+// arena. The zero value is ready to use. Keep one per caller and reuse it
+// — a warm Run allocates nothing, with any worker count. A Fold serves
+// one Params (its slots are sized on first use) and one Run at a time,
+// and must not be copied.
 type Fold struct {
 	p     bfv.Params
 	m     int
 	keys  *PackingKeys
-	src   Leaves
-	pairs PairLeaves  // src, when it supplies the bottom level (m ≥ 2); else nil
-	nodes []*PackNode // PackResident's pre-filled leaves; nil when src fills slots
+	src   Pairs
+	nodes []*PackNode // PackResident's leaves, which hold its units; nil when units go to slots
 	ws    []*foldWorker
 }
 
@@ -316,7 +333,7 @@ type foldWorker struct {
 	slots []*PackNode // reduce buffer: slots[d] holds the stack entry at depth d
 	stack []*PackNode // roots of finished subtrees, leftmost at the bottom
 	ms    *mergeScratch
-	clk   obs.StageClock // the worker's leaves and merges, published once per Run
+	clk   obs.StageClock // the worker's pairs and merges, published once per Run
 	// A split hands the worker group starting here the subtree (r, c) —
 	// the leaves ≡ r mod c — on nw workers; its root comes back in root.
 	r, c, nw int
@@ -335,38 +352,30 @@ func (f *Fold) Slots() int {
 	return n
 }
 
-// Run folds the m leaves src supplies (from a PairLeaves source, its m/2
-// bottom-level merges) into one resident node, returned still resident in
-// the fold's own buffer (FlushInto completes the exit; the node is valid
-// until the next Run). m must be a power of two covered by keys; every
-// key is checked before the first leaf is asked for. Each
-// worker's clock publishes its leaves' and merges' stages once, when the
-// fold ends. A non-nil sink (a traced request's recorder) also receives
-// them.
-func (f *Fold) Run(p bfv.Params, m int, src Leaves, keys *PackingKeys, workers int, sink obs.StageSink) (*PackNode, error) {
+// Run folds the m leaves whose first level src supplies into one resident
+// node, returned still resident in the fold's own buffer (FlushInto
+// completes the exit; the node is valid until the next Run). m must be a
+// power of two covered by keys; every key is checked before the first
+// pair is asked for. Each worker's clock publishes its pairs' and merges'
+// stages once, when the fold ends. A non-nil sink (a traced request's
+// recorder) also receives them.
+func (f *Fold) Run(p bfv.Params, m int, src Pairs, keys *PackingKeys, workers int, sink obs.StageSink) (*PackNode, error) {
 	return f.run(p, m, src, nil, keys, workers, sink)
 }
 
-func (f *Fold) run(p bfv.Params, m int, src Leaves, nodes []*PackNode, keys *PackingKeys, workers int, sink obs.StageSink) (*PackNode, error) {
+func (f *Fold) run(p bfv.Params, m int, src Pairs, nodes []*PackNode, keys *PackingKeys, workers int, sink obs.StageSink) (*PackNode, error) {
 	if err := checkPack(p, m, keys); err != nil {
 		return nil, err
 	}
 	f.p, f.m, f.keys, f.src, f.nodes = p, m, keys, src, nodes
-	f.pairs = nil
-	units := m // what a worker's subtree must hold at least one of
-	if ps, ok := src.(PairLeaves); ok && m > 1 {
-		f.pairs, units = ps, m/2
-	}
-	nw := min(max(workers, 1), units)
+	nw := min(max(workers, 1), max(m/2, 1)) // a worker's subtree holds at least one pair
 	for len(f.ws) < nw {
 		fw := &foldWorker{f: f, id: len(f.ws)}
 		fw.spawn = fw.foldGroup
 		f.ws = append(f.ws, fw)
 	}
 	for _, fw := range f.ws[:nw] {
-		if m > 1 {
-			fw.ms = getMergeScratch(p)
-		}
+		fw.ms = getMergeScratch(p)
 		fw.clk.Attach(sink)
 	}
 	root := f.fold(0, nw, 0, 1)
@@ -377,7 +386,7 @@ func (f *Fold) run(p bfv.Params, m int, src Leaves, nodes []*PackNode, keys *Pac
 		fw.ms, fw.root = nil, nil
 	}
 	mergesCnt.Add(uint64(m - 1))
-	f.keys, f.src, f.pairs, f.nodes = nil, nil, nil, nil
+	f.keys, f.src, f.nodes = nil, nil, nil
 	return root, nil
 }
 
@@ -433,24 +442,20 @@ func (fw *foldWorker) foldGroup() {
 	fw.done.Done()
 }
 
-// serial folds the subtree (r, c) on this worker alone: leaf s of its n
-// leaves in post-order is r + c·bitrev(s), and after pushing it the top
-// two entries are siblings once for every trailing one bit of s — the
-// merges at group sizes 1, 2, 4, …. From a PairLeaves source the units
-// are the n/2 pairs instead, pair s being r + c·bitrev(s) over the pairs'
-// bits, and the merges start at group size 2.
+// serial folds the subtree (r, c) on this worker alone. Its units are
+// the n first-level pairs of its leaves (a one-leaf tree's unit is its
+// leaf): pair s in post-order is r + c·bitrev(s) over log₂n bits, and
+// after pushing it the top two entries are siblings once for every
+// trailing one bit of s — the merges at group sizes 2, 4, ….
 func (fw *foldWorker) serial(r, c int) *PackNode {
 	f := fw.f
-	n, i0 := f.m/c, 1
-	if f.pairs != nil {
-		n, i0 = n/2, 2
-	}
+	n := max(f.m/c/2, 1)
 	shift := bits.UintSize - bits.TrailingZeros(uint(n)) // bitrev over log₂n bits (a full-width shift gives 0 when n = 1)
 	stk := fw.stack[:0]
 	fw.clk.Skip()
 	for s := 0; s < n; s++ {
-		stk = append(stk, fw.leaf(len(stk), r+c*int(bits.Reverse(uint(s))>>shift)))
-		for t, i := s, i0; t&1 == 1; t, i = t>>1, i<<1 {
+		stk = append(stk, fw.unit(len(stk), r+c*int(bits.Reverse(uint(s))>>shift)))
+		for t, i := s, 2; t&1 == 1; t, i = t>>1, i<<1 {
 			d := len(stk)
 			packTwo(f.p, stk[d-2], i, stk[d-2], stk[d-1], f.keys.Keys[2*i+1], fw.ms, &fw.clk)
 			stk = stk[:d-1]
@@ -460,27 +465,27 @@ func (fw *foldWorker) serial(r, c int) *PackNode {
 	return stk[0]
 }
 
-// leaf returns unit idx for the stack entry at depth d: the caller's node
-// under PackResident; otherwise slot d, filled by the source with the
-// leaf or, from a PairLeaves source, with the bottom-level merge of pair
-// idx — the source's front half, then the gather of its difference a-part
-// and the merge's tail under key 3.
-func (fw *foldWorker) leaf(d, idx int) *PackNode {
+// unit returns first-level pair idx for the stack entry at depth d, built
+// in slot d — under PackResident, in its even leaf — by the source's front
+// half, then the gather of its difference a-part and the merge's tail
+// under key 3. A one-leaf tree's unit is the leaf, with no merge.
+func (fw *foldWorker) unit(d, idx int) *PackNode {
 	f := fw.f
+	var nd *PackNode
 	if f.nodes != nil {
-		return f.nodes[idx]
+		nd = f.nodes[idx]
+	} else {
+		for len(fw.slots) <= d {
+			fw.slots = append(fw.slots, NewPackNode(f.p))
+		}
+		nd = fw.slots[d]
 	}
-	for len(fw.slots) <= d {
-		fw.slots = append(fw.slots, NewPackNode(f.p))
-	}
-	nd := fw.slots[d]
-	if f.pairs == nil {
-		f.src.Leaf(nd, idx, &fw.clk)
+	diff := f.src.Pair(nd, &fw.ms.d, idx, &fw.clk)
+	if f.m == 1 {
 		return nd
 	}
-	diff := f.pairs.Pair(nd, fw.ms.dA, idx, &fw.clk)
-	f.p.R.AutomorphNTT(fw.ms.dBT, diff, 3)
+	f.p.R.AutomorphNTT(fw.ms.d.BT, diff, 3)
 	fw.clk.Mark(obs.StagePack)
-	mergeTail(f.p, nd, fw.ms.dBT, f.keys.Keys[3], fw.ms, &fw.clk)
+	mergeTail(f.p, nd, fw.ms.d.BT, f.keys.Keys[3], fw.ms, &fw.clk)
 	return nd
 }

@@ -17,6 +17,7 @@ import (
 
 	"cham/internal/bfv"
 	"cham/internal/obs"
+	"cham/internal/ring"
 	"cham/internal/rlwe"
 )
 
@@ -116,12 +117,13 @@ func GenPackingKeys(p bfv.Params, rng *rand.Rand, sk *rlwe.SecretKey, m int) (*P
 // upstream encoding to cancel it).
 //
 // This is the allocating entry point over the one packing tree: a Fold
-// asks for each leaf as its sibling subtree completes, the leaf goes
-// AsRLWE → ResidentFromRLWE into a reduce-buffer slot, and FlushInto
-// leaves residency.
+// asks for each first-level pair as its sibling subtree completes, the
+// pair's two leaves go AsRLWE → ResidentFromRLWE into a reduce-buffer
+// slot and the fold's scratch, merge there, and FlushInto leaves
+// residency.
 func PackLWEs(p bfv.Params, cts []*Ciphertext, keys *PackingKeys) (*rlwe.Ciphertext, error) {
 	var f Fold
-	root, err := f.Run(p, len(cts), &lweLeaves{p: p, cts: cts}, keys, 1, nil)
+	root, err := f.Run(p, len(cts), &lwePairs{p: p, cts: cts}, keys, 1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -130,15 +132,26 @@ func PackLWEs(p bfv.Params, cts []*Ciphertext, keys *PackingKeys) (*rlwe.Ciphert
 	return out, nil
 }
 
-// lweLeaves feeds PackLWEs' inputs to its fold.
-type lweLeaves struct {
+// lwePairs feeds PackLWEs' inputs to its fold: pair idx loads its even
+// leaf into nd and its odd leaf straight into the scratch its front half
+// writes the differences to.
+type lwePairs struct {
 	p   bfv.Params
 	cts []*Ciphertext
 }
 
-func (s *lweLeaves) Leaf(nd *PackNode, idx int, clk *obs.StageClock) {
+func (s *lwePairs) Pair(nd, scratch *PackNode, idx int, clk *obs.StageClock) *ring.Poly {
+	m := len(s.cts)
 	ResidentFromRLWE(s.p, nd, s.cts[idx].AsRLWE(s.p))
-	clk.Skip() // loading a leaf is no merge stage
+	if m == 1 {
+		clk.Skip()
+		return nil
+	}
+	ResidentFromRLWE(s.p, scratch, s.cts[idx+m/2].AsRLWE(s.p))
+	clk.Skip() // loading leaves is no merge stage
+	d := mergeFront(s.p.R, nd, nd, scratch, scratch, s.p.R.N/2, 3)
+	clk.Mark(obs.StagePack)
+	return d
 }
 
 // SlotStride returns the coefficient stride between packed values: N/m.

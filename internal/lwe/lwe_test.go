@@ -5,6 +5,7 @@ import (
 
 	"cham/internal/bfv"
 	"cham/internal/obs"
+	"cham/internal/ring"
 	"cham/internal/rlwe"
 	"cham/internal/testutil"
 )
@@ -154,6 +155,49 @@ func TestPackLWEs(t *testing.T) {
 	}
 }
 
+// TestPackResidentSmallTrees: the trees without a merge above the first
+// level — one leaf (no pair at all) and one pair — and the smallest with
+// one, folded by PackResident on any worker count, give PackLWEs' bytes.
+func TestPackResidentSmallTrees(t *testing.T) {
+	p := testParams(t, 64)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	keys, err := GenPackingKeys(p, rng, sk, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &rlwe.Ciphertext{B: p.R.NewPoly(p.NormalLevels), A: p.R.NewPoly(p.NormalLevels)}
+	for _, m := range []int{1, 2, 4} {
+		cts := make([]*Ciphertext, m)
+		for i := range cts {
+			ct := p.Encrypt(rng, sk, p.EncodeVector(testutil.Vector(rng, p.R.N, p.T.Q)), p.NormalLevels)
+			cts[i] = Extract(p, ct, i)
+		}
+		want, err := PackLWEs(p, cts, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 3} {
+			nodes := make([]*PackNode, m)
+			for i, c := range cts {
+				nodes[i] = NewPackNode(p)
+				ResidentFromRLWE(p, nodes[i], c.AsRLWE(p))
+			}
+			root, err := PackResident(p, nodes, keys, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if root != nodes[0] {
+				t.Errorf("m=%d workers=%d: PackResident's root is not nodes[0]", m, workers)
+			}
+			FlushInto(p, out, root)
+			if !out.B.Equal(want.B) || !out.A.Equal(want.A) {
+				t.Errorf("m=%d workers=%d: PackResident differs from PackLWEs", m, workers)
+			}
+		}
+	}
+}
+
 // TestPackLWEsWithInvPow2: pre-scaling the values by 2^-ℓ mod t cancels the
 // packing factor, which is how HMVP uses the pipeline.
 func TestPackLWEsWithInvPow2(t *testing.T) {
@@ -212,10 +256,13 @@ func TestPackLWEsValidation(t *testing.T) {
 	}
 }
 
-// countingLeaves is a fold leaf source that records how often it is asked.
+// countingLeaves is a fold source that records how often it is asked.
 type countingLeaves struct{ calls int }
 
-func (c *countingLeaves) Leaf(*PackNode, int, *obs.StageClock) { c.calls++ }
+func (c *countingLeaves) Pair(nd, _ *PackNode, _ int, _ *obs.StageClock) *ring.Poly {
+	c.calls++
+	return nd.A
+}
 
 // TestPackMissingTopKey: a key set that lacks only the top level's key
 // fails before the fold takes its first leaf — PackResident leaves the

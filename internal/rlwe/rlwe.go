@@ -301,28 +301,3 @@ func (p Params) MulMonomial(out, ct *Ciphertext, e int) {
 	p.R.MulMonomial(out.B, ct.B, e)
 	p.R.MulMonomial(out.A, ct.A, e)
 }
-
-// Rescale divides an augmented ciphertext by the special modulus with
-// rounding (RESCALE, pipeline stage 4), returning a normal-basis
-// ciphertext. Input must be in coefficient domain with full levels.
-func (p Params) Rescale(ct *Ciphertext) *Ciphertext {
-	out := &Ciphertext{
-		B: p.R.NewPoly(p.NormalLevels),
-		A: p.R.NewPoly(p.NormalLevels),
-	}
-	p.RescaleInto(out, ct)
-	return out
-}
-
-// RescaleInto is Rescale writing into a caller-owned normal-basis
-// ciphertext.
-func (p Params) RescaleInto(out, ct *Ciphertext) {
-	if ct.Levels() != p.R.Levels() {
-		panic("rlwe: Rescale requires an augmented ciphertext")
-	}
-	if out.Levels() != p.NormalLevels {
-		panic("rlwe: Rescale output must be normal basis")
-	}
-	p.R.ModDownTo(out.B, ct.B)
-	p.R.ModDownTo(out.A, ct.A)
-}

@@ -306,8 +306,22 @@ func TestKeySwitchGuards(t *testing.T) {
 	}()
 }
 
+// rescale is RESCALE as the pipeline runs it: each part of the augmented
+// coefficient-domain ciphertext ct is transformed, then leaves the NTT
+// domain through the inverse that divides the special limbs out
+// (ring.INTTModDownTo). ct is left intact.
+func rescale(p Params, ct *Ciphertext) *Ciphertext {
+	out := &Ciphertext{B: p.R.NewPoly(p.NormalLevels), A: p.R.NewPoly(p.NormalLevels)}
+	for _, part := range [][2]*ring.Poly{{out.B, ct.B}, {out.A, ct.A}} {
+		x := part[1].Copy()
+		p.R.NTT(x)
+		p.R.INTTModDownTo(part[0], x)
+	}
+	return out
+}
+
 // TestRescaleDividesPayload: an augmented ciphertext carrying payload P·m
-// must, after Rescale, carry payload ≈ m.
+// must, after RESCALE, carry payload ≈ m.
 func TestRescaleDividesPayload(t *testing.T) {
 	p := testParams(t, 64)
 	rng := testutil.NewRand(t)
@@ -324,7 +338,7 @@ func TestRescaleDividesPayload(t *testing.T) {
 	p.R.MulScalarBig(pl, pl, pBig)
 	p.R.Add(ct.B, ct.B, pl)
 
-	rescaled := p.Rescale(ct)
+	rescaled := rescale(p, ct)
 	if rescaled.Levels() != 2 {
 		t.Fatalf("rescaled levels = %d, want 2", rescaled.Levels())
 	}
@@ -398,7 +412,7 @@ func TestMulPlainNTT(t *testing.T) {
 }
 
 // TestMultiSpecialLimbChain exercises the generic-parameter path the CHAM
-// set never hits: a 5-limb chain with TWO special moduli. Rescale must
+// set never hits: a 5-limb chain with TWO special moduli. RESCALE must
 // drop both, and key switching must divide by their product.
 func TestMultiSpecialLimbChain(t *testing.T) {
 	primes, err := mod.NTTFriendlyPrimes(30, 128, 5)
@@ -419,7 +433,7 @@ func TestMultiSpecialLimbChain(t *testing.T) {
 	rng := testutil.NewRand(t)
 	sk := p.KeyGen(rng)
 
-	// Rescale: payload P·m over the full basis comes back as ≈ m.
+	// RESCALE: payload P·m over the full basis comes back as ≈ m.
 	ct := p.EncryptZeroSym(rng, sk, 5)
 	vals := make([]int64, r.N)
 	for i := range vals {
@@ -431,7 +445,7 @@ func TestMultiSpecialLimbChain(t *testing.T) {
 	pBig.Mul(pBig, new(big.Int).SetUint64(primes[4]))
 	r.MulScalarBig(pl, pl, pBig)
 	r.Add(ct.B, ct.B, pl)
-	rescaled := p.Rescale(ct)
+	rescaled := rescale(p, ct)
 	if rescaled.Levels() != 3 {
 		t.Fatalf("rescaled to %d limbs, want 3", rescaled.Levels())
 	}
