@@ -90,7 +90,7 @@ kernels:
 # bfv,lwe,core,noise,runtime}, the serving half (apps/beaver, wire, server,
 # client, cluster, obs, obs/trace, obs/metricshttp), vec and the models and
 # applications (exp — every paper model and its experiments — security,
-# apps/heterolr, paillier, kat) declares outside its tests has a caller
+# apps/heterolr, paillier, kat) and chamnp declares outside its tests has a caller
 # outside its own tests, or a row in orphans_test.go naming the part of
 # the paper it reproduces. A caller is an identifier the type checker
 # resolves to the declaration, never a bare name: the module, the benchmark

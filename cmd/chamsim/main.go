@@ -79,11 +79,7 @@ func runHMVP(args []string) int {
 	}
 	rng := cham.NewRNG(42)
 	sk := params.KeyGen(rng)
-	rows := m
-	if rows > ringN {
-		rows = ringN
-	}
-	ev, err := cham.NewEvaluator(params, rng, sk, rows)
+	ev, err := cham.NewEvaluator(params, rng, sk, m)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chamsim:", err)
 		return 1
@@ -106,15 +102,12 @@ func runHMVP(args []string) int {
 	// busy fractions, RAS counters) and publish the noise-budget gauges.
 	var mirror *mirrorRuntime
 	if *metricsAddr != "" {
-		mPad := 1
-		for mPad < rows {
-			mPad <<= 1
-		}
+		mPad := core.MaxTilePad(m, ringN)
 		if mirror, err = newMirrorRuntime(m, cols, mPad); err != nil {
 			fmt.Fprintln(os.Stderr, "chamsim:", err)
 			return 1
 		}
-		noise.New(params).PublishBudget(mPad)
+		noise.New(params).PublishBudget(mPad, len(ctV))
 	}
 
 	start := time.Now()
@@ -171,18 +164,7 @@ func runHMVP(args []string) int {
 	if *metricsAddr != "" {
 		// The simulator holds the secret key, so the measured output
 		// noise gauge can be published alongside the analytic ones.
-		est := noise.New(params)
-		measured := 0.0
-		for ti, ct := range res2.Packed {
-			lo, hi := ti*res2.N, (ti+1)*res2.N
-			if hi > m {
-				hi = m
-			}
-			if b := est.MeasureTile(ct, sk, want[lo:hi], res2.TileRows(ti)); b > measured {
-				measured = b
-			}
-		}
-		noise.PublishMeasured(measured)
+		noise.PublishMeasured(noise.New(params).MeasureResult(res2, sk, want))
 	}
 	acc := cham.DefaultAccelerator()
 	fmt.Printf("HMVP %dx%d at N=%d: verified correct\n", m, cols, ringN)

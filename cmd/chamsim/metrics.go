@@ -8,6 +8,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 	"os/signal"
 	"time"
@@ -77,17 +78,13 @@ func newMirrorRuntime(m, cols, mPad int) (*mirrorRuntime, error) {
 	if err != nil {
 		return nil, err
 	}
-	log2 := uint8(0)
-	for v := 1; v < mPad; v <<= 1 {
-		log2++
-	}
 	return &mirrorRuntime{
 		rt: r,
 		d: rt.HMVPDescriptor{
 			Rows: uint32(m), Cols: uint32(cols),
 			MatrixAddr: 0x1000_0000, VectorAddr: 0x2000_0000,
 			KeyAddr: 0x3000_0000, ResultAddr: 0x4000_0000,
-			PackRowsLog2: log2,
+			PackRowsLog2: uint8(bits.TrailingZeros(uint(mPad))),
 		},
 	}, nil
 }

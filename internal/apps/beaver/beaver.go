@@ -62,37 +62,21 @@ func (g *Generator) Generate(rng *rand.Rand, sk *rlwe.SecretKey, w [][]uint64) (
 	ctR := core.EncryptVector(g.P, rng, sk, r)
 
 	// Server: homomorphic W·r, then subtract the random share s by adding
-	// its negation to the packed result.
+	// its negation to the packed result, so the mask never leaves the
+	// server in the clear.
 	res, err := g.Ev.MatVec(w, ctR)
 	if err != nil {
 		return nil, nil, err
 	}
 	s := make([]uint64, res.M)
+	negS := make([]uint64, res.M)
 	for i := range s {
 		s[i] = rng.Uint64() % g.P.T.Q
+		negS[i] = g.P.T.Neg(s[i])
 	}
-	g.maskPacked(res, s)
+	core.AddResult(g.P, res, negS)
 	c := core.DecryptResult(g.P, res, sk)
 	return &ClientShare{R: r, C: c}, &ServerShare{S: s}, nil
-}
-
-// maskPacked adds -s into the packed result ciphertexts at the packing
-// stride, so the server's mask never leaves the server in the clear.
-func (g *Generator) maskPacked(res *core.Result, s []uint64) {
-	idx := 0
-	for ti, ct := range res.Packed {
-		rows := res.M - ti*res.N
-		if rows > res.N {
-			rows = res.N
-		}
-		stride := res.N / res.TileRows(ti)
-		pt := g.P.NewPlaintext()
-		for i := 0; i < rows; i++ {
-			pt.Coeffs[i*stride] = g.P.T.Neg(s[idx])
-			idx++
-		}
-		g.P.AddPlain(ct, pt)
-	}
 }
 
 // GenerateBatch produces one triple per layer matrix — the bulk

@@ -229,55 +229,34 @@ func (tr *Trainer) step(d *Dataset, m *Model, base, end int, cache *prepCache) e
 }
 
 // assembleResidual computes [d] = quarter·([uA] + uB) + (1/2-y)·2^(2F)
-// chunk-wise on party B, keeping the augmented basis for the HMVP.
+// on party B, keeping the augmented basis for the HMVP.
 func (tr *Trainer) assembleResidual(ch channel, ctU []*rlwe.Ciphertext, uB, y []float64, quarter uint64) []*rlwe.Ciphertext {
-	n := ch.p.R.N
+	ubq := make([]uint64, len(uB)) // uB at scale F
+	bias := make([]uint64, len(y)) // (1/2 - y) at scale 2F
+	for s := range uB {
+		ubq[s] = ch.p.T.FromCentered(tr.Codec.Quantize(uB[s]))
+		bias[s] = ch.p.T.FromCentered(int64(math.Round((0.5 - y[s]) * math.Pow(2, float64(2*tr.Codec.F)))))
+	}
 	out := make([]*rlwe.Ciphertext, len(ctU))
 	for c := range ctU {
-		lo := c * n
-		hi := lo + n
-		if hi > len(uB) {
-			hi = len(uB)
-		}
-		// uB chunk at scale F.
-		ubq := ch.p.NewPlaintext()
-		for s := lo; s < hi; s++ {
-			ubq.Coeffs[s-lo] = ch.p.T.FromCentered(tr.Codec.Quantize(uB[s]))
-		}
-		ct := ctU[c].Copy()
-		ch.p.AddPlain(ct, ubq)
-		// Multiply by 1/4 at scale F: values move to scale 2F.
-		scaled := &rlwe.Ciphertext{B: ch.p.R.NewPoly(ct.Levels()), A: ch.p.R.NewPoly(ct.Levels())}
-		ch.p.MulScalar(scaled, ct, quarter)
-		// Add (1/2 - y) at scale 2F.
-		bias := ch.p.NewPlaintext()
-		for s := lo; s < hi; s++ {
-			v := int64(math.Round((0.5 - y[s]) * math.Pow(2, float64(2*tr.Codec.F))))
-			bias.Coeffs[s-lo] = ch.p.T.FromCentered(v)
-		}
-		ch.p.AddPlain(scaled, bias)
-		out[c] = scaled
+		out[c] = ctU[c].Copy()
 	}
+	core.AddVector(ch.p, out, ubq)
+	for _, ct := range out {
+		ch.p.MulScalar(ct, ct, quarter) // 1/4 at scale F: values move to scale 2F
+	}
+	core.AddVector(ch.p, out, bias)
 	return out
 }
 
 // maskPackedResult adds the per-row masks into the packed gradient
-// ciphertexts at the packing stride, before they reach the arbiter.
+// ciphertexts, before they reach the arbiter.
 func maskPackedResult(p bfv.Params, res *core.Result, masks []int64) {
-	idx := 0
-	for ti, ct := range res.Packed {
-		rows := res.M - ti*res.N
-		if rows > res.N {
-			rows = res.N
-		}
-		stride := res.N / res.TileRows(ti)
-		pt := p.NewPlaintext()
-		for i := 0; i < rows && idx < len(masks); i++ {
-			pt.Coeffs[i*stride] = p.T.FromCentered(masks[idx])
-			idx++
-		}
-		p.AddPlain(ct, pt)
+	maskq := make([]uint64, len(masks))
+	for i, mk := range masks {
+		maskq[i] = p.T.FromCentered(mk)
 	}
+	core.AddResult(p, res, maskq)
 }
 
 // quantizeTranspose returns X^T quantized into both residue channels.

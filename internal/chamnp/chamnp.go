@@ -1,7 +1,7 @@
 // Package chamnp is the numpy-style encrypted-array tier over the CHAM
 // HMVP engine: EncMatrix/EncVector arrays of B/FV ciphertexts with
-// Array/MatMul/Add/CumSum/Decrypt ergonomics (the openfhe-numpy
-// `onp.array / cumsum / @` surface, rebuilt on coefficient encoding).
+// Array/MatMul/AddVector/Decrypt ergonomics (the openfhe-numpy
+// `onp.array / @` surface, rebuilt on coefficient encoding).
 //
 // Layout is the load-bearing convention. An EncMatrix stores one
 // coefficient-encoded ciphertext vector per LANE — its rows (RowMajor)
@@ -14,12 +14,11 @@
 //
 // and Transpose is free: it only flips the layout label.
 //
-// Arrays carry one of two encodings. Dense arrays (from Array/Vector)
-// hold each lane as ⌈len/N⌉ augmented-basis ciphertexts with value j at
-// coefficient j — the only encoding MatMul accepts as input. Packed
-// arrays (MatMul output) hold each lane as a packed HMVP Result whose
-// values sit at strided slots. Add/Sub/ScalarMul/AddVector/CumSum work
-// on both; crossing back from packed to dense is an interactive
+// Arrays carry one of core's two vector layouts. Dense arrays (from
+// Array) hold each lane as its dense chunks — the only encoding MatMul
+// accepts as input. Packed arrays (MatMul output) hold each lane as a
+// packed HMVP Result. AddVector and Decrypt work on both, with core
+// placing every value; crossing back from packed to dense is an interactive
 // re-encryption (Recrypt/SquareRecrypt — the Delphi-style oracle the
 // inference demo uses for its non-linear layers, since B/FV without
 // relinearization has no ciphertext×ciphertext product).
@@ -59,8 +58,8 @@ func (l Layout) String() string {
 	return "row-major"
 }
 
-// EncVector is one encrypted vector: dense (coefficient-encoded chunks)
-// or packed (an HMVP result with values at strided slots).
+// EncVector is one encrypted vector: dense (core's chunks) or packed (an
+// HMVP result).
 type EncVector struct {
 	p      bfv.Params
 	n      int                // logical length
@@ -94,12 +93,6 @@ type EncMatrix struct {
 	predictCache func(float64) float64
 	budgetCache  float64
 }
-
-// Dims returns (rows, cols).
-func (m *EncMatrix) Dims() (rows, cols int) { return m.rows, m.cols }
-
-// Layout returns the lane layout.
-func (m *EncMatrix) Layout() Layout { return m.layout }
 
 // Packed reports whether the matrix carries the packed HMVP encoding.
 func (m *EncMatrix) Packed() bool { return len(m.lanes) > 0 && m.lanes[0].Packed() }
@@ -138,19 +131,6 @@ func (m *EncMatrix) T() *EncMatrix {
 	}
 	return &EncMatrix{p: m.p, rows: m.cols, cols: m.rows, layout: flipped,
 		lanes: m.lanes, noise: m.noise, vecsCache: m.vecsCache, resCache: m.resCache}
-}
-
-// Vector encrypts v as a dense EncVector (⌈len/N⌉ augmented chunks).
-func Vector(p bfv.Params, rng *rand.Rand, sk *rlwe.SecretKey, v []uint64) (*EncVector, error) {
-	if len(v) == 0 {
-		return nil, fmt.Errorf("%w (no elements)", ErrEmpty)
-	}
-	return &EncVector{
-		p:      p,
-		n:      len(v),
-		chunks: core.EncryptVector(p, rng, sk, v),
-		noise:  noise.New(p).FreshSym(),
-	}, nil
 }
 
 // Array encrypts the cleartext matrix under the given layout: one
@@ -197,22 +177,12 @@ func array(p bfv.Params, rng *rand.Rand, sk *rlwe.SecretKey, data [][]uint64, la
 	return out, nil
 }
 
-// Decrypt reads the vector back: coefficient j per dense chunk, or the
-// strided result slots of the packed encoding.
+// Decrypt reads the vector back, dense or packed.
 func (v *EncVector) Decrypt(sk *rlwe.SecretKey) []uint64 {
 	if v.packed != nil {
 		return core.DecryptResult(v.p, v.packed, sk)
 	}
-	out := make([]uint64, 0, v.n)
-	for _, ct := range v.chunks {
-		pt := v.p.Decrypt(ct, sk)
-		take := v.n - len(out)
-		if take > v.p.R.N {
-			take = v.p.R.N
-		}
-		out = append(out, pt.Coeffs[:take]...)
-	}
-	return out
+	return core.DecryptVector(v.p, v.chunks, sk, v.n)
 }
 
 // Decrypt reads the full matrix back as row-major cleartext, whatever

@@ -14,17 +14,10 @@ var (
 	ErrShape = errors.New("chamnp: shape mismatch")
 	// ErrRagged: rows of differing lengths in cleartext input.
 	ErrRagged = errors.New("chamnp: ragged input")
-	// ErrAxisLayout: the requested axis runs inside the packed vectors of
-	// this layout; re-encrypt in the other layout (or transpose the
-	// cleartext before Array) to reach it.
-	ErrAxisLayout = errors.New("chamnp: axis not reachable in this layout")
 	// ErrPackedOperand: the operation needs a dense (coefficient-encoded)
 	// operand, but this array is a packed HMVP output. Re-encrypt it
 	// (e.g. through SquareRecrypt or Recrypt) first.
 	ErrPackedOperand = errors.New("chamnp: operand is packed, not dense")
-	// ErrEncodingMix: operands carry different encodings (dense vs
-	// packed) or different packed shapes.
-	ErrEncodingMix = errors.New("chamnp: operand encodings differ")
 	// ErrNoiseBudget: the analytic noise bound of the op's output would
 	// exceed the decryption budget — the result would decrypt to garbage.
 	ErrNoiseBudget = errors.New("chamnp: predicted noise exceeds the decryption budget")

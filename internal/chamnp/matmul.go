@@ -59,23 +59,15 @@ func matmulShape(b Backend, x *EncMatrix) (outRows, outCols int, err error) {
 	return x.rows, b.Rows(), nil // X·Wᵀ
 }
 
-// matmulNoise predicts the packed output noise (bits): plaintext
-// multiplication by rows bounded by t/2, the rescale to the normal
-// basis, then the deferred packing tree over the largest tile. The
-// predictor and budget are cached on the destination so warm calls
+// matmulNoise predicts the packed output noise (bits): the row MAC of
+// every column chunk against rows bounded by t/2, the rescale to the
+// normal basis, then the deferred packing tree over the largest tile.
+// The predictor and budget are cached on the destination so warm calls
 // stay allocation-free (Budget walks big.Ints).
 func (dst *EncMatrix) matmulNoise(b Backend, x *EncMatrix) (float64, error) {
 	if dst.predictCache == nil {
 		est := noise.New(x.p)
-		mPad := b.Rows()
-		if mPad > x.p.R.N {
-			mPad = x.p.R.N
-		}
-		pow := 1
-		for pow < mPad {
-			pow <<= 1
-		}
-		dst.predictCache = est.HMVPPredictor(pow)
+		dst.predictCache = est.HMVPPredictor(core.MaxTilePad(b.Rows(), x.p.R.N), b.Chunks())
 		dst.budgetCache = est.Budget(x.p.NormalLevels)
 	}
 	out := dst.predictCache(x.noise)
@@ -171,18 +163,4 @@ func MatMul(b Backend, x *EncMatrix) (*EncMatrix, error) {
 		return nil, err
 	}
 	return dst, nil
-}
-
-// MatVec applies the backend's prepared matrix to one dense encrypted
-// vector: W·v as a packed EncVector of Rows values.
-func MatVec(b Backend, v *EncVector) (*EncVector, error) {
-	op := startOp(opMatVec)
-	x := &EncMatrix{p: v.p, rows: v.n, cols: 1, layout: ColMajor,
-		lanes: []*EncVector{v}, noise: v.noise}
-	out, err := MatMul(b, x)
-	if err != nil {
-		return nil, err
-	}
-	op.done(out)
-	return out.lanes[0], nil
 }

@@ -9,28 +9,20 @@ import (
 
 // Telemetry handles for the array tier, resolved once at package init.
 // Per-op latency lives in its own cham_np_op_seconds family; the HMVP
-// kernels running underneath MatMul/MatVec keep reporting into the
+// kernels running underneath MatMul keep reporting into the
 // existing cham_hmvp_stage_seconds taxonomy (and the apply/error
 // families) exactly as a direct core call would — chamnp adds a view,
 // it does not fork the stage accounting.
 const (
 	opArray = iota
 	opDecrypt
-	opAdd
-	opSub
-	opScalarMul
 	opAddVector
-	opCumSum
 	opSquare
 	opMatMul
-	opMatVec
 	numOps
 )
 
-var opNames = [numOps]string{
-	"array", "decrypt", "add", "sub", "scalar_mul",
-	"add_vector", "cumsum", "square_recrypt", "matmul", "matvec",
-}
+var opNames = [numOps]string{"array", "decrypt", "add_vector", "square_recrypt", "matmul"}
 
 var (
 	opHists = func() [numOps]*obs.Histogram {
@@ -50,7 +42,7 @@ var (
 		return cs
 	}()
 	mLanes = obs.GetCounter("cham_np_lanes_total",
-		"HMVP lanes (column blocks) driven through MatMul/MatVec backends.")
+		"HMVP lanes (column blocks) driven through MatMul backends.")
 	gNoise = obs.GetGauge("cham_np_noise_bits",
 		"Analytic noise bound (bits) of the last chamnp op's output.")
 )
@@ -82,9 +74,7 @@ var npErrClasses = []struct {
 	{ErrEmpty, obs.GetCounter("cham_np_errors_total", npErrHelp, "class", "empty")},
 	{ErrShape, obs.GetCounter("cham_np_errors_total", npErrHelp, "class", "shape")},
 	{ErrRagged, obs.GetCounter("cham_np_errors_total", npErrHelp, "class", "ragged")},
-	{ErrAxisLayout, obs.GetCounter("cham_np_errors_total", npErrHelp, "class", "axis_layout")},
 	{ErrPackedOperand, obs.GetCounter("cham_np_errors_total", npErrHelp, "class", "packed_operand")},
-	{ErrEncodingMix, obs.GetCounter("cham_np_errors_total", npErrHelp, "class", "encoding_mix")},
 	{ErrNoiseBudget, obs.GetCounter("cham_np_errors_total", npErrHelp, "class", "noise_budget")},
 }
 

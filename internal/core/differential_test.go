@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cham/internal/bfv"
+	"cham/internal/core"
 	"cham/internal/lwe"
 	"cham/internal/noise"
 	"cham/internal/ref"
@@ -17,7 +18,18 @@ import (
 // Differential verification of the optimized HMVP pipeline against the
 // big.Int reference model in internal/ref: same inputs, bit-for-bit equal
 // packed ciphertexts, for every worker count, plus noise-budget invariants
-// measured at each stage boundary of the reference trace.
+// measured at each stage boundary of the reference trace. These are
+// external tests (package core_test): the noise estimator they check
+// against imports core.
+
+func testParams(tb testing.TB, n int) bfv.Params {
+	tb.Helper()
+	p, err := bfv.NewChamParams(n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
 
 // workerCounts returns the deduplicated {1, 4, NumCPU} set the pipeline
 // must be bit-identical across.
@@ -45,7 +57,7 @@ func runDifferential(t *testing.T, p bfv.Params, sk *rlwe.SecretKey, keys *evKey
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := PlainMatVec(p, A, v)
+	want := core.PlainMatVec(p, A, v)
 	got := tr.DecryptResult(p, sk)
 	for i := range want {
 		if got[i] != want[i] {
@@ -53,7 +65,7 @@ func runDifferential(t *testing.T, p bfv.Params, sk *rlwe.SecretKey, keys *evKey
 		}
 	}
 	for _, w := range workerCounts() {
-		ev := &Evaluator{P: p, Keys: keys.opt, Workers: w}
+		ev := &core.Evaluator{P: p, Keys: keys.opt, Workers: w}
 		pm, err := ev.Prepare(A)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
@@ -69,7 +81,7 @@ func runDifferential(t *testing.T, p bfv.Params, sk *rlwe.SecretKey, keys *evKey
 				t.Fatalf("workers=%d ApplyInto pass %d: %v", w, pass, err)
 			}
 		}
-		if dec := DecryptResult(p, out, sk); len(dec) != len(want) {
+		if dec := core.DecryptResult(p, out, sk); len(dec) != len(want) {
 			t.Fatalf("workers=%d: decrypted %d rows, want %d", w, len(dec), len(want))
 		} else {
 			for i := range want {
@@ -107,7 +119,7 @@ func TestHMVPDifferentialN4096(t *testing.T) {
 	rng := testutil.NewRand(t)
 	p := testParams(t, 4096)
 	sk := p.KeyGen(rng)
-	ev, err := NewEvaluator(p, rng, sk, 8)
+	ev, err := core.NewEvaluator(p, rng, sk, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +139,7 @@ func TestHMVPDifferentialN4096(t *testing.T) {
 			rng := testutil.NewRand(t)
 			A := testutil.SparseMatrix(rng, s.Rows, s.Cols, 16, p.T.Q)
 			v := testutil.Vector(rng, s.Cols, p.T.Q)
-			ctV := EncryptVector(p, rng, sk, v)
+			ctV := core.EncryptVector(p, rng, sk, v)
 			runDifferential(t, p, sk, keys, A, v, ctV)
 		})
 	}
@@ -141,7 +153,7 @@ func TestHMVPDifferentialN256(t *testing.T) {
 	rng := testutil.NewRand(t)
 	p := testParams(t, 256)
 	sk := p.KeyGen(rng)
-	ev, err := NewEvaluator(p, rng, sk, 8)
+	ev, err := core.NewEvaluator(p, rng, sk, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +162,7 @@ func TestHMVPDifferentialN256(t *testing.T) {
 	rows, cols := 6, p.R.N+11
 	A := testutil.Matrix(rng, rows, cols, p.T.Q)
 	v := testutil.Vector(rng, cols, p.T.Q)
-	ctV := EncryptVector(p, rng, sk, v)
+	ctV := core.EncryptVector(p, rng, sk, v)
 	runDifferential(t, p, sk, keys, A, v, ctV)
 }
 
@@ -162,7 +174,7 @@ func TestHMVPDifferentialNoise(t *testing.T) {
 	rng := testutil.NewRand(t)
 	p := testParams(t, 512)
 	sk := p.KeyGen(rng)
-	ev, err := NewEvaluator(p, rng, sk, 8)
+	ev, err := core.NewEvaluator(p, rng, sk, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +183,7 @@ func TestHMVPDifferentialNoise(t *testing.T) {
 	rows, cols := 5, p.R.N+37
 	A := testutil.Matrix(rng, rows, cols, p.T.Q)
 	v := testutil.Vector(rng, cols, p.T.Q)
-	ctV := EncryptVector(p, rng, sk, v)
+	ctV := core.EncryptVector(p, rng, sk, v)
 	tr := runDifferential(t, p, sk, keys, A, v, ctV)
 
 	est := noise.New(p)

@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"sync"
 
@@ -50,11 +49,7 @@ func NewEvaluator(p bfv.Params, rng *rand.Rand, sk *rlwe.SecretKey, maxRows int)
 	if maxRows < 1 {
 		return nil, fmt.Errorf("core: maxRows must be positive")
 	}
-	m := nextPow2(maxRows)
-	if m > p.R.N {
-		m = p.R.N
-	}
-	keys, err := lwe.GenPackingKeys(p, rng, sk, m)
+	keys, err := lwe.GenPackingKeys(p, rng, sk, MaxTilePad(maxRows, p.R.N))
 	if err != nil {
 		return nil, err
 	}
@@ -79,65 +74,6 @@ func NewEvaluatorFromKeys(p bfv.Params, keys *lwe.PackingKeys) (*Evaluator, erro
 	return &Evaluator{P: p, Keys: keys}, nil
 }
 
-func nextPow2(x int) int {
-	if x <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(x-1))
-}
-
-// EncryptVector encrypts v as ⌈len(v)/N⌉ augmented-basis ciphertexts, the
-// form party A ships to party B (§II-F security model).
-func EncryptVector(p bfv.Params, rng *rand.Rand, sk *rlwe.SecretKey, v []uint64) []*rlwe.Ciphertext {
-	n := p.R.N
-	var cts []*rlwe.Ciphertext
-	for off := 0; off < len(v); off += n {
-		end := off + n
-		if end > len(v) {
-			end = len(v)
-		}
-		cts = append(cts, p.Encrypt(rng, sk, p.EncodeVector(v[off:end]), p.R.Levels()))
-	}
-	if len(cts) == 0 {
-		cts = append(cts, p.Encrypt(rng, sk, p.NewPlaintext(), p.R.Levels()))
-	}
-	return cts
-}
-
-// EncryptVectorPK is EncryptVector with a public key.
-func EncryptVectorPK(p bfv.Params, rng *rand.Rand, pk *rlwe.PublicKey, v []uint64) []*rlwe.Ciphertext {
-	n := p.R.N
-	var cts []*rlwe.Ciphertext
-	for off := 0; off < len(v); off += n {
-		end := off + n
-		if end > len(v) {
-			end = len(v)
-		}
-		cts = append(cts, p.EncryptPK(rng, pk, p.EncodeVector(v[off:end]), p.R.Levels()))
-	}
-	if len(cts) == 0 {
-		cts = append(cts, p.EncryptPK(rng, pk, p.NewPlaintext(), p.R.Levels()))
-	}
-	return cts
-}
-
-// Result is the outcome of an HMVP: one packed RLWE ciphertext per tile of
-// up to N rows.
-type Result struct {
-	Packed []*rlwe.Ciphertext
-	M      int // total number of rows
-	N      int // ring degree (for slot stride computation)
-}
-
-// TileRows returns the (padded) number of rows packed into tile i.
-func (res *Result) TileRows(i int) int {
-	rows := res.M - i*res.N
-	if rows > res.N {
-		rows = res.N
-	}
-	return nextPow2(rows)
-}
-
 // MatVec computes A·v where A is an m×n cleartext matrix (row-major, all
 // values reduced mod t) and ctV the encryption of v produced by
 // EncryptVector. n must equal the plaintext vector length used there.
@@ -150,23 +86,6 @@ func (e *Evaluator) MatVec(A [][]uint64, ctV []*rlwe.Ciphertext) (*Result, error
 		return nil, err
 	}
 	return pm.Apply(ctV)
-}
-
-// DecryptResult reads the m result values out of the packed ciphertexts.
-func DecryptResult(p bfv.Params, res *Result, sk *rlwe.SecretKey) []uint64 {
-	out := make([]uint64, 0, res.M)
-	for ti, ct := range res.Packed {
-		rows := res.M - ti*res.N
-		if rows > res.N {
-			rows = res.N
-		}
-		stride := lwe.SlotStride(res.N, res.TileRows(ti))
-		dec := p.Decrypt(ct, sk)
-		for i := 0; i < rows; i++ {
-			out = append(out, dec.Coeffs[i*stride])
-		}
-	}
-	return out
 }
 
 // PlainMatVec is the cleartext reference A·v mod t.

@@ -95,13 +95,8 @@ func HMVPOps(n, normalLevels, fullLevels, m, cols int) OpCounts {
 
 	// Packing: per tile of up to n rows, mPad-1 reductions, each costing
 	// one key switch (the automorphism itself is a permutation).
-	for base := 0; base < m; base += n {
-		rows := m - base
-		if rows > n {
-			rows = n
-		}
-		mPad := nextPow2(rows)
-		red := mPad - 1
+	for ti := 0; ti*n < m; ti++ {
+		red := tileLayout(m, n, ti).Pad - 1
 		total.PackRed += red
 		total.Add(KeySwitchOps(normalLevels, fullLevels).Scale(red))
 	}

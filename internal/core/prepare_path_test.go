@@ -37,7 +37,8 @@ func TestPrepareMatchesSlowPath(t *testing.T) {
 				t.Fatalf("%dx%d: %v", m, cols, err)
 			}
 			for ti, tile := range pm.tiles {
-				base, rows, mPad := pm.tileBounds(ti)
+				tl := pm.tile(ti)
+				base, rows, mPad := tl.Base, tl.Rows, tl.Pad
 				scale := p.InvPow2(log2(mPad))
 				if (scale == 1) != (mPad == 1) {
 					t.Fatalf("%dx%d tile %d: scale %d at mPad %d", m, cols, ti, scale, mPad)

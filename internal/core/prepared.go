@@ -103,16 +103,8 @@ func (pm *PreparedMatrix) HasTile(ti int) bool {
 	return ti >= 0 && ti < len(pm.tiles) && pm.tiles[ti] != nil
 }
 
-// tileBounds returns tile ti's first row, row count, and padded row count.
-func (pm *PreparedMatrix) tileBounds(ti int) (base, rows, mPad int) {
-	n := pm.ev.P.R.N
-	base = ti * n
-	rows = pm.m - base
-	if rows > n {
-		rows = n
-	}
-	return base, rows, nextPow2(rows)
-}
+// tile places tile ti of the product.
+func (pm *PreparedMatrix) tile(ti int) TileLayout { return tileLayout(pm.m, pm.ev.P.R.N, ti) }
 
 // Prepare encodes, lifts, and forward-transforms all rows of A once, and
 // splits each tile's first-level row pairs (the one-time stages 1–2 work
@@ -162,13 +154,11 @@ func (e *Evaluator) prepareTiles(A [][]uint64, want []int) (*PreparedMatrix, err
 	chunks := (cols + n - 1) / n
 	nt := (m + n - 1) / n
 	pm := &PreparedMatrix{ev: e, m: m, cols: cols, chunks: chunks, tiles: make([]*preparedTile, nt)}
-	// Validate every tile's geometry before the expensive transforms start,
+	// Validate the largest tile before the expensive transforms start,
 	// whether or not it is being prepared now: key coverage is a property
 	// of the matrix, not of the subset a later PrepareTile might extend.
-	for ti := 0; ti < nt; ti++ {
-		if _, _, mPad := pm.tileBounds(ti); mPad > e.Keys.M {
-			return nil, fmt.Errorf("%w: tile of %d rows (keys cover %d)", ErrTileTooLarge, mPad, e.Keys.M)
-		}
+	if mPad := MaxTilePad(m, n); mPad > e.Keys.M {
+		return nil, fmt.Errorf("%w: tile of %d rows (keys cover %d)", ErrTileTooLarge, mPad, e.Keys.M)
 	}
 	sel := want
 	if sel == nil {
@@ -210,8 +200,8 @@ func (pm *PreparedMatrix) PrepareTile(A [][]uint64, ti int) error {
 		return countErr(fmt.Errorf("%w: matrix has %d rows but prepared shape is %dx%d",
 			ErrRaggedMatrix, len(A), pm.m, pm.cols))
 	}
-	base, rows, _ := pm.tileBounds(ti)
-	for i := base; i < base+rows; i++ {
+	t := pm.tile(ti)
+	for i := t.Base; i < t.Base+t.Rows; i++ {
 		if len(A[i]) != pm.cols {
 			return countErr(fmt.Errorf("%w: row %d has %d columns, want %d", ErrRaggedMatrix, i, len(A[i]), pm.cols))
 		}
@@ -242,7 +232,8 @@ func (e *Evaluator) buildTile(pm *PreparedMatrix, A [][]uint64, ti int, clk *obs
 	n := p.R.N
 	full := p.R.Levels()
 	chunks, cols := pm.chunks, pm.cols
-	base, rows, mPad := pm.tileBounds(ti)
+	tl := pm.tile(ti)
+	base, rows, mPad := tl.Base, tl.Rows, tl.Pad
 	scale := p.InvPow2(log2(mPad))
 	half := mPad / 2
 	t := &preparedTile{rows: rows, mPad: mPad, pairs: make([]rowPair, max(half, 1))}

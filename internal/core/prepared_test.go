@@ -279,7 +279,7 @@ func TestPrepareTilesSparse(t *testing.T) {
 	if pm.HasTile(-1) || pm.HasTile(pm.Tiles()) {
 		t.Error("HasTile accepted an out-of-range index")
 	}
-	if _, got, _ := pm.tileBounds(3); got != m-3*p.R.N {
+	if got := pm.tile(3).Rows; got != m-3*p.R.N {
 		t.Errorf("tile 3 has %d rows, want %d", got, m-3*p.R.N)
 	}
 

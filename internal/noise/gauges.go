@@ -3,7 +3,7 @@ package noise
 import (
 	"math/big"
 
-	"cham/internal/lwe"
+	"cham/internal/core"
 	"cham/internal/obs"
 	"cham/internal/rlwe"
 )
@@ -23,12 +23,13 @@ var (
 )
 
 // PublishBudget publishes the per-stage remaining-budget gauges for an
-// m-row tile: the analytic estimates of DESIGN.md §3 subtracted from the
-// decryption budget of the basis each stage lives in (the augmented
-// basis before ModDown, the normal basis after).
-func (e *Estimator) PublishBudget(m int) {
+// m-row tile over chunks column chunks: the analytic estimates of
+// DESIGN.md §3 subtracted from the decryption budget of the basis each
+// stage lives in (the augmented basis before ModDown, the normal basis
+// after).
+func (e *Estimator) PublishBudget(m, chunks int) {
 	fresh := e.FreshSym()
-	mul := e.AfterMulPlain(fresh, float64(e.P.T.Q)/2)
+	mul := e.afterRowMAC(fresh, chunks)
 	res := e.AfterRescale(mul)
 	pack := e.AfterPackDeferred(res, m)
 	full := e.Budget(e.P.R.Levels())
@@ -39,30 +40,35 @@ func (e *Estimator) PublishBudget(m int) {
 	gPack.Set(normal - pack)
 }
 
-// MeasureTile returns the worst-case measured noise (bits) across the
-// result slots of one packed HMVP tile, given the secret key and the
-// expected cleartext values for the tile's rows. mPad is the padded
-// (power-of-two) row count that fixes the slot stride. The packing
-// factor is pre-compensated in the row encoding, so each slot's phase
-// is Δ·lift(want_i) + noise.
-func (e *Estimator) MeasureTile(ct *rlwe.Ciphertext, sk *rlwe.SecretKey, want []uint64, mPad int) float64 {
+// MeasureResult returns the worst-case measured noise (bits) across the
+// row slots of a packed HMVP result, given the secret key and the
+// expected product. The packing factor is pre-compensated in the row
+// encoding, so each slot's phase is round(Q·lift(want_r)/t) + noise —
+// the point decryption rounds to. (Δ·lift(want_r), with Δ = ⌊Q/t⌋, is
+// off it by (Q mod t)·lift(want_r)/t, up to (Q mod t)/2: a scaling
+// remainder, not noise.)
+func (e *Estimator) MeasureResult(res *core.Result, sk *rlwe.SecretKey, want []uint64) float64 {
 	p := e.P
-	delta := p.Delta(p.NormalLevels)
 	q := p.R.Modulus(p.NormalLevels)
 	half := new(big.Int).Rsh(q, 1)
-	stride := lwe.SlotStride(p.R.N, mPad)
-	vals := p.R.ToBigIntCentered(p.Phase(ct, sk), p.NormalLevels)
+	twoT := new(big.Int).SetUint64(2 * p.T.Q)
 	measured := 0.0
 	diff := new(big.Int)
-	for i, w := range want {
-		exp := new(big.Int).Mul(delta, big.NewInt(p.T.CenterLift(w)))
-		diff.Sub(vals[i*stride], exp)
-		diff.Mod(diff, q)
-		if diff.Cmp(half) > 0 {
-			diff.Sub(diff, q)
-		}
-		if b := float64(new(big.Int).Abs(diff).BitLen()); b > measured {
-			measured = b
+	for ti, ct := range res.Packed {
+		t := res.Tile(ti)
+		vals := p.R.ToBigIntCentered(p.Phase(ct, sk), p.NormalLevels)
+		for i := range t.Rows {
+			// round(Q·lift(want)/t) = ⌊(2·Q·lift + t) / 2t⌋
+			exp := new(big.Int).Mul(q, big.NewInt(2*p.T.CenterLift(want[t.Base+i])))
+			exp.Add(exp, new(big.Int).SetUint64(p.T.Q)).Div(exp, twoT)
+			diff.Sub(vals[t.Slot(i)], exp)
+			diff.Mod(diff, q)
+			if diff.Cmp(half) > 0 {
+				diff.Sub(diff, q)
+			}
+			if b := float64(new(big.Int).Abs(diff).BitLen()); b > measured {
+				measured = b
+			}
 		}
 	}
 	return measured

@@ -12,7 +12,7 @@ import (
 func TestPublishBudgetAndMeasure(t *testing.T) {
 	p, est, rng, sk := testSetup(t, 256)
 	const m = 64
-	est.PublishBudget(m)
+	est.PublishBudget(m, 1)
 	for _, g := range []struct {
 		name  string
 		gauge interface{ Value() float64 }
@@ -44,18 +44,9 @@ func TestPublishBudgetAndMeasure(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := core.PlainMatVec(p, A, v)
-	measured := 0.0
-	for ti, ct := range res.Packed {
-		lo, hi := ti*res.N, (ti+1)*res.N
-		if hi > m {
-			hi = m
-		}
-		if b := est.MeasureTile(ct, sk, want[lo:hi], res.TileRows(ti)); b > measured {
-			measured = b
-		}
-	}
+	measured := est.MeasureResult(res, sk, want)
 	PublishMeasured(measured)
-	predicted := est.HMVPOutput(m)
+	predicted := est.HMVPOutput(m, 1)
 	if measured > predicted {
 		t.Errorf("measured output noise %.1f bits exceeds analytic bound %.1f", measured, predicted)
 	}

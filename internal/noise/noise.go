@@ -127,48 +127,38 @@ func (e *Estimator) AfterPackDeferred(base float64, m int) float64 {
 	return log2(math.Pow(2, carried) + math.Pow(2, ksTotal) + math.Pow(2, flush))
 }
 
-// HMVPOutput bounds the end-to-end noise of Alg. 1 with an m-row tile and
-// full-range plaintext rows (bounded by t/2), using the deferred tree
-// bound the pipeline actually runs.
-func (e *Estimator) HMVPOutput(m int) float64 {
-	fresh := e.FreshSym()
-	mul := e.AfterMulPlain(fresh, float64(e.P.T.Q)/2)
-	res := e.AfterRescale(mul)
-	return e.AfterPackDeferred(res, m)
+// afterRowMAC bounds noise after the row MAC of an HMVP: the input
+// (noise 2^base) times one full-range row chunk (bounded by t/2) per
+// column chunk, summed over the chunks — a sum of independent terms, so
+// chunks products grow the bound by √chunks.
+func (e *Estimator) afterRowMAC(base float64, chunks int) float64 {
+	return e.AfterMulPlain(base, float64(e.P.T.Q)/2) + 0.5*log2(float64(chunks))
 }
 
-// HMVPPredictor returns a closure predicting the packed output noise of
-// an HMVP over an m-row tile (the AfterMulPlain→AfterRescale→
-// AfterPackDeferred chain of HMVPOutput) as a function of the INPUT
-// ciphertext's noise bound. All parameter-dependent terms — the
-// full-range plaintext bound t/2, the rescale constants, the deferred
-// tree's key-switch total — are precomputed, so the closure itself
-// performs no heap allocation: hot paths (the chamnp MatMul gate) can
-// re-check the budget per call without breaking their 0-alloc warm
-// invariant. Tests pin it bit-equal to the composed methods.
-func (e *Estimator) HMVPPredictor(m int) func(base float64) float64 {
-	mulBits := log2(float64(e.P.T.Q) / 2 * math.Sqrt(e.n()))
-	logP := log2(float64(e.P.R.Moduli[e.P.R.Levels()-1].Q))
-	round := log2(e.Slack * math.Sqrt(e.n()) / 2)
-	levels := 0
-	for v := 1; v < m; v <<= 1 {
-		levels++
-	}
-	ksTotal := e.KeySwitchAdditiveDeferred() + float64(levels)
-	flush := log2(e.Slack / 2)
-	lv := float64(levels)
+// HMVPOutput bounds the end-to-end noise of Alg. 1 on fresh input with
+// an m-row tile and chunks column chunks.
+func (e *Estimator) HMVPOutput(m, chunks int) float64 {
+	return e.HMVPPredictor(m, chunks)(e.FreshSym())
+}
+
+// HMVPPredictor returns the HMVP's noise chain for an m-row tile and
+// chunks column chunks — the row MAC, the rescale to the normal basis,
+// and the deferred packing tree the pipeline runs — as a function of the
+// INPUT ciphertext's noise bound. A call allocates nothing, so hot paths
+// (the chamnp MatMul gate) can re-check the budget per call without
+// breaking their 0-alloc warm invariant.
+func (e *Estimator) HMVPPredictor(m, chunks int) func(base float64) float64 {
 	return func(base float64) float64 {
-		rescaled := max(base+mulBits-logP, round) + 0.5
-		return log2(math.Pow(2, rescaled+lv) + math.Pow(2, ksTotal) + math.Pow(2, flush))
+		return e.AfterPackDeferred(e.AfterRescale(e.afterRowMAC(base, chunks)), m)
 	}
 }
 
 // MaxPackRows returns the largest power-of-two tile that keeps the
-// end-to-end HMVP noise below the decryption budget.
+// end-to-end noise of a one-chunk HMVP below the decryption budget.
 func (e *Estimator) MaxPackRows() int {
 	best := 0
 	for m := 1; m <= e.P.R.N; m <<= 1 {
-		if e.HMVPOutput(m) < e.Budget(e.P.NormalLevels) {
+		if e.HMVPOutput(m, 1) < e.Budget(e.P.NormalLevels) {
 			best = m
 		}
 	}

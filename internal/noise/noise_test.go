@@ -153,7 +153,7 @@ func TestDeferredModDownInvariant(t *testing.T) {
 		if deferred > eager+1e-9 {
 			t.Errorf("m=%d: deferred bound %.2f exceeds eager bound %.2f", m, deferred, eager)
 		}
-		if out := est.HMVPOutput(m); out >= est.Budget(p.NormalLevels) {
+		if out := est.HMVPOutput(m, 1); out >= est.Budget(p.NormalLevels) {
 			t.Errorf("m=%d: deferred HMVP estimate %.1f exceeds budget %.1f",
 				m, out, est.Budget(p.NormalLevels))
 		}
@@ -166,9 +166,9 @@ func TestDeferredModDownInvariant(t *testing.T) {
 func TestHMVPBudget(t *testing.T) {
 	p, est, rng, sk := testSetup(t, 256)
 	for m := 1; m <= p.R.N; m <<= 1 {
-		if est.HMVPOutput(m) >= est.Budget(2) {
+		if est.HMVPOutput(m, 1) >= est.Budget(2) {
 			t.Errorf("m=%d: estimated noise %.1f exceeds budget %.1f",
-				m, est.HMVPOutput(m), est.Budget(2))
+				m, est.HMVPOutput(m, 1), est.Budget(2))
 		}
 	}
 	if got := est.MaxPackRows(); got != p.R.N {
@@ -254,25 +254,100 @@ func expectedRescaledPayload(p bfv.Params, a, b *bfv.Plaintext) []*big.Int {
 	return out
 }
 
-// TestHMVPPredictorMatchesComposition: the precomputed allocation-free
-// predictor must agree exactly with the composed method chain it
-// specializes, for every tile size and a spread of input noise levels.
-func TestHMVPPredictorMatchesComposition(t *testing.T) {
-	p, est, _, _ := testSetup(t, 64)
-	for m := 1; m <= p.R.N; m <<= 1 {
-		pred := est.HMVPPredictor(m)
-		for _, base := range []float64{est.FreshSym(), 10, 25.5, 60} {
-			want := est.AfterPackDeferred(est.AfterRescale(est.AfterMulPlain(base, float64(p.T.Q)/2)), m)
-			if got := pred(base); got != want {
-				t.Fatalf("m=%d base=%.1f: predictor %v, composition %v", m, base, got, want)
-			}
-		}
-	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = est.HMVPPredictor(64) }); allocs > 1 {
+// TestHMVPPredictorZeroAllocs: the predictor the chamnp MatMul gate
+// calls per product allocates nothing, and building it at most one
+// closure.
+func TestHMVPPredictorZeroAllocs(t *testing.T) {
+	_, est, _, _ := testSetup(t, 64)
+	if allocs := testing.AllocsPerRun(100, func() { _ = est.HMVPPredictor(64, 3) }); allocs > 1 {
 		t.Errorf("building the predictor allocates %.1f/op", allocs)
 	}
-	pred := est.HMVPPredictor(64)
+	pred := est.HMVPPredictor(64, 3)
 	if allocs := testing.AllocsPerRun(100, func() { _ = pred(20) }); allocs != 0 {
 		t.Errorf("predictor call allocates %.1f/op, want 0", allocs)
 	}
+}
+
+// TestHMVPPredictorCountsChunks: the row MAC sums one product per column
+// chunk, so the predictor must hold the measured output noise of a real
+// HMVP at every chunk count. Inputs carry raised noise (an encryption of
+// zero times a scalar added to each chunk), so the carried noise, not the
+// rescale rounding, dominates the output; each shape and noise level
+// runs several vectors and holds the worst slot to the prediction from
+// the worst input chunk.
+func TestHMVPPredictorCountsChunks(t *testing.T) {
+	p, est, rng, sk := testSetup(t, 256)
+	const m, vectors = 4, 8
+	ev, err := core.NewEvaluator(p, rng, sk, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunks := range []int{1, 16, 64} {
+		cols := chunks * p.R.N
+		A := make([][]uint64, m)
+		for i := range A {
+			A[i] = make([]uint64, cols)
+			for j := range A[i] {
+				A[i][j] = rng.Uint64() % p.T.Q
+			}
+		}
+		pm, err := ev.Prepare(A)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, inBits := range []int{26, 30, 34} {
+			input, measured := 0.0, 0.0
+			for range vectors {
+				v := make([]uint64, cols)
+				for j := range v {
+					v[j] = rng.Uint64() % p.T.Q
+				}
+				ctV := core.EncryptVector(p, rng, sk, v)
+				for c, ct := range ctV {
+					z := p.EncryptZeroSym(rng, sk, p.R.Levels())
+					p.MulScalar(z, z, uint64(1)<<(inBits-int(est.FreshSym())))
+					p.Add(ct, ct, z)
+					input = max(input, p.NoiseBits(ct, sk, scaledPayload(p, v[c*p.R.N:(c+1)*p.R.N], p.R.Levels())))
+				}
+				res, err := pm.Apply(ctV)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := core.PlainMatVec(p, A, v)
+				if got := core.DecryptResult(p, res, sk); !equal(got, want) {
+					t.Fatalf("chunks=%d, %d-bit input: HMVP decrypts wrong", chunks, inBits)
+				}
+				measured = max(measured, est.MeasureResult(res, sk, want))
+			}
+			predicted := est.HMVPPredictor(m, chunks)(input)
+			if measured > predicted {
+				t.Errorf("chunks=%d, input %.1f bits: measured %.1f bits exceeds prediction %.1f",
+					chunks, input, measured, predicted)
+			}
+			t.Logf("chunks=%d, input %.1f bits: measured %.1f, predicted %.1f", chunks, input, measured, predicted)
+		}
+	}
+}
+
+// scaledPayload returns Δ·lift(v_j) at the given level count, coefficient
+// by coefficient: the noise-free phase of a dense chunk encrypting v.
+func scaledPayload(p bfv.Params, v []uint64, levels int) []*big.Int {
+	delta := p.Delta(levels)
+	out := make([]*big.Int, len(v))
+	for j, x := range v {
+		out[j] = new(big.Int).Mul(delta, big.NewInt(p.T.CenterLift(x)))
+	}
+	return out
+}
+
+func equal(a, b []uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -166,7 +166,7 @@ func TestMonomialSplitNTTMatchesCoeff(t *testing.T) {
 		r.MulMonomial(want, a, e)
 		r.NTT(want)
 		neg := r.NewPoly(3)
-		r.Neg(neg, want)
+		r.Sub(neg, zero, want)
 
 		sum, diff := r.NewPoly(3), r.NewPoly(3)
 		r.MonomialSplitNTT(sum, diff, zero, aN, e)

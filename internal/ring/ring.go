@@ -213,19 +213,6 @@ func (r *Ring) Sub(out, a, b *Poly) {
 	out.IsNTT = a.IsNTT
 }
 
-// Neg sets out = -a.
-func (r *Ring) Neg(out, a *Poly) {
-	lv := sameLevels(out, a)
-	for l := 0; l < lv; l++ {
-		m := r.Moduli[l]
-		ra, ro := a.Coeffs[l], out.Coeffs[l]
-		for i := range ro {
-			ro[i] = m.Neg(ra[i])
-		}
-	}
-	out.IsNTT = a.IsNTT
-}
-
 // MulCoeff sets out = a ∘ b, the coefficient-wise product (MODMUL). In NTT
 // domain this realises the ring product; in coefficient domain it is the
 // plain Hadamard product the PPUs use for masking.

@@ -90,13 +90,12 @@ func TestAddSubNegBig(t *testing.T) {
 	a, b := randPoly(r, rng, 3), randPoly(r, rng, 3)
 	q := r.Modulus(3)
 
-	sum, diff, neg := r.NewPoly(3), r.NewPoly(3), r.NewPoly(3)
+	sum, diff := r.NewPoly(3), r.NewPoly(3)
 	r.Add(sum, a, b)
 	r.Sub(diff, a, b)
-	r.Neg(neg, a)
 
 	ab, bb := r.ToBigIntCentered(a, 3), r.ToBigIntCentered(b, 3)
-	sb, db, nb := r.ToBigIntCentered(sum, 3), r.ToBigIntCentered(diff, 3), r.ToBigIntCentered(neg, 3)
+	sb, db := r.ToBigIntCentered(sum, 3), r.ToBigIntCentered(diff, 3)
 	tmp := new(big.Int)
 	for i := 0; i < r.N; i++ {
 		if tmp.Sub(sb[i], tmp.Add(ab[i], bb[i])).Mod(tmp, q).Sign() != 0 {
@@ -104,9 +103,6 @@ func TestAddSubNegBig(t *testing.T) {
 		}
 		if tmp.Sub(db[i], tmp.Sub(ab[i], bb[i])).Mod(tmp, q).Sign() != 0 {
 			t.Fatalf("Sub wrong at %d", i)
-		}
-		if tmp.Add(nb[i], ab[i]).Mod(tmp, q).Sign() != 0 {
-			t.Fatalf("Neg wrong at %d", i)
 		}
 	}
 }

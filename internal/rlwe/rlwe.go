@@ -283,12 +283,6 @@ func (p Params) Add(out, ct0, ct1 *Ciphertext) {
 	p.R.Add(out.A, ct0.A, ct1.A)
 }
 
-// Sub sets out = ct0 - ct1 component-wise.
-func (p Params) Sub(out, ct0, ct1 *Ciphertext) {
-	p.R.Sub(out.B, ct0.B, ct1.B)
-	p.R.Sub(out.A, ct0.A, ct1.A)
-}
-
 // MulPlainNTT multiplies the ciphertext (NTT domain) by a plaintext
 // polynomial already in NTT domain — pipeline stage 2 (MULTPOLY).
 func (p Params) MulPlainNTT(out, ct *Ciphertext, pt *ring.Poly) {

@@ -189,16 +189,6 @@ func TestAddSubHomomorphism(t *testing.T) {
 	if bits := p.NoiseBits(sum, sk, wantSum); bits > 13 {
 		t.Errorf("Add: residual %f bits", bits)
 	}
-
-	diff := &Ciphertext{B: p.R.NewPoly(2), A: p.R.NewPoly(2)}
-	p.Sub(diff, ct0, ct1)
-	wantDiff := make([]*big.Int, len(m0))
-	for i := range m0 {
-		wantDiff[i] = new(big.Int).Sub(m0[i], m1[i])
-	}
-	if bits := p.NoiseBits(diff, sk, wantDiff); bits > 13 {
-		t.Errorf("Sub: residual %f bits", bits)
-	}
 }
 
 // TestKeySwitchRoundTrip: encrypt under sk2, switch to sk1, verify the

@@ -74,6 +74,20 @@ func (s *Server) handleRegisterMatrix(payload []byte) (wire.MsgType, []byte, *wi
 	if err != nil {
 		return 0, nil, wire.Errf(wire.CodeBadRequest, "register matrix: %v", err)
 	}
+	// The card job every batch over this matrix runs as: its geometry and
+	// pack-tree depth (the largest padded tile). The card runs no kernel,
+	// so no operand is placed in its memory and every address is 0. A
+	// matrix the card cannot run is refused here, not at every apply.
+	desc := rt.HMVPDescriptor{
+		Rows:         uint32(len(A)),
+		Cols:         uint32(len(A[0])),
+		PackRowsLog2: uint8(bits.TrailingZeros(uint(core.MaxTilePad(len(A), s.cfg.Params.R.N)))),
+	}
+	if s.cfg.Card != nil {
+		if _, err := desc.Words(); err != nil {
+			return 0, nil, wire.Errf(wire.CodeBadRequest, "register matrix: %v", err)
+		}
+	}
 	// Prepare outside the lock: it is the expensive half of the pipeline and
 	// must not block concurrent applies against other matrices.
 	var pm *core.PreparedMatrix
@@ -94,14 +108,7 @@ func (s *Server) handleRegisterMatrix(payload []byte) (wire.MsgType, []byte, *wi
 			Chunks: uint32(pm.Chunks()),
 			Tiles:  uint32(pm.Tiles()),
 		},
-		// The card job every batch over this matrix runs as: its geometry and
-		// pack-tree depth (the largest padded tile). The card runs no kernel,
-		// so no operand is placed in its memory and every address is 0.
-		desc: rt.HMVPDescriptor{
-			Rows:         uint32(pm.Rows()),
-			Cols:         uint32(pm.Cols()),
-			PackRowsLog2: uint8(bits.Len(uint(min(pm.Rows(), s.cfg.Params.R.N) - 1))),
-		},
+		desc: desc,
 	}
 	if s.cfg.LazyTiles {
 		reg.A = A

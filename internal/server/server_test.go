@@ -395,6 +395,36 @@ func TestUnknownMatrix(t *testing.T) {
 	}
 }
 
+// TestRegisterRefusesOversizedDescriptor: with a card configured, a
+// matrix whose largest tile the card's descriptor cannot carry (2^13 rows
+// at N = 8192; the descriptor stops at 2^12) is refused at registration
+// with a typed bad_request, instead of being accepted and failing every
+// apply. LazyTiles prepares nothing, so the matrix costs no slab.
+func TestRegisterRefusesOversizedDescriptor(t *testing.T) {
+	p := testParams(t, 8192)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	card, err := rt.New(rt.NewDevice(1, time.Microsecond, rt.FaultPlan{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := testServer(t, Config{Params: p, LazyTiles: true, Card: card})
+	keys, err := lwe.GenPackingKeys(p, rng, sk, p.R.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, we := s.handleSetupKeys(wire.EncodeSetupKeys(p.R, keys)); we != nil {
+		t.Fatal(we)
+	}
+	payload, err := wire.EncodeRegisterMatrix(testutil.Matrix(rng, 4097, 1, p.T.Q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, we := s.handleRegisterMatrix(payload); we == nil || we.Code != wire.CodeBadRequest {
+		t.Fatalf("registering a 4097×1 matrix at N=8192 with a card: got %v, want bad_request", we)
+	}
+}
+
 // TestShutdownWhileBusy starts a burst of applies and shuts down
 // mid-flight: every admitted request must still get an answer and the
 // server must come down without leaking workers.

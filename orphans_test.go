@@ -30,13 +30,14 @@ import (
 
 // orphanScope lists the packages whose declarations must all be reached:
 // the arithmetic and kernel packages, the serving half above them, exp (the
-// accelerator and cost models with the experiments over them), and the
-// applications and baselines they feed. chamnp stays out (DESIGN.md §8): its surface is the numpy-style
-// API itself.
+// accelerator and cost models with the experiments over them), the
+// applications and baselines they feed, and chamnp, the array layer the
+// examples and the benchmark drive.
 var orphanScope = []string{
 	"mod", "ntt", "ring", "rlwe", "bfv", "lwe", "core", "noise", "runtime",
 	"apps/beaver", "wire", "server", "client", "cluster", "obs", "obs/trace",
 	"exp", "security", "apps/heterolr", "paillier", "kat", "vec", "obs/metricshttp",
+	"chamnp",
 }
 
 // orphanAllow holds what stays without such a caller, and why: a file
