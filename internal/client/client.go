@@ -33,9 +33,6 @@ type Config struct {
 	Params bfv.Params
 	// DialTimeout bounds one dial+handshake. Default 5s.
 	DialTimeout time.Duration
-	// RequestTimeout bounds one request round trip and rides along as the
-	// Apply deadline hint. Default DefaultRequestTimeout.
-	RequestTimeout time.Duration
 	// MaxRetries bounds extra attempts after a retryable failure. Default 3;
 	// negative disables retries.
 	MaxRetries int
@@ -46,8 +43,9 @@ type Config struct {
 	Jitter func() float64 // uniform in [0,1)
 }
 
-// DefaultRequestTimeout is a request's round-trip bound when
-// Config.RequestTimeout is unset.
+// DefaultRequestTimeout bounds one request round trip and rides along as
+// a compute request's deadline hint; a caller wanting a sooner bound puts
+// a deadline on the context (ApplyCtx, TileApplyCtx).
 const DefaultRequestTimeout = 30 * time.Second
 
 const (
@@ -69,9 +67,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = DefaultRequestTimeout
 	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 3
@@ -276,7 +271,7 @@ func (cl *Client) do(ctx context.Context, t, want wire.MsgType, payload []byte) 
 			if attempt > 0 && sp.Active() {
 				sp.Annotate(fmt.Sprintf("retry %d", attempt))
 			}
-			pc.c.SetDeadline(time.Now().Add(cl.cfg.RequestTimeout))
+			pc.c.SetDeadline(time.Now().Add(DefaultRequestTimeout))
 			stop := func() bool { return true }
 			if ctx.Done() != nil { // an uncancellable request pays nothing for the hook
 				stop = context.AfterFunc(ctx, func() { pc.c.SetDeadline(time.Now()) })
@@ -312,11 +307,12 @@ func (cl *Client) do(ctx context.Context, t, want wire.MsgType, payload []byte) 
 	return nil, lastErr
 }
 
-// deadlineMicros is the deadline hint a compute request carries: the
-// request timeout, or what is left of the caller's deadline when that is
-// sooner, so a server's queue can expire a request nobody is waiting for.
+// deadlineMicros is the deadline hint a compute request carries:
+// DefaultRequestTimeout, or what is left of the caller's deadline when
+// that is sooner, so a server's queue can expire a request nobody is
+// waiting for.
 func (cl *Client) deadlineMicros(ctx context.Context) uint64 {
-	d := cl.cfg.RequestTimeout
+	d := DefaultRequestTimeout
 	if dl, ok := ctx.Deadline(); ok {
 		d = min(d, time.Until(dl))
 	}
@@ -371,8 +367,8 @@ func (cl *Client) RegisterMatrix(A [][]uint64) (wire.MatrixHandle, error) {
 }
 
 // Apply multiplies a registered matrix with an encrypted vector and
-// returns the packed result. The request carries RequestTimeout as its
-// server-side deadline hint.
+// returns the packed result. The request carries DefaultRequestTimeout as
+// its server-side deadline hint.
 func (cl *Client) Apply(id [32]byte, vec []*rlwe.Ciphertext) (wire.Result, error) {
 	return cl.ApplyCtx(context.TODO(), id, vec)
 }
@@ -380,8 +376,8 @@ func (cl *Client) Apply(id [32]byte, vec []*rlwe.Ciphertext) (wire.Result, error
 // ApplyCtx is Apply under a context: a sampled trace context riding in
 // ctx (trace.NewContext) travels in the request's wire frames, so
 // server-side spans nest under the caller's; ctx's deadline, when sooner
-// than RequestTimeout, becomes the request's deadline hint; and a ctx
-// that ends abandons the request.
+// than DefaultRequestTimeout, becomes the request's deadline hint; and a
+// ctx that ends abandons the request.
 func (cl *Client) ApplyCtx(ctx context.Context, id [32]byte, vec []*rlwe.Ciphertext) (wire.Result, error) {
 	return cl.compute(ctx, wire.Apply{ID: id, Vector: vec})
 }

@@ -375,10 +375,30 @@ func (pm *PreparedMatrix) apply(res []*Result, tiles []int, vecs [][]*rlwe.Ciphe
 	return nil
 }
 
+// CheckVector checks one encrypted vector against the prepared shape: its
+// chunk count, and every chunk's two parts in the full basis at the
+// ring's degree. It is the one rule for an HMVP input: every apply runs
+// it on each vector, and a server runs it at admission, before it
+// prepares any tile the request names.
+func (pm *PreparedMatrix) CheckVector(ctV []*rlwe.Ciphertext) error {
+	p := pm.ev.P
+	if len(ctV) != pm.chunks {
+		return fmt.Errorf("%w: matrix has %d column chunks but vector has %d ciphertexts", ErrVectorLength, pm.chunks, len(ctV))
+	}
+	for c, ct := range ctV {
+		if ct == nil || ct.B == nil || ct.A == nil {
+			return fmt.Errorf("%w: ciphertext %d is nil", ErrVectorLength, c)
+		}
+		if !hasShape(ct.B, p.R.Levels(), p.R.N) || !hasShape(ct.A, p.R.Levels(), p.R.N) {
+			return fmt.Errorf("%w: ciphertext %d is not %d limbs of N = %d per part", ErrVectorBasis, c, p.R.Levels(), p.R.N)
+		}
+	}
+	return nil
+}
+
 // validate checks a whole apply against the prepared shape — every
-// vector's chunk count and every entry's basis and ring degree, part by
-// part, every listed tile's index and preparation, every output's slot
-// count and polynomial shapes — and
+// vector (CheckVector), every listed tile's index and preparation, every
+// output's slot count and polynomial shapes — and
 // returns the row count one vector's listed tiles cover. The %w wrapping
 // keeps errors.Is on the sentinels working through the per-index context.
 func (pm *PreparedMatrix) validate(res []*Result, tiles []int, vecs [][]*rlwe.Ciphertext) (rows int, err error) {
@@ -390,16 +410,8 @@ func (pm *PreparedMatrix) validate(res []*Result, tiles []int, vecs [][]*rlwe.Ci
 		return 0, fmt.Errorf("%w: batch has %d vectors but %d result slots", ErrResultShape, len(vecs), len(res))
 	}
 	for k, ctV := range vecs {
-		if len(ctV) != pm.chunks {
-			return 0, fmt.Errorf("%w: vector %d: matrix has %d column chunks but vector has %d ciphertexts", ErrVectorLength, k, pm.chunks, len(ctV))
-		}
-		for c, ct := range ctV {
-			if ct == nil || ct.B == nil || ct.A == nil {
-				return 0, fmt.Errorf("%w: vector %d: ciphertext %d is nil", ErrVectorLength, k, c)
-			}
-			if !hasShape(ct.B, p.R.Levels(), p.R.N) || !hasShape(ct.A, p.R.Levels(), p.R.N) {
-				return 0, fmt.Errorf("%w: vector %d: ciphertext %d is not %d limbs of N = %d per part", ErrVectorBasis, k, c, p.R.Levels(), p.R.N)
-			}
+		if err := pm.CheckVector(ctV); err != nil {
+			return 0, fmt.Errorf("vector %d: %w", k, err)
 		}
 	}
 	want := len(pm.tiles)

@@ -199,19 +199,6 @@ func shoupPrecomp(w, q, hi, lo uint64) uint64 {
 	return est + (q-1-r)>>63 // +1 iff r ≥ q (r < 2q < 2^63)
 }
 
-// ShoupPrecompRow sets dst[i] = ShoupPrecomp(w[i]) over a row, with the
-// modulus and its reciprocal held in registers across the loop.
-func (m Modulus) ShoupPrecompRow(dst, w []uint64) {
-	q, hi, lo := m.Q, m.BRC[0], m.BRC[1]
-	dst = dst[:len(w)]
-	for i, v := range w {
-		if v >= q {
-			v %= q
-		}
-		dst[i] = shoupPrecomp(v, q, hi, lo)
-	}
-}
-
 // MulShoup returns a·w mod q where wp = ShoupPrecomp(w). The multiplicand w
 // must be reduced; a may be any uint64. This is the fast path used for NTT
 // twiddle factors, where w is known ahead of time.

@@ -36,6 +36,16 @@ func NewStageRecorder(parent Context) *StageRecorder {
 	return &StageRecorder{parent: parent, label: parent.Trace.String(), base: time.Now()}
 }
 
+// Sink returns the recorder as the kernel's stage sink: nil for the nil
+// recorder of an unsampled apply, never a typed-nil interface, which the
+// kernel would take for tracing on and dereference.
+func (r *StageRecorder) Sink() obs.StageSink {
+	if r == nil {
+		return nil
+	}
+	return r
+}
+
 // StageAdd accumulates d into stage (obs.StageSink).
 func (r *StageRecorder) StageAdd(stage int, d time.Duration) {
 	r.acc[stage].Add(int64(d))

@@ -279,6 +279,43 @@ func TestStageRecorder(t *testing.T) {
 	nilRec.Emit("kernel") // must not panic
 }
 
+// TestStageRecorderSink: an unsampled apply's recorder yields a nil
+// interface as its sink, never a typed nil the kernel would take for
+// tracing on, and Emit on it publishes nothing; a sampled recorder's sink
+// is the recorder, so what the kernel adds through it becomes its spans.
+func TestStageRecorderSink(t *testing.T) {
+	SetSampleRate(1)
+	defer SetSampleRate(0)
+	Reset()
+
+	unsampled := NewStageRecorder(Context{})
+	if sink := unsampled.Sink(); sink != nil {
+		t.Fatalf("unsampled recorder's sink is %#v, want a nil interface", sink)
+	}
+	unsampled.Emit("kernel")
+	if recs := Records(); len(recs) != 0 {
+		t.Fatalf("Emit on the unsampled recorder published %d records", len(recs))
+	}
+
+	tc, sp := Root("chamsim", "apply")
+	sink := NewStageRecorder(tc).Sink()
+	if sink == nil {
+		t.Fatal("sampled recorder's sink is nil")
+	}
+	sink.StageAdd(obs.StageNTT, 4*time.Millisecond)
+	sink.(*StageRecorder).Emit("kernel")
+	sp.End()
+	var got int64
+	for _, r := range TraceRecords(tc.Trace) {
+		if r.Name == "stage:"+obs.StageNames[obs.StageNTT] {
+			got = r.Dur
+		}
+	}
+	if got != int64(4*time.Millisecond) {
+		t.Fatalf("ntt stage span through the sink = %v, want 4ms", time.Duration(got))
+	}
+}
+
 // TestRingEviction: the ring retains only the newest ringCapacity spans
 // and Records tolerates wrap-around.
 func TestRingEviction(t *testing.T) {

@@ -11,11 +11,12 @@ package ring
 //     one sign-free gather per limb instead of INTT → coefficient permute
 //     (with negations) → NTT;
 //   - multiplication by the monomial X^e is a pointwise multiply by the
-//     NTT image of X^e, precomputed once per (e, limb) with Shoup
-//     companions. Slot j holds ψ^{e·(2·brv(j)+1)}; with 2^s the largest
-//     power of two dividing e mod 2N, ψ^e has order 2N/2^s, so the value
-//     depends only on the top log₂N−s bits of j and stays constant over
-//     runs of 2^s consecutive slots. The table keeps one value a run.
+//     NTT image of X^e, precomputed once per (e, limb) in Montgomery form,
+//     the form of every fixed operand. Slot j holds ψ^{e·(2·brv(j)+1)};
+//     with 2^s the largest power of two dividing e mod 2N, ψ^e has order
+//     2N/2^s, so the value depends only on the top log₂N−s bits of j and
+//     stays constant over runs of 2^s consecutive slots. The table keeps
+//     one value a run.
 //
 // Both are bit-identical to their coefficient-domain counterparts
 // composed with the transforms they elide: every intermediate here is
@@ -140,31 +141,44 @@ func (r *Ring) MonomialSplitNTT(sum, diff, E, O *Poly, e int) {
 	n, s := r.N, t.logRun
 	for l := 0; l < lv; l++ {
 		m := r.Moduli[l]
-		re, ro := E.Coeffs[l][:n], O.Coeffs[l][:n]
-		rm, rs := t.vals[l], t.shoup[l]
+		q, qinv := m.Q, montInv(m.Q)
+		re, ro, rm := E.Coeffs[l][:n], O.Coeffs[l][:n], t.vals[l]
 		rsum, rdiff := sum.Coeffs[l][:n], diff.Coeffs[l][:n]
 		if &rdiff[0] == &re[0] {
 			panic("ring: MonomialSplitNTT diff aliases E")
 		}
-		if vec.MonomialSplit(m.Q, rsum, rdiff, re, ro, rm, rs, s) {
+		if vec.MonomialSplit(q, qinv, rsum, rdiff, re, ro, rm, s) {
 			continue
 		}
-		for i := 0; i < n; i++ {
-			x := re[i]
-			y := m.MulShoup(ro[i], rm[i>>s], rs[i>>s])
-			rdiff[i] = m.Sub(x, y)
-			rsum[i] = m.Add(x, y)
+		if q >= montR {
+			// Past the radix the wide path writes the products into diff
+			// (which may alias O, read slot by slot before it is written).
+			montWideRow(m, rdiff, ro, rm, s, false)
+			for i, y := range rdiff {
+				x := re[i]
+				rdiff[i], rsum[i] = m.Sub(x, y), m.Add(x, y)
+			}
+			continue
+		}
+		// Branch-free: on uniform operands each wrap is a coin flip.
+		for k, w := range rm {
+			for i := k << s; i < (k+1)<<s; i++ {
+				x, y := re[i], montMul(ro[i], w, q, qinv)
+				d, a := x-y, x+y
+				rdiff[i], rsum[i] = d+q&uint64(int64(d)>>63), min(a, a-q)
+			}
 		}
 	}
 	sum.IsNTT, diff.IsNTT = true, true
 }
 
-// monoTable holds the NTT image of X^e per limb of the full basis by runs:
-// slot j of the image is vals[l][j>>logRun], with Shoup companions, ready
-// for pointwise Shoup products. A limb holds N>>logRun values.
+// monoTable holds the NTT image of X^e per limb of the full basis by runs,
+// in Montgomery form: slot j of the image is vals[l][j>>logRun]·2^-52 mod
+// q_l, ready for the split's Montgomery products. A limb holds N>>logRun
+// values.
 type monoTable struct {
-	logRun      int
-	vals, shoup [][]uint64
+	logRun int
+	vals   [][]uint64
 }
 
 // monoNTTTable returns (building and caching on first use) the table for
@@ -189,16 +203,15 @@ func (r *Ring) monoNTTTable(e int) *monoTable {
 	s := min(bits.TrailingZeros(uint(ee)), bits.Len(uint(n))-1)
 	runs := n >> s
 	lv := len(r.Moduli)
-	t = &monoTable{logRun: s, vals: make([][]uint64, lv), shoup: make([][]uint64, lv)}
-	backing := make([]uint64, 2*lv*runs)
+	t = &monoTable{logRun: s, vals: make([][]uint64, lv)}
+	backing := make([]uint64, lv*runs)
 	row := make([]uint64, n)
 	for l := 0; l < lv; l++ {
 		t.vals[l], backing = backing[:runs:runs], backing[runs:]
-		t.shoup[l], backing = backing[:runs:runs], backing[runs:]
 		m := r.Moduli[l]
 		// NTT(X^e): transform the basis monomial (X^{e-N} picks up the
 		// negacyclic -1) rather than exponentiating ψ per slot, then keep
-		// the first slot of each run.
+		// the first slot of each run, times 2^52.
 		clear(row)
 		if ee < n {
 			row[ee] = 1
@@ -206,10 +219,10 @@ func (r *Ring) monoNTTTable(e int) *monoTable {
 			row[ee-n] = m.Q - 1
 		}
 		r.Tables[l].ForwardLazy(row)
+		r52 := m.Reduce(montR)
 		for k := range t.vals[l] {
-			t.vals[l][k] = row[k<<s]
+			t.vals[l][k] = m.MulBarrett(row[k<<s], r52)
 		}
-		m.ShoupPrecompRow(t.shoup[l], t.vals[l])
 	}
 	r.monoNTT[ee] = t
 	return t

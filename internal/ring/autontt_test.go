@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cham/internal/mod"
 	"cham/internal/testutil"
 	"cham/internal/vec"
 )
@@ -154,33 +155,46 @@ func TestNTTPermutationOpsRejectAliasedOperands(t *testing.T) {
 // one): with E = 0 the split's sum is NTT(X^e·O) and its difference the
 // negation.
 func TestMonomialSplitNTTMatchesCoeff(t *testing.T) {
-	n := 64
-	r := chamRing(t, n)
-	rng := testutil.NewRand(t)
-	a := randPoly(r, rng, 3)
-	aN := nttCopy(r, a)
-	zero := r.NewPoly(3)
-	zero.IsNTT = true
-	for _, e := range []int{0, 1, 5, 8, 16, 32, n - 1, n, n + 3, n + 16, 2*n - 1, -1, -n, -5, -32} {
-		want := r.NewPoly(3)
-		r.MulMonomial(want, a, e)
-		r.NTT(want)
-		neg := r.NewPoly(3)
-		r.Sub(neg, zero, want)
+	const n = 64
+	wide, err := mod.NTTFriendlyPrimes(60, n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, r *Ring) {
+		lv := r.Levels()
+		rng := testutil.NewRand(t)
+		a := randPoly(r, rng, lv)
+		aN := nttCopy(r, a)
+		zero := r.NewPoly(lv)
+		zero.IsNTT = true
+		for _, e := range []int{0, 1, 5, 8, 16, 32, n - 1, n, n + 3, n + 16, 2*n - 1, -1, -n, -5, -32} {
+			want := r.NewPoly(lv)
+			r.MulMonomial(want, a, e)
+			r.NTT(want)
+			neg := r.NewPoly(lv)
+			r.Sub(neg, zero, want)
 
-		sum, diff := r.NewPoly(3), r.NewPoly(3)
-		r.MonomialSplitNTT(sum, diff, zero, aN, e)
-		if !sum.Equal(want) || !diff.Equal(neg) {
-			t.Fatalf("e=%d: MonomialSplitNTT(0, a) != ±NTT(MulMonomial)", e)
+			sum, diff := r.NewPoly(lv), r.NewPoly(lv)
+			r.MonomialSplitNTT(sum, diff, zero, aN, e)
+			if !sum.Equal(want) || !diff.Equal(neg) {
+				t.Fatalf("e=%d: MonomialSplitNTT(0, a) != ±NTT(MulMonomial)", e)
+			}
 		}
+	}
+	for name, r := range map[string]*Ring{"cham": chamRing(t, n), "wide": MustNew(n, wide)} {
+		t.Run(name, func(t *testing.T) { check(t, r) })
+		t.Run(name+"/generic", func(t *testing.T) {
+			vec.ForceGeneric(t)
+			check(t, r)
+		})
 	}
 }
 
 // TestMonoTableRuns: the monomial cache keeps one value per run of 2^s
 // slots, s the trailing zeros of e mod 2N (one run for e = 0 and e = N),
-// so the packing tree's exponent N/2i holds 2i values and companions per
-// limb; and over every exponent class the image ψ^{e·(2·brv(j)+1)} is
-// constant over each run, equal to the run's value.
+// so the packing tree's exponent N/2i holds 2i values per limb; and over
+// every exponent class the image ψ^{e·(2·brv(j)+1)} is constant over each
+// run, equal to the run's value out of Montgomery form.
 func TestMonoTableRuns(t *testing.T) {
 	const n = 64
 	r := chamRing(t, n)
@@ -191,19 +205,15 @@ func TestMonoTableRuns(t *testing.T) {
 			t.Fatalf("e=%d: runs of 2^%d slots, want 2^%d", e, tab.logRun, s)
 		}
 		for l, m := range r.Moduli {
-			if len(tab.vals[l]) != n>>s || len(tab.shoup[l]) != n>>s {
-				t.Fatalf("e=%d limb %d: %d values and %d companions, want %d", e, l, len(tab.vals[l]), len(tab.shoup[l]), n>>s)
+			if len(tab.vals[l]) != n>>s {
+				t.Fatalf("e=%d limb %d: %d values, want %d", e, l, len(tab.vals[l]), n>>s)
 			}
-			// Slot j of NTT(X^e) is ψ^{e·(2·brv(j)+1)}.
+			// Slot j of NTT(X^e) is ψ^{e·(2·brv(j)+1)}; the table holds it
+			// times 2^52.
 			for j := 0; j < n; j++ {
 				v := m.Pow(r.Tables[l].Psi, uint64(e*(2*int(brv(uint(j), 6))+1)%(2*n)))
-				if tab.vals[l][j>>s] != v {
-					t.Fatalf("e=%d limb %d: slot %d is %d, its run's value %d", e, l, j, v, tab.vals[l][j>>s])
-				}
-			}
-			for k, w := range tab.vals[l] {
-				if tab.shoup[l][k] != m.ShoupPrecomp(w) {
-					t.Fatalf("e=%d limb %d: run %d's companion is not ShoupPrecomp of its value", e, l, k)
+				if w := m.Mul(v, 1<<52); tab.vals[l][j>>s] != w {
+					t.Fatalf("e=%d limb %d: slot %d is %d·2^52 = %d, its run's value %d", e, l, j, v, w, tab.vals[l][j>>s])
 				}
 			}
 		}
@@ -212,8 +222,8 @@ func TestMonoTableRuns(t *testing.T) {
 	dp := chamRing(t, 4096)
 	tab := dp.monoNTTTable(16)
 	for l := range dp.Moduli {
-		if len(tab.vals[l]) != 256 || len(tab.shoup[l]) != 256 {
-			t.Fatalf("N=4096 z=16 limb %d: %d values and %d companions, want 256", l, len(tab.vals[l]), len(tab.shoup[l]))
+		if len(tab.vals[l]) != 256 {
+			t.Fatalf("N=4096 z=16 limb %d: %d values, want 256", l, len(tab.vals[l]))
 		}
 	}
 }
@@ -222,7 +232,8 @@ func TestMonoTableRuns(t *testing.T) {
 // first level is built on (core's prepared row pairs write a merge's BT
 // from two constants): φ_{2i+1}(X^{N/2i}) = X^{N+N/2i} = −X^{N/2i}, so the
 // run value of NTT(X^{N/2i}) at slot autoPermTable(2i+1)[j] is q minus its
-// value at slot j, for every group size i of a tree of up to N leaves and
+// value at slot j (in the table's Montgomery form too, which negation
+// commutes with), for every group size i of a tree of up to N leaves and
 // every limb. And φ_3's gather maps the first half of the slots onto the
 // second and the second onto the first.
 func TestAutomorphNegatesTreeMonomial(t *testing.T) {

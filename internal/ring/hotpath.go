@@ -1,12 +1,11 @@
 package ring
 
 // Hot-path support: pooled polynomial buffers, fused multiply-accumulate
-// kernels (Montgomery products against operands kept in Montgomery form,
-// Shoup products against a fixed operand's companion table), and an
-// in-place RESCALE (ModDownInto) with cached per-limb constants. Together
-// these let the HMVP pipeline (core.PreparedMatrix) run with zero heap
-// allocations after warm-up, the software analogue of CHAM's
-// buffer-resident dataflow.
+// kernels (Montgomery products against fixed operands kept in Montgomery
+// form), and an in-place RESCALE (ModDownInto) with cached per-limb
+// constants. Together these let the HMVP pipeline (core.PreparedMatrix)
+// run with zero heap allocations after warm-up, the software analogue of
+// CHAM's buffer-resident dataflow.
 
 import (
 	"math/bits"
@@ -62,50 +61,19 @@ func (p *Poly) CopyFrom(o *Poly) {
 }
 
 // ShoupPrecompPoly returns the Shoup companion table of p — one word per
-// coefficient — for use as the fixed operand of the MulCoeffShoup…
-// sweeps. Worth computing once whenever p multiplies more than a couple of
-// polynomials (the secret key).
+// coefficient — for use as the fixed operand of MulCoeffShoupAdd and
+// MulCoeffShoupDualAdd. No production path reads one: every fixed operand
+// is held in Montgomery form instead (MulCoeffMont).
 func (r *Ring) ShoupPrecompPoly(p *Poly) [][]uint64 {
 	out := make([][]uint64, p.Levels())
 	backing := make([]uint64, p.Levels()*r.N)
 	for l := range out {
 		out[l], backing = backing[:r.N], backing[r.N:]
-		r.Moduli[l].ShoupPrecompRow(out[l], p.Coeffs[l])
+		for i, v := range p.Coeffs[l] {
+			out[l][i] = r.Moduli[l].ShoupPrecomp(v)
+		}
 	}
 	return out
-}
-
-// MulCoeffShoup sets out = a ∘ b where bShoup = ShoupPrecompPoly(b); out
-// may alias a.
-func (r *Ring) MulCoeffShoup(out, a, b *Poly, bShoup [][]uint64) {
-	lv := sameLevels(out, a, b)
-	sameDomain(a, b)
-	for l := 0; l < lv; l++ {
-		m := r.Moduli[l]
-		ro := out.Coeffs[l]
-		ra, rb, rs := a.Coeffs[l][:len(ro)], b.Coeffs[l][:len(ro)], bShoup[l][:len(ro)]
-		for i := range ro {
-			ro[i] = m.MulShoup(ra[i], rb[i], rs[i])
-		}
-	}
-	out.IsNTT = a.IsNTT
-}
-
-// MulCoeffShoupSub sets out -= a ∘ b where bShoup = ShoupPrecompPoly(b).
-// The subtraction is branch-free: on uniform operands a borrow is a coin
-// flip, which a branch would mispredict half the time.
-func (r *Ring) MulCoeffShoupSub(out, a, b *Poly, bShoup [][]uint64) {
-	lv := sameLevels(out, a, b)
-	sameDomain(a, b)
-	for l := 0; l < lv; l++ {
-		m := r.Moduli[l]
-		ro := out.Coeffs[l]
-		ra, rb, rs := a.Coeffs[l][:len(ro)], b.Coeffs[l][:len(ro)], bShoup[l][:len(ro)]
-		for i := range ro {
-			d := ro[i] - m.MulShoup(ra[i], rb[i], rs[i])
-			ro[i] = d + m.Q&uint64(int64(d)>>63) // + q iff it borrowed (q < 2^62)
-		}
-	}
 }
 
 // MulCoeffShoupAdd sets out += a ∘ b where bShoup = ShoupPrecompPoly(b).
@@ -138,8 +106,8 @@ func (r *Ring) MulCoeffMontPairAdd(out, a0, b0Mont, a1, b1Mont *Poly) {
 		switch {
 		case vec.MulMontPair(q, qinv, ro, ra0, rb0, ra1, rb1):
 		case q >= montR:
-			montWideRow(m, ro, ra0, rb0, true)
-			montWideRow(m, ro, ra1, rb1, true)
+			montWideRow(m, ro, ra0, rb0, 0, true)
+			montWideRow(m, ro, ra1, rb1, 0, true)
 		default:
 			// The Go form of the kernel: both products summed in 128 bits
 			// and reduced once, as montMul reduces one. The sum is below
@@ -161,10 +129,13 @@ func (r *Ring) MulCoeffMontPairAdd(out, a0, b0Mont, a1, b1Mont *Poly) {
 	}
 }
 
-// MulCoeffMontAdd sets out += a ∘ b with bMont = MulScalar(b, 2^52): the
-// single-digit form of MulCoeffMontPairAdd, for the digit left over when
-// a basis has an odd number of them. Every operand must be canonical.
-func (r *Ring) MulCoeffMontAdd(out, a, bMont *Poly) {
+// MulCoeffMont sets out = a ∘ b, or out += a ∘ b when add is set, with
+// bMont = MulScalar(b, 2^52): the single-operand form of
+// MulCoeffMontPairAdd. It is the sweep of every fixed operand held in
+// Montgomery form outside the MACs: the digit left over when a basis has
+// an odd number of them, and the secret key's products (rlwe). out may
+// alias a. Every operand must be canonical.
+func (r *Ring) MulCoeffMont(out, a, bMont *Poly, add bool) {
 	lv := sameLevels(out, a, bMont)
 	sameDomain(a, bMont)
 	for l := 0; l < lv; l++ {
@@ -173,13 +144,19 @@ func (r *Ring) MulCoeffMontAdd(out, a, bMont *Poly) {
 		ro := out.Coeffs[l]
 		ra, rb := a.Coeffs[l][:len(ro)], bMont.Coeffs[l][:len(ro)]
 		if q >= montR {
-			montWideRow(m, ro, ra, rb, true)
+			montWideRow(m, ro, ra, rb, 0, add)
 			continue
 		}
 		for i := range ro {
-			ro[i] = m.Add(ro[i], montMul(ra[i], rb[i], q, qinv))
+			p := montMul(ra[i], rb[i], q, qinv)
+			if add { // branch-free: on uniform operands a wrap is a coin flip
+				p += ro[i]
+				p = min(p, p-q)
+			}
+			ro[i] = p
 		}
 	}
+	out.IsNTT = a.IsNTT
 }
 
 // MulCoeffMontDot is the row apply's MAC: one streamed polynomial x
@@ -217,7 +194,7 @@ func montDotRow(m mod.Modulus, total *[2]uint64, roa, rx, rb, ra []uint64, add b
 	switch {
 	case done:
 	case q >= montR:
-		montWideRow(m, roa, rx, ra, add)
+		montWideRow(m, roa, rx, ra, 0, add)
 		for i := range rx { // a product may reach 2^124: reduce each
 			lo = m.Add(lo, m.MulBarrett(rx[i], rb[i]))
 		}
@@ -244,18 +221,20 @@ func montDotRow(m mod.Modulus, total *[2]uint64, roa, rx, rb, ra []uint64, add b
 	*total = [2]uint64{m.ReduceBarrett(hi), lo}
 }
 
-// montR is the Montgomery radix of the MulCoeffMont… sweeps, the range of
-// a 52-bit multiplier lane.
+// montR is the Montgomery radix of the MulCoeffMont… sweeps and the
+// monomial split, the range of a 52-bit multiplier lane.
 const montR = 1 << 52
 
-// montWideRow sets out (+)= x∘y·2^-52 mod q for a modulus at or above the
+// montWideRow sets out (+)= x∘y'·2^-52 mod q for a modulus at or above the
 // radix, where the Montgomery product does not apply: multiply exactly,
-// then by 2^-52. It is the one wide path of every MulCoeffMont… sweep.
-func montWideRow(m mod.Modulus, out, x, y []uint64, add bool) {
+// then by 2^-52. y' repeats each value of y over a run of 2^s slots (the
+// monomial split's table; the other sweeps pass s = 0). It is the one wide
+// path of every Montgomery sweep.
+func montWideRow(m mod.Modulus, out, x, y []uint64, s int, add bool) {
 	k := m.Inv(m.ReduceBarrett(montR))
 	ks := m.ShoupPrecomp(k)
 	for i := range out {
-		p := m.MulShoup(m.MulBarrett(x[i], y[i]), k, ks)
+		p := m.MulShoup(m.MulBarrett(x[i], y[i>>s]), k, ks)
 		if add {
 			p = m.Add(out[i], p)
 		}

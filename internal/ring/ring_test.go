@@ -217,27 +217,26 @@ func TestMulScalarBig(t *testing.T) {
 }
 
 // TestMulCoeffShoupMatchesBarrett: a product through a fixed operand's
-// Shoup table is the same word as MulCoeff's, in place and subtracted,
-// with the table built over more limbs than the operands carry.
+// Shoup table, accumulated into two polynomials as the benchmark's MAC
+// probe accumulates, is the same word as MulCoeff's then Add, with the
+// table built over more limbs than the operands carry.
 func TestMulCoeffShoupMatchesBarrett(t *testing.T) {
 	r := chamRing(t, 64)
 	rng := testutil.NewRand(t)
 	b := randPoly(r, rng, 3)
 	bShoup := r.ShoupPrecompPoly(b)
 	for lv := 1; lv <= 3; lv++ {
-		a, acc := randPoly(r, rng, lv), randPoly(r, rng, lv)
+		aB, aA := randPoly(r, rng, lv), randPoly(r, rng, lv)
+		accB, accA := randPoly(r, rng, lv), randPoly(r, rng, lv)
 		bv := &Poly{Coeffs: b.Coeffs[:lv]}
-		want := r.NewPoly(lv)
-		r.MulCoeff(want, a, bv)
-		got := a.Copy()
-		r.MulCoeffShoup(got, got, bv, bShoup)
-		if !got.Equal(want) {
-			t.Fatalf("%d limbs: MulCoeffShoup differs from MulCoeff", lv)
-		}
-		r.Sub(want, acc, want)
-		r.MulCoeffShoupSub(acc, a, bv, bShoup)
-		if !acc.Equal(want) {
-			t.Fatalf("%d limbs: MulCoeffShoupSub differs from Sub of MulCoeff", lv)
+		wantB, wantA := r.NewPoly(lv), r.NewPoly(lv)
+		r.MulCoeff(wantB, aB, bv)
+		r.Add(wantB, wantB, accB)
+		r.MulCoeff(wantA, aA, bv)
+		r.Add(wantA, wantA, accA)
+		r.MulCoeffShoupDualAdd(accB, accA, aB, aA, bv, bShoup)
+		if !accB.Equal(wantB) || !accA.Equal(wantA) {
+			t.Fatalf("%d limbs: MulCoeffShoupDualAdd differs from MulCoeff and Add", lv)
 		}
 	}
 }
@@ -325,9 +324,9 @@ func TestMulCoeffMontDot(t *testing.T) {
 }
 
 // TestMulCoeffMontPairAdd: the key-switch pair MAC against keys in
-// Montgomery form (MulScalar by 2^52), and its single-digit form, give
-// the words mod's Mul and Add give, on the host's kernels and on the Go
-// loops. The bases are the CHAM basis, 52-bit primes (where the Go loop's
+// Montgomery form (MulScalar by 2^52), and its single-operand form —
+// accumulated, and set in place as the phase sets a·s — give the words
+// mod's Mul and Add give, on the host's kernels and on the Go loops. The bases are the CHAM basis, 52-bit primes (where the Go loop's
 // wide sum reaches 2q) and 60-bit primes (wider than the radix). The first
 // 32 words pair 0 and q-1 every way across a0, b0, a1, b1 and out.
 func TestMulCoeffMontPairAdd(t *testing.T) {
@@ -353,13 +352,14 @@ func TestMulCoeffMontPairAdd(t *testing.T) {
 		b0M, b1M := r.NewPoly(lv), r.NewPoly(lv)
 		r.MulScalar(b0M, b0, 1<<52)
 		r.MulScalar(b1M, b1, 1<<52)
-		wantPair, wantOne := out.Copy(), out.Copy()
+		wantPair, wantOne, wantSet := out.Copy(), out.Copy(), out.Copy()
 		for l, m := range r.Moduli {
 			for i := range wantPair.Coeffs[l] {
 				p0 := m.Mul(a0.Coeffs[l][i], b0.Coeffs[l][i])
 				p1 := m.Mul(a1.Coeffs[l][i], b1.Coeffs[l][i])
 				wantPair.Coeffs[l][i] = m.Add(out.Coeffs[l][i], m.Add(p0, p1))
 				wantOne.Coeffs[l][i] = m.Add(out.Coeffs[l][i], p0)
+				wantSet.Coeffs[l][i] = p0
 			}
 		}
 		got := out.Copy()
@@ -368,9 +368,14 @@ func TestMulCoeffMontPairAdd(t *testing.T) {
 			t.Fatal("MulCoeffMontPairAdd differs from Mul and Add")
 		}
 		got = out.Copy()
-		r.MulCoeffMontAdd(got, a0, b0M)
+		r.MulCoeffMont(got, a0, b0M, true)
 		if !got.Equal(wantOne) {
-			t.Fatal("MulCoeffMontAdd differs from Mul and Add")
+			t.Fatal("MulCoeffMont, accumulating, differs from Mul and Add")
+		}
+		got = a0.Copy()
+		r.MulCoeffMont(got, got, b0M, false)
+		if !got.Equal(wantSet) {
+			t.Fatal("MulCoeffMont, in place, differs from Mul")
 		}
 	}
 	for name, qs := range bases {

@@ -207,8 +207,8 @@ func (p Params) KeySwitchAccumulateNTT(btAcc, aAcc *ring.Poly, dec *Decompositio
 		r.MulCoeffMontPairAdd(aAcc, d0, swk.AsMont[j], d1, swk.AsMont[j+1])
 	}
 	if j < len(dec.Digits) {
-		r.MulCoeffMontAdd(btAcc, dec.Digits[j], swk.BsMont[j])
-		r.MulCoeffMontAdd(aAcc, dec.Digits[j], swk.AsMont[j])
+		r.MulCoeffMont(btAcc, dec.Digits[j], swk.BsMont[j], true)
+		r.MulCoeffMont(aAcc, dec.Digits[j], swk.AsMont[j], true)
 	}
 }
 

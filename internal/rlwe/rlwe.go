@@ -63,23 +63,27 @@ func (p Params) SpecialModuli() []uint64 {
 }
 
 // SecretKey holds the ternary secret in coefficient domain (Value) and NTT
-// domain (ValueNTT), both over the full basis, and the Shoup companion
-// table of ValueNTT that every product by the secret multiplies through.
-// KeyGen, the only constructor, fills the table; it is read-only after
-// that, so any number of goroutines may encrypt and decrypt under one key.
+// domain (ValueNTT), both over the full basis, and the image of −s in
+// Montgomery form (−ValueNTT·2^52, the form of every fixed operand) that
+// every product by the secret multiplies through. It is −s because
+// encryption's b −= a·s is then the sweep's accumulation, and the phase
+// subtracts instead of adding. KeyGen, the only constructor, builds the
+// image; it is read-only after that, so any number of goroutines may
+// encrypt and decrypt under one key.
 type SecretKey struct {
 	Value    *ring.Poly
 	ValueNTT *ring.Poly
-	shoup    [][]uint64
+	negMont  *ring.Poly
 }
 
-// nttShoup returns ValueNTT's Shoup table, refusing a key KeyGen did not
-// build rather than multiplying some other way.
-func (sk *SecretKey) nttShoup() [][]uint64 {
-	if sk.shoup == nil {
-		panic("rlwe: SecretKey not built by KeyGen (no Shoup table)")
+// negSecretMont returns the key's Montgomery image of −s over the first
+// levels limbs, refusing a key KeyGen did not build rather than
+// multiplying some other way.
+func (sk *SecretKey) negSecretMont(levels int) *ring.Poly {
+	if sk.negMont == nil {
+		panic("rlwe: SecretKey not built by KeyGen (no Montgomery image)")
 	}
-	return sk.shoup
+	return truncate(sk.negMont, levels)
 }
 
 // PublicKey is an encryption of zero over the full basis, NTT domain.
@@ -124,19 +128,22 @@ func (ct *Ciphertext) CopyFrom(o *Ciphertext) {
 	ct.A.CopyFrom(o.A)
 }
 
-// KeyGen samples a fresh ternary secret key and builds its Shoup table.
+// KeyGen samples a fresh ternary secret key and builds its Montgomery
+// image of −s.
 func (p Params) KeyGen(rng *rand.Rand) *SecretKey {
 	s := p.R.NewPoly(p.R.Levels())
 	p.R.TernaryPoly(rng, s)
 	sn := s.Copy()
 	p.R.NTT(sn)
-	return &SecretKey{Value: s, ValueNTT: sn, shoup: p.R.ShoupPrecompPoly(sn)}
+	neg := p.R.NewPoly(p.R.Levels())
+	p.R.MulScalarBig(neg, sn, big.NewInt(-1<<52))
+	return &SecretKey{Value: s, ValueNTT: sn, negMont: neg}
 }
 
 // subMulSecret sets b -= a ∘ s over b's limbs, both NTT domain: the −a·s
 // of every encryption of zero under the secret.
 func (p Params) subMulSecret(b, a *ring.Poly, sk *SecretKey) {
-	p.R.MulCoeffShoupSub(b, a, truncate(sk.ValueNTT, b.Levels()), sk.nttShoup())
+	p.R.MulCoeffMont(b, a, sk.negSecretMont(b.Levels()), true)
 }
 
 // PublicKeyGen derives a public key (an encryption of zero on the full
@@ -205,21 +212,21 @@ func (p Params) Phase(ct *Ciphertext, sk *SecretKey) *ring.Poly {
 
 // PhaseInto is Phase writing into a caller-owned polynomial with the
 // ciphertext's limb count, which is also its only scratch: a is copied
-// there and transformed, multiplied by s, and b joins on whichever side
-// of the inverse transform it already is.
+// there and transformed, multiplied by −s, and subtracted from b on
+// whichever side of the inverse transform b already is.
 func (p Params) PhaseInto(out *ring.Poly, ct *Ciphertext, sk *SecretKey) {
 	r := p.R
 	out.CopyFrom(ct.A)
 	if !out.IsNTT {
 		r.NTT(out)
 	}
-	r.MulCoeffShoup(out, out, truncate(sk.ValueNTT, ct.Levels()), sk.nttShoup())
+	r.MulCoeffMont(out, out, sk.negSecretMont(ct.Levels()), false)
 	if ct.B.IsNTT {
-		r.Add(out, out, ct.B)
+		r.Sub(out, ct.B, out)
 		r.INTT(out)
 	} else {
 		r.INTT(out)
-		r.Add(out, out, ct.B)
+		r.Sub(out, ct.B, out)
 	}
 }
 

@@ -106,11 +106,11 @@ func TestPhasePayload(t *testing.T) {
 	}
 }
 
-// TestSecretKeyShoupTable: the phase through the key's Shoup table is the
-// word a plain MulCoeff by the secret gives, at every level count and
-// with b on either side of the transform; a key KeyGen did not build is
-// refused by name by every product with the secret.
-func TestSecretKeyShoupTable(t *testing.T) {
+// TestSecretKeyMontImage: the phase through the key's Montgomery image of
+// −s is the word a plain MulCoeff by the secret gives, at every level
+// count and with b on either side of the transform; a key KeyGen did not
+// build is refused by name by every product with the secret.
+func TestSecretKeyMontImage(t *testing.T) {
 	p := testParams(t, 64)
 	r := p.R
 	rng := testutil.NewRand(t)
@@ -147,7 +147,7 @@ func TestSecretKeyShoupTable(t *testing.T) {
 	} {
 		func() {
 			defer func() {
-				if msg, _ := recover().(string); msg != "rlwe: SecretKey not built by KeyGen (no Shoup table)" {
+				if msg, _ := recover().(string); msg != "rlwe: SecretKey not built by KeyGen (no Montgomery image)" {
 					t.Fatalf("%s on a bare key: recovered %q, want the KeyGen invariant panic", name, msg)
 				}
 			}()

@@ -152,12 +152,12 @@ func (s *Server) enqueue(ctx context.Context, a wire.Apply, reply func([]byte, *
 				"tile %d out of range (matrix has %d tiles)", ti, reg.handle.Tiles)
 		}
 	}
+	// A malformed vector is refused before any tile is prepared for it.
+	if err := reg.pm.CheckVector(a.Vector); err != nil {
+		return wire.Errf(wire.CodeBadRequest, "%v", err)
+	}
 	if we := s.ensureTiles(reg, a.Tiles); we != nil {
 		return we
-	}
-	if len(a.Vector) != int(reg.handle.Chunks) {
-		return wire.Errf(wire.CodeBadRequest,
-			"vector has %d chunks, matrix needs %d", len(a.Vector), reg.handle.Chunks)
 	}
 	deadline, _ := ctx.Deadline()
 	req := &request{

@@ -27,7 +27,6 @@ import (
 
 	"cham/internal/bfv"
 	"cham/internal/core"
-	"cham/internal/obs"
 	"cham/internal/obs/trace"
 	"cham/internal/rlwe"
 	rt "cham/internal/runtime"
@@ -385,7 +384,7 @@ func (s *Server) compute(req *request) {
 			out[i], tiles[i] = res.Packed[ti], int(ti)
 		}
 	}
-	if err := mat.pm.ApplyTiles(out, tiles, req.vec, sinkOf(rec)); err != nil {
+	if err := mat.pm.ApplyTiles(out, tiles, req.vec, rec.Sink()); err != nil {
 		mat.putResult(res)
 		ssp.EndErr(err)
 		req.err = wire.Errf(wire.CodeBadRequest, "apply: %v", err)
@@ -405,15 +404,6 @@ func (s *Server) compute(req *request) {
 			"dur", time.Since(t0),
 			"tiles", len(out))
 	}
-}
-
-// sinkOf converts a possibly-nil *StageRecorder into a StageSink without
-// producing a typed-nil interface (which the kernel would dereference).
-func sinkOf(rec *trace.StageRecorder) obs.StageSink {
-	if rec == nil {
-		return nil
-	}
-	return rec
 }
 
 // abandoned retires a request whose caller has hung up — a cancelled

@@ -395,6 +395,44 @@ func TestUnknownMatrix(t *testing.T) {
 	}
 }
 
+// TestAdmissionRefusesMalformedVector: on a LazyTiles node an apply whose
+// vector has the wrong chunk count, or chunks without the augmented
+// basis, is refused with a typed bad_request before any tile is prepared
+// for it; a well-formed apply then prepares both tiles.
+func TestAdmissionRefusesMalformedVector(t *testing.T) {
+	p := testParams(t, 32)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	_, addr := testServer(t, Config{Params: p, LazyTiles: true})
+	cl := testClient(t, addr, p, func(c *client.Config) { c.MaxRetries = -1 })
+	setupKeys(t, cl, p, rng, sk)
+	handle, err := cl.RegisterMatrix(testutil.Matrix(rng, 40, 64, p.T.Q)) // two tiles, two chunks
+	if err != nil {
+		t.Fatal(err)
+	}
+	normal := func() *rlwe.Ciphertext { return p.Encrypt(rng, sk, p.NewPlaintext(), p.NormalLevels) }
+	before := mTilesPrepared.Value()
+	for name, ctV := range map[string][]*rlwe.Ciphertext{
+		"one chunk of two":    core.EncryptVector(p, rng, sk, testutil.Vector(rng, 32, p.T.Q)),
+		"normal-basis chunks": {normal(), normal()},
+	} {
+		_, err := cl.Apply(handle.ID, ctV)
+		var we *wire.Error
+		if !errors.As(err, &we) || we.Code != wire.CodeBadRequest {
+			t.Errorf("%s: got %v, want bad_request", name, err)
+		}
+		if got := mTilesPrepared.Value(); got != before {
+			t.Errorf("%s: %d tiles prepared before the refusal", name, got-before)
+		}
+	}
+	if _, err := cl.Apply(handle.ID, core.EncryptVector(p, rng, sk, testutil.Vector(rng, 64, p.T.Q))); err != nil {
+		t.Fatal(err)
+	}
+	if got := mTilesPrepared.Value() - before; got != 2 {
+		t.Errorf("a well-formed apply prepared %d tiles, want 2", got)
+	}
+}
+
 // TestRegisterRefusesOversizedDescriptor: with a card configured, a
 // matrix whose largest tile the card's descriptor cannot carry (2^13 rows
 // at N = 8192; the descriptor stops at 2^12) is refused at registration

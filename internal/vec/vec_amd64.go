@@ -128,21 +128,22 @@ func InverseNTTDrop(q uint64, out, a, sp, w, wShoup []uint64, nInvP, nInvPShoup,
 
 // MonomialSplit sets sum = e + o∘m' and diff = e - o∘m' for canonical
 // rows, where m' repeats each value of m over a run of 2^logRun slots
-// (slot i multiplies by m[i>>logRun]) and mShoup holds the Shoup
-// companions of m. Each run broadcasts its value once, so a run must fill
+// (slot i multiplies by m[i>>logRun]) and m holds those values in
+// Montgomery form (v·2^52 mod q), so o∘m' is a Montgomery product; qinv is
+// q^-1 mod 2^52. Each run broadcasts its value once, so a run must fill
 // whole vectors: logRun ≥ 3 and the row a multiple of the run. sum may
 // alias e and diff may alias o: a block of eight slots is loaded from both
 // before either output is stored.
-func MonomialSplit(q uint64, sum, diff, e, o, m, mShoup []uint64, logRun int) bool {
+func MonomialSplit(q, qinv uint64, sum, diff, e, o, m []uint64, logRun int) bool {
 	if logRun < 3 {
 		return false
 	}
 	n := len(sum)
 	runs := n >> logRun
-	if runs<<logRun != n || !ok(q, n, diff, e, o) || len(m) < runs || len(mShoup) < runs {
+	if runs<<logRun != n || !ok(q, n, diff, e, o) || len(m) < runs {
 		return false
 	}
-	monomialSplit(&sum[0], &diff[0], &e[0], &o[0], &m[0], &mShoup[0], n, 1<<logRun, q)
+	monomialSplit(&sum[0], &diff[0], &e[0], &o[0], &m[0], n, 1<<logRun, q, qinv)
 	return true
 }
 
@@ -246,7 +247,7 @@ func forwardNTT(a, src *uint64, n int, w, wp *uint64, q, mu, reduce, half, negAd
 func inverseNTT(a *uint64, n int, w, wp *uint64, q, nInv, nInvShoup, nInvRoot, nInvRootShoup uint64, c *uint64, reduce uint64, out, sp *uint64, halfP, negPInv, negPInvShoup uint64)
 
 //go:noescape
-func monomialSplit(sum, diff, e, o, m, ms *uint64, n, run int, q uint64)
+func monomialSplit(sum, diff, e, o, m *uint64, n, run int, q, qinv uint64)
 
 //go:noescape
 func mulMontDot(out, x, yB, yA *uint64, n int, q, qinv uint64, add bool, sums *[16]uint64)

@@ -773,54 +773,6 @@ invDrop:
 	VZEROUPPER
 	RET
 
-// func monomialSplit(sum, diff, e, o, m, ms *uint64, n, run int, q uint64)
-//
-// Mirrors the row loop of ring.(*Ring).MonomialSplitNTT for runs of run
-// slots (a multiple of 8 dividing n): per run, broadcast w = m[k] and its
-// companion ms[k] once, then per slot y = MulShoup(o, w, ms[k]);
-// diff = Sub(e, y); sum = Add(e, y).
-TEXT ·monomialSplit(SB), NOSPLIT, $0-72
-	MOVQ sum+0(FP), DI
-	MOVQ diff+8(FP), SI
-	MOVQ e+16(FP), R8
-	MOVQ o+24(FP), R9
-	MOVQ m+32(FP), R10
-	MOVQ ms+40(FP), R11
-	MOVQ n+48(FP), CX
-	MOVQ run+56(FP), R12
-	MOVQ q+64(FP), BX
-	CONSTS(BX)
-	XORQ AX, AX
-
-splitRun:
-	VPBROADCASTQ (R10), Z1      // w
-	MOVQ (R11), DX
-	SHRQ $12, DX                // the 52-bit companion
-	VPBROADCASTQ DX, Z2
-	ADDQ $8, R10
-	ADDQ $8, R11
-	LEAQ (AX)(R12*1), DX        // end of the run
-
-splitLoop:
-	VMOVDQU64 (R9)(AX*8), Z0
-	SHOUP52(Z0, Z1, Z2, Z3, Z4)
-	CSUB(Z3, Z31, Z4)           // y
-	VMOVDQU64 (R8)(AX*8), Z5    // x
-	VPSUBQ Z3, Z5, Z6           // x-y, wrapped when x < y
-	VPADDQ Z31, Z6, Z7
-	VPMINUQ Z7, Z6, Z6
-	VPADDQ Z3, Z5, Z5
-	CSUB(Z5, Z31, Z4)
-	VMOVDQU64 Z6, (SI)(AX*8)
-	VMOVDQU64 Z5, (DI)(AX*8)
-	ADDQ $8, AX
-	CMPQ AX, DX
-	JLT  splitLoop
-	CMPQ AX, CX
-	JLT  splitRun
-	VZEROUPPER
-	RET
-
 // MONT52: out = x·y·2^-52 mod q, canonical, for x, y < 2^52 with x·y <
 // 2^52·q, qinv = q^-1 mod 2^52 in Z27: with lo + hi·2^52 = x·y and m =
 // lo·qinv mod 2^52, x·y − m·q is (hi − ⌊m·q/2^52⌋)·2^52 exactly, and
@@ -838,6 +790,49 @@ splitLoop:
 	VPSUBQ t, out, out; \
 	VPADDQ Z31, out, t; \
 	VPMINUQ t, out, out
+
+// func monomialSplit(sum, diff, e, o, m *uint64, n, run int, q, qinv uint64)
+//
+// Mirrors the row loop of ring.(*Ring).MonomialSplitNTT for runs of run
+// slots (a multiple of 8 dividing n): per run, broadcast w = m[k], the
+// run's value in Montgomery form, once; then per slot y = o·w·2^-52 mod q
+// (MONT52, canonical); diff = Sub(e, y); sum = Add(e, y).
+TEXT ·monomialSplit(SB), NOSPLIT, $0-72
+	MOVQ sum+0(FP), DI
+	MOVQ diff+8(FP), SI
+	MOVQ e+16(FP), R8
+	MOVQ o+24(FP), R9
+	MOVQ m+32(FP), R10
+	MOVQ n+40(FP), CX
+	MOVQ run+48(FP), R12
+	MOVQ q+56(FP), BX
+	CONSTS(BX)
+	VPBROADCASTQ qinv+64(FP), Z27
+	XORQ AX, AX
+
+splitRun:
+	VPBROADCASTQ (R10), Z1      // w
+	ADDQ $8, R10
+	LEAQ (AX)(R12*1), DX        // end of the run
+
+splitLoop:
+	VMOVDQU64 (R9)(AX*8), Z0
+	MONT52(Z0, Z1, Z3, Z4, Z2)  // y
+	VMOVDQU64 (R8)(AX*8), Z5    // x
+	VPSUBQ Z3, Z5, Z6           // x-y, wrapped when x < y
+	VPADDQ Z31, Z6, Z7
+	VPMINUQ Z7, Z6, Z6
+	VPADDQ Z3, Z5, Z5
+	CSUB(Z5, Z31, Z4)
+	VMOVDQU64 Z6, (SI)(AX*8)
+	VMOVDQU64 Z5, (DI)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, DX
+	JLT  splitLoop
+	CMPQ AX, CX
+	JLT  splitRun
+	VZEROUPPER
+	RET
 
 // DOTPROD: Z6 = x[AX:]·yA, a Montgomery product, and Z20/Z21 += the low
 // and high 52-bit halves of x[AX:]·yB, operands at R8..R10 in argument

@@ -21,7 +21,7 @@ func InverseNTTDrop(q uint64, out, a, sp, w, wShoup []uint64, nInvP, nInvPShoup,
 	return false
 }
 
-func MonomialSplit(q uint64, sum, diff, e, o, m, mShoup []uint64, logRun int) bool {
+func MonomialSplit(q, qinv uint64, sum, diff, e, o, m []uint64, logRun int) bool {
 	return false
 }
 

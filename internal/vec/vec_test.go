@@ -149,8 +149,8 @@ func runAll(r *ring.Ring, seed int64, fill int) []result {
 	r.INTTModDownTo(exit, g.poly(true))
 	keep("inttmoddown", exit)
 
-	// MonomialSplitNTT, fresh outputs and in place (sum over E, diff over
-	// O), over every
+	// MonomialSplitNTT, a Montgomery product by the table's run values,
+	// fresh outputs and in place (sum over E, diff over O), over every
 	// exponent the packing tree multiplies by — z = N/2i for groups of
 	// i = 1 … N/16, runs of z ≥ 8 slots, the kernel's — then X^N = -1 (one
 	// run of N slots) and one odd exponent (runs of one slot, the Go loop's).
@@ -183,8 +183,7 @@ func runAll(r *ring.Ring, seed int64, fill int) []result {
 	// The row MAC: one streamed row against a vector chunk's halves, the A
 	// half in Montgomery form and the B half summed as a dot product per
 	// half of the slots, fresh and then accumulated over a second chunk;
-	// the totals are kept as a row of {hi, lo} words, two per limb. Then
-	// two rows against one shared fixed operand with its Shoup table.
+	// the totals are kept as a row of {hi, lo} words, two per limb.
 	outA, accA := r.NewPoly(lv), g.poly(true)
 	dot := make([][2][2]uint64, lv)
 	r.MulCoeffMontDot(dot, outA, a0, b0, aM, false)
@@ -195,9 +194,6 @@ func runAll(r *ring.Ring, seed int64, fill int) []result {
 	}
 	keep("dot", outA, accA)
 	out = append(out, result{"dot/totals", [][]uint64{totals}})
-	accB, accA := g.poly(true), g.poly(true)
-	r.MulCoeffShoupDualAdd(accB, accA, a0, a1, b0, r.ShoupPrecompPoly(b0))
-	keep("dual/shared fixed", accB, accA)
 
 	// The coefficient-domain ModDown rows (RESCALE), and the two
 	// automorphism gathers, AutomorphNTT into a fresh polynomial and in
@@ -354,7 +350,7 @@ func TestKernelGates(t *testing.T) {
 			"ForwardNTTLift": vec.ForwardNTTLift(q, z(), z(), z(), z(), q),
 			"InverseNTT":     vec.InverseNTT(q, z(), z(), z(), 0, 0, 0, 0),
 			"InverseNTTDrop": vec.InverseNTTDrop(q, z(), z(), z(), z(), z(), 0, 0, 0, 0, q, 0, 0),
-			"MonomialSplit":  vec.MonomialSplit(q, z(), z(), z(), z(), z(), z(), 3),
+			"MonomialSplit":  vec.MonomialSplit(q, 1, z(), z(), z(), z(), z(), 3),
 			"MulMontDot":     dotHandled(vec.MulMontDot(q, 1, z(), z(), z(), z(), true)),
 			"MulMontPair":    vec.MulMontPair(q, 1, z(), z(), z(), z(), z()),
 			"ModDownRow":     vec.ModDownRow(q, z(), z(), z(), q/2, 0, 0, 0),
@@ -408,18 +404,19 @@ func TestKernelGates(t *testing.T) {
 				t.Errorf("MulMontPair accepted operand %d shorter than out", i)
 			}
 		}
-		// The split's operands are diff, e and o, then one value and one
-		// companion per run.
+		// The split's operands are diff, e and o, then one value per run.
 		for i := 0; i < 3; i++ {
 			o := [3][]uint64{z(32), z(32), z(32)}
 			o[i] = z(24)
-			if vec.MonomialSplit(cham, z(32), o[0], o[1], o[2], z(4), z(4), 3) {
+			if vec.MonomialSplit(cham, 1, z(32), o[0], o[1], o[2], z(4), 3) {
 				t.Errorf("MonomialSplit accepted operand %d shorter than sum", i)
 			}
 		}
-		if vec.MonomialSplit(cham, z(32), z(32), z(32), z(32), z(3), z(4), 3) ||
-			vec.MonomialSplit(cham, z(32), z(32), z(32), z(32), z(4), z(3), 3) {
-			t.Error("MonomialSplit accepted fewer values or companions than runs")
+		if vec.MonomialSplit(cham, 1, z(32), z(32), z(32), z(32), z(3), 3) {
+			t.Error("MonomialSplit accepted fewer values than runs")
+		}
+		if accel && !vec.MonomialSplit(cham, 1, z(32), z(32), z(32), z(32), z(4), 3) {
+			t.Error("MonomialSplit declined exactly one value per run")
 		}
 		if vec.ModDownRow(cham, z(32), z(32), z(24), cham/2, 0, 0, 0) {
 			t.Error("ModDownRow accepted a special row shorter than out")
@@ -441,7 +438,7 @@ func TestKernelGates(t *testing.T) {
 	t.Run("runs", func(t *testing.T) {
 		z := func(n int) []uint64 { return make([]uint64, n) }
 		split := func(logRun int) bool {
-			return vec.MonomialSplit(cham, z(32), z(32), z(32), z(32), z(32), z(32), logRun)
+			return vec.MonomialSplit(cham, 1, z(32), z(32), z(32), z(32), z(32), logRun)
 		}
 		// A run must fill whole vectors and divide the row.
 		for _, logRun := range []int{-1, 0, 1, 2, 6, 64} {

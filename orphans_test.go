@@ -11,7 +11,9 @@ package cham
 // the declaration, never a bare name: strings.Join does not reach a Join
 // method. Type-checking the module and its tests from source takes a few
 // seconds, so the test is skipped under -short and run by `make orphans`
-// (tier 2).
+// (tier 2). With -v it also logs, without failing, what only the benchmark
+// keeps alive: the declarations it reaches, directly or through one
+// another, that no other non-test code uses.
 
 import (
 	"go/ast"
@@ -23,6 +25,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -234,8 +237,12 @@ func TestNoOrphans(t *testing.T) {
 	}
 
 	// Uses: an identifier resolving to the function anywhere outside its
-	// own declaration; interface method sets a production type satisfies.
-	used := map[*types.Func]bool{}
+	// own declaration, kept with its user — the enclosing function
+	// declaration, nil outside one, or bench for the benchmark module — for
+	// the benchmark-only report below; interface method sets a production
+	// type satisfies.
+	usedBy := map[*types.Func][]types.Object{}
+	bench := types.NewLabel(token.NoPos, nil, "benchmark")
 	var ifaces []*types.Interface
 	seenPkg := map[*types.Package]bool{}
 	var collectIfaces func(p *types.Package)
@@ -267,7 +274,7 @@ func TestNoOrphans(t *testing.T) {
 	ifaces = append(ifaces, errType.Underlying().(*types.Interface),
 		types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete(),
 		types.NewInterfaceType([]*types.Func{is}, nil).Complete())
-	for _, c := range imp.pkgs {
+	for path, c := range imp.pkgs {
 		collectIfaces(c.pkg)
 		for _, f := range c.files {
 			for _, d := range f.Decls {
@@ -275,14 +282,43 @@ func TestNoOrphans(t *testing.T) {
 				if fd, ok := d.(*ast.FuncDecl); ok {
 					self = c.info.Defs[fd.Name]
 				}
+				user := self
+				if path == "cham/benchmark" || strings.HasPrefix(path, "cham/benchmark/") {
+					user = bench
+				}
 				ast.Inspect(d, func(n ast.Node) bool {
 					if id, ok := n.(*ast.Ident); ok {
 						if fn, ok := c.info.Uses[id].(*types.Func); ok && fn.Origin() != self {
-							used[fn.Origin()] = true
+							usedBy[fn.Origin()] = append(usedBy[fn.Origin()], user)
 						}
 					}
 					return true
 				})
+			}
+		}
+	}
+	// What only the benchmark keeps alive: the functions it reaches, directly
+	// or through one another, less any that some other non-test code uses.
+	// Logged, never failed: the benchmark pins its probes' surface.
+	benchOnly := map[*types.Func]bool{}
+	viaBench := func(u types.Object) bool {
+		f, _ := u.(*types.Func)
+		return u == bench || benchOnly[f]
+	}
+	for changed := true; changed; {
+		changed = false
+		for fn, users := range usedBy {
+			if !benchOnly[fn] && slices.ContainsFunc(users, viaBench) {
+				benchOnly[fn], changed = true, true
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for fn := range benchOnly {
+			if slices.ContainsFunc(usedBy[fn], func(u types.Object) bool { return !viaBench(u) }) {
+				delete(benchOnly, fn)
+				changed = true
 			}
 		}
 	}
@@ -301,7 +337,7 @@ func TestNoOrphans(t *testing.T) {
 		return false
 	}
 
-	var orphans []string
+	var orphans, benchKept []string
 	excused := map[string]bool{}
 	for path, c := range imp.pkgs {
 		if !inScope[path] {
@@ -315,7 +351,10 @@ func TestNoOrphans(t *testing.T) {
 				}
 				fn := c.info.Defs[fd.Name].(*types.Func)
 				pos := fset.Position(fd.Pos())
-				if used[fn] || implementsSome(fn) {
+				if benchOnly[fn] && !implementsSome(fn) {
+					benchKept = append(benchKept, funcKey(fn)+"  ("+pos.String()+")")
+				}
+				if len(usedBy[fn]) > 0 || implementsSome(fn) {
 					continue
 				}
 				key, file := funcKey(fn), strings.TrimPrefix(filepath.ToSlash(pos.Filename), "internal/")
@@ -334,6 +373,10 @@ func TestNoOrphans(t *testing.T) {
 				orphans = append(orphans, key+"  ("+pos.String()+")")
 			}
 		}
+	}
+	sort.Strings(benchKept)
+	for _, k := range benchKept {
+		t.Logf("only the benchmark calls: %s", k)
 	}
 	sort.Strings(orphans)
 	for _, o := range orphans {
