@@ -537,8 +537,11 @@ func BenchmarkFig5Floorplan(b *testing.B) {
 // the two transforms also on an N=512 row, the ring degree of the
 // cluster_scatter workload. The lifted forward reads a digit of the
 // second limb, as the decomposition does; the dropping inverse divides the
-// special limb out, writing the row its next call reads. On a host without
-// AVX-512 IFMA only the generic halves run.
+// special limb out, writing the row its next call reads. The broadcast
+// sweep runs as MulScalar (the apply's â·2^52) and as BFV's Δ·m, lifted
+// from t and accumulated; the row encode is Prepare's, a full row at the
+// scale of a 32-row tile. On a host without AVX-512 IFMA only the generic
+// halves run.
 func BenchmarkKernels(b *testing.B) {
 	const n = 4096
 	r := ring.MustNew(n, mod.ChamModuli())
@@ -565,6 +568,13 @@ func BenchmarkKernels(b *testing.B) {
 	sp := poly(3, false).Coeffs[2] // canonical residues of the special limb
 	drop := tab.NewDrop(mod.ChamP)
 	dropA, dropOut := x.Copy().Coeffs[0], make([]uint64, n)
+	p := benchParams(b, n)
+	m := make([]uint64, n) // a plaintext row and a matrix row, below t
+	for i := range m {
+		m[i] = rng.Uint64() % p.T.Q
+	}
+	delta := r.NewScalar(0, rng.Uint64()) // Δ mod q_0 stands in: any constant times alike
+	scale := p.InvPow2(5)
 	tab512 := ntt.MustTable(512, mod.ChamQ0)
 	row512 := make([]uint64, 512)
 	for i := range row512 {
@@ -587,6 +597,11 @@ func BenchmarkKernels(b *testing.B) {
 		{"MulMontPairAdd", func() { r.MulCoeffMontPairAdd(o0, x, my, z, mw) }},
 		{"MulMontDot", func() { r.MulCoeffMontDot(dot, o1, x, y, mw, false) }},
 		{"MulMontDotAdd", func() { r.MulCoeffMontDot(dot, o1, x, y, mw, true) }},
+		{"MulMont", func() { r.MulCoeffMont(o1, x, my, false) }},
+		{"MulMontAdd", func() { r.MulCoeffMont(o1, x, my, true) }},
+		{"MulScalar", func() { r.MulScalar(o1, x, 1<<52) }},
+		{"MulScalarLiftAdd", func() { r.MulScalarRow(0, o1.Coeffs[0], m, delta, true, p.T.Q) }},
+		{"EncodeRow", func() { p.EncodeRowInto(o0.Coeffs[0], m, scale) }},
 		{"ModDownRow", func() { r.ModDownInto(o1, two) }},
 		{"Gather", func() { r.AutomorphNTT(o1, x, 5) }},
 		{"GatherAdd", func() { r.AutomorphNTTAddInto(o1, x, 5) }},

@@ -4,21 +4,25 @@ import (
 	"math/bits"
 
 	"cham/internal/ring"
+	"cham/internal/vec"
 )
 
 // Allocation-free encode/lift forms.
 
 // EncodeRowInto writes EncodeRow's layout (Eq. 1) of a into all N words
-// of c (the gap the row layout skips is zeroed), canonical mod t. Prepare
+// of c (the gap the layout skips is zeroed), canonical mod t. Prepare
 // encodes each row chunk this way into its slab's first limb, then
 // spreads it over the basis with ring.NTTLift from t, whose transforms
-// centre each word as they load it. The scale multiplies
-// without a division: on one-word Barrett with ⌊2^64/t⌋ while t < 2^32
-// keeps every product in a word (at most one t too high, as the quotient
-// estimate is at most one low), on the two-word MulBarrett otherwise. A
-// negated entry enters the product as t − x, so that x = 0 gives t·scale
-// ≡ 0. An entry at or above t is reduced first; the division runs only for
-// such an entry.
+// centre each word as they load it. A negated entry enters the product
+// as t − x, so that x = 0 gives t·scale ≡ 0. The body — every word but
+// c[0] and the gap, a read backwards — runs on the vec.EncodeRow kernel
+// where it takes t (odd, below 2^32), in whole blocks of eight up to the
+// first block holding an entry at or above t; the Go loop runs the rest.
+// It multiplies without a division: on one-word Barrett with ⌊2^64/t⌋
+// while t < 2^32 keeps every product in a word (at most one t too high,
+// as the quotient estimate is at most one low), on the two-word
+// MulBarrett otherwise. An entry at or above t is reduced first; the
+// division runs only for such an entry.
 func (p Params) EncodeRowInto(c, a []uint64, scale uint64) {
 	n := p.R.N
 	if len(a) == 0 {
@@ -33,22 +37,24 @@ func (p Params) EncodeRowInto(c, a []uint64, scale uint64) {
 	}
 	t := p.T.Q
 	scale = reduce(scale, t)
-	// Positions [1, N-len(a)] are the gap the layout skips.
+	// Positions [1, N-len(a)] are the gap the layout skips; c[gap+j] reads
+	// a[len(a)−1−j].
 	gap := n - len(a) + 1
 	for i := 1; i < gap; i++ {
 		c[i] = 0
 	}
+	body := gap + vec.EncodeRow(t, scale, c[gap:], a[1:])
 	if t>>32 != 0 {
 		tm := p.T
 		c[0] = tm.MulBarrett(reduce(a[0], t), scale)
-		for i := gap; i < n; i++ {
+		for i := body; i < n; i++ {
 			c[i] = tm.MulBarrett(t-reduce(a[n-i], t), scale)
 		}
 		return
 	}
 	mu := p.T.BRC[0] // ⌊2^64/t⌋
 	c[0] = mulNarrow(reduce(a[0], t), scale, t, mu)
-	for i := gap; i < n; i++ {
+	for i := body; i < n; i++ {
 		c[i] = mulNarrow(t-reduce(a[n-i], t), scale, t, mu)
 	}
 }

@@ -179,6 +179,71 @@ func TestHotPathPreconditions(t *testing.T) {
 	p.LiftInto(p.R.NewPoly(3), ok)
 }
 
+// TestEncodeRowIntoTable holds EncodeRowInto to Eq. 1 computed on big
+// integers — c[0] = a[0]·s, c[N−j] = −a[j]·s mod t, every other word 0,
+// s = scale mod t (1 for scale 0) — on the host's kernel and on the Go
+// loop: lengths about the kernel's 8-word blocks (the gap, and the body's
+// tail the Go loop finishes), an entry at or above t (where the kernel
+// stops and the Go loop goes on), scales 0 and at or above t, and three
+// t: CHAM's, the largest odd t below 2^32 the kernel takes, and one above
+// 2^32 it declines.
+func TestEncodeRowIntoTable(t *testing.T) {
+	const n = 64
+	below32, err := NewParams(ring.MustNew(n, mod.ChamModuli()), 2, 21, 1<<32-5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := []Params{testParams(t, n), below32, wideParams(t, n)}
+	run := func(t *testing.T) {
+		rng := rand.New(rand.NewSource(47))
+		for _, p := range params {
+			tq := p.T.Q
+			for _, length := range []int{1, 7, 8, 9, 17, n - 1, n} {
+				for _, scale := range []uint64{0, 1, p.InvPow2(3), tq - 1, tq, tq + 3, ^uint64(0)} {
+					for _, over := range []bool{false, true} {
+						a := make([]uint64, length)
+						for j := range a {
+							a[j] = rng.Uint64() % tq
+						}
+						if over { // entries at and above t, early in the body's first block and in its last
+							a[length-1] = tq + uint64(rng.Intn(3))
+							a[length/2] = ^uint64(0)
+						}
+						c := make([]uint64, n)
+						for i := range c {
+							c[i] = ^uint64(0) // must be overwritten
+						}
+						p.EncodeRowInto(c, a, scale)
+						bt := new(big.Int).SetUint64(tq)
+						s := new(big.Int).SetUint64(scale)
+						if scale == 0 {
+							s.SetInt64(1)
+						}
+						for i, got := range c {
+							want := new(big.Int)
+							switch {
+							case i == 0:
+								want.SetUint64(a[0])
+							case i > n-length:
+								want.Neg(new(big.Int).SetUint64(a[n-i]))
+							}
+							want.Mod(want.Mul(want, s), bt)
+							if got != want.Uint64() {
+								t.Fatalf("t=%d len=%d scale=%d over=%v: c[%d] = %d, want %v", tq, length, scale, over, i, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Run("dispatched", run)
+	t.Run("generic", func(t *testing.T) {
+		vec.ForceGeneric(t)
+		run(t)
+	})
+}
+
 // TestScalingConstants holds the cached Δ mod q_l to the big-integer
 // ⌊Q/t⌋ at every limb count, and NewParams to its refusal of a basis the
 // two-word rounding cannot hold.
@@ -188,8 +253,8 @@ func TestScalingConstants(t *testing.T) {
 			delta := p.Delta(levels)
 			for l := 0; l < levels; l++ {
 				q := new(big.Int).SetUint64(p.R.Moduli[l].Q)
-				if want := new(big.Int).Mod(delta, q).Uint64(); p.levels[levels-1].limbs[l].delta != want {
-					t.Errorf("t=%d levels=%d limb %d: cached Δ = %d, want %d", p.T.Q, levels, l, p.levels[levels-1].limbs[l].delta, want)
+				if want := p.R.NewScalar(l, new(big.Int).Mod(delta, q).Uint64()); p.levels[levels-1].limbs[l].delta != want {
+					t.Errorf("t=%d levels=%d limb %d: cached Δ = %+v, want %+v", p.T.Q, levels, l, p.levels[levels-1].limbs[l].delta, want)
 				}
 			}
 		}

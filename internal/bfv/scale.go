@@ -38,11 +38,11 @@ type levelConsts struct {
 // limbConsts holds what the two sweeps read per limb, side by side so the
 // rounding's inner loop touches one cache line per limb.
 type limbConsts struct {
-	q                 uint64
-	delta, deltaShoup uint64 // Δ mod q_l with its Shoup companion
-	inv, invShoup     uint64 // (Q/q_l)^-1 mod q_l with its Shoup companion
-	tShoup            uint64 // ⌊t·2^64/q_l⌋: the companion of t in limb l
-	wHi, wLo          uint64 // Q/q_l
+	q             uint64
+	delta         ring.Scalar // Δ mod q_l, with its Shoup and Montgomery forms
+	inv, invShoup uint64      // (Q/q_l)^-1 mod q_l with its Shoup companion
+	tShoup        uint64      // ⌊t·2^64/q_l⌋: the companion of t in limb l
+	wHi, wLo      uint64      // Q/q_l
 }
 
 // mul128 returns (hi, lo)·c and whether the product left 128 bits.
@@ -95,7 +95,7 @@ func newLevelConsts(r *ring.Ring, t mod.Modulus, k int) (levelConsts, error) {
 		}
 		inv := m.Inv(wMod)
 		c.limbs[l] = limbConsts{
-			q: m.Q, delta: delta, deltaShoup: m.ShoupPrecomp(delta),
+			q: m.Q, delta: r.NewScalar(l, delta),
 			inv: inv, invShoup: m.ShoupPrecomp(inv),
 			tShoup: m.ShoupPrecomp(t.Q), wHi: wHi, wLo: wLo,
 		}
@@ -106,24 +106,16 @@ func newLevelConsts(r *ring.Ring, t mod.Modulus, k int) (levelConsts, error) {
 // addScaled sets b += Δ·pt for a coefficient-domain b, Δ = ⌊Q/t⌋ at b's
 // limb count: each coefficient is lifted through its centred
 // representative (x ≤ t/2 stays, larger x becomes q_l − t + x) and
-// multiplied by Δ mod q_l. A plaintext shorter than N touches only its
-// own coefficients; a coefficient at or above t is not refused here —
-// MulShoup takes any word, so it stays correct modulo q_l.
+// multiplied by Δ mod q_l, one ring.MulScalarRow per limb. A plaintext
+// shorter than N touches only its own coefficients; a coefficient at or
+// above t is not refused here — the sweep's Go loop takes any word, so it
+// stays correct modulo q_l.
 func (p Params) addScaled(b *ring.Poly, pt *Plaintext) {
 	if len(pt.Coeffs) > p.R.N {
 		panic("bfv: plaintext longer than N")
 	}
-	t := p.T.Q
-	half := t / 2
 	for l, c := range p.levels[b.Levels()-1].limbs {
-		m := p.R.Moduli[l]
-		negAdd := m.Q - t
-		d, ds := c.delta, c.deltaShoup
-		rb := b.Coeffs[l]
-		for i, x := range pt.Coeffs {
-			neg := uint64(int64(half-x) >> 63) // all ones iff x > t/2
-			rb[i] = m.Add(rb[i], m.MulShoup(x+neg&negAdd, d, ds))
-		}
+		p.R.MulScalarRow(l, b.Coeffs[l], pt.Coeffs, c.delta, true, p.T.Q)
 	}
 }
 

@@ -52,8 +52,9 @@ func (r *RemoteBackend) NewResult() *core.Result {
 
 // ApplyBatchInto sends one Apply round trip per lane and copies the
 // packed replies into the caller's Results. The whole batch is
-// validated up front — shapes come from the handle, so misuse fails
-// before the first network write.
+// validated up front — every vector by core's rule (CheckVectorShape)
+// against the handle's chunk count, every result against its tile
+// count — so misuse fails before the first network write.
 func (r *RemoteBackend) ApplyBatchInto(res []*core.Result, vecs [][]*rlwe.Ciphertext) error {
 	if len(vecs) == 0 {
 		return fmt.Errorf("%w: empty batch", core.ErrVectorLength)
@@ -62,9 +63,8 @@ func (r *RemoteBackend) ApplyBatchInto(res []*core.Result, vecs [][]*rlwe.Cipher
 		return fmt.Errorf("%w: batch has %d vectors but %d result slots", core.ErrResultShape, len(vecs), len(res))
 	}
 	for k, vec := range vecs {
-		if len(vec) != r.Chunks() {
-			return fmt.Errorf("batch vector %d: %w: matrix has %d column chunks but vector has %d ciphertexts",
-				k, core.ErrVectorLength, r.Chunks(), len(vec))
+		if err := core.CheckVectorShape(r.p, r.Chunks(), vec); err != nil {
+			return fmt.Errorf("batch vector %d: %w", k, err)
 		}
 		if res[k] == nil || len(res[k].Packed) != int(r.h.Tiles) {
 			return fmt.Errorf("batch result %d: %w: want %d tiles (allocate with NewResult)",

@@ -2,12 +2,15 @@ package chamnp
 
 import (
 	"errors"
+	"math/rand"
 	"net"
 	"testing"
 
+	"cham/internal/bfv"
 	"cham/internal/client"
 	"cham/internal/core"
 	"cham/internal/lwe"
+	"cham/internal/obs"
 	"cham/internal/ref"
 	"cham/internal/rlwe"
 	"cham/internal/server"
@@ -20,31 +23,7 @@ import (
 // ciphertexts — and both decrypt to the exact reference product.
 func TestRemoteBackendMatchesLocal(t *testing.T) {
 	p, rng, sk, _ := setup(t, 64)
-
-	s, err := server.New(server.Config{Params: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go s.Serve(ln)
-	t.Cleanup(func() { ln.Close() })
-
-	cl, err := client.Dial(client.Config{Addr: ln.Addr().String(), Params: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-
-	keys, err := lwe.GenPackingKeys(p, rng, sk, p.R.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.SetupKeys(keys); err != nil {
-		t.Fatal(err)
-	}
+	cl, keys := loopback(t, p, rng, sk)
 	// The local evaluator runs on the SAME keys the server holds, so the
 	// two paths are byte-for-byte the same computation.
 	ev, err := core.NewEvaluatorFromKeys(p, keys)
@@ -113,5 +92,70 @@ func TestRemoteBackendMatchesLocal(t *testing.T) {
 	}
 	if err := rb.ApplyBatchInto(nil, nil); !errors.Is(err, core.ErrVectorLength) {
 		t.Errorf("empty batch: err = %v, want ErrVectorLength", err)
+	}
+}
+
+// loopback starts a chamserve server on a loopback port, dials it and
+// installs the packing keys of sk, which it returns.
+func loopback(t *testing.T, p bfv.Params, rng *rand.Rand, sk *rlwe.SecretKey) (*client.Client, *lwe.PackingKeys) {
+	t.Helper()
+	s, err := server.New(server.Config{Params: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+	t.Cleanup(func() { ln.Close() })
+
+	cl, err := client.Dial(client.Config{Addr: ln.Addr().String(), Params: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+
+	keys, err := lwe.GenPackingKeys(p, rng, sk, p.R.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.SetupKeys(keys); err != nil {
+		t.Fatal(err)
+	}
+	return cl, keys
+}
+
+// TestRemoteBackendChecksVectorShape: the remote backend runs core's
+// vector rule on every lane before its first write, so a chunk in the
+// normal basis fails with core.ErrVectorBasis and never reaches the
+// server, whose apply-request counter stays where it was; a good batch
+// after it moves the counter by exactly its one lane.
+func TestRemoteBackendChecksVectorShape(t *testing.T) {
+	p, rng, sk, _ := setup(t, 64)
+	cl, _ := loopback(t, p, rng, sk)
+	h, err := cl.RegisterMatrix(testutil.Matrix(rng, 8, 96, p.T.Q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb := Remote(cl, h, p)
+	applies := obs.GetCounter("cham_server_requests_total", "Inbound requests by message type.", "type", "apply")
+
+	good := core.EncryptVector(p, rng, sk, testutil.Vector(rng, 96, p.T.Q))
+	normal := append([]*rlwe.Ciphertext(nil), good...)
+	normal[1] = p.Encrypt(rng, sk, p.NewPlaintext(), p.NormalLevels)
+	before := applies.Value()
+	err = rb.ApplyBatchInto([]*core.Result{rb.NewResult(), rb.NewResult()}, [][]*rlwe.Ciphertext{good, normal})
+	if !errors.Is(err, core.ErrVectorBasis) {
+		t.Fatalf("normal-basis chunk: err = %v, want ErrVectorBasis", err)
+	}
+	if got := applies.Value(); got != before {
+		t.Fatalf("the server received %d apply requests for a refused batch", got-before)
+	}
+	if err := rb.ApplyBatchInto([]*core.Result{rb.NewResult()}, [][]*rlwe.Ciphertext{good}); err != nil {
+		t.Fatal(err)
+	}
+	if got := applies.Value(); got != before+1 {
+		t.Fatalf("a one-lane batch moved the server's apply counter by %d, want 1", got-before)
 	}
 }

@@ -14,6 +14,7 @@ package core
 // coefficient i·N/mPad.
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 
@@ -63,6 +64,27 @@ func AddVector(p bfv.Params, cts []*rlwe.Ciphertext, v []uint64) {
 		lo, hi := chunkSpan(p.R.N, len(v), c)
 		p.AddPlain(ct, p.EncodeVector(v[lo:hi]))
 	}
+}
+
+// CheckVectorShape checks one encrypted vector against a matrix of the
+// given column-chunk count: its chunk count, and every chunk's two parts
+// in the full basis at the ring's degree. It is the one rule for an HMVP
+// input, run by PreparedMatrix.CheckVector and, before its first write,
+// by a client that holds only the matrix's handle (chamnp's remote
+// backend).
+func CheckVectorShape(p bfv.Params, chunks int, ctV []*rlwe.Ciphertext) error {
+	if len(ctV) != chunks {
+		return fmt.Errorf("%w: matrix has %d column chunks but vector has %d ciphertexts", ErrVectorLength, chunks, len(ctV))
+	}
+	for c, ct := range ctV {
+		if ct == nil || ct.B == nil || ct.A == nil {
+			return fmt.Errorf("%w: ciphertext %d is nil", ErrVectorLength, c)
+		}
+		if !hasShape(ct.B, p.R.Levels(), p.R.N) || !hasShape(ct.A, p.R.Levels(), p.R.N) {
+			return fmt.Errorf("%w: ciphertext %d is not %d limbs of N = %d per part", ErrVectorBasis, c, p.R.Levels(), p.R.N)
+		}
+	}
+	return nil
 }
 
 // DecryptVector reads the first n entries of the vector whose dense

@@ -375,25 +375,11 @@ func (pm *PreparedMatrix) apply(res []*Result, tiles []int, vecs [][]*rlwe.Ciphe
 	return nil
 }
 
-// CheckVector checks one encrypted vector against the prepared shape: its
-// chunk count, and every chunk's two parts in the full basis at the
-// ring's degree. It is the one rule for an HMVP input: every apply runs
-// it on each vector, and a server runs it at admission, before it
-// prepares any tile the request names.
+// CheckVector checks one encrypted vector against the prepared shape
+// (CheckVectorShape). Every apply runs it on each vector, and a server
+// runs it at admission, before it prepares any tile the request names.
 func (pm *PreparedMatrix) CheckVector(ctV []*rlwe.Ciphertext) error {
-	p := pm.ev.P
-	if len(ctV) != pm.chunks {
-		return fmt.Errorf("%w: matrix has %d column chunks but vector has %d ciphertexts", ErrVectorLength, pm.chunks, len(ctV))
-	}
-	for c, ct := range ctV {
-		if ct == nil || ct.B == nil || ct.A == nil {
-			return fmt.Errorf("%w: ciphertext %d is nil", ErrVectorLength, c)
-		}
-		if !hasShape(ct.B, p.R.Levels(), p.R.N) || !hasShape(ct.A, p.R.Levels(), p.R.N) {
-			return fmt.Errorf("%w: ciphertext %d is not %d limbs of N = %d per part", ErrVectorBasis, c, p.R.Levels(), p.R.N)
-		}
-	}
-	return nil
+	return CheckVectorShape(pm.ev.P, pm.chunks, ctV)
 }
 
 // validate checks a whole apply against the prepared shape — every

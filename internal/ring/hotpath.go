@@ -143,7 +143,10 @@ func (r *Ring) MulCoeffMont(out, a, bMont *Poly, add bool) {
 		q, qinv := m.Q, montInv(m.Q)
 		ro := out.Coeffs[l]
 		ra, rb := a.Coeffs[l][:len(ro)], bMont.Coeffs[l][:len(ro)]
-		if q >= montR {
+		switch {
+		case vec.MulMont(q, qinv, ro, ra, rb, add):
+			continue
+		case q >= montR:
 			montWideRow(m, ro, ra, rb, 0, add)
 			continue
 		}
@@ -196,13 +199,15 @@ func montDotRow(m mod.Modulus, total *[2]uint64, roa, rx, rb, ra []uint64, add b
 	case q >= montR:
 		montWideRow(m, roa, rx, ra, 0, add)
 		for i := range rx { // a product may reach 2^124: reduce each
-			lo = m.Add(lo, m.MulBarrett(rx[i], rb[i]))
+			lo += m.MulBarrett(rx[i], rb[i])
+			lo = min(lo, lo-q)
 		}
 	default:
 		for i := range roa {
 			p := montMul(rx[i], ra[i], q, qinv)
-			if add {
-				p = m.Add(roa[i], p)
+			if add { // branch-free, as in MulCoeffMont
+				p += roa[i]
+				p = min(p, p-q)
 			}
 			roa[i] = p
 			// A product is below 2^104: hi gains under 2^40 a
@@ -235,8 +240,9 @@ func montWideRow(m mod.Modulus, out, x, y []uint64, s int, add bool) {
 	ks := m.ShoupPrecomp(k)
 	for i := range out {
 		p := m.MulShoup(m.MulBarrett(x[i], y[i>>s]), k, ks)
-		if add {
-			p = m.Add(out[i], p)
+		if add { // branch-free, as in MulCoeffMont
+			p += out[i]
+			p = min(p, p-m.Q)
 		}
 		out[i] = p
 	}

@@ -19,6 +19,7 @@ import (
 
 	"cham/internal/mod"
 	"cham/internal/ntt"
+	"cham/internal/vec"
 )
 
 // Ring bundles the transform tables for a fixed degree N and RNS basis.
@@ -233,31 +234,65 @@ func (r *Ring) MulCoeff(out, a, b *Poly) {
 func (r *Ring) MulScalar(out, a *Poly, c uint64) {
 	lv := sameLevels(out, a)
 	for l := 0; l < lv; l++ {
-		m := r.Moduli[l]
-		cc := m.Reduce(c)
-		cp := m.ShoupPrecomp(cc)
-		ra, ro := a.Coeffs[l], out.Coeffs[l]
-		for i := range ro {
-			ro[i] = m.MulShoup(ra[i], cc, cp)
-		}
+		ro := out.Coeffs[l]
+		r.MulScalarRow(l, ro, a.Coeffs[l][:len(ro)], r.NewScalar(l, c), false, 0)
 	}
 	out.IsNTT = a.IsNTT
 }
 
 // MulScalarBig sets out = a · c where c is a (possibly huge) integer,
-// reduced limb-wise. Used for the Δ = ⌊Q/t⌋ plaintext scaling.
+// reduced limb-wise: keygen's image of the secret in Montgomery form and
+// the switching keys' gadget terms.
 func (r *Ring) MulScalarBig(out, a *Poly, c *big.Int) {
 	lv := sameLevels(out, a)
 	for l := 0; l < lv; l++ {
-		m := r.Moduli[l]
-		cc := new(big.Int).Mod(c, new(big.Int).SetUint64(m.Q)).Uint64()
-		cp := m.ShoupPrecomp(cc)
-		ra, ro := a.Coeffs[l], out.Coeffs[l]
-		for i := range ro {
-			ro[i] = m.MulShoup(ra[i], cc, cp)
-		}
+		cc := new(big.Int).Mod(c, new(big.Int).SetUint64(r.Moduli[l].Q)).Uint64()
+		ro := out.Coeffs[l]
+		r.MulScalarRow(l, ro, a.Coeffs[l][:len(ro)], r.NewScalar(l, cc), false, 0)
 	}
 	out.IsNTT = a.IsNTT
+}
+
+// Scalar is a constant of one limb in the two forms MulScalarRow reads:
+// canonical with its Shoup companion, for the Go loop, and in Montgomery
+// form (c·2^52 mod q), for the kernel.
+type Scalar struct {
+	c, shoup, mont uint64
+}
+
+// NewScalar returns c mod q_l as a Scalar of limb l.
+func (r *Ring) NewScalar(l int, c uint64) Scalar {
+	m := r.Moduli[l]
+	c = m.Reduce(c)
+	return Scalar{c: c, shoup: m.ShoupPrecomp(c), mont: m.Mul(c, montR%m.Q)}
+}
+
+// MulScalarRow sets out[i] = a[i]·c mod q_l, or adds that into out[i]
+// when add is set, over the words of a (out at least as long; it may be
+// a): the one broadcast sweep, behind MulScalar and BFV's Δ·m. With t set
+// (t < q_l), a holds residues mod t read through their centred lift — a
+// word above t/2 becomes q_l − t + it — as BFV's encryption scales them.
+// The kernel (vec.MulMontConst) runs whole blocks of in-range words; the
+// Go loop runs the rest and takes any word, multiplying through the
+// Shoup companion, so the two agree on every input. out must be
+// canonical when add is set.
+func (r *Ring) MulScalarRow(l int, out, a []uint64, c Scalar, add bool, t uint64) {
+	m := r.Moduli[l]
+	q := m.Q
+	half, negAdd := t/2, uint64(0)
+	if t != 0 {
+		negAdd = q - t
+	}
+	for i := vec.MulMontConst(q, montInv(q), out, a, c.mont, add, t); i < len(a); i++ {
+		x := a[i]
+		x += uint64(int64(half-x)>>63) & negAdd // all ones iff x > t/2
+		p := m.MulShoup(x, c.c, c.shoup)
+		if add { // branch-free, as in MulCoeffMont
+			p += out[i]
+			p = min(p, p-q)
+		}
+		out[i] = p
+	}
 }
 
 // NTT transforms p to the evaluation domain in place: any representatives

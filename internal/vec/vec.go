@@ -12,9 +12,12 @@
 // transforms), or q ≥ 2^50 (lazy values reach 4q and must fit a 52-bit
 // lane); the lifted forward transform, the dropping inverse and the
 // ModDown row also decline a source or dropped modulus they could not read
-// in 52 bits. When it returns true the output rows (and the dot
-// product) are bit-identical to what the Go loop it mirrors would have
-// written; that
+// in 52 bits. Two sweeps, MulMontConst and EncodeRow, return a count
+// instead: the words they wrote, whole blocks of eight from the front,
+// stopping before the first block with a word out of their range; the
+// caller's Go loop runs the rest. When a kernel returns true (or its
+// count) the output rows (and the dot product) are bit-identical to what
+// the Go loop it mirrors would have written; that
 // loop stays in place in its own package as the portable reference. The
 // two gathers, the only kernels that form an address from data, check
 // every index against the row length and panic rather than read outside

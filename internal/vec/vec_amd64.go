@@ -189,6 +189,70 @@ func MulMontPair(q, qinv uint64, out, a0, b0, a1, b1 []uint64) bool {
 	return true
 }
 
+// MulMont sets out = a·b·2^-52 mod q, or adds it into out when add is
+// set, on canonical rows: with b in Montgomery form (b·2^52 mod q) the
+// product is a∘b. qinv is q^-1 mod 2^52; out may alias a.
+func MulMont(q, qinv uint64, out, a, b []uint64, add bool) bool {
+	n := len(out)
+	if !ok(q, n, a, b) {
+		return false
+	}
+	mulMont(&out[0], &a[0], &b[0], n, q, qinv, add)
+	return true
+}
+
+// MulMontConst sets out[i] = lift(a[i])·c·2^-52 mod q, or adds it into
+// out[i] when add is set, over the words of a (out at least as long),
+// with c in Montgomery form (c·2^52 mod q, so the product is lift(a)·c)
+// and qinv = q^-1 mod 2^52. With t = 0 the lift is the identity and a
+// holds residues mod q; with 0 < t < q, a holds residues mod t, read
+// through their centred lift: a word above t/2 becomes itself plus q − t.
+// Like EncodeRow it returns a count, not a verdict: it runs whole blocks
+// of eight words from the front, stops before the first block holding a
+// word at or above its bound (q, or t), and returns the words it wrote —
+// 0 when it declines — so its caller's Go loop runs the rest, the tail
+// and every word out of range included. out may alias a.
+func MulMontConst(q, qinv uint64, out, a []uint64, c uint64, add bool, t uint64) int {
+	n := len(a) &^ 7
+	if t >= q || !ok(q, n, out) {
+		return 0
+	}
+	half, negAdd, bound := t/2, uint64(0), q
+	if t != 0 {
+		negAdd, bound = q-t, t
+	}
+	return mulMontConst(&out[0], &a[0], n, q, qinv, c, add, half, negAdd, bound)
+}
+
+// EncodeRow sets out[j] = (t − src[n−1−j])·scale mod t for n = len(out),
+// canonical — the body of BFV's row encoding (bfv.Params.EncodeRowInto),
+// which reads the row backwards — as a Montgomery product mod t: with t
+// below 2^32 and entries at most t, every product fits the lane's range.
+// Like MulMontConst it returns the words it wrote: whole blocks of eight
+// from the front of out, up to the first block whose source holds an
+// entry at or above t, or 0 when it declines (t even or at least 2^32, src
+// shorter than out). The caller's Go loop runs the rest.
+func EncodeRow(t, scale uint64, out, src []uint64) int {
+	n := len(out) &^ 7
+	if t&1 == 0 || t>>32 != 0 || len(src) < len(out) || !ok(t, n) {
+		return 0
+	}
+	// Block k of out reads the block of src that ends at len(out) − 8k.
+	src = src[len(out)-n:]
+	return encodeRow(&out[0], &src[0], n, t, inv52(t), bits.Rem64(scale>>12, scale<<52, t))
+}
+
+// inv52 returns q^-1 mod 2^52 for odd q (EncodeRow's tinv), by Newton's
+// iteration: each step doubles the correct low bits, from the 3 that
+// q·q ≡ 1 (mod 8) gives.
+func inv52(q uint64) uint64 {
+	inv := q
+	for i := 0; i < 5; i++ {
+		inv *= 2 - q*inv
+	}
+	return inv & (1<<52 - 1)
+}
+
 // maxHalf bounds half the modulus the dropping kernels divide out: they
 // read its residues as 52-bit lanes.
 const maxHalf = 1 << 51
@@ -254,6 +318,15 @@ func mulMontDot(out, x, yB, yA *uint64, n int, q, qinv uint64, add bool, sums *[
 
 //go:noescape
 func mulMontPair(out, a0, b0, a1, b1 *uint64, n int, q, qinv uint64)
+
+//go:noescape
+func mulMont(out, a, b *uint64, n int, q, qinv uint64, add bool)
+
+//go:noescape
+func mulMontConst(out, a *uint64, n int, q, qinv, c uint64, add bool, half, negAdd, bound uint64) int
+
+//go:noescape
+func encodeRow(out, src *uint64, n int, t, tinv, scale uint64) int
 
 //go:noescape
 func modDownRow(out, a, sp *uint64, n int, q, mu, halfP, qspL, pInv, pInvShoup uint64)

@@ -942,6 +942,158 @@ pairLoop:
 	VZEROUPPER
 	RET
 
+// func mulMont(out, a, b *uint64, n int, q, qinv uint64, add bool)
+//
+// Mirrors the row loop of ring.(*Ring).MulCoeffMont: out (+)= a·b·2^-52,
+// canonical (MONT52, then one conditional subtraction when add is set),
+// with b in Montgomery form. out may alias a.
+TEXT ·mulMont(SB), NOSPLIT, $0-49
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), R8
+	MOVQ b+16(FP), R9
+	MOVQ n+24(FP), CX
+	VPBROADCASTQ q+32(FP), Z31
+	VPBROADCASTQ qinv+40(FP), Z27
+	XORQ AX, AX
+	CMPB add+48(FP), $0
+	JNE  montAddLoop
+
+montLoop:
+	VMOVDQU64 (R8)(AX*8), Z0
+	VMOVDQU64 (R9)(AX*8), Z1
+	MONT52(Z0, Z1, Z2, Z3, Z4)
+	VMOVDQU64 Z2, (DI)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  montLoop
+	VZEROUPPER
+	RET
+
+montAddLoop:
+	VMOVDQU64 (R8)(AX*8), Z0
+	VMOVDQU64 (R9)(AX*8), Z1
+	MONT52(Z0, Z1, Z2, Z3, Z4)
+	VPADDQ (DI)(AX*8), Z2, Z2   // < 2q
+	CSUB(Z2, Z31, Z3)
+	VMOVDQU64 Z2, (DI)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  montAddLoop
+	VZEROUPPER
+	RET
+
+// MULCONST: Z1 = lift(Z0)·c·2^-52, canonical, with c (Montgomery form) in
+// Z26: the lift adds negAdd (Z22) to a word above half (Z23), a no-op when
+// negAdd is 0. Clobbers Z2, Z3 and K2.
+#define MULCONST \
+	VPCMPUQ $6, Z23, Z0, K2; \
+	VPADDQ Z22, Z0, K2, Z0; \
+	MONT52(Z0, Z26, Z1, Z2, Z3)
+
+// CONSTIN: Z0 = a[AX:AX+8], or on to done when a word of it is at or
+// above the bound (Z24). Clobbers K1.
+#define CONSTIN(done) \
+	VMOVDQU64 (SI)(AX*8), Z0; \
+	VPCMPUQ $5, Z24, Z0, K1; \
+	KORTESTW K1, K1; \
+	JNZ  done
+
+// func mulMontConst(out, a *uint64, n int, q, qinv, c uint64, add bool, half, negAdd, bound uint64) int
+//
+// Mirrors the row loop of ring.(*Ring).MulScalarRow: out (+)= lift(a)·c,
+// canonical, c in Montgomery form, where lift adds negAdd to a word above
+// half — BFV's centred lift of a residue mod t, or nothing when negAdd is
+// 0. It runs block by block from the front and stops before the first
+// block holding a word at or above bound, writing nothing of it; it
+// returns the words written.
+TEXT ·mulMontConst(SB), NOSPLIT, $0-88
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ n+16(FP), CX
+	VPBROADCASTQ q+24(FP), Z31
+	VPBROADCASTQ qinv+32(FP), Z27
+	VPBROADCASTQ c+40(FP), Z26
+	VPBROADCASTQ half+56(FP), Z23
+	VPBROADCASTQ negAdd+64(FP), Z22
+	VPBROADCASTQ bound+72(FP), Z24
+	XORQ AX, AX
+	CMPB add+48(FP), $0
+	JNE  constAddLoop
+
+constLoop:
+	CMPQ AX, CX
+	JGE  constDone
+	CONSTIN(constDone)
+	MULCONST
+	VMOVDQU64 Z1, (DI)(AX*8)
+	ADDQ $8, AX
+	JMP  constLoop
+
+constAddLoop:
+	CMPQ AX, CX
+	JGE  constDone
+	CONSTIN(constDone)
+	MULCONST
+	VPADDQ (DI)(AX*8), Z1, Z1   // < 2q
+	CSUB(Z1, Z31, Z2)
+	VMOVDQU64 Z1, (DI)(AX*8)
+	ADDQ $8, AX
+	JMP  constAddLoop
+
+constDone:
+	MOVQ AX, ret+80(FP)
+	VZEROUPPER
+	RET
+
+// The word order of a reversed 8-word block.
+DATA revTab<>+0x00(SB)/8, $7
+DATA revTab<>+0x08(SB)/8, $6
+DATA revTab<>+0x10(SB)/8, $5
+DATA revTab<>+0x18(SB)/8, $4
+DATA revTab<>+0x20(SB)/8, $3
+DATA revTab<>+0x28(SB)/8, $2
+DATA revTab<>+0x30(SB)/8, $1
+DATA revTab<>+0x38(SB)/8, $0
+GLOBL revTab<>(SB), RODATA|NOPTR, $0x40
+
+// func encodeRow(out, src *uint64, n int, t, tinv, scale uint64) int
+//
+// Mirrors the row loop of bfv.Params.EncodeRowInto: out[j] = (t −
+// src[n−1−j])·scale mod t, canonical, with scale in Montgomery form mod t
+// (MONT52 with q = t, qinv = tinv): block k of out is the block of src
+// that ends at word n−8k, reversed by one VPERMQ. It stops before the
+// first block holding an entry at or above t, writing nothing of it, and
+// returns the words written.
+TEXT ·encodeRow(SB), NOSPLIT, $0-56
+	MOVQ out+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VPBROADCASTQ t+24(FP), Z31
+	VPBROADCASTQ tinv+32(FP), Z27
+	VPBROADCASTQ scale+40(FP), Z26
+	VMOVDQU64 revTab<>(SB), Z25
+	LEAQ -64(SI)(CX*8), SI      // src's last block
+	XORQ AX, AX
+
+encodeLoop:
+	CMPQ AX, CX
+	JGE  encodeDone
+	VPERMQ (SI), Z25, Z0        // the block, reversed
+	VPCMPUQ $5, Z31, Z0, K1     // an entry ≥ t
+	KORTESTW K1, K1
+	JNZ  encodeDone
+	VPSUBQ Z0, Z31, Z0          // t − x, in (0, t]
+	MONT52(Z0, Z26, Z1, Z2, Z3)
+	VMOVDQU64 Z1, (DI)(AX*8)
+	SUBQ $64, SI
+	ADDQ $8, AX
+	JMP  encodeLoop
+
+encodeDone:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
 // BARRETT52: out = x - ⌊x·mu/2^52⌋·q mod 2^52 with mu = ⌊2^52/q⌋ in Z27, in
 // [0, 2q) for any x < 2^52; as in SHOUP52 the subtraction is an addition
 // of ⌊…⌋·(2^52-q). t is scratch; out and t must differ from x.

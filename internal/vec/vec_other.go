@@ -31,6 +31,12 @@ func MulMontDot(q, qinv uint64, out, x, yB, yA []uint64, add bool) (hi, lo uint6
 
 func MulMontPair(q, qinv uint64, out, a0, b0, a1, b1 []uint64) bool { return false }
 
+func MulMont(q, qinv uint64, out, a, b []uint64, add bool) bool { return false }
+
+func MulMontConst(q, qinv uint64, out, a []uint64, c uint64, add bool, t uint64) int { return 0 }
+
+func EncodeRow(t, scale uint64, out, src []uint64) int { return 0 }
+
 func ModDownRow(q uint64, out, a, sp []uint64, halfP, qspL, pInv, pInvShoup uint64) bool {
 	return false
 }

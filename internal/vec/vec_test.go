@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cham/internal/bfv"
 	"cham/internal/mod"
 	"cham/internal/ring"
 	"cham/internal/vec"
@@ -195,6 +196,65 @@ func runAll(r *ring.Ring, seed int64, fill int) []result {
 	keep("dot", outA, accA)
 	out = append(out, result{"dot/totals", [][]uint64{totals}})
 
+	// The lone Montgomery product (the odd key-switch digit, the secret
+	// key's products): fresh, accumulated and in place.
+	mont := r.NewPoly(lv)
+	r.MulCoeffMont(mont, a0, bM, false)
+	r.MulCoeffMont(acc, a1, aM, true)
+	r.MulCoeffMont(a1, a1, bM, false)
+	keep("mont", mont, acc, a1)
+
+	// The broadcast sweep: MulScalar fresh and in place (the apply's
+	// â·2^52 and keygen's images), then BFV's Δ·m, lifted from t and
+	// accumulated, on full rows, rows with a tail and rows holding a word
+	// at or above t or q, where the kernel stops and the Go loop goes on.
+	c := g.rng.Uint64()
+	scaled := r.NewPoly(lv)
+	r.MulScalar(scaled, a0, c)
+	r.MulScalar(a0, a0, 1<<52)
+	keep("scalar", scaled, a0)
+	for _, t := range []uint64{65537, 1<<32 - 5} {
+		for _, n := range []int{r.N, r.N - 3, 9} {
+			sum := g.poly(false)
+			for l := range sum.Coeffs {
+				m := g.row(t)[:n]
+				if n > 16 {
+					m[n/2] = t + uint64(l) // the kernel stops here
+				}
+				r.MulScalarRow(l, sum.Coeffs[l], m, r.NewScalar(l, g.rng.Uint64()), true, t)
+			}
+			keep(fmt.Sprintf("scalarrow/t%d/n%d", t, n), sum)
+		}
+	}
+	wild := g.poly(false)
+	wild.Coeffs[0][r.N-1] = ^uint64(0)
+	r.MulScalar(wild, wild, c)
+	keep("scalar/noncanonical", wild)
+
+	// BFV's row encode, whose body reads the row backwards: the lengths
+	// about a block boundary, a row holding an entry at or above t, and a
+	// t at or above 2^32, which the kernel declines.
+	// A one-limb ring: the encode reads only N and t, and the wider bases
+	// here are too wide for BFV's decryption constants.
+	r1 := ring.MustNew(r.N, []uint64{r.Moduli[0].Q})
+	for _, t := range []uint64{65537, 1<<32 - 5, 1<<32 + 15} {
+		p, err := bfv.NewParams(r1, 1, 1, t)
+		if err != nil {
+			panic(err)
+		}
+		for _, n := range []int{1, 7, 8, 9, r.N - 1, r.N} {
+			row := g.row(t)[:n]
+			enc := make([]uint64, r.N)
+			p.EncodeRowInto(enc, row, g.rng.Uint64())
+			if n > 16 {
+				row[n/3] = t + 1
+			}
+			over := make([]uint64, r.N)
+			p.EncodeRowInto(over, row, 3)
+			out = append(out, result{fmt.Sprintf("encoderow/t%d/n%d", t, n), [][]uint64{enc, over}})
+		}
+	}
+
 	// The coefficient-domain ModDown rows (RESCALE), and the two
 	// automorphism gathers, AutomorphNTT into a fresh polynomial and in
 	// place.
@@ -336,8 +396,10 @@ func TestMulMontDotForms(t *testing.T) {
 // when the host has IFMA, q < 2^50, and the length is a multiple of 8
 // (N ≥ 32 for the transforms; for the split, runs of 8 or more slots that
 // divide the row; for the lifted and dropping transforms, a source or
-// dropped modulus read in 52 bits) — and handles nothing once forced
-// generic.
+// dropped modulus read in 52 bits; for the row encode, an odd t below
+// 2^32 in place of q) — and handles nothing once forced generic. The two
+// kernels that return a count, MulMontConst and EncodeRow, handle a row
+// when they return its length; "counts" pins where they stop short.
 func TestKernelGates(t *testing.T) {
 	sets := moduliSets(t)
 	accel := vec.Impl() == vec.ImplIFMA
@@ -345,7 +407,11 @@ func TestKernelGates(t *testing.T) {
 	// ones handled them.
 	calls := func(q uint64, n int) map[string]bool {
 		z := func() []uint64 { return make([]uint64, n) }
+		whole := func(done int) bool { return n > 0 && done == n }
 		return map[string]bool{
+			"MulMont":        vec.MulMont(q, 1, z(), z(), z(), true),
+			"MulMontConst":   whole(vec.MulMontConst(q, 1, z(), z(), 0, true, 0)),
+			"EncodeRow":      whole(vec.EncodeRow(65537, 1, z(), z())),
 			"ForwardNTT":     vec.ForwardNTT(q, z(), z(), z()),
 			"ForwardNTTLift": vec.ForwardNTTLift(q, z(), z(), z(), z(), q),
 			"InverseNTT":     vec.InverseNTT(q, z(), z(), z(), 0, 0, 0, 0),
@@ -375,8 +441,9 @@ func TestKernelGates(t *testing.T) {
 		expect(t, calls(under, 4096), all)
 	})
 	t.Run("q over 2^50", func(t *testing.T) {
-		// A plain copy has no modulus to exceed a lane.
-		expect(t, calls(over, 32), func(k string) bool { return accel && k == "Gather" })
+		// A plain copy has no modulus to exceed a lane, and the row encode
+		// works mod t.
+		expect(t, calls(over, 32), func(k string) bool { return accel && (k == "Gather" || k == "EncodeRow") })
 	})
 	t.Run("N=16", func(t *testing.T) {
 		transform := map[string]bool{"ForwardNTT": true, "ForwardNTTLift": true, "InverseNTT": true, "InverseNTTDrop": true}
@@ -433,6 +500,70 @@ func TestKernelGates(t *testing.T) {
 		}
 		if vec.Gather(z(32), z(32), make([]uint32, 24)) || vec.GatherAdd(cham, z(32), z(32), make([]uint32, 24)) {
 			t.Error("a gather accepted an index table shorter than out")
+		}
+		for i := 0; i < 2; i++ {
+			o := [2][]uint64{z(32), z(32)}
+			o[i] = z(24)
+			if vec.MulMont(cham, 1, z(32), o[0], o[1], true) {
+				t.Errorf("MulMont accepted operand %d (a, b) shorter than out", i)
+			}
+		}
+		if vec.MulMontConst(cham, 1, z(24), z(32), 0, true, 0) != 0 {
+			t.Error("MulMontConst accepted an out row shorter than a")
+		}
+		if vec.EncodeRow(65537, 1, z(32), z(24)) != 0 {
+			t.Error("EncodeRow accepted a source row shorter than out")
+		}
+	})
+	t.Run("counts", func(t *testing.T) {
+		z := func(n int) []uint64 { return make([]uint64, n) }
+		blocks := func(n int) int {
+			if accel {
+				return n
+			}
+			return 0
+		}
+		// Whole blocks from the front: a tail is left to the Go loop.
+		for _, n := range []int{7, 9, 36} {
+			if got := vec.MulMontConst(cham, 1, z(n), z(n), 0, false, 0); got != blocks(n&^7) {
+				t.Errorf("MulMontConst on %d words wrote %d", n, got)
+			}
+			if got := vec.EncodeRow(65537, 1, z(n), z(n)); got != blocks(n&^7) {
+				t.Errorf("EncodeRow on %d words wrote %d", n, got)
+			}
+		}
+		// A word at or above the bound stops the sweep before its block:
+		// q, or t with a lift; for the encode, t, at the reversed position.
+		const t0 = 65537
+		for _, lift := range []uint64{0, t0} {
+			a := z(32)
+			a[13] = cham
+			if lift != 0 {
+				a[13] = lift
+			}
+			if got := vec.MulMontConst(cham, 1, z(32), a, 0, true, lift); got != blocks(8) {
+				t.Errorf("MulMontConst, t = %d, word 13 out of range: wrote %d, want the first block", lift, got)
+			}
+			a[13]--
+			if got := vec.MulMontConst(cham, 1, z(32), a, 0, true, lift); got != blocks(32) {
+				t.Errorf("MulMontConst, t = %d, word 13 at the top of its range: wrote %d", lift, got)
+			}
+		}
+		if vec.MulMontConst(cham, 1, z(32), z(32), 0, true, cham) != 0 {
+			t.Error("MulMontConst accepted a lift from t = q")
+		}
+		src := z(32)
+		src[31-13] = t0
+		if got := vec.EncodeRow(t0, 1, z(32), src); got != blocks(8) {
+			t.Errorf("EncodeRow, out word 13's entry ≥ t: wrote %d, want the first block", got)
+		}
+		for _, tt := range []uint64{t0 - 1, 1 << 32, 1<<32 + 1, 0} {
+			if vec.EncodeRow(tt, 1, z(32), z(32)) != 0 {
+				t.Errorf("EncodeRow accepted t = %d (even, or not below 2^32)", tt)
+			}
+		}
+		if got := vec.EncodeRow(1<<32-1, 1<<40, z(32), z(32)); got != blocks(32) {
+			t.Errorf("EncodeRow, t = 2^32−1 and scale ≥ t: wrote %d", got)
 		}
 	})
 	t.Run("runs", func(t *testing.T) {
