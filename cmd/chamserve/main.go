@@ -1,10 +1,10 @@
 // Command chamserve runs the networked HMVP service: clients register
 // cleartext matrices (prepared once, named by content hash) and stream
-// encrypted vectors at them over the wire protocol; the server coalesces
-// concurrent requests into batches, runs each batch's applies as one job
-// on an engine of a simulated CHAM card (one batch executor per engine),
-// and applies admission control so overload turns into typed rejections
-// rather than collapse.
+// encrypted vectors at them over the wire protocol; a batch executor that
+// frees (one per engine of a simulated CHAM card) takes what is queued for
+// one matrix at once, without waiting for a batch to fill, and runs that
+// batch's applies as one job on its engine; admission control turns
+// overload into typed rejections rather than collapse.
 //
 // Quickstart:
 //
@@ -48,7 +48,6 @@ func main() {
 		metricsAddr = flag.String("metrics", "", "serve /metrics, /debug/pprof, and /debug/traces on this address")
 		ringN       = flag.Int("n", 4096, "ring degree (power of two; must match clients)")
 		maxBatch    = flag.Int("max-batch", 16, "max coalesced requests per batch (1 disables batching)")
-		linger      = flag.Duration("linger", 2*time.Millisecond, "how long a batch waits to fill before dispatch")
 		queueDepth  = flag.Int("queue-depth", 256, "admission queue bound; beyond it requests are rejected as overloaded")
 		evalWorkers = flag.Int("eval-workers", 0, "per-apply evaluator parallelism (0 = GOMAXPROCS)")
 		deadline    = flag.Duration("deadline", 5*time.Second, "default per-request deadline (queue wait + service)")
@@ -65,16 +64,15 @@ func main() {
 		os.Exit(1)
 	}
 	trace.SetSampleRate(*traceSample)
-	if err := run(*addr, *metricsAddr, *ringN, *maxBatch, *linger, *queueDepth,
+	if err := run(*addr, *metricsAddr, *ringN, *maxBatch, *queueDepth,
 		*evalWorkers, *deadline, *engines, *jobDur, *drainWait, log); err != nil {
 		fmt.Fprintln(os.Stderr, "chamserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, metricsAddr string, ringN, maxBatch int, linger time.Duration,
-	queueDepth, evalWorkers int, deadline time.Duration,
-	engines int, jobDur, drainWait time.Duration, log *slog.Logger) error {
+func run(addr, metricsAddr string, ringN, maxBatch, queueDepth, evalWorkers int,
+	deadline time.Duration, engines int, jobDur, drainWait time.Duration, log *slog.Logger) error {
 	p, err := bfv.NewChamParams(ringN)
 	if err != nil {
 		return err
@@ -91,7 +89,6 @@ func run(addr, metricsAddr string, ringN, maxBatch int, linger time.Duration,
 	cfg := server.Config{
 		Params:          p,
 		MaxBatch:        maxBatch,
-		Linger:          linger,
 		QueueDepth:      queueDepth,
 		DefaultDeadline: deadline,
 		EvalWorkers:     evalWorkers,

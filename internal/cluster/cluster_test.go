@@ -45,7 +45,7 @@ type node struct {
 
 func startNode(tb testing.TB, p bfv.Params, mut func(*server.Config)) *node {
 	tb.Helper()
-	cfg := server.Config{Params: p, LazyTiles: true, Linger: time.Millisecond}
+	cfg := server.Config{Params: p, LazyTiles: true}
 	if mut != nil {
 		mut(&cfg)
 	}

@@ -95,12 +95,16 @@ func (fx *doorFixture) dial(t *testing.T, d *door) *client.Client {
 }
 
 // serverDoor and gatewayDoor open a door whose every card job takes
-// jobDur (0 = no card).
-func (fx *doorFixture) serverDoor(t *testing.T, jobDur time.Duration) *door {
+// jobDur (0 = no card); mut, if given, edits the config of every server
+// behind the door.
+func (fx *doorFixture) serverDoor(t *testing.T, jobDur time.Duration, mut ...func(*server.Config)) *door {
 	t.Helper()
-	cfg := server.Config{Params: fx.p, Linger: time.Millisecond}
+	cfg := server.Config{Params: fx.p}
 	if jobDur > 0 {
 		cfg.Card = slowCard(t, jobDur)
+	}
+	for _, m := range mut {
+		m(&cfg)
 	}
 	s, err := server.New(cfg)
 	if err != nil {
@@ -114,11 +118,14 @@ func (fx *doorFixture) serverDoor(t *testing.T, jobDur time.Duration) *door {
 	}, &s.FrontEnd)
 }
 
-func (fx *doorFixture) gatewayDoor(t *testing.T, jobDur time.Duration) *door {
+func (fx *doorFixture) gatewayDoor(t *testing.T, jobDur time.Duration, mut ...func(*server.Config)) *door {
 	t.Helper()
 	co, _ := newCluster(t, fx.p, 2, func(c *server.Config) {
 		if jobDur > 0 {
 			c.Card = slowCard(t, jobDur)
+		}
+		for _, m := range mut {
+			m(c)
 		}
 	}, func(c *Config) { c.HedgeDelay = 10 * time.Second }) // a hedge would start a second card job
 	gw, err := NewGateway(GatewayConfig{Coordinator: co})
@@ -325,7 +332,7 @@ func TestDoorConformance(t *testing.T) {
 
 	for _, kind := range []struct {
 		name string
-		mk   func(*testing.T, time.Duration) *door
+		mk   func(*testing.T, time.Duration, ...func(*server.Config)) *door
 	}{
 		{"server", fx.serverDoor},
 		{"gateway", fx.gatewayDoor},
@@ -494,6 +501,28 @@ func TestDoorConformance(t *testing.T) {
 				dialRaw(t, d.addr).call(wire.MsgPing, wire.MsgPong, nil)
 			})
 
+			t.Run("idle door does not linger", func(t *testing.T) {
+				// A free executor runs what is queued at once: on an idle
+				// two-engine card one apply is answered well inside a Linger
+				// of a second, as one batch of one per server request. Linger
+				// is ignored; this row pins the field until ROADMAP item 1a
+				// deletes it.
+				d := mk(t, time.Millisecond, func(c *server.Config) { c.Linger = time.Second })
+				defer d.close(t)
+				picked := obs.GetHistogram("cham_server_batch_size", "", nil)
+				rc := dialRaw(t, d.addr)
+				rc.hello(p)
+				batches0, picked0 := picked.Count(), picked.Sum()
+				start := time.Now()
+				fx.checkResult(t, rc.call(wire.MsgApply, wire.MsgResult, fx.applyPayload(d, 10*time.Second)))
+				if took := time.Since(start); took >= 250*time.Millisecond {
+					t.Errorf("an apply at an idle %s door took %v: it waited for a batch to fill", kind.name, took)
+				}
+				if b, n := picked.Count()-batches0, picked.Sum()-picked0; b != uint64(d.legs) || n != float64(d.legs) {
+					t.Errorf("cham_server_batch_size gained %d observations summing to %v, want %d batches of 1", b, n, d.legs)
+				}
+			})
+
 			t.Run("pipelined apply", func(t *testing.T) {
 				// One connection carries one compute request at a time: a
 				// second Apply while the first is unanswered is refused, and
@@ -650,7 +679,7 @@ func TestDoorConformance(t *testing.T) {
 // transport error. Then the race itself, with nothing in flight when
 // Shutdown starts: every apply the door took up must be answered — only
 // applies it never admitted may find the door closed.
-func (fx *doorFixture) drainRace(t *testing.T, mk func(*testing.T, time.Duration) *door) {
+func (fx *doorFixture) drainRace(t *testing.T, mk func(*testing.T, time.Duration, ...func(*server.Config)) *door) {
 	type tally struct{ ok, draining, transport, started int }
 	round := func(holdOpen bool, head time.Duration) tally {
 		// Every card job takes 150 ms, so an admitted apply keeps the drain

@@ -13,7 +13,7 @@ var (
 	mMatrices = obs.GetGauge("cham_server_matrices",
 		"Registered prepared matrices.")
 	mQueueDepth = obs.GetGauge("cham_server_queue_depth",
-		"Requests admitted but not yet picked up by the batcher.")
+		"Requests admitted but not yet taken by a batch executor.")
 	mApplies = obs.GetCounter("cham_server_applies_total",
 		"Apply results sent.")
 	mAbandoned = obs.GetCounter("cham_server_abandoned_total",

@@ -1,19 +1,21 @@
 // Package server is chamserve's core: a TCP job service that turns the
 // in-process HMVP engine into a networked accelerator tier. Clients
 // register cleartext matrices (named by content hash, prepared once into
-// evaluation-ready form) and stream encrypted vectors at them; the server
-// coalesces concurrent single-vector requests into batches, runs each
-// batch's applies as one job on an engine of the accelerator runtime,
-// and applies admission control so overload degrades into fast typed
-// rejections instead of collapse.
+// evaluation-ready form) and stream encrypted vectors at them; a batch
+// executor that frees takes the head of the admission queue and whatever
+// is already queued behind it for the same matrix, runs that batch's
+// applies as one job on an engine of the accelerator runtime, and
+// admission control makes overload degrade into fast typed rejections
+// instead of collapse.
 //
 // The paper's heterogeneous host+card system (§III-C) keeps engines
 // saturated by interleaving transfer and compute; this package is the
 // same idea one tier up: the admission queue decouples arrival from
-// service, the batcher amortizes per-job dispatch across coalesced
-// requests, and per-request deadlines abort work that nobody is waiting
-// for anymore. Everything is observable through the cham_server_*
-// families in internal/obs.
+// service, an executor never idles while a request is queued, requests
+// that queued while every executor was busy share one job, and
+// per-request deadlines abort work that nobody is waiting for anymore.
+// Everything is observable through the cham_server_* families in
+// internal/obs.
 package server
 
 import (
@@ -41,8 +43,9 @@ type Config struct {
 	// MaxBatch bounds how many coalesced requests one batch may carry;
 	// 1 disables coalescing. Default 16.
 	MaxBatch int
-	// Linger is how long the batcher waits for the batch to fill before
-	// dispatching it short. Default 2ms.
+	// Linger is ignored: an executor takes what is queued when it frees
+	// and never waits for a batch to fill. The field stays only until the
+	// benchmark stops setting it (ROADMAP item 1a); that change deletes it.
 	Linger time.Duration
 	// QueueDepth bounds the admission queue; requests beyond it are
 	// rejected with CodeOverloaded. Default 256.
@@ -78,9 +81,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.Linger <= 0 {
-		c.Linger = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
@@ -136,7 +136,8 @@ type request struct {
 }
 
 // Server is a running chamserve instance: the wire front end plus the
-// matrix registry, the admission queue and the batch workers behind it.
+// matrix registry, the admission queue and the batch executors that pull
+// from it.
 type Server struct {
 	FrontEnd
 	cfg Config
@@ -147,20 +148,19 @@ type Server struct {
 	keyHash  [32]byte
 	matrices map[[32]byte]*regMatrix
 
-	queue   chan *request
-	batches chan []*request
-	// stop ends the dispatcher. The queue itself is never closed: a
+	queue chan *request
+	// stop ends the executors. The queue itself is never closed: a
 	// handler that passed the drain barrier may still be on its way to
 	// enqueue when a Shutdown gives up waiting.
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	workWG sync.WaitGroup // dispatcher + executors
+	workWG sync.WaitGroup // the batch executors
 }
 
-// New builds a server and starts its dispatcher and batch executors, one
-// per card engine (GOMAXPROCS without a card); call Serve (or
-// ListenAndServe) to accept connections.
+// New builds a server and starts its batch executors, one per card engine
+// (GOMAXPROCS without a card); call Serve (or ListenAndServe) to accept
+// connections.
 func New(cfg Config) (*Server, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -186,7 +186,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		matrices: map[[32]byte]*regMatrix{},
 		queue:    make(chan *request, cfg.QueueDepth),
-		batches:  make(chan []*request, executors),
 		stop:     make(chan struct{}),
 	}
 	s.Engines = s.engines
@@ -195,8 +194,7 @@ func New(cfg Config) (*Server, error) {
 		wire.MsgRegisterMatrix: s.handleRegisterMatrix,
 	}
 	s.Compute = s.admit
-	s.workWG.Add(1 + executors)
-	go s.dispatch()
+	s.workWG.Add(executors)
 	for i := 0; i < executors; i++ {
 		go s.executor()
 	}
@@ -204,10 +202,10 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Shutdown drains gracefully: the front end stops accepting, rejects new
-// applies with CodeDraining, waits for every admitted request and closes
-// the connections; then the dispatcher and executors stop. ctx bounds the
-// wait; on expiry its error is returned and requests still queued go
-// unanswered (their connections are closed).
+// applies with CodeDraining, waits until every admitted request has been
+// answered and closes the connections; then stop closes and the executors
+// exit. ctx bounds the wait; on expiry its error is returned and requests
+// still queued go unanswered (their connections are closed).
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.FrontEnd.Shutdown(ctx)
 	s.stopOnce.Do(func() { close(s.stop) })
@@ -225,55 +223,44 @@ func (s *Server) engines() uint32 {
 	return uint32(s.cfg.Card.Engines())
 }
 
-// dispatch pulls admitted requests and coalesces them into batches.
-func (s *Server) dispatch() {
-	defer s.workWG.Done()
-	defer close(s.batches)
-	for {
-		select {
-		case req := <-s.queue:
-			mQueueDepth.Add(-1)
-			s.batches <- s.collect(req)
-		case <-s.stop:
-			return
-		}
-	}
-}
-
-// collect grows a batch around first: same matrix, up to MaxBatch
-// requests, waiting at most Linger for stragglers. A request for a
-// different matrix flushes the current batch and seeds the next one.
-func (s *Server) collect(first *request) []*request {
-	batch := []*request{first}
-	if s.cfg.MaxBatch <= 1 {
-		return batch
-	}
-	timer := time.NewTimer(s.cfg.Linger)
-	defer timer.Stop()
-	for len(batch) < s.cfg.MaxBatch {
-		select {
-		case req := <-s.queue:
-			mQueueDepth.Add(-1)
-			if req.mat != batch[0].mat {
-				s.batches <- batch
-				batch = []*request{req}
-				continue
-			}
-			batch = append(batch, req)
-		case <-timer.C:
-			return batch
-		case <-s.stop:
-			return batch
-		}
-	}
-	return batch
-}
-
-// executor runs batches until the batch channel closes.
+// executor serves batches until stop closes. Once free, it takes the
+// head of the queue and whatever is already queued behind it for the same
+// matrix, up to MaxBatch, and runs them at once: it never waits for a
+// batch to fill, so batches form only from requests that queued while
+// every executor was busy. A request for another matrix ends the batch
+// and heads this executor's next one, so it waits behind one batch at
+// most.
 func (s *Server) executor() {
 	defer s.workWG.Done()
-	for batch := range s.batches {
+	batch := make([]*request, 0, s.cfg.MaxBatch)
+	var next *request
+	for {
+		if next == nil {
+			select {
+			case next = <-s.queue:
+				mQueueDepth.Add(-1)
+			case <-s.stop:
+				return
+			}
+		}
+		batch = append(batch[:0], next)
+		next = nil
+	fill:
+		for len(batch) < s.cfg.MaxBatch {
+			select {
+			case req := <-s.queue:
+				mQueueDepth.Add(-1)
+				if req.mat != batch[0].mat {
+					next = req
+					break fill
+				}
+				batch = append(batch, req)
+			default:
+				break fill
+			}
+		}
 		s.runBatch(batch)
+		clear(batch) // an idle executor holds no answered request
 	}
 }
 

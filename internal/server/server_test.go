@@ -121,7 +121,7 @@ func TestLoopbackEndToEnd(t *testing.T) {
 
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		t.Run(fmt.Sprintf("evalWorkers=%d", workers), func(t *testing.T) {
-			_, addr := testServer(t, Config{Params: p, EvalWorkers: workers, MaxBatch: 4, Linger: time.Millisecond})
+			_, addr := testServer(t, Config{Params: p, EvalWorkers: workers, MaxBatch: 4})
 			cl := testClient(t, addr, p, nil)
 			keys := setupKeys(t, cl, p, rng, sk)
 
@@ -198,8 +198,10 @@ func TestLoopbackEndToEnd(t *testing.T) {
 }
 
 // TestBatchCoalescing drives concurrent applies through a single batch
-// executor (a one-engine card) and asserts the dispatcher actually merged them: fewer batches than
-// requests, with every live request accounted for.
+// executor (a one-engine card). Nothing lingers: the requests that queue
+// while the one engine is busy are what the executor merges once it
+// frees, so there are fewer batches than requests, with every live
+// request accounted for.
 func TestBatchCoalescing(t *testing.T) {
 	p := testParams(t, 32)
 	rng := testutil.NewRand(t)
@@ -209,7 +211,7 @@ func TestBatchCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, addr := testServer(t, Config{
-		Params: p, MaxBatch: 8, Linger: 20 * time.Millisecond, QueueDepth: 64, Card: card,
+		Params: p, MaxBatch: 8, QueueDepth: 64, Card: card,
 	})
 	cl := testClient(t, addr, p, nil)
 	setupKeys(t, cl, p, rng, sk)
@@ -248,6 +250,149 @@ func TestBatchCoalescing(t *testing.T) {
 		t.Fatalf("%d batches for %d requests: no coalescing happened", batches, concurrent)
 	}
 	t.Logf("served %v requests in %d batches", served, batches)
+}
+
+// TestIdleServerDoesNotLinger: an executor that frees runs what is queued
+// at once and never waits for a batch to fill. On an idle two-engine card
+// one apply is answered well inside a Linger of a second, as one batch of
+// one. Linger is ignored; this test pins the field until ROADMAP item 1a
+// deletes it.
+func TestIdleServerDoesNotLinger(t *testing.T) {
+	p := testParams(t, 32)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	card, err := rt.New(rt.NewDevice(2, 50*time.Microsecond, rt.FaultPlan{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := testServer(t, Config{Params: p, Linger: time.Second, Card: card})
+	cl := testClient(t, addr, p, func(c *client.Config) { c.MaxRetries = -1 })
+	setupKeys(t, cl, p, rng, sk)
+	handle, err := cl.RegisterMatrix(testutil.Matrix(rng, 8, 32, p.T.Q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctV := core.EncryptVector(p, rng, sk, testutil.Vector(rng, 32, p.T.Q))
+	if _, err := cl.Hello(); err != nil { // dial now, so the timing below is the apply's
+		t.Fatal(err)
+	}
+
+	batches0, reqs0 := mBatchSize.Count(), mBatchSize.Sum()
+	start := time.Now()
+	if _, err := cl.Apply(handle.ID, ctV); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= 250*time.Millisecond {
+		t.Errorf("an apply at an idle server took %v: it waited for a batch to fill", took)
+	}
+	if b, n := mBatchSize.Count()-batches0, mBatchSize.Sum()-reqs0; b != 1 || n != 1 {
+		t.Errorf("cham_server_batch_size gained %d observations summing to %v, want one batch of 1", b, n)
+	}
+}
+
+// TestBatchCarriesOtherMatrix sends interleaved concurrent applies at two
+// matrices through one executor (a one-engine card). While the first job
+// holds the engine, the rest queue in a fixed order, A A B B A B, so a
+// batch ends at each change of matrix and the request that ended it heads
+// the next. Every reply must be bit-identical to the in-process apply of
+// its own matrix, the batch-size histogram must account for every request,
+// and at least one batch must have coalesced.
+func TestBatchCarriesOtherMatrix(t *testing.T) {
+	p := testParams(t, 32)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	card, err := rt.New(rt.NewDevice(1, 300*time.Millisecond, rt.FaultPlan{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	card.JobTimeout = 10 * time.Second
+	_, addr := testServer(t, Config{Params: p, MaxBatch: 8, Card: card})
+	cl := testClient(t, addr, p, func(c *client.Config) { c.MaxRetries = -1 })
+	keys := setupKeys(t, cl, p, rng, sk)
+	ev, err := core.NewEvaluatorFromKeys(p, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type matrix struct {
+		id wire.MatrixHandle
+		pm *core.PreparedMatrix
+	}
+	var mats [2]matrix
+	for i, rows := range []int{8, 24} {
+		A := testutil.Matrix(rng, rows, 32, p.T.Q)
+		if mats[i].pm, err = ev.Prepare(A); err != nil {
+			t.Fatal(err)
+		}
+		if mats[i].id, err = cl.RegisterMatrix(A); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Each apply has its own connected client and its vector and answer
+	// ready, so sending the next one takes no dial or encryption while
+	// the first job holds the engine.
+	order := []int{0, 0, 0, 1, 1, 0, 1} // the first holds the engine
+	clients := make([]*client.Client, len(order))
+	vecs := make([][]*rlwe.Ciphertext, len(order))
+	wants := make([]*core.Result, len(order))
+	for i, which := range order {
+		clients[i] = testClient(t, addr, p, func(c *client.Config) { c.MaxRetries = -1 })
+		if _, err := clients[i].Hello(); err != nil {
+			t.Fatal(err)
+		}
+		vecs[i] = core.EncryptVector(p, rng, sk, testutil.Vector(rng, 32, p.T.Q))
+		if wants[i], err = mats[which].pm.Apply(vecs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batches0, reqs0 := mBatchSize.Count(), mBatchSize.Sum()
+	errs := make(chan error, len(order))
+	var wg sync.WaitGroup
+	for i, which := range order {
+		depth := mQueueDepth.Value()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := clients[i].Apply(mats[which].id.ID, vecs[i])
+			if err != nil {
+				errs <- fmt.Errorf("apply %d: %v", i, err)
+				return
+			}
+			if len(got.Packed) != len(wants[i].Packed) {
+				errs <- fmt.Errorf("apply %d: %d tiles, want %d", i, len(got.Packed), len(wants[i].Packed))
+				return
+			}
+			for j := range got.Packed {
+				if !sameCiphertext(got.Packed[j], wants[i].Packed[j]) {
+					errs <- fmt.Errorf("apply %d: tile %d differs from the in-process apply of its matrix", i, j)
+					return
+				}
+			}
+		}()
+		// Queue each request before sending the next: the first until the
+		// executor has picked it up, the rest until they sit in the queue.
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			if i == 0 && mBatchSize.Count() > batches0 || i > 0 && mQueueDepth.Value() > depth {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("apply %d never reached the queue", i)
+			}
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	batches := mBatchSize.Count() - batches0
+	if served := mBatchSize.Sum() - reqs0; served != float64(len(order)) {
+		t.Fatalf("batch-size histogram accounts for %v requests, want %d", served, len(order))
+	}
+	if batches >= uint64(len(order)) {
+		t.Fatalf("%d batches for %d requests: no coalescing happened", batches, len(order))
+	}
+	t.Logf("served %d requests in %d batches", len(order), batches)
 }
 
 // TestOverloadTyped saturates a deliberately tiny server and asserts the
@@ -470,7 +615,7 @@ func TestShutdownWhileBusy(t *testing.T) {
 	p := testParams(t, 32)
 	rng := testutil.NewRand(t)
 	sk := p.KeyGen(rng)
-	s, err := New(Config{Params: p, MaxBatch: 4, Linger: time.Millisecond})
+	s, err := New(Config{Params: p, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -670,9 +815,9 @@ func TestReplayedBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShutdownLeaksNoGoroutines: once Shutdown returns, the dispatcher and
-// every batch executor have exited — with a card (one executor per
-// engine) and without one (GOMAXPROCS executors).
+// TestShutdownLeaksNoGoroutines: once Shutdown returns, every batch
+// executor has exited — with a card (one executor per engine) and without
+// one (GOMAXPROCS executors).
 func TestShutdownLeaksNoGoroutines(t *testing.T) {
 	p := testParams(t, 32)
 	rng := testutil.NewRand(t)

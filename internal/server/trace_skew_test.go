@@ -74,7 +74,7 @@ func TestTraceSkewOldClientTracedServer(t *testing.T) {
 	p := testParams(t, 32)
 	rng := testutil.NewRand(t)
 	sk := p.KeyGen(rng)
-	_, addr := testServer(t, Config{Params: p, Linger: time.Millisecond})
+	_, addr := testServer(t, Config{Params: p})
 
 	// Revision 1, and revision 2 — the previous build, whose frames have
 	// this layout but whose message bodies do not.
