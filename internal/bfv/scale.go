@@ -123,40 +123,51 @@ func (p Params) addScaled(b *ring.Poly, pt *Plaintext) {
 // phase x, by the identity at the top of this file.
 func (p Params) roundInto(out []uint64, phase *ring.Poly) {
 	k := &p.levels[phase.Levels()-1]
-	t := p.T.Q
-	rows := phase.Coeffs
 	for i := range out {
-		sum := uint64(0) // Σ a_l mod t
-		accHi, accLo := k.half[0], k.half[1]
-		for l := range k.limbs {
-			c := &k.limbs[l]
-			// y = [x_l·(Q/q_l)^-1]_{q_l}, canonical.
-			qhat, _ := bits.Mul64(rows[l][i], c.invShoup)
-			y := rows[l][i]*c.inv - qhat*c.q
-			y -= c.q & -((c.q - 1 - y) >> 63)
-			// t·y = a·q + r, from the Shoup quotient (exact or one low).
-			a, _ := bits.Mul64(y, c.tShoup)
-			r := y*t - a*c.q
-			over := (c.q - 1 - r) >> 63 // 1 iff r ≥ q
-			a += over
-			r -= c.q & -over
-			sum += a // a < t
-			sum -= t & -((t - 1 - sum) >> 63)
-			hi, lo := bits.Mul64(r, c.wLo)
-			var carry uint64
-			accLo, carry = bits.Add64(accLo, lo, 0)
-			accHi, _ = bits.Add64(accHi, hi+r*c.wHi, carry)
-		}
-		v := uint64(0)
-		for _, jq := range k.multiples {
-			_, borrow := bits.Sub64(accLo, jq[1], 0)
-			_, borrow = bits.Sub64(accHi, jq[0], borrow)
-			v += 1 - borrow
-		}
-		sum += v // v ≤ k, so this rarely runs even once
-		for sum >= t {
-			sum -= t
-		}
-		out[i] = sum
+		out[i] = k.round(p.T.Q, phase.Coeffs, i)
 	}
+}
+
+// RoundAt returns ⌊t·x_i/Q⌉ mod t for coefficient i of the
+// coefficient-domain phase x (see PhaseInto): Decrypt's rounding of one
+// coefficient, for a caller that reads only some of them.
+func (p Params) RoundAt(phase *ring.Poly, i int) uint64 {
+	return p.levels[phase.Levels()-1].round(p.T.Q, phase.Coeffs, i)
+}
+
+// round is one coefficient of roundInto: ⌊t·x_i/Q⌉ mod t for the phase
+// limbs rows, k being the constants of their limb count.
+func (k *levelConsts) round(t uint64, rows [][]uint64, i int) uint64 {
+	sum := uint64(0) // Σ a_l mod t
+	accHi, accLo := k.half[0], k.half[1]
+	for l := range k.limbs {
+		c := &k.limbs[l]
+		// y = [x_l·(Q/q_l)^-1]_{q_l}, canonical.
+		qhat, _ := bits.Mul64(rows[l][i], c.invShoup)
+		y := rows[l][i]*c.inv - qhat*c.q
+		y -= c.q & -((c.q - 1 - y) >> 63)
+		// t·y = a·q + r, from the Shoup quotient (exact or one low).
+		a, _ := bits.Mul64(y, c.tShoup)
+		r := y*t - a*c.q
+		over := (c.q - 1 - r) >> 63 // 1 iff r ≥ q
+		a += over
+		r -= c.q & -over
+		sum += a // a < t
+		sum -= t & -((t - 1 - sum) >> 63)
+		hi, lo := bits.Mul64(r, c.wLo)
+		var carry uint64
+		accLo, carry = bits.Add64(accLo, lo, 0)
+		accHi, _ = bits.Add64(accHi, hi+r*c.wHi, carry)
+	}
+	v := uint64(0)
+	for _, jq := range k.multiples {
+		_, borrow := bits.Sub64(accLo, jq[1], 0)
+		_, borrow = bits.Sub64(accHi, jq[0], borrow)
+		v += 1 - borrow
+	}
+	sum += v // v ≤ k, so this rarely runs even once
+	for sum >= t {
+		sum -= t
+	}
+	return sum
 }

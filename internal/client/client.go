@@ -204,6 +204,9 @@ func (pc *poolConn) roundTrip(t, want wire.MsgType, tc trace.Context, payload []
 		return nil, &errTransport{err}
 	}
 	rt, rseq, _, rp, err := wire.ReadFrame(pc.br)
+	if _, ok := err.(*wire.VersionError); ok {
+		return nil, err // a peer of another revision: permanent
+	}
 	if err != nil {
 		return nil, &errTransport{err}
 	}
@@ -254,6 +257,9 @@ func call[T any](ctx context.Context, cl *Client, t, want wire.MsgType, payload 
 // hang-up and drops the request if it is still queued, and ctx.Err()
 // comes back with no retry or backoff.
 func (cl *Client) do(ctx context.Context, t, want wire.MsgType, payload []byte) ([]byte, error) {
+	if uint64(len(payload)) > uint64(wire.DefaultMaxFrame) {
+		return nil, &wire.FrameSizeError{Size: uint64(len(payload))} // no door would read it
+	}
 	tc := trace.FromContext(ctx)
 	var lastErr error
 	for attempt := 0; attempt <= cl.cfg.MaxRetries; attempt++ {
@@ -299,12 +305,19 @@ func (cl *Client) do(ctx context.Context, t, want wire.MsgType, payload []byte) 
 			}
 		}
 		lastErr = err
-		var we *wire.Error
-		if errors.As(err, &we) && !we.Retryable() {
-			return nil, err // the request itself is bad; retrying cannot help
+		if permanent(err) {
+			return nil, err
 		}
 	}
 	return nil, lastErr
+}
+
+// permanent reports a failure no retry can mend: a typed rejection of the
+// request itself, or a peer of another protocol revision.
+func permanent(err error) bool {
+	var we *wire.Error
+	var ve *wire.VersionError
+	return errors.As(err, &we) && !we.Retryable() || errors.As(err, &ve)
 }
 
 // deadlineMicros is the deadline hint a compute request carries:
@@ -351,8 +364,13 @@ func (cl *Client) Ping() error {
 // SetupKeys installs the packing-key set and returns its canonical hash.
 // Idempotent: re-sending the same set succeeds with the same hash.
 func (cl *Client) SetupKeys(keys *lwe.PackingKeys) ([32]byte, error) {
-	ok, err := call(context.TODO(), cl, wire.MsgSetupKeys, wire.MsgSetupKeysOK,
-		wire.EncodeSetupKeys(cl.cfg.Params.R, keys), wire.DecodeSetupKeysOK)
+	return cl.SetupKeysEncoded(wire.EncodeSetupKeys(cl.cfg.Params.R, keys))
+}
+
+// SetupKeysEncoded is SetupKeys for a key set already in its
+// wire.EncodeSetupKeys form, so a broadcast encodes it once for every node.
+func (cl *Client) SetupKeysEncoded(payload []byte) ([32]byte, error) {
+	ok, err := call(context.TODO(), cl, wire.MsgSetupKeys, wire.MsgSetupKeysOK, payload, wire.DecodeSetupKeysOK)
 	return ok.KeyHash, err
 }
 
@@ -363,6 +381,13 @@ func (cl *Client) RegisterMatrix(A [][]uint64) (wire.MatrixHandle, error) {
 	if err != nil {
 		return wire.MatrixHandle{}, err
 	}
+	return cl.RegisterMatrixEncoded(payload)
+}
+
+// RegisterMatrixEncoded is RegisterMatrix for a matrix already in its
+// wire.EncodeRegisterMatrix form, so a broadcast encodes it once for every
+// node.
+func (cl *Client) RegisterMatrixEncoded(payload []byte) (wire.MatrixHandle, error) {
 	return call(context.TODO(), cl, wire.MsgRegisterMatrix, wire.MsgMatrixHandle, payload, wire.DecodeMatrixHandle)
 }
 

@@ -211,3 +211,79 @@ func TestDeadExhaustsRetries(t *testing.T) {
 		t.Fatalf("expected 3 backoff sleeps, got %d", sleeps)
 	}
 }
+
+// countingListener accepts connections and counts them; each connection
+// gets answer, run on its own goroutine.
+func countingListener(tb testing.TB, answer func(net.Conn)) (string, *atomic.Int64) {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { ln.Close() })
+	var n atomic.Int64
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			n.Add(1)
+			go func() {
+				defer c.Close()
+				answer(c)
+			}()
+		}
+	}()
+	return ln.Addr().String(), &n
+}
+
+// TestOversizePayloadNeverSent: a payload no door would read fails in the
+// client with a typed error before any dial, send or retry.
+func TestOversizePayloadNeverSent(t *testing.T) {
+	addr, accepted := countingListener(t, func(net.Conn) {})
+	sleeps := 0
+	cl, err := Dial(Config{Addr: addr, Params: testParams(t, 32), Sleep: func(time.Duration) { sleeps++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	// The client reads only the length, so the buffer's pages stay untouched.
+	_, err = cl.RegisterMatrixEncoded(make([]byte, wire.DefaultMaxFrame+1))
+	var fe *wire.FrameSizeError
+	if !errors.As(err, &fe) || fe.Size != uint64(wire.DefaultMaxFrame)+1 {
+		t.Fatalf("an oversize payload returned %v, want a FrameSizeError", err)
+	}
+	if n := accepted.Load(); n != 0 || sleeps != 0 {
+		t.Fatalf("an oversize payload cost %d connections and %d retries, want none", n, sleeps)
+	}
+}
+
+// TestVersionSkewNotRetried: a peer that answers in another frame revision
+// fails the request with a typed VersionError on the first attempt; every
+// retry would meet the same peer.
+func TestVersionSkewNotRetried(t *testing.T) {
+	addr, accepted := countingListener(t, func(c net.Conn) {
+		_, seq, _, _, err := wire.ReadFrame(c)
+		if err != nil {
+			return
+		}
+		frame := wire.AppendFrame(nil, wire.MsgHelloOK, seq, wire.TraceHeader{}, nil)
+		frame[4] = wire.FrameVersion + 1
+		c.Write(frame)
+	})
+	sleeps := 0
+	cl, err := Dial(Config{Addr: addr, Params: testParams(t, 32), MaxRetries: 3, Sleep: func(time.Duration) { sleeps++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	err = cl.Ping()
+	var ve *wire.VersionError
+	if !errors.As(err, &ve) || ve.Version != wire.FrameVersion+1 {
+		t.Fatalf("a peer of revision %d gave %v, want a VersionError", wire.FrameVersion+1, err)
+	}
+	if n := accepted.Load(); n != 1 || sleeps != 0 {
+		t.Fatalf("the request made %d connections and %d retries, want 1 and none", n, sleeps)
+	}
+}

@@ -131,42 +131,70 @@ func (co *Coordinator) Nodes() []string {
 	return append([]string(nil), co.ring.Nodes()...)
 }
 
-// SetupKeys installs the packing-key set on every node. All nodes must
-// accept.
+// SetupKeys installs the packing-key set on every node at once. All
+// nodes must accept, and report the same key hash.
 func (co *Coordinator) SetupKeys(keys *lwe.PackingKeys) ([32]byte, error) {
-	var hash [32]byte
-	for i, cl := range co.clients {
-		h, err := cl.SetupKeys(keys)
-		if err != nil {
-			return [32]byte{}, fmt.Errorf("cluster: setup keys on node %d: %w", i, err)
-		}
-		if i > 0 && h != hash {
+	payload := wire.EncodeSetupKeys(co.cfg.Params.R, keys)
+	hashes, err := broadcast(co, "setup keys", func(cl *client.Client) ([32]byte, error) {
+		return cl.SetupKeysEncoded(payload)
+	})
+	if err != nil {
+		return [32]byte{}, err
+	}
+	for i, h := range hashes {
+		if h != hashes[0] {
 			return [32]byte{}, fmt.Errorf("cluster: node %d reports key hash mismatch", i)
 		}
-		hash = h
 	}
-	return hash, nil
+	return hashes[0], nil
 }
 
-// RegisterMatrix registers a matrix on every node and caches its handle.
-// With LazyTiles nodes this is cheap — each node validates and retains
-// the cleartext but prepares no tiles until the scatter routes work at it.
+// RegisterMatrix registers a matrix on every node at once and caches its
+// handle. With LazyTiles nodes this is cheap — each node validates and
+// retains the cleartext but prepares no tiles until the scatter routes
+// work at it.
 func (co *Coordinator) RegisterMatrix(A [][]uint64) (wire.MatrixHandle, error) {
-	var handle wire.MatrixHandle
-	for i, cl := range co.clients {
-		h, err := cl.RegisterMatrix(A)
-		if err != nil {
-			return wire.MatrixHandle{}, fmt.Errorf("cluster: register on node %d: %w", i, err)
-		}
-		if i > 0 && h != handle {
+	payload, err := wire.EncodeRegisterMatrix(A)
+	if err != nil {
+		return wire.MatrixHandle{}, err
+	}
+	handles, err := broadcast(co, "register", func(cl *client.Client) (wire.MatrixHandle, error) {
+		return cl.RegisterMatrixEncoded(payload)
+	})
+	if err != nil {
+		return wire.MatrixHandle{}, err
+	}
+	for i, h := range handles {
+		if h != handles[0] {
 			return wire.MatrixHandle{}, fmt.Errorf("cluster: node %d reports a different handle", i)
 		}
-		handle = h
 	}
 	co.mu.Lock()
-	co.matrices[handle.ID] = handle
+	co.matrices[handles[0].ID] = handles[0]
 	co.mu.Unlock()
-	return handle, nil
+	return handles[0], nil
+}
+
+// broadcast makes one control-plane call on every node concurrently and
+// returns the answers in node order, or the first failure in node order.
+func broadcast[T any](co *Coordinator, what string, call func(*client.Client) (T, error)) ([]T, error) {
+	out := make([]T, len(co.clients))
+	errs := make([]error, len(co.clients))
+	var wg sync.WaitGroup
+	for i, cl := range co.clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = call(cl)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("cluster: %s on node %d: %w", what, i, err)
+		}
+	}
+	return out, nil
 }
 
 // Handle returns the cached handle for a registered matrix.

@@ -389,6 +389,22 @@ func TestDoorConformance(t *testing.T) {
 				}
 			})
 
+			t.Run("revision-4 Hello", func(t *testing.T) {
+				// A peer of the previous revision is told why, with one typed
+				// error echoing its frame's seq, and the door hangs up.
+				rc := dialRaw(t, d.addr)
+				rc.seq++
+				frame := wire.AppendFrame(nil, wire.MsgHello, rc.seq, wire.TraceHeader{}, wire.HelloFor(p).Encode())
+				frame[4] = 4
+				if _, err := rc.Write(frame); err != nil {
+					t.Fatal(err)
+				}
+				if we := rc.recvErr(wire.CodeVersionMismatch); we.Retryable() {
+					t.Fatal("a version mismatch must not be retryable")
+				}
+				rc.closed()
+			})
+
 			t.Run("TraceHello", func(t *testing.T) {
 				// The trace block of the apply frame parents the door's
 				// spans, though this process samples nothing itself.

@@ -146,14 +146,18 @@ func (res *Result) eachTile(f func(ct *rlwe.Ciphertext, t TileLayout)) {
 	}
 }
 
-// DecryptResult reads the m result values out of the packed ciphertexts.
+// DecryptResult reads the m result values out of the packed ciphertexts:
+// each tile's phase once, then the rounding of Decrypt at only the slots
+// its rows occupy.
 func DecryptResult(p bfv.Params, res *Result, sk *rlwe.SecretKey) []uint64 {
 	out := make([]uint64, 0, res.M)
 	res.eachTile(func(ct *rlwe.Ciphertext, t TileLayout) {
-		dec := p.Decrypt(ct, sk)
+		phase := p.R.GetPoly(ct.Levels())
+		p.PhaseInto(phase, ct, sk)
 		for i := range t.Rows {
-			out = append(out, dec.Coeffs[t.Slot(i)])
+			out = append(out, p.RoundAt(phase, t.Slot(i)))
 		}
+		p.R.PutPoly(phase)
 	})
 	return out
 }

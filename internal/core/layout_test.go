@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"cham/internal/rlwe"
 	"cham/internal/testutil"
+	"cham/internal/vec"
 )
 
 // TestLayouts drives both vector layouts through every shape that moves
@@ -85,4 +87,43 @@ func equalVec(a, b []uint64) bool {
 		}
 	}
 	return true
+}
+
+// TestDecryptResultReadsDecryptSlots: DecryptResult rounds only the slots
+// its tiles' rows occupy, and reads there exactly what Decrypt reads, for
+// any phase — the tiles are uniform ciphertexts in either domain — with
+// the kernels and with the Go loops.
+func TestDecryptResultReadsDecryptSlots(t *testing.T) {
+	for _, n := range []int{64, 4096} {
+		p := testParams(t, n)
+		rng := testutil.NewRand(t)
+		sk := p.KeyGen(rng)
+		for _, rows := range []int{1, 33, 256} {
+			res := &Result{M: rows, N: n}
+			for ti := 0; ti*n < rows; ti++ {
+				ct := &rlwe.Ciphertext{B: p.R.NewPoly(p.NormalLevels), A: p.R.NewPoly(p.NormalLevels)}
+				p.R.UniformPoly(rng, ct.B)
+				p.R.UniformPoly(rng, ct.A)
+				ct.B.IsNTT, ct.A.IsNTT = ti%2 == 1, ti%2 == 1
+				res.Packed = append(res.Packed, ct)
+			}
+			for _, generic := range []bool{false, true} {
+				t.Run(fmt.Sprintf("N=%d/rows=%d/generic=%v", n, rows, generic), func(t *testing.T) {
+					if generic {
+						vec.ForceGeneric(t)
+					}
+					var want []uint64
+					for ti, ct := range res.Packed {
+						dec := p.Decrypt(ct, sk)
+						for i := range res.Tile(ti).Rows {
+							want = append(want, dec.Coeffs[res.Tile(ti).Slot(i)])
+						}
+					}
+					if got := DecryptResult(p, res, sk); !equalVec(got, want) {
+						t.Fatalf("DecryptResult reads %v, Decrypt at the same slots %v", got, want)
+					}
+				})
+			}
+		}
+	}
 }

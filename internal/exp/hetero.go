@@ -155,7 +155,7 @@ func HMVPJob(cfg Config, cpu CPU, m, cols int) Job {
 	return Job{
 		Name:       fmt.Sprintf("hmvp-%dx%d", m, cols),
 		H2DBytes:   core.HMVPBytes(cfg.N, cfg.NormalLevels, cfg.FullLevels, m, cols, limbBits, plaintextBits),
-		D2HBytes:   int64(ceilDiv(m, cfg.N)) * polyBytes(cfg.N, 2*cfg.NormalLevels), // one packed ciphertext per tile
+		D2HBytes:   int64(ceilDiv(m, cfg.N)) * PolyBytes(cfg.N, 2*cfg.NormalLevels), // one packed ciphertext per tile
 		ComputeSec: rep.Seconds(cfg.FreqMHz),
 		PrepSec:    cpu.EncryptVectorSeconds(cfg, cols),
 		PostSec:    cpu.DecryptVectorSeconds(cfg, m),

@@ -45,9 +45,11 @@ func classify(d Device, ops, bytes int64) RooflinePoint {
 	return p
 }
 
-// polyBytes returns the packed size of `polys` single-limb polynomials of
-// the given limb widths (cycled).
-func polyBytes(n, polys int) int64 {
+// PolyBytes returns the packed size of `polys` single-limb polynomials of
+// degree n, each coefficient at ⌈bits/8⌉ bytes of its limb, the limbs
+// taken from limbBits in turn: what every modelled transfer charges, and
+// what the wire's encodings are held to.
+func PolyBytes(n, polys int) int64 {
 	var b int64
 	for i := 0; i < polys; i++ {
 		bits := limbBits[i%len(limbBits)]
@@ -68,16 +70,16 @@ func Roofline(d Device) []RooflinePoint {
 
 	// Standalone NTT: stream one limb in and out.
 	nttOps := core.OpCounts{NTT: 1}.ModMuls(n) * dspOpsPerModMul
-	p := classify(d, nttOps, 2*polyBytes(n, 1))
+	p := classify(d, nttOps, 2*PolyBytes(n, 1))
 	p.Kernel = "NTT"
 	pts = append(pts, p)
 
 	// Standalone key switch: ciphertext in/out plus the switching key
 	// (dnum digits × 2 polys × full basis).
 	ksOps := core.KeySwitchOps(normalLevels, fullLevels).ModMuls(n) * dspOpsPerModMul
-	ksBytes := polyBytes(n, 2*normalLevels) + // input ct
-		polyBytes(n, 2*normalLevels) + // output ct
-		polyBytes(n, 2*normalLevels*fullLevels) // keys
+	ksBytes := PolyBytes(n, 2*normalLevels) + // input ct
+		PolyBytes(n, 2*normalLevels) + // output ct
+		PolyBytes(n, 2*normalLevels*fullLevels) // keys
 	p = classify(d, ksOps, ksBytes)
 	p.Kernel = "KeySwitch"
 	pts = append(pts, p)

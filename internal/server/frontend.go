@@ -217,9 +217,14 @@ func (f *FrontEnd) handleConn(nc net.Conn) {
 	for {
 		t, seq, th, payload, err := wire.ReadFrame(br)
 		if err != nil {
-			// Includes io.EOF on clean hang-up, a peer of another frame
-			// revision and frame-level corruption — after a desync there is
-			// no way to resynchronize the stream.
+			// Includes io.EOF on clean hang-up and frame-level corruption —
+			// after a desync there is no way to resynchronize the stream. A
+			// peer of another frame revision is told why first.
+			var ve *wire.VersionError
+			if errors.As(err, &ve) {
+				c.sendErr(ve.Seq, wire.Errf(wire.CodeVersionMismatch,
+					"frame of protocol revision %d, this door speaks %d", ve.Version, wire.FrameVersion))
+			}
 			return
 		}
 		if m := f.bytesRx; m != nil {

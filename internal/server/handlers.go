@@ -61,8 +61,9 @@ func (s *Server) handleRegisterMatrix(payload []byte) (wire.MsgType, []byte, *wi
 	if ev == nil {
 		return 0, nil, wire.Errf(wire.CodeKeysRequired, "register matrix before SetupKeys")
 	}
-	// The RegisterMatrix layout is canonical (rows, cols, row-major values),
-	// so the payload hash IS wire.MatrixID of the decoded matrix.
+	// The RegisterMatrix layout is canonical (rows, cols, the one width that
+	// fits the largest entry, row-major values; the decoder refuses any
+	// other), so the payload hash IS wire.MatrixID of the decoded matrix.
 	id := sha256.Sum256(payload)
 	s.mu.RLock()
 	reg := s.matrices[id]

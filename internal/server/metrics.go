@@ -58,7 +58,7 @@ func init() {
 		wire.CodeBadRequest, wire.CodeOverloaded, wire.CodeUnknownMatrix,
 		wire.CodeKeysRequired, wire.CodeKeysConflict, wire.CodeDeadline,
 		wire.CodeDraining, wire.CodeParamsMismatch, wire.CodeInternal,
-		wire.CodeDegraded,
+		wire.CodeDegraded, wire.CodeVersionMismatch,
 	} {
 		name := wire.CodeName(code)
 		mRejects[name] = obs.GetCounter("cham_server_rejects_total",

@@ -1,12 +1,14 @@
 package server
 
 // Version skew: there is one frame revision and no negotiation, so a peer
-// of another revision is refused at the frame layer. Either way round the
-// connection closes — no typed rejection, no panic, no hang — and nothing
-// is recorded or served on its behalf.
+// of another revision is refused at the frame layer. This server tells
+// such a peer why — one typed CodeVersionMismatch error — and closes; an
+// old door just hangs up on this client. Either way no panic, no hang,
+// and nothing is recorded or served on the peer's behalf.
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -62,9 +64,10 @@ func TestTraceSkewTracedClientOldServer(t *testing.T) {
 }
 
 // TestTraceSkewOldClientTracedServer: a hand-built 12-byte revision-1
-// frame, and a revision-2 frame, each get their connection closed with no
-// reply byte and no span recorded, and the server goes on serving a
-// client of this revision.
+// frame, and a revision-2 frame, are each answered with one typed
+// version-mismatch error echoing their seq, then the connection closes;
+// no span is recorded, and the server goes on serving a client of this
+// revision.
 func TestTraceSkewOldClientTracedServer(t *testing.T) {
 	trace.Reset()
 	trace.SetSampleRate(1)
@@ -90,8 +93,17 @@ func TestTraceSkewOldClientTracedServer(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		if reply, err := io.ReadAll(conn); err != nil || len(reply) != 0 {
-			t.Fatalf("the server answered a revision-%d frame with % x (err %v), want the connection closed", rev, reply, err)
+		reply, err := io.ReadAll(conn)
+		if err != nil {
+			t.Fatalf("revision %d: %v", rev, err)
+		}
+		r := bytes.NewReader(reply)
+		mt, seq, _, payload, err := wire.ReadFrame(r)
+		if err != nil || mt != wire.MsgError || seq != 1 || r.Len() != 0 {
+			t.Fatalf("the server answered a revision-%d frame with % x (err %v), want one error frame for seq 1, then the connection closed", rev, reply, err)
+		}
+		if we, err := wire.DecodeError(payload); err != nil || we.Code != wire.CodeVersionMismatch {
+			t.Fatalf("revision %d: answered %v (%v), want version_mismatch", rev, we, err)
 		}
 	}
 	if recs := trace.Records(); len(recs) != 0 {

@@ -3,6 +3,8 @@ package wire
 import (
 	"testing"
 
+	"cham/internal/exp"
+	"cham/internal/lwe"
 	"cham/internal/mod"
 	"cham/internal/ring"
 	"cham/internal/rlwe"
@@ -42,7 +44,7 @@ func TestCiphertextEncodingRoundTrip(t *testing.T) {
 	for levels := 1; levels <= p.R.Levels(); levels++ {
 		for _, ntt := range []bool{false, true} {
 			ct := uniformCiphertext(t, p.R, levels, ntt)
-			buf := appendCiphertext(nil, ct)
+			buf := appendCiphertext(nil, p.R, ct)
 			if len(buf) != ciphertextLen(p.R, levels) {
 				t.Fatalf("levels=%d: %d bytes, ciphertextLen says %d", levels, len(buf), ciphertextLen(p.R, levels))
 			}
@@ -67,7 +69,7 @@ func TestEncryptedCiphertextRoundTrip(t *testing.T) {
 	for i := range pt.Coeffs {
 		pt.Coeffs[i] = rng.Uint64() % p.T.Q
 	}
-	back, err := decodeCiphertext(p.R, appendCiphertext(nil, p.Encrypt(rng, sk, pt, 3)))
+	back, err := decodeCiphertext(p.R, appendCiphertext(nil, p.R, p.Encrypt(rng, sk, pt, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,23 +83,31 @@ func TestEncryptedCiphertextRoundTrip(t *testing.T) {
 
 func TestCiphertextDecodeRejects(t *testing.T) {
 	p := testParams(t, 64)
-	good := appendCiphertext(nil, uniformCiphertext(t, p.R, 2, true))
+	good := appendCiphertext(nil, p.R, uniformCiphertext(t, p.R, 2, true))
+	w := limbWidth(p.R, 0)
 	ff := func(c []byte, at int) []byte {
-		for i := at; i < at+8; i++ {
+		for i := at; i < at+w; i++ {
 			c[i] = 0xFF
 		}
 		return c
 	}
+	// q_0 itself at its 5 bytes: the smallest residue that is not canonical.
+	q0 := func(c []byte) []byte {
+		putWords(c[2:2+w], []uint64{p.R.Moduli[0].Q}, w)
+		return c
+	}
 	cases := map[string]func([]byte) []byte{
-		"empty":              func(b []byte) []byte { return b[:0] },
-		"truncated header":   func(b []byte) []byte { return b[:1] },
-		"zero levels":        func(b []byte) []byte { c := clone(b); c[0] = 0; return c },
-		"too many levels":    func(b []byte) []byte { c := clone(b); c[0] = byte(p.R.Levels() + 1); return c },
-		"bad domain flag":    func(b []byte) []byte { c := clone(b); c[1] = 2; return c },
-		"short payload":      func(b []byte) []byte { return b[:len(b)-8] },
-		"long payload":       func(b []byte) []byte { return append(clone(b), 0) },
-		"residue overflow B": func(b []byte) []byte { return ff(clone(b), 2) },
-		"residue overflow A": func(b []byte) []byte { return ff(clone(b), len(b)-8) },
+		"empty":                      func(b []byte) []byte { return b[:0] },
+		"truncated header":           func(b []byte) []byte { return b[:1] },
+		"zero levels":                func(b []byte) []byte { c := clone(b); c[0] = 0; return c },
+		"too many levels":            func(b []byte) []byte { c := clone(b); c[0] = byte(p.R.Levels() + 1); return c },
+		"bad domain flag":            func(b []byte) []byte { c := clone(b); c[1] = 2; return c },
+		"short payload":              func(b []byte) []byte { return b[:len(b)-w] },
+		"truncated last coefficient": func(b []byte) []byte { return b[:len(b)-1] },
+		"residue equal to q":         func(b []byte) []byte { return q0(clone(b)) },
+		"long payload":               func(b []byte) []byte { return append(clone(b), 0) },
+		"residue overflow B":         func(b []byte) []byte { return ff(clone(b), 2) },
+		"residue overflow A":         func(b []byte) []byte { return ff(clone(b), len(b)-w) },
 	}
 	for name, corrupt := range cases {
 		if _, err := decodeCiphertext(p.R, corrupt(good)); err == nil {
@@ -116,7 +126,7 @@ func TestSwitchingKeyRoundTrip(t *testing.T) {
 	sk := p.KeyGen(rng)
 	sk2 := p.KeyGen(rng)
 	key := p.SwitchingKeyGen(rng, sk, sk2.Value)
-	buf := appendSwitchingKey(nil, key)
+	buf := appendSwitchingKey(nil, p.R, key)
 	if len(buf) != switchingKeyLen(p.R, key) {
 		t.Fatalf("%d bytes, switchingKeyLen says %d", len(buf), switchingKeyLen(p.R, key))
 	}
@@ -160,7 +170,7 @@ func TestCrossRingRejected(t *testing.T) {
 	p64 := testParams(t, 64)
 	r32 := ring.MustNew(32, mod.ChamModuli())
 	ct64 := uniformCiphertext(t, p64.R, 2, false)
-	if _, err := decodeCiphertext(r32, appendCiphertext(nil, ct64)); err == nil {
+	if _, err := decodeCiphertext(r32, appendCiphertext(nil, p64.R, ct64)); err == nil {
 		t.Error("a 64-degree ciphertext decoded in a 32-degree ring")
 	}
 	if _, err := DecodeApply(r32, EncodeApply(p64.R, Apply{Vector: []*rlwe.Ciphertext{ct64}})); err == nil {
@@ -198,7 +208,7 @@ func TestKeyBudgetMatchesURAM(t *testing.T) {
 	p := testParams(t, 4096)
 	rng := testutil.NewRand(t)
 	sk := p.KeyGen(rng)
-	perKey := len(appendSwitchingKey(nil, p.SwitchingKeyGen(rng, sk, sk.Value)))
+	perKey := len(appendSwitchingKey(nil, p.R, p.SwitchingKeyGen(rng, sk, sk.Value)))
 	total := 12 * perKey // log2(4096) packing keys
 	uramBytes := 150 * 288 * 1024 / 8
 	if total > 2*uramBytes {
@@ -207,4 +217,50 @@ func TestKeyBudgetMatchesURAM(t *testing.T) {
 	if total < uramBytes/4 {
 		t.Errorf("key set (%d bytes) implausibly small vs URAM budget (%d)", total, uramBytes)
 	}
+}
+
+// TestEncodingsWithinModel: the coefficients of every encoded ciphertext
+// and switching key take no more bytes than exp.PolyBytes charges for the
+// same polynomials — the model's transfer sizes are the program's.
+func TestEncodingsWithinModel(t *testing.T) {
+	p := testParams(t, 64)
+	n := p.R.N
+	for levels := 1; levels <= p.R.Levels(); levels++ {
+		body := len(appendCiphertext(nil, p.R, uniformCiphertext(t, p.R, levels, true))) - 2 // less levels and domain
+		if model := exp.PolyBytes(n, 2*levels); int64(body) > model {
+			t.Errorf("a %d-level ciphertext's coefficients take %d bytes, the model charges %d", levels, body, model)
+		}
+	}
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	key := p.SwitchingKeyGen(rng, sk, p.KeyGen(rng).Value)
+	digits := len(key.Bs)
+	body := len(appendSwitchingKey(nil, p.R, key)) - 1 - 2*digits // less the digit count and each digit's header
+	if model := exp.PolyBytes(n, 2*digits*p.R.Levels()); int64(body) > model {
+		t.Errorf("a %d-digit switching key's coefficients take %d bytes, the model charges %d", digits, body, model)
+	}
+}
+
+// TestLargestMessagesFitFrame: at CHAM's moduli and t, the largest matrix
+// a RegisterMatrix may carry and the largest key set a SetupKeys may carry
+// encode within DefaultMaxFrame, by the size functions the encoders
+// allocate from.
+func TestLargestMessagesFitFrame(t *testing.T) {
+	p := testParams(t, 4096)
+	matrix := registerMatrixLen(4096, MaxMatrixEntries/4096, wordWidth(p.T.Q-1))
+	if matrix > int(DefaultMaxFrame) {
+		t.Errorf("a %d-entry matrix reduced mod t=%d encodes to %d bytes, over the %d-byte frame limit",
+			MaxMatrixEntries, p.T.Q, matrix, DefaultMaxFrame)
+	}
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	key := p.SwitchingKeyGen(rng, sk, sk.Value)
+	keys := &lwe.PackingKeys{M: p.R.N, Keys: map[int]*rlwe.SwitchingKey{}}
+	for k := range MaxKeyEntries {
+		keys.Keys[2*k+1] = key // sizes only: one key stands for every entry
+	}
+	if size := setupKeysLen(p.R, keys); size > int(DefaultMaxFrame) {
+		t.Errorf("a %d-key set encodes to %d bytes, over the %d-byte frame limit", MaxKeyEntries, size, DefaultMaxFrame)
+	}
+	t.Logf("largest matrix %d bytes, largest key set %d bytes, frame limit %d", matrix, setupKeysLen(p.R, keys), DefaultMaxFrame)
 }

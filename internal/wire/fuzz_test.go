@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
 	"math/rand"
 	"slices"
 	"sync"
@@ -40,14 +42,33 @@ func wireFuzzSetup() error {
 	return wireFuzz.err
 }
 
+// Corruptions FuzzWireRoundTrip applies to what it encoded, each of which
+// the decoder must refuse.
+const (
+	corruptNone      = iota
+	corruptResidue   // one residue of the Apply's vector at q_l or above, at its 5 bytes
+	corruptTruncated // the Apply's last coefficient one byte short
+	corruptWidthZero // the matrix's width byte 0
+	corruptWidthNine // the matrix's width byte 9
+	corruptWidthWide // the matrix re-encoded one byte wider than its largest entry needs
+	corruptions
+)
+
 // FuzzWireRoundTrip checks encode∘decode identity on fuzz-chosen protocol
-// objects: matrices, apply requests, results and errors must survive a
-// trip through their encodings bit for bit.
+// objects: matrices (entries below a fuzz-chosen bound, so every width
+// from 1 to 3 bytes), apply requests, results and errors must survive a
+// trip through their encodings bit for bit — and one fuzz-chosen
+// corruption of those encodings must be refused.
 func FuzzWireRoundTrip(f *testing.F) {
-	f.Add(uint8(2), uint8(40), int64(1), uint16(3))
-	f.Add(uint8(7), uint8(90), int64(-9), uint16(1))
-	f.Add(uint8(1), uint8(1), int64(0), uint16(9))
-	f.Fuzz(func(t *testing.T, rowsSel, colsSel uint8, seed int64, code uint16) {
+	f.Add(uint8(2), uint8(40), int64(1), uint16(3), uint8(corruptNone))
+	f.Add(uint8(7), uint8(90), int64(-9), uint16(1), uint8(corruptNone))
+	f.Add(uint8(1), uint8(1), int64(0), uint16(9), uint8(corruptNone))
+	f.Add(uint8(3), uint8(33), int64(5), uint16(2), uint8(corruptResidue))
+	f.Add(uint8(2), uint8(70), int64(6), uint16(4), uint8(corruptTruncated))
+	f.Add(uint8(4), uint8(12), int64(7), uint16(5), uint8(corruptWidthZero))
+	f.Add(uint8(5), uint8(64), int64(8), uint16(6), uint8(corruptWidthNine))
+	f.Add(uint8(6), uint8(3), int64(9), uint16(7), uint8(corruptWidthWide))
+	f.Fuzz(func(t *testing.T, rowsSel, colsSel uint8, seed int64, code uint16, corrupt uint8) {
 		if err := wireFuzzSetup(); err != nil {
 			t.Fatal(err)
 		}
@@ -55,13 +76,14 @@ func FuzzWireRoundTrip(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		rows := 1 + int(rowsSel)%8
 		cols := 1 + int(colsSel)%(3*p.R.N)
+		bound := min(p.T.Q, 1<<(8*(1+int(rowsSel/8)%3)))
 
 		// Matrix: canonical encoding, stable ID, exact values back.
 		A := make([][]uint64, rows)
 		for i := range A {
 			A[i] = make([]uint64, cols)
 			for j := range A[i] {
-				A[i][j] = rng.Uint64() % p.T.Q
+				A[i][j] = rng.Uint64() % bound
 			}
 		}
 		payload, err := EncodeRegisterMatrix(A)
@@ -83,6 +105,28 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if !bytes.Equal(payload, payload2) {
 			t.Fatal("matrix encoding not canonical")
 		}
+		if id, _ := MatrixID(A); id != sha256.Sum256(payload) {
+			t.Fatal("MatrixID is not the hash of the matrix's encoding")
+		}
+		w := int(payload[matrixHeaderLen-1])
+		switch corrupt % corruptions {
+		case corruptWidthZero, corruptWidthNine:
+			bad := slices.Clone(payload)
+			bad[matrixHeaderLen-1] = map[uint8]byte{corruptWidthZero: 0, corruptWidthNine: 9}[corrupt%corruptions]
+			if _, err := DecodeRegisterMatrix(p.T.Q, bad); err == nil {
+				t.Fatalf("a matrix with width byte %d decoded", bad[matrixHeaderLen-1])
+			}
+		case corruptWidthWide:
+			wide := appendMatrixHeader(nil, rows, cols, w+1)
+			for _, row := range A {
+				body := make([]byte, len(row)*(w+1))
+				putWords(body, row, w+1)
+				wide = append(wide, body...)
+			}
+			if _, err := DecodeRegisterMatrix(p.T.Q, wide); err == nil {
+				t.Fatalf("a matrix that fits %d bytes decoded at %d", w, w+1)
+			}
+		}
 
 		// Apply + Result with a real encrypted vector.
 		v := make([]uint64, cols)
@@ -97,12 +141,34 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		a.ID = id
-		back, err := DecodeApply(p.R, EncodeApply(p.R, a))
+		aBytes := EncodeApply(p.R, a)
+		back, err := DecodeApply(p.R, aBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if back.ID != a.ID || back.DeadlineMicros != a.DeadlineMicros || len(back.Vector) != len(ctV) {
 			t.Fatal("apply header changed")
+		}
+		switch corrupt % corruptions {
+		case corruptResidue:
+			// A fuzz-chosen coefficient of the first chunk, raised to q_l or
+			// above within its width.
+			l := rng.Intn(p.R.Levels())
+			lw := limbWidth(p.R, l)
+			off := 32 + 8 + 4 + 4 + 2 // ID, deadline, empty tile list, count, levels and domain
+			for k := range l {
+				off += p.R.N * limbWidth(p.R, k)
+			}
+			off += rng.Intn(p.R.N) * lw
+			q := p.R.Moduli[l].Q
+			putWords(aBytes[off:off+lw], []uint64{q + rng.Uint64()%(1<<(8*lw)-q)}, lw)
+			if _, err := DecodeApply(p.R, aBytes); err == nil {
+				t.Fatalf("a residue at or above q_%d decoded", l)
+			}
+		case corruptTruncated:
+			if _, err := DecodeApply(p.R, aBytes[:len(aBytes)-1]); err == nil {
+				t.Fatal("an Apply short of its last coefficient's last byte decoded")
+			}
 		}
 		for c := range ctV {
 			if !sameCiphertext(back.Vector[c], ctV[c]) {
@@ -210,7 +276,8 @@ func FuzzWireClusterDecode(f *testing.F) {
 // FuzzWireTraceHeaderDecode covers the one frame reader: round-trip
 // identity of header, trace block and body, totality over arbitrary bytes
 // (what it accepts re-encodes to the bytes it read), and refusal of
-// headers of revisions 1 to 3 and of unknown trace flags.
+// headers of revisions 1 to 4, as a VersionError, and of unknown trace
+// flags.
 func FuzzWireTraceHeaderDecode(f *testing.F) {
 	th := TraceHeader{Flags: TraceFlagSampled}
 	for i := range th.TraceID {
@@ -249,11 +316,12 @@ func FuzzWireTraceHeaderDecode(f *testing.F) {
 		}
 
 		// An older revision, or a flag bit beyond sampled, is refused.
-		for _, v := range []byte{1, 2, 3} {
+		for _, v := range []byte{1, 2, 3, 4} {
 			old := append([]byte(nil), frame...)
 			old[4] = v
-			if _, _, _, _, err := ReadFrame(bytes.NewReader(old)); err == nil {
-				t.Fatalf("a revision-%d header was accepted", v)
+			var ve *VersionError
+			if _, _, _, _, err := ReadFrame(bytes.NewReader(old)); !errors.As(err, &ve) || ve.Seq != gs {
+				t.Fatalf("a revision-%d header read as %v, want a VersionError carrying seq %d", v, err, gs)
 			}
 		}
 		flagged := append([]byte(nil), frame...)
@@ -287,6 +355,20 @@ func FuzzWireDecode(f *testing.F) {
 		}}))
 		f.Add(Errf(CodeInternal, "boom").Encode())
 		f.Add(EncodeApply(p.R, Apply{Tiles: []uint32{0, 2}, Vector: ctV}))
+		// Non-canonical packed words: a 5-byte residue at q_0 and above, an
+		// Apply short of its last coefficient's last byte, and matrices at
+		// widths 0, 9 and one wider than their entries need.
+		over := EncodeApply(p.R, Apply{Vector: ctV})
+		for i := 0; i < limbWidth(p.R, 0); i++ {
+			over[32+8+4+4+2+i] = 0xFF
+		}
+		f.Add(over)
+		short := EncodeApply(p.R, Apply{Vector: ctV})
+		f.Add(short[:len(short)-1])
+		for _, w := range []byte{0, 9, 2} {
+			m := appendMatrixHeader(nil, 2, 2, int(w))
+			f.Add(append(m, make([]byte, 4*int(w))...))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := wireFuzzSetup(); err != nil {

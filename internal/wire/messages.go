@@ -30,8 +30,9 @@ const (
 	MaxVectorChunks = 4096
 	// MaxErrorDetail bounds the detail string of an Error message.
 	MaxErrorDetail = 4096
-	// MaxMatrixEntries bounds rows*cols of a RegisterMatrix (a 4096×16384
-	// matrix is 64 Mi entries).
+	// MaxMatrixEntries bounds rows*cols of a RegisterMatrix. A 4096×16384
+	// matrix is 64 Mi entries; reduced mod t = 65537 they take 3 bytes
+	// each, a 192 MiB payload, inside DefaultMaxFrame.
 	MaxMatrixEntries = 1 << 26
 )
 
@@ -101,20 +102,27 @@ func DecodeHelloOK(payload []byte) (HelloOK, error) {
 // encoding canonical, so KeyHash names the key set).
 func EncodeSetupKeys(r *ring.Ring, keys *lwe.PackingKeys) []byte {
 	idx := make([]int, 0, len(keys.Keys))
-	size := 8
-	for k, swk := range keys.Keys {
+	for k := range keys.Keys {
 		idx = append(idx, k)
-		size += 4 + switchingKeyLen(r, swk)
 	}
 	sort.Ints(idx)
-	b := make([]byte, 0, size)
+	b := make([]byte, 0, setupKeysLen(r, keys))
 	b = appendU32(b, uint32(keys.M))
 	b = appendU32(b, uint32(len(idx)))
 	for _, k := range idx {
 		b = appendU32(b, uint32(k))
-		b = appendSwitchingKey(b, keys.Keys[k])
+		b = appendSwitchingKey(b, r, keys.Keys[k])
 	}
 	return b
+}
+
+// setupKeysLen is the encoded size of a packing-key set.
+func setupKeysLen(r *ring.Ring, keys *lwe.PackingKeys) int {
+	n := 8
+	for _, swk := range keys.Keys {
+		n += 4 + switchingKeyLen(r, swk)
+	}
+	return n
 }
 
 // DecodeSetupKeys parses and validates a packing-key set against the ring.
@@ -164,37 +172,68 @@ func DecodeSetupKeysOK(payload []byte) (SetupKeysOK, error) {
 	return s, d.Done()
 }
 
-// EncodeRegisterMatrix serializes a cleartext matrix row-major. All values
-// must already be reduced mod t; decode enforces it.
-func EncodeRegisterMatrix(A [][]uint64) ([]byte, error) {
+// matrixHeaderLen is a RegisterMatrix's rows(4) cols(4) width(1).
+const matrixHeaderLen = 9
+
+// registerMatrixLen is the encoded size of a rows×cols matrix whose
+// entries take w bytes each.
+func registerMatrixLen(rows, cols, w int) int { return matrixHeaderLen + w*rows*cols }
+
+// matrixWidth checks A's shape against what a RegisterMatrix may carry and
+// returns its entry width: the fewest whole bytes that hold its largest
+// entry, 3 for any matrix reduced mod t = 65537 with an entry ≥ 2^16.
+func matrixWidth(A [][]uint64) (int, error) {
 	rows := len(A)
 	if rows == 0 || len(A[0]) == 0 {
-		return nil, fmt.Errorf("wire: empty matrix")
+		return 0, fmt.Errorf("wire: empty matrix")
 	}
 	cols := len(A[0])
 	if int64(rows)*int64(cols) > MaxMatrixEntries {
-		return nil, fmt.Errorf("wire: matrix of %d×%d entries exceeds limit %d", rows, cols, MaxMatrixEntries)
+		return 0, fmt.Errorf("wire: matrix of %d×%d entries exceeds limit %d", rows, cols, MaxMatrixEntries)
 	}
-	b := make([]byte, 0, 8+8*rows*cols)
-	b = appendU32(b, uint32(rows))
-	b = appendU32(b, uint32(cols))
+	var largest uint64
 	for i, row := range A {
 		if len(row) != cols {
-			return nil, fmt.Errorf("wire: ragged matrix row %d", i)
+			return 0, fmt.Errorf("wire: ragged matrix row %d", i)
 		}
 		for _, v := range row {
-			b = appendU64(b, v)
+			largest = max(largest, v)
 		}
+	}
+	return wordWidth(largest), nil
+}
+
+// appendMatrixHeader appends a RegisterMatrix's shape and entry width.
+func appendMatrixHeader(dst []byte, rows, cols, w int) []byte {
+	dst = appendU32(dst, uint32(rows))
+	dst = appendU32(dst, uint32(cols))
+	return append(dst, byte(w))
+}
+
+// EncodeRegisterMatrix serializes a cleartext matrix row-major, every
+// entry at the matrix's width (matrixWidth). All values must already be
+// reduced mod t; decode enforces it. The width follows from the content,
+// so the encoding stays canonical and MatrixID needs no t.
+func EncodeRegisterMatrix(A [][]uint64) ([]byte, error) {
+	w, err := matrixWidth(A)
+	if err != nil {
+		return nil, err
+	}
+	rows, cols := len(A), len(A[0])
+	b := make([]byte, registerMatrixLen(rows, cols, w))
+	appendMatrixHeader(b[:0], rows, cols, w)
+	for i, row := range A {
+		putWords(b[matrixHeaderLen+i*cols*w:][:cols*w], row, w)
 	}
 	return b, nil
 }
 
-// DecodeRegisterMatrix parses a matrix, validating shape and that every
-// entry is a residue mod t.
+// DecodeRegisterMatrix parses a matrix, validating its shape, that its
+// width is the smallest that holds its largest entry (so a matrix has one
+// encoding and one ID), and that every entry is a residue mod t.
 func DecodeRegisterMatrix(t uint64, payload []byte) ([][]uint64, error) {
 	d := NewReader(payload)
-	rows := d.U32()
-	cols := d.U32()
+	rows, cols, w := d.U32(), d.U32(), int(d.U8())
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
@@ -205,32 +244,53 @@ func DecodeRegisterMatrix(t uint64, payload []byte) ([][]uint64, error) {
 	if entries > MaxMatrixEntries {
 		return nil, fmt.Errorf("wire: matrix of %d×%d entries exceeds limit %d", rows, cols, MaxMatrixEntries)
 	}
-	if uint64(len(payload)-8) != 8*entries {
-		return nil, fmt.Errorf("wire: matrix payload %d bytes, want %d", len(payload)-8, 8*entries)
+	if w < 1 || w > 8 {
+		return nil, fmt.Errorf("wire: matrix entry width %d outside 1 to 8 bytes", w)
+	}
+	if body := uint64(len(payload) - matrixHeaderLen); body != uint64(w)*entries {
+		return nil, fmt.Errorf("wire: matrix payload %d bytes, want %d", body, uint64(w)*entries)
 	}
 	A := make([][]uint64, rows)
 	backing := make([]uint64, entries)
+	body, stride := payload[matrixHeaderLen:], int(cols)*w
+	var largest uint64
 	for i := range A {
 		A[i], backing = backing[:cols], backing[cols:]
-		for j := range A[i] {
-			v := d.U64()
-			if v >= t {
-				return nil, fmt.Errorf("wire: matrix entry (%d,%d)=%d not reduced mod t=%d", i, j, v, t)
-			}
-			A[i][j] = v
+		largest = max(largest, getWords(A[i], body[i*stride:][:stride], w))
+		if largest >= t {
+			j := firstAtOrAbove(A[i], t)
+			return nil, fmt.Errorf("wire: matrix entry (%d,%d)=%d not reduced mod t=%d", i, j, A[i][j], t)
 		}
 	}
-	return A, d.Done()
+	if need := wordWidth(largest); need != w {
+		return nil, fmt.Errorf("wire: matrix entries sent at %d bytes, its largest fits %d", w, need)
+	}
+	return A, nil
 }
 
 // MatrixID names a matrix by the SHA-256 of its canonical encoding, so
 // registration is idempotent and a client can derive the handle offline.
+// The encoding streams into the hash through a small buffer and is never
+// built whole.
 func MatrixID(A [][]uint64) ([32]byte, error) {
-	payload, err := EncodeRegisterMatrix(A)
+	w, err := matrixWidth(A)
 	if err != nil {
 		return [32]byte{}, err
 	}
-	return sha256.Sum256(payload), nil
+	h := sha256.New()
+	buf := make([]byte, 8<<10)
+	h.Write(appendMatrixHeader(buf[:0], len(A), len(A[0]), w))
+	for _, row := range A {
+		for len(row) > 0 {
+			k := min(len(row), len(buf)/w)
+			putWords(buf[:k*w], row[:k], w)
+			h.Write(buf[:k*w])
+			row = row[k:]
+		}
+	}
+	var id [32]byte
+	h.Sum(id[:0])
+	return id, nil
 }
 
 // KeyHash names a packing-key set by the SHA-256 of its canonical encoding.
@@ -290,7 +350,7 @@ func EncodeApply(r *ring.Ring, a Apply) []byte {
 	b = append(b, a.ID[:]...)
 	b = appendU64(b, a.DeadlineMicros)
 	b = appendTileList(b, a.Tiles)
-	return appendCiphertexts(b, a.Vector)
+	return appendCiphertexts(b, r, a.Vector)
 }
 
 // DecodeApply parses the request, validating the tile list and each vector
@@ -322,7 +382,7 @@ func EncodeResult(r *ring.Ring, res Result) []byte {
 	b = appendU32(b, res.M)
 	b = appendU32(b, res.N)
 	b = appendTileList(b, res.Tiles)
-	return appendCiphertexts(b, res.Packed)
+	return appendCiphertexts(b, r, res.Packed)
 }
 
 // DecodeResult parses a result and holds its header to what it carries,

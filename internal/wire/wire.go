@@ -14,19 +14,23 @@
 // client can detect desynchronised streams. The 25-byte trace block is the
 // request's trace context (DESIGN.md §9), all zero when it is untraced; a
 // reply carries a zero block, since spans travel out of band through each
-// node's ring. There is no negotiation: a peer of another revision is
-// refused on its first 12 bytes.
+// node's ring. There is no negotiation: a frame of another revision is
+// refused on its first 12 bytes with a *VersionError, which a door
+// answers with CodeVersionMismatch before it closes the connection.
 //
-// Message bodies carry crypto objects in one encoding (crypto.go): a
-// ciphertext is a level count, a domain flag and its limbs, N being fixed
-// by the Hello handshake; a switching key is its digit pairs. There is one
-// compute request, Apply — every row tile or a listed subset — answered
-// by one Result. SHA-256 over canonical encodings names key sets and
-// registered matrices.
+// Message bodies carry values at their own width: crypto objects in one
+// encoding (crypto.go) — a ciphertext is a level count, a domain flag and
+// its limbs at ⌈bits(q_l)/8⌉ bytes a residue, N and the moduli being
+// fixed by the Hello handshake; a switching key is its digit pairs — and
+// a registered matrix at the fewest bytes that hold its largest entry.
+// There is one compute request, Apply — every row tile or a listed subset
+// — answered by one Result. SHA-256 over canonical encodings names key
+// sets and registered matrices.
 //
 // Every decoder is strict and bounds-checked: malformed, truncated, or
 // oversized input yields an error, never a panic, and never an allocation
-// larger than the input that claimed it (FuzzWireDecode enforces this).
+// the input does not account for — at most the 8-byte words its packed
+// values unpack to (FuzzWireDecode enforces this).
 package wire
 
 import (
@@ -40,12 +44,12 @@ import (
 // little-endian bytes).
 const FrameMagic uint32 = 0x56574843
 
-// FrameVersion is the protocol revision: frames carry a trace block, and
+// FrameVersion is the protocol revision: frames carry a trace block,
 // compute is one Apply (every tile or a listed subset) answered by one
-// Result, their ciphertexts in this package's own encoding. ReadFrame
-// refuses a frame of any other revision, so a peer of another build is
-// turned away at its first frame and its connection closes.
-const FrameVersion = 4
+// Result, and residues and matrix entries travel at their own width.
+// ReadFrame refuses a frame of any other revision with a *VersionError,
+// so a peer of another build is turned away at its first frame.
+const FrameVersion = 5
 
 // framePrefixLen is magic(4)+version(1)+type(1)+seq(2)+length(4): the part
 // of the header every revision shares.
@@ -62,8 +66,9 @@ const FrameHeaderLen = framePrefixLen + TraceHeaderLen
 const TraceFlagSampled = 0x01
 
 // DefaultMaxFrame bounds every accepted frame payload, at every door and
-// in the client (256 MiB covers the largest key set at production
-// parameters with wide margin).
+// in the client, which refuses a larger one before it dials. 256 MiB holds
+// the largest legal matrix at t = 65537 (192 MiB) and the largest key set
+// at production parameters with wide margin.
 const DefaultMaxFrame uint32 = 1 << 28
 
 // frameAllocStep bounds what ReadFrame allocates for a payload before its
@@ -163,11 +168,11 @@ func ReadFrame(r io.Reader) (MsgType, uint16, TraceHeader, []byte, error) {
 		return 0, 0, TraceHeader{}, nil, fmt.Errorf("wire: bad frame magic")
 	}
 	if hdr[4] != FrameVersion {
-		return 0, 0, TraceHeader{}, nil, fmt.Errorf("wire: unsupported protocol version %d", hdr[4])
+		return 0, 0, TraceHeader{}, nil, &VersionError{Version: hdr[4], Seq: binary.LittleEndian.Uint16(hdr[6:])}
 	}
 	n := binary.LittleEndian.Uint32(hdr[8:])
 	if n > DefaultMaxFrame {
-		return 0, 0, TraceHeader{}, nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, DefaultMaxFrame)
+		return 0, 0, TraceHeader{}, nil, &FrameSizeError{Size: uint64(n)}
 	}
 	if _, err := io.ReadFull(r, hdr[framePrefixLen:]); err != nil {
 		return 0, 0, TraceHeader{}, nil, fmt.Errorf("wire: truncated trace block: %w", err)

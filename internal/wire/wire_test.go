@@ -2,13 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"io"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
 	"cham/internal/bfv"
@@ -73,7 +73,7 @@ func TestFrameLayout(t *testing.T) {
 		th.SpanID[i] = 0xa0 + byte(i)
 	}
 	want, err := hex.DecodeString("43485756" + // magic "CHWV"
-		"04" + // version
+		"05" + // version
 		"07" + // type: Apply
 		"0201" + // seq 0x0102
 		"02000000" + // payload length
@@ -106,11 +106,15 @@ func TestFrameRejections(t *testing.T) {
 		t.Fatal("bad magic accepted")
 	}
 
-	for _, v := range []byte{1, 2, 3, 99} {
-		bad = append([]byte(nil), good...)
+	// Every other revision is a typed refusal that carries the frame's
+	// sequence number, so a door can answer it.
+	for _, v := range []byte{1, 2, 3, 4, 99} {
+		bad = AppendFrame(nil, MsgHello, 0x0102, TraceHeader{}, nil)
 		bad[4] = v
-		if _, _, _, _, err := ReadFrame(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("version %d accepted", v)
+		_, _, _, _, err := ReadFrame(bytes.NewReader(bad))
+		var ve *VersionError
+		if !errors.As(err, &ve) || ve.Version != v || ve.Seq != 0x0102 {
+			t.Fatalf("version %d: got %v, want a VersionError for revision %d, seq 0x0102", v, err, v)
 		}
 	}
 
@@ -124,7 +128,8 @@ func TestFrameRejections(t *testing.T) {
 	// Oversized length rejected before the body is read.
 	over := AppendFrame(nil, MsgPing, 0, TraceHeader{}, make([]byte, 100))
 	binary.LittleEndian.PutUint32(over[8:], DefaultMaxFrame+1)
-	if _, _, _, _, err := ReadFrame(bytes.NewReader(over)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	var fe *FrameSizeError
+	if _, _, _, _, err := ReadFrame(bytes.NewReader(over)); !errors.As(err, &fe) || fe.Size != uint64(DefaultMaxFrame)+1 {
 		t.Fatalf("oversized frame: got %v, want the limit error", err)
 	}
 
@@ -297,6 +302,69 @@ func TestRegisterMatrixRoundTrip(t *testing.T) {
 	}
 	if _, err := EncodeRegisterMatrix(nil); err == nil {
 		t.Fatal("empty matrix encoded")
+	}
+}
+
+// TestRegisterMatrixWidth: a matrix travels at the fewest whole bytes that
+// hold its largest entry, and the decoder refuses it at any other width —
+// 0, 9 or wider than needed — so one matrix has one encoding and one ID.
+func TestRegisterMatrixWidth(t *testing.T) {
+	p := testParams(t, 64)
+	for _, c := range []struct {
+		max uint64
+		w   int
+	}{{0, 1}, {255, 1}, {256, 2}, {65535, 2}, {p.T.Q - 1, 3}} {
+		A := [][]uint64{{1, c.max, 0}, {2, 3, 4}}
+		payload, err := EncodeRegisterMatrix(A)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(payload) != registerMatrixLen(2, 3, c.w) || int(payload[8]) != c.w {
+			t.Fatalf("largest entry %d: %d bytes at width %d, want %d at width %d",
+				c.max, len(payload), payload[8], registerMatrixLen(2, 3, c.w), c.w)
+		}
+		got, err := DecodeRegisterMatrix(p.T.Q, payload)
+		if err != nil || !slices.Equal(got[0], A[0]) || !slices.Equal(got[1], A[1]) {
+			t.Fatalf("largest entry %d: round trip gave %v, %v", c.max, got, err)
+		}
+		for _, w := range []int{0, c.w + 1, 8, 9} {
+			if w == c.w {
+				continue
+			}
+			wide := appendMatrixHeader(nil, 2, 3, w)
+			if w >= 1 && w <= 8 {
+				body := make([]byte, 6*w)
+				putWords(body, append(slices.Clone(A[0]), A[1]...), w)
+				wide = append(wide, body...)
+			}
+			if _, err := DecodeRegisterMatrix(p.T.Q, wide); err == nil {
+				t.Errorf("largest entry %d: accepted at width %d, the matrix needs %d", c.max, w, c.w)
+			}
+		}
+	}
+}
+
+// TestMatrixIDStreams: MatrixID hashes the encoding through a small buffer
+// and reads exactly the hash of EncodeRegisterMatrix's bytes, at rows
+// that span the buffer several times over and at every width.
+func TestMatrixIDStreams(t *testing.T) {
+	rng := testutil.NewRand(t)
+	for _, c := range []struct {
+		rows, cols int
+		bound      uint64
+	}{{1, 1, 1}, {3, 5000, 65537}, {2, 9000, 200}, {4, 3000, 1 << 16}, {2, 1500, 1 << 63}} {
+		A := testutil.Matrix(rng, c.rows, c.cols, c.bound)
+		payload, err := EncodeRegisterMatrix(A)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := MatrixID(A)
+		if err != nil || id != sha256.Sum256(payload) {
+			t.Fatalf("%d×%d below %d: MatrixID %x (%v), the encoding hashes to %x", c.rows, c.cols, c.bound, id, err, sha256.Sum256(payload))
+		}
+	}
+	if _, err := MatrixID([][]uint64{{1, 2}, {3}}); err == nil {
+		t.Fatal("MatrixID named a ragged matrix")
 	}
 }
 
