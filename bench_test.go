@@ -540,7 +540,10 @@ func BenchmarkFig5Floorplan(b *testing.B) {
 // special limb out, writing the row its next call reads. The broadcast
 // sweep runs as MulScalar (the apply's â·2^52) and as BFV's Δ·m, lifted
 // from t and accumulated; the row encode is Prepare's, a full row at the
-// scale of a 32-row tile. On a host without AVX-512 IFMA only the generic
+// scale of a 32-row tile. The row MAC sweeps one first-level pair against
+// a vector of 1 chunk (the design point) and of 4 (matmul_fresh_wide's
+// 16384 columns), so its per-pair cost here sits beside what an apply's
+// row_mul stage reads. On a host without AVX-512 IFMA only the generic
 // halves run.
 func BenchmarkKernels(b *testing.B) {
 	const n = 4096
@@ -558,7 +561,20 @@ func BenchmarkKernels(b *testing.B) {
 	}
 	x, y, z, w := poly(1, true), poly(1, true), poly(1, true), poly(1, true)
 	o0, o1 := poly(1, true), poly(1, true)
-	dot := make([][2][2]uint64, 1)
+	// pairMAC returns one pair's row MAC over chunks chunks: P+, P−, b̂ and
+	// â (any canonical words stand for its Montgomery form) as runs.
+	pairMAC := func(chunks int) func() {
+		run := func() []uint64 {
+			w := make([]uint64, 0, chunks*n)
+			for c := 0; c < chunks; c++ {
+				w = append(w, poly(1, true).Coeffs[0]...)
+			}
+			return w
+		}
+		xP, xM, yB, yA := run(), run(), run(), run()
+		dotP, dotM := make([][2][2]uint64, 1), make([][2][2]uint64, 1)
+		return func() { r.MulCoeffMontDotPair(dotP, dotM, o0, o1, xP, xM, yB, yA, chunks) }
+	}
 	my, mw := r.NewPoly(1), r.NewPoly(1) // y and w in Montgomery form
 	r.MulScalar(my, y, 1<<52)
 	r.MulScalar(mw, w, 1<<52)
@@ -595,8 +611,8 @@ func BenchmarkKernels(b *testing.B) {
 		{"InverseNTT512", func() { tab512.InverseLazy(row512) }},
 		{"MonomialSplit", func() { r.MonomialSplitNTT(o0, o1, x, y, 16) }}, // the deepest merge's z
 		{"MulMontPairAdd", func() { r.MulCoeffMontPairAdd(o0, x, my, z, mw) }},
-		{"MulMontDot", func() { r.MulCoeffMontDot(dot, o1, x, y, mw, false) }},
-		{"MulMontDotAdd", func() { r.MulCoeffMontDot(dot, o1, x, y, mw, true) }},
+		{"MulMontDotPair", pairMAC(1)},
+		{"MulMontDotPair4", pairMAC(4)},
 		{"MulMont", func() { r.MulCoeffMont(o1, x, my, false) }},
 		{"MulMontAdd", func() { r.MulCoeffMont(o1, x, my, true) }},
 		{"MulScalar", func() { r.MulScalar(o1, x, 1<<52) }},

@@ -124,7 +124,9 @@ func NewBatchEvaluator(p Params, rng *rand.Rand, sk *SecretKey) (*BatchEvaluator
 	return core.NewBatchEvaluator(p, rng, sk)
 }
 
-// EncryptVector encrypts v into ⌈len(v)/N⌉ augmented ciphertexts.
+// EncryptVector encrypts v into ⌈len(v)/N⌉ augmented ciphertexts, NTT
+// domain: the form an apply reads them in, so neither side transforms a
+// chunk twice.
 func EncryptVector(p Params, rng *rand.Rand, sk *SecretKey, v []uint64) []*Ciphertext {
 	return core.EncryptVector(p, rng, sk, v)
 }

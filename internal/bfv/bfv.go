@@ -126,18 +126,34 @@ func (p Params) Lift(pt *Plaintext, levels int) *ring.Poly {
 	return out
 }
 
-// Encrypt encrypts pt under sk at the given level count: ct = Enc(0) + Δ·pt.
+// Encrypt encrypts pt under sk at the given level count, coefficient
+// domain: EncryptNTT's ciphertext transformed back, the form extraction
+// and the key switch take.
 func (p Params) Encrypt(rng *rand.Rand, sk *rlwe.SecretKey, pt *Plaintext, levels int) *rlwe.Ciphertext {
-	ct := p.EncryptZeroSym(rng, sk, levels)
-	p.addScaled(ct.B, pt)
+	ct := p.EncryptNTT(rng, sk, pt, levels)
+	p.R.INTT(ct.B)
+	p.R.INTT(ct.A)
 	return ct
 }
 
-// EncryptPK is Encrypt using a public key.
-func (p Params) EncryptPK(rng *rand.Rand, pk *rlwe.PublicKey, pt *Plaintext, levels int) *rlwe.Ciphertext {
-	ct := p.EncryptZeroPK(rng, pk, levels)
-	p.addScaled(ct.B, pt)
-	return ct
+// EncryptNTT encrypts pt under sk at the given level count, NTT domain:
+// Δ·pt is added to the noise before its one forward transform
+// (rlwe.EncryptSym), so the ciphertext is Encrypt's transformed, word for
+// word, from the same generator state.
+func (p Params) EncryptNTT(rng *rand.Rand, sk *rlwe.SecretKey, pt *Plaintext, levels int) *rlwe.Ciphertext {
+	return p.EncryptSym(rng, sk, p.scaled(pt, levels))
+}
+
+// EncryptPKNTT is EncryptNTT using a public key (rlwe.EncryptPK).
+func (p Params) EncryptPKNTT(rng *rand.Rand, pk *rlwe.PublicKey, pt *Plaintext, levels int) *rlwe.Ciphertext {
+	return p.EncryptPK(rng, pk, p.scaled(pt, levels))
+}
+
+// scaled returns Δ·pt over levels limbs, coefficient domain.
+func (p Params) scaled(pt *Plaintext, levels int) *ring.Poly {
+	b := p.R.NewPoly(levels)
+	p.addScaled(b, pt)
+	return b
 }
 
 // Decrypt recovers the plaintext: m = ⌊t·phase/Q⌉ mod t per coefficient.

@@ -65,7 +65,7 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 					levels, i, dec.Coeffs[i], pt.Coeffs[i])
 			}
 		}
-		ctPK := p.EncryptPK(rng, pk, pt, levels)
+		ctPK := p.EncryptPKNTT(rng, pk, pt, levels)
 		decPK := p.Decrypt(ctPK, sk)
 		for i := range pt.Coeffs {
 			if decPK.Coeffs[i] != pt.Coeffs[i] {

@@ -166,6 +166,43 @@ func TestHMVPDifferentialN256(t *testing.T) {
 	runDifferential(t, p, sk, keys, A, v, ctV)
 }
 
+// TestHMVPDifferentialChunkGroups holds the row MAC's chunk groups to the
+// reference: the sweep sums a group of chunks wide and reduces once — at
+// the CHAM moduli a group is 2^12 chunks, the lane-sum limit — and a later
+// group adds into the outputs. At N=16 the vector spans 1, 2 and 5 chunks
+// under a 5-row matrix, whose odd rows leave half-empty pairs, and a
+// 17-row one, a full tile and a one-row tile; and 2^12+1 chunks (a second
+// group of one) under 3 rows and under a one-row tile, the reference's
+// slowest shapes, which -short skips. Every worker count.
+func TestHMVPDifferentialChunkGroups(t *testing.T) {
+	rng := testutil.NewRand(t)
+	p := testParams(t, 16)
+	sk := p.KeyGen(rng)
+	ev, err := core.NewEvaluator(p, rng, sk, p.R.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := &evKeys{opt: ev.Keys, ref: ref.Keys(p, ev.Keys)}
+	n := p.R.N
+	for _, chunks := range []int{1, 2, 5, 1<<12 + 1} {
+		shapes := []int{5, n + 1}
+		if chunks > 5 {
+			if testing.Short() {
+				continue
+			}
+			shapes = []int{3, 1}
+		}
+		for _, rows := range shapes {
+			t.Run(fmt.Sprintf("%dchunks/%drows", chunks, rows), func(t *testing.T) {
+				cols := (chunks-1)*n + 3
+				A := testutil.Matrix(rng, rows, cols, p.T.Q)
+				v := testutil.Vector(rng, cols, p.T.Q)
+				runDifferential(t, p, sk, keys, A, v, core.EncryptVector(p, rng, sk, v))
+			})
+		}
+	}
+}
+
 // TestHMVPDifferentialNoise runs the differential check at N=512 with
 // dense rows and, via the reference trace, measures the actual noise at
 // every stage boundary of Alg. 1 against the analytic estimator. A failure

@@ -14,3 +14,10 @@ func TestHMVPDifferentialN256Generic(t *testing.T) {
 	vec.ForceGeneric(t)
 	TestHMVPDifferentialN256(t)
 }
+
+// TestHMVPDifferentialChunkGroupsGeneric reruns the chunk-group
+// differential on the Go loops.
+func TestHMVPDifferentialChunkGroupsGeneric(t *testing.T) {
+	vec.ForceGeneric(t)
+	TestHMVPDifferentialChunkGroups(t)
+}

@@ -35,24 +35,26 @@ func chunkSpan(N, n, c int) (lo, hi int) {
 }
 
 // EncryptVector encrypts v as its dense chunks, the form party A ships to
-// party B (§II-F security model).
+// party B (§II-F security model). The chunks are NTT domain, the form every
+// apply reads them in (bfv.EncryptNTT): no transform runs twice.
 func EncryptVector(p bfv.Params, rng *rand.Rand, sk *rlwe.SecretKey, v []uint64) []*rlwe.Ciphertext {
 	cts := make([]*rlwe.Ciphertext, chunkCount(p.R.N, len(v)))
 	for c := range cts {
 		lo, hi := chunkSpan(p.R.N, len(v), c)
-		cts[c] = p.Encrypt(rng, sk, p.EncodeVector(v[lo:hi]), p.R.Levels())
+		cts[c] = p.EncryptNTT(rng, sk, p.EncodeVector(v[lo:hi]), p.R.Levels())
 	}
 	return cts
 }
 
-// EncryptVectorPK is EncryptVector with a public key. The two loops stay
+// EncryptVectorPK is EncryptVector with a public key (bfv.EncryptPKNTT),
+// NTT domain too. The two loops stay
 // apart: one shared through a func value would make every chunk's
 // plaintext escape to the heap.
 func EncryptVectorPK(p bfv.Params, rng *rand.Rand, pk *rlwe.PublicKey, v []uint64) []*rlwe.Ciphertext {
 	cts := make([]*rlwe.Ciphertext, chunkCount(p.R.N, len(v)))
 	for c := range cts {
 		lo, hi := chunkSpan(p.R.N, len(v), c)
-		cts[c] = p.EncryptPK(rng, pk, p.EncodeVector(v[lo:hi]), p.R.Levels())
+		cts[c] = p.EncryptPKNTT(rng, pk, p.EncodeVector(v[lo:hi]), p.R.Levels())
 	}
 	return cts
 }

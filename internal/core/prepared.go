@@ -6,7 +6,11 @@ package core
 // A prepared row is its transformed values and nothing else: within one
 // apply the vector chunk is the operand every row multiplies, and the row
 // MAC is a Montgomery product against the chunk, which each apply puts in
-// Montgomery form once, so neither side carries a Shoup table. A
+// Montgomery form once, so neither side carries a Shoup table. The chunks
+// arrive already transformed (EncryptVector), so loading one is a single
+// pass, and the row MAC is one sweep per pair, limb and half row over
+// every chunk: each word of P±, â and b̂ read once, the products summed
+// wide and each output reduced and written once. A
 // PreparedMatrix is built once with Prepare and then applied to any number
 // of encrypted vectors; ApplyInto reuses pooled scratch end to end, so a
 // warm apply performs zero heap allocations.
@@ -65,8 +69,12 @@ type preparedTile struct {
 // in the rows and so is done once here instead of per apply. When the odd
 // row is padding the pair is half-empty: minus is nil and plus is R_r,
 // which is P+ and P− both. A one-row tile has one such pair, its row.
+// Each side's chunks lie back to back in the tile's slab, and plusRun and
+// minusRun are those words, the form the row MAC streams
+// (ring.MulCoeffMontDotPair).
 type rowPair struct {
-	plus, minus []*ring.Poly // [chunk]
+	plus, minus       []*ring.Poly // [chunk]
+	plusRun, minusRun []uint64     // the chunks' limbs, chunk by chunk
 }
 
 // PreparedMatrix is a cleartext matrix fixed in evaluation-ready form.
@@ -241,7 +249,8 @@ func (e *Evaluator) buildTile(pm *PreparedMatrix, A [][]uint64, ti int, clk *obs
 	polys := make([]ring.Poly, nPolys)
 	polyPtrs := make([]*ring.Poly, nPolys)
 	limbHdrs := make([][]uint64, nPolys*full)
-	slab := make([]uint64, nPolys*full*n)
+	words := make([]uint64, nPolys*full*n)
+	slab := words
 	for k := range polys {
 		pc := limbHdrs[:full:full]
 		limbHdrs = limbHdrs[full:]
@@ -251,10 +260,11 @@ func (e *Evaluator) buildTile(pm *PreparedMatrix, A [][]uint64, ti int, clk *obs
 		polys[k].Coeffs = pc
 		polyPtrs[k] = &polys[k]
 	}
-	next := func() []*ring.Poly {
-		rp := polyPtrs[:chunks:chunks]
-		polyPtrs = polyPtrs[chunks:]
-		return rp
+	run := chunks * full * n
+	next := func() ([]*ring.Poly, []uint64) {
+		rp, w := polyPtrs[:chunks:chunks], words[:run:run]
+		polyPtrs, words = polyPtrs[chunks:], words[run:]
+		return rp, w
 	}
 	// rowInto encodes chunk c of tile row i into pt and transforms it.
 	rowInto := func(pt *ring.Poly, i, c int) {
@@ -266,9 +276,9 @@ func (e *Evaluator) buildTile(pm *PreparedMatrix, A [][]uint64, ti int, clk *obs
 	}
 	for i := range t.pairs {
 		pr := &t.pairs[i]
-		pr.plus = next()
+		pr.plus, pr.plusRun = next()
 		if half > 0 && i+half < rows {
-			pr.minus = next()
+			pr.minus, pr.minusRun = next()
 		}
 		for c, pt := range pr.plus {
 			rowInto(pt, i, c)
@@ -459,6 +469,7 @@ func hasShape(x *ring.Poly, levels, n int) bool {
 // and the pair source that feeds it.
 type applyScratch struct {
 	chunks []*rlwe.Ciphertext // full basis, NTT domain, A in Montgomery form
+	b, a   []uint64           // the chunks' B and A halves back to back: their runs
 	fold   lwe.Fold           // log₂(subtree's pairs)+1 resident slots per worker
 	pairs  tilePairs
 	clk    obs.StageClock // times the shared vector sweeps; flushed once per apply
@@ -473,21 +484,28 @@ func (e *Evaluator) getApplyScratch(chunks int) *applyScratch {
 	r := e.P.R
 	full := r.Levels()
 	// The chunk list's length doubles as the chunk count downstream, so
-	// reslice to exactly chunks, reusing buffers parked in the spare
-	// capacity.
-	if cap(sc.chunks) > len(sc.chunks) {
-		sc.chunks = sc.chunks[:cap(sc.chunks)]
-	}
-	for len(sc.chunks) < chunks {
-		sc.chunks = append(sc.chunks, &rlwe.Ciphertext{B: r.NewPoly(full), A: r.NewPoly(full)})
-	}
-	for i := range sc.chunks {
-		if sc.chunks[i] == nil {
-			sc.chunks[i] = &rlwe.Ciphertext{B: r.NewPoly(full), A: r.NewPoly(full)}
+	// reslice to exactly chunks when the runs already hold that many;
+	// otherwise cut every chunk afresh from two new runs.
+	words := full * r.N
+	if cap(sc.chunks) < chunks {
+		sc.b, sc.a = make([]uint64, chunks*words), make([]uint64, chunks*words)
+		sc.chunks = make([]*rlwe.Ciphertext, chunks)
+		for c := range sc.chunks {
+			sc.chunks[c] = &rlwe.Ciphertext{B: polyAt(sc.b[c*words:], full, r.N), A: polyAt(sc.a[c*words:], full, r.N)}
 		}
 	}
 	sc.chunks = sc.chunks[:chunks]
 	return sc
+}
+
+// polyAt returns a polynomial of levels limbs of n words over the front of
+// words.
+func polyAt(words []uint64, levels, n int) *ring.Poly {
+	p := &ring.Poly{Coeffs: make([][]uint64, levels)}
+	for l := range p.Coeffs {
+		p.Coeffs[l] = words[l*n : (l+1)*n : (l+1)*n]
+	}
+	return p
 }
 
 func (e *Evaluator) putApplyScratch(sc *applyScratch) {
@@ -530,26 +548,34 @@ func (e *Evaluator) effWorkers(items int) int {
 	return w
 }
 
-// loadVector copies the vector ciphertexts into scratch, forward-transforms
-// them once — the pipeline's shared stage-1 work, charged to ntt — and
-// puts the A half in Montgomery form (·2^52, see ring.MulCoeffMontDot),
-// the form every row's MAC reads, charged to row_mul, the stage it serves.
-// The B half stays canonical: the MAC only sums its products. Both on the
-// apply's clock. validate has checked every ciphertext's shape.
+// loadVector puts each vector chunk into scratch in the form every row's
+// MAC reads: B as it is, A in Montgomery form (·2^52, see
+// ring.MulCoeffMontDotPair), both NTT domain. A chunk that arrives
+// transformed, as EncryptVector makes it, takes one pass: a copy of B and
+// MulScalar from the wire's A straight into scratch, charged to row_mul,
+// the stage it serves. One in coefficient domain is copied and
+// forward-transformed first — the pipeline's stage-1 work, charged to ntt.
+// Both on the apply's clock. validate has checked every ciphertext's
+// shape.
 func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) {
 	r := e.P.R
 	for c, ct := range ctV {
 		v := sc.chunks[c]
-		v.CopyFrom(ct)
-		sc.clk.Skip() // the copy is not a pipeline stage
+		v.B.CopyFrom(ct.B)
 		if !v.B.IsNTT {
+			sc.clk.Skip() // the copy is not a pipeline stage
 			r.NTT(v.B)
+			sc.clk.Mark(obs.StageNTT)
 		}
-		if !v.A.IsNTT {
+		a := ct.A
+		if !a.IsNTT {
+			sc.clk.Skip()
+			v.A.CopyFrom(a)
 			r.NTT(v.A)
+			sc.clk.Mark(obs.StageNTT)
+			a = v.A
 		}
-		sc.clk.Mark(obs.StageNTT)
-		r.MulScalar(v.A, v.A, 1<<52)
+		r.MulScalar(v.A, a, 1<<52)
 		sc.clk.Mark(obs.StageRowMul)
 	}
 }
@@ -559,9 +585,11 @@ func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) {
 // O = R_{r+mPad/2}·v, without either leaf. The row MAC is
 // vector-stationary: the prepared P+ and P− are the streamed operands, and
 // each chunk is the fixed one, against the Montgomery form loadVector left
-// â in. A = Σ P+∘â = E.A + X^{N/2}·O.A goes straight into dst.A, D =
-// Σ P−∘â = E.A − X^{N/2}·O.A into scratch, which is returned (a
-// half-empty pair has P− = P+, so D is dst.A and its MACs are skipped).
+// â in; one sweep per limb and half row (ring.MulCoeffMontDotPair) reads
+// every chunk of P+, P−, b̂ and â once and writes each output once. A =
+// Σ P+∘â = E.A + X^{N/2}·O.A goes straight into dst.A, D = Σ P−∘â = E.A −
+// X^{N/2}·O.A into scratch, which is returned (a half-empty pair has P− =
+// P+, so D is dst.A and the sweep runs on P+ alone).
 // Both parts stay UN-rescaled — the tree's deferred accumulators make the
 // per-row RESCALE disappear, and both divisions run at the tree flush.
 // dst.BT is written from the B dot products alone: EXTRACT at index 0
@@ -578,17 +606,16 @@ func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) {
 // row and there is no merge: dst is the row's leaf, N^{-1}·(S_lo + S_hi)
 // undoubled in every slot. clk is charged with row_mul for the MACs and
 // extract for BT.
-func (e *Evaluator) pairApplyInto(dst *lwe.PackNode, scratch *ring.Poly, chunks []*rlwe.Ciphertext, tile *preparedTile, i int, clk *obs.StageClock) *ring.Poly {
+func (e *Evaluator) pairApplyInto(dst *lwe.PackNode, scratch *ring.Poly, sc *applyScratch, tile *preparedTile, i int, clk *obs.StageClock) *ring.Poly {
 	r := e.P.R
 	pr := &tile.pairs[i]
 	var buf [2][4][2][2]uint64
 	plus, minus, d := dotTotals(&buf[0], r.Levels()), dotTotals(&buf[1], r.Levels()), scratch
-	rowMAC(r, plus, dst.A, chunks, pr.plus, clk)
-	if pr.minus != nil {
-		rowMAC(r, minus, scratch, chunks, pr.minus, clk)
-	} else {
-		minus, d = plus, dst.A
+	if pr.minus == nil {
+		minus, d, scratch = plus, dst.A, nil
 	}
+	r.MulCoeffMontDotPair(plus, minus, dst.A, scratch, pr.plusRun, pr.minusRun, sc.b, sc.a, len(sc.chunks))
+	clk.Mark(obs.StageRowMul)
 	h := r.N / 2
 	for l := range plus {
 		m := r.Moduli[l]
@@ -604,17 +631,6 @@ func (e *Evaluator) pairApplyInto(dst *lwe.PackNode, scratch *ring.Poly, chunks 
 	dst.BT.IsNTT = true
 	clk.Mark(obs.StageExtract)
 	return d
-}
-
-// rowMAC sets acc = Σ_c polys[c]∘â_c and the totals dot to the B dot
-// products Σ_c ⟨polys[c], b̂_c⟩ per limb and per half row
-// (ring.MulCoeffMontDot), charging each chunk's sweep to row_mul.
-func rowMAC(r *ring.Ring, dot [][2][2]uint64, acc *ring.Poly, chunks []*rlwe.Ciphertext, polys []*ring.Poly, clk *obs.StageClock) {
-	acc.IsNTT = true
-	for c, v := range chunks {
-		r.MulCoeffMontDot(dot, acc, polys[c], v.B, v.A, c > 0)
-		clk.Mark(obs.StageRowMul)
-	}
 }
 
 // dotTotals returns room for full limbs' totals: buf, on the caller's
@@ -647,7 +663,7 @@ func fill(row []uint64, v uint64) {
 func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *preparedTile) error {
 	workers := e.effWorkers(tile.rows)
 	src := &sc.pairs
-	src.e, src.chunks, src.tile = e, sc.chunks, tile
+	src.e, src.sc, src.tile = e, sc, tile
 	root, err := sc.fold.Run(e.P, tile.mPad, src, e.Keys, workers, sc.sink)
 	src.tile = nil
 	if err != nil {
@@ -660,13 +676,13 @@ func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *prep
 // tilePairs is the packing fold's source for one tile: the tree's first
 // level from the tile's row pairs.
 type tilePairs struct {
-	e      *Evaluator
-	chunks []*rlwe.Ciphertext
-	tile   *preparedTile
+	e    *Evaluator
+	sc   *applyScratch
+	tile *preparedTile
 }
 
 func (s *tilePairs) Pair(nd, scratch *lwe.PackNode, i int, clk *obs.StageClock) *ring.Poly {
-	return s.e.pairApplyInto(nd, scratch.A, s.chunks, s.tile, i, clk)
+	return s.e.pairApplyInto(nd, scratch.A, s.sc, s.tile, i, clk)
 }
 
 // log2 of a power of two.

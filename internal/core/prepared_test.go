@@ -41,8 +41,9 @@ func ctEqual(a, b *rlwe.Ciphertext) bool {
 // three column chunks, then two, which reuse the pooled vector scratch
 // below its capacity) and random shapes, including non-power-of-two row
 // counts and multi-chunk column counts, and a repeated ApplyInto into the
-// same Result (exercising the pooled scratch) must reproduce the first
-// call's ciphertexts bit for bit.
+// same Result (exercising the pooled scratch), from the same chunks taken
+// back to coefficient domain — the apply transforms them itself — must
+// reproduce the first call's ciphertexts bit for bit.
 func TestPreparedApplyRandomShapes(t *testing.T) {
 	p := testParams(t, 32)
 	rng := testutil.NewRand(t)
@@ -63,6 +64,12 @@ func TestPreparedApplyRandomShapes(t *testing.T) {
 		A := randomMatrix(rng, m, n, p.T.Q)
 		v := randomVector(rng, n, p.T.Q)
 		ctV := EncryptVector(p, rng, sk, v)
+		coeffV := make([]*rlwe.Ciphertext, len(ctV))
+		for c, ct := range ctV {
+			coeffV[c] = ct.Copy()
+			p.R.INTT(coeffV[c].B)
+			p.R.INTT(coeffV[c].A)
+		}
 
 		pm, err := ev.Prepare(A)
 		if err != nil {
@@ -74,8 +81,8 @@ func TestPreparedApplyRandomShapes(t *testing.T) {
 		want := PlainMatVec(p, A, v)
 		first := pm.NewResult()
 		res := pm.NewResult()
-		for rep := 0; rep < 2; rep++ {
-			if err := pm.ApplyInto(res, ctV); err != nil {
+		for rep, in := range [][]*rlwe.Ciphertext{ctV, coeffV} {
+			if err := pm.ApplyInto(res, in); err != nil {
 				t.Fatalf("trial %d rep %d: %v", trial, rep, err)
 			}
 			got := DecryptResult(p, res, sk)

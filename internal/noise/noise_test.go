@@ -304,7 +304,7 @@ func TestHMVPPredictorCountsChunks(t *testing.T) {
 				}
 				ctV := core.EncryptVector(p, rng, sk, v)
 				for c, ct := range ctV {
-					z := p.EncryptZeroSym(rng, sk, p.R.Levels())
+					z := p.EncryptSym(rng, sk, p.R.NewPoly(p.R.Levels())) // in the chunk's domain, NTT
 					p.MulScalar(z, z, uint64(1)<<(inBits-int(est.FreshSym())))
 					p.Add(ct, ct, z)
 					input = max(input, p.NoiseBits(ct, sk, scaledPayload(p, v[c*p.R.N:(c+1)*p.R.N], p.R.Levels())))

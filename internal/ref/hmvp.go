@@ -81,9 +81,22 @@ func encodeRow(row []uint64, n int, t uint64, scale *big.Int, fullQ *big.Int) *P
 	return out
 }
 
+// coeffDomain returns an NTT-domain ciphertext in coefficient domain,
+// through the reference's own inverse transform (InverseFFT) per limb.
+func coeffDomain(p bfv.Params, ct *rlwe.Ciphertext) *rlwe.Ciphertext {
+	back := func(x *ring.Poly) *ring.Poly {
+		out := &ring.Poly{Coeffs: make([][]uint64, x.Levels())}
+		for l, row := range x.Coeffs {
+			out.Coeffs[l] = InverseFFT(row, p.R.Moduli[l].Q, p.R.Tables[l].Psi)
+		}
+		return out
+	}
+	return &rlwe.Ciphertext{B: back(ct.B), A: back(ct.A)}
+}
+
 // HMVP computes the full reference matrix-vector product: A is the
-// cleartext matrix (row-major), ctV the augmented-basis coefficient-domain
-// vector ciphertexts from core.EncryptVector, and keys the packing keys in
+// cleartext matrix (row-major), ctV the augmented-basis vector ciphertexts
+// from core.EncryptVector (NTT domain, or coefficient domain), and keys the packing keys in
 // reference form (from Keys). It mirrors core.Evaluator's tiling exactly.
 func HMVP(p bfv.Params, A [][]uint64, ctV []*rlwe.Ciphertext, keys map[int]*SwitchingKey) (*Trace, error) {
 	n := p.R.N
@@ -108,7 +121,7 @@ func HMVP(p bfv.Params, A [][]uint64, ctV []*rlwe.Ciphertext, keys map[int]*Swit
 			return nil, fmt.Errorf("ref: vector ciphertext %d must carry the augmented basis", c)
 		}
 		if ct.IsNTT() {
-			return nil, fmt.Errorf("ref: vector ciphertext %d must be in coefficient domain", c)
+			ct = coeffDomain(p, ct)
 		}
 		tr.Vector = append(tr.Vector, ComposeCiphertext(ct.B, ct.A, full))
 	}

@@ -78,3 +78,47 @@ func InverseDFT(ahat []uint64, q, psi uint64) []uint64 {
 	}
 	return out
 }
+
+// InverseFFT is InverseDFT in O(N log N) word arithmetic, for the degrees
+// the HMVP reference runs at: with A_k = â[brv(k)] and ω = ψ², a_i =
+// N^{-1}·ψ^{-i}·Σ_k A_k·ω^{-ik}, and a radix-2 decimation-in-time pass
+// over the bit-reversed â yields the sums in natural order. Every product
+// is reduced by a 128-bit division.
+func InverseFFT(ahat []uint64, q, psi uint64) []uint64 {
+	n := len(ahat)
+	mul := func(x, y uint64) uint64 {
+		hi, lo := bits.Mul64(x, y)
+		_, r := bits.Div64(hi%q, lo, q)
+		return r
+	}
+	pow := func(x uint64, e int) uint64 {
+		r := uint64(1)
+		for ; e > 0; e >>= 1 {
+			if e&1 == 1 {
+				r = mul(r, x)
+			}
+			x = mul(x, x)
+		}
+		return r
+	}
+	psiInv := pow(psi, 2*n-1) // ψ^{2N} = 1
+	omegaInv := mul(psiInv, psiInv)
+	x := append([]uint64(nil), ahat...)
+	for size := 2; size <= n; size <<= 1 {
+		step := pow(omegaInv, n/size)
+		for start := 0; start < n; start += size {
+			w := uint64(1)
+			for j := start; j < start+size/2; j++ {
+				u, v := x[j], mul(x[j+size/2], w)
+				x[j], x[j+size/2] = (u+v)%q, (u+q-v)%q
+				w = mul(w, step)
+			}
+		}
+	}
+	scale := pow(uint64(n)%q, int(q-2)) // N^{-1}, q prime
+	for i := range x {
+		x[i] = mul(x[i], scale)
+		scale = mul(scale, psiInv)
+	}
+	return x
+}

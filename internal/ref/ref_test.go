@@ -131,10 +131,13 @@ func TestDFTMatchesTable(t *testing.T) {
 					t.Fatalf("N=%d q=%d: ForwardLazy[%d]=%d, DFT=%d", n, q, i, got[i], want[i])
 				}
 			}
-			back := InverseDFT(want, q, tb.Psi)
+			back, fast := InverseDFT(want, q, tb.Psi), InverseFFT(want, q, tb.Psi)
 			for i := range back {
 				if back[i] != a[i] {
 					t.Fatalf("N=%d q=%d: InverseDFT[%d]=%d, want %d", n, q, i, back[i], a[i])
+				}
+				if fast[i] != a[i] {
+					t.Fatalf("N=%d q=%d: InverseFFT[%d]=%d, want %d", n, q, i, fast[i], a[i])
 				}
 			}
 		}

@@ -38,33 +38,29 @@ func requireNTTDomain(ps ...*Poly) {
 
 // autoPermTable returns (building and caching on first use) the gather
 // table of the automorphism X → X^k on NTT slots: out[j] = in[perm[j]].
+// A lookup is one atomic load. Callers that race on a first use may each
+// build the table, but only the first to publish it wins, and every
+// caller returns that one.
 func (r *Ring) autoPermTable(k int) []uint32 {
 	if k%2 == 0 {
 		panic("ring: automorphism index must be odd")
 	}
 	n2 := 2 * r.N
 	kk := ((k % n2) + n2) % n2
-	r.autoMu.RLock()
-	perm, ok := r.autoPerm[kk]
-	r.autoMu.RUnlock()
-	if ok {
-		return perm
-	}
-	r.autoMu.Lock()
-	defer r.autoMu.Unlock()
-	if perm, ok = r.autoPerm[kk]; ok {
-		return perm
+	slot := &r.autoPerm[kk]
+	if perm := slot.Load(); perm != nil {
+		return *perm
 	}
 	logN := bits.Len(uint(r.N)) - 1
-	perm = make([]uint32, r.N)
+	perm := make([]uint32, r.N)
 	for j := 0; j < r.N; j++ {
 		// Slot j evaluates at exponent 2·brv(j)+1; under φ_k it needs the
 		// value at k·(2·brv(j)+1) mod 2N = 2t+1, which lives at slot brv(t).
 		e := (2*int(brv(uint(j), logN)) + 1) * kk % n2
 		perm[j] = uint32(brv(uint((e-1)/2), logN))
 	}
-	r.autoPerm[kk] = perm
-	return perm
+	slot.CompareAndSwap(nil, &perm)
+	return *slot.Load()
 }
 
 // brv reverses the low `width` bits of x (the forward transform's output
@@ -182,20 +178,14 @@ type monoTable struct {
 }
 
 // monoNTTTable returns (building and caching on first use) the table for
-// exponent e, normalized modulo 2N.
+// exponent e, normalized modulo 2N, published as autoPermTable publishes
+// its tables.
 func (r *Ring) monoNTTTable(e int) *monoTable {
 	n := r.N
 	n2 := 2 * n
 	ee := ((e % n2) + n2) % n2
-	r.monoMu.RLock()
-	t, ok := r.monoNTT[ee]
-	r.monoMu.RUnlock()
-	if ok {
-		return t
-	}
-	r.monoMu.Lock()
-	defer r.monoMu.Unlock()
-	if t, ok = r.monoNTT[ee]; ok {
+	slot := &r.monoNTT[ee]
+	if t := slot.Load(); t != nil {
 		return t
 	}
 	// Runs of 2^s slots, s the trailing zeros of e mod 2N; e = 0 and e = N
@@ -203,7 +193,7 @@ func (r *Ring) monoNTTTable(e int) *monoTable {
 	s := min(bits.TrailingZeros(uint(ee)), bits.Len(uint(n))-1)
 	runs := n >> s
 	lv := len(r.Moduli)
-	t = &monoTable{logRun: s, vals: make([][]uint64, lv)}
+	t := &monoTable{logRun: s, vals: make([][]uint64, lv)}
 	backing := make([]uint64, lv*runs)
 	row := make([]uint64, n)
 	for l := 0; l < lv; l++ {
@@ -224,6 +214,6 @@ func (r *Ring) monoNTTTable(e int) *monoTable {
 			t.vals[l][k] = m.MulBarrett(row[k<<s], r52)
 		}
 	}
-	r.monoNTT[ee] = t
-	return t
+	slot.CompareAndSwap(nil, t)
+	return slot.Load()
 }

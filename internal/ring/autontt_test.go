@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"cham/internal/mod"
@@ -312,4 +313,38 @@ func FuzzAutomorphNTT(f *testing.F) {
 		vec.ForceGeneric(t)
 		check(vec.ImplGeneric)
 	})
+}
+
+// TestTableFirstUseConcurrent: callers racing on the first use of one
+// exponent all get the one table published for it, for both caches, and
+// later lookups return it too. Run it under -race: the lookups take no
+// lock.
+func TestTableFirstUseConcurrent(t *testing.T) {
+	r := chamRing(t, 256)
+	const callers = 8
+	perms := make([][]uint32, callers)
+	monos := make([]*monoTable, callers)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := 0; i < callers; i++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			perms[i] = r.autoPermTable(5)
+			monos[i] = r.monoNTTTable(r.N / 4)
+		}()
+	}
+	start.Done()
+	done.Wait()
+	perms = append(perms, r.autoPermTable(5+2*r.N)) // the same k mod 2N
+	monos = append(monos, r.monoNTTTable(r.N/4-2*r.N))
+	for i := range perms {
+		if &perms[i][0] != &perms[0][0] {
+			t.Fatalf("caller %d got its own automorphism table", i)
+		}
+		if monos[i] != monos[0] {
+			t.Fatalf("caller %d got its own monomial table", i)
+		}
+	}
 }

@@ -162,68 +162,98 @@ func (r *Ring) MulCoeffMont(out, a, bMont *Poly, add bool) {
 	out.IsNTT = a.IsNTT
 }
 
-// MulCoeffMontDot is the row apply's MAC: one streamed polynomial x
-// against the two halves of a vector chunk, in a single sweep. For the A
-// half it sets outA = x ∘ a, or outA += x ∘ a when add is set, where aMont
-// holds a in Montgomery form — MulScalar(a, 2^52), so the sweep reads no
-// Shoup table. Of the B half only dot products Σ_i x_i·b_i are wanted, so
-// nothing is written per coefficient: per limb l and per half h of the
-// slots (h = 0 for [0, N/2), 1 for [N/2, N)) it sets the total dot[l][h] =
-// {hi, lo} (hi·2^64 + lo), or adds to it when add is set — the kernel runs
-// once per half row. The packing tree's first level needs the halves
-// apart (core's row pairs); a single row adds them. hi is left reduced
-// mod q_l, so a total stays below q_l·2^64, the range
-// mod.BarrettReduce128 takes, however many calls add to it. Every operand
-// must be canonical; b is read as it is, in no Montgomery form.
-func (r *Ring) MulCoeffMontDot(dot [][2][2]uint64, outA, x, b, aMont *Poly, add bool) {
-	lv := sameLevels(outA, x, b, aMont)
-	sameDomain(x, b, aMont)
+// MulCoeffMontDotPair is the row apply's MAC for one first-level pair of
+// the packing tree: the streamed rows x+ and x− against every chunk of a
+// vector, in one sweep per limb and half row that reads each word once.
+// x+, x−, b and aMont are runs of chunks polynomials laid back to back —
+// polynomial c's limb l is the N words at (c·L + l)·N, L = outP.Levels() —
+// the form a prepared tile's pairs and the apply's vector scratch hold: b
+// the chunks' B halves, aMont their A halves in Montgomery form,
+// MulScalar(a, 2^52), so the sweep reads no Shoup table. For the A half it
+// sets outP = Σ_c x+_c ∘ a_c and outM = Σ_c x−_c ∘ a_c. Of the B half only
+// dot products are wanted, so nothing is written per coefficient: per limb
+// l and half h of the slots (h = 0 for [0, N/2), 1 for [N/2, N)) it sets
+// dotP[l][h] = {hi, lo} = Σ_c Σ_i x+_c[i]·b_c[i] over the half, hi reduced
+// mod q_l (a total below q_l·2^64, the range mod.BarrettReduce128 takes),
+// and dotM[l][h] likewise for x−. With outM nil the pair is half-empty:
+// there is no x−, and dotM is left alone. Every operand must be
+// canonical; b is read as it is, in no Montgomery form.
+func (r *Ring) MulCoeffMontDotPair(dotP, dotM [][2][2]uint64, outP, outM *Poly, xP, xM, b, aMont []uint64, chunks int) {
+	lv := outP.Levels()
+	n := r.N
+	stride := lv * n
+	pair := outM != nil
+	if chunks < 1 || len(xP) < chunks*stride || len(b) < chunks*stride || len(aMont) < chunks*stride ||
+		pair && (sameLevels(outP, outM) != lv || len(xM) < chunks*stride) {
+		panic("ring: MulCoeffMontDotPair operands do not hold the chunks")
+	}
+	h := n / 2
 	for l := 0; l < lv; l++ {
 		m := r.Moduli[l]
-		roa := outA.Coeffs[l]
-		rx, rb, ra := x.Coeffs[l][:len(roa)], b.Coeffs[l][:len(roa)], aMont.Coeffs[l][:len(roa)]
-		h := len(roa) / 2
-		montDotRow(m, &dot[l][0], roa[:h], rx[:h], rb[:h], ra[:h], add)
-		montDotRow(m, &dot[l][1], roa[h:], rx[h:], rb[h:], ra[h:], add)
+		q, qinv := m.Q, montInv(m.Q)
+		for half, lo := range [2]int{0, h} {
+			o := l*n + lo
+			oP := outP.Coeffs[l][lo : lo+h]
+			var oM, xm []uint64
+			if pair {
+				oM, xm = outM.Coeffs[l][lo:lo+h], xM[o:]
+			}
+			dp, dm, done := vec.MulMontDotPair(q, qinv, oP, oM, xP[o:], xm, b[o:], aMont[o:], stride, chunks)
+			if !done {
+				dp = montDotRows(m, oP, xP[o:], b[o:], aMont[o:], stride, chunks)
+				if pair {
+					dm = montDotRows(m, oM, xm, b[o:], aMont[o:], stride, chunks)
+				}
+			}
+			dotP[l][half] = [2]uint64{m.ReduceBarrett(dp[0]), dp[1]}
+			if pair {
+				dotM[l][half] = [2]uint64{m.ReduceBarrett(dm[0]), dm[1]}
+			}
+		}
 	}
-	outA.IsNTT = x.IsNTT
+	outP.IsNTT = true
+	if pair {
+		outM.IsNTT = true
+	}
 }
 
-// montDotRow is MulCoeffMontDot over one row range of one limb: roa (+)=
-// rx∘ra·2^-52 and the total (+)= Σ rx_i·rb_i.
-func montDotRow(m mod.Modulus, total *[2]uint64, roa, rx, rb, ra []uint64, add bool) {
+// montDotRows is the Go loop of MulCoeffMontDotPair for one streamed row
+// over one row range, the per-chunk chain: out = Σ_c x_c∘a_c·2^-52, one
+// Montgomery product a chunk added mod q, and the total Σ_c ⟨x_c, b_c⟩,
+// its high word reduced mod q after each chunk; operand row c starts at
+// c·stride.
+func montDotRows(m mod.Modulus, out, x, b, a []uint64, stride, chunks int) (total [2]uint64) {
 	q, qinv := m.Q, montInv(m.Q)
-	hi, lo, done := vec.MulMontDot(q, qinv, roa, rx, rb, ra, add)
-	switch {
-	case done:
-	case q >= montR:
-		montWideRow(m, roa, rx, ra, 0, add)
-		for i := range rx { // a product may reach 2^124: reduce each
-			lo += m.MulBarrett(rx[i], rb[i])
-			lo = min(lo, lo-q)
-		}
-	default:
-		for i := range roa {
-			p := montMul(rx[i], ra[i], q, qinv)
-			if add { // branch-free, as in MulCoeffMont
-				p += roa[i]
-				p = min(p, p-q)
+	for c := 0; c < chunks; c++ {
+		o, add := c*stride, c > 0
+		rx, rb, ra := x[o:o+len(out)], b[o:o+len(out)], a[o:o+len(out)]
+		hi, lo := total[0], total[1]
+		if q >= montR {
+			montWideRow(m, out, rx, ra, 0, add)
+			for i := range rx { // a product may reach 2^124: reduce each
+				var cy uint64
+				lo, cy = bits.Add64(lo, m.MulBarrett(rx[i], rb[i]), 0)
+				hi += cy
 			}
-			roa[i] = p
-			// A product is below 2^104: hi gains under 2^40 a
-			// word, so it cannot wrap in a row under 2^24 words.
-			ph, pl := bits.Mul64(rx[i], rb[i])
-			var c uint64
-			lo, c = bits.Add64(lo, pl, 0)
-			hi += ph + c
+		} else {
+			for i := range out {
+				p := montMul(rx[i], ra[i], q, qinv)
+				if add { // branch-free, as in MulCoeffMont
+					p += out[i]
+					p = min(p, p-q)
+				}
+				out[i] = p
+				// A product is below 2^104: hi gains under 2^40 a
+				// word, so it cannot wrap in a row under 2^24 words.
+				ph, pl := bits.Mul64(rx[i], rb[i])
+				var cy uint64
+				lo, cy = bits.Add64(lo, pl, 0)
+				hi += ph + cy
+			}
 		}
+		total = [2]uint64{m.ReduceBarrett(hi), lo}
 	}
-	if add {
-		var c uint64
-		lo, c = bits.Add64(lo, total[1], 0)
-		hi += total[0] + c
-	}
-	*total = [2]uint64{m.ReduceBarrett(hi), lo}
+	return total
 }
 
 // montR is the Montgomery radix of the MulCoeffMont… sweeps and the

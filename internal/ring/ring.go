@@ -16,6 +16,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"cham/internal/mod"
 	"cham/internal/ntt"
@@ -42,14 +43,12 @@ type Ring struct {
 	drops [][]ntt.Drop
 
 	// autoPerm caches the NTT-slot gather table of the automorphism X→X^k
-	// per index k, and monoNTT the per-limb NTT image of X^e, one value
-	// (with its Shoup companion) per run of equal slots, per exponent e;
-	// see autontt.go. Both are built lazily under their mutexes and read
-	// lock-shared on the hot path.
-	autoMu   sync.RWMutex
-	autoPerm map[int][]uint32
-	monoMu   sync.RWMutex
-	monoNTT  map[int]*monoTable
+	// per index k mod 2N, and monoNTT the per-limb NTT image of X^e, one
+	// value per run of equal slots, per exponent e mod 2N; see autontt.go.
+	// Each slot is built once on first use and published through its
+	// atomic pointer, so the hot path reads it with one load and no lock.
+	autoPerm []atomic.Pointer[[]uint32]
+	monoNTT  []atomic.Pointer[monoTable]
 }
 
 // New constructs a Ring of degree n over the given prime moduli. Every
@@ -58,11 +57,7 @@ func New(n int, moduli []uint64) (*Ring, error) {
 	if len(moduli) == 0 {
 		return nil, fmt.Errorf("ring: empty modulus chain")
 	}
-	r := &Ring{
-		N:        n,
-		autoPerm: map[int][]uint32{},
-		monoNTT:  map[int]*monoTable{},
-	}
+	r := &Ring{N: n}
 	seen := map[uint64]bool{}
 	for _, q := range moduli {
 		if seen[q] {
@@ -84,6 +79,8 @@ func New(n int, moduli []uint64) (*Ring, error) {
 			r.drops[sp][l] = r.Tables[l].NewDrop(r.Moduli[sp].Q)
 		}
 	}
+	r.autoPerm = make([]atomic.Pointer[[]uint32], 2*n)
+	r.monoNTT = make([]atomic.Pointer[monoTable], 2*n)
 	return r, nil
 }
 
@@ -375,6 +372,17 @@ func (r *Ring) setSmall(p *Poly, i int, v int64) {
 	}
 }
 
+// addSmall adds the centred value v, |v| < every limb modulus, to
+// coefficient i of every limb, canonical.
+func (r *Ring) addSmall(p *Poly, i int, v int64) {
+	neg := uint64(v >> 63) // all ones iff v < 0
+	for l, row := range p.Coeffs {
+		q := r.Moduli[l].Q
+		s := row[i] + uint64(v) + neg&q // in [0, 2q)
+		row[i] = min(s, s-q)
+	}
+}
+
 // TernaryPoly samples a uniform ternary polynomial (coefficients in
 // {-1,0,1}), the secret-key distribution, identical across limbs.
 func (r *Ring) TernaryPoly(rng *rand.Rand, p *Poly) {
@@ -391,7 +399,17 @@ func (r *Ring) TernaryPoly(rng *rand.Rand, p *Poly) {
 // generator word w, mask = 2^eta − 1: the difference of two sums of eta
 // independent fair bits, which is CBD(eta) exactly. eta must be in
 // [1, 32] and below every limb modulus (rlwe.NewParams checks both).
-func (r *Ring) CBDPoly(rng *rand.Rand, p *Poly, eta int) {
+func (r *Ring) CBDPoly(rng *rand.Rand, p *Poly, eta int) { r.cbd(rng, p, eta, false) }
+
+// AddCBDPoly adds a CBDPoly sample to p, a coefficient-domain polynomial,
+// drawing the same words: encryption's noise onto its payload.
+func (r *Ring) AddCBDPoly(rng *rand.Rand, p *Poly, eta int) {
+	requireCoeffDomain(p)
+	r.cbd(rng, p, eta, true)
+}
+
+// cbd is CBDPoly, and with add set AddCBDPoly.
+func (r *Ring) cbd(rng *rand.Rand, p *Poly, eta int, add bool) {
 	if eta < 1 || eta > 32 {
 		panic("ring: CBD parameter outside [1, 32]")
 	}
@@ -403,7 +421,12 @@ func (r *Ring) CBDPoly(rng *rand.Rand, p *Poly, eta int) {
 	mask := uint64(1)<<eta - 1
 	for i := 0; i < r.N; i++ {
 		w := rng.Uint64()
-		r.setSmall(p, i, int64(bits.OnesCount64(w&mask))-int64(bits.OnesCount64(w>>eta&mask)))
+		v := int64(bits.OnesCount64(w&mask)) - int64(bits.OnesCount64(w>>eta&mask))
+		if add {
+			r.addSmall(p, i, v)
+		} else {
+			r.setSmall(p, i, v)
+		}
 	}
 	p.IsNTT = false
 }

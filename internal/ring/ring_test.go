@@ -241,17 +241,46 @@ func TestMulCoeffShoupMatchesBarrett(t *testing.T) {
 	}
 }
 
-// TestMulCoeffMontDot: the row MAC against an A half in Montgomery form
-// (MulScalar by 2^52) gives MulCoeff's words, fresh and accumulated, and
-// its B totals reduce to Σ MulCoeff mod q over each half of the slots,
-// accumulated over four calls as the row apply accumulates chunks. It runs on the host's kernels and on
-// the Go loops, over the CHAM basis, 52-bit primes (the Go loop's widest
-// narrow path) and 60-bit primes (wider than the Montgomery radix). The
-// first four words pair 0 and q-1 every way; one call has every operand
-// at q-1.
+// runOf returns chunks random full-basis polynomials laid back to back, as
+// MulCoeffMontDotPair reads them, and a view of each; the first four words
+// of every limb pair 0 and q-1 every way (k picks the operand's pattern),
+// and with top set every word is q-1.
+func runOf(r *Ring, rng *rand.Rand, chunks, k int, top bool) ([]uint64, []*Poly) {
+	lv, n := r.Levels(), r.N
+	run := make([]uint64, chunks*lv*n)
+	views := make([]*Poly, chunks)
+	for c := range views {
+		views[c] = &Poly{Coeffs: make([][]uint64, lv), IsNTT: true}
+		for l, m := range r.Moduli {
+			row := run[(c*lv+l)*n : (c*lv+l+1)*n]
+			for i := range row {
+				row[i] = rng.Uint64() % m.Q
+				if top {
+					row[i] = m.Q - 1
+				}
+			}
+			for i := 0; i < 4; i++ {
+				row[i] = (m.Q - 1) * uint64(i>>k&1)
+			}
+			views[c].Coeffs[l] = row
+		}
+	}
+	return run, views
+}
+
+// TestMulCoeffMontDot: the pair MAC over a run of chunks gives the
+// words of the per-chunk Montgomery chain — MulCoeffMont fresh on the
+// first chunk, accumulated on every later one — for both rows of a pair
+// and for a half-empty pair, and its totals reduce to Σ_c MulCoeff(x_c,
+// b_c) mod q over each half of the slots. It runs on the host's kernels
+// and on the Go loops, over the CHAM basis, primes just under 2^50 (whose
+// chunk groups hold two or three, so 3 and 5 chunks take more than one),
+// 52-bit primes (the Go loop's widest narrow path) and 60-bit
+// primes (wider than the Montgomery radix); one run has every operand at
+// q-1.
 func TestMulCoeffMontDot(t *testing.T) {
 	bases := map[string][]uint64{"cham": mod.ChamModuli()}
-	for name, logQ := range map[string]uint{"52bit": 52, "wide": 60} {
+	for name, logQ := range map[string]uint{"under50": 50, "52bit": 52, "wide": 60} {
 		qs, err := mod.NTTFriendlyPrimes(logQ, 64, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -261,53 +290,58 @@ func TestMulCoeffMontDot(t *testing.T) {
 	check := func(t *testing.T, r *Ring) {
 		rng := testutil.NewRand(t)
 		lv := r.Levels()
-		gotA, wantA, prod := r.NewPoly(lv), r.NewPoly(lv), r.NewPoly(lv)
-		dot := make([][2][2]uint64, lv)
-		want := make([][2]uint64, lv)
-		for call := 0; call < 4; call++ {
-			x, b, a := randPoly(r, rng, lv), randPoly(r, rng, lv), randPoly(r, rng, lv)
-			for l, m := range r.Moduli {
-				copy(x.Coeffs[l], []uint64{0, 0, m.Q - 1, m.Q - 1})
-				copy(b.Coeffs[l], []uint64{0, m.Q - 1, 0, m.Q - 1})
-				copy(a.Coeffs[l], []uint64{0, m.Q - 1, 0, m.Q - 1})
-				if call == 3 {
-					for _, p := range []*Poly{x, b, a} {
-						for i := range p.Coeffs[l] {
-							p.Coeffs[l][i] = m.Q - 1
+		for _, chunks := range []int{1, 2, 3, 5} {
+			for _, top := range []bool{false, true} {
+				xP, xPs := runOf(r, rng, chunks, 0, top)
+				xM, xMs := runOf(r, rng, chunks, 1, top)
+				b, bs := runOf(r, rng, chunks, 2, top)
+				_, as := runOf(r, rng, chunks, 3, top)
+				aM := make([]uint64, len(b))
+				for c, v := range as {
+					r.MulScalar(&Poly{Coeffs: viewRows(aM, c, lv, r.N)}, v, 1<<52)
+				}
+				for _, pair := range []bool{true, false} {
+					outP, outM := randPoly(r, rng, lv), randPoly(r, rng, lv)
+					dotP, dotM := make([][2][2]uint64, lv), make([][2][2]uint64, lv)
+					if pair {
+						r.MulCoeffMontDotPair(dotP, dotM, outP, outM, xP, xM, b, aM, chunks)
+					} else {
+						outM = nil
+						r.MulCoeffMontDotPair(dotP, nil, outP, nil, xP, nil, b, aM, chunks)
+					}
+					for side, xs := range [][]*Poly{xPs, xMs} {
+						got, dot := outP, dotP
+						if side == 1 {
+							if !pair {
+								break
+							}
+							got, dot = outM, dotM
 						}
-					}
-				}
-			}
-			aM := r.NewPoly(lv)
-			r.MulScalar(aM, a, 1<<52)
-			add := call > 0
-			r.MulCoeff(prod, x, a)
-			if add {
-				r.Add(wantA, wantA, prod)
-			} else {
-				wantA.CopyFrom(prod)
-			}
-			r.MulCoeff(prod, x, b)
-			for l, m := range r.Moduli {
-				if !add {
-					want[l] = [2]uint64{}
-				}
-				for i, v := range prod.Coeffs[l] {
-					h := 2 * i / r.N
-					want[l][h] = m.Add(want[l][h], v)
-				}
-			}
-			r.MulCoeffMontDot(dot, gotA, x, b, aM, add)
-			if !gotA.Equal(wantA) {
-				t.Fatalf("call %d: the A half differs from MulCoeff", call)
-			}
-			for l, m := range r.Moduli {
-				for h, d := range dot[l] {
-					if d[0] >= m.Q {
-						t.Fatalf("call %d limb %d half %d: total's high word %d is not reduced", call, l, h, d[0])
-					}
-					if got := m.BarrettReduce128(d[0], d[1]); got != want[l][h] {
-						t.Fatalf("call %d limb %d half %d: dot reduces to %d, want %d", call, l, h, got, want[l][h])
+						want, prod := r.NewPoly(lv), r.NewPoly(lv)
+						sums := make([][2]uint64, lv)
+						for c, x := range xs {
+							r.MulCoeffMont(want, x, &Poly{Coeffs: viewRows(aM, c, lv, r.N), IsNTT: true}, c > 0)
+							r.MulCoeff(prod, x, bs[c])
+							for l, m := range r.Moduli {
+								for i, v := range prod.Coeffs[l] {
+									h := 2 * i / r.N
+									sums[l][h] = m.Add(sums[l][h], v)
+								}
+							}
+						}
+						if !got.Equal(want) {
+							t.Fatalf("%d chunks, top %v, pair %v, side %d: the A half differs from the chain", chunks, top, pair, side)
+						}
+						for l, m := range r.Moduli {
+							for h, d := range dot[l] {
+								if d[0] >= m.Q {
+									t.Fatalf("%d chunks side %d limb %d half %d: total's high word %d is not reduced", chunks, side, l, h, d[0])
+								}
+								if got := m.BarrettReduce128(d[0], d[1]); got != sums[l][h] {
+									t.Fatalf("%d chunks, top %v, side %d, limb %d half %d: dot reduces to %d, want %d", chunks, top, side, l, h, got, sums[l][h])
+								}
+							}
+						}
 					}
 				}
 			}
@@ -321,6 +355,15 @@ func TestMulCoeffMontDot(t *testing.T) {
 			check(t, r)
 		})
 	}
+}
+
+// viewRows returns the limb rows of polynomial c of a run.
+func viewRows(run []uint64, c, lv, n int) [][]uint64 {
+	rows := make([][]uint64, lv)
+	for l := range rows {
+		rows[l] = run[(c*lv+l)*n : (c*lv+l+1)*n]
+	}
+	return rows
 }
 
 // TestMulCoeffMontPairAdd: the key-switch pair MAC against keys in

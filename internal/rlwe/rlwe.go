@@ -160,46 +160,52 @@ func (p Params) PublicKeyGen(rng *rand.Rand, sk *SecretKey) *PublicKey {
 	return &PublicKey{B: b, A: a}
 }
 
-// EncryptZeroSym returns a symmetric encryption of zero with `levels` limbs
-// in coefficient domain: (b, a) = (-a·s + e, a). The noise is sampled
-// straight into b and a·s subtracted from it in one sweep.
-func (p Params) EncryptZeroSym(rng *rand.Rand, sk *SecretKey, levels int) *Ciphertext {
+// EncryptSym returns a symmetric encryption of the payload m that b holds
+// in coefficient domain (zero for an encryption of zero), over b's limbs,
+// in NTT domain: a is drawn uniform, the noise e is drawn onto b, and
+// (b, a) = (NTT(m + e) − a·s, a) — one forward transform, the payload
+// riding the noise's, and a·s subtracted in one sweep. b becomes the
+// ciphertext's B.
+func (p Params) EncryptSym(rng *rand.Rand, sk *SecretKey, b *ring.Poly) *Ciphertext {
 	r := p.R
-	a := r.NewPoly(levels)
+	a := r.NewPoly(b.Levels())
 	r.UniformPoly(rng, a)
 	a.IsNTT = true // uniform in either domain; declare NTT
-	b := r.NewPoly(levels)
-	r.CBDPoly(rng, b, p.Eta)
+	r.AddCBDPoly(rng, b, p.Eta)
 	r.NTT(b)
 	p.subMulSecret(b, a, sk)
-	ct := &Ciphertext{B: b, A: a}
-	ctINTT(r, ct)
+	return &Ciphertext{B: b, A: a}
+}
+
+// EncryptZeroSym returns a symmetric encryption of zero with `levels` limbs
+// in coefficient domain: EncryptSym's pair transformed back.
+func (p Params) EncryptZeroSym(rng *rand.Rand, sk *SecretKey, levels int) *Ciphertext {
+	ct := p.EncryptSym(rng, sk, p.R.NewPoly(levels))
+	p.R.INTT(ct.B)
+	p.R.INTT(ct.A)
 	return ct
 }
 
-// EncryptZeroPK returns a public-key encryption of zero with `levels` limbs
-// in coefficient domain: (b, a) = (pk.B·u + e0, pk.A·u + e1).
-func (p Params) EncryptZeroPK(rng *rand.Rand, pk *PublicKey, levels int) *Ciphertext {
+// EncryptPK is EncryptSym with a public key: u ternary, then e0 drawn onto
+// b and e1, and (b, a) = (pk.B·u + NTT(m + e0), pk.A·u + NTT(e1)), NTT
+// domain. b becomes the ciphertext's B.
+func (p Params) EncryptPK(rng *rand.Rand, pk *PublicKey, b *ring.Poly) *Ciphertext {
 	r := p.R
+	levels := b.Levels()
 	u := r.NewPoly(levels)
 	r.TernaryPoly(rng, u)
-	r.NTT(u)
-	e0 := r.NewPoly(levels)
-	r.CBDPoly(rng, e0, p.Eta)
-	r.NTT(e0)
-	e1 := r.NewPoly(levels)
-	r.CBDPoly(rng, e1, p.Eta)
-	r.NTT(e1)
-
-	b := r.NewPoly(levels)
-	r.MulCoeff(b, truncate(pk.B, levels), u)
-	r.Add(b, b, e0)
+	r.AddCBDPoly(rng, b, p.Eta)
 	a := r.NewPoly(levels)
-	r.MulCoeff(a, truncate(pk.A, levels), u)
-	r.Add(a, a, e1)
-	ct := &Ciphertext{B: b, A: a}
-	ctINTT(r, ct)
-	return ct
+	r.CBDPoly(rng, a, p.Eta)
+	r.NTT(u)
+	r.NTT(b)
+	r.NTT(a)
+	uk := r.NewPoly(levels)
+	r.MulCoeff(uk, truncate(pk.B, levels), u)
+	r.Add(b, b, uk)
+	r.MulCoeff(uk, truncate(pk.A, levels), u)
+	r.Add(a, a, uk)
+	return &Ciphertext{B: b, A: a}
 }
 
 // Phase returns b + a·s over the ciphertext's limbs, in coefficient domain:
@@ -271,16 +277,6 @@ func truncate(p *ring.Poly, levels int) *ring.Poly {
 		panic("rlwe: not enough limbs")
 	}
 	return &ring.Poly{Coeffs: p.Coeffs[:levels], IsNTT: p.IsNTT}
-}
-
-// ctINTT moves both halves to coefficient domain.
-func ctINTT(r *ring.Ring, ct *Ciphertext) {
-	if ct.B.IsNTT {
-		r.INTT(ct.B)
-	}
-	if ct.A.IsNTT {
-		r.INTT(ct.A)
-	}
 }
 
 // Add sets out = ct0 + ct1 component-wise. Operands must share levels and

@@ -74,7 +74,7 @@ func TestEncryptZeroPhaseIsSmall(t *testing.T) {
 		}
 	}
 	pk := p.PublicKeyGen(rng, sk)
-	ct := p.EncryptZeroPK(rng, pk, 3)
+	ct := p.EncryptPK(rng, pk, p.R.NewPoly(3))
 	if bits := p.NoiseBits(ct, sk, nil); bits > 16 {
 		t.Errorf("fresh public-key noise %f bits, want small", bits)
 	}

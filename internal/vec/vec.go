@@ -6,8 +6,8 @@
 //
 //	func K(q uint64, rows ...[]uint64, consts ...) bool
 //
-// (the row MAC, MulMontDot, also returns its dot product ahead of the
-// verdict) and returns false — "not handled, run your Go loop" — when the switch is
+// (the row MAC, MulMontDotPair, also returns its dot products ahead of
+// the verdict) and returns false — "not handled, run your Go loop" — when the switch is
 // off, the row length is not a positive multiple of 8 (N < 32 for the
 // transforms), or q ≥ 2^50 (lazy values reach 4q and must fit a 52-bit
 // lane); the lifted forward transform, the dropping inverse and the

@@ -147,34 +147,76 @@ func MonomialSplit(q, qinv uint64, sum, diff, e, o, m []uint64, logRun int) bool
 	return true
 }
 
-// maxDotRun bounds the products one mulMontDot call sums: 2^12 a lane, so
-// a lane's sum of low 52-bit halves stays below 2^64.
-const maxDotRun = 8 << 12
+// The row MAC's two ranges, DESIGN.md §11 "The pair MAC". A group of g
+// chunks sums g products of two words below q in a lane before its one
+// reduction, which reads a sum below q·2^51: g·q < 2^51. A lane's low
+// halves (each below 2^52) sum over the group there, and over every block
+// of a run and every chunk of its group in the dot lanes: blocks·g ≤ 2^12
+// keeps both below 2^64.
+const (
+	groupRange = 1 << 51
+	laneSums   = 1 << 12
+)
 
-// MulMontDot sets out = x·yA·2^-52 mod q, or accumulates into out when add
-// is set, and returns Σ x[i]·yB[i] as hi·2^64 + lo: with yA in Montgomery
-// form (y·2^52 mod q) the products are x·y, and yB is read canonical, its
-// products summed exactly and never reduced. qinv is q^-1 mod 2^52; x is
-// read once for both, and every operand must be below q. The sum is below
-// n·q² < n·2^100, so it fits 128 bits for any n below 2^28.
-func MulMontDot(q, qinv uint64, out, x, yB, yA []uint64, add bool) (hi, lo uint64, handled bool) {
-	n := len(out)
-	if !ok(q, n, x, yB, yA) {
-		return 0, 0, false
+// dotGroup returns the chunks one group sums before its reduction for
+// modulus q: the most whose products stay in range, at most laneSums.
+func dotGroup(q uint64) int { return int(min((groupRange-1)/q, laneSums)) }
+
+// MulMontDotPair is the row MAC of one first-level pair over one row range:
+// it sets outP = Σ_c xP_c·yA_c·2^-52 and outM = Σ_c xM_c·yA_c·2^-52 mod q,
+// canonical — with yA in Montgomery form (y·2^52 mod q) the sums are
+// Σ_c xP_c∘y_c and Σ_c xM_c∘y_c — and returns the dot products Σ_c ⟨xP_c,
+// yB_c⟩ and Σ_c ⟨xM_c, yB_c⟩ as {hi, lo} (hi·2^64 + lo), yB read canonical
+// and its products summed exactly, never reduced. Operand row c starts
+// c·stride words into each of xP, xM, yB and yA and is len(outP) words
+// long; with outM nil there is no xM, and dotM is zero. qinv is q^-1 mod
+// 2^52; every operand must be below q. The sweep reads every word of
+// every chunk once: per block of eight words it walks a group of chunks
+// (dotGroup), sums the products wide and reduces each output once; a
+// later group adds into the outputs. A dot product is below n·chunks·q² <
+// 2^128 for n·chunks below 2^28, the limit of what it accepts.
+func MulMontDotPair(q, qinv uint64, outP, outM, xP, xM, yB, yA []uint64, stride, chunks int) (dotP, dotM [2]uint64, handled bool) {
+	n := len(outP)
+	pair := outM != nil
+	if chunks < 1 || stride < n || n*chunks >= 1<<28 || !ok(q, n) {
+		return dotP, dotM, false
 	}
-	var s [16]uint64 // lane sums: low halves, then high halves
-	for i := 0; i < n; i += maxDotRun {
-		mulMontDot(&out[i], &x[i], &yB[i], &yA[i], min(maxDotRun, n-i), q, qinv, add, &s)
-		for k, l := range s[:8] {
-			h := s[8+k] // weighs 2^52
-			var c uint64
-			lo, c = bits.Add64(lo, l, 0)
-			hi += c
-			lo, c = bits.Add64(lo, h<<52, 0)
-			hi += c + h>>12
+	span := (chunks-1)*stride + n
+	if len(xP) < span || len(yB) < span || len(yA) < span || pair && (len(outM) < n || len(xM) < span) {
+		return dotP, dotM, false
+	}
+	g := min(dotGroup(q), chunks)
+	run := 8 * (laneSums / g) // words a call sums into its dot lanes
+	var s [32]uint64          // lane sums: xP's low and high halves, then xM's
+	for c := 0; c < chunks; c += g {
+		gc, o := min(g, chunks-c), c*stride
+		for i := 0; i < n; i += run {
+			w := min(run, n-i)
+			var om, xm *uint64
+			if pair {
+				om, xm = &outM[i], &xM[o+i]
+			}
+			mulMontDotPair(&outP[i], om, &xP[o+i], xm, &yB[o+i], &yA[o+i], w, gc, stride, q, qinv, c > 0, &s)
+			dotP = foldLanes(dotP, s[:16])
+			dotM = foldLanes(dotM, s[16:])
 		}
 	}
-	return hi, lo, true
+	return dotP, dotM, true
+}
+
+// foldLanes adds eight lanes' sums of low and high 52-bit halves (the
+// high ones weigh 2^52) to the 128-bit total {hi, lo}.
+func foldLanes(t [2]uint64, s []uint64) [2]uint64 {
+	hi, lo := t[0], t[1]
+	for k, l := range s[:8] {
+		h := s[8+k]
+		var c uint64
+		lo, c = bits.Add64(lo, l, 0)
+		hi += c
+		lo, c = bits.Add64(lo, h<<52, 0)
+		hi += c + h>>12
+	}
+	return [2]uint64{hi, lo}
 }
 
 // MulMontPair sets out += a0·b0·2^-52 + a1·b1·2^-52 mod q on canonical
@@ -314,7 +356,7 @@ func inverseNTT(a *uint64, n int, w, wp *uint64, q, nInv, nInvShoup, nInvRoot, n
 func monomialSplit(sum, diff, e, o, m *uint64, n, run int, q, qinv uint64)
 
 //go:noescape
-func mulMontDot(out, x, yB, yA *uint64, n int, q, qinv uint64, add bool, sums *[16]uint64)
+func mulMontDotPair(outP, outM, xP, xM, yB, yA *uint64, n, chunks, stride int, q, qinv uint64, add bool, sums *[32]uint64)
 
 //go:noescape
 func mulMontPair(out, a0, b0, a1, b1 *uint64, n int, q, qinv uint64)

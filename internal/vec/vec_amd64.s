@@ -834,61 +834,136 @@ splitLoop:
 	VZEROUPPER
 	RET
 
-// DOTPROD: Z6 = x[AX:]·yA, a Montgomery product, and Z20/Z21 += the low
-// and high 52-bit halves of x[AX:]·yB, operands at R8..R10 in argument
-// order; x is read once for both. A lane's low sum stays below 2^64 for
-// 2^12 products, its high sum (each half below 2^48 for q < 2^50) far
-// longer.
-#define DOTPROD \
-	VMOVDQU64 (R8)(AX*8), Z0; \
-	VMOVDQU64 (R9)(AX*8), Z1; \
-	VPMADD52LUQ Z1, Z0, Z20; \
-	VPMADD52HUQ Z1, Z0, Z21; \
-	VMOVDQU64 (R10)(AX*8), Z2; \
-	MONT52(Z0, Z2, Z6, Z7, Z8)
+// MONTSUM: hi = (lo + hi·2^52)·2^-52 mod q, canonical, for wide sums of
+// 52-bit product halves (lo below 2^64, the whole below q·2^51), qinv in
+// Z27: MONT52's argument on a sum. lo>>52 carries into hi, and m =
+// lo·qinv mod 2^52 reads only lo's low 52 bits (the multiplier ignores
+// the rest, so lo needs no mask); hi − ⌊m·q/2^52⌋ then lies in (−q, q/2).
+// t is scratch.
+#define MONTSUM(lo, hi, t) \
+	VPSRLQ $52, lo, t; \
+	VPADDQ t, hi, hi; \
+	VPXORQ t, t, t; \
+	VPMADD52LUQ Z27, lo, t; \
+	VPXORQ lo, lo, lo; \
+	VPMADD52HUQ Z31, t, lo; \
+	VPSUBQ lo, hi, hi; \
+	VPADDQ Z31, hi, t; \
+	VPMINUQ t, hi, hi
 
-// func mulMontDot(out, x, yB, yA *uint64, n int, q, qinv uint64, add bool, sums *[16]uint64)
+// func mulMontDotPair(outP, outM, xP, xM, yB, yA *uint64, n, chunks, stride int, q, qinv uint64, add bool, sums *[32]uint64)
 //
-// Mirrors the row loops of ring.(*Ring).MulCoeffMontDot: out (+)=
-// x·yA·2^-52, canonical, and sums[k] / sums[8+k] = Σ over lane k of the
-// low / high 52-bit halves of x·yB, for n ≤ 2^15. Nothing of the yB
-// product is reduced or stored.
-TEXT ·mulMontDot(SB), NOSPLIT, $0-72
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), R8
-	MOVQ yB+16(FP), R9
-	MOVQ yA+24(FP), R10
-	MOVQ n+32(FP), CX
-	MOVQ q+40(FP), BX
+// Mirrors the Go loop of ring.(*Ring).MulCoeffMontDotPair over one row
+// range and one group of chunks: operand c's row starts stride words after
+// operand c−1's. Per block of eight words it loads xP_c, xM_c, yB_c and
+// yA_c once for every chunk c and sums, wide and unreduced, the low and
+// high 52-bit halves of xP·yA and xM·yA, then reduces each once (MONTSUM)
+// and stores out (+)= Σ_c x_c·yA_c·2^-52, canonical — with yA in
+// Montgomery form the sums are Σ x_c∘y_c. The halves of xP·yB and xM·yB
+// go on summing across blocks: sums[k], sums[8+k], sums[16+k] and
+// sums[24+k] are lane k's low and high sums of xP·yB, then of xM·yB.
+// The wrapper keeps chunks·q below 2^51 and chunks·n/8 at most 2^12, so
+// every sum stays in its range. With outM nil the second loop runs on xP
+// alone, and the xM sums read zero.
+TEXT ·mulMontDotPair(SB), NOSPLIT, $0-104
+	MOVQ outP+0(FP), DI
+	MOVQ outM+8(FP), SI
+	MOVQ xP+16(FP), R8
+	MOVQ xM+24(FP), R9
+	MOVQ yB+32(FP), R10
+	MOVQ yA+40(FP), R11
+	MOVQ n+48(FP), CX
+	MOVQ chunks+56(FP), R12
+	MOVQ stride+64(FP), R13
+	SHLQ $3, R13                // bytes
+	MOVQ q+72(FP), BX
 	CONSTS(BX)
-	VPBROADCASTQ qinv+48(FP), Z27
-	MOVQ sums+64(FP), R11
+	VPBROADCASTQ qinv+80(FP), Z27
+	MOVBQZX add+88(FP), DX
 	VPXORQ Z20, Z20, Z20
 	VPXORQ Z21, Z21, Z21
+	VPXORQ Z22, Z22, Z22
+	VPXORQ Z23, Z23, Z23
 	XORQ AX, AX
-	CMPB add+56(FP), $0
-	JNE  dotAddLoop
+	TESTQ SI, SI
+	JZ   oneBlock
 
-dotLoop:
-	DOTPROD
-	VMOVDQU64 Z6, (DI)(AX*8)
+pairBlock:
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	LEAQ (AX*8), BX             // the block's offset in chunk c's rows
+	MOVQ R12, R14
+
+pairChunk:
+	VMOVDQU64 (R8)(BX*1), Z0    // xP
+	VMOVDQU64 (R9)(BX*1), Z1    // xM
+	VMOVDQU64 (R10)(BX*1), Z2   // yB
+	VMOVDQU64 (R11)(BX*1), Z3   // yA
+	VPMADD52LUQ Z3, Z0, Z4
+	VPMADD52HUQ Z3, Z0, Z5
+	VPMADD52LUQ Z3, Z1, Z6
+	VPMADD52HUQ Z3, Z1, Z7
+	VPMADD52LUQ Z2, Z0, Z20
+	VPMADD52HUQ Z2, Z0, Z21
+	VPMADD52LUQ Z2, Z1, Z22
+	VPMADD52HUQ Z2, Z1, Z23
+	ADDQ R13, BX
+	DECQ R14
+	JNZ  pairChunk
+	MONTSUM(Z4, Z5, Z8)
+	MONTSUM(Z6, Z7, Z8)
+	TESTQ DX, DX
+	JZ   pairStore
+	VPADDQ (DI)(AX*8), Z5, Z5   // < 2q
+	CSUB(Z5, Z31, Z8)
+	VPADDQ (SI)(AX*8), Z7, Z7
+	CSUB(Z7, Z31, Z8)
+
+pairStore:
+	VMOVDQU64 Z5, (DI)(AX*8)
+	VMOVDQU64 Z7, (SI)(AX*8)
 	ADDQ $8, AX
 	CMPQ AX, CX
-	JLT  dotLoop
-	JMP  dotDone
+	JLT  pairBlock
+	JMP  pairDone
 
-dotAddLoop:
-	DOTPROD
-	VPADDQ (DI)(AX*8), Z6, Z6   // < 2q
-	CSUB(Z6, Z31, Z7)
-	VMOVDQU64 Z6, (DI)(AX*8)
+oneBlock:
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	LEAQ (AX*8), BX
+	MOVQ R12, R14
+
+oneChunk:
+	VMOVDQU64 (R8)(BX*1), Z0    // xP
+	VMOVDQU64 (R10)(BX*1), Z2   // yB
+	VMOVDQU64 (R11)(BX*1), Z3   // yA
+	VPMADD52LUQ Z3, Z0, Z4
+	VPMADD52HUQ Z3, Z0, Z5
+	VPMADD52LUQ Z2, Z0, Z20
+	VPMADD52HUQ Z2, Z0, Z21
+	ADDQ R13, BX
+	DECQ R14
+	JNZ  oneChunk
+	MONTSUM(Z4, Z5, Z8)
+	TESTQ DX, DX
+	JZ   oneStore
+	VPADDQ (DI)(AX*8), Z5, Z5
+	CSUB(Z5, Z31, Z8)
+
+oneStore:
+	VMOVDQU64 Z5, (DI)(AX*8)
 	ADDQ $8, AX
 	CMPQ AX, CX
-	JLT  dotAddLoop
+	JLT  oneBlock
 
-dotDone:
-	VMOVDQU64 Z20, (R11)
-	VMOVDQU64 Z21, 64(R11)
+pairDone:
+	MOVQ sums+96(FP), R15
+	VMOVDQU64 Z20, (R15)
+	VMOVDQU64 Z21, 64(R15)
+	VMOVDQU64 Z22, 128(R15)
+	VMOVDQU64 Z23, 192(R15)
 	VZEROUPPER
 	RET
 
@@ -896,11 +971,8 @@ dotDone:
 //
 // Mirrors the row loop of ring.(*Ring).MulCoeffMontPairAdd:
 // out += (a0·b0 + a1·b1)·2^-52, canonical, with b0/b1 in Montgomery form.
-// The two 104-bit products are summed wide and reduced once, MONT52's
-// argument on the sum: lo = lo0+lo1 < 2^53 carries lo>>52 into hi, and m =
-// lo·qinv mod 2^52 reads only lo's low 52 bits (the multiplier ignores the
-// rest, so lo needs no mask). For q < 2^50 the sum is below 2q² < q·2^51,
-// so hi − ⌊m·q/2^52⌋ lies in (−q, q/2).
+// The two 104-bit products are summed wide and reduced once (MONTSUM): for
+// q < 2^50 the sum is below 2q² < q·2^51.
 TEXT ·mulMontPair(SB), NOSPLIT, $0-64
 	MOVQ out+0(FP), DI
 	MOVQ a0+8(FP), R8
@@ -924,15 +996,7 @@ pairLoop:
 	VPMADD52HUQ Z1, Z0, Z5
 	VPMADD52LUQ Z3, Z2, Z4      // lo < 2^53
 	VPMADD52HUQ Z3, Z2, Z5
-	VPSRLQ $52, Z4, Z6
-	VPADDQ Z6, Z5, Z5           // hi += lo>>52
-	VPXORQ Z6, Z6, Z6
-	VPMADD52LUQ Z27, Z4, Z6     // m
-	VPXORQ Z7, Z7, Z7
-	VPMADD52HUQ Z31, Z6, Z7     // ⌊m·q/2^52⌋
-	VPSUBQ Z7, Z5, Z5           // in (−q, q/2)
-	VPADDQ Z31, Z5, Z7
-	VPMINUQ Z7, Z5, Z5          // canonical
+	MONTSUM(Z4, Z5, Z6)
 	VPADDQ (DI)(AX*8), Z5, Z5   // < 2q
 	CSUB(Z5, Z31, Z7)
 	VMOVDQU64 Z5, (DI)(AX*8)

@@ -25,8 +25,8 @@ func MonomialSplit(q, qinv uint64, sum, diff, e, o, m []uint64, logRun int) bool
 	return false
 }
 
-func MulMontDot(q, qinv uint64, out, x, yB, yA []uint64, add bool) (hi, lo uint64, handled bool) {
-	return 0, 0, false
+func MulMontDotPair(q, qinv uint64, outP, outM, xP, xM, yB, yA []uint64, stride, chunks int) (dotP, dotM [2]uint64, handled bool) {
+	return dotP, dotM, false
 }
 
 func MulMontPair(q, qinv uint64, out, a0, b0, a1, b1 []uint64) bool { return false }

@@ -56,8 +56,11 @@ type gen struct {
 }
 
 // row returns N words below bound per the fill mode.
-func (g *gen) row(bound uint64) []uint64 {
-	a := make([]uint64, g.r.N)
+func (g *gen) row(bound uint64) []uint64 { return g.words(g.r.N, bound) }
+
+// words returns n words below bound per the fill mode.
+func (g *gen) words(n int, bound uint64) []uint64 {
+	a := make([]uint64, n)
 	for i := range a {
 		switch g.fill {
 		case fillRandom:
@@ -181,20 +184,41 @@ func runAll(r *ring.Ring, seed int64, fill int) []result {
 	acc := g.poly(true)
 	r.MulCoeffMontPairAdd(acc, a0, bM, a1, aM)
 	keep("pair", acc)
-	// The row MAC: one streamed row against a vector chunk's halves, the A
-	// half in Montgomery form and the B half summed as a dot product per
-	// half of the slots, fresh and then accumulated over a second chunk;
-	// the totals are kept as a row of {hi, lo} words, two per limb.
-	outA, accA := r.NewPoly(lv), g.poly(true)
-	dot := make([][2][2]uint64, lv)
-	r.MulCoeffMontDot(dot, outA, a0, b0, aM, false)
-	r.MulCoeffMontDot(dot, accA, a1, b1, aM, true)
-	var totals []uint64
-	for _, d := range dot {
-		totals = append(totals, d[0][0], d[0][1], d[1][0], d[1][1])
+	// The row MAC: a first-level pair, P+ and P−, streamed against every
+	// chunk of a vector, its A halves in Montgomery form and its B halves
+	// summed as dot products per half of the slots, and a half-empty pair
+	// (P+ alone). The chunk counts straddle the groups the kernel sums
+	// before a reduction — two or three chunks on the under50 primes, so 3,
+	// 4, 5 and 7 take a second or third group, added into the outputs — and
+	// the totals are kept as a row of {hi, lo} words, two per limb and side.
+	for _, chunks := range []int{1, 2, 3, 4, 5, 7} {
+		run := func(mont bool) []uint64 {
+			w := make([]uint64, 0, chunks*lv*r.N)
+			for c := 0; c < chunks; c++ {
+				p := g.poly(true)
+				if mont {
+					r.MulScalar(p, p, 1<<52)
+				}
+				for _, row := range p.Coeffs {
+					w = append(w, row...)
+				}
+			}
+			return w
+		}
+		xP, xM, b, aM := run(false), run(false), run(false), run(true)
+		outP, outM, one := g.poly(true), g.poly(true), g.poly(true)
+		dotP, dotM, dotOne := make([][2][2]uint64, lv), make([][2][2]uint64, lv), make([][2][2]uint64, lv)
+		r.MulCoeffMontDotPair(dotP, dotM, outP, outM, xP, xM, b, aM, chunks)
+		r.MulCoeffMontDotPair(dotOne, nil, one, nil, xM, nil, b, aM, chunks)
+		var totals []uint64
+		for _, dot := range [][][2][2]uint64{dotP, dotM, dotOne} {
+			for _, d := range dot {
+				totals = append(totals, d[0][0], d[0][1], d[1][0], d[1][1])
+			}
+		}
+		keep(fmt.Sprintf("dotpair/c%d", chunks), outP, outM, one)
+		out = append(out, result{fmt.Sprintf("dotpair/c%d/totals", chunks), [][]uint64{totals}})
 	}
-	keep("dot", outA, accA)
-	out = append(out, result{"dot/totals", [][]uint64{totals}})
 
 	// The lone Montgomery product (the odd key-switch digit, the secret
 	// key's products): fresh, accumulated and in place.
@@ -321,14 +345,19 @@ func TestKernelsMatchGoLoops(t *testing.T) {
 	}
 }
 
-// TestMulMontDotForms drives the row MAC kernel straight, fresh and
-// accumulated, with yA in Montgomery form and yB canonical: out against the
-// products mod's division-based Mul gives, the returned sum against a
-// math/big dot product. Two rows pin the lane-sum bound at n = 2^15, the
-// most one kernel run takes (2^12 products a lane), on a prime just under
-// 2^50: every operand q-1, the largest products, and uniform operands,
-// whose low halves average 2^51, so the eight lane sums pass 2^64 and the
-// wrapper must carry.
+// TestMulMontDotForms drives the pair MAC kernel straight, with yA in
+// Montgomery form and yB canonical, operand rows a stride apart with a gap
+// between them: both outputs against the per-chunk sums mod's
+// division-based Mul and Add give, the returned dot products against
+// math/big ones, for a pair and for P+ alone. A group of chunks sums its
+// products wide and reduces once, so chunks·q must stay below 2^51: the
+// moduli just under and at that bound for three chunks (groups of three,
+// then of two) take chunk counts 1, 2, 3, 4, 5 and 7, a group, one more
+// and two groups and one. Long rows pin the lane-sum bound (2^12 products
+// a lane before the wrapper folds them): 2^16 words of one chunk, two
+// runs, every operand q-1 — the largest products — and uniform operands,
+// whose low halves average 2^51, so the lane sums pass 2^64 between
+// folds unless the runs are cut where they are.
 func TestMulMontDotForms(t *testing.T) {
 	if vec.Impl() != vec.ImplIFMA {
 		t.Skip("no dot kernel on this host")
@@ -338,54 +367,84 @@ func TestMulMontDotForms(t *testing.T) {
 		t.Fatal(err)
 	}
 	type form struct {
-		q    uint64
-		n    int
-		fill int
+		q      uint64
+		n      int
+		chunks []int
+		fill   int
 	}
+	justUnder := uint64((1<<51-1)/3-1) | 1 // 3q < 2^51: groups of three
+	atBound := uint64(1<<51)/3 + 1 | 1     // 3q ≥ 2^51: groups of two
+	many := []int{1, 2, 3, 4, 5, 7}
 	var forms []form
 	for _, q := range mod.ChamModuli() {
-		forms = append(forms, form{q, 64, fillRandom})
+		forms = append(forms, form{q, 64, many, fillRandom})
 	}
-	forms = append(forms, form{under[0], 4096, fillRandom}, form{under[0], 1 << 15, fillTop}, form{under[0], 1 << 15, fillRandom})
+	forms = append(forms,
+		form{justUnder, 64, many, fillTop}, form{justUnder, 64, many, fillRandom},
+		form{atBound, 64, many, fillTop}, form{atBound, 64, many, fillRandom},
+		form{under[0], 4096, []int{3}, fillRandom},
+		form{under[0], 1 << 16, []int{1}, fillTop}, form{under[0], 1 << 16, []int{1}, fillRandom},
+		form{mod.ChamModuli()[2], 1 << 14, []int{3}, fillRandom})
 	for _, f := range forms {
-		q, n := f.q, f.n
+		q := f.q
 		m := mod.New(q)
 		qinv := q // q^-1 mod 2^52 by Newton's iteration
 		for i := 0; i < 5; i++ {
 			qinv *= 2 - q*qinv
 		}
 		qinv &= 1<<52 - 1
-		g := &gen{r: ring.MustNew(n, []uint64{q}), rng: rand.New(rand.NewSource(int64(q))), fill: f.fill}
-		x, yB, yA := g.row(q), g.row(q), g.row(q)
-		x[0], yB[0], yA[0] = q-1, q-1, 0
-		mA := make([]uint64, n)
-		want := new(big.Int)
-		for i := range yA {
-			mA[i] = m.Mul(yA[i], 1<<52)
-			p := new(big.Int).SetUint64(x[i])
-			want.Add(want, p.Mul(p, new(big.Int).SetUint64(yB[i])))
-		}
-		for _, add := range []bool{false, true} {
-			out := g.row(q)
-			wantA := append([]uint64(nil), out...)
-			for i := range wantA {
-				a := m.Mul(x[i], yA[i])
-				if add {
-					a = m.Add(wantA[i], a)
+		for _, chunks := range f.chunks {
+			n, stride := f.n, f.n+8
+			g := &gen{rng: rand.New(rand.NewSource(int64(q) + int64(chunks))), fill: f.fill}
+			span := chunks * stride
+			xP, xM, yB, yA := g.words(span, q), g.words(span, q), g.words(span, q), g.words(span, q)
+			xP[0], xM[0], yB[0], yA[0] = q-1, q-1, q-1, 0
+			mA := make([]uint64, len(yA))
+			for i := range yA {
+				mA[i] = m.Mul(yA[i], 1<<52)
+			}
+			wantP, wantM := make([]uint64, n), make([]uint64, n)
+			dotWant := [2]*big.Int{new(big.Int), new(big.Int)}
+			for c := 0; c < chunks; c++ {
+				for i := 0; i < n; i++ {
+					k := c*stride + i
+					wantP[i] = m.Add(wantP[i], m.Mul(xP[k], yA[k]))
+					wantM[i] = m.Add(wantM[i], m.Mul(xM[k], yA[k]))
+					for side, x := range [2][]uint64{xP, xM} {
+						p := new(big.Int).SetUint64(x[k])
+						dotWant[side].Add(dotWant[side], p.Mul(p, new(big.Int).SetUint64(yB[k])))
+					}
 				}
-				wantA[i] = a
 			}
-			hi, lo, handled := vec.MulMontDot(q, qinv, out, x, yB, mA, add)
-			if !handled {
-				t.Fatalf("q=%d n=%d: the kernel declined", q, n)
-			}
-			got := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
-			if got.Add(got, new(big.Int).SetUint64(lo)); got.Cmp(want) != 0 {
-				t.Fatalf("q=%d n=%d %s add=%v: dot is %v, want %v", q, n, fillNames[f.fill], add, got, want)
-			}
-			for i := range wantA {
-				if out[i] != wantA[i] {
-					t.Fatalf("q=%d n=%d %s add=%v: word %d is %d, want %d", q, n, fillNames[f.fill], add, i, out[i], wantA[i])
+			name := fmt.Sprintf("q=%d n=%d %s chunks=%d", q, n, fillNames[f.fill], chunks)
+			for _, pair := range []bool{true, false} {
+				outP, outM := g.words(n, q), g.words(n, q)
+				var xm []uint64
+				if pair {
+					xm = xM
+				} else {
+					outM = nil
+				}
+				dotP, dotM, handled := vec.MulMontDotPair(q, qinv, outP, outM, xP, xm, yB, mA, stride, chunks)
+				if !handled {
+					t.Fatalf("%s pair %v: the kernel declined", name, pair)
+				}
+				check := func(side string, out, want []uint64, dot [2]uint64, dotWant *big.Int) {
+					got := new(big.Int).Lsh(new(big.Int).SetUint64(dot[0]), 64)
+					if got.Add(got, new(big.Int).SetUint64(dot[1])); got.Cmp(dotWant) != 0 {
+						t.Fatalf("%s pair %v: %s dot is %v, want %v", name, pair, side, got, dotWant)
+					}
+					for i := range want {
+						if out[i] != want[i] {
+							t.Fatalf("%s pair %v: %s word %d is %d, want %d", name, pair, side, i, out[i], want[i])
+						}
+					}
+				}
+				check("P+", outP, wantP, dotP, dotWant[0])
+				if pair {
+					check("P−", outM, wantM, dotM, dotWant[1])
+				} else if dotM != [2]uint64{} {
+					t.Fatalf("%s: P− absent, but its dot is %v", name, dotM)
 				}
 			}
 		}
@@ -417,7 +476,7 @@ func TestKernelGates(t *testing.T) {
 			"InverseNTT":     vec.InverseNTT(q, z(), z(), z(), 0, 0, 0, 0),
 			"InverseNTTDrop": vec.InverseNTTDrop(q, z(), z(), z(), z(), z(), 0, 0, 0, 0, q, 0, 0),
 			"MonomialSplit":  vec.MonomialSplit(q, 1, z(), z(), z(), z(), z(), 3),
-			"MulMontDot":     dotHandled(vec.MulMontDot(q, 1, z(), z(), z(), z(), true)),
+			"MulMontDotPair": dotHandled(vec.MulMontDotPair(q, 1, z(), z(), z(), z(), z(), z(), n, 1)),
 			"MulMontPair":    vec.MulMontPair(q, 1, z(), z(), z(), z(), z()),
 			"ModDownRow":     vec.ModDownRow(q, z(), z(), z(), q/2, 0, 0, 0),
 			"Gather":         vec.Gather(z(), z(), make([]uint32, n)),
@@ -455,13 +514,24 @@ func TestKernelGates(t *testing.T) {
 	})
 	t.Run("short operand", func(t *testing.T) {
 		z := func(n int) []uint64 { return make([]uint64, n) }
-		// The row MAC's operands are x, yB, yA.
-		for i := 0; i < 3; i++ {
-			o := [3][]uint64{z(32), z(32), z(32)}
-			o[i] = z(24)
-			if dotHandled(vec.MulMontDot(cham, 1, z(32), o[0], o[1], o[2], true)) {
-				t.Errorf("MulMontDot accepted operand %d shorter than out", i)
+		// The row MAC's operands are outM, xP, xM, yB and yA, each row of
+		// three chunks a stride of 40 words apart: 112 words.
+		for i := 0; i < 5; i++ {
+			o := [5][]uint64{z(32), z(112), z(112), z(112), z(112)}
+			o[i] = o[i][:len(o[i])-8]
+			if dotHandled(vec.MulMontDotPair(cham, 1, z(32), o[0], o[1], o[2], o[3], o[4], 40, 3)) {
+				t.Errorf("MulMontDotPair accepted operand %d shorter than its rows", i)
 			}
+		}
+		if !accel || !dotHandled(vec.MulMontDotPair(cham, 1, z(32), z(32), z(112), z(112), z(112), z(112), 40, 3)) {
+			if accel {
+				t.Error("MulMontDotPair declined operands that hold their rows")
+			}
+		}
+		// Rows closer than their length, and no chunks.
+		if dotHandled(vec.MulMontDotPair(cham, 1, z(32), nil, z(112), nil, z(112), z(112), 24, 3)) ||
+			dotHandled(vec.MulMontDotPair(cham, 1, z(32), nil, z(112), nil, z(112), z(112), 40, 0)) {
+			t.Error("MulMontDotPair accepted overlapping rows or no chunks")
 		}
 		// The pair MAC's operands are a0, b0, a1, b1.
 		for i := 0; i < 4; i++ {
@@ -613,8 +683,8 @@ func TestKernelGates(t *testing.T) {
 	}
 }
 
-// dotHandled keeps MulMontDot's verdict and drops its sum.
-func dotHandled(_, _ uint64, handled bool) bool { return handled }
+// dotHandled keeps MulMontDotPair's verdict and drops its sums.
+func dotHandled(_, _ [2]uint64, handled bool) bool { return handled }
 
 // TestGatherChecksIndices: the gathers are the only kernels that form an
 // address from data. An index at or beyond the row length is never

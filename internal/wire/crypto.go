@@ -34,10 +34,38 @@ func wordWidth(v uint64) int { return max(1, (bits.Len64(v)+7)/8) }
 func limbWidth(r *ring.Ring, l int) int { return wordWidth(r.Moduli[l].Q - 1) }
 
 // putWords writes src into dst at w bytes a word, little-endian; dst is
-// exactly w·len(src) bytes and every word fits w bytes. The words that
-// have 8 bytes of dst ahead of them are stored whole, each store's high
-// bytes overwritten by the next word, and the last few byte by byte.
+// exactly w·len(src) bytes and every word fits w bytes. At five bytes, the
+// width of every CHAM limb, whole blocks of eight words go through
+// putWords5; the rest through putWordsLoop.
 func putWords(dst []byte, src []uint64, w int) {
+	if w == 5 {
+		n := len(src) &^ 7
+		putWords5(dst[:5*n], src[:n])
+		dst, src = dst[5*n:], src[n:]
+	}
+	putWordsLoop(dst, src, w)
+}
+
+// putWords5 is putWords at five bytes a word over whole blocks of eight
+// words: each block's forty bytes are five 8-byte stores, every word's
+// bits shifted into place — word k holds bits [40k, 40k+40) of the
+// block.
+func putWords5(dst []byte, src []uint64) {
+	for len(src) >= 8 {
+		s, d := src[:8:8], dst[:40:40]
+		binary.LittleEndian.PutUint64(d[0:], s[0]|s[1]<<40)
+		binary.LittleEndian.PutUint64(d[8:], s[1]>>24|s[2]<<16|s[3]<<56)
+		binary.LittleEndian.PutUint64(d[16:], s[3]>>8|s[4]<<32)
+		binary.LittleEndian.PutUint64(d[24:], s[4]>>32|s[5]<<8|s[6]<<48)
+		binary.LittleEndian.PutUint64(d[32:], s[6]>>16|s[7]<<24)
+		src, dst = src[8:], dst[40:]
+	}
+}
+
+// putWordsLoop is putWords at any width: the words that have 8 bytes of
+// dst ahead of them are stored whole, each store's high bytes overwritten
+// by the next word, and the last few byte by byte.
+func putWordsLoop(dst []byte, src []uint64, w int) {
 	i := 0
 	if len(dst) >= 8 {
 		whole := src[:(len(dst)-8)/w+1]

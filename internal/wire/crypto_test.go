@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"cham/internal/exp"
@@ -263,4 +265,37 @@ func TestLargestMessagesFitFrame(t *testing.T) {
 		t.Errorf("a %d-key set encodes to %d bytes, over the %d-byte frame limit", MaxKeyEntries, size, DefaultMaxFrame)
 	}
 	t.Logf("largest matrix %d bytes, largest key set %d bytes, frame limit %d", matrix, setupKeysLen(p.R, keys), DefaultMaxFrame)
+}
+
+// TestPutWords5MatchesLoop: the five-byte fast path writes the bytes the
+// general loop writes, at row lengths 1 to 17 (no whole block, one, two
+// and a tail) and N, over uniform words below 2^40 and words at 0 and
+// 2^40−1.
+func TestPutWords5MatchesLoop(t *testing.T) {
+	rng := testutil.NewRand(t)
+	lengths := []int{4096}
+	for n := 1; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for _, fill := range []string{"uniform", "edges"} {
+			src := make([]uint64, n)
+			for i := range src {
+				src[i] = rng.Uint64() >> 24
+				if fill == "edges" {
+					src[i] = (1<<40 - 1) * uint64(i%3&1)
+				}
+			}
+			got, want := make([]byte, 5*n), make([]byte, 5*n)
+			putWords(got, src, 5)
+			putWordsLoop(want, src, 5)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%d %s words: the fast path wrote %x, the loop %x", n, fill, got, want)
+			}
+			back := make([]uint64, n)
+			if getWords(back, got, 5); !slices.Equal(back, src) {
+				t.Fatalf("%d %s words: read back %v, want %v", n, fill, back, src)
+			}
+		}
+	}
 }
